@@ -163,7 +163,7 @@ func MustParseSpec(in string) Spec {
 }
 
 // Prim identifies a distributive primitive aggregate.
-type Prim int
+type Prim uint8
 
 // The distributive primitives aggregates decompose into.
 const (
@@ -305,33 +305,35 @@ func (s Spec) Finalize(prims []value.V) (value.V, error) {
 // Acc accumulates one primitive state. The same type serves both roles of
 // Theorem 1: Add folds detail values at a site (sub-aggregation), Merge
 // folds shipped primitive states at the coordinator (super-aggregation).
+//
+// Acc is a small value type so evaluators can hold one per group and
+// primitive in a Slab instead of a heap object each: the running extremum
+// of PMin/PMax lives unboxed in (mk, i, f, s), and the sketch states of
+// PHLL/PSet are allocated on first use.
 type Acc struct {
-	prim Prim
-	star bool // count rows, not non-NULL values
-
+	prim  Prim
+	star  bool // count rows, not non-NULL values
 	seen  bool
+	isInt bool
+	mk    value.Kind // kind of the PMin/PMax extremum held in i, f, s
 	i     int64
 	f     float64
-	isInt bool
-	minv  value.V
+	s     string
 	hll   *hll
 	set   map[string]struct{}
+}
+
+// newAcc returns the empty state for the primitive. star selects COUNT(*)
+// row-counting semantics for PCount.
+func newAcc(p Prim, star bool) Acc {
+	return Acc{prim: p, star: star, isInt: p == PCount || p == PSum}
 }
 
 // NewAcc returns an empty accumulator for the primitive. star selects
 // COUNT(*) row-counting semantics for PCount.
 func NewAcc(p Prim, star bool) *Acc {
-	a := &Acc{prim: p, star: star}
-	if p == PCount || p == PSum {
-		a.isInt = true
-	}
-	if p == PHLL {
-		a.hll = newHLL()
-	}
-	if p == PSet {
-		a.set = map[string]struct{}{}
-	}
-	return a
+	a := newAcc(p, star)
+	return &a
 }
 
 // NewAccs returns one accumulator per primitive of the spec.
@@ -343,6 +345,60 @@ func NewAccs(s Spec) []*Acc {
 	}
 	return accs
 }
+
+// Slab holds the accumulators of a whole evaluation — groups × the
+// flattened primitives of a spec list — in one backing array, addressed by
+// index arithmetic. The row engine, the vectorized engine and the
+// coordinator's synchronization all keep their state in one.
+type Slab struct {
+	proto  []Acc // one group's empty states, in spec then primitive order
+	off    []int // off[si] is spec si's first primitive within a group
+	accs   []Acc
+	groups int // counted, not len(accs)/len(proto): a spec list may have no primitives
+}
+
+// NewSlab returns a slab of empty accumulators for groups groups.
+func NewSlab(specs []Spec, groups int) *Slab {
+	s := &Slab{off: make([]int, len(specs)+1), groups: groups}
+	for si, sp := range specs {
+		s.off[si] = len(s.proto)
+		for _, p := range sp.Prims() {
+			s.proto = append(s.proto, newAcc(p, sp.Star()))
+		}
+	}
+	s.off[len(specs)] = len(s.proto)
+	s.accs = make([]Acc, 0, groups*len(s.proto))
+	for g := 0; g < groups; g++ {
+		s.accs = append(s.accs, s.proto...)
+	}
+	return s
+}
+
+// AddGroup appends one group of empty accumulators and returns its index.
+func (s *Slab) AddGroup() int {
+	s.accs = append(s.accs, s.proto...)
+	s.groups++
+	return s.groups - 1
+}
+
+// Group returns group g's accumulators in spec then primitive order — the
+// order of the shipped sub-result columns.
+func (s *Slab) Group(g int) []Acc {
+	n := len(s.proto)
+	return s.accs[g*n : (g+1)*n]
+}
+
+// Spec returns the accumulators of spec si (an index into the spec list
+// the slab was built for) in group g, in Prims() order.
+func (s *Slab) Spec(g, si int) []Acc {
+	base := g * len(s.proto)
+	return s.accs[base+s.off[si] : base+s.off[si+1]]
+}
+
+// minmax returns the running PMin/PMax extremum as a value.
+func (a *Acc) minmax() value.V { return value.V{K: a.mk, I: a.i, F: a.f, S: a.s} }
+
+func (a *Acc) setMinmax(v value.V) { a.mk, a.i, a.f, a.s = v.K, v.I, v.F, v.S }
 
 // Add folds one detail value into the state (sub-aggregation). NULLs are
 // ignored except by COUNT(*).
@@ -375,23 +431,29 @@ func (a *Acc) Add(v value.V) error {
 		return nil
 	case PMin, PMax:
 		if !a.seen {
-			a.minv = v
+			a.setMinmax(v)
 			a.seen = true
 			return nil
 		}
-		c, err := value.Compare(v, a.minv)
+		c, err := value.Compare(v, a.minmax())
 		if err != nil {
 			return fmt.Errorf("agg: min/max over mixed types: %w", err)
 		}
 		if a.prim == PMin && c < 0 || a.prim == PMax && c > 0 {
-			a.minv = v
+			a.setMinmax(v)
 		}
 		return nil
 	case PHLL:
+		if a.hll == nil {
+			a.hll = newHLL()
+		}
 		a.hll.Add(v)
 		a.seen = true
 		return nil
 	case PSet:
+		if a.set == nil {
+			a.set = map[string]struct{}{}
+		}
 		a.set[v.Key()] = struct{}{}
 		a.seen = true
 		if len(a.set) > maxExactDistinct {
@@ -440,7 +502,11 @@ func (a *Acc) Merge(v value.V) error {
 		if err != nil {
 			return fmt.Errorf("agg: merge hll: %w", err)
 		}
-		a.hll.Merge(other)
+		if a.hll == nil {
+			a.hll = other // freshly decoded, not shared
+		} else {
+			a.hll.Merge(other)
+		}
 		a.seen = true
 		return nil
 	case PSet:
@@ -448,8 +514,12 @@ func (a *Acc) Merge(v value.V) error {
 		if err != nil {
 			return fmt.Errorf("agg: merge set: %w", err)
 		}
-		for k := range other {
-			a.set[k] = struct{}{}
+		if a.set == nil {
+			a.set = other // freshly decoded, not shared
+		} else {
+			for k := range other {
+				a.set[k] = struct{}{}
+			}
 		}
 		if len(a.set) > maxExactDistinct {
 			return fmt.Errorf("agg: exact distinct set exceeds %d values; use countd", maxExactDistinct)
@@ -479,7 +549,7 @@ func (a *Acc) Result() value.V {
 		if !a.seen {
 			return value.Null
 		}
-		return a.minv
+		return a.minmax()
 	case PHLL:
 		if !a.seen {
 			return value.Null

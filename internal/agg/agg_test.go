@@ -375,3 +375,70 @@ func TestExactDistinctCap(t *testing.T) {
 		t.Error("exact distinct cap not enforced")
 	}
 }
+
+// TestSlabLayout: a slab addresses groups × specs × primitives by index
+// arithmetic; Group runs in shipped-column order, Spec in Prims() order,
+// and AddGroup appends an empty group without disturbing the others.
+func TestSlabLayout(t *testing.T) {
+	specs := []Spec{
+		MustParseSpec("avg(x) AS a"),   // PSum, PCount
+		MustParseSpec("count(*) AS n"), // PCount (star)
+		MustParseSpec("countd(x) AS d"),
+		MustParseSpec("min(x) AS lo"),
+	}
+	s := NewSlab(specs, 2)
+	if got := len(s.Group(1)); got != 5 {
+		t.Fatalf("group has %d primitives, want 5", got)
+	}
+	for g := 0; g < 2; g++ {
+		for si := range specs {
+			accs := s.Spec(g, si)
+			if len(accs) != len(specs[si].Prims()) {
+				t.Fatalf("spec %d has %d accumulators, want %d", si, len(accs), len(specs[si].Prims()))
+			}
+			for pi := range accs {
+				if err := accs[pi].Add(value.NewInt(int64(10*g + si))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if g := s.AddGroup(); g != 2 {
+		t.Fatalf("AddGroup returned %d, want 2", g)
+	}
+	want := [][]value.V{
+		{value.NewInt(0), value.NewInt(1), value.NewInt(1), value.Null /* sketch */, value.NewInt(3)},
+		{value.NewInt(10), value.NewInt(1), value.NewInt(1), value.Null, value.NewInt(13)},
+		{value.Null, value.NewInt(0), value.NewInt(0), value.Null, value.Null},
+	}
+	for g, row := range want {
+		for pi, w := range row {
+			got := s.Group(g)[pi].Result()
+			if pi == 3 && g < 2 {
+				if got.K != value.KindString {
+					t.Errorf("group %d sketch state is %v, want an encoded sketch", g, got)
+				}
+				continue
+			}
+			if got != w {
+				t.Errorf("group %d primitive %d = %v, want %v", g, pi, got, w)
+			}
+		}
+	}
+}
+
+// TestSlabNoPrimitives: a spec list without primitives still counts its
+// groups (an operator may have a θ and no aggregates).
+func TestSlabNoPrimitives(t *testing.T) {
+	for _, specs := range [][]Spec{nil, {}} {
+		s := NewSlab(specs, 2)
+		for want := 2; want < 5; want++ {
+			if g := s.AddGroup(); g != want {
+				t.Fatalf("AddGroup returned %d, want %d", g, want)
+			}
+			if got := len(s.Group(want)); got != 0 {
+				t.Fatalf("group %d has %d accumulators, want 0", want, got)
+			}
+		}
+	}
+}

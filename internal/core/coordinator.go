@@ -823,15 +823,8 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 	// Merge state, initialized lazily for fused steps (the base schema
 	// comes from the first fragment).
 	var keyIdx []int
-	index := map[string]int{}
-	var accs [][][]*agg.Acc
-	newAccs := func() [][]*agg.Acc {
-		a := make([][]*agg.Acc, len(specs))
-		for i, sp := range specs {
-			a[i] = agg.NewAccs(sp)
-		}
-		return a
-	}
+	var index relation.KeyIndex
+	var accs *agg.Slab
 	ready := false
 
 	initState := func(firstFrag *relation.Relation) error {
@@ -853,12 +846,9 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			keyIdx[i] = p
 		}
 		for pos, row := range x.Rows {
-			index[relation.RowKey(row, keyIdx)] = pos
+			index.Add(relation.HashRow(row, keyIdx), pos)
 		}
-		accs = make([][][]*agg.Acc, len(x.Rows))
-		for i := range accs {
-			accs[i] = newAccs()
-		}
+		accs = agg.NewSlab(specs, len(x.Rows))
 		ready = true
 		return nil
 	}
@@ -893,20 +883,23 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 				hBase[i] = p
 			}
 		}
-		prims := make([][]int, len(specs))
-		for si, sp := range specs {
-			prims[si] = make([]int, len(sp.Prims()))
+		// Fragment positions of the primitive state columns, in the slab's
+		// spec then primitive order.
+		var prims []int
+		for _, sp := range specs {
 			for pi := range sp.Prims() {
 				p, err := h.Schema.MustLookup(sp.SubColName(pi))
 				if err != nil {
 					return fmt.Errorf("site %s fragment: %w", r.site, err)
 				}
-				prims[si][pi] = p
+				prims = append(prims, p)
 			}
 		}
-		for _, row := range h.Rows {
-			key := relation.RowKey(row, hKey)
-			pos, ok := index[key]
+		var row relation.Row
+		sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, x.Rows[pos], keyIdx) }
+		for _, row = range h.Rows {
+			hash := relation.HashRow(row, hKey)
+			pos, ok := index.Find(hash, sameKey)
 			if !ok {
 				if !fused {
 					// A fragment group the coordinator never shipped:
@@ -918,15 +911,13 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 					nr[i] = row[p]
 				}
 				x.Rows = append(x.Rows, nr)
-				accs = append(accs, newAccs())
-				pos = len(x.Rows) - 1
-				index[key] = pos
+				pos = accs.AddGroup()
+				index.Add(hash, pos)
 			}
-			for si := range specs {
-				for pi, p := range prims[si] {
-					if err := accs[pos][si][pi].Merge(row[p]); err != nil {
-						return fmt.Errorf("site %s group merge: %w", r.site, err)
-					}
+			group := accs.Group(pos)
+			for pi, p := range prims {
+				if err := group[pi].Merge(row[p]); err != nil {
+					return fmt.Errorf("site %s group merge: %w", r.site, err)
 				}
 			}
 		}
@@ -979,14 +970,15 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		return nil, mergeTime, err
 	}
 	out := relation.New(outSchema)
-	out.Rows = make([]relation.Row, len(x.Rows))
+	out.Rows = relation.MakeRows(len(x.Rows), outSchema.Len())
+	var states []value.V // one spec's merged primitive states, reused
 	for gi, row := range x.Rows {
-		nr := make(relation.Row, 0, outSchema.Len())
-		nr = append(nr, row...)
+		nr := append(out.Rows[gi], row...)
 		for si, sp := range specs {
-			states := make([]value.V, len(accs[gi][si]))
-			for pi, a := range accs[gi][si] {
-				states[pi] = a.Result()
+			spec := accs.Spec(gi, si)
+			states = states[:0]
+			for pi := range spec {
+				states = append(states, spec[pi].Result())
 			}
 			v, err := sp.Finalize(states)
 			if err != nil {

@@ -171,13 +171,30 @@ func Eval(b, r *relation.Relation, md MD) (*relation.Relation, error) {
 // from disjoint partitions of R merge at the coordinator into the same
 // result Eval would give on the whole of R.
 func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
+	return new(Chain).EvalSub(b, r, md, opts)
+}
+
+// Chain evaluates the consecutive sub-aggregate GMDJs of one request — the
+// locally chained rounds of a synchronization-reduced plan — keeping each
+// vectorized worker's lane buffers from one operator to the next. The
+// zero value is ready to use; a Chain is not safe for concurrent use.
+type Chain struct {
+	workers []vecWorker
+
+	// RowFallbacks counts the EvalSub calls that asked for the vectorized
+	// engine and were evaluated by the row engine instead, because the
+	// detail relation or a condition is outside the kernels' reach.
+	RowFallbacks int
+}
+
+// EvalSub is the package-level EvalSub with the chain's scratch.
+func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
 	if resolveEngine(opts.Engine) == EngineVector {
-		out, err, handled := evalVec(b, r, md, true, opts.Finalize, opts.Touched, opts)
+		out, err, handled := c.evalVec(b, r, md, true, opts.Finalize, opts.Touched, opts)
 		if handled {
 			return out, err
 		}
-		// Fall back to the row engine: the detail relation or a condition
-		// is outside the vectorized kernels' reach.
+		c.RowFallbacks++
 	}
 	return eval(b, r, md, true, opts.Finalize, opts.Touched)
 }
@@ -211,24 +228,24 @@ func outputSchema(base *relation.Schema, specs []agg.Spec, prims, final, touched
 // and match-count state — shared by both engines so their outputs are
 // byte-identical.
 func assemble(outSchema *relation.Schema, b *relation.Relation, specs []agg.Spec,
-	accs [][][]*agg.Acc, matched []int64, prims, final, touched bool) (*relation.Relation, error) {
+	accs *agg.Slab, matched []int64, prims, final, touched bool) (*relation.Relation, error) {
 	out := relation.New(outSchema)
-	out.Rows = make([]relation.Row, 0, len(b.Rows))
+	out.Rows = relation.MakeRows(len(b.Rows), outSchema.Len())
+	var states []value.V // one spec's primitive results, reused
 	for gi, bRow := range b.Rows {
-		row := make(relation.Row, 0, outSchema.Len())
-		row = append(row, bRow...)
+		row := append(out.Rows[gi], bRow...)
 		if prims {
-			for si := range specs {
-				for _, a := range accs[gi][si] {
-					row = append(row, a.Result())
-				}
+			group := accs.Group(gi)
+			for pi := range group {
+				row = append(row, group[pi].Result())
 			}
 		}
 		if final {
 			for si, s := range specs {
-				states := make([]value.V, len(accs[gi][si]))
-				for pi, a := range accs[gi][si] {
-					states[pi] = a.Result()
+				spec := accs.Spec(gi, si)
+				states = states[:0]
+				for pi := range spec {
+					states = append(states, spec[pi].Result())
 				}
 				v, err := s.Finalize(states)
 				if err != nil {
@@ -240,21 +257,9 @@ func assemble(outSchema *relation.Schema, b *relation.Relation, specs []agg.Spec
 		if touched {
 			row = append(row, value.NewInt(matched[gi]))
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[gi] = row
 	}
 	return out, nil
-}
-
-// newAccState allocates the per-base-row per-spec accumulator grid.
-func newAccState(nBase int, specs []agg.Spec) [][][]*agg.Acc {
-	accs := make([][][]*agg.Acc, nBase)
-	for gi := range accs {
-		accs[gi] = make([][]*agg.Acc, len(specs))
-		for si, s := range specs {
-			accs[gi][si] = agg.NewAccs(s)
-		}
-	}
-	return accs
 }
 
 func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation.Relation, error) {
@@ -268,7 +273,7 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 	}
 
 	// Accumulator state per base row per spec.
-	accs := newAccState(len(b.Rows), specs)
+	accs := agg.NewSlab(specs, len(b.Rows))
 	matched := make([]int64, len(b.Rows))
 
 	bd := md.Binding(b.Schema, r.Schema)
@@ -366,8 +371,9 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 							return nil, fmt.Errorf("gmdj: aggregate arg: %w", err)
 						}
 					}
-					for _, a := range accs[gi][ae.spec] {
-						if err := a.Add(v); err != nil {
+					spec := accs.Spec(gi, ae.spec)
+					for pi := range spec {
+						if err := spec[pi].Add(v); err != nil {
 							return nil, fmt.Errorf("gmdj: %w", err)
 						}
 					}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/expr"
 	"repro/internal/relation"
+	"repro/internal/vec"
 )
 
 // BaseDef defines how the base-values relation B_0 is computed from the
@@ -168,6 +169,43 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 		src = filtered
 	}
 	return src.DistinctProject(def.Cols)
+}
+
+// EvalBaseBatch is EvalBase over the columnar form of the detail relation:
+// the filter runs as a compiled column-program and the duplicate
+// elimination as the vec.Distinct kernel over the batch's memoized key
+// grouping, so a site that caches its detail batch hashes no row per
+// request. The result is byte-identical to EvalBase on the relation the
+// batch was built from: the same groups in the same first-seen scan order
+// (the coordinator merges fragments, and gob encodes them, in that order).
+// An error wrapping vec.ErrUnsupported means vec.Compile refused the
+// filter and the caller must use EvalBase.
+func EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
+	sel := batch.AllLanes()
+	if def.Where != nil {
+		var sc vec.Scratch
+		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &sc)
+		if err != nil {
+			// Whatever the reason, EvalBase reports it the reference way.
+			return nil, fmt.Errorf("%w: base filter: %v", vec.ErrUnsupported, err)
+		}
+		if sel, err = prog.Filter(sel, nil); err != nil {
+			return nil, fmt.Errorf("gmdj: base filter: %w", err)
+		}
+	}
+	ps, idx, err := batch.Schema.Project(def.Cols)
+	if err != nil {
+		return nil, err
+	}
+	lanes, err := vec.Distinct(batch, idx, sel)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := vec.Rows(batch, idx, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return &relation.Relation{Schema: ps, Rows: rows}, nil
 }
 
 // EvalQuery evaluates the complete GMDJ expression against a single

@@ -29,9 +29,9 @@ import (
 //     selection order, so every accumulator folds exactly the values the
 //     row engine's detail scan would feed it, in the same order (float
 //     accumulation is order-sensitive);
-//   - each base row is owned by exactly one worker (full-row hash mod W),
-//     so accumulator state is single-writer and the merge-free result is
-//     identical for any worker count.
+//   - each base row is owned by exactly one worker (a contiguous index
+//     range of B), so accumulator state is single-writer and the
+//     merge-free result is identical for any worker count.
 //
 // On evaluation errors the two engines agree on error presence (the same
 // (base row, detail row, θ) combinations are evaluated), but may surface a
@@ -40,7 +40,7 @@ import (
 // evalVec is the vectorized counterpart of eval. handled=false means the
 // detail relation or a condition is outside the kernels' reach and the
 // caller must fall back to the row engine.
-func evalVec(b, r *relation.Relation, md MD, prims, final, touched bool, opts SubOpts) (*relation.Relation, error, bool) {
+func (c *Chain) evalVec(b, r *relation.Relation, md MD, prims, final, touched bool, opts SubOpts) (*relation.Relation, error, bool) {
 	if err := md.Validate(b.Schema, r.Schema); err != nil {
 		return nil, err, true
 	}
@@ -66,13 +66,13 @@ func evalVec(b, r *relation.Relation, md MD, prims, final, touched bool, opts Su
 		return nil, nil, false
 	}
 
-	accs := newAccState(len(b.Rows), specs)
+	accs := agg.NewSlab(specs, len(b.Rows))
 	matched := make([]int64, len(b.Rows))
 
-	// Worker partitioning: each base row is owned by exactly one worker
-	// (full-row hash mod W), so the shared accs/matched slots a worker
-	// writes are disjoint from every other worker's — single-owner state,
-	// no locks, and a result independent of W.
+	// Worker partitioning: each worker owns a contiguous range of base
+	// rows, so the accs/matched slots it writes are disjoint from every
+	// other worker's — single-owner state, no locks, and a result
+	// independent of W.
 	W := opts.Workers
 	if W <= 0 {
 		W = runtime.GOMAXPROCS(0)
@@ -83,28 +83,22 @@ func evalVec(b, r *relation.Relation, md MD, prims, final, touched bool, opts Su
 	if W < 1 {
 		W = 1
 	}
-	var assign []int
-	if W > 1 {
-		baseCols := make([]int, b.Schema.Len())
-		for i := range baseCols {
-			baseCols[i] = i
-		}
-		assign = make([]int, len(b.Rows))
-		for g, row := range b.Rows {
-			assign[g] = int(relation.HashRow(row, baseCols) % uint64(W))
-		}
+	// Worker state outlives the operator: the next EvalSub of the chain
+	// finds the lane buffers this one grew.
+	for len(c.workers) < W {
+		c.workers = append(c.workers, vecWorker{})
 	}
-
-	states := make([]vecWorker, W)
+	states := c.workers[:W]
+	n := len(b.Rows)
 	if W == 1 {
-		states[0].run(0, b, batch, bd, detailOnly, plans, assign, accs, matched)
+		states[0].run(0, n, b, batch, bd, detailOnly, plans, accs, matched)
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < W; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				states[w].run(w, b, batch, bd, detailOnly, plans, assign, accs, matched)
+				states[w].run(w*n/W, (w+1)*n/W, b, batch, bd, detailOnly, plans, accs, matched)
 			}(w)
 		}
 		wg.Wait()
@@ -180,13 +174,14 @@ type vecArg struct {
 func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batch) ([]thetaPlan, bool) {
 	detailOnly := expr.Binding{Detail: r.Schema, DetailAliases: bd.DetailAliases}
 	plans := make([]thetaPlan, len(md.Thetas))
+	var probe vec.Scratch // the probe programs are never evaluated
 	specBase := 0
 	for ti, theta := range md.Thetas {
 		pl := &plans[ti]
 		pairs := expr.EquiPairs(theta, bd)
 		pl.residual = expr.Residual(theta, bd, pairs)
 		pl.trivial = expr.IsTrue(pl.residual)
-		if _, err := vec.Compile(pl.residual, bd, batch); err != nil {
+		if _, err := vec.Compile(pl.residual, bd, batch, &probe); err != nil {
 			return nil, false
 		}
 		if len(pairs) > 0 {
@@ -215,7 +210,7 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 		}
 		for j, s := range md.Aggs[ti] {
 			if s.Arg != nil {
-				if _, err := vec.Compile(s.Arg, detailOnly, batch); err != nil {
+				if _, err := vec.Compile(s.Arg, detailOnly, batch, &probe); err != nil {
 					return nil, false
 				}
 			}
@@ -226,18 +221,16 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 	return plans, true
 }
 
-func allLanesOf(batch *vec.Batch) []int32 {
-	all := make([]int32, batch.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	return all
-}
-
-// vecWorker is the per-worker state: its own compiled programs and
-// scratch, plus the first error it hit (errTheta/errG locate it for the
-// deterministic cross-worker pick).
+// vecWorker is the per-worker state. The scratch and selection buffers
+// persist across the operators of a Chain; the statistics and the first
+// error hit (errTheta/errG locate it for the deterministic cross-worker
+// pick) are per operator.
 type vecWorker struct {
+	scratch  vec.Scratch
+	candBuf  []int32
+	matchBuf []int32
+	needles  []needle
+
 	stats    vec.Stats
 	err      error
 	errTheta int
@@ -255,15 +248,20 @@ func (ws *vecWorker) fail(ti, g int, err error) {
 	ws.errG = g
 }
 
-func (ws *vecWorker) run(w int, b *relation.Relation, batch *vec.Batch,
-	bd, detailOnly expr.Binding, plans []thetaPlan, assign []int,
-	accs [][][]*agg.Acc, matched []int64) {
+// run evaluates base rows [lo, hi).
+func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
+	bd, detailOnly expr.Binding, plans []thetaPlan,
+	accs *agg.Slab, matched []int64) {
+	ws.stats, ws.err = vec.Stats{}, nil
+	// The previous operator's programs are gone; their lane buffers serve
+	// this operator's.
+	ws.scratch.Reset()
 	// Per-worker program instances: compiled nodes carry scratch vectors
 	// and per-base-row scalar caches, so they cannot be shared.
 	res := make([]*vec.Program, len(plans))
 	argProgs := make([][]*vec.Program, len(plans))
 	for ti := range plans {
-		p, err := vec.Compile(plans[ti].residual, bd, batch)
+		p, err := vec.Compile(plans[ti].residual, bd, batch, &ws.scratch)
 		if err != nil {
 			ws.fail(ti, 0, fmt.Errorf("gmdj: θ_%d residual: %w", ti+1, err))
 			return
@@ -275,7 +273,7 @@ func (ws *vecWorker) run(w int, b *relation.Relation, batch *vec.Batch,
 			if ap.arg == nil {
 				continue
 			}
-			q, err := vec.Compile(ap.arg, detailOnly, batch)
+			q, err := vec.Compile(ap.arg, detailOnly, batch, &ws.scratch)
 			if err != nil {
 				ws.fail(ti, 0, fmt.Errorf("gmdj: aggregate arg: %w", err))
 				return
@@ -285,23 +283,26 @@ func (ws *vecWorker) run(w int, b *relation.Relation, batch *vec.Batch,
 		}
 	}
 
-	allLanes := allLanesOf(batch)
 	maxKeys := 0
 	for ti := range plans {
 		if len(plans[ti].matchers) > maxKeys {
 			maxKeys = len(plans[ti].matchers)
 		}
 	}
-	needles := make([]needle, maxKeys)
-	var candBuf, matchBuf []int32
-	for g, row := range b.Rows {
-		if assign != nil && assign[g] != w {
-			continue
-		}
+	for len(ws.needles) < maxKeys {
+		ws.needles = append(ws.needles, needle{})
+	}
+	needles, candBuf, matchBuf := ws.needles, ws.candBuf, ws.matchBuf
+	defer func() { ws.candBuf, ws.matchBuf = candBuf, matchBuf }()
+	for g := lo; g < hi; g++ {
+		row := b.Rows[g]
 		for ti := range plans {
 			pl := &plans[ti]
-			cands := allLanes
-			if pl.buckets != nil {
+			var cands []int32
+			if pl.buckets == nil {
+				// No equi pairs: every lane is a candidate.
+				cands = batch.AllLanes()
+			} else {
 				bucket := pl.buckets[relation.HashRow(row, pl.bIdx)]
 				candBuf = candBuf[:0]
 				if len(bucket) > 0 {
@@ -348,12 +349,13 @@ func (ws *vecWorker) run(w int, b *relation.Relation, batch *vec.Batch,
 				continue
 			}
 			for j, ap := range pl.args {
-				accList := accs[g][ap.spec]
+				accList := accs.Spec(g, ap.spec)
 				prog := argProgs[ti][j]
 				if prog == nil {
 					// COUNT(*): the row engine adds a non-NULL int
 					// marker per matched pair.
-					for _, a := range accList {
+					for ai := range accList {
+						a := &accList[ai]
 						aerr := a.AddRows(len(sel))
 						if aerr != nil {
 							aerr = a.AddRepeat(value.NewInt(1), len(sel))
@@ -368,8 +370,8 @@ func (ws *vecWorker) run(w int, b *relation.Relation, batch *vec.Batch,
 				prog.SetBase(row)
 				var accErr error
 				err := prog.EvalEach(sel, func(l *vec.Lanes) error {
-					for _, a := range accList {
-						if e := feedAcc(a, l); e != nil {
+					for ai := range accList {
+						if e := feedAcc(&accList[ai], l); e != nil {
 							accErr = e
 							return errAccStop
 						}

@@ -193,6 +193,19 @@ func (r *Relation) MustAppend(vals ...value.V) {
 	}
 }
 
+// MakeRows returns n empty rows of capacity w carved out of one backing
+// array: filling them with append costs two allocations for the whole
+// result instead of one per row, and each row is capped at w so a row
+// that outgrows its width moves away instead of reaching into the next.
+func MakeRows(n, w int) []Row {
+	backing := make([]value.V, n*w)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = backing[i*w : i*w : (i+1)*w]
+	}
+	return rows
+}
+
 // Clone returns a deep-enough copy: the row slice and each row are copied
 // (values themselves are immutable).
 func (r *Relation) Clone() *Relation {
@@ -263,20 +276,18 @@ func (r *Relation) DistinctProject(names []string) (*Relation, error) {
 	for i := range outIdx {
 		outIdx[i] = i
 	}
-	seen := make(map[uint64][]int, len(r.Rows))
-	for _, row := range r.Rows {
+	// The index grows with the distinct output, not the input: a
+	// low-cardinality projection of a large relation must not pay for a
+	// table sized to it.
+	var seen KeyIndex
+	var row Row
+	kept := func(pos int) bool { return KeysEqual(row, idx, out.Rows[pos], outIdx) }
+	for _, row = range r.Rows {
 		h := HashRow(row, idx)
-		dup := false
-		for _, p := range seen[h] {
-			if KeysEqual(row, idx, out.Rows[p], outIdx) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if _, dup := seen.Find(h, kept); dup {
 			continue
 		}
-		seen[h] = append(seen[h], len(out.Rows))
+		seen.Add(h, len(out.Rows))
 		nr := make(Row, len(idx))
 		for i, p := range idx {
 			nr[i] = row[p]
@@ -284,6 +295,47 @@ func (r *Relation) DistinctProject(names []string) (*Relation, error) {
 		out.Rows = append(out.Rows, nr)
 	}
 	return out, nil
+}
+
+// KeyIndex maps a composite key to the position of the one entry holding
+// it in a growing list: positions are bucketed by key hash, chained on
+// collision and verified by the caller's equality (KeysEqual on rows,
+// its lane equivalent on a columnar batch), so no key string is built per
+// row. It is the one place that decides which entry a key resolves to for
+// DistinctProject, the coordinator's merge and the vec distinct kernel.
+// Positions must be added in order, 0, 1, 2, ... The zero value is an
+// empty index.
+type KeyIndex struct {
+	heads map[uint64]int32 // hash → latest position with that hash
+	next  []int32          // next[pos] → previous position with the same hash, -1 at the end
+}
+
+// Add indexes position pos — the next unindexed one — under hash.
+func (ix *KeyIndex) Add(hash uint64, pos int) {
+	if ix.heads == nil {
+		ix.heads = make(map[uint64]int32)
+	}
+	head, ok := ix.heads[hash]
+	if !ok {
+		head = -1
+	}
+	ix.next = append(ix.next, head)
+	ix.heads[hash] = int32(pos)
+}
+
+// Find returns the position, among those indexed under hash, for which eq
+// reports that the entry holds the probed key. At most one can: a key is
+// only added after Find missed it.
+func (ix *KeyIndex) Find(hash uint64, eq func(pos int) bool) (int, bool) {
+	pos, ok := ix.heads[hash]
+	for ok {
+		if eq(int(pos)) {
+			return int(pos), true
+		}
+		pos = ix.next[pos]
+		ok = pos >= 0
+	}
+	return 0, false
 }
 
 // Union appends all rows of t to r (multiset union). Schemas must match.

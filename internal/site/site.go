@@ -149,9 +149,14 @@ func (e *Engine) SetEvalEngine(eng gmdj.Engine) {
 	e.mu.Unlock()
 }
 
+// getEvalEngine returns the engine requests to this site are evaluated
+// with, EngineAuto resolved to the process default.
 func (e *Engine) getEvalEngine() gmdj.Engine {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.engine == gmdj.EngineAuto {
+		return gmdj.DefaultEngine()
+	}
 	return e.engine
 }
 
@@ -650,7 +655,7 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 		return nil, err
 	}
 	start := time.Now()
-	b, err := gmdj.EvalBase(detail, def)
+	b, err := e.baseValues(req.Detail, detail, def)
 	if err != nil {
 		return nil, err
 	}
@@ -662,6 +667,23 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 		prof.BytesOutApprox = approxRelBytes(b)
 	}
 	return &transport.Response{Rel: b, ComputeNs: time.Since(start).Nanoseconds()}, nil
+}
+
+// baseValues computes the base-values query B_0 over the named detail
+// relation: on its cached columnar batch when the site evaluates with the
+// vectorized engine, and with the row code when the relation has no batch
+// or vec.Compile refuses the filter — a fallback site.row_fallbacks counts.
+func (e *Engine) baseValues(name string, detail *relation.Relation, def gmdj.BaseDef) (*relation.Relation, error) {
+	if e.getEvalEngine() == gmdj.EngineVector {
+		if batch := e.detailBatch(name, detail); batch != nil {
+			b, err := gmdj.EvalBaseBatch(batch, def)
+			if !errors.Is(err, vec.ErrUnsupported) {
+				return b, err
+			}
+		}
+		e.getObs().Count("site.row_fallbacks", 1)
+	}
+	return gmdj.EvalBase(detail, def)
 }
 
 func baseDef(req *transport.Request) (gmdj.BaseDef, error) {
@@ -697,7 +719,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, err
 		}
-		base, err = gmdj.EvalBase(detail, def)
+		base, err = e.baseValues(firstDetail(req), detail, def)
 		if err != nil {
 			return nil, fmt.Errorf("fused base: %w", err)
 		}
@@ -724,17 +746,17 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		vecStats = &vec.Stats{}
 		prof.Rounds = len(req.Rounds)
 		prof.Workers = workers
-		eng := engine
-		if eng == gmdj.EngineAuto {
-			eng = gmdj.DefaultEngine()
-		}
-		prof.Engine = eng.String()
+		prof.Engine = engine.String()
 		if req.Base != nil {
 			prof.RowsIn = req.Base.Len()
 			prof.BytesInApprox = approxRelBytes(req.Base)
 		}
 	}
 
+	// One chain for the request: locally chained rounds share each kernel
+	// worker's lane buffers instead of growing their own per round.
+	var chain gmdj.Chain
+	defer func() { o.Count("site.row_fallbacks", int64(chain.RowFallbacks)) }()
 	for ri, spec := range req.Rounds {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
@@ -747,7 +769,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		h, err := gmdj.EvalSub(base, detail, md, gmdj.SubOpts{
+		h, err := chain.EvalSub(base, detail, md, gmdj.SubOpts{
 			Finalize:    spec.Finalize,
 			Touched:     spec.Touched,
 			Engine:      engine,
@@ -904,11 +926,11 @@ func dropColumns(r *relation.Relation, names []string) (*relation.Relation, erro
 		return nil, err
 	}
 	out := relation.New(s)
-	out.Rows = make([]relation.Row, len(r.Rows))
+	out.Rows = relation.MakeRows(len(r.Rows), len(idx))
 	for i, row := range r.Rows {
-		nr := make(relation.Row, len(idx))
-		for j, p := range idx {
-			nr[j] = row[p]
+		nr := out.Rows[i]
+		for _, p := range idx {
+			nr = append(nr, row[p])
 		}
 		out.Rows[i] = nr
 	}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -69,7 +70,9 @@ func TestServerDrain(t *testing.T) {
 		_, err := c.Call(context.Background(), &Request{Op: OpEvalRounds})
 		inflight <- err
 	}()
-	waitUntil(t, "request in flight", func() bool { return srv.Inflight() == 1 })
+	// Served, not Inflight: c2's ping stays in flight until its response is
+	// written, which the server may notice after the client has it.
+	waitUntil(t, "request admitted", func() bool { return srv.Served() == 2 })
 
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(5 * time.Second) }()
@@ -144,5 +147,96 @@ func TestServerDrainIdle(t *testing.T) {
 	// Close after Drain stays clean (listener already closed).
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close after drain: %v", err)
+	}
+}
+
+// gatedListener hands out connections whose Write blocks until the gate
+// opens; writing reports each blocked write and closed each Close, so a
+// test can hold a response between "handler returned" and "bytes on the
+// socket" and watch what the server does to the connection meanwhile.
+type gatedListener struct {
+	net.Listener
+	gate    chan struct{}
+	writing chan struct{}
+	closed  chan struct{}
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, l: l}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	l *gatedListener
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	select {
+	case c.l.writing <- struct{}{}:
+	default:
+	}
+	<-c.l.gate
+	return c.Conn.Write(p)
+}
+
+func (c *gatedConn) Close() error {
+	select {
+	case c.l.closed <- struct{}{}:
+	default:
+	}
+	return c.Conn.Close()
+}
+
+// TestDrainWaitsForResponseWrite pins the interleaving behind the drain
+// race instead of racing it: the handler has returned, the response is
+// held just before the socket write, and only then does Drain start. Drain
+// must keep the connection open until the response is out.
+func TestDrainWaitsForResponseWrite(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &gatedListener{
+		Listener: inner,
+		gate:     make(chan struct{}),
+		writing:  make(chan struct{}, 1),
+		closed:   make(chan struct{}, 1),
+	}
+	srv := NewServer(newEchoHandler())
+	addr := srv.Serve(l)
+
+	c, err := DialTCP("s", addr, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	inflight := make(chan error, 1)
+	go func() {
+		_, err := c.Call(context.Background(), &Request{Op: OpPing})
+		inflight <- err
+	}()
+	<-l.writing // the handler has returned; its response is held at the socket
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(5 * time.Second) }()
+	waitUntil(t, "server draining", func() bool { return srv.Draining() })
+	select {
+	case <-l.closed:
+		t.Fatal("drain closed the connection under an unwritten response")
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) before the response was written", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	close(l.gate)
+	if err := <-inflight; err != nil {
+		t.Errorf("in-flight request lost during drain: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("drain: %v", err)
 	}
 }

@@ -85,6 +85,13 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 		go func() { ch <- c.handler.Handle(ctx, wireReq) }()
 		select {
 		case resp = <-ch:
+			// A context-aware handler answers the moment the context is
+			// done, so both cases can be ready at once. The caller has
+			// given up either way: report that, not whichever case the
+			// select happened to pick.
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("transport: %s: %w", c.id, err)
+			}
 		case <-ctx.Done():
 			return nil, fmt.Errorf("transport: %s: %w", c.id, ctx.Err())
 		}

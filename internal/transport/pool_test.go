@@ -56,11 +56,12 @@ func (h *gateHandler) peakInflight() int {
 	return h.peak
 }
 
+// localDial's dial function is called by concurrent leases, hence the
+// atomic connection counter.
 func localDial(h Handler) func() (Client, error) {
-	n := 0
+	var n atomic.Int64
 	return func() (Client, error) {
-		n++
-		return NewLocalClient(fmt.Sprintf("conn-%d", n), h, CostModel{}), nil
+		return NewLocalClient(fmt.Sprintf("conn-%d", n.Add(1)), h, CostModel{}), nil
 	}
 }
 

@@ -30,7 +30,8 @@ type Server struct {
 	closed bool
 	//lint:guarded-by mu
 	draining bool
-	// inflight counts requests currently inside the handler.
+	// inflight counts admitted requests whose response has not been
+	// written yet: inside the handler, or being encoded to the socket.
 	//
 	//lint:guarded-by mu
 	inflight int
@@ -39,7 +40,7 @@ type Server struct {
 	//lint:guarded-by mu
 	served int64
 	wg     sync.WaitGroup
-	reqWG  sync.WaitGroup // outstanding handler invocations
+	reqWG  sync.WaitGroup // admitted requests not yet answered
 
 	// Logf logs server-side errors; defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -145,12 +146,26 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.Obs.Count("transport.server.bytes_received", cr.n-r0)
 		s.Obs.Count("transport.server.requests", 1)
 		s.Obs.Count("transport.server.op."+req.Op.String(), 1)
-		resp, alive := s.dispatch(ctx, conn, pr, &req)
-		if !alive {
-			return
+		resp := s.admit(&req)
+		admitted := resp == nil
+		if admitted {
+			var alive bool
+			resp, alive = s.handleWatched(ctx, conn, pr, &req)
+			if !alive {
+				s.release()
+				return
+			}
 		}
 		w0 := cw.n
-		if err := enc.Encode(resp); err != nil {
+		err := enc.Encode(resp)
+		if admitted {
+			// Only now is the request no longer in flight: Drain waits on
+			// reqWG and then closes this connection, so releasing before the
+			// response is written would cut off the very request a graceful
+			// drain promises to finish.
+			s.release()
+		}
+		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.Logf("transport: encode response: %v", err)
 			}
@@ -160,16 +175,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// dispatch admits one decoded request into the handler, or refuses it
-// with a CodeDraining response when the server is draining. Admission and
-// the in-flight bookkeeping happen under mu so Drain's reqWG.Wait never
-// races a concurrent reqWG.Add.
-func (s *Server) dispatch(ctx context.Context, conn net.Conn, pr *pushbackReader, req *Request) (*Response, bool) {
+// admit opens the in-flight window for one decoded request, or returns the
+// refusal to send instead: CodeDraining when the server is draining,
+// CodeOverloaded at MaxInflight. Admission and the in-flight bookkeeping
+// happen under mu so Drain's reqWG.Wait never races a concurrent
+// reqWG.Add. Every admitted request is paired with one release.
+func (s *Server) admit(req *Request) *Response {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.Obs.Count("transport.server.drain_rejects", 1)
-		return &Response{Err: "site draining: not accepting new requests", Code: CodeDraining}, true
+		return &Response{Err: "site draining: not accepting new requests", Code: CodeDraining}
 	}
 	if s.MaxInflight > 0 && s.inflight >= s.MaxInflight {
 		s.mu.Unlock()
@@ -179,7 +195,7 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, pr *pushbackReader
 		return &Response{
 			Err:  fmt.Sprintf("site at max in-flight (%d): shedding", s.MaxInflight),
 			Code: CodeOverloaded,
-		}, true
+		}
 	}
 	s.reqWG.Add(1)
 	s.inflight++
@@ -187,21 +203,25 @@ func (s *Server) dispatch(ctx context.Context, conn net.Conn, pr *pushbackReader
 	n := s.inflight
 	s.mu.Unlock()
 	s.Obs.SetGauge("transport.server.inflight", int64(n))
-	defer func() {
-		s.mu.Lock()
-		s.inflight--
-		n := s.inflight
-		s.mu.Unlock()
-		s.Obs.SetGauge("transport.server.inflight", int64(n))
-		s.reqWG.Done()
-	}()
-	return s.handleWatched(ctx, conn, pr, req)
+	return nil
+}
+
+// release closes the in-flight window admit opened, once the response has
+// been written (or the connection was lost).
+func (s *Server) release() {
+	s.mu.Lock()
+	s.inflight--
+	n := s.inflight
+	s.mu.Unlock()
+	s.Obs.SetGauge("transport.server.inflight", int64(n))
+	s.reqWG.Done()
 }
 
 // Drain gracefully shuts the server down: it stops accepting new
 // connections and new requests (in-flight connections that send another
 // request get a CodeDraining refusal), waits up to timeout for in-flight
-// handler invocations to finish, then closes everything. It returns an
+// requests to finish and their responses to be written, then closes
+// everything. It returns an
 // error when the deadline expired with requests still running; the
 // server is closed either way.
 func (s *Server) Drain(timeout time.Duration) error {
@@ -256,7 +276,7 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Inflight returns how many requests are currently inside the handler.
+// Inflight returns how many admitted requests have not been answered yet.
 func (s *Server) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -441,15 +461,20 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 		c.conn.SetDeadline(time.Time{})
 	}
 	// Watch for cancellation while I/O is in flight: SetDeadline is safe
-	// concurrently with Read/Write and wakes them immediately.
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				c.conn.SetDeadline(time.Now())
-			case <-stop:
+	// concurrently with Read/Write and wakes them immediately. The watcher
+	// must not outlive the call — a poke landing after Call returned would
+	// time out the next call on this connection — so a watcher that could
+	// not be stopped is waited out and its deadline cleared.
+	if ctx.Done() != nil {
+		poked := make(chan struct{})
+		stop := context.AfterFunc(ctx, func() {
+			c.conn.SetDeadline(time.Now())
+			close(poked)
+		})
+		defer func() {
+			if !stop() {
+				<-poked
+				c.conn.SetDeadline(time.Time{})
 			}
 		}()
 	}

@@ -1,0 +1,105 @@
+package transport
+
+import (
+	"context"
+	"encoding/gob"
+	"net"
+	"sync"
+	"testing"
+	"time"
+)
+
+// hookConn runs onRead after every successful read and remembers the last
+// deadline set, so a test can cancel a call's context exactly as its
+// response arrives and see what deadline the call leaves behind.
+type hookConn struct {
+	net.Conn
+	mu       sync.Mutex
+	onRead   func()
+	deadline time.Time
+}
+
+func (c *hookConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	hook := c.onRead
+	c.mu.Unlock()
+	if n > 0 && hook != nil {
+		hook()
+	}
+	return n, err
+}
+
+func (c *hookConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *hookConn) setOnRead(f func()) {
+	c.mu.Lock()
+	c.onRead = f
+	c.mu.Unlock()
+}
+
+func (c *hookConn) lastDeadline() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.deadline
+}
+
+// slowPingHandler answers after a short pause, so a deadline poked by a
+// stale watcher has time to land inside the exchange it would break.
+type slowPingHandler struct{}
+
+func (slowPingHandler) Handle(context.Context, *Request) *Response {
+	time.Sleep(2 * time.Millisecond)
+	return &Response{}
+}
+
+// TestCallCancelledAsItCompletes cancels a call's context at the moment
+// its response has been read, then issues another call on the same bare
+// client. The first call's cancellation watcher must be finished, and the
+// deadline it poked cleared, before Call returns: a watcher that fires
+// late times out the next call ("i/o timeout" with no deadline set) and a
+// bare TCPClient stays broken after that.
+func TestCallCancelledAsItCompletes(t *testing.T) {
+	srv := NewServer(slowPingHandler{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &hookConn{Conn: raw}
+	cw, cr := &countingWriter{w: hc}, &countingReader{r: hc}
+	c := &TCPClient{id: "s", conn: hc, enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cr), cw: cw, cr: cr}
+	defer c.Close()
+
+	// The first exchange carries gob's type descriptions in extra messages;
+	// afterwards a ping response is a single small read.
+	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		hc.setOnRead(cancel)
+		_, err := c.Call(ctx, &Request{Op: OpPing})
+		hc.setOnRead(nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("iteration %d: call whose response had arrived failed: %v", i, err)
+		}
+		if dl := hc.lastDeadline(); !dl.IsZero() {
+			t.Fatalf("iteration %d: call returned leaving deadline %v on the connection", i, dl)
+		}
+		if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+			t.Fatalf("iteration %d: call after a cancelled one: %v", i, err)
+		}
+	}
+}

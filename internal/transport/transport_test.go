@@ -119,6 +119,58 @@ func TestLocalClient(t *testing.T) {
 	}
 }
 
+// cancellingHandler cancels its caller's context and then answers, the way
+// a context-aware handler does when the context dies mid-request.
+type cancellingHandler struct {
+	cancel   context.CancelFunc
+	answered chan struct{}
+}
+
+func (h *cancellingHandler) Handle(ctx context.Context, req *Request) *Response {
+	h.cancel()
+	close(h.answered)
+	return &Response{}
+}
+
+// lateDoneCtx holds LocalClient.Call at the door of its select — the
+// second time Call asks for the Done channel; the first is its
+// is-this-cancellable check — until the handler has answered, so the
+// select starts with both of its cases ready.
+type lateDoneCtx struct {
+	context.Context
+	asked    atomic.Int32
+	answered chan struct{}
+}
+
+func (c *lateDoneCtx) Done() <-chan struct{} {
+	if c.asked.Add(1) > 1 {
+		<-c.answered
+		time.Sleep(time.Millisecond) // the answer lands in Call's channel
+	}
+	return c.Context.Done()
+}
+
+// TestLocalCallCancelledAsHandlerAnswers pins the outcome when the
+// handler's answer and the cancellation are ready together: the caller
+// gave up, so the call reports the context error, never the answer, and
+// accounts no received bytes. Before the fix the select picked either
+// case, so half of these iterations returned the answer.
+func TestLocalCallCancelledAsHandlerAnswers(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		parent, cancel := context.WithCancel(context.Background())
+		answered := make(chan struct{})
+		ctx := &lateDoneCtx{Context: parent, answered: answered}
+		c := NewLocalClient("s", &cancellingHandler{cancel: cancel, answered: answered}, CostModel{})
+		resp, err := c.Call(ctx, &Request{Op: OpPing})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("iteration %d: Call = (%v, %v), want context.Canceled", i, resp, err)
+		}
+		if _, recv, _, _ := c.Stats().Snapshot(); recv != 0 {
+			t.Fatalf("iteration %d: a discarded answer was accounted as %d received bytes", i, recv)
+		}
+	}
+}
+
 func TestTCPClient(t *testing.T) {
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")

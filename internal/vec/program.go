@@ -6,6 +6,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/relation"
@@ -95,32 +96,61 @@ func (l *Lanes) effKind() value.Kind {
 	return l.Kind
 }
 
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
+// Scratch is a pool of lane buffers. Every Program draws its nodes' scratch
+// vectors from the one it was compiled with; an evaluator that compiles
+// programs one generation after another (a site worker, round after round
+// of a chained request) compiles them all with the same Scratch and calls
+// Reset between generations, so
+// a later round reuses the buffers of an earlier one instead of growing
+// its own. Not safe for concurrent use.
+type Scratch struct {
+	i64   bufPool[int64]
+	f64   bufPool[float64]
+	i32   bufPool[int32]
+	bools bufPool[bool]
 }
 
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+// Reset returns every buffer handed out so far to the pool. Programs
+// compiled before the call must not be evaluated after it.
+func (sc *Scratch) Reset() {
+	sc.i64.reset()
+	sc.f64.reset()
+	sc.i32.reset()
+	sc.bools.reset()
 }
 
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+type bufPool[T any] struct{ free, used [][]T }
+
+// grow returns s resliced to n lanes when it is large enough, and a pooled
+// or new buffer otherwise. Capacities are rounded up to a power of two so
+// a node fed slowly growing selections (hash buckets of uneven size) does
+// not reallocate at every new maximum.
+func (p *bufPool[T]) grow(s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return s[:n]
+	for i, b := range p.free {
+		if cap(b) >= n {
+			last := len(p.free) - 1
+			p.free[i] = p.free[last]
+			p.free = p.free[:last]
+			p.used = append(p.used, b)
+			return b[:n]
+		}
+	}
+	b := make([]T, n, 1<<bits.Len(uint(n-1)))
+	p.used = append(p.used, b)
+	return b
 }
 
-func growB(s []bool, n int) []bool {
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
+func (p *bufPool[T]) reset() {
+	p.free = append(p.free, p.used...)
+	p.used = p.used[:0]
+}
+
+// growB is bools.grow with the lanes cleared.
+func (sc *Scratch) growB(s []bool, n int) []bool {
+	s = sc.bools.grow(s, n)
 	for i := range s {
 		s[i] = false
 	}
@@ -128,14 +158,14 @@ func growB(s []bool, n int) []bool {
 }
 
 // reset prepares the scratch vector for n lanes of the given kind.
-func (l *Lanes) reset(kind value.Kind, n int) {
+func (l *Lanes) reset(sc *Scratch, kind value.Kind, n int) {
 	l.Kind, l.N, l.Const, l.Nulls, l.ConstV = kind, n, false, nil, value.Null
 	l.Codes, l.Dict = nil, nil
 	switch kind {
 	case value.KindBool, value.KindInt:
-		l.Ints = growI64(l.Ints, n)
+		l.Ints = sc.i64.grow(l.Ints, n)
 	case value.KindFloat:
-		l.Floats = growF64(l.Floats, n)
+		l.Floats = sc.f64.grow(l.Floats, n)
 	}
 }
 
@@ -162,6 +192,7 @@ type Program struct {
 	slots  []scalarSlot
 	base   relation.Row
 	stats  *Stats
+	sc     *Scratch
 }
 
 type scalarSlot struct {
@@ -177,12 +208,13 @@ const chunkLanes = 4096
 // Compile builds a column-program for e over batch b using the binding's
 // detail side for column references; detail-free subtrees (constants and
 // base-side references) become per-base-row scalars. Expressions the
-// kernels cannot express report ErrUnsupported.
-func Compile(e expr.Expr, bd expr.Binding, b *Batch) (*Program, error) {
+// kernels cannot express report ErrUnsupported. The program draws its lane
+// buffers from sc, which programs evaluated on the same goroutine may share.
+func Compile(e expr.Expr, bd expr.Binding, b *Batch, sc *Scratch) (*Program, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
-	p := &Program{batch: b}
+	p := &Program{batch: b, sc: sc}
 	root, err := p.compile(e, bd)
 	if err != nil {
 		return nil, err
@@ -446,8 +478,8 @@ func numericish(k value.Kind) bool {
 
 // floatLanes materializes the vector as float64 lanes into scratch (bool
 // and int lanes convert; const broadcasts). Null lanes hold 0.
-func floatLanes(l *Lanes, n int, scratch []float64) []float64 {
-	scratch = growF64(scratch, n)
+func floatLanes(sc *Scratch, l *Lanes, n int, scratch []float64) []float64 {
+	scratch = sc.f64.grow(scratch, n)
 	if l.Const {
 		f, _ := l.ConstV.AsFloat()
 		for i := range scratch {
@@ -467,8 +499,8 @@ func floatLanes(l *Lanes, n int, scratch []float64) []float64 {
 
 // intLanes materializes the vector as int64 lanes, using value.AsInt
 // truncation for float lanes (the %% operator's semantics).
-func intLanes(l *Lanes, n int, scratch []int64) []int64 {
-	scratch = growI64(scratch, n)
+func intLanes(sc *Scratch, l *Lanes, n int, scratch []int64) []int64 {
+	scratch = sc.i64.grow(scratch, n)
 	if l.Const {
 		iv, _ := l.ConstV.AsInt()
 		for i := range scratch {
@@ -488,8 +520,8 @@ func intLanes(l *Lanes, n int, scratch []int64) []int64 {
 
 // rawIntLanes materializes int64 lanes for +,-,* over integral kinds,
 // which read the int payload directly.
-func rawIntLanes(l *Lanes, n int, scratch []int64) []int64 {
-	scratch = growI64(scratch, n)
+func rawIntLanes(sc *Scratch, l *Lanes, n int, scratch []int64) []int64 {
+	scratch = sc.i64.grow(scratch, n)
 	if l.Const {
 		for i := range scratch {
 			scratch[i] = l.ConstV.I
@@ -509,8 +541,8 @@ func laneStr(l *Lanes, i int) string {
 
 // nullLanes merges the null masks of both operands into scratch; the
 // second result reports whether any lane is null.
-func nullLanes(l, r *Lanes, n int, scratch []bool) ([]bool, bool) {
-	scratch = growB(scratch, n)
+func nullLanes(sc *Scratch, l, r *Lanes, n int, scratch []bool) ([]bool, bool) {
+	scratch = sc.growB(scratch, n)
 	any := false
 	for i := 0; i < n; i++ {
 		if l.isNull(i) || r.isNull(i) {
@@ -552,7 +584,7 @@ func (n *colNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	c := &p.batch.Cols[n.col]
 	ln := len(sel)
 	out := &n.out
-	out.reset(c.Kind, ln)
+	out.reset(p.sc, c.Kind, ln)
 	switch c.Kind {
 	case value.KindBool, value.KindInt:
 		for i, lane := range sel {
@@ -563,14 +595,14 @@ func (n *colNode) eval(p *Program, sel []int32) (*Lanes, error) {
 			out.Floats[i] = c.Floats[lane]
 		}
 	case value.KindString:
-		out.Codes = growI32(out.Codes, ln)
+		out.Codes = p.sc.i32.grow(out.Codes, ln)
 		for i, lane := range sel {
 			out.Codes[i] = c.Codes[lane]
 		}
 		out.Dict = c.Dict
 	}
 	if c.Nulls != nil {
-		nulls := growB(out.nullBuf, ln)
+		nulls := p.sc.growB(out.nullBuf, ln)
 		any := false
 		for i, lane := range sel {
 			if c.Nulls.Get(int(lane)) {
@@ -601,7 +633,7 @@ func (n *notNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		return n.out.setConst(value.NewBool(!x.ConstV.Bool()), ln), nil
 	}
 	out := &n.out
-	out.reset(value.KindBool, ln)
+	out.reset(p.sc, value.KindBool, ln)
 	for i := 0; i < ln; i++ {
 		if x.truthy(i) {
 			out.Ints[i] = 0
@@ -635,13 +667,13 @@ func (n *negNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	case value.KindNull:
 		return out.setConst(value.Null, ln), nil
 	case value.KindInt:
-		out.reset(value.KindInt, ln)
+		out.reset(p.sc, value.KindInt, ln)
 		for i := 0; i < ln; i++ {
 			out.Ints[i] = -x.Ints[i]
 		}
 		out.Nulls = x.Nulls
 	case value.KindFloat:
-		out.reset(value.KindFloat, ln)
+		out.reset(p.sc, value.KindFloat, ln)
 		for i := 0; i < ln; i++ {
 			out.Floats[i] = -x.Floats[i]
 		}
@@ -692,7 +724,7 @@ func (n *logicNode) eval(p *Program, sel []int32) (*Lanes, error) {
 			return n.out.setConst(value.NewBool(r.ConstV.Bool()), ln), nil
 		}
 		out := &n.out
-		out.reset(value.KindBool, ln)
+		out.reset(p.sc, value.KindBool, ln)
 		for i := 0; i < ln; i++ {
 			if r.truthy(i) {
 				out.Ints[i] = 1
@@ -716,7 +748,7 @@ func (n *logicNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	out := &n.out
 	// The left result may live in a descendant's scratch that the right
 	// child's evaluation reuses, so decide left lanes before recursing.
-	out.reset(value.KindBool, ln)
+	out.reset(p.sc, value.KindBool, ln)
 	base := int64(0)
 	if !n.and {
 		base = 1
@@ -781,7 +813,7 @@ func (n *cmpNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		return n.out.setConst(value.NewBool(n.ok(c)), ln), nil
 	}
 	out := &n.out
-	out.reset(value.KindBool, ln)
+	out.reset(p.sc, value.KindBool, ln)
 	lk, rk := l.effKind(), r.effKind()
 	switch {
 	case lk == value.KindNull || rk == value.KindNull:
@@ -791,8 +823,8 @@ func (n *cmpNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		}
 	case numericish(lk) && numericish(rk):
 		if lk == value.KindFloat || rk == value.KindFloat {
-			n.lf = floatLanes(l, ln, n.lf)
-			n.rf = floatLanes(r, ln, n.rf)
+			n.lf = floatLanes(p.sc, l, ln, n.lf)
+			n.rf = floatLanes(p.sc, r, ln, n.rf)
 			lf, rf := n.lf, n.rf
 			for i := 0; i < ln; i++ {
 				if l.isNull(i) || r.isNull(i) {
@@ -813,8 +845,8 @@ func (n *cmpNode) eval(p *Program, sel []int32) (*Lanes, error) {
 				}
 			}
 		} else {
-			n.li = rawIntLanes(l, ln, n.li)
-			n.ri = rawIntLanes(r, ln, n.ri)
+			n.li = rawIntLanes(p.sc, l, ln, n.li)
+			n.ri = rawIntLanes(p.sc, r, ln, n.ri)
 			li, ri := n.li, n.ri
 			for i := 0; i < ln; i++ {
 				if l.isNull(i) || r.isNull(i) {
@@ -928,14 +960,14 @@ func (n *arithNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		}
 		return out.setConst(value.Null, ln), nil
 	}
-	nulls, anyNull := nullLanes(l, r, ln, n.nulls)
+	nulls, anyNull := nullLanes(p.sc, l, r, ln, n.nulls)
 	n.nulls = nulls
 	switch n.op {
 	case '%':
-		n.li = intLanes(l, ln, n.li)
-		n.ri = intLanes(r, ln, n.ri)
+		n.li = intLanes(p.sc, l, ln, n.li)
+		n.ri = intLanes(p.sc, r, ln, n.ri)
 		li, ri := n.li, n.ri
-		out.reset(value.KindInt, ln)
+		out.reset(p.sc, value.KindInt, ln)
 		for i := 0; i < ln; i++ {
 			if nulls[i] {
 				out.Ints[i] = 0
@@ -950,10 +982,10 @@ func (n *arithNode) eval(p *Program, sel []int32) (*Lanes, error) {
 			out.Ints[i] = li[i] % ri[i]
 		}
 	case '/':
-		n.lf = floatLanes(l, ln, n.lf)
-		n.rf = floatLanes(r, ln, n.rf)
+		n.lf = floatLanes(p.sc, l, ln, n.lf)
+		n.rf = floatLanes(p.sc, r, ln, n.rf)
 		lf, rf := n.lf, n.rf
-		out.reset(value.KindFloat, ln)
+		out.reset(p.sc, value.KindFloat, ln)
 		for i := 0; i < ln; i++ {
 			if nulls[i] {
 				out.Floats[i] = 0
@@ -969,10 +1001,10 @@ func (n *arithNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		}
 	default:
 		if lk == value.KindFloat || rk == value.KindFloat {
-			n.lf = floatLanes(l, ln, n.lf)
-			n.rf = floatLanes(r, ln, n.rf)
+			n.lf = floatLanes(p.sc, l, ln, n.lf)
+			n.rf = floatLanes(p.sc, r, ln, n.rf)
 			lf, rf := n.lf, n.rf
-			out.reset(value.KindFloat, ln)
+			out.reset(p.sc, value.KindFloat, ln)
 			switch n.op {
 			case '+':
 				for i := 0; i < ln; i++ {
@@ -988,10 +1020,10 @@ func (n *arithNode) eval(p *Program, sel []int32) (*Lanes, error) {
 				}
 			}
 		} else {
-			n.li = rawIntLanes(l, ln, n.li)
-			n.ri = rawIntLanes(r, ln, n.ri)
+			n.li = rawIntLanes(p.sc, l, ln, n.li)
+			n.ri = rawIntLanes(p.sc, r, ln, n.ri)
 			li, ri := n.li, n.ri
-			out.reset(value.KindInt, ln)
+			out.reset(p.sc, value.KindInt, ln)
 			switch n.op {
 			case '+':
 				for i := 0; i < ln; i++ {
@@ -1062,7 +1094,7 @@ func (n *inNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		return n.out.setConst(value.NewBool(n.contains(x.ConstV) != n.neg), ln), nil
 	}
 	out := &n.out
-	out.reset(value.KindBool, ln)
+	out.reset(p.sc, value.KindBool, ln)
 	for i := 0; i < ln; i++ {
 		if x.isNull(i) {
 			out.Ints[i] = 0
@@ -1110,7 +1142,7 @@ func (n *likeNode) eval(p *Program, sel []int32) (*Lanes, error) {
 			}
 		}
 		out := &n.out
-		out.reset(value.KindBool, ln)
+		out.reset(p.sc, value.KindBool, ln)
 		return out, nil
 	}
 	// The program is bound to one batch, so the column dictionary is
@@ -1122,7 +1154,7 @@ func (n *likeNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		}
 	}
 	out := &n.out
-	out.reset(value.KindBool, ln)
+	out.reset(p.sc, value.KindBool, ln)
 	for i := 0; i < ln; i++ {
 		if x.isNull(i) {
 			out.Ints[i] = 0
@@ -1165,7 +1197,7 @@ func (n *betweenNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		}
 		return out.setConst(v, ln), nil
 	}
-	out.reset(value.KindBool, ln)
+	out.reset(p.sc, value.KindBool, ln)
 	for i := 0; i < ln; i++ {
 		v, err := betweenOne(x.Value(i), lo.Value(i), hi.Value(i), n.neg)
 		if err != nil {

@@ -133,6 +133,9 @@ type Batch struct {
 	Cols   []Col
 	n      int
 
+	allOnce sync.Once
+	all     []int32 // the identity selection, see AllLanes
+
 	bucketMu sync.Mutex
 	// bucketMemo caches equi-key hash buckets per key-column set; the
 	// memoized maps are immutable once stored, so concurrent probes
@@ -140,10 +143,27 @@ type Batch struct {
 	//
 	//lint:guarded-by bucketMu
 	bucketMemo map[string]map[uint64][]int32
+	// groupMemo caches the dense group numbering per key-column set (see
+	// grouping); entries are immutable once stored.
+	//
+	//lint:guarded-by bucketMu
+	groupMemo map[string]*grouping
 }
 
 // Len returns the number of rows (lanes) in the batch.
 func (b *Batch) Len() int { return b.n }
+
+// AllLanes returns the identity selection: every lane, in scan order. It
+// is built on first use and shared by all callers, who must not modify it.
+func (b *Batch) AllLanes() []int32 {
+	b.allOnce.Do(func() {
+		b.all = make([]int32, b.n)
+		for i := range b.all {
+			b.all[i] = int32(i)
+		}
+	})
+	return b.all
+}
 
 // Check validates the structural invariants of the batch: one column per
 // schema column, every payload and null bitmap of the batch's lane count.
@@ -245,19 +265,40 @@ func FromRelation(r *relation.Relation) (*Batch, error) {
 // ToRelation converts a batch back into a row relation — the reverse half
 // of the migration shim, used by tests and row-API consumers.
 func ToRelation(b *Batch) (*relation.Relation, error) {
+	cols := make([]int, len(b.Cols))
+	for i := range cols {
+		cols[i] = i
+	}
+	rows, err := Rows(b, cols, b.AllLanes())
+	if err != nil {
+		return nil, err
+	}
+	return &relation.Relation{Schema: b.Schema, Rows: rows}, nil
+}
+
+// Rows boxes the selected lanes of the given columns into rows, in
+// selection order.
+func Rows(b *Batch, cols []int, sel []int32) ([]relation.Row, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
-	out := relation.New(b.Schema)
-	out.Rows = make([]relation.Row, b.n)
-	for i := 0; i < b.n; i++ {
-		row := make(relation.Row, len(b.Cols))
-		for ci := range b.Cols {
-			row[ci] = b.Cols[ci].Value(i)
-		}
-		out.Rows[i] = row
+	if err := b.checkSel(sel); err != nil {
+		return nil, err
 	}
-	return out, nil
+	for _, ci := range cols {
+		if ci < 0 || ci >= len(b.Cols) {
+			return nil, fmt.Errorf("vec: column %d out of range", ci)
+		}
+	}
+	rows := relation.MakeRows(len(sel), len(cols))
+	for i, lane := range sel {
+		row := rows[i]
+		for _, ci := range cols {
+			row = append(row, b.Cols[ci].Value(int(lane)))
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 // HashLanes computes, for each selected lane, the chained value hash of
@@ -323,12 +364,8 @@ func (b *Batch) Buckets(cols []int) (map[uint64][]int32, error) {
 	if m, ok := b.bucketMemo[key]; ok {
 		return m, nil
 	}
-	sel := make([]int32, b.n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
 	hashes := make([]uint64, b.n)
-	if err := HashLanes(b, cols, sel, hashes); err != nil {
+	if err := HashLanes(b, cols, b.AllLanes(), hashes); err != nil {
 		return nil, err
 	}
 	m := make(map[uint64][]int32, b.n)

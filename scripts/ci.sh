@@ -34,6 +34,12 @@ go run ./cmd/skalla-lint -timing ./...
 echo "== tests (race) =="
 go test -race ./...
 
+echo "== stress (race, 20 runs of the concurrent layers) =="
+# Every other gate runs each test once, which is how a drain race failing
+# one run in two was merged. The layers with real concurrency — sockets,
+# fan-out, parallel site evaluation — must be green twenty times over.
+go test -race -count=20 ./internal/transport ./internal/core ./internal/site
+
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg
 
@@ -42,6 +48,9 @@ go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 
 echo "== fuzz smoke (vec vs row differential) =="
 go test -run '^$' -fuzz FuzzVecVsRow -fuzztime 10s ./internal/gmdj
+
+echo "== fuzz smoke (distinct kernel vs DistinctProject) =="
+go test -run '^$' -fuzz FuzzDistinct -fuzztime 10s ./internal/vec
 
 echo "== examples =="
 for ex in quickstart ipflows tpcr cube multitier sql; do
