@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/catalog"
-	"repro/internal/gmdj"
 	"repro/internal/ipflow"
 	"repro/internal/obs"
 	"repro/internal/tpcr"
@@ -87,12 +86,7 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "how long an open circuit breaker refuses calls before letting one probe through")
 	propagateDeadline := flag.Bool("propagate-deadline", false, "stamp round requests with the remaining -timeout budget so sites shed already-doomed work instead of evaluating it")
 	profile := flag.Bool("profile", false, "tag the execution with a query ID so sites return per-request profiles, and print the EXPLAIN ANALYZE report with timings; also adds timings to EXPLAIN ANALYZE SQL statements")
-	rowEngine := flag.Bool("row-engine", false, "run any in-process GMDJ evaluation on the row-at-a-time reference engine instead of the vectorized default (site processes take their own -row-engine flag)")
 	flag.Parse()
-
-	if *rowEngine {
-		gmdj.SetDefaultEngine(gmdj.EngineRow)
-	}
 
 	opts, err := parseOpts(*opt)
 	if err != nil {

@@ -22,7 +22,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/gmdj"
 	"repro/internal/ipflow"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -40,14 +39,10 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, stop accepting and wait up to this long for in-flight requests before exiting")
 	maxResultRows := flag.Int("max-result-rows", 0, "reject a request whose result exceeds this many rows with an overload error (0 = unlimited)")
 	maxResultBytes := flag.Int64("max-result-bytes", 0, "reject a request whose result exceeds roughly this many bytes with an overload error (0 = unlimited)")
-	rowEngine := flag.Bool("row-engine", false, "evaluate GMDJ rounds with the row-at-a-time reference engine instead of the vectorized default")
 	flag.Parse()
 
 	eng := site.NewEngine(*id)
 	eng.SetLimits(site.Limits{MaxResultRows: *maxResultRows, MaxResultBytes: *maxResultBytes})
-	if *rowEngine {
-		eng.SetEvalEngine(gmdj.EngineRow)
-	}
 	site.RegisterGenerator("tpcr", tpcr.Generator)
 	site.RegisterGenerator("ipflow", ipflow.Generator)
 

@@ -45,8 +45,8 @@ type Config struct {
 	// the reported curves. Default 1.
 	Repeat int
 	// RowEngine forces the sites onto the row-at-a-time reference
-	// engine instead of the vectorized default (the -row-engine escape
-	// hatch of the daemons); the vec experiment compares the two.
+	// engine instead of the vectorized default; the vec experiment
+	// compares the two.
 	RowEngine bool
 }
 

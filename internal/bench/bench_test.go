@@ -273,9 +273,8 @@ func TestServeExperiment(t *testing.T) {
 
 // TestVecExperiment runs the row-vs-vectorized comparison at a small
 // scale. Beyond the shape checks, this covers the RowEngine cluster
-// configuration (the -row-engine escape hatch) end to end: the
-// experiment itself fails if the two engines' results are not
-// bit-identical.
+// configuration end to end: the experiment itself fails if the two
+// engines' results are not bit-identical.
 func TestVecExperiment(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rows = 3000

@@ -168,7 +168,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 func ServeExperiment(cfg ServeConfig) (*ServeResult, error) {
 	cfg = cfg.defaults()
 	// The sink collects the serve-mode profiling pipeline's output:
-	// per-query execution-wall histogram and published profile trees.
+	// per-query execution-wall histogram and published profiles.
 	sink := obs.New()
 	cluster, err := skalla.NewLocalCluster(skalla.ClusterConfig{Sites: cfg.Sites, Obs: sink})
 	if err != nil {

@@ -246,11 +246,11 @@ func TestDegradedPartialResult(t *testing.T) {
 		t.Fatal("no rounds recorded")
 	}
 	for _, r := range stats.Rounds {
-		if len(r.Lost) != 1 || r.Lost[0].Site != "site2" || r.Lost[0].Err == "" {
-			t.Errorf("round %s: Lost = %v, want site2 with an error", r.Name, r.Lost)
+		if lost := r.Lost(); len(lost) != 1 || lost[0].Site != "site2" || lost[0].Err == "" {
+			t.Errorf("round %s: Lost = %v, want site2 with an error", r.Name, lost)
 		}
-		if len(r.Responded) != 2 {
-			t.Errorf("round %s: Responded = %v, want the two survivors", r.Name, r.Responded)
+		if len(r.Responded()) != 2 {
+			t.Errorf("round %s: Responded = %v, want the two survivors", r.Name, r.Responded())
 		}
 	}
 	if cov := stats.Coverage(); !strings.Contains(cov, "site2") || !strings.Contains(cov, "2/3") {

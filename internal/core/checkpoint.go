@@ -31,8 +31,9 @@ type Checkpoint struct {
 	Done int
 	// X is the base-result structure after round Done-1.
 	X *relation.Relation
-	// Rounds are the statistics of the completed rounds, so a resumed
-	// execution reports the same totals as an uninterrupted one.
+	// Rounds are the statistics of the completed rounds, per-site records
+	// included, so a resumed execution reports the same totals and the
+	// same decomposition as an uninterrupted one.
 	Rounds []RoundStats
 }
 
@@ -96,14 +97,22 @@ func PlanEpoch(p *Plan) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Checkpoint wire shape. Durations and site lists follow the statsjson
-// conventions (integer nanoseconds, sorted sites) so checkpoints encode
+// checkpointFormat versions the checkpoint file. Format 2 rounds carry
+// their per-site records (RoundStats.Sites), from which the coverage
+// lists are derived; a file of any other format (format-1 files have no
+// version field and list coverage without the records) is refused whole
+// rather than half-read, and the execution starts fresh.
+const checkpointFormat = 2
+
+// Checkpoint wire shape. Rounds encode exactly as in ExecStats.JSON
+// (integer nanoseconds, sites sorted) so checkpoints encode
 // byte-identically run to run.
 type checkpointJSON struct {
-	Epoch  string           `json:"epoch"`
-	Done   int              `json:"done"`
-	X      *relationJSON    `json:"x"`
-	Rounds []roundStatsJSON `json:"rounds"`
+	Format int           `json:"format"`
+	Epoch  string        `json:"epoch"`
+	Done   int           `json:"done"`
+	X      *relationJSON `json:"x"`
+	Rounds []RoundStats  `json:"rounds"`
 }
 
 type relationJSON struct {
@@ -128,17 +137,13 @@ type ckptVal struct {
 
 // EncodeCheckpoint renders cp as deterministic JSON.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	out := checkpointJSON{Epoch: cp.Epoch, Done: cp.Done}
+	out := checkpointJSON{Format: checkpointFormat, Epoch: cp.Epoch, Done: cp.Done, Rounds: cp.Rounds}
 	if cp.X != nil {
 		r, err := relToJSON(cp.X)
 		if err != nil {
 			return nil, err
 		}
 		out.X = r
-	}
-	out.Rounds = make([]roundStatsJSON, 0, len(cp.Rounds))
-	for _, rs := range cp.Rounds {
-		out.Rounds = append(out.Rounds, roundToJSON(rs))
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
@@ -149,16 +154,16 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if err := json.Unmarshal(b, &in); err != nil {
 		return nil, fmt.Errorf("core: parse checkpoint: %w", err)
 	}
-	cp := &Checkpoint{Epoch: in.Epoch, Done: in.Done}
+	if in.Format != checkpointFormat {
+		return nil, fmt.Errorf("core: checkpoint format %d, want %d", in.Format, checkpointFormat)
+	}
+	cp := &Checkpoint{Epoch: in.Epoch, Done: in.Done, Rounds: in.Rounds}
 	if in.X != nil {
 		x, err := relFromJSON(in.X)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint X: %w", err)
 		}
 		cp.X = x
-	}
-	for _, jr := range in.Rounds {
-		cp.Rounds = append(cp.Rounds, roundFromJSON(jr))
 	}
 	return cp, nil
 }

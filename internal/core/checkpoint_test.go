@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,24 +24,17 @@ func relationFromRows(rows []relation.Row) *relation.Relation {
 }
 
 func sampleCheckpointWith(x *relation.Relation) *Checkpoint {
-	return &Checkpoint{
-		Epoch: "deadbeef00000000",
-		Done:  2,
-		X:     x,
-		Rounds: []RoundStats{
-			{
-				Name: "base", Responded: []string{"site1", "site0"},
-				BytesToSites: 10, BytesFromSites: 20, GroupsShipped: 1, GroupsReceived: 2,
-				SiteTime: 3 * time.Microsecond, SiteTimeTotal: 5 * time.Microsecond,
-				CoordTime: 7 * time.Microsecond, CommTime: 11 * time.Microsecond,
-			},
-			{
-				Name: "step 1", Responded: []string{"site0"},
-				Lost:     []LostSite{{Site: "site1", Err: "boom"}},
-				Replayed: []string{"site0"}, Resumed: true,
-			},
-		},
-	}
+	us := time.Microsecond
+	base := roundOf("base",
+		SiteRound{Site: "site1", BytesSent: 4, BytesRecv: 12, RowsShipped: 1, RowsReturned: 1, Compute: 2 * us, Comm: 11 * us,
+			Remote: &transport.SiteProfile{Outcome: transport.OutcomeOK, Engine: "vector", RowsOut: 1, Rounds: 1}},
+		SiteRound{Site: "site0", BytesSent: 6, BytesRecv: 8, RowsReturned: 1, Compute: 3 * us, Comm: 5 * us})
+	base.CoordTime = 7 * us
+	step := roundOf("step 1",
+		SiteRound{Site: "site0", BytesSent: 9, Replays: 1, Hedges: 2},
+		lostSite("site1", "boom"))
+	step.Resumed = true
+	return &Checkpoint{Epoch: "deadbeef00000000", Done: 2, X: x, Rounds: []RoundStats{base, step}}
 }
 
 func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
@@ -71,16 +66,22 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	if len(got.Rounds) != len(cp.Rounds) {
 		t.Fatalf("decoded %d rounds, want %d", len(got.Rounds), len(cp.Rounds))
 	}
+	// The rounds survive whole: totals, durations, and every site's
+	// record down to the piggy-backed remote profile.
+	if !reflect.DeepEqual(got.Rounds, cp.Rounds) {
+		t.Errorf("decoded rounds =\n%+v\nwant\n%+v", got.Rounds, cp.Rounds)
+	}
 	r1 := got.Rounds[1]
-	if !r1.Resumed || len(r1.Replayed) != 1 || r1.Replayed[0] != "site0" {
+	if !r1.Resumed || len(r1.Replayed()) != 1 || r1.Replayed()[0] != "site0" {
 		t.Errorf("round 1 recovery fields lost: %+v", r1)
 	}
-	if len(r1.Lost) != 1 || r1.Lost[0].Site != "site1" {
-		t.Errorf("round 1 lost sites lost: %+v", r1.Lost)
+	if lost := r1.Lost(); len(lost) != 1 || lost[0].Site != "site1" {
+		t.Errorf("round 1 lost sites lost: %+v", lost)
 	}
 	if got.Rounds[0].SiteTime != 3*time.Microsecond || got.Rounds[0].CommTime != 11*time.Microsecond {
 		t.Errorf("round 0 durations lost: %+v", got.Rounds[0])
 	}
+	assertSitesDecompose(t, &ExecStats{Rounds: got.Rounds})
 	// Re-encoding the decoded checkpoint is byte-identical: the JSON shape
 	// loses nothing the encoding itself carries.
 	b3, err := EncodeCheckpoint(got)
@@ -89,6 +90,58 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b3) {
 		t.Error("decode → encode is not a fixed point")
+	}
+}
+
+// TestFormat1CheckpointRefused: testdata/checkpoint_v1.json was written
+// by the last commit whose checkpoints listed round coverage without the
+// per-site records. Read as today's format its rounds would decode with
+// totals but no sites — so it must be refused whole, and a coordinator
+// that finds one starts the execution fresh instead of resuming from it.
+func TestFormat1CheckpointRefused(t *testing.T) {
+	v1, err := os.ReadFile("testdata/checkpoint_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := DecodeCheckpoint(v1); err == nil || !strings.Contains(err.Error(), "format") {
+		t.Fatalf("DecodeCheckpoint(format 1) = (%+v, %v), want a format error", cp, err)
+	}
+
+	dir := t.TempDir()
+	store, err := NewFileCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, cat, whole := cluster(t, testRows(120, 5), 3, true)
+	coord.Checkpoints = store
+	coord.Epoch = "deadbeef00000000" // the epoch the v1 file was saved under
+	coord.Obs = obs.New()
+	if err := os.WriteFile(store.path(coord.Epoch), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := example1()
+	got, stats, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gmdj.EvalQuery(whole, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRelation(t, "fresh start", got, want, q.Keys())
+	if stats.ResumedRounds() != 0 {
+		t.Errorf("resumed %d round(s) from a format-1 checkpoint", stats.ResumedRounds())
+	}
+	assertSitesDecompose(t, stats)
+	if n := coord.Obs.Metrics.CounterValue("checkpoint.errors"); n != 1 {
+		t.Errorf("checkpoint.errors = %d, want 1", n)
+	}
+	var sawFresh bool
+	for _, ev := range coord.Obs.Events.Events() {
+		sawFresh = sawFresh || strings.Contains(ev.Msg, "checkpoint load failed; starting fresh")
+	}
+	if !sawFresh {
+		t.Error("no \"checkpoint load failed; starting fresh\" event")
 	}
 }
 
@@ -360,8 +413,8 @@ func TestReplayAfterTransportFailure(t *testing.T) {
 		t.Errorf("replayed sites = %v, want [site1]", rp)
 	}
 	last := stats.Rounds[len(stats.Rounds)-1]
-	if len(last.Replayed) != 1 || last.Replayed[0] != "site1" {
-		t.Errorf("last round replayed = %v, want [site1]", last.Replayed)
+	if rp := last.Replayed(); len(rp) != 1 || rp[0] != "site1" {
+		t.Errorf("last round replayed = %v, want [site1]", rp)
 	}
 	if got := o.Metrics.CounterValue("coord.replays"); got != 1 {
 		t.Errorf("coord.replays = %d, want 1", got)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // Coordinator executes distributed evaluation plans against a set of site
@@ -38,6 +37,30 @@ import (
 type Coordinator struct {
 	clients []transport.Client
 
+	// Settings are the behaviours a coordinator shares with every
+	// coordinator derived from it (see Derive).
+	Settings
+
+	// Epoch overrides the execution epoch; empty derives it from the plan
+	// (PlanEpoch), which is what lets a restarted coordinator find its
+	// own checkpoint. Requests carry the epoch and round sequence number
+	// only while recovery is enabled (Checkpoints set or Replays > 0), so
+	// site-side replay dedup never caches for plain executions.
+	Epoch string
+	// QueryID, when non-empty, tags every round request with this ID so
+	// sites piggy-back per-request profiles on their responses, which
+	// land in the per-site records of the returned ExecStats; the
+	// execution's statistics are then also published to Obs as a query
+	// profile. Empty leaves requests untagged and wire-identical to the
+	// pre-profiling protocol.
+	QueryID string
+}
+
+// Settings groups the coordinator behaviours that describe a deployment
+// rather than one execution. They travel together: every place that builds
+// a coordinator over other clients of the same cluster (a subset, a
+// session, a served query, EXPLAIN ANALYZE) takes them whole via Derive.
+type Settings struct {
 	// CallTimeout bounds each site round-trip; 0 means no per-call bound
 	// (the Execute context still applies).
 	CallTimeout time.Duration
@@ -49,18 +72,11 @@ type Coordinator struct {
 	// totals match ExecStats exactly, and site-lost / partial-result
 	// events.
 	Obs *obs.Obs
-
 	// Checkpoints, when set, persists X and the round statistics after
 	// every completed synchronization round and resumes an interrupted
 	// execution of the same plan from its last completed round. Round
 	// checkpoints are cheap by Theorem 2: X never holds detail data.
 	Checkpoints CheckpointStore
-	// Epoch overrides the execution epoch; empty derives it from the plan
-	// (PlanEpoch), which is what lets a restarted coordinator find its
-	// own checkpoint. Requests carry the epoch and round sequence number
-	// only while recovery is enabled (Checkpoints set or Replays > 0), so
-	// site-side replay dedup never caches for plain executions.
-	Epoch string
 	// Replays is how many times a site's round request is re-issued after
 	// a transport failure before the site counts as lost (0 keeps the old
 	// first-error behavior). Replaying is idempotent: the request carries
@@ -72,51 +88,12 @@ type Coordinator struct {
 	// advisory (an event) — the call proceeds, because a draining replica
 	// sheds with CodeDraining and the Reconnector fails over anyway.
 	Health HealthGate
-	// QueryID, when non-empty, tags every round request with this ID so
-	// sites piggy-back per-request profiles on their responses, and makes
-	// Execute assemble them into ExecStats.Profile (also retained in the
-	// coordinator's profile ring — see TakeProfiles — and published to
-	// Obs.Profiles). Empty leaves requests untagged and wire-identical to
-	// the pre-profiling protocol.
-	QueryID string
 	// PropagateDeadline stamps every round request with the remaining
 	// per-call budget (Request.DeadlineNs, derived from CallTimeout / the
 	// execution context) so sites shed already-doomed work instead of
 	// computing answers nobody will read. Off by default: untagged
 	// requests stay byte-identical to the pre-deadline wire encoding.
 	PropagateDeadline bool
-
-	profMu sync.Mutex
-	// profiles retains the last profileRingCap assembled query profiles
-	// until TakeProfiles drains them.
-	//
-	//lint:guarded-by profMu
-	profiles []*QueryProfile
-}
-
-// profileRingCap bounds the coordinator's retained query profiles: a
-// serving daemon that never drains them must not grow without bound.
-const profileRingCap = 16
-
-// storeProfile retains an assembled profile, evicting the oldest beyond
-// the cap.
-func (c *Coordinator) storeProfile(p *QueryProfile) {
-	c.profMu.Lock()
-	defer c.profMu.Unlock()
-	c.profiles = append(c.profiles, p)
-	if len(c.profiles) > profileRingCap {
-		c.profiles = c.profiles[len(c.profiles)-profileRingCap:]
-	}
-}
-
-// TakeProfiles drains and returns the retained query profiles, oldest
-// first.
-func (c *Coordinator) TakeProfiles() []*QueryProfile {
-	c.profMu.Lock()
-	defer c.profMu.Unlock()
-	out := c.profiles
-	c.profiles = nil
-	return out
 }
 
 // HealthGate answers whether a site should receive new work. It is the
@@ -130,6 +107,12 @@ type HealthGate interface {
 // clients define the participating sites S_B = S_MD.
 func NewCoordinator(clients ...transport.Client) *Coordinator {
 	return &Coordinator{clients: clients}
+}
+
+// Derive returns a coordinator over other clients with this coordinator's
+// Settings. Epoch and QueryID name one execution and are not carried over.
+func (c *Coordinator) Derive(clients ...transport.Client) *Coordinator {
+	return &Coordinator{clients: clients, Settings: c.Settings}
 }
 
 // Clients returns the coordinator's site clients.
@@ -209,19 +192,6 @@ func (c *Coordinator) Run(ctx context.Context, q gmdj.Query, detailName string, 
 	return res, stats, plan, err
 }
 
-// siteResult carries one site's round result back to the merger.
-type siteResult struct {
-	site      string
-	resp      *transport.Response
-	sentB     int64
-	recvB     int64
-	comm      time.Duration
-	shipped   int64
-	computeNs int64
-	replays   int // round requests re-issued before this result arrived
-	hedges    int // duplicate replica sends launched before this result arrived
-}
-
 // Execute runs the plan under ctx and returns the final base-result
 // structure X. Cancelling ctx aborts all in-flight site calls.
 //
@@ -251,16 +221,8 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 		return nil, nil, fmt.Errorf("core: coordinator has no sites")
 	}
 	start := time.Now()
-	stats := &ExecStats{}
-
-	// A QueryID-tagged execution assembles a profile tree congruent with
-	// stats: rounds join both at the same points, so the tree's totals
-	// equal ExecStats even on error paths.
-	var qp *QueryProfile
-	if c.QueryID != "" {
-		qp = &QueryProfile{QueryID: c.QueryID}
-		stats.Profile = qp
-	}
+	stats := &ExecStats{QueryID: c.QueryID}
+	defer func() { stats.Wall = time.Since(start) }()
 
 	var x *relation.Relation
 	q := plan.Query
@@ -295,7 +257,6 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 			for _, rs := range cp.Rounds {
 				rs.Resumed = true
 				stats.Rounds = append(stats.Rounds, rs)
-				qp.appendResumed(rs)
 			}
 			c.Obs.Count("checkpoint.resumed", 1)
 			c.Obs.Event(obs.EventCheckpoint, "",
@@ -321,10 +282,9 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 
 	// Round 0: compute and synchronize the base-values relation.
 	if plan.BaseRound && done == 0 {
-		rs := RoundStats{Name: "base"}
-		rp := qp.newRound()
+		rs := c.newRound("base")
 		roundCtx, rspan := c.Obs.StartSpanTrack(ctx, "round:base", obs.TrackCoordinator)
-		results, err := c.fanout(roundCtx, &rs, rp, tagEpoch, 0, func(cl transport.Client) (*transport.Request, error) {
+		parts, err := c.fanout(roundCtx, &rs, tagEpoch, 0, func(cl transport.Client) (*transport.Request, error) {
 			return &transport.Request{
 				Op:        transport.OpEvalBase,
 				Detail:    plan.Detail,
@@ -338,11 +298,6 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 		}
 		coordStart := time.Now()
 		_, sspan := c.Obs.StartSpanTrack(roundCtx, "sync:base", obs.TrackCoordinator)
-		var parts []*relation.Relation
-		for _, r := range results {
-			accountRound(&rs, rp, r)
-			parts = append(parts, r.resp.Rel)
-		}
 		x, err = unionDistinct(parts)
 		sspan.End()
 		rspan.End()
@@ -351,7 +306,6 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 		}
 		rs.CoordTime = time.Since(coordStart)
 		stats.Rounds = append(stats.Rounds, rs)
-		qp.finishRound(rp, rs)
 		done = 1
 		saveCkpt()
 	}
@@ -365,8 +319,7 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 		if seq < done {
 			continue // completed before the interruption; restored from checkpoint
 		}
-		rs := RoundStats{Name: fmt.Sprintf("step %d", si+1)}
-		rp := qp.newRound()
+		rs := c.newRound(fmt.Sprintf("step %d", si+1))
 		roundCtx, rspan := c.Obs.StartSpanTrack(ctx, "round:"+rs.Name, obs.TrackCoordinator)
 
 		// Collect the step's MDs and aggregate specs.
@@ -435,7 +388,7 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 
 		// Synchronize: merge primitive states into X keyed on K.
 		_, sspan := c.Obs.StartSpanTrack(roundCtx, "sync:"+rs.Name, obs.TrackCoordinator)
-		merged, mergeTime, err := c.synchronize(x, stream, specs, plan, step.FuseBase, &rs, rp)
+		merged, mergeTime, err := c.synchronize(x, stream, specs, plan, step.FuseBase, &rs)
 		sspan.End()
 		rspan.End()
 		if err != nil {
@@ -444,7 +397,6 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 		x = merged
 		rs.CoordTime = prepTime + mergeTime
 		stats.Rounds = append(stats.Rounds, rs)
-		qp.finishRound(rp, rs)
 		done = seq + 1
 		saveCkpt()
 	}
@@ -469,26 +421,28 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 		}
 	}
 
-	stats.Wall = time.Since(start)
 	return x, stats, nil
 }
 
-// fanout sends one request per site in parallel and collects all results,
-// recording coverage in rs. In strict mode any site failure aborts (and
-// cancels the siblings); with AllowPartial the survivors' results are
-// returned and the losses recorded, failing only when nothing survived.
-func (c *Coordinator) fanout(ctx context.Context, rs *RoundStats, rp *RoundProfile, epoch string, round int, build func(cl transport.Client) (*transport.Request, error)) ([]*siteResult, error) {
-	var results []*siteResult
+// newRound opens a round's statistics with room for every site's record.
+func (c *Coordinator) newRound(name string) RoundStats {
+	return RoundStats{Name: name, Sites: make([]SiteRound, 0, len(c.clients))}
+}
+
+// fanout sends one request per site in parallel, records every site's
+// part in rs and collects the result relations. In strict mode any site
+// failure aborts (and cancels the siblings); with AllowPartial the
+// survivors' results are returned, failing only when nothing survived.
+func (c *Coordinator) fanout(ctx context.Context, rs *RoundStats, epoch string, round int, build func(cl transport.Client) (*transport.Request, error)) ([]*relation.Relation, error) {
+	var results []*relation.Relation
 	var firstErr error
-	for sr := range c.fanoutStream(ctx, epoch, round, build) {
-		if sr.err != nil {
-			firstErr = betterErr(firstErr, sr.err)
-			rs.Lost = append(rs.Lost, LostSite{Site: sr.site, Err: sr.err.Error()})
-			rp.addLost(sr.site, sr.err)
+	for it := range c.fanoutStream(ctx, epoch, round, build) {
+		rs.add(it.SiteRound)
+		if it.err != nil {
+			firstErr = betterErr(firstErr, it.err)
 			continue
 		}
-		rs.Responded = append(rs.Responded, sr.site)
-		results = append(results, sr.res)
+		results = append(results, it.resp.Rel)
 	}
 	if !c.AllowPartial && firstErr != nil {
 		return nil, firstErr
@@ -499,10 +453,12 @@ func (c *Coordinator) fanout(ctx context.Context, rs *RoundStats, rp *RoundProfi
 	return results, nil
 }
 
-// streamItem is one arrival on a fan-out stream.
+// streamItem is one arrival on a fan-out stream: the site's record for
+// the round and, beside it, the response it answered with — or, for a
+// lost site, the failure as an error chain (the record keeps its text).
 type streamItem struct {
-	site string
-	res  *siteResult
+	SiteRound
+	resp *transport.Response
 	err  error
 }
 
@@ -531,7 +487,7 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 				if !c.AllowPartial {
 					cancelRound()
 				}
-				out <- streamItem{site: cl.SiteID(), err: err}
+				out <- streamItem{SiteRound: SiteRound{Site: cl.SiteID(), Lost: true, Err: err.Error()}, err: err}
 			}
 			if c.Health != nil {
 				if ready, reason := c.Health.Ready(cl.SiteID()); !ready {
@@ -557,8 +513,8 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 			req.QueryID = c.QueryID
 			s0, r0, _, t0 := cl.Stats().Snapshot()
 			// A hedging client exposes its duplicate-send counters; the
-			// delta across this call links the hedges to this round in
-			// the profile tree, mirroring the replay linkage.
+			// delta across this call links the hedges to this round,
+			// mirroring the replay linkage.
 			hc, hasHC := cl.(interface{ HedgeCounts() (int64, int64) })
 			var hedges0 int64
 			if hasHC {
@@ -626,17 +582,21 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 				span.SetArg("hedges", fmt.Sprint(hedges))
 			}
 			span.End()
-			res := &siteResult{
-				site: cl.SiteID(), resp: resp,
-				sentB: s1 - s0, recvB: r1 - r0, comm: t1 - t0,
-				computeNs: resp.ComputeNs,
-				replays:   replays,
-				hedges:    hedges,
+			sr := SiteRound{
+				Site:      cl.SiteID(),
+				BytesSent: s1 - s0, BytesRecv: r1 - r0, Comm: t1 - t0,
+				Compute: time.Duration(resp.ComputeNs),
+				Replays: replays,
+				Hedges:  hedges,
+				Remote:  resp.Profile,
 			}
 			if req.Base != nil {
-				res.shipped = int64(req.Base.Len())
+				sr.RowsShipped = int64(req.Base.Len())
 			}
-			out <- streamItem{site: cl.SiteID(), res: res}
+			if resp.Rel != nil {
+				sr.RowsReturned = int64(resp.Rel.Len())
+			}
+			out <- streamItem{SiteRound: sr, resp: resp}
 		}(cl)
 	}
 	go func() {
@@ -697,15 +657,12 @@ func (c *Coordinator) publishExec(stats *ExecStats, execErr error) {
 	if stats == nil {
 		return
 	}
-	if p := stats.Profile; p != nil {
-		p.WallNs = int64(stats.Wall)
-		p.Partial = stats.Partial()
-		c.storeProfile(p)
-		c.publishProfile(p)
-	}
 	o := c.Obs
 	if o == nil {
 		return
+	}
+	if stats.QueryID != "" {
+		c.publishProfile(stats)
 	}
 	o.Count("coord.queries", 1)
 	if execErr != nil {
@@ -720,11 +677,12 @@ func (c *Coordinator) publishExec(stats *ExecStats, execErr error) {
 		o.Count("coord.bytes_from_sites", r.BytesFromSites)
 		o.Count("coord.groups_shipped", r.GroupsShipped)
 		o.Count("coord.groups_received", r.GroupsReceived)
-		o.Count("coord.sites_lost", int64(len(r.Lost)))
+		lost := r.Lost()
+		o.Count("coord.sites_lost", int64(len(lost)))
 		o.Observe("coord.round_site_ns", r.SiteTime.Nanoseconds())
 		o.Observe("coord.round_coord_ns", r.CoordTime.Nanoseconds())
 		o.Observe("coord.round_comm_ns", r.CommTime.Nanoseconds())
-		for _, l := range r.Lost {
+		for _, l := range lost {
 			o.Event(obs.EventSiteLost, l.Site, "site contributed nothing to round "+r.Name,
 				map[string]string{"round": r.Name, "error": l.Err})
 		}
@@ -745,203 +703,105 @@ const (
 	stragglerEventMinSite = 5 * time.Millisecond
 )
 
-// publishProfile publishes a finished query profile's skew telemetry:
+// publishProfile publishes a QueryID-tagged execution's skew telemetry:
 // per-round straggler and row-imbalance histograms (×1000 fixed point),
-// straggler events for rounds one site dominated, the encoded profile
-// into the obs /profiles ring, and a per-query latency histogram.
-func (c *Coordinator) publishProfile(p *QueryProfile) {
+// straggler events for rounds one site dominated, the encoded statistics
+// into the obs /profiles ring, and a per-query latency histogram. Rounds
+// restored from a checkpoint were published by the interrupted run.
+func (c *Coordinator) publishProfile(stats *ExecStats) {
 	o := c.Obs
-	if o == nil {
-		return
-	}
 	o.Count("coord.queries_profiled", 1)
-	o.Observe("profile.query_wall_ns", p.WallNs)
-	for i := range p.Rounds {
-		rp := &p.Rounds[i]
-		if rp.Resumed || len(rp.Sites) == 0 {
+	o.Observe("profile.query_wall_ns", int64(stats.Wall))
+	for i := range stats.Rounds {
+		r := &stats.Rounds[i]
+		if r.Resumed {
 			continue
 		}
-		ratio := rp.StragglerRatio()
+		ratio := r.StragglerRatio()
 		if ratio > 0 {
 			o.Observe("profile.straggler_x1000", int64(ratio*1000))
 		}
-		if imb := rp.RowImbalance(); imb > 0 {
+		if imb := r.RowImbalance(); imb > 0 {
 			o.Observe("profile.row_imbalance_x1000", int64(imb*1000))
 		}
-		if ratio >= stragglerEventRatio && time.Duration(rp.SiteNs) >= stragglerEventMinSite {
-			o.Event(obs.EventStraggler, rp.SlowestSite(),
-				fmt.Sprintf("site dominated round %s at %.1fx the median", rp.Name, ratio),
+		if ratio >= stragglerEventRatio && r.SiteTime >= stragglerEventMinSite {
+			o.Event(obs.EventStraggler, r.SlowestSite(),
+				fmt.Sprintf("site dominated round %s at %.1fx the median", r.Name, ratio),
 				map[string]string{
-					"query_id": p.QueryID, "round": rp.Name,
+					"query_id": stats.QueryID, "round": r.Name,
 					"ratio_x1000": fmt.Sprint(int64(ratio * 1000)),
 				})
 		}
 	}
-	if b, err := p.JSON(); err == nil {
+	if b, err := stats.JSON(); err == nil {
 		o.AddProfile(b)
-	}
-}
-
-// accountRound folds one site's wire and compute statistics into the
-// round's statistics, and (when the execution is profiled) appends the
-// matching per-site profile entry — one shared accounting point is what
-// guarantees the profile tree and RoundStats can never disagree.
-func accountRound(rs *RoundStats, rp *RoundProfile, r *siteResult) {
-	rp.addSite(r)
-	rs.BytesToSites += r.sentB
-	rs.BytesFromSites += r.recvB
-	rs.GroupsShipped += r.shipped
-	if r.resp.Rel != nil {
-		rs.GroupsReceived += int64(r.resp.Rel.Len())
-	}
-	d := time.Duration(r.computeNs)
-	rs.SiteTimeTotal += d
-	if d > rs.SiteTime {
-		rs.SiteTime = d
-	}
-	if r.comm > rs.CommTime {
-		rs.CommTime = r.comm
-	}
-	if r.replays > 0 {
-		rs.Replayed = append(rs.Replayed, r.site)
-	}
-	if r.hedges > 0 {
-		rs.Hedged = append(rs.Hedged, r.site)
 	}
 }
 
 // synchronize merges the sites' sub-aggregate fragments into X as they
 // arrive on the stream and appends the step's finalized aggregate columns
-// (Theorem 1). Incremental consumption is the behavior §3.2 describes:
-// the coordinator synchronizes early fragments while slower sites are
-// still computing. It returns the new X and the coordinator time spent
-// merging (excluding time blocked waiting on the stream).
-func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, specs []agg.Spec, plan *Plan, fused bool, rs *RoundStats, rp *RoundProfile) (*relation.Relation, time.Duration, error) {
+// (Theorem 1), recording every site's part in rs. Incremental consumption
+// is the behavior §3.2 describes: the coordinator synchronizes early
+// fragments while slower sites are still computing. It returns the new X
+// and the coordinator time spent merging (excluding time blocked waiting
+// on the stream).
+func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, specs []agg.Spec, plan *Plan, fused bool, rs *RoundStats) (*relation.Relation, time.Duration, error) {
 	var mergeTime time.Duration
 	var firstErr error
 
 	// Merge state, initialized lazily for fused steps (the base schema
 	// comes from the first fragment).
-	var keyIdx []int
-	var index relation.KeyIndex
-	var accs *agg.Slab
-	ready := false
+	var schema *relation.Schema
+	var m *keyedMerge
 
-	initState := func(firstFrag *relation.Relation) error {
-		if fused {
-			baseSchema, _, err := firstFrag.Schema.Project(plan.Query.Base.Cols)
-			if err != nil {
-				return fmt.Errorf("fused step base schema: %w", err)
-			}
-			x = relation.New(baseSchema)
-		} else if x == nil {
-			return fmt.Errorf("no base-result structure before non-fused step")
-		}
-		keyIdx = make([]int, len(plan.Keys))
-		for i, k := range plan.Keys {
-			p, err := x.Schema.MustLookup(k)
-			if err != nil {
-				return fmt.Errorf("key %q: %w", k, err)
-			}
-			keyIdx[i] = p
-		}
-		for pos, row := range x.Rows {
-			index.Add(relation.HashRow(row, keyIdx), pos)
-		}
-		accs = agg.NewSlab(specs, len(x.Rows))
-		ready = true
-		return nil
-	}
-
-	mergeFragment := func(r *siteResult) error {
-		h := r.resp.Rel
+	mergeFragment := func(h *relation.Relation) error {
 		if h == nil {
-			return fmt.Errorf("site %s returned no relation", r.site)
+			return fmt.Errorf("no relation")
 		}
-		if !ready {
-			if err := initState(h); err != nil {
+		if m == nil {
+			var groups []relation.Row
+			switch {
+			case fused:
+				var err error
+				if schema, _, err = h.Schema.Project(plan.Query.Base.Cols); err != nil {
+					return fmt.Errorf("fused step base schema: %w", err)
+				}
+			case x == nil:
+				return fmt.Errorf("no base-result structure before non-fused step")
+			default:
+				schema, groups = x.Schema, x.Rows
+			}
+			var err error
+			if m, err = newKeyedMerge(schema, groups, plan.Keys, specs, false); err != nil {
 				return err
 			}
 		}
-		// Resolve column positions in this fragment by name.
-		hKey := make([]int, len(plan.Keys))
-		for i, k := range plan.Keys {
-			p, err := h.Schema.MustLookup(k)
-			if err != nil {
-				return fmt.Errorf("site %s fragment: key %q: %w", r.site, k, err)
-			}
-			hKey[i] = p
-		}
-		var hBase []int
+		// A fragment group the coordinator never shipped is only legal in
+		// fused mode, where it becomes a new base row.
+		var newRow []int
 		if fused {
-			hBase = make([]int, x.Schema.Len())
-			for i, col := range x.Schema.Cols {
-				p, err := h.Schema.MustLookup(col.Name)
-				if err != nil {
-					return fmt.Errorf("site %s fragment: base column %q: %w", r.site, col.Name, err)
-				}
-				hBase[i] = p
+			var err error
+			if newRow, err = lookupAll(h.Schema, schema.Names()); err != nil {
+				return err
 			}
 		}
-		// Fragment positions of the primitive state columns, in the slab's
-		// spec then primitive order.
-		var prims []int
-		for _, sp := range specs {
-			for pi := range sp.Prims() {
-				p, err := h.Schema.MustLookup(sp.SubColName(pi))
-				if err != nil {
-					return fmt.Errorf("site %s fragment: %w", r.site, err)
-				}
-				prims = append(prims, p)
-			}
-		}
-		var row relation.Row
-		sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, x.Rows[pos], keyIdx) }
-		for _, row = range h.Rows {
-			hash := relation.HashRow(row, hKey)
-			pos, ok := index.Find(hash, sameKey)
-			if !ok {
-				if !fused {
-					// A fragment group the coordinator never shipped:
-					// only legal in fused mode.
-					return fmt.Errorf("site %s returned unknown group", r.site)
-				}
-				nr := make(relation.Row, len(hBase))
-				for i, p := range hBase {
-					nr[i] = row[p]
-				}
-				x.Rows = append(x.Rows, nr)
-				pos = accs.AddGroup()
-				index.Add(hash, pos)
-			}
-			group := accs.Group(pos)
-			for pi, p := range prims {
-				if err := group[pi].Merge(row[p]); err != nil {
-					return fmt.Errorf("site %s group merge: %w", r.site, err)
-				}
-			}
-		}
-		return nil
+		return m.merge(h, newRow)
 	}
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are
 	// fatal in strict mode but only coverage loss in degraded mode; merge
 	// failures (corrupt or inconsistent fragments) are always fatal.
 	var mergeErr error
-	for sr := range stream {
-		if sr.err != nil {
-			firstErr = betterErr(firstErr, sr.err)
-			rs.Lost = append(rs.Lost, LostSite{Site: sr.site, Err: sr.err.Error()})
-			rp.addLost(sr.site, sr.err)
+	for it := range stream {
+		rs.add(it.SiteRound)
+		if it.err != nil {
+			firstErr = betterErr(firstErr, it.err)
 			continue
 		}
 		t0 := time.Now()
-		accountRound(rs, rp, sr.res)
 		if mergeErr == nil && (c.AllowPartial || firstErr == nil) {
-			if err := mergeFragment(sr.res); err != nil {
-				mergeErr = err
-			} else {
-				rs.Responded = append(rs.Responded, sr.site)
+			if err := mergeFragment(it.resp.Rel); err != nil {
+				mergeErr = fmt.Errorf("site %s fragment: %w", it.Site, err)
 			}
 		}
 		mergeTime += time.Since(t0)
@@ -952,7 +812,7 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 	if firstErr != nil && !c.AllowPartial {
 		return nil, mergeTime, firstErr
 	}
-	if !ready {
+	if m == nil {
 		if firstErr != nil {
 			return nil, mergeTime, fmt.Errorf("all sites lost: %w", firstErr)
 		}
@@ -961,35 +821,9 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 
 	// Finalize the step's aggregates into new X columns.
 	t0 := time.Now()
-	outCols := make([]relation.Column, len(specs))
-	for i, sp := range specs {
-		outCols[i] = sp.OutColumn()
-	}
-	outSchema, err := x.Schema.Concat(outCols...)
-	if err != nil {
-		return nil, mergeTime, err
-	}
-	out := relation.New(outSchema)
-	out.Rows = relation.MakeRows(len(x.Rows), outSchema.Len())
-	var states []value.V // one spec's merged primitive states, reused
-	for gi, row := range x.Rows {
-		nr := append(out.Rows[gi], row...)
-		for si, sp := range specs {
-			spec := accs.Spec(gi, si)
-			states = states[:0]
-			for pi := range spec {
-				states = append(states, spec[pi].Result())
-			}
-			v, err := sp.Finalize(states)
-			if err != nil {
-				return nil, mergeTime, fmt.Errorf("finalize %s: %w", sp.As, err)
-			}
-			nr = append(nr, v)
-		}
-		out.Rows[gi] = nr
-	}
+	out, err := m.finalized(schema)
 	mergeTime += time.Since(t0)
-	return out, mergeTime, nil
+	return out, mergeTime, err
 }
 
 // filterBase applies a Theorem-4 site filter to the base structure.

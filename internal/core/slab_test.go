@@ -79,15 +79,16 @@ func TestSlabAccumulatorsAgree(t *testing.T) {
 			},
 		},
 	}
-	t.Cleanup(func() { gmdj.SetDefaultEngine(gmdj.EngineAuto) })
 	for _, partitioned := range []bool{true, false} {
-		coord, cat, whole := cluster(t, rows, 3, partitioned)
+		coord, cat, whole, engines := clusterEngines(t, rows, 3, partitioned)
 		want, err := gmdj.EvalQuery(whole, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, engine := range []gmdj.Engine{gmdj.EngineRow, gmdj.EngineVector} {
-			gmdj.SetDefaultEngine(engine)
+			for _, eng := range engines {
+				eng.SetEvalEngine(engine)
+			}
 			for _, opts := range []Options{{}, DefaultOptions} {
 				label := engine.String() + " sites, " + optLabel(opts)
 				got, _, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat, Options: opts})
@@ -114,15 +115,16 @@ func TestSlabNoAggregates(t *testing.T) {
 			Thetas: []expr.Expr{expr.MustParse("F.SourceAS = B.SourceAS")},
 		}},
 	}
-	t.Cleanup(func() { gmdj.SetDefaultEngine(gmdj.EngineAuto) })
 	for _, partitioned := range []bool{true, false} {
-		coord, cat, whole := cluster(t, rows, 3, partitioned)
+		coord, cat, whole, engines := clusterEngines(t, rows, 3, partitioned)
 		want, err := gmdj.EvalQuery(whole, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, engine := range []gmdj.Engine{gmdj.EngineRow, gmdj.EngineVector} {
-			gmdj.SetDefaultEngine(engine)
+			for _, eng := range engines {
+				eng.SetEvalEngine(engine)
+			}
 			for _, opts := range []Options{{}, DefaultOptions} {
 				label := engine.String() + " sites, " + optLabel(opts)
 				got, _, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat, Options: opts})

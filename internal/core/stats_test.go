@@ -11,23 +11,9 @@ import (
 // round "step 1" loses site2 again plus site0, round "step 2" is full.
 func partialStats() *ExecStats {
 	return &ExecStats{Rounds: []RoundStats{
-		{
-			Name:      "base",
-			Responded: []string{"site0", "site1"},
-			Lost:      []LostSite{{Site: "site2", Err: "dial refused"}},
-		},
-		{
-			Name:      "step 1",
-			Responded: []string{"site1"},
-			Lost: []LostSite{
-				{Site: "site2", Err: "dial refused"},
-				{Site: "site0", Err: "timeout"},
-			},
-		},
-		{
-			Name:      "step 2",
-			Responded: []string{"site0", "site1", "site2"},
-		},
+		roundOf("base", SiteRound{Site: "site0"}, SiteRound{Site: "site1"}, lostSite("site2", "dial refused")),
+		roundOf("step 1", SiteRound{Site: "site1"}, lostSite("site2", "dial refused"), lostSite("site0", "timeout")),
+		roundOf("step 2", SiteRound{Site: "site0"}, SiteRound{Site: "site1"}, SiteRound{Site: "site2"}),
 	}}
 }
 
@@ -37,15 +23,15 @@ func TestExecStatsPartialAccounting(t *testing.T) {
 		t.Fatal("stats with lost sites not marked partial")
 	}
 
-	// LostSites dedups across rounds and keeps first-loss order: site2 was
-	// lost in round 1, site0 only in round 2.
+	// LostSites dedups across rounds and keeps first-loss order by round:
+	// site2 was lost in round 1, site0 only in round 2.
 	if lost := s.LostSites(); len(lost) != 2 || lost[0] != "site2" || lost[1] != "site0" {
 		t.Errorf("LostSites = %v, want [site2 site0]", lost)
 	}
 
 	cov := s.Coverage()
-	// Per-round coverage counts Responded against Responded+Lost, so a
-	// round's denominator reflects that round's own losses.
+	// Per-round coverage counts the live records against all of the
+	// round's records, so a round's denominator reflects its own losses.
 	if !strings.Contains(cov, "round base: 2/3 sites answered") {
 		t.Errorf("coverage misses base round accounting:\n%s", cov)
 	}
@@ -67,8 +53,8 @@ func TestExecStatsPartialAccounting(t *testing.T) {
 
 func TestExecStatsCompleteExecution(t *testing.T) {
 	s := &ExecStats{Rounds: []RoundStats{
-		{Name: "base", Responded: []string{"site0", "site1"}},
-		{Name: "step 1", Responded: []string{"site0", "site1"}},
+		roundOf("base", SiteRound{Site: "site0"}, SiteRound{Site: "site1"}),
+		roundOf("step 1", SiteRound{Site: "site0"}, SiteRound{Site: "site1"}),
 	}}
 	if s.Partial() {
 		t.Error("complete execution marked partial")
@@ -87,9 +73,9 @@ func TestExecStatsCompleteExecution(t *testing.T) {
 func TestExecStatsRepeatedLossDedup(t *testing.T) {
 	// The same logical site lost in every round counts once.
 	s := &ExecStats{Rounds: []RoundStats{
-		{Name: "base", Lost: []LostSite{{Site: "site1", Err: "down"}}},
-		{Name: "step 1", Lost: []LostSite{{Site: "site1", Err: "down"}}},
-		{Name: "step 2", Lost: []LostSite{{Site: "site1", Err: "down"}}},
+		roundOf("base", lostSite("site1", "down")),
+		roundOf("step 1", lostSite("site1", "down")),
+		roundOf("step 2", lostSite("site1", "down")),
 	}}
 	if lost := s.LostSites(); len(lost) != 1 || lost[0] != "site1" {
 		t.Errorf("LostSites = %v, want [site1] exactly once", lost)
@@ -119,28 +105,14 @@ func TestExecStatsTimeAndByteTotals(t *testing.T) {
 }
 
 func TestExecStatsJSONDeterministic(t *testing.T) {
-	// Responded/Lost arrive in fan-out completion order, which varies run
+	// Site records arrive in fan-out completion order, which varies run
 	// to run; the JSON encoding must not.
-	a := &ExecStats{Rounds: []RoundStats{{
-		Name:      "base",
-		Responded: []string{"site2", "site0", "site1"},
-		Lost: []LostSite{
-			{Site: "site4", Err: "dial refused"},
-			{Site: "site3", Err: "timeout"},
-		},
-		BytesToSites: 100, BytesFromSites: 40,
-		SiteTime: 3 * time.Millisecond,
-	}}, Wall: 5 * time.Millisecond}
-	b := &ExecStats{Rounds: []RoundStats{{
-		Name:      "base",
-		Responded: []string{"site1", "site2", "site0"},
-		Lost: []LostSite{
-			{Site: "site3", Err: "timeout"},
-			{Site: "site4", Err: "dial refused"},
-		},
-		BytesToSites: 100, BytesFromSites: 40,
-		SiteTime: 3 * time.Millisecond,
-	}}, Wall: 5 * time.Millisecond}
+	s0 := SiteRound{Site: "site0", BytesSent: 60, BytesRecv: 10, Compute: 3 * time.Millisecond}
+	s1 := SiteRound{Site: "site1", BytesSent: 30, BytesRecv: 20, Compute: time.Millisecond}
+	s2 := SiteRound{Site: "site2", BytesSent: 10, BytesRecv: 10, Compute: 2 * time.Millisecond}
+	l3, l4 := lostSite("site3", "timeout"), lostSite("site4", "dial refused")
+	a := &ExecStats{Rounds: []RoundStats{roundOf("base", s2, l4, s0, s1, l3)}, Wall: 5 * time.Millisecond}
+	b := &ExecStats{Rounds: []RoundStats{roundOf("base", s1, l3, s2, s0, l4)}, Wall: 5 * time.Millisecond}
 
 	ja, err := a.JSON()
 	if err != nil {

@@ -5,124 +5,62 @@ package core
 import (
 	"encoding/json"
 	"sort"
-	"time"
 )
 
-// roundStatsJSON is the wire shape of one round in ExecStats JSON.
-// Durations are emitted as integer nanoseconds so consumers never parse
-// Go duration strings, and site lists are sorted so the encoding is
+// MarshalJSON encodes the round through the tags on RoundStats and
+// SiteRound and adds the keys derived from Sites. Durations are integer
+// nanoseconds and Sites is kept sorted by add, so the encoding is
 // byte-identical across runs regardless of fan-out completion order.
-type roundStatsJSON struct {
-	Name           string         `json:"name"`
-	Responded      []string       `json:"responded"`
-	Lost           []lostSiteJSON `json:"lost,omitempty"`
-	BytesToSites   int64          `json:"bytes_to_sites"`
-	BytesFromSites int64          `json:"bytes_from_sites"`
-	GroupsShipped  int64          `json:"groups_shipped"`
-	GroupsReceived int64          `json:"groups_received"`
-	SiteNs         int64          `json:"site_ns"`
-	SiteTotalNs    int64          `json:"site_total_ns"`
-	CoordNs        int64          `json:"coord_ns"`
-	CommNs         int64          `json:"comm_ns"`
-	Resumed        bool           `json:"resumed,omitempty"`
-	Replayed       []string       `json:"replayed,omitempty"`
-	Hedged         []string       `json:"hedged,omitempty"`
+// Decoding (checkpoints) reads the tagged fields only: the derived keys
+// are recomputed, never trusted.
+func (r RoundStats) MarshalJSON() ([]byte, error) {
+	type tagged RoundStats // the fields and tags without this method
+	responded := r.Responded()
+	if responded == nil {
+		responded = []string{}
+	}
+	return json.Marshal(struct {
+		tagged
+		Responded      []string    `json:"responded"`
+		Lost           []SiteRound `json:"lost,omitempty"`
+		Replayed       []string    `json:"replayed,omitempty"`
+		Hedged         []string    `json:"hedged,omitempty"`
+		StragglerX1000 int64       `json:"straggler_ratio_x1000,omitempty"`
+		ImbalanceX1000 int64       `json:"row_imbalance_x1000,omitempty"`
+	}{
+		tagged(r), responded, r.Lost(), r.Replayed(), r.Hedged(),
+		int64(r.StragglerRatio() * 1000), int64(r.RowImbalance() * 1000),
+	})
 }
 
-type lostSiteJSON struct {
-	Site string `json:"site"`
-	Err  string `json:"err"`
-}
-
-type execStatsJSON struct {
-	Rounds    []roundStatsJSON `json:"rounds"`
-	Bytes     int64            `json:"bytes"`
-	Groups    int64            `json:"groups"`
-	SiteNs    int64            `json:"site_ns"`
-	CoordNs   int64            `json:"coord_ns"`
-	CommNs    int64            `json:"comm_ns"`
-	EvalNs    int64            `json:"eval_ns"`
-	WallNs    int64            `json:"wall_ns"`
-	Partial   bool             `json:"partial"`
-	LostSites []string         `json:"lost_sites,omitempty"`
-}
-
-// JSON renders the statistics as deterministic, machine-readable JSON:
-// fixed field order, integer-nanosecond durations, and sorted site
-// lists. Only Wall varies between runs of the same query; scripts that
-// diff stats byte-for-byte should mask wall_ns.
+// JSON renders the execution as deterministic, machine-readable JSON — the
+// one document behind skalla-coord -stats-json, the coordinator's
+// /profiles entries and (per round) the checkpoint files: the rounds with
+// their per-site records, plus the derived execution totals. Only the
+// *_ns fields vary between runs of the same query; scripts that diff
+// stats byte-for-byte should mask them.
 func (s *ExecStats) JSON() ([]byte, error) {
-	out := execStatsJSON{
-		Rounds:    make([]roundStatsJSON, 0, len(s.Rounds)),
-		Bytes:     s.Bytes(),
-		Groups:    s.Groups(),
-		SiteNs:    int64(s.SiteTime()),
-		CoordNs:   int64(s.CoordTime()),
-		CommNs:    int64(s.CommTime()),
-		EvalNs:    int64(s.EvalTime()),
-		WallNs:    int64(s.Wall),
-		Partial:   s.Partial(),
-		LostSites: s.LostSites(),
+	lost := s.LostSites()
+	sort.Strings(lost)
+	rounds := s.Rounds
+	if rounds == nil {
+		rounds = []RoundStats{}
 	}
-	sort.Strings(out.LostSites)
-	for _, r := range s.Rounds {
-		out.Rounds = append(out.Rounds, roundToJSON(r))
-	}
-	return json.MarshalIndent(out, "", "  ")
-}
-
-// roundToJSON converts one round's statistics to the wire shape, sorting
-// the site lists for deterministic encoding. Shared by ExecStats.JSON and
-// the checkpoint encoding.
-func roundToJSON(r RoundStats) roundStatsJSON {
-	jr := roundStatsJSON{
-		Name:           r.Name,
-		Responded:      append([]string(nil), r.Responded...),
-		BytesToSites:   r.BytesToSites,
-		BytesFromSites: r.BytesFromSites,
-		GroupsShipped:  r.GroupsShipped,
-		GroupsReceived: r.GroupsReceived,
-		SiteNs:         int64(r.SiteTime),
-		SiteTotalNs:    int64(r.SiteTimeTotal),
-		CoordNs:        int64(r.CoordTime),
-		CommNs:         int64(r.CommTime),
-		Resumed:        r.Resumed,
-		Replayed:       append([]string(nil), r.Replayed...),
-		Hedged:         append([]string(nil), r.Hedged...),
-	}
-	if jr.Responded == nil {
-		jr.Responded = []string{}
-	}
-	sort.Strings(jr.Responded)
-	sort.Strings(jr.Replayed)
-	sort.Strings(jr.Hedged)
-	for _, l := range r.Lost {
-		jr.Lost = append(jr.Lost, lostSiteJSON{Site: l.Site, Err: l.Err})
-	}
-	sort.Slice(jr.Lost, func(i, j int) bool { return jr.Lost[i].Site < jr.Lost[j].Site })
-	return jr
-}
-
-// roundFromJSON is roundToJSON's inverse, used when a checkpoint restores
-// completed rounds into a resumed execution's statistics.
-func roundFromJSON(jr roundStatsJSON) RoundStats {
-	r := RoundStats{
-		Name:           jr.Name,
-		Responded:      append([]string(nil), jr.Responded...),
-		BytesToSites:   jr.BytesToSites,
-		BytesFromSites: jr.BytesFromSites,
-		GroupsShipped:  jr.GroupsShipped,
-		GroupsReceived: jr.GroupsReceived,
-		SiteTime:       time.Duration(jr.SiteNs),
-		SiteTimeTotal:  time.Duration(jr.SiteTotalNs),
-		CoordTime:      time.Duration(jr.CoordNs),
-		CommTime:       time.Duration(jr.CommNs),
-		Resumed:        jr.Resumed,
-		Replayed:       append([]string(nil), jr.Replayed...),
-		Hedged:         append([]string(nil), jr.Hedged...),
-	}
-	for _, l := range jr.Lost {
-		r.Lost = append(r.Lost, LostSite{Site: l.Site, Err: l.Err})
-	}
-	return r
+	return json.MarshalIndent(struct {
+		QueryID   string       `json:"query_id,omitempty"`
+		Rounds    []RoundStats `json:"rounds"`
+		Bytes     int64        `json:"bytes"`
+		Groups    int64        `json:"groups"`
+		SiteNs    int64        `json:"site_ns"`
+		CoordNs   int64        `json:"coord_ns"`
+		CommNs    int64        `json:"comm_ns"`
+		EvalNs    int64        `json:"eval_ns"`
+		WallNs    int64        `json:"wall_ns"`
+		Partial   bool         `json:"partial"`
+		LostSites []string     `json:"lost_sites,omitempty"`
+	}{
+		s.QueryID, rounds, s.Bytes(), s.Groups(),
+		int64(s.SiteTime()), int64(s.CoordTime()), int64(s.CommTime()), int64(s.EvalTime()),
+		int64(s.Wall), s.Partial(), lost,
+	}, "", "  ")
 }

@@ -5,7 +5,6 @@ package core
 import (
 	"context"
 	"fmt"
-
 	"sync"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/gmdj"
 	"repro/internal/relation"
 	"repro/internal/transport"
-	"repro/internal/value"
 )
 
 // Relay is a middle tier of a multi-tier (spanning-tree) coordinator
@@ -206,19 +204,15 @@ func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transp
 	return &transport.Response{Rel: merged, ComputeNs: time.Since(start).Nanoseconds()}, nil
 }
 
-// mergeFragments combines sub-aggregate fragments: primitive columns
-// merge via their accumulators, the touched counter sums, and all other
-// columns (base values, earlier finalized aggregates) are identical per
-// group and taken from the first occurrence.
+// mergeFragments combines sub-aggregate fragments of one schema:
+// primitive columns merge via their accumulators, the touched counter
+// sums, and all other columns (base values, earlier finalized aggregates)
+// are identical per group and taken from the first occurrence.
 func mergeFragments(frags []*relation.Relation, req *transport.Request) (*relation.Relation, error) {
 	schema := frags[0].Schema
 
 	// Parse the round specs to learn which columns are primitive states.
-	type primCol struct {
-		idx int
-		acc func() *agg.Acc
-	}
-	var primCols []primCol
+	var specs []agg.Spec
 	for _, round := range req.Rounds {
 		for _, list := range round.Aggs {
 			for _, text := range list {
@@ -226,81 +220,26 @@ func mergeFragments(frags []*relation.Relation, req *transport.Request) (*relati
 				if err != nil {
 					return nil, err
 				}
-				for pi, prim := range spec.Prims() {
-					idx, err := schema.MustLookup(spec.SubColName(pi))
-					if err != nil {
-						return nil, err
-					}
-					prim := prim
-					star := spec.Star()
-					primCols = append(primCols, primCol{
-						idx: idx,
-						acc: func() *agg.Acc { return agg.NewAcc(prim, star) },
-					})
-				}
+				specs = append(specs, spec)
 			}
 		}
 	}
-	touchedIdx := -1
-	if i, ok := schema.Lookup(gmdj.TouchedCol); ok {
-		touchedIdx = i
+	_, sumTouched := schema.Lookup(gmdj.TouchedCol)
+	m, err := newKeyedMerge(schema, nil, req.Keys, specs, sumTouched)
+	if err != nil {
+		return nil, fmt.Errorf("merge keys: %w", err)
 	}
-	keyIdx := make([]int, len(req.Keys))
-	for i, k := range req.Keys {
-		p, err := schema.MustLookup(k)
-		if err != nil {
-			return nil, fmt.Errorf("merge key %q: %w", k, err)
-		}
-		keyIdx[i] = p
+	wholeRow := make([]int, schema.Len()) // a new group keeps its first-seen row
+	for i := range wholeRow {
+		wholeRow[i] = i
 	}
-
-	type group struct {
-		row     relation.Row // first-seen row (copied)
-		accs    []*agg.Acc
-		touched int64
-	}
-	index := map[string]*group{}
-	var order []*group
 	for _, f := range frags {
 		if !f.Schema.Equal(schema) {
 			return nil, fmt.Errorf("fragment schemas differ: %s vs %s", f.Schema, schema)
 		}
-		for _, row := range f.Rows {
-			key := relation.RowKey(row, keyIdx)
-			g, ok := index[key]
-			if !ok {
-				g = &group{row: append(relation.Row(nil), row...), accs: make([]*agg.Acc, len(primCols))}
-				for i, pc := range primCols {
-					g.accs[i] = pc.acc()
-				}
-				index[key] = g
-				order = append(order, g)
-			}
-			for i, pc := range primCols {
-				if err := g.accs[i].Merge(row[pc.idx]); err != nil {
-					return nil, fmt.Errorf("merge column %s: %w", schema.Cols[pc.idx].Name, err)
-				}
-			}
-			if touchedIdx >= 0 {
-				t, err := row[touchedIdx].AsInt()
-				if err != nil {
-					return nil, err
-				}
-				g.touched += t
-			}
+		if err := m.merge(f, wholeRow); err != nil {
+			return nil, err
 		}
 	}
-
-	out := relation.New(schema)
-	out.Rows = make([]relation.Row, 0, len(order))
-	for _, g := range order {
-		for i, pc := range primCols {
-			g.row[pc.idx] = g.accs[i].Result()
-		}
-		if touchedIdx >= 0 {
-			g.row[touchedIdx] = value.NewInt(g.touched)
-		}
-		out.Rows = append(out.Rows, g.row)
-	}
-	return out, nil
+	return m.states(schema)
 }

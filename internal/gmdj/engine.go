@@ -1,19 +1,17 @@
 package gmdj
 
-import "sync/atomic"
-
 // Engine selects the GMDJ evaluation engine for EvalSub.
 type Engine int
 
 const (
-	// EngineAuto defers to the process-wide default engine.
+	// EngineAuto is the default: the vectorized engine.
 	EngineAuto Engine = iota
 	// EngineVector evaluates with the columnar kernels of internal/vec,
 	// falling back to rows per call when a relation or condition is
 	// outside their reach.
 	EngineVector
 	// EngineRow forces the single-threaded row-at-a-time reference
-	// engine (the -row-engine escape hatch).
+	// engine the differential tests compare the kernels against.
 	EngineRow
 )
 
@@ -26,27 +24,4 @@ func (e Engine) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// defaultEngine holds the process-wide default; the zero value (Auto)
-// resolves to EngineVector.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine sets the engine EngineAuto resolves to process-wide.
-// Passing EngineAuto restores the built-in default (vectorized).
-func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
-
-// DefaultEngine returns the engine EngineAuto currently resolves to.
-func DefaultEngine() Engine {
-	if e := Engine(defaultEngine.Load()); e != EngineAuto {
-		return e
-	}
-	return EngineVector
-}
-
-func resolveEngine(e Engine) Engine {
-	if e == EngineAuto {
-		return DefaultEngine()
-	}
-	return e
 }

@@ -133,8 +133,8 @@ type SubOpts struct {
 	// It is positive iff |RNG(b, R, θ_1 ∨ ... ∨ θ_m)| > 0, the test of
 	// Proposition 1 (distribution-independent group reduction).
 	Touched bool
-	// Engine selects the evaluation engine; EngineAuto uses the process
-	// default (the vectorized engine unless SetDefaultEngine changed it).
+	// Engine selects the evaluation engine; EngineAuto is the vectorized
+	// engine.
 	Engine Engine
 	// Workers bounds the vectorized engine's parallelism; <= 0 means
 	// GOMAXPROCS. The row engine is always single-threaded.
@@ -189,7 +189,7 @@ type Chain struct {
 
 // EvalSub is the package-level EvalSub with the chain's scratch.
 func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
-	if resolveEngine(opts.Engine) == EngineVector {
+	if opts.Engine != EngineRow {
 		out, err, handled := c.evalVec(b, r, md, true, opts.Finalize, opts.Touched, opts)
 		if handled {
 			return out, err

@@ -243,29 +243,24 @@ func TestVecFallbackUnsupportedExpr(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineSwitch covers the -row-engine escape hatch: the
-// process default flips EvalSub's Auto resolution.
-func TestDefaultEngineSwitch(t *testing.T) {
-	if DefaultEngine() != EngineVector {
-		t.Fatalf("default engine = %v, want vector", DefaultEngine())
-	}
-	SetDefaultEngine(EngineRow)
-	defer SetDefaultEngine(EngineAuto)
-	if DefaultEngine() != EngineRow {
-		t.Fatalf("default engine after SetDefaultEngine = %v, want row", DefaultEngine())
-	}
+// TestEngineSelection: EngineAuto evaluates on the vectorized kernels,
+// and SubOpts.Engine = EngineRow keeps them out of it entirely.
+func TestEngineSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	detail := randDetail(rng, 40)
 	b := diffBase(t, detail)
 	md := diffMDs()[0]
-	// Auto now resolves to the row engine: the vec.* counters must stay
-	// silent even with an Obs attached.
-	o := obs.New()
-	if _, err := EvalSub(b, detail, md, SubOpts{Obs: o}); err != nil {
-		t.Fatal(err)
-	}
-	if got := metricValue(o, "vec.rows"); got != 0 {
-		t.Fatalf("vec.rows = %d under the row engine, want 0", got)
+	for _, tc := range []struct {
+		engine Engine
+		vec    bool
+	}{{EngineAuto, true}, {EngineRow, false}} {
+		o := obs.New()
+		if _, err := EvalSub(b, detail, md, SubOpts{Engine: tc.engine, Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+		if got := metricValue(o, "vec.rows"); (got > 0) != tc.vec {
+			t.Errorf("engine %v: vec.rows = %d, want vectorized = %v", tc.engine, got, tc.vec)
+		}
 	}
 }
 

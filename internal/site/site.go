@@ -142,7 +142,7 @@ func NewEngine(id string) *Engine {
 }
 
 // SetEvalEngine selects the GMDJ evaluation engine for this site
-// (gmdj.EngineAuto defers to the process default, the vectorized engine).
+// (gmdj.EngineAuto is the vectorized engine).
 func (e *Engine) SetEvalEngine(eng gmdj.Engine) {
 	e.mu.Lock()
 	e.engine = eng
@@ -150,12 +150,12 @@ func (e *Engine) SetEvalEngine(eng gmdj.Engine) {
 }
 
 // getEvalEngine returns the engine requests to this site are evaluated
-// with, EngineAuto resolved to the process default.
+// with, EngineAuto resolved to the vectorized engine.
 func (e *Engine) getEvalEngine() gmdj.Engine {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.engine == gmdj.EngineAuto {
-		return gmdj.DefaultEngine()
+		return gmdj.EngineVector
 	}
 	return e.engine
 }
@@ -347,48 +347,24 @@ func (e *Engine) Handle(ctx context.Context, req *transport.Request) *transport.
 	return resp
 }
 
-// siteProfileJSON is the deterministic shape of one site-side profile
-// entry in the /profiles ring: fixed field order, integer nanoseconds.
-// Only wall_ns varies between identical runs.
-type siteProfileJSON struct {
-	QueryID  string `json:"query_id"`
-	Site     string `json:"site"`
-	Op       string `json:"op"`
-	Epoch    string `json:"epoch,omitempty"`
-	Round    int    `json:"round"`
-	Outcome  string `json:"outcome"`
-	WallNs   int64  `json:"wall_ns"`
-	RowsIn   int    `json:"rows_in"`
-	RowsOut  int    `json:"rows_out"`
-	BytesIn  int64  `json:"bytes_in_approx"`
-	BytesOut int64  `json:"bytes_out_approx"`
-	Rounds   int    `json:"rounds"`
-	Engine   string `json:"engine,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	VecBatch int64  `json:"vec_batches"`
-	VecRows  int64  `json:"vec_rows"`
-	VecFRows int64  `json:"vec_filter_rows"`
-	VecSel   int64  `json:"vec_selected"`
-}
-
 // recordProfile publishes one tagged request's profile into the obs
-// profile ring (the site daemon's /profiles endpoint) and counters.
+// profile ring (the site daemon's /profiles endpoint) and counters: the
+// SiteProfile under an envelope naming the request. Only wall_ns varies
+// between identical runs.
 func (e *Engine) recordProfile(req *transport.Request, p *transport.SiteProfile) {
 	o := e.getObs()
 	if o == nil {
 		return
 	}
 	o.Count("site.profiled_requests", 1)
-	b, err := json.MarshalIndent(siteProfileJSON{
-		QueryID: req.QueryID, Site: e.id, Op: req.Op.String(),
-		Epoch: req.Epoch, Round: req.Round,
-		Outcome: p.Outcome, WallNs: p.WallNs,
-		RowsIn: p.RowsIn, RowsOut: p.RowsOut,
-		BytesIn: p.BytesInApprox, BytesOut: p.BytesOutApprox,
-		Rounds: p.Rounds, Engine: p.Engine, Workers: p.Workers,
-		VecBatch: p.VecBatches, VecRows: p.VecRows,
-		VecFRows: p.VecFilterRows, VecSel: p.VecSelected,
-	}, "", "  ")
+	b, err := json.MarshalIndent(struct {
+		QueryID string `json:"query_id"`
+		Site    string `json:"site"`
+		Op      string `json:"op"`
+		Epoch   string `json:"epoch,omitempty"`
+		Round   int    `json:"round"`
+		*transport.SiteProfile
+	}{req.QueryID, e.id, req.Op.String(), req.Epoch, req.Round, p}, "", "  ")
 	if err != nil {
 		return
 	}

@@ -258,38 +258,40 @@ type Response struct {
 // kernel counters, compute histograms), so concurrent queries never bleed
 // into each other's numbers. Byte counts are cheap payload estimates
 // (the coordinator measures exact wire bytes on its side of the link).
+// The JSON tags name the fields in the coordinator's statistics document
+// and the site's /profiles entries; gob ignores them.
 type SiteProfile struct {
 	// WallNs is the site-side wall time handling the request, including
 	// parse and limit checks (ComputeNs covers only evaluation).
-	WallNs int64
+	WallNs int64 `json:"wall_ns"`
 	// RowsIn counts base-structure rows received with the request;
 	// RowsOut counts result rows returned.
-	RowsIn  int
-	RowsOut int
+	RowsIn  int `json:"rows_in"`
+	RowsOut int `json:"rows_out"`
 	// BytesInApprox / BytesOutApprox estimate the base and result
 	// relation payload sizes (8 bytes per scalar plus string lengths) —
 	// an estimate, not exact wire bytes.
-	BytesInApprox  int64
-	BytesOutApprox int64
+	BytesInApprox  int64 `json:"bytes_in_approx"`
+	BytesOutApprox int64 `json:"bytes_out_approx"`
 	// Rounds is how many GMDJ rounds were evaluated locally (chained
 	// local evaluation runs several per request).
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Engine names the configured evaluation engine ("vector" or
 	// "row"). The vector engine may still fall back to rows for
 	// relations outside the kernels' reach; zero VecBatches with
 	// non-zero RowsOut signals that.
-	Engine string
+	Engine string `json:"engine,omitempty"`
 	// Workers is the evaluation parallelism used for this request.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// VecBatches / VecRows / VecFilterRows / VecSelected are the
 	// vectorized kernel statistics of this request alone.
-	VecBatches    int64
-	VecRows       int64
-	VecFilterRows int64
-	VecSelected   int64
+	VecBatches    int64 `json:"vec_batches"`
+	VecRows       int64 `json:"vec_rows"`
+	VecFilterRows int64 `json:"vec_filter_rows"`
+	VecSelected   int64 `json:"vec_selected"`
 	// Outcome classifies how the request ended: "ok", "dedup" (answered
 	// from the replay cache), "overloaded", "draining", or "error".
-	Outcome string
+	Outcome string `json:"outcome"`
 }
 
 // SiteProfile.Outcome values.

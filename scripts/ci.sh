@@ -64,4 +64,7 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
 
+echo "== non-test LOC (informational; ROADMAP item 3) =="
+sh scripts/loc.sh
+
 echo "all checks passed"

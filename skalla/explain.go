@@ -57,13 +57,7 @@ func (c *Cluster) sqlExplain(ctx context.Context, st *sqlfe.Statement, opts Opti
 
 	// ANALYZE executes on a private coordinator clone so the QueryID tag
 	// never races a sibling query sharing this cluster's coordinator.
-	coord := core.NewCoordinator(c.clients...)
-	coord.CallTimeout = c.coord.CallTimeout
-	coord.AllowPartial = c.coord.AllowPartial
-	coord.Obs = c.coord.Obs
-	coord.Checkpoints = c.coord.Checkpoints
-	coord.Replays = c.coord.Replays
-	coord.Health = c.coord.Health
+	coord := c.coord.Derive(c.clients...)
 	coord.Epoch = c.coord.Epoch
 	coord.QueryID = fmt.Sprintf("analyze-%06d", analyzeSeq.Add(1))
 	_, stats, plan, err := coord.Run(ctx, q, st.Detail, egil)

@@ -1,9 +1,14 @@
 package skalla
 
 import (
+	"context"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/transport"
 )
 
 // planText extracts the rendered report from an EXPLAIN result relation.
@@ -96,6 +101,49 @@ func TestExplainAnalyzeTiming(t *testing.T) {
 	out := planText(t, rel)
 	if !strings.Contains(out, "site(max)") || !strings.Contains(out, "wall") {
 		t.Errorf("AnalyzeTiming report missing durations:\n%s", out)
+	}
+}
+
+// deadlineRecorder notes the DeadlineNs of every evaluation request that
+// passes through it.
+type deadlineRecorder struct {
+	transport.Client
+	mu      *sync.Mutex
+	stamped *[]int64
+}
+
+func (d deadlineRecorder) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+	if req.Op == transport.OpEvalBase || req.Op == transport.OpEvalRounds {
+		d.mu.Lock()
+		*d.stamped = append(*d.stamped, req.DeadlineNs)
+		d.mu.Unlock()
+	}
+	return d.Client.Call(ctx, req)
+}
+
+// TestExplainAnalyzeCarriesSettings: EXPLAIN ANALYZE executes on a
+// coordinator derived from the cluster's, so it speaks the wire protocol
+// of the query it explains. (Its hand-copied settings used to forget
+// PropagateDeadline, leaving its requests unstamped.)
+func TestExplainAnalyzeCarriesSettings(t *testing.T) {
+	cluster, _ := cubeCluster(t)
+	cluster.coord.CallTimeout = 30 * time.Second
+	cluster.coord.PropagateDeadline = true
+	var mu sync.Mutex
+	var stamped []int64
+	for i, cl := range cluster.clients {
+		cluster.clients[i] = deadlineRecorder{Client: cl, mu: &mu, stamped: &stamped}
+	}
+	if _, err := cluster.SQL("EXPLAIN ANALYZE SELECT Region, count(*) AS n FROM sales GROUP BY Region", NoOptimizations); err != nil {
+		t.Fatal(err)
+	}
+	if len(stamped) == 0 {
+		t.Fatal("EXPLAIN ANALYZE sent no evaluation requests")
+	}
+	for _, ns := range stamped {
+		if ns <= 0 || ns > int64(cluster.coord.CallTimeout) {
+			t.Errorf("evaluation request DeadlineNs = %d, want the remaining %v budget", ns, cluster.coord.CallTimeout)
+		}
 	}
 }
 

@@ -162,18 +162,10 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		leases[i] = p.Lease()
 	}
 	clients := s.sched.WrapClients(leases)
-	base := s.cluster.coord
-	coord := core.NewCoordinator(clients...)
-	coord.CallTimeout = base.CallTimeout
-	coord.AllowPartial = base.AllowPartial
-	coord.Obs = s.obs
-	coord.Checkpoints = base.Checkpoints
-	coord.Replays = base.Replays
-	coord.Health = base.Health
-	coord.PropagateDeadline = base.PropagateDeadline
+	coord := s.cluster.coord.Derive(clients...)
 	coord.Epoch = s.sched.NextEpoch("serve")
 	// The unique serve epoch doubles as the query ID: every served query
-	// is profiled, its profile tree published to the shared obs sink
+	// is profiled, its statistics published to the shared obs sink
 	// (/profiles on the coordinator daemon) by the coordinator itself.
 	coord.QueryID = coord.Epoch
 

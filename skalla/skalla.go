@@ -127,8 +127,7 @@ type ClusterConfig struct {
 	// site engine; oversized results are refused with ErrOverloaded.
 	Limits Limits
 	// RowEngine forces every in-process site onto the row-at-a-time GMDJ
-	// engine instead of the vectorized default (the -row-engine escape
-	// hatch of the daemons).
+	// reference engine instead of the vectorized default.
 	RowEngine bool
 	// PropagateDeadline stamps every round request with the remaining
 	// per-call budget so sites shed already-doomed work (an expired
@@ -220,12 +219,14 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 	c.coord = core.NewCoordinator(c.clients...)
-	c.coord.CallTimeout = cfg.CallTimeout
-	c.coord.AllowPartial = cfg.AllowPartial
-	c.coord.Obs = cfg.Obs
-	c.coord.Checkpoints = cfg.Checkpoints
-	c.coord.Replays = cfg.Replays
-	c.coord.PropagateDeadline = cfg.PropagateDeadline
+	c.coord.Settings = core.Settings{
+		CallTimeout:       cfg.CallTimeout,
+		AllowPartial:      cfg.AllowPartial,
+		Obs:               cfg.Obs,
+		Checkpoints:       cfg.Checkpoints,
+		Replays:           cfg.Replays,
+		PropagateDeadline: cfg.PropagateDeadline,
+	}
 	c.cat = catalog.New(c.ids...)
 	return c, nil
 }
@@ -364,12 +365,14 @@ func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 		})
 	}
 	c.coord = core.NewCoordinator(c.clients...)
-	c.coord.CallTimeout = cfg.CallTimeout
-	c.coord.AllowPartial = cfg.AllowPartial
-	c.coord.Obs = cfg.Obs
-	c.coord.Checkpoints = cfg.Checkpoints
-	c.coord.Replays = cfg.Replays
-	c.coord.PropagateDeadline = cfg.PropagateDeadline
+	c.coord.Settings = core.Settings{
+		CallTimeout:       cfg.CallTimeout,
+		AllowPartial:      cfg.AllowPartial,
+		Obs:               cfg.Obs,
+		Checkpoints:       cfg.Checkpoints,
+		Replays:           cfg.Replays,
+		PropagateDeadline: cfg.PropagateDeadline,
+	}
 	if len(cfg.ReadyURLs) > 0 {
 		c.coord.Health = transport.NewHTTPHealth(cfg.ReadyURLs)
 	}
@@ -471,14 +474,7 @@ func (c *Cluster) Subset(n int) (*Cluster, error) {
 	if len(c.dialers) >= n {
 		sub.dialers = c.dialers[:n]
 	}
-	sub.coord = core.NewCoordinator(sub.clients...)
-	sub.coord.CallTimeout = c.coord.CallTimeout
-	sub.coord.AllowPartial = c.coord.AllowPartial
-	sub.coord.Obs = c.obs
-	sub.coord.Checkpoints = c.coord.Checkpoints
-	sub.coord.Replays = c.coord.Replays
-	sub.coord.Health = c.coord.Health
-	sub.coord.PropagateDeadline = c.coord.PropagateDeadline
+	sub.coord = c.coord.Derive(sub.clients...)
 	return sub, nil
 }
 
@@ -595,18 +591,14 @@ func (c *Cluster) Session() (*Cluster, error) {
 		return nil, fmt.Errorf("skalla: sessions over multi-tier clusters are not supported")
 	}
 	s := &Cluster{AnalyzeTiming: c.AnalyzeTiming, ids: c.ids, engines: c.engines, cat: c.cat, obs: c.obs}
-	for i, eng := range c.engines {
-		lc := transport.NewLocalClient(c.ids[i], eng, CostModel{})
-		lc.SetObs(c.obs)
-		s.clients = append(s.clients, lc)
+	for _, dial := range c.dialers {
+		cl, err := dial()
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("skalla: session: %w", err)
+		}
+		s.clients = append(s.clients, cl)
 	}
-	s.coord = core.NewCoordinator(s.clients...)
-	s.coord.CallTimeout = c.coord.CallTimeout
-	s.coord.AllowPartial = c.coord.AllowPartial
-	s.coord.Obs = c.obs
-	s.coord.Checkpoints = c.coord.Checkpoints
-	s.coord.Replays = c.coord.Replays
-	s.coord.Health = c.coord.Health
-	s.coord.PropagateDeadline = c.coord.PropagateDeadline
+	s.coord = c.coord.Derive(s.clients...)
 	return s, nil
 }

@@ -432,6 +432,58 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestSessionKeepsCostModel: a session's connections come from the
+// cluster's own dialers, so a session over a cluster configured with a
+// cost model accounts communication exactly as the cluster does. (It used
+// to hand-build cost-free clients and report CommTime 0.)
+func TestSessionKeepsCostModel(t *testing.T) {
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 3, Cost: DefaultWAN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	parts, _ := flowParts(3)
+	if err := cluster.Load("flow", parts); err != nil {
+		t.Fatal(err)
+	}
+	session, err := cluster.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer session.Close()
+	onCluster, err := cluster.Query(example1(), "flow", NoOptimizations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onSession, err := session.Query(example1(), "flow", NoOptimizations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := onCluster.Stats, onSession.Stats
+	if len(a.Rounds) != len(b.Rounds) {
+		t.Fatalf("rounds: cluster %d, session %d", len(a.Rounds), len(b.Rounds))
+	}
+	// Responses carry the measured compute time as a varint, so their
+	// size — and the transfer time modeled from it — may differ by a few
+	// bytes between any two runs; requests are exact.
+	const jitter = 16
+	for i, ra := range a.Rounds {
+		rb := b.Rounds[i]
+		if ra.BytesToSites != rb.BytesToSites {
+			t.Errorf("round %s: bytes to sites: cluster %d, session %d", ra.Name, ra.BytesToSites, rb.BytesToSites)
+		}
+		if d := ra.BytesFromSites - rb.BytesFromSites; d < -3*jitter || d > 3*jitter {
+			t.Errorf("round %s: bytes from sites: cluster %d, session %d", ra.Name, ra.BytesFromSites, rb.BytesFromSites)
+		}
+		if rb.CommTime <= 0 {
+			t.Errorf("round %s: session CommTime = %v under DefaultWAN", ra.Name, rb.CommTime)
+		}
+		if d := ra.CommTime - rb.CommTime; d < -DefaultWAN.TransferTime(jitter) || d > DefaultWAN.TransferTime(jitter) {
+			t.Errorf("round %s: CommTime: cluster %v, session %v", ra.Name, ra.CommTime, rb.CommTime)
+		}
+	}
+}
+
 // TestExactDistinctDistributed: exact COUNT DISTINCT merges correctly
 // across sites (duplicates spanning partitions collapse).
 func TestExactDistinctDistributed(t *testing.T) {
