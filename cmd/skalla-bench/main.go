@@ -52,11 +52,12 @@ func main() {
 		r, err := bench.TailExperiment(bench.TailConfig{
 			Sites: *sites, Rows: *rows, Seed: *seed,
 			Queries: *tailQueries, TailP: *tailP, TailDelay: *tailDelay,
-			HedgeDelay: *hedgeDelay,
+			Resilience: transport.Resilience{HedgeDelay: *hedgeDelay},
 		})
 		if err != nil {
 			log.Fatalf("skalla-bench: %v", err)
 		}
+		fmt.Fprint(os.Stderr, r.Stacks)
 		fmt.Print(r)
 		if *jsonPath != "" {
 			if err := r.Metrics().WriteFile(*jsonPath); err != nil {
@@ -81,6 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("skalla-bench: %v", err)
 		}
+		fmt.Fprint(os.Stderr, r.Stacks)
 		fmt.Print(r)
 		if *jsonPath != "" {
 			if err := r.Metrics().WriteFile(*jsonPath); err != nil {

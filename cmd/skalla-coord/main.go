@@ -31,6 +31,7 @@ import (
 	"repro/internal/ipflow"
 	"repro/internal/obs"
 	"repro/internal/tpcr"
+	"repro/internal/transport"
 	"repro/skalla"
 )
 
@@ -44,99 +45,127 @@ func (m *mdFlags) Set(v string) error {
 	return nil
 }
 
+// config is everything the flags bind. Library settings bind straight
+// into the structs the library consumes — their registered defaults are
+// the library's defaults — and the CLI's own flags sit beside them.
+type config struct {
+	conn  skalla.ConnectConfig
+	serve skalla.ServeConfig
+
+	// Library settings that need parsing or a side effect before use.
+	sites, readyURLs, checkpointDir, opt string
+
+	detail, generate  string
+	rows, customers   int
+	seed              int64
+	base, where       string
+	mds               mdFlags
+	sql               string
+	explain, repl     bool
+	status, statsJSON bool
+	profile           bool
+	catalog           string
+	maxRows           int
+	trace, debugAddr  string
+	serveAddr         string
+}
+
+// bindFlags registers every skalla-coord flag on fs.
+func bindFlags(fs *flag.FlagSet) *config {
+	c := &config{
+		conn: skalla.ConnectConfig{
+			Settings:   skalla.Settings{Replays: 1},
+			Resilience: transport.DefaultResilience,
+		},
+		serve: skalla.ServeConfig{
+			MaxConcurrent: 4, QueueDepth: 8, QueueTimeout: 2 * time.Second,
+			Backpressure: transport.DefaultBackpressure,
+		},
+	}
+	fs.StringVar(&c.sites, "sites", "127.0.0.1:7001", "comma-separated site addresses; replicas of one site joined with | (addr1|addr2)")
+	fs.StringVar(&c.detail, "detail", "tpcr", "detail relation name at the sites")
+	fs.StringVar(&c.generate, "generate", "", "have sites generate data first: tpcr or ipflow")
+	fs.IntVar(&c.rows, "rows", 60000, "rows for -generate")
+	fs.IntVar(&c.customers, "customers", 1000, "distinct customers for -generate tpcr")
+	fs.Int64Var(&c.seed, "seed", 1, "generator seed")
+	fs.StringVar(&c.base, "base", "", "base-values columns (comma separated)")
+	fs.StringVar(&c.where, "where", "", "optional base filter over the detail relation")
+	fs.Var(&c.mds, "md", "GMDJ operator: \"aggs ; condition\" (repeatable)")
+	fs.StringVar(&c.sql, "sql", "", "run a SQL statement (SELECT ... FROM ... GROUP BY / CUBE BY ...) instead of -base/-md")
+	fs.StringVar(&c.opt, "opt", "all", "optimizations: all, none, or comma list of coalesce,group-sites,group-coord,sync")
+	fs.BoolVar(&c.explain, "explain", false, "print the plan without executing")
+	fs.BoolVar(&c.repl, "repl", false, "interactive SQL shell over the connected sites")
+	fs.BoolVar(&c.status, "status", false, "print per-site reachability and row counts, then exit")
+	fs.StringVar(&c.catalog, "catalog", "", "distribution-knowledge JSON: loaded if present; written after -generate")
+	fs.IntVar(&c.maxRows, "max-rows", 20, "result rows to print (-1 for all)")
+	fs.DurationVar(&c.conn.CallTimeout, "timeout", c.conn.CallTimeout, "per-site call timeout (0 = none), e.g. 5s")
+	fs.IntVar(&c.conn.Attempts, "retries", c.conn.Attempts, "call attempts per site endpoint before failing over")
+	fs.BoolVar(&c.conn.AllowPartial, "allow-partial", c.conn.AllowPartial, "return partial results when sites are lost instead of failing")
+	fs.BoolVar(&c.statsJSON, "stats-json", false, "print execution statistics as deterministic JSON instead of the prose report (suppresses plan and result output)")
+	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace_event JSON file of the execution (open in chrome://tracing or Perfetto)")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace); empty disables")
+	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "checkpoint each synchronization round into this directory and resume an interrupted execution from its last completed round; empty disables")
+	fs.IntVar(&c.conn.Replays, "replays", c.conn.Replays, "times to re-issue a round request against a site's replicas after a transport failure mid-round")
+	fs.StringVar(&c.readyURLs, "ready-urls", "", "comma-separated site=host:port pairs of site debug addresses; the coordinator probes /readyz and skips draining sites when -allow-partial is set")
+	fs.StringVar(&c.serveAddr, "serve", "", "serve concurrent SQL queries over HTTP on this address (POST /query, plus /metrics /healthz /readyz); empty disables")
+	fs.IntVar(&c.serve.MaxConcurrent, "serve-concurrency", c.serve.MaxConcurrent, "queries executing at once in -serve mode")
+	fs.IntVar(&c.serve.QueueDepth, "serve-queue", c.serve.QueueDepth, "queries that may wait for an execution slot before new arrivals are rejected (HTTP 429)")
+	fs.DurationVar(&c.serve.QueueTimeout, "serve-queue-timeout", c.serve.QueueTimeout, "max time a queued query waits for a slot before rejection (0 = bounded only by the request)")
+	fs.IntVar(&c.serve.SiteInflight, "serve-site-inflight", c.serve.SiteInflight, "per-site connection-pool size and backpressure-window ceiling in -serve mode")
+	fs.DurationVar(&c.serve.QueryTimeout, "serve-query-timeout", c.serve.QueryTimeout, "per-query execution bound in -serve mode (0 = none)")
+	fs.DurationVar(&c.serve.SlowQuery, "serve-slow-query", c.serve.SlowQuery, "emit a slow-query event (and count serve.slow_queries) for served queries at or above this wall time (0 = disabled)")
+	fs.BoolVar(&c.conn.Hedge, "hedge", c.conn.Hedge, "hedge straggling round requests against the next replica of sites with | replica addresses: first success wins, the loser is cancelled")
+	fs.DurationVar(&c.conn.HedgeDelay, "hedge-delay", c.conn.HedgeDelay, "fixed hedge trigger delay; 0 adapts per site from an EWMA of recent call latency")
+	fs.Float64Var(&c.conn.RetryBudget, "retry-budget", c.conn.RetryBudget, "retry tokens earned per primary call, shared across all sites; hedges and transport retries each spend one token")
+	fs.IntVar(&c.conn.RetryBudgetBurst, "retry-budget-burst", c.conn.RetryBudgetBurst, "retry token-bucket cap")
+	fs.IntVar(&c.serve.BreakerFailures, "breaker-failures", c.serve.BreakerFailures, "in -serve mode, open a site's circuit breaker after this many consecutive failures or sheds so calls fail fast until a post-cooldown probe succeeds (0 = breakers disabled)")
+	fs.DurationVar(&c.serve.BreakerCooldown, "breaker-cooldown", c.serve.BreakerCooldown, "how long an open circuit breaker refuses calls before letting one probe through")
+	fs.BoolVar(&c.conn.PropagateDeadline, "propagate-deadline", c.conn.PropagateDeadline, "stamp round requests with the remaining -timeout budget so sites shed already-doomed work instead of evaluating it")
+	fs.BoolVar(&c.profile, "profile", false, "tag the execution with a query ID so sites return per-request profiles, and print the EXPLAIN ANALYZE report with timings; also adds timings to EXPLAIN ANALYZE SQL statements")
+	return c
+}
+
 func main() {
-	sites := flag.String("sites", "127.0.0.1:7001", "comma-separated site addresses; replicas of one site joined with | (addr1|addr2)")
-	detail := flag.String("detail", "tpcr", "detail relation name at the sites")
-	generate := flag.String("generate", "", "have sites generate data first: tpcr or ipflow")
-	rows := flag.Int("rows", 60000, "rows for -generate")
-	customers := flag.Int("customers", 1000, "distinct customers for -generate tpcr")
-	seed := flag.Int64("seed", 1, "generator seed")
-	base := flag.String("base", "", "base-values columns (comma separated)")
-	where := flag.String("where", "", "optional base filter over the detail relation")
-	var mds mdFlags
-	flag.Var(&mds, "md", "GMDJ operator: \"aggs ; condition\" (repeatable)")
-	sqlText := flag.String("sql", "", "run a SQL statement (SELECT ... FROM ... GROUP BY / CUBE BY ...) instead of -base/-md")
-	opt := flag.String("opt", "all", "optimizations: all, none, or comma list of coalesce,group-sites,group-coord,sync")
-	explain := flag.Bool("explain", false, "print the plan without executing")
-	repl := flag.Bool("repl", false, "interactive SQL shell over the connected sites")
-	status := flag.Bool("status", false, "print per-site reachability and row counts, then exit")
-	catalogFile := flag.String("catalog", "", "distribution-knowledge JSON: loaded if present; written after -generate")
-	maxRows := flag.Int("max-rows", 20, "result rows to print (-1 for all)")
-	timeout := flag.Duration("timeout", 0, "per-site call timeout (0 = none), e.g. 5s")
-	retries := flag.Int("retries", 3, "call attempts per site endpoint before failing over")
-	allowPartial := flag.Bool("allow-partial", false, "return partial results when sites are lost instead of failing")
-	statsJSON := flag.Bool("stats-json", false, "print execution statistics as deterministic JSON instead of the prose report (suppresses plan and result output)")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the execution (open in chrome://tracing or Perfetto)")
-	debugAddr := flag.String("debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace); empty disables")
-	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint each synchronization round into this directory and resume an interrupted execution from its last completed round; empty disables")
-	replays := flag.Int("replays", 1, "times to re-issue a round request against a site's replicas after a transport failure mid-round")
-	readyURLs := flag.String("ready-urls", "", "comma-separated site=host:port pairs of site debug addresses; the coordinator probes /readyz and skips draining sites when -allow-partial is set")
-	serveAddr := flag.String("serve", "", "serve concurrent SQL queries over HTTP on this address (POST /query, plus /metrics /healthz /readyz); empty disables")
-	serveConcurrency := flag.Int("serve-concurrency", 4, "queries executing at once in -serve mode")
-	serveQueue := flag.Int("serve-queue", 8, "queries that may wait for an execution slot before new arrivals are rejected (HTTP 429)")
-	serveQueueTimeout := flag.Duration("serve-queue-timeout", 2*time.Second, "max time a queued query waits for a slot before rejection (0 = bounded only by the request)")
-	serveSiteInflight := flag.Int("serve-site-inflight", 4, "per-site connection-pool size and backpressure-window ceiling in -serve mode")
-	serveQueryTimeout := flag.Duration("serve-query-timeout", 0, "per-query execution bound in -serve mode (0 = none)")
-	serveSlowQuery := flag.Duration("serve-slow-query", 0, "emit a slow-query event (and count serve.slow_queries) for served queries at or above this wall time (0 = disabled)")
-	hedge := flag.Bool("hedge", false, "hedge straggling round requests against the next replica of sites with | replica addresses: first success wins, the loser is cancelled")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger delay; 0 adapts per site from an EWMA of recent call latency")
-	retryBudget := flag.Float64("retry-budget", 0, "retry tokens earned per primary call, shared across all sites; hedges and transport retries each spend one token (0 = default 0.1)")
-	retryBudgetBurst := flag.Int("retry-budget-burst", 0, "retry token-bucket cap (0 = default 10)")
-	breakerFailures := flag.Int("breaker-failures", 0, "in -serve mode, open a site's circuit breaker after this many consecutive failures or sheds so calls fail fast until a post-cooldown probe succeeds (0 = breakers disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "how long an open circuit breaker refuses calls before letting one probe through")
-	propagateDeadline := flag.Bool("propagate-deadline", false, "stamp round requests with the remaining -timeout budget so sites shed already-doomed work instead of evaluating it")
-	profile := flag.Bool("profile", false, "tag the execution with a query ID so sites return per-request profiles, and print the EXPLAIN ANALYZE report with timings; also adds timings to EXPLAIN ANALYZE SQL statements")
+	cfg := bindFlags(flag.CommandLine)
 	flag.Parse()
 
-	opts, err := parseOpts(*opt)
+	opts, err := parseOpts(cfg.opt)
 	if err != nil {
 		log.Fatalf("skalla-coord: %v", err)
 	}
+	cfg.serve.Opts = &opts
 
-	var sink *obs.Obs
-	if *tracePath != "" || *debugAddr != "" || *serveAddr != "" {
-		sink = obs.Default
+	if cfg.trace != "" || cfg.debugAddr != "" || cfg.serveAddr != "" {
+		cfg.conn.Obs = obs.Default
 	}
-
-	var ckpts skalla.CheckpointStore
-	if *checkpointDir != "" {
-		ckpts, err = skalla.NewFileCheckpoints(*checkpointDir)
+	sink := cfg.conn.Obs
+	if cfg.checkpointDir != "" {
+		cfg.conn.Checkpoints, err = skalla.NewFileCheckpoints(cfg.checkpointDir)
 		if err != nil {
 			log.Fatalf("skalla-coord: %v", err)
 		}
 	}
-	ready, err := parseReadyURLs(*readyURLs)
-	if err != nil {
+	if cfg.conn.ReadyURLs, err = parseReadyURLs(cfg.readyURLs); err != nil {
 		log.Fatalf("skalla-coord: %v", err)
 	}
+	cfg.conn.Sites = strings.Split(cfg.sites, ",")
 
-	cluster, err := skalla.ConnectWith(skalla.ConnectConfig{
-		Sites:             strings.Split(*sites, ","),
-		Attempts:          *retries,
-		CallTimeout:       *timeout,
-		AllowPartial:      *allowPartial,
-		Obs:               sink,
-		Checkpoints:       ckpts,
-		Replays:           *replays,
-		ReadyURLs:         ready,
-		Hedge:             *hedge,
-		HedgeDelay:        *hedgeDelay,
-		RetryBudget:       *retryBudget,
-		RetryBudgetBurst:  *retryBudgetBurst,
-		PropagateDeadline: *propagateDeadline,
-	})
+	cluster, err := skalla.ConnectWith(cfg.conn)
 	if err != nil {
 		log.Fatalf("skalla-coord: %v", err)
 	}
 	defer cluster.Close()
-	cluster.AnalyzeTiming = *profile
-	if *profile {
+	if cfg.serveAddr == "" { // serve mode logs the served stacks instead
+		fmt.Fprint(os.Stderr, cluster.Stacks())
+	}
+	cluster.AnalyzeTiming = cfg.profile
+	if cfg.profile {
 		// One query per CLI invocation: a fixed ID is unambiguous.
 		cluster.Coordinator().QueryID = "cli-000001"
 	}
 
-	if *debugAddr != "" {
-		dbg, err := obs.ServeDebug(*debugAddr, sink)
+	if cfg.debugAddr != "" {
+		dbg, err := obs.ServeDebug(cfg.debugAddr, sink)
 		if err != nil {
 			log.Fatalf("skalla-coord: %v", err)
 		}
@@ -144,78 +173,68 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s (/metrics /events /trace)\n", dbg.Addr())
 	}
 
-	if *catalogFile != "" {
-		if _, statErr := os.Stat(*catalogFile); statErr == nil {
-			cat, err := catalog.LoadFile(*catalogFile)
+	if cfg.catalog != "" {
+		if _, statErr := os.Stat(cfg.catalog); statErr == nil {
+			cat, err := catalog.LoadFile(cfg.catalog)
 			if err != nil {
 				log.Fatalf("skalla-coord: %v", err)
 			}
 			cluster.UseCatalog(cat)
 			fmt.Fprintf(os.Stderr, "loaded catalog %s (%d sites, %d FDs)\n",
-				*catalogFile, len(cat.Sites), len(cat.FDs))
+				cfg.catalog, len(cat.Sites), len(cat.FDs))
 		}
 	}
 
-	if *generate != "" {
-		if err := doGenerate(cluster, *generate, *detail, *rows, *customers, *seed); err != nil {
+	if cfg.generate != "" {
+		if err := doGenerate(cluster, cfg.generate, cfg.detail, cfg.rows, cfg.customers, cfg.seed); err != nil {
 			log.Fatalf("skalla-coord: %v", err)
 		}
-		if *catalogFile != "" {
-			if err := cluster.Catalog().SaveFile(*catalogFile); err != nil {
+		if cfg.catalog != "" {
+			if err := cluster.Catalog().SaveFile(cfg.catalog); err != nil {
 				log.Fatalf("skalla-coord: %v", err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote catalog %s\n", *catalogFile)
+			fmt.Fprintf(os.Stderr, "wrote catalog %s\n", cfg.catalog)
 		}
 	}
 
-	if *status {
-		for _, st := range cluster.Status(*detail) {
+	if cfg.status {
+		for _, st := range cluster.Status(cfg.detail) {
 			fmt.Println(st)
 		}
 		return
 	}
 
-	if *serveAddr != "" {
-		runServe(cluster, sink, *serveAddr, skalla.ServeConfig{
-			MaxConcurrent:   *serveConcurrency,
-			QueueDepth:      *serveQueue,
-			QueueTimeout:    *serveQueueTimeout,
-			SiteInflight:    *serveSiteInflight,
-			QueryTimeout:    *serveQueryTimeout,
-			SlowQuery:       *serveSlowQuery,
-			BreakerFailures: *breakerFailures,
-			BreakerCooldown: *breakerCooldown,
-			Opts:            opts,
-		})
+	if cfg.serveAddr != "" {
+		runServe(cluster, sink, cfg.serveAddr, cfg.serve)
 		return
 	}
 
-	if *repl {
-		runREPL(cluster, opts, *maxRows)
+	if cfg.repl {
+		runREPL(cluster, opts, cfg.maxRows)
 		return
 	}
 
-	if *sqlText != "" {
-		rel, err := cluster.SQL(*sqlText, opts)
+	if cfg.sql != "" {
+		rel, err := cluster.SQL(cfg.sql, opts)
 		if err != nil {
 			log.Fatalf("skalla-coord: %v", err)
 		}
-		printSQLResult(rel, *maxRows)
-		writeTrace(sink, *tracePath)
+		printSQLResult(rel, cfg.maxRows)
+		writeTrace(sink, cfg.trace)
 		return
 	}
 
-	if *base == "" || len(mds) == 0 {
+	if cfg.base == "" || len(cfg.mds) == 0 {
 		fmt.Println("skalla-coord: no query given (-base and at least one -md, or -sql); done")
 		return
 	}
-	q, err := buildQuery(*base, *where, mds)
+	q, err := buildQuery(cfg.base, cfg.where, cfg.mds)
 	if err != nil {
 		log.Fatalf("skalla-coord: %v", err)
 	}
 
-	if *explain {
-		plan, err := cluster.Explain(q, *detail, opts)
+	if cfg.explain {
+		plan, err := cluster.Explain(q, cfg.detail, opts)
 		if err != nil {
 			log.Fatalf("skalla-coord: %v", err)
 		}
@@ -223,12 +242,12 @@ func main() {
 		return
 	}
 
-	res, err := cluster.Query(q, *detail, opts)
+	res, err := cluster.Query(q, cfg.detail, opts)
 	if err != nil {
 		log.Fatalf("skalla-coord: %v", err)
 	}
-	writeTrace(sink, *tracePath)
-	if *statsJSON {
+	writeTrace(sink, cfg.trace)
+	if cfg.statsJSON {
 		// Machine-readable mode: the stats JSON is the whole stdout
 		// payload, so scripts can pipe it straight into a parser.
 		out, err := res.Stats.JSON()
@@ -238,14 +257,14 @@ func main() {
 		fmt.Printf("%s\n", out)
 		return
 	}
-	if *profile {
+	if cfg.profile {
 		fmt.Print(skalla.RenderAnalyze(res.Plan, res.Stats, true))
 	} else {
 		fmt.Print(res.Plan.Explain())
 	}
 	fmt.Println()
 	res.Relation.SortBy(q.Keys()...)
-	fmt.Print(res.Relation.Format(*maxRows))
+	fmt.Print(res.Relation.Format(cfg.maxRows))
 	fmt.Println()
 	fmt.Print(res.Stats)
 	if res.Stats.Partial() {
@@ -271,6 +290,7 @@ func runServe(cluster *skalla.Cluster, sink *obs.Obs, addr string, cfg skalla.Se
 	defer srv.Close()
 	sink.Health.SetCheck(svc.CheckReady)
 	srv.Handle("/query", svc.Handler())
+	fmt.Fprint(os.Stderr, svc.Stacks())
 	fmt.Fprintf(os.Stderr, "serving queries on http://%s/query (%d concurrent, queue %d, per-site inflight %d; /metrics /healthz /readyz)\n",
 		srv.Addr(), cfg.MaxConcurrent, cfg.QueueDepth, cfg.SiteInflight)
 

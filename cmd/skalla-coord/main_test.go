@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
+	"repro/internal/testutil"
 	"repro/skalla"
 )
 
@@ -76,4 +78,12 @@ func TestMDFlags(t *testing.T) {
 	if len(m) != 2 || !strings.Contains(m.String(), "one") {
 		t.Errorf("mdFlags: %v", m)
 	}
+}
+
+// TestReadmeFlagTables: the README's flag tables and the registered flags
+// name the same flags with the same defaults.
+func TestReadmeFlagTables(t *testing.T) {
+	fs := flag.NewFlagSet("skalla-coord", flag.ContinueOnError)
+	bindFlags(fs)
+	testutil.CheckFlagTable(t, "../../README.md", "skalla-coord", fs)
 }

@@ -30,15 +30,19 @@ import (
 	"repro/internal/transport"
 )
 
+// The flags; the README tables document each (TestReadmeFlagTables).
+var (
+	addr           = flag.String("addr", "127.0.0.1:7001", "address to listen on")
+	id             = flag.String("id", "site", "site identifier (used in error messages)")
+	load           = flag.String("load", "", "preload a relation: kind=name=path, kind is tpcr or ipflow (CSV with header)")
+	snapshot       = flag.String("snapshot", "", "snapshot file: restored at startup if present, written on shutdown")
+	debugAddr      = flag.String("debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace, /healthz, /readyz); empty disables")
+	drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, stop accepting and wait up to this long for in-flight requests before exiting")
+	maxResultRows  = flag.Int("max-result-rows", 0, "reject a request whose result exceeds this many rows with an overload error (0 = unlimited)")
+	maxResultBytes = flag.Int64("max-result-bytes", 0, "reject a request whose result exceeds roughly this many bytes with an overload error (0 = unlimited)")
+)
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7001", "address to listen on")
-	id := flag.String("id", "site", "site identifier (used in error messages)")
-	load := flag.String("load", "", "preload a relation: kind=name=path, kind is tpcr or ipflow (CSV with header)")
-	snapshot := flag.String("snapshot", "", "snapshot file: restored at startup if present, written on shutdown")
-	debugAddr := flag.String("debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace, /healthz, /readyz); empty disables")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, stop accepting and wait up to this long for in-flight requests before exiting")
-	maxResultRows := flag.Int("max-result-rows", 0, "reject a request whose result exceeds this many rows with an overload error (0 = unlimited)")
-	maxResultBytes := flag.Int64("max-result-bytes", 0, "reject a request whose result exceeds roughly this many bytes with an overload error (0 = unlimited)")
 	flag.Parse()
 
 	eng := site.NewEngine(*id)

@@ -103,6 +103,8 @@ type ServeResult struct {
 	// Profiled counts the queries the coordinator published a profile
 	// tree for (every served query is QueryID-tagged in serve mode).
 	Profiled int
+	// Stacks names the client stack queries reached each site through.
+	Stacks string
 }
 
 // QPS is the completed-query throughput over the whole run.
@@ -170,7 +172,7 @@ func ServeExperiment(cfg ServeConfig) (*ServeResult, error) {
 	// The sink collects the serve-mode profiling pipeline's output:
 	// per-query execution-wall histogram and published profiles.
 	sink := obs.New()
-	cluster, err := skalla.NewLocalCluster(skalla.ClusterConfig{Sites: cfg.Sites, Obs: sink})
+	cluster, err := skalla.NewLocalCluster(skalla.ClusterConfig{Sites: cfg.Sites, Settings: skalla.Settings{Obs: sink}})
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +194,7 @@ func ServeExperiment(cfg ServeConfig) (*ServeResult, error) {
 	}
 	defer svc.Close()
 
-	res := &ServeResult{Config: cfg}
+	res := &ServeResult{Config: cfg, Stacks: svc.Stacks()}
 	var next int64
 	var mu sync.Mutex
 	var latencies []time.Duration

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/site"
 	"repro/internal/tpcr"
@@ -40,14 +41,11 @@ type TailConfig struct {
 	// sequence, so hedged and unhedged runs face the same stragglers.
 	TailP     float64
 	TailDelay time.Duration
-	// HedgeDelay is the fixed hedge trigger (default 5ms): a primary
-	// call that has not answered after this long races the replica.
-	HedgeDelay time.Duration
-	// BudgetRatio / BudgetBurst bound speculative sends: hedges spend
-	// retry tokens earned at BudgetRatio per primary call, capped at
-	// BudgetBurst (defaults 0.5 / 20).
-	BudgetRatio float64
-	BudgetBurst int
+	// Resilience tunes the hedged variant: HedgeDelay is the fixed hedge
+	// trigger (default 5ms — a primary call unanswered that long races the
+	// replica), and RetryBudget / RetryBudgetBurst bound the speculative
+	// sends (defaults 0.5 / 20). Hedge is implied.
+	transport.Resilience
 }
 
 func (c TailConfig) defaults() TailConfig {
@@ -75,12 +73,13 @@ func (c TailConfig) defaults() TailConfig {
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 5 * time.Millisecond
 	}
-	if c.BudgetRatio == 0 {
-		c.BudgetRatio = 0.5
+	if c.RetryBudget == 0 {
+		c.RetryBudget = 0.5
 	}
-	if c.BudgetBurst == 0 {
-		c.BudgetBurst = 20
+	if c.RetryBudgetBurst == 0 {
+		c.RetryBudgetBurst = 20
 	}
+	c.Hedge = true
 	return c
 }
 
@@ -99,6 +98,8 @@ type TailResult struct {
 	Hedges       int64
 	HedgeWins    int64
 	BudgetDenied int64
+	// Stacks names each variant's client stack, one line per site.
+	Stacks string
 }
 
 // P99Speedup is the headline number: how many times faster the p99
@@ -142,30 +143,22 @@ func (r *TailResult) Metrics() Results {
 	}}
 }
 
-// tailSite is one logical site's loaded engine: the chaos-injected
-// primary transport and a clean replica both answer from it, matching a
-// replicated deployment where only one replica is slow.
-type tailSite struct {
-	id  string
-	eng *site.Engine
-}
-
 // tailCluster builds the shared dataset once: one engine per logical
-// site holding its TPCR partition, plus the partitioning catalog.
-func tailCluster(cfg TailConfig) ([]tailSite, *catalog.Catalog, error) {
+// site holding its TPCR partition, plus the partitioning catalog. The
+// chaos-injected primary and a clean replica both answer from a site's
+// engine, matching a replicated deployment where only one replica is slow.
+func tailCluster(cfg TailConfig) ([]*site.Engine, *catalog.Catalog, error) {
 	tc := tpcr.Config{Rows: cfg.Rows, Customers: cfg.Customers, Seed: cfg.Seed}
-	sites := make([]tailSite, cfg.Sites)
+	sites := make([]*site.Engine, cfg.Sites)
 	ids := make([]string, cfg.Sites)
 	for i := range sites {
-		id := fmt.Sprintf("site%d", i)
+		ids[i] = fmt.Sprintf("site%d", i)
 		part, err := tpcr.GeneratePartition(tc, i, cfg.Sites)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: tail partition %d: %w", i, err)
 		}
-		eng := site.NewEngine(id)
-		eng.Load("tpcr", part)
-		sites[i] = tailSite{id: id, eng: eng}
-		ids[i] = id
+		sites[i] = site.NewEngine(ids[i])
+		sites[i].Load("tpcr", part)
 	}
 	cat := catalog.New(ids...)
 	if err := tpcr.FillCatalog(cat, ids, tc); err != nil {
@@ -174,12 +167,38 @@ func tailCluster(cfg TailConfig) ([]tailSite, *catalog.Catalog, error) {
 	return sites, cat, nil
 }
 
-// stragglingClient wraps one site in seeded heavy-tail chaos. Seeding by
-// site index makes the fault sequence identical across variants.
-func stragglingClient(cfg TailConfig, s tailSite, idx int) *transport.Chaos {
-	ch := transport.NewChaos(transport.NewLocalClient(s.id, s.eng, transport.CostModel{}), cfg.Seed+int64(idx))
-	ch.SetTailLatency(cfg.Seed+int64(idx), cfg.TailP, cfg.TailDelay)
-	return ch
+// tailSites assembles one variant's client stacks: every site's primary
+// replica is wrapped in seeded heavy-tail chaos — seeded by site index, so
+// the fault sequence is identical across variants — and, when hedged, a
+// clean replica of the same engine answers hedges, which are drawn from
+// one budget and counted in sink.
+func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs) ([]*transport.Site, []transport.Client, error) {
+	budget := cfg.NewBudget(sink)
+	built := make([]*transport.Site, len(sites))
+	clients := make([]transport.Client, len(sites))
+	for i, eng := range sites {
+		seed := cfg.Seed + int64(i)
+		spec := transport.SiteSpec{ID: eng.ID(), Replicas: []transport.Replica{{
+			Handler: eng,
+			Chaos: func(cl transport.Client) *transport.Chaos {
+				ch := transport.NewChaos(cl, seed)
+				ch.SetTailLatency(seed, cfg.TailP, cfg.TailDelay)
+				return ch
+			},
+		}}}
+		if hedged {
+			spec.Replicas = append(spec.Replicas, transport.Replica{Handler: eng})
+			spec.Resilience, spec.Budget, spec.Obs = cfg.Resilience, budget, sink
+		}
+		var err error
+		if built[i], err = transport.NewSite(spec); err != nil {
+			return nil, nil, err
+		}
+		if clients[i], err = built[i].Client(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return built, clients, nil
 }
 
 // tailMeasure executes the experiment query cfg.Queries times over the
@@ -222,9 +241,9 @@ func TailExperiment(cfg TailConfig) (*TailResult, error) {
 	}
 
 	// Variant 1: hedging off. Every call rides out the injected tail.
-	unhedged := make([]transport.Client, len(sites))
-	for i, s := range sites {
-		unhedged[i] = stragglingClient(cfg, s, i)
+	plain, unhedged, err := tailSites(cfg, sites, false, nil)
+	if err != nil {
+		return nil, err
 	}
 	baseLat, baseRel, err := tailMeasure(cfg, unhedged, cat)
 	if err != nil {
@@ -233,18 +252,14 @@ func TailExperiment(cfg TailConfig) (*TailResult, error) {
 
 	// Variant 2: hedging on. The primary replays the same seeded fault
 	// sequence; a clean replica of the same partition answers hedges.
-	budget := transport.NewRetryBudget(cfg.BudgetRatio, cfg.BudgetBurst)
-	hedgers := make([]*transport.Hedger, len(sites))
-	hedged := make([]transport.Client, len(sites))
-	for i, s := range sites {
-		replica := transport.NewLocalClient(s.id, s.eng, transport.CostModel{})
-		hedgers[i] = transport.NewHedger(s.id, []transport.Client{stragglingClient(cfg, s, i), replica},
-			transport.HedgeConfig{Delay: cfg.HedgeDelay, Budget: budget})
-		hedged[i] = hedgers[i]
+	sink := obs.New()
+	racing, hedged, err := tailSites(cfg, sites, true, sink)
+	if err != nil {
+		return nil, err
 	}
 	hedgedLat, hedgedRel, err := tailMeasure(cfg, hedged, cat)
-	for _, h := range hedgers {
-		h.Close() // waits out any losing hedge goroutines
+	for _, cl := range hedged {
+		cl.Close() // waits out any losing hedge goroutines
 	}
 	if err != nil {
 		return nil, err
@@ -259,12 +274,13 @@ func TailExperiment(cfg TailConfig) (*TailResult, error) {
 		UnhedgedP99: percentile(baseLat, 99),
 		HedgedP50:   percentile(hedgedLat, 50),
 		HedgedP99:   percentile(hedgedLat, 99),
+
+		Hedges:       sink.Metrics.CounterValue("transport.hedges"),
+		HedgeWins:    sink.Metrics.CounterValue("transport.hedge_wins"),
+		BudgetDenied: sink.Metrics.CounterValue("transport.budget_denied"),
 	}
-	for _, h := range hedgers {
-		hs, ws := h.HedgeCounts()
-		res.Hedges += hs
-		res.HedgeWins += ws
+	for i, s := range racing {
+		res.Stacks += fmt.Sprintf("client stack %s: %s unhedged, %s hedged\n", s.ID(), plain[i], s)
 	}
-	_, res.BudgetDenied = budget.Counts()
 	return res, nil
 }

@@ -511,17 +511,12 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 			}
 			req.Epoch, req.Round = epoch, round
 			req.QueryID = c.QueryID
-			s0, r0, _, t0 := cl.Stats().Snapshot()
-			// A hedging client exposes its duplicate-send counters; the
-			// delta across this call links the hedges to this round,
-			// mirroring the replay linkage.
-			hc, hasHC := cl.(interface{ HedgeCounts() (int64, int64) })
-			var hedges0 int64
-			if hasHC {
-				hedges0, _ = hc.HedgeCounts()
-			}
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
 			var resp *transport.Response
+			// stats gathers what the exchange — replays included — added to
+			// the client's statistics: the round's bytes, and the hedges a
+			// hedging client launched for it.
+			var stats transport.WireStats
 			replays := 0
 			for {
 				callCtx, done := c.callContext(roundCtx)
@@ -539,7 +534,9 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 						}
 					}
 				}
-				resp, err = cl.Call(callCtx, req)
+				var d transport.Delta
+				resp, d, err = transport.Exchange(callCtx, cl, req)
+				stats.Add(d)
 				done()
 				if err == nil || resp != nil {
 					// Success, or a site-side error: site-side errors are
@@ -567,27 +564,22 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 				fail(fmt.Errorf("core: site %s: %w", cl.SiteID(), err))
 				return
 			}
-			s1, r1, _, t1 := cl.Stats().Snapshot()
-			span.SetArg("bytes_sent", fmt.Sprint(s1-s0))
-			span.SetArg("bytes_received", fmt.Sprint(r1-r0))
+			wire := stats.Totals()
+			span.SetArg("bytes_sent", fmt.Sprint(wire.Sent))
+			span.SetArg("bytes_received", fmt.Sprint(wire.Recv))
 			if replays > 0 {
 				span.SetArg("replays", fmt.Sprint(replays))
 			}
-			hedges := 0
-			if hasHC {
-				h1, _ := hc.HedgeCounts()
-				hedges = int(h1 - hedges0)
-			}
-			if hedges > 0 {
-				span.SetArg("hedges", fmt.Sprint(hedges))
+			if wire.Hedges > 0 {
+				span.SetArg("hedges", fmt.Sprint(wire.Hedges))
 			}
 			span.End()
 			sr := SiteRound{
 				Site:      cl.SiteID(),
-				BytesSent: s1 - s0, BytesRecv: r1 - r0, Comm: t1 - t0,
+				BytesSent: wire.Sent, BytesRecv: wire.Recv, Comm: wire.Comm,
 				Compute: time.Duration(resp.ComputeNs),
 				Replays: replays,
-				Hedges:  hedges,
+				Hedges:  wire.Hedges,
 				Remote:  resp.Profile,
 			}
 			if req.Base != nil {

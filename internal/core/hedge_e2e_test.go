@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/gmdj"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/site"
 	"repro/internal/transport"
@@ -34,6 +35,7 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 		parts[i%nSites].Rows = append(parts[i%nSites].Rows, row)
 	}
 
+	sink := obs.New()
 	clients := make([]transport.Client, nSites)
 	for i := 0; i < nSites; i++ {
 		id := fmt.Sprintf("site%d", i)
@@ -46,30 +48,29 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 		}
 		t.Cleanup(func() { srv.Close() })
 
-		if i != 1 {
-			cl, err := transport.DialTCP(id, addr, transport.CostModel{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[i] = cl
-			continue
-		}
 		// Site 1 is a replica set over one shared server: the primary
 		// connection straggles on every round call, the secondary is
 		// clean. Both hit the same engine, so a duplicated (epoch, round)
 		// request is answered from the site's dedup cache.
-		primaryTCP, err := transport.DialTCP(id, addr, transport.CostModel{})
+		spec := transport.SiteSpec{ID: id, Replicas: []transport.Replica{{Addr: addr}}, Obs: sink}
+		if i == 1 {
+			spec.Replicas = []transport.Replica{
+				{Addr: addr, Chaos: func(cl transport.Client) *transport.Chaos {
+					primary := transport.NewChaos(cl, 1)
+					primary.DelayN(transport.OpEvalRounds, 1000, straggle)
+					return primary
+				}},
+				{Addr: addr},
+			}
+			spec.Resilience = transport.Resilience{Hedge: true, HedgeDelay: 10 * time.Millisecond}
+		}
+		s, err := transport.NewSite(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		primary := transport.NewChaos(primaryTCP, 1)
-		primary.DelayN(transport.OpEvalRounds, 1000, straggle)
-		secondary, err := transport.DialTCP(id, addr, transport.CostModel{})
-		if err != nil {
+		if clients[i], err = s.Client(); err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = transport.NewHedger(id, []transport.Client{primary, secondary},
-			transport.HedgeConfig{Delay: 10 * time.Millisecond})
 	}
 	coord := NewCoordinator(clients...)
 	defer func() {
@@ -93,8 +94,7 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 		t.Errorf("hedging must not degrade the result: lost %v", stats.LostSites())
 	}
 
-	h := clients[1].(*transport.Hedger)
-	hedges, wins := h.HedgeCounts()
+	hedges, wins := sink.Metrics.CounterValue("transport.hedges"), sink.Metrics.CounterValue("transport.hedge_wins")
 	if hedges < 1 {
 		t.Errorf("hedges = %d, want at least 1 against a %s straggler", hedges, straggle)
 	}

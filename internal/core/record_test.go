@@ -195,12 +195,26 @@ func TestSitesDecomposeTotals(t *testing.T) {
 			}
 		}
 		eng.Load("flow", part)
-		primary := transport.NewChaos(transport.NewLocalClient("site1", eng, transport.CostModel{}), 1)
-		primary.DelayN(transport.OpEvalRounds, 1000, 100*time.Millisecond)
-		clean := transport.NewLocalClient("site1", eng, transport.CostModel{})
+		pair, err := transport.NewSite(transport.SiteSpec{
+			ID: "site1",
+			Replicas: []transport.Replica{
+				{Handler: eng, Chaos: func(cl transport.Client) *transport.Chaos {
+					primary := transport.NewChaos(cl, 1)
+					primary.DelayN(transport.OpEvalRounds, 1000, 100*time.Millisecond)
+					return primary
+				}},
+				{Handler: eng},
+			},
+			Resilience: transport.Resilience{Hedge: true, HedgeDelay: 5 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		clients := append([]transport.Client(nil), coord.Clients()...)
-		clients[1] = transport.NewHedger("site1", []transport.Client{primary, clean},
-			transport.HedgeConfig{Delay: 5 * time.Millisecond})
+		if clients[1], err = pair.Client(); err != nil {
+			t.Fatal(err)
+		}
+		defer clients[1].Close()
 		stats := run(t, coord.Derive(clients...))
 		allAnswered(t, stats)
 		for _, r := range stats.Rounds[1:] {

@@ -6,13 +6,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // ErrAdmission is the sentinel every admission refusal matches with
@@ -50,21 +48,9 @@ type SchedulerConfig struct {
 	// before it is rejected; 0 waits as long as the caller's context
 	// allows.
 	QueueTimeout time.Duration
-	// SiteMaxInflight is the per-site concurrency window ceiling for
-	// WrapClients gates. Values < 1 are treated as 1.
-	SiteMaxInflight int
-	// BreakerFailures enables per-site circuit breakers in WrapClients:
-	// after this many consecutive failures or sheds the site's breaker
-	// opens and calls fail fast with transport.ErrBreakerOpen until a
-	// post-cooldown probe succeeds. 0 disables breakers.
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker refuses calls before
-	// letting one probe through (default 1s when breakers are enabled).
-	BreakerCooldown time.Duration
 	// Obs, when set, receives admission counters ("sched.admitted",
 	// "sched.rejected", "sched.queue_timeouts", "sched.completed"),
-	// the "sched.running"/"sched.queued" gauges, backpressure counters
-	// ("sched.site_backoffs"), and admission events.
+	// the "sched.running"/"sched.queued" gauges, and admission events.
 	Obs *obs.Obs
 }
 
@@ -72,7 +58,7 @@ type SchedulerConfig struct {
 // fleet: a bounded number run at once, a bounded queue absorbs bursts,
 // and everything beyond that is rejected fast with a typed ErrAdmission
 // instead of piling latency onto queries already running. Per-site
-// backpressure is separate — see WrapClients — so one slow or shedding
+// backpressure is separate — see transport.Site — so one slow or shedding
 // site throttles calls to itself without stalling admission globally.
 //
 // The zero Scheduler is not usable; construct with NewScheduler.
@@ -85,10 +71,6 @@ type Scheduler struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	queued int
-	//lint:guarded-by mu
-	gates map[string]*SiteGate
-	//lint:guarded-by mu
-	breakers map[string]*transport.Breaker
 }
 
 // NewScheduler returns a scheduler for cfg.
@@ -99,15 +81,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.QueueDepth < 0 {
 		cfg.QueueDepth = 0
 	}
-	if cfg.SiteMaxInflight < 1 {
-		cfg.SiteMaxInflight = 1
-	}
-	return &Scheduler{
-		cfg:      cfg,
-		slots:    make(chan struct{}, cfg.MaxConcurrent),
-		gates:    map[string]*SiteGate{},
-		breakers: map[string]*transport.Breaker{},
-	}
+	return &Scheduler{cfg: cfg, slots: make(chan struct{}, cfg.MaxConcurrent)}
 }
 
 // Running reports how many executions hold an admission slot.
@@ -195,194 +169,4 @@ func (s *Scheduler) admitted() func() {
 			o.SetGauge("sched.running", int64(len(s.slots)))
 		})
 	}
-}
-
-// gate returns (lazily creating) the backpressure gate for one site. All
-// executions share the gates, so one query's shed responses slow every
-// query's calls to that site — which is the point.
-func (s *Scheduler) gate(site string) *SiteGate {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, ok := s.gates[site]
-	if !ok {
-		g = NewSiteGate(site, s.cfg.SiteMaxInflight, s.cfg.Obs)
-		s.gates[site] = g
-	}
-	return g
-}
-
-// breaker returns (lazily creating) the circuit breaker for one site, or
-// nil when breakers are disabled. Like gates, breakers are shared across
-// executions: consecutive failures from any query trip the same breaker.
-func (s *Scheduler) breaker(site string) *transport.Breaker {
-	if s.cfg.BreakerFailures <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.breakers[site]
-	if !ok {
-		b = transport.NewBreaker(site, s.cfg.BreakerFailures, s.cfg.BreakerCooldown)
-		b.SetObs(s.cfg.Obs)
-		s.breakers[site] = b
-	}
-	return b
-}
-
-// BreakerState reports one site's breaker position and whether a breaker
-// exists for it (false when breakers are disabled or the site has never
-// been wrapped).
-func (s *Scheduler) BreakerState(site string) (transport.BreakerState, bool) {
-	s.mu.Lock()
-	b, ok := s.breakers[site]
-	s.mu.Unlock()
-	if !ok {
-		return transport.BreakerClosed, false
-	}
-	return b.State(), true
-}
-
-// OpenBreakers lists the sites whose breaker is currently refusing calls
-// (open and still cooling down), sorted for deterministic output.
-func (s *Scheduler) OpenBreakers() []string {
-	s.mu.Lock()
-	breakers := make(map[string]*transport.Breaker, len(s.breakers))
-	for site, b := range s.breakers {
-		breakers[site] = b
-	}
-	s.mu.Unlock()
-	var out []string
-	for site, b := range breakers {
-		if b.State() == transport.BreakerOpen {
-			out = append(out, site)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WrapClients wraps each client with its site's shared backpressure gate:
-// calls through the wrapped clients respect the site's current
-// concurrency window, and shed responses (CodeOverloaded/CodeDraining)
-// shrink it. Clients belonging to the same SiteID — across concurrent
-// executions — share one gate. With BreakerFailures set, the site's
-// shared circuit breaker wraps outermost, so an open breaker fails fast
-// before the call consumes gate window or queues at the site.
-func (s *Scheduler) WrapClients(clients []transport.Client) []transport.Client {
-	out := make([]transport.Client, len(clients))
-	for i, cl := range clients {
-		var wrapped transport.Client = &gatedClient{Client: cl, gate: s.gate(cl.SiteID())}
-		if b := s.breaker(cl.SiteID()); b != nil {
-			wrapped = transport.NewBreakerClient(wrapped, b)
-		}
-		out[i] = wrapped
-	}
-	return out
-}
-
-// SiteGate is an AIMD concurrency window for one site, shared by every
-// execution calling it. A shed response halves the window (multiplicative
-// decrease — the site told us to back off), and a full window of
-// consecutive successes grows it by one (additive increase), so
-// throughput re-probes upward only as fast as the site keeps absorbing
-// it. There is no timer: recovery is driven by successful responses,
-// which keeps the gate deterministic under test.
-type SiteGate struct {
-	site string
-	max  int
-	obs  *obs.Obs
-
-	mu sync.Mutex
-	//lint:guarded-by mu
-	window int
-	//lint:guarded-by mu
-	inUse int
-	//lint:guarded-by mu
-	streak int
-	// wake is closed and replaced whenever capacity may free.
-	//
-	//lint:guarded-by mu
-	wake chan struct{}
-}
-
-// NewSiteGate returns a gate for site with the given window ceiling
-// (values < 1 are treated as 1). The window starts fully open.
-func NewSiteGate(site string, max int, o *obs.Obs) *SiteGate {
-	if max < 1 {
-		max = 1
-	}
-	return &SiteGate{site: site, max: max, obs: o, window: max, wake: make(chan struct{})}
-}
-
-// Window reports the current concurrency window.
-func (g *SiteGate) Window() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.window
-}
-
-// Acquire blocks until the site's window has room or ctx is done.
-func (g *SiteGate) Acquire(ctx context.Context) error {
-	for {
-		g.mu.Lock()
-		if g.inUse < g.window {
-			g.inUse++
-			g.mu.Unlock()
-			return nil
-		}
-		wake := g.wake
-		g.mu.Unlock()
-		g.obs.Count("sched.site_gate_waits", 1)
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return fmt.Errorf("core: site %s gate: %w", g.site, ctx.Err())
-		}
-	}
-}
-
-// Release returns one acquisition, adjusting the window: shed marks the
-// call as refused by the site (overloaded or draining), everything else
-// counts toward reopening it.
-func (g *SiteGate) Release(shed bool) {
-	g.mu.Lock()
-	g.inUse--
-	if shed {
-		g.streak = 0
-		if g.window > 1 {
-			g.window /= 2
-		}
-		g.obs.Count("sched.site_backoffs", 1)
-		g.obs.Event(obs.EventOverload, g.site, "site shed: concurrency window halved",
-			map[string]string{"window": fmt.Sprint(g.window)})
-	} else {
-		g.streak++
-		if g.streak >= g.window && g.window < g.max {
-			g.window++
-			g.streak = 0
-		}
-	}
-	close(g.wake)
-	g.wake = make(chan struct{})
-	g.mu.Unlock()
-}
-
-// gatedClient threads every Call through the site's backpressure gate.
-type gatedClient struct {
-	transport.Client
-	gate *SiteGate
-}
-
-// Call implements transport.Client: acquire the site window, perform the
-// exchange, and classify the outcome for the AIMD window. Only an
-// explicit shed response shrinks the window — transport failures mean
-// the site is unreachable, not overloaded, and are the Reconnector's
-// problem.
-func (c *gatedClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
-	if err := c.gate.Acquire(ctx); err != nil {
-		return nil, err
-	}
-	resp, err := c.Client.Call(ctx, req)
-	c.gate.Release(resp.Shed())
-	return resp, err
 }

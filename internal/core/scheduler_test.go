@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/testutil"
-	"repro/internal/transport"
 )
 
 func TestSchedulerAdmitFailFast(t *testing.T) {
@@ -144,203 +143,5 @@ func TestSchedulerNextEpochUnique(t *testing.T) {
 	wg.Wait()
 	if len(seen) != n {
 		t.Fatalf("%d unique epochs from %d concurrent executions", len(seen), n)
-	}
-}
-
-// shedClient answers OpPing and sheds every OpDrop with CodeOverloaded.
-type shedClient struct {
-	id string
-}
-
-func (c *shedClient) SiteID() string              { return c.id }
-func (c *shedClient) Stats() *transport.WireStats { return &transport.WireStats{} }
-func (c *shedClient) Close() error                { return nil }
-func (c *shedClient) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
-	if req.Op == transport.OpDrop {
-		return &transport.Response{Err: "overloaded", Code: transport.CodeOverloaded}, nil
-	}
-	return &transport.Response{}, nil
-}
-
-func TestSiteGateAIMD(t *testing.T) {
-	o := obs.New()
-	g := NewSiteGate("s0", 8, o)
-	ctx := context.Background()
-
-	// Two sheds halve twice: 8 → 4 → 2.
-	for i := 0; i < 2; i++ {
-		if err := g.Acquire(ctx); err != nil {
-			t.Fatal(err)
-		}
-		g.Release(true)
-	}
-	if got := g.Window(); got != 2 {
-		t.Fatalf("window = %d after 2 sheds, want 2", got)
-	}
-	if got := o.Metrics.CounterValue("sched.site_backoffs"); got != 2 {
-		t.Errorf("site_backoffs = %d, want 2", got)
-	}
-
-	// Successes reopen additively: a full window of successes adds one.
-	for g.Window() < 8 {
-		before := g.Window()
-		for i := 0; i < before; i++ {
-			if err := g.Acquire(ctx); err != nil {
-				t.Fatal(err)
-			}
-			g.Release(false)
-		}
-		if got := g.Window(); got != before+1 {
-			t.Fatalf("window = %d after %d successes at window %d, want %d", got, before, before, before+1)
-		}
-	}
-}
-
-func TestSiteGateBlocksAtWindow(t *testing.T) {
-	g := NewSiteGate("s0", 2, nil)
-	ctx := context.Background()
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if err := g.Acquire(short); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("third acquire err = %v, want deadline exceeded", err)
-	}
-	g.Release(false)
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-}
-
-func TestWrapClientsSharedGateBackoff(t *testing.T) {
-	o := obs.New()
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 4, SiteMaxInflight: 8, Obs: o})
-
-	// Two executions each get their own wrapped view of the same site.
-	a := s.WrapClients([]transport.Client{&shedClient{id: "s0"}})
-	b := s.WrapClients([]transport.Client{&shedClient{id: "s0"}})
-	ctx := context.Background()
-
-	// Execution A sees a shed; the shared window halves.
-	resp, err := a[0].Call(ctx, &transport.Request{Op: transport.OpDrop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Shed() {
-		t.Fatal("expected shed response")
-	}
-	if got := s.gate("s0").Window(); got != 4 {
-		t.Fatalf("shared window = %d after shed, want 4", got)
-	}
-
-	// Execution B inherits the backoff on the same site…
-	if got := s.WrapClients([]transport.Client{&shedClient{id: "s0"}}); len(got) != 1 {
-		t.Fatal("wrap")
-	}
-	if _, err := b[0].Call(ctx, &transport.Request{Op: transport.OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	// …and a different site is untouched.
-	if got := s.gate("s1").Window(); got != 8 {
-		t.Fatalf("unrelated site window = %d, want 8", got)
-	}
-}
-
-// TestSiteGateAIMDStress hammers one gate from many goroutines mixing
-// shed and clean releases; run under -race it checks the AIMD window
-// bookkeeping (window, streak, inUse, wake rotation) for data races and
-// asserts the window never leaves [1, max] and the gate stays usable.
-func TestSiteGateAIMDStress(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	const max = 8
-	g := NewSiteGate("s0", max, obs.New())
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if err := g.Acquire(ctx); err != nil {
-					t.Error(err)
-					return
-				}
-				if win := g.Window(); win < 1 || win > max {
-					t.Errorf("window = %d, want 1..%d", win, max)
-				}
-				// Deterministic shed mix: roughly one release in seven
-				// halves the window, the rest feed the success streak.
-				g.Release((w+i)%7 == 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if win := g.Window(); win < 1 || win > max {
-		t.Fatalf("final window = %d, want 1..%d", win, max)
-	}
-	if err := g.Acquire(ctx); err != nil {
-		t.Fatalf("gate unusable after stress: %v", err)
-	}
-	g.Release(false)
-}
-
-// TestWrapClientsBreakerFailsFast: with per-site breakers enabled, a run
-// of sheds on one site opens its breaker, every execution's wrapped view
-// of that site is refused locally with the typed error, and the open
-// breaker is visible through the scheduler's state accessors — while
-// other sites stay unaffected.
-func TestWrapClientsBreakerFailsFast(t *testing.T) {
-	o := obs.New()
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 4, SiteMaxInflight: 8, Obs: o,
-		BreakerFailures: 2, BreakerCooldown: time.Hour})
-	ctx := context.Background()
-
-	a := s.WrapClients([]transport.Client{&shedClient{id: "s0"}, &shedClient{id: "s1"}})
-	for i := 0; i < 2; i++ {
-		resp, err := a[0].Call(ctx, &transport.Request{Op: transport.OpDrop})
-		if err != nil || !resp.Shed() {
-			t.Fatalf("shed call %d: %v / %+v", i, err, resp)
-		}
-	}
-	if st, ok := s.BreakerState("s0"); !ok || st != transport.BreakerOpen {
-		t.Fatalf("breaker state = %v/%v, want open", st, ok)
-	}
-	if open := s.OpenBreakers(); len(open) != 1 || open[0] != "s0" {
-		t.Fatalf("OpenBreakers() = %v, want [s0]", open)
-	}
-
-	// A second execution shares the breaker: its call is refused before
-	// reaching the site.
-	b := s.WrapClients([]transport.Client{&shedClient{id: "s0"}})
-	if _, err := b[0].Call(ctx, &transport.Request{Op: transport.OpPing}); !errors.Is(err, transport.ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
-	}
-	// The healthy site keeps serving.
-	if _, err := a[1].Call(ctx, &transport.Request{Op: transport.OpPing}); err != nil {
-		t.Fatalf("healthy site refused: %v", err)
-	}
-	if _, ok := s.BreakerState("s1"); !ok {
-		t.Error("healthy site has no breaker state")
-	}
-
-	// Breakers default off: a zero BreakerFailures scheduler never trips.
-	off := NewScheduler(SchedulerConfig{MaxConcurrent: 4, SiteMaxInflight: 8})
-	c := off.WrapClients([]transport.Client{&shedClient{id: "s0"}})
-	for i := 0; i < 5; i++ {
-		if _, err := c[0].Call(ctx, &transport.Request{Op: transport.OpDrop}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := off.BreakerState("s0"); ok {
-		t.Error("breaker state reported with breakers disabled")
-	}
-	if open := off.OpenBreakers(); len(open) != 0 {
-		t.Errorf("OpenBreakers() = %v, want none with breakers disabled", open)
 	}
 }

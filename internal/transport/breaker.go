@@ -64,6 +64,7 @@ type Breaker struct {
 	site     string
 	failures int
 	cooldown time.Duration
+	obs      *obs.Obs
 	// now is injectable for tests; defaults to time.Now.
 	now func() time.Time
 
@@ -79,21 +80,14 @@ type Breaker struct {
 	//
 	//lint:guarded-by mu
 	probing bool
-	//lint:guarded-by mu
-	obs *obs.Obs
 }
 
 // NewBreaker returns a closed breaker for site, opening after failures
-// consecutive failures (≤0 defaults to 5) and probing again after
-// cooldown (≤0 defaults to 1s).
-func NewBreaker(site string, failures int, cooldown time.Duration) *Breaker {
-	if failures <= 0 {
-		failures = 5
-	}
-	if cooldown <= 0 {
-		cooldown = time.Second
-	}
-	return &Breaker{site: site, failures: failures, cooldown: cooldown, now: time.Now}
+// consecutive failures and probing again after cooldown. State
+// transitions are published to o as events (kind obs.EventBreaker) and
+// the "transport.breaker_open" / "transport.breaker_rejected" counters.
+func NewBreaker(site string, failures int, cooldown time.Duration, o *obs.Obs) *Breaker {
+	return &Breaker{site: site, failures: failures, cooldown: cooldown, obs: o, now: time.Now}
 }
 
 // SetNow overrides the clock (tests drive state transitions with virtual
@@ -101,15 +95,6 @@ func NewBreaker(site string, failures int, cooldown time.Duration) *Breaker {
 func (b *Breaker) SetNow(now func() time.Time) {
 	b.mu.Lock()
 	b.now = now
-	b.mu.Unlock()
-}
-
-// SetObs publishes state transitions as obs events (kind
-// obs.EventBreaker) and the "transport.breaker_open" /
-// "transport.breaker_rejected" counters.
-func (b *Breaker) SetObs(o *obs.Obs) {
-	b.mu.Lock()
-	b.obs = o
 	b.mu.Unlock()
 }
 
@@ -232,24 +217,16 @@ func (b *Breaker) Observe(ctx context.Context, resp *Response, err error) {
 	}
 }
 
-// BreakerClient wraps a site client with a breaker: an open breaker
+// breakerClient wraps a site client with a breaker: an open breaker
 // refuses the call locally with a typed error wrapping ErrBreakerOpen,
 // and every completed call feeds the breaker's state machine.
-type BreakerClient struct {
+type breakerClient struct {
 	Client
 	breaker *Breaker
 }
 
-// NewBreakerClient wraps inner with br.
-func NewBreakerClient(inner Client, br *Breaker) *BreakerClient {
-	return &BreakerClient{Client: inner, breaker: br}
-}
-
-// Breaker returns the wrapped breaker.
-func (c *BreakerClient) Breaker() *Breaker { return c.breaker }
-
 // Call implements Client.
-func (c *BreakerClient) Call(ctx context.Context, req *Request) (*Response, error) {
+func (c *breakerClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	if !c.breaker.Allow() {
 		return nil, fmt.Errorf("transport: %s: %w", c.SiteID(), ErrBreakerOpen)
 	}

@@ -20,8 +20,7 @@ func withClock(b *Breaker, c *testClock) *Breaker { b.SetNow(c.Now); return b }
 func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	clock := newTestClock()
 	o := obs.New()
-	b := withClock(NewBreaker("s0", 3, time.Second), clock)
-	b.SetObs(o)
+	b := withClock(NewBreaker("s0", 3, time.Second, o), clock)
 
 	// Two failures, then a success: the streak resets, nothing opens.
 	b.Failure()
@@ -58,7 +57,7 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 
 func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 	clock := newTestClock()
-	b := withClock(NewBreaker("s0", 1, time.Second), clock)
+	b := withClock(NewBreaker("s0", 1, time.Second, nil), clock)
 	b.Failure()
 	if b.Allow() {
 		t.Fatal("open breaker allowed a call")
@@ -87,7 +86,7 @@ func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	clock := newTestClock()
-	b := withClock(NewBreaker("s0", 1, time.Second), clock)
+	b := withClock(NewBreaker("s0", 1, time.Second, nil), clock)
 	b.Failure()
 	clock.Advance(time.Second)
 	if !b.Allow() {
@@ -118,7 +117,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 
 func TestBreakerObserveClassification(t *testing.T) {
 	clock := newTestClock()
-	b := withClock(NewBreaker("s0", 2, time.Second), clock)
+	b := withClock(NewBreaker("s0", 2, time.Second, nil), clock)
 
 	// Caller-side cancellation is neutral: it must never open a breaker.
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -157,8 +156,8 @@ func TestBreakerObserveClassification(t *testing.T) {
 func TestBreakerClientFailsFast(t *testing.T) {
 	clock := newTestClock()
 	inner := &flakyClient{id: "s0", failN: 1 << 30} // never recovers
-	b := withClock(NewBreaker("s0", 2, time.Second), clock)
-	cl := NewBreakerClient(inner, b)
+	b := withClock(NewBreaker("s0", 2, time.Second, nil), clock)
+	cl := &breakerClient{Client: inner, breaker: b}
 
 	for i := 0; i < 2; i++ {
 		if _, err := cl.Call(context.Background(), &Request{Op: OpPing}); err == nil {

@@ -28,6 +28,7 @@ var ErrBudgetExhausted = errors.New("transport: retry budget exhausted")
 type RetryBudget struct {
 	ratio float64
 	burst float64
+	obs   *obs.Obs
 
 	mu sync.Mutex
 	//lint:guarded-by mu
@@ -38,34 +39,14 @@ type RetryBudget struct {
 	taken int64
 	//lint:guarded-by mu
 	denied int64
-	//lint:guarded-by mu
-	obs *obs.Obs
 }
 
 // NewRetryBudget returns a budget earning ratio tokens per primary
 // request, holding at most burst tokens. The bucket starts full so cold
 // starts (first request straight into a straggler) can still hedge.
-// ratio ≤ 0 defaults to 0.1 (10% speculative overhead); burst ≤ 0
-// defaults to 10.
-func NewRetryBudget(ratio float64, burst int) *RetryBudget {
-	if ratio <= 0 {
-		ratio = 0.1
-	}
-	if burst <= 0 {
-		burst = 10
-	}
-	return &RetryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
-}
-
-// SetObs publishes budget denials as the "transport.budget_denied"
-// counter.
-func (b *RetryBudget) SetObs(o *obs.Obs) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.obs = o
-	b.mu.Unlock()
+// Denials are published to o as the "transport.budget_denied" counter.
+func NewRetryBudget(ratio float64, burst int, o *obs.Obs) *RetryBudget {
+	return &RetryBudget{ratio: ratio, burst: float64(burst), obs: o, tokens: float64(burst)}
 }
 
 // Earn credits the budget for one primary request. Nil-safe.

@@ -10,8 +10,7 @@ import (
 
 func TestRetryBudgetTokenBucket(t *testing.T) {
 	o := obs.New()
-	b := NewRetryBudget(0.5, 2)
-	b.SetObs(o)
+	b := NewRetryBudget(0.5, 2, o)
 
 	// The bucket starts full: two speculative sends are granted.
 	if !b.Take() || !b.Take() {
@@ -66,9 +65,8 @@ func TestRetryBudgetNilIsUnlimited(t *testing.T) {
 func TestReconnectorBudgetExhaustion(t *testing.T) {
 	chaos := NewChaos(NewLocalClient("s0", newEchoHandler(), CostModel{}), 1)
 	chaos.FailNext(OpPing, 100)
-	rc := NewReconnector("s0", func() (Client, error) { return chaos, nil }, 10, 0)
-	budget := NewRetryBudget(0.001, 1) // one banked retry, near-zero refill
-	rc.SetBudget(budget)
+	budget := NewRetryBudget(0.001, 1, nil) // one banked retry, near-zero refill
+	rc := newReplicaSet("s0", []func() (Client, error){func() (Client, error) { return chaos, nil }}, 10, 0, budget, nil)
 
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -87,11 +85,10 @@ func TestReconnectorBudgetExhaustion(t *testing.T) {
 	}
 
 	// Healthy traffic refills the budget and retries resume.
-	replenish := NewRetryBudget(1, 5)
+	replenish := NewRetryBudget(1, 5, nil)
 	chaos2 := NewChaos(NewLocalClient("s1", newEchoHandler(), CostModel{}), 1)
 	chaos2.FailNext(OpPing, 2)
-	rc2 := NewReconnector("s1", func() (Client, error) { return chaos2, nil }, 5, 0)
-	rc2.SetBudget(replenish)
+	rc2 := newReplicaSet("s1", []func() (Client, error){func() (Client, error) { return chaos2, nil }}, 5, 0, replenish, nil)
 	if _, err := rc2.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("budgeted retries failed despite tokens: %v", err)
 	}

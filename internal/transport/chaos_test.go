@@ -194,10 +194,10 @@ func TestChaosObsAttribution(t *testing.T) {
 	ch.FailNext(OpPing, 2)
 
 	o := obs.New()
-	// The Reconnector propagates the sink into dialed clients (Chaos
-	// implements SetObs), exactly as a wired-up cluster would.
-	rc := NewReconnector("s", func() (Client, error) { return ch, nil }, 3, 0)
-	rc.SetObs(o)
+	// Injector and retry layer publish into one sink, as in a stack the
+	// site builder assembles.
+	ch.SetObs(o)
+	rc := newReplicaSet("s", []func() (Client, error){func() (Client, error) { return ch, nil }}, 3, 0, nil, o)
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -49,6 +50,55 @@ type WireStats struct {
 	messages int64
 	//lint:guarded-by mu
 	commTime time.Duration
+	// hedges counts the speculative duplicate sends launched on behalf of
+	// this client's calls; only a hedging layer ever adds to it.
+	//
+	//lint:guarded-by mu
+	hedges int
+}
+
+// Delta is what one or more exchanges added to a client's statistics:
+// the unit every accounting layer (retry, hedge, pooled lease, the
+// coordinator's per-round record) folds upward.
+type Delta struct {
+	Sent, Recv int64
+	Comm       time.Duration
+	Hedges     int
+}
+
+// Exchange performs one call on cl and returns, beside the outcome, what
+// the call added to cl's statistics. It is exact while calls on cl do not
+// overlap — true of every per-execution client view, whose statistics
+// are private to one execution.
+func Exchange(ctx context.Context, cl Client, req *Request) (*Response, Delta, error) {
+	before := cl.Stats().Totals()
+	resp, err := cl.Call(ctx, req)
+	after := cl.Stats().Totals()
+	return resp, Delta{
+		Sent: after.Sent - before.Sent, Recv: after.Recv - before.Recv,
+		Comm: after.Comm - before.Comm, Hedges: after.Hedges - before.Hedges,
+	}, err
+}
+
+// Add folds an inner client's exchange into these statistics as one
+// message, preserving its comm-time accounting without re-sleeping.
+func (w *WireStats) Add(d Delta) {
+	w.mu.Lock()
+	w.bytesSent += d.Sent
+	w.bytesReceived += d.Recv
+	if d.Sent > 0 {
+		w.messages++
+	}
+	w.commTime += d.Comm
+	w.hedges += d.Hedges
+	w.mu.Unlock()
+}
+
+// Totals returns everything accumulated so far as one Delta.
+func (w *WireStats) Totals() Delta {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return Delta{Sent: w.bytesSent, Recv: w.bytesReceived, Comm: w.commTime, Hedges: w.hedges}
 }
 
 // AddSent records n bytes sent plus its modeled transfer time.
@@ -99,7 +149,7 @@ func (w *WireStats) CommTime() time.Duration {
 func (w *WireStats) Reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.bytesSent, w.bytesReceived, w.messages, w.commTime = 0, 0, 0, 0
+	w.bytesSent, w.bytesReceived, w.messages, w.commTime, w.hedges = 0, 0, 0, 0, 0
 }
 
 // countingWriter counts bytes written to an underlying writer.

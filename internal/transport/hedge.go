@@ -22,43 +22,20 @@ import (
 // under hedge counters, never a site failure and never retry waste.
 var ErrHedgeLost = errors.New("transport: hedged request lost the race")
 
-// HedgeConfig tunes a Hedger.
-type HedgeConfig struct {
-	// Delay, when positive, is a fixed hedge threshold: a request
-	// outstanding that long launches the hedge. It overrides the
-	// adaptive threshold entirely.
-	Delay time.Duration
-	// Multiplier scales the adaptive threshold: hedge when the request
-	// has been outstanding Multiplier × EWMA(recent latency). Default 3.
-	Multiplier float64
-	// Floor / Ceiling clamp the adaptive threshold (defaults 1ms /
-	// 100ms). Until the first completed call seeds the EWMA, the
-	// threshold is Ceiling.
-	Floor   time.Duration
-	Ceiling time.Duration
-	// Budget, when non-nil, caps hedges: every primary call earns into
-	// it and every hedge (including shed failovers) must Take from it.
-	Budget *RetryBudget
-}
-
-func (c HedgeConfig) defaults() HedgeConfig {
-	if c.Multiplier <= 0 {
-		c.Multiplier = 3
-	}
-	if c.Floor <= 0 {
-		c.Floor = time.Millisecond
-	}
-	if c.Ceiling <= 0 {
-		c.Ceiling = 100 * time.Millisecond
-	}
-	return c
-}
+// The adaptive hedge threshold: hedge when a request has been outstanding
+// hedgeMultiplier × EWMA(recent latency), clamped to [hedgeFloor,
+// hedgeCeiling]; until the first completed call seeds the EWMA the
+// threshold is hedgeCeiling, so cold starts never hedge on noise.
+const (
+	hedgeMultiplier = 3
+	hedgeFloor      = time.Millisecond
+	hedgeCeiling    = 100 * time.Millisecond
+)
 
 // Hedger is a tail-tolerant Client over an ordered set of replica
 // clients: the primary (first) replica gets every request, and when a
-// round request is outstanding longer than the hedge threshold — fixed
-// Delay, or adaptively Multiplier × EWMA of recent latency clamped to
-// [Floor, Ceiling] — a duplicate is launched on the next replica and the
+// round request is outstanding longer than the hedge threshold — a fixed
+// delay, or the adaptive one above — a duplicate is launched on the next replica and the
 // first success wins, the loser cancelled with cause ErrHedgeLost.
 // Duplicating a round is safe by construction: rounds are pure functions
 // of the request over immutable site data, and epoch-tagged executions
@@ -73,12 +50,35 @@ func (c HedgeConfig) defaults() HedgeConfig {
 //
 // Wire statistics fold only the winning attempt's traffic into Stats(),
 // keeping the coordinator's per-round byte accounting exact and
-// deterministic; the loser's partial traffic is counted under the
-// "transport.hedge_wasted_bytes" counter instead.
+// deterministic — together with the number of hedges the call launched,
+// which is how a round learns it was hedged; the loser's partial traffic
+// is counted under the "transport.hedge_wasted_bytes" counter instead.
 type Hedger struct {
 	id       string
 	replicas []Client
-	cfg      HedgeConfig
+	// hedgeState is shared by every Hedger of one site (see Site): each
+	// execution races its own replica clients and keeps its own
+	// statistics, all against one latency estimate.
+	*hedgeState
+
+	stats WireStats
+	// wg tracks attempt and loser-drain goroutines so Close can prove
+	// none leak (goleak).
+	wg sync.WaitGroup
+}
+
+// hedgeState is a site's hedging memory: the tuning, the adaptive
+// threshold's latency estimate and the lifetime counters.
+type hedgeState struct {
+	// delay, when positive, fixes the hedge threshold; zero adapts it.
+	delay time.Duration
+	// budget, when non-nil, caps hedges: every primary call earns into it
+	// and every hedge (including shed failovers) must Take from it.
+	budget *RetryBudget
+	// obs receives hedge launches as events (kind obs.EventHedge) and the
+	// "transport.hedges" / "transport.hedge_wins" /
+	// "transport.hedge_wasted_bytes" counters.
+	obs *obs.Obs
 
 	hedges int64 // atomic: duplicate/failover sends launched
 	wins   int64 // atomic: hedged sends whose answer was used
@@ -89,43 +89,21 @@ type Hedger struct {
 	//
 	//lint:guarded-by mu
 	ewmaNs float64
-	//lint:guarded-by mu
-	obs *obs.Obs
-
-	stats WireStats
-	// wg tracks attempt and loser-drain goroutines so Close can prove
-	// none leak (goleak).
-	wg sync.WaitGroup
 }
 
-// NewHedger returns a hedging client over replicas in preference order.
+// NewHedger returns a hedging client over replicas in preference order,
+// hedging after delay (0 = adaptive) within budget (nil = unlimited).
 // With fewer than two replicas it degrades to a transparent wrapper.
-func NewHedger(id string, replicas []Client, cfg HedgeConfig) *Hedger {
+func NewHedger(id string, replicas []Client, delay time.Duration, budget *RetryBudget, o *obs.Obs) *Hedger {
+	return (&hedgeState{delay: delay, budget: budget, obs: o}).hedger(id, replicas)
+}
+
+// hedger returns one execution's Hedger over its own replica clients.
+func (s *hedgeState) hedger(id string, replicas []Client) *Hedger {
 	if len(replicas) == 0 {
 		panic("transport: hedger needs at least one replica")
 	}
-	return &Hedger{id: id, replicas: replicas, cfg: cfg.defaults()}
-}
-
-// SetObs publishes hedge launches as obs events (kind obs.EventHedge) and
-// the "transport.hedges" / "transport.hedge_wins" /
-// "transport.hedge_wasted_bytes" counters, and propagates the sink to
-// replicas that support SetObs.
-func (h *Hedger) SetObs(o *obs.Obs) {
-	h.mu.Lock()
-	h.obs = o
-	h.mu.Unlock()
-	for _, cl := range h.replicas {
-		if oc, ok := cl.(interface{ SetObs(*obs.Obs) }); ok {
-			oc.SetObs(o)
-		}
-	}
-}
-
-func (h *Hedger) getObs() *obs.Obs {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.obs
+	return &Hedger{id: id, replicas: replicas, hedgeState: s}
 }
 
 // SiteID implements Client.
@@ -137,7 +115,7 @@ func (h *Hedger) Stats() *WireStats { return &h.stats }
 
 // HedgeCounts returns how many hedged sends were launched and how many
 // of their answers won the race.
-func (h *Hedger) HedgeCounts() (hedges, wins int64) {
+func (h *hedgeState) HedgeCounts() (hedges, wins int64) {
 	return atomic.LoadInt64(&h.hedges), atomic.LoadInt64(&h.wins)
 }
 
@@ -155,28 +133,21 @@ func (h *Hedger) Close() error {
 }
 
 // threshold returns the current hedge-launch delay.
-func (h *Hedger) threshold() time.Duration {
-	if h.cfg.Delay > 0 {
-		return h.cfg.Delay
+func (h *hedgeState) threshold() time.Duration {
+	if h.delay > 0 {
+		return h.delay
 	}
 	h.mu.Lock()
 	ewma := h.ewmaNs
 	h.mu.Unlock()
 	if ewma <= 0 {
-		return h.cfg.Ceiling
+		return hedgeCeiling
 	}
-	d := time.Duration(h.cfg.Multiplier * ewma)
-	if d < h.cfg.Floor {
-		d = h.cfg.Floor
-	}
-	if d > h.cfg.Ceiling {
-		d = h.cfg.Ceiling
-	}
-	return d
+	return min(max(time.Duration(hedgeMultiplier*ewma), hedgeFloor), hedgeCeiling)
 }
 
 // observe feeds one successful call's latency into the EWMA (α = 0.2).
-func (h *Hedger) observe(d time.Duration) {
+func (h *hedgeState) observe(d time.Duration) {
 	h.mu.Lock()
 	if h.ewmaNs == 0 {
 		h.ewmaNs = float64(d.Nanoseconds())
@@ -186,33 +157,20 @@ func (h *Hedger) observe(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// addDelta folds a winning attempt's traffic into the aggregate.
-func (h *Hedger) addDelta(sent, recv int64, comm time.Duration) {
-	h.stats.mu.Lock()
-	h.stats.bytesSent += sent
-	h.stats.bytesReceived += recv
-	if sent > 0 {
-		h.stats.messages++
-	}
-	h.stats.commTime += comm
-	h.stats.mu.Unlock()
-}
-
 // hedgeable reports whether op may be duplicated across replicas.
 func hedgeable(op Op) bool { return op == OpEvalBase || op == OpEvalRounds }
 
 // hedgeAttempt is one replica attempt's outcome plus its wire delta.
 type hedgeAttempt struct {
-	idx        int
-	resp       *Response
-	err        error
-	sent, recv int64
-	comm       time.Duration
+	idx  int
+	resp *Response
+	err  error
+	d    Delta
 }
 
 // Call implements Client with hedged duplicate requests.
 func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
-	h.cfg.Budget.Earn()
+	h.budget.Earn()
 	if len(h.replicas) < 2 || !hedgeable(req.Op) {
 		return h.callDirect(ctx, req)
 	}
@@ -230,21 +188,18 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 		h.wg.Add(1)
 		go func() {
 			defer h.wg.Done()
-			s0, r0, _, t0 := cl.Stats().Snapshot()
-			resp, err := cl.Call(cctx, req)
-			s1, r1, _, t1 := cl.Stats().Snapshot()
-			results <- hedgeAttempt{idx: idx, resp: resp, err: err,
-				sent: s1 - s0, recv: r1 - r0, comm: t1 - t0}
+			resp, d, err := Exchange(cctx, cl, req)
+			results <- hedgeAttempt{idx: idx, resp: resp, err: err, d: d}
 		}()
 	}
 	// hedge launches the duplicate if the budget allows, reporting
 	// whether it did.
 	hedge := func(reason string) bool {
-		if launched >= len(h.replicas) || !h.cfg.Budget.Take() {
+		if launched >= len(h.replicas) || !h.budget.Take() {
 			return false
 		}
 		atomic.AddInt64(&h.hedges, 1)
-		o := h.getObs()
+		o := h.obs
 		o.Count("transport.hedges", 1)
 		o.Event(obs.EventHedge, h.id, "hedging "+req.Op.String()+" to next replica: "+reason,
 			map[string]string{
@@ -256,26 +211,29 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 		return true
 	}
 	// finish settles the race: the decisive attempt's traffic folds into
-	// the aggregate, every other in-flight attempt is cancelled with
-	// cause ErrHedgeLost, and a drain goroutine accounts the losers'
-	// partial traffic as hedge waste.
+	// the aggregate beside the hedges launched, every other in-flight
+	// attempt is cancelled with cause ErrHedgeLost, and a drain goroutine
+	// accounts the losers' partial traffic as hedge waste.
 	finish := func(a hedgeAttempt, consumed int) {
 		for i := 0; i < launched; i++ {
 			if i != a.idx {
 				cancels[i](ErrHedgeLost)
 			}
 		}
-		if a.err == nil {
-			h.addDelta(a.sent, a.recv, a.comm)
+		d := a.d
+		if a.err != nil {
+			d = Delta{}
 		}
+		d.Hedges = launched - 1
+		h.stats.Add(d)
 		if remaining := launched - consumed; remaining > 0 {
 			h.wg.Add(1)
 			go func() {
 				defer h.wg.Done()
 				for i := 0; i < remaining; i++ {
 					lost := <-results
-					if wasted := lost.sent + lost.recv; wasted > 0 {
-						h.getObs().Count("transport.hedge_wasted_bytes", wasted)
+					if wasted := lost.d.Sent + lost.d.Recv; wasted > 0 {
+						h.obs.Count("transport.hedge_wasted_bytes", wasted)
 					}
 				}
 			}()
@@ -330,7 +288,7 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 			}
 			if a.idx > 0 {
 				atomic.AddInt64(&h.wins, 1)
-				h.getObs().Count("transport.hedge_wins", 1)
+				h.obs.Count("transport.hedge_wins", 1)
 			}
 			if a.resp.Error() == nil {
 				h.observe(time.Since(start))
@@ -344,14 +302,11 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 // into the aggregate.
 func (h *Hedger) callDirect(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
-	cl := h.replicas[0]
-	s0, r0, _, t0 := cl.Stats().Snapshot()
-	resp, err := cl.Call(ctx, req)
-	s1, r1, _, t1 := cl.Stats().Snapshot()
+	resp, d, err := Exchange(ctx, h.replicas[0], req)
 	if err != nil {
 		return nil, err
 	}
-	h.addDelta(s1-s0, r1-r0, t1-t0)
+	h.stats.Add(d)
 	if hedgeable(req.Op) && resp.Error() == nil {
 		// Passthrough successes still seed the adaptive threshold.
 		h.observe(time.Since(start))

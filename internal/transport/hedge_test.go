@@ -51,8 +51,7 @@ func TestHedgerWinsRaceAgainstStraggler(t *testing.T) {
 	o := obs.New()
 	primary := &replicaStub{id: "s0", delay: 30 * time.Second}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, HedgeConfig{Delay: 5 * time.Millisecond})
-	h.SetObs(o)
+	h := NewHedger("s0", []Client{primary, secondary}, 5*time.Millisecond, nil, o)
 
 	resp, err := h.Call(context.Background(), &Request{Op: OpEvalRounds})
 	if err != nil || resp.RowCount != 1 {
@@ -91,7 +90,7 @@ func TestHedgerWinsRaceAgainstStraggler(t *testing.T) {
 func TestHedgerFastPrimaryNeverHedges(t *testing.T) {
 	primary := &replicaStub{id: "s0"}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, HedgeConfig{Delay: time.Second})
+	h := NewHedger("s0", []Client{primary, secondary}, time.Second, nil, nil)
 	defer h.Close()
 
 	for i := 0; i < 3; i++ {
@@ -112,7 +111,7 @@ func TestHedgerImmediateFailover(t *testing.T) {
 	// hedger must not sit out the timer: it fails over immediately.
 	primary := &replicaStub{id: "s0", fail: true}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, HedgeConfig{Delay: 10 * time.Second})
+	h := NewHedger("s0", []Client{primary, secondary}, 10*time.Second, nil, nil)
 	defer h.Close()
 
 	start := time.Now()
@@ -133,7 +132,7 @@ func TestHedgerShedFailover(t *testing.T) {
 	// replica, and only if everyone sheds does the shed surface.
 	primary := &replicaStub{id: "s0", shed: true}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, HedgeConfig{Delay: 10 * time.Second})
+	h := NewHedger("s0", []Client{primary, secondary}, 10*time.Second, nil, nil)
 	defer h.Close()
 
 	resp, err := h.Call(context.Background(), &Request{Op: OpEvalRounds})
@@ -142,7 +141,7 @@ func TestHedgerShedFailover(t *testing.T) {
 	}
 
 	both := NewHedger("s1", []Client{&replicaStub{id: "s1", shed: true}, &replicaStub{id: "s1", shed: true}},
-		HedgeConfig{Delay: 10 * time.Second})
+		10*time.Second, nil, nil)
 	defer both.Close()
 	resp, err = both.Call(context.Background(), &Request{Op: OpEvalRounds})
 	if err != nil {
@@ -154,13 +153,13 @@ func TestHedgerShedFailover(t *testing.T) {
 }
 
 func TestHedgerRespectsBudget(t *testing.T) {
-	budget := NewRetryBudget(0.001, 1)
+	budget := NewRetryBudget(0.001, 1, nil)
 	if !budget.Take() {
 		t.Fatal("draining the budget")
 	}
 	primary := &replicaStub{id: "s0", delay: 50 * time.Millisecond}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, HedgeConfig{Delay: time.Millisecond, Budget: budget})
+	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, budget, nil)
 	defer h.Close()
 
 	resp, err := h.Call(context.Background(), &Request{Op: OpEvalRounds})
@@ -183,7 +182,7 @@ func TestHedgerOnlyEvalOpsHedge(t *testing.T) {
 	// matter how slow the primary is.
 	primary := &replicaStub{id: "s0", delay: 20 * time.Millisecond}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, HedgeConfig{Delay: time.Millisecond})
+	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, nil, nil)
 	defer h.Close()
 
 	if _, err := h.Call(context.Background(), &Request{Op: OpPing}); err != nil {
@@ -198,15 +197,13 @@ func TestHedgerOnlyEvalOpsHedge(t *testing.T) {
 }
 
 func TestHedgerAdaptiveThreshold(t *testing.T) {
-	h := NewHedger("s0", []Client{&replicaStub{id: "s0"}}, HedgeConfig{
-		Multiplier: 3, Floor: 2 * time.Millisecond, Ceiling: 50 * time.Millisecond,
-	})
+	h := NewHedger("s0", []Client{&replicaStub{id: "s0"}}, 0, nil, nil)
 	defer h.Close()
 
 	// No sample yet: the threshold sits at the ceiling so cold starts
 	// never hedge on noise.
-	if got := h.threshold(); got != 50*time.Millisecond {
-		t.Errorf("cold threshold = %s, want ceiling 50ms", got)
+	if got := h.threshold(); got != hedgeCeiling {
+		t.Errorf("cold threshold = %s, want ceiling %s", got, hedgeCeiling)
 	}
 	h.observe(4 * time.Millisecond)
 	if got := h.threshold(); got != 12*time.Millisecond {
@@ -216,15 +213,15 @@ func TestHedgerAdaptiveThreshold(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.observe(10 * time.Microsecond)
 	}
-	if got := h.threshold(); got != 2*time.Millisecond {
-		t.Errorf("threshold = %s, want floor 2ms", got)
+	if got := h.threshold(); got != hedgeFloor {
+		t.Errorf("threshold = %s, want floor %s", got, hedgeFloor)
 	}
 	// …and a run of slow calls pins it at the ceiling.
 	for i := 0; i < 100; i++ {
 		h.observe(time.Second)
 	}
-	if got := h.threshold(); got != 50*time.Millisecond {
-		t.Errorf("threshold = %s, want ceiling 50ms", got)
+	if got := h.threshold(); got != hedgeCeiling {
+		t.Errorf("threshold = %s, want ceiling %s", got, hedgeCeiling)
 	}
 }
 
@@ -235,8 +232,7 @@ func TestHedgerAdaptiveThreshold(t *testing.T) {
 func TestPoolHedgeDiscardAccounting(t *testing.T) {
 	h := newGateHandler()
 	o := obs.New()
-	p := NewPool("s0", 2, localDial(h))
-	p.SetObs(o)
+	p := NewPool("s0", 2, localDial(h), o)
 	defer p.Close()
 	defer close(h.release)
 

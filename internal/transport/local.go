@@ -7,7 +7,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
 )
@@ -21,9 +20,10 @@ type LocalClient struct {
 	handler Handler
 	cost    CostModel
 	stats   WireStats
-
-	mu sync.Mutex
-	//lint:guarded-by mu
+	// obs, set by the site builder before the client is shared, receives
+	// the raw wire totals ("transport.bytes_sent",
+	// "transport.bytes_received", "transport.messages"), mirroring the
+	// TCP client so in-process clusters observe identically.
 	obs *obs.Obs
 }
 
@@ -31,21 +31,6 @@ type LocalClient struct {
 // traffic against the cost model.
 func NewLocalClient(id string, handler Handler, cost CostModel) *LocalClient {
 	return &LocalClient{id: id, handler: handler, cost: cost}
-}
-
-// SetObs publishes raw wire totals ("transport.bytes_sent",
-// "transport.bytes_received", "transport.messages") into o, mirroring
-// the TCP client so in-process clusters observe identically.
-func (c *LocalClient) SetObs(o *obs.Obs) {
-	c.mu.Lock()
-	c.obs = o
-	c.mu.Unlock()
-}
-
-func (c *LocalClient) getObs() *obs.Obs {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.obs
 }
 
 // SiteID implements Client.
@@ -73,9 +58,8 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 		return nil, fmt.Errorf("transport: encode request: %w", err)
 	}
 	c.stats.AddSent(n, c.cost)
-	o := c.getObs()
-	o.Count("transport.bytes_sent", int64(n))
-	o.Count("transport.messages", 1)
+	c.obs.Count("transport.bytes_sent", int64(n))
+	c.obs.Count("transport.messages", 1)
 
 	var resp *Response
 	if ctx.Done() == nil {
@@ -102,7 +86,7 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 		return nil, fmt.Errorf("transport: encode response: %w", err)
 	}
 	c.stats.AddReceived(n, c.cost)
-	o.Count("transport.bytes_received", int64(n))
+	c.obs.Count("transport.bytes_received", int64(n))
 	return wireResp, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -33,6 +32,7 @@ type Pool struct {
 	id   string
 	dial func() (Client, error)
 	max  int
+	obs  *obs.Obs
 
 	slots chan struct{} // capacity tokens; one per potential connection
 
@@ -45,37 +45,18 @@ type Pool struct {
 	dialed int
 	//lint:guarded-by mu
 	closed bool
-	//lint:guarded-by mu
-	obs *obs.Obs
 }
 
 // NewPool returns a pool of at most max concurrent connections to the
 // site identified by id, dialing lazily with dial. max < 1 is treated
-// as 1.
-func NewPool(id string, max int, dial func() (Client, error)) *Pool {
+// as 1. Pool activity is published into o: "transport.pool.dials",
+// "transport.pool.discards", and the "transport.pool.in_use" gauge.
+func NewPool(id string, max int, dial func() (Client, error), o *obs.Obs) *Pool {
 	if max < 1 {
 		max = 1
 	}
-	return &Pool{id: id, dial: dial, max: max, slots: make(chan struct{}, max)}
+	return &Pool{id: id, dial: dial, max: max, obs: o, slots: make(chan struct{}, max)}
 }
-
-// SetObs publishes pool activity into o: "transport.pool.dials",
-// "transport.pool.discards", and the "transport.pool.in_use" gauge. The
-// sink is also handed to dialed connections that support SetObs.
-func (p *Pool) SetObs(o *obs.Obs) {
-	p.mu.Lock()
-	p.obs = o
-	p.mu.Unlock()
-}
-
-func (p *Pool) getObs() *obs.Obs {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.obs
-}
-
-// SiteID returns the logical site identifier.
-func (p *Pool) SiteID() string { return p.id }
 
 // InUse reports how many connections are currently borrowed by calls.
 func (p *Pool) InUse() int { return len(p.slots) }
@@ -88,14 +69,14 @@ func (p *Pool) get(ctx context.Context) (Client, error) {
 	default:
 		// Every connection is busy: the caller queues at the site
 		// boundary until one frees or its context gives up.
-		p.getObs().Count("transport.pool.waits", 1)
+		p.obs.Count("transport.pool.waits", 1)
 		select {
 		case p.slots <- struct{}{}:
 		case <-ctx.Done():
 			return nil, fmt.Errorf("transport: pool %s: %w", p.id, ctx.Err())
 		}
 	}
-	p.getObs().SetGauge("transport.pool.in_use", int64(len(p.slots)))
+	p.obs.SetGauge("transport.pool.in_use", int64(len(p.slots)))
 
 	p.mu.Lock()
 	if p.closed {
@@ -114,16 +95,13 @@ func (p *Pool) get(ctx context.Context) (Client, error) {
 	cl, err := p.dial()
 	if err != nil {
 		<-p.slots
-		p.getObs().Count("transport.pool.dial_failures", 1)
+		p.obs.Count("transport.pool.dial_failures", 1)
 		return nil, fmt.Errorf("transport: pool %s: dial: %w", p.id, err)
-	}
-	if oc, ok := cl.(interface{ SetObs(*obs.Obs) }); ok {
-		oc.SetObs(p.getObs())
 	}
 	p.mu.Lock()
 	p.dialed++
 	p.mu.Unlock()
-	p.getObs().Count("transport.pool.dials", 1)
+	p.obs.Count("transport.pool.dials", 1)
 	return cl, nil
 }
 
@@ -139,7 +117,7 @@ func (p *Pool) put(cl Client) {
 		p.mu.Unlock()
 	}
 	<-p.slots
-	p.getObs().SetGauge("transport.pool.in_use", int64(len(p.slots)))
+	p.obs.SetGauge("transport.pool.in_use", int64(len(p.slots)))
 }
 
 // discard drops a connection whose last exchange failed: its stream may
@@ -161,9 +139,8 @@ func (p *Pool) discardAs(cl Client, counter string) {
 	p.dialed--
 	p.mu.Unlock()
 	<-p.slots
-	o := p.getObs()
-	o.Count(counter, 1)
-	o.SetGauge("transport.pool.in_use", int64(len(p.slots)))
+	p.obs.Count(counter, 1)
+	p.obs.SetGauge("transport.pool.in_use", int64(len(p.slots)))
 }
 
 // Close closes every idle connection and fails subsequent borrows.
@@ -223,9 +200,7 @@ func (l *Lease) Call(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	s0, r0, _, t0 := cl.Stats().Snapshot()
-	resp, err := cl.Call(ctx, req)
-	s1, r1, _, t1 := cl.Stats().Snapshot()
+	resp, d, err := Exchange(ctx, cl, req)
 	if err != nil {
 		if errors.Is(context.Cause(ctx), ErrHedgeLost) {
 			// The exchange was abandoned because its hedge lost the
@@ -237,24 +212,11 @@ func (l *Lease) Call(ctx context.Context, req *Request) (*Response, error) {
 			l.pool.hedgeDiscard(cl)
 			return nil, err
 		}
-		l.addDelta(s1-s0, r1-r0, t1-t0)
+		l.stats.Add(d)
 		l.pool.discard(cl)
 		return nil, err
 	}
-	l.addDelta(s1-s0, r1-r0, t1-t0)
+	l.stats.Add(d)
 	l.pool.put(cl)
 	return resp, nil
-}
-
-// addDelta folds one borrowed connection's traffic into the lease's
-// statistics.
-func (l *Lease) addDelta(sent, recv int64, comm time.Duration) {
-	l.stats.mu.Lock()
-	l.stats.bytesSent += sent
-	l.stats.bytesReceived += recv
-	if sent > 0 {
-		l.stats.messages++
-	}
-	l.stats.commTime += comm
-	l.stats.mu.Unlock()
 }

@@ -67,8 +67,7 @@ func localDial(h Handler) func() (Client, error) {
 
 func TestPoolReusesConnections(t *testing.T) {
 	o := obs.New()
-	p := NewPool("s0", 4, localDial(newGateHandler()))
-	p.SetObs(o)
+	p := NewPool("s0", 4, localDial(newGateHandler()), o)
 	defer p.Close()
 
 	l := p.Lease()
@@ -88,7 +87,7 @@ func TestPoolReusesConnections(t *testing.T) {
 
 func TestPoolCapsConcurrency(t *testing.T) {
 	h := newGateHandler()
-	p := NewPool("s0", 2, localDial(h))
+	p := NewPool("s0", 2, localDial(h), nil)
 	defer p.Close()
 
 	var wg sync.WaitGroup
@@ -122,7 +121,7 @@ func TestPoolCapsConcurrency(t *testing.T) {
 
 func TestPoolLeaseStatsIsolated(t *testing.T) {
 	h := newGateHandler()
-	p := NewPool("s0", 1, localDial(h))
+	p := NewPool("s0", 1, localDial(h), nil)
 	defer p.Close()
 
 	a, b := p.Lease(), p.Lease()
@@ -148,8 +147,7 @@ func TestPoolLeaseStatsIsolated(t *testing.T) {
 func TestPoolCancellationIsolation(t *testing.T) {
 	h := newGateHandler()
 	o := obs.New()
-	p := NewPool("s0", 2, localDial(h))
-	p.SetObs(o)
+	p := NewPool("s0", 2, localDial(h), o)
 	defer p.Close()
 
 	hungCtx, cancel := context.WithCancel(context.Background())
@@ -184,8 +182,7 @@ func TestPoolCancellationIsolation(t *testing.T) {
 func TestPoolQueueTimeout(t *testing.T) {
 	h := newGateHandler()
 	o := obs.New()
-	p := NewPool("s0", 1, localDial(h))
-	p.SetObs(o)
+	p := NewPool("s0", 1, localDial(h), o)
 	defer p.Close()
 	defer close(h.release)
 
@@ -221,8 +218,7 @@ func TestPoolDialFailure(t *testing.T) {
 		return NewLocalClient("c", h, CostModel{}), nil
 	}
 	o := obs.New()
-	p := NewPool("s0", 1, dial)
-	p.SetObs(o)
+	p := NewPool("s0", 1, dial, o)
 	defer p.Close()
 
 	if _, err := p.Lease().Call(context.Background(), &Request{Op: OpPing}); err == nil {
@@ -243,7 +239,7 @@ func TestPoolDialFailure(t *testing.T) {
 
 func TestPoolClose(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	p := NewPool("s0", 2, localDial(newGateHandler()))
+	p := NewPool("s0", 2, localDial(newGateHandler()), nil)
 	l := p.Lease()
 	if _, err := l.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
@@ -267,7 +263,7 @@ func TestPoolOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := NewPool("s0", 3, func() (Client, error) { return DialTCP("s0", addr, CostModel{}) })
+	p := NewPool("s0", 3, func() (Client, error) { return DialTCP("s0", addr, CostModel{}) }, nil)
 	defer p.Close()
 
 	var wg sync.WaitGroup

@@ -42,6 +42,13 @@ type Reconnector struct {
 	dials    []func() (Client, error)
 	attempts int
 	backoff  time.Duration
+	// budget and obs are fixed at construction: every Call earns into the
+	// budget and every same-endpoint retry must take a token first (nil is
+	// unlimited); retry, failover and redial activity is published to obs
+	// ("transport.retries", "transport.failovers",
+	// "transport.redial_failures", "transport.retry_wasted_bytes").
+	budget *RetryBudget
+	obs    *obs.Obs
 
 	// MaxBackoff caps the exponential backoff (default 10×backoff, at
 	// least 2s). Set before the first Call.
@@ -59,10 +66,6 @@ type Reconnector struct {
 	//lint:guarded-by mu
 	sleep func(ctx context.Context, d time.Duration) error
 	stats WireStats
-	//lint:guarded-by mu
-	obs *obs.Obs
-	//lint:guarded-by mu
-	budget *RetryBudget
 }
 
 // NewReconnector returns a client for a single-endpoint site that dials
@@ -77,6 +80,18 @@ func NewReconnector(id string, dial func() (Client, error), attempts int, backof
 // to attempts times, then fails over to the next replica; the working
 // endpoint stays selected for subsequent calls.
 func NewReplicaSet(id string, dials []func() (Client, error), attempts int, backoff time.Duration) *Reconnector {
+	return newReplicaSet(id, dials, attempts, backoff, nil, nil)
+}
+
+// newReplicaSet is NewReplicaSet with the shared retry budget and the obs
+// sink the site builder attaches. An exhausted budget fails the call with
+// an error wrapping ErrBudgetExhausted (and the last transport error)
+// instead of retrying, so a sick cluster's retry volume stays bounded by
+// the budget's ratio of primary traffic. Replica failovers are not
+// charged — the next endpoint is an independent, presumed-healthy site,
+// and charging failovers would let one dead replica starve the budget
+// for everyone.
+func newReplicaSet(id string, dials []func() (Client, error), attempts int, backoff time.Duration, budget *RetryBudget, o *obs.Obs) *Reconnector {
 	if attempts < 1 {
 		attempts = 1
 	}
@@ -91,15 +106,11 @@ func NewReplicaSet(id string, dials []func() (Client, error), attempts int, back
 	h.Write([]byte(id))
 	return &Reconnector{
 		id: id, dials: dials, attempts: attempts, backoff: backoff,
+		budget: budget, obs: o,
 		MaxBackoff: maxB,
 		rng:        rand.New(rand.NewSource(int64(h.Sum64()))),
 		sleep:      sleepCtx,
 	}
-}
-
-// NewReconnectingTCP is a Reconnector dialing a fixed TCP address.
-func NewReconnectingTCP(id, addr string, cost CostModel, attempts int, backoff time.Duration) *Reconnector {
-	return NewReplicaTCP(id, []string{addr}, cost, attempts, backoff)
 }
 
 // NewReplicaTCP is a Reconnector failing over across TCP addresses.
@@ -127,31 +138,6 @@ func (r *Reconnector) SetSleep(f func(ctx context.Context, d time.Duration) erro
 func (r *Reconnector) SetSeed(seed int64) {
 	r.mu.Lock()
 	r.rng = rand.New(rand.NewSource(seed))
-	r.mu.Unlock()
-}
-
-// SetObs publishes retry, failover, and redial activity as obs events
-// and counters ("transport.retries", "transport.failovers",
-// "transport.redial_failures", "transport.retry_wasted_bytes"), and is
-// propagated to dialed inner clients that support SetObs so their wire
-// totals land in the same registry.
-func (r *Reconnector) SetObs(o *obs.Obs) {
-	r.mu.Lock()
-	r.obs = o
-	r.mu.Unlock()
-}
-
-// SetBudget attaches a shared retry budget: every Call earns into it and
-// every same-endpoint retry must take a token first. An exhausted budget
-// fails the call with an error wrapping ErrBudgetExhausted (and the last
-// transport error) instead of retrying, so a sick cluster's retry volume
-// stays bounded by the budget's ratio of primary traffic. Replica
-// failovers are not charged — the next endpoint is an independent,
-// presumed-healthy site, and charging failovers would let one dead
-// replica starve the budget for everyone.
-func (r *Reconnector) SetBudget(b *RetryBudget) {
-	r.mu.Lock()
-	r.budget = b
 	r.mu.Unlock()
 }
 
@@ -247,16 +233,14 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 			}
 			r.cur = c
 		}
-		s0, r0, _, t0 := r.cur.Stats().Snapshot()
-		resp, err := r.cur.Call(ctx, req)
-		s1, r1, _, t1 := r.cur.Stats().Snapshot()
+		resp, d, err := Exchange(ctx, r.cur, req)
 		if err == nil {
 			if resp.Shed() {
 				shedHops++
 				if shedHops >= len(r.dials) {
 					// Every replica is shedding: surface the typed
 					// refusal to the caller instead of spinning.
-					r.addDelta(s1-s0, r1-r0, t1-t0)
+					r.stats.Add(d)
 					return resp, nil
 				}
 				// The replica is up but refusing work (overloaded or
@@ -264,7 +248,7 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 				// endpoint's retry budget — retrying the same replica
 				// would only be refused again. The refused exchange's
 				// traffic is waste, like a failed retry's.
-				if wasted := (s1 - s0) + (r1 - r0); wasted > 0 {
+				if wasted := d.Sent + d.Recv; wasted > 0 {
 					r.obs.Count("transport.retry_wasted_bytes", wasted)
 				}
 				from := r.ep
@@ -283,9 +267,7 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 				i--
 				continue
 			}
-			// Fold the inner connection's traffic into the aggregate,
-			// preserving comm-time accounting without re-sleeping.
-			r.addDelta(s1-s0, r1-r0, t1-t0)
+			r.stats.Add(d)
 			return resp, nil
 		}
 		// A failed attempt's partial traffic is retry waste, not part of
@@ -295,7 +277,7 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		// the failure is a hedge losing its race: the Hedger accounts
 		// that traffic under transport.hedge_wasted_bytes, and counting
 		// it here too would double-book the same bytes as retry waste.
-		if wasted := (s1 - s0) + (r1 - r0); wasted > 0 && !errors.Is(context.Cause(ctx), ErrHedgeLost) {
+		if wasted := d.Sent + d.Recv; wasted > 0 && !errors.Is(context.Cause(ctx), ErrHedgeLost) {
 			r.obs.Count("transport.retry_wasted_bytes", wasted)
 		}
 		lastErr = err
@@ -320,15 +302,11 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 	return nil, fmt.Errorf("transport: %s failed after %d attempt(s): %w", r.id, total, lastErr)
 }
 
-// dialLocked connects to the current endpoint, handing the obs sink down
-// to inner clients that support it; callers hold r.mu.
+// dialLocked connects to the current endpoint; callers hold r.mu.
 func (r *Reconnector) dialLocked() (Client, error) {
 	c, err := r.dials[r.ep]()
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s[%d]: %w", r.id, r.ep, err)
-	}
-	if oc, ok := c.(interface{ SetObs(*obs.Obs) }); ok {
-		oc.SetObs(r.obs)
 	}
 	return c, nil
 }
@@ -344,18 +322,6 @@ func (r *Reconnector) jitteredBackoffLocked(attempt int) time.Duration {
 	}
 	half := d / 2
 	return half + time.Duration(r.rng.Int63n(int64(half)+1))
-}
-
-// addDelta records traffic observed on the inner connection.
-func (r *Reconnector) addDelta(sent, recv int64, comm time.Duration) {
-	r.stats.mu.Lock()
-	r.stats.bytesSent += sent
-	r.stats.bytesReceived += recv
-	if sent > 0 {
-		r.stats.messages++
-	}
-	r.stats.commTime += comm
-	r.stats.mu.Unlock()
 }
 
 // sleepCtx sleeps for d or until ctx is done, whichever comes first.

@@ -40,12 +40,11 @@ func (f *flakyClient) Call(ctx context.Context, req *Request) (*Response, error)
 func TestReconnectorRetries(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 2}
 	dials := 0
-	rc := NewReconnector("s", func() (Client, error) {
+	o := obs.New()
+	rc := newReplicaSet("s", []func() (Client, error){func() (Client, error) {
 		dials++
 		return inner, nil
-	}, 3, 0)
-	o := obs.New()
-	rc.SetObs(o)
+	}}, 3, 0, nil, o)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestReconnectorOverTCPRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewReconnectingTCP("s", addr, CostModel{}, 5, 0)
+	rc := NewReplicaTCP("s", []string{addr}, CostModel{}, 5, 0)
 	defer rc.Close()
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
@@ -329,12 +328,11 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 	// fail instead of landing on the healthy replica.
 	over := &shedClient{id: "a", shedN: 99, code: CodeOverloaded}
 	good := &flakyClient{id: "b"}
-	rc := NewReplicaSet("s", []func() (Client, error){
+	o := obs.New()
+	rc := newReplicaSet("s", []func() (Client, error){
 		func() (Client, error) { return over, nil },
 		func() (Client, error) { return good, nil },
-	}, 1, 0)
-	o := obs.New()
-	rc.SetObs(o)
+	}, 1, 0, nil, o)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("shed failover failed: %v", err)

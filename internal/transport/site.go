@@ -1,0 +1,340 @@
+package transport
+
+//lint:wrap-errors site-client failures must stay inspectable with errors.Is/As
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"time"
+
+	"repro/internal/obs"
+)
+
+// Resilience is how one call to a logical site survives a bad replica.
+type Resilience struct {
+	// Attempts is the tries per endpoint before failing over to the next
+	// replica, Backoff the base pause between them (exponential, jittered).
+	// Attempts 0 omits the retry layer: the site is called over a bare
+	// connection, as in-process and loopback clusters are.
+	Attempts int
+	Backoff  time.Duration
+	// Hedge races a round call that outlives the hedge threshold — the
+	// fixed HedgeDelay, or when that is 0 an adaptive multiple of the
+	// site's recent latency — against the next replica of a site with at
+	// least two: first success wins, the loser is cancelled. Duplicated
+	// evaluation is safe (PROTOCOL.md, "Tail tolerance").
+	Hedge      bool
+	HedgeDelay time.Duration
+	// RetryBudget is the retry tokens each primary call earns for the
+	// cluster-wide budget every retry and hedge spends from, capped at
+	// RetryBudgetBurst banked tokens.
+	RetryBudget      float64
+	RetryBudgetBurst int
+}
+
+// DefaultResilience is what ConnectWith uses where its configuration says
+// nothing, and what skalla-coord's flags default to.
+var DefaultResilience = Resilience{Attempts: 3, Backoff: 100 * time.Millisecond, RetryBudget: 0.1, RetryBudgetBurst: 10}
+
+// WithDefaults fills unset (non-positive) fields from DefaultResilience.
+func (r Resilience) WithDefaults() Resilience {
+	d := DefaultResilience
+	r.Attempts = positiveOr(r.Attempts, d.Attempts)
+	r.Backoff = positiveOr(r.Backoff, d.Backoff)
+	r.RetryBudget = positiveOr(r.RetryBudget, d.RetryBudget)
+	r.RetryBudgetBurst = positiveOr(r.RetryBudgetBurst, d.RetryBudgetBurst)
+	return r
+}
+
+func positiveOr[T int | float64 | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// NewBudget returns the retry budget these settings describe, to be shared
+// by every SiteSpec of one cluster so that aggregate speculative traffic
+// stays a bounded fraction of primary traffic.
+func (r Resilience) NewBudget(o *obs.Obs) *RetryBudget {
+	return NewRetryBudget(r.RetryBudget, r.RetryBudgetBurst, o)
+}
+
+// Backpressure is what concurrent executions share per site.
+type Backpressure struct {
+	// SiteInflight caps concurrent in-flight requests per site: it is both
+	// the connection-pool size and the AIMD window's ceiling. 0 omits both
+	// layers: every client view owns its connections.
+	SiteInflight int
+	// BreakerFailures consecutive failures or sheds open the site's circuit
+	// breaker: calls fail fast with ErrBreakerOpen until, BreakerCooldown
+	// later, one probe is let through and succeeds. 0 omits the breaker.
+	BreakerFailures int
+	BreakerCooldown time.Duration
+}
+
+// DefaultBackpressure is what NewQueryService uses where its configuration
+// says nothing, and what skalla-coord's flags default to.
+var DefaultBackpressure = Backpressure{SiteInflight: 4, BreakerCooldown: time.Second}
+
+// WithDefaults fills unset (non-positive) fields from DefaultBackpressure.
+func (b Backpressure) WithDefaults() Backpressure {
+	b.SiteInflight = positiveOr(b.SiteInflight, DefaultBackpressure.SiteInflight)
+	b.BreakerCooldown = positiveOr(b.BreakerCooldown, DefaultBackpressure.BreakerCooldown)
+	return b
+}
+
+// Replica is one endpoint of a logical site: a site server's TCP address
+// or, when Handler is set, an in-process handler.
+type Replica struct {
+	Addr    string
+	Handler Handler
+	// Chaos, when set, wraps every connection dialed to this replica in
+	// the fault injector it returns (tests and `-experiment tail`).
+	Chaos func(Client) *Chaos
+}
+
+// SiteSpec describes the client of one logical site: where its replicas
+// are (in preference order, all holding the same partition), the link's
+// cost model, the sink every layer reports to, and which resilience
+// layers sit between a caller and the replicas.
+type SiteSpec struct {
+	ID       string
+	Replicas []Replica
+	Cost     CostModel
+	Obs      *obs.Obs
+	Resilience
+	// Budget is the retry budget shared with the other sites of the
+	// cluster (Resilience.NewBudget); nil is unlimited.
+	Budget *RetryBudget
+	Backpressure
+}
+
+// Site is the one place a logical site's client stack is assembled. It
+// owns what every execution against the site shares — the breaker, the
+// AIMD gate, the hedging latency estimate and counters, the connection
+// pools, a readiness-probe connection — and hands out per-execution
+// Client views with private statistics. A view is composed, outermost to
+// innermost, in the only order this package can produce:
+//
+//	breaker → gate → hedge → pool → retry → leaf
+//
+// with the layers the spec does not ask for omitted. The retry layer
+// holds all replicas and fails over between them sequentially, sticking
+// to the endpoint that works; hedging instead splits everything beneath
+// it per replica (one pool, one single-endpoint retry layer each) and
+// races them. Exactly one layer earns into and spends from the shared
+// retry budget: the hedger where there is one, else the retry layer.
+type Site struct {
+	spec    SiteSpec
+	breaker *Breaker
+	gate    *SiteGate
+	hedge   *hedgeState
+	// conns opens retry → leaf connections: one opener per replica when
+	// hedging races them, else a single one failing over across them all.
+	conns []func() (Client, error)
+	pools []*Pool // one per opener; nil when connections are not pooled
+
+	mu sync.Mutex
+	//lint:guarded-by mu
+	probe Client
+}
+
+// NewSite assembles the shared state of the stack spec describes. It
+// dials nothing.
+func NewSite(spec SiteSpec) (*Site, error) {
+	hedged := spec.Hedge && len(spec.Replicas) >= 2
+	switch {
+	case len(spec.Replicas) == 0:
+		return nil, fmt.Errorf("transport: site %s: no replicas", spec.ID)
+	case len(spec.Replicas) > 1 && !hedged && spec.Attempts <= 0:
+		return nil, fmt.Errorf("transport: site %s: failing over across replicas needs a retry layer (Attempts > 0)", spec.ID)
+	}
+	s := &Site{spec: spec}
+	if spec.BreakerFailures > 0 {
+		s.breaker = NewBreaker(spec.ID, spec.BreakerFailures, spec.BreakerCooldown, spec.Obs)
+	}
+	if hedged {
+		s.hedge = &hedgeState{delay: spec.HedgeDelay, budget: spec.Budget, obs: spec.Obs}
+		for i := range spec.Replicas {
+			s.conns = append(s.conns, s.opener(spec.Replicas[i:i+1], nil)) // the hedger charges the budget
+		}
+	} else {
+		s.conns = append(s.conns, s.opener(spec.Replicas, spec.Budget))
+	}
+	if spec.SiteInflight > 0 {
+		s.gate = NewSiteGate(spec.ID, spec.SiteInflight, spec.Obs)
+		for _, open := range s.conns {
+			s.pools = append(s.pools, NewPool(spec.ID, spec.SiteInflight, open, spec.Obs))
+		}
+	}
+	return s, nil
+}
+
+// opener returns the function opening one retry → leaf connection over
+// replicas — or, without a retry layer, dialing the bare leaf.
+func (s *Site) opener(replicas []Replica, budget *RetryBudget) func() (Client, error) {
+	if s.spec.Attempts <= 0 {
+		return func() (Client, error) { return s.dial(replicas[0]) }
+	}
+	dials := make([]func() (Client, error), len(replicas))
+	for i, r := range replicas {
+		r := r
+		dials[i] = func() (Client, error) { return s.dial(r) }
+	}
+	return func() (Client, error) {
+		return newReplicaSet(s.spec.ID, dials, s.spec.Attempts, s.spec.Backoff, budget, s.spec.Obs), nil
+	}
+}
+
+// dial opens the leaf connection to one replica.
+func (s *Site) dial(r Replica) (Client, error) {
+	var cl Client
+	if r.Handler != nil {
+		lc := NewLocalClient(s.spec.ID, r.Handler, s.spec.Cost)
+		lc.obs = s.spec.Obs
+		cl = lc
+	} else {
+		tc, err := DialTCP(s.spec.ID, r.Addr, s.spec.Cost)
+		if err != nil {
+			return nil, err
+		}
+		tc.obs = s.spec.Obs
+		cl = tc
+	}
+	if r.Chaos != nil {
+		ch := r.Chaos(cl)
+		ch.SetObs(s.spec.Obs)
+		cl = ch
+	}
+	return cl, nil
+}
+
+// calls returns the part of a view beneath the gate, hedge → pool → retry
+// → leaf, over pooled leases or over connections of its own.
+func (s *Site) calls(pooled bool) (Client, error) {
+	replicas := make([]Client, len(s.conns))
+	for i, open := range s.conns {
+		if pooled {
+			replicas[i] = s.pools[i].Lease()
+			continue
+		}
+		cl, err := open()
+		if err != nil {
+			for _, opened := range replicas[:i] {
+				opened.Close()
+			}
+			return nil, err
+		}
+		replicas[i] = cl
+	}
+	if s.hedge != nil {
+		return s.hedge.hedger(s.spec.ID, replicas), nil
+	}
+	return replicas[0], nil
+}
+
+// Client returns a new view of the site for one execution (or one
+// long-lived caller): its statistics are private, so the traffic and the
+// hedges of the calls made through it are exactly Stats()'s growth.
+// Closing the view releases only what it owns — its connections, when
+// they are not pooled.
+func (s *Site) Client() (Client, error) {
+	cl, err := s.calls(s.pools != nil)
+	if err != nil {
+		return nil, err
+	}
+	if s.gate != nil {
+		cl = &gatedClient{Client: cl, gate: s.gate}
+	}
+	if s.breaker != nil {
+		cl = &breakerClient{Client: cl, breaker: s.breaker}
+	}
+	return cl, nil
+}
+
+// Ping probes the site's liveness over a dedicated, lazily dialed
+// connection — never a pooled one, so a saturated pool does not read as
+// an unhealthy site — that is dropped after any failure so a restart is
+// noticed.
+func (s *Site) Ping(ctx context.Context) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.probe == nil {
+		cl, err := s.calls(false)
+		if err != nil {
+			return err
+		}
+		s.probe = cl
+	}
+	resp, err := s.probe.Call(ctx, &Request{Op: OpPing})
+	if err == nil {
+		err = resp.Error()
+	}
+	if err != nil {
+		s.probe.Close()
+		s.probe = nil
+	}
+	return err
+}
+
+// ID returns the logical site identifier.
+func (s *Site) ID() string { return s.spec.ID }
+
+// Breaker returns the site's circuit breaker, nil when it has none.
+func (s *Site) Breaker() *Breaker { return s.breaker }
+
+// String prints the assembled stack, outermost layer first, e.g.
+//
+//	breaker(5,1s) > gate(4) > hedge(adaptive) > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001
+func (s *Site) String() string {
+	var b strings.Builder
+	layer := func(present bool, format string, args ...any) {
+		if present {
+			fmt.Fprintf(&b, format+" > ", args...)
+		}
+	}
+	layer(s.breaker != nil, "breaker(%d,%s)", s.spec.BreakerFailures, s.spec.BreakerCooldown)
+	layer(s.gate != nil, "gate(%d)", s.spec.SiteInflight)
+	layer(s.hedge != nil && s.spec.HedgeDelay > 0, "hedge(%s)", s.spec.HedgeDelay)
+	layer(s.hedge != nil && s.spec.HedgeDelay <= 0, "hedge(adaptive)")
+	layer(s.pools != nil, "pool(%d)", s.spec.SiteInflight)
+	layer(s.spec.Attempts > 0, "retry(%d,%s)", s.spec.Attempts, s.spec.Backoff)
+	if s.spec.Replicas[0].Handler == nil {
+		b.WriteString("tcp ")
+	}
+	for i, r := range s.spec.Replicas {
+		leaf := r.Addr
+		if r.Handler != nil {
+			leaf = "local"
+		}
+		if r.Chaos != nil {
+			leaf = "chaos(" + leaf + ")"
+		}
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(leaf)
+	}
+	return b.String()
+}
+
+// Close releases the pooled connections and the probe connection. Views
+// over connections of their own are closed by their holders.
+func (s *Site) Close() error {
+	var first error
+	for _, p := range s.pools {
+		if err := p.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.probe != nil {
+		s.probe.Close()
+		s.probe = nil
+	}
+	return first
+}

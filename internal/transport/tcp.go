@@ -398,7 +398,11 @@ type TCPClient struct {
 	//lint:guarded-by mu
 	broken bool
 	stats  WireStats
-	//lint:guarded-by mu
+	// obs, set by the site builder before the client is shared, receives
+	// the raw client-side wire totals ("transport.bytes_sent",
+	// "transport.bytes_received", "transport.messages"). Raw totals
+	// include the partial traffic of failed attempts; the coordinator's
+	// logical per-round counters live under "coord.*".
 	obs *obs.Obs
 }
 
@@ -415,16 +419,6 @@ func DialTCP(id, addr string, cost CostModel) (*TCPClient, error) {
 		enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cr),
 		cw: cw, cr: cr, cost: cost,
 	}, nil
-}
-
-// SetObs publishes raw client-side wire totals ("transport.bytes_sent",
-// "transport.bytes_received", "transport.messages") into o. Raw totals
-// include the partial traffic of failed attempts; the coordinator's
-// logical per-round counters live under "coord.*".
-func (c *TCPClient) SetObs(o *obs.Obs) {
-	c.mu.Lock()
-	c.obs = o
-	c.mu.Unlock()
 }
 
 // SiteID implements Client.

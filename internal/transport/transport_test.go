@@ -472,7 +472,7 @@ func TestReconnectorRedialsAfterBrokenStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := NewReconnectingTCP("s", addr, CostModel{}, 3, 0)
+	rc := NewReplicaTCP("s", []string{addr}, CostModel{}, 3, 0)
 	defer rc.Close()
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
 
-echo "== non-test LOC (informational; ROADMAP item 3) =="
-sh scripts/loc.sh
+echo "== non-test LOC ratchet (ROADMAP item 3; ceiling in scripts/loc.max) =="
+sh scripts/loc.sh -check
 
 echo "all checks passed"

@@ -64,10 +64,9 @@ func TestConnectWithReplicaFailover(t *testing.T) {
 		servers = append(servers, srvs)
 	}
 	cluster, err := ConnectWith(ConnectConfig{
-		Sites:       sites,
-		Attempts:    2,
-		Backoff:     time.Millisecond,
-		CallTimeout: 10 * time.Second,
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second},
+		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +107,9 @@ func TestConnectWithDegradedPartial(t *testing.T) {
 		servers = append(servers, srvs)
 	}
 	cluster, err := ConnectWith(ConnectConfig{
-		Sites:        sites,
-		Attempts:     1,
-		Backoff:      time.Millisecond,
-		CallTimeout:  10 * time.Second,
-		AllowPartial: true,
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second, AllowPartial: true},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +146,8 @@ func TestConnectWithErrors(t *testing.T) {
 	}
 	// Port 1 is refused immediately: strict connect must fail fast.
 	_, err := ConnectWith(ConnectConfig{
-		Sites:    []string{"127.0.0.1:1"},
-		Attempts: 1,
-		Backoff:  time.Millisecond,
+		Sites:      []string{"127.0.0.1:1"},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
 	})
 	if err == nil {
 		t.Error("unreachable strict site accepted at connect time")

@@ -20,7 +20,7 @@ import (
 func TestClusterObservability(t *testing.T) {
 	for _, useTCP := range []bool{false, true} {
 		o := obs.New()
-		cluster, err := NewLocalCluster(ClusterConfig{Sites: 3, UseTCP: useTCP, Obs: o})
+		cluster, err := NewLocalCluster(ClusterConfig{Sites: 3, UseTCP: useTCP, Settings: Settings{Obs: o}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,12 +118,9 @@ func TestClusterObservabilityPartial(t *testing.T) {
 	}
 	o := obs.New()
 	cluster, err := ConnectWith(ConnectConfig{
-		Sites:        sites,
-		Attempts:     1,
-		Backoff:      time.Millisecond,
-		CallTimeout:  10 * time.Second,
-		AllowPartial: true,
-		Obs:          o,
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second, AllowPartial: true, Obs: o},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

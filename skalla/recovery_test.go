@@ -46,11 +46,9 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	// — tags change request wire size, and the byte comparison below is
 	// exact in the request direction.
 	refCluster, err := ConnectWith(ConnectConfig{
-		Sites:       sites,
-		Attempts:    1,
-		Backoff:     time.Millisecond,
-		CallTimeout: 10 * time.Second,
-		Checkpoints: NewMemCheckpoints(),
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second, Checkpoints: NewMemCheckpoints()},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +108,9 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	}
 	o2 := obs.New()
 	resumed, err := ConnectWith(ConnectConfig{
-		Sites:       sites,
-		Attempts:    2,
-		Backoff:     time.Millisecond,
-		CallTimeout: 10 * time.Second,
-		Checkpoints: store2,
-		Obs:         o2,
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second, Checkpoints: store2, Obs: o2},
+		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +187,17 @@ func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	for i := range parts {
 		id := fmt.Sprintf("site%d", i)
 		entry, _ := startFlowSite(t, id, parts[i], 1)
-		rc := transport.NewReconnectingTCP(id, entry, transport.CostModel{}, 2, time.Millisecond)
-		rc.SetObs(o)
+		rs, err := transport.NewSite(transport.SiteSpec{
+			ID: id, Replicas: []transport.Replica{{Addr: entry}}, Obs: o,
+			Resilience: transport.Resilience{Attempts: 2, Backoff: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := rs.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
 		ch := transport.NewChaos(rc, int64(i))
 		ch.SetObs(o)
 		clients = append(clients, ch)

@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -41,25 +40,19 @@ type ServeConfig struct {
 	// QueueTimeout bounds how long a queued query waits for a slot (0 =
 	// as long as its own context allows).
 	QueueTimeout time.Duration
-	// SiteInflight caps concurrent in-flight requests per site: it is
-	// both the site's connection-pool size and the ceiling of its AIMD
-	// backpressure window (default 4).
-	SiteInflight int
+	// Backpressure is what concurrent queries share per site: the
+	// connection-pool size and AIMD window ceiling, and the circuit
+	// breaker (open breakers surface in /readyz). Unset fields take
+	// transport.DefaultBackpressure.
+	Backpressure
 	// QueryTimeout bounds each query's whole execution (0 = none).
 	QueryTimeout time.Duration
 	// SlowQuery, when positive, emits an obs slow-query event (and counts
 	// "serve.slow_queries") for every query whose wall time reaches it.
 	SlowQuery time.Duration
-	// BreakerFailures enables per-site circuit breakers: after this many
-	// consecutive failures or sheds a site's calls fail fast until a
-	// post-cooldown probe succeeds. Open breakers surface in /readyz.
-	// 0 disables breakers.
-	BreakerFailures int
-	// BreakerCooldown is how long an open breaker refuses calls before
-	// letting a probe through (default 1s when breakers are enabled).
-	BreakerCooldown time.Duration
-	// Opts selects the distributed optimizations (default all).
-	Opts Options
+	// Opts selects the distributed optimizations; nil means all of them
+	// (a pointer, because the zero Options is NoOptimizations).
+	Opts *Options
 }
 
 // QueryService runs concurrent SQL queries against one cluster's sites.
@@ -71,8 +64,7 @@ type ServeConfig struct {
 type QueryService struct {
 	cluster *Cluster
 	sched   *core.Scheduler
-	pools   []*transport.Pool
-	probes  []*prober
+	sites   []*transport.Site
 	cfg     ServeConfig
 	obs     *obs.Obs
 }
@@ -82,33 +74,32 @@ type QueryService struct {
 // the site fleet, catalog, and fault-tolerance settings; cfg bounds the
 // concurrency. Sessions and multi-tier clusters are not supported.
 func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {
-	if len(c.dialers) != len(c.ids) {
-		return nil, fmt.Errorf("skalla: cluster cannot serve concurrently (no per-site dialers)")
+	if len(c.specs) != len(c.ids) {
+		return nil, fmt.Errorf("skalla: cluster cannot serve concurrently (no per-site client specs)")
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
 	}
-	if cfg.SiteInflight <= 0 {
-		cfg.SiteInflight = 4
-	}
-	if cfg.Opts == (Options{}) {
-		cfg.Opts = AllOptimizations
+	cfg.Backpressure = cfg.Backpressure.WithDefaults()
+	if cfg.Opts == nil {
+		cfg.Opts = &AllOptimizations
 	}
 	s := &QueryService{cluster: c, cfg: cfg, obs: c.obs}
 	s.sched = core.NewScheduler(core.SchedulerConfig{
-		MaxConcurrent:   cfg.MaxConcurrent,
-		QueueDepth:      cfg.QueueDepth,
-		QueueTimeout:    cfg.QueueTimeout,
-		SiteMaxInflight: cfg.SiteInflight,
-		BreakerFailures: cfg.BreakerFailures,
-		BreakerCooldown: cfg.BreakerCooldown,
-		Obs:             c.obs,
+		MaxConcurrent: cfg.MaxConcurrent,
+		QueueDepth:    cfg.QueueDepth,
+		QueueTimeout:  cfg.QueueTimeout,
+		Obs:           c.obs,
 	})
-	for i, id := range c.ids {
-		p := transport.NewPool(id, cfg.SiteInflight, c.dialers[i])
-		p.SetObs(c.obs)
-		s.pools = append(s.pools, p)
-		s.probes = append(s.probes, &prober{dial: c.dialers[i]})
+	// The served stack is the cluster's own with the layers concurrent
+	// executions share — pools, gate, breaker — added on top.
+	for _, spec := range c.specs {
+		spec.Backpressure = cfg.Backpressure
+		site, err := transport.NewSite(spec)
+		if err != nil {
+			return nil, fmt.Errorf("skalla: %w", err)
+		}
+		s.sites = append(s.sites, site)
 	}
 	return s, nil
 }
@@ -117,16 +108,17 @@ func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {
 // cluster is not closed.
 func (s *QueryService) Close() error {
 	var first error
-	for _, p := range s.pools {
-		if err := p.Close(); err != nil && first == nil {
+	for _, site := range s.sites {
+		if err := site.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	for _, pr := range s.probes {
-		pr.close()
-	}
 	return first
 }
+
+// Stacks names, one line per site, the client stack queries reach the
+// site through, for start-up logs.
+func (s *QueryService) Stacks() string { return stackLines(s.sites) }
 
 // Scheduler exposes the admission scheduler (tests, metrics).
 func (s *QueryService) Scheduler() *core.Scheduler { return s.sched }
@@ -153,15 +145,19 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		defer cancel()
 	}
 
-	// Per-execution isolation: leased connections (shared pool, private
-	// byte accounting, cancellation confined to borrowed connections)
-	// behind the shared per-site backpressure gates, driven by a private
-	// coordinator under a unique epoch.
-	leases := make([]transport.Client, len(s.pools))
-	for i, p := range s.pools {
-		leases[i] = p.Lease()
+	// Per-execution isolation: a private view of every site (shared pools,
+	// gate and breaker; private byte accounting; cancellation confined to
+	// borrowed connections), driven by a private coordinator under a
+	// unique epoch.
+	clients := make([]transport.Client, len(s.sites))
+	for i, site := range s.sites {
+		cl, err := site.Client()
+		if err != nil {
+			return nil, err
+		}
+		defer cl.Close()
+		clients[i] = cl
 	}
-	clients := s.sched.WrapClients(leases)
 	coord := s.cluster.coord.Derive(clients...)
 	coord.Epoch = s.sched.NextEpoch("serve")
 	// The unique serve epoch doubles as the query ID: every served query
@@ -171,7 +167,7 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 
 	view := &Cluster{AnalyzeTiming: s.cluster.AnalyzeTiming, ids: s.cluster.ids, clients: clients, coord: coord, cat: s.cluster.cat, obs: s.cluster.obs}
 	start := time.Now()
-	rel, err := view.SQLContext(ctx, query, s.cfg.Opts)
+	rel, err := view.SQLContext(ctx, query, *s.cfg.Opts)
 	wall := time.Since(start)
 	s.obs.Observe("serve.query_ns", wall.Nanoseconds())
 	if s.cfg.SlowQuery > 0 && wall >= s.cfg.SlowQuery {
@@ -209,17 +205,17 @@ func (s *QueryService) CheckReady() (bool, string) {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	errs := make([]error, len(s.probes))
+	errs := make([]error, len(s.sites))
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	var done = make(chan int, len(s.probes))
-	for i := range s.probes {
+	var done = make(chan int, len(s.sites))
+	for i := range s.sites {
 		go func(i int) {
-			errs[i] = s.probes[i].ping(ctx)
+			errs[i] = s.sites[i].Ping(ctx)
 			done <- i
 		}(i)
 	}
-	for range s.probes {
+	for range s.sites {
 		<-done
 	}
 	reachable := 0
@@ -229,7 +225,7 @@ func (s *QueryService) CheckReady() (bool, string) {
 		// connection answers: queries to the site are failing fast, so
 		// advertising readiness would route traffic into rejections.
 		if err == nil {
-			if st, ok := s.sched.BreakerState(s.cluster.ids[i]); ok && st == transport.BreakerOpen {
+			if br := s.sites[i].Breaker(); br != nil && br.State() == transport.BreakerOpen {
 				if firstDown == "" {
 					firstDown = fmt.Sprintf("site %s circuit breaker open", s.cluster.ids[i])
 				}
@@ -241,52 +237,12 @@ func (s *QueryService) CheckReady() (bool, string) {
 		}
 	}
 	switch {
-	case reachable == len(s.probes):
+	case reachable == len(s.sites):
 		return true, ""
 	case s.cluster.coord.AllowPartial && reachable > 0:
 		return true, ""
 	default:
 		return false, firstDown
-	}
-}
-
-// prober is one site's dedicated readiness probe: a lazily-dialed
-// connection, re-dialed after any failure so a site restart is noticed.
-type prober struct {
-	dial func() (transport.Client, error)
-
-	mu sync.Mutex
-	//lint:guarded-by mu
-	cl transport.Client
-}
-
-func (p *prober) ping(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cl == nil {
-		cl, err := p.dial()
-		if err != nil {
-			return err
-		}
-		p.cl = cl
-	}
-	resp, err := p.cl.Call(ctx, &transport.Request{Op: transport.OpPing})
-	if err == nil {
-		err = resp.Error()
-	}
-	if err != nil {
-		p.cl.Close()
-		p.cl = nil
-	}
-	return err
-}
-
-func (p *prober) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cl != nil {
-		p.cl.Close()
-		p.cl = nil
 	}
 }
 

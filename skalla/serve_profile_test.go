@@ -15,7 +15,7 @@ import (
 // nanosecond must flag every query as slow.
 func TestServeProfilesAndSlowQuery(t *testing.T) {
 	sink := obs.New()
-	cluster, err := NewLocalCluster(ClusterConfig{Sites: 2, Obs: sink})
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 2, Settings: Settings{Obs: sink}})
 	if err != nil {
 		t.Fatal(err)
 	}

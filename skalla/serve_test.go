@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/site"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -90,12 +91,10 @@ func TestServeConcurrentE2E(t *testing.T) {
 	}
 	o := obs.New()
 	cluster, err := ConnectWith(ConnectConfig{
-		Sites:       sites,
-		Attempts:    2,
-		Backoff:     time.Millisecond,
-		CallTimeout: 10 * time.Second,
-		Replays:     2, // recovery on: requests carry (epoch, round) tags
-		Obs:         o,
+		Sites: sites,
+		// Replays turns recovery on: requests carry (epoch, round) tags.
+		Settings:   Settings{CallTimeout: 10 * time.Second, Replays: 2, Obs: o},
+		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +110,9 @@ func TestServeConcurrentE2E(t *testing.T) {
 	// Chaos: the first pooled connection to site1 fails its first
 	// evalRounds fan-out with a transport error; the coordinator's replay
 	// budget must absorb it via the (epoch, round) dedup path.
-	origDial := cluster.dialers[1]
 	var chaosMu sync.Mutex
 	chaosDials := 0
-	cluster.dialers[1] = func() (transport.Client, error) {
-		cl, err := origDial()
-		if err != nil {
-			return nil, err
-		}
+	cluster.specs[1].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
 		chaosMu.Lock()
 		defer chaosMu.Unlock()
 		ch := transport.NewChaos(cl, int64(chaosDials))
@@ -126,10 +120,10 @@ func TestServeConcurrentE2E(t *testing.T) {
 			ch.FailNext(transport.OpEvalRounds, 1)
 		}
 		chaosDials++
-		return ch, nil
+		return ch
 	}
 
-	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16, SiteInflight: 4})
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16, Backpressure: Backpressure{SiteInflight: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,28 +267,22 @@ func TestServeSiblingCancellationIsolation(t *testing.T) {
 
 	// The first pooled connection to site 0 hangs its first evalRounds
 	// until the borrowing query's context is cancelled.
-	origDial := cluster.dialers[0]
 	chaosCh := make(chan *transport.Chaos, 1)
 	var dialMu sync.Mutex
 	dialed := false
-	cluster.dialers[0] = func() (transport.Client, error) {
-		cl, err := origDial()
-		if err != nil {
-			return nil, err
-		}
+	cluster.specs[0].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
 		dialMu.Lock()
 		defer dialMu.Unlock()
-		if dialed {
-			return cl, nil
-		}
-		dialed = true
 		ch := transport.NewChaos(cl, 1)
-		ch.HangNext(transport.OpEvalRounds)
-		chaosCh <- ch
-		return ch, nil
+		if !dialed {
+			dialed = true
+			ch.HangNext(transport.OpEvalRounds)
+			chaosCh <- ch
+		}
+		return ch
 	}
 
-	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 4, SiteInflight: 4})
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 4, Backpressure: Backpressure{SiteInflight: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,15 +440,18 @@ func TestServeCheckReady(t *testing.T) {
 		servers = append(servers, srvs)
 	}
 	strict, err := ConnectWith(ConnectConfig{
-		Sites: sites, Attempts: 1, Backoff: time.Millisecond, CallTimeout: time.Second,
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: time.Second},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer strict.Close()
 	partial, err := ConnectWith(ConnectConfig{
-		Sites: sites, Attempts: 1, Backoff: time.Millisecond, CallTimeout: time.Second,
-		AllowPartial: true,
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: time.Second, AllowPartial: true},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -493,5 +484,159 @@ func TestServeCheckReady(t *testing.T) {
 	}
 	if ok, _ := partialSvc.CheckReady(); !ok {
 		t.Fatal("partial not ready with one site still up")
+	}
+}
+
+// TestServeNoOptimizations: a service built with NoOptimizations serves
+// the paper's unoptimized baseline — the zero Options value must not be
+// mistaken for "unset" — while a service told nothing gets every
+// optimization.
+func TestServeNoOptimizations(t *testing.T) {
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	parts, _ := flowParts(2)
+	if err := cluster.Load("flow", parts); err != nil {
+		t.Fatal(err)
+	}
+	explain := "EXPLAIN " + serveQueries[0]
+	for _, tc := range []struct {
+		name string
+		cfg  ServeConfig
+		opts Options
+	}{
+		{"unset", ServeConfig{}, AllOptimizations},
+		{"none", ServeConfig{Opts: &NoOptimizations}, NoOptimizations},
+	} {
+		svc, err := NewQueryService(cluster, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := svc.Query(context.Background(), explain)
+		svc.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := cluster.SQL(explain, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, tc.name+" plan", got, want)
+	}
+	// The two plans differ, so the comparison above can tell them apart.
+	all, _ := cluster.SQL(explain, AllOptimizations)
+	none, _ := cluster.SQL(explain, NoOptimizations)
+	if all.Len() == none.Len() && all.Rows[0][0].String() == none.Rows[0][0].String() {
+		t.Fatal("optimized and unoptimized plans render alike; the test proves nothing")
+	}
+}
+
+// straggler delays every evaluation request by d before handing it to the
+// engine, so the replica serving it is a deterministic straggler.
+type straggler struct {
+	inner transport.Handler
+	d     time.Duration
+}
+
+func (s straggler) Handle(ctx context.Context, req *transport.Request) *transport.Response {
+	if req.Op == transport.OpEvalBase || req.Op == transport.OpEvalRounds {
+		select {
+		case <-time.After(s.d):
+		case <-ctx.Done():
+		}
+	}
+	return s.inner.Handle(ctx, req)
+}
+
+// TestServeHedgesAttributed drives hedging through the served stack, real
+// TCP end to end: two replica servers per site, site1's primary a
+// straggler, a fixed hedge delay. One hedger per site sits above the
+// per-replica pools, so the hedges are attributed to the served query's
+// rounds, the losing pooled connections are discarded as hedge discards,
+// and not a result byte differs from the unhedged run.
+func TestServeHedgesAttributed(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	parts, _ := flowParts(2)
+	var entries []string
+	for i, part := range parts {
+		id := fmt.Sprintf("site%d", i)
+		eng := site.NewEngine(id)
+		eng.Load("flow", part)
+		handlers := []transport.Handler{eng, eng}
+		if i == 1 {
+			handlers[0] = straggler{inner: eng, d: 150 * time.Millisecond}
+		}
+		addrs := make([]string, len(handlers))
+		for j, h := range handlers {
+			srv := transport.NewServer(h)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			addrs[j] = addr
+		}
+		entries = append(entries, strings.Join(addrs, "|"))
+	}
+
+	serve := func(hedge bool) (*Relation, *obs.Obs, string) {
+		sink := obs.New()
+		cluster, err := ConnectWith(ConnectConfig{
+			Sites:      entries,
+			Settings:   Settings{CallTimeout: 10 * time.Second, Obs: sink},
+			Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond, Hedge: hedge, HedgeDelay: 10 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		rel, err := svc.Query(context.Background(), serveQueries[0])
+		if err != nil {
+			t.Fatalf("hedge=%v: %v", hedge, err)
+		}
+		return rel, sink, svc.Stacks()
+	}
+	want, _, _ := serve(false)
+	got, sink, stacks := serve(true)
+	assertIdentical(t, "hedged vs unhedged", got, want)
+
+	if want := "client stack site1: gate(4) > hedge(10ms) > pool(4) > retry(2,1ms) > tcp " + entries[1] + "\n"; !strings.HasSuffix(stacks, want) {
+		t.Errorf("served stacks:\n%swant the last line to be\n%s", stacks, want)
+	}
+	// The served query's statistics (its /profiles entry) name the hedged
+	// site on the rounds that raced.
+	var profiles []struct {
+		Rounds []struct {
+			Hedged []string `json:"hedged"`
+		} `json:"rounds"`
+	}
+	if err := json.Unmarshal(sink.Profiles.EncodeJSON(), &profiles); err != nil {
+		t.Fatal(err)
+	}
+	hedgedRounds := 0
+	for _, p := range profiles {
+		for _, r := range p.Rounds {
+			if len(r.Hedged) == 1 && r.Hedged[0] == "site1" {
+				hedgedRounds++
+			} else if len(r.Hedged) != 0 {
+				t.Errorf("round hedged %v, want only site1", r.Hedged)
+			}
+		}
+	}
+	if hedgedRounds == 0 {
+		t.Error("no round of the served query lists site1 as hedged")
+	}
+	if hedges := sink.Metrics.CounterValue("transport.hedges"); hedges < 1 {
+		t.Errorf("transport.hedges = %d, want >= 1", hedges)
+	}
+	if got := sink.Metrics.CounterValue("transport.pool.hedge_discards"); got < 1 {
+		t.Errorf("transport.pool.hedge_discards = %d, want >= 1 (a lost hedge abandons its pooled connection)", got)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -63,6 +62,15 @@ type (
 	CheckpointStore = core.CheckpointStore
 	// Limits bounds what one site request may produce.
 	Limits = site.Limits
+	// Settings are the coordinator behaviours that describe a deployment
+	// (see core.Settings); the cluster configs embed them.
+	Settings = core.Settings
+	// Resilience is how a site call survives a bad replica (see
+	// transport.Resilience); ConnectConfig embeds it.
+	Resilience = transport.Resilience
+	// Backpressure is what concurrent executions share per site (see
+	// transport.Backpressure); ServeConfig embeds it.
+	Backpressure = transport.Backpressure
 )
 
 // NewFileCheckpoints returns a file-backed checkpoint store rooted at
@@ -107,33 +115,17 @@ type ClusterConfig struct {
 	// of the in-process transport. Byte accounting is identical; TCP
 	// mainly serves integration testing and demos.
 	UseTCP bool
-	// CallTimeout bounds every coordinator↔site round-trip (0 = none).
-	CallTimeout time.Duration
-	// AllowPartial returns degraded partial results (with coverage
-	// metadata in ExecStats) instead of failing when sites are lost.
-	AllowPartial bool
-	// Obs, when set, receives metrics, trace spans, and events from the
-	// coordinator, the site engines, and the transports (see internal/obs).
-	// Nil disables observability at near-zero cost.
-	Obs *obs.Obs
-	// Checkpoints, when set, saves round-level execution state after every
-	// synchronization round and resumes interrupted executions of the same
-	// plan from their last completed round.
-	Checkpoints CheckpointStore
-	// Replays is how many times a site's round request is re-issued after
-	// a transport failure before the round fails (0 = first error aborts).
-	Replays int
+	// Settings are the coordinator's deployment behaviours: call timeout,
+	// degraded partial results, the obs sink (also handed to the site
+	// engines and the transports; nil disables observability at near-zero
+	// cost), checkpoints, replays, deadline propagation.
+	Settings
 	// Limits applies per-request resource limits at every in-process
 	// site engine; oversized results are refused with ErrOverloaded.
 	Limits Limits
 	// RowEngine forces every in-process site onto the row-at-a-time GMDJ
 	// reference engine instead of the vectorized default.
 	RowEngine bool
-	// PropagateDeadline stamps every round request with the remaining
-	// per-call budget so sites shed already-doomed work (an expired
-	// deadline is refused before evaluation) instead of computing
-	// results the coordinator will discard.
-	PropagateDeadline bool
 }
 
 // Cluster is a running distributed data warehouse.
@@ -156,11 +148,11 @@ type Cluster struct {
 	// leaf sites, used by Load (relays cannot split shipped relations).
 	leafClients []transport.Client
 
-	// dialers open additional independent connections to each site, in
-	// ids order. The concurrent query service (NewQueryService) uses them
-	// to build per-site connection pools so simultaneous executions do
-	// not serialize on the cluster's primary clients.
-	dialers []func() (transport.Client, error)
+	// specs describe each site's client stack, in ids order. The cluster's
+	// own clients are built from them, and so is every further view of the
+	// same sites: sessions, and the concurrent query service's pooled,
+	// gated stacks (NewQueryService). Multi-tier clusters have none.
+	specs []transport.SiteSpec
 }
 
 // NewLocalCluster starts an in-process cluster with cfg.Sites sites.
@@ -181,8 +173,8 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.RowEngine {
 			eng.SetEvalEngine(gmdj.EngineRow)
 		}
-		c.ids = append(c.ids, id)
 		c.engines = append(c.engines, eng)
+		replica := transport.Replica{Handler: eng}
 		if cfg.UseTCP {
 			srv := transport.NewServer(eng)
 			srv.Obs = cfg.Obs
@@ -192,43 +184,63 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 				return nil, fmt.Errorf("skalla: start site %s: %w", id, err)
 			}
 			c.servers = append(c.servers, srv)
-			cl, err := transport.DialTCP(id, addr, cfg.Cost)
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("skalla: connect site %s: %w", id, err)
-			}
-			cl.SetObs(cfg.Obs)
-			c.clients = append(c.clients, cl)
-			c.dialers = append(c.dialers, func() (transport.Client, error) {
-				dc, err := transport.DialTCP(id, addr, cfg.Cost)
-				if err != nil {
-					return nil, err
-				}
-				dc.SetObs(cfg.Obs)
-				return dc, nil
-			})
-		} else {
-			lc := transport.NewLocalClient(id, eng, cfg.Cost)
-			lc.SetObs(cfg.Obs)
-			c.clients = append(c.clients, lc)
-			c.dialers = append(c.dialers, func() (transport.Client, error) {
-				dc := transport.NewLocalClient(id, eng, cfg.Cost)
-				dc.SetObs(cfg.Obs)
-				return dc, nil
-			})
+			replica = transport.Replica{Addr: addr}
 		}
+		c.specs = append(c.specs, transport.SiteSpec{
+			ID: id, Replicas: []transport.Replica{replica}, Cost: cfg.Cost, Obs: cfg.Obs,
+		})
+	}
+	if err := c.connect(cfg.Settings); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// connect opens the cluster's own client of every site in specs and
+// builds the coordinator and the catalog over them.
+func (c *Cluster) connect(settings Settings) error {
+	for _, spec := range c.specs {
+		cl, err := openClient(spec)
+		if err != nil {
+			return fmt.Errorf("skalla: connect site %s: %w", spec.ID, err)
+		}
+		c.ids = append(c.ids, spec.ID)
+		c.clients = append(c.clients, cl)
 	}
 	c.coord = core.NewCoordinator(c.clients...)
-	c.coord.Settings = core.Settings{
-		CallTimeout:       cfg.CallTimeout,
-		AllowPartial:      cfg.AllowPartial,
-		Obs:               cfg.Obs,
-		Checkpoints:       cfg.Checkpoints,
-		Replays:           cfg.Replays,
-		PropagateDeadline: cfg.PropagateDeadline,
-	}
+	c.coord.Settings = settings
 	c.cat = catalog.New(c.ids...)
-	return c, nil
+	return nil
+}
+
+// openClient opens one client view of the stack spec describes.
+func openClient(spec transport.SiteSpec) (transport.Client, error) {
+	s, err := transport.NewSite(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.Client()
+}
+
+// Stacks names, one line per site, the client stack the cluster reaches
+// the site through, for start-up logs.
+func (c *Cluster) Stacks() string {
+	var sites []*transport.Site
+	for _, spec := range c.specs {
+		if s, err := transport.NewSite(spec); err == nil {
+			sites = append(sites, s)
+		}
+	}
+	return stackLines(sites)
+}
+
+func stackLines(sites []*transport.Site) string {
+	var b strings.Builder
+	for _, s := range sites {
+		fmt.Fprintf(&b, "client stack %s: %s\n", s.ID(), s)
+	}
+	return b.String()
 }
 
 // ConnectConfig configures a cluster over already-running remote site
@@ -244,60 +256,21 @@ type ConnectConfig struct {
 	Sites []string
 	// Cost models the coordinator↔site links.
 	Cost CostModel
-	// Attempts is the per-endpoint retry budget (default 3).
-	Attempts int
-	// Backoff is the base retry backoff, growing exponentially with
-	// jitter (default 100ms).
-	Backoff time.Duration
-	// CallTimeout bounds every site round-trip (0 = none), so a hung
-	// site cannot stall a query forever.
-	CallTimeout time.Duration
-	// AllowPartial returns degraded partial results (with coverage
-	// metadata in ExecStats) instead of failing when a site and all its
-	// replicas are down. It also tolerates unreachable sites at connect
-	// time.
-	AllowPartial bool
-	// Obs, when set, receives coordinator metrics, trace spans, and
-	// transport retry/failover events (see internal/obs). Site-side
-	// metrics live in the remote skalla-site processes (-debug-addr).
-	Obs *obs.Obs
-	// Checkpoints, when set, saves round-level execution state after every
-	// synchronization round and resumes interrupted executions of the same
-	// plan from their last completed round (skalla-coord -checkpoint-dir).
-	Checkpoints CheckpointStore
-	// Replays is how many times a site's round request is re-issued after
-	// a transport failure before the round fails (0 = first error aborts).
-	// Replayed requests carry an (epoch, round) idempotency tag that sites
-	// answer from a dedup cache, so a replica is not recomputing blindly.
-	Replays int
+	// Settings are the coordinator's deployment behaviours. CallTimeout
+	// also bounds the connect-time reachability check; AllowPartial also
+	// tolerates unreachable sites at connect time; Obs receives
+	// coordinator metrics, spans, and transport retry/failover events
+	// (site-side metrics live in the remote skalla-site processes).
+	Settings
+	// Resilience is how a site call survives a bad replica: retries,
+	// hedging, and the cluster-wide retry budget. Unset fields take
+	// transport.DefaultResilience.
+	Resilience
 	// ReadyURLs maps site IDs ("site0", ...) to the debug addresses of
 	// their /readyz endpoints. When set, the coordinator consults a site's
 	// readiness before fanning a round out to it and — in AllowPartial
 	// mode — skips draining sites without burning a call.
 	ReadyURLs map[string]string
-	// Hedge enables tail-latency hedging for sites with two or more
-	// replica addresses: when a round call to the current replica
-	// exceeds an adaptive latency threshold, a duplicate request races
-	// against the next replica and the first success wins while the
-	// loser is cancelled. Duplicated evaluation is safe — rounds are
-	// pure functions of the request over immutable partitions, and
-	// tagged executions dedup on (epoch, round) — see PROTOCOL.md.
-	Hedge bool
-	// HedgeDelay pins the hedge trigger to a fixed delay instead of the
-	// adaptive per-site EWMA threshold (0 = adaptive).
-	HedgeDelay time.Duration
-	// RetryBudget caps hedges and transport retries to a fraction of
-	// primary traffic: each primary call earns this many retry tokens
-	// (default 0.1 — one retry or hedge per ten calls). The budget is
-	// shared across all sites of the cluster.
-	RetryBudget float64
-	// RetryBudgetBurst is the retry token-bucket cap (default 10).
-	RetryBudgetBurst int
-	// PropagateDeadline stamps every round request with the remaining
-	// per-call budget so sites shed already-doomed work (an expired
-	// deadline is refused before evaluation) instead of computing
-	// results the coordinator will discard.
-	PropagateDeadline bool
 }
 
 // Connect builds a cluster over already-running remote site servers (one
@@ -311,41 +284,39 @@ func Connect(addrs []string, cost CostModel) (*Cluster, error) {
 
 // ConnectWith builds a cluster over remote site servers with full
 // fault-tolerance control: per-endpoint retries with jittered exponential
-// backoff, replica failover, per-call timeouts, and degraded partial
-// results.
+// backoff, replica failover or hedging, per-call timeouts, and degraded
+// partial results.
 func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 	registerGenerators()
 	if len(cfg.Sites) == 0 {
 		return nil, fmt.Errorf("skalla: no site addresses")
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 100 * time.Millisecond
-	}
+	cfg.Resilience = cfg.Resilience.WithDefaults()
+	budget := cfg.Resilience.NewBudget(cfg.Obs)
 	c := &Cluster{obs: cfg.Obs}
-	// One retry budget is shared by every site's transport: hedges and
-	// reconnect retries anywhere in the cluster draw from (and refill)
-	// the same token bucket, so aggregate speculative traffic stays a
-	// bounded fraction of primary traffic.
-	budget := transport.NewRetryBudget(cfg.RetryBudget, cfg.RetryBudgetBurst)
-	budget.SetObs(cfg.Obs)
 	for i, entry := range cfg.Sites {
-		id := fmt.Sprintf("site%d", i)
-		addrs := strings.Split(entry, "|")
-		for j, a := range addrs {
-			addrs[j] = strings.TrimSpace(a)
-			if addrs[j] == "" {
-				c.Close()
+		spec := transport.SiteSpec{
+			ID: fmt.Sprintf("site%d", i), Cost: cfg.Cost, Obs: cfg.Obs,
+			Resilience: cfg.Resilience, Budget: budget,
+		}
+		for _, a := range strings.Split(entry, "|") {
+			if a = strings.TrimSpace(a); a == "" {
 				return nil, fmt.Errorf("skalla: empty address in site entry %q", entry)
 			}
+			spec.Replicas = append(spec.Replicas, transport.Replica{Addr: a})
 		}
-		cl := siteClient(id, addrs, cfg, budget)
-		// Validate reachability eagerly so misconfigured addresses fail
-		// at connect time, not at first query — unless partial results
-		// are allowed, in which case a down site is tolerable now and
-		// reported as lost coverage later.
+		c.specs = append(c.specs, spec)
+		c.engines = append(c.engines, nil)
+	}
+	if err := c.connect(cfg.Settings); err != nil {
+		c.Close()
+		return nil, err
+	}
+	// Validate reachability eagerly so misconfigured addresses fail at
+	// connect time, not at first query — unless partial results are
+	// allowed, in which case a down site is tolerable now and reported as
+	// lost coverage later.
+	for i, cl := range c.clients {
 		pingCtx, done := context.Background(), func() {}
 		if cfg.CallTimeout > 0 {
 			pingCtx, done = context.WithTimeout(context.Background(), cfg.CallTimeout)
@@ -353,62 +324,14 @@ func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 		_, err := cl.Call(pingCtx, &transport.Request{Op: transport.OpPing})
 		done()
 		if err != nil && !cfg.AllowPartial {
-			cl.Close()
 			c.Close()
-			return nil, fmt.Errorf("skalla: connect %s: %w", entry, err)
+			return nil, fmt.Errorf("skalla: connect %s: %w", cfg.Sites[i], err)
 		}
-		c.ids = append(c.ids, id)
-		c.clients = append(c.clients, cl)
-		c.engines = append(c.engines, nil)
-		c.dialers = append(c.dialers, func() (transport.Client, error) {
-			return siteClient(id, addrs, cfg, budget), nil
-		})
-	}
-	c.coord = core.NewCoordinator(c.clients...)
-	c.coord.Settings = core.Settings{
-		CallTimeout:       cfg.CallTimeout,
-		AllowPartial:      cfg.AllowPartial,
-		Obs:               cfg.Obs,
-		Checkpoints:       cfg.Checkpoints,
-		Replays:           cfg.Replays,
-		PropagateDeadline: cfg.PropagateDeadline,
 	}
 	if len(cfg.ReadyURLs) > 0 {
 		c.coord.Health = transport.NewHTTPHealth(cfg.ReadyURLs)
 	}
-	c.cat = catalog.New(c.ids...)
 	return c, nil
-}
-
-// siteClient builds the transport client for one logical site. Without
-// hedging, every replica address goes into one Reconnector that retries
-// and fails over sequentially; its reconnect retries draw on the shared
-// budget. With hedging and at least two replicas, each replica gets its
-// own single-endpoint Reconnector and a Hedger races them: when the
-// current replica exceeds the hedge threshold (or sheds, or fails) the
-// next replica is tried concurrently rather than sequentially, and the
-// first success wins. The budget then lives at the Hedger, which charges
-// every speculative launch; the inner per-endpoint retries stay bounded
-// by Attempts.
-func siteClient(id string, addrs []string, cfg ConnectConfig, budget *transport.RetryBudget) transport.Client {
-	if !cfg.Hedge || len(addrs) < 2 {
-		rc := transport.NewReplicaTCP(id, addrs, cfg.Cost, cfg.Attempts, cfg.Backoff)
-		rc.SetObs(cfg.Obs)
-		rc.SetBudget(budget)
-		return rc
-	}
-	replicas := make([]transport.Client, len(addrs))
-	for i, a := range addrs {
-		rc := transport.NewReplicaTCP(id, []string{a}, cfg.Cost, cfg.Attempts, cfg.Backoff)
-		rc.SetObs(cfg.Obs)
-		replicas[i] = rc
-	}
-	h := transport.NewHedger(id, replicas, transport.HedgeConfig{
-		Delay:  cfg.HedgeDelay,
-		Budget: budget,
-	})
-	h.SetObs(cfg.Obs)
-	return h
 }
 
 // Close releases all connections and stops owned servers.
@@ -471,8 +394,8 @@ func (c *Cluster) Subset(n int) (*Cluster, error) {
 		cat:           c.cat,
 		obs:           c.obs,
 	}
-	if len(c.dialers) >= n {
-		sub.dialers = c.dialers[:n]
+	if len(c.specs) >= n {
+		sub.specs = c.specs[:n]
 	}
 	sub.coord = c.coord.Derive(sub.clients...)
 	return sub, nil
@@ -591,8 +514,8 @@ func (c *Cluster) Session() (*Cluster, error) {
 		return nil, fmt.Errorf("skalla: sessions over multi-tier clusters are not supported")
 	}
 	s := &Cluster{AnalyzeTiming: c.AnalyzeTiming, ids: c.ids, engines: c.engines, cat: c.cat, obs: c.obs}
-	for _, dial := range c.dialers {
-		cl, err := dial()
+	for _, spec := range c.specs {
+		cl, err := openClient(spec)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("skalla: session: %w", err)
