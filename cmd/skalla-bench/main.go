@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, ablation, tree, serve, vec, tail, or all")
+	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, ablation, tree, serve, tail, or all")
 	sites := flag.Int("sites", 8, "number of warehouse sites")
 	rows := flag.Int("rows", 48000, "total TPCR rows")
 	customers := flag.Int("customers", 4000, "high-cardinality group count (paper: 100000)")
@@ -36,8 +36,6 @@ func main() {
 	jsonPath := flag.String("json", "", "also write machine-readable results (figure → metric → value) to this JSON file")
 	concurrency := flag.Int("concurrency", 8, "serve experiment: closed-loop worker count")
 	queries := flag.Int("queries", 64, "serve experiment: total queries to issue")
-	vecMinSpeedup := flag.Float64("vec-min-speedup", 0,
-		"vec experiment: fail unless the best kernel-level vec/row speedup reaches this factor (0 disables the guard)")
 	tailQueries := flag.Int("tail-queries", 40, "tail experiment: executions per variant")
 	tailP := flag.Float64("tail-p", 0.12, "tail experiment: per-call straggler probability")
 	tailDelay := flag.Duration("tail-delay", 50*time.Millisecond, "tail experiment: injected straggler latency")
@@ -124,14 +122,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(sr)
 		results.Merge(sr.Metrics())
-		// So does the row-vs-vectorized engine comparison.
-		vr, err := bench.VecExperiment(cfg)
-		if err != nil {
-			log.Fatalf("skalla-bench: %v", err)
-		}
-		fmt.Println()
-		fmt.Print(vr)
-		results.Merge(vr.Metrics())
 	case "fig2":
 		r, err := h.Fig2()
 		if err != nil {
@@ -184,17 +174,6 @@ func main() {
 		}
 		fmt.Print(r)
 		results.Merge(r.Metrics())
-	case "vec":
-		r, err := bench.VecExperiment(cfg)
-		if err != nil {
-			log.Fatalf("skalla-bench: %v", err)
-		}
-		fmt.Print(r)
-		results.Merge(r.Metrics())
-		if *vecMinSpeedup > 0 && r.BestKernelSpeedup() < *vecMinSpeedup {
-			log.Fatalf("skalla-bench: vec regression: best kernel speedup %.2fx below required %.2fx",
-				r.BestKernelSpeedup(), *vecMinSpeedup)
-		}
 	default:
 		log.Fatalf("skalla-bench: unknown experiment %q", *experiment)
 	}

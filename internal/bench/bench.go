@@ -44,10 +44,6 @@ type Config struct {
 	// with the lowest evaluation time, smoothing scheduler noise out of
 	// the reported curves. Default 1.
 	Repeat int
-	// RowEngine forces the sites onto the row-at-a-time reference
-	// engine instead of the vectorized default; the vec experiment
-	// compares the two.
-	RowEngine bool
 }
 
 // Defaults fills zero fields.
@@ -104,9 +100,7 @@ func (c Config) tpcrConfig() tpcr.Config {
 // partitioning knowledge.
 func NewHarness(cfg Config) (*Harness, error) {
 	cfg = cfg.Defaults()
-	cluster, err := skalla.NewLocalCluster(skalla.ClusterConfig{
-		Sites: cfg.Sites, Cost: cfg.Cost, RowEngine: cfg.RowEngine,
-	})
+	cluster, err := skalla.NewLocalCluster(skalla.ClusterConfig{Sites: cfg.Sites, Cost: cfg.Cost})
 	if err != nil {
 		return nil, err
 	}

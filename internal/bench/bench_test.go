@@ -270,51 +270,3 @@ func TestServeExperiment(t *testing.T) {
 		}
 	}
 }
-
-// TestVecExperiment runs the row-vs-vectorized comparison at a small
-// scale. Beyond the shape checks, this covers the RowEngine cluster
-// configuration end to end: the experiment itself fails if the two
-// engines' results are not bit-identical.
-func TestVecExperiment(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rows = 3000
-	r, err := VecExperiment(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Kernel) != 2 || r.Kernel[0].Label != "fig2_high" || r.Kernel[1].Label != "fig4_low" {
-		t.Fatalf("kernel points: %+v", r.Kernel)
-	}
-	for _, p := range r.Kernel {
-		if p.Row <= 0 || p.Vec1 <= 0 || p.Vec <= 0 {
-			t.Errorf("%s: degenerate timings %+v", p.Label, p)
-		}
-		if p.Rows != cfg.Rows || p.Groups <= 0 {
-			t.Errorf("%s: rows %d groups %d", p.Label, p.Rows, p.Groups)
-		}
-	}
-	if len(r.Levels) != 4 || r.Levels[0].Level != "O0" || r.Levels[3].Level != "O3" {
-		t.Fatalf("levels: %+v", r.Levels)
-	}
-	for _, p := range r.Levels {
-		if p.Row.EvalTime <= 0 || p.Vec.EvalTime <= 0 || p.Vec.Rounds == 0 {
-			t.Errorf("%s: degenerate measures %+v", p.Level, p)
-		}
-	}
-	if r.BestKernelSpeedup() <= 0 {
-		t.Error("no kernel speedup computed")
-	}
-	m := r.Metrics()["vec"]
-	for _, key := range []string{
-		"workers", "kernel_speedup@fig2_high", "kernel_speedup@fig4_low",
-		"kernel_row_ms@fig2_high", "kernel_vec_ms@fig2_high",
-		"row_eval_ms@O0", "vec_eval_ms@O3", "speedup@O3",
-	} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("metrics missing %q", key)
-		}
-	}
-	if !strings.Contains(r.String(), "Vectorized engine") {
-		t.Error("rendering broken")
-	}
-}

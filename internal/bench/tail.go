@@ -11,6 +11,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -212,7 +213,6 @@ func tailMeasure(cfg TailConfig, clients []transport.Client, cat *catalog.Catalo
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: tail plan: %w", err)
 	}
-	base := sortedRows(rel)
 	latencies := make([]time.Duration, 0, cfg.Queries)
 	for i := 0; i < cfg.Queries; i++ {
 		start := time.Now()
@@ -221,7 +221,7 @@ func tailMeasure(cfg TailConfig, clients []transport.Client, cat *catalog.Catalo
 			return nil, nil, fmt.Errorf("bench: tail query %d: %w", i, err)
 		}
 		latencies = append(latencies, time.Since(start))
-		if d := rowsDiff(base, sortedRows(r)); d != "" {
+		if d := resultDiff(rel, r, q.Keys()); d != "" {
 			return nil, nil, fmt.Errorf("bench: tail query %d diverged from baseline: %s", i, d)
 		}
 	}
@@ -264,7 +264,7 @@ func TailExperiment(cfg TailConfig) (*TailResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d := rowsDiff(sortedRows(baseRel), sortedRows(hedgedRel)); d != "" {
+	if d := resultDiff(baseRel, hedgedRel, GroupReductionQuery(HighCard).Keys()); d != "" {
 		return nil, fmt.Errorf("bench: hedged results diverge from unhedged baseline: %s", d)
 	}
 
@@ -283,4 +283,26 @@ func TailExperiment(cfg TailConfig) (*TailResult, error) {
 		res.Stacks += fmt.Sprintf("client stack %s: %s unhedged, %s hedged\n", s.ID(), plain[i], s)
 	}
 	return res, nil
+}
+
+// resultDiff reports the first difference between two results of one
+// query, both sorted by its keys first, comparing float payloads bit for
+// bit ("" when identical).
+func resultDiff(a, b *relation.Relation, keys []string) string {
+	for _, r := range []*relation.Relation{a, b} {
+		if err := r.SortBy(keys...); err != nil {
+			return err.Error()
+		}
+	}
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Sprintf("%d vs %d rows", len(a.Rows), len(b.Rows))
+	}
+	for i, ra := range a.Rows {
+		for j, x := range ra {
+			if y := b.Rows[i][j]; x.K != y.K || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+				return fmt.Sprintf("row %d col %d: %v vs %v", i, j, x, y)
+			}
+		}
+	}
+	return ""
 }

@@ -36,14 +36,6 @@ func flowRow(sas, das, nb int64) relation.Row {
 // domains) or round-robin (partitioned=false, empty catalog).
 func cluster(t *testing.T, rows []relation.Row, nSites int, partitioned bool) (*Coordinator, *catalog.Catalog, *relation.Relation) {
 	t.Helper()
-	coord, cat, whole, _ := clusterEngines(t, rows, nSites, partitioned)
-	return coord, cat, whole
-}
-
-// clusterEngines is cluster, also returning the site engines so a test
-// can select their evaluation engine.
-func clusterEngines(t *testing.T, rows []relation.Row, nSites int, partitioned bool) (*Coordinator, *catalog.Catalog, *relation.Relation, []*site.Engine) {
-	t.Helper()
 	whole := relation.New(flowSchema())
 	whole.Rows = rows
 
@@ -67,13 +59,11 @@ func clusterEngines(t *testing.T, rows []relation.Row, nSites int, partitioned b
 	}
 
 	var clients []transport.Client
-	var engines []*site.Engine
 	ids := make([]string, nSites)
 	for i := 0; i < nSites; i++ {
 		ids[i] = fmt.Sprintf("site%d", i)
 		eng := site.NewEngine(ids[i])
 		eng.Load("flow", parts[i])
-		engines = append(engines, eng)
 		clients = append(clients, transport.NewLocalClient(ids[i], eng, transport.CostModel{}))
 	}
 	cat := catalog.New(ids...)
@@ -89,7 +79,7 @@ func clusterEngines(t *testing.T, rows []relation.Row, nSites int, partitioned b
 			}
 		}
 	}
-	return NewCoordinator(clients...), cat, whole, engines
+	return NewCoordinator(clients...), cat, whole
 }
 
 // example1 is the paper's Example 1 correlated-aggregate query.

@@ -40,10 +40,11 @@ func assertExactRelation(t *testing.T, label string, got, want *relation.Relatio
 
 // TestSlabAccumulatorsAgree runs every aggregate family — the sketch
 // primitives included — through the three holders of accumulator slabs:
-// the row engine and the vectorized engine at the sites, and the
-// coordinator's synchronization above either. The measures are integers,
-// so sums and sums of squares are exact whatever order fragments merge in,
-// and all three must equal the centralized evaluation byte for byte.
+// the vectorized evaluation at the sites, the coordinator's
+// synchronization above it, and the row reference gmdj.EvalQuery runs.
+// The measures are integers, so sums and sums of squares are exact
+// whatever order fragments merge in, and the distributed result must equal
+// the centralized evaluation byte for byte.
 func TestSlabAccumulatorsAgree(t *testing.T) {
 	rows := testRows(600, 11)
 	q := gmdj.Query{
@@ -80,23 +81,17 @@ func TestSlabAccumulatorsAgree(t *testing.T) {
 		},
 	}
 	for _, partitioned := range []bool{true, false} {
-		coord, cat, whole, engines := clusterEngines(t, rows, 3, partitioned)
+		coord, cat, whole := cluster(t, rows, 3, partitioned)
 		want, err := gmdj.EvalQuery(whole, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []gmdj.Engine{gmdj.EngineRow, gmdj.EngineVector} {
-			for _, eng := range engines {
-				eng.SetEvalEngine(engine)
+		for _, opts := range []Options{{}, DefaultOptions} {
+			got, _, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat, Options: opts})
+			if err != nil {
+				t.Fatalf("%s: %v", optLabel(opts), err)
 			}
-			for _, opts := range []Options{{}, DefaultOptions} {
-				label := engine.String() + " sites, " + optLabel(opts)
-				got, _, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat, Options: opts})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertExactRelation(t, label, got, want, q.Keys())
-			}
+			assertExactRelation(t, optLabel(opts), got, want, q.Keys())
 		}
 	}
 }
@@ -104,8 +99,7 @@ func TestSlabAccumulatorsAgree(t *testing.T) {
 // TestSlabNoAggregates: an operator may carry a θ and no aggregates at
 // all (MD.Validate accepts it), so a slab group can be zero accumulators
 // wide. The fused synchronization still has to add one group per new
-// fragment key, on either site engine, and agree with the centralized
-// evaluation.
+// fragment key and agree with the centralized evaluation.
 func TestSlabNoAggregates(t *testing.T) {
 	rows := testRows(300, 5)
 	q := gmdj.Query{
@@ -116,23 +110,17 @@ func TestSlabNoAggregates(t *testing.T) {
 		}},
 	}
 	for _, partitioned := range []bool{true, false} {
-		coord, cat, whole, engines := clusterEngines(t, rows, 3, partitioned)
+		coord, cat, whole := cluster(t, rows, 3, partitioned)
 		want, err := gmdj.EvalQuery(whole, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []gmdj.Engine{gmdj.EngineRow, gmdj.EngineVector} {
-			for _, eng := range engines {
-				eng.SetEvalEngine(engine)
+		for _, opts := range []Options{{}, DefaultOptions} {
+			got, _, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat, Options: opts})
+			if err != nil {
+				t.Fatalf("%s: %v", optLabel(opts), err)
 			}
-			for _, opts := range []Options{{}, DefaultOptions} {
-				label := engine.String() + " sites, " + optLabel(opts)
-				got, _, _, err := coord.Run(context.Background(), q, "flow", Egil{Catalog: cat, Options: opts})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				assertExactRelation(t, label, got, want, q.Keys())
-			}
+			assertExactRelation(t, optLabel(opts), got, want, q.Keys())
 		}
 	}
 }

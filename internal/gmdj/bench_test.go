@@ -7,7 +7,9 @@ import (
 	"repro/internal/agg"
 	"repro/internal/expr"
 	"repro/internal/relation"
+	"repro/internal/tpcr"
 	"repro/internal/value"
+	"repro/internal/vec"
 )
 
 // benchDetail builds an n-row detail relation with g distinct groups.
@@ -102,6 +104,71 @@ func BenchmarkEvalBase(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EvalBase(detail, BaseDef{Cols: []string{"SourceAS", "DestAS"}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The kernel-chain benchmarks pit the row reference against the vectorized
+// evaluation on the Fig. 2 / Fig. 4 operator chain at full dataset scale
+// (48 000 TPCR rows, 4 000 CustName groups): MD1 computes COUNT and AVG per
+// group, MD2 correlates with MD1's average, so the chain cannot coalesce
+// and both the equi-probe and the residual-comparison kernels run. These
+// reproduce the kernel rows of EXPERIMENTS.md "Vectorized engine".
+func chainSetup(b *testing.B) (base, detail *relation.Relation, md1, md2 MD) {
+	b.Helper()
+	detail = tpcr.Generate(tpcr.Config{Rows: 48000, Customers: 4000, LowCardGroups: 2000, Seed: 1})
+	base, err := EvalBase(detail, BaseDef{Cols: []string{"CustName"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const eq = "F.CustName = B.CustName"
+	md1 = MD{
+		Aggs: [][]agg.Spec{{
+			agg.MustParseSpec("count(*) AS cnt1"),
+			agg.MustParseSpec("avg(F.Quantity) AS avg1"),
+		}},
+		Thetas: []expr.Expr{expr.MustParse(eq)},
+	}
+	md2 = MD{
+		Aggs: [][]agg.Spec{{
+			agg.MustParseSpec("count(*) AS cnt2"),
+			agg.MustParseSpec("avg(F.ExtendedPrice) AS avg2"),
+		}},
+		Thetas: []expr.Expr{expr.MustParse(eq + " AND F.Quantity >= B.avg1")},
+	}
+	return base, detail, md1, md2
+}
+
+func BenchmarkChainRow(b *testing.B) {
+	base, detail, md1, md2 := chainSetup(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out1, err := eval(base, detail, md1, true, true, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eval(out1, detail, md2, true, true, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkChainVec(b *testing.B) {
+	base, detail, md1, md2 := chainSetup(b)
+	batch, err := vec.FromRelation(detail)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := SubOpts{Finalize: true, Workers: 1, DetailBatch: batch}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var chain Chain
+		out1, err := chain.evalVec(base, detail, md1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := chain.evalVec(out1, detail, md2, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

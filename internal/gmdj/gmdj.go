@@ -2,10 +2,11 @@
 // MD(B, R, (l_1..l_m), (θ_1..θ_m)) extends each base tuple b ∈ B with
 // aggregates over RNG(b, R, θ_i) = {r ∈ R | θ_i(b, r)}.
 //
-// The package provides centralized evaluation (used both by the Skalla
-// sites against their local partitions and as the reference implementation
-// the distributed executor is tested against), the sub-aggregate variant
-// that ships primitive states (Theorem 1), and the coalescing transform of
+// The package provides centralized row-at-a-time evaluation (the reference
+// implementation the distributed executor and the site kernels are tested
+// against), the sub-aggregate variant that ships primitive states
+// (Theorem 1), which Skalla sites run against their local partitions on
+// the columnar kernels of internal/vec, and the coalescing transform of
 // Section 4.3.
 //
 // Evaluation follows the efficient strategy of [2,7]: equality conjuncts
@@ -133,11 +134,7 @@ type SubOpts struct {
 	// It is positive iff |RNG(b, R, θ_1 ∨ ... ∨ θ_m)| > 0, the test of
 	// Proposition 1 (distribution-independent group reduction).
 	Touched bool
-	// Engine selects the evaluation engine; EngineAuto is the vectorized
-	// engine.
-	Engine Engine
-	// Workers bounds the vectorized engine's parallelism; <= 0 means
-	// GOMAXPROCS. The row engine is always single-threaded.
+	// Workers bounds the evaluation's parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Obs, when set, receives the vec.batches / vec.rows /
 	// vec.selectivity counters of the vectorized evaluation. These are
@@ -145,8 +142,7 @@ type SubOpts struct {
 	Obs *obs.Obs
 	// Stats, when set, accumulates this evaluation's vectorized kernel
 	// statistics into the pointed-to struct — the per-request scope the
-	// query profiler reports, unlike the global Obs counters. The row
-	// engine leaves it untouched.
+	// query profiler reports, unlike the global Obs counters.
 	Stats *vec.Stats
 	// DetailBatch optionally supplies a pre-built columnar batch of the
 	// detail relation (it must have been built from exactly this
@@ -169,7 +165,10 @@ func Eval(b, r *relation.Relation, md MD) (*relation.Relation, error) {
 // is B's columns followed by primitive state columns per aggregate (and
 // optionally finalized columns and the touched count). Primitive states
 // from disjoint partitions of R merge at the coordinator into the same
-// result Eval would give on the whole of R.
+// result Eval would give on the whole of R. It runs on the columnar
+// kernels of internal/vec; the row-at-a-time eval is the reference the
+// tests compare it against, and a detail relation whose values violate
+// its declared column kinds is an error.
 func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
 	return new(Chain).EvalSub(b, r, md, opts)
 }
@@ -180,23 +179,11 @@ func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, 
 // zero value is ready to use; a Chain is not safe for concurrent use.
 type Chain struct {
 	workers []vecWorker
-
-	// RowFallbacks counts the EvalSub calls that asked for the vectorized
-	// engine and were evaluated by the row engine instead, because the
-	// detail relation or a condition is outside the kernels' reach.
-	RowFallbacks int
 }
 
 // EvalSub is the package-level EvalSub with the chain's scratch.
 func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
-	if opts.Engine != EngineRow {
-		out, err, handled := c.evalVec(b, r, md, true, opts.Finalize, opts.Touched, opts)
-		if handled {
-			return out, err
-		}
-		c.RowFallbacks++
-	}
-	return eval(b, r, md, true, opts.Finalize, opts.Touched)
+	return c.evalVec(b, r, md, opts)
 }
 
 // outputSchema builds the result schema shared by both engines: base

@@ -178,16 +178,13 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 // request. The result is byte-identical to EvalBase on the relation the
 // batch was built from: the same groups in the same first-seen scan order
 // (the coordinator merges fragments, and gob encodes them, in that order).
-// An error wrapping vec.ErrUnsupported means vec.Compile refused the
-// filter and the caller must use EvalBase.
 func EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
 	sel := batch.AllLanes()
 	if def.Where != nil {
 		var sc vec.Scratch
 		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &sc)
 		if err != nil {
-			// Whatever the reason, EvalBase reports it the reference way.
-			return nil, fmt.Errorf("%w: base filter: %v", vec.ErrUnsupported, err)
+			return nil, fmt.Errorf("gmdj: base filter: %w", err)
 		}
 		if sel, err = prog.Filter(sel, nil); err != nil {
 			return nil, fmt.Errorf("gmdj: base filter: %w", err)

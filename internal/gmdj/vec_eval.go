@@ -37,33 +37,31 @@ import (
 // (base row, detail row, θ) combinations are evaluated), but may surface a
 // different one first because iteration order differs.
 
-// evalVec is the vectorized counterpart of eval. handled=false means the
-// detail relation or a condition is outside the kernels' reach and the
-// caller must fall back to the row engine.
-func (c *Chain) evalVec(b, r *relation.Relation, md MD, prims, final, touched bool, opts SubOpts) (*relation.Relation, error, bool) {
+// evalVec is the vectorized counterpart of eval, and what EvalSub runs.
+func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
 	if err := md.Validate(b.Schema, r.Schema); err != nil {
-		return nil, err, true
+		return nil, err
 	}
 	batch := opts.DetailBatch
 	if batch == nil || batch.Schema != r.Schema || batch.Len() != len(r.Rows) {
 		var err error
 		batch, err = vec.FromRelation(r)
 		if err != nil {
-			return nil, nil, false
+			return nil, fmt.Errorf("gmdj: detail relation: %w", err)
 		}
 	}
 	specs := md.Specs()
-	outSchema, err := outputSchema(b.Schema, specs, prims, final, touched)
+	outSchema, err := outputSchema(b.Schema, specs, true, opts.Finalize, opts.Touched)
 	if err != nil {
-		return nil, err, true
+		return nil, err
 	}
 
 	bd := md.Binding(b.Schema, r.Schema)
 	detailOnly := expr.Binding{Detail: r.Schema, DetailAliases: bd.DetailAliases}
 
-	plans, ok := planThetas(b, r, md, bd, batch)
-	if !ok {
-		return nil, nil, false
+	plans, err := planThetas(b, r, md, bd, batch)
+	if err != nil {
+		return nil, err
 	}
 
 	accs := agg.NewSlab(specs, len(b.Rows))
@@ -137,11 +135,9 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, prims, final, touched bo
 		opts.Stats.Selected += total.Selected
 	}
 	if best >= 0 {
-		return nil, states[best].err, true
+		return nil, states[best].err
 	}
-
-	out, err := assemble(outSchema, b, specs, accs, matched, prims, final, touched)
-	return out, err, true
+	return assemble(outSchema, b, specs, accs, matched, true, opts.Finalize, opts.Touched)
 }
 
 // thetaPlan is the static, worker-shared plan for one θ_i.
@@ -149,8 +145,10 @@ type thetaPlan struct {
 	residual expr.Expr
 	// trivial marks a constant-TRUE residual (a pure equi condition):
 	// every bucket candidate matches and the filter pass is skipped.
-	trivial  bool
-	args     []vecArg
+	trivial bool
+	// aggs is l_i; its specs are specBase.. in the MD's flattened order.
+	aggs     []agg.Spec
+	specBase int
 	bIdx     []int // base positions of the equi key; nil when no equi pairs
 	rIdx     []int // detail positions of the equi key
 	matchers []keyMatcher
@@ -160,65 +158,42 @@ type thetaPlan struct {
 	buckets map[uint64][]int32
 }
 
-// vecArg is one aggregate argument of a θ: the flattened spec index and
-// the argument expression (nil for COUNT(*)).
-type vecArg struct {
-	spec int
-	arg  expr.Expr
-}
-
-// planThetas builds the shared per-θ plans: equi keys, detail-side hash
-// buckets, and a compile probe of every residual and argument so
-// unsupported expressions are discovered before any worker starts. ok is
-// false when the row engine must take over.
-func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batch) ([]thetaPlan, bool) {
-	detailOnly := expr.Binding{Detail: r.Schema, DetailAliases: bd.DetailAliases}
+// planThetas builds the shared per-θ plans: equi keys and detail-side hash
+// buckets. Residuals and arguments compile per worker (run); md.Validate
+// has already bound every one of them.
+func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
 	plans := make([]thetaPlan, len(md.Thetas))
-	var probe vec.Scratch // the probe programs are never evaluated
 	specBase := 0
 	for ti, theta := range md.Thetas {
 		pl := &plans[ti]
 		pairs := expr.EquiPairs(theta, bd)
 		pl.residual = expr.Residual(theta, bd, pairs)
 		pl.trivial = expr.IsTrue(pl.residual)
-		if _, err := vec.Compile(pl.residual, bd, batch, &probe); err != nil {
-			return nil, false
-		}
 		if len(pairs) > 0 {
 			pl.bIdx = make([]int, len(pairs))
 			pl.rIdx = make([]int, len(pairs))
+			pl.matchers = make([]keyMatcher, len(pairs))
 			for i, p := range pairs {
 				bi, err := b.Schema.MustLookup(p.Base.Name)
 				if err != nil {
-					return nil, false
+					return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 				}
 				ri, err := r.Schema.MustLookup(p.Detail.Name)
 				if err != nil {
-					return nil, false
+					return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 				}
 				pl.bIdx[i], pl.rIdx[i] = bi, ri
+				pl.matchers[i] = keyMatcher{col: &batch.Cols[ri], bIdx: bi}
 			}
 			var err error
-			pl.buckets, err = batch.Buckets(pl.rIdx)
-			if err != nil {
-				return nil, false
-			}
-			pl.matchers = make([]keyMatcher, len(pairs))
-			for i := range pairs {
-				pl.matchers[i] = keyMatcher{col: &batch.Cols[pl.rIdx[i]], bIdx: pl.bIdx[i]}
+			if pl.buckets, err = batch.Buckets(pl.rIdx); err != nil {
+				return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 			}
 		}
-		for j, s := range md.Aggs[ti] {
-			if s.Arg != nil {
-				if _, err := vec.Compile(s.Arg, detailOnly, batch, &probe); err != nil {
-					return nil, false
-				}
-			}
-			pl.args = append(pl.args, vecArg{spec: specBase + j, arg: s.Arg})
-		}
+		pl.aggs, pl.specBase = md.Aggs[ti], specBase
 		specBase += len(md.Aggs[ti])
 	}
-	return plans, true
+	return plans, nil
 }
 
 // vecWorker is the per-worker state. The scratch and selection buffers
@@ -268,12 +243,12 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 		}
 		p.SetStats(&ws.stats)
 		res[ti] = p
-		argProgs[ti] = make([]*vec.Program, len(plans[ti].args))
-		for j, ap := range plans[ti].args {
-			if ap.arg == nil {
+		argProgs[ti] = make([]*vec.Program, len(plans[ti].aggs))
+		for j, spec := range plans[ti].aggs {
+			if spec.Arg == nil {
 				continue
 			}
-			q, err := vec.Compile(ap.arg, detailOnly, batch, &ws.scratch)
+			q, err := vec.Compile(spec.Arg, detailOnly, batch, &ws.scratch)
 			if err != nil {
 				ws.fail(ti, 0, fmt.Errorf("gmdj: aggregate arg: %w", err))
 				return
@@ -348,8 +323,8 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 			if len(sel) == 0 {
 				continue
 			}
-			for j, ap := range pl.args {
-				accList := accs.Spec(g, ap.spec)
+			for j := range pl.aggs {
+				accList := accs.Spec(g, pl.specBase+j)
 				prog := argProgs[ti][j]
 				if prog == nil {
 					// COUNT(*): the row engine adds a non-NULL int
@@ -491,21 +466,17 @@ func feedAcc(a *agg.Acc, l *vec.Lanes) error {
 		return a.AddInts(l.Kind, l.Ints[:l.N], l.Nulls)
 	case value.KindFloat:
 		return a.AddFloats(l.Floats[:l.N], l.Nulls)
-	case value.KindString:
-		return addDictLanes(a, l)
-	default:
-		// A KindNull vector: every lane is NULL.
+	case value.KindNull:
 		return a.AddRepeat(value.Null, l.N)
-	}
-}
-
-// addDictLanes feeds dictionary-encoded string lanes per value; min/max
-// and distinct-count accumulators need the boxed string anyway.
-func addDictLanes(a *agg.Acc, l *vec.Lanes) error {
-	for i := 0; i < l.N; i++ {
-		if err := a.Add(l.Value(i)); err != nil {
-			return err
+	default:
+		// Dictionary strings and boxed lanes (a CASE or call mixing kinds)
+		// feed per value; min/max and distinct-count accumulators need the
+		// boxed value anyway.
+		for i := 0; i < l.N; i++ {
+			if err := a.Add(l.Value(i)); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return nil
 }

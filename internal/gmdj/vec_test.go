@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -15,9 +16,15 @@ import (
 	"repro/internal/vec"
 )
 
-// Differential tests: the vectorized engine must be byte-exact with the
-// row engine — identical value kinds, identical float bit patterns
-// (accumulation order preserved), identical NULLs — for any worker count.
+// Differential tests: the vectorized evaluation EvalSub runs must be
+// byte-exact with the row reference eval — identical value kinds,
+// identical float bit patterns (accumulation order preserved), identical
+// NULLs — for any worker count.
+
+// rowSub is the row-at-a-time reference for EvalSub.
+func rowSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
+	return eval(b, r, md, true, opts.Finalize, opts.Touched)
+}
 
 // exactRows compares two relations value-by-value with bit-level float
 // equality; it returns "" when identical.
@@ -72,8 +79,9 @@ func randDetail(rng *rand.Rand, n int) *relation.Relation {
 }
 
 // diffMDs is the shape battery: equi probes, pure nested-loop θ,
-// arithmetic, IN/LIKE/BETWEEN, base-side scalar references, multi-θ, and
-// every aggregate family.
+// arithmetic, IN/LIKE/BETWEEN, base-side scalar references, multi-θ,
+// every aggregate family, and CASE / coalesce / abs / least / greatest in
+// θ residuals and aggregate arguments (baseWheres has the base filters).
 func diffMDs() []MD {
 	return []MD{
 		{ // equi + residual with base reference
@@ -106,6 +114,51 @@ func diffMDs() []MD {
 				expr.MustParse("F.K = B.K AND F.P * 2 > B.K - 1"),
 			},
 		},
+		{ // CASE arguments: Int/Float arm mixes into sum/avg/min, no ELSE,
+			// NULL and non-boolean conditions, string arms from a
+			// dictionary and a constant
+			Aggs: [][]agg.Spec{{
+				agg.MustParseSpec("sum(CASE WHEN F.Q > 0 THEN F.Q ELSE F.P END) AS s_mix"),
+				agg.MustParseSpec("avg(CASE WHEN F.Flag THEN F.P WHEN F.Q < 0 THEN F.Q END) AS a_mix"),
+				agg.MustParseSpec("min(CASE WHEN F.Q THEN F.Q ELSE F.P END) AS m_mix"),
+				agg.MustParseSpec("max(CASE WHEN F.P > 50 THEN F.G WHEN F.P > 0 THEN 'low' END) AS g_case"),
+				agg.MustParseSpec("sum(CASE WHEN F.Q > 0 THEN 1 ELSE 0 END) AS n_pos"),
+			}},
+			Thetas: []expr.Expr{expr.MustParse("F.K = B.K")},
+		},
+		{ // scalar calls in arguments and in the residual
+			Aggs: [][]agg.Spec{{
+				agg.MustParseSpec("sum(abs(F.Q)) AS sa"),
+				agg.MustParseSpec("min(least(F.Q, F.P, 10)) AS ml"),
+				agg.MustParseSpec("max(greatest(F.P, F.Q)) AS mg2"),
+				agg.MustParseSpec("sum(coalesce(F.Q, F.P, 0)) AS sc"),
+				agg.MustParseSpec("count(coalesce(F.P, F.Q)) AS cc"),
+			}},
+			Thetas: []expr.Expr{expr.MustParse(
+				"F.K = B.K AND abs(F.Q) > B.K * 20 AND coalesce(F.P, 0) < greatest(B.K, 2) * 60")},
+		},
+		{ // CASE as the whole θ (nested loop), a per-base-row condition,
+			// nested CASE inside a call, arithmetic over a mixed-kind CASE
+			Aggs: [][]agg.Spec{
+				{agg.MustParseSpec("count(*) AS cn"),
+					agg.MustParseSpec("sum(greatest(CASE WHEN F.Q > 100 THEN F.Q ELSE 0 END, abs(F.P))) AS sg")},
+				{agg.MustParseSpec("avg(-CASE WHEN F.Flag THEN F.Q ELSE F.P END * 2) AS an")},
+			},
+			Thetas: []expr.Expr{
+				expr.MustParse("CASE WHEN B.K > 2 THEN F.Q > 0 WHEN F.Flag THEN F.P < 50 ELSE F.K = B.K END"),
+				expr.MustParse("F.K = B.K AND CASE WHEN F.Q > 0 THEN F.P ELSE F.Q END > least(B.K, 3) AND " +
+					"coalesce(CASE WHEN F.P > 0 THEN F.G END, 'none') LIKE '%a%'"),
+			},
+		},
+		{ // arms that fail — abs of a string, arithmetic on a string — but
+			// only for the lanes that reach them: whether the evaluation
+			// errors depends on the data, and must not on the engine
+			Aggs: [][]agg.Spec{{
+				agg.MustParseSpec("sum(CASE WHEN F.Q > 400 THEN abs(F.G) ELSE F.Q END) AS lazy1"),
+			}},
+			Thetas: []expr.Expr{expr.MustParse(
+				"F.K = B.K AND CASE WHEN F.Q < -450 THEN F.G + 1 ELSE F.Q END > -1000")},
+		},
 	}
 }
 
@@ -122,18 +175,18 @@ func TestVecMatchesRowDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 15; trial++ {
 		detail := randDetail(rng, rng.Intn(200)+1)
+		for shape := range baseWheres {
+			fuzzBase(t, detail, shape)
+		}
 		b := diffBase(t, detail)
 		for mi, md := range diffMDs() {
 			for _, opts := range []SubOpts{
 				{},
 				{Finalize: true, Touched: true},
 			} {
-				rowOpts := opts
-				rowOpts.Engine = EngineRow
-				want, rowErr := EvalSub(b, detail, md, rowOpts)
-				for _, workers := range []int{1, 4} {
+				want, rowErr := rowSub(b, detail, md, opts)
+				for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 					vecOpts := opts
-					vecOpts.Engine = EngineVector
 					vecOpts.Workers = workers
 					got, vecErr := EvalSub(b, detail, md, vecOpts)
 					if (rowErr != nil) != (vecErr != nil) {
@@ -159,12 +212,12 @@ func TestVecParallelMerge(t *testing.T) {
 	detail := randDetail(rng, 500)
 	b := diffBase(t, detail)
 	md := diffMDs()[0]
-	want, err := EvalSub(b, detail, md, SubOpts{Engine: EngineRow, Finalize: true})
+	want, err := rowSub(b, detail, md, SubOpts{Finalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
-		got, err := EvalSub(b, detail, md, SubOpts{Engine: EngineVector, Workers: workers, Finalize: true})
+		got, err := EvalSub(b, detail, md, SubOpts{Workers: workers, Finalize: true})
 		if err != nil {
 			t.Fatalf("W=%d: %v", workers, err)
 		}
@@ -174,93 +227,47 @@ func TestVecParallelMerge(t *testing.T) {
 	}
 }
 
-// TestVecFallbackMixedKindColumn: a column whose values stray from the
-// declared kind cannot be vectorized; the vector engine must silently
-// fall back to rows and still produce the row-exact answer.
-func TestVecFallbackMixedKindColumn(t *testing.T) {
-	s := relation.MustSchema(
-		relation.Column{Name: "K", Kind: value.KindInt},
-		relation.Column{Name: "Q", Kind: value.KindInt},
-	)
-	detail := relation.New(s)
-	detail.Rows = append(detail.Rows,
-		relation.Row{value.NewInt(1), value.NewInt(10)},
-		relation.Row{value.NewInt(1), value.NewFloat(2.5)}, // Float in an Int column
-		relation.Row{value.NewInt(2), value.NewInt(30)},
-	)
-	if _, err := vec.FromRelation(detail); err == nil {
-		t.Fatal("expected FromRelation to reject the mixed-kind column")
-	}
-	b := diffBase0(t, detail)
-	md := MD{
-		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS c"), agg.MustParseSpec("sum(F.Q) AS s")}},
-		Thetas: []expr.Expr{expr.MustParse("F.K = B.K")},
-	}
-	want, err := EvalSub(b, detail, md, SubOpts{Engine: EngineRow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvalSub(b, detail, md, SubOpts{Engine: EngineVector})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := exactRows(want, got); d != "" {
-		t.Fatal(d)
-	}
-}
-
-func diffBase0(t *testing.T, detail *relation.Relation) *relation.Relation {
-	t.Helper()
-	b, err := EvalBase(detail, BaseDef{Cols: []string{"K"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestVecFallbackUnsupportedExpr: CASE expressions are outside the
-// kernels' reach; the vector engine falls back per call.
-func TestVecFallbackUnsupportedExpr(t *testing.T) {
+// TestVecConditionalAggregateExact: the conditional-aggregation idiom —
+// CASE inside an aggregate argument, CASE as a base filter — runs on the
+// kernels and is byte-exact with the row reference.
+func TestVecConditionalAggregateExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	detail := randDetail(rng, 60)
-	b := diffBase(t, detail)
+	batch, err := vec.FromRelation(detail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := BaseDef{Cols: []string{"K", "G"}, Where: expr.MustParse("CASE WHEN F.Q > -400 THEN 1 ELSE 0 END = 1")}
+	want, err := EvalBase(detail, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EvalBaseBatch(batch, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := exactRows(want, b); d != "" {
+		t.Fatalf("base values: %s", d)
+	}
 	md := MD{
 		Aggs: [][]agg.Spec{{
 			agg.MustParseSpec("sum(CASE WHEN F.Q > 0 THEN F.Q ELSE 0 END) AS pos"),
 		}},
 		Thetas: []expr.Expr{expr.MustParse("F.K = B.K")},
 	}
-	want, err := EvalSub(b, detail, md, SubOpts{Engine: EngineRow})
-	if err != nil {
+	if want, err = rowSub(b, detail, md, SubOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvalSub(b, detail, md, SubOpts{Engine: EngineVector})
+	var stats vec.Stats
+	got, err := new(Chain).evalVec(b, detail, md, SubOpts{Stats: &stats, DetailBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := exactRows(want, got); d != "" {
 		t.Fatal(d)
 	}
-}
-
-// TestEngineSelection: EngineAuto evaluates on the vectorized kernels,
-// and SubOpts.Engine = EngineRow keeps them out of it entirely.
-func TestEngineSelection(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	detail := randDetail(rng, 40)
-	b := diffBase(t, detail)
-	md := diffMDs()[0]
-	for _, tc := range []struct {
-		engine Engine
-		vec    bool
-	}{{EngineAuto, true}, {EngineRow, false}} {
-		o := obs.New()
-		if _, err := EvalSub(b, detail, md, SubOpts{Engine: tc.engine, Obs: o}); err != nil {
-			t.Fatal(err)
-		}
-		if got := metricValue(o, "vec.rows"); (got > 0) != tc.vec {
-			t.Errorf("engine %v: vec.rows = %d, want vectorized = %v", tc.engine, got, tc.vec)
-		}
+	if stats.Batches == 0 {
+		t.Fatal("the CASE argument did not run on the kernels: no batch evaluated")
 	}
 }
 
@@ -270,7 +277,7 @@ func TestVecObsCounters(t *testing.T) {
 	detail := randDetail(rng, 100)
 	b := diffBase(t, detail)
 	o := obs.New()
-	if _, err := EvalSub(b, detail, diffMDs()[0], SubOpts{Engine: EngineVector, Obs: o}); err != nil {
+	if _, err := EvalSub(b, detail, diffMDs()[0], SubOpts{Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(o, "vec.batches"); got <= 0 {
@@ -297,11 +304,11 @@ func TestVecDetailBatchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	md := diffMDs()[0]
-	want, err := EvalSub(b, detail, md, SubOpts{Engine: EngineVector})
+	want, err := EvalSub(b, detail, md, SubOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvalSub(b, detail, md, SubOpts{Engine: EngineVector, DetailBatch: batch})
+	got, err := EvalSub(b, detail, md, SubOpts{DetailBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,22 +317,40 @@ func TestVecDetailBatchReuse(t *testing.T) {
 	}
 }
 
-// TestVecErrorPresenceMatchesRow: evaluation errors (here a string
-// compared against a number) surface from both engines.
+// TestVecErrorPresenceMatchesRow: evaluation errors surface from both
+// evaluations or from neither — a string compared against a number, and a
+// CASE arm that fails (abs of a string) for exactly the lanes that reach it.
 func TestVecErrorPresenceMatchesRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	detail := randDetail(rng, 30)
 	b := diffBase(t, detail)
-	md := MD{
-		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS c")}},
-		Thetas: []expr.Expr{expr.MustParse("F.K = B.K AND F.G > 5")},
+	count := [][]agg.Spec{{agg.MustParseSpec("count(*) AS c")}}
+	lazyArm := func(threshold int) [][]agg.Spec {
+		return [][]agg.Spec{{agg.MustParseSpec(
+			fmt.Sprintf("sum(CASE WHEN F.Q > %d THEN abs(F.G) ELSE F.Q END) AS s", threshold))}}
 	}
-	_, rowErr := EvalSub(b, detail, md, SubOpts{Engine: EngineRow})
-	_, vecErr := EvalSub(b, detail, md, SubOpts{Engine: EngineVector})
-	if rowErr == nil || vecErr == nil {
-		t.Fatalf("row err %v, vec err %v: both engines must fail", rowErr, vecErr)
-	}
-	if !strings.Contains(vecErr.Error(), "θ_1") {
-		t.Fatalf("vec error %q not attributed to its condition", vecErr)
+	for _, tc := range []struct {
+		name    string
+		aggs    [][]agg.Spec
+		theta   string
+		wantErr string
+	}{
+		{"string against number", count, "F.K = B.K AND F.G > 5", "θ_1"},
+		{"failing arm some lanes reach", lazyArm(0), "F.K = B.K", "aggregate arg"},
+		{"failing arm no lane reaches", lazyArm(1000), "F.K = B.K", ""},
+	} {
+		md := MD{Aggs: tc.aggs, Thetas: []expr.Expr{expr.MustParse(tc.theta)}}
+		want, rowErr := rowSub(b, detail, md, SubOpts{})
+		got, vecErr := EvalSub(b, detail, md, SubOpts{})
+		if (rowErr != nil) != (tc.wantErr != "") || (vecErr != nil) != (tc.wantErr != "") {
+			t.Fatalf("%s: row err %v, vec err %v, want an error: %v", tc.name, rowErr, vecErr, tc.wantErr != "")
+		}
+		if tc.wantErr == "" {
+			if d := exactRows(want, got); d != "" {
+				t.Fatalf("%s: %s", tc.name, d)
+			}
+		} else if !strings.Contains(vecErr.Error(), tc.wantErr) {
+			t.Fatalf("%s: vec error %q not attributed to %s", tc.name, vecErr, tc.wantErr)
+		}
 	}
 }

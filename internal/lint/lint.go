@@ -324,5 +324,5 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, WireSafe, DetRand, ErrFlow, LockGuard, LockOrder, GoLeak, VecShape}
+	return []*Analyzer{CtxFlow, WireSafe, DetRand, ErrFlow, LockGuard, LockOrder, GoLeak}
 }

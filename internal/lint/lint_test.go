@@ -52,7 +52,6 @@ func TestErrFlow(t *testing.T)   { runTestdata(t, "testdata/src/errflow", ErrFlo
 func TestLockGuard(t *testing.T) { runTestdata(t, "testdata/src/lockguard", LockGuard) }
 func TestLockOrder(t *testing.T) { runTestdata(t, "testdata/src/lockorder", LockOrder) }
 func TestGoLeak(t *testing.T)    { runTestdata(t, "testdata/src/goleak", GoLeak) }
-func TestVecShape(t *testing.T)  { runTestdata(t, "testdata/src/vecshape", VecShape) }
 
 // TestLockOrderStateIsolation asserts the per-run Begin state does not
 // leak between invocations: the same cycle re-reported on a second run
@@ -141,7 +140,7 @@ func TestModuleClean(t *testing.T) {
 // TestAnalyzerMetadata pins the suite's names, which LINT.md and
 // //lint:ignore directives refer to.
 func TestAnalyzerMetadata(t *testing.T) {
-	want := []string{"ctxflow", "wiresafe", "detrand", "errflow", "lockguard", "lockorder", "goleak", "vecshape"}
+	want := []string{"ctxflow", "wiresafe", "detrand", "errflow", "lockguard", "lockorder", "goleak"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

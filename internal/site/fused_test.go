@@ -2,12 +2,14 @@ package site
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/gmdj"
-	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/tpcr"
 	"repro/internal/transport"
+	"repro/internal/value"
 )
 
 // fusedEngine returns an engine holding a TPCR dataset of the given size
@@ -63,50 +65,89 @@ func handleOK(tb testing.TB, e *Engine, req *transport.Request) *transport.Respo
 // once the batch and its memoized groupings are warm, a fused 200-group
 // request allocates per group and per round, never per detail row.
 func TestFusedAllocsDoNotScaleWithDetail(t *testing.T) {
-	allocs := func(rows int) float64 {
-		e := fusedEngine(t, rows)
-		req := fusedRequest("")
-		if got := handleOK(t, e, req).Rel.Len(); got != 200 {
-			t.Fatalf("%d rows: %d groups, want 200", rows, got)
+	plain := fusedRequest("")
+	conditional := fusedRequest("")
+	conditional.Rounds[0].Aggs[0] = append(conditional.Rounds[0].Aggs[0],
+		"sum(CASE WHEN F.Discount > 0.05 THEN F.Quantity ELSE 0 END) AS q_disc")
+	for name, req := range map[string]*transport.Request{"plain": plain, "conditional aggregate": conditional} {
+		allocs := func(rows int) float64 {
+			e := fusedEngine(t, rows)
+			if got := handleOK(t, e, req).Rel.Len(); got != 200 {
+				t.Fatalf("%s, %d rows: %d groups, want 200", name, rows, got)
+			}
+			return testing.AllocsPerRun(20, func() { handleOK(t, e, req) })
 		}
-		return testing.AllocsPerRun(20, func() { handleOK(t, e, req) })
-	}
-	small, large := allocs(6000), allocs(24000)
-	if large > small*1.1 {
-		t.Errorf("allocations scale with detail rows: %.0f at 6000 rows, %.0f at 24000", small, large)
+		small, large := allocs(6000), allocs(24000)
+		if large > small*1.1 {
+			t.Errorf("%s: allocations scale with detail rows: %.0f at 6000 rows, %.0f at 24000", name, small, large)
+		}
 	}
 }
 
-// TestRowFallbackCounter checks that site.row_fallbacks counts exactly the
-// requests that asked for the vector engine and ran row code.
-func TestRowFallbackCounter(t *testing.T) {
+// TestCaseBaseFilterVectorized: a base filter written as CASE selects what
+// the plain predicate selects, byte for byte, and the request's rounds ran
+// on the kernels (there is nothing else for them to run on).
+func TestCaseBaseFilterVectorized(t *testing.T) {
 	e := fusedEngine(t, 2000)
-	o := obs.New()
-	e.SetObs(o)
-	fallbacks := func() int64 { return o.Metrics.Snapshot().Counters["site.row_fallbacks"] }
-
-	handleOK(t, e, fusedRequest(""))
-	handleOK(t, e, fusedRequest("F.Discount > 0.02"))
-	if n := fallbacks(); n != 0 {
-		t.Fatalf("vectorizable requests counted %d row fallbacks", n)
-	}
-
-	// CASE is outside vec.Compile's reach: the base projection falls back.
-	caseWhere := "CASE WHEN F.Discount > 0.02 THEN 1 ELSE 0 END = 1"
 	want := handleOK(t, e, fusedRequest("F.Discount > 0.02"))
-	got := handleOK(t, e, fusedRequest(caseWhere))
-	if n := fallbacks(); n != 1 {
-		t.Fatalf("row fallbacks = %d after a CASE base filter, want 1", n)
+	req := fusedRequest("CASE WHEN F.Discount > 0.02 THEN 1 ELSE 0 END = 1")
+	req.QueryID = "q-case"
+	got := handleOK(t, e, req)
+	if !reflect.DeepEqual(want.Rel.Rows, got.Rel.Rows) {
+		t.Fatal("CASE base filter and plain base filter disagree")
 	}
-	if want.Rel.Len() != got.Rel.Len() {
-		t.Fatalf("fallback result has %d groups, vector result %d", got.Rel.Len(), want.Rel.Len())
+	if got.Profile == nil || got.Profile.VecBatches == 0 || got.Profile.Engine != "vector" {
+		t.Fatalf("profile %+v: want engine vector with kernel batches", got.Profile)
+	}
+}
+
+// TestMixedKindRelationRefused: a loaded relation holding a FLOAT in an INT
+// column has no columnar form, and the site evaluates on nothing else. Both
+// evaluation ops refuse it with an error naming relation, column, declared
+// and found kind; the refusal is cached, not re-derived per request; and a
+// well-typed Load of the same name clears it.
+func TestMixedKindRelationRefused(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "K", Kind: value.KindInt},
+		relation.Column{Name: "Q", Kind: value.KindInt},
+	)
+	bad := relation.New(schema)
+	for i := 0; i < 5000; i++ {
+		bad.Rows = append(bad.Rows, relation.Row{value.NewInt(int64(i % 7)), value.NewInt(int64(i))})
+	}
+	good := bad.Clone()
+	bad.Rows[4321][1] = value.NewFloat(2.5)
+
+	e := NewEngine("site0")
+	e.Load("flows", bad)
+	evalBase := &transport.Request{Op: transport.OpEvalBase, Detail: "flows", BaseCols: []string{"K"}}
+	evalRounds := &transport.Request{
+		Op: transport.OpEvalRounds, Detail: "flows", BaseCols: []string{"K"}, Keys: []string{"K"},
+		Rounds: []transport.RoundSpec{{
+			Detail: "flows", BaseAlias: "B", DetailAlias: "R",
+			Aggs: [][]string{{"sum(F.Q) AS s"}}, Thetas: []string{"F.K = B.K"},
+		}},
+	}
+	const want = "site site0: relation flows: column Q declared INT holds FLOAT at row 4321"
+	for _, req := range []*transport.Request{evalBase, evalRounds} {
+		if resp := e.Handle(context.Background(), req); !strings.Contains(resp.Err, want) {
+			t.Fatalf("%s over the mixed-kind relation: Err %q, want it to contain %q", req.Op, resp.Err, want)
+		}
+	}
+	// Later requests get the refusal the first conversion cached — the very
+	// same error value — instead of scanning 4 321 rows again to rebuild it.
+	_, first := e.detailBatch("flows", bad)
+	if resp := e.Handle(context.Background(), evalBase); !strings.Contains(resp.Err, want) {
+		t.Fatalf("second request: Err %q, want it to contain %q", resp.Err, want)
+	}
+	if _, again := e.detailBatch("flows", bad); first == nil || again != first {
+		t.Errorf("the refusal was rebuilt (%v, then %v): conversion re-ran instead of being cached", first, again)
 	}
 
-	// The row engine asked for by name is not a fallback.
-	e.SetEvalEngine(gmdj.EngineRow)
-	handleOK(t, e, fusedRequest(caseWhere))
-	if n := fallbacks(); n != 1 {
-		t.Fatalf("row fallbacks = %d after a row-engine request, want 1", n)
+	e.Load("flows", good)
+	handleOK(t, e, evalBase)
+	if got := handleOK(t, e, evalRounds).Rel.Len(); got != 7 {
+		t.Fatalf("after the well-typed Load: %d groups, want 7", got)
 	}
 }
 

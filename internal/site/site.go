@@ -103,13 +103,12 @@ type Engine struct {
 	obs *obs.Obs
 	//lint:guarded-by mu
 	limits Limits
-	//lint:guarded-by mu
-	engine gmdj.Engine
 	// batches caches the columnar form of loaded relations, keyed by
 	// lowercase name and validated by relation pointer identity (Load
-	// replaces the pointer, invalidating the entry on next access). A nil
-	// cached batch records that conversion failed, so unsupported
-	// relations are not re-converted per round.
+	// replaces the pointer, invalidating the entry on next access). A
+	// relation that has none — a value strays from its column's declared
+	// kind — caches the refusal instead, so it is not re-converted per
+	// round.
 	//lint:guarded-by mu
 	batches map[string]*batchEntry
 
@@ -126,10 +125,11 @@ type Engine struct {
 	replayEpochs map[string]*epochCache
 }
 
-// batchEntry is one cached columnar conversion.
+// batchEntry is one cached columnar conversion, or the reason there is none.
 type batchEntry struct {
 	rel   *relation.Relation // the exact relation the batch was built from
-	batch *vec.Batch         // nil: conversion unsupported, use rows
+	batch *vec.Batch
+	err   error
 }
 
 // NewEngine returns an empty site engine.
@@ -141,44 +141,27 @@ func NewEngine(id string) *Engine {
 	}
 }
 
-// SetEvalEngine selects the GMDJ evaluation engine for this site
-// (gmdj.EngineAuto is the vectorized engine).
-func (e *Engine) SetEvalEngine(eng gmdj.Engine) {
-	e.mu.Lock()
-	e.engine = eng
-	e.mu.Unlock()
-}
-
-// getEvalEngine returns the engine requests to this site are evaluated
-// with, EngineAuto resolved to the vectorized engine.
-func (e *Engine) getEvalEngine() gmdj.Engine {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.engine == gmdj.EngineAuto {
-		return gmdj.EngineVector
-	}
-	return e.engine
-}
-
 // detailBatch returns the cached columnar form of the named relation,
-// converting on first use. nil means the relation cannot be vectorized
-// (mixed-kind columns); gmdj then converts nothing and falls back to rows.
-func (e *Engine) detailBatch(name string, r *relation.Relation) *vec.Batch {
+// converting on first use (Load stays cheap). Sites evaluate on batches
+// only, so a relation whose values violate its declared column kinds is
+// refused — by every evaluation that needs it, with the same error —
+// until a well-typed Load replaces it.
+func (e *Engine) detailBatch(name string, r *relation.Relation) (*vec.Batch, error) {
 	key := strings.ToLower(name)
 	e.mu.RLock()
 	ent := e.batches[key]
 	e.mu.RUnlock()
-	if ent != nil && ent.rel == r {
-		return ent.batch
+	if ent == nil || ent.rel != r {
+		b, err := vec.FromRelation(r)
+		if err != nil {
+			err = fmt.Errorf("site %s: relation %s: %w", e.id, name, err)
+		}
+		ent = &batchEntry{rel: r, batch: b, err: err}
+		e.mu.Lock()
+		e.batches[key] = ent
+		e.mu.Unlock()
 	}
-	b, err := vec.FromRelation(r)
-	if err != nil {
-		b = nil
-	}
-	e.mu.Lock()
-	e.batches[key] = &batchEntry{rel: r, batch: b}
-	e.mu.Unlock()
-	return b
+	return ent.batch, ent.err
 }
 
 // SetLimits installs per-request resource limits (zero fields disable).
@@ -646,20 +629,13 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 }
 
 // baseValues computes the base-values query B_0 over the named detail
-// relation: on its cached columnar batch when the site evaluates with the
-// vectorized engine, and with the row code when the relation has no batch
-// or vec.Compile refuses the filter — a fallback site.row_fallbacks counts.
+// relation's cached columnar batch.
 func (e *Engine) baseValues(name string, detail *relation.Relation, def gmdj.BaseDef) (*relation.Relation, error) {
-	if e.getEvalEngine() == gmdj.EngineVector {
-		if batch := e.detailBatch(name, detail); batch != nil {
-			b, err := gmdj.EvalBaseBatch(batch, def)
-			if !errors.Is(err, vec.ErrUnsupported) {
-				return b, err
-			}
-		}
-		e.getObs().Count("site.row_fallbacks", 1)
+	batch, err := e.detailBatch(name, detail)
+	if err != nil {
+		return nil, err
 	}
-	return gmdj.EvalBase(detail, def)
+	return gmdj.EvalBaseBatch(batch, def)
 }
 
 func baseDef(req *transport.Request) (gmdj.BaseDef, error) {
@@ -711,7 +687,6 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	var finalCols []string
 
 	o := e.getObs()
-	engine := e.getEvalEngine()
 	workers := runtime.GOMAXPROCS(0)
 	o.SetGauge("site.eval_workers", int64(workers))
 
@@ -722,7 +697,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		vecStats = &vec.Stats{}
 		prof.Rounds = len(req.Rounds)
 		prof.Workers = workers
-		prof.Engine = engine.String()
+		prof.Engine = "vector"
 		if req.Base != nil {
 			prof.RowsIn = req.Base.Len()
 			prof.BytesInApprox = approxRelBytes(req.Base)
@@ -732,7 +707,6 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	// One chain for the request: locally chained rounds share each kernel
 	// worker's lane buffers instead of growing their own per round.
 	var chain gmdj.Chain
-	defer func() { o.Count("site.row_fallbacks", int64(chain.RowFallbacks)) }()
 	for ri, spec := range req.Rounds {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
@@ -745,14 +719,17 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
+		batch, err := e.detailBatch(spec.Detail, detail)
+		if err != nil {
+			return nil, fmt.Errorf("round %d: %w", ri+1, err)
+		}
 		h, err := chain.EvalSub(base, detail, md, gmdj.SubOpts{
 			Finalize:    spec.Finalize,
 			Touched:     spec.Touched,
-			Engine:      engine,
 			Workers:     workers,
 			Obs:         o,
 			Stats:       vecStats,
-			DetailBatch: e.detailBatch(spec.Detail, detail),
+			DetailBatch: batch,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)

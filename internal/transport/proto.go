@@ -276,10 +276,9 @@ type SiteProfile struct {
 	// Rounds is how many GMDJ rounds were evaluated locally (chained
 	// local evaluation runs several per request).
 	Rounds int `json:"rounds"`
-	// Engine names the configured evaluation engine ("vector" or
-	// "row"). The vector engine may still fall back to rows for
-	// relations outside the kernels' reach; zero VecBatches with
-	// non-zero RowsOut signals that.
+	// Engine names the evaluation engine that ran the rounds. Sites have
+	// one, the columnar kernels ("vector"), and no other path to fall
+	// back to; the field stays for readers of recorded profiles.
 	Engine string `json:"engine,omitempty"`
 	// Workers is the evaluation parallelism used for this request.
 	Workers int `json:"workers,omitempty"`

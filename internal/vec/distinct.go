@@ -1,7 +1,6 @@
 package vec
 
 //lint:deterministic the distinct kernel must keep the row engine's first-seen order
-//lint:vecshape exported kernels validate batch/selection shape up front
 
 import (
 	"fmt"

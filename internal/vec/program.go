@@ -1,12 +1,13 @@
 package vec
 
 //lint:deterministic vectorized evaluation must match the row engine byte for byte
-//lint:vecshape exported kernels validate batch/selection shape up front
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/relation"
@@ -24,10 +25,13 @@ type Stats struct {
 }
 
 // Lanes is the result of evaluating a program node over a selection: a
-// dense vector of len N, either a broadcast constant (Const/ConstV) or a
-// typed payload in the same layout as Col, with Nulls marking NULL lanes
-// (nil when none). Payload slices are scratch owned by the program and
-// valid until its next evaluation.
+// dense vector of len N, either a broadcast constant (Const/ConstV), a
+// typed payload in the same layout as Col, or — where a CASE or a scalar
+// call yields different kinds on different lanes — one boxed value per
+// lane, which has no exported payload: Kind is then none of the value
+// kinds and Value reads the lanes. Nulls marks NULL lanes (nil when none).
+// Payload slices are scratch owned by the program and valid until its next
+// evaluation.
 type Lanes struct {
 	Kind   value.Kind
 	N      int
@@ -40,7 +44,12 @@ type Lanes struct {
 	ConstV value.V
 
 	nullBuf []bool
+	vals    []value.V // the lanes of a kindBoxed vector
 }
+
+// kindBoxed is the Kind of a vector whose lanes live in vals. It is no
+// value kind, so every kind switch sends it down its per-lane default.
+const kindBoxed = value.Kind(0xff)
 
 // Value boxes lane i of the vector.
 func (l *Lanes) Value(i int) value.V {
@@ -51,6 +60,8 @@ func (l *Lanes) Value(i int) value.V {
 		return value.Null
 	}
 	switch l.Kind {
+	case kindBoxed:
+		return l.vals[i]
 	case value.KindBool:
 		return value.V{K: value.KindBool, I: l.Ints[i]}
 	case value.KindInt:
@@ -84,6 +95,8 @@ func (l *Lanes) truthy(i int) bool {
 		return l.Ints[i] != 0
 	case value.KindFloat:
 		return l.Floats[i] != 0
+	case kindBoxed:
+		return l.vals[i].Bool()
 	default:
 		return false
 	}
@@ -108,6 +121,7 @@ type Scratch struct {
 	f64   bufPool[float64]
 	i32   bufPool[int32]
 	bools bufPool[bool]
+	vals  bufPool[value.V]
 }
 
 // Reset returns every buffer handed out so far to the pool. Programs
@@ -117,6 +131,7 @@ func (sc *Scratch) Reset() {
 	sc.f64.reset()
 	sc.i32.reset()
 	sc.bools.reset()
+	sc.vals.reset()
 }
 
 type bufPool[T any] struct{ free, used [][]T }
@@ -174,6 +189,50 @@ func (l *Lanes) setConst(v value.V, n int) *Lanes {
 	return l
 }
 
+// startPut prepares the vector for lane-by-lane assembly: n lanes, each
+// NULL until put stores a value there.
+func (l *Lanes) startPut(sc *Scratch, n int) {
+	l.reset(sc, value.KindNull, n)
+	l.nullBuf = sc.bools.grow(l.nullBuf, n)
+	for i := range l.nullBuf {
+		l.nullBuf[i] = true
+	}
+	l.Nulls = l.nullBuf
+}
+
+// put stores v at lane i of a vector under assembly. The first non-NULL
+// number fixes a typed layout, which holds while every later value has
+// that kind; a value of another kind, or a string (there is no dictionary
+// to join), boxes the lanes stored so far and everything after them.
+func (l *Lanes) put(sc *Scratch, i int, v value.V) {
+	if v.IsNull() {
+		return
+	}
+	switch {
+	case l.Kind == v.K || l.Kind == kindBoxed:
+		// the layout already holds v
+	case l.Kind == value.KindNull && v.K == value.KindFloat:
+		l.Kind, l.Floats = v.K, sc.f64.grow(l.Floats, l.N)
+	case l.Kind == value.KindNull && v.K != value.KindString:
+		l.Kind, l.Ints = v.K, sc.i64.grow(l.Ints, l.N)
+	default:
+		l.vals = sc.vals.grow(l.vals, l.N)
+		for j := range l.vals {
+			l.vals[j] = l.Value(j)
+		}
+		l.Kind = kindBoxed
+	}
+	l.Nulls[i] = false
+	switch l.Kind {
+	case kindBoxed:
+		l.vals[i] = v
+	case value.KindFloat:
+		l.Floats[i] = v.F
+	default:
+		l.Ints[i] = v.I
+	}
+}
+
 // node is one compiled operator; eval produces the node's vector over the
 // selected batch lanes. Nodes own their output scratch, so a Program must
 // not be shared across goroutines.
@@ -207,9 +266,11 @@ const chunkLanes = 4096
 
 // Compile builds a column-program for e over batch b using the binding's
 // detail side for column references; detail-free subtrees (constants and
-// base-side references) become per-base-row scalars. Expressions the
-// kernels cannot express report ErrUnsupported. The program draws its lane
-// buffers from sc, which programs evaluated on the same goroutine may share.
+// base-side references) become per-base-row scalars. Every node kind of
+// the expression language compiles; what fails is what the row binder
+// rejects too (an unknown column, function or operator). The program draws
+// its lane buffers from sc, which programs evaluated on the same goroutine
+// may share.
 func Compile(e expr.Expr, bd expr.Binding, b *Batch, sc *Scratch) (*Program, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
@@ -346,11 +407,10 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 	case expr.Col:
 		side, ok := bd.SideOf(n)
 		if !ok || side != expr.SideDetail {
-			// Mirror the row binder's error for unknown/ambiguous columns.
-			if _, err := expr.Bind(e, bd); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: non-detail column %s in detail subtree", ErrUnsupported, n)
+			// Unknown or ambiguous (a base-side column is detail-free and
+			// never gets here): the row binder's error.
+			_, err := expr.Bind(e, bd)
+			return nil, err
 		}
 		idx, err := p.batch.Schema.MustLookup(n.Name)
 		if err != nil {
@@ -456,8 +516,63 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 	case expr.Const:
 		return &constNode{v: n.Val}, nil
 
-	case expr.Case, expr.Call:
-		return nil, fmt.Errorf("%w: %T", ErrUnsupported, e)
+	case expr.Case:
+		cn := &caseNode{arms: make([]caseArm, len(n.Whens))}
+		for i, w := range n.Whens {
+			cond, err := p.compile(w.Cond, bd)
+			if err != nil {
+				return nil, err
+			}
+			then, err := p.compile(w.Then, bd)
+			if err != nil {
+				return nil, err
+			}
+			cn.arms[i] = caseArm{cond: cond, then: then}
+		}
+		if n.Else != nil {
+			els, err := p.compile(n.Else, bd)
+			if err != nil {
+				return nil, err
+			}
+			cn.els = els
+		}
+		return cn, nil
+
+	case expr.Call:
+		// Bind the call over a row of its own arguments: an unknown name
+		// or a wrong argument count is the row binder's error, and the
+		// bound body is what callNode runs per lane.
+		cols := make([]relation.Column, len(n.Args))
+		refs := make([]expr.Expr, len(n.Args))
+		args := make([]node, len(n.Args))
+		for i, a := range n.Args {
+			name := "a" + strconv.Itoa(i)
+			cols[i], refs[i] = relation.Column{Name: name}, expr.Col{Name: name}
+			x, err := p.compile(a, bd)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = x
+		}
+		schema, err := relation.NewSchema(cols...)
+		if err != nil {
+			return nil, err
+		}
+		body, err := expr.Bind(expr.Call{Name: n.Name, Args: refs}, expr.SingleRelation(schema))
+		if err != nil {
+			return nil, err
+		}
+		if strings.EqualFold(n.Name, "coalesce") {
+			// The one lazy function: an argument is evaluated only over
+			// the lanes every earlier argument left NULL.
+			cn := &caseNode{arms: make([]caseArm, len(args))}
+			for i, x := range args {
+				cn.arms[i].then = x
+			}
+			return cn, nil
+		}
+		return &callNode{args: args, body: body,
+			vals: make([]*Lanes, len(args)), row: make(relation.Row, len(args))}, nil
 	}
 	return nil, fmt.Errorf("expr: cannot compile %T", e)
 }
@@ -656,38 +771,32 @@ func (n *negNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	}
 	ln := len(sel)
 	out := &n.out
-	if x.Const {
-		v, err := value.Neg(x.ConstV)
-		if err != nil {
-			return nil, err
-		}
-		return out.setConst(v, ln), nil
-	}
-	switch x.Kind {
-	case value.KindNull:
-		return out.setConst(value.Null, ln), nil
-	case value.KindInt:
+	switch {
+	case !x.Const && x.Kind == value.KindInt:
 		out.reset(p.sc, value.KindInt, ln)
 		for i := 0; i < ln; i++ {
 			out.Ints[i] = -x.Ints[i]
 		}
 		out.Nulls = x.Nulls
-	case value.KindFloat:
+	case !x.Const && x.Kind == value.KindFloat:
 		out.reset(p.sc, value.KindFloat, ln)
 		for i := 0; i < ln; i++ {
 			out.Floats[i] = -x.Floats[i]
 		}
 		out.Nulls = x.Nulls
 	default:
-		// BOOL and STRING lanes: NULL negates to NULL, anything else is
-		// the row engine's error.
+		// Everything without a typed numeric payload — BOOL, STRING and
+		// boxed lanes, an all-NULL or constant vector — goes through the
+		// row engine's negation one by one: NULL negates to NULL, a
+		// non-number is its error.
+		out.startPut(p.sc, ln)
 		for i := 0; i < ln; i++ {
-			if !x.isNull(i) {
-				_, err := value.Neg(x.Value(i))
+			v, err := value.Neg(x.Value(i))
+			if err != nil {
 				return nil, err
 			}
+			out.put(p.sc, i, v)
 		}
-		return out.setConst(value.Null, ln), nil
 	}
 	return out, nil
 }
@@ -888,15 +997,23 @@ func (n *cmpNode) eval(p *Program, sel []int32) (*Lanes, error) {
 			}
 		}
 	default:
-		// String vs number: NULL lanes are false, the first lane with
-		// both sides non-NULL raises the row engine's compare error.
+		// String against number, or boxed lanes: NULL lanes are false, the
+		// rest compare through value.Compare, which raises the row
+		// engine's error for a string/number pair.
 		for i := 0; i < ln; i++ {
 			if l.isNull(i) || r.isNull(i) {
 				out.Ints[i] = 0
 				continue
 			}
-			_, err := value.Compare(l.Value(i), r.Value(i))
-			return nil, err
+			c, err := value.Compare(l.Value(i), r.Value(i))
+			if err != nil {
+				return nil, err
+			}
+			if n.ok(c) {
+				out.Ints[i] = 1
+			} else {
+				out.Ints[i] = 0
+			}
 		}
 	}
 	return out, nil
@@ -949,16 +1066,18 @@ func (n *arithNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		// NULL propagates before any numeric check.
 		return out.setConst(value.Null, ln), nil
 	}
-	if lk == value.KindString || rk == value.KindString {
-		// NULL lanes still yield NULL; the first lane with both sides
-		// non-NULL raises the row engine's non-numeric error.
+	if !numericish(lk) || !numericish(rk) {
+		// String or boxed lanes go through the row engine's operator one
+		// by one: NULL lanes yield NULL, a non-numeric operand is its error.
+		out.startPut(p.sc, ln)
 		for i := 0; i < ln; i++ {
-			if !l.isNull(i) && !r.isNull(i) {
-				_, err := n.apply(l.Value(i), r.Value(i))
+			v, err := n.apply(l.Value(i), r.Value(i))
+			if err != nil {
 				return nil, err
 			}
+			out.put(p.sc, i, v)
 		}
-		return out.setConst(value.Null, ln), nil
+		return out, nil
 	}
 	nulls, anyNull := nullLanes(p.sc, l, r, ln, n.nulls)
 	n.nulls = nulls
@@ -1123,26 +1242,25 @@ func (n *likeNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		return nil, err
 	}
 	ln := len(sel)
-	if x.Const {
-		v := x.ConstV
-		if v.IsNull() {
-			return n.out.setConst(value.NewBool(false), ln), nil
-		}
-		if v.K != value.KindString {
-			return nil, fmt.Errorf("expr: LIKE on %s value", v.K)
-		}
-		return n.out.setConst(value.NewBool(expr.LikeMatch(v.S, n.pattern) != n.neg), ln), nil
-	}
-	if x.Kind != value.KindString {
-		// NULL lanes are false; any non-NULL lane raises the row
-		// engine's LIKE type error.
-		for i := 0; i < ln; i++ {
-			if !x.isNull(i) {
-				return nil, fmt.Errorf("expr: LIKE on %s value", x.Kind)
-			}
-		}
+	if x.Const || x.Kind != value.KindString {
+		// No dictionary to match per entry (a non-string column, boxed
+		// lanes, a constant): NULL lanes are false, a non-string lane
+		// raises the row engine's LIKE type error.
 		out := &n.out
 		out.reset(p.sc, value.KindBool, ln)
+		for i := 0; i < ln; i++ {
+			v := x.Value(i)
+			switch {
+			case v.IsNull():
+				out.Ints[i] = 0
+			case v.K != value.KindString:
+				return nil, fmt.Errorf("expr: LIKE on %s value", v.K)
+			case expr.LikeMatch(v.S, n.pattern) != n.neg:
+				out.Ints[i] = 1
+			default:
+				out.Ints[i] = 0
+			}
+		}
 		return out, nil
 	}
 	// The program is bound to one batch, so the column dictionary is

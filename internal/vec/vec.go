@@ -4,19 +4,16 @@
 // and compiled column-programs that evaluate expr conditions over
 // selections instead of per-row Eval calls.
 //
-// The row engine in internal/gmdj stays the reference implementation; the
+// The row code in internal/gmdj stays the reference implementation; the
 // vectorized kernels here replicate its value semantics exactly (null
-// handling, short-circuit order, integer overflow wrap, float
-// accumulation order), so the two engines are byte-exact on success and
-// agree on error presence. Anything the kernels cannot express (CASE,
-// function calls, mixed-kind columns) reports ErrUnsupported and the
-// caller falls back to rows.
+// handling, short-circuit and CASE laziness, integer overflow wrap, float
+// accumulation order), so the two are byte-exact on success and agree on
+// error presence. The kernels cover the whole expression language; the
+// one thing they refuse is a relation whose values violate its declared
+// column kinds (FromRelation), and that is an error, not a slower path.
 package vec
 
-//lint:vecshape exported kernels validate batch/selection shape up front
-
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -24,10 +21,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/value"
 )
-
-// ErrUnsupported reports that a relation or expression cannot be handled
-// by the vectorized engine; callers fall back to the row engine.
-var ErrUnsupported = errors.New("vec: unsupported by vectorized engine")
 
 // Bitmap is a fixed-length bitmap; bit i tracks lane i of a column or
 // selection. The zero value is an empty bitmap of length 0.
@@ -167,8 +160,7 @@ func (b *Batch) AllLanes() []int32 {
 
 // Check validates the structural invariants of the batch: one column per
 // schema column, every payload and null bitmap of the batch's lane count.
-// Exported kernels call it (or checkSel) before touching payloads, which
-// the vecshape analyzer enforces.
+// Exported kernels call it (or checkSel) before touching payloads.
 func (b *Batch) Check() error {
 	if b.Schema == nil {
 		return fmt.Errorf("vec: batch has no schema")
@@ -207,8 +199,8 @@ func (b *Batch) checkSel(sel []int32) error {
 
 // FromRelation converts a row relation into a batch. The conversion is
 // strict: every value must be NULL or match its column's declared kind
-// (a column declared KindNull accepts only NULLs). Mixed-kind columns
-// report ErrUnsupported so the caller can fall back to the row engine.
+// (a column declared KindNull accepts only NULLs); the error names the
+// first column, kinds and row that break the rule.
 func FromRelation(r *relation.Relation) (*Batch, error) {
 	n := len(r.Rows)
 	b := &Batch{Schema: r.Schema, Cols: make([]Col, r.Schema.Len()), n: n}
@@ -227,7 +219,7 @@ func FromRelation(r *relation.Relation) (*Batch, error) {
 		case value.KindNull:
 			col.Ints = make([]int64, n)
 		default:
-			return nil, fmt.Errorf("%w: column %s has kind %s", ErrUnsupported, sc.Name, sc.Kind)
+			return nil, fmt.Errorf("column %s has unknown kind %s", sc.Name, sc.Kind)
 		}
 		for i, row := range r.Rows {
 			v := row[ci]
@@ -239,8 +231,7 @@ func FromRelation(r *relation.Relation) (*Batch, error) {
 				continue
 			}
 			if v.K != sc.Kind {
-				return nil, fmt.Errorf("%w: column %s declared %s holds %s value",
-					ErrUnsupported, sc.Name, sc.Kind, v.K)
+				return nil, fmt.Errorf("column %s declared %s holds %s at row %d", sc.Name, sc.Kind, v.K, i)
 			}
 			switch sc.Kind {
 			case value.KindInt, value.KindBool:

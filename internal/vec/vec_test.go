@@ -189,6 +189,21 @@ func TestDistinctRejectsBadShape(t *testing.T) {
 	if _, err := Rows(b, []int{-1}, b.AllLanes()); err == nil {
 		t.Error("Rows accepted a negative column")
 	}
+	bd := expr.SingleRelation(b.Schema, "R")
+	p, err := Compile(expr.MustParse("CASE WHEN R.I > 0 THEN R.F END > 0"), bd, b, new(Scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Filter([]int32{-1}, nil); err == nil {
+		t.Error("Filter accepted a negative selection lane")
+	}
+	if err := p.EvalEach([]int32{int32(b.Len())}, func(*Lanes) error { return nil }); err == nil {
+		t.Error("EvalEach accepted a selection lane past the batch")
+	}
+	short := &Batch{Schema: b.Schema, Cols: b.Cols[:1]}
+	if _, err := Compile(expr.MustParse("R.I > 0"), bd, short, new(Scratch)); err == nil {
+		t.Error("Compile accepted a batch with fewer columns than its schema")
+	}
 }
 
 // TestGroupingMemoized: the second distinct over the same key reuses the
@@ -246,6 +261,8 @@ func TestFilterMatchesRowPredicate(t *testing.T) {
 	for _, text := range []string{
 		"R.I = 2", "R.F > 0", "R.S LIKE 'a%' OR R.B", "R.I IN (1, 2) AND NOT (R.F < 1)",
 		"R.S = 'b' AND R.I BETWEEN 0 AND 5", "1 = 1", "R.F / 0 > 1",
+		"CASE WHEN R.I = 1 THEN 1 ELSE 0 END = 1", "CASE WHEN R.B THEN R.S WHEN R.I > 1 THEN 'ab' END LIKE 'a%'",
+		"coalesce(R.F, R.I, 0) > 1", "abs(R.F) >= 1 OR least(R.I, 2) = 2", "greatest(R.I, R.F) > CASE WHEN R.B THEN R.I ELSE R.F END",
 	} {
 		e := expr.MustParse(text)
 		bound, err := expr.Bind(e, bd)
@@ -273,9 +290,6 @@ func TestFilterMatchesRowPredicate(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: selected %v, row predicate %v", text, got, want)
 		}
-	}
-	if _, err := Compile(expr.MustParse("CASE WHEN R.I = 1 THEN 1 ELSE 0 END = 1"), bd, b, new(Scratch)); err == nil {
-		t.Error("CASE compiled; the row fallback rule depends on it being refused")
 	}
 }
 

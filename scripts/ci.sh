@@ -37,8 +37,9 @@ go test -race ./...
 echo "== stress (race, 20 runs of the concurrent layers) =="
 # Every other gate runs each test once, which is how a drain race failing
 # one run in two was merged. The layers with real concurrency — sockets,
-# fan-out, parallel site evaluation — must be green twenty times over.
-go test -race -count=20 ./internal/transport ./internal/core ./internal/site
+# fan-out, parallel site evaluation and the kernel workers it fans out to
+# — must be green twenty times over.
+go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj
 
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg

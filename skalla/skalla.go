@@ -123,9 +123,6 @@ type ClusterConfig struct {
 	// Limits applies per-request resource limits at every in-process
 	// site engine; oversized results are refused with ErrOverloaded.
 	Limits Limits
-	// RowEngine forces every in-process site onto the row-at-a-time GMDJ
-	// reference engine instead of the vectorized default.
-	RowEngine bool
 }
 
 // Cluster is a running distributed data warehouse.
@@ -170,9 +167,6 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		eng := site.NewEngine(id)
 		eng.SetObs(cfg.Obs)
 		eng.SetLimits(cfg.Limits)
-		if cfg.RowEngine {
-			eng.SetEvalEngine(gmdj.EngineRow)
-		}
 		c.engines = append(c.engines, eng)
 		replica := transport.Replica{Handler: eng}
 		if cfg.UseTCP {

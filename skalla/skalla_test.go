@@ -2,11 +2,13 @@ package skalla
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/gmdj"
 	"repro/internal/relation"
+	sqlfe "repro/internal/sql"
 	"repro/internal/tpcr"
 	"repro/internal/value"
 )
@@ -305,6 +307,66 @@ func TestConditionalAggregation(t *testing.T) {
 	}
 	if all != got {
 		t.Errorf("conditional split lost bytes: %d != %d", got, all)
+	}
+}
+
+// TestConditionalAggregationVectorized: the return-rate query of
+// examples/sql — sum over a CASE, the most common OLAP idiom there is —
+// runs on the columnar kernels at every site (each site's profile reports
+// kernel batches, not just "engine vector") and is byte-equal to the
+// centralized row reference on the union of the partitions.
+func TestConditionalAggregationVectorized(t *testing.T) {
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	cfg := tpcr.Config{Rows: 6000, Customers: 60, Seed: 5}
+	if _, err := cluster.Generate("tpcr", "tpcr", tpcr.GenParams(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tpcr.FillCatalog(cluster.Catalog(), cluster.SiteIDs(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sqlfe.Parse(`SELECT RegionKey,
+	        count(*) AS lines,
+	        sum(CASE WHEN ReturnFlag = 'R' THEN 1 ELSE 0 END) AS returns
+	 FROM tpcr GROUP BY RegionKey`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := st.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Coordinator().QueryID = "q-return-rate"
+	res, err := cluster.Query(q, st.Detail, AllOptimizations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := map[string]int64{}
+	for _, r := range res.Stats.Rounds {
+		for _, sr := range r.Sites {
+			if sr.Remote == nil {
+				t.Fatalf("round %s: site %s sent no profile", r.Name, sr.Site)
+			}
+			batches[sr.Site] += sr.Remote.VecBatches
+		}
+	}
+	for _, id := range cluster.SiteIDs() {
+		if batches[id] == 0 {
+			t.Errorf("site %s evaluated the CASE aggregate off the kernels: VecBatches = 0", id)
+		}
+	}
+	want, err := gmdj.EvalQuery(tpcr.Generate(cfg), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Relation.SortBy("RegionKey")
+	want.SortBy("RegionKey")
+	if !reflect.DeepEqual(res.Relation.Rows, want.Rows) {
+		t.Errorf("distributed result differs from gmdj.EvalQuery on the union:\n%s\nwant\n%s",
+			res.Relation.Format(10), want.Format(10))
 	}
 }
 
