@@ -352,21 +352,15 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 			rounds = append(rounds, spec)
 		}
 
-		// Per-site filtering of the shipped base structure (Theorem 4).
+		// What each site receives: X cut to the step's ship set and to the
+		// rows its Theorem-4 filter keeps.
 		coordStart := time.Now()
-		frags := map[string]*relation.Relation{}
+		var ships map[string]shipment
 		if !step.FuseBase {
-			for _, cl := range c.clients {
-				frag := x
-				if fs, ok := plan.SiteFilters[cl.SiteID()]; ok && si < len(fs) && fs[si] != nil {
-					var err error
-					frag, err = filterBase(x, fs[si], q.MDs[step.MDs[0]])
-					if err != nil {
-						rspan.End()
-						return nil, stats, fmt.Errorf("core: site filter for %s: %w", cl.SiteID(), err)
-					}
-				}
-				frags[cl.SiteID()] = frag
+			var err error
+			if ships, err = c.shipments(x, plan, si); err != nil {
+				rspan.End()
+				return nil, stats, err
 			}
 		}
 		prepTime := time.Since(coordStart)
@@ -381,14 +375,15 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 				req.BaseCols = q.Base.Cols
 				req.BaseWhere = whereText(q.Base.Where)
 			} else {
-				req.Base = frags[cl.SiteID()]
+				req.Base, req.StatesOnly = ships[cl.SiteID()].base, true
 			}
 			return req, nil
 		})
 
-		// Synchronize: merge primitive states into X keyed on K.
+		// Synchronize: merge primitive states into X, by position for
+		// states-only replies and keyed on K otherwise.
 		_, sspan := c.Obs.StartSpanTrack(roundCtx, "sync:"+rs.Name, obs.TrackCoordinator)
-		merged, mergeTime, err := c.synchronize(x, stream, specs, plan, step.FuseBase, &rs)
+		merged, mergeTime, err := c.synchronize(x, stream, specs, plan, ships, &rs)
 		sspan.End()
 		rspan.End()
 		if err != nil {
@@ -736,48 +731,52 @@ func (c *Coordinator) publishProfile(stats *ExecStats) {
 // is the behavior §3.2 describes: the coordinator synchronizes early
 // fragments while slower sites are still computing. It returns the new X
 // and the coordinator time spent merging (excluding time blocked waiting
-// on the stream).
-func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, specs []agg.Spec, plan *Plan, fused bool, rs *RoundStats) (*relation.Relation, time.Duration, error) {
+// on the stream). ships is what each site received; nil means a fused
+// step, whose fragments bring the groups themselves.
+func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, specs []agg.Spec, plan *Plan, ships map[string]shipment, rs *RoundStats) (*relation.Relation, time.Duration, error) {
 	var mergeTime time.Duration
 	var firstErr error
+	fused := ships == nil
 
 	// Merge state, initialized lazily for fused steps (the base schema
 	// comes from the first fragment).
 	var schema *relation.Schema
 	var m *keyedMerge
 
-	mergeFragment := func(h *relation.Relation) error {
+	mergeFragment := func(site string, resp *transport.Response) error {
+		h := resp.Rel
 		if h == nil {
 			return fmt.Errorf("no relation")
 		}
 		if m == nil {
 			var groups []relation.Row
-			switch {
-			case fused:
+			if fused {
 				var err error
 				if schema, _, err = h.Schema.Project(plan.Query.Base.Cols); err != nil {
 					return fmt.Errorf("fused step base schema: %w", err)
 				}
-			case x == nil:
-				return fmt.Errorf("no base-result structure before non-fused step")
-			default:
+			} else {
 				schema, groups = x.Schema, x.Rows
 			}
 			var err error
-			if m, err = newKeyedMerge(schema, groups, plan.Keys, specs, false); err != nil {
+			if m, err = newKeyedMerge(schema, groups, plan.Keys, specs); err != nil {
 				return err
 			}
 		}
 		// A fragment group the coordinator never shipped is only legal in
-		// fused mode, where it becomes a new base row.
-		var newRow []int
+		// fused mode, where it becomes a new base row; a states-only
+		// fragment answers shipped rows by position.
+		var newRow, at []int
 		if fused {
 			var err error
 			if newRow, err = lookupAll(h.Schema, schema.Names()); err != nil {
 				return err
 			}
+		} else {
+			sh := ships[site]
+			at = positions(sh.idx, sh.base.Len(), resp.Kept)
 		}
-		return m.merge(h, newRow)
+		return m.merge(h, newRow, at)
 	}
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are
@@ -792,7 +791,7 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		}
 		t0 := time.Now()
 		if mergeErr == nil && (c.AllowPartial || firstErr == nil) {
-			if err := mergeFragment(it.resp.Rel); err != nil {
+			if err := mergeFragment(it.Site, it.resp); err != nil {
 				mergeErr = fmt.Errorf("site %s fragment: %w", it.Site, err)
 			}
 		}
@@ -818,24 +817,61 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 	return out, mergeTime, err
 }
 
-// filterBase applies a Theorem-4 site filter to the base structure.
-func filterBase(x *relation.Relation, f expr.Expr, md gmdj.MD) (*relation.Relation, error) {
+// shipment is what one site receives in a step that ships X: the base
+// fragment and, under a Theorem-4 filter, the X row of each fragment row.
+type shipment struct {
+	base *relation.Relation
+	idx  []int // nil: fragment row k is X row k
+}
+
+// shipments cuts X to what each site receives in step si: the step's ship
+// columns, projected once for all sites, of the rows its Theorem-4 filter
+// keeps.
+func (c *Coordinator) shipments(x *relation.Relation, plan *Plan, si int) (map[string]shipment, error) {
+	if x == nil {
+		return nil, fmt.Errorf("core: no base-result structure before non-fused step %d", si+1)
+	}
+	step, px := plan.Steps[si], x
+	if step.Ship != nil && len(step.Ship) < x.Schema.Len() {
+		var err error
+		if px, err = x.Project(step.Ship); err != nil {
+			return nil, fmt.Errorf("core: step %d ship set: %w", si+1, err)
+		}
+	}
+	out := make(map[string]shipment, len(c.clients))
+	for _, cl := range c.clients {
+		sh := shipment{base: px}
+		if fs := plan.SiteFilters[cl.SiteID()]; si < len(fs) && fs[si] != nil {
+			var err error
+			if sh, err = filterBase(x, px, fs[si], plan.Query.MDs[step.MDs[0]]); err != nil {
+				return nil, fmt.Errorf("core: site filter for %s: %w", cl.SiteID(), err)
+			}
+		}
+		out[cl.SiteID()] = sh
+	}
+	return out, nil
+}
+
+// filterBase decides a Theorem-4 site filter on the rows of X and ships
+// the kept rows of its projection px.
+func filterBase(x, px *relation.Relation, f expr.Expr, md gmdj.MD) (shipment, error) {
 	bAlias, _ := md.Aliases()
 	bound, err := expr.Bind(f, expr.Binding{Base: x.Schema, BaseAliases: []string{bAlias}})
 	if err != nil {
-		return nil, err
+		return shipment{}, err
 	}
-	out := relation.New(x.Schema)
-	for _, row := range x.Rows {
+	sh := shipment{base: relation.New(px.Schema), idx: []int{}}
+	for i, row := range x.Rows {
 		ok, err := bound.EvalBool(row, nil)
 		if err != nil {
-			return nil, err
+			return shipment{}, err
 		}
 		if ok {
-			out.Rows = append(out.Rows, row)
+			sh.base.Rows = append(sh.base.Rows, px.Rows[i])
+			sh.idx = append(sh.idx, i)
 		}
 	}
-	return out, nil
+	return sh, nil
 }
 
 // unionDistinct merges base fragments with set semantics.

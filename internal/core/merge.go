@@ -6,14 +6,14 @@ import (
 	"fmt"
 
 	"repro/internal/agg"
-	"repro/internal/gmdj"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
 
 // keyedMerge is the Theorem-1 merge, the one implementation of it in this
-// package: sub-aggregate fragments are grouped on the key attributes K and
-// their primitive states merged associatively, one agg.Slab group per
+// package: sub-aggregate fragments are resolved to their groups — by the
+// key attributes K, or by position for a states-only fragment (merge) —
+// and their primitive states merged associatively, one agg.Slab group per
 // group row. The coordinator (synchronize) finalizes the merged states
 // into new columns of X; a relay tier (Relay.evalRounds) re-emits them as
 // one pre-merged fragment.
@@ -22,28 +22,24 @@ type keyedMerge struct {
 	specs  []agg.Spec
 	rows   []relation.Row // one row per group, in first-seen order
 	keyIdx []int          // positions of keys in rows
-	index  relation.KeyIndex
-	accs   *agg.Slab
-	// touched sums the fragments' gmdj.TouchedCol per group; nil unless
-	// the merge was asked to carry the counter (relay tiers).
-	touched []int64
+	// index resolves keys to the first indexed groups; the first keyed
+	// fragment builds it, so states-only fragments never hash K.
+	index   relation.KeyIndex
+	indexed int
+	accs    *agg.Slab
+	// kept marks, as a Response.Kept bitmap, every group a fragment
+	// contributed to; nil unless a relay asked for it.
+	kept []byte
 }
 
 // newKeyedMerge starts a merge over the given group rows (which may be
-// empty: groups are then added as fragments bring them).
-func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, specs []agg.Spec, sumTouched bool) (*keyedMerge, error) {
+// empty: groups are then added as keyed fragments bring them).
+func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, specs []agg.Spec) (*keyedMerge, error) {
 	keyIdx, err := lookupAll(schema, keys)
 	if err != nil {
 		return nil, err
 	}
-	m := &keyedMerge{keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, accs: agg.NewSlab(specs, len(rows))}
-	for pos, row := range rows {
-		m.index.Add(relation.HashRow(row, keyIdx), pos)
-	}
-	if sumTouched {
-		m.touched = make([]int64, len(rows))
-	}
-	return m, nil
+	return &keyedMerge{keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, accs: agg.NewSlab(specs, len(rows))}, nil
 }
 
 // lookupAll resolves column names to positions in schema.
@@ -75,43 +71,70 @@ func primCols(schema *relation.Schema, specs []agg.Spec) ([]int, error) {
 	return prims, nil
 }
 
-// merge folds fragment h into the groups; columns are resolved in h by
-// name. A group first seen in h takes its row from the fragment positions
-// newRow; a nil newRow makes an unknown group an error.
-func (m *keyedMerge) merge(h *relation.Relation, newRow []int) error {
-	hKey, err := lookupAll(h.Schema, m.keys)
-	if err != nil {
-		return err
+// positions maps a states-only reply's rows to groups: row j answers the
+// j-th shipped row kept marks (Response.Kept; nil marks all), and shipped
+// row k is group idx[k] (k when idx is nil).
+func positions(idx []int, shipped int, kept []byte) []int {
+	at := make([]int, 0, shipped)
+	for k := 0; k < shipped; k++ {
+		if kept != nil && (k/8 >= len(kept) || kept[k/8]&(1<<(k%8)) == 0) {
+			continue
+		}
+		if idx != nil {
+			at = append(at, idx[k])
+		} else {
+			at = append(at, k)
+		}
 	}
+	return at
+}
+
+// merge folds fragment h into the groups; columns are resolved in h by
+// name, and h's shape picks how its rows find their groups. A fragment
+// carrying the keys resolves by key, a group first seen there taking its
+// row from the fragment positions newRow (a nil newRow makes an unknown
+// group an error); one without them — a states-only reply — by position:
+// row j is group at[j].
+func (m *keyedMerge) merge(h *relation.Relation, newRow []int, at []int) error {
 	prims, err := primCols(h.Schema, m.specs)
 	if err != nil {
 		return err
 	}
-	touched := -1
-	if m.touched != nil {
-		if touched, err = h.Schema.MustLookup(gmdj.TouchedCol); err != nil {
-			return err
+	hKey, err := lookupAll(h.Schema, m.keys)
+	keyed := err == nil
+	switch {
+	case keyed:
+		for ; m.indexed < len(m.rows); m.indexed++ {
+			m.index.Add(relation.HashRow(m.rows[m.indexed], m.keyIdx), m.indexed)
 		}
+	case at == nil:
+		return fmt.Errorf("fragment carries neither keys nor positions: %w", err)
+	case len(at) != len(h.Rows):
+		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", len(h.Rows), len(at))
 	}
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, m.rows[pos], m.keyIdx) }
-	for _, row = range h.Rows {
-		hash := relation.HashRow(row, hKey)
-		pos, ok := m.index.Find(hash, sameKey)
-		if !ok {
-			if newRow == nil {
-				return fmt.Errorf("unknown group")
+	for j := range h.Rows {
+		row = h.Rows[j]
+		var pos int
+		if keyed {
+			hash := relation.HashRow(row, hKey)
+			var ok bool
+			if pos, ok = m.index.Find(hash, sameKey); !ok {
+				if newRow == nil {
+					return fmt.Errorf("unknown group")
+				}
+				nr := make(relation.Row, len(newRow))
+				for i, p := range newRow {
+					nr[i] = row[p]
+				}
+				m.rows = append(m.rows, nr)
+				pos = m.accs.AddGroup()
+				m.index.Add(hash, pos)
+				m.indexed++
 			}
-			nr := make(relation.Row, len(newRow))
-			for i, p := range newRow {
-				nr[i] = row[p]
-			}
-			m.rows = append(m.rows, nr)
-			pos = m.accs.AddGroup()
-			m.index.Add(hash, pos)
-			if m.touched != nil {
-				m.touched = append(m.touched, 0)
-			}
+		} else {
+			pos = at[j]
 		}
 		group := m.accs.Group(pos)
 		for pi, p := range prims {
@@ -119,12 +142,8 @@ func (m *keyedMerge) merge(h *relation.Relation, newRow []int) error {
 				return fmt.Errorf("group merge: %w", err)
 			}
 		}
-		if touched >= 0 {
-			t, err := row[touched].AsInt()
-			if err != nil {
-				return err
-			}
-			m.touched[pos] += t
+		if m.kept != nil {
+			m.kept[pos/8] |= 1 << (pos % 8)
 		}
 	}
 	return nil
@@ -163,31 +182,52 @@ func (m *keyedMerge) finalized(schema *relation.Schema) (*relation.Relation, err
 	return out, nil
 }
 
-// states emits the group rows with their primitive state columns (and the
-// touched counter, when carried) replaced by the merged values — a
-// fragment of the same schema as the ones merged, for the tier above.
-// The group rows must be the merge's own (it overwrites them).
+// states emits the group rows with their primitive state columns replaced
+// by the merged values — a fragment of the same schema as the keyed ones
+// merged, for the tier above. The group rows must be the merge's own (it
+// overwrites them).
 func (m *keyedMerge) states(schema *relation.Schema) (*relation.Relation, error) {
 	prims, err := primCols(schema, m.specs)
 	if err != nil {
 		return nil, err
-	}
-	touched := -1
-	if m.touched != nil {
-		if touched, err = schema.MustLookup(gmdj.TouchedCol); err != nil {
-			return nil, err
-		}
 	}
 	for gi, row := range m.rows {
 		group := m.accs.Group(gi)
 		for pi, p := range prims {
 			row[p] = group[pi].Result()
 		}
-		if touched >= 0 {
-			row[touched] = value.NewInt(m.touched[gi])
-		}
 	}
 	out := relation.New(schema)
 	out.Rows = m.rows
 	return out, nil
+}
+
+// keptStates emits a states-only fragment for the tier above: the merged
+// primitive states of every group kept marks, in group order, and the
+// Response.Kept bitmap naming them (nil when it names every group).
+func (m *keyedMerge) keptStates() (*relation.Relation, []byte, error) {
+	var cols []relation.Column
+	for _, sp := range m.specs {
+		cols = append(cols, sp.SubColumns()...)
+	}
+	schema, err := relation.NewSchema(cols...)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := relation.New(schema)
+	for gi := range m.rows {
+		if m.kept[gi/8]&(1<<(gi%8)) == 0 {
+			continue
+		}
+		group := m.accs.Group(gi)
+		row := make(relation.Row, len(group))
+		for pi := range group {
+			row[pi] = group[pi].Result()
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	if out.Len() == len(m.rows) {
+		return out, nil, nil
+	}
+	return out, m.kept, nil
 }

@@ -113,6 +113,11 @@ func (e Egil) BuildPlanSchemas(q gmdj.Query, detailName string, schemas map[stri
 	}
 	plan.BaseRound = !fuse
 	plan.Steps = steps
+	for si := range steps {
+		if !steps[si].FuseBase {
+			steps[si].Ship = shipSet(q, steps[si], baseSchemas[steps[si].MDs[0]])
+		}
+	}
 
 	// O2: distribution-independent group reduction.
 	plan.Touched = e.Options.GroupReduceSites
@@ -155,6 +160,34 @@ func cumulativeSchemas(q gmdj.Query, detail *relation.Schema) ([]*relation.Schem
 		}
 	}
 	return out, nil
+}
+
+// shipSet returns the columns of X (schema x, in its order) a step's
+// sites read: the keys K plus every column a θ of the step references,
+// qualified with its MD's base alias or unqualified. A column an earlier
+// MD of a chained step produces is computed at the site and is not in x.
+func shipSet(q gmdj.Query, step Step, x *relation.Schema) []string {
+	read := map[string]bool{}
+	for _, k := range q.Keys() {
+		read[strings.ToLower(k)] = true
+	}
+	for _, mi := range step.MDs {
+		bAlias, _ := q.MDs[mi].Aliases()
+		for _, theta := range q.MDs[mi].Thetas {
+			for _, c := range expr.Cols(theta) {
+				if c.Qual == "" || strings.EqualFold(c.Qual, bAlias) {
+					read[strings.ToLower(c.Name)] = true
+				}
+			}
+		}
+	}
+	var ship []string
+	for _, c := range x.Cols {
+		if read[strings.ToLower(c.Name)] {
+			ship = append(ship, c.Name)
+		}
+	}
+	return ship
 }
 
 // chainSteps groups consecutive MDs into synchronization-free runs.

@@ -60,6 +60,10 @@ type Step struct {
 	// at the start of this step instead of receiving it (Proposition 2).
 	// Only valid on the first step.
 	FuseBase bool
+	// Ship names the columns of X this step ships, in X's order: the keys
+	// K plus every X column a θ of the step reads. The optimizer sets it
+	// on every step that ships X; nil ships X whole.
+	Ship []string
 }
 
 // Plan is a distributed evaluation plan for a GMDJ query.
@@ -113,6 +117,9 @@ func (p *Plan) Explain() string {
 		}
 		if s.FuseBase {
 			b.WriteString(", base fused (no base sync)")
+		}
+		if s.Ship != nil {
+			fmt.Fprintf(&b, ", ships X{%s}", strings.Join(s.Ship, ", "))
 		}
 		b.WriteByte('\n')
 	}

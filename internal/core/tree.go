@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/gmdj"
 	"repro/internal/relation"
 	"repro/internal/transport"
 )
@@ -24,9 +23,11 @@ import (
 //
 // Pre-merging is possible for exactly the same reason coordinator
 // synchronization is (Theorem 1): primitive aggregate states merge
-// associatively, so any intermediate tier may combine them keyed on K.
-// The parent must set Request.Keys on OpEvalRounds for the relay to merge;
-// without keys the relay degrades to pass-through unioning.
+// associatively, so any intermediate tier may combine them keyed on K —
+// or, for a states-only request, by position over the shipped Base rows,
+// which every child answered. A keyed request must carry Request.Keys for
+// the relay to merge; without keys the relay degrades to pass-through
+// unioning.
 //
 // A relay threads the request context it receives into every child call,
 // so cancellation and deadlines propagate down the whole coordinator
@@ -173,44 +174,47 @@ func (r *Relay) fanout(ctx context.Context, req *transport.Request) ([]*transpor
 }
 
 // evalRounds forwards the round request and pre-merges the children's
-// fragments keyed on Request.Keys.
+// fragments (mergeFragments).
 func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	start := time.Now()
 	resps, err := r.fanout(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	frags := make([]*relation.Relation, len(resps))
 	for i, resp := range resps {
 		if resp.Rel == nil {
 			return nil, fmt.Errorf("child %d returned no relation", i)
 		}
-		frags[i] = resp.Rel
 	}
-	if len(req.Keys) == 0 {
+	var out transport.Response
+	if req.StatesOnly || len(req.Keys) > 0 {
+		err = mergeFragments(resps, req, &out)
+	} else {
 		// No merge keys: pass-through union (still one message upstream).
-		out := relation.New(frags[0].Schema)
-		for _, f := range frags {
-			if err := out.Union(f); err != nil {
-				return nil, err
+		out.Rel = relation.New(resps[0].Rel.Schema)
+		for _, resp := range resps {
+			if err = out.Rel.Union(resp.Rel); err != nil {
+				break
 			}
 		}
-		return &transport.Response{Rel: out, ComputeNs: time.Since(start).Nanoseconds()}, nil
 	}
-	merged, err := mergeFragments(frags, req)
 	if err != nil {
 		return nil, err
 	}
-	return &transport.Response{Rel: merged, ComputeNs: time.Since(start).Nanoseconds()}, nil
+	out.ComputeNs = time.Since(start).Nanoseconds()
+	return &out, nil
 }
 
-// mergeFragments combines sub-aggregate fragments of one schema:
-// primitive columns merge via their accumulators, the touched counter
-// sums, and all other columns (base values, earlier finalized aggregates)
-// are identical per group and taken from the first occurrence.
-func mergeFragments(frags []*relation.Relation, req *transport.Request) (*relation.Relation, error) {
-	schema := frags[0].Schema
-
+// mergeFragments combines the children's sub-aggregate fragments into
+// out: primitive columns merge via their accumulators. Under a states-only
+// request the groups are the shipped Base rows: a child's states-only
+// reply resolves by position, a keyed one (a child that ignores the flag)
+// by its echo of the Base columns, and out is a states-only reply whose
+// Kept bitmap is the union of the children's. Otherwise groups resolve on
+// Request.Keys, and all other columns (base values, earlier finalized
+// aggregates) are identical per group and taken from the first
+// occurrence.
+func mergeFragments(resps []*transport.Response, req *transport.Request, out *transport.Response) error {
 	// Parse the round specs to learn which columns are primitive states.
 	var specs []agg.Spec
 	for _, round := range req.Rounds {
@@ -218,28 +222,43 @@ func mergeFragments(frags []*relation.Relation, req *transport.Request) (*relati
 			for _, text := range list {
 				spec, err := agg.ParseSpec(text)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				specs = append(specs, spec)
 			}
 		}
 	}
-	_, sumTouched := schema.Lookup(gmdj.TouchedCol)
-	m, err := newKeyedMerge(schema, nil, req.Keys, specs, sumTouched)
+	if req.StatesOnly {
+		m, err := newKeyedMerge(req.Base.Schema, req.Base.Rows, req.Base.Schema.Names(), specs)
+		if err != nil {
+			return err
+		}
+		m.kept = make([]byte, (req.Base.Len()+7)/8)
+		for _, resp := range resps {
+			if err := m.merge(resp.Rel, nil, positions(nil, req.Base.Len(), resp.Kept)); err != nil {
+				return err
+			}
+		}
+		out.Rel, out.Kept, err = m.keptStates()
+		return err
+	}
+	schema := resps[0].Rel.Schema
+	m, err := newKeyedMerge(schema, nil, req.Keys, specs)
 	if err != nil {
-		return nil, fmt.Errorf("merge keys: %w", err)
+		return fmt.Errorf("merge keys: %w", err)
 	}
 	wholeRow := make([]int, schema.Len()) // a new group keeps its first-seen row
 	for i := range wholeRow {
 		wholeRow[i] = i
 	}
-	for _, f := range frags {
-		if !f.Schema.Equal(schema) {
-			return nil, fmt.Errorf("fragment schemas differ: %s vs %s", f.Schema, schema)
+	for _, resp := range resps {
+		if !resp.Rel.Schema.Equal(schema) {
+			return fmt.Errorf("fragment schemas differ: %s vs %s", resp.Rel.Schema, schema)
 		}
-		if err := m.merge(f, wholeRow); err != nil {
-			return nil, err
+		if err := m.merge(resp.Rel, wholeRow, nil); err != nil {
+			return err
 		}
 	}
-	return m.states(schema)
+	out.Rel, err = m.states(schema)
+	return err
 }

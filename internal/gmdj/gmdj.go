@@ -134,6 +134,10 @@ type SubOpts struct {
 	// It is positive iff |RNG(b, R, θ_1 ∨ ... ∨ θ_m)| > 0, the test of
 	// Proposition 1 (distribution-independent group reduction).
 	Touched bool
+	// StatesOnly leaves B's columns out of the result: row i holds base
+	// row i's appended columns alone, for a caller that already knows
+	// which base row it answers.
+	StatesOnly bool
 	// Workers bounds the evaluation's parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Obs, when set, receives the vec.batches / vec.rows /
@@ -162,13 +166,13 @@ func Eval(b, r *relation.Relation, md MD) (*relation.Relation, error) {
 }
 
 // EvalSub computes the sub-aggregate GMDJ of Theorem 1: the result schema
-// is B's columns followed by primitive state columns per aggregate (and
-// optionally finalized columns and the touched count). Primitive states
-// from disjoint partitions of R merge at the coordinator into the same
-// result Eval would give on the whole of R. It runs on the columnar
-// kernels of internal/vec; the row-at-a-time eval is the reference the
-// tests compare it against, and a detail relation whose values violate
-// its declared column kinds is an error.
+// is B's columns (left out with StatesOnly) followed by primitive state
+// columns per aggregate (and optionally finalized columns and the touched
+// count). Primitive states from disjoint partitions of R merge at the
+// coordinator into the same result Eval would give on the whole of R. It
+// runs on the columnar kernels of internal/vec; the row-at-a-time eval is
+// the reference the tests compare it against, and a detail relation whose
+// values violate its declared column kinds is an error.
 func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
 	return new(Chain).EvalSub(b, r, md, opts)
 }
@@ -187,10 +191,13 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 }
 
 // outputSchema builds the result schema shared by both engines: base
-// columns, then per-spec prim columns and/or finalized columns, then the
-// touched counter.
-func outputSchema(base *relation.Schema, specs []agg.Spec, prims, final, touched bool) (*relation.Schema, error) {
-	outCols := append([]relation.Column(nil), base.Cols...)
+// columns (unless statesOnly), then per-spec prim columns and/or
+// finalized columns, then the touched counter.
+func outputSchema(base *relation.Schema, specs []agg.Spec, statesOnly, prims, final, touched bool) (*relation.Schema, error) {
+	var outCols []relation.Column
+	if !statesOnly {
+		outCols = append(outCols, base.Cols...)
+	}
 	if prims {
 		for _, s := range specs {
 			outCols = append(outCols, s.SubColumns()...)
@@ -215,12 +222,15 @@ func outputSchema(base *relation.Schema, specs []agg.Spec, prims, final, touched
 // and match-count state — shared by both engines so their outputs are
 // byte-identical.
 func assemble(outSchema *relation.Schema, b *relation.Relation, specs []agg.Spec,
-	accs *agg.Slab, matched []int64, prims, final, touched bool) (*relation.Relation, error) {
+	accs *agg.Slab, matched []int64, statesOnly, prims, final, touched bool) (*relation.Relation, error) {
 	out := relation.New(outSchema)
 	out.Rows = relation.MakeRows(len(b.Rows), outSchema.Len())
 	var states []value.V // one spec's primitive results, reused
 	for gi, bRow := range b.Rows {
-		row := append(out.Rows[gi], bRow...)
+		row := out.Rows[gi]
+		if !statesOnly {
+			row = append(row, bRow...)
+		}
 		if prims {
 			group := accs.Group(gi)
 			for pi := range group {
@@ -254,7 +264,7 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 		return nil, err
 	}
 	specs := md.Specs()
-	outSchema, err := outputSchema(b.Schema, specs, prims, final, touched)
+	outSchema, err := outputSchema(b.Schema, specs, false, prims, final, touched)
 	if err != nil {
 		return nil, err
 	}
@@ -370,47 +380,5 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 		specBase += len(md.Aggs[ti])
 	}
 
-	return assemble(outSchema, b, specs, accs, matched, prims, final, touched)
-}
-
-// FilterTouched returns only the rows with a positive touched count,
-// dropping the touched column itself when drop is true — the site-side
-// half of Proposition 1.
-func FilterTouched(h *relation.Relation, drop bool) (*relation.Relation, error) {
-	ti, err := h.Schema.MustLookup(TouchedCol)
-	if err != nil {
-		return nil, fmt.Errorf("gmdj: filter touched: %w", err)
-	}
-	outSchema := h.Schema
-	if drop {
-		cols := make([]relation.Column, 0, h.Schema.Len()-1)
-		for i, c := range h.Schema.Cols {
-			if i != ti {
-				cols = append(cols, c)
-			}
-		}
-		outSchema, err = relation.NewSchema(cols...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := relation.New(outSchema)
-	for _, row := range h.Rows {
-		t, err := row[ti].AsInt()
-		if err != nil {
-			return nil, fmt.Errorf("gmdj: touched column: %w", err)
-		}
-		if t <= 0 {
-			continue
-		}
-		if drop {
-			nr := make(relation.Row, 0, len(row)-1)
-			nr = append(nr, row[:ti]...)
-			nr = append(nr, row[ti+1:]...)
-			out.Rows = append(out.Rows, nr)
-		} else {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
+	return assemble(outSchema, b, specs, accs, matched, false, prims, final, touched)
 }

@@ -3,6 +3,7 @@ package gmdj
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/agg"
@@ -197,39 +198,36 @@ func TestEvalSubTouched(t *testing.T) {
 	if untouched != 1 {
 		t.Errorf("untouched groups = %d, want 1", untouched)
 	}
-
-	f, err := FilterTouched(h, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != h.Len()-1 {
-		t.Errorf("filtered len = %d, want %d", f.Len(), h.Len()-1)
-	}
-	if _, ok := f.Schema.Lookup(TouchedCol); ok {
-		t.Error("touched column not dropped")
-	}
 }
 
-func TestFilterTouchedKeep(t *testing.T) {
+// TestEvalSubStatesOnly: leaving B's columns out changes nothing else —
+// row i carries exactly the columns the echoing result appends to base
+// row i.
+func TestEvalSubStatesOnly(t *testing.T) {
 	detail := flowRel(testFlow...)
-	b, _ := EvalBase(detail, BaseDef{Cols: []string{"SourceAS"}})
-	md := MD{
-		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS c")}},
-		Thetas: []expr.Expr{expr.MustParse("F.SourceAS = B.SourceAS")},
-	}
-	h, err := EvalSub(b, detail, md, SubOpts{Touched: true})
+	b, err := EvalBase(detail, BaseDef{Cols: []string{"SourceAS", "DestAS"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := FilterTouched(h, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.Schema.Lookup(TouchedCol); !ok {
-		t.Error("touched column should remain with drop=false")
-	}
-	if _, err := FilterTouched(b, true); err == nil {
-		t.Error("FilterTouched without the column should error")
+	md := example1Query().MDs[0]
+	for _, opts := range []SubOpts{{}, {Finalize: true, Touched: true}} {
+		echo, err := EvalSub(b, detail, md, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.StatesOnly = true
+		states, err := EvalSub(b, detail, md, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := echo.Schema.Cols[b.Schema.Len():]; !reflect.DeepEqual(states.Schema.Cols, want) {
+			t.Fatalf("states-only schema %s, want %v", states.Schema, want)
+		}
+		for i, row := range echo.Rows {
+			if !reflect.DeepEqual(states.Rows[i], row[b.Schema.Len():]) {
+				t.Errorf("row %d: states-only %v, echo %v", i, states.Rows[i], row)
+			}
+		}
 	}
 }
 

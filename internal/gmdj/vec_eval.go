@@ -51,7 +51,7 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 		}
 	}
 	specs := md.Specs()
-	outSchema, err := outputSchema(b.Schema, specs, true, opts.Finalize, opts.Touched)
+	outSchema, err := outputSchema(b.Schema, specs, opts.StatesOnly, true, opts.Finalize, opts.Touched)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 	if best >= 0 {
 		return nil, states[best].err
 	}
-	return assemble(outSchema, b, specs, accs, matched, true, opts.Finalize, opts.Touched)
+	return assemble(outSchema, b, specs, accs, matched, opts.StatesOnly, true, opts.Finalize, opts.Touched)
 }
 
 // thetaPlan is the static, worker-shared plan for one θ_i.

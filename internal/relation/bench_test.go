@@ -58,16 +58,6 @@ func BenchmarkDistinctProject(b *testing.B) {
 	b.SetBytes(int64(r.Len()))
 }
 
-func BenchmarkBuildIndex(b *testing.B) {
-	r := benchRelation(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.BuildIndex([]string{"a"}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSortBy(b *testing.B) {
 	src := benchRelation(10000)
 	b.ResetTimer()

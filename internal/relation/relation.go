@@ -262,6 +262,23 @@ func KeysEqual(a Row, aIdx []int, b Row, bIdx []int) bool {
 	return true
 }
 
+// Project returns the named columns of every row, in row order; unlike
+// DistinctProject it keeps duplicates.
+func (r *Relation) Project(names []string) (*Relation, error) {
+	ps, idx, err := r.Schema.Project(names)
+	if err != nil {
+		return nil, err
+	}
+	out := New(ps)
+	out.Rows = MakeRows(len(r.Rows), len(idx))
+	for i, row := range r.Rows {
+		for _, p := range idx {
+			out.Rows[i] = append(out.Rows[i], row[p])
+		}
+	}
+	return out, nil
+}
+
 // DistinctProject computes the set projection π_names(r): the named columns
 // with duplicate rows removed, preserving first-seen order. Grouping is by
 // 64-bit row hash with a value-equality check on collisions, avoiding the
@@ -398,57 +415,6 @@ func (r *Relation) SortKeys(keys ...SortKey) error {
 		return false
 	})
 	return nil
-}
-
-// Index is a hash index mapping a composite key over key columns to the
-// row positions holding that key. Buckets are keyed by 64-bit row hash;
-// lookups re-verify candidates with value equality, so hash collisions
-// cannot produce false matches.
-type Index struct {
-	Cols    []int
-	rows    []Row
-	buckets map[uint64][]int
-}
-
-// BuildIndex indexes the relation on the named columns.
-func (r *Relation) BuildIndex(names []string) (*Index, error) {
-	idx := make([]int, len(names))
-	for i, n := range names {
-		p, err := r.Schema.MustLookup(n)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = p
-	}
-	ix := &Index{Cols: idx, rows: r.Rows, buckets: make(map[uint64][]int, len(r.Rows))}
-	for pos, row := range r.Rows {
-		h := HashRow(row, idx)
-		ix.buckets[h] = append(ix.buckets[h], pos)
-	}
-	return ix, nil
-}
-
-// LookupKey returns the positions of rows whose key columns equal vals.
-func (ix *Index) LookupKey(vals []value.V) []int {
-	h := value.HashSeed
-	for _, v := range vals {
-		h = value.UpdateHash(h, v)
-	}
-	cands := ix.buckets[h]
-	if len(cands) == 0 {
-		return nil
-	}
-	valIdx := make([]int, len(vals))
-	for i := range valIdx {
-		valIdx[i] = i
-	}
-	out := cands[:0:0]
-	for _, pos := range cands {
-		if KeysEqual(vals, valIdx, ix.rows[pos], ix.Cols) {
-			out = append(out, pos)
-		}
-	}
-	return out
 }
 
 // String renders the relation as an aligned text table (for examples and

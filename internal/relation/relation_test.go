@@ -144,18 +144,27 @@ func TestSortBy(t *testing.T) {
 	}
 }
 
-func TestIndex(t *testing.T) {
+// TestProject: a plain projection keeps every row, duplicates included,
+// in order, with the columns in the order asked for.
+func TestProject(t *testing.T) {
 	r := mkRel(t)
-	ix, err := r.BuildIndex([]string{"SourceAS", "DestAS"})
+	p, err := r.Project([]string{"DestAS", "SourceAS"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := ix.LookupKey([]value.V{value.NewInt(1), value.NewInt(10)})
-	if len(pos) != 2 {
-		t.Errorf("lookup (1,10) = %v, want 2 rows", pos)
+	if got := p.Schema.Names(); len(got) != 2 || got[0] != "DestAS" || got[1] != "SourceAS" {
+		t.Fatalf("projected schema %s", p.Schema)
 	}
-	if got := ix.LookupKey([]value.V{value.NewInt(9), value.NewInt(9)}); got != nil {
-		t.Errorf("lookup missing key = %v", got)
+	if p.Len() != r.Len() {
+		t.Fatalf("projection has %d rows, want %d", p.Len(), r.Len())
+	}
+	for i, row := range r.Rows {
+		if p.Rows[i][0] != row[1] || p.Rows[i][1] != row[0] {
+			t.Errorf("row %d = %v, want (%v, %v)", i, p.Rows[i], row[1], row[0])
+		}
+	}
+	if _, err := r.Project([]string{"missing"}); err == nil {
+		t.Error("Project(missing) should error")
 	}
 }
 

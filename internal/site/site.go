@@ -356,8 +356,11 @@ func (e *Engine) recordProfile(req *transport.Request, p *transport.SiteProfile)
 
 // replayKey returns the dedup key for an epoch-tagged evaluation request,
 // or "" when the request is not replayable. The key is (epoch, round, op)
-// plus a cheap request fingerprint, so a replay that somehow carries a
-// different request is recomputed rather than answered with stale state.
+// plus a fingerprint of everything that shapes the answer — the round
+// specs whole (θs, aggregates, flags), the base definition, the shipped
+// base's length and columns, and the reply layout — so a replay that
+// somehow carries a different request is recomputed rather than answered
+// with another request's cached response.
 func replayKey(req *transport.Request) string {
 	if req.Epoch == "" {
 		return ""
@@ -366,27 +369,11 @@ func replayKey(req *transport.Request) string {
 		return ""
 	}
 	var b strings.Builder
-	b.WriteString(req.Epoch)
-	b.WriteString("|")
-	b.WriteString(strconv.Itoa(req.Round))
-	b.WriteString("|")
-	b.WriteString(req.Op.String())
-	b.WriteString("|")
-	b.WriteString(req.Detail)
-	for _, rs := range req.Rounds {
-		b.WriteString(";")
-		b.WriteString(rs.Detail)
-		for _, th := range rs.Thetas {
-			b.WriteString(",")
-			b.WriteString(th)
-		}
+	fmt.Fprintf(&b, "%s|%d|%s|%s|%q|%q|%+v|final=%t|states=%t",
+		req.Epoch, req.Round, req.Op, req.Detail, req.BaseCols, req.BaseWhere, req.Rounds, req.KeepFinal, req.StatesOnly)
+	if req.Base != nil && req.Base.Schema != nil {
+		fmt.Fprintf(&b, "|base=%d%q", req.Base.Len(), req.Base.Schema.Names())
 	}
-	if req.Base != nil {
-		b.WriteString("|base=")
-		b.WriteString(strconv.Itoa(req.Base.Len()))
-	}
-	b.WriteString("|cols=")
-	b.WriteString(strings.Join(req.BaseCols, ","))
 	return b.String()
 }
 
@@ -655,6 +642,8 @@ func baseDef(req *transport.Request) (gmdj.BaseDef, error) {
 // computed locally first (Proposition 2 fusion). Multiple rounds evaluate
 // as a local chain without intermediate synchronization (Theorem 5 /
 // Corollary 1); later rounds see the finalized aggregates of earlier ones.
+// The reply echoes the base beside the states, unless req.StatesOnly asks
+// for the states alone, in shipped order, with Response.Kept.
 func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
 	if len(req.Rounds) == 0 {
 		return nil, fmt.Errorf("no rounds")
@@ -679,12 +668,18 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	if base == nil || base.Schema == nil {
 		return nil, fmt.Errorf("no base relation (ship Base or set BaseCols)")
 	}
+	if req.StatesOnly && req.Base == nil {
+		return nil, fmt.Errorf("a states-only reply needs a shipped base")
+	}
 
 	// Accumulated |RNG| counts across rounds (Proposition 1 over
 	// θ_1 ∨ ... ∨ θ_m of the whole chain).
 	var touchedTotals []int64
 	anyTouched := false
-	var finalCols []string
+	// finalCols names the columns the chain's operators finalized so far;
+	// stateCols, for a states-only reply, the states the earlier ones
+	// appended.
+	var finalCols, stateCols []string
 
 	o := e.getObs()
 	workers := runtime.GOMAXPROCS(0)
@@ -723,9 +718,15 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
+		// The last operator of a states-only request echoes nothing and
+		// finalizes nothing: no later operator reads its output, and the
+		// coordinator already holds every base column. Earlier operators
+		// still see base and finalized columns.
+		statesOnly := req.StatesOnly && ri == len(req.Rounds)-1
 		h, err := chain.EvalSub(base, detail, md, gmdj.SubOpts{
-			Finalize:    spec.Finalize,
+			Finalize:    spec.Finalize && !statesOnly,
 			Touched:     spec.Touched,
+			StatesOnly:  statesOnly,
 			Workers:     workers,
 			Obs:         o,
 			Stats:       vecStats,
@@ -734,7 +735,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		if spec.Finalize {
+		if spec.Finalize && !statesOnly {
 			for _, s := range md.Specs() {
 				finalCols = append(finalCols, s.As)
 			}
@@ -751,6 +752,27 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 				return nil, fmt.Errorf("round %d: row count changed mid-chain", ri+1)
 			}
 		}
+		if statesOnly && len(stateCols) > 0 {
+			// Lead the reply with the earlier operators' states.
+			prev, err := base.Project(stateCols)
+			if err == nil {
+				prev.Schema, err = prev.Schema.Concat(h.Schema.Cols...)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("round %d: %w", ri+1, err)
+			}
+			for i := range prev.Rows {
+				prev.Rows[i] = append(prev.Rows[i], h.Rows[i]...)
+			}
+			h = prev
+		}
+		if req.StatesOnly && !statesOnly {
+			for _, s := range md.Specs() {
+				for pi := range s.Prims() {
+					stateCols = append(stateCols, s.SubColName(pi))
+				}
+			}
+		}
 		base = h
 	}
 
@@ -765,8 +787,9 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 			return nil, err
 		}
 	}
+	var kept []byte
 	if anyTouched {
-		out = filterByTotals(out, touchedTotals)
+		out, kept = filterByTotals(out, touchedTotals)
 	}
 	if err := e.checkLimits(out); err != nil {
 		return nil, err
@@ -784,7 +807,11 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		prof.VecFilterRows = vecStats.FilterRows
 		prof.VecSelected = vecStats.Selected
 	}
-	return &transport.Response{Rel: out, ComputeNs: time.Since(start).Nanoseconds()}, nil
+	resp := &transport.Response{Rel: out, ComputeNs: time.Since(start).Nanoseconds()}
+	if req.StatesOnly {
+		resp.Kept = kept
+	}
+	return resp, nil
 }
 
 func firstDetail(req *transport.Request) string {
@@ -819,44 +846,44 @@ func parseRound(spec transport.RoundSpec) (gmdj.MD, error) {
 	return md, nil
 }
 
-// absorbTouched removes the touched column from h, adding its counts into
-// the running totals.
+// absorbTouched strips the touched column — the last of h, where EvalSub
+// appends it — in place, adding its counts into the running totals.
 func absorbTouched(h *relation.Relation, totals []int64) (*relation.Relation, []int64, error) {
-	ti, err := h.Schema.MustLookup(gmdj.TouchedCol)
-	if err != nil {
-		return nil, nil, err
-	}
+	ti := h.Schema.Len() - 1
 	if totals == nil {
 		totals = make([]int64, h.Len())
 	}
-	if len(totals) != h.Len() {
-		return nil, nil, fmt.Errorf("touched totals misaligned: %d vs %d rows", len(totals), h.Len())
+	if ti < 0 || h.Schema.Cols[ti].Name != gmdj.TouchedCol || len(totals) != h.Len() {
+		return nil, nil, fmt.Errorf("touched column missing or misaligned: %d totals for %s", len(totals), h.Schema)
 	}
-	for i, row := range h.Rows {
-		t, err := row[ti].AsInt()
-		if err != nil {
-			return nil, nil, err
-		}
-		totals[i] += t
-	}
-	out, err := dropColumns(h, []string{gmdj.TouchedCol})
+	schema, err := relation.NewSchema(h.Schema.Cols[:ti]...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, totals, nil
+	for i, row := range h.Rows {
+		totals[i] += row[ti].I
+		h.Rows[i] = row[:ti]
+	}
+	return &relation.Relation{Schema: schema, Rows: h.Rows}, totals, nil
 }
 
 // filterByTotals drops groups whose accumulated |RNG| count is zero — the
-// site-side half of Proposition 1. The count itself is a local detection
-// mechanism and is not shipped.
-func filterByTotals(h *relation.Relation, totals []int64) *relation.Relation {
+// site-side half of Proposition 1 — and returns the Response.Kept bitmap
+// of the rows it kept (nil when it kept all). The count itself is a local
+// detection mechanism and is not shipped.
+func filterByTotals(h *relation.Relation, totals []int64) (*relation.Relation, []byte) {
 	out := relation.New(h.Schema)
+	kept := make([]byte, (h.Len()+7)/8)
 	for i, row := range h.Rows {
 		if totals[i] > 0 {
 			out.Rows = append(out.Rows, row)
+			kept[i/8] |= 1 << (i % 8)
 		}
 	}
-	return out
+	if out.Len() == h.Len() {
+		return out, nil
+	}
+	return out, kept
 }
 
 // dropColumns projects away the named columns.
@@ -874,18 +901,5 @@ func dropColumns(r *relation.Relation, names []string) (*relation.Relation, erro
 	if len(keep) == r.Schema.Len() {
 		return r, nil
 	}
-	s, idx, err := r.Schema.Project(keep)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(s)
-	out.Rows = relation.MakeRows(len(r.Rows), len(idx))
-	for i, row := range r.Rows {
-		nr := out.Rows[i]
-		for _, p := range idx {
-			nr = append(nr, row[p])
-		}
-		out.Rows[i] = nr
-	}
-	return out, nil
+	return r.Project(keep)
 }

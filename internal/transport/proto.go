@@ -224,6 +224,15 @@ type Request struct {
 	// evaluation. Zero means "no deadline", which gob omits, keeping
 	// untagged requests byte-identical to the pre-deadline encoding.
 	DeadlineNs int64
+
+	// StatesOnly (OpEvalRounds with a shipped Base) asks for an echo-free
+	// reply: only the primitive-state columns of the rounds' aggregates,
+	// row i answering the i-th shipped row Response.Kept marks. False asks
+	// for the keyed reply, the Base columns followed by the states. Like
+	// every field added to the protocol it comes last, so a request
+	// without it encodes exactly as before (gob omits zero fields and
+	// numbers fields by position).
+	StatesOnly bool
 }
 
 // Response is the single wire response envelope. Every field must survive
@@ -250,6 +259,11 @@ type Response struct {
 	// when the request carried a QueryID (nil otherwise, which gob omits,
 	// keeping untagged exchanges wire-identical).
 	Profile *SiteProfile
+	// Kept is the bitmap, over the shipped Base rows, of the rows a
+	// StatesOnly reply answers: bit i%8 of byte i/8 is set when Rel holds
+	// a row for shipped row i (Proposition 1 drops the untouched ones).
+	// Nil means every shipped row, in order.
+	Kept []byte
 }
 
 // SiteProfile is one site's per-request execution profile, piggy-backed

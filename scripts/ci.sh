@@ -68,4 +68,7 @@ echo "== observability smoke =="
 echo "== non-test LOC ratchet (ROADMAP item 3; ceiling in scripts/loc.max) =="
 sh scripts/loc.sh -check
 
+echo "== wire-bytes ratchet (ceilings in scripts/wire.max) =="
+sh scripts/wire.sh
+
 echo "all checks passed"
