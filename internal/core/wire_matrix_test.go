@@ -21,10 +21,10 @@ import (
 // The wire matrix runs the paper's Fig. 5 query under every optimization
 // subset, flat and under a two-tier relay tree, strict and with one site
 // lost, and records what every round moved. Its answers are compared byte
-// for byte with the centralized evaluation; testdata/wire_0d8c4ae.json holds
-// the same records for the protocol before states-only replies (commit
-// 0d8c4ae, which shipped X whole and received it back), recorded by
-// running wireMatrix at that commit.
+// for byte with the centralized evaluation; testdata/wire_614333c.json holds
+// the same records for the protocol before relation frames (commit
+// 614333c, which shipped relations as gob rows), recorded by running
+// wireMatrix at that commit.
 
 // wireRound is what one synchronization round moved.
 type wireRound struct {

@@ -1,0 +1,272 @@
+package relation
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/value"
+)
+
+// layoutRelation is the worked example of PROTOCOL.md's frame layout: an
+// INT lane, a front-coded STRING lane with a NULL, and a generic lane (a
+// FLOAT-declared column holding a float, an int and a NULL).
+func layoutRelation() *Relation {
+	r := New(MustSchema(
+		Column{Name: "id", Kind: value.KindInt},
+		Column{Name: "name", Kind: value.KindString},
+		Column{Name: "x", Kind: value.KindFloat},
+	))
+	r.MustAppend(value.NewInt(1), value.NewString("Cust#1"), value.NewFloat(1.5))
+	r.MustAppend(value.NewInt(2), value.Null, value.NewInt(2))
+	r.MustAppend(value.NewInt(-1), value.NewString("Cust#2"), value.Null)
+	return r
+}
+
+// TestFrameLayout pins the frame byte by byte.
+func TestFrameLayout(t *testing.T) {
+	want := []byte{
+		1,              // version
+		3,              // columns
+		2, 'i', 'd', 2, // "id" INT
+		4, 'n', 'a', 'm', 'e', 4, // "name" STRING
+		1, 'x', 3, // "x" FLOAT
+		3,          // rows
+		2, 2, 4, 1, // INT lane: zigzag 1, 2, -1
+		0x84, 0b101, // STRING lane with NULLs: rows 0 and 2 present
+		0, 6, 'C', 'u', 's', 't', '#', '1', // no shared prefix, "Cust#1"
+		5, 1, '2', // 5 bytes shared, then "2"
+		0,                                     // generic lane: kind, I, F, S per value
+		3, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, 0, // FLOAT 1.5
+		2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, // INT 2
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // NULL
+	}
+	got := AppendFrame(nil, layoutRelation())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame\n got % x\nwant % x", got, want)
+	}
+	back, err := ReadFrame(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Rows, layoutRelation().Rows) {
+		t.Errorf("decoded %v", back.Rows)
+	}
+}
+
+// TestReadFrameRefuses: every way a frame can be other than AppendFrame
+// writes it is an error, never a relation.
+func TestReadFrameRefuses(t *testing.T) {
+	one := func(lane ...byte) []byte { // one INT column "a", two rows, then lane
+		return append([]byte{1, 1, 1, 'a', 2, 2}, lane...)
+	}
+	cases := []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"empty", nil, "truncated"},
+		{"version", []byte{2, 0, 0}, "version 2"},
+		{"trailing", []byte{1, 0, 0, 0}, "trailing"},
+		{"overlong varint", []byte{1, 0x80, 0x00, 0}, "bad varint"},
+		{"empty name", []byte{1, 1, 0, 2, 0}, "empty name"},
+		{"duplicate name", []byte{1, 2, 1, 'a', 2, 1, 'A', 2, 0}, "duplicate"},
+		{"rows beyond the frame", []byte{1, 1, 1, 'a', 2, 0xff, 0x01}, "rows"},
+		{"unknown lane", one(9, 2, 2), "unknown lane mode"},
+		{"truncated lane", one(2, 2), "truncated"},
+		{"bitmap without NULLs", one(0x82, 0b11, 2, 4), "bitmap of lane mode 0x82"},
+		{"NULL lane with values", one(0x80, 0b01), "bitmap of lane mode 0x80"},
+		{"bitmap past the rows", one(0x82, 0b101, 2), "bitmap of lane mode 0x82"},
+		{"generic lane for INTs", one(0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0), "fit a typed one"},
+		{"prefix past the string", []byte{1, 1, 1, 's', 4, 2, 4, 0, 1, 'a', 2, 1, 'b'}, "prefix 2"},
+		{"prefix not shared", []byte{1, 1, 1, 's', 4, 2, 4, 0, 1, 'a', 0, 1, 'a'}, "shared prefix"},
+	}
+	for _, c := range cases {
+		r, err := ReadFrame(c.frame)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, %v; want an error containing %q", c.name, r, err, c.want)
+		}
+	}
+}
+
+// randomRelation draws a relation from the shapes a frame must carry:
+// typed lanes with NULL runs, mixed and off-declared kinds, non-canonical
+// payloads, NaN payloads and −0, NULL-only columns, empty and long
+// front-coded strings, zero rows and zero columns.
+func randomRelation(rng *rand.Rand) *Relation {
+	cols := make([]Column, rng.Intn(6))
+	for j := range cols {
+		cols[j] = Column{Name: fmt.Sprintf("c%d", j), Kind: value.Kind(rng.Intn(5))}
+	}
+	r := New(MustSchema(cols...))
+	n := rng.Intn(40)
+	if rng.Intn(5) == 0 {
+		n = 0
+	}
+	r.Rows = MakeRows(n, len(cols))
+	for i := range r.Rows {
+		r.Rows[i] = r.Rows[i][:len(cols)]
+	}
+	strs := []string{"", "Customer#000001234", "Customer#000001235", "Customer#0000", "Customer#000001234x", strings.Repeat("w", 1500) + "a", strings.Repeat("w", 1500) + "b"}
+	floats := []float64{0, math.Copysign(0, -1), 1.5, math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000abc)}
+	for j := range cols {
+		style, nulls := rng.Intn(9), rng.Intn(3)
+		for i := range r.Rows {
+			if nulls > 0 && rng.Intn(4) == 0 {
+				continue // NULL runs of any length, at any position
+			}
+			var v value.V
+			switch style {
+			case 0:
+				v = value.NewInt(rng.Int63() - rng.Int63())
+			case 1:
+				v = value.NewBool(rng.Intn(2) == 0)
+			case 2:
+				v = value.NewFloat(floats[rng.Intn(len(floats))])
+			case 3, 4:
+				v = value.NewString(strs[rng.Intn(len(strs))])
+			case 5: // mixed kinds
+				v = []value.V{value.NewInt(7), value.NewFloat(-2), value.NewString("m"), value.NewBool(true)}[rng.Intn(4)]
+			case 6: // an int sum in a FLOAT-declared state column
+				v = value.NewInt(int64(rng.Intn(100)))
+			case 7: // non-canonical payloads and unknown kinds
+				v = value.V{K: value.Kind(rng.Intn(7)), I: int64(rng.Intn(3)), F: floats[rng.Intn(len(floats))], S: strs[rng.Intn(3)]}
+			case 8: // NULLs only
+			}
+			r.Rows[i][j] = v
+		}
+	}
+	return r
+}
+
+// genRelation is a quick.Generator of random relations.
+type genRelation struct{ r *Relation }
+
+func (genRelation) Generate(rng *rand.Rand, _ int) reflect.Value {
+	return reflect.ValueOf(genRelation{randomRelation(rng)})
+}
+
+func sameV(a, b value.V) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+func gobRoundTrip(t *testing.T, r *Relation) *Relation {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	var out Relation
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestFrameMatchesGob: a relation comes back from a frame exactly as it
+// went in, and as it comes back from gob rows — value by value, floats by
+// their bits. The one difference is gob's: its encoder omits a float field
+// equal to 0, so −0 comes back from gob as +0, and from a frame as −0.
+func TestFrameMatchesGob(t *testing.T) {
+	check := func(g genRelation) bool {
+		in := g.r
+		fr, err := ReadFrame(AppendFrame(nil, in))
+		if err != nil {
+			t.Logf("decode: %v", err)
+			return false
+		}
+		gr := gobRoundTrip(t, in)
+		if !fr.Schema.Equal(in.Schema) || len(fr.Rows) != len(in.Rows) || len(gr.Rows) != len(in.Rows) {
+			t.Logf("shape: %s %d rows, gob %d rows, want %s %d", fr.Schema, len(fr.Rows), len(gr.Rows), in.Schema, len(in.Rows))
+			return false
+		}
+		for i, row := range in.Rows {
+			for j, v := range row {
+				viaGob := v
+				if math.Float64bits(v.F) == 1<<63 {
+					viaGob.F = 0
+				}
+				if !sameV(fr.Rows[i][j], v) || !sameV(gr.Rows[i][j], viaGob) {
+					t.Logf("row %d col %d: frame %#v, gob %#v, sent %#v", i, j, fr.Rows[i][j], gr.Rows[i][j], v)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(23))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFrameDecodeAllocs: decoding costs a constant number of allocations
+// per column, whatever the row count.
+func TestFrameDecodeAllocs(t *testing.T) {
+	r := New(MustSchema(
+		Column{Name: "CustName", Kind: value.KindString},
+		Column{Name: "n", Kind: value.KindInt},
+		Column{Name: "s", Kind: value.KindFloat},
+	))
+	for i := 0; i < 2000; i++ {
+		r.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", i)), value.NewInt(int64(i)), value.NewFloat(float64(i)/3))
+	}
+	b := AppendFrame(nil, r)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ReadFrame(b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 16 {
+		t.Errorf("ReadFrame of 2000 rows × 3 columns: %.0f allocations, want at most 16", allocs)
+	}
+}
+
+// frameAllocBound is what ReadFrame may allocate for a frame of n bytes.
+func frameAllocBound(n int) uint64 { return 1024*uint64(n) + 64<<10 }
+
+// FuzzFrame: decoding arbitrary bytes never panics and allocates within
+// frameAllocBound; a frame that decodes re-encodes to the same bytes, and
+// no strict prefix of it decodes.
+func FuzzFrame(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for seeds := 0; seeds < 32; {
+		// Small seeds keep the fuzzer's mutation and minimization quick.
+		if b := AppendFrame(nil, randomRelation(rng)); len(b) <= 2048 {
+			f.Add(b)
+			seeds++
+		}
+	}
+	f.Add(AppendFrame(nil, layoutRelation()))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		r, err := ReadFrame(b)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > frameAllocBound(len(b)) {
+			t.Fatalf("ReadFrame of %d bytes allocated %d", len(b), got)
+		}
+		if err != nil {
+			return
+		}
+		if again := AppendFrame(nil, r); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoded\n% x\nfrom\n% x", again, b)
+		}
+		// Every prefix of a short frame; about 256 spread over a long one,
+		// and the longest.
+		step := max(1, len(b)/256)
+		for n := 0; n < len(b); n += step {
+			if _, err := ReadFrame(b[:n]); err == nil {
+				t.Fatalf("the %d-byte prefix of a %d-byte frame decodes", n, len(b))
+			}
+		}
+		if _, err := ReadFrame(b[:len(b)-1]); err == nil {
+			t.Fatalf("a %d-byte frame decodes without its last byte", len(b))
+		}
+	})
+}

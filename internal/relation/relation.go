@@ -193,6 +193,24 @@ func (r *Relation) MustAppend(vals ...value.V) {
 	}
 }
 
+// Validate refuses a relation gob rows can carry but nothing here builds: no
+// schema, an empty or duplicate column name, or a row of the wrong width.
+func (r *Relation) Validate() error {
+	if r.Schema == nil {
+		return fmt.Errorf("relation: no schema")
+	}
+	if _, err := NewSchema(r.Schema.Cols...); err != nil {
+		return err
+	}
+	for i, row := range r.Rows {
+		if len(row) != len(r.Schema.Cols) {
+			return fmt.Errorf("relation: row %d has %d values, schema %s has %d columns",
+				i, len(row), r.Schema, len(r.Schema.Cols))
+		}
+	}
+	return nil
+}
+
 // MakeRows returns n empty rows of capacity w carved out of one backing
 // array: filling them with append costs two allocations for the whole
 // result instead of one per row, and each row is capped at w so a row

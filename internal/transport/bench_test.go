@@ -1,8 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"fmt"
 	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 func BenchmarkLocalRoundTrip(b *testing.B) {
@@ -58,4 +64,80 @@ func BenchmarkPingLatency(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// codecShapes are the relations of one round-2 exchange of the
+// shuffle_highcard benchmark workload at one site: the request ships 1 970
+// customer names, the reply one row of count/sum/count states for each.
+func codecShapes() (req *Request, resp *Response) {
+	base := relation.New(relation.MustSchema(relation.Column{Name: "CustName", Kind: value.KindString}))
+	states := relation.New(relation.MustSchema(
+		relation.Column{Name: "cnt2__p0", Kind: value.KindInt},
+		relation.Column{Name: "avg2__p0", Kind: value.KindFloat},
+		relation.Column{Name: "avg2__p1", Kind: value.KindInt},
+	))
+	for i := 0; i < 1970; i++ {
+		base.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", 4*i+1)))
+		n := int64(i%23 + 1)
+		states.MustAppend(value.NewInt(n), value.NewFloat(float64(n)*0.0625*float64(i%7)), value.NewInt(n))
+	}
+	return &Request{Op: OpEvalRounds, Base: base, StatesOnly: true}, &Response{Rel: states}
+}
+
+// BenchmarkRelationCodec encodes and decodes one message on a persistent
+// gob stream, as a warm TCP connection does, with its relation as gob rows
+// (peer 0) or as a frame (peer 1), and reports the message's wire bytes.
+func BenchmarkRelationCodec(b *testing.B) {
+	req, resp := codecShapes()
+	for _, enc := range []struct {
+		name string
+		peer int
+	}{{"gob", 0}, {"frame", relation.FrameVersion}} {
+		name, peer := enc.name, enc.peer
+		b.Run("request/"+name, func(b *testing.B) {
+			benchCodec(b, func(buf []byte) (any, []byte) { return packRequest(req, peer, buf) }, func(dec *gob.Decoder) error {
+				var got Request
+				if err := dec.Decode(&got); err != nil {
+					return err
+				}
+				_, err := unpackRequest(&got)
+				return err
+			})
+		})
+		b.Run("reply/"+name, func(b *testing.B) {
+			benchCodec(b, func(buf []byte) (any, []byte) { return packResponse(resp, peer, buf) }, func(dec *gob.Decoder) error {
+				var got Response
+				if err := dec.Decode(&got); err != nil {
+					return err
+				}
+				return unpackResponse(&got)
+			})
+		})
+	}
+}
+
+func benchCodec(b *testing.B, pack func([]byte) (any, []byte), unpack func(*gob.Decoder) error) {
+	var stream bytes.Buffer
+	enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
+	var frames []byte
+	round := func() int {
+		var msg any
+		msg, frames = pack(frames)
+		if err := enc.Encode(msg); err != nil {
+			b.Fatal(err)
+		}
+		n := stream.Len()
+		if err := unpack(dec); err != nil {
+			b.Fatal(err)
+		}
+		return n
+	}
+	round() // the stream's type descriptors
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n = round()
+	}
+	b.ReportMetric(float64(n), "wire-B/op")
 }

@@ -9,12 +9,14 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // LocalClient connects the coordinator to an in-process site handler. It
 // still round-trips every request and response through gob so that (a)
 // byte accounting is identical to the TCP transport and (b) no memory is
 // shared between coordinator and site, exactly as over a real network.
+// Both ends are this build, so relations always travel as frames.
 type LocalClient struct {
 	id      string
 	handler Handler
@@ -53,7 +55,8 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
 	}
-	wireReq, n, err := roundTrip(req)
+	out, _ := packRequest(req, relation.FrameVersion, nil)
+	wireReq, n, err := roundTrip(out)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode request: %w", err)
 	}
@@ -62,7 +65,9 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 	c.obs.Count("transport.messages", 1)
 
 	var resp *Response
-	if ctx.Done() == nil {
+	if _, err := unpackRequest(wireReq); err != nil {
+		resp = &Response{Err: err.Error()}
+	} else if ctx.Done() == nil {
 		resp = c.handler.Handle(ctx, wireReq)
 	} else {
 		ch := make(chan *Response, 1)
@@ -81,12 +86,16 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 		}
 	}
 
-	wireResp, n, err := roundTrip(resp)
+	back, _ := packResponse(resp, relation.FrameVersion, nil)
+	wireResp, n, err := roundTrip(back)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode response: %w", err)
 	}
 	c.stats.AddReceived(n, c.cost)
 	c.obs.Count("transport.bytes_received", int64(n))
+	if err := unpackResponse(wireResp); err != nil {
+		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
+	}
 	return wireResp, nil
 }
 

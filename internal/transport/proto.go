@@ -6,9 +6,11 @@
 // behavior on a single machine.
 //
 // Expressions, aggregate specs, and conditions travel in their textual
-// wire form and are parsed at the receiving side; rows travel as plain
-// value structs. Only base-result structures and sub-aggregate results are
-// ever shipped — never detail data, per the core design of the paper.
+// wire form and are parsed at the receiving side; relations travel as
+// columnar frames (relation.AppendFrame) once a connection has negotiated
+// them, as gob rows before. Only base-result structures and sub-aggregate
+// results are ever shipped — never detail data, per the core design of the
+// paper.
 package transport
 
 import (
@@ -233,6 +235,14 @@ type Request struct {
 	// without it encodes exactly as before (gob omits zero fields and
 	// numbers fields by position).
 	StatesOnly bool
+
+	// Frame is the highest relation-frame version the sender reads (0, which
+	// gob omits: rows only); BaseFrame and DataFrame carry Base and Data as
+	// frames once the server has advertised them. Only the transport leaves
+	// see these three (PROTOCOL.md, "Framing and encoding").
+	Frame     int
+	BaseFrame []byte
+	DataFrame []byte
 }
 
 // Response is the single wire response envelope. Every field must survive
@@ -264,6 +274,10 @@ type Response struct {
 	// a row for shipped row i (Proposition 1 drops the untouched ones).
 	// Nil means every shipped row, in order.
 	Kept []byte
+	// Frame and RelFrame are Request's Frame and BaseFrame for Rel, set on
+	// the answer to a request that advertised frames.
+	Frame    int
+	RelFrame []byte
 }
 
 // SiteProfile is one site's per-request execution profile, piggy-backed

@@ -78,25 +78,29 @@ func TestResponseGobRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyRequest mirrors the Request field set before the QueryID
-// profiling tag existed; legacyResponse mirrors Response before the
-// Profile payload. Gob matches struct fields by name (unknown fields are
-// skipped, missing ones stay zero), so these stand in for a site or
-// coordinator running the previous protocol version.
+// legacyRequest and legacyResponse mirror the Request and Response field
+// sets before relation frames. Gob matches struct fields by name (unknown
+// fields are skipped, missing ones stay zero), so these stand in for a site
+// or coordinator running a previous protocol version: the pre-frame one,
+// and — with the fields from QueryID and Profile on left zero, which gob
+// omits — the one before the QueryID profiling tag.
 type legacyRequest struct {
-	Op        Op
-	Rel       string
-	Data      *relation.Relation
-	Gen       *GenSpec
-	BaseCols  []string
-	BaseWhere string
-	Detail    string
-	Base      *relation.Relation
-	Rounds    []RoundSpec
-	KeepFinal bool
-	Keys      []string
-	Epoch     string
-	Round     int
+	Op         Op
+	Rel        string
+	Data       *relation.Relation
+	Gen        *GenSpec
+	BaseCols   []string
+	BaseWhere  string
+	Detail     string
+	Base       *relation.Relation
+	Rounds     []RoundSpec
+	KeepFinal  bool
+	Keys       []string
+	Epoch      string
+	Round      int
+	QueryID    string
+	DeadlineNs int64
+	StatesOnly bool
 }
 
 type legacyResponse struct {
@@ -105,6 +109,8 @@ type legacyResponse struct {
 	Rel       *relation.Relation
 	RowCount  int
 	ComputeNs int64
+	Profile   *SiteProfile
+	Kept      []byte
 }
 
 // TestUntaggedWireCompat verifies the compatibility rule of the QueryID

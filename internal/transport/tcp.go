@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // Server serves site requests over TCP. Each connection runs a
@@ -53,7 +54,7 @@ type Server struct {
 
 	// Obs, when set before Listen/Serve, receives server-side wire
 	// counters ("transport.server.bytes_received", ".bytes_sent",
-	// ".requests") and per-op request counters
+	// ".requests", ".malformed") and per-op request counters
 	// ("transport.server.op.<op>").
 	Obs *obs.Obs
 }
@@ -134,6 +135,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	cw := &countingWriter{w: conn}
 	dec := gob.NewDecoder(cr)
 	enc := gob.NewEncoder(cw)
+	var frames []byte // reused: gob copies it before Encode returns
 	for {
 		r0 := cr.n
 		var req Request
@@ -146,9 +148,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.Obs.Count("transport.server.bytes_received", cr.n-r0)
 		s.Obs.Count("transport.server.requests", 1)
 		s.Obs.Count("transport.server.op."+req.Op.String(), 1)
-		resp := s.admit(&req)
-		admitted := resp == nil
-		if admitted {
+		peer, err := unpackRequest(&req)
+		var resp *Response
+		admitted := false
+		if err != nil {
+			s.Obs.Count("transport.server.malformed", 1)
+			resp = &Response{Err: err.Error()}
+		} else if resp = s.admit(&req); resp == nil {
+			admitted = true
 			var alive bool
 			resp, alive = s.handleWatched(ctx, conn, pr, &req)
 			if !alive {
@@ -156,8 +163,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		}
+		resp, frames = packResponse(resp, peer, frames)
 		w0 := cw.n
-		err := enc.Encode(resp)
+		err = enc.Encode(resp)
 		if admitted {
 			// Only now is the request no longer in flight: Drain waits on
 			// reqWG and then closes this connection, so releasing before the
@@ -397,6 +405,13 @@ type TCPClient struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	broken bool
+	// frame is the frame version this connection's server advertised, 0
+	// until its first reply; frames is the buffer requests are framed into.
+	//
+	//lint:guarded-by mu
+	frame int
+	//lint:guarded-by mu
+	frames []byte
 	stats  WireStats
 	// obs, set by the site builder before the client is shared, receives
 	// the raw client-side wire totals ("transport.bytes_sent",
@@ -474,7 +489,9 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	}
 
 	before := c.cw.n
-	if err := c.enc.Encode(req); err != nil {
+	var wire *Request
+	wire, c.frames = packRequest(req, c.frame, c.frames)
+	if err := c.enc.Encode(wire); err != nil {
 		return nil, c.failLocked("send to", err, ctx)
 	}
 	c.stats.AddSent(int(c.cw.n-before), c.cost)
@@ -488,6 +505,12 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	}
 	c.stats.AddReceived(int(c.cr.n-beforeR), c.cost)
 	c.obs.Count("transport.bytes_received", c.cr.n-beforeR)
+	if resp.Frame > 0 {
+		c.frame = min(resp.Frame, relation.FrameVersion)
+	}
+	if err := unpackResponse(&resp); err != nil {
+		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
+	}
 	return &resp, nil
 }
 

@@ -53,6 +53,9 @@ go test -run '^$' -fuzz FuzzVecVsRow -fuzztime 10s ./internal/gmdj
 echo "== fuzz smoke (distinct kernel vs DistinctProject) =="
 go test -run '^$' -fuzz FuzzDistinct -fuzztime 10s ./internal/vec
 
+echo "== fuzz smoke (relation frame codec) =="
+go test -run '^$' -fuzz FuzzFrame -fuzztime 10s ./internal/relation
+
 echo "== examples =="
 for ex in quickstart ipflows tpcr cube multitier sql; do
     echo "-- examples/$ex"
