@@ -9,7 +9,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -66,9 +65,15 @@ func PlanEpoch(p *Plan) string {
 			h.Write([]byte{0})
 		}
 	}
+	// The base round hashes as a flag and the MD steps number from zero:
+	// epochs name checkpoints on disk, so this rendering must not change.
+	steps, base := p.Steps, len(p.Steps) > 0 && p.Steps[0].base()
+	if base {
+		steps = steps[1:]
+	}
 	w("detail", p.Detail)
 	w("keys", strings.Join(p.Keys, ","))
-	w("base", fmt.Sprint(p.BaseRound), strings.Join(p.Query.Base.Cols, ","), whereText(p.Query.Base.Where))
+	w("base", fmt.Sprint(base), strings.Join(p.Query.Base.Cols, ","), whereText(p.Query.Base.Where))
 	for _, md := range p.Query.MDs {
 		for i, theta := range md.Thetas {
 			w("theta", theta.String())
@@ -77,22 +82,12 @@ func PlanEpoch(p *Plan) string {
 			}
 		}
 	}
-	for _, st := range p.Steps {
+	for _, st := range steps {
 		w("step", fmt.Sprint(st.MDs), fmt.Sprint(st.FuseBase))
 	}
 	w("touched", fmt.Sprint(p.Touched))
-	sites := make([]string, 0, len(p.SiteFilters))
-	for site := range p.SiteFilters {
-		//lint:ignore detrand keys are sorted immediately below, before hashing
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	for _, site := range sites {
-		for step, f := range p.SiteFilters[site] {
-			if f != nil {
-				w("filter", site, fmt.Sprint(step), f.String())
-			}
-		}
+	for _, f := range siteFilters(steps) {
+		w("filter", f.Site, fmt.Sprint(f.step), f.Filter.Expr().String())
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -221,7 +222,7 @@ func TestPlanEpochDeterministic(t *testing.T) {
 	if PlanEpoch(p1) != PlanEpoch(p2) {
 		t.Error("same plan, different epochs")
 	}
-	for i := 0; i < 10; i++ { // SiteFilters is a map: catch iteration-order leakage
+	for i := 0; i < 10; i++ { // catch iteration-order leakage
 		if PlanEpoch(p1) != PlanEpoch(p2) {
 			t.Fatal("epoch unstable across calls")
 		}
@@ -240,8 +241,32 @@ func TestPlanEpochDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlanEpochStable: epochs name checkpoints on disk, so a checkpoint
+// written by an older coordinator must still resume. Every plan of the
+// wire matrix keeps the epoch testdata/epochs_d26309c.json recorded for it
+// by the same harness at commit d26309c.
+func TestPlanEpochStable(t *testing.T) {
+	b, err := os.ReadFile("testdata/epochs_d26309c.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []struct{ Label, Epoch string }
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	cases := wireMatrix(t, sameEngine)
+	if len(cases) != len(want) {
+		t.Fatalf("%d cases, %d recorded", len(cases), len(want))
+	}
+	for i, c := range cases {
+		if got := PlanEpoch(c.plan); c.Label != want[i].Label || got != want[i].Epoch {
+			t.Errorf("%s: epoch %s, recorded %s for %s", c.Label, got, want[i].Epoch, want[i].Label)
+		}
+	}
+}
+
 func plansDiffer(a, b *Plan) bool {
-	return a.Rounds() != b.Rounds() || a.BaseRound != b.BaseRound
+	return a.Rounds() != b.Rounds() || a.Steps[0].base() != b.Steps[0].base()
 }
 
 // mustPlan rebuilds the plan a coordinator's Run would execute, for

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/agg"
 	"repro/internal/expr"
 	"repro/internal/gmdj"
 	"repro/internal/obs"
@@ -225,7 +224,6 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 	defer func() { stats.Wall = time.Since(start) }()
 
 	var x *relation.Relation
-	q := plan.Query
 
 	// Execution identity: the epoch names this execution across restarts,
 	// and each round's sequence number makes (epoch, round) an idempotency
@@ -280,119 +278,13 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 			map[string]string{"epoch": epoch, "round": fmt.Sprint(done - 1), "action": "written"})
 	}
 
-	// Round 0: compute and synchronize the base-values relation.
-	if plan.BaseRound && done == 0 {
-		rs := c.newRound("base")
-		roundCtx, rspan := c.Obs.StartSpanTrack(ctx, "round:base", obs.TrackCoordinator)
-		parts, err := c.fanout(roundCtx, &rs, tagEpoch, 0, func(cl transport.Client) (*transport.Request, error) {
-			return &transport.Request{
-				Op:        transport.OpEvalBase,
-				Detail:    plan.Detail,
-				BaseCols:  q.Base.Cols,
-				BaseWhere: whereText(q.Base.Where),
-			}, nil
-		})
+	for seq := done; seq < len(plan.Steps); seq++ {
+		rs, merged, err := c.round(ctx, x, plan, seq, tagEpoch)
 		if err != nil {
-			rspan.End()
 			return nil, stats, err
 		}
-		coordStart := time.Now()
-		_, sspan := c.Obs.StartSpanTrack(roundCtx, "sync:base", obs.TrackCoordinator)
-		x, err = unionDistinct(parts)
-		sspan.End()
-		rspan.End()
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: base synchronization: %w", err)
-		}
-		rs.CoordTime = time.Since(coordStart)
+		x, done = merged, seq+1
 		stats.Rounds = append(stats.Rounds, rs)
-		done = 1
-		saveCkpt()
-	}
-
-	baseOff := 0
-	if plan.BaseRound {
-		baseOff = 1
-	}
-	for si, step := range plan.Steps {
-		seq := si + baseOff
-		if seq < done {
-			continue // completed before the interruption; restored from checkpoint
-		}
-		rs := c.newRound(fmt.Sprintf("step %d", si+1))
-		roundCtx, rspan := c.Obs.StartSpanTrack(ctx, "round:"+rs.Name, obs.TrackCoordinator)
-
-		// Collect the step's MDs and aggregate specs.
-		var specs []agg.Spec
-		rounds := make([]transport.RoundSpec, 0, len(step.MDs))
-		chained := len(step.MDs) > 1
-		for _, mi := range step.MDs {
-			md := q.MDs[mi]
-			specs = append(specs, md.Specs()...)
-			bAlias, dAlias := md.Aliases()
-			spec := transport.RoundSpec{
-				Detail:      md.DetailName(plan.Detail),
-				BaseAlias:   bAlias,
-				DetailAlias: dAlias,
-				Finalize:    chained,
-				// Dropping untouched groups is unsafe when the
-				// coordinator never sees the full base (fused step):
-				// a group untouched at every site would vanish from
-				// the result instead of keeping empty aggregates.
-				Touched: plan.Touched && !step.FuseBase,
-			}
-			for i, theta := range md.Thetas {
-				spec.Thetas = append(spec.Thetas, theta.String())
-				var aggs []string
-				for _, s := range md.Aggs[i] {
-					aggs = append(aggs, s.String())
-				}
-				spec.Aggs = append(spec.Aggs, aggs)
-			}
-			rounds = append(rounds, spec)
-		}
-
-		// What each site receives: X cut to the step's ship set and to the
-		// rows its Theorem-4 filter keeps.
-		coordStart := time.Now()
-		var ships map[string]shipment
-		if !step.FuseBase {
-			var err error
-			if ships, err = c.shipments(x, plan, si); err != nil {
-				rspan.End()
-				return nil, stats, err
-			}
-		}
-		prepTime := time.Since(coordStart)
-
-		// Stream fragments into the synchronizer as sites finish: the
-		// coordinator merges early arrivals while slower sites still
-		// compute (the incremental synchronization §3.2 describes).
-		stream := c.fanoutStream(roundCtx, tagEpoch, seq, func(cl transport.Client) (*transport.Request, error) {
-			req := &transport.Request{Op: transport.OpEvalRounds, Rounds: rounds, Keys: plan.Keys}
-			if step.FuseBase {
-				req.Detail = plan.Detail
-				req.BaseCols = q.Base.Cols
-				req.BaseWhere = whereText(q.Base.Where)
-			} else {
-				req.Base, req.StatesOnly = ships[cl.SiteID()].base, true
-			}
-			return req, nil
-		})
-
-		// Synchronize: merge primitive states into X, by position for
-		// states-only replies and keyed on K otherwise.
-		_, sspan := c.Obs.StartSpanTrack(roundCtx, "sync:"+rs.Name, obs.TrackCoordinator)
-		merged, mergeTime, err := c.synchronize(x, stream, specs, plan, ships, &rs)
-		sspan.End()
-		rspan.End()
-		if err != nil {
-			return nil, stats, fmt.Errorf("core: synchronization of step %d: %w", si+1, err)
-		}
-		x = merged
-		rs.CoordTime = prepTime + mergeTime
-		stats.Rounds = append(stats.Rounds, rs)
-		done = seq + 1
 		saveCkpt()
 	}
 
@@ -419,33 +311,36 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 	return x, stats, nil
 }
 
-// newRound opens a round's statistics with room for every site's record.
-func (c *Coordinator) newRound(name string) RoundStats {
-	return RoundStats{Name: name, Sites: make([]SiteRound, 0, len(c.clients))}
-}
-
-// fanout sends one request per site in parallel, records every site's
-// part in rs and collects the result relations. In strict mode any site
-// failure aborts (and cancels the siblings); with AllowPartial the
-// survivors' results are returned, failing only when nothing survived.
-func (c *Coordinator) fanout(ctx context.Context, rs *RoundStats, epoch string, round int, build func(cl transport.Client) (*transport.Request, error)) ([]*relation.Relation, error) {
-	var results []*relation.Relation
-	var firstErr error
-	for it := range c.fanoutStream(ctx, epoch, round, build) {
-		rs.add(it.SiteRound)
-		if it.err != nil {
-			firstErr = betterErr(firstErr, it.err)
-			continue
+// round runs step seq of the plan: it cuts X to what each site receives,
+// sends every site its copy of the step's request and merges the replies
+// into the new X as they arrive.
+func (c *Coordinator) round(ctx context.Context, x *relation.Relation, plan *Plan, seq int, epoch string) (RoundStats, *relation.Relation, error) {
+	step := &plan.Steps[seq]
+	rs := RoundStats{Name: step.Name, Sites: make([]SiteRound, 0, len(c.clients))}
+	ctx, rspan := c.Obs.StartSpanTrack(ctx, "round:"+step.Name, obs.TrackCoordinator)
+	defer rspan.End()
+	coordStart := time.Now()
+	var ships map[string]shipment
+	if step.Request.StatesOnly {
+		var err error
+		if ships, err = c.shipments(x, step); err != nil {
+			return rs, nil, err
 		}
-		results = append(results, it.resp.Rel)
 	}
-	if !c.AllowPartial && firstErr != nil {
-		return nil, firstErr
+	prepTime := time.Since(coordStart)
+
+	// Stream fragments into the synchronizer as sites finish: the
+	// coordinator merges early arrivals while slower sites still compute
+	// (the incremental synchronization §3.2 describes).
+	stream := c.fanoutStream(ctx, epoch, seq, step, ships)
+	_, sspan := c.Obs.StartSpanTrack(ctx, "sync:"+step.Name, obs.TrackCoordinator)
+	merged, mergeTime, err := c.synchronize(x, stream, step, plan.Keys, ships, &rs)
+	sspan.End()
+	if err != nil {
+		return rs, nil, fmt.Errorf("core: synchronization of %s: %w", step.Name, err)
 	}
-	if len(results) == 0 && firstErr != nil {
-		return nil, fmt.Errorf("core: all sites lost: %w", firstErr)
-	}
-	return results, nil
+	rs.CoordTime = prepTime + mergeTime
+	return rs, merged, nil
 }
 
 // streamItem is one arrival on a fan-out stream: the site's record for
@@ -457,12 +352,13 @@ type streamItem struct {
 	err  error
 }
 
-// fanoutStream sends one request per site in parallel and delivers each
-// site's result the moment it arrives. The channel closes after all
-// sites have answered (successfully or not). Each call is bounded by
-// CallTimeout; in strict mode the first failure cancels the in-flight
-// calls of the remaining sites, so a doomed round aborts promptly instead
-// of waiting for its slowest member.
+// fanoutStream sends every site, in parallel, its copy of the step's
+// request carrying its shipment, and delivers each site's result the
+// moment it arrives. The channel closes after all sites have answered
+// (successfully or not). Each call is bounded by CallTimeout; in strict
+// mode the first failure cancels the in-flight calls of the remaining
+// sites, so a doomed round aborts promptly instead of waiting for its
+// slowest member.
 //
 // Requests are tagged with (epoch, round) when epoch is non-empty, and a
 // transport-level failure is replayed up to c.Replays times before the
@@ -470,7 +366,7 @@ type streamItem struct {
 // replica can answer the replayed round (from its dedup cache if the
 // original site already did the work) instead of the whole round
 // aborting on the first death.
-func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int, build func(cl transport.Client) (*transport.Request, error)) <-chan streamItem {
+func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int, step *Step, ships map[string]shipment) <-chan streamItem {
 	roundCtx, cancelRound := context.WithCancel(ctx)
 	out := make(chan streamItem, len(c.clients))
 	var wg sync.WaitGroup
@@ -499,15 +395,13 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 					// and let shed responses drive replica failover.
 				}
 			}
-			req, err := build(cl)
-			if err != nil {
-				fail(err)
-				return
-			}
+			req := step.Request
+			req.Base = ships[cl.SiteID()].base
 			req.Epoch, req.Round = epoch, round
 			req.QueryID = c.QueryID
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
 			var resp *transport.Response
+			var err error
 			// stats gathers what the exchange — replays included — added to
 			// the client's statistics: the round's bytes, and the hedges a
 			// hedging client launched for it.
@@ -530,7 +424,7 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 					}
 				}
 				var d transport.Delta
-				resp, d, err = transport.Exchange(callCtx, cl, req)
+				resp, d, err = transport.Exchange(callCtx, cl, &req)
 				stats.Add(d)
 				done()
 				if err == nil || resp != nil {
@@ -731,15 +625,16 @@ func (c *Coordinator) publishProfile(stats *ExecStats) {
 // is the behavior §3.2 describes: the coordinator synchronizes early
 // fragments while slower sites are still computing. It returns the new X
 // and the coordinator time spent merging (excluding time blocked waiting
-// on the stream). ships is what each site received; nil means a fused
-// step, whose fragments bring the groups themselves.
-func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, specs []agg.Spec, plan *Plan, ships map[string]shipment, rs *RoundStats) (*relation.Relation, time.Duration, error) {
+// on the stream). ships is what each site received; nil means the base
+// round or a fused step, whose fragments bring the groups themselves,
+// keyed on K.
+func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, step *Step, keys []string, ships map[string]shipment, rs *RoundStats) (*relation.Relation, time.Duration, error) {
 	var mergeTime time.Duration
 	var firstErr error
-	fused := ships == nil
+	fromFragments := ships == nil
 
-	// Merge state, initialized lazily for fused steps (the base schema
-	// comes from the first fragment).
+	// Merge state, initialized lazily when fragments bring the groups
+	// (the base schema comes from the first fragment).
 	var schema *relation.Schema
 	var m *keyedMerge
 
@@ -750,28 +645,32 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		}
 		if m == nil {
 			var groups []relation.Row
-			if fused {
+			if fromFragments {
 				var err error
-				if schema, _, err = h.Schema.Project(plan.Query.Base.Cols); err != nil {
-					return fmt.Errorf("fused step base schema: %w", err)
+				if schema, _, err = h.Schema.Project(step.Request.BaseCols); err != nil {
+					return fmt.Errorf("base schema: %w", err)
 				}
 			} else {
 				schema, groups = x.Schema, x.Rows
 			}
 			var err error
-			if m, err = newKeyedMerge(schema, groups, plan.Keys, specs); err != nil {
+			if m, err = newKeyedMerge(schema, groups, keys, step.Specs); err != nil {
 				return err
 			}
 		}
-		// A fragment group the coordinator never shipped is only legal in
-		// fused mode, where it becomes a new base row; a states-only
-		// fragment answers shipped rows by position.
+		// A fragment group the coordinator never shipped is only legal
+		// when nothing was shipped, and becomes a new base row; a
+		// states-only fragment answers shipped rows by position.
 		var newRow, at []int
-		if fused {
-			var err error
-			if newRow, err = lookupAll(h.Schema, schema.Names()); err != nil {
+		if fromFragments {
+			ps, idx, err := h.Schema.Project(schema.Names())
+			if err != nil {
 				return err
 			}
+			if !ps.Equal(schema) {
+				return fmt.Errorf("base columns %s differ from %s", ps, schema)
+			}
+			newRow = idx
 		} else {
 			sh := ships[site]
 			at = positions(sh.idx, sh.base.Len(), resp.Kept)
@@ -824,26 +723,29 @@ type shipment struct {
 	idx  []int // nil: fragment row k is X row k
 }
 
-// shipments cuts X to what each site receives in step si: the step's ship
-// columns, projected once for all sites, of the rows its Theorem-4 filter
-// keeps.
-func (c *Coordinator) shipments(x *relation.Relation, plan *Plan, si int) (map[string]shipment, error) {
+// shipments cuts X to what each site receives in a step that ships it: the
+// step's ship columns, projected once for all sites, of the rows its
+// Theorem-4 filter keeps.
+func (c *Coordinator) shipments(x *relation.Relation, step *Step) (map[string]shipment, error) {
 	if x == nil {
-		return nil, fmt.Errorf("core: no base-result structure before non-fused step %d", si+1)
+		return nil, fmt.Errorf("core: no base-result structure before %s", step.Name)
 	}
-	step, px := plan.Steps[si], x
+	if step.Filters != nil && !x.Schema.Equal(step.xSchema) {
+		return nil, fmt.Errorf("core: %s: X is %s, its site filters were bound to %s", step.Name, x.Schema, step.xSchema)
+	}
+	px := x
 	if step.Ship != nil && len(step.Ship) < x.Schema.Len() {
 		var err error
 		if px, err = x.Project(step.Ship); err != nil {
-			return nil, fmt.Errorf("core: step %d ship set: %w", si+1, err)
+			return nil, fmt.Errorf("core: %s ship set: %w", step.Name, err)
 		}
 	}
 	out := make(map[string]shipment, len(c.clients))
 	for _, cl := range c.clients {
 		sh := shipment{base: px}
-		if fs := plan.SiteFilters[cl.SiteID()]; si < len(fs) && fs[si] != nil {
+		if f := step.filter(cl.SiteID()); f != nil {
 			var err error
-			if sh, err = filterBase(x, px, fs[si], plan.Query.MDs[step.MDs[0]]); err != nil {
+			if sh, err = filterBase(x, px, f); err != nil {
 				return nil, fmt.Errorf("core: site filter for %s: %w", cl.SiteID(), err)
 			}
 		}
@@ -854,15 +756,10 @@ func (c *Coordinator) shipments(x *relation.Relation, plan *Plan, si int) (map[s
 
 // filterBase decides a Theorem-4 site filter on the rows of X and ships
 // the kept rows of its projection px.
-func filterBase(x, px *relation.Relation, f expr.Expr, md gmdj.MD) (shipment, error) {
-	bAlias, _ := md.Aliases()
-	bound, err := expr.Bind(f, expr.Binding{Base: x.Schema, BaseAliases: []string{bAlias}})
-	if err != nil {
-		return shipment{}, err
-	}
+func filterBase(x, px *relation.Relation, f *expr.Bound) (shipment, error) {
 	sh := shipment{base: relation.New(px.Schema), idx: []int{}}
 	for i, row := range x.Rows {
-		ok, err := bound.EvalBool(row, nil)
+		ok, err := f.EvalBool(row, nil)
 		if err != nil {
 			return shipment{}, err
 		}
@@ -872,31 +769,4 @@ func filterBase(x, px *relation.Relation, f expr.Expr, md gmdj.MD) (shipment, er
 		}
 	}
 	return sh, nil
-}
-
-// unionDistinct merges base fragments with set semantics.
-func unionDistinct(parts []*relation.Relation) (*relation.Relation, error) {
-	var out *relation.Relation
-	for _, p := range parts {
-		if p == nil {
-			return nil, fmt.Errorf("missing base fragment")
-		}
-		if out == nil {
-			out = relation.New(p.Schema)
-		}
-		if err := out.Union(p); err != nil {
-			return nil, err
-		}
-	}
-	if out == nil {
-		return nil, fmt.Errorf("no base fragments")
-	}
-	return out.DistinctProject(out.Schema.Names())
-}
-
-func whereText(e expr.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return e.String()
 }

@@ -217,7 +217,7 @@ func TestPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Rounds() != 3 || !plan.BaseRound || len(plan.Steps) != 2 {
+	if plan.Rounds() != 3 || !plan.Steps[0].base() {
 		t.Errorf("unoptimized plan: %d rounds\n%s", plan.Rounds(), plan.Explain())
 	}
 
@@ -226,7 +226,7 @@ func TestPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Rounds() != 1 || plan.BaseRound || !plan.Steps[0].FuseBase || len(plan.Steps[0].MDs) != 2 {
+	if plan.Rounds() != 1 || !plan.Steps[0].FuseBase || len(plan.Steps[0].MDs) != 2 {
 		t.Errorf("optimized plan should be a single fused chained round:\n%s", plan.Explain())
 	}
 
@@ -469,6 +469,36 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestExplainDeterministic: a plan with Theorem-4 filters explains to one
+// text, filter lines ordered by site, then step. EXPLAIN ANALYZE prints
+// this text first, and is documented as identical run to run.
+func TestExplainDeterministic(t *testing.T) {
+	coord, cat, _ := cluster(t, testRows(100, 2), 4, true)
+	schema, err := coord.DetailSchema(context.Background(), "flow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		plan, err := Egil{Catalog: cat, Options: Options{GroupReduceCoord: true}}.BuildPlan(example1(), "flow", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[plan.Explain()] = true
+	}
+	if len(texts) != 1 {
+		t.Fatalf("%d distinct EXPLAIN texts in 50 renderings", len(texts))
+	}
+	for text := range texts {
+		if !strings.Contains(text, "    site0 step 1: ") || !strings.Contains(text, "    site3 step 2: ") {
+			t.Errorf("filter lines missing:\n%s", text)
+		}
+		if strings.Index(text, "site0 step 2: ") > strings.Index(text, "site1 step 1: ") {
+			t.Errorf("filter lines not ordered by site, then step:\n%s", text)
+		}
+	}
+}
+
 // TestStatsAccounting sanity-checks the execution statistics.
 func TestStatsAccounting(t *testing.T) {
 	coord, cat, _ := cluster(t, testRows(200, 8), 4, true)
@@ -589,17 +619,13 @@ func TestFilterDroppedWhenReferencingChainOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Steps) != 1 || len(plan.Steps[0].MDs) != 2 || plan.Steps[0].FuseBase {
+	if len(plan.Steps) != 2 || len(plan.Steps[1].MDs) != 2 || plan.Steps[1].FuseBase {
 		t.Fatalf("expected one shipped chained step:\n%s", plan.Explain())
 	}
 	// The chained step's filter must have been dropped (it would
 	// reference avg1, which the shipped X lacks).
-	for site, fs := range plan.SiteFilters {
-		for _, f := range fs {
-			if f != nil {
-				t.Errorf("site %s kept filter %s referencing chain outputs", site, f)
-			}
-		}
+	for _, f := range plan.Steps[1].Filters {
+		t.Errorf("site %s kept filter %s referencing chain outputs", f.Site, f.Filter.Expr())
 	}
 	// And execution stays correct.
 	want, err := gmdj.EvalQuery(whole, q)
@@ -678,6 +704,40 @@ func TestRandomizedQueryShapes(t *testing.T) {
 			assertSameRelation(t, fmt.Sprintf("trial %d (%s)", trial, optLabel(opts)),
 				got, want.Clone(), q.Keys())
 		}
+	}
+}
+
+// kindShift answers like its engine but declares the base relation's first
+// column as a string: a site whose data disagrees with its peers.
+type kindShift struct{ transport.Handler }
+
+func (k kindShift) Handle(ctx context.Context, req *transport.Request) *transport.Response {
+	resp := k.Handler.Handle(ctx, req)
+	if req.Op == transport.OpEvalBase && resp.Rel != nil {
+		cols := append([]relation.Column(nil), resp.Rel.Schema.Cols...)
+		cols[0].Kind = value.KindString
+		resp.Rel.Schema, _ = relation.NewSchema(cols...)
+	}
+	return resp
+}
+
+// TestBaseFragmentsDisagree: base fragments whose columns differ in kind
+// fail the base round loudly instead of merging into one X.
+func TestBaseFragmentsDisagree(t *testing.T) {
+	rows := testRows(40, 3)
+	var clients []transport.Client
+	for i := 0; i < 2; i++ {
+		eng := site.NewEngine(fmt.Sprintf("site%d", i))
+		eng.Load("flow", relationFromRows(rows[i*20:(i+1)*20]))
+		var h transport.Handler = eng
+		if i == 1 {
+			h = kindShift{eng}
+		}
+		clients = append(clients, transport.NewLocalClient(eng.ID(), h, transport.CostModel{}))
+	}
+	_, _, _, err := NewCoordinator(clients...).Run(context.Background(), example1(), "flow", Egil{Catalog: catalog.New()})
+	if err == nil || !strings.Contains(err.Error(), "synchronization of base") || !strings.Contains(err.Error(), "differ from") {
+		t.Fatalf("err = %v, want the base round to refuse mismatched fragments", err)
 	}
 }
 
@@ -777,11 +837,11 @@ func TestPaperExample2EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The derived filter for s0 must be the paper's bound: ... < 10.
-	fs := plan.SiteFilters["s0"]
-	if len(fs) == 0 || fs[0] == nil {
+	f := plan.Steps[1].filter("s0")
+	if f == nil {
 		t.Fatalf("no filter derived for s0:\n%s", plan.Explain())
 	}
-	if got := fs[0].String(); got != "B.DestAS + B.SourceAS < 10" {
+	if got := f.Expr().String(); got != "B.DestAS + B.SourceAS < 10" {
 		t.Errorf("s0 filter = %s, want B.DestAS + B.SourceAS < 10", got)
 	}
 

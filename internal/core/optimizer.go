@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/gmdj"
 	"repro/internal/relation"
+	"repro/internal/transport"
 )
 
 // Egil is the GMDJ query optimizer of the Skalla system. Given a query,
@@ -111,8 +112,6 @@ func (e Egil) BuildPlanSchemas(q gmdj.Query, detailName string, schemas map[stri
 				"base synchronization elided (Proposition 2): every θ of step 1 entails key equality")
 		}
 	}
-	plan.BaseRound = !fuse
-	plan.Steps = steps
 	for si := range steps {
 		if !steps[si].FuseBase {
 			steps[si].Ship = shipSet(q, steps[si], baseSchemas[steps[si].MDs[0]])
@@ -124,10 +123,65 @@ func (e Egil) BuildPlanSchemas(q gmdj.Query, detailName string, schemas map[stri
 
 	// O1: distribution-aware group reduction — derive per-site base
 	// filters from catalog domains for every step that ships the base.
-	if e.Options.GroupReduceCoord && e.Catalog != nil {
-		e.deriveFilters(q, mdSchemas, baseSchemas, plan)
+	if e.Options.GroupReduceCoord && e.Catalog != nil && e.deriveFilters(q, mdSchemas, baseSchemas, steps) {
+		plan.Notes = append(plan.Notes,
+			"distribution-aware group reduction (Theorem 4): per-site base filters derived from catalog domains")
 	}
+	prepare(plan, steps)
 	return plan, nil
+}
+
+// prepare makes the plan's step list, the program the coordinator runs: a
+// base round first unless the first MD step fuses it, then the MD steps,
+// each with its name, its aggregate specs and the request its sites receive.
+func prepare(plan *Plan, steps []Step) {
+	q := plan.Query
+	where := whereText(q.Base.Where)
+	if len(steps) == 0 || !steps[0].FuseBase {
+		plan.Steps = append(plan.Steps, Step{Name: "base", Request: transport.Request{
+			Op: transport.OpEvalBase, Detail: plan.Detail, BaseCols: q.Base.Cols, BaseWhere: where}})
+	}
+	for si, step := range steps {
+		step.Name = fmt.Sprintf("step %d", si+1)
+		req := transport.Request{Op: transport.OpEvalRounds, Keys: plan.Keys, StatesOnly: !step.FuseBase}
+		if step.FuseBase {
+			req.Detail, req.BaseCols, req.BaseWhere = plan.Detail, q.Base.Cols, where
+		}
+		for _, mi := range step.MDs {
+			md := q.MDs[mi]
+			step.Specs = append(step.Specs, md.Specs()...)
+			bAlias, dAlias := md.Aliases()
+			spec := transport.RoundSpec{
+				Detail:      md.DetailName(plan.Detail),
+				BaseAlias:   bAlias,
+				DetailAlias: dAlias,
+				Finalize:    len(step.MDs) > 1,
+				// Dropping untouched groups is unsafe when the
+				// coordinator never sees the full base (fused step):
+				// a group untouched at every site would vanish from
+				// the result instead of keeping empty aggregates.
+				Touched: plan.Touched && !step.FuseBase,
+			}
+			for i, theta := range md.Thetas {
+				spec.Thetas = append(spec.Thetas, theta.String())
+				var aggs []string
+				for _, s := range md.Aggs[i] {
+					aggs = append(aggs, s.String())
+				}
+				spec.Aggs = append(spec.Aggs, aggs)
+			}
+			req.Rounds = append(req.Rounds, spec)
+		}
+		step.Request = req
+		plan.Steps = append(plan.Steps, step)
+	}
+}
+
+func whereText(e expr.Expr) string {
+	if e == nil {
+		return ""
+	}
+	return e.String()
 }
 
 // detailSchema picks a schema by relation name, case-insensitively.
@@ -263,66 +317,61 @@ func sortedKeys(m map[string]struct{}) []string {
 	return out
 }
 
-// deriveFilters computes Theorem 4 site filters for each step that ships
-// the base structure.
-func (e Egil) deriveFilters(q gmdj.Query, mdSchemas []*relation.Schema, baseSchemas []*relation.Schema, plan *Plan) {
-	filters := map[string][]expr.Expr{}
+// deriveFilters sets the Theorem 4 site filters of each step that ships the
+// base structure, bound once against the X the step ships from, and
+// reports whether it derived any.
+func (e Egil) deriveFilters(q gmdj.Query, mdSchemas []*relation.Schema, baseSchemas []*relation.Schema, steps []Step) bool {
 	any := false
-	for _, siteInfo := range e.Catalog.Sites {
-		domains := siteInfo.Domains
-		if len(domains) == 0 {
+	for si := range steps {
+		step := &steps[si]
+		if step.FuseBase {
+			continue // nothing is shipped for a fused step
+		}
+		// The filter must be safe for every θ of every MD in the step: a
+		// group is shippable only if no θ can match it. Side
+		// classification uses the widest binding of the step (later MDs
+		// of a chain reference columns the first MD's schema lacks).
+		// Steps mixing detail relations would need per-θ bindings; stay
+		// conservative and skip them.
+		mixed := false
+		for _, mi := range step.MDs[1:] {
+			if mdSchemas[mi] != mdSchemas[step.MDs[0]] {
+				mixed = true
+			}
+		}
+		if mixed {
 			continue
 		}
-		perStep := make([]expr.Expr, len(plan.Steps))
-		for si, step := range plan.Steps {
-			if step.FuseBase {
-				continue // nothing is shipped for a fused step
-			}
-			// The filter must be safe for every θ of every MD in the
-			// step: a group is shippable only if no θ can match it.
-			// Side classification uses the widest binding of the step
-			// (later MDs of a chain reference columns the first MD's
-			// schema lacks).
-			// Steps mixing detail relations would need per-θ bindings;
-			// stay conservative and skip them.
-			mixed := false
-			for _, mi := range step.MDs[1:] {
-				if mdSchemas[mi] != mdSchemas[step.MDs[0]] {
-					mixed = true
-				}
-			}
-			if mixed {
+		var thetas []expr.Expr
+		last := step.MDs[len(step.MDs)-1]
+		bd := q.MDs[last].Binding(baseSchemas[last], mdSchemas[last])
+		for _, mi := range step.MDs {
+			thetas = append(thetas, q.MDs[mi].Thetas...)
+		}
+		// The filter runs at the coordinator against the X shipped at
+		// this step, whose schema is that of the step's first MD. A
+		// derived constraint referencing a column generated inside the
+		// step (e.g. B.sum1 from a chained MD1) cannot be evaluated
+		// there; drop the filter in that case.
+		first := step.MDs[0]
+		bAlias, _ := q.MDs[first].Aliases()
+		shipBd := expr.Binding{Base: baseSchemas[first], BaseAliases: []string{bAlias}}
+		step.xSchema = shipBd.Base
+		for _, site := range e.Catalog.Sites {
+			if len(site.Domains) == 0 {
 				continue
 			}
-			var thetas []expr.Expr
-			last := step.MDs[len(step.MDs)-1]
-			bd := q.MDs[last].Binding(baseSchemas[last], mdSchemas[last])
-			for _, mi := range step.MDs {
-				thetas = append(thetas, q.MDs[mi].Thetas...)
-			}
-			f := expr.DeriveSiteFilter(thetas, bd, domains)
+			f := expr.DeriveSiteFilter(thetas, bd, site.Domains)
 			if f == nil {
 				continue
 			}
-			// The filter runs at the coordinator against the X shipped
-			// at this step, whose schema is that of the step's first
-			// MD. A derived constraint referencing a column generated
-			// inside the step (e.g. B.sum1 from a chained MD1) cannot
-			// be evaluated there; drop the filter in that case.
-			first := step.MDs[0]
-			bAlias, _ := q.MDs[first].Aliases()
-			shipBd := expr.Binding{Base: baseSchemas[first], BaseAliases: []string{bAlias}}
-			if _, err := expr.Bind(f, shipBd); err != nil {
+			bound, err := expr.Bind(f, shipBd)
+			if err != nil {
 				continue
 			}
-			perStep[si] = f
+			step.Filters = append(step.Filters, SiteFilter{Site: site.ID, Filter: bound})
 			any = true
 		}
-		filters[siteInfo.ID] = perStep
 	}
-	if any {
-		plan.SiteFilters = filters
-		plan.Notes = append(plan.Notes,
-			"distribution-aware group reduction (Theorem 4): per-site base filters derived from catalog domains")
-	}
+	return any
 }

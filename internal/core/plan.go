@@ -12,12 +12,18 @@
 // structure, keyed on the base relation key K (Theorem 1).
 package core
 
+//lint:deterministic EXPLAIN must render identically run to run
+
 import (
 	"fmt"
+	"sort"
 	"strings"
 
+	"repro/internal/agg"
 	"repro/internal/expr"
 	"repro/internal/gmdj"
+	"repro/internal/relation"
+	"repro/internal/transport"
 )
 
 // Options selects which of the paper's optimizations the optimizer may
@@ -47,13 +53,20 @@ var DefaultOptions = Options{
 	SyncReduce:       true,
 }
 
-// Step is one network round of a plan: the coordinator ships the current
-// base-result structure (or, for a fused first step, nothing), each
-// participating site evaluates the listed MDs of the (possibly rewritten)
-// query as a local chain, and the coordinator synchronizes the returned
-// sub-aggregates. Steps with more than one MD are the synchronization
-// reduction of Theorem 5: no synchronization happens between their MDs.
+// Step is one network round of a plan, prepared once by Egil: the request
+// every site's copy starts from, the aggregates its replies carry and the
+// per-site filters of what it ships. There are three kinds. The base step
+// (no MDs) computes the base-values relation at the sites; the coordinator
+// merges the fragments into X keyed on K. A fused step (FuseBase) computes
+// the base locally and evaluates its MDs against it, so nothing is shipped
+// and its replies bring the groups. Every other step ships X, cut per site,
+// and merges the states-only replies by position. Steps with more than one
+// MD are the synchronization reduction of Theorem 5: no synchronization
+// happens between their MDs.
 type Step struct {
+	// Name is the round the step runs as ("base", "step N"): the name of
+	// its RoundStats.
+	Name string
 	// MDs are indices into Plan.Query.MDs evaluated in this round.
 	MDs []int
 	// FuseBase makes the sites compute the base-values relation locally
@@ -64,6 +77,38 @@ type Step struct {
 	// K plus every X column a θ of the step reads. The optimizer sets it
 	// on every step that ships X; nil ships X whole.
 	Ship []string
+	// Request is the step's request to every site; a step that ships X
+	// (Request.StatesOnly) adds the site's cut of X as Base.
+	Request transport.Request
+	// Specs are the aggregate specs of the step's MDs, in order: the
+	// primitive states its replies carry.
+	Specs []agg.Spec
+	// Filters are the step's Theorem-4 site filters; a site without one
+	// receives every row. Each is bound against xSchema, the schema of the
+	// X the step ships from.
+	Filters []SiteFilter
+	xSchema *relation.Schema
+}
+
+// SiteFilter is one site's Theorem-4 base filter for one step: an
+// expression over X with alias B, keeping only the rows the site's
+// partition can match.
+type SiteFilter struct {
+	Site   string
+	Filter *expr.Bound
+}
+
+// base reports whether the step is the base round.
+func (s *Step) base() bool { return len(s.MDs) == 0 }
+
+// filter returns the step's filter for site, or nil.
+func (s *Step) filter(site string) *expr.Bound {
+	for _, f := range s.Filters {
+		if f.Site == site {
+			return f.Filter
+		}
+	}
+	return nil
 }
 
 // Plan is a distributed evaluation plan for a GMDJ query.
@@ -74,31 +119,37 @@ type Plan struct {
 	Detail string
 	// Keys are the key attributes K of the base-values relation.
 	Keys []string
-	// BaseRound is true when an initial synchronization round computes
-	// and merges the base-values relation before any MD runs.
-	BaseRound bool
-	// Steps are the MD rounds, in order.
+	// Steps are the rounds, in the order they run: the base round first
+	// when the plan has one, then the MD rounds.
 	Steps []Step
 	// Touched enables distribution-independent group reduction on every
 	// step (sites filter untouched groups before shipping).
 	Touched bool
-	// SiteFilters maps site ID to a per-step base filter (Theorem 4);
-	// nil entries mean "ship everything". Filters are expressions over
-	// the base relation with alias B.
-	SiteFilters map[string][]expr.Expr
 	// Notes records the optimizer's decisions for explain output.
 	Notes []string
 }
 
-// Rounds returns the number of synchronization rounds the plan performs:
-// one per step plus one for a separate base round. (The paper counts an
-// m-operator expression as m+1 rounds unoptimized.)
-func (p *Plan) Rounds() int {
-	n := len(p.Steps)
-	if p.BaseRound {
-		n++
+// Rounds returns the number of synchronization rounds the plan performs.
+// (The paper counts an m-operator expression as m+1 rounds unoptimized.)
+func (p *Plan) Rounds() int { return len(p.Steps) }
+
+// stepFilter is one filter of a plan: a site's filter for steps[step].
+type stepFilter struct {
+	SiteFilter
+	step int
+}
+
+// siteFilters lists the filters of steps ordered by site ID, then step:
+// the order EXPLAIN prints them and PlanEpoch hashes them in.
+func siteFilters(steps []Step) []stepFilter {
+	var out []stepFilter
+	for si := range steps {
+		for _, f := range steps[si].Filters {
+			out = append(out, stepFilter{f, si})
+		}
 	}
-	return n
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Site < out[j].Site })
+	return out
 }
 
 // Explain renders a human-readable description of the plan.
@@ -106,12 +157,13 @@ func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "plan: %d round(s) over detail %q, keys (%s)\n",
 		p.Rounds(), p.Detail, strings.Join(p.Keys, ", "))
-	if p.BaseRound {
-		fmt.Fprintf(&b, "  round 0: compute base π{%s} at sites, synchronize\n",
-			strings.Join(p.Query.Base.Cols, ", "))
-	}
-	for i, s := range p.Steps {
-		fmt.Fprintf(&b, "  step %d: MDs %v", i+1, mdNums(s.MDs))
+	for _, s := range p.Steps {
+		if s.base() {
+			fmt.Fprintf(&b, "  round 0: compute base π{%s} at sites, synchronize\n",
+				strings.Join(p.Query.Base.Cols, ", "))
+			continue
+		}
+		fmt.Fprintf(&b, "  %s: MDs %v", s.Name, mdNums(s.MDs))
 		if len(s.MDs) > 1 {
 			b.WriteString(" as local chain (sync reduction)")
 		}
@@ -126,14 +178,10 @@ func (p *Plan) Explain() string {
 	if p.Touched {
 		b.WriteString("  site-side group reduction: on (|RNG|>0 filter)\n")
 	}
-	if len(p.SiteFilters) > 0 {
+	if fs := siteFilters(p.Steps); len(fs) > 0 {
 		b.WriteString("  coordinator-side group reduction filters:\n")
-		for site, fs := range p.SiteFilters {
-			for step, f := range fs {
-				if f != nil {
-					fmt.Fprintf(&b, "    %s step %d: %s\n", site, step+1, f)
-				}
-			}
+		for _, f := range fs {
+			fmt.Fprintf(&b, "    %s %s: %s\n", f.Site, p.Steps[f.step].Name, f.Filter.Expr())
 		}
 	}
 	for _, n := range p.Notes {

@@ -450,7 +450,7 @@ func TestConcurrentProfilesNoBleed(t *testing.T) {
 // TestRenderAnalyzeGolden pins the timing-free report byte for byte on a
 // handcrafted execution, so renderer drift cannot hide behind real runs.
 func TestRenderAnalyzeGolden(t *testing.T) {
-	plan := &Plan{Detail: "flow", Keys: []string{"SourceAS"}, BaseRound: true}
+	plan := &Plan{Detail: "flow", Keys: []string{"SourceAS"}, Steps: []Step{{Name: "base"}}}
 	stats := &ExecStats{
 		QueryID: "q-golden",
 		Rounds: []RoundStats{roundOf("base",

@@ -55,26 +55,26 @@ func TestStatesOnlyWireMatrix(t *testing.T) {
 		if c.Label != old.Label || len(c.Rounds) != len(old.Rounds) {
 			t.Fatalf("case %s (%d rounds) vs recorded %s (%d rounds)", c.Label, len(c.Rounds), old.Label, len(old.Rounds))
 		}
+		// The plan you read is the plan that runs: one round per step, in
+		// order, under the step's name.
+		if len(c.Rounds) != len(c.plan.Steps) {
+			t.Fatalf("case %s ran %d rounds for %d steps", c.Label, len(c.Rounds), len(c.plan.Steps))
+		}
 		for ri, r := range c.Rounds {
-			o := old.Rounds[ri]
+			o, step := old.Rounds[ri], c.plan.Steps[ri]
+			if r.Name != step.Name {
+				t.Errorf("%s round %d ran as %q, step is %q", c.Label, ri, r.Name, step.Name)
+			}
 			if r.Name != o.Name || r.GroupsShipped != o.GroupsShipped || r.GroupsReceived != o.GroupsReceived {
 				t.Errorf("%s round %s: groups %d/%d, recorded %s %d/%d", c.Label, r.Name,
 					r.GroupsShipped, r.GroupsReceived, o.Name, o.GroupsShipped, o.GroupsReceived)
 			}
 			toLimit := o.BytesToSites - 1
-			si := ri
-			if c.plan.BaseRound {
-				si--
-			}
-			if si < 0 || c.plan.Steps[si].FuseBase {
+			if !step.Request.StatesOnly {
 				toLimit = o.BytesToSites + descriptorSlack
 			} else {
-				step := c.plan.Steps[si]
-				for _, fs := range c.plan.SiteFilters {
-					if si < len(fs) && fs[si] != nil {
-						filtered++
-						break
-					}
+				if step.Filters != nil {
+					filtered++
 				}
 				width := len(c.plan.Query.Base.Cols)
 				for _, md := range c.plan.Query.MDs[:step.MDs[0]] {

@@ -26,8 +26,8 @@ import (
 // associatively, so any intermediate tier may combine them keyed on K —
 // or, for a states-only request, by position over the shipped Base rows,
 // which every child answered. A keyed request must carry Request.Keys for
-// the relay to merge; without keys the relay degrades to pass-through
-// unioning.
+// the relay to merge (a base request merges on its BaseCols); without keys
+// the relay degrades to pass-through unioning.
 //
 // A relay threads the request context it receives into every child call,
 // so cancellation and deadlines propagate down the whole coordinator
@@ -123,23 +123,7 @@ func (r *Relay) handle(ctx context.Context, req *transport.Request) (*transport.
 		}
 		return &transport.Response{RowCount: total, ComputeNs: time.Since(start).Nanoseconds()}, nil
 
-	case transport.OpEvalBase:
-		start := time.Now()
-		resps, err := r.fanout(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		var parts []*relation.Relation
-		for _, resp := range resps {
-			parts = append(parts, resp.Rel)
-		}
-		merged, err := unionDistinct(parts)
-		if err != nil {
-			return nil, err
-		}
-		return &transport.Response{Rel: merged, ComputeNs: time.Since(start).Nanoseconds()}, nil
-
-	case transport.OpEvalRounds:
+	case transport.OpEvalBase, transport.OpEvalRounds:
 		return r.evalRounds(ctx, req)
 
 	default:
@@ -173,8 +157,9 @@ func (r *Relay) fanout(ctx context.Context, req *transport.Request) ([]*transpor
 	return resps, nil
 }
 
-// evalRounds forwards the round request and pre-merges the children's
-// fragments (mergeFragments).
+// evalRounds forwards an evaluation request and pre-merges the children's
+// fragments (mergeFragments). Base fragments merge keyed on the base
+// columns, with no aggregates: a set union.
 func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	start := time.Now()
 	resps, err := r.fanout(ctx, req)
@@ -186,9 +171,13 @@ func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transp
 			return nil, fmt.Errorf("child %d returned no relation", i)
 		}
 	}
+	keys := req.Keys
+	if req.Op == transport.OpEvalBase {
+		keys = req.BaseCols
+	}
 	var out transport.Response
-	if req.StatesOnly || len(req.Keys) > 0 {
-		err = mergeFragments(resps, req, &out)
+	if req.StatesOnly || len(keys) > 0 {
+		err = mergeFragments(resps, req, keys, &out)
 	} else {
 		// No merge keys: pass-through union (still one message upstream).
 		out.Rel = relation.New(resps[0].Rel.Schema)
@@ -211,10 +200,10 @@ func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transp
 // reply resolves by position, a keyed one (a child that ignores the flag)
 // by its echo of the Base columns, and out is a states-only reply whose
 // Kept bitmap is the union of the children's. Otherwise groups resolve on
-// Request.Keys, and all other columns (base values, earlier finalized
+// keys, and all other columns (base values, earlier finalized
 // aggregates) are identical per group and taken from the first
 // occurrence.
-func mergeFragments(resps []*transport.Response, req *transport.Request, out *transport.Response) error {
+func mergeFragments(resps []*transport.Response, req *transport.Request, keys []string, out *transport.Response) error {
 	// Parse the round specs to learn which columns are primitive states.
 	var specs []agg.Spec
 	for _, round := range req.Rounds {
@@ -243,7 +232,7 @@ func mergeFragments(resps []*transport.Response, req *transport.Request, out *tr
 		return err
 	}
 	schema := resps[0].Rel.Schema
-	m, err := newKeyedMerge(schema, nil, req.Keys, specs)
+	m, err := newKeyedMerge(schema, nil, keys, specs)
 	if err != nil {
 		return fmt.Errorf("merge keys: %w", err)
 	}

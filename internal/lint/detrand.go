@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 )
 
 // DetRand enforces determinism in files tagged //lint:deterministic: the
@@ -18,9 +20,10 @@ import (
 //     rand.New(rand.NewSource(seed)) with an injected seed, as the
 //     Reconnector does.
 //   - ranging over a map while appending to an outer slice or writing to
-//     an outer Builder/Buffer: map iteration order is randomized, so the
-//     produced sequence differs run to run — which turns wire encodings
-//     and merged results nondeterministic. Sort the keys first.
+//     an outer Builder/Buffer (directly or through fmt.Fprint*): map
+//     iteration order is randomized, so the produced sequence differs run
+//     to run — which turns wire encodings, merged results and reports
+//     nondeterministic. Sort the keys first.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: "forbids time.Now, the global math/rand source, and map-iteration-order " +
@@ -115,18 +118,28 @@ func checkMapRangeOrder(pass *Pass, rs *ast.RangeStmt) {
 			}
 			return true
 		}
-		// builder.WriteString(...) / buffer.Write(...) on an outer sink.
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isWriteMethod(sel.Sel.Name) {
-			base := firstIdent(sel.X)
-			obj, ok := pass.TypesInfo.Uses[base]
-			if !ok || !declaredOutside(obj, rs) {
-				return true
+		// builder.WriteString(...) / buffer.Write(...), and fmt.Fprint*(&b,
+		// ...) with b the builder or buffer, on an outer sink.
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		var sink ast.Expr
+		switch fn := pass.TypesInfo.Uses[sel.Sel]; {
+		case isWriteMethod(sel.Sel.Name):
+			sink = sel.X
+		case fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Fprint"):
+			sink = call.Args[0]
+			if u, ok := sink.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				sink = u.X
 			}
-			if isOrderedSink(obj.Type()) {
-				pass.Reportf(call, "writing to %s while ranging over a map: iteration "+
-					"order is randomized, so the output differs run to run; sort the keys first",
-					obj.Name())
-			}
+		default:
+			return true
+		}
+		if obj, ok := pass.TypesInfo.Uses[firstIdent(sink)]; ok && declaredOutside(obj, rs) && isOrderedSink(obj.Type()) {
+			pass.Reportf(call, "writing to %s while ranging over a map: iteration "+
+				"order is randomized, so the output differs run to run; sort the keys first",
+				obj.Name())
 		}
 		return true
 	})

@@ -6,6 +6,7 @@
 package detrand
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -68,6 +69,15 @@ func build(m map[string]int) string {
 	var b strings.Builder
 	for k := range m {
 		b.WriteString(k) // want `writing to b while ranging over a map`
+	}
+	return b.String()
+}
+
+// explain writes through fmt, as report renderers do: the same finding.
+func explain(m map[string]int) string {
+	var b strings.Builder
+	for k, v := range m {
+		fmt.Fprintf(&b, "%s=%d\n", k, v) // want `writing to b while ranging over a map`
 	}
 	return b.String()
 }

@@ -40,6 +40,8 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # fan-out, parallel site evaluation and the kernel workers it fans out to
 # — must be green twenty times over.
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj
+# Admission lives in skalla's QueryService; its tests ride the same gate.
+go test -race -count=20 -run '^TestAdmission' ./skalla
 
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg

@@ -1,4 +1,4 @@
-package core
+package skalla
 
 import (
 	"context"
@@ -11,20 +11,33 @@ import (
 	"repro/internal/testutil"
 )
 
-func TestSchedulerAdmitFailFast(t *testing.T) {
-	o := obs.New()
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1, QueueDepth: 0, Obs: o})
+// admissionOnly is a query service reduced to its admission state: enough
+// to drive admit and nextEpoch without a cluster.
+func admissionOnly(cfg ServeConfig, o *obs.Obs) *QueryService {
+	return &QueryService{cfg: cfg, obs: o, slots: make(chan struct{}, cfg.MaxConcurrent)}
+}
 
-	rel1, err := s.Admit(context.Background())
+// queuedNow reports how many admissions wait for a slot.
+func (s *QueryService) queuedNow() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queued
+}
+
+func TestAdmissionFailFast(t *testing.T) {
+	o := obs.New()
+	s := admissionOnly(ServeConfig{MaxConcurrent: 1, QueueDepth: 0}, o)
+
+	rel1, err := s.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Saturated with no queue: the second admission fails fast and typed.
-	if _, err := s.Admit(context.Background()); !errors.Is(err, ErrAdmission) {
+	if _, err := s.admit(context.Background()); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("err = %v, want ErrAdmission", err)
 	}
 	var ae *AdmissionError
-	if _, err := s.Admit(context.Background()); !errors.As(err, &ae) {
+	if _, err := s.admit(context.Background()); !errors.As(err, &ae) {
 		t.Fatalf("err = %v, want *AdmissionError", err)
 	}
 	if got := o.Metrics.CounterValue("sched.rejected"); got != 2 {
@@ -36,7 +49,7 @@ func TestSchedulerAdmitFailFast(t *testing.T) {
 
 	rel1()
 	rel1() // release is idempotent
-	rel2, err := s.Admit(context.Background())
+	rel2, err := s.admit(context.Background())
 	if err != nil {
 		t.Fatalf("slot not freed by release: %v", err)
 	}
@@ -49,28 +62,28 @@ func TestSchedulerAdmitFailFast(t *testing.T) {
 	}
 }
 
-func TestSchedulerQueueAdmitsWhenFreed(t *testing.T) {
+func TestAdmissionQueueAdmitsWhenFreed(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1, QueueDepth: 2})
+	s := admissionOnly(ServeConfig{MaxConcurrent: 1, QueueDepth: 2}, nil)
 
-	rel, err := s.Admit(context.Background())
+	rel, err := s.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() {
-		r2, err := s.Admit(context.Background())
+		r2, err := s.admit(context.Background())
 		if err == nil {
 			r2()
 		}
 		got <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Queued() < 1 && time.Now().Before(deadline) {
+	for s.queuedNow() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if s.Queued() != 1 {
-		t.Fatalf("queued = %d, want 1", s.Queued())
+	if s.queuedNow() != 1 {
+		t.Fatalf("queued = %d, want 1", s.queuedNow())
 	}
 	rel()
 	if err := <-got; err != nil {
@@ -78,30 +91,30 @@ func TestSchedulerQueueAdmitsWhenFreed(t *testing.T) {
 	}
 }
 
-func TestSchedulerQueueTimeout(t *testing.T) {
+func TestAdmissionQueueTimeout(t *testing.T) {
 	o := obs.New()
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1, QueueDepth: 1, QueueTimeout: 20 * time.Millisecond, Obs: o})
+	s := admissionOnly(ServeConfig{MaxConcurrent: 1, QueueDepth: 1, QueueTimeout: 20 * time.Millisecond}, o)
 
-	rel, err := s.Admit(context.Background())
+	rel, err := s.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rel()
-	if _, err := s.Admit(context.Background()); !errors.Is(err, ErrAdmission) {
+	if _, err := s.admit(context.Background()); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("err = %v, want ErrAdmission after queue timeout", err)
 	}
 	if got := o.Metrics.CounterValue("sched.queue_timeouts"); got != 1 {
 		t.Errorf("queue_timeouts = %d, want 1", got)
 	}
-	if s.Queued() != 0 {
-		t.Errorf("queued = %d after timeout, want 0", s.Queued())
+	if s.queuedNow() != 0 {
+		t.Errorf("queued = %d after timeout, want 0", s.queuedNow())
 	}
 }
 
-func TestSchedulerQueueCancellation(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 1, QueueDepth: 1})
+func TestAdmissionQueueCancellation(t *testing.T) {
+	s := admissionOnly(ServeConfig{MaxConcurrent: 1, QueueDepth: 1}, nil)
 
-	rel, err := s.Admit(context.Background())
+	rel, err := s.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +122,12 @@ func TestSchedulerQueueCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		deadline := time.Now().Add(2 * time.Second)
-		for s.Queued() < 1 && time.Now().Before(deadline) {
+		for s.queuedNow() < 1 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
 	}()
-	_, err = s.Admit(ctx)
+	_, err = s.admit(ctx)
 	// Caller cancellation is the caller's choice, not an admission verdict.
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -124,8 +137,8 @@ func TestSchedulerQueueCancellation(t *testing.T) {
 	}
 }
 
-func TestSchedulerNextEpochUnique(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{MaxConcurrent: 4})
+func TestAdmissionEpochsUnique(t *testing.T) {
+	s := admissionOnly(ServeConfig{MaxConcurrent: 4}, nil)
 	const n = 64
 	seen := make(map[string]bool, n)
 	var mu sync.Mutex
@@ -134,7 +147,7 @@ func TestSchedulerNextEpochUnique(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := s.NextEpoch("base")
+			e := s.nextEpoch()
 			mu.Lock()
 			seen[e] = true
 			mu.Unlock()

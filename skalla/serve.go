@@ -16,18 +16,37 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	sqlfe "repro/internal/sql"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
 
-// ErrAdmission is re-exported so servers embedding the query service can
-// classify refusals with errors.Is without importing internal/core.
-var ErrAdmission = core.ErrAdmission
+// ErrAdmission is the sentinel every admission refusal matches with
+// errors.Is: the service declined to start (or keep queueing) a query
+// because the cluster is saturated. It is a load signal, not a failure of
+// the query itself — the caller should shed upstream (HTTP 429), back
+// off, and retry later.
+var ErrAdmission = errors.New("skalla: admission rejected")
+
+// AdmissionError is the concrete admission refusal, carrying why the
+// query was turned away. errors.Is(err, ErrAdmission) matches it.
+type AdmissionError struct {
+	// Reason is a human-readable refusal cause ("queue full", "queue
+	// wait exceeded 2s", ...).
+	Reason string
+}
+
+// Error implements error.
+func (e *AdmissionError) Error() string { return "skalla: admission rejected: " + e.Reason }
+
+// Is makes errors.Is(err, ErrAdmission) true for every admission
+// refusal without forcing callers through errors.As.
+func (e *AdmissionError) Is(target error) bool { return target == ErrAdmission }
 
 // ServeConfig tunes the concurrent query service.
 type ServeConfig struct {
@@ -59,14 +78,26 @@ type ServeConfig struct {
 // Construct with NewQueryService; serve over HTTP via Handler or call
 // Query directly. Each admitted query executes on its own coordinator
 // with its own epoch and its own leased connections, so executions are
-// isolated while sharing the site fleet, the admission scheduler, and the
-// per-site backpressure state.
+// isolated while sharing the site fleet, admission, and the per-site
+// backpressure state.
+//
+// Admission bounds the executions against the shared fleet: at most
+// MaxConcurrent run at once, a queue of QueueDepth absorbs bursts, and
+// everything beyond that is rejected fast with a typed ErrAdmission
+// instead of piling latency onto queries already running. Per-site
+// backpressure is separate — see transport.Site — so one slow or shedding
+// site throttles calls to itself without stalling admission globally.
 type QueryService struct {
 	cluster *Cluster
-	sched   *core.Scheduler
 	sites   []*transport.Site
 	cfg     ServeConfig
 	obs     *obs.Obs
+
+	slots chan struct{} // running-execution tokens
+	seq   atomic.Int64  // execution sequence, for unique epochs
+	mu    sync.Mutex
+	//lint:guarded-by mu
+	queued int
 }
 
 // NewQueryService builds the concurrent query service on top of an
@@ -84,13 +115,7 @@ func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {
 	if cfg.Opts == nil {
 		cfg.Opts = &AllOptimizations
 	}
-	s := &QueryService{cluster: c, cfg: cfg, obs: c.obs}
-	s.sched = core.NewScheduler(core.SchedulerConfig{
-		MaxConcurrent: cfg.MaxConcurrent,
-		QueueDepth:    cfg.QueueDepth,
-		QueueTimeout:  cfg.QueueTimeout,
-		Obs:           c.obs,
-	})
+	s := &QueryService{cluster: c, cfg: cfg, obs: c.obs, slots: make(chan struct{}, cfg.MaxConcurrent)}
 	// The served stack is the cluster's own with the layers concurrent
 	// executions share — pools, gate, breaker — added on top.
 	for _, spec := range c.specs {
@@ -120,9 +145,6 @@ func (s *QueryService) Close() error {
 // site through, for start-up logs.
 func (s *QueryService) Stacks() string { return stackLines(s.sites) }
 
-// Scheduler exposes the admission scheduler (tests, metrics).
-func (s *QueryService) Scheduler() *core.Scheduler { return s.sched }
-
 // Query admits and executes one SQL statement. Saturation surfaces as an
 // error matching errors.Is(err, ErrAdmission); a query the sites refused
 // end-to-end matches transport.ErrOverloaded / transport.ErrDraining.
@@ -134,7 +156,7 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		return nil, err // refused before admission: parsing burns no slot
 	}
 
-	release, err := s.sched.Admit(ctx)
+	release, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +181,7 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		clients[i] = cl
 	}
 	coord := s.cluster.coord.Derive(clients...)
-	coord.Epoch = s.sched.NextEpoch("serve")
+	coord.Epoch = s.nextEpoch()
 	// The unique serve epoch doubles as the query ID: every served query
 	// is profiled, its statistics published to the shared obs sink
 	// (/profiles on the coordinator daemon) by the coordinator itself.
@@ -192,6 +214,83 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 	}
 	s.obs.Count("serve.queries_ok", 1)
 	return rel, nil
+}
+
+// nextEpoch derives a unique execution epoch. Concurrent executions of the
+// same plan would otherwise derive identical epochs (the epoch is a
+// deterministic plan hash, which is what lets a restarted coordinator find
+// its checkpoint) and poison each other's site-side replay dedup.
+func (s *QueryService) nextEpoch() string {
+	return fmt.Sprintf("serve-c%06d", s.seq.Add(1))
+}
+
+// admit blocks until the caller may start an execution, the queue policy
+// rejects it, or ctx is done. On success the returned release function
+// must be called exactly once when the execution finishes. On refusal the
+// error matches errors.Is(err, ErrAdmission); a caller-cancelled ctx
+// surfaces as the context error instead. It publishes the "sched.*"
+// counters, the "sched.running"/"sched.queued" gauges and admission
+// events.
+func (s *QueryService) admit(ctx context.Context) (release func(), err error) {
+	o := s.obs
+	select {
+	case s.slots <- struct{}{}:
+		return s.admitted(), nil
+	default:
+	}
+
+	// Saturated: queue if the queue has room, else fail fast.
+	s.mu.Lock()
+	if s.queued >= s.cfg.QueueDepth {
+		queued := s.queued
+		s.mu.Unlock()
+		o.Count("sched.rejected", 1)
+		o.Event(obs.EventAdmission, "", "query rejected: scheduler saturated and queue full",
+			map[string]string{"reason": "queue-full", "running": fmt.Sprint(len(s.slots)), "queued": fmt.Sprint(queued)})
+		return nil, &AdmissionError{Reason: fmt.Sprintf("%d running, queue full (%d waiting)", len(s.slots), queued)}
+	}
+	s.queued++
+	o.SetGauge("sched.queued", int64(s.queued))
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.queued--
+		o.SetGauge("sched.queued", int64(s.queued))
+		s.mu.Unlock()
+	}()
+
+	var timeout <-chan time.Time
+	if s.cfg.QueueTimeout > 0 {
+		t := time.NewTimer(s.cfg.QueueTimeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case s.slots <- struct{}{}:
+		return s.admitted(), nil
+	case <-timeout:
+		o.Count("sched.queue_timeouts", 1)
+		o.Event(obs.EventAdmission, "", "queued query timed out waiting for an execution slot",
+			map[string]string{"reason": "queue-timeout", "running": fmt.Sprint(len(s.slots))})
+		return nil, &AdmissionError{Reason: fmt.Sprintf("queue wait exceeded %v", s.cfg.QueueTimeout)}
+	case <-ctx.Done():
+		return nil, fmt.Errorf("skalla: admission wait: %w", ctx.Err())
+	}
+}
+
+// admitted records a successful admission and builds its release func.
+func (s *QueryService) admitted() func() {
+	o := s.obs
+	o.Count("sched.admitted", 1)
+	o.SetGauge("sched.running", int64(len(s.slots)))
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			<-s.slots
+			o.Count("sched.completed", 1)
+			o.SetGauge("sched.running", int64(len(s.slots)))
+		})
+	}
 }
 
 // CheckReady is the coordinator's readiness gate for /readyz: it probes
@@ -315,7 +414,7 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	var kind string
 	var code int
 	switch {
-	case errors.Is(err, core.ErrAdmission):
+	case errors.Is(err, ErrAdmission):
 		kind, code = "admission", http.StatusTooManyRequests
 	case errors.Is(err, transport.ErrOverloaded), errors.Is(err, transport.ErrDraining),
 		errors.Is(err, transport.ErrBreakerOpen), errors.Is(err, transport.ErrBudgetExhausted):

@@ -192,7 +192,7 @@ func TestServeAdmissionFailFast(t *testing.T) {
 	}
 	defer svc.Close()
 
-	release, err := svc.Scheduler().Admit(context.Background())
+	release, err := svc.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestServeQueueTimeout(t *testing.T) {
 	}
 	defer svc.Close()
 
-	release, err := svc.Scheduler().Admit(context.Background())
+	release, err := svc.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,11 +409,11 @@ func TestServeHandlerHTTP(t *testing.T) {
 	}
 
 	// Saturate both slots: the refusal maps to 429 with the typed kind.
-	rel1, err := svc.Scheduler().Admit(context.Background())
+	rel1, err := svc.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := svc.Scheduler().Admit(context.Background())
+	rel2, err := svc.admit(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
