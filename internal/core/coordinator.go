@@ -321,7 +321,7 @@ func (c *Coordinator) round(ctx context.Context, x *relation.Relation, plan *Pla
 	defer rspan.End()
 	coordStart := time.Now()
 	var ships map[string]shipment
-	if step.Request.StatesOnly {
+	if step.ships() {
 		var err error
 		if ships, err = c.shipments(x, step); err != nil {
 			return rs, nil, err

@@ -22,18 +22,18 @@ type keyedMerge struct {
 	specs  []agg.Spec
 	rows   []relation.Row // one row per group, in first-seen order
 	keyIdx []int          // positions of keys in rows
-	// index resolves keys to the first indexed groups; the first keyed
-	// fragment builds it, so states-only fragments never hash K.
-	index   relation.KeyIndex
-	indexed int
-	accs    *agg.Slab
+	// index resolves keys to groups, each added as a keyed fragment brings
+	// it, so a positional merge never hashes K.
+	index relation.KeyIndex
+	accs  *agg.Slab
 	// kept marks, as a Response.Kept bitmap, every group a fragment
 	// contributed to; nil unless a relay asked for it.
 	kept []byte
 }
 
-// newKeyedMerge starts a merge over the given group rows (which may be
-// empty: groups are then added as keyed fragments bring them).
+// newKeyedMerge starts a merge over the given group rows, which states-only
+// fragments address by position; a keyed merge starts with none and adds
+// groups as its fragments bring them.
 func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, specs []agg.Spec) (*keyedMerge, error) {
 	keyIdx, err := lookupAll(schema, keys)
 	if err != nil {
@@ -90,40 +90,35 @@ func positions(idx []int, shipped int, kept []byte) []int {
 }
 
 // merge folds fragment h into the groups; columns are resolved in h by
-// name, and h's shape picks how its rows find their groups. A fragment
-// carrying the keys resolves by key, a group first seen there taking its
-// row from the fragment positions newRow (a nil newRow makes an unknown
-// group an error); one without them — a states-only reply — by position:
-// row j is group at[j].
+// name. A states-only reply, the answer to a shipped base, is placed by
+// position: row j is group at[j]. Any other fragment (nil at) carries the
+// keys and resolves by them, a group first seen there taking its row from
+// the fragment positions newRow.
 func (m *keyedMerge) merge(h *relation.Relation, newRow []int, at []int) error {
 	prims, err := primCols(h.Schema, m.specs)
 	if err != nil {
 		return err
 	}
-	hKey, err := lookupAll(h.Schema, m.keys)
-	keyed := err == nil
-	switch {
-	case keyed:
-		for ; m.indexed < len(m.rows); m.indexed++ {
-			m.index.Add(relation.HashRow(m.rows[m.indexed], m.keyIdx), m.indexed)
-		}
-	case at == nil:
-		return fmt.Errorf("fragment carries neither keys nor positions: %w", err)
-	case len(at) != len(h.Rows):
-		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", len(h.Rows), len(at))
+	var hKey []int
+	if at == nil {
+		hKey, err = lookupAll(h.Schema, m.keys)
+	} else if len(at) != len(h.Rows) {
+		err = fmt.Errorf("states-only fragment has %d rows for %d kept positions", len(h.Rows), len(at))
+	}
+	if err != nil {
+		return err
 	}
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, m.rows[pos], m.keyIdx) }
 	for j := range h.Rows {
 		row = h.Rows[j]
 		var pos int
-		if keyed {
+		if at != nil {
+			pos = at[j]
+		} else {
 			hash := relation.HashRow(row, hKey)
 			var ok bool
 			if pos, ok = m.index.Find(hash, sameKey); !ok {
-				if newRow == nil {
-					return fmt.Errorf("unknown group")
-				}
 				nr := make(relation.Row, len(newRow))
 				for i, p := range newRow {
 					nr[i] = row[p]
@@ -131,10 +126,7 @@ func (m *keyedMerge) merge(h *relation.Relation, newRow []int, at []int) error {
 				m.rows = append(m.rows, nr)
 				pos = m.accs.AddGroup()
 				m.index.Add(hash, pos)
-				m.indexed++
 			}
-		} else {
-			pos = at[j]
 		}
 		group := m.accs.Group(pos)
 		for pi, p := range prims {

@@ -78,7 +78,7 @@ type Step struct {
 	// on every step that ships X; nil ships X whole.
 	Ship []string
 	// Request is the step's request to every site; a step that ships X
-	// (Request.StatesOnly) adds the site's cut of X as Base.
+	// adds the site's cut of X as Base.
 	Request transport.Request
 	// Specs are the aggregate specs of the step's MDs, in order: the
 	// primitive states its replies carry.
@@ -100,6 +100,9 @@ type SiteFilter struct {
 
 // base reports whether the step is the base round.
 func (s *Step) base() bool { return len(s.MDs) == 0 }
+
+// ships reports whether the step ships X, and so gets states-only replies.
+func (s *Step) ships() bool { return !s.base() && !s.FuseBase }
 
 // filter returns the step's filter for site, or nil.
 func (s *Step) filter(site string) *expr.Bound {

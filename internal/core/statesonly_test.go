@@ -17,14 +17,6 @@ import (
 	"repro/internal/transport"
 )
 
-// descriptorSlack bounds what the frame fields add to a round of at most
-// four exchanges that ship no relation: an in-process client encodes every
-// message on a fresh gob stream, so each request carries its type
-// descriptor, which now names Frame, BaseFrame and DataFrame — 38 bytes,
-// and 2 more for the Frame value every request sets. A persistent TCP
-// stream pays the descriptor once per connection.
-const descriptorSlack = 4 * 40
-
 func sameEngine(_ int, h transport.Handler) transport.Handler { return h }
 
 // TestStatesOnlyWireMatrix is the differential check of the wire against
@@ -33,9 +25,8 @@ func sameEngine(_ int, h transport.Handler) transport.Handler { return h }
 // (column-pruned requests and states-only replies, before frames). Every
 // answer is byte-equal to the centralized one (wireMatrix), every round
 // moves exactly the groups it moved before, every round's replies are
-// smaller, and every round that ships X ships fewer bytes. Rounds that ship
-// no relation (the base round, fused steps) may grow by the type
-// descriptor alone.
+// smaller, every round that ships X ships fewer bytes, and no other round
+// ships more.
 func TestStatesOnlyWireMatrix(t *testing.T) {
 	b, err := os.ReadFile("testdata/wire_614333c.json")
 	if err != nil {
@@ -69,10 +60,9 @@ func TestStatesOnlyWireMatrix(t *testing.T) {
 				t.Errorf("%s round %s: groups %d/%d, recorded %s %d/%d", c.Label, r.Name,
 					r.GroupsShipped, r.GroupsReceived, o.Name, o.GroupsShipped, o.GroupsReceived)
 			}
-			toLimit := o.BytesToSites - 1
-			if !step.Request.StatesOnly {
-				toLimit = o.BytesToSites + descriptorSlack
-			} else {
+			toLimit := o.BytesToSites
+			if step.ships() {
+				toLimit--
 				if step.Filters != nil {
 					filtered++
 				}
@@ -100,50 +90,6 @@ func TestStatesOnlyWireMatrix(t *testing.T) {
 	}
 }
 
-// preStatesOnly is a site from before states-only replies: the flag is
-// lost in decoding, so it answers with the keyed reply — the shipped base
-// echoed beside the states.
-type preStatesOnly struct {
-	transport.Handler
-	cleared *atomic.Int64
-}
-
-func (h preStatesOnly) Handle(ctx context.Context, req *transport.Request) *transport.Response {
-	if req.StatesOnly {
-		h.cleared.Add(1)
-		old := *req
-		old.StatesOnly = false
-		req = &old
-	}
-	return h.Handler.Handle(ctx, req)
-}
-
-// TestPreStatesOnlySitesMergeByKey: sites that ignore the flag — two of
-// the four, so every relay has one of each — still echo K, and the
-// coordinator and the relays resolve those replies by key in the same
-// merge loop. Answers and group counts are those of the all-new matrix.
-func TestPreStatesOnlySitesMergeByKey(t *testing.T) {
-	var cleared atomic.Int64
-	cases := wireMatrix(t, func(i int, h transport.Handler) transport.Handler {
-		if i == 1 || i == 2 {
-			return preStatesOnly{h, &cleared}
-		}
-		return h
-	})
-	if cleared.Load() == 0 {
-		t.Fatal("no states-only request reached a pre-states-only site")
-	}
-	for ci, c := range wireMatrix(t, sameEngine) {
-		for ri, r := range c.Rounds {
-			o := cases[ci].Rounds[ri]
-			if r.GroupsShipped != o.GroupsShipped || r.GroupsReceived != o.GroupsReceived {
-				t.Errorf("%s round %s: groups %d/%d with pre-states-only sites, %d/%d without",
-					c.Label, r.Name, o.GroupsShipped, o.GroupsReceived, r.GroupsShipped, r.GroupsReceived)
-			}
-		}
-	}
-}
-
 // keptRecorder counts the states-only exchanges through a site client and
 // the replies among them that dropped rows (a non-nil Kept bitmap).
 type keptRecorder struct {
@@ -153,7 +99,7 @@ type keptRecorder struct {
 
 func (r keptRecorder) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	resp, err := r.Client.Call(ctx, req)
-	if err == nil && req.StatesOnly {
+	if err == nil && req.ShipsBase() {
 		r.statesOnly.Add(1)
 		if resp.Kept != nil {
 			r.kept.Add(1)

@@ -24,10 +24,10 @@ import (
 // Pre-merging is possible for exactly the same reason coordinator
 // synchronization is (Theorem 1): primitive aggregate states merge
 // associatively, so any intermediate tier may combine them keyed on K —
-// or, for a states-only request, by position over the shipped Base rows,
-// which every child answered. A keyed request must carry Request.Keys for
-// the relay to merge (a base request merges on its BaseCols); without keys
-// the relay degrades to pass-through unioning.
+// or, for a request that ships a base, by position over the shipped Base
+// rows, which every child answered. A keyed request must carry
+// Request.Keys for the relay to merge (a base request merges on its
+// BaseCols); without keys the relay degrades to pass-through unioning.
 //
 // A relay threads the request context it receives into every child call,
 // so cancellation and deadlines propagate down the whole coordinator
@@ -176,7 +176,7 @@ func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transp
 		keys = req.BaseCols
 	}
 	var out transport.Response
-	if req.StatesOnly || len(keys) > 0 {
+	if req.ShipsBase() || len(keys) > 0 {
 		err = mergeFragments(resps, req, keys, &out)
 	} else {
 		// No merge keys: pass-through union (still one message upstream).
@@ -195,12 +195,11 @@ func (r *Relay) evalRounds(ctx context.Context, req *transport.Request) (*transp
 }
 
 // mergeFragments combines the children's sub-aggregate fragments into
-// out: primitive columns merge via their accumulators. Under a states-only
-// request the groups are the shipped Base rows: a child's states-only
-// reply resolves by position, a keyed one (a child that ignores the flag)
-// by its echo of the Base columns, and out is a states-only reply whose
-// Kept bitmap is the union of the children's. Otherwise groups resolve on
-// keys, and all other columns (base values, earlier finalized
+// out: primitive columns merge via their accumulators. Under a request
+// that ships a base the groups are the shipped Base rows, every child's
+// states-only reply resolves by position, and out is a states-only reply
+// whose Kept bitmap is the union of the children's. Otherwise groups
+// resolve on keys, and all other columns (base values, earlier finalized
 // aggregates) are identical per group and taken from the first
 // occurrence.
 func mergeFragments(resps []*transport.Response, req *transport.Request, keys []string, out *transport.Response) error {
@@ -217,8 +216,8 @@ func mergeFragments(resps []*transport.Response, req *transport.Request, keys []
 			}
 		}
 	}
-	if req.StatesOnly {
-		m, err := newKeyedMerge(req.Base.Schema, req.Base.Rows, req.Base.Schema.Names(), specs)
+	if req.ShipsBase() {
+		m, err := newKeyedMerge(req.Base.Schema, req.Base.Rows, nil, specs)
 		if err != nil {
 			return err
 		}

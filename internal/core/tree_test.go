@@ -206,9 +206,9 @@ func TestRelayErrors(t *testing.T) {
 	}
 }
 
-// TestRelayPassThroughWithoutKeys: a round request without merge keys
-// degrades to a pass-through union at the relay (still one message
-// upstream).
+// TestRelayPassThroughWithoutKeys: a fused round request without merge
+// keys degrades to a pass-through union at the relay (still one message
+// upstream): every child's groups, each child's own.
 func TestRelayPassThroughWithoutKeys(t *testing.T) {
 	rows := testRows(100, 41)
 	parts := []*relation.Relation{relation.New(flowSchema()), relation.New(flowSchema())}
@@ -216,24 +216,25 @@ func TestRelayPassThroughWithoutKeys(t *testing.T) {
 		parts[i%2].Rows = append(parts[i%2].Rows, row)
 	}
 	var children []transport.Client
+	groups := 0
 	for i, part := range parts {
 		eng := site.NewEngine(fmt.Sprintf("leaf%d", i))
 		eng.Load("flow", part)
 		children = append(children, transport.NewLocalClient(eng.ID(), eng, transport.CostModel{}))
+		b, err := gmdj.EvalBase(part, gmdj.BaseDef{Cols: []string{"SourceAS"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups += b.Len()
 	}
 	relay, err := NewRelay(children, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := relation.New(flowSchema())
-	whole.Rows = rows
-	b, err := gmdj.EvalBase(whole, gmdj.BaseDef{Cols: []string{"SourceAS"}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	resp := relay.Handle(context.Background(), &transport.Request{
-		Op:   transport.OpEvalRounds,
-		Base: b,
+		Op:       transport.OpEvalRounds,
+		Detail:   "flow",
+		BaseCols: []string{"SourceAS"},
 		Rounds: []transport.RoundSpec{{
 			Detail: "flow",
 			Aggs:   [][]string{{"count(*) AS c"}},
@@ -244,8 +245,8 @@ func TestRelayPassThroughWithoutKeys(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != 2*b.Len() {
-		t.Errorf("pass-through rows = %d, want %d", resp.Rel.Len(), 2*b.Len())
+	if resp.Rel.Len() != groups {
+		t.Errorf("pass-through rows = %d, want %d", resp.Rel.Len(), groups)
 	}
 }
 

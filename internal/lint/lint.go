@@ -153,8 +153,8 @@ type Suppressions struct {
 //
 //	x := risky() //lint:ignore detrand seeded in TestMain
 //
-//	//lint:ignore wiresafe rebuilt lazily after decode
-//	byName map[string]int
+//	//lint:ignore wiresafe derived, rebuilt after decode
+//	index map[string]int
 func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 	s := &Suppressions{fset: fset, byLine: map[string]map[int][]*ignoreDirective{}}
 	for _, f := range files {

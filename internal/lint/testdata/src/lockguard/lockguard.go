@@ -150,8 +150,8 @@ func goodPair() int {
 	return pair
 }
 
-// lazy mirrors the relation.Schema case: a field guarded by a
-// package-level mutex rather than a sibling.
+// lazy is a field guarded by a package-level mutex rather than a
+// sibling.
 type lazy struct {
 	//lint:guarded-by idxMu
 	idx map[string]int

@@ -1,11 +1,14 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -136,6 +139,39 @@ func AppendFrame(dst []byte, r *Relation) []byte {
 		}
 	}
 	return dst
+}
+
+// ErrMalformed marks the relations gob cannot carry: on encoding, one that
+// fails Validate; on decoding, bytes ReadFrame refuses. gob reports either
+// only once the whole message is consumed or before any of it is written,
+// so a stream that reports it is still in sync.
+var ErrMalformed = errors.New("malformed relation")
+
+// frameBufs holds the buffers GobEncode builds frames in.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// GobEncode makes a relation's gob encoding its frame. The frame is built
+// in a pooled buffer and returned as one exact-size copy, which gob copies
+// again into its message.
+func (r *Relation) GobEncode() ([]byte, error) {
+	if err := r.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	buf := frameBufs.Get().(*[]byte)
+	*buf = AppendFrame((*buf)[:0], r)
+	out := bytes.Clone(*buf)
+	frameBufs.Put(buf)
+	return out, nil
+}
+
+// GobDecode sets r to the relation a frame carries.
+func (r *Relation) GobDecode(b []byte) error {
+	fr, err := ReadFrame(b)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	*r = *fr
+	return nil
 }
 
 // ReadFrame decodes a frame from anywhere: it never panics, refuses what

@@ -3,7 +3,9 @@ package relation
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -170,31 +172,26 @@ func gobRoundTrip(t *testing.T, r *Relation) *Relation {
 	return &out
 }
 
-// TestFrameMatchesGob: a relation comes back from a frame exactly as it
-// went in, and as it comes back from gob rows — value by value, floats by
-// their bits. The one difference is gob's: its encoder omits a float field
-// equal to 0, so −0 comes back from gob as +0, and from a frame as −0.
+// TestFrameMatchesGob: a relation's gob encoding is its frame, and it comes
+// back from gob exactly as it went in — value by value, floats by their
+// bits, −0 and NaN payloads included.
 func TestFrameMatchesGob(t *testing.T) {
 	check := func(g genRelation) bool {
 		in := g.r
-		fr, err := ReadFrame(AppendFrame(nil, in))
-		if err != nil {
-			t.Logf("decode: %v", err)
+		enc, err := in.GobEncode()
+		if err != nil || !bytes.Equal(enc, AppendFrame(nil, in)) {
+			t.Logf("GobEncode = % x, %v; want the frame", enc, err)
 			return false
 		}
 		gr := gobRoundTrip(t, in)
-		if !fr.Schema.Equal(in.Schema) || len(fr.Rows) != len(in.Rows) || len(gr.Rows) != len(in.Rows) {
-			t.Logf("shape: %s %d rows, gob %d rows, want %s %d", fr.Schema, len(fr.Rows), len(gr.Rows), in.Schema, len(in.Rows))
+		if !gr.Schema.Equal(in.Schema) || len(gr.Rows) != len(in.Rows) {
+			t.Logf("shape: %s %d rows, want %s %d", gr.Schema, len(gr.Rows), in.Schema, len(in.Rows))
 			return false
 		}
 		for i, row := range in.Rows {
 			for j, v := range row {
-				viaGob := v
-				if math.Float64bits(v.F) == 1<<63 {
-					viaGob.F = 0
-				}
-				if !sameV(fr.Rows[i][j], v) || !sameV(gr.Rows[i][j], viaGob) {
-					t.Logf("row %d col %d: frame %#v, gob %#v, sent %#v", i, j, fr.Rows[i][j], gr.Rows[i][j], v)
+				if !sameV(gr.Rows[i][j], v) {
+					t.Logf("row %d col %d: gob %#v, sent %#v", i, j, gr.Rows[i][j], v)
 					return false
 				}
 			}
@@ -203,6 +200,21 @@ func TestFrameMatchesGob(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(23))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGobRefusesMalformed: gob carries no relation that has no frame — a
+// row narrower than its schema does not encode, bytes that are not a frame
+// do not decode — and both failures are ErrMalformed, naming the fault.
+func TestGobRefusesMalformed(t *testing.T) {
+	short := New(MustSchema(Column{Name: "a", Kind: value.KindInt}, Column{Name: "b", Kind: value.KindInt}))
+	short.Rows = append(short.Rows, Row{value.NewInt(1)})
+	if err := gob.NewEncoder(io.Discard).Encode(short); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "row 0 has 1 values") {
+		t.Errorf("encoding a short row: %v", err)
+	}
+	var r Relation
+	if err := r.GobDecode([]byte{1, 1}); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("decoding a truncated frame: %v", err)
 	}
 }
 

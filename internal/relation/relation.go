@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/value"
 )
@@ -22,23 +21,18 @@ type Column struct {
 	Kind value.Kind
 }
 
-// Schema is an ordered list of named, typed columns.
+// Schema is an ordered list of named, typed columns. Every schema comes
+// from NewSchema — a decoded frame's too — and is never changed after, so
+// concurrent lookups need no lock.
 type Schema struct {
 	Cols []Column
-	// byName maps lower-cased column names to positions. It is rebuilt
-	// lazily after gob decoding, which does not transmit private fields.
-	//
-	//lint:guarded-by schemaIndexMu
-	//lint:ignore wiresafe derived index, rebuilt lazily on first Lookup after decode
+	// byName maps lower-cased column names to positions.
 	byName map[string]int
 }
 
 // NewSchema builds a schema from columns, validating name uniqueness.
 func NewSchema(cols ...Column) (*Schema, error) {
-	s := &Schema{Cols: cols}
-	schemaIndexMu.Lock()
-	defer schemaIndexMu.Unlock()
-	s.byName = make(map[string]int, len(cols))
+	s := &Schema{Cols: cols, byName: make(map[string]int, len(cols))}
 	for i, c := range cols {
 		key := strings.ToLower(c.Name)
 		if c.Name == "" {
@@ -61,25 +55,10 @@ func MustSchema(cols ...Column) *Schema {
 	return s
 }
 
-// schemaIndexMu guards the lazy byName rebuild: gob-decoded schemas
-// (byName nil) can be stored at a site engine and looked up from many
-// concurrent query executions at once. Lookup is per-query binding and
-// projection work, never per-row, so one shared mutex is not a hot lock.
-var schemaIndexMu sync.Mutex
-
 // Lookup returns the position of the named column (case-insensitive) and
 // whether it exists.
 func (s *Schema) Lookup(name string) (int, bool) {
-	schemaIndexMu.Lock()
-	if s.byName == nil {
-		s.byName = make(map[string]int, len(s.Cols))
-		for i, c := range s.Cols {
-			s.byName[strings.ToLower(c.Name)] = i
-		}
-	}
-	m := s.byName
-	schemaIndexMu.Unlock()
-	i, ok := m[strings.ToLower(name)]
+	i, ok := s.byName[strings.ToLower(name)]
 	return i, ok
 }
 
@@ -193,14 +172,11 @@ func (r *Relation) MustAppend(vals ...value.V) {
 	}
 }
 
-// Validate refuses a relation gob rows can carry but nothing here builds: no
-// schema, an empty or duplicate column name, or a row of the wrong width.
+// Validate refuses a relation that has no frame: no schema, or a row of the
+// wrong width. NewSchema has checked the column names.
 func (r *Relation) Validate() error {
 	if r.Schema == nil {
 		return fmt.Errorf("relation: no schema")
-	}
-	if _, err := NewSchema(r.Schema.Cols...); err != nil {
-		return err
 	}
 	for i, row := range r.Rows {
 		if len(row) != len(r.Schema.Cols) {

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/value"
@@ -39,12 +40,27 @@ func TestSchemaLookup(t *testing.T) {
 	}
 }
 
+// TestSchemaLookupAfterGob: a schema that arrived over the wire answers
+// lookups from many goroutines at once — a site engine stores decoded
+// relations and concurrent queries bind against them. Run under -race: an
+// index built lazily on first lookup raced here.
 func TestSchemaLookupAfterGob(t *testing.T) {
-	// Simulate a schema arriving over the wire without the private index.
-	s := &Schema{Cols: testSchema(t).Cols}
-	if i, ok := s.Lookup("NumBytes"); !ok || i != 2 {
-		t.Errorf("Lookup on rebuilt schema = %d, %v", i, ok)
+	ref := testSchema(t)
+	s := gobRoundTrip(t, New(ref)).Schema
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range []string{"numbytes", "NumBytes", "Router", "nope"} {
+				i, ok := s.Lookup(name)
+				if want, _ := ref.Lookup(name); ok != (name != "nope") || i != want {
+					t.Errorf("Lookup(%s) on a decoded schema = %d, %v", name, i, ok)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 func TestSchemaProjectAndConcat(t *testing.T) {

@@ -14,11 +14,13 @@ import (
 // and restore them at startup, so a restarted warehouse site comes back
 // with its partition intact without re-ingesting or regenerating. The
 // snapshot format is a single gob stream (a header plus the relation
-// map), written atomically via a temp file + rename.
+// map, each relation its frame), written atomically via a temp file +
+// rename.
 
 // snapshotMagic guards against restoring something that is not a Skalla
-// snapshot.
-const snapshotMagic = "skalla-site-snapshot-v1"
+// snapshot of this format. Version 1 held relations as gob rows; it does
+// not decode into a version-2 snapshotFile and is refused whole.
+const snapshotMagic = "skalla-site-snapshot-v2"
 
 type snapshotFile struct {
 	Magic  string
@@ -62,6 +64,7 @@ func (e *Engine) Snapshot(path string) error {
 }
 
 // Restore replaces the engine's relations with the snapshot's contents.
+// A file it cannot read whole leaves them as they were.
 func (e *Engine) Restore(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -70,7 +73,7 @@ func (e *Engine) Restore(path string) error {
 	defer f.Close()
 	var snap snapshotFile
 	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&snap); err != nil {
-		return fmt.Errorf("site: restore decode: %w", err)
+		return fmt.Errorf("site: restore %s: not a %s file: %w", path, snapshotMagic, err)
 	}
 	if snap.Magic != snapshotMagic {
 		return fmt.Errorf("site: %s is not a site snapshot", path)

@@ -357,10 +357,10 @@ func (e *Engine) recordProfile(req *transport.Request, p *transport.SiteProfile)
 // replayKey returns the dedup key for an epoch-tagged evaluation request,
 // or "" when the request is not replayable. The key is (epoch, round, op)
 // plus a fingerprint of everything that shapes the answer — the round
-// specs whole (θs, aggregates, flags), the base definition, the shipped
-// base's length and columns, and the reply layout — so a replay that
-// somehow carries a different request is recomputed rather than answered
-// with another request's cached response.
+// specs whole (θs, aggregates, flags), the base definition, and the shipped
+// base's length and columns — so a replay that somehow carries a different
+// request is recomputed rather than answered with another request's cached
+// response.
 func replayKey(req *transport.Request) string {
 	if req.Epoch == "" {
 		return ""
@@ -369,8 +369,8 @@ func replayKey(req *transport.Request) string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%s|%s|%q|%q|%+v|final=%t|states=%t",
-		req.Epoch, req.Round, req.Op, req.Detail, req.BaseCols, req.BaseWhere, req.Rounds, req.KeepFinal, req.StatesOnly)
+	fmt.Fprintf(&b, "%s|%d|%s|%s|%q|%q|%+v",
+		req.Epoch, req.Round, req.Op, req.Detail, req.BaseCols, req.BaseWhere, req.Rounds)
 	if req.Base != nil && req.Base.Schema != nil {
 		fmt.Fprintf(&b, "|base=%d%q", req.Base.Len(), req.Base.Schema.Names())
 	}
@@ -642,13 +642,14 @@ func baseDef(req *transport.Request) (gmdj.BaseDef, error) {
 // computed locally first (Proposition 2 fusion). Multiple rounds evaluate
 // as a local chain without intermediate synchronization (Theorem 5 /
 // Corollary 1); later rounds see the finalized aggregates of earlier ones.
-// The reply echoes the base beside the states, unless req.StatesOnly asks
-// for the states alone, in shipped order, with Response.Kept.
+// A shipped base gets the states alone, in shipped order, with
+// Response.Kept; a fused one the base echoed beside the states.
 func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
 	if len(req.Rounds) == 0 {
 		return nil, fmt.Errorf("no rounds")
 	}
 	start := time.Now()
+	shipped := req.ShipsBase()
 
 	base := req.Base
 	if len(req.BaseCols) > 0 {
@@ -667,9 +668,6 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	}
 	if base == nil || base.Schema == nil {
 		return nil, fmt.Errorf("no base relation (ship Base or set BaseCols)")
-	}
-	if req.StatesOnly && req.Base == nil {
-		return nil, fmt.Errorf("a states-only reply needs a shipped base")
 	}
 
 	// Accumulated |RNG| counts across rounds (Proposition 1 over
@@ -718,11 +716,11 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		// The last operator of a states-only request echoes nothing and
+		// The last operator over a shipped base echoes nothing and
 		// finalizes nothing: no later operator reads its output, and the
 		// coordinator already holds every base column. Earlier operators
 		// still see base and finalized columns.
-		statesOnly := req.StatesOnly && ri == len(req.Rounds)-1
+		statesOnly := shipped && ri == len(req.Rounds)-1
 		h, err := chain.EvalSub(base, detail, md, gmdj.SubOpts{
 			Finalize:    spec.Finalize && !statesOnly,
 			Touched:     spec.Touched,
@@ -766,7 +764,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 			}
 			h = prev
 		}
-		if req.StatesOnly && !statesOnly {
+		if shipped && !statesOnly {
 			for _, s := range md.Specs() {
 				for pi := range s.Prims() {
 					stateCols = append(stateCols, s.SubColName(pi))
@@ -777,10 +775,9 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	}
 
 	out := base
-	// Strip locally-finalized columns before shipping unless the plan
-	// wants them (plans that merge primitives recompute finals at the
-	// coordinator; shipping both would waste traffic).
-	if len(finalCols) > 0 && !req.KeepFinal {
+	// Strip locally-finalized columns before shipping: the coordinator
+	// recomputes finals from the merged primitives.
+	if len(finalCols) > 0 {
 		var err error
 		out, err = dropColumns(out, finalCols)
 		if err != nil {
@@ -808,7 +805,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		prof.VecSelected = vecStats.Selected
 	}
 	resp := &transport.Response{Rel: out, ComputeNs: time.Since(start).Nanoseconds()}
-	if req.StatesOnly {
+	if shipped {
 		resp.Kept = kept
 	}
 	return resp, nil

@@ -2,8 +2,10 @@ package site
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,14 +134,10 @@ func TestEvalRoundsShippedBase(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
+	// A shipped base is not echoed: the coordinator holds it already.
 	h := resp.Rel
-	for _, col := range []string{"SourceAS", "DestAS", "cnt1__p0", "sum1__p0"} {
-		if _, ok := h.Schema.Lookup(col); !ok {
-			t.Errorf("missing column %s in %s", col, h.Schema)
-		}
-	}
-	if _, ok := h.Schema.Lookup("cnt1"); ok {
-		t.Error("finalized column shipped without Finalize")
+	if got := h.Schema.Names(); !reflect.DeepEqual(got, []string{"cnt1__p0", "sum1__p0"}) {
+		t.Errorf("reply columns %v, want the states alone", got)
 	}
 	if h.Len() != 3 {
 		t.Errorf("rows = %d", h.Len())
@@ -207,22 +205,6 @@ func TestEvalRoundsChained(t *testing.T) {
 	}
 }
 
-func TestEvalRoundsKeepFinal(t *testing.T) {
-	e := loadedEngine(t)
-	resp := e.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalRounds, Detail: "flow",
-		BaseCols:  []string{"SourceAS", "DestAS"},
-		Rounds:    []transport.RoundSpec{roundSpec(false, true)},
-		KeepFinal: true,
-	})
-	if resp.Error() != nil {
-		t.Fatal(resp.Error())
-	}
-	if _, ok := resp.Rel.Schema.Lookup("cnt1"); !ok {
-		t.Error("KeepFinal did not keep finalized columns")
-	}
-}
-
 func TestEvalRoundsTouchedFilter(t *testing.T) {
 	e := loadedEngine(t)
 	// Shipped base contains a foreign group (9,9) this site never matches.
@@ -238,8 +220,8 @@ func TestEvalRoundsTouchedFilter(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != 3 {
-		t.Errorf("touched filter kept %d rows, want 3", resp.Rel.Len())
+	if resp.Rel.Len() != 3 || !reflect.DeepEqual(resp.Kept, []byte{0b0111}) {
+		t.Errorf("touched filter kept %d rows, Kept %08b; want 3, the first three", resp.Rel.Len(), resp.Kept)
 	}
 }
 
@@ -358,5 +340,44 @@ func TestRestoreErrors(t *testing.T) {
 	// Snapshot into a nonexistent directory fails cleanly.
 	if err := e.Snapshot("/nonexistent/dir/x.snap"); err == nil {
 		t.Error("snapshot into missing dir accepted")
+	}
+}
+
+// v1Snapshot mirrors the snapshot file of format 1, whose relations were
+// gob rows (v1Relation).
+type v1Snapshot struct {
+	Magic  string
+	SiteID string
+	Rels   map[string]*v1Relation
+}
+
+type v1Relation struct {
+	Schema *struct{ Cols []relation.Column }
+	Rows   []relation.Row
+}
+
+// TestRestoreRefusesV1Snapshot: a format-1 snapshot is refused whole, by an
+// error naming its path, and the engine keeps the relations it had.
+func TestRestoreRefusesV1Snapshot(t *testing.T) {
+	flow := flowRel(testFlow...)
+	old := v1Snapshot{Magic: "skalla-site-snapshot-v1", SiteID: "s1", Rels: map[string]*v1Relation{
+		"other": {Schema: &struct{ Cols []relation.Column }{flow.Schema.Cols}, Rows: flow.Rows},
+	}}
+	path := t.TempDir() + "/v1.snap"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(f).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	e := loadedEngine(t)
+	if err := e.Restore(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("restoring a v1 snapshot: %v, want an error naming %s", err, path)
+	}
+	if names := e.RelationNames(); len(names) != 1 || names[0] != "flow" {
+		t.Errorf("after the refused restore the engine holds %v, want [flow]", names)
 	}
 }

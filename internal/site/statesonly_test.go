@@ -23,60 +23,62 @@ func shippedBase(t *testing.T) *relation.Relation {
 	return b
 }
 
-// assertStatesOf checks that a states-only reply is the keyed reply with
-// the base columns cut off: same states, same rows, same order.
-func assertStatesOf(t *testing.T, states, echo *relation.Relation, baseCols int) {
+// assertStatesOf checks that a states-only reply is a keyed reply with the
+// base columns cut off: the same state columns, and row rows[i] holding
+// exactly the states of keyed row i.
+func assertStatesOf(t *testing.T, states, keyed *relation.Relation, baseCols int, rows []int) {
 	t.Helper()
-	if want := echo.Schema.Cols[baseCols:]; !reflect.DeepEqual(states.Schema.Cols, want) {
+	if want := keyed.Schema.Cols[baseCols:]; !reflect.DeepEqual(states.Schema.Cols, want) {
 		t.Fatalf("states-only schema %s, want %v", states.Schema, want)
 	}
-	if states.Len() != echo.Len() {
-		t.Fatalf("states-only reply has %d rows, keyed reply %d", states.Len(), echo.Len())
+	if keyed.Len() != len(rows) {
+		t.Fatalf("keyed reply has %d rows, want %d", keyed.Len(), len(rows))
 	}
-	for i, row := range echo.Rows {
-		if !reflect.DeepEqual(states.Rows[i], row[baseCols:]) {
-			t.Errorf("row %d: states %v, keyed %v", i, states.Rows[i], row)
+	for i, row := range keyed.Rows {
+		if !reflect.DeepEqual(states.Rows[rows[i]], row[baseCols:]) {
+			t.Errorf("row %d: states %v, keyed %v", rows[i], states.Rows[rows[i]], row)
 		}
 	}
 }
 
-// TestEvalRoundsStatesOnly: the flag strips the echo of the shipped base
-// and nothing else — the reply holds the states alone, row i answering
-// the i-th shipped row Kept marks. A request without it (a coordinator
-// from before the flag) gets the full keyed echo and no Kept.
+// fusedReply is the keyed reply to rounds over the base testFlow's site
+// computes itself: shippedBase without its foreign row, in the same order.
+func fusedReply(t *testing.T, e *Engine, rounds []transport.RoundSpec) *relation.Relation {
+	t.Helper()
+	resp := e.Handle(context.Background(), &transport.Request{
+		Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"}, Rounds: rounds,
+	})
+	if resp.Error() != nil {
+		t.Fatal(resp.Error())
+	}
+	if resp.Kept != nil || resp.Rel.Schema.Cols[0].Name != "SourceAS" || resp.Rel.Schema.Cols[1].Name != "DestAS" {
+		t.Fatalf("fused reply %s with Kept %v, want the base echoed and no bitmap", resp.Rel.Schema, resp.Kept)
+	}
+	return resp.Rel
+}
+
+// TestEvalRoundsStatesOnly: a shipped base gets the states alone — the
+// keyed reply with the echo of the base stripped and nothing else — row i
+// answering the i-th shipped row Kept marks.
 func TestEvalRoundsStatesOnly(t *testing.T) {
 	e := loadedEngine(t)
 	b := shippedBase(t)
 	for _, touched := range []bool{false, true} {
-		req := &transport.Request{Op: transport.OpEvalRounds, Base: b, Rounds: []transport.RoundSpec{roundSpec(touched, false)}}
-		echo := e.Handle(context.Background(), req)
-		if echo.Error() != nil {
-			t.Fatal(echo.Error())
-		}
-		if echo.Kept != nil || !reflect.DeepEqual(echo.Rel.Schema.Cols[:b.Schema.Len()], b.Schema.Cols) {
-			t.Fatalf("touched=%v: keyed reply %s with Kept %v, want the base echoed and no bitmap", touched, echo.Rel.Schema, echo.Kept)
-		}
-		states := *req
-		states.StatesOnly = true
-		resp := e.Handle(context.Background(), &states)
+		rounds := []transport.RoundSpec{roundSpec(touched, false)}
+		resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Base: b, Rounds: rounds})
 		if resp.Error() != nil {
 			t.Fatal(resp.Error())
 		}
-		assertStatesOf(t, resp.Rel, echo.Rel, b.Schema.Len())
-		var want []byte
+		rows, want := []int{0, 2, 3}, []byte(nil)
 		if touched {
-			want = []byte{0b1101} // shipped row 1, the foreign group, dropped
+			rows, want = []int{0, 1, 2}, []byte{0b1101} // shipped row 1, the foreign group, dropped
+		} else if c := resp.Rel.Rows[1][0]; c.I != 0 {
+			t.Errorf("the foreign group counts %v rows", c)
 		}
+		assertStatesOf(t, resp.Rel, fusedReply(t, e, rounds), b.Schema.Len(), rows)
 		if !reflect.DeepEqual(resp.Kept, want) {
 			t.Errorf("touched=%v: Kept = %08b, want %08b", touched, resp.Kept, want)
 		}
-	}
-	// States-only answers a shipped base; a fused one has no positions.
-	if resp := e.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"},
-		Rounds: []transport.RoundSpec{roundSpec(false, false)}, StatesOnly: true,
-	}); resp.Error() == nil {
-		t.Error("states-only reply to a fused base accepted")
 	}
 }
 
@@ -85,8 +87,7 @@ func TestEvalRoundsStatesOnly(t *testing.T) {
 // states, and Proposition 1 acts on the whole chain.
 func TestEvalRoundsChainedStatesOnly(t *testing.T) {
 	e := loadedEngine(t)
-	b := shippedBase(t)
-	req := &transport.Request{Op: transport.OpEvalRounds, Base: b, Rounds: []transport.RoundSpec{
+	rounds := []transport.RoundSpec{
 		{
 			Detail:   "flow",
 			Aggs:     [][]string{{"count(*) AS cnt1", "sum(F.NumBytes) AS sum1"}},
@@ -99,27 +100,21 @@ func TestEvalRoundsChainedStatesOnly(t *testing.T) {
 			Thetas:   []string{"F.SourceAS = B.SourceAS AND F.DestAS = B.DestAS AND F.NumBytes >= B.sum1 / B.cnt1"},
 			Finalize: true, Touched: true,
 		},
-	}}
-	echo := e.Handle(context.Background(), req)
-	if echo.Error() != nil {
-		t.Fatal(echo.Error())
 	}
-	states := *req
-	states.StatesOnly = true
-	resp := e.Handle(context.Background(), &states)
+	resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Base: shippedBase(t), Rounds: rounds})
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	assertStatesOf(t, resp.Rel, echo.Rel, b.Schema.Len())
+	assertStatesOf(t, resp.Rel, fusedReply(t, e, rounds), 2, []int{0, 1, 2})
 	if want := []byte{0b1101}; !reflect.DeepEqual(resp.Kept, want) {
 		t.Errorf("Kept = %08b, want %08b", resp.Kept, want)
 	}
 }
 
 // TestReplayKeyCoversRequestShape: two requests with the same (epoch,
-// round), θs and base length but different aggregates, shipped columns or
-// reply layout are different requests, and neither may be answered from
-// the other's cache entry.
+// round), θs and base length but different aggregates or shipped columns
+// are different requests, and neither may be answered from the other's
+// cache entry.
 func TestReplayKeyCoversRequestShape(t *testing.T) {
 	e := loadedEngine(t)
 	b, err := gmdj.EvalBase(flowRel(testFlow...), gmdj.BaseDef{Cols: []string{"SourceAS", "DestAS"}})
@@ -147,7 +142,6 @@ func TestReplayKeyCoversRequestShape(t *testing.T) {
 			r.Rounds[0].Aggs = [][]string{{"max(F.NumBytes) AS cnt1", "min(F.NumBytes) AS sum1"}}
 		}),
 		"shipped columns": request(func(r *transport.Request) { r.Base = swapped }),
-		"reply layout":    request(func(r *transport.Request) { r.StatesOnly = true }),
 	} {
 		resp := e.Handle(context.Background(), req)
 		if resp.Error() != nil {

@@ -81,53 +81,27 @@ func codecShapes() (req *Request, resp *Response) {
 		n := int64(i%23 + 1)
 		states.MustAppend(value.NewInt(n), value.NewFloat(float64(n)*0.0625*float64(i%7)), value.NewInt(n))
 	}
-	return &Request{Op: OpEvalRounds, Base: base, StatesOnly: true}, &Response{Rel: states}
+	return &Request{Op: OpEvalRounds, Base: base}, &Response{Rel: states}
 }
 
 // BenchmarkRelationCodec encodes and decodes one message on a persistent
-// gob stream, as a warm TCP connection does, with its relation as gob rows
-// (peer 0) or as a frame (peer 1), and reports the message's wire bytes.
+// gob stream, as a warm TCP connection does, and reports the message's wire
+// bytes.
 func BenchmarkRelationCodec(b *testing.B) {
 	req, resp := codecShapes()
-	for _, enc := range []struct {
-		name string
-		peer int
-	}{{"gob", 0}, {"frame", relation.FrameVersion}} {
-		name, peer := enc.name, enc.peer
-		b.Run("request/"+name, func(b *testing.B) {
-			benchCodec(b, func(buf []byte) (any, []byte) { return packRequest(req, peer, buf) }, func(dec *gob.Decoder) error {
-				var got Request
-				if err := dec.Decode(&got); err != nil {
-					return err
-				}
-				_, err := unpackRequest(&got)
-				return err
-			})
-		})
-		b.Run("reply/"+name, func(b *testing.B) {
-			benchCodec(b, func(buf []byte) (any, []byte) { return packResponse(resp, peer, buf) }, func(dec *gob.Decoder) error {
-				var got Response
-				if err := dec.Decode(&got); err != nil {
-					return err
-				}
-				return unpackResponse(&got)
-			})
-		})
-	}
+	b.Run("request", func(b *testing.B) { benchCodec(b, req) })
+	b.Run("reply", func(b *testing.B) { benchCodec(b, resp) })
 }
 
-func benchCodec(b *testing.B, pack func([]byte) (any, []byte), unpack func(*gob.Decoder) error) {
+func benchCodec[T any](b *testing.B, msg *T) {
 	var stream bytes.Buffer
 	enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
-	var frames []byte
 	round := func() int {
-		var msg any
-		msg, frames = pack(frames)
 		if err := enc.Encode(msg); err != nil {
 			b.Fatal(err)
 		}
 		n := stream.Len()
-		if err := unpack(dec); err != nil {
+		if err := dec.Decode(new(T)); err != nil {
 			b.Fatal(err)
 		}
 		return n

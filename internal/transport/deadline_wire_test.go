@@ -22,7 +22,6 @@ type predeadlineRequest struct {
 	Detail    string
 	Base      *relation.Relation
 	Rounds    []RoundSpec
-	KeepFinal bool
 	Keys      []string
 	Epoch     string
 	Round     int

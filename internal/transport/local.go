@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"repro/internal/obs"
@@ -16,7 +17,6 @@ import (
 // still round-trips every request and response through gob so that (a)
 // byte accounting is identical to the TCP transport and (b) no memory is
 // shared between coordinator and site, exactly as over a real network.
-// Both ends are this build, so relations always travel as frames.
 type LocalClient struct {
 	id      string
 	handler Handler
@@ -55,8 +55,7 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
 	}
-	out, _ := packRequest(req, relation.FrameVersion, nil)
-	wireReq, n, err := roundTrip(out)
+	wireReq, n, err := roundTrip(req)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode request: %w", err)
 	}
@@ -65,9 +64,7 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 	c.obs.Count("transport.messages", 1)
 
 	var resp *Response
-	if _, err := unpackRequest(wireReq); err != nil {
-		resp = &Response{Err: err.Error()}
-	} else if ctx.Done() == nil {
+	if ctx.Done() == nil {
 		resp = c.handler.Handle(ctx, wireReq)
 	} else {
 		ch := make(chan *Response, 1)
@@ -86,16 +83,15 @@ func (c *LocalClient) Call(ctx context.Context, req *Request) (*Response, error)
 		}
 	}
 
-	back, _ := packResponse(resp, relation.FrameVersion, nil)
-	wireResp, n, err := roundTrip(back)
+	wireResp, n, err := roundTrip(resp)
+	if errors.Is(err, relation.ErrMalformed) {
+		wireResp, n, err = roundTrip(refusedReply(err))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode response: %w", err)
 	}
 	c.stats.AddReceived(n, c.cost)
 	c.obs.Count("transport.bytes_received", int64(n))
-	if err := unpackResponse(wireResp); err != nil {
-		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
-	}
 	return wireResp, nil
 }
 

@@ -7,10 +7,9 @@
 //
 // Expressions, aggregate specs, and conditions travel in their textual
 // wire form and are parsed at the receiving side; relations travel as
-// columnar frames (relation.AppendFrame) once a connection has negotiated
-// them, as gob rows before. Only base-result structures and sub-aggregate
-// results are ever shipped — never detail data, per the core design of the
-// paper.
+// columnar frames, which is how a relation.Relation gob-encodes itself.
+// Only base-result structures and sub-aggregate results are ever shipped —
+// never detail data, per the core design of the paper.
 package transport
 
 import (
@@ -178,8 +177,9 @@ type Request struct {
 
 	// OpEvalBase / OpEvalRounds: base-values definition. For
 	// OpEvalRounds, a non-empty BaseCols means "compute the base locally
-	// from the detail relation" (Proposition 2); otherwise Base carries
-	// the shipped base-result fragment.
+	// from the detail relation" (Proposition 2) and gets the keyed reply;
+	// otherwise Base carries the shipped base-result fragment and gets the
+	// states-only reply (ShipsBase).
 	BaseCols  []string
 	BaseWhere string
 	Detail    string
@@ -189,11 +189,6 @@ type Request struct {
 	// one round means chained local evaluation (synchronization
 	// reduction, Theorem 5 / Corollary 1).
 	Rounds []RoundSpec
-
-	// KeepFinal keeps finalized aggregate columns in the response (used
-	// by plans that union finalized results instead of merging
-	// primitives).
-	KeepFinal bool
 
 	// Keys are the key attributes K of the base-result structure. Leaf
 	// sites do not need them; relay tiers (multi-tier coordination) use
@@ -226,23 +221,15 @@ type Request struct {
 	// evaluation. Zero means "no deadline", which gob omits, keeping
 	// untagged requests byte-identical to the pre-deadline encoding.
 	DeadlineNs int64
+}
 
-	// StatesOnly (OpEvalRounds with a shipped Base) asks for an echo-free
-	// reply: only the primitive-state columns of the rounds' aggregates,
-	// row i answering the i-th shipped row Response.Kept marks. False asks
-	// for the keyed reply, the Base columns followed by the states. Like
-	// every field added to the protocol it comes last, so a request
-	// without it encodes exactly as before (gob omits zero fields and
-	// numbers fields by position).
-	StatesOnly bool
-
-	// Frame is the highest relation-frame version the sender reads (0, which
-	// gob omits: rows only); BaseFrame and DataFrame carry Base and Data as
-	// frames once the server has advertised them. Only the transport leaves
-	// see these three (PROTOCOL.md, "Framing and encoding").
-	Frame     int
-	BaseFrame []byte
-	DataFrame []byte
+// ShipsBase reports whether req evaluates rounds over a shipped Base. Such
+// a request gets the echo-free, states-only reply: only the primitive-state
+// columns of the rounds' aggregates, row i answering the i-th shipped row
+// Response.Kept marks. Every other evaluation gets the keyed reply, the
+// base columns followed by the states.
+func (req *Request) ShipsBase() bool {
+	return req.Op == OpEvalRounds && len(req.BaseCols) == 0 && req.Base != nil
 }
 
 // Response is the single wire response envelope. Every field must survive
@@ -270,14 +257,17 @@ type Response struct {
 	// keeping untagged exchanges wire-identical).
 	Profile *SiteProfile
 	// Kept is the bitmap, over the shipped Base rows, of the rows a
-	// StatesOnly reply answers: bit i%8 of byte i/8 is set when Rel holds
+	// states-only reply answers: bit i%8 of byte i/8 is set when Rel holds
 	// a row for shipped row i (Proposition 1 drops the untouched ones).
 	// Nil means every shipped row, in order.
 	Kept []byte
-	// Frame and RelFrame are Request's Frame and BaseFrame for Rel, set on
-	// the answer to a request that advertised frames.
-	Frame    int
-	RelFrame []byte
+}
+
+// refusedReply is what a transport delivers in place of a reply whose
+// relation gob refused to encode (relation.ErrMalformed): a site error
+// naming the fault, on a stream that is still in sync.
+func refusedReply(err error) *Response {
+	return &Response{Err: "transport: reply: " + err.Error()}
 }
 
 // SiteProfile is one site's per-request execution profile, piggy-backed

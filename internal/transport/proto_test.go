@@ -35,7 +35,6 @@ func TestRequestGobRoundTrip(t *testing.T) {
 		BaseWhere: "F.NumBytes > 0",
 		Base:      sampleRelation(10),
 		Keys:      []string{"SourceAS"},
-		KeepFinal: true,
 		Gen: &GenSpec{
 			Kind: "tpcr", Rel: "tpcr",
 			Params: map[string]int64{"rows": 100, "seed": 7},
@@ -52,8 +51,7 @@ func TestRequestGobRoundTrip(t *testing.T) {
 		}},
 	}
 	back := gobRoundTrip(t, req)
-	if back.Op != req.Op || back.Rel != req.Rel || back.BaseWhere != req.BaseWhere ||
-		back.KeepFinal != req.KeepFinal {
+	if back.Op != req.Op || back.Rel != req.Rel || back.BaseWhere != req.BaseWhere {
 		t.Errorf("scalar fields lost: %+v", back)
 	}
 	if !reflect.DeepEqual(back.BaseCols, req.BaseCols) || !reflect.DeepEqual(back.Keys, req.Keys) {
@@ -79,11 +77,10 @@ func TestResponseGobRoundTrip(t *testing.T) {
 }
 
 // legacyRequest and legacyResponse mirror the Request and Response field
-// sets before relation frames. Gob matches struct fields by name (unknown
-// fields are skipped, missing ones stay zero), so these stand in for a site
-// or coordinator running a previous protocol version: the pre-frame one,
-// and — with the fields from QueryID and Profile on left zero, which gob
-// omits — the one before the QueryID profiling tag.
+// sets. Gob matches struct fields by name (unknown fields are skipped,
+// missing ones stay zero), so with the fields from QueryID and Profile on
+// left zero, which gob omits, these stand in for a site or coordinator
+// from before the QueryID profiling tag.
 type legacyRequest struct {
 	Op         Op
 	Rel        string
@@ -94,13 +91,11 @@ type legacyRequest struct {
 	Detail     string
 	Base       *relation.Relation
 	Rounds     []RoundSpec
-	KeepFinal  bool
 	Keys       []string
 	Epoch      string
 	Round      int
 	QueryID    string
 	DeadlineNs int64
-	StatesOnly bool
 }
 
 type legacyResponse struct {
@@ -253,8 +248,8 @@ func TestValueGobProperty(t *testing.T) {
 	}
 }
 
-// TestSchemaLookupAfterWire: the schema's private index rebuilds after
-// decoding on the far side.
+// TestSchemaLookupAfterWire: a schema decoded on the far side answers
+// lookups.
 func TestSchemaLookupAfterWire(t *testing.T) {
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(3)}
 	back := gobRoundTrip(t, req)

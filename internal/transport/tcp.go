@@ -135,11 +135,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	cw := &countingWriter{w: conn}
 	dec := gob.NewDecoder(cr)
 	enc := gob.NewEncoder(cw)
-	var frames []byte // reused: gob copies it before Encode returns
 	for {
 		r0 := cr.n
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		err := dec.Decode(&req)
+		if err != nil && !errors.Is(err, relation.ErrMalformed) {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.Logf("transport: decode request: %v", err)
 			}
@@ -148,12 +148,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.Obs.Count("transport.server.bytes_received", cr.n-r0)
 		s.Obs.Count("transport.server.requests", 1)
 		s.Obs.Count("transport.server.op."+req.Op.String(), 1)
-		peer, err := unpackRequest(&req)
 		var resp *Response
 		admitted := false
 		if err != nil {
 			s.Obs.Count("transport.server.malformed", 1)
-			resp = &Response{Err: err.Error()}
+			resp = &Response{Err: "transport: request: " + err.Error()}
 		} else if resp = s.admit(&req); resp == nil {
 			admitted = true
 			var alive bool
@@ -163,9 +162,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		}
-		resp, frames = packResponse(resp, peer, frames)
 		w0 := cw.n
 		err = enc.Encode(resp)
+		if errors.Is(err, relation.ErrMalformed) {
+			err = enc.Encode(refusedReply(err))
+		}
 		if admitted {
 			// Only now is the request no longer in flight: Drain waits on
 			// reqWG and then closes this connection, so releasing before the
@@ -405,13 +406,6 @@ type TCPClient struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	broken bool
-	// frame is the frame version this connection's server advertised, 0
-	// until its first reply; frames is the buffer requests are framed into.
-	//
-	//lint:guarded-by mu
-	frame int
-	//lint:guarded-by mu
-	frames []byte
 	stats  WireStats
 	// obs, set by the site builder before the client is shared, receives
 	// the raw client-side wire totals ("transport.bytes_sent",
@@ -489,9 +483,7 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	}
 
 	before := c.cw.n
-	var wire *Request
-	wire, c.frames = packRequest(req, c.frame, c.frames)
-	if err := c.enc.Encode(wire); err != nil {
+	if err := c.enc.Encode(req); err != nil {
 		return nil, c.failLocked("send to", err, ctx)
 	}
 	c.stats.AddSent(int(c.cw.n-before), c.cost)
@@ -505,12 +497,6 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	}
 	c.stats.AddReceived(int(c.cr.n-beforeR), c.cost)
 	c.obs.Count("transport.bytes_received", c.cr.n-beforeR)
-	if resp.Frame > 0 {
-		c.frame = min(resp.Frame, relation.FrameVersion)
-	}
-	if err := unpackResponse(&resp); err != nil {
-		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
-	}
 	return &resp, nil
 }
 

@@ -188,9 +188,8 @@ func TestTCPClient(t *testing.T) {
 }
 
 // TestLocalAndTCPByteParity: the in-process transport must account the
-// same wire bytes as real TCP for the same traffic. A local client always
-// frames, so the TCP connection is compared as one whose server has
-// already advertised frames (a fresh one ships its first exchange as rows).
+// same wire bytes as real TCP for the same traffic, from the first exchange
+// of a fresh connection on.
 func TestLocalAndTCPByteParity(t *testing.T) {
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -203,7 +202,6 @@ func TestLocalAndTCPByteParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	tcp.frame = relation.FrameVersion
 	local := NewLocalClient("l", newEchoHandler(), CostModel{})
 
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(100)}

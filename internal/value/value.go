@@ -5,7 +5,8 @@
 // The type system is deliberately small — NULL, 64-bit integers, 64-bit
 // floats, booleans, and strings — which matches the attribute types needed
 // by the paper's TPC-R and IP-flow schemas. Values are plain structs with
-// exported fields so they serialize directly with encoding/gob.
+// exported fields; on the wire they travel inside a relation's frame
+// (relation.AppendFrame), column by column.
 package value
 
 import (
