@@ -301,266 +301,3 @@ func (s Spec) Finalize(prims []value.V) (value.V, error) {
 		return value.Null, fmt.Errorf("agg: unknown function %v", s.Func)
 	}
 }
-
-// Acc accumulates one primitive state. The same type serves both roles of
-// Theorem 1: Add folds detail values at a site (sub-aggregation), Merge
-// folds shipped primitive states at the coordinator (super-aggregation).
-//
-// Acc is a small value type so evaluators can hold one per group and
-// primitive in a Slab instead of a heap object each: the running extremum
-// of PMin/PMax lives unboxed in (mk, i, f, s), and the sketch states of
-// PHLL/PSet are allocated on first use.
-type Acc struct {
-	prim  Prim
-	star  bool // count rows, not non-NULL values
-	seen  bool
-	isInt bool
-	mk    value.Kind // kind of the PMin/PMax extremum held in i, f, s
-	i     int64
-	f     float64
-	s     string
-	hll   *hll
-	set   map[string]struct{}
-}
-
-// newAcc returns the empty state for the primitive. star selects COUNT(*)
-// row-counting semantics for PCount.
-func newAcc(p Prim, star bool) Acc {
-	return Acc{prim: p, star: star, isInt: p == PCount || p == PSum}
-}
-
-// NewAcc returns an empty accumulator for the primitive. star selects
-// COUNT(*) row-counting semantics for PCount.
-func NewAcc(p Prim, star bool) *Acc {
-	a := newAcc(p, star)
-	return &a
-}
-
-// NewAccs returns one accumulator per primitive of the spec.
-func NewAccs(s Spec) []*Acc {
-	prims := s.Prims()
-	accs := make([]*Acc, len(prims))
-	for i, p := range prims {
-		accs[i] = NewAcc(p, s.Star())
-	}
-	return accs
-}
-
-// Slab holds the accumulators of a whole evaluation — groups × the
-// flattened primitives of a spec list — in one backing array, addressed by
-// index arithmetic. The row engine, the vectorized engine and the
-// coordinator's synchronization all keep their state in one.
-type Slab struct {
-	proto  []Acc // one group's empty states, in spec then primitive order
-	off    []int // off[si] is spec si's first primitive within a group
-	accs   []Acc
-	groups int // counted, not len(accs)/len(proto): a spec list may have no primitives
-}
-
-// NewSlab returns a slab of empty accumulators for groups groups.
-func NewSlab(specs []Spec, groups int) *Slab {
-	s := &Slab{off: make([]int, len(specs)+1), groups: groups}
-	for si, sp := range specs {
-		s.off[si] = len(s.proto)
-		for _, p := range sp.Prims() {
-			s.proto = append(s.proto, newAcc(p, sp.Star()))
-		}
-	}
-	s.off[len(specs)] = len(s.proto)
-	s.accs = make([]Acc, 0, groups*len(s.proto))
-	for g := 0; g < groups; g++ {
-		s.accs = append(s.accs, s.proto...)
-	}
-	return s
-}
-
-// AddGroup appends one group of empty accumulators and returns its index.
-func (s *Slab) AddGroup() int {
-	s.accs = append(s.accs, s.proto...)
-	s.groups++
-	return s.groups - 1
-}
-
-// Group returns group g's accumulators in spec then primitive order — the
-// order of the shipped sub-result columns.
-func (s *Slab) Group(g int) []Acc {
-	n := len(s.proto)
-	return s.accs[g*n : (g+1)*n]
-}
-
-// Spec returns the accumulators of spec si (an index into the spec list
-// the slab was built for) in group g, in Prims() order.
-func (s *Slab) Spec(g, si int) []Acc {
-	base := g * len(s.proto)
-	return s.accs[base+s.off[si] : base+s.off[si+1]]
-}
-
-// minmax returns the running PMin/PMax extremum as a value.
-func (a *Acc) minmax() value.V { return value.V{K: a.mk, I: a.i, F: a.f, S: a.s} }
-
-func (a *Acc) setMinmax(v value.V) { a.mk, a.i, a.f, a.s = v.K, v.I, v.F, v.S }
-
-// Add folds one detail value into the state (sub-aggregation). NULLs are
-// ignored except by COUNT(*).
-func (a *Acc) Add(v value.V) error {
-	if v.IsNull() && !(a.prim == PCount && a.star) {
-		return nil
-	}
-	switch a.prim {
-	case PCount:
-		a.i++
-		a.seen = true
-		return nil
-	case PSum, PSumSq:
-		f, err := v.AsFloat()
-		if err != nil {
-			return fmt.Errorf("agg: sum over non-numeric value %s", v)
-		}
-		if a.prim == PSumSq {
-			f *= f
-			a.isInt = false
-		} else if v.K != value.KindInt && v.K != value.KindBool {
-			a.isInt = false
-		}
-		if a.isInt {
-			i, _ := v.AsInt()
-			a.i += i
-		}
-		a.f += f
-		a.seen = true
-		return nil
-	case PMin, PMax:
-		if !a.seen {
-			a.setMinmax(v)
-			a.seen = true
-			return nil
-		}
-		c, err := value.Compare(v, a.minmax())
-		if err != nil {
-			return fmt.Errorf("agg: min/max over mixed types: %w", err)
-		}
-		if a.prim == PMin && c < 0 || a.prim == PMax && c > 0 {
-			a.setMinmax(v)
-		}
-		return nil
-	case PHLL:
-		if a.hll == nil {
-			a.hll = newHLL()
-		}
-		a.hll.Add(v)
-		a.seen = true
-		return nil
-	case PSet:
-		if a.set == nil {
-			a.set = map[string]struct{}{}
-		}
-		a.set[v.Key()] = struct{}{}
-		a.seen = true
-		if len(a.set) > maxExactDistinct {
-			return fmt.Errorf("agg: exact distinct set exceeds %d values; use countd", maxExactDistinct)
-		}
-		return nil
-	default:
-		return fmt.Errorf("agg: unknown primitive %d", a.prim)
-	}
-}
-
-// Merge folds a shipped primitive state into this one (super-aggregation).
-// A NULL state represents an empty group at some site and is a no-op.
-func (a *Acc) Merge(v value.V) error {
-	if v.IsNull() {
-		return nil
-	}
-	switch a.prim {
-	case PCount:
-		i, err := v.AsInt()
-		if err != nil {
-			return fmt.Errorf("agg: merge count: %w", err)
-		}
-		a.i += i
-		a.seen = true
-		return nil
-	case PSum, PSumSq:
-		f, err := v.AsFloat()
-		if err != nil {
-			return fmt.Errorf("agg: merge sum: %w", err)
-		}
-		if v.K != value.KindInt && v.K != value.KindBool {
-			a.isInt = false
-		}
-		if a.isInt {
-			i, _ := v.AsInt()
-			a.i += i
-		}
-		a.f += f
-		a.seen = true
-		return nil
-	case PMin, PMax:
-		return a.Add(v)
-	case PHLL:
-		other, err := decodeHLL(v)
-		if err != nil {
-			return fmt.Errorf("agg: merge hll: %w", err)
-		}
-		if a.hll == nil {
-			a.hll = other // freshly decoded, not shared
-		} else {
-			a.hll.Merge(other)
-		}
-		a.seen = true
-		return nil
-	case PSet:
-		other, err := decodeSet(v)
-		if err != nil {
-			return fmt.Errorf("agg: merge set: %w", err)
-		}
-		if a.set == nil {
-			a.set = other // freshly decoded, not shared
-		} else {
-			for k := range other {
-				a.set[k] = struct{}{}
-			}
-		}
-		if len(a.set) > maxExactDistinct {
-			return fmt.Errorf("agg: exact distinct set exceeds %d values; use countd", maxExactDistinct)
-		}
-		a.seen = true
-		return nil
-	default:
-		return fmt.Errorf("agg: unknown primitive %d", a.prim)
-	}
-}
-
-// Result returns the primitive state as a shippable value. Empty states
-// are NULL except PCount, which is 0.
-func (a *Acc) Result() value.V {
-	switch a.prim {
-	case PCount:
-		return value.NewInt(a.i)
-	case PSum, PSumSq:
-		if !a.seen {
-			return value.Null
-		}
-		if a.isInt {
-			return value.NewInt(a.i)
-		}
-		return value.NewFloat(a.f)
-	case PMin, PMax:
-		if !a.seen {
-			return value.Null
-		}
-		return a.minmax()
-	case PHLL:
-		if !a.seen {
-			return value.Null
-		}
-		return a.hll.Encode()
-	case PSet:
-		if !a.seen {
-			return value.Null
-		}
-		return encodeSet(a.set)
-	default:
-		return value.Null
-	}
-}

@@ -66,36 +66,32 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// runAgg aggregates vals through sub-accumulators split into nParts
+// runAgg aggregates vals through sub-aggregate slabs split into nParts
 // partitions, merges at the "coordinator", and finalizes — exactly the
 // Theorem 1 pipeline.
 func runAgg(t *testing.T, spec Spec, vals []value.V, nParts int) value.V {
 	t.Helper()
-	prims := spec.Prims()
-	super := NewAccs(spec)
-	for p := 0; p < nParts; p++ {
-		sub := NewAccs(spec)
+	specs := []Spec{spec}
+	super := NewSlab(specs, 1)
+	for part := 0; part < nParts; part++ {
+		sub := NewSlab(specs, 1)
 		for i, v := range vals {
-			if i%nParts != p {
+			if i%nParts != part {
 				continue
 			}
-			for _, a := range sub {
-				if err := a.Add(v); err != nil {
+			for p := 0; p < sub.Width(); p++ {
+				if err := sub.Add(0, p, v); err != nil {
 					t.Fatalf("Add: %v", err)
 				}
 			}
 		}
-		for i := range prims {
-			if err := super[i].Merge(sub[i].Result()); err != nil {
+		for p := 0; p < sub.Width(); p++ {
+			if err := super.Merge(0, p, sub.Result(0, p)); err != nil {
 				t.Fatalf("Merge: %v", err)
 			}
 		}
 	}
-	states := make([]value.V, len(prims))
-	for i, a := range super {
-		states[i] = a.Result()
-	}
-	out, err := spec.Finalize(states)
+	out, err := super.Finalize(0, 0)
 	if err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
@@ -298,19 +294,18 @@ func TestSubColumns(t *testing.T) {
 }
 
 func TestMergeTypeErrors(t *testing.T) {
-	a := NewAcc(PCount, false)
-	if err := a.Merge(value.NewString("x")); err == nil {
+	slab := func(spec string) *Slab { return NewSlab([]Spec{MustParseSpec(spec)}, 1) }
+	if err := slab("count(x) AS c").Merge(0, 0, value.NewString("x")); err == nil {
 		t.Error("count merge of string accepted")
 	}
-	a = NewAcc(PSum, false)
-	if err := a.Add(value.NewString("x")); err == nil {
+	if err := slab("sum(x) AS s").Add(0, 0, value.NewString("x")); err == nil {
 		t.Error("sum of string accepted")
 	}
-	a = NewAcc(PMin, false)
-	if err := a.Add(value.NewString("x")); err != nil {
+	s := slab("min(x) AS m")
+	if err := s.Add(0, 0, value.NewString("x")); err != nil {
 		t.Errorf("first min value rejected: %v", err)
 	}
-	if err := a.Add(value.NewInt(1)); err == nil {
+	if err := s.Add(0, 0, value.NewInt(1)); err == nil {
 		t.Error("mixed-type min accepted")
 	}
 }
@@ -364,10 +359,10 @@ func TestExactDistinctSetEncoding(t *testing.T) {
 }
 
 func TestExactDistinctCap(t *testing.T) {
-	a := NewAcc(PSet, false)
+	s := NewSlab([]Spec{MustParseSpec("countdx(x) AS u")}, 1)
 	var err error
 	for i := 0; i <= maxExactDistinct; i++ {
-		if err = a.Add(value.NewInt(int64(i))); err != nil {
+		if err = s.Add(0, 0, value.NewInt(int64(i))); err != nil {
 			break
 		}
 	}
@@ -376,9 +371,10 @@ func TestExactDistinctCap(t *testing.T) {
 	}
 }
 
-// TestSlabLayout: a slab addresses groups × specs × primitives by index
-// arithmetic; Group runs in shipped-column order, Spec in Prims() order,
-// and AddGroup appends an empty group without disturbing the others.
+// TestSlabLayout: primitives are addressed in spec then Prims() order,
+// AddGroup appends an empty group without disturbing the others, and every
+// lane's zero value is the empty state: a count of 0, NULL for sums and
+// extrema, and no sketch until the first value arrives.
 func TestSlabLayout(t *testing.T) {
 	specs := []Spec{
 		MustParseSpec("avg(x) AS a"),   // PSum, PCount
@@ -387,45 +383,113 @@ func TestSlabLayout(t *testing.T) {
 		MustParseSpec("min(x) AS lo"),
 	}
 	s := NewSlab(specs, 2)
-	if got := len(s.Group(1)); got != 5 {
-		t.Fatalf("group has %d primitives, want 5", got)
+	if got := s.Width(); got != 5 {
+		t.Fatalf("width %d, want 5", got)
+	}
+	for si, want := range [][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 5}} {
+		if lo, hi := s.SpecPrims(si); lo != want[0] || hi != want[1] {
+			t.Fatalf("spec %d has primitives [%d, %d), want %v", si, lo, hi, want)
+		}
 	}
 	for g := 0; g < 2; g++ {
-		for si := range specs {
-			accs := s.Spec(g, si)
-			if len(accs) != len(specs[si].Prims()) {
-				t.Fatalf("spec %d has %d accumulators, want %d", si, len(accs), len(specs[si].Prims()))
-			}
-			for pi := range accs {
-				if err := accs[pi].Add(value.NewInt(int64(10*g + si))); err != nil {
-					t.Fatal(err)
-				}
+		for p := 0; p < s.Width(); p++ {
+			if err := s.Add(g, p, value.NewInt(int64(10*g+p))); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 	if g := s.AddGroup(); g != 2 {
 		t.Fatalf("AddGroup returned %d, want 2", g)
 	}
+	if hlls := s.lanes[3].hlls; hlls[0] == nil || hlls[1] == nil || hlls[2] != nil {
+		t.Errorf("sketches allocated: %v, want the two fed groups only", []bool{hlls[0] != nil, hlls[1] != nil, hlls[2] != nil})
+	}
 	want := [][]value.V{
-		{value.NewInt(0), value.NewInt(1), value.NewInt(1), value.Null /* sketch */, value.NewInt(3)},
-		{value.NewInt(10), value.NewInt(1), value.NewInt(1), value.Null, value.NewInt(13)},
+		{value.NewInt(0), value.NewInt(1), value.NewInt(1), value.Null /* sketch */, value.NewInt(4)},
+		{value.NewInt(10), value.NewInt(1), value.NewInt(1), value.Null, value.NewInt(14)},
 		{value.Null, value.NewInt(0), value.NewInt(0), value.Null, value.Null},
 	}
 	for g, row := range want {
-		for pi, w := range row {
-			got := s.Group(g)[pi].Result()
-			if pi == 3 && g < 2 {
+		for p, w := range row {
+			got := s.Result(g, p)
+			if p == 3 && g < 2 {
 				if got.K != value.KindString {
 					t.Errorf("group %d sketch state is %v, want an encoded sketch", g, got)
 				}
 				continue
 			}
 			if got != w {
-				t.Errorf("group %d primitive %d = %v, want %v", g, pi, got, w)
+				t.Errorf("group %d primitive %d = %v, want %v", g, p, got, w)
 			}
 		}
 	}
+	if v, err := s.Finalize(2, 0); err != nil || !v.IsNull() {
+		t.Errorf("avg of an empty group = %v, %v; want NULL", v, err)
+	}
 }
+
+// TestSlabSumSwitch: a sum stays an exact integer while every value is an
+// integer or a boolean, and becomes the float total at the first other
+// value, folded or merged, for good; a sum of squares is always a float.
+func TestSlabSumSwitch(t *testing.T) {
+	s := NewSlab([]Spec{MustParseSpec("sum(x) AS s"), MustParseSpec("var(x) AS v")}, 1)
+	steps := []struct {
+		add, merge value.V
+		want       value.V
+	}{
+		{add: value.NewInt(2), want: value.NewInt(2)},
+		{add: value.NewBool(true), want: value.NewInt(3)},
+		{merge: value.NewInt(4), want: value.NewInt(7)},
+		{add: value.NewFloat(0.5), want: value.NewFloat(7.5)},
+		{add: value.NewInt(1), want: value.NewFloat(8.5)},
+		{merge: value.NewInt(1), want: value.NewFloat(9.5)},
+	}
+	for i, st := range steps {
+		var err error
+		if st.merge.IsNull() {
+			err = s.Add(0, 0, st.add)
+		} else {
+			err = s.Merge(0, 0, st.merge)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Result(0, 0); got != st.want {
+			t.Fatalf("step %d: sum = %#v, want %#v", i, got, st.want)
+		}
+	}
+	if err := s.AddInts(0, 3, value.KindInt, []int64{3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Result(0, 3); got != value.NewFloat(9) {
+		t.Errorf("sum of squares = %#v, want float 9", got)
+	}
+}
+
+// TestSlabBytesPerGroup: the Fig. 5 MD's states (count(*) and avg: a count,
+// a sum and a count per group) are pointer-free lanes of about 33 bytes a
+// group, not three 56-byte tagged states.
+func TestSlabBytesPerGroup(t *testing.T) {
+	specs := []Spec{MustParseSpec("count(*) AS cnt1"), MustParseSpec("avg(F.Quantity) AS avg1")}
+	const groups = 2000
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			slabSink = NewSlab(specs, groups)
+		}
+	})
+	t.Logf("NewSlab of %d groups: %d B in %d allocations", groups, res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got > groups*40 {
+		t.Errorf("NewSlab of %d groups allocates %d B, more than 40 B a group", groups, got)
+	}
+	for p, l := range slabSink.lanes {
+		if l.vals != nil || l.hlls != nil || l.sets != nil {
+			t.Errorf("primitive %d of count and sum specs holds a pointer lane", p)
+		}
+	}
+}
+
+var slabSink *Slab
 
 // TestSlabNoPrimitives: a spec list without primitives still counts its
 // groups (an operator may have a θ and no aggregates).
@@ -436,9 +500,9 @@ func TestSlabNoPrimitives(t *testing.T) {
 			if g := s.AddGroup(); g != want {
 				t.Fatalf("AddGroup returned %d, want %d", g, want)
 			}
-			if got := len(s.Group(want)); got != 0 {
-				t.Fatalf("group %d has %d accumulators, want 0", want, got)
-			}
+		}
+		if got := s.Width(); got != 0 {
+			t.Fatalf("width %d, want 0", got)
 		}
 	}
 }

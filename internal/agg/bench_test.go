@@ -6,15 +6,15 @@ import (
 	"repro/internal/value"
 )
 
-func BenchmarkAccAdd(b *testing.B) {
+func BenchmarkSlabAdd(b *testing.B) {
 	for _, spec := range []string{"count(*) AS c", "sum(x) AS s", "avg(x) AS a", "var(x) AS v"} {
 		b.Run(spec[:3], func(b *testing.B) {
-			accs := NewAccs(MustParseSpec(spec))
+			s := NewSlab([]Spec{MustParseSpec(spec)}, 1)
 			v := value.NewInt(42)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, a := range accs {
-					if err := a.Add(v); err != nil {
+				for p := 0; p < s.Width(); p++ {
+					if err := s.Add(0, p, v); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -23,12 +23,12 @@ func BenchmarkAccAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkAccMerge(b *testing.B) {
-	a := NewAcc(PSum, false)
+func BenchmarkSlabMerge(b *testing.B) {
+	s := NewSlab([]Spec{MustParseSpec("sum(x) AS s")}, 1)
 	v := value.NewInt(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Merge(v); err != nil {
+		if err := s.Merge(0, 0, v); err != nil {
 			b.Fatal(err)
 		}
 	}

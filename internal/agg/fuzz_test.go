@@ -1,6 +1,12 @@
 package agg
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/value"
+)
 
 // FuzzParseSpec asserts the aggregate-spec parser never panics and that
 // the wire form is a fixpoint.
@@ -30,4 +36,106 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("wire form not a fixpoint: %q -> %q -> %q", input, s1, s2)
 		}
 	})
+}
+
+// FuzzSlabFold decodes a typed detail lane — ints, bools, floats or
+// strings, with NULLs — and checks the lane folds against per-value Add:
+// folding the lane in two batches must give every primitive a state
+// byte-equal to adding its values one at a time, errors included. For the
+// exact primitives (counts, integer sums, extrema, sketches, sets), folding
+// the two halves into separate groups and merging their states must equal
+// one fold as well.
+func FuzzSlabFold(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 7, 200, 14, 9}, uint8(3))
+	f.Add([]byte{1, 1, 0, 0, 7, 1}, uint8(1))
+	f.Add([]byte{2, 3, 250, 7, 33, 128}, uint8(2))
+	f.Add([]byte{3, 5, 7, 18, 30, 0}, uint8(4))
+	specs := []Spec{
+		MustParseSpec("count(*) AS n"), MustParseSpec("count(x) AS c"),
+		MustParseSpec("sum(x) AS s"), MustParseSpec("var(x) AS v"),
+		MustParseSpec("min(x) AS lo"), MustParseSpec("max(x) AS hi"),
+		MustParseSpec("countd(x) AS d"), MustParseSpec("countdx(x) AS dx"),
+	}
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		if len(data) == 0 || len(data) > 512 {
+			return // a batch of detail lanes, not a stress test
+		}
+		kind := data[0] % 4
+		data = data[1:]
+		n := len(data)
+		ints, floats, strs := make([]int64, n), make([]float64, n), make([]string, n)
+		nulls := make([]bool, n)
+		vals := make([]value.V, n)
+		for i, b := range data {
+			nulls[i] = b%7 == 0
+			ints[i], floats[i], strs[i] = int64(int8(b)), float64(int8(b))/4, fmt.Sprint(b%13)
+			switch {
+			case nulls[i]:
+			case kind == 0:
+				vals[i] = value.NewInt(ints[i])
+			case kind == 1:
+				ints[i] = int64(b & 1)
+				vals[i] = value.NewBool(b&1 == 1)
+			case kind == 2:
+				vals[i] = value.NewFloat(floats[i])
+			default:
+				vals[i] = value.NewString(strs[i])
+			}
+		}
+		fold := func(s *Slab, g, p, lo, hi int) error {
+			switch kind {
+			case 0:
+				return s.AddInts(g, p, value.KindInt, ints[lo:hi], nulls[lo:hi])
+			case 1:
+				return s.AddInts(g, p, value.KindBool, ints[lo:hi], nulls[lo:hi])
+			case 2:
+				return s.AddFloats(g, p, floats[lo:hi], nulls[lo:hi])
+			}
+			return s.AddStrings(g, p, strs[lo:hi], nulls[lo:hi])
+		}
+		k := int(split) % (n + 1)
+		lanes, boxed, halves := NewSlab(specs, 1), NewSlab(specs, 1), NewSlab(specs, 2)
+		for p := 0; p < lanes.Width(); p++ {
+			errLanes := fold(lanes, 0, p, 0, k)
+			if errLanes == nil {
+				errLanes = fold(lanes, 0, p, k, n)
+			}
+			var errBoxed error
+			for _, v := range vals {
+				if errBoxed = boxed.Add(0, p, v); errBoxed != nil {
+					break
+				}
+			}
+			if (errLanes == nil) != (errBoxed == nil) {
+				t.Fatalf("primitive %d: lane fold error %v, per-value error %v", p, errLanes, errBoxed)
+			}
+			if errLanes != nil {
+				continue
+			}
+			got, want := lanes.Result(0, p), boxed.Result(0, p)
+			if !sameState(got, want) {
+				t.Fatalf("primitive %d: lane fold %#v, per-value %#v", p, got, want)
+			}
+			if prim := lanes.lanes[p].prim; prim == PSumSq || prim == PSum && kind == 2 {
+				continue // float totals depend on the order of additions
+			}
+			if fold(halves, 0, p, 0, k) != nil || fold(halves, 1, p, k, n) != nil {
+				t.Fatalf("primitive %d: a half fails where the whole folds", p)
+			}
+			merged := NewSlab(specs, 1)
+			for g := 0; g < 2; g++ {
+				if err := merged.Merge(0, p, halves.Result(g, p)); err != nil {
+					t.Fatalf("primitive %d: merge: %v", p, err)
+				}
+			}
+			if got := merged.Result(0, p); !sameState(got, want) {
+				t.Fatalf("primitive %d: split and merged %#v, one fold %#v", p, got, want)
+			}
+		}
+	})
+}
+
+// sameState compares states bit for bit, float bit patterns included.
+func sameState(a, b value.V) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }

@@ -1,0 +1,415 @@
+package agg
+
+//lint:deterministic lane folds must give the states per-value Add gives, in the same order
+
+import (
+	"fmt"
+
+	"repro/internal/value"
+)
+
+// Slab holds the primitive states of a whole evaluation — groups × the
+// flattened primitives of a spec list — as one lane per primitive: a typed
+// array with one slot per group, laid out so that its zero value is the
+// empty state. NewSlab and AddGroup therefore only allocate zeroed memory,
+// and the count and sum lanes hold no pointers. The row engine, the
+// vectorized engine, the coordinator's synchronization and the client-side
+// rollup all keep their state in one.
+//
+// The same lanes serve both roles of Theorem 1: Add and the lane folds
+// (AddInts, AddFloats, ...) fold detail values at a site
+// (sub-aggregation), Merge folds shipped primitive states at the
+// coordinator (super-aggregation). Primitives are addressed by their
+// flattened index p, in spec then Prims() order: the order of the shipped
+// sub-result columns. Distinct groups may be written concurrently.
+type Slab struct {
+	specs  []Spec
+	lanes  []lane
+	off    []int // off[si] is spec si's first primitive; off[len(specs)] the width
+	groups int   // counted: a spec list may have no primitives
+}
+
+// Sum-lane flags, a whole byte per group: kernel workers write disjoint
+// ranges of groups whose boundaries need not fall on a multiple of 8, so a
+// packed bitmap would be a shared word written by two workers.
+const (
+	sumSeen  uint8 = 1 << iota // a value was folded in
+	sumFloat                   // a non-integer was folded in: floats holds the state
+)
+
+// lane is one primitive's state for every group; only the arrays its
+// primitive uses are allocated.
+type lane struct {
+	prim   Prim
+	star   bool                  // PCount of COUNT(*): rows count, NULLs included
+	ints   []int64               // PCount's count; PSum's exact total while no float was seen
+	floats []float64             // PSum, PSumSq
+	flags  []uint8               // PSum, PSumSq
+	vals   []value.V             // PMin, PMax: the extremum, KindNull until one is seen
+	hlls   []*hll                // PHLL: nil until first use
+	sets   []map[string]struct{} // PSet: nil until first use
+}
+
+// NewSlab returns a slab of empty states for groups groups.
+func NewSlab(specs []Spec, groups int) *Slab {
+	s := &Slab{specs: specs, off: make([]int, len(specs)+1)}
+	for si, sp := range specs {
+		s.off[si+1] = s.off[si] + len(sp.Prims())
+	}
+	s.lanes = make([]lane, 0, s.off[len(specs)])
+	for _, sp := range specs {
+		for _, p := range sp.Prims() {
+			s.lanes = append(s.lanes, lane{prim: p, star: sp.Star()})
+		}
+	}
+	s.grow(groups)
+	return s
+}
+
+// grow appends n empty groups to every lane.
+func (s *Slab) grow(n int) {
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		switch l.prim {
+		case PCount:
+			l.ints = extend(l.ints, n)
+		case PSum:
+			l.ints, l.floats, l.flags = extend(l.ints, n), extend(l.floats, n), extend(l.flags, n)
+		case PSumSq:
+			l.floats, l.flags = extend(l.floats, n), extend(l.flags, n)
+		case PMin, PMax:
+			l.vals = extend(l.vals, n)
+		case PHLL:
+			l.hlls = extend(l.hlls, n)
+		case PSet:
+			l.sets = extend(l.sets, n)
+		}
+	}
+	s.groups += n
+}
+
+// extend appends n zero values to s. A new lane is one make: the race
+// detector's build would otherwise allocate the appended zeros twice.
+func extend[T any](s []T, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	return append(s, make([]T, n)...)
+}
+
+// AddGroup appends one group of empty states and returns its index.
+func (s *Slab) AddGroup() int {
+	s.grow(1)
+	return s.groups - 1
+}
+
+// Width returns the number of primitives per group.
+func (s *Slab) Width() int { return len(s.lanes) }
+
+// SpecPrims returns the primitives [lo, hi) of spec si (an index into the
+// spec list the slab was built for), in its Prims() order.
+func (s *Slab) SpecPrims(si int) (lo, hi int) { return s.off[si], s.off[si+1] }
+
+// Add folds one detail value into primitive p of group g. NULLs are
+// ignored except by COUNT(*).
+func (s *Slab) Add(g, p int, v value.V) error {
+	l := &s.lanes[p]
+	if v.IsNull() && !(l.prim == PCount && l.star) {
+		return nil
+	}
+	switch l.prim {
+	case PCount:
+		l.ints[g]++
+	case PSum, PSumSq:
+		f, err := v.AsFloat()
+		if err != nil {
+			return fmt.Errorf("agg: sum over non-numeric value %s", v)
+		}
+		if l.prim == PSumSq {
+			f *= f
+		}
+		l.sum(g, v, f)
+	case PMin, PMax:
+		return l.extremum(g, v)
+	case PHLL:
+		if l.hlls[g] == nil {
+			l.hlls[g] = newHLL()
+		}
+		l.hlls[g].Add(v)
+	case PSet:
+		if l.sets[g] == nil {
+			l.sets[g] = map[string]struct{}{}
+		}
+		l.sets[g][v.Key()] = struct{}{}
+		return l.checkSet(g)
+	default:
+		return fmt.Errorf("agg: unknown primitive %d", l.prim)
+	}
+	return nil
+}
+
+// Merge folds a shipped state into primitive p of group g. A NULL state
+// represents an empty group at some site and is a no-op.
+func (s *Slab) Merge(g, p int, v value.V) error {
+	if v.IsNull() {
+		return nil
+	}
+	l := &s.lanes[p]
+	switch l.prim {
+	case PCount:
+		i, err := v.AsInt()
+		if err != nil {
+			return fmt.Errorf("agg: merge count: %w", err)
+		}
+		l.ints[g] += i
+	case PSum, PSumSq:
+		f, err := v.AsFloat()
+		if err != nil {
+			return fmt.Errorf("agg: merge sum: %w", err)
+		}
+		l.sum(g, v, f)
+	case PMin, PMax:
+		return l.extremum(g, v)
+	case PHLL:
+		other, err := decodeHLL(v)
+		if err != nil {
+			return fmt.Errorf("agg: merge hll: %w", err)
+		}
+		if l.hlls[g] == nil {
+			l.hlls[g] = other // freshly decoded, not shared
+		} else {
+			l.hlls[g].Merge(other)
+		}
+	case PSet:
+		other, err := decodeSet(v)
+		if err != nil {
+			return fmt.Errorf("agg: merge set: %w", err)
+		}
+		if l.sets[g] == nil {
+			l.sets[g] = other // freshly decoded, not shared
+		} else {
+			for k := range other {
+				l.sets[g][k] = struct{}{}
+			}
+		}
+		return l.checkSet(g)
+	default:
+		return fmt.Errorf("agg: unknown primitive %d", l.prim)
+	}
+	return nil
+}
+
+// sum folds v, whose (squared, for PSumSq) float value is f, into slot g.
+// The integer total is kept while every value was an integer or a boolean,
+// so an integer sum stays exact; the first other value switches the state
+// to the float total.
+func (l *lane) sum(g int, v value.V, f float64) {
+	fl := l.flags[g] | sumSeen
+	if l.prim == PSumSq || v.K != value.KindInt && v.K != value.KindBool {
+		fl |= sumFloat
+	}
+	if fl&sumFloat == 0 {
+		l.ints[g] += v.I
+	}
+	l.floats[g] += f
+	l.flags[g] = fl
+}
+
+func (l *lane) extremum(g int, v value.V) error {
+	cur := l.vals[g]
+	if cur.IsNull() {
+		l.vals[g] = v
+		return nil
+	}
+	c, err := value.Compare(v, cur)
+	if err != nil {
+		return fmt.Errorf("agg: min/max over mixed types: %w", err)
+	}
+	if l.prim == PMin && c < 0 || l.prim == PMax && c > 0 {
+		l.vals[g] = v
+	}
+	return nil
+}
+
+func (l *lane) checkSet(g int) error {
+	if len(l.sets[g]) > maxExactDistinct {
+		return fmt.Errorf("agg: exact distinct set exceeds %d values; use countd", maxExactDistinct)
+	}
+	return nil
+}
+
+// Result returns primitive p of group g as a shippable value. Empty states
+// are NULL except PCount, which is 0.
+func (s *Slab) Result(g, p int) value.V {
+	l := &s.lanes[p]
+	switch l.prim {
+	case PCount:
+		return value.NewInt(l.ints[g])
+	case PSum, PSumSq:
+		switch fl := l.flags[g]; {
+		case fl&sumSeen == 0:
+			return value.Null
+		case fl&sumFloat == 0:
+			return value.NewInt(l.ints[g])
+		}
+		return value.NewFloat(l.floats[g])
+	case PMin, PMax:
+		return l.vals[g]
+	case PHLL:
+		if h := l.hlls[g]; h != nil {
+			return h.Encode()
+		}
+	case PSet:
+		if set := l.sets[g]; set != nil {
+			return encodeSet(set)
+		}
+	}
+	return value.Null
+}
+
+// Finalize computes spec si's final value in group g from its states.
+func (s *Slab) Finalize(g, si int) (value.V, error) {
+	var buf [3]value.V // no spec has more primitives
+	states := buf[:0]
+	for p := s.off[si]; p < s.off[si+1]; p++ {
+		states = append(states, s.Result(g, p))
+	}
+	return s.specs[si].Finalize(states)
+}
+
+// The lane folds feed matched detail lanes to slot g column-wise instead of
+// boxing every value for Add. Each folds in ascending index order with
+// Add's exact arithmetic, so lane and per-value accumulation produce
+// bit-identical states (float sums are order-sensitive). nulls, when
+// non-nil, marks NULL lanes, which are skipped exactly as Add skips them.
+
+// AddRows folds n COUNT(*) rows. It is only valid for a star-counting
+// PCount; other primitives never see a nil argument.
+func (s *Slab) AddRows(g, p, n int) error {
+	l := &s.lanes[p]
+	if l.prim != PCount || !l.star {
+		return fmt.Errorf("agg: AddRows on non-star primitive %d", l.prim)
+	}
+	l.ints[g] += int64(n)
+	return nil
+}
+
+// AddInts folds int64 lanes of the given kind (KindInt or KindBool).
+func (s *Slab) AddInts(g, p int, kind value.Kind, vals []int64, nulls []bool) error {
+	l := &s.lanes[p]
+	switch l.prim {
+	case PCount:
+		l.ints[g] += l.count(len(vals), nulls)
+	case PSum:
+		n, f, fl := l.ints[g], l.floats[g], l.flags[g]
+		for i, v := range vals {
+			if nulls != nil && nulls[i] {
+				continue
+			}
+			if fl&sumFloat == 0 {
+				n += v
+			}
+			f += float64(v)
+			fl |= sumSeen
+		}
+		l.ints[g], l.floats[g], l.flags[g] = n, f, fl
+	case PSumSq:
+		f, fl := l.floats[g], l.flags[g]
+		for i, v := range vals {
+			if nulls != nil && nulls[i] {
+				continue
+			}
+			x := float64(v)
+			f += x * x
+			fl |= sumSeen | sumFloat
+		}
+		l.floats[g], l.flags[g] = f, fl
+	default:
+		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return value.V{K: kind, I: vals[i]} })
+	}
+	return nil
+}
+
+// AddFloats folds float64 lanes.
+func (s *Slab) AddFloats(g, p int, vals []float64, nulls []bool) error {
+	l := &s.lanes[p]
+	switch l.prim {
+	case PCount:
+		l.ints[g] += l.count(len(vals), nulls)
+	case PSum, PSumSq:
+		f, fl := l.floats[g], l.flags[g]
+		for i, v := range vals {
+			if nulls != nil && nulls[i] {
+				continue
+			}
+			if l.prim == PSumSq {
+				v *= v
+			}
+			f += v
+			fl |= sumSeen | sumFloat
+		}
+		l.floats[g], l.flags[g] = f, fl
+	default:
+		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return value.NewFloat(vals[i]) })
+	}
+	return nil
+}
+
+// AddStrings folds string lanes.
+func (s *Slab) AddStrings(g, p int, vals []string, nulls []bool) error {
+	l := &s.lanes[p]
+	switch l.prim {
+	case PCount:
+		l.ints[g] += l.count(len(vals), nulls)
+	case PSum, PSumSq:
+		for i := range vals {
+			if nulls == nil || !nulls[i] {
+				return fmt.Errorf("agg: sum over non-numeric value %s", value.NewString(vals[i]))
+			}
+		}
+	default:
+		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return value.NewString(vals[i]) })
+	}
+	return nil
+}
+
+// AddRepeat folds the same value n times. A broadcast scalar must still
+// loop: repeated float addition is not multiplication.
+func (s *Slab) AddRepeat(g, p int, v value.V, n int) error {
+	for i := 0; i < n; i++ {
+		if err := s.Add(g, p, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// count returns how many of n lanes a PCount folds: all of them for
+// COUNT(*), the non-NULL ones otherwise.
+func (l *lane) count(n int, nulls []bool) int64 {
+	if l.star || nulls == nil {
+		return int64(n)
+	}
+	c := 0
+	for _, null := range nulls[:n] {
+		if !null {
+			c++
+		}
+	}
+	return int64(c)
+}
+
+// addBoxed is the per-lane fallback for order-dependent primitives
+// (min/max comparison chains, HLL, exact sets): it boxes each non-NULL
+// lane and defers to Add, preserving Add's exact semantics.
+func (s *Slab) addBoxed(g, p, n int, nulls []bool, at func(i int) value.V) error {
+	for i := 0; i < n; i++ {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if err := s.Add(g, p, at(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -661,7 +661,6 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		// A fragment group the coordinator never shipped is only legal
 		// when nothing was shipped, and becomes a new base row; a
 		// states-only fragment answers shipped rows by position.
-		var newRow, at []int
 		if fromFragments {
 			ps, idx, err := h.Schema.Project(schema.Names())
 			if err != nil {
@@ -670,12 +669,10 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			if !ps.Equal(schema) {
 				return fmt.Errorf("base columns %s differ from %s", ps, schema)
 			}
-			newRow = idx
-		} else {
-			sh := ships[site]
-			at = positions(sh.idx, sh.base.Len(), resp.Kept)
+			return m.mergeKeyed(h, idx)
 		}
-		return m.merge(h, newRow, at)
+		sh := ships[site]
+		return m.merge(h, placement{idx: sh.idx, shipped: sh.base.Len(), kept: resp.Kept})
 	}
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are

@@ -7,16 +7,15 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
 // keyedMerge is the Theorem-1 merge, the one implementation of it in this
 // package: sub-aggregate fragments are resolved to their groups — by the
-// key attributes K, or by position for a states-only fragment (merge) —
-// and their primitive states merged associatively, one agg.Slab group per
-// group row. The coordinator (synchronize) finalizes the merged states
-// into new columns of X; a relay tier (Relay.evalRounds) re-emits them as
-// one pre-merged fragment.
+// key attributes K (mergeKeyed), or by position for a states-only fragment
+// (merge) — and their primitive states merged associatively into one
+// agg.Slab, one primitive column at a time. The coordinator (synchronize)
+// finalizes the merged states into new columns of X; a relay tier
+// (Relay.evalRounds) re-emits them as one pre-merged fragment.
 type keyedMerge struct {
 	keys   []string
 	specs  []agg.Spec
@@ -26,6 +25,11 @@ type keyedMerge struct {
 	// it, so a positional merge never hashes K.
 	index relation.KeyIndex
 	accs  *agg.Slab
+	// prims are the slab's primitive columns in primSchema, the schema the
+	// fragments of one step share.
+	prims      []int
+	primSchema *relation.Schema
+	at         []int // a keyed fragment's groups, row by row; reused
 	// kept marks, as a Response.Kept bitmap, every group a fragment
 	// contributed to; nil unless a relay asked for it.
 	kept []byte
@@ -56,10 +60,14 @@ func lookupAll(schema *relation.Schema, names []string) ([]int, error) {
 }
 
 // primCols resolves the positions of the specs' primitive state columns
-// in schema, in the slab's spec-then-primitive order.
-func primCols(schema *relation.Schema, specs []agg.Spec) ([]int, error) {
+// in schema, in the slab's spec-then-primitive order, once for all the
+// fragments that share schema.
+func (m *keyedMerge) primCols(schema *relation.Schema) ([]int, error) {
+	if m.primSchema != nil && m.primSchema.Equal(schema) {
+		return m.prims, nil
+	}
 	var prims []int
-	for _, sp := range specs {
+	for _, sp := range m.specs {
 		for pi := range sp.Prims() {
 			p, err := schema.MustLookup(sp.SubColName(pi))
 			if err != nil {
@@ -68,77 +76,104 @@ func primCols(schema *relation.Schema, specs []agg.Spec) ([]int, error) {
 			prims = append(prims, p)
 		}
 	}
+	m.prims, m.primSchema = prims, schema
 	return prims, nil
 }
 
-// positions maps a states-only reply's rows to groups: row j answers the
-// j-th shipped row kept marks (Response.Kept; nil marks all), and shipped
-// row k is group idx[k] (k when idx is nil).
-func positions(idx []int, shipped int, kept []byte) []int {
-	at := make([]int, 0, shipped)
-	for k := 0; k < shipped; k++ {
-		if kept != nil && (k/8 >= len(kept) || kept[k/8]&(1<<(k%8)) == 0) {
-			continue
-		}
-		if idx != nil {
-			at = append(at, idx[k])
-		} else {
-			at = append(at, k)
-		}
-	}
-	return at
+// placement maps a states-only fragment's rows to groups: row j answers
+// the j-th shipped row kept marks (Response.Kept; nil marks all), and
+// shipped row k is group idx[k] (k when idx is nil).
+type placement struct {
+	idx     []int
+	shipped int
+	kept    []byte
 }
 
-// merge folds fragment h into the groups; columns are resolved in h by
-// name. A states-only reply, the answer to a shipped base, is placed by
-// position: row j is group at[j]. Any other fragment (nil at) carries the
-// keys and resolves by them, a group first seen there taking its row from
-// the fragment positions newRow.
-func (m *keyedMerge) merge(h *relation.Relation, newRow []int, at []int) error {
-	prims, err := primCols(h.Schema, m.specs)
+func (pl placement) isKept(k int) bool {
+	return pl.kept == nil || k/8 < len(pl.kept) && pl.kept[k/8]&(1<<(k%8)) != 0
+}
+
+// rows counts the fragment rows the placement expects.
+func (pl placement) rows() int {
+	n := 0
+	for k := 0; k < pl.shipped; k++ {
+		if pl.isKept(k) {
+			n++
+		}
+	}
+	return n
+}
+
+// each calls fn(j, g) for every fragment row j and its group g, in order.
+func (pl placement) each(fn func(j, g int) error) error {
+	j := 0
+	for k := 0; k < pl.shipped; k++ {
+		if !pl.isKept(k) {
+			continue
+		}
+		g := k
+		if pl.idx != nil {
+			g = pl.idx[k]
+		}
+		if err := fn(j, g); err != nil {
+			return err
+		}
+		j++
+	}
+	return nil
+}
+
+// merge folds the states of fragment h, placed by pl, into the groups;
+// columns are resolved in h by name.
+func (m *keyedMerge) merge(h *relation.Relation, pl placement) error {
+	if n := pl.rows(); n != len(h.Rows) {
+		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", len(h.Rows), n)
+	}
+	prims, err := m.primCols(h.Schema)
 	if err != nil {
 		return err
 	}
-	var hKey []int
-	if at == nil {
-		hKey, err = lookupAll(h.Schema, m.keys)
-	} else if len(at) != len(h.Rows) {
-		err = fmt.Errorf("states-only fragment has %d rows for %d kept positions", len(h.Rows), len(at))
+	for p, c := range prims {
+		err := pl.each(func(j, g int) error { return m.accs.Merge(g, p, h.Rows[j][c]) })
+		if err != nil {
+			return fmt.Errorf("group merge: %w", err)
+		}
 	}
+	if m.kept != nil {
+		return pl.each(func(_, g int) error {
+			m.kept[g/8] |= 1 << (g % 8)
+			return nil
+		})
+	}
+	return nil
+}
+
+// mergeKeyed folds a fragment that carries the keys: each row resolves to
+// its group by them, a group first seen there taking its row from the
+// fragment positions newRow.
+func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
+	hKey, err := lookupAll(h.Schema, m.keys)
 	if err != nil {
 		return err
 	}
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, m.rows[pos], m.keyIdx) }
-	for j := range h.Rows {
-		row = h.Rows[j]
-		var pos int
-		if at != nil {
-			pos = at[j]
-		} else {
-			hash := relation.HashRow(row, hKey)
-			var ok bool
-			if pos, ok = m.index.Find(hash, sameKey); !ok {
-				nr := make(relation.Row, len(newRow))
-				for i, p := range newRow {
-					nr[i] = row[p]
-				}
-				m.rows = append(m.rows, nr)
-				pos = m.accs.AddGroup()
-				m.index.Add(hash, pos)
+	m.at = m.at[:0]
+	for _, row = range h.Rows {
+		hash := relation.HashRow(row, hKey)
+		pos, ok := m.index.Find(hash, sameKey)
+		if !ok {
+			nr := make(relation.Row, len(newRow))
+			for i, p := range newRow {
+				nr[i] = row[p]
 			}
+			m.rows = append(m.rows, nr)
+			pos = m.accs.AddGroup()
+			m.index.Add(hash, pos)
 		}
-		group := m.accs.Group(pos)
-		for pi, p := range prims {
-			if err := group[pi].Merge(row[p]); err != nil {
-				return fmt.Errorf("group merge: %w", err)
-			}
-		}
-		if m.kept != nil {
-			m.kept[pos/8] |= 1 << (pos % 8)
-		}
+		m.at = append(m.at, pos)
 	}
-	return nil
+	return m.merge(h, placement{idx: m.at, shipped: len(h.Rows)})
 }
 
 // finalized emits the group rows extended with one finalized aggregate
@@ -154,16 +189,10 @@ func (m *keyedMerge) finalized(schema *relation.Schema) (*relation.Relation, err
 	}
 	out := relation.New(outSchema)
 	out.Rows = relation.MakeRows(len(m.rows), outSchema.Len())
-	var states []value.V // one spec's merged primitive states, reused
 	for gi, row := range m.rows {
 		nr := append(out.Rows[gi], row...)
 		for si, sp := range m.specs {
-			spec := m.accs.Spec(gi, si)
-			states = states[:0]
-			for pi := range spec {
-				states = append(states, spec[pi].Result())
-			}
-			v, err := sp.Finalize(states)
+			v, err := m.accs.Finalize(gi, si)
 			if err != nil {
 				return nil, fmt.Errorf("finalize %s: %w", sp.As, err)
 			}
@@ -179,14 +208,13 @@ func (m *keyedMerge) finalized(schema *relation.Schema) (*relation.Relation, err
 // merged, for the tier above. The group rows must be the merge's own (it
 // overwrites them).
 func (m *keyedMerge) states(schema *relation.Schema) (*relation.Relation, error) {
-	prims, err := primCols(schema, m.specs)
+	prims, err := m.primCols(schema)
 	if err != nil {
 		return nil, err
 	}
-	for gi, row := range m.rows {
-		group := m.accs.Group(gi)
-		for pi, p := range prims {
-			row[p] = group[pi].Result()
+	for p, c := range prims {
+		for gi, row := range m.rows {
+			row[c] = m.accs.Result(gi, p)
 		}
 	}
 	out := relation.New(schema)
@@ -211,10 +239,9 @@ func (m *keyedMerge) keptStates() (*relation.Relation, []byte, error) {
 		if m.kept[gi/8]&(1<<(gi%8)) == 0 {
 			continue
 		}
-		group := m.accs.Group(gi)
-		row := make(relation.Row, len(group))
-		for pi := range group {
-			row[pi] = group[pi].Result()
+		row := make(relation.Row, m.accs.Width())
+		for p := range row {
+			row[p] = m.accs.Result(gi, p)
 		}
 		out.Rows = append(out.Rows, row)
 	}

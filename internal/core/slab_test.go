@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/expr"
 	"repro/internal/gmdj"
 	"repro/internal/relation"
+	"repro/internal/transport"
+	"repro/internal/value"
 )
 
 // assertExactRelation compares two relations bit for bit after sorting by
@@ -121,6 +125,70 @@ func TestSlabNoAggregates(t *testing.T) {
 				t.Fatalf("%s: %v", optLabel(opts), err)
 			}
 			assertExactRelation(t, optLabel(opts), got, want, q.Keys())
+		}
+	}
+}
+
+// synchronizeFixture is the coordinator's side of one step of the Fig. 5
+// query without optimizations: X of groups CustName rows, shipped whole to
+// every site, and each site's states-only reply for count(*) and avg.
+func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[string]shipment, []*transport.Response) {
+	x := relation.New(relation.MustSchema(relation.Column{Name: "CustName", Kind: value.KindString}))
+	for g := 0; g < groups; g++ {
+		x.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", g)))
+	}
+	step := &Step{Specs: []agg.Spec{agg.MustParseSpec("count(*) AS cnt1"), agg.MustParseSpec("avg(F.Quantity) AS avg1")}}
+	var cols []relation.Column
+	for _, sp := range step.Specs {
+		cols = append(cols, sp.SubColumns()...)
+	}
+	ships := make(map[string]shipment, sites)
+	replies := make([]*transport.Response, sites)
+	for s := range replies {
+		rel := relation.New(relation.MustSchema(cols...))
+		for g := 0; g < groups; g++ {
+			n := int64((g*7+s)%5 + 1)
+			rel.MustAppend(value.NewInt(n), value.NewInt(n*int64(g%50+1)), value.NewInt(n))
+		}
+		replies[s] = &transport.Response{Rel: rel}
+		ships[fmt.Sprintf("site%d", s)] = shipment{base: x}
+	}
+	return x, step, ships, replies
+}
+
+// runSynchronize merges the replies as they would arrive on the stream.
+func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment, replies []*transport.Response) (*relation.Relation, error) {
+	stream := make(chan streamItem, len(replies))
+	for s, resp := range replies {
+		stream <- streamItem{SiteRound: SiteRound{Site: fmt.Sprintf("site%d", s)}, resp: resp}
+	}
+	close(stream)
+	var rs RoundStats
+	out, _, err := (&Coordinator{}).synchronize(x, stream, step, []string{"CustName"}, ships, &rs)
+	return out, err
+}
+
+// TestSynchronizeRefusesMisplacedStates: a states-only reply must carry one
+// row for each shipped row its Kept bitmap marks; any other count is
+// refused, never merged into the wrong groups.
+func TestSynchronizeRefusesMisplacedStates(t *testing.T) {
+	x, step, ships, replies := synchronizeFixture(10, 1)
+	replies[0].Kept = []byte{0b101}
+	_, err := runSynchronize(x, step, ships, replies)
+	if err == nil || !strings.Contains(err.Error(), "states-only fragment has 10 rows for 2 kept positions") {
+		t.Fatalf("err = %v, want the kept-positions refusal", err)
+	}
+}
+
+// BenchmarkSynchronize is the coordinator's merge and finalization of one
+// such step: four states-only replies of 2 000 groups.
+func BenchmarkSynchronize(b *testing.B) {
+	x, step, ships, replies := synchronizeFixture(2000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runSynchronize(x, step, ships, replies); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -223,7 +223,7 @@ func mergeFragments(resps []*transport.Response, req *transport.Request, keys []
 		}
 		m.kept = make([]byte, (req.Base.Len()+7)/8)
 		for _, resp := range resps {
-			if err := m.merge(resp.Rel, nil, positions(nil, req.Base.Len(), resp.Kept)); err != nil {
+			if err := m.merge(resp.Rel, placement{shipped: req.Base.Len(), kept: resp.Kept}); err != nil {
 				return err
 			}
 		}
@@ -243,7 +243,7 @@ func mergeFragments(resps []*transport.Response, req *transport.Request, keys []
 		if !resp.Rel.Schema.Equal(schema) {
 			return fmt.Errorf("fragment schemas differ: %s vs %s", resp.Rel.Schema, schema)
 		}
-		if err := m.merge(resp.Rel, wholeRow, nil); err != nil {
+		if err := m.mergeKeyed(resp.Rel, wholeRow); err != nil {
 			return err
 		}
 	}

@@ -218,33 +218,26 @@ func outputSchema(base *relation.Schema, specs []agg.Spec, statesOnly, prims, fi
 	return outSchema, nil
 }
 
-// assemble materializes the output rows from the per-base-row accumulator
-// and match-count state — shared by both engines so their outputs are
+// assemble materializes the output rows from the per-base-row slab and
+// match-count state — shared by both engines so their outputs are
 // byte-identical.
 func assemble(outSchema *relation.Schema, b *relation.Relation, specs []agg.Spec,
 	accs *agg.Slab, matched []int64, statesOnly, prims, final, touched bool) (*relation.Relation, error) {
 	out := relation.New(outSchema)
 	out.Rows = relation.MakeRows(len(b.Rows), outSchema.Len())
-	var states []value.V // one spec's primitive results, reused
 	for gi, bRow := range b.Rows {
 		row := out.Rows[gi]
 		if !statesOnly {
 			row = append(row, bRow...)
 		}
 		if prims {
-			group := accs.Group(gi)
-			for pi := range group {
-				row = append(row, group[pi].Result())
+			for p := 0; p < accs.Width(); p++ {
+				row = append(row, accs.Result(gi, p))
 			}
 		}
 		if final {
 			for si, s := range specs {
-				spec := accs.Spec(gi, si)
-				states = states[:0]
-				for pi := range spec {
-					states = append(states, spec[pi].Result())
-				}
-				v, err := s.Finalize(states)
+				v, err := accs.Finalize(gi, si)
 				if err != nil {
 					return nil, fmt.Errorf("gmdj: finalize %s: %w", s, err)
 				}
@@ -269,7 +262,7 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 		return nil, err
 	}
 
-	// Accumulator state per base row per spec.
+	// Primitive states per base row.
 	accs := agg.NewSlab(specs, len(b.Rows))
 	matched := make([]int64, len(b.Rows))
 
@@ -368,9 +361,9 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 							return nil, fmt.Errorf("gmdj: aggregate arg: %w", err)
 						}
 					}
-					spec := accs.Spec(gi, ae.spec)
-					for pi := range spec {
-						if err := spec[pi].Add(v); err != nil {
+					lo, hi := accs.SpecPrims(ae.spec)
+					for p := lo; p < hi; p++ {
+						if err := accs.Add(gi, p, v); err != nil {
 							return nil, fmt.Errorf("gmdj: %w", err)
 						}
 					}

@@ -113,8 +113,8 @@ func TestTheorem1(t *testing.T) {
 
 	// Merge sub-aggregate fragments keyed on (SourceAS, DestAS).
 	specs := md.Specs()
-	merged := make(map[string][][]*agg.Acc)
-	order := []string{}
+	merged := agg.NewSlab(specs, 0)
+	groups := make(map[string]int)
 	for _, part := range parts {
 		h, err := EvalSub(b, part, md, SubOpts{})
 		if err != nil {
@@ -122,48 +122,32 @@ func TestTheorem1(t *testing.T) {
 		}
 		for _, row := range h.Rows {
 			key := relation.RowKey(row, []int{0, 1})
-			accs, ok := merged[key]
+			g, ok := groups[key]
 			if !ok {
-				accs = make([][]*agg.Acc, len(specs))
-				for si, s := range specs {
-					accs[si] = agg.NewAccs(s)
-				}
-				merged[key] = accs
-				order = append(order, key)
+				g = merged.AddGroup()
+				groups[key] = g
 			}
-			col := 2
-			for si, s := range specs {
-				for pi := range s.Prims() {
-					if err := accs[si][pi].Merge(row[col]); err != nil {
-						t.Fatal(err)
-					}
-					col++
+			for p := 0; p < merged.Width(); p++ {
+				if err := merged.Merge(g, p, row[2+p]); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
-	_ = order
 
 	for _, wrow := range whole.Rows {
-		key := relation.RowKey(wrow, []int{0, 1})
-		accs := merged[key]
-		if accs == nil {
+		g, ok := groups[relation.RowKey(wrow, []int{0, 1})]
+		if !ok {
 			t.Fatalf("group %v missing from merged result", wrow[:2])
 		}
-		col := 2
 		for si, s := range specs {
-			states := make([]value.V, len(accs[si]))
-			for pi, a := range accs[si] {
-				states[pi] = a.Result()
-			}
-			got, err := s.Finalize(states)
+			got, err := merged.Finalize(g, si)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !value.Equal(got, wrow[col]) && !(got.IsNull() && wrow[col].IsNull()) {
-				t.Errorf("group %v agg %s: merged %v, whole %v", wrow[:2], s.As, got, wrow[col])
+			if want := wrow[2+si]; !value.Equal(got, want) && !(got.IsNull() && want.IsNull()) {
+				t.Errorf("group %v agg %s: merged %v, whole %v", wrow[:2], s.As, got, want)
 			}
-			col++
 		}
 	}
 }

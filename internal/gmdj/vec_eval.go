@@ -324,16 +324,15 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 				continue
 			}
 			for j := range pl.aggs {
-				accList := accs.Spec(g, pl.specBase+j)
+				p0, p1 := accs.SpecPrims(pl.specBase + j)
 				prog := argProgs[ti][j]
 				if prog == nil {
 					// COUNT(*): the row engine adds a non-NULL int
 					// marker per matched pair.
-					for ai := range accList {
-						a := &accList[ai]
-						aerr := a.AddRows(len(sel))
+					for p := p0; p < p1; p++ {
+						aerr := accs.AddRows(g, p, len(sel))
 						if aerr != nil {
-							aerr = a.AddRepeat(value.NewInt(1), len(sel))
+							aerr = accs.AddRepeat(g, p, value.NewInt(1), len(sel))
 						}
 						if aerr != nil {
 							ws.fail(ti, g, fmt.Errorf("gmdj: %w", aerr))
@@ -345,8 +344,8 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 				prog.SetBase(row)
 				var accErr error
 				err := prog.EvalEach(sel, func(l *vec.Lanes) error {
-					for ai := range accList {
-						if e := feedAcc(&accList[ai], l); e != nil {
+					for p := p0; p < p1; p++ {
+						if e := feedAcc(accs, g, p, l); e != nil {
 							accErr = e
 							return errAccStop
 						}
@@ -454,26 +453,26 @@ func keyClass(v value.V) (tag byte, i int64, f float64) {
 	return 0, 0, 0
 }
 
-// feedAcc folds an evaluated argument vector into one accumulator,
-// column-wise when the accumulator supports it and boxed per lane
+// feedAcc folds an evaluated argument vector into slot g of primitive p's
+// lane, a whole typed vector at a time when it has one and boxed per value
 // otherwise.
-func feedAcc(a *agg.Acc, l *vec.Lanes) error {
+func feedAcc(s *agg.Slab, g, p int, l *vec.Lanes) error {
 	if l.Const {
-		return a.AddRepeat(l.ConstV, l.N)
+		return s.AddRepeat(g, p, l.ConstV, l.N)
 	}
 	switch l.Kind {
 	case value.KindBool, value.KindInt:
-		return a.AddInts(l.Kind, l.Ints[:l.N], l.Nulls)
+		return s.AddInts(g, p, l.Kind, l.Ints[:l.N], l.Nulls)
 	case value.KindFloat:
-		return a.AddFloats(l.Floats[:l.N], l.Nulls)
+		return s.AddFloats(g, p, l.Floats[:l.N], l.Nulls)
 	case value.KindNull:
-		return a.AddRepeat(value.Null, l.N)
+		return s.AddRepeat(g, p, value.Null, l.N)
 	default:
 		// Dictionary strings and boxed lanes (a CASE or call mixing kinds)
-		// feed per value; min/max and distinct-count accumulators need the
-		// boxed value anyway.
+		// feed per value; min/max and distinct-count states need the boxed
+		// value anyway.
 		for i := 0; i < l.N; i++ {
-			if err := a.Add(l.Value(i)); err != nil {
+			if err := s.Add(g, p, l.Value(i)); err != nil {
 				return err
 			}
 		}

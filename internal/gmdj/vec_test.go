@@ -205,18 +205,27 @@ func TestVecMatchesRowDifferential(t *testing.T) {
 }
 
 // TestVecParallelMerge exercises the worker-partitioned path with many
-// workers on one shared accumulator grid — run under -race, this is the
-// data-race check for the parallel per-site evaluation.
+// workers on one shared slab — run under -race, this is the data-race
+// check for the parallel per-site evaluation. Workers own contiguous
+// ranges of base rows; with a few hundred groups and 3, 5 or 7 workers the
+// range boundaries fall inside runs of eight groups, whose sum flags a
+// bit-packed lane would keep in one shared byte.
 func TestVecParallelMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	detail := randDetail(rng, 500)
-	b := diffBase(t, detail)
+	b, err := EvalBase(detail, BaseDef{Cols: []string{"K", "G", "Q"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	md := diffMDs()[0]
 	want, err := rowSub(b, detail, md, SubOpts{Finalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 8, 64} {
+	for _, workers := range []int{2, 3, 5, 7, 8, 64} {
+		if n := b.Len(); (n/workers)%8 == 0 {
+			t.Fatalf("W=%d: the first range boundary (%d of %d groups) is a multiple of 8", workers, n/workers, n)
+		}
 		got, err := EvalSub(b, detail, md, SubOpts{Workers: workers, Finalize: true})
 		if err != nil {
 			t.Fatalf("W=%d: %v", workers, err)

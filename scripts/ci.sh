@@ -46,6 +46,9 @@ go test -race -count=20 -run '^TestAdmission' ./skalla
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg
 
+echo "== fuzz smoke (slab lane folds vs per-value Add) =="
+go test -run '^$' -fuzz FuzzSlabFold -fuzztime 10s ./internal/agg
+
 echo "== fuzz smoke (sql parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 

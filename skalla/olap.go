@@ -149,20 +149,19 @@ func groupingSets(ctx context.Context, cluster *Cluster, detail string, dims []s
 	for i, d := range dims {
 		dimIdx[i], _ = base.Schema.Lookup(d)
 	}
-	primIdx := make([][]int, len(aggs))
+	var primCols []int // base columns of every aggregate's primitives, in slab order
 	for ai, a := range aggs {
-		primIdx[ai] = make([]int, len(a.Prims()))
 		for pi := range a.Prims() {
 			p, err := base.Schema.MustLookup(cubePrimName(ai, pi))
 			if err != nil {
 				return nil, err
 			}
-			primIdx[ai][pi] = p
+			primCols = append(primCols, p)
 		}
 	}
 
 	for _, mask := range masks {
-		if err := rollupInto(out, base, mask, dims, dimIdx, aggs, primIdx); err != nil {
+		if err := rollupInto(out, base, mask, dims, dimIdx, aggs, primCols); err != nil {
 			return nil, err
 		}
 	}
@@ -170,55 +169,58 @@ func groupingSets(ctx context.Context, cluster *Cluster, detail string, dims []s
 }
 
 // rollupInto merges the finest cuboid down to one grouping set (given as
-// a dimension bitmask) and appends the resulting rows to out.
-func rollupInto(out, base *Relation, mask int, dims []string, dimIdx []int, aggs AggList, primIdx [][]int) error {
-	groups := map[string][][]*agg.Acc{}
-	reprs := map[string]relation.Row{}
-	var order []string
-	for _, row := range base.Rows {
-		var kb strings.Builder
-		for di := range dims {
-			if mask&(1<<di) != 0 {
-				kb.WriteString(row[dimIdx[di]].Key())
-			}
-			kb.WriteByte('\x1f')
+// a dimension bitmask) and appends the resulting rows to out, ordered by
+// their dimension keys.
+func rollupInto(out, base *Relation, mask int, dims []string, dimIdx []int, aggs AggList, primCols []int) error {
+	var setIdx []int // positions in base of the set's dimensions
+	for di := range dims {
+		if mask&(1<<di) != 0 {
+			setIdx = append(setIdx, dimIdx[di])
 		}
-		key := kb.String()
-		accs, ok := groups[key]
+	}
+	accs := agg.NewSlab(aggs, 0)
+	var index relation.KeyIndex
+	var reprs []relation.Row // each group's first row
+	var row relation.Row
+	sameKey := func(g int) bool { return relation.KeysEqual(row, setIdx, reprs[g], setIdx) }
+	for _, row = range base.Rows {
+		hash := relation.HashRow(row, setIdx)
+		g, ok := index.Find(hash, sameKey)
 		if !ok {
-			accs = make([][]*agg.Acc, len(aggs))
-			for ai, a := range aggs {
-				accs[ai] = agg.NewAccs(a)
-			}
-			groups[key] = accs
-			reprs[key] = row
-			order = append(order, key)
+			g = accs.AddGroup()
+			index.Add(hash, g)
+			reprs = append(reprs, row)
 		}
-		for ai := range aggs {
-			for pi, p := range primIdx[ai] {
-				if err := accs[ai][pi].Merge(row[p]); err != nil {
-					return fmt.Errorf("skalla: rollup: %w", err)
-				}
+		for p, c := range primCols {
+			if err := accs.Merge(g, p, row[c]); err != nil {
+				return fmt.Errorf("skalla: rollup: %w", err)
 			}
 		}
 	}
-	sort.Strings(order)
-	for _, key := range order {
-		repr, accs := reprs[key], groups[key]
+	keys := make([]string, len(reprs))
+	order := make([]int, len(reprs))
+	for g, repr := range reprs {
+		var kb strings.Builder
+		for di := range dims {
+			if mask&(1<<di) != 0 {
+				kb.WriteString(repr[dimIdx[di]].Key())
+			}
+			kb.WriteByte('\x1f')
+		}
+		keys[g], order[g] = kb.String(), g
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	for _, g := range order {
 		nr := make(relation.Row, 0, out.Schema.Len())
 		for di := range dims {
 			if mask&(1<<di) != 0 {
-				nr = append(nr, repr[dimIdx[di]])
+				nr = append(nr, reprs[g][dimIdx[di]])
 			} else {
 				nr = append(nr, CubeAll)
 			}
 		}
 		for ai, a := range aggs {
-			states := make([]value.V, len(accs[ai]))
-			for pi, acc := range accs[ai] {
-				states[pi] = acc.Result()
-			}
-			v, err := a.Finalize(states)
+			v, err := accs.Finalize(g, ai)
 			if err != nil {
 				return fmt.Errorf("skalla: rollup finalize %s: %w", a.As, err)
 			}
