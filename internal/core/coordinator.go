@@ -311,20 +311,40 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 	return x, stats, nil
 }
 
-// round runs step seq of the plan: it cuts X to what each site receives,
-// sends every site its copy of the step's request and merges the replies
-// into the new X as they arrive.
+// round runs step seq of the plan: it exchanges the step's request with
+// the sites and finalizes the merged replies into the new X.
 func (c *Coordinator) round(ctx context.Context, x *relation.Relation, plan *Plan, seq int, epoch string) (RoundStats, *relation.Relation, error) {
 	step := &plan.Steps[seq]
 	rs := RoundStats{Name: step.Name, Sites: make([]SiteRound, 0, len(c.clients))}
 	ctx, rspan := c.Obs.StartSpanTrack(ctx, "round:"+step.Name, obs.TrackCoordinator)
 	defer rspan.End()
+	req := step.Request
+	req.Epoch, req.Round, req.QueryID = epoch, seq, c.QueryID
+	m, err := c.exchange(ctx, x, step, req, &rs, false)
+	if err != nil {
+		return rs, nil, err
+	}
+	t0 := time.Now()
+	merged, err := m.finalized()
+	rs.CoordTime += time.Since(t0)
+	if err != nil {
+		return rs, nil, fmt.Errorf("core: synchronization of %s: %w", step.Name, err)
+	}
+	return rs, merged, nil
+}
+
+// exchange runs one step over the coordinator's sites: it cuts x to what
+// each site receives, sends every site its copy of req carrying its cut,
+// and merges the replies as they arrive, recording every site's part and
+// the coordinator's time in rs. A relay tier (tier) also has the merge
+// record which shipped groups some reply answered.
+func (c *Coordinator) exchange(ctx context.Context, x *relation.Relation, step *Step, req transport.Request, rs *RoundStats, tier bool) (*keyedMerge, error) {
 	coordStart := time.Now()
 	var ships map[string]shipment
 	if step.ships() {
 		var err error
 		if ships, err = c.shipments(x, step); err != nil {
-			return rs, nil, err
+			return nil, err
 		}
 	}
 	prepTime := time.Since(coordStart)
@@ -332,15 +352,15 @@ func (c *Coordinator) round(ctx context.Context, x *relation.Relation, plan *Pla
 	// Stream fragments into the synchronizer as sites finish: the
 	// coordinator merges early arrivals while slower sites still compute
 	// (the incremental synchronization §3.2 describes).
-	stream := c.fanoutStream(ctx, epoch, seq, step, ships)
+	stream := c.fanoutStream(ctx, req, ships)
 	_, sspan := c.Obs.StartSpanTrack(ctx, "sync:"+step.Name, obs.TrackCoordinator)
-	merged, mergeTime, err := c.synchronize(x, stream, step, plan.Keys, ships, &rs)
+	m, mergeTime, err := c.synchronize(x, stream, step, ships, rs, tier)
 	sspan.End()
 	if err != nil {
-		return rs, nil, fmt.Errorf("core: synchronization of %s: %w", step.Name, err)
+		return nil, fmt.Errorf("core: synchronization of %s: %w", step.Name, err)
 	}
 	rs.CoordTime = prepTime + mergeTime
-	return rs, merged, nil
+	return m, nil
 }
 
 // streamItem is one arrival on a fan-out stream: the site's record for
@@ -352,21 +372,19 @@ type streamItem struct {
 	err  error
 }
 
-// fanoutStream sends every site, in parallel, its copy of the step's
-// request carrying its shipment, and delivers each site's result the
-// moment it arrives. The channel closes after all sites have answered
-// (successfully or not). Each call is bounded by CallTimeout; in strict
-// mode the first failure cancels the in-flight calls of the remaining
-// sites, so a doomed round aborts promptly instead of waiting for its
-// slowest member.
+// fanoutStream sends every site, in parallel, its copy of req carrying its
+// shipment, and delivers each site's result the moment it arrives. The
+// channel closes after all sites have answered (successfully or not). Each
+// call is bounded by CallTimeout; in strict mode the first failure cancels
+// the in-flight calls of the remaining sites, so a doomed round aborts
+// promptly instead of waiting for its slowest member.
 //
-// Requests are tagged with (epoch, round) when epoch is non-empty, and a
-// transport-level failure is replayed up to c.Replays times before the
-// site counts as lost: because the tag makes the exchange idempotent, a
-// replica can answer the replayed round (from its dedup cache if the
-// original site already did the work) instead of the whole round
-// aborting on the first death.
-func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int, step *Step, ships map[string]shipment) <-chan streamItem {
+// When req is tagged with (epoch, round), a transport-level failure is
+// replayed up to c.Replays times before the site counts as lost: because
+// the tag makes the exchange idempotent, a replica can answer the replayed
+// round (from its dedup cache if the original site already did the work)
+// instead of the whole round aborting on the first death.
+func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, ships map[string]shipment) <-chan streamItem {
 	roundCtx, cancelRound := context.WithCancel(ctx)
 	out := make(chan streamItem, len(c.clients))
 	var wg sync.WaitGroup
@@ -395,10 +413,8 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 					// and let shed responses drive replica failover.
 				}
 			}
-			req := step.Request
+			req := tmpl
 			req.Base = ships[cl.SiteID()].base
-			req.Epoch, req.Round = epoch, round
-			req.QueryID = c.QueryID
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
 			var resp *transport.Response
 			var err error
@@ -438,9 +454,9 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 				replays++
 				c.Obs.Count("coord.replays", 1)
 				c.Obs.Event(obs.EventReplay, cl.SiteID(),
-					fmt.Sprintf("replaying round %d request after transport failure", round),
+					fmt.Sprintf("replaying round %d request after transport failure", req.Round),
 					map[string]string{
-						"epoch": epoch, "round": fmt.Sprint(round),
+						"epoch": req.Epoch, "round": fmt.Sprint(req.Round),
 						"attempt": fmt.Sprint(replays), "error": err.Error(),
 					})
 			}
@@ -494,25 +510,47 @@ func (c *Coordinator) fanoutStream(ctx context.Context, epoch string, round int,
 // optimization, not a correctness requirement — a site that never hears
 // it ages the epoch out on its own.
 func (c *Coordinator) notifyEpochDone(ctx context.Context, epoch string) {
+	if c.CallTimeout <= 0 {
+		// Never let a hung site stall a completed query on a courtesy
+		// notification.
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, 2*time.Second)
+		defer cancel()
+	}
+	_, errs := c.broadcast(ctx, func(int) *transport.Request { return &transport.Request{Op: transport.OpEpochDone, Epoch: epoch} })
+	for _, err := range errs {
+		if err == nil {
+			c.Obs.Count("coord.epoch_done_acks", 1)
+		}
+	}
+}
+
+// broadcast sends every site, in parallel, the request req builds for its
+// index and waits for all of them. It returns each site's response and
+// error — a site-side error included — by index. Each call is bounded by
+// CallTimeout.
+func (c *Coordinator) broadcast(ctx context.Context, req func(i int) *transport.Request) ([]*transport.Response, []error) {
+	resps := make([]*transport.Response, len(c.clients))
+	errs := make([]error, len(c.clients))
 	var wg sync.WaitGroup
-	for _, cl := range c.clients {
+	for i, cl := range c.clients {
 		wg.Add(1)
-		go func(cl transport.Client) {
+		go func() {
 			defer wg.Done()
 			callCtx, done := c.callContext(ctx)
-			if c.CallTimeout <= 0 {
-				// Never let a hung site stall a completed query on a
-				// courtesy notification.
-				callCtx, done = context.WithTimeout(ctx, 2*time.Second)
-			}
 			defer done()
-			resp, err := cl.Call(callCtx, &transport.Request{Op: transport.OpEpochDone, Epoch: epoch})
-			if err == nil && resp != nil {
-				c.Obs.Count("coord.epoch_done_acks", 1)
+			resp, err := cl.Call(callCtx, req(i))
+			if err == nil {
+				err = resp.Error()
 			}
-		}(cl)
+			if err != nil {
+				err = fmt.Errorf("core: site %s: %w", cl.SiteID(), err)
+			}
+			resps[i], errs[i] = resp, err
+		}()
 	}
 	wg.Wait()
+	return resps, errs
 }
 
 // betterErr keeps the most informative of two round errors: cancellation
@@ -619,55 +657,58 @@ func (c *Coordinator) publishProfile(stats *ExecStats) {
 	}
 }
 
-// synchronize merges the sites' sub-aggregate fragments into X as they
-// arrive on the stream and appends the step's finalized aggregate columns
-// (Theorem 1), recording every site's part in rs. Incremental consumption
-// is the behavior §3.2 describes: the coordinator synchronizes early
-// fragments while slower sites are still computing. It returns the new X
-// and the coordinator time spent merging (excluding time blocked waiting
-// on the stream). ships is what each site received; nil means the base
-// round or a fused step, whose fragments bring the groups themselves,
-// keyed on K.
-func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, step *Step, keys []string, ships map[string]shipment, rs *RoundStats) (*relation.Relation, time.Duration, error) {
+// synchronize merges the sites' sub-aggregate fragments as they arrive
+// on the stream (Theorem 1), recording every site's part in rs.
+// Incremental consumption is the behavior §3.2 describes: the coordinator
+// synchronizes early fragments while slower sites are still computing. It
+// returns the merge and the coordinator time spent merging (excluding time
+// blocked waiting on the stream). ships is what each site received, whose
+// states-only replies merge by position into the groups of x; nil means
+// the base round or a fused step, whose fragments bring the groups
+// themselves, keyed on K — the request's BaseCols. A relay tier (tier)
+// has a positional merge record the groups the replies answered.
+func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, step *Step, ships map[string]shipment, rs *RoundStats, tier bool) (*keyedMerge, time.Duration, error) {
 	var mergeTime time.Duration
 	var firstErr error
 	fromFragments := ships == nil
+	keys := step.Request.BaseCols
 
-	// Merge state, initialized lazily when fragments bring the groups
-	// (the base schema comes from the first fragment).
-	var schema *relation.Schema
+	// The merge starts at the first fragment: when fragments bring the
+	// groups, the base schema comes from it.
 	var m *keyedMerge
-
 	mergeFragment := func(site string, resp *transport.Response) error {
 		h := resp.Rel
 		if h == nil {
 			return fmt.Errorf("no relation")
 		}
 		if m == nil {
+			var schema *relation.Schema
 			var groups []relation.Row
+			var err error
 			if fromFragments {
-				var err error
-				if schema, _, err = h.Schema.Project(step.Request.BaseCols); err != nil {
+				if schema, _, err = h.Schema.Project(keys); err != nil {
 					return fmt.Errorf("base schema: %w", err)
 				}
 			} else {
 				schema, groups = x.Schema, x.Rows
 			}
-			var err error
 			if m, err = newKeyedMerge(schema, groups, keys, step.Specs); err != nil {
 				return err
+			}
+			if tier && !fromFragments {
+				m.kept = make([]byte, (len(groups)+7)/8)
 			}
 		}
 		// A fragment group the coordinator never shipped is only legal
 		// when nothing was shipped, and becomes a new base row; a
 		// states-only fragment answers shipped rows by position.
 		if fromFragments {
-			ps, idx, err := h.Schema.Project(schema.Names())
+			ps, idx, err := h.Schema.Project(m.schema.Names())
 			if err != nil {
 				return err
 			}
-			if !ps.Equal(schema) {
-				return fmt.Errorf("base columns %s differ from %s", ps, schema)
+			if !ps.Equal(m.schema) {
+				return fmt.Errorf("base columns %s differ from %s", ps, m.schema)
 			}
 			return m.mergeKeyed(h, idx)
 		}
@@ -705,12 +746,7 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		}
 		return nil, mergeTime, fmt.Errorf("no fragments arrived")
 	}
-
-	// Finalize the step's aggregates into new X columns.
-	t0 := time.Now()
-	out, err := m.finalized(schema)
-	mergeTime += time.Since(t0)
-	return out, mergeTime, err
+	return m, mergeTime, nil
 }
 
 // shipment is what one site receives in a step that ships X: the base

@@ -13,10 +13,11 @@ import (
 // package: sub-aggregate fragments are resolved to their groups — by the
 // key attributes K (mergeKeyed), or by position for a states-only fragment
 // (merge) — and their primitive states merged associatively into one
-// agg.Slab, one primitive column at a time. The coordinator (synchronize)
-// finalizes the merged states into new columns of X; a relay tier
-// (Relay.evalRounds) re-emits them as one pre-merged fragment.
+// agg.Slab, one primitive column at a time. The root coordinator finalizes
+// the merged states into new columns of X (finalized); a relay tier
+// re-emits them as one pre-merged fragment for the tier above (tier).
 type keyedMerge struct {
+	schema *relation.Schema // of rows
 	keys   []string
 	specs  []agg.Spec
 	rows   []relation.Row // one row per group, in first-seen order
@@ -31,7 +32,7 @@ type keyedMerge struct {
 	primSchema *relation.Schema
 	at         []int // a keyed fragment's groups, row by row; reused
 	// kept marks, as a Response.Kept bitmap, every group a fragment
-	// contributed to; nil unless a relay asked for it.
+	// contributed to; nil unless a relay tier merges by position.
 	kept []byte
 }
 
@@ -43,7 +44,7 @@ func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, 
 	if err != nil {
 		return nil, err
 	}
-	return &keyedMerge{keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, accs: agg.NewSlab(specs, len(rows))}, nil
+	return &keyedMerge{schema: schema, keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, accs: agg.NewSlab(specs, len(rows))}, nil
 }
 
 // lookupAll resolves column names to positions in schema.
@@ -178,12 +179,12 @@ func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 
 // finalized emits the group rows extended with one finalized aggregate
 // column per spec — the coordinator's new X.
-func (m *keyedMerge) finalized(schema *relation.Schema) (*relation.Relation, error) {
+func (m *keyedMerge) finalized() (*relation.Relation, error) {
 	outCols := make([]relation.Column, len(m.specs))
 	for i, sp := range m.specs {
 		outCols[i] = sp.OutColumn()
 	}
-	outSchema, err := schema.Concat(outCols...)
+	outSchema, err := m.schema.Concat(outCols...)
 	if err != nil {
 		return nil, err
 	}
@@ -203,30 +204,18 @@ func (m *keyedMerge) finalized(schema *relation.Schema) (*relation.Relation, err
 	return out, nil
 }
 
-// states emits the group rows with their primitive state columns replaced
-// by the merged values — a fragment of the same schema as the keyed ones
-// merged, for the tier above. The group rows must be the merge's own (it
-// overwrites them).
-func (m *keyedMerge) states(schema *relation.Schema) (*relation.Relation, error) {
-	prims, err := m.primCols(schema)
-	if err != nil {
-		return nil, err
+// tier emits the merge as one fragment for the tier above, in the shape a
+// leaf answers the same request with: a keyed merge's group rows (the base
+// columns), then every spec's merged primitive states. A positional merge
+// echoes no base columns and emits only the groups some fragment answered,
+// in group order, returning the Response.Kept bitmap that names them (nil
+// when it names every group).
+func (m *keyedMerge) tier() (*relation.Relation, []byte, error) {
+	echo := 0 // the base columns each row leads with
+	if len(m.keys) > 0 {
+		echo = m.schema.Len()
 	}
-	for p, c := range prims {
-		for gi, row := range m.rows {
-			row[c] = m.accs.Result(gi, p)
-		}
-	}
-	out := relation.New(schema)
-	out.Rows = m.rows
-	return out, nil
-}
-
-// keptStates emits a states-only fragment for the tier above: the merged
-// primitive states of every group kept marks, in group order, and the
-// Response.Kept bitmap naming them (nil when it names every group).
-func (m *keyedMerge) keptStates() (*relation.Relation, []byte, error) {
-	var cols []relation.Column
+	cols := append([]relation.Column(nil), m.schema.Cols[:echo]...)
 	for _, sp := range m.specs {
 		cols = append(cols, sp.SubColumns()...)
 	}
@@ -235,15 +224,15 @@ func (m *keyedMerge) keptStates() (*relation.Relation, []byte, error) {
 		return nil, nil, err
 	}
 	out := relation.New(schema)
-	for gi := range m.rows {
-		if m.kept[gi/8]&(1<<(gi%8)) == 0 {
+	for gi, row := range m.rows {
+		if m.kept != nil && m.kept[gi/8]&(1<<(gi%8)) == 0 {
 			continue
 		}
-		row := make(relation.Row, m.accs.Width())
-		for p := range row {
-			row[p] = m.accs.Result(gi, p)
+		nr := append(make(relation.Row, 0, schema.Len()), row[:echo]...)
+		for p := 0; p < m.accs.Width(); p++ {
+			nr = append(nr, m.accs.Result(gi, p))
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, nr)
 	}
 	if out.Len() == len(m.rows) {
 		return out, nil, nil

@@ -143,7 +143,7 @@ func prepare(plan *Plan, steps []Step) {
 	}
 	for si, step := range steps {
 		step.Name = fmt.Sprintf("step %d", si+1)
-		req := transport.Request{Op: transport.OpEvalRounds, Keys: plan.Keys}
+		req := transport.Request{Op: transport.OpEvalRounds}
 		if step.FuseBase {
 			req.Detail, req.BaseCols, req.BaseWhere = plan.Detail, q.Base.Cols, where
 		}

@@ -164,8 +164,11 @@ func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment,
 	}
 	close(stream)
 	var rs RoundStats
-	out, _, err := (&Coordinator{}).synchronize(x, stream, step, []string{"CustName"}, ships, &rs)
-	return out, err
+	m, _, err := (&Coordinator{}).synchronize(x, stream, step, ships, &rs, false)
+	if err != nil {
+		return nil, err
+	}
+	return m.finalized()
 }
 
 // TestSynchronizeRefusesMisplacedStates: a states-only reply must carry one

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/gmdj"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/site"
 	"repro/internal/tpcr"
@@ -206,26 +208,22 @@ func TestRelayErrors(t *testing.T) {
 	}
 }
 
-// TestRelayPassThroughWithoutKeys: a fused round request without merge
-// keys degrades to a pass-through union at the relay (still one message
-// upstream): every child's groups, each child's own.
-func TestRelayPassThroughWithoutKeys(t *testing.T) {
+// TestRelayFusedMergesOnBaseCols: a fused round request merges its
+// children's keyed replies on BaseCols, which are K: one row per distinct
+// SourceAS across both children, with their counts summed.
+func TestRelayFusedMergesOnBaseCols(t *testing.T) {
 	rows := testRows(100, 41)
 	parts := []*relation.Relation{relation.New(flowSchema()), relation.New(flowSchema())}
+	want := map[int64]int64{}
 	for i, row := range rows {
 		parts[i%2].Rows = append(parts[i%2].Rows, row)
+		want[row[0].I]++
 	}
 	var children []transport.Client
-	groups := 0
 	for i, part := range parts {
 		eng := site.NewEngine(fmt.Sprintf("leaf%d", i))
 		eng.Load("flow", part)
 		children = append(children, transport.NewLocalClient(eng.ID(), eng, transport.CostModel{}))
-		b, err := gmdj.EvalBase(part, gmdj.BaseDef{Cols: []string{"SourceAS"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups += b.Len()
 	}
 	relay, err := NewRelay(children, 0, 2)
 	if err != nil {
@@ -240,13 +238,21 @@ func TestRelayPassThroughWithoutKeys(t *testing.T) {
 			Aggs:   [][]string{{"count(*) AS c"}},
 			Thetas: []string{"F.SourceAS = B.SourceAS"},
 		}},
-		// No Keys: pass-through union of both children's fragments.
 	})
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != groups {
-		t.Errorf("pass-through rows = %d, want %d", resp.Rel.Len(), groups)
+	if got := resp.Rel.Schema.String(); got != "(SourceAS:INT, c__p0:INT)" {
+		t.Errorf("reply schema %s", got)
+	}
+	if resp.Rel.Len() != len(want) {
+		t.Errorf("reply has %d rows for %d distinct SourceAS", resp.Rel.Len(), len(want))
+	}
+	for _, row := range resp.Rel.Rows {
+		if n := want[row[0].I]; row[1].I != n {
+			t.Errorf("SourceAS %d: count %d, want %d", row[0].I, row[1].I, n)
+		}
+		delete(want, row[0].I)
 	}
 }
 
@@ -274,7 +280,7 @@ func (h *ctxProbeHandler) Handle(ctx context.Context, req *transport.Request) *t
 
 // TestRelayCancellationPropagates: cancelling the root context of a
 // tree-mode query must reach the leaves through the relay tier. This
-// guards the context threading in Relay.fanout — with child calls made
+// guards the context threading in the relay's broadcast — with child calls made
 // under context.Background() (the pre-refactor behavior flagged by the
 // ctxflow analyzer) the leaves would block until their own timeout and
 // this test fails.
@@ -324,6 +330,217 @@ func TestRelayCancellationPropagates(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("leaf%d never observed cancellation: relay did not thread the request context", i)
 		}
+	}
+}
+
+// TestRelayFailsFast: a failing child cancels its siblings at once, as at
+// the root: the relay answers with the child's error instead of waiting for
+// its slowest sibling, and the sibling observes the cancellation.
+func TestRelayFailsFast(t *testing.T) {
+	probe := newCtxProbeHandler()
+	failing := handlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
+		<-probe.started // fail once the sibling is busy
+		return &transport.Response{Err: "child0 down"}
+	})
+	relay, err := NewRelay([]transport.Client{
+		transport.NewLocalClient("leaf0", failing, transport.CostModel{}),
+		transport.NewLocalClient("leaf1", probe, transport.CostModel{}),
+	}, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp := relay.Handle(context.Background(), &transport.Request{
+		Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"}})
+	if err := resp.Error(); err == nil || !strings.Contains(err.Error(), "child0 down") {
+		t.Fatalf("relay answered %v, want child0's error", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("relay answered after %v: it waited for the sibling", d)
+	}
+	select {
+	case <-probe.saw:
+	case <-time.After(5 * time.Second):
+		t.Fatal("sibling never observed cancellation")
+	}
+}
+
+// handlerFunc adapts a function to transport.Handler.
+type handlerFunc func(ctx context.Context, req *transport.Request) *transport.Response
+
+func (f handlerFunc) Handle(ctx context.Context, req *transport.Request) *transport.Response {
+	return f(ctx, req)
+}
+
+// TestRelayForwardsEpochDone: a tagged execution through relays ends with
+// every leaf's replay-dedup cache empty, and a child's refusal of the
+// notification is not counted as an acknowledgement.
+func TestRelayForwardsEpochDone(t *testing.T) {
+	rows := testRows(300, 17)
+	engines := make([]*site.Engine, 4)
+	var leaves []transport.Client
+	for i := range engines {
+		engines[i] = site.NewEngine(fmt.Sprintf("leaf%d", i))
+		part := relation.New(flowSchema())
+		for j := i; j < len(rows); j += len(engines) {
+			part.Rows = append(part.Rows, rows[j])
+		}
+		engines[i].Load("flow", part)
+		var h transport.Handler = engines[i]
+		if i == 3 {
+			// Leaf 3 refuses the notification, so relay1 does too.
+			h = handlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
+				if req.Op == transport.OpEpochDone {
+					return &transport.Response{Err: "epochDone refused"}
+				}
+				return engines[3].Handle(ctx, req)
+			})
+		}
+		leaves = append(leaves, transport.NewLocalClient(engines[i].ID(), h, transport.CostModel{}))
+	}
+	var relays []transport.Client
+	for r := 0; r < 2; r++ {
+		relay, err := NewRelay(leaves[2*r:2*r+2], 2*r, len(leaves))
+		if err != nil {
+			t.Fatal(err)
+		}
+		relays = append(relays, transport.NewLocalClient(fmt.Sprintf("relay%d", r), relay, transport.CostModel{}))
+	}
+	coord := NewCoordinator(relays...)
+	coord.Replays = 1
+	coord.Obs = obs.New()
+	if _, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: catalog.New()}); err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range engines[:3] {
+		if n := eng.ReplayCacheSize(); n != 0 {
+			t.Errorf("%s holds %d replay entries after the execution completed", eng.ID(), n)
+		}
+	}
+	if n := engines[3].ReplayCacheSize(); n == 0 {
+		t.Error("the refusing leaf evicted its replay entries")
+	}
+	if acks := coord.Obs.Metrics.CounterValue("coord.epoch_done_acks"); acks != 1 {
+		t.Errorf("coord.epoch_done_acks = %d, want 1 (relay1's refusal is no ack)", acks)
+	}
+}
+
+// tierRecorder wraps the nodes of wireCluster's relay tree and records,
+// for every request a relay handled, its reply and the exchanges its
+// children had for it.
+type tierRecorder struct {
+	leaves  int
+	mu      sync.Mutex
+	current map[int]*tierExchange // by relay, while it handles a request
+	done    []*tierExchange
+}
+
+// exchangeRec is one request a node handled and its reply.
+type exchangeRec struct {
+	req  *transport.Request
+	resp *transport.Response
+}
+
+type tierExchange struct {
+	exchangeRec
+	children []exchangeRec
+}
+
+func (rec *tierRecorder) wrap(i int, h transport.Handler) transport.Handler {
+	if i < rec.leaves {
+		relay := i % 2 // leaves 0 and 2 under relay0, 1 and 3 under relay1
+		return handlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
+			rec.mu.Lock()
+			ex := rec.current[relay]
+			rec.mu.Unlock()
+			resp := h.Handle(ctx, req)
+			if ex == nil {
+				return resp // a flat cluster's site
+			}
+			rec.mu.Lock()
+			ex.children = append(ex.children, exchangeRec{req, resp})
+			rec.mu.Unlock()
+			return resp
+		})
+	}
+	return handlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
+		ex := &tierExchange{exchangeRec: exchangeRec{req: req}}
+		rec.mu.Lock()
+		rec.current[i-rec.leaves] = ex
+		rec.mu.Unlock()
+		resp := h.Handle(ctx, req)
+		rec.mu.Lock()
+		ex.resp = resp
+		rec.done = append(rec.done, ex)
+		rec.mu.Unlock()
+		return resp
+	})
+}
+
+// keptBits expands a Response.Kept bitmap over n shipped rows; nil marks
+// every row.
+func keptBits(kept []byte, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = kept == nil || kept[i/8]&(1<<(i%8)) != 0
+	}
+	return out
+}
+
+// TestRelayReplyShape: across the two-tier half of the wire matrix, a
+// relay answers every evaluation request in the shape its leaves answer
+// it with — the same reply schema — and a states-only reply's Kept bitmap
+// is the OR of its children's.
+func TestRelayReplyShape(t *testing.T) {
+	rec := &tierRecorder{leaves: 4, current: map[int]*tierExchange{}}
+	wireMatrix(t, rec.wrap)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	evals, ored := 0, 0
+	for _, ex := range rec.done {
+		if ex.resp.Error() != nil || ex.req.Op != transport.OpEvalBase && ex.req.Op != transport.OpEvalRounds {
+			continue
+		}
+		if len(ex.children) != 2 {
+			t.Fatalf("%s answered with %d children's replies", ex.req.Op, len(ex.children))
+		}
+		evals++
+		var want []bool
+		if ex.req.ShipsBase() {
+			want = make([]bool, ex.req.Base.Len())
+		}
+		for _, ch := range ex.children {
+			if !ex.resp.Rel.Schema.Equal(ch.resp.Rel.Schema) {
+				t.Fatalf("%s round %d: relay replied %s, leaf %s", ex.req.Op, ex.req.Round, ex.resp.Rel.Schema, ch.resp.Rel.Schema)
+			}
+			if ch.resp.Kept != nil {
+				ored++
+			}
+			for i, k := range keptBits(ch.resp.Kept, len(want)) {
+				want[i] = want[i] || k
+			}
+		}
+		if !ex.req.ShipsBase() {
+			if ex.resp.Kept != nil {
+				t.Errorf("keyed %s reply carries a Kept bitmap", ex.req.Op)
+			}
+			continue
+		}
+		got, rows := keptBits(ex.resp.Kept, len(want)), 0
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Kept bit %d = %v, want the OR of the children's, %v", i, got[i], want[i])
+			}
+			if got[i] {
+				rows++
+			}
+		}
+		if ex.resp.Rel.Len() != rows {
+			t.Errorf("states-only reply has %d rows for %d kept groups", ex.resp.Rel.Len(), rows)
+		}
+	}
+	if evals == 0 || ored == 0 {
+		t.Errorf("matrix checked %d relay evaluations, %d children's Kept bitmaps; want both", evals, ored)
 	}
 }
 

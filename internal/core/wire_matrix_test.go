@@ -99,11 +99,12 @@ func (f failEval) Handle(ctx context.Context, req *transport.Request) *transport
 	return f.Handler.Handle(ctx, req)
 }
 
-// wireCluster serves parts from in-process leaf sites, each behind the
-// handler wrap returns for its engine, flat or under two relays — leaves
-// 0 and 2 under relay0, 1 and 3 under relay1, so each relay holds exactly
-// the nations a two-site split assigns it. The catalog describes the
-// sites the coordinator talks to.
+// wireCluster serves parts from in-process leaf sites, flat or under two
+// relays — leaves 0 and 2 under relay0, 1 and 3 under relay1, so each
+// relay holds exactly the nations a two-site split assigns it. Every node
+// serves behind the handler wrap returns for it: leaf i as node i, relay r
+// as node len(parts)+r. The catalog describes the sites the coordinator
+// talks to.
 func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap func(i int, h transport.Handler) transport.Handler) (*Coordinator, *catalog.Catalog) {
 	t.Helper()
 	leaves := make([]transport.Client, len(parts))
@@ -120,7 +121,7 @@ func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap fun
 			if err != nil {
 				t.Fatal(err)
 			}
-			clients = append(clients, transport.NewLocalClient(fmt.Sprintf("relay%d", r), relay, transport.CostModel{}))
+			clients = append(clients, transport.NewLocalClient(fmt.Sprintf("relay%d", r), wrap(len(parts)+r, relay), transport.CostModel{}))
 		}
 	}
 	ids := make([]string, len(clients))
@@ -152,8 +153,9 @@ func sortedCSV(t *testing.T, r *relation.Relation, keys []string) string {
 }
 
 // wireMatrix runs the matrix, checking every answer against gmdj.EvalQuery
-// over the partitions whose sites answered; wrap builds each leaf's
-// handler (the lost leaf's is wrapped once more, in failEval).
+// over the partitions whose sites answered; wrap builds each node's
+// handler as wireCluster numbers them (the lost leaf's is wrapped once
+// more, in failEval).
 func wireMatrix(t *testing.T, wrap func(i int, h transport.Handler) transport.Handler) []wireCase {
 	t.Helper()
 	parts := fig5Parts(t)

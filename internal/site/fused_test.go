@@ -33,7 +33,7 @@ func fusedRequest(where string) *transport.Request {
 	const eq = "F.CustGroup = B.CustGroup"
 	return &transport.Request{
 		Op: transport.OpEvalRounds, Detail: "tpcr",
-		BaseCols: []string{"CustGroup"}, BaseWhere: where, Keys: []string{"CustGroup"},
+		BaseCols: []string{"CustGroup"}, BaseWhere: where,
 		Rounds: []transport.RoundSpec{
 			{
 				Detail: "tpcr", BaseAlias: "B", DetailAlias: "R", Finalize: true,
@@ -122,7 +122,7 @@ func TestMixedKindRelationRefused(t *testing.T) {
 	e.Load("flows", bad)
 	evalBase := &transport.Request{Op: transport.OpEvalBase, Detail: "flows", BaseCols: []string{"K"}}
 	evalRounds := &transport.Request{
-		Op: transport.OpEvalRounds, Detail: "flows", BaseCols: []string{"K"}, Keys: []string{"K"},
+		Op: transport.OpEvalRounds, Detail: "flows", BaseCols: []string{"K"},
 		Rounds: []transport.RoundSpec{{
 			Detail: "flows", BaseAlias: "B", DetailAlias: "R",
 			Aggs: [][]string{{"sum(F.Q) AS s"}}, Thetas: []string{"F.K = B.K"},

@@ -22,7 +22,6 @@ type predeadlineRequest struct {
 	Detail    string
 	Base      *relation.Relation
 	Rounds    []RoundSpec
-	Keys      []string
 	Epoch     string
 	Round     int
 	QueryID   string

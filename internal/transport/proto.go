@@ -179,7 +179,10 @@ type Request struct {
 	// OpEvalRounds, a non-empty BaseCols means "compute the base locally
 	// from the detail relation" (Proposition 2) and gets the keyed reply;
 	// otherwise Base carries the shipped base-result fragment and gets the
-	// states-only reply (ShipsBase).
+	// states-only reply (ShipsBase). BaseCols are the key K of the
+	// base-result structure, so whoever merges keyed replies — the
+	// coordinator, or a relay tier pre-merging its children's — keys them
+	// on BaseCols.
 	BaseCols  []string
 	BaseWhere string
 	Detail    string
@@ -189,12 +192,6 @@ type Request struct {
 	// one round means chained local evaluation (synchronization
 	// reduction, Theorem 5 / Corollary 1).
 	Rounds []RoundSpec
-
-	// Keys are the key attributes K of the base-result structure. Leaf
-	// sites do not need them; relay tiers (multi-tier coordination) use
-	// them to pre-merge their children's sub-aggregates before
-	// forwarding upstream.
-	Keys []string
 
 	// Epoch identifies one plan execution for recovery: the coordinator
 	// tags every eval request of an execution with the same epoch so a

@@ -34,7 +34,6 @@ func TestRequestGobRoundTrip(t *testing.T) {
 		BaseCols:  []string{"SourceAS", "DestAS"},
 		BaseWhere: "F.NumBytes > 0",
 		Base:      sampleRelation(10),
-		Keys:      []string{"SourceAS"},
 		Gen: &GenSpec{
 			Kind: "tpcr", Rel: "tpcr",
 			Params: map[string]int64{"rows": 100, "seed": 7},
@@ -54,7 +53,7 @@ func TestRequestGobRoundTrip(t *testing.T) {
 	if back.Op != req.Op || back.Rel != req.Rel || back.BaseWhere != req.BaseWhere {
 		t.Errorf("scalar fields lost: %+v", back)
 	}
-	if !reflect.DeepEqual(back.BaseCols, req.BaseCols) || !reflect.DeepEqual(back.Keys, req.Keys) {
+	if !reflect.DeepEqual(back.BaseCols, req.BaseCols) {
 		t.Error("slices lost")
 	}
 	if !reflect.DeepEqual(back.Rounds, req.Rounds) {
@@ -65,6 +64,45 @@ func TestRequestGobRoundTrip(t *testing.T) {
 	}
 	if back.Base.Len() != req.Base.Len() {
 		t.Error("base relation lost")
+	}
+}
+
+// keysRequest is a request of the protocol that still carried the key K as
+// Request.Keys beside BaseCols.
+type keysRequest struct {
+	Op       Op
+	BaseCols []string
+	Rounds   []RoundSpec
+	Keys     []string
+}
+
+// TestKeysFieldSkew: gob skips a field the receiver lacks, so a request
+// from a peer that still sends Keys decodes cleanly, and one without it
+// decodes on that peer with Keys empty.
+func TestKeysFieldSkew(t *testing.T) {
+	old := &keysRequest{Op: OpEvalRounds, BaseCols: []string{"SourceAS"},
+		Rounds: deadlineSampleRounds(), Keys: []string{"SourceAS"}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var req Request
+	if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
+		t.Fatalf("decode a request with Keys: %v", err)
+	}
+	if req.Op != old.Op || !reflect.DeepEqual(req.BaseCols, old.BaseCols) || !reflect.DeepEqual(req.Rounds, old.Rounds) {
+		t.Errorf("request with Keys decoded wrong: %+v", req)
+	}
+	var back keysRequest
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&req); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		t.Fatalf("decode into the old field set: %v", err)
+	}
+	if back.Keys != nil || !reflect.DeepEqual(back.BaseCols, old.BaseCols) {
+		t.Errorf("old peer decoded %+v", back)
 	}
 }
 
@@ -91,7 +129,6 @@ type legacyRequest struct {
 	Detail     string
 	Base       *relation.Relation
 	Rounds     []RoundSpec
-	Keys       []string
 	Epoch      string
 	Round      int
 	QueryID    string

@@ -68,6 +68,25 @@ func TestTreeClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTreeClusterStatusSumsLeaves: a relay reports a relation's rows over
+// its whole subtree, so Status counts what Generate made at each relay.
+func TestTreeClusterStatusSumsLeaves(t *testing.T) {
+	tree, err := NewTreeCluster(TreeConfig{Leaves: 4, Fanout: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	counts, err := tree.Generate("tpcr", "tpcr", tpcr.GenParams(tpcr.Config{Rows: 2000, Customers: 50, Seed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range tree.Status("tpcr") {
+		if !st.Reachable || st.Relations["tpcr"] != counts[i] {
+			t.Errorf("%s: status %s, generated %d rows", st.ID, st, counts[i])
+		}
+	}
+}
+
 func TestTreeClusterLoadAddressesLeaves(t *testing.T) {
 	tree, err := NewTreeCluster(TreeConfig{Leaves: 4, Fanout: 2})
 	if err != nil {
