@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -63,7 +64,21 @@ func FuzzVecVsRow(f *testing.F) {
 			}},
 			Thetas: []expr.Expr{expr.Binary{Op: "AND", L: expr.MustParse("F.K = B.K"), R: fuzzExpr(rng, 3)}},
 		}
-		for _, md := range []MD{md, random} {
+		// A base keyed on P as well holds its NaN, ±0 and NULL values, which
+		// a conjunction of numeric comparisons reads per base row.
+		bp, err := EvalBase(detail, BaseDef{Cols: []string{"K", "P"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		numeric := MD{
+			Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS nc"), agg.MustParseSpec("sum(F.P) AS np")}},
+			Thetas: []expr.Expr{fuzzNumericConj(rng)},
+		}
+		for _, tc := range []struct {
+			b  *relation.Relation
+			md MD
+		}{{b, md}, {b, random}, {bp, numeric}} {
+			b, md := tc.b, tc.md
 			want, rowErr := rowSub(b, detail, md, SubOpts{Finalize: true, Touched: true})
 			for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
 				got, vecErr := EvalSub(b, detail, md, SubOpts{Workers: workers, Finalize: true, Touched: true})
@@ -119,6 +134,22 @@ func fuzzExpr(rng *rand.Rand, depth int) expr.Expr {
 	}
 }
 
+// fuzzNumericConj is an equi θ conjoined with one to three comparisons of
+// a numeric detail column against a base column, in random operand order.
+func fuzzNumericConj(rng *rand.Rand) expr.Expr {
+	var e expr.Expr = expr.MustParse("F.K = B.K")
+	for n := rng.Intn(3) + 1; n > 0; n-- {
+		x := expr.Col{Qual: "F", Name: []string{"P", "Q", "K", "Flag"}[rng.Intn(4)]}
+		y := expr.Col{Qual: "B", Name: []string{"P", "K"}[rng.Intn(2)]}
+		c := expr.Binary{Op: []string{"=", "!=", "<", "<=", ">", ">="}[rng.Intn(6)], L: x, R: y}
+		if rng.Intn(2) == 0 {
+			c.L, c.R = y, x
+		}
+		e = expr.Binary{Op: "AND", L: e, R: c}
+	}
+	return e
+}
+
 // baseWheres are the base-values filters the fuzzer rotates through: none,
 // predicates over every column kind, one that raises the row engine's
 // compare error, CASE and every scalar call, and a CASE arm that fails for
@@ -165,7 +196,8 @@ func fuzzBase(t *testing.T, detail *relation.Relation, shape int) {
 }
 
 // fuzzDetail is randDetail plus fuzz-only hostility: occasional kind
-// strays in the Q column (a relation the site refuses) and duplicated rows.
+// strays in the Q column (a relation the site refuses), NaN and ±0 in the
+// P column, and duplicated rows.
 // Floats stay within int64 range: Key() overflows int64 conversion on
 // out-of-range integral floats, which is platform-defined and not a
 // contract either evaluation needs to chase.
@@ -174,6 +206,9 @@ func fuzzDetail(rng *rand.Rand, n int) *relation.Relation {
 	for i := range r.Rows {
 		if rng.Intn(40) == 0 {
 			r.Rows[i][2] = value.NewFloat(float64(rng.Intn(100)) / 4) // Float straying into the Int column
+		}
+		if rng.Intn(10) == 0 {
+			r.Rows[i][3] = value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(3)])
 		}
 		if rng.Intn(20) == 0 && i > 0 {
 			r.Rows[i] = r.Rows[i-1]

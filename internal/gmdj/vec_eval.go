@@ -5,7 +5,6 @@ package gmdj
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -20,12 +19,13 @@ import (
 // equality conjuncts are extracted, the residual is evaluated per candidate
 // pair, and matched detail rows feed the aggregate accumulators. The
 // orientation flips, though: instead of hashing B and scanning R row by
-// row, the DETAIL side is bucketed by equi-key hash once, and each base
-// row probes its bucket, filters candidates with a compiled
-// column-program, and accumulates the matched lanes column-wise.
+// row, the DETAIL side is grouped by equi key once (vec.Grouping), and
+// each base row resolves its key to one group, filters the group's lanes
+// with a compiled column-program, and accumulates the matched lanes
+// column-wise.
 //
 // Byte-exactness with the row engine follows from two invariants:
-//   - bucket lanes are kept in detail scan order and Filter preserves
+//   - group lanes are kept in detail scan order and Filter preserves
 //     selection order, so every accumulator folds exactly the values the
 //     row engine's detail scan would feed it, in the same order (float
 //     accumulation is order-sensitive);
@@ -144,22 +144,20 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 type thetaPlan struct {
 	residual expr.Expr
 	// trivial marks a constant-TRUE residual (a pure equi condition):
-	// every bucket candidate matches and the filter pass is skipped.
+	// every candidate lane matches and the filter pass is skipped.
 	trivial bool
 	// aggs is l_i; its specs are specBase.. in the MD's flattened order.
 	aggs     []agg.Spec
 	specBase int
 	bIdx     []int // base positions of the equi key; nil when no equi pairs
-	rIdx     []int // detail positions of the equi key
-	matchers []keyMatcher
-	// buckets maps the chained key hash to detail lanes in scan order;
-	// nil when the condition has no equi pairs (every lane is a
-	// candidate). Probed concurrently, never mutated after planning.
-	buckets map[uint64][]int32
+	// groups are the detail lanes by equi key, each group one key in scan
+	// order; nil when the condition has no equi pairs (every lane is a
+	// candidate). Probed concurrently, never mutated.
+	groups *vec.Grouping
 }
 
-// planThetas builds the shared per-θ plans: equi keys and detail-side hash
-// buckets. Residuals and arguments compile per worker (run); md.Validate
+// planThetas builds the shared per-θ plans: equi keys and detail-side key
+// groupings. Residuals and arguments compile per worker (run); md.Validate
 // has already bound every one of them.
 func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
 	plans := make([]thetaPlan, len(md.Thetas))
@@ -171,8 +169,7 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 		pl.trivial = expr.IsTrue(pl.residual)
 		if len(pairs) > 0 {
 			pl.bIdx = make([]int, len(pairs))
-			pl.rIdx = make([]int, len(pairs))
-			pl.matchers = make([]keyMatcher, len(pairs))
+			rIdx := make([]int, len(pairs))
 			for i, p := range pairs {
 				bi, err := b.Schema.MustLookup(p.Base.Name)
 				if err != nil {
@@ -182,11 +179,10 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 				if err != nil {
 					return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 				}
-				pl.bIdx[i], pl.rIdx[i] = bi, ri
-				pl.matchers[i] = keyMatcher{col: &batch.Cols[ri], bIdx: bi}
+				pl.bIdx[i], rIdx[i] = bi, ri
 			}
 			var err error
-			if pl.buckets, err = batch.Buckets(pl.rIdx); err != nil {
+			if pl.groups, err = batch.Grouping(rIdx); err != nil {
 				return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 			}
 		}
@@ -202,9 +198,7 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 // pick) are per operator.
 type vecWorker struct {
 	scratch  vec.Scratch
-	candBuf  []int32
 	matchBuf []int32
-	needles  []needle
 
 	stats    vec.Stats
 	err      error
@@ -258,49 +252,18 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 		}
 	}
 
-	maxKeys := 0
-	for ti := range plans {
-		if len(plans[ti].matchers) > maxKeys {
-			maxKeys = len(plans[ti].matchers)
-		}
-	}
-	for len(ws.needles) < maxKeys {
-		ws.needles = append(ws.needles, needle{})
-	}
-	needles, candBuf, matchBuf := ws.needles, ws.candBuf, ws.matchBuf
-	defer func() { ws.candBuf, ws.matchBuf = candBuf, matchBuf }()
+	matchBuf := ws.matchBuf
+	defer func() { ws.matchBuf = matchBuf }()
 	for g := lo; g < hi; g++ {
 		row := b.Rows[g]
 		for ti := range plans {
 			pl := &plans[ti]
-			var cands []int32
-			if pl.buckets == nil {
-				// No equi pairs: every lane is a candidate.
-				cands = batch.AllLanes()
-			} else {
-				bucket := pl.buckets[relation.HashRow(row, pl.bIdx)]
-				candBuf = candBuf[:0]
-				if len(bucket) > 0 {
-					// Hoist the base-side key classification out of the
-					// candidate loop; each lane then verifies on raw
-					// payloads.
-					for k := range pl.matchers {
-						needles[k] = pl.matchers[k].resolve(row[pl.matchers[k].bIdx])
-					}
-					for _, lane := range bucket {
-						ok := true
-						for k := range pl.matchers {
-							if !pl.matchers[k].matches(needles[k], lane) {
-								ok = false
-								break
-							}
-						}
-						if ok {
-							candBuf = append(candBuf, lane)
-						}
-					}
-				}
-				cands = candBuf
+			// With equi pairs the candidates are the one detail key group
+			// the base row's key names — the exact match rule of the row
+			// engine's Key() probe — and without them every lane.
+			cands := batch.AllLanes()
+			if pl.groups != nil {
+				cands = pl.groups.Find(row, pl.bIdx)
 			}
 			if len(cands) == 0 {
 				// No candidate pairs: the row engine evaluates nothing
@@ -364,93 +327,6 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 			}
 		}
 	}
-}
-
-// keyMatcher verifies hash-bucket candidates for one equi-key column:
-// the detail lane must fall in the same Key() equivalence class as the
-// base row's value — the exact match rule of the row engine's string-key
-// probe (NULL matches NULL, integral floats match ints, NaN matches NaN
-// and nothing else). value.Equal is not usable here: Compare returns 0
-// for NaN-vs-number (no float ordering), but their Key() strings differ.
-// The matcher works on raw column payloads; the base side is classified
-// once per base row (resolve) and each candidate lane is then a direct
-// payload comparison (matches).
-type keyMatcher struct {
-	col  *vec.Col
-	bIdx int
-}
-
-// needle is a base-row key value resolved against a detail column: its
-// Key() class plus, for string columns, the dictionary code (-1 when the
-// string is absent from the dictionary, so no lane can match).
-type needle struct {
-	tag  byte
-	i    int64
-	f    float64
-	code int32
-}
-
-func (m *keyMatcher) resolve(v value.V) needle {
-	tag, i, f := keyClass(v)
-	nd := needle{tag: tag, i: i, f: f, code: -1}
-	if tag == 3 {
-		nd.f = 0
-		if c, ok := m.col.DictCode(v.S); ok {
-			nd.code = c
-		}
-	}
-	return nd
-}
-
-func (m *keyMatcher) matches(nd needle, lane int32) bool {
-	c := m.col
-	if c.IsNull(int(lane)) {
-		return nd.tag == 0
-	}
-	switch c.Kind {
-	case value.KindBool, value.KindInt:
-		return nd.tag == 1 && nd.i == c.Ints[lane]
-	case value.KindFloat:
-		f := c.Floats[lane]
-		if f == math.Trunc(f) && !math.IsInf(f, 0) &&
-			f >= math.MinInt64 && f <= math.MaxInt64 {
-			return nd.tag == 1 && nd.i == int64(f)
-		}
-		if nd.tag != 2 {
-			return false
-		}
-		// Non-integral floats: Key() formats with 'g'/-1, which is
-		// injective on non-NaN values; every NaN prints "NaN".
-		if math.IsNaN(f) || math.IsNaN(nd.f) {
-			return math.IsNaN(f) && math.IsNaN(nd.f)
-		}
-		return nd.f == f
-	case value.KindString:
-		return nd.tag == 3 && nd.code == c.Codes[lane]
-	default:
-		// A KindNull column holds no non-NULL lanes.
-		return false
-	}
-}
-
-// keyClass mirrors value.V.Key's tagging: 0 NULL, 1 integral (ints,
-// bools, and in-range integral floats), 2 non-integral float, 3 string.
-func keyClass(v value.V) (tag byte, i int64, f float64) {
-	switch v.K {
-	case value.KindNull:
-		return 0, 0, 0
-	case value.KindBool, value.KindInt:
-		return 1, v.I, 0
-	case value.KindFloat:
-		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) &&
-			f >= math.MinInt64 && f <= math.MaxInt64 {
-			return 1, int64(f), 0
-		}
-		return 2, 0, v.F
-	case value.KindString:
-		return 3, 0, 0
-	}
-	return 0, 0, 0
 }
 
 // feedAcc folds an evaluated argument vector into slot g of primitive p's

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/agg"
@@ -360,6 +361,45 @@ func TestVecErrorPresenceMatchesRow(t *testing.T) {
 			}
 		} else if !strings.Contains(vecErr.Error(), tc.wantErr) {
 			t.Fatalf("%s: vec error %q not attributed to %s", tc.name, vecErr, tc.wantErr)
+		}
+	}
+}
+
+// TestVecConcurrentFirstProbe: eight evaluations start at once on one
+// fresh detail batch, so the first build of its key groupings is
+// contended and every kernel worker reads the memo the others built —
+// under -race, the check that the groupings are published safely.
+func TestVecConcurrentFirstProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	detail := randDetail(rng, 400)
+	b := diffBase(t, detail)
+	md := diffMDs()[3]
+	want, err := rowSub(b, detail, md, SubOpts{Finalize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := vec.FromRelation(detail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	diffs := make([]string, 8)
+	for i := range diffs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := EvalSub(b, detail, md, SubOpts{Finalize: true, Workers: 2, DetailBatch: batch})
+			if err != nil {
+				diffs[i] = err.Error()
+				return
+			}
+			diffs[i] = exactRows(want, got)
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range diffs {
+		if d != "" {
+			t.Errorf("evaluation %d: %s", i, d)
 		}
 	}
 }

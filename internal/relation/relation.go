@@ -9,6 +9,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -238,22 +239,51 @@ func HashRow(row Row, idx []int) uint64 {
 }
 
 // KeysEqual reports whether two rows agree on the projected key columns,
-// using the same equivalence as RowKey (NULL matches NULL, numerically
-// equal ints and floats match).
+// using the same equivalence as RowKey: SameKey on every column.
 func KeysEqual(a Row, aIdx []int, b Row, bIdx []int) bool {
 	for i := range aIdx {
-		av, bv := a[aIdx[i]], b[bIdx[i]]
-		if av.IsNull() || bv.IsNull() {
-			if av.K != bv.K {
-				return false
-			}
-			continue
-		}
-		if !value.Equal(av, bv) {
+		if !SameKey(a[aIdx[i]], b[bIdx[i]]) {
 			return false
 		}
 	}
 	return true
+}
+
+// SameKey reports whether a.Key() == b.Key() without building either
+// string: NULL matches only NULL, ints, bools and integral floats match by
+// their int64 form, NaN matches only NaN, and any other float or string
+// matches only itself.
+func SameKey(a, b value.V) bool {
+	ai, aInt := integralKey(a)
+	bi, bInt := integralKey(b)
+	if aInt || bInt {
+		return aInt && bInt && ai == bi
+	}
+	if a.K != b.K {
+		return false
+	}
+	switch a.K {
+	case value.KindFloat:
+		return a.F == b.F || (a.F != a.F && b.F != b.F)
+	case value.KindString:
+		return a.S == b.S
+	}
+	return true
+}
+
+// integralKey is value.V.Key's integral class: the int64 a value's key
+// renders, for ints, bools and in-range integral floats.
+func integralKey(v value.V) (int64, bool) {
+	switch v.K {
+	case value.KindBool, value.KindInt:
+		return v.I, true
+	case value.KindFloat:
+		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) &&
+			f >= math.MinInt64 && f <= math.MaxInt64 {
+			return int64(f), true
+		}
+	}
+	return 0, false
 }
 
 // Project returns the named columns of every row, in row order; unlike
@@ -313,7 +343,8 @@ func (r *Relation) DistinctProject(names []string) (*Relation, error) {
 // collision and verified by the caller's equality (KeysEqual on rows,
 // its lane equivalent on a columnar batch), so no key string is built per
 // row. It is the one place that decides which entry a key resolves to for
-// DistinctProject, the coordinator's merge and the vec distinct kernel.
+// DistinctProject, the coordinator's merge, the vec distinct kernel and
+// the GMDJ equi probe.
 // Positions must be added in order, 0, 1, 2, ... The zero value is an
 // empty index.
 type KeyIndex struct {

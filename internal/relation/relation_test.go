@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -229,5 +230,34 @@ func TestSortKeysDesc(t *testing.T) {
 	}
 	if err := r.SortKeys(SortKey{Name: "missing"}); err == nil {
 		t.Error("SortKeys(missing) should error")
+	}
+}
+
+// TestKeysEqualIsKeyEquality: KeysEqual is exactly equality of Key() — the
+// classes RowKey, DistinctProject and the equi probe group by — on every
+// pair of a table of corner values: value.Equal is not, since it calls NaN
+// equal to every number and rounds large ints to floats.
+func TestKeysEqualIsKeyEquality(t *testing.T) {
+	i, f, s := value.NewInt, value.NewFloat, value.NewString
+	vals := []value.V{
+		value.Null, f(math.NaN()), f(math.Float64frombits(0x7ff8000000000001)),
+		f(0), f(math.Copysign(0, -1)), i(0), i(1), f(1), f(1.5), value.NewBool(true), value.NewBool(false),
+		i(1<<53 + 1), f(1 << 53), i(1 << 53), f(math.Inf(1)), f(math.Inf(-1)),
+		s(""), s("1"), s("a"), s("NaN"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := a.Key() == b.Key()
+			if got := KeysEqual(Row{a}, []int{0}, Row{b}, []int{0}); got != want {
+				t.Errorf("KeysEqual(%#v, %#v) = %v, Key() equality %v", a, b, got, want)
+			}
+			if got := SameKey(a, b); got != want {
+				t.Errorf("SameKey(%#v, %#v) = %v, Key() equality %v", a, b, got, want)
+			}
+		}
+	}
+	// Two columns: every column must match.
+	if KeysEqual(Row{i(1), f(math.NaN())}, []int{0, 1}, Row{f(1), f(2.5)}, []int{0, 1}) {
+		t.Error("two-column keys differing in NaN vs 2.5 compared equal")
 	}
 }

@@ -151,6 +151,21 @@ func TestMixedKindRelationRefused(t *testing.T) {
 	}
 }
 
+// TestFusedVecStatsPinned: the kernel work counters of the Fig. 5 fused
+// request over a 6 000-row partition, as the kernels that first reported
+// them counted it — one batch per filtered or evaluated key group, its
+// lanes scanned, and the lanes residual filters read and kept — so
+// SiteProfile.Vec* keep their meaning however the kernels select lanes.
+func TestFusedVecStatsPinned(t *testing.T) {
+	req := fusedRequest("")
+	req.QueryID = "q-stats"
+	p := handleOK(t, fusedEngine(t, 6000), req).Profile
+	got := [4]int64{p.VecBatches, p.VecRows, p.VecFilterRows, p.VecSelected}
+	if want := [4]int64{1000, 23671, 12000, 5671}; got != want {
+		t.Fatalf("vec stats (batches, rows, filter rows, selected) = %v, want %v", got, want)
+	}
+}
+
 func BenchmarkHandleFused(b *testing.B) {
 	e := fusedEngine(b, 24000)
 	req := fusedRequest("")

@@ -6,30 +6,38 @@ import (
 	"fmt"
 
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
-// grouping is the dense numbering of a batch's lanes by a key-column set:
-// ids[lane] is the lane's group, and groups are numbered in first-seen
-// scan order. Two lanes share a group exactly when
-// relation.DistinctProject would fold their rows together — same chained
-// key hash and relation.KeysEqual on the key columns.
-type grouping struct {
-	ids []int32
-	n   int // number of groups
+// Grouping is the one key structure of a batch per key-column set: the
+// dense numbering of its lanes by key, with each group's lanes. Groups are
+// numbered in first-seen scan order, and two lanes share a group exactly
+// when relation.DistinctProject would fold their rows together — the same
+// chained key hash and relation.KeysEqual on the key columns. The distinct
+// kernel reads each lane's group, and the GMDJ equi probe resolves a base
+// row's key to one group (Find). A Grouping is immutable once built, so
+// concurrent kernels share it without a lock.
+type Grouping struct {
+	keys  []*Col
+	ids   []int32           // ids[lane] is the lane's group
+	index relation.KeyIndex // chained key hash → group
+	first []int32           // first[id] is group id's first lane
+	// Group id's lanes, in scan order, are lanes[offs[id]:offs[id+1]].
+	offs, lanes []int32
 }
 
-// grouping returns the memoized group numbering of the key columns,
-// building it on first use. Like Buckets it lives on the batch, so a site
-// that caches its detail batch pays for hashing the key once, not once
-// per request.
-func (b *Batch) grouping(cols []int) (*grouping, error) {
+// Len returns the number of groups.
+func (g *Grouping) Len() int { return len(g.first) }
+
+// Grouping returns the memoized grouping of the key columns, building it
+// on first use. It lives on the batch, so a site that caches its detail
+// batch pays for hashing the key once, not once per request.
+func (b *Batch) Grouping(cols []int) (*Grouping, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
 	key := fmt.Sprint(cols)
-	b.bucketMu.Lock()
-	defer b.bucketMu.Unlock()
+	b.groupMu.Lock()
+	defer b.groupMu.Unlock()
 	if g, ok := b.groupMemo[key]; ok {
 		return g, nil
 	}
@@ -37,60 +45,77 @@ func (b *Batch) grouping(cols []int) (*grouping, error) {
 	if err := HashLanes(b, cols, b.AllLanes(), hashes); err != nil {
 		return nil, err
 	}
-	g := &grouping{ids: make([]int32, b.n)}
+	g := &Grouping{ids: make([]int32, b.n), keys: make([]*Col, len(cols))}
+	for k, ci := range cols {
+		g.keys[k] = &b.Cols[ci]
+	}
 	// The same index relation.DistinctProject uses, with lane equality in
-	// place of row equality: first[id] is group id's first lane.
-	var index relation.KeyIndex
-	var first []int32
-	var lane int32
-	sameKey := func(id int) bool { return b.keysEqual(cols, first[id], lane) }
+	// place of row equality.
+	var lane int
+	sameKey := func(id int) bool { return g.laneIs(int(g.first[id]), lane) }
 	for l, h := range hashes {
-		lane = int32(l)
-		id, ok := index.Find(h, sameKey)
+		lane = l
+		id, ok := g.index.Find(h, sameKey)
 		if !ok {
-			id = len(first)
-			first = append(first, lane)
-			index.Add(h, id)
+			id = len(g.first)
+			g.first = append(g.first, int32(l))
+			g.index.Add(h, id)
 		}
 		g.ids[l] = int32(id)
 	}
-	g.n = len(first)
+	// The lanes of each group, by a counting sort on ids that keeps scan
+	// order: offs[id] counts up to the end of group id, which is where
+	// group id+1 starts.
+	g.offs = make([]int32, len(g.first)+1)
+	for _, id := range g.ids {
+		g.offs[id+1]++
+	}
+	for id := 1; id < len(g.offs); id++ {
+		g.offs[id] += g.offs[id-1]
+	}
+	g.lanes = make([]int32, b.n)
+	for l, id := range g.ids {
+		g.lanes[g.offs[id]] = int32(l)
+		g.offs[id]++
+	}
+	copy(g.offs[1:], g.offs)
+	g.offs[0] = 0
 	if b.groupMemo == nil {
-		b.groupMemo = make(map[string]*grouping)
+		b.groupMemo = make(map[string]*Grouping)
 	}
 	b.groupMemo[key] = g
 	return g, nil
 }
 
-// keysEqual is relation.KeysEqual on two lanes' raw payloads: NULL matches
-// only NULL, and two floats match unless one orders before the other (so
-// ±0 are one key and NaNs are one key).
-func (b *Batch) keysEqual(cols []int, i, j int32) bool {
-	for _, ci := range cols {
-		c := &b.Cols[ci]
-		ni, nj := c.IsNull(int(i)), c.IsNull(int(j))
-		if ni || nj {
-			if ni != nj {
-				return false
-			}
-			continue
-		}
-		switch c.Kind {
-		case value.KindBool, value.KindInt:
-			if c.Ints[i] != c.Ints[j] {
-				return false
-			}
-		case value.KindFloat:
-			if x, y := c.Floats[i], c.Floats[j]; x < y || x > y {
-				return false
-			}
-		case value.KindString:
-			if c.Codes[i] != c.Codes[j] && c.Dict[c.Codes[i]] != c.Dict[c.Codes[j]] {
-				return false
-			}
+// laneIs reports whether two lanes carry the same key.
+func (g *Grouping) laneIs(i, j int) bool {
+	for _, c := range g.keys {
+		if !relation.SameKey(c.Value(i), c.Value(j)) {
+			return false
 		}
 	}
 	return true
+}
+
+// Find returns the lanes, in scan order, of the group whose key row holds
+// at positions idx (one per key column), or nil when no lane holds it. The
+// key hashes once, and each group on its hash chain is checked on its
+// first lane alone: a group is one key, so the rest of its lanes match
+// exactly when the first does.
+func (g *Grouping) Find(row relation.Row, idx []int) []int32 {
+	id, ok := g.index.Find(relation.HashRow(row, idx), func(id int) bool {
+		lane := int(g.first[id])
+		for k, c := range g.keys {
+			if !relation.SameKey(row[idx[k]], c.Value(lane)) {
+				return false
+			}
+		}
+		return true
+	})
+	if !ok {
+		return nil
+	}
+	return g.lanes[g.offs[id]:g.offs[id+1]]
 }
 
 // Distinct is the set-projection kernel. Of the selected lanes it returns,
@@ -101,12 +126,12 @@ func Distinct(b *Batch, cols []int, sel []int32) ([]int32, error) {
 	if err := b.checkSel(sel); err != nil {
 		return nil, err
 	}
-	g, err := b.grouping(cols)
+	g, err := b.Grouping(cols)
 	if err != nil {
 		return nil, err
 	}
-	seen := NewBitmap(g.n)
-	out := make([]int32, 0, min(g.n, len(sel)))
+	seen := NewBitmap(g.Len())
+	out := make([]int32, 0, min(g.Len(), len(sel)))
 	for _, lane := range sel {
 		id := int(g.ids[lane])
 		if seen.Get(id) {
@@ -114,7 +139,7 @@ func Distinct(b *Batch, cols []int, sel []int32) ([]int32, error) {
 		}
 		seen.Set(id)
 		out = append(out, lane)
-		if len(out) == g.n {
+		if len(out) == g.Len() {
 			break // every group of the batch has been seen
 		}
 	}

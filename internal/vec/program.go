@@ -3,9 +3,11 @@ package vec
 //lint:deterministic vectorized evaluation must match the row engine byte for byte
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -138,7 +140,7 @@ type bufPool[T any] struct{ free, used [][]T }
 
 // grow returns s resliced to n lanes when it is large enough, and a pooled
 // or new buffer otherwise. Capacities are rounded up to a power of two so
-// a node fed slowly growing selections (hash buckets of uneven size) does
+// a node fed slowly growing selections (key groups of uneven size) does
 // not reallocate at every new maximum.
 func (p *bufPool[T]) grow(s []T, n int) []T {
 	if cap(s) >= n {
@@ -341,23 +343,47 @@ func (p *Program) Filter(sel, dst []int32) ([]int32, error) {
 		return dst, nil
 	}
 	for start := 0; start < len(sel); start += chunkLanes {
-		end := start + chunkLanes
-		if end > len(sel) {
-			end = len(sel)
-		}
-		seg := sel[start:end]
-		out, err := p.root.eval(p, seg)
-		if err != nil {
+		seg := sel[start:min(start+chunkLanes, len(sel))]
+		picked := len(dst)
+		var err error
+		if dst, err = p.filter(p.root, seg, dst); err != nil {
 			return nil, err
 		}
-		picked := 0
-		for i := range seg {
-			if out.truthy(i) {
-				dst = append(dst, seg[i])
-				picked++
+		p.countFilter(len(seg), len(dst)-picked)
+	}
+	return dst, nil
+}
+
+// filter appends to dst the lanes of sel on which n is true, in selection
+// order, narrowing the selection inside the predicate. AND filters its
+// left child, then its right child over the survivors — exactly the lanes
+// logicNode.eval evaluates the right child on, so the same lanes can
+// raise errors. A comparison of a numeric column with a per-base-row value
+// selects in one pass (cmpNode.filter). Any other node evaluates to lanes
+// and keeps the truthy ones.
+func (p *Program) filter(n node, sel, dst []int32) ([]int32, error) {
+	switch n := n.(type) {
+	case *logicNode:
+		if n.and {
+			var err error
+			if n.subsel, err = p.filter(n.l, sel, n.subsel[:0]); err != nil || len(n.subsel) == 0 {
+				return dst, err
 			}
+			return p.filter(n.r, n.subsel, dst)
 		}
-		p.countFilter(len(seg), picked)
+	case *cmpNode:
+		if out, ok, err := n.filter(p, sel, dst); ok {
+			return out, err
+		}
+	}
+	out, err := n.eval(p, sel)
+	if err != nil {
+		return nil, err
+	}
+	for i, lane := range sel {
+		if out.truthy(i) {
+			dst = append(dst, lane)
+		}
 	}
 	return dst, nil
 }
@@ -441,22 +467,7 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 		case "AND", "OR":
 			return &logicNode{and: n.Op == "AND", l: l, r: r}, nil
 		case "=", "!=", "<", "<=", ">", ">=":
-			cn := &cmpNode{l: l, r: r}
-			switch n.Op {
-			case "=":
-				cn.eqOK = true
-			case "!=":
-				cn.ltOK, cn.gtOK = true, true
-			case "<":
-				cn.ltOK = true
-			case "<=":
-				cn.ltOK, cn.eqOK = true, true
-			case ">":
-				cn.gtOK = true
-			case ">=":
-				cn.gtOK, cn.eqOK = true, true
-			}
-			return cn, nil
+			return &cmpNode{l: l, r: r, holds: cmpHolds[n.Op]}, nil
 		case "+", "-", "*", "/", "%":
 			return &arithNode{op: n.Op[0], l: l, r: r}, nil
 		default:
@@ -882,23 +893,29 @@ func (n *logicNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	return out, nil
 }
 
-type cmpNode struct {
-	l, r             node
-	ltOK, eqOK, gtOK bool
-	out              Lanes
-	lf, rf           []float64
-	li, ri           []int64
+// cmpHolds is, per comparison operator, the set of orders for which it
+// holds: bit order(x, y) of the mask (see order).
+var cmpHolds = map[string]uint8{"=": 1, "!=": 6, "<": 2, "<=": 3, ">": 4, ">=": 5}
+
+// order is the one comparison rule of the kernels — value.Compare on two
+// non-NULL operands — as a bit index: 0 equal, 1 less, 2 greater. Callers
+// compare ints and bools as int64 and anything else with a float side as
+// float64, where NaN orders equal to everything, as in value.Compare.
+func order[T cmp.Ordered](x, y T) uint { return b2u(x < y) | b2u(x > y)<<1 }
+
+func b2u(b bool) uint {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-func (n *cmpNode) ok(c int) bool {
-	switch {
-	case c < 0:
-		return n.ltOK
-	case c > 0:
-		return n.gtOK
-	default:
-		return n.eqOK
-	}
+type cmpNode struct {
+	l, r   node
+	holds  uint8 // cmpHolds of the operator
+	out    Lanes
+	lf, rf []float64
+	li, ri []int64
 }
 
 func (n *cmpNode) eval(p *Program, sel []int32) (*Lanes, error) {
@@ -919,104 +936,111 @@ func (n *cmpNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		if err != nil {
 			return nil, err
 		}
-		return n.out.setConst(value.NewBool(n.ok(c)), ln), nil
+		return n.out.setConst(value.NewBool(n.holds>>order(c, 0)&1 != 0), ln), nil
 	}
 	out := &n.out
 	out.reset(p.sc, value.KindBool, ln)
 	lk, rk := l.effKind(), r.effKind()
+	numeric := numericish(lk) && numericish(rk)
+	floats := numeric && (lk == value.KindFloat || rk == value.KindFloat)
 	switch {
-	case lk == value.KindNull || rk == value.KindNull:
-		// One side is all-NULL: every comparison is false.
-		for i := 0; i < ln; i++ {
+	case floats:
+		n.lf = floatLanes(p.sc, l, ln, n.lf)
+		n.rf = floatLanes(p.sc, r, ln, n.rf)
+	case numeric:
+		n.li = rawIntLanes(p.sc, l, ln, n.li)
+		n.ri = rawIntLanes(p.sc, r, ln, n.ri)
+	}
+	for i := range out.Ints {
+		// NULL on either side (an all-NULL side included) is false.
+		if l.isNull(i) || r.isNull(i) {
 			out.Ints[i] = 0
+			continue
 		}
-	case numericish(lk) && numericish(rk):
-		if lk == value.KindFloat || rk == value.KindFloat {
-			n.lf = floatLanes(p.sc, l, ln, n.lf)
-			n.rf = floatLanes(p.sc, r, ln, n.rf)
-			lf, rf := n.lf, n.rf
-			for i := 0; i < ln; i++ {
-				if l.isNull(i) || r.isNull(i) {
-					out.Ints[i] = 0
-					continue
-				}
-				c := 0
-				switch {
-				case lf[i] < rf[i]:
-					c = -1
-				case lf[i] > rf[i]:
-					c = 1
-				}
-				if n.ok(c) {
-					out.Ints[i] = 1
-				} else {
-					out.Ints[i] = 0
-				}
-			}
-		} else {
-			n.li = rawIntLanes(p.sc, l, ln, n.li)
-			n.ri = rawIntLanes(p.sc, r, ln, n.ri)
-			li, ri := n.li, n.ri
-			for i := 0; i < ln; i++ {
-				if l.isNull(i) || r.isNull(i) {
-					out.Ints[i] = 0
-					continue
-				}
-				c := 0
-				switch {
-				case li[i] < ri[i]:
-					c = -1
-				case li[i] > ri[i]:
-					c = 1
-				}
-				if n.ok(c) {
-					out.Ints[i] = 1
-				} else {
-					out.Ints[i] = 0
-				}
-			}
-		}
-	case lk == value.KindString && rk == value.KindString:
-		for i := 0; i < ln; i++ {
-			if l.isNull(i) || r.isNull(i) {
-				out.Ints[i] = 0
-				continue
-			}
-			ls, rs := laneStr(l, i), laneStr(r, i)
-			c := 0
-			switch {
-			case ls < rs:
-				c = -1
-			case ls > rs:
-				c = 1
-			}
-			if n.ok(c) {
-				out.Ints[i] = 1
-			} else {
-				out.Ints[i] = 0
-			}
-		}
-	default:
-		// String against number, or boxed lanes: NULL lanes are false, the
-		// rest compare through value.Compare, which raises the row
-		// engine's error for a string/number pair.
-		for i := 0; i < ln; i++ {
-			if l.isNull(i) || r.isNull(i) {
-				out.Ints[i] = 0
-				continue
-			}
+		var o uint
+		switch {
+		case floats:
+			o = order(n.lf[i], n.rf[i])
+		case numeric:
+			o = order(n.li[i], n.ri[i])
+		case lk == value.KindString && rk == value.KindString:
+			o = order(laneStr(l, i), laneStr(r, i))
+		default:
+			// String against number, or boxed lanes: value.Compare raises
+			// the row engine's error for a string/number pair.
 			c, err := value.Compare(l.Value(i), r.Value(i))
 			if err != nil {
 				return nil, err
 			}
-			if n.ok(c) {
-				out.Ints[i] = 1
-			} else {
-				out.Ints[i] = 0
-			}
+			o = order(c, 0)
 		}
+		out.Ints[i] = int64(n.holds >> o & 1)
 	}
 	return out, nil
+}
+
+// filter is the comparison's selection kernel: an int, float or bool
+// column against a constant or per-base-row scalar, in either order,
+// writes the lanes where it holds straight into dst in one branch-free
+// pass. ok is false, with nothing written, for any other operand pair.
+func (n *cmpNode) filter(p *Program, sel, dst []int32) (out []int32, ok bool, err error) {
+	holds, x, y := n.holds, n.l, n.r
+	if _, isCol := x.(*colNode); !isCol {
+		// v op x is x op' v, where op' swaps less and greater.
+		holds, x, y = holds&1|holds&2<<1|holds&4>>1, n.r, n.l
+	}
+	cn, isCol := x.(*colNode)
+	if !isCol {
+		return dst, false, nil
+	}
+	var v value.V
+	switch y := y.(type) {
+	case *constNode:
+		v = y.v
+	case *scalarNode:
+		if v, err = p.scalarValue(y.slot); err != nil {
+			return nil, true, err
+		}
+	default:
+		return dst, false, nil
+	}
+	c := &p.batch.Cols[cn.col]
+	if v.IsNull() || c.Kind == value.KindNull {
+		return dst, true, nil
+	}
+	if !numericish(c.Kind) || !numericish(v.K) {
+		return dst, false, nil
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
+	var k int
+	switch {
+	case c.Kind == value.KindFloat:
+		y, _ := v.AsFloat()
+		k = selectHolds(dst[start:], sel, c.Floats, y, holds, c.Nulls)
+	case v.K == value.KindFloat:
+		k = selectHolds(dst[start:], sel, c.Ints, v.F, holds, c.Nulls)
+	default:
+		k = selectHolds(dst[start:], sel, c.Ints, v.I, holds, c.Nulls)
+	}
+	return dst[:start+k], true, nil
+}
+
+// selectHolds writes to out, in order, the lanes of sel whose non-NULL
+// column value x has order(x, y) in holds, and returns how many it wrote.
+// Every lane is stored and the cursor advances by the verdict, so the loop
+// has no data-dependent branch.
+func selectHolds[S, T int64 | float64](out, sel []int32, xs []S, y T, holds uint8, nulls *Bitmap) int {
+	k := 0
+	for _, lane := range sel {
+		keep := holds >> order(T(xs[lane]), y) & 1
+		if nulls != nil {
+			keep &^= uint8(nulls.bits[lane>>6]>>(uint(lane)&63)) & 1
+		}
+		out[k] = lane
+		k += int(keep)
+	}
+	return k
 }
 
 type arithNode struct {

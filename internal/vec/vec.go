@@ -63,25 +63,6 @@ type Col struct {
 	Codes  []int32
 	Dict   []string
 	Nulls  *Bitmap
-	// rev maps dictionary strings back to their codes. FromRelation
-	// builds it; hand-assembled columns may leave it nil, in which case
-	// DictCode falls back to a scan.
-	rev map[string]int32
-}
-
-// DictCode returns the dictionary code of s, or false when s does not
-// occur in the column.
-func (c *Col) DictCode(s string) (int32, bool) {
-	if c.rev != nil {
-		code, ok := c.rev[s]
-		return code, ok
-	}
-	for i, d := range c.Dict {
-		if d == s {
-			return int32(i), true
-		}
-	}
-	return 0, false
 }
 
 // Len returns the number of lanes in the column.
@@ -129,18 +110,13 @@ type Batch struct {
 	allOnce sync.Once
 	all     []int32 // the identity selection, see AllLanes
 
-	bucketMu sync.Mutex
-	// bucketMemo caches equi-key hash buckets per key-column set; the
-	// memoized maps are immutable once stored, so concurrent probes
-	// share them outside the lock.
+	groupMu sync.Mutex
+	// groupMemo caches the Grouping per key-column set; entries are
+	// immutable once stored, so concurrent kernels share them outside the
+	// lock.
 	//
-	//lint:guarded-by bucketMu
-	bucketMemo map[string]map[uint64][]int32
-	// groupMemo caches the dense group numbering per key-column set (see
-	// grouping); entries are immutable once stored.
-	//
-	//lint:guarded-by bucketMu
-	groupMemo map[string]*grouping
+	//lint:guarded-by groupMu
+	groupMemo map[string]*Grouping
 }
 
 // Len returns the number of rows (lanes) in the batch.
@@ -248,7 +224,6 @@ func FromRelation(r *relation.Relation) (*Batch, error) {
 				col.Codes[i] = code
 			}
 		}
-		col.rev = dict
 	}
 	return b, nil
 }
@@ -294,7 +269,7 @@ func Rows(b *Batch, cols []int, sel []int32) ([]relation.Row, error) {
 
 // HashLanes computes, for each selected lane, the chained value hash of
 // the key columns — the same chain relation.HashRow produces for the
-// corresponding row, so batch-side buckets and row-side probes agree.
+// corresponding row, so batch-side groupings and row-side probes agree.
 // dst must have one entry per selection lane.
 func HashLanes(b *Batch, cols []int, sel []int32, dst []uint64) error {
 	if err := b.Check(); err != nil {
@@ -336,36 +311,4 @@ func HashLanes(b *Batch, cols []int, sel []int32, dst []uint64) error {
 		dst[i] = h
 	}
 	return nil
-}
-
-// Buckets returns the hash buckets of the given key columns over every
-// lane: bucket lanes stay in scan order, which the byte-exact
-// accumulation order of the GMDJ engines depends on. The result is
-// memoized on the batch — the site engine caches batches across rounds,
-// so repeated rounds and chained operators probing the same key skip
-// rehashing — and is never mutated after it is built, so concurrent
-// probes share it safely.
-func (b *Batch) Buckets(cols []int) (map[uint64][]int32, error) {
-	if err := b.Check(); err != nil {
-		return nil, err
-	}
-	key := fmt.Sprint(cols)
-	b.bucketMu.Lock()
-	defer b.bucketMu.Unlock()
-	if m, ok := b.bucketMemo[key]; ok {
-		return m, nil
-	}
-	hashes := make([]uint64, b.n)
-	if err := HashLanes(b, cols, b.AllLanes(), hashes); err != nil {
-		return nil, err
-	}
-	m := make(map[uint64][]int32, b.n)
-	for lane, h := range hashes {
-		m[h] = append(m[h], int32(lane))
-	}
-	if b.bucketMemo == nil {
-		b.bucketMemo = make(map[string]map[uint64][]int32)
-	}
-	b.bucketMemo[key] = m
-	return m, nil
 }

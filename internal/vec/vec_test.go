@@ -213,17 +213,175 @@ func TestGroupingMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, err := b.grouping([]int{0, 2})
+	g1, err := b.Grouping([]int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := b.grouping([]int{0, 2})
-	g3, _ := b.grouping([]int{2, 0})
+	g2, _ := b.Grouping([]int{0, 2})
+	g3, _ := b.Grouping([]int{2, 0})
 	if g1 != g2 {
 		t.Error("grouping rebuilt for the same key columns")
 	}
 	if g1 == g3 {
 		t.Error("different key column orders share a grouping")
+	}
+	// The CSR lanes: every lane once, in its own group, in scan order, and
+	// each group's first lane first.
+	for _, g := range []*Grouping{g1, g3} {
+		if len(g.offs) != g.Len()+1 || g.offs[0] != 0 || int(g.offs[g.Len()]) != b.Len() {
+			t.Fatalf("group offsets %v for %d groups of %d lanes", g.offs, g.Len(), b.Len())
+		}
+		seen := make(map[int32]bool)
+		for id := 0; id < g.Len(); id++ {
+			lanes := g.lanes[g.offs[id]:g.offs[id+1]]
+			if len(lanes) == 0 || lanes[0] != g.first[id] {
+				t.Fatalf("group %d: lanes %v, first lane %d", id, lanes, g.first[id])
+			}
+			for k, lane := range lanes {
+				if seen[lane] || int(g.ids[lane]) != id || (k > 0 && lane <= lanes[k-1]) {
+					t.Fatalf("group %d: lanes %v out of scan order, repeated or of another group", id, lanes)
+				}
+				seen[lane] = true
+			}
+		}
+		if len(seen) != b.Len() {
+			t.Fatalf("groups cover %d of %d lanes", len(seen), b.Len())
+		}
+	}
+}
+
+// laneKey is the Key() of a lane's values on the key columns.
+func laneKey(b *Batch, cols []int, lane int) string {
+	var k string
+	for _, ci := range cols {
+		k += b.Cols[ci].Value(lane).Key() + "\x1f"
+	}
+	return k
+}
+
+// TestGroupingFind: for random detail keys — ints; floats with NaN, ±0
+// and integral values; strings; NULLs; two-column keys — the lanes a
+// needle finds are exactly the lanes whose key has the needle's Key(), and
+// a group is exactly one Key() class.
+func TestGroupingFind(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	i, f, s := value.NewInt, value.NewFloat, value.NewString
+	ints := []value.V{i(0), i(5), i(-1), i(1<<53 + 1), null}
+	floats := []value.V{f(5), f(0), negz, nan, nan2, f(2.5), f(1 << 53), f(math.Inf(1)), null}
+	strs := []value.V{s("a"), s(""), s("b"), null}
+	r := keyRel()
+	for n := 0; n < 300; n++ {
+		r.MustAppend(ints[rng.Intn(len(ints))], floats[rng.Intn(len(floats))], strs[rng.Intn(len(strs))],
+			value.NewBool(rng.Intn(2) == 0))
+	}
+	b, err := FromRelation(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]int{{0}, {1}, {2}, {3}, {0, 2}, {1, 3}} {
+		g, err := b.Grouping(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < g.Len(); id++ {
+			for _, lane := range g.lanes[g.offs[id]:g.offs[id+1]] {
+				if laneKey(b, cols, int(lane)) != laneKey(b, cols, int(g.first[id])) {
+					t.Fatalf("cols %v: lane %d in the group of lane %d under another key", cols, lane, g.first[id])
+				}
+			}
+		}
+		// Needles: every lane's own key, plus int needles for the float
+		// column (5 finds 5.0) and strings absent from the dictionary.
+		var needles []relation.Row
+		for lane := 0; lane < b.Len(); lane++ {
+			needles = append(needles, r.Rows[lane])
+		}
+		needles = append(needles,
+			relation.Row{null, i(5), s("zz"), i(1)}, relation.Row{null, i(0), s("c"), i(0)},
+			relation.Row{null, value.NewBool(true), null, f(1)})
+		for _, row := range needles {
+			var want []int32
+			needle := laneKeyOfRow(row, cols)
+			for lane := 0; lane < b.Len(); lane++ {
+				if laneKey(b, cols, lane) == needle {
+					want = append(want, int32(lane))
+				}
+			}
+			if got := g.Find(row, cols); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("cols %v needle %v: found %v, want %v", cols, row, got, want)
+			}
+		}
+	}
+	// An int needle finds integral float lanes; a string outside the
+	// dictionary finds nothing.
+	g, _ := b.Grouping([]int{1})
+	if got := g.Find(relation.Row{null, i(5)}, []int{1}); len(got) == 0 {
+		t.Error("int needle 5 found no 5.0 lane")
+	}
+	g, _ = b.Grouping([]int{2})
+	if got := g.Find(relation.Row{null, null, s("zz")}, []int{2}); got != nil {
+		t.Errorf("absent string found lanes %v", got)
+	}
+}
+
+// TestGroupingFindOnCollision: when two keys share a hash chain — a 64-bit
+// collision, forged here by re-indexing both groups under one hash — the
+// probe checks each group's first lane and finds only the needle's own
+// group, whichever comes first on the chain.
+func TestGroupingFindOnCollision(t *testing.T) {
+	s := value.NewString
+	r := keyRel(row(null, null, s("b"), null), row(null, null, s("a"), null), row(null, null, s("b"), null))
+	b, err := FromRelation(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Grouping([]int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *g
+	forged.index = relation.KeyIndex{}
+	h := relation.HashRow(relation.Row{s("b")}, []int{0})
+	forged.index.Add(h, 0) // "b", lanes 0 and 2
+	forged.index.Add(h, 1) // "a", first on the chain
+	if got := forged.Find(relation.Row{s("b")}, []int{0}); fmt.Sprint(got) != "[0 2]" {
+		t.Errorf("needle b on a shared chain found lanes %v, want [0 2]", got)
+	}
+	if got := forged.Find(relation.Row{s("a")}, []int{0}); got != nil {
+		t.Errorf("needle a, whose hash has no chain, found lanes %v", got)
+	}
+}
+
+func laneKeyOfRow(row relation.Row, cols []int) string {
+	var k string
+	for _, ci := range cols {
+		k += row[ci].Key() + "\x1f"
+	}
+	return k
+}
+
+// TestLaneKeysAreKeyEquality: the grouping's lane equality is Key()
+// equality, pair by pair, over every corner value of a float column —
+// NaN is not equal to a number, and ±0 are one key.
+func TestLaneKeysAreKeyEquality(t *testing.T) {
+	r := keyRel()
+	for _, fv := range []value.V{nan, nan2, negz, posz, value.NewFloat(1.5), value.NewFloat(1), value.NewFloat(1 << 53), null} {
+		r.MustAppend(null, fv, null, null)
+	}
+	b, err := FromRelation(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Grouping([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < b.Len(); x++ {
+		for y := 0; y < b.Len(); y++ {
+			if got, want := g.laneIs(x, y), laneKey(b, []int{1}, x) == laneKey(b, []int{1}, y); got != want {
+				t.Errorf("lanes %v and %v: same key %v, Key() equality %v", r.Rows[x][1], r.Rows[y][1], got, want)
+			}
+		}
 	}
 }
 
@@ -291,6 +449,7 @@ func TestFilterMatchesRowPredicate(t *testing.T) {
 			t.Errorf("%s: selected %v, row predicate %v", text, got, want)
 		}
 	}
+	t.Run("comparison matrix", filterComparisonMatrix)
 }
 
 // TestScratchReuse: programs compiled one generation after another on a

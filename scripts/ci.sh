@@ -39,7 +39,9 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # one run in two was merged. The layers with real concurrency — sockets,
 # fan-out, parallel site evaluation and the kernel workers it fans out to
 # — must be green twenty times over.
-go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj
+# The kernel's key groupings are built once under a lock and then read
+# without it by every worker of every concurrent request.
+go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate.
 go test -race -count=20 -run '^TestAdmission' ./skalla
 
@@ -58,6 +60,9 @@ go test -run '^$' -fuzz FuzzVecVsRow -fuzztime 10s ./internal/gmdj
 echo "== fuzz smoke (distinct kernel vs DistinctProject) =="
 go test -run '^$' -fuzz FuzzDistinct -fuzztime 10s ./internal/vec
 
+echo "== fuzz smoke (compiled filters vs row predicates) =="
+go test -run '^$' -fuzz FuzzFilter -fuzztime 10s ./internal/vec
+
 echo "== fuzz smoke (relation frame codec) =="
 go test -run '^$' -fuzz FuzzFrame -fuzztime 10s ./internal/relation
 
@@ -69,6 +74,7 @@ done
 
 echo "== quick bench pass =="
 go test -run xxx -bench . -benchtime 1x . > /dev/null
+go test -run '^$' -bench 'Filter|ChainVec|HandleFused' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
