@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, ablation, tree, serve, tail, or all")
+	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, fig5, ablation, tree, tail, or all")
 	sites := flag.Int("sites", 8, "number of warehouse sites")
 	rows := flag.Int("rows", 48000, "total TPCR rows")
 	customers := flag.Int("customers", 4000, "high-cardinality group count (paper: 100000)")
@@ -34,8 +34,6 @@ func main() {
 	latency := flag.Duration("latency", 2*time.Millisecond, "modeled per-message link latency")
 	mbps := flag.Float64("mbps", 10, "modeled link bandwidth in Mbit/s")
 	jsonPath := flag.String("json", "", "also write machine-readable results (figure → metric → value) to this JSON file")
-	concurrency := flag.Int("concurrency", 8, "serve experiment: closed-loop worker count")
-	queries := flag.Int("queries", 64, "serve experiment: total queries to issue")
 	tailQueries := flag.Int("tail-queries", 40, "tail experiment: executions per variant")
 	tailP := flag.Float64("tail-p", 0.12, "tail experiment: per-call straggler probability")
 	tailDelay := flag.Duration("tail-delay", 50*time.Millisecond, "tail experiment: injected straggler latency")
@@ -70,27 +68,6 @@ func main() {
 		return
 	}
 
-	// The serve experiment drives its own small cluster through the
-	// concurrent query service; it does not need the TPCR harness below.
-	if *experiment == "serve" {
-		r, err := bench.ServeExperiment(bench.ServeConfig{
-			Sites: *sites, Rows: *rows, Seed: *seed,
-			Concurrency: *concurrency, Queries: *queries,
-		})
-		if err != nil {
-			log.Fatalf("skalla-bench: %v", err)
-		}
-		fmt.Fprint(os.Stderr, r.Stacks)
-		fmt.Print(r)
-		if *jsonPath != "" {
-			if err := r.Metrics().WriteFile(*jsonPath); err != nil {
-				log.Fatalf("skalla-bench: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		}
-		return
-	}
-
 	cfg := bench.Config{
 		Sites: *sites, Rows: *rows, Customers: *customers,
 		LowCardGroups: *lowcard, Seed: *seed, Repeat: *repeat,
@@ -111,17 +88,6 @@ func main() {
 		}
 		fmt.Print(report)
 		results.Merge(res)
-		// The concurrent-serving closed loop rides along so the full
-		// artifact carries QPS/p50/p99/shed next to the figure curves.
-		sr, err := bench.ServeExperiment(bench.ServeConfig{
-			Seed: *seed, Concurrency: *concurrency, Queries: *queries,
-		})
-		if err != nil {
-			log.Fatalf("skalla-bench: %v", err)
-		}
-		fmt.Println()
-		fmt.Print(sr)
-		results.Merge(sr.Metrics())
 	case "fig2":
 		r, err := h.Fig2()
 		if err != nil {

@@ -244,29 +244,3 @@ func TestTreeExperiment(t *testing.T) {
 		t.Error("rendering broken")
 	}
 }
-
-func TestServeExperiment(t *testing.T) {
-	r, err := ServeExperiment(ServeConfig{
-		Sites: 2, Rows: 1000, Customers: 100,
-		Concurrency: 4, Queries: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Completed != 8 {
-		t.Fatalf("completed %d of 8 (rejected %d, shed %d, failed %d)",
-			r.Completed, r.Rejected, r.Shed, r.Failed)
-	}
-	if r.Failed != 0 || r.Shed != 0 {
-		t.Fatalf("failed %d, shed %d on a healthy local cluster", r.Failed, r.Shed)
-	}
-	if r.QPS() <= 0 || r.P50 <= 0 || r.P99 < r.P50 {
-		t.Fatalf("degenerate latency stats: qps %.1f p50 %v p99 %v", r.QPS(), r.P50, r.P99)
-	}
-	m := r.Metrics()["serve"]
-	for _, key := range []string{"qps", "p50_ms", "p99_ms", "completed", "rejected", "shed"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("metrics missing %q", key)
-		}
-	}
-}

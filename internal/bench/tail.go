@@ -229,6 +229,22 @@ func tailMeasure(cfg TailConfig, clients []transport.Client, cat *catalog.Catalo
 	return latencies, rel, nil
 }
 
+// percentile returns the p-th percentile (0 < p <= 100) of sorted
+// durations by the nearest-rank method.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
+}
+
 // TailExperiment runs the workload twice over identical data and
 // identical seeded stragglers — hedging off, then hedging on against a
 // clean replica of each site — and reports the latency quantiles, the

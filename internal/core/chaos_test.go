@@ -275,6 +275,11 @@ func TestDegradedAllSitesLost(t *testing.T) {
 	if err == nil {
 		t.Fatal("query with zero surviving sites must fail even in degraded mode")
 	}
+	// The sites' failure stays inspectable through the "all sites lost"
+	// error, as it does through a strict-mode failure.
+	if !errors.Is(err, transport.ErrInjected) || !strings.Contains(err.Error(), "all sites lost") {
+		t.Errorf("err = %v, want all sites lost wrapping the injected failure", err)
+	}
 }
 
 // TestStrictModeStillFails: without AllowPartial a lost site aborts the

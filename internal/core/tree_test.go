@@ -15,6 +15,7 @@ import (
 	"repro/internal/site"
 	"repro/internal/tpcr"
 	"repro/internal/transport"
+	"repro/internal/value"
 )
 
 func init() {
@@ -279,12 +280,28 @@ func (h *ctxProbeHandler) Handle(ctx context.Context, req *transport.Request) *t
 }
 
 // TestRelayCancellationPropagates: cancelling the root context of a
-// tree-mode query must reach the leaves through the relay tier. This
-// guards the context threading in the relay's broadcast — with child calls made
-// under context.Background() (the pre-refactor behavior flagged by the
-// ctxflow analyzer) the leaves would block until their own timeout and
-// this test fails.
+// tree-mode query must reach the leaves through the relay tier, on both of
+// the relay's paths: the broadcast (ping) and the evaluation exchange over
+// a shipped base. With child calls made under context.Background() — the
+// pre-refactor behavior the ctxflow analyzer flags — the leaves would
+// block until their own timeout and this test fails.
 func TestRelayCancellationPropagates(t *testing.T) {
+	base := relation.New(relation.MustSchema(relation.Column{Name: "SourceAS", Kind: value.KindInt}))
+	base.MustAppend(value.NewInt(1))
+	base.MustAppend(value.NewInt(2))
+	for _, req := range []*transport.Request{
+		{Op: transport.OpPing},
+		{Op: transport.OpEvalRounds, Base: base, Rounds: []transport.RoundSpec{{
+			Detail: "flow",
+			Aggs:   [][]string{{"count(*) AS cnt"}},
+			Thetas: []string{"F.SourceAS = B.SourceAS"},
+		}}},
+	} {
+		t.Run(req.Op.String(), func(t *testing.T) { relayCancellationReachesLeaves(t, req) })
+	}
+}
+
+func relayCancellationReachesLeaves(t *testing.T, req *transport.Request) {
 	leaves := []*ctxProbeHandler{newCtxProbeHandler(), newCtxProbeHandler()}
 	var children []transport.Client
 	for i, h := range leaves {
@@ -299,7 +316,7 @@ func TestRelayCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	callDone := make(chan error, 1)
 	go func() {
-		_, err := root.Call(ctx, &transport.Request{Op: transport.OpPing})
+		_, err := root.Call(ctx, req)
 		callDone <- err
 	}()
 

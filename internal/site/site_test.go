@@ -3,10 +3,12 @@ package site
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gmdj"
@@ -159,27 +161,32 @@ func TestEvalRoundsFusedBase(t *testing.T) {
 	}
 }
 
-func TestEvalRoundsChained(t *testing.T) {
-	e := loadedEngine(t)
-	rounds := []transport.RoundSpec{
-		{
-			Detail:   "flow",
-			Aggs:     [][]string{{"count(*) AS cnt1", "sum(F.NumBytes) AS sum1"}},
-			Thetas:   []string{"F.SourceAS = B.SourceAS AND F.DestAS = B.DestAS"},
-			Finalize: true, Touched: true,
-		},
-		{
-			Detail:   "flow",
-			Aggs:     [][]string{{"count(*) AS cnt2"}},
-			Thetas:   []string{"F.SourceAS = B.SourceAS AND F.DestAS = B.DestAS AND F.NumBytes >= B.sum1 / B.cnt1"},
-			Finalize: true, Touched: true,
-		},
-	}
-	resp := e.Handle(context.Background(), &transport.Request{
+// chainedRequest is a fused two-round chain: round 2's θ reads the
+// aggregates round 1 finalized locally.
+func chainedRequest() *transport.Request {
+	return &transport.Request{
 		Op: transport.OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS", "DestAS"},
-		Rounds:   rounds,
-	})
+		Rounds: []transport.RoundSpec{
+			{
+				Detail:   "flow",
+				Aggs:     [][]string{{"count(*) AS cnt1", "sum(F.NumBytes) AS sum1"}},
+				Thetas:   []string{"F.SourceAS = B.SourceAS AND F.DestAS = B.DestAS"},
+				Finalize: true, Touched: true,
+			},
+			{
+				Detail:   "flow",
+				Aggs:     [][]string{{"count(*) AS cnt2"}},
+				Thetas:   []string{"F.SourceAS = B.SourceAS AND F.DestAS = B.DestAS AND F.NumBytes >= B.sum1 / B.cnt1"},
+				Finalize: true, Touched: true,
+			},
+		},
+	}
+}
+
+func TestEvalRoundsChained(t *testing.T) {
+	e := loadedEngine(t)
+	resp := e.Handle(context.Background(), chainedRequest())
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
@@ -203,6 +210,44 @@ func TestEvalRoundsChained(t *testing.T) {
 	if h.Rows[0][c2].I != 1 {
 		t.Errorf("chained cnt2 = %v, want 1\n%s", h.Rows[0][c2], h)
 	}
+}
+
+// cancelAfterChecks reports itself cancelled from its n-th Err call on: a
+// deterministic stand-in for a caller that hangs up while the engine is
+// between two local steps.
+type cancelAfterChecks struct {
+	context.Context
+	n      int32
+	checks atomic.Int32
+}
+
+func (c *cancelAfterChecks) Err() error {
+	if c.checks.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestEvalRoundsCancelledBetweenRounds: a caller that cancels between two
+// chained rounds stops the chain before the next round starts, with
+// context.Canceled in the error chain. The request context must reach
+// evalRounds for this: under context.Background() the chain runs to the
+// end once the handler's entry check has passed.
+func TestEvalRoundsCancelledBetweenRounds(t *testing.T) {
+	e := loadedEngine(t)
+	for n := int32(1); n <= 8; n++ {
+		_, err := e.handle(&cancelAfterChecks{Context: context.Background(), n: n}, chainedRequest(), nil)
+		if err == nil {
+			t.Fatalf("chain completed with the context cancelled from check %d on", n)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("check %d: err = %v, want context.Canceled in the chain", n, err)
+		}
+		if strings.HasPrefix(err.Error(), "round 2: ") {
+			return
+		}
+	}
+	t.Fatal("cancellation never stopped the chain between rounds 1 and 2")
 }
 
 func TestEvalRoundsTouchedFilter(t *testing.T) {

@@ -37,7 +37,7 @@ func (r *replicaStub) Call(ctx context.Context, req *Request) (*Response, error)
 		}
 	}
 	if r.fail {
-		return nil, errors.New("connection reset")
+		return nil, errConnReset
 	}
 	r.stats.AddReceived(20, CostModel{})
 	if r.shed {
@@ -124,6 +124,15 @@ func TestHedgerImmediateFailover(t *testing.T) {
 	}
 	if hedges, wins := h.HedgeCounts(); hedges != 1 || wins != 1 {
 		t.Errorf("hedges/wins = %d/%d, want 1/1", hedges, wins)
+	}
+
+	// With every replica failing, the settling failure reaches the caller
+	// wrapped, so errors.Is still classifies it above the hedger.
+	both := NewHedger("s1", []Client{&replicaStub{id: "s1", fail: true}, &replicaStub{id: "s1", fail: true}},
+		10*time.Second, nil, nil)
+	defer both.Close()
+	if _, err = both.Call(context.Background(), &Request{Op: OpEvalRounds}); !errors.Is(err, errConnReset) {
+		t.Errorf("all-fail call: err = %v, want the replicas' failure in the chain", err)
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
+// errConnReset is the transport-level failure the test clients return.
+var errConnReset = errors.New("connection reset")
+
 // flakyClient fails its first failN calls at the transport level.
 type flakyClient struct {
 	id     string
@@ -28,7 +31,7 @@ func (f *flakyClient) Call(ctx context.Context, req *Request) (*Response, error)
 	f.calls++
 	f.stats.AddSent(10, CostModel{})
 	if f.calls <= f.failN {
-		return nil, errors.New("connection reset")
+		return nil, errConnReset
 	}
 	f.stats.AddReceived(20, CostModel{})
 	if req.Op == OpRelInfo {
@@ -79,8 +82,14 @@ func TestReconnectorRetries(t *testing.T) {
 func TestReconnectorExhaustsAttempts(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
 	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 2, 0)
-	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err == nil {
+	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
+	if err == nil {
 		t.Fatal("expected failure after attempts exhausted")
+	}
+	// The last attempt's cause stays in the chain, so callers above the
+	// reconnector can still classify the failure with errors.Is.
+	if !errors.Is(err, errConnReset) {
+		t.Errorf("err = %v, want the last attempt's cause in the chain", err)
 	}
 	if inner.calls != 2 {
 		t.Errorf("calls = %d, want 2", inner.calls)
