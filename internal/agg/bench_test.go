@@ -34,6 +34,34 @@ func BenchmarkSlabMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkSlabExtremum folds a 1 024-value int or float lane into a
+// min/max slot, the fold a site runs per matched base row for MIN and MAX.
+func BenchmarkSlabExtremum(b *testing.B) {
+	ints, floats := make([]int64, 1024), make([]float64, 1024)
+	for i := range ints {
+		ints[i] = int64(i * 7919 % 1024)
+		floats[i] = float64(ints[i]) / 4
+	}
+	for _, spec := range []string{"min(x) AS lo", "max(x) AS hi"} {
+		b.Run(spec[:3]+"/int", func(b *testing.B) {
+			s := NewSlab([]Spec{MustParseSpec(spec)}, 1)
+			for i := 0; i < b.N; i++ {
+				if err := s.AddInts(0, 0, value.KindInt, ints, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(spec[:3]+"/float", func(b *testing.B) {
+			s := NewSlab([]Spec{MustParseSpec(spec)}, 1)
+			for i := 0; i < b.N; i++ {
+				if err := s.AddFloats(0, 0, floats, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkHLLAdd(b *testing.B) {
 	h := newHLL()
 	b.ResetTimer()

@@ -38,18 +38,28 @@ func FuzzParseSpec(f *testing.F) {
 	})
 }
 
-// FuzzSlabFold decodes a typed detail lane — ints, bools, floats or
-// strings, with NULLs — and checks the lane folds against per-value Add:
-// folding the lane in two batches must give every primitive a state
-// byte-equal to adding its values one at a time, errors included. For the
-// exact primitives (counts, integer sums, extrema, sketches, sets), folding
-// the two halves into separate groups and merging their states must equal
-// one fold as well.
+// FuzzSlabFold decodes two typed detail batches — ints, bools, floats or
+// strings, with NULLs, NaN, ±0, ±Inf and the int64 limits — and checks the
+// lane folds against per-value Add: folding both batches into one slot
+// must give every primitive a state byte-equal to adding their values one
+// at a time, errors included. The batches may differ in kind (a float
+// batch after an int one, a string one before an int one), which sends an
+// extremum from its typed fold to the per-value path. For the exact
+// primitives (counts, integer sums, NaN-free extrema, sketches, sets),
+// folding the batches into separate groups and merging their states must
+// equal one fold as well.
 func FuzzSlabFold(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 7, 200, 14, 9}, uint8(3))
 	f.Add([]byte{1, 1, 0, 0, 7, 1}, uint8(1))
 	f.Add([]byte{2, 3, 250, 7, 33, 128}, uint8(2))
 	f.Add([]byte{3, 5, 7, 18, 30, 0}, uint8(4))
+	f.Add([]byte{2, 20, 125, 12, 129, 127, 128, 125}, uint8(2))
+	f.Add([]byte{10, 9, 125, 3, 8, 127, 128, 1}, uint8(3)) // floats, then ints
+	f.Add([]byte{8, 127, 1, 128, 125, 2, 5}, uint8(3))     // ints, then floats
+	f.Add([]byte{7, 1, 2, 3, 4, 5, 6}, uint8(2))           // strings, then ints
+	f.Add([]byte{10, 9, 1}, uint8(1))                      // 2.25, then int 1
+	f.Add([]byte{4, 1, 1}, uint8(1))                       // int 1, then bool 1: a tie keeps the int
+	f.Add([]byte{2, 129, 130}, uint8(1))                   // -0, then 0: a tie keeps -0
 	specs := []Spec{
 		MustParseSpec("count(*) AS n"), MustParseSpec("count(x) AS c"),
 		MustParseSpec("sum(x) AS s"), MustParseSpec("var(x) AS v"),
@@ -60,15 +70,34 @@ func FuzzSlabFold(f *testing.F) {
 		if len(data) == 0 || len(data) > 512 {
 			return // a batch of detail lanes, not a stress test
 		}
-		kind := data[0] % 4
+		// kind is the first batch's, kinds[1] the second's.
+		kinds := [2]byte{data[0] % 4, (data[0] + data[0]>>2) % 4}
 		data = data[1:]
 		n := len(data)
+		k := int(split) % (n + 1)
 		ints, floats, strs := make([]int64, n), make([]float64, n), make([]string, n)
 		nulls := make([]bool, n)
 		vals := make([]value.V, n)
+		hasNaN := false
 		for i, b := range data {
 			nulls[i] = b%7 == 0
 			ints[i], floats[i], strs[i] = int64(int8(b)), float64(int8(b))/4, fmt.Sprint(b%13)
+			switch b {
+			case 125:
+				floats[i] = math.NaN()
+			case 127:
+				ints[i], floats[i] = math.MaxInt64, math.Inf(1)
+			case 128:
+				ints[i], floats[i] = math.MinInt64, math.Inf(-1)
+			case 129:
+				floats[i] = math.Copysign(0, -1)
+			case 130:
+				floats[i] = 0
+			}
+			kind := kinds[0]
+			if i >= k {
+				kind = kinds[1]
+			}
 			switch {
 			case nulls[i]:
 			case kind == 0:
@@ -78,12 +107,18 @@ func FuzzSlabFold(f *testing.F) {
 				vals[i] = value.NewBool(b&1 == 1)
 			case kind == 2:
 				vals[i] = value.NewFloat(floats[i])
+				hasNaN = hasNaN || floats[i] != floats[i]
 			default:
 				vals[i] = value.NewString(strs[i])
 			}
 		}
-		fold := func(s *Slab, g, p, lo, hi int) error {
-			switch kind {
+		// fold folds batch b, lanes [0, k) or [k, n), into slot g.
+		fold := func(s *Slab, g, p, b int) error {
+			lo, hi := 0, k
+			if b == 1 {
+				lo, hi = k, n
+			}
+			switch kinds[b] {
 			case 0:
 				return s.AddInts(g, p, value.KindInt, ints[lo:hi], nulls[lo:hi])
 			case 1:
@@ -93,12 +128,11 @@ func FuzzSlabFold(f *testing.F) {
 			}
 			return s.AddStrings(g, p, strs[lo:hi], nulls[lo:hi])
 		}
-		k := int(split) % (n + 1)
 		lanes, boxed, halves := NewSlab(specs, 1), NewSlab(specs, 1), NewSlab(specs, 2)
 		for p := 0; p < lanes.Width(); p++ {
-			errLanes := fold(lanes, 0, p, 0, k)
+			errLanes := fold(lanes, 0, p, 0)
 			if errLanes == nil {
-				errLanes = fold(lanes, 0, p, k, n)
+				errLanes = fold(lanes, 0, p, 1)
 			}
 			var errBoxed error
 			for _, v := range vals {
@@ -116,10 +150,13 @@ func FuzzSlabFold(f *testing.F) {
 			if !sameState(got, want) {
 				t.Fatalf("primitive %d: lane fold %#v, per-value %#v", p, got, want)
 			}
-			if prim := lanes.lanes[p].prim; prim == PSumSq || prim == PSum && kind == 2 {
+			switch prim := lanes.lanes[p].prim; {
+			case prim == PSumSq, prim == PSum && (kinds[0] == 2 || kinds[1] == 2):
 				continue // float totals depend on the order of additions
+			case (prim == PMin || prim == PMax) && hasNaN:
+				continue // NaN compares equal to everything: extrema do not associate
 			}
-			if fold(halves, 0, p, 0, k) != nil || fold(halves, 1, p, k, n) != nil {
+			if fold(halves, 0, p, 0) != nil || fold(halves, 1, p, 1) != nil {
 				t.Fatalf("primitive %d: a half fails where the whole folds", p)
 			}
 			merged := NewSlab(specs, 1)
@@ -133,6 +170,23 @@ func FuzzSlabFold(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestExtremumFoldNaN pins the rule that makes extrema non-associative: a
+// lane replaces the state only on a strictly smaller value, so a NaN after
+// 5 is skipped and the 3 behind it still wins. Taking the lane's own
+// minimum first (NaN) and merging it would keep 5.
+func TestExtremumFoldNaN(t *testing.T) {
+	s := NewSlab([]Spec{MustParseSpec("min(x) AS lo")}, 1)
+	if err := s.AddFloats(0, 0, []float64{5}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFloats(0, 0, []float64{math.NaN(), 3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Result(0, 0); !sameState(got, value.NewFloat(3)) {
+		t.Fatalf("min(5; NaN, 3) = %#v, want 3", got)
+	}
 }
 
 // sameState compares states bit for bit, float bit patterns included.

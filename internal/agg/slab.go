@@ -324,6 +324,12 @@ func (s *Slab) AddInts(g, p int, kind value.Kind, vals []int64, nulls []bool) er
 			fl |= sumSeen | sumFloat
 		}
 		l.floats[g], l.flags[g] = f, fl
+	case PMin, PMax:
+		if cur := l.vals[g]; cur.K == value.KindNull || cur.K == value.KindInt || cur.K == value.KindBool {
+			foldExtremum(l, g, cur.I, vals, nulls, func(x int64) value.V { return value.V{K: kind, I: x} })
+			return nil
+		}
+		fallthrough
 	default:
 		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return value.V{K: kind, I: vals[i]} })
 	}
@@ -349,6 +355,12 @@ func (s *Slab) AddFloats(g, p int, vals []float64, nulls []bool) error {
 			fl |= sumSeen | sumFloat
 		}
 		l.floats[g], l.flags[g] = f, fl
+	case PMin, PMax:
+		if cur := l.vals[g]; cur.K == value.KindNull || cur.K == value.KindFloat {
+			foldExtremum(l, g, cur.F, vals, nulls, value.NewFloat)
+			return nil
+		}
+		fallthrough
 	default:
 		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return value.NewFloat(vals[i]) })
 	}
@@ -384,6 +396,25 @@ func (s *Slab) AddRepeat(g, p int, v value.V, n int) error {
 	return nil
 }
 
+// foldExtremum folds a lane into min/max slot g by extremum's rule: a
+// value replaces the state x (unless NULL) only when strictly less (MIN)
+// or greater (MAX), so NaN neither replaces nor is replaced. Callers pass
+// states Compare orders as it orders the lane; a changed one is boxed once.
+func foldExtremum[T int64 | float64](l *lane, g int, x T, vals []T, nulls []bool, box func(T) value.V) {
+	less, seen, changed := l.prim == PMin, !l.vals[g].IsNull(), false
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if !seen || less && v < x || !less && v > x {
+			x, seen, changed = v, true, true
+		}
+	}
+	if changed {
+		l.vals[g] = box(x)
+	}
+}
+
 // count returns how many of n lanes a PCount folds: all of them for
 // COUNT(*), the non-NULL ones otherwise.
 func (l *lane) count(n int, nulls []bool) int64 {
@@ -399,9 +430,9 @@ func (l *lane) count(n int, nulls []bool) int64 {
 	return int64(c)
 }
 
-// addBoxed is the per-lane fallback for order-dependent primitives
-// (min/max comparison chains, HLL, exact sets): it boxes each non-NULL
-// lane and defers to Add, preserving Add's exact semantics.
+// addBoxed is the per-lane fallback for sketches, sets and extrema the
+// typed folds do not take: it boxes each non-NULL lane and defers to Add,
+// preserving Add's exact semantics.
 func (s *Slab) addBoxed(g, p, n int, nulls []bool, at func(i int) value.V) error {
 	for i := 0; i < n; i++ {
 		if nulls != nil && nulls[i] {

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/expr"
+	"repro/internal/relation"
 	"repro/internal/value"
 )
 
@@ -129,18 +130,45 @@ func (c *Catalog) directPartitionAttr(attr string) bool {
 	if len(c.Sites) == 0 {
 		return false
 	}
-	domains := make([]expr.Domain, len(c.Sites))
+	domains, n := make([]expr.Domain, len(c.Sites)), 0
 	for i, s := range c.Sites {
 		d, ok := s.Domains[attr]
 		if !ok {
 			return false // unconstrained at some site: cannot conclude
 		}
-		domains[i] = d
+		domains[i], n = d, n+len(d.Set)
 	}
 	for i := 0; i < len(domains); i++ {
 		for j := i + 1; j < len(domains); j++ {
-			if !disjoint(domains[i], domains[j]) {
+			if (domains[i].Set == nil || domains[j].Set == nil) && !disjoint(domains[i], domains[j]) {
 				return false
+			}
+		}
+	}
+	return setsDisjoint(domains, n)
+}
+
+// setsDisjoint reports whether no value lies in the sets of two of the
+// domains, which hold n set values between them, in one pass: a value is
+// indexed by hash with the first domain holding it (relation.SameKey, the
+// Key() equivalence, decides), so one found under another domain is
+// shared. Range domains hold no set and are skipped.
+func setsDisjoint(domains []expr.Domain, n int) bool {
+	var index relation.KeyIndex
+	index.Reserve(n)
+	at := make([][2]int32, 0, n) // position → (domain, set index)
+	for d, dom := range domains {
+		for i, v := range dom.Set {
+			h := v.Hash()
+			pos, ok := index.Find(h, func(pos int) bool {
+				return relation.SameKey(domains[at[pos][0]].Set[at[pos][1]], v)
+			})
+			if ok && int(at[pos][0]) != d {
+				return false
+			}
+			if !ok && d < len(domains)-1 { // nothing probes the last domain's values
+				index.Add(h, len(at))
+				at = append(at, [2]int32{int32(d), int32(i)})
 			}
 		}
 	}
@@ -173,21 +201,9 @@ func (c *Catalog) PartitionAttrs() []string {
 	return out
 }
 
-// disjoint conservatively decides whether two domains share no value;
-// false means "might overlap".
+// disjoint conservatively decides whether two domains, at least one of
+// them a range, share no value; false means "might overlap".
 func disjoint(a, b expr.Domain) bool {
-	if a.Set != nil && b.Set != nil {
-		keys := make(map[string]struct{}, len(a.Set))
-		for _, v := range a.Set {
-			keys[v.Key()] = struct{}{}
-		}
-		for _, v := range b.Set {
-			if _, hit := keys[v.Key()]; hit {
-				return false
-			}
-		}
-		return true
-	}
 	if a.Set != nil {
 		return setDisjointFromRange(a, b)
 	}

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -217,5 +219,102 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(dir + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// keyStringPartitionAttr is IsPartitionAttr as it was before the one-pass
+// set check, which compared every pair of set domains through a map of
+// Key() strings. TestPartitionAttrMatchesKeyStrings holds the catalog to
+// it. Pairs with a range go to disjoint, whose range cases are unchanged.
+func keyStringPartitionAttr(c *Catalog, attr string, visiting map[string]bool) bool {
+	if visiting[attr] {
+		return false
+	}
+	visiting[attr] = true
+	if keyStringDirect(c, attr) {
+		return true
+	}
+	for _, fd := range c.FDs {
+		if fd.From == attr && keyStringPartitionAttr(c, fd.To, visiting) {
+			return true
+		}
+	}
+	return false
+}
+
+func keyStringDirect(c *Catalog, attr string) bool {
+	if len(c.Sites) == 0 {
+		return false
+	}
+	domains := make([]expr.Domain, len(c.Sites))
+	for i, s := range c.Sites {
+		d, ok := s.Domains[attr]
+		if !ok {
+			return false
+		}
+		domains[i] = d
+	}
+	for i := 0; i < len(domains); i++ {
+		for j := i + 1; j < len(domains); j++ {
+			a, b := domains[i], domains[j]
+			if a.Set == nil || b.Set == nil {
+				if !disjoint(a, b) {
+					return false
+				}
+				continue
+			}
+			keys := make(map[string]struct{}, len(a.Set))
+			for _, v := range a.Set {
+				keys[v.Key()] = struct{}{}
+			}
+			for _, v := range b.Set {
+				if _, hit := keys[v.Key()]; hit {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestPartitionAttrMatchesKeyStrings compares IsPartitionAttr's verdicts
+// with the Key()-string reference over random catalogs: set domains drawn
+// from NULL, NaN, 0 and -0, 1 and 1.0, true, a non-integral float and
+// strings (one of them "1"), range domains, missing domains and FD chains.
+func TestPartitionAttrMatchesKeyStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	pool := []value.V{
+		value.Null, value.NewFloat(math.NaN()), value.NewInt(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewInt(1), value.NewFloat(1), value.NewBool(true), value.NewFloat(2.5),
+		value.NewInt(3), value.NewString("1"), value.NewString("a"), value.NewString("b"),
+	}
+	attrs := []string{"a", "b", "c", "d"}
+	for trial := 0; trial < 3000; trial++ {
+		c := New([]string{"s0", "s1", "s2", "s3"}[:1+rng.Intn(4)]...)
+		for _, s := range c.Sites {
+			for _, a := range attrs {
+				switch r := rng.Intn(10); {
+				case r == 0:
+					// unconstrained here
+				case r < 3:
+					lo := int64(rng.Intn(6))
+					s.Domains[a] = expr.DomainRange(value.NewInt(lo), value.NewInt(lo+int64(rng.Intn(3))))
+				default:
+					var set []value.V
+					for _, k := range rng.Perm(len(pool))[:rng.Intn(4)] {
+						set = append(set, pool[k])
+					}
+					s.Domains[a] = expr.DomainSet(set...)
+				}
+			}
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			c.AddFD(attrs[rng.Intn(len(attrs))], attrs[rng.Intn(len(attrs))])
+		}
+		for _, a := range attrs {
+			if got, want := c.IsPartitionAttr(a), keyStringPartitionAttr(c, a, map[string]bool{}); got != want {
+				t.Fatalf("trial %d: IsPartitionAttr(%s) = %v, Key()-string reference %v\ncatalog: %+v", trial, a, got, want, c)
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@ package relation
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/value"
@@ -352,6 +352,12 @@ type KeyIndex struct {
 	next  []int32          // next[pos] → previous position with the same hash, -1 at the end
 }
 
+// Reserve sizes an empty index for n positions up front.
+func (ix *KeyIndex) Reserve(n int) {
+	ix.heads = make(map[uint64]int32, n)
+	ix.next = make([]int32, 0, n)
+}
+
 // Add indexes position pos — the next unindexed one — under hash.
 func (ix *KeyIndex) Add(hash uint64, pos int) {
 	if ix.heads == nil {
@@ -406,7 +412,8 @@ func (r *Relation) SortBy(names ...string) error {
 }
 
 // SortKeys sorts rows in place by the given keys, honoring per-key
-// direction. NULLs sort first ascending (last descending).
+// direction. NULLs sort first ascending (last descending). It is stable:
+// it sorts row indexes, ties by index, then moves each row once.
 func (r *Relation) SortKeys(keys ...SortKey) error {
 	idx := make([]int, len(keys))
 	for i, k := range keys {
@@ -416,7 +423,11 @@ func (r *Relation) SortKeys(keys ...SortKey) error {
 		}
 		idx[i] = p
 	}
-	sort.SliceStable(r.Rows, func(a, b int) bool {
+	perm := make([]int32, len(r.Rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
 		ra, rb := r.Rows[a], r.Rows[b]
 		for i, p := range idx {
 			c, err := value.Compare(ra[p], rb[p])
@@ -425,20 +436,26 @@ func (r *Relation) SortKeys(keys ...SortKey) error {
 					c = -1
 				} else if value.Less(rb[p], ra[p]) {
 					c = 1
-				} else {
-					continue
 				}
 			}
-			if c == 0 {
-				continue
+			if c != 0 {
+				if keys[i].Desc {
+					return -c
+				}
+				return c
 			}
-			if keys[i].Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return int(a) - int(b)
 	})
+	// Row i takes row perm[i]: follow each cycle once, making every
+	// position it fills a fixed point of perm.
+	for i := range perm {
+		row, j := r.Rows[i], i
+		for k := int(perm[j]); k != i; k = int(perm[j]) {
+			r.Rows[j], perm[j], j = r.Rows[k], int32(j), k
+		}
+		r.Rows[j], perm[j] = row, int32(j)
+	}
 	return nil
 }
 

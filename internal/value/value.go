@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies the runtime type of a value.
@@ -160,14 +161,7 @@ func Compare(a, b V) (int, error) {
 		if a.K != KindString || b.K != KindString {
 			return 0, fmt.Errorf("value: cannot compare %s with %s", a.K, b.K)
 		}
-		switch {
-		case a.S < b.S:
-			return -1, nil
-		case a.S > b.S:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return strings.Compare(a.S, b.S), nil
 	}
 	// Numeric (or bool) comparison. Compare as ints when both sides are
 	// integral to avoid float rounding on large int64 values.

@@ -74,7 +74,7 @@ done
 
 echo "== quick bench pass =="
 go test -run xxx -bench . -benchtime 1x . > /dev/null
-go test -run '^$' -bench 'Filter|ChainVec|HandleFused' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site > /dev/null
+go test -run '^$' -bench 'Filter|ChainVec|HandleFused|SortKeys|SlabExtremum' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh

@@ -3,6 +3,7 @@ package skalla
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/relation"
@@ -114,20 +115,15 @@ func filterHaving(rel *Relation, having expr.Expr) (*Relation, error) {
 	return out, nil
 }
 
-// projectColumns reorders (and narrows) the result to the select list.
+// projectColumns reorders (and narrows) the result to the select list. A
+// select list naming the schema in order selects the result itself.
 func projectColumns(rel *Relation, cols []string) (*Relation, error) {
-	schema, idx, err := rel.Schema.Project(cols)
+	if slices.Equal(cols, rel.Schema.Names()) {
+		return rel, nil
+	}
+	out, err := rel.Project(cols)
 	if err != nil {
 		return nil, fmt.Errorf("skalla: select list: %w", err)
-	}
-	out := relation.New(schema)
-	out.Rows = make([]relation.Row, len(rel.Rows))
-	for i, row := range rel.Rows {
-		nr := make(relation.Row, len(idx))
-		for j, p := range idx {
-			nr[j] = row[p]
-		}
-		out.Rows[i] = nr
 	}
 	return out, nil
 }
