@@ -53,7 +53,7 @@ type config struct {
 	serve skalla.ServeConfig
 
 	// Library settings that need parsing or a side effect before use.
-	sites, readyURLs, checkpointDir, opt string
+	sites, checkpointDir, opt string
 
 	detail, generate  string
 	rows, customers   int
@@ -78,8 +78,7 @@ func bindFlags(fs *flag.FlagSet) *config {
 			Resilience: transport.DefaultResilience,
 		},
 		serve: skalla.ServeConfig{
-			MaxConcurrent: 4, QueueDepth: 8, QueueTimeout: 2 * time.Second,
-			Backpressure: transport.DefaultBackpressure,
+			MaxConcurrent: 4, QueueDepth: 8, QueueTimeout: 2 * time.Second, SiteInflight: 4,
 		},
 	}
 	fs.StringVar(&c.sites, "sites", "127.0.0.1:7001", "comma-separated site addresses; replicas of one site joined with | (addr1|addr2)")
@@ -106,20 +105,17 @@ func bindFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace); empty disables")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "checkpoint each synchronization round into this directory and resume an interrupted execution from its last completed round; empty disables")
 	fs.IntVar(&c.conn.Replays, "replays", c.conn.Replays, "times to re-issue a round request against a site's replicas after a transport failure mid-round")
-	fs.StringVar(&c.readyURLs, "ready-urls", "", "comma-separated site=host:port pairs of site debug addresses; the coordinator probes /readyz and skips draining sites when -allow-partial is set")
 	fs.StringVar(&c.serveAddr, "serve", "", "serve concurrent SQL queries over HTTP on this address (POST /query, plus /metrics /healthz /readyz); empty disables")
 	fs.IntVar(&c.serve.MaxConcurrent, "serve-concurrency", c.serve.MaxConcurrent, "queries executing at once in -serve mode")
 	fs.IntVar(&c.serve.QueueDepth, "serve-queue", c.serve.QueueDepth, "queries that may wait for an execution slot before new arrivals are rejected (HTTP 429)")
 	fs.DurationVar(&c.serve.QueueTimeout, "serve-queue-timeout", c.serve.QueueTimeout, "max time a queued query waits for a slot before rejection (0 = bounded only by the request)")
-	fs.IntVar(&c.serve.SiteInflight, "serve-site-inflight", c.serve.SiteInflight, "per-site connection-pool size and backpressure-window ceiling in -serve mode")
+	fs.IntVar(&c.serve.SiteInflight, "serve-site-inflight", c.serve.SiteInflight, "per-site connection-pool size in -serve mode: the most requests queries may have in flight to one site at once")
 	fs.DurationVar(&c.serve.QueryTimeout, "serve-query-timeout", c.serve.QueryTimeout, "per-query execution bound in -serve mode (0 = none)")
 	fs.DurationVar(&c.serve.SlowQuery, "serve-slow-query", c.serve.SlowQuery, "emit a slow-query event (and count serve.slow_queries) for served queries at or above this wall time (0 = disabled)")
 	fs.BoolVar(&c.conn.Hedge, "hedge", c.conn.Hedge, "hedge straggling round requests against the next replica of sites with | replica addresses: first success wins, the loser is cancelled")
 	fs.DurationVar(&c.conn.HedgeDelay, "hedge-delay", c.conn.HedgeDelay, "fixed hedge trigger delay; 0 adapts per site from an EWMA of recent call latency")
 	fs.Float64Var(&c.conn.RetryBudget, "retry-budget", c.conn.RetryBudget, "retry tokens earned per primary call, shared across all sites; hedges and transport retries each spend one token")
 	fs.IntVar(&c.conn.RetryBudgetBurst, "retry-budget-burst", c.conn.RetryBudgetBurst, "retry token-bucket cap")
-	fs.IntVar(&c.serve.BreakerFailures, "breaker-failures", c.serve.BreakerFailures, "in -serve mode, open a site's circuit breaker after this many consecutive failures or sheds so calls fail fast until a post-cooldown probe succeeds (0 = breakers disabled)")
-	fs.DurationVar(&c.serve.BreakerCooldown, "breaker-cooldown", c.serve.BreakerCooldown, "how long an open circuit breaker refuses calls before letting one probe through")
 	fs.BoolVar(&c.conn.PropagateDeadline, "propagate-deadline", c.conn.PropagateDeadline, "stamp round requests with the remaining -timeout budget so sites shed already-doomed work instead of evaluating it")
 	fs.BoolVar(&c.profile, "profile", false, "tag the execution with a query ID so sites return per-request profiles, and print the EXPLAIN ANALYZE report with timings; also adds timings to EXPLAIN ANALYZE SQL statements")
 	return c
@@ -144,9 +140,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("skalla-coord: %v", err)
 		}
-	}
-	if cfg.conn.ReadyURLs, err = parseReadyURLs(cfg.readyURLs); err != nil {
-		log.Fatalf("skalla-coord: %v", err)
 	}
 	cfg.conn.Sites = strings.Split(cfg.sites, ",")
 
@@ -362,23 +355,6 @@ func printSQLResult(rel *skalla.Relation, maxRows int) {
 	}
 	rel.SortBy(rel.Schema.Names()[0])
 	fmt.Print(rel.Format(maxRows))
-}
-
-// parseReadyURLs parses "site0=127.0.0.1:8001,site1=127.0.0.1:8002"
-// into a site → debug-address map for /readyz health probes.
-func parseReadyURLs(s string) (map[string]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]string{}
-	for _, pair := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(pair), "=", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return nil, fmt.Errorf("bad -ready-urls entry %q, want site=host:port", pair)
-		}
-		out[kv[0]] = kv[1]
-	}
-	return out, nil
 }
 
 func parseOpts(s string) (skalla.Options, error) {

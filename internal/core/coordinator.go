@@ -81,25 +81,12 @@ type Settings struct {
 	// first-error behavior). Replaying is idempotent: the request carries
 	// (epoch, round) and sites answer repeats from their dedup cache.
 	Replays int
-	// Health, when set, is consulted before fanning a round out to a
-	// site. In degraded (AllowPartial) mode a not-ready site is skipped
-	// without a call and recorded as lost; in strict mode the verdict is
-	// advisory (an event) — the call proceeds, because a draining replica
-	// sheds with CodeDraining and the Reconnector fails over anyway.
-	Health HealthGate
 	// PropagateDeadline stamps every round request with the remaining
 	// per-call budget (Request.DeadlineNs, derived from CallTimeout / the
 	// execution context) so sites shed already-doomed work instead of
 	// computing answers nobody will read. Off by default: untagged
 	// requests stay byte-identical to the pre-deadline wire encoding.
 	PropagateDeadline bool
-}
-
-// HealthGate answers whether a site should receive new work. It is the
-// coordinator-side consumer of the sites' /readyz endpoints (see
-// transport.HTTPHealth); implementations should fail open.
-type HealthGate interface {
-	Ready(site string) (bool, string)
 }
 
 // NewCoordinator returns a coordinator over the given site clients. The
@@ -392,27 +379,6 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 		wg.Add(1)
 		go func(cl transport.Client) {
 			defer wg.Done()
-			fail := func(err error) {
-				if !c.AllowPartial {
-					cancelRound()
-				}
-				out <- streamItem{SiteRound: SiteRound{Site: cl.SiteID(), Lost: true, Err: err.Error()}, err: err}
-			}
-			if c.Health != nil {
-				if ready, reason := c.Health.Ready(cl.SiteID()); !ready {
-					c.Obs.Event(obs.EventDrain, cl.SiteID(), "site reports not ready",
-						map[string]string{"reason": reason, "skipped": fmt.Sprint(c.AllowPartial)})
-					if c.AllowPartial {
-						// Skip the call entirely: the site asked not to be
-						// sent work, and the round can answer without it.
-						c.Obs.Count("coord.sites_skipped", 1)
-						fail(fmt.Errorf("core: site %s skipped: not ready: %s", cl.SiteID(), reason))
-						return
-					}
-					// Strict mode cannot afford to drop the site; proceed
-					// and let shed responses drive replica failover.
-				}
-			}
 			req := tmpl
 			req.Base = ships[cl.SiteID()].base
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
@@ -466,7 +432,11 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 			if err != nil {
 				span.SetArg("error", err.Error())
 				span.End()
-				fail(fmt.Errorf("core: site %s: %w", cl.SiteID(), err))
+				if !c.AllowPartial {
+					cancelRound()
+				}
+				err = fmt.Errorf("core: site %s: %w", cl.SiteID(), err)
+				out <- streamItem{SiteRound: SiteRound{Site: cl.SiteID(), Lost: true, Err: err.Error()}, err: err}
 				return
 			}
 			wire := stats.Totals()

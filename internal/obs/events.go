@@ -29,9 +29,10 @@ const (
 	// EventDrain: a server started or finished graceful drain (fields:
 	// phase, inflight).
 	EventDrain = "drain"
-	// EventOverload: a site shed a request under a resource limit, or a
-	// client failed over because of a shed response (fields: op, limit or
-	// from/to).
+	// EventOverload: a site refused a request whose result exceeds its
+	// per-request limits (site.Limits; fields: op, error), or a client
+	// failed over because a replica refused or was draining (fields: op,
+	// code, from, to).
 	EventOverload = "overload"
 	// EventReplay: the coordinator re-issued a failed site's round
 	// request instead of aborting the round (fields: round, attempt,
@@ -55,10 +56,6 @@ const (
 	// primary failed) and a duplicate was launched on the next replica
 	// (fields: op, reason, round).
 	EventHedge = "hedge"
-	// EventBreaker: a site's circuit breaker changed state — opened on
-	// consecutive failures, half-opened for a probe, or closed again
-	// (fields: state, threshold).
-	EventBreaker = "breaker"
 )
 
 // DefaultEventCap bounds the event log of New.

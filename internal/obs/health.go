@@ -6,9 +6,9 @@ import "sync"
 // /readyz debug endpoints. Liveness ("is the process up") is implicit —
 // a served /healthz is alive — while readiness ("should new work be sent
 // here") is an explicit flag components flip: a draining site marks
-// itself not ready the moment shutdown starts, so coordinators that
-// consult /readyz skip it instead of burning a call that would only be
-// refused with ErrDraining.
+// itself not ready the moment shutdown starts, for load balancers and
+// orchestrators. Coordinators do not consult it: a draining site's wire
+// refusal (ErrDraining) already makes them fail over.
 type Health struct {
 	mu sync.Mutex
 	//lint:guarded-by mu

@@ -38,7 +38,7 @@ func TestDeadlineExpiredOnArrival(t *testing.T) {
 		t.Errorf("err = %v, want context.DeadlineExceeded in the chain", err)
 	}
 	// An expiry is not an overload shed: it must not trip overload
-	// handling (breakers treat it as neutral, gates don't back off).
+	// handling (replica failover).
 	if resp.Shed() {
 		t.Error("expiry classified as an overload shed")
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/transport"
@@ -241,5 +243,85 @@ func TestEpochDoneUnknownEpoch(t *testing.T) {
 	}
 	if resp.RowCount != 0 {
 		t.Errorf("evicted %d entries from unknown epoch, want 0", resp.RowCount)
+	}
+}
+
+// blockingPings holds every OpPing inside the handler until release is
+// closed, announcing each entry on entered; other ops reach the engine.
+type blockingPings struct {
+	*Engine
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *blockingPings) Handle(ctx context.Context, req *transport.Request) *transport.Response {
+	if req.Op != transport.OpPing {
+		return h.Engine.Handle(ctx, req)
+	}
+	h.entered <- struct{}{}
+	<-h.release
+	return &transport.Response{}
+}
+
+// TestLimitRefusalKeepsSiteInflight: a limit refusal judges one request,
+// not the site's load. After the site refuses an oversized answer, the
+// served client stack still lets SiteInflight concurrent calls into the
+// handler at once.
+func TestLimitRefusalKeepsSiteInflight(t *testing.T) {
+	const inflight = 4
+	e := loadedEngine(t)
+	e.SetLimits(Limits{MaxResultRows: 2}) // base query yields 3 groups
+	h := &blockingPings{Engine: e, entered: make(chan struct{}, inflight), release: make(chan struct{})}
+	spec := transport.SiteSpec{ID: "s0", Replicas: []transport.Replica{{Handler: h}}}
+	spec.SiteInflight = inflight
+	s, err := transport.NewSite(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	views := make([]transport.Client, inflight)
+	for i := range views {
+		if views[i], err = s.Client(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	resp, err := views[0].Call(context.Background(), baseReq("", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(resp.Error(), transport.ErrOverloaded) {
+		t.Fatalf("err = %v, want the limit refusal", resp.Error())
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, inflight)
+	for i, cl := range views {
+		wg.Add(1)
+		go func(i int, cl transport.Client) {
+			defer wg.Done()
+			_, errs[i] = cl.Call(context.Background(), &transport.Request{Op: transport.OpPing})
+		}(i, cl)
+	}
+	inside := 0
+	timeout := time.After(5 * time.Second)
+wait:
+	for inside < inflight {
+		select {
+		case <-h.entered:
+			inside++
+		case <-timeout:
+			break wait
+		}
+	}
+	close(h.release)
+	wg.Wait()
+	if inside < inflight {
+		t.Fatalf("%d of %d concurrent calls inside the handler after a limit refusal, want all", inside, inflight)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

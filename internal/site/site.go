@@ -64,7 +64,9 @@ func lookupGenerator(kind string) (Generator, bool) {
 // unlimited. A request whose result exceeds a limit is refused with an
 // error wrapping transport.ErrOverloaded (wire code CodeOverloaded), so
 // retrying wrappers fail over instead of re-asking for the same
-// oversized answer.
+// oversized answer. The refusal is a verdict on that one request, not on
+// the site's load: no client layer narrows how many other requests may be
+// in flight to the site because of it.
 type Limits struct {
 	// MaxResultRows caps the number of rows in one response relation.
 	MaxResultRows int

@@ -53,7 +53,7 @@ const (
 	// passed before (or while) the site evaluated it. Unlike overload and
 	// drain this is not a load-shedding refusal — the caller's own budget
 	// ran out — so Shed() deliberately excludes it: an expired request
-	// must not halve AIMD windows or trigger replica failover.
+	// must not trigger replica failover.
 	CodeExpired = 3
 )
 

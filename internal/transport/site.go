@@ -62,30 +62,6 @@ func (r Resilience) NewBudget(o *obs.Obs) *RetryBudget {
 	return NewRetryBudget(r.RetryBudget, r.RetryBudgetBurst, o)
 }
 
-// Backpressure is what concurrent executions share per site.
-type Backpressure struct {
-	// SiteInflight caps concurrent in-flight requests per site: it is both
-	// the connection-pool size and the AIMD window's ceiling. 0 omits both
-	// layers: every client view owns its connections.
-	SiteInflight int
-	// BreakerFailures consecutive failures or sheds open the site's circuit
-	// breaker: calls fail fast with ErrBreakerOpen until, BreakerCooldown
-	// later, one probe is let through and succeeds. 0 omits the breaker.
-	BreakerFailures int
-	BreakerCooldown time.Duration
-}
-
-// DefaultBackpressure is what NewQueryService uses where its configuration
-// says nothing, and what skalla-coord's flags default to.
-var DefaultBackpressure = Backpressure{SiteInflight: 4, BreakerCooldown: time.Second}
-
-// WithDefaults fills unset (non-positive) fields from DefaultBackpressure.
-func (b Backpressure) WithDefaults() Backpressure {
-	b.SiteInflight = positiveOr(b.SiteInflight, DefaultBackpressure.SiteInflight)
-	b.BreakerCooldown = positiveOr(b.BreakerCooldown, DefaultBackpressure.BreakerCooldown)
-	return b
-}
-
 // Replica is one endpoint of a logical site: a site server's TCP address
 // or, when Handler is set, an in-process handler.
 type Replica struct {
@@ -109,17 +85,21 @@ type SiteSpec struct {
 	// Budget is the retry budget shared with the other sites of the
 	// cluster (Resilience.NewBudget); nil is unlimited.
 	Budget *RetryBudget
-	Backpressure
+	// SiteInflight caps concurrent in-flight requests to the site: it is
+	// the connection-pool size, the one per-site bound concurrent
+	// executions share. 0 omits the pool: every client view owns its
+	// connections.
+	SiteInflight int
 }
 
 // Site is the one place a logical site's client stack is assembled. It
-// owns what every execution against the site shares — the breaker, the
-// AIMD gate, the hedging latency estimate and counters, the connection
-// pools, a readiness-probe connection — and hands out per-execution
-// Client views with private statistics. A view is composed, outermost to
-// innermost, in the only order this package can produce:
+// owns what every execution against the site shares — the hedging
+// latency estimate and counters, the connection pools, a liveness-probe
+// connection — and hands out per-execution Client views with private
+// statistics. A view is composed, outermost to innermost, in the only
+// order this package can produce:
 //
-//	breaker → gate → hedge → pool → retry → leaf
+//	hedge → pool → retry → leaf
 //
 // with the layers the spec does not ask for omitted. The retry layer
 // holds all replicas and fails over between them sequentially, sticking
@@ -128,10 +108,8 @@ type SiteSpec struct {
 // races them. Exactly one layer earns into and spends from the shared
 // retry budget: the hedger where there is one, else the retry layer.
 type Site struct {
-	spec    SiteSpec
-	breaker *Breaker
-	gate    *SiteGate
-	hedge   *hedgeState
+	spec  SiteSpec
+	hedge *hedgeState
 	// conns opens retry → leaf connections: one opener per replica when
 	// hedging races them, else a single one failing over across them all.
 	conns []func() (Client, error)
@@ -153,9 +131,6 @@ func NewSite(spec SiteSpec) (*Site, error) {
 		return nil, fmt.Errorf("transport: site %s: failing over across replicas needs a retry layer (Attempts > 0)", spec.ID)
 	}
 	s := &Site{spec: spec}
-	if spec.BreakerFailures > 0 {
-		s.breaker = NewBreaker(spec.ID, spec.BreakerFailures, spec.BreakerCooldown, spec.Obs)
-	}
 	if hedged {
 		s.hedge = &hedgeState{delay: spec.HedgeDelay, budget: spec.Budget, obs: spec.Obs}
 		for i := range spec.Replicas {
@@ -165,7 +140,6 @@ func NewSite(spec SiteSpec) (*Site, error) {
 		s.conns = append(s.conns, s.opener(spec.Replicas, spec.Budget))
 	}
 	if spec.SiteInflight > 0 {
-		s.gate = NewSiteGate(spec.ID, spec.SiteInflight, spec.Obs)
 		for _, open := range s.conns {
 			s.pools = append(s.pools, NewPool(spec.ID, spec.SiteInflight, open, spec.Obs))
 		}
@@ -212,8 +186,8 @@ func (s *Site) dial(r Replica) (Client, error) {
 	return cl, nil
 }
 
-// calls returns the part of a view beneath the gate, hedge → pool → retry
-// → leaf, over pooled leases or over connections of its own.
+// calls returns a view, hedge → pool → retry → leaf, over pooled leases
+// or over connections of its own.
 func (s *Site) calls(pooled bool) (Client, error) {
 	replicas := make([]Client, len(s.conns))
 	for i, open := range s.conns {
@@ -242,17 +216,7 @@ func (s *Site) calls(pooled bool) (Client, error) {
 // Closing the view releases only what it owns — its connections, when
 // they are not pooled.
 func (s *Site) Client() (Client, error) {
-	cl, err := s.calls(s.pools != nil)
-	if err != nil {
-		return nil, err
-	}
-	if s.gate != nil {
-		cl = &gatedClient{Client: cl, gate: s.gate}
-	}
-	if s.breaker != nil {
-		cl = &breakerClient{Client: cl, breaker: s.breaker}
-	}
-	return cl, nil
+	return s.calls(s.pools != nil)
 }
 
 // Ping probes the site's liveness over a dedicated, lazily dialed
@@ -283,12 +247,9 @@ func (s *Site) Ping(ctx context.Context) error {
 // ID returns the logical site identifier.
 func (s *Site) ID() string { return s.spec.ID }
 
-// Breaker returns the site's circuit breaker, nil when it has none.
-func (s *Site) Breaker() *Breaker { return s.breaker }
-
 // String prints the assembled stack, outermost layer first, e.g.
 //
-//	breaker(5,1s) > gate(4) > hedge(adaptive) > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001
+//	hedge(adaptive) > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001
 func (s *Site) String() string {
 	var b strings.Builder
 	layer := func(present bool, format string, args ...any) {
@@ -296,8 +257,6 @@ func (s *Site) String() string {
 			fmt.Fprintf(&b, format+" > ", args...)
 		}
 	}
-	layer(s.breaker != nil, "breaker(%d,%s)", s.spec.BreakerFailures, s.spec.BreakerCooldown)
-	layer(s.gate != nil, "gate(%d)", s.spec.SiteInflight)
 	layer(s.hedge != nil && s.spec.HedgeDelay > 0, "hedge(%s)", s.spec.HedgeDelay)
 	layer(s.hedge != nil && s.spec.HedgeDelay <= 0, "hedge(adaptive)")
 	layer(s.pools != nil, "pool(%d)", s.spec.SiteInflight)

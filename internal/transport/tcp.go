@@ -46,12 +46,6 @@ type Server struct {
 	// Logf logs server-side errors; defaults to log.Printf.
 	Logf func(format string, args ...any)
 
-	// MaxInflight caps how many requests may be inside the handler at
-	// once; excess requests are shed immediately with CodeOverloaded so
-	// coordinators back off or fail over instead of queueing unboundedly
-	// on a saturated site. 0 means unlimited. Set before Listen/Serve.
-	MaxInflight int
-
 	// Obs, when set before Listen/Serve, receives server-side wire
 	// counters ("transport.server.bytes_received", ".bytes_sent",
 	// ".requests", ".malformed") and per-op request counters
@@ -153,7 +147,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			s.Obs.Count("transport.server.malformed", 1)
 			resp = &Response{Err: "transport: request: " + err.Error()}
-		} else if resp = s.admit(&req); resp == nil {
+		} else if resp = s.admit(); resp == nil {
 			admitted = true
 			var alive bool
 			resp, alive = s.handleWatched(ctx, conn, pr, &req)
@@ -185,26 +179,16 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // admit opens the in-flight window for one decoded request, or returns the
-// refusal to send instead: CodeDraining when the server is draining,
-// CodeOverloaded at MaxInflight. Admission and the in-flight bookkeeping
-// happen under mu so Drain's reqWG.Wait never races a concurrent
-// reqWG.Add. Every admitted request is paired with one release.
-func (s *Server) admit(req *Request) *Response {
+// CodeDraining refusal to send instead when the server is draining.
+// Admission and the in-flight bookkeeping happen under mu so Drain's
+// reqWG.Wait never races a concurrent reqWG.Add. Every admitted request is
+// paired with one release.
+func (s *Server) admit() *Response {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		s.Obs.Count("transport.server.drain_rejects", 1)
 		return &Response{Err: "site draining: not accepting new requests", Code: CodeDraining}
-	}
-	if s.MaxInflight > 0 && s.inflight >= s.MaxInflight {
-		s.mu.Unlock()
-		s.Obs.Count("transport.server.overload_rejects", 1)
-		s.Obs.Event(obs.EventOverload, "", "request shed: server at max in-flight",
-			map[string]string{"op": req.Op.String(), "max_inflight": fmt.Sprint(s.MaxInflight)})
-		return &Response{
-			Err:  fmt.Sprintf("site at max in-flight (%d): shedding", s.MaxInflight),
-			Code: CodeOverloaded,
-		}
 	}
 	s.reqWG.Add(1)
 	s.inflight++

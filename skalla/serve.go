@@ -3,9 +3,9 @@ package skalla
 // This file is the concurrent query service behind `skalla-coord -serve`:
 // many SQL queries at once over one shared site fleet, with bounded
 // admission (typed rejections instead of unbounded queueing), per-site
-// connection pooling (concurrent executions do not serialize on one TCP
-// stream), per-site AIMD backpressure driven by shed responses, and
-// per-query cancellation isolation (one query's failure or cancellation
+// connection pools that bound each site's in-flight requests (concurrent
+// executions do not serialize on one TCP stream), and per-query
+// cancellation isolation (one query's failure or cancellation
 // never tears down a sibling's in-flight site calls).
 
 import (
@@ -59,11 +59,10 @@ type ServeConfig struct {
 	// QueueTimeout bounds how long a queued query waits for a slot (0 =
 	// as long as its own context allows).
 	QueueTimeout time.Duration
-	// Backpressure is what concurrent queries share per site: the
-	// connection-pool size and AIMD window ceiling, and the circuit
-	// breaker (open breakers surface in /readyz). Unset fields take
-	// transport.DefaultBackpressure.
-	Backpressure
+	// SiteInflight is how many requests concurrent queries may have in
+	// flight to one site at once: the size of the site's connection pool
+	// (default 4).
+	SiteInflight int
 	// QueryTimeout bounds each query's whole execution (0 = none).
 	QueryTimeout time.Duration
 	// SlowQuery, when positive, emits an obs slow-query event (and counts
@@ -79,14 +78,15 @@ type ServeConfig struct {
 // Query directly. Each admitted query executes on its own coordinator
 // with its own epoch and its own leased connections, so executions are
 // isolated while sharing the site fleet, admission, and the per-site
-// backpressure state.
+// connection pools.
 //
 // Admission bounds the executions against the shared fleet: at most
 // MaxConcurrent run at once, a queue of QueueDepth absorbs bursts, and
 // everything beyond that is rejected fast with a typed ErrAdmission
-// instead of piling latency onto queries already running. Per-site
-// backpressure is separate — see transport.Site — so one slow or shedding
-// site throttles calls to itself without stalling admission globally.
+// instead of piling latency onto queries already running. The per-site
+// bound is separate — each site's pool holds at most SiteInflight
+// connections, see transport.Site — so calls queue at a slow site without
+// stalling admission globally.
 type QueryService struct {
 	cluster *Cluster
 	sites   []*transport.Site
@@ -111,15 +111,17 @@ func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
 	}
-	cfg.Backpressure = cfg.Backpressure.WithDefaults()
+	if cfg.SiteInflight <= 0 {
+		cfg.SiteInflight = 4
+	}
 	if cfg.Opts == nil {
 		cfg.Opts = &AllOptimizations
 	}
 	s := &QueryService{cluster: c, cfg: cfg, obs: c.obs, slots: make(chan struct{}, cfg.MaxConcurrent)}
-	// The served stack is the cluster's own with the layers concurrent
-	// executions share — pools, gate, breaker — added on top.
+	// The served stack is the cluster's own with the connection pools
+	// concurrent executions share added on top.
 	for _, spec := range c.specs {
-		spec.Backpressure = cfg.Backpressure
+		spec.SiteInflight = cfg.SiteInflight
 		site, err := transport.NewSite(spec)
 		if err != nil {
 			return nil, fmt.Errorf("skalla: %w", err)
@@ -167,8 +169,8 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		defer cancel()
 	}
 
-	// Per-execution isolation: a private view of every site (shared pools,
-	// gate and breaker; private byte accounting; cancellation confined to
+	// Per-execution isolation: a private view of every site (shared pools;
+	// private byte accounting; cancellation confined to
 	// borrowed connections), driven by a private coordinator under a
 	// unique epoch.
 	clients := make([]transport.Client, len(s.sites))
@@ -320,16 +322,7 @@ func (s *QueryService) CheckReady() (bool, string) {
 	reachable := 0
 	var firstDown string
 	for i, err := range errs {
-		// An open circuit breaker counts as down even when the probe
-		// connection answers: queries to the site are failing fast, so
-		// advertising readiness would route traffic into rejections.
 		if err == nil {
-			if br := s.sites[i].Breaker(); br != nil && br.State() == transport.BreakerOpen {
-				if firstDown == "" {
-					firstDown = fmt.Sprintf("site %s circuit breaker open", s.cluster.ids[i])
-				}
-				continue
-			}
 			reachable++
 		} else if firstDown == "" {
 			firstDown = fmt.Sprintf("site %s unreachable: %v", s.cluster.ids[i], err)
@@ -417,7 +410,7 @@ func writeQueryError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrAdmission):
 		kind, code = "admission", http.StatusTooManyRequests
 	case errors.Is(err, transport.ErrOverloaded), errors.Is(err, transport.ErrDraining),
-		errors.Is(err, transport.ErrBreakerOpen), errors.Is(err, transport.ErrBudgetExhausted):
+		errors.Is(err, transport.ErrBudgetExhausted):
 		kind, code = "shed", http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
 		kind, code = "timeout", http.StatusGatewayTimeout

@@ -123,7 +123,7 @@ func TestServeConcurrentE2E(t *testing.T) {
 		return ch
 	}
 
-	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16, Backpressure: Backpressure{SiteInflight: 4}})
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16, SiteInflight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestServeSiblingCancellationIsolation(t *testing.T) {
 		return ch
 	}
 
-	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 4, Backpressure: Backpressure{SiteInflight: 4}})
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 4, SiteInflight: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +607,7 @@ func TestServeHedgesAttributed(t *testing.T) {
 	got, sink, stacks := serve(true)
 	assertIdentical(t, "hedged vs unhedged", got, want)
 
-	if want := "client stack site1: gate(4) > hedge(10ms) > pool(4) > retry(2,1ms) > tcp " + entries[1] + "\n"; !strings.HasSuffix(stacks, want) {
+	if want := "client stack site1: hedge(10ms) > pool(4) > retry(2,1ms) > tcp " + entries[1] + "\n"; !strings.HasSuffix(stacks, want) {
 		t.Errorf("served stacks:\n%swant the last line to be\n%s", stacks, want)
 	}
 	// The served query's statistics (its /profiles entry) name the hedged

@@ -68,9 +68,6 @@ type (
 	// Resilience is how a site call survives a bad replica (see
 	// transport.Resilience); ConnectConfig embeds it.
 	Resilience = transport.Resilience
-	// Backpressure is what concurrent executions share per site (see
-	// transport.Backpressure); ServeConfig embeds it.
-	Backpressure = transport.Backpressure
 )
 
 // NewFileCheckpoints returns a file-backed checkpoint store rooted at
@@ -147,8 +144,8 @@ type Cluster struct {
 
 	// specs describe each site's client stack, in ids order. The cluster's
 	// own clients are built from them, and so is every further view of the
-	// same sites: sessions, and the concurrent query service's pooled,
-	// gated stacks (NewQueryService). Multi-tier clusters have none.
+	// same sites: sessions, and the concurrent query service's pooled
+	// stacks (NewQueryService). Multi-tier clusters have none.
 	specs []transport.SiteSpec
 }
 
@@ -260,11 +257,6 @@ type ConnectConfig struct {
 	// hedging, and the cluster-wide retry budget. Unset fields take
 	// transport.DefaultResilience.
 	Resilience
-	// ReadyURLs maps site IDs ("site0", ...) to the debug addresses of
-	// their /readyz endpoints. When set, the coordinator consults a site's
-	// readiness before fanning a round out to it and — in AllowPartial
-	// mode — skips draining sites without burning a call.
-	ReadyURLs map[string]string
 }
 
 // Connect builds a cluster over already-running remote site servers (one
@@ -321,9 +313,6 @@ func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("skalla: connect %s: %w", cfg.Sites[i], err)
 		}
-	}
-	if len(cfg.ReadyURLs) > 0 {
-		c.coord.Health = transport.NewHTTPHealth(cfg.ReadyURLs)
 	}
 	return c, nil
 }
