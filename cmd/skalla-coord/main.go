@@ -73,10 +73,7 @@ type config struct {
 // bindFlags registers every skalla-coord flag on fs.
 func bindFlags(fs *flag.FlagSet) *config {
 	c := &config{
-		conn: skalla.ConnectConfig{
-			Settings:   skalla.Settings{Replays: 1},
-			Resilience: transport.DefaultResilience,
-		},
+		conn: skalla.ConnectConfig{Resilience: transport.DefaultResilience},
 		serve: skalla.ServeConfig{
 			MaxConcurrent: 4, QueueDepth: 8, QueueTimeout: 2 * time.Second, SiteInflight: 4,
 		},
@@ -104,7 +101,6 @@ func bindFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.trace, "trace", "", "write a Chrome trace_event JSON file of the execution (open in chrome://tracing or Perfetto)")
 	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace); empty disables")
 	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "checkpoint each synchronization round into this directory and resume an interrupted execution from its last completed round; empty disables")
-	fs.IntVar(&c.conn.Replays, "replays", c.conn.Replays, "times to re-issue a round request against a site's replicas after a transport failure mid-round")
 	fs.StringVar(&c.serveAddr, "serve", "", "serve concurrent SQL queries over HTTP on this address (POST /query, plus /metrics /healthz /readyz); empty disables")
 	fs.IntVar(&c.serve.MaxConcurrent, "serve-concurrency", c.serve.MaxConcurrent, "queries executing at once in -serve mode")
 	fs.IntVar(&c.serve.QueueDepth, "serve-queue", c.serve.QueueDepth, "queries that may wait for an execution slot before new arrivals are rejected (HTTP 429)")
@@ -116,7 +112,6 @@ func bindFlags(fs *flag.FlagSet) *config {
 	fs.DurationVar(&c.conn.HedgeDelay, "hedge-delay", c.conn.HedgeDelay, "fixed hedge trigger delay; 0 adapts per site from an EWMA of recent call latency")
 	fs.Float64Var(&c.conn.RetryBudget, "retry-budget", c.conn.RetryBudget, "retry tokens earned per primary call, shared across all sites; hedges and transport retries each spend one token")
 	fs.IntVar(&c.conn.RetryBudgetBurst, "retry-budget-burst", c.conn.RetryBudgetBurst, "retry token-bucket cap")
-	fs.BoolVar(&c.conn.PropagateDeadline, "propagate-deadline", c.conn.PropagateDeadline, "stamp round requests with the remaining -timeout budget so sites shed already-doomed work instead of evaluating it")
 	fs.BoolVar(&c.profile, "profile", false, "tag the execution with a query ID so sites return per-request profiles, and print the EXPLAIN ANALYZE report with timings; also adds timings to EXPLAIN ANALYZE SQL statements")
 	return c
 }

@@ -54,9 +54,8 @@ type CheckpointStore interface {
 // per-round exchanges. A restarted coordinator that rebuilds the same
 // plan computes the same epoch and therefore finds its own checkpoint —
 // no coordination or persistent counter needed. Two different plans
-// colliding is harmless in the wrong direction only if they also agree
-// on every round's request shape, which the site-side replay fingerprint
-// re-checks.
+// would have to collide in 64 bits over their whole rendering to resume
+// each other's checkpoint.
 func PlanEpoch(p *Plan) string {
 	h := fnv.New64a()
 	w := func(parts ...string) {

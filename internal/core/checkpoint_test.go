@@ -406,21 +406,19 @@ func TestResumeAfterInterruption(t *testing.T) {
 	assertSameRelation(t, "rerun", rerun, want.Clone(), q.Keys())
 }
 
-// TestReplayAfterTransportFailure: with Replays enabled, a transport
-// failure mid-round re-issues the (epoch, round)-tagged request instead
-// of aborting the execution, and the replayed site is accounted in the
-// round's statistics.
-func TestReplayAfterTransportFailure(t *testing.T) {
+// TestRetryAfterTransportFailure: a transport failure mid-round is
+// re-sent by the client's retry layer instead of aborting the execution,
+// and the retried site is accounted in the round's statistics.
+func TestRetryAfterTransportFailure(t *testing.T) {
 	rows := testRows(240, 8)
 	q := example1()
 	egil := Egil{Catalog: newTestCatalog(3)}
 
-	coord, chaos, whole := chaosCluster(t, rows, 3, 102)
-	coord.Replays = 1
+	coord, chaos, whole := retryingChaosCluster(t, rows, 3, 2)
 	o := obs.New()
 	coord.Obs = o
-	// Site 1's second evalRounds call (step 2) dies at the transport; the
-	// coordinator replays it within the same round.
+	// Site 1's second evalRounds call (step 2) dies at the transport; its
+	// retry layer re-sends it within the same round.
 	chaos[1].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
 	got, stats, _, err := coord.Run(context.Background(), q, "flow", egil)
 	if err != nil {
@@ -430,9 +428,9 @@ func TestReplayAfterTransportFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameRelation(t, "replayed", got, want, q.Keys())
+	assertSameRelation(t, "retried", got, want, q.Keys())
 	if stats.Partial() {
-		t.Errorf("replay must not degrade the result: lost %v", stats.LostSites())
+		t.Errorf("a retry must not degrade the result: lost %v", stats.LostSites())
 	}
 	if rp := stats.ReplayedSites(); len(rp) != 1 || rp[0] != "site1" {
 		t.Errorf("replayed sites = %v, want [site1]", rp)
@@ -441,17 +439,12 @@ func TestReplayAfterTransportFailure(t *testing.T) {
 	if rp := last.Replayed(); len(rp) != 1 || rp[0] != "site1" {
 		t.Errorf("last round replayed = %v, want [site1]", rp)
 	}
-	if got := o.Metrics.CounterValue("coord.replays"); got != 1 {
-		t.Errorf("coord.replays = %d, want 1", got)
-	}
-	if got := o.Events.CountKind(obs.EventReplay); got != 1 {
-		t.Errorf("replay events = %d, want 1", got)
-	}
-	// Without Replays the same fault aborts the run (the old behavior).
+	// The coordinator sends each call once: without a retry layer the
+	// same fault aborts the run.
 	coordStrict, chaosStrict, _ := chaosCluster(t, rows, 3, 103)
 	chaosStrict[1].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
 	if _, _, _, err := coordStrict.Run(context.Background(), q, "flow", egil); err == nil {
-		t.Fatal("replays disabled: transport failure should abort")
+		t.Fatal("no retry layer: transport failure should abort")
 	}
 }
 

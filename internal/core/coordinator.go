@@ -42,9 +42,8 @@ type Coordinator struct {
 
 	// Epoch overrides the execution epoch; empty derives it from the plan
 	// (PlanEpoch), which is what lets a restarted coordinator find its
-	// own checkpoint. Requests carry the epoch and round sequence number
-	// only while recovery is enabled (Checkpoints set or Replays > 0), so
-	// site-side replay dedup never caches for plain executions.
+	// own checkpoint. The epoch keys checkpoints and never goes on the
+	// wire.
 	Epoch string
 	// QueryID, when non-empty, tags every round request with this ID so
 	// sites piggy-back per-request profiles on their responses, which
@@ -76,17 +75,6 @@ type Settings struct {
 	// execution of the same plan from its last completed round. Round
 	// checkpoints are cheap by Theorem 2: X never holds detail data.
 	Checkpoints CheckpointStore
-	// Replays is how many times a site's round request is re-issued after
-	// a transport failure before the site counts as lost (0 keeps the old
-	// first-error behavior). Replaying is idempotent: the request carries
-	// (epoch, round) and sites answer repeats from their dedup cache.
-	Replays int
-	// PropagateDeadline stamps every round request with the remaining
-	// per-call budget (Request.DeadlineNs, derived from CallTimeout / the
-	// execution context) so sites shed already-doomed work instead of
-	// computing answers nobody will read. Off by default: untagged
-	// requests stay byte-identical to the pre-deadline wire encoding.
-	PropagateDeadline bool
 }
 
 // NewCoordinator returns a coordinator over the given site clients. The
@@ -213,16 +201,10 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 	var x *relation.Relation
 
 	// Execution identity: the epoch names this execution across restarts,
-	// and each round's sequence number makes (epoch, round) an idempotency
-	// key for site-side replay dedup. Plain executions (no recovery) leave
-	// requests untagged so sites never cache for them.
+	// so an interrupted run finds its checkpoint.
 	epoch := c.Epoch
 	if epoch == "" {
 		epoch = c.executionEpoch(plan)
-	}
-	tagEpoch := ""
-	if c.Checkpoints != nil || c.Replays > 0 {
-		tagEpoch = epoch
 	}
 
 	// Resume: an interrupted execution of this plan left a checkpoint of
@@ -266,19 +248,13 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 	}
 
 	for seq := done; seq < len(plan.Steps); seq++ {
-		rs, merged, err := c.round(ctx, x, plan, seq, tagEpoch)
+		rs, merged, err := c.round(ctx, x, plan, seq)
 		if err != nil {
 			return nil, stats, err
 		}
 		x, done = merged, seq+1
 		stats.Rounds = append(stats.Rounds, rs)
 		saveCkpt()
-	}
-
-	// The execution completed: sites can evict its replay-dedup entries
-	// now instead of waiting for them to age out under concurrent load.
-	if tagEpoch != "" {
-		c.notifyEpochDone(ctx, tagEpoch)
 	}
 
 	// The execution completed: its checkpoint can never be resumed again
@@ -300,13 +276,13 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 
 // round runs step seq of the plan: it exchanges the step's request with
 // the sites and finalizes the merged replies into the new X.
-func (c *Coordinator) round(ctx context.Context, x *relation.Relation, plan *Plan, seq int, epoch string) (RoundStats, *relation.Relation, error) {
+func (c *Coordinator) round(ctx context.Context, x *relation.Relation, plan *Plan, seq int) (RoundStats, *relation.Relation, error) {
 	step := &plan.Steps[seq]
 	rs := RoundStats{Name: step.Name, Sites: make([]SiteRound, 0, len(c.clients))}
 	ctx, rspan := c.Obs.StartSpanTrack(ctx, "round:"+step.Name, obs.TrackCoordinator)
 	defer rspan.End()
 	req := step.Request
-	req.Epoch, req.Round, req.QueryID = epoch, seq, c.QueryID
+	req.Round, req.QueryID = seq, c.QueryID
 	m, err := c.exchange(ctx, x, step, req, &rs, false)
 	if err != nil {
 		return rs, nil, err
@@ -364,13 +340,10 @@ type streamItem struct {
 // channel closes after all sites have answered (successfully or not). Each
 // call is bounded by CallTimeout; in strict mode the first failure cancels
 // the in-flight calls of the remaining sites, so a doomed round aborts
-// promptly instead of waiting for its slowest member.
-//
-// When req is tagged with (epoch, round), a transport-level failure is
-// replayed up to c.Replays times before the site counts as lost: because
-// the tag makes the exchange idempotent, a replica can answer the replayed
-// round (from its dedup cache if the original site already did the work)
-// instead of the whole round aborting on the first death.
+// promptly instead of waiting for its slowest member. The coordinator
+// sends each call once: re-sending a failed call is the client's retry
+// layer's job, and the re-sends it needed come back in the exchange's
+// Delta as the site's Replays.
 func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, ships map[string]shipment) <-chan streamItem {
 	roundCtx, cancelRound := context.WithCancel(ctx)
 	out := make(chan streamItem, len(c.clients))
@@ -382,50 +355,12 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 			req := tmpl
 			req.Base = ships[cl.SiteID()].base
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
-			var resp *transport.Response
-			var err error
-			// stats gathers what the exchange — replays included — added to
-			// the client's statistics: the round's bytes, and the hedges a
-			// hedging client launched for it.
-			var stats transport.WireStats
-			replays := 0
-			for {
-				callCtx, done := c.callContext(roundCtx)
-				if c.PropagateDeadline {
-					// Stamp the remaining budget at send time: each
-					// replay attempt recomputes it, so a late replay
-					// carries its true (smaller) budget. -1 expresses
-					// "already expired" (zero would mean "no deadline"
-					// on the wire).
-					if dl, ok := callCtx.Deadline(); ok {
-						if rem := time.Until(dl); rem > 0 {
-							req.DeadlineNs = rem.Nanoseconds()
-						} else {
-							req.DeadlineNs = -1
-						}
-					}
-				}
-				var d transport.Delta
-				resp, d, err = transport.Exchange(callCtx, cl, &req)
-				stats.Add(d)
-				done()
-				if err == nil || resp != nil {
-					// Success, or a site-side error: site-side errors are
-					// deterministic answers, so replaying cannot change them.
-					break
-				}
-				if replays >= c.Replays || roundCtx.Err() != nil {
-					break
-				}
-				replays++
-				c.Obs.Count("coord.replays", 1)
-				c.Obs.Event(obs.EventReplay, cl.SiteID(),
-					fmt.Sprintf("replaying round %d request after transport failure", req.Round),
-					map[string]string{
-						"epoch": req.Epoch, "round": fmt.Sprint(req.Round),
-						"attempt": fmt.Sprint(replays), "error": err.Error(),
-					})
-			}
+			// wire is what the exchange added to the client's statistics:
+			// the round's bytes, and the retries and hedges the client's
+			// layers spent on it.
+			callCtx, done := c.callContext(roundCtx)
+			resp, wire, err := transport.Exchange(callCtx, cl, &req)
+			done()
 			if err == nil {
 				err = resp.Error()
 			}
@@ -439,11 +374,10 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 				out <- streamItem{SiteRound: SiteRound{Site: cl.SiteID(), Lost: true, Err: err.Error()}, err: err}
 				return
 			}
-			wire := stats.Totals()
 			span.SetArg("bytes_sent", fmt.Sprint(wire.Sent))
 			span.SetArg("bytes_received", fmt.Sprint(wire.Recv))
-			if replays > 0 {
-				span.SetArg("replays", fmt.Sprint(replays))
+			if wire.Retries > 0 {
+				span.SetArg("retries", fmt.Sprint(wire.Retries))
 			}
 			if wire.Hedges > 0 {
 				span.SetArg("hedges", fmt.Sprint(wire.Hedges))
@@ -453,7 +387,7 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 				Site:      cl.SiteID(),
 				BytesSent: wire.Sent, BytesRecv: wire.Recv, Comm: wire.Comm,
 				Compute: time.Duration(resp.ComputeNs),
-				Replays: replays,
+				Replays: wire.Retries,
 				Hedges:  wire.Hedges,
 				Remote:  resp.Profile,
 			}
@@ -472,27 +406,6 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 		close(out)
 	}()
 	return out
-}
-
-// notifyEpochDone tells every site, in parallel and best-effort, that the
-// tagged execution completed so its (epoch, round) dedup entries can be
-// evicted immediately. Failures are ignored: OpEpochDone is a memory
-// optimization, not a correctness requirement — a site that never hears
-// it ages the epoch out on its own.
-func (c *Coordinator) notifyEpochDone(ctx context.Context, epoch string) {
-	if c.CallTimeout <= 0 {
-		// Never let a hung site stall a completed query on a courtesy
-		// notification.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, 2*time.Second)
-		defer cancel()
-	}
-	_, errs := c.broadcast(ctx, func(int) *transport.Request { return &transport.Request{Op: transport.OpEpochDone, Epoch: epoch} })
-	for _, err := range errs {
-		if err == nil {
-			c.Obs.Count("coord.epoch_done_acks", 1)
-		}
-	}
 }
 
 // broadcast sends every site, in parallel, the request req builds for its

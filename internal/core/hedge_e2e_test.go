@@ -50,8 +50,8 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 
 		// Site 1 is a replica set over one shared server: the primary
 		// connection straggles on every round call, the secondary is
-		// clean. Both hit the same engine, so a duplicated (epoch, round)
-		// request is answered from the site's dedup cache.
+		// clean. Both hit the same engine, which evaluates a duplicated
+		// round request again: rounds are pure functions of the request.
 		spec := transport.SiteSpec{ID: id, Replicas: []transport.Replica{{Addr: addr}}, Obs: sink}
 		if i == 1 {
 			spec.Replicas = []transport.Replica{

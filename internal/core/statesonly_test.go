@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/gmdj"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/site"
 	"repro/internal/transport"
@@ -109,8 +108,7 @@ func (r keptRecorder) Call(ctx context.Context, req *transport.Request) (*transp
 }
 
 // loseReply delivers its site's second round request and then loses the
-// reply, so the site has answered — and cached — what the coordinator
-// never read.
+// reply, so the site has evaluated what the coordinator never read.
 type loseReply struct {
 	transport.Client
 	calls atomic.Int64
@@ -125,9 +123,9 @@ func (l *loseReply) Call(ctx context.Context, req *transport.Request) (*transpor
 }
 
 // TestStatesOnlyRecovery runs states-only rounds with Proposition 1's
-// bitmaps through the recovery paths — a replay answered from the site's
-// dedup cache, a hedge racing two replicas, and a checkpoint resume on a
-// new coordinator — and demands the centralized answer from each.
+// bitmaps through the recovery paths — a retry re-sent after a lost
+// reply, a hedge racing two replicas, and a checkpoint resume on a new
+// coordinator — and demands the centralized answer from each.
 func TestStatesOnlyRecovery(t *testing.T) {
 	parts := fig5Parts(t)
 	q := fig5Query("CustName")
@@ -176,21 +174,16 @@ func TestStatesOnlyRecovery(t *testing.T) {
 	}
 
 	t.Run("replay", func(t *testing.T) {
-		sink := obs.New()
-		coord, engines := build(func(id string, eng *site.Engine) transport.Client {
+		coord, _ := build(func(id string, eng *site.Engine) transport.Client {
 			if id == "site1" {
-				return &loseReply{Client: local(id, eng)}
+				lost := &loseReply{Client: local(id, eng)}
+				return transport.NewReconnector(id, func() (transport.Client, error) { return lost, nil }, 2, 0)
 			}
 			return local(id, eng)
 		})
-		engines[1].SetObs(sink)
-		coord.Replays = 1
 		stats := check("replay", coord)
 		if rp := stats.ReplayedSites(); len(rp) != 1 || rp[0] != "site1" {
-			t.Errorf("replayed sites = %v, want [site1]", rp)
-		}
-		if hits := sink.Metrics.CounterValue("site.dedup_hits"); hits != 1 {
-			t.Errorf("site.dedup_hits = %d, want the replay answered from cache", hits)
+			t.Errorf("retried sites = %v, want [site1]", rp)
 		}
 	})
 

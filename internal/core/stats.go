@@ -36,8 +36,9 @@ type SiteRound struct {
 	// modeled transfer time of its exchange.
 	Compute time.Duration `json:"compute_ns"`
 	Comm    time.Duration `json:"comm_ns"`
-	// Replays is how many times the round request was re-issued (after a
-	// transport failure) before this result arrived.
+	// Replays is how many times the client's retry layer re-sent the
+	// round request (Delta.Retries) before this result arrived; the JSON
+	// key is the v1 statistics document's.
 	Replays int `json:"replays,omitempty"`
 	// Hedges is how many duplicate replica sends (hedges or failovers)
 	// were launched for the round request before this result arrived.
@@ -121,7 +122,7 @@ func (r *RoundStats) Responded() []string {
 	return r.sitesWhere(answered)
 }
 
-// Replayed lists the sites whose round request had to be re-issued
+// Replayed lists the sites whose round request had to be re-sent
 // before their fragment arrived.
 func (r *RoundStats) Replayed() []string {
 	return r.sitesWhere(replayed)
@@ -254,7 +255,7 @@ func (s *ExecStats) LostSites() []string {
 }
 
 // ReplayedSites returns the distinct sites whose round request was
-// re-issued in any round.
+// re-sent in any round.
 func (s *ExecStats) ReplayedSites() []string {
 	return s.distinctSites(replayed)
 }

@@ -66,7 +66,7 @@ func (r *Relay) Handle(ctx context.Context, req *transport.Request) *transport.R
 
 func (r *Relay) handle(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	switch req.Op {
-	case transport.OpPing, transport.OpDrop, transport.OpRelInfo, transport.OpEpochDone:
+	case transport.OpPing, transport.OpDrop, transport.OpRelInfo:
 		return r.broadcast(ctx, func(int) *transport.Request { return req })
 
 	case transport.OpLoad:
@@ -95,8 +95,8 @@ func (r *Relay) handle(ctx context.Context, req *transport.Request) (*transport.
 
 // broadcast sends every child the request req builds for it and answers
 // for the subtree: the children's row counts summed (relInfo's and
-// generate's rows, epochDone's evicted entries) beside the first child's
-// relation (relInfo's schema). A child's error fails it.
+// generate's rows) beside the first child's relation (relInfo's schema).
+// A child's error fails it.
 func (r *Relay) broadcast(ctx context.Context, req func(i int) *transport.Request) (*transport.Response, error) {
 	start := time.Now()
 	resps, errs := r.coord.broadcast(ctx, req)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/site"
 	"repro/internal/tpcr"
@@ -387,59 +386,6 @@ type handlerFunc func(ctx context.Context, req *transport.Request) *transport.Re
 
 func (f handlerFunc) Handle(ctx context.Context, req *transport.Request) *transport.Response {
 	return f(ctx, req)
-}
-
-// TestRelayForwardsEpochDone: a tagged execution through relays ends with
-// every leaf's replay-dedup cache empty, and a child's refusal of the
-// notification is not counted as an acknowledgement.
-func TestRelayForwardsEpochDone(t *testing.T) {
-	rows := testRows(300, 17)
-	engines := make([]*site.Engine, 4)
-	var leaves []transport.Client
-	for i := range engines {
-		engines[i] = site.NewEngine(fmt.Sprintf("leaf%d", i))
-		part := relation.New(flowSchema())
-		for j := i; j < len(rows); j += len(engines) {
-			part.Rows = append(part.Rows, rows[j])
-		}
-		engines[i].Load("flow", part)
-		var h transport.Handler = engines[i]
-		if i == 3 {
-			// Leaf 3 refuses the notification, so relay1 does too.
-			h = handlerFunc(func(ctx context.Context, req *transport.Request) *transport.Response {
-				if req.Op == transport.OpEpochDone {
-					return &transport.Response{Err: "epochDone refused"}
-				}
-				return engines[3].Handle(ctx, req)
-			})
-		}
-		leaves = append(leaves, transport.NewLocalClient(engines[i].ID(), h, transport.CostModel{}))
-	}
-	var relays []transport.Client
-	for r := 0; r < 2; r++ {
-		relay, err := NewRelay(leaves[2*r:2*r+2], 2*r, len(leaves))
-		if err != nil {
-			t.Fatal(err)
-		}
-		relays = append(relays, transport.NewLocalClient(fmt.Sprintf("relay%d", r), relay, transport.CostModel{}))
-	}
-	coord := NewCoordinator(relays...)
-	coord.Replays = 1
-	coord.Obs = obs.New()
-	if _, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: catalog.New()}); err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range engines[:3] {
-		if n := eng.ReplayCacheSize(); n != 0 {
-			t.Errorf("%s holds %d replay entries after the execution completed", eng.ID(), n)
-		}
-	}
-	if n := engines[3].ReplayCacheSize(); n == 0 {
-		t.Error("the refusing leaf evicted its replay entries")
-	}
-	if acks := coord.Obs.Metrics.CounterValue("coord.epoch_done_acks"); acks != 1 {
-		t.Errorf("coord.epoch_done_acks = %d, want 1 (relay1's refusal is no ack)", acks)
-	}
 }
 
 // tierRecorder wraps the nodes of wireCluster's relay tree and records,

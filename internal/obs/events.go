@@ -34,11 +34,6 @@ const (
 	// failed over because a replica refused or was draining (fields: op,
 	// code, from, to).
 	EventOverload = "overload"
-	// EventReplay: the coordinator re-issued a failed site's round
-	// request instead of aborting the round (fields: round, attempt,
-	// error), or a site answered a replayed (epoch, round) from its dedup
-	// cache (fields: epoch, round).
-	EventReplay = "replay"
 	// EventCheckpoint: a round checkpoint was written, resumed from, or
 	// cleared (fields: epoch, round, action).
 	EventCheckpoint = "checkpoint"

@@ -3,7 +3,6 @@ package site
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +11,10 @@ import (
 	"repro/internal/transport"
 )
 
-func baseReq(epoch string, round int) *transport.Request {
+func baseReq() *transport.Request {
 	return &transport.Request{
 		Op: transport.OpEvalBase, Detail: "flow",
 		BaseCols: []string{"SourceAS", "DestAS"},
-		Epoch:    epoch, Round: round,
 	}
 }
 
@@ -26,7 +24,7 @@ func TestLimitsMaxResultRows(t *testing.T) {
 	e.SetObs(o)
 	e.SetLimits(Limits{MaxResultRows: 2}) // base query yields 3 groups
 
-	resp := e.Handle(context.Background(), baseReq("", 0))
+	resp := e.Handle(context.Background(), baseReq())
 	err := resp.Error()
 	if err == nil {
 		t.Fatal("oversized result not refused")
@@ -46,7 +44,7 @@ func TestLimitsMaxResultRows(t *testing.T) {
 
 	// Raising the cap lets the same request through.
 	e.SetLimits(Limits{MaxResultRows: 3})
-	if resp := e.Handle(context.Background(), baseReq("", 0)); resp.Error() != nil {
+	if resp := e.Handle(context.Background(), baseReq()); resp.Error() != nil {
 		t.Fatalf("within-limit request refused: %v", resp.Error())
 	}
 }
@@ -54,195 +52,13 @@ func TestLimitsMaxResultRows(t *testing.T) {
 func TestLimitsMaxResultBytes(t *testing.T) {
 	e := loadedEngine(t)
 	e.SetLimits(Limits{MaxResultBytes: 10}) // 3 groups × 2 int cols ≫ 10 bytes
-	resp := e.Handle(context.Background(), baseReq("", 0))
+	resp := e.Handle(context.Background(), baseReq())
 	if !errors.Is(resp.Error(), transport.ErrOverloaded) {
 		t.Fatalf("err = %v, want wrapped ErrOverloaded", resp.Error())
 	}
 	e.SetLimits(Limits{}) // zero = unlimited
-	if resp := e.Handle(context.Background(), baseReq("", 0)); resp.Error() != nil {
+	if resp := e.Handle(context.Background(), baseReq()); resp.Error() != nil {
 		t.Fatalf("unlimited request refused: %v", resp.Error())
-	}
-}
-
-func TestReplayDedup(t *testing.T) {
-	e := loadedEngine(t)
-	o := obs.New()
-	e.SetObs(o)
-
-	first := e.Handle(context.Background(), baseReq("ep1", 0))
-	if first.Error() != nil {
-		t.Fatal(first.Error())
-	}
-	// Same (epoch, round): served from cache, not recomputed.
-	second := e.Handle(context.Background(), baseReq("ep1", 0))
-	if second != first {
-		t.Error("replayed round recomputed instead of served from cache")
-	}
-	if got := o.Metrics.CounterValue("site.dedup_hits"); got != 1 {
-		t.Errorf("dedup_hits = %d, want 1", got)
-	}
-	if got := o.Events.CountKind(obs.EventReplay); got != 1 {
-		t.Errorf("replay events = %d, want 1", got)
-	}
-
-	// A different round of the same epoch is fresh work.
-	if r := e.Handle(context.Background(), baseReq("ep1", 1)); r == first {
-		t.Error("different round served stale cache entry")
-	}
-	// A second epoch gets its own cache — and does not evict the first:
-	// concurrent executions interleave rounds on the same site.
-	if r := e.Handle(context.Background(), baseReq("ep2", 0)); r == first {
-		t.Error("new epoch served old epoch's cache")
-	}
-	if r := e.Handle(context.Background(), baseReq("ep1", 0)); r != first {
-		t.Error("concurrent epoch evicted a live epoch's cache")
-	}
-
-	// Epoch completion drops exactly that epoch's entries.
-	done := e.Handle(context.Background(), &transport.Request{Op: transport.OpEpochDone, Epoch: "ep1"})
-	if done.Error() != nil {
-		t.Fatalf("epoch done: %v", done.Error())
-	}
-	if done.RowCount != 2 {
-		t.Errorf("epoch done evicted %d entries, want 2", done.RowCount)
-	}
-	if r := e.Handle(context.Background(), baseReq("ep1", 0)); r == first {
-		t.Error("completed epoch's entry survived eviction")
-	}
-	if got := o.Metrics.CounterValue("site.dedup_evictions"); got != 2 {
-		t.Errorf("dedup_evictions = %d, want 2", got)
-	}
-}
-
-func TestReplayUntaggedNotCached(t *testing.T) {
-	e := loadedEngine(t)
-	o := obs.New()
-	e.SetObs(o)
-	a := e.Handle(context.Background(), baseReq("", 0))
-	b := e.Handle(context.Background(), baseReq("", 0))
-	if a == b {
-		t.Error("untagged request was cached")
-	}
-	if got := o.Metrics.CounterValue("site.dedup_hits"); got != 0 {
-		t.Errorf("dedup_hits = %d, want 0", got)
-	}
-}
-
-func TestReplayErrorsNotCached(t *testing.T) {
-	e := loadedEngine(t)
-	e.SetLimits(Limits{MaxResultRows: 1})
-	a := e.Handle(context.Background(), baseReq("ep1", 0))
-	if a.Error() == nil {
-		t.Fatal("expected overload")
-	}
-	// After the overload clears, the same (epoch, round) must recompute
-	// rather than replay the cached failure.
-	e.SetLimits(Limits{})
-	b := e.Handle(context.Background(), baseReq("ep1", 0))
-	if b.Error() != nil {
-		t.Fatalf("error response was cached: %v", b.Error())
-	}
-}
-
-func TestReplayCacheEviction(t *testing.T) {
-	e := loadedEngine(t)
-	for round := 0; round < replayCacheCap+1; round++ {
-		if r := e.Handle(context.Background(), baseReq("ep", round)); r.Error() != nil {
-			t.Fatal(r.Error())
-		}
-	}
-	// Round 0 was evicted (FIFO): a replay recomputes it.
-	o := obs.New()
-	e.SetObs(o)
-	if r := e.Handle(context.Background(), baseReq("ep", 0)); r.Error() != nil {
-		t.Fatal(r.Error())
-	}
-	if got := o.Metrics.CounterValue("site.dedup_hits"); got != 0 {
-		t.Errorf("evicted entry still hit: dedup_hits = %d", got)
-	}
-	// The newest round is still cached.
-	if r := e.Handle(context.Background(), baseReq("ep", replayCacheCap)); r.Error() != nil {
-		t.Fatal(r.Error())
-	}
-	if got := o.Metrics.CounterValue("site.dedup_hits"); got != 1 {
-		t.Errorf("newest entry not cached: dedup_hits = %d", got)
-	}
-}
-
-func TestReplayEpochAgeOut(t *testing.T) {
-	e := loadedEngine(t)
-	o := obs.New()
-	e.SetObs(o)
-
-	// Fill the epoch cap, then one more: the least-recently-touched epoch
-	// (ep0) must age out so site memory stays bounded even when a
-	// coordinator dies before sending OpEpochDone.
-	original := e.Handle(context.Background(), baseReq("ep0", 0))
-	if original.Error() != nil {
-		t.Fatal(original.Error())
-	}
-	for i := 1; i <= replayEpochCap; i++ {
-		epoch := fmt.Sprintf("ep%d", i)
-		if r := e.Handle(context.Background(), baseReq(epoch, 0)); r.Error() != nil {
-			t.Fatalf("epoch %s: %v", epoch, r.Error())
-		}
-	}
-	if got := o.Metrics.CounterValue("site.dedup_epochs_evicted"); got != 1 {
-		t.Errorf("dedup_epochs_evicted = %d, want 1", got)
-	}
-	if r := e.Handle(context.Background(), baseReq("ep0", 0)); r == original {
-		t.Error("aged-out epoch still served from cache")
-	}
-	if got := e.ReplayCacheSize(); got > replayEpochCap*replayCacheCap {
-		t.Errorf("cache size %d exceeds bound", got)
-	}
-}
-
-func TestReplayLRUTouchKeepsEpochAlive(t *testing.T) {
-	e := loadedEngine(t)
-
-	keep := e.Handle(context.Background(), baseReq("keep", 0))
-	if keep.Error() != nil {
-		t.Fatal(keep.Error())
-	}
-	// Fill the remaining capacity, re-touching "keep" between admissions
-	// so it is never the least-recently-used epoch.
-	for i := 0; i < replayEpochCap+2; i++ {
-		if r := e.Handle(context.Background(), baseReq(fmt.Sprintf("f%d", i), 0)); r.Error() != nil {
-			t.Fatal(r.Error())
-		}
-		if r := e.Handle(context.Background(), baseReq("keep", 0)); r != keep {
-			t.Fatalf("touched epoch evicted after admitting f%d", i)
-		}
-	}
-}
-
-func TestReplayPerEpochFIFOBound(t *testing.T) {
-	e := loadedEngine(t)
-	o := obs.New()
-	e.SetObs(o)
-
-	for round := 0; round <= replayCacheCap+1; round++ {
-		if r := e.Handle(context.Background(), baseReq("ep", round)); r.Error() != nil {
-			t.Fatal(r.Error())
-		}
-	}
-	if got := e.ReplayCacheSize(); got != replayCacheCap {
-		t.Errorf("cache size = %d, want %d", got, replayCacheCap)
-	}
-	if got := o.Metrics.CounterValue("site.dedup_evictions"); got != 2 {
-		t.Errorf("dedup_evictions = %d, want 2", got)
-	}
-}
-
-func TestEpochDoneUnknownEpoch(t *testing.T) {
-	e := loadedEngine(t)
-	resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEpochDone, Epoch: "never-seen"})
-	if resp.Error() != nil {
-		t.Fatalf("epoch done on unknown epoch: %v", resp.Error())
-	}
-	if resp.RowCount != 0 {
-		t.Errorf("evicted %d entries from unknown epoch, want 0", resp.RowCount)
 	}
 }
 
@@ -286,7 +102,7 @@ func TestLimitRefusalKeepsSiteInflight(t *testing.T) {
 		}
 	}
 
-	resp, err := views[0].Call(context.Background(), baseReq("", 0))
+	resp, err := views[0].Call(context.Background(), baseReq())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,14 @@ import (
 
 // TestProfileEntryShape: a tagged request leaves one entry in the site's
 // /profiles ring — the SiteProfile under an envelope naming the request.
-// The keys are the ones the entry has always carried.
+// The keys are the ones readers of the ring rely on.
 func TestProfileEntryShape(t *testing.T) {
 	e := loadedEngine(t)
 	o := obs.New()
 	e.SetObs(o)
 	resp := e.Handle(context.Background(), &transport.Request{
 		Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"},
-		QueryID: "q1", Epoch: "e1", Round: 3,
+		QueryID: "q1", Round: 3,
 	})
 	if err := resp.Error(); err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestProfileEntryShape(t *testing.T) {
 	}
 	got := entries[0]
 	for _, key := range []string{
-		"query_id", "site", "op", "epoch", "round", "outcome", "wall_ns",
+		"query_id", "site", "op", "round", "outcome", "wall_ns",
 		"rows_in", "rows_out", "bytes_in_approx", "bytes_out_approx", "rounds",
 		"vec_batches", "vec_rows", "vec_filter_rows", "vec_selected",
 	} {
@@ -40,7 +40,7 @@ func TestProfileEntryShape(t *testing.T) {
 			t.Errorf("profile entry lacks %q: %v", key, got)
 		}
 	}
-	if got["query_id"] != "q1" || got["epoch"] != "e1" || got["round"] != 3.0 ||
+	if got["query_id"] != "q1" || got["round"] != 3.0 ||
 		got["op"] != "evalBase" || got["outcome"] != transport.OutcomeOK ||
 		got["rows_out"] != float64(resp.Profile.RowsOut) {
 		t.Errorf("profile entry = %v", got)

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -75,25 +74,6 @@ type Limits struct {
 	MaxResultBytes int64
 }
 
-// replayCacheCap bounds each epoch's replay cache. Replays target the
-// current round, so only a handful of recent responses ever matter; the
-// cap keeps a misbehaving coordinator from growing site memory.
-const replayCacheCap = 16
-
-// replayEpochCap bounds how many concurrent epochs the replay cache
-// tracks. Concurrent executions interleave their rounds, so the cache is
-// keyed per epoch; the least-recently-touched epoch ages out when a new
-// one would exceed the cap, so abandoned executions (a coordinator that
-// died before sending OpEpochDone) cannot grow site memory without bound.
-const replayEpochCap = 8
-
-// epochCache holds one epoch's replay-dedup entries in FIFO order.
-type epochCache struct {
-	entries map[string]*transport.Response
-	order   []string
-	lastSeq int64 // logical access clock, for LRU epoch age-out
-}
-
 // Engine is one site's local warehouse. It implements transport.Handler.
 type Engine struct {
 	id string
@@ -113,18 +93,6 @@ type Engine struct {
 	// round.
 	//lint:guarded-by mu
 	batches map[string]*batchEntry
-
-	// Replay cache: responses to epoch-tagged rounds, so a coordinator
-	// replaying (epoch, round) after a failure gets the cached answer
-	// instead of a recomputation. Keyed per epoch because concurrent
-	// executions interleave; bounded per epoch (replayCacheCap) and
-	// across epochs (replayEpochCap), with epochs evicted when their
-	// execution completes (OpEpochDone) or ages out.
-	replayMu sync.Mutex
-	//lint:guarded-by replayMu
-	replaySeq int64
-	//lint:guarded-by replayMu
-	replayEpochs map[string]*epochCache
 }
 
 // batchEntry is one cached columnar conversion, or the reason there is none.
@@ -242,67 +210,8 @@ func (e *Engine) Handle(ctx context.Context, req *transport.Request) *transport.
 		profStart = time.Now()
 	}
 
-	// Deadline propagation (PROTOCOL.md, "Tail tolerance"): the request
-	// carries the coordinator's remaining call budget. Already expired
-	// (negative) means nobody will read the answer — shed it with the
-	// typed expiry before touching the cache or evaluating anything; a
-	// positive budget bounds the local evaluation so chained rounds stop
-	// the moment they become doomed mid-request.
-	if req.DeadlineNs < 0 {
-		o.Count("site.deadline_sheds", 1)
-		span.SetArg("deadline", "expired-on-arrival")
-		err := fmt.Errorf("propagated deadline already expired: %w", transport.ErrExpired)
-		resp := &transport.Response{Err: fmt.Sprintf("%s: %v", req.Op, err), Code: transport.ErrCode(err)}
-		if prof != nil {
-			prof.Outcome = transport.OutcomeExpired
-			prof.WallNs = time.Since(profStart).Nanoseconds()
-			resp.Profile = prof
-			e.recordProfile(req, prof)
-		}
-		return resp
-	}
-	if req.DeadlineNs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineNs))
-		defer cancel()
-	}
-
-	if resp := e.replayHit(req); resp != nil {
-		o.Count("site.dedup_hits", 1)
-		o.Event(obs.EventReplay, e.id, "served replayed round from cache",
-			map[string]string{"epoch": req.Epoch, "round": strconv.Itoa(req.Round)})
-		span.SetArg("replay", "cache-hit")
-		// The caller's tagging decides whether a profile rides along, and
-		// the cached response is shared — so clone before retagging. Only
-		// the matching case (untagged caller, profile-free cache entry)
-		// hands out the cached response directly.
-		if prof == nil && resp.Profile == nil {
-			return resp
-		}
-		cp := *resp
-		if prof != nil {
-			if resp.Profile != nil {
-				p := *resp.Profile // the original evaluation's numbers
-				prof = &p
-			}
-			prof.Outcome = transport.OutcomeDedup
-			prof.WallNs = time.Since(profStart).Nanoseconds()
-			cp.Profile = prof
-			e.recordProfile(req, prof)
-		} else {
-			cp.Profile = nil
-		}
-		return &cp
-	}
 	resp, err := e.handle(ctx, req, prof)
 	if err != nil {
-		if req.DeadlineNs > 0 && errors.Is(err, context.DeadlineExceeded) {
-			// The propagated budget ran out mid-evaluation: classify as
-			// the typed expiry so the coordinator sees CodeExpired (a
-			// doomed-work shed), not a generic site error.
-			o.Count("site.deadline_sheds", 1)
-			err = fmt.Errorf("propagated deadline expired during evaluation: %w", transport.ErrExpired)
-		}
 		o.Count("site.errors", 1)
 		if errors.Is(err, transport.ErrOverloaded) {
 			o.Count("site.overloads", 1)
@@ -328,7 +237,6 @@ func (e *Engine) Handle(ctx context.Context, req *transport.Request) *transport.
 		resp.Profile = prof
 		e.recordProfile(req, prof)
 	}
-	e.replayStore(req, resp)
 	return resp
 }
 
@@ -346,145 +254,13 @@ func (e *Engine) recordProfile(req *transport.Request, p *transport.SiteProfile)
 		QueryID string `json:"query_id"`
 		Site    string `json:"site"`
 		Op      string `json:"op"`
-		Epoch   string `json:"epoch,omitempty"`
 		Round   int    `json:"round"`
 		*transport.SiteProfile
-	}{req.QueryID, e.id, req.Op.String(), req.Epoch, req.Round, p}, "", "  ")
+	}{req.QueryID, e.id, req.Op.String(), req.Round, p}, "", "  ")
 	if err != nil {
 		return
 	}
 	o.AddProfile(b)
-}
-
-// replayKey returns the dedup key for an epoch-tagged evaluation request,
-// or "" when the request is not replayable. The key is (epoch, round, op)
-// plus a fingerprint of everything that shapes the answer — the round
-// specs whole (θs, aggregates, flags), the base definition, and the shipped
-// base's length and columns — so a replay that somehow carries a different
-// request is recomputed rather than answered with another request's cached
-// response.
-func replayKey(req *transport.Request) string {
-	if req.Epoch == "" {
-		return ""
-	}
-	if req.Op != transport.OpEvalRounds && req.Op != transport.OpEvalBase {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%s|%s|%q|%q|%+v",
-		req.Epoch, req.Round, req.Op, req.Detail, req.BaseCols, req.BaseWhere, req.Rounds)
-	if req.Base != nil && req.Base.Schema != nil {
-		fmt.Fprintf(&b, "|base=%d%q", req.Base.Len(), req.Base.Schema.Names())
-	}
-	return b.String()
-}
-
-// replayHit returns the cached response for a replayed (epoch, round)
-// request, or nil on a miss.
-func (e *Engine) replayHit(req *transport.Request) *transport.Response {
-	key := replayKey(req)
-	if key == "" {
-		return nil
-	}
-	e.replayMu.Lock()
-	defer e.replayMu.Unlock()
-	ec := e.replayEpochs[req.Epoch]
-	if ec == nil {
-		return nil
-	}
-	e.replaySeq++
-	ec.lastSeq = e.replaySeq
-	return ec.entries[key]
-}
-
-// replayStore caches a successful response under its (epoch, round) key.
-// Each epoch keeps at most replayCacheCap entries (FIFO — replays target
-// recent rounds), and at most replayEpochCap epochs are tracked at once:
-// admitting a new epoch beyond the cap evicts the least-recently-touched
-// one, so interleaved queries cannot grow the cache without bound.
-func (e *Engine) replayStore(req *transport.Request, resp *transport.Response) {
-	key := replayKey(req)
-	if key == "" || resp == nil || resp.Err != "" {
-		return
-	}
-	e.replayMu.Lock()
-	defer e.replayMu.Unlock()
-	if e.replayEpochs == nil {
-		e.replayEpochs = map[string]*epochCache{}
-	}
-	ec := e.replayEpochs[req.Epoch]
-	if ec == nil {
-		for len(e.replayEpochs) >= replayEpochCap {
-			e.evictOldestEpochLocked()
-		}
-		ec = &epochCache{entries: map[string]*transport.Response{}}
-		e.replayEpochs[req.Epoch] = ec
-	}
-	e.replaySeq++
-	ec.lastSeq = e.replaySeq
-	if _, exists := ec.entries[key]; !exists {
-		ec.order = append(ec.order, key)
-		for len(ec.order) > replayCacheCap {
-			delete(ec.entries, ec.order[0])
-			ec.order = ec.order[1:]
-			e.getObs().Count("site.dedup_evictions", 1)
-		}
-	}
-	ec.entries[key] = resp
-}
-
-// evictOldestEpochLocked drops the least-recently-touched epoch's entries.
-// Caller holds replayMu.
-func (e *Engine) evictOldestEpochLocked() {
-	var victim string
-	var victimSeq int64
-	first := true
-	for epoch, ec := range e.replayEpochs {
-		if first || ec.lastSeq < victimSeq {
-			victim, victimSeq, first = epoch, ec.lastSeq, false
-		}
-	}
-	if first {
-		return
-	}
-	n := len(e.replayEpochs[victim].entries)
-	delete(e.replayEpochs, victim)
-	o := e.getObs()
-	o.Count("site.dedup_epochs_evicted", 1)
-	o.Count("site.dedup_evictions", int64(n))
-	o.Event(obs.EventReplay, e.id, "replay cache epoch aged out",
-		map[string]string{"epoch": victim, "entries": strconv.Itoa(n), "reason": "age-out"})
-}
-
-// epochDone evicts a completed execution's replay entries, returning how
-// many entries were dropped.
-func (e *Engine) epochDone(epoch string) int {
-	e.replayMu.Lock()
-	ec := e.replayEpochs[epoch]
-	n := 0
-	if ec != nil {
-		n = len(ec.entries)
-		delete(e.replayEpochs, epoch)
-	}
-	e.replayMu.Unlock()
-	if ec != nil {
-		o := e.getObs()
-		o.Count("site.dedup_epochs_completed", 1)
-		o.Count("site.dedup_evictions", int64(n))
-	}
-	return n
-}
-
-// ReplayCacheSize reports the total replay-dedup entries across epochs
-// (tests and debugging).
-func (e *Engine) ReplayCacheSize() int {
-	e.replayMu.Lock()
-	defer e.replayMu.Unlock()
-	n := 0
-	for _, ec := range e.replayEpochs {
-		n += len(ec.entries)
-	}
-	return n
 }
 
 // checkLimits enforces the per-request result caps on an outgoing
@@ -573,13 +349,6 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 			RowCount: r.Len(),
 			Rel:      &relation.Relation{Schema: r.Schema},
 		}, nil
-
-	case transport.OpEpochDone:
-		if req.Epoch == "" {
-			return nil, fmt.Errorf("no epoch")
-		}
-		n := e.epochDone(req.Epoch)
-		return &transport.Response{RowCount: n}, nil
 
 	case transport.OpEvalBase:
 		return e.evalBase(req, prof)

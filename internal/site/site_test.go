@@ -1,6 +1,7 @@
 package site
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -424,5 +425,45 @@ func TestRestoreRefusesV1Snapshot(t *testing.T) {
 	}
 	if names := e.RelationNames(); len(names) != 1 || names[0] != "flow" {
 		t.Errorf("after the refused restore the engine holds %v, want [flow]", names)
+	}
+}
+
+// prevProtocolRequest is a request of the protocol that still carried the
+// recovery tags Epoch and DeadlineNs.
+type prevProtocolRequest struct {
+	Op         transport.Op
+	Detail     string
+	BaseCols   []string
+	Epoch      string
+	Round      int
+	DeadlineNs int64
+}
+
+// TestPreviousProtocolRequestEvaluates: a request from a coordinator of the
+// previous protocol, tagged with an epoch and stamped "already expired",
+// decodes on this site with both tags skipped and is evaluated to the
+// answer an untagged request gets: the site reads no deadline off the
+// wire, so it sheds nothing.
+func TestPreviousProtocolRequestEvaluates(t *testing.T) {
+	e := loadedEngine(t)
+	old := &prevProtocolRequest{
+		Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"},
+		Epoch: "e1", Round: 1, DeadlineNs: -1,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var req transport.Request
+	if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
+		t.Fatalf("decode a previous-protocol request: %v", err)
+	}
+	got := e.Handle(context.Background(), &req)
+	if err := got.Error(); err != nil {
+		t.Fatalf("previous-protocol request not evaluated: %v", err)
+	}
+	want := e.Handle(context.Background(), &transport.Request{Op: old.Op, Detail: old.Detail, BaseCols: old.BaseCols})
+	if want.Error() != nil || !reflect.DeepEqual(got.Rel.Rows, want.Rel.Rows) {
+		t.Errorf("previous-protocol request answered %v, an untagged one %v (%v)", got.Rel.Rows, want.Rel.Rows, want.Error())
 	}
 }

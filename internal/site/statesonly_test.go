@@ -110,45 +110,3 @@ func TestEvalRoundsChainedStatesOnly(t *testing.T) {
 		t.Errorf("Kept = %08b, want %08b", resp.Kept, want)
 	}
 }
-
-// TestReplayKeyCoversRequestShape: two requests with the same (epoch,
-// round), θs and base length but different aggregates or shipped columns
-// are different requests, and neither may be answered from the other's
-// cache entry.
-func TestReplayKeyCoversRequestShape(t *testing.T) {
-	e := loadedEngine(t)
-	b, err := gmdj.EvalBase(flowRel(testFlow...), gmdj.BaseDef{Cols: []string{"SourceAS", "DestAS"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped, err := b.Project([]string{"DestAS", "SourceAS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	request := func(change func(*transport.Request)) *transport.Request {
-		req := &transport.Request{
-			Op: transport.OpEvalRounds, Base: b, Rounds: []transport.RoundSpec{roundSpec(false, false)},
-			Epoch: "ep", Round: 1,
-		}
-		change(req)
-		return req
-	}
-	first := e.Handle(context.Background(), request(func(*transport.Request) {}))
-	if first.Error() != nil {
-		t.Fatal(first.Error())
-	}
-	for name, req := range map[string]*transport.Request{
-		"aggregates": request(func(r *transport.Request) {
-			r.Rounds[0].Aggs = [][]string{{"max(F.NumBytes) AS cnt1", "min(F.NumBytes) AS sum1"}}
-		}),
-		"shipped columns": request(func(r *transport.Request) { r.Base = swapped }),
-	} {
-		resp := e.Handle(context.Background(), req)
-		if resp.Error() != nil {
-			t.Fatalf("%s: %v", name, resp.Error())
-		}
-		if resp == first {
-			t.Errorf("a request with different %s was answered from the first request's cache entry", name)
-		}
-	}
-}

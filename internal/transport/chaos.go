@@ -38,9 +38,10 @@ type Fault struct {
 	// DropAfter forwards the call, delivers its response, and then closes
 	// the underlying client: the site answered round N but its connection
 	// is gone when round N+1 fans out — the round-boundary failure mode
-	// that exercises checkpoint/replay rather than mid-call retry. The
-	// coordinator is synchronizing when the teardown happens, so composing
-	// DropAfter with Delay on the *next* op models a mid-synchronize kill.
+	// that exercises lazy redial and checkpoints rather than mid-call
+	// retry. The coordinator is synchronizing when the teardown happens,
+	// so composing DropAfter with Delay on the *next* op models a
+	// mid-synchronize kill.
 	DropAfter bool
 }
 

@@ -55,6 +55,11 @@ type WireStats struct {
 	//
 	//lint:guarded-by mu
 	hedges int
+	// retries counts the re-sends a retry layer needed before this
+	// client's calls succeeded; only a retry layer ever adds to it.
+	//
+	//lint:guarded-by mu
+	retries int
 }
 
 // Delta is what one or more exchanges added to a client's statistics:
@@ -64,6 +69,7 @@ type Delta struct {
 	Sent, Recv int64
 	Comm       time.Duration
 	Hedges     int
+	Retries    int
 }
 
 // Exchange performs one call on cl and returns, beside the outcome, what
@@ -77,6 +83,7 @@ func Exchange(ctx context.Context, cl Client, req *Request) (*Response, Delta, e
 	return resp, Delta{
 		Sent: after.Sent - before.Sent, Recv: after.Recv - before.Recv,
 		Comm: after.Comm - before.Comm, Hedges: after.Hedges - before.Hedges,
+		Retries: after.Retries - before.Retries,
 	}, err
 }
 
@@ -91,6 +98,7 @@ func (w *WireStats) Add(d Delta) {
 	}
 	w.commTime += d.Comm
 	w.hedges += d.Hedges
+	w.retries += d.Retries
 	w.mu.Unlock()
 }
 
@@ -98,7 +106,7 @@ func (w *WireStats) Add(d Delta) {
 func (w *WireStats) Totals() Delta {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Delta{Sent: w.bytesSent, Recv: w.bytesReceived, Comm: w.commTime, Hedges: w.hedges}
+	return Delta{Sent: w.bytesSent, Recv: w.bytesReceived, Comm: w.commTime, Hedges: w.hedges, Retries: w.retries}
 }
 
 // AddSent records n bytes sent plus its modeled transfer time.
@@ -149,7 +157,7 @@ func (w *WireStats) CommTime() time.Duration {
 func (w *WireStats) Reset() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.bytesSent, w.bytesReceived, w.messages, w.commTime, w.hedges = 0, 0, 0, 0, 0
+	w.bytesSent, w.bytesReceived, w.messages, w.commTime, w.hedges, w.retries = 0, 0, 0, 0, 0, 0
 }
 
 // countingWriter counts bytes written to an underlying writer.

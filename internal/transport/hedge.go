@@ -38,8 +38,8 @@ const (
 // delay, or the adaptive one above — a duplicate is launched on the next replica and the
 // first success wins, the loser cancelled with cause ErrHedgeLost.
 // Duplicating a round is safe by construction: rounds are pure functions
-// of the request over immutable site data, and epoch-tagged executions
-// additionally dedup replays site-side via the (epoch, round) cache (see
+// of the request over immutable site data, and only the winner's traffic
+// is folded into the statistics, so a hedge never double-counts (see
 // PROTOCOL.md, "Tail tolerance").
 //
 // Only the idempotent evaluation ops (OpEvalBase, OpEvalRounds) are

@@ -33,11 +33,6 @@ var (
 	// ErrDraining: the site is shutting down gracefully and no longer
 	// accepts new requests (in-flight requests still complete).
 	ErrDraining = errors.New("transport: site draining")
-	// ErrExpired: the request's propagated deadline (Request.DeadlineNs)
-	// had already passed when the site looked at it, or ran out during
-	// evaluation — the coordinator will never read the answer, so the
-	// site shed the doomed work instead of computing it.
-	ErrExpired = errors.New("transport: request deadline expired")
 )
 
 // Response.Code values classifying site-side errors on the wire.
@@ -49,12 +44,6 @@ const (
 	CodeOverloaded = 1
 	// CodeDraining maps to ErrDraining.
 	CodeDraining = 2
-	// CodeExpired maps to ErrExpired: the request's propagated deadline
-	// passed before (or while) the site evaluated it. Unlike overload and
-	// drain this is not a load-shedding refusal — the caller's own budget
-	// ran out — so Shed() deliberately excludes it: an expired request
-	// must not trigger replica failover.
-	CodeExpired = 3
 )
 
 // ErrCode classifies an error chain into a wire code, the inverse of
@@ -65,8 +54,6 @@ func ErrCode(err error) int {
 		return CodeOverloaded
 	case errors.Is(err, ErrDraining):
 		return CodeDraining
-	case errors.Is(err, ErrExpired):
-		return CodeExpired
 	default:
 		return CodeOK
 	}
@@ -96,11 +83,6 @@ const (
 	OpDrop
 	// OpRelInfo returns row count and schema of a stored relation.
 	OpRelInfo
-	// OpEpochDone tells the site that the execution named by Request.Epoch
-	// has completed: its replay-dedup entries can never be asked again and
-	// should be evicted. Best-effort — a site that never hears it ages the
-	// epoch out instead.
-	OpEpochDone
 )
 
 // String returns the opcode mnemonic.
@@ -120,8 +102,6 @@ func (o Op) String() string {
 		return "drop"
 	case OpRelInfo:
 		return "relInfo"
-	case OpEpochDone:
-		return "epochDone"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -193,31 +173,18 @@ type Request struct {
 	// reduction, Theorem 5 / Corollary 1).
 	Rounds []RoundSpec
 
-	// Epoch identifies one plan execution for recovery: the coordinator
-	// tags every eval request of an execution with the same epoch so a
-	// replayed round is recognizable. Empty disables replay dedup.
-	Epoch string
-	// Round is the zero-based synchronization-round sequence number
-	// within the epoch. (Epoch, Round) identifies one site exchange: the
-	// coordinator sends a deterministic request per (epoch, round, site),
-	// so sites may answer a repeat from cache instead of recomputing.
+	// Round is the zero-based synchronization-round sequence number of
+	// the execution, for site profiles, trace events and hedge events.
+	// Sites never key anything on it: repeating a round recomputes it.
 	Round int
 
 	// QueryID, when non-empty, asks the site to profile this request and
 	// piggy-back a SiteProfile on the response; the coordinator assembles
 	// the per-site profiles into a per-query execution profile tree. Like
-	// Epoch/Round, the zero value keeps untagged requests wire-identical
-	// to the pre-profiling encoding (gob omits zero-valued fields), so
-	// profiling is strictly opt-in per query.
+	// Round, the zero value keeps untagged requests wire-identical to the
+	// pre-profiling encoding (gob omits zero-valued fields), so profiling
+	// is strictly opt-in per query.
 	QueryID string
-
-	// DeadlineNs is the coordinator's remaining per-call budget in
-	// nanoseconds at send time, propagated so the site can shed work whose
-	// answer nobody will read: a negative value means "already expired —
-	// do not evaluate" and a positive value bounds the site-side
-	// evaluation. Zero means "no deadline", which gob omits, keeping
-	// untagged requests byte-identical to the pre-deadline encoding.
-	DeadlineNs int64
 }
 
 // ShipsBase reports whether req evaluates rounds over a shipped Base. Such
@@ -303,8 +270,8 @@ type SiteProfile struct {
 	VecRows       int64 `json:"vec_rows"`
 	VecFilterRows int64 `json:"vec_filter_rows"`
 	VecSelected   int64 `json:"vec_selected"`
-	// Outcome classifies how the request ended: "ok", "dedup" (answered
-	// from the replay cache), "overloaded", "draining", or "error".
+	// Outcome classifies how the request ended: "ok", "overloaded",
+	// "draining", or "error".
 	Outcome string `json:"outcome"`
 }
 
@@ -312,15 +279,9 @@ type SiteProfile struct {
 const (
 	// OutcomeOK: the request evaluated normally.
 	OutcomeOK = "ok"
-	// OutcomeDedup: the response was served from the replay-dedup cache;
-	// the profile numbers describe the original evaluation.
-	OutcomeDedup = "dedup"
 	// OutcomeOverloaded / OutcomeDraining: the site shed the request.
 	OutcomeOverloaded = "overloaded"
 	OutcomeDraining   = "draining"
-	// OutcomeExpired: the request's propagated deadline passed before or
-	// during evaluation and the site shed the doomed work.
-	OutcomeExpired = "expired"
 	// OutcomeError: the request failed with a plain site-side error.
 	OutcomeError = "error"
 )
@@ -333,8 +294,6 @@ func ErrOutcome(err error) string {
 		return OutcomeOverloaded
 	case errors.Is(err, ErrDraining):
 		return OutcomeDraining
-	case errors.Is(err, ErrExpired):
-		return OutcomeExpired
 	default:
 		return OutcomeError
 	}
@@ -352,12 +311,6 @@ func (r *Response) Error() error {
 		return fmt.Errorf("site error: %s: %w", r.Err, ErrOverloaded)
 	case CodeDraining:
 		return fmt.Errorf("site error: %s: %w", r.Err, ErrDraining)
-	case CodeExpired:
-		// Wrap both the protocol sentinel and the context sentinel: the
-		// expiry is the caller's own deadline coming home, so callers
-		// mapping context.DeadlineExceeded (e.g. HTTP 504) classify it
-		// without knowing about the wire code.
-		return fmt.Errorf("site error: %s: %w (%w)", r.Err, ErrExpired, context.DeadlineExceeded)
 	default:
 		return fmt.Errorf("site error: %s", r.Err)
 	}

@@ -67,6 +67,13 @@ func TestRequestGobRoundTrip(t *testing.T) {
 	}
 }
 
+func sampleRounds() []RoundSpec {
+	return []RoundSpec{{
+		Detail: "flow", Aggs: [][]string{{"count(*) AS c"}},
+		Thetas: []string{"F.SourceAS = B.SourceAS"},
+	}}
+}
+
 // keysRequest is a request of the protocol that still carried the key K as
 // Request.Keys beside BaseCols.
 type keysRequest struct {
@@ -81,7 +88,7 @@ type keysRequest struct {
 // decodes on that peer with Keys empty.
 func TestKeysFieldSkew(t *testing.T) {
 	old := &keysRequest{Op: OpEvalRounds, BaseCols: []string{"SourceAS"},
-		Rounds: deadlineSampleRounds(), Keys: []string{"SourceAS"}}
+		Rounds: sampleRounds(), Keys: []string{"SourceAS"}}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatalf("encode: %v", err)
@@ -115,10 +122,12 @@ func TestResponseGobRoundTrip(t *testing.T) {
 }
 
 // legacyRequest and legacyResponse mirror the Request and Response field
-// sets. Gob matches struct fields by name (unknown fields are skipped,
-// missing ones stay zero), so with the fields from QueryID and Profile on
-// left zero, which gob omits, these stand in for a site or coordinator
-// from before the QueryID profiling tag.
+// sets of the protocol that still carried the recovery tags Epoch and
+// DeadlineNs. Gob matches struct fields by name (unknown fields are
+// skipped, missing ones stay zero), so these stand in for a site or
+// coordinator of that protocol, and — with the fields from QueryID and
+// Profile on left zero, which gob omits — for one from before the QueryID
+// profiling tag.
 type legacyRequest struct {
 	Op         Op
 	Rel        string
@@ -149,14 +158,16 @@ type legacyResponse struct {
 // field: untagged requests interoperate with the previous protocol
 // version in both directions (gob omits zero-valued fields from the
 // value encoding, so an untagged request ships no profiling bytes), and
-// a response without a profile decodes cleanly on either side.
+// a response without a profile decodes cleanly on either side. A request
+// carrying the retired Epoch and DeadlineNs tags still decodes, the tags
+// dropped; internal/site's TestPreviousProtocolRequestEvaluates shows
+// such a request is evaluated, not shed.
 func TestUntaggedWireCompat(t *testing.T) {
 	req := &Request{
 		Op: OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS"}, BaseWhere: "F.NumBytes > 0",
-		Rounds: []RoundSpec{{Detail: "flow", Aggs: [][]string{{"count(*) AS c"}},
-			Thetas: []string{"F.SourceAS = B.SourceAS"}}},
-		Epoch: "e1", Round: 2,
+		Rounds: sampleRounds(),
+		Round:  2,
 	}
 
 	// New coordinator → old site: the untagged request decodes into the
@@ -170,15 +181,16 @@ func TestUntaggedWireCompat(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&oldSite); err != nil {
 		t.Fatalf("legacy decode of untagged request: %v", err)
 	}
-	if oldSite.Op != req.Op || oldSite.Detail != req.Detail || oldSite.Epoch != "e1" ||
+	if oldSite.Op != req.Op || oldSite.Detail != req.Detail || oldSite.Epoch != "" || oldSite.DeadlineNs != 0 ||
 		oldSite.Round != 2 || !reflect.DeepEqual(oldSite.Rounds, req.Rounds) {
 		t.Errorf("legacy site saw different request: %+v", oldSite)
 	}
 
 	// Old coordinator → new site: a legacy request decodes with an empty
-	// QueryID, i.e. profiling stays off.
+	// QueryID, i.e. profiling stays off, and its recovery tags — an epoch
+	// and a deadline stamp saying "already expired" — are skipped.
 	buf.Reset()
-	old := &legacyRequest{Op: OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"}, Epoch: "e2"}
+	old := &legacyRequest{Op: OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"}, Round: 1, Epoch: "e2", DeadlineNs: -1}
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatalf("encode legacy: %v", err)
 	}
@@ -186,7 +198,8 @@ func TestUntaggedWireCompat(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&newSite); err != nil {
 		t.Fatalf("decode legacy request: %v", err)
 	}
-	if newSite.QueryID != "" || newSite.Epoch != "e2" || newSite.Op != OpEvalBase {
+	if newSite.QueryID != "" || newSite.Op != OpEvalBase || newSite.Round != 1 ||
+		!reflect.DeepEqual(newSite.BaseCols, old.BaseCols) {
 		t.Errorf("legacy request decoded wrong: %+v", newSite)
 	}
 

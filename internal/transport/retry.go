@@ -36,7 +36,10 @@ import (
 // per-site seed: delay n is uniform in [base·2ⁿ/2, base·2ⁿ], capped at
 // MaxBackoff. Wire statistics aggregate across reconnections and
 // failovers, so coordinators see one continuous accounting stream per
-// logical site.
+// logical site, and count the re-sends each answered call needed
+// (Delta.Retries), which is how a round learns it was retried. This is
+// the only layer that re-sends a failed call: the coordinator never
+// re-issues a round on its own.
 type Reconnector struct {
 	id       string
 	dials    []func() (Client, error)
@@ -180,6 +183,7 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 	r.budget.Earn()
 	var lastErr error
 	shedHops := 0           // replicas that shed this call in a row
+	sends := 0              // exchanges attempted, the answered one included
 	justFailedOver := false // skip the loop-top transition after a shed failover
 	total := r.attempts * len(r.dials)
 	for i := 0; i < total; i++ {
@@ -234,7 +238,9 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 			r.cur = c
 		}
 		resp, d, err := Exchange(ctx, r.cur, req)
+		sends++
 		if err == nil {
+			d.Retries += sends - 1
 			if resp.Shed() {
 				shedHops++
 				if shedHops >= len(r.dials) {

@@ -68,6 +68,10 @@ func TestReconnectorRetries(t *testing.T) {
 	if sent != 10 || recv != 20 {
 		t.Errorf("aggregated stats: sent=%d recv=%d, want sent=10 recv=20", sent, recv)
 	}
+	// The two re-sends do ride the aggregate, for the round to attribute.
+	if got := rc.Stats().Totals().Retries; got != 2 {
+		t.Errorf("aggregated retries = %d, want 2", got)
+	}
 	if got := o.Metrics.CounterValue("transport.retry_wasted_bytes"); got != 20 {
 		t.Errorf("retry_wasted_bytes = %d, want 20 (2 failed attempts × 10 sent)", got)
 	}

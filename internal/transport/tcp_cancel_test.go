@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -101,5 +102,52 @@ func TestCallCancelledAsItCompletes(t *testing.T) {
 		if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 			t.Fatalf("iteration %d: call after a cancelled one: %v", i, err)
 		}
+	}
+}
+
+// hangUpHandler blocks every request until its context is done, reporting
+// the cancellation on cancelled, or until the test releases it.
+type hangUpHandler struct {
+	cancelled chan struct{}
+	release   chan struct{}
+}
+
+func (h hangUpHandler) Handle(ctx context.Context, _ *Request) *Response {
+	select {
+	case <-ctx.Done():
+		h.cancelled <- struct{}{}
+	case <-h.release:
+	}
+	return &Response{}
+}
+
+// TestHangUpCancelsHandler pins the one path that stops doomed site work:
+// a call whose deadline expires mid-exchange closes its connection, the
+// server sees the peer gone and cancels the handler's context. No deadline
+// travels in the request, so the hang-up alone must reach the handler.
+func TestHangUpCancelsHandler(t *testing.T) {
+	h := hangUpHandler{cancelled: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := NewServer(h)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(h.release) // before Close, so a handler never cancelled returns
+	c, err := DialTCP("s", addr, CostModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.Call(ctx, &Request{Op: OpEvalBase}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call past its deadline: err = %v, want DeadlineExceeded", err)
+	}
+	select {
+	case <-h.cancelled:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler context still live 2s after the caller hung up")
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/transport"
 )
@@ -104,46 +102,33 @@ func TestExplainAnalyzeTiming(t *testing.T) {
 	}
 }
 
-// deadlineRecorder notes the DeadlineNs of every evaluation request that
-// passes through it.
-type deadlineRecorder struct {
-	transport.Client
-	mu      *sync.Mutex
-	stamped *[]int64
-}
+// failEvals fails every evaluation request at the transport, as a site
+// that is down for the whole query would.
+type failEvals struct{ transport.Client }
 
-func (d deadlineRecorder) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
+func (f failEvals) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	if req.Op == transport.OpEvalBase || req.Op == transport.OpEvalRounds {
-		d.mu.Lock()
-		*d.stamped = append(*d.stamped, req.DeadlineNs)
-		d.mu.Unlock()
+		return nil, transport.ErrInjected
 	}
-	return d.Client.Call(ctx, req)
+	return f.Client.Call(ctx, req)
 }
 
 // TestExplainAnalyzeCarriesSettings: EXPLAIN ANALYZE executes on a
-// coordinator derived from the cluster's, so it speaks the wire protocol
-// of the query it explains. (Its hand-copied settings used to forget
-// PropagateDeadline, leaving its requests unstamped.)
+// coordinator derived from the cluster's, so it runs the query under the
+// cluster's settings. With AllowPartial set and one site down, it reports
+// the partial coverage instead of failing the way a coordinator without
+// the setting would.
 func TestExplainAnalyzeCarriesSettings(t *testing.T) {
 	cluster, _ := cubeCluster(t)
-	cluster.coord.CallTimeout = 30 * time.Second
-	cluster.coord.PropagateDeadline = true
-	var mu sync.Mutex
-	var stamped []int64
-	for i, cl := range cluster.clients {
-		cluster.clients[i] = deadlineRecorder{Client: cl, mu: &mu, stamped: &stamped}
+	cluster.coord.AllowPartial = true
+	lost := cluster.clients[1].SiteID()
+	cluster.clients[1] = failEvals{cluster.clients[1]}
+	rel, err := cluster.SQL("EXPLAIN ANALYZE SELECT Region, count(*) AS n FROM sales GROUP BY Region", NoOptimizations)
+	if err != nil {
+		t.Fatalf("EXPLAIN ANALYZE dropped AllowPartial: %v", err)
 	}
-	if _, err := cluster.SQL("EXPLAIN ANALYZE SELECT Region, count(*) AS n FROM sales GROUP BY Region", NoOptimizations); err != nil {
-		t.Fatal(err)
-	}
-	if len(stamped) == 0 {
-		t.Fatal("EXPLAIN ANALYZE sent no evaluation requests")
-	}
-	for _, ns := range stamped {
-		if ns <= 0 || ns > int64(cluster.coord.CallTimeout) {
-			t.Errorf("evaluation request DeadlineNs = %d, want the remaining %v budget", ns, cluster.coord.CallTimeout)
-		}
+	if out := planText(t, rel); !strings.Contains(out, "(PARTIAL: lost "+lost+")") {
+		t.Errorf("EXPLAIN ANALYZE does not report %s lost:\n%s", lost, out)
 	}
 }
 

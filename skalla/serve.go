@@ -218,10 +218,11 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 	return rel, nil
 }
 
-// nextEpoch derives a unique execution epoch. Concurrent executions of the
-// same plan would otherwise derive identical epochs (the epoch is a
-// deterministic plan hash, which is what lets a restarted coordinator find
-// its checkpoint) and poison each other's site-side replay dedup.
+// nextEpoch derives a unique execution epoch, which is also the served
+// query's ID. Concurrent executions of the same plan would otherwise
+// derive identical epochs (the epoch is a deterministic plan hash, which
+// is what lets a restarted coordinator find its checkpoint), share one
+// checkpoint key and profile under one query ID.
 func (s *QueryService) nextEpoch() string {
 	return fmt.Sprintf("serve-c%06d", s.seq.Add(1))
 }

@@ -91,9 +91,8 @@ func TestServeConcurrentE2E(t *testing.T) {
 	}
 	o := obs.New()
 	cluster, err := ConnectWith(ConnectConfig{
-		Sites: sites,
-		// Replays turns recovery on: requests carry (epoch, round) tags.
-		Settings:   Settings{CallTimeout: 10 * time.Second, Replays: 2, Obs: o},
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second, Obs: o},
 		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond},
 	})
 	if err != nil {
@@ -108,8 +107,8 @@ func TestServeConcurrentE2E(t *testing.T) {
 	}
 
 	// Chaos: the first pooled connection to site1 fails its first
-	// evalRounds fan-out with a transport error; the coordinator's replay
-	// budget must absorb it via the (epoch, round) dedup path.
+	// evalRounds fan-out with a transport error; the pooled connection's
+	// retry layer must absorb it by re-sending the round.
 	var chaosMu sync.Mutex
 	chaosDials := 0
 	cluster.specs[1].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
@@ -165,11 +164,6 @@ func TestServeConcurrentE2E(t *testing.T) {
 	}
 	if got := o.Metrics.CounterValue("serve.queries_ok"); got != int64(total) {
 		t.Errorf("serve.queries_ok = %d, want %d", got, total)
-	}
-	// Recovery was enabled, so every execution announced its completion
-	// to the sites for dedup-cache eviction.
-	if got := o.Metrics.CounterValue("coord.epoch_done_acks"); got == 0 {
-		t.Error("no epoch-done acks recorded: completed epochs never evicted site-side")
 	}
 }
 

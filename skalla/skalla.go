@@ -115,7 +115,7 @@ type ClusterConfig struct {
 	// Settings are the coordinator's deployment behaviours: call timeout,
 	// degraded partial results, the obs sink (also handed to the site
 	// engines and the transports; nil disables observability at near-zero
-	// cost), checkpoints, replays, deadline propagation.
+	// cost), checkpoints.
 	Settings
 	// Limits applies per-request resource limits at every in-process
 	// site engine; oversized results are refused with ErrOverloaded.
