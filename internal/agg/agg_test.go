@@ -506,3 +506,34 @@ func TestSlabNoPrimitives(t *testing.T) {
 		}
 	}
 }
+
+// TestSlabReserve: an empty slab reserved for n groups adds them without
+// allocating, and every one starts empty, as in a slab grown one group at
+// a time.
+func TestSlabReserve(t *testing.T) {
+	var specs []Spec
+	for _, s := range []string{"count(*) AS c", "avg(x) AS a", "min(x) AS lo", "stddev(x) AS sd",
+		"exact_count_distinct(x) AS d", "approx_count_distinct(x) AS h"} {
+		specs = append(specs, MustParseSpec(s))
+	}
+	const n = 64
+	grown, reserved := NewSlab(specs, 0), NewSlab(specs, 0)
+	reserved.Reserve(n)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for reserved.groups < n {
+			reserved.AddGroup()
+		}
+	}); allocs != 0 {
+		t.Fatalf("AddGroup up to the reservation allocated %.0f times", allocs)
+	}
+	for grown.groups < n {
+		grown.AddGroup()
+	}
+	for g := 0; g < n; g++ {
+		for p := 0; p < grown.Width(); p++ {
+			if want, got := grown.Result(g, p), reserved.Result(g, p); !value.Equal(want, got) || want.K != got.K {
+				t.Fatalf("group %d, primitive %d: %v after Reserve, %v grown", g, p, got, want)
+			}
+		}
+	}
+}

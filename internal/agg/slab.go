@@ -97,6 +97,18 @@ func extend[T any](s []T, n int) []T {
 	return append(s, make([]T, n)...)
 }
 
+// Reserve makes room in every lane of an empty slab for n groups.
+func (s *Slab) Reserve(n int) {
+	if s.groups == 0 && n > 0 {
+		s.grow(n)
+		s.groups = 0
+		for i := range s.lanes {
+			l := &s.lanes[i]
+			l.ints, l.floats, l.flags, l.vals, l.hlls, l.sets = l.ints[:0], l.floats[:0], l.flags[:0], l.vals[:0], l.hlls[:0], l.sets[:0]
+		}
+	}
+}
+
 // AddGroup appends one group of empty states and returns its index.
 func (s *Slab) AddGroup() int {
 	s.grow(1)

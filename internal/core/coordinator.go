@@ -219,7 +219,9 @@ func (c *Coordinator) run(ctx context.Context, plan *Plan) (*relation.Relation, 
 			c.Obs.Event(obs.EventCheckpoint, "", "checkpoint load failed; starting fresh",
 				map[string]string{"epoch": epoch, "action": "load-error", "error": err.Error()})
 		case cp != nil && cp.Done > 0 && cp.Done <= plan.Rounds():
-			x = cp.X
+			if x = cp.X; x != nil {
+				x = x.Clone() // rows others may hold: no round appends to them
+			}
 			done = cp.Done
 			for _, rs := range cp.Rounds {
 				rs.Resumed = true
@@ -575,8 +577,14 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			} else {
 				schema, groups = x.Schema, x.Rows
 			}
-			if m, err = newKeyedMerge(schema, groups, keys, step.Specs); err != nil {
+			if m, err = newKeyedMerge(schema, groups, keys, step.Specs, step.room); err != nil {
 				return err
+			}
+			if fromFragments { // room for as many groups at every site
+				n := h.Len() * len(c.clients)
+				m.rows = make([]relation.Row, 0, n)
+				m.index.Reserve(n)
+				m.accs.Reserve(n)
 			}
 			if tier && !fromFragments {
 				m.kept = make([]byte, (len(groups)+7)/8)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // keyedMerge is the Theorem-1 merge, the one implementation of it in this
@@ -22,6 +23,7 @@ type keyedMerge struct {
 	specs  []agg.Spec
 	rows   []relation.Row // one row per group, in first-seen order
 	keyIdx []int          // positions of keys in rows
+	room   int            // Step.room: the free capacity of a carved row
 	// index resolves keys to groups, each added as a keyed fragment brings
 	// it, so a positional merge never hashes K.
 	index relation.KeyIndex
@@ -39,12 +41,23 @@ type keyedMerge struct {
 // newKeyedMerge starts a merge over the given group rows, which states-only
 // fragments address by position; a keyed merge starts with none and adds
 // groups as its fragments bring them.
-func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, specs []agg.Spec) (*keyedMerge, error) {
+func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, specs []agg.Spec, room int) (*keyedMerge, error) {
 	keyIdx, err := lookupAll(schema, keys)
 	if err != nil {
 		return nil, err
 	}
-	return &keyedMerge{schema: schema, keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, accs: agg.NewSlab(specs, len(rows))}, nil
+	return &keyedMerge{schema: schema, keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, room: room, accs: agg.NewSlab(specs, len(rows))}, nil
+}
+
+// carve cuts an empty row of capacity n from the front of *chunk, first
+// refilling a chunk too short with room for rows such rows.
+func carve(chunk *[]value.V, n, rows int) relation.Row {
+	if len(*chunk) < n {
+		*chunk = make([]value.V, n*rows)
+	}
+	r := (*chunk)[:0:n]
+	*chunk = (*chunk)[n:]
+	return r
 }
 
 // lookupAll resolves column names to positions in schema.
@@ -151,7 +164,8 @@ func (m *keyedMerge) merge(h *relation.Relation, pl placement) error {
 
 // mergeKeyed folds a fragment that carries the keys: each row resolves to
 // its group by them, a group first seen there taking its row from the
-// fragment positions newRow.
+// fragment positions newRow, carved from one chunk per fragment with room
+// for the columns this and later steps append.
 func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 	hKey, err := lookupAll(h.Schema, m.keys)
 	if err != nil {
@@ -160,13 +174,15 @@ func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, m.rows[pos], m.keyIdx) }
 	m.at = m.at[:0]
-	for _, row = range h.Rows {
+	var chunk []value.V
+	for j := range h.Rows {
+		row = h.Rows[j]
 		hash := relation.HashRow(row, hKey)
 		pos, ok := m.index.Find(hash, sameKey)
 		if !ok {
-			nr := make(relation.Row, len(newRow))
-			for i, p := range newRow {
-				nr[i] = row[p]
+			nr := carve(&chunk, len(newRow)+m.room, len(h.Rows)-j)
+			for _, p := range newRow {
+				nr = append(nr, row[p])
 			}
 			m.rows = append(m.rows, nr)
 			pos = m.accs.AddGroup()
@@ -178,7 +194,9 @@ func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 }
 
 // finalized emits the group rows extended with one finalized aggregate
-// column per spec — the coordinator's new X.
+// column per spec — the coordinator's new X — under a fresh header array.
+// A row with room takes the columns in place, past the end any earlier X
+// sees; one without is first copied into a carved row.
 func (m *keyedMerge) finalized() (*relation.Relation, error) {
 	outCols := make([]relation.Column, len(m.specs))
 	for i, sp := range m.specs {
@@ -189,9 +207,12 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 		return nil, err
 	}
 	out := relation.New(outSchema)
-	out.Rows = relation.MakeRows(len(m.rows), outSchema.Len())
-	for gi, row := range m.rows {
-		nr := append(out.Rows[gi], row...)
+	out.Rows = make([]relation.Row, len(m.rows))
+	var chunk []value.V
+	for gi, nr := range m.rows {
+		if cap(nr)-len(nr) < len(m.specs) {
+			nr = append(carve(&chunk, len(nr)+max(m.room, len(m.specs)), len(m.rows)-gi), nr...)
+		}
 		for si, sp := range m.specs {
 			v, err := m.accs.Finalize(gi, si)
 			if err != nil {
@@ -223,12 +244,13 @@ func (m *keyedMerge) tier() (*relation.Relation, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	out := relation.New(schema)
+	rows := relation.MakeRows(len(m.rows), schema.Len())
+	out := &relation.Relation{Schema: schema, Rows: rows[:0]}
 	for gi, row := range m.rows {
 		if m.kept != nil && m.kept[gi/8]&(1<<(gi%8)) == 0 {
 			continue
 		}
-		nr := append(make(relation.Row, 0, schema.Len()), row[:echo]...)
+		nr := append(rows[len(out.Rows)], row[:echo]...)
 		for p := 0; p < m.accs.Width(); p++ {
 			nr = append(nr, m.accs.Result(gi, p))
 		}

@@ -175,6 +175,11 @@ func prepare(plan *Plan, steps []Step) {
 		step.Request = req
 		plan.Steps = append(plan.Steps, step)
 	}
+	room := 0
+	for i := len(plan.Steps) - 1; i >= 0; i-- {
+		room += len(plan.Steps[i].Specs)
+		plan.Steps[i].room = room
+	}
 }
 
 func whereText(e expr.Expr) string {

@@ -91,6 +91,9 @@ type Step struct {
 	// X the step ships from.
 	Filters []SiteFilter
 	xSchema *relation.Schema
+	// room is how many columns this step and the later ones append to X's
+	// rows: what the merge leaves free in every group row it carves.
+	room int
 }
 
 // SiteFilter is one site's Theorem-4 base filter for one step: an

@@ -158,13 +158,8 @@ func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[strin
 
 // runSynchronize merges the replies as they would arrive on the stream.
 func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment, replies []*transport.Response) (*relation.Relation, error) {
-	stream := make(chan streamItem, len(replies))
-	for s, resp := range replies {
-		stream <- streamItem{SiteRound: SiteRound{Site: fmt.Sprintf("site%d", s)}, resp: resp}
-	}
-	close(stream)
 	var rs RoundStats
-	m, _, err := (&Coordinator{}).synchronize(x, stream, step, ships, &rs, false)
+	m, _, err := (&Coordinator{}).synchronize(x, streamOf(replies), step, ships, &rs, false)
 	if err != nil {
 		return nil, err
 	}

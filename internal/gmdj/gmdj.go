@@ -177,12 +177,22 @@ func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, 
 	return new(Chain).EvalSub(b, r, md, opts)
 }
 
-// Chain evaluates the consecutive sub-aggregate GMDJs of one request — the
-// locally chained rounds of a synchronization-reduced plan — keeping each
-// vectorized worker's lane buffers from one operator to the next. The
-// zero value is ready to use; a Chain is not safe for concurrent use.
+// Chain evaluates the operators of one request — its fused base filter and
+// the locally chained rounds of a synchronization-reduced plan — keeping
+// each vectorized worker's lane and selection buffers from one operator,
+// and one request, to the next: an operator writes every lane it reads.
+// The zero value is ready to use; a Chain is not safe for concurrent use.
 type Chain struct {
 	workers []vecWorker
+}
+
+// grow returns the chain's first n workers, adding empty ones as needed;
+// the next operator finds the buffers this one grew.
+func (c *Chain) grow(n int) []vecWorker {
+	for len(c.workers) < n {
+		c.workers = append(c.workers, vecWorker{})
+	}
+	return c.workers[:n]
 }
 
 // EvalSub is the package-level EvalSub with the chain's scratch.

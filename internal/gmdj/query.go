@@ -179,16 +179,25 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 // batch was built from: the same groups in the same first-seen scan order
 // (the coordinator merges fragments, and gob encodes them, in that order).
 func EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
+	return new(Chain).EvalBaseBatch(batch, def)
+}
+
+// EvalBaseBatch is the package-level EvalBaseBatch with the filter on the
+// chain's first worker's lane and selection buffers.
+func (c *Chain) EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
 	sel := batch.AllLanes()
 	if def.Where != nil {
-		var sc vec.Scratch
-		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &sc)
+		ws := &c.grow(1)[0]
+		ws.scratch.Reset()
+		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &ws.scratch)
 		if err != nil {
 			return nil, fmt.Errorf("gmdj: base filter: %w", err)
 		}
-		if sel, err = prog.Filter(sel, nil); err != nil {
+		picked, err := prog.Filter(sel, ws.matchBuf[:0])
+		if err != nil {
 			return nil, fmt.Errorf("gmdj: base filter: %w", err)
 		}
+		sel, ws.matchBuf = picked, picked
 	}
 	ps, idx, err := batch.Schema.Project(def.Cols)
 	if err != nil {

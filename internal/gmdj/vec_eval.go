@@ -81,12 +81,7 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 	if W < 1 {
 		W = 1
 	}
-	// Worker state outlives the operator: the next EvalSub of the chain
-	// finds the lane buffers this one grew.
-	for len(c.workers) < W {
-		c.workers = append(c.workers, vecWorker{})
-	}
-	states := c.workers[:W]
+	states := c.grow(W)
 	n := len(b.Rows)
 	if W == 1 {
 		states[0].run(0, n, b, batch, bd, detailOnly, plans, accs, matched)

@@ -176,3 +176,16 @@ func BenchmarkHandleFused(b *testing.B) {
 		handleOK(b, e, req)
 	}
 }
+
+// BenchmarkHandleFusedFiltered is the fused request with a base filter of
+// the kind a served WHERE clause sends: the filter runs on every request.
+func BenchmarkHandleFusedFiltered(b *testing.B) {
+	e := fusedEngine(b, 24000)
+	req := fusedRequest("F.Discount > 0.02 AND F.Quantity < 30")
+	handleOK(b, e, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handleOK(b, e, req)
+	}
+}

@@ -93,6 +93,9 @@ type Engine struct {
 	// round.
 	//lint:guarded-by mu
 	batches map[string]*batchEntry
+	// chains hold the kernels' working memory: an evaluation takes one
+	// *gmdj.Chain for its whole run and puts it back for the next.
+	chains sync.Pool
 }
 
 // batchEntry is one cached columnar conversion, or the reason there is none.
@@ -108,6 +111,7 @@ func NewEngine(id string) *Engine {
 		id:      id,
 		rels:    map[string]*relation.Relation{},
 		batches: map[string]*batchEntry{},
+		chains:  sync.Pool{New: func() any { return new(gmdj.Chain) }},
 	}
 }
 
@@ -372,7 +376,9 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 		return nil, err
 	}
 	start := time.Now()
-	b, err := e.baseValues(req.Detail, detail, def)
+	chain := e.chains.Get().(*gmdj.Chain)
+	defer e.chains.Put(chain)
+	b, err := e.baseValues(chain, req.Detail, detail, def)
 	if err != nil {
 		return nil, err
 	}
@@ -387,13 +393,13 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 }
 
 // baseValues computes the base-values query B_0 over the named detail
-// relation's cached columnar batch.
-func (e *Engine) baseValues(name string, detail *relation.Relation, def gmdj.BaseDef) (*relation.Relation, error) {
+// relation's cached columnar batch, on chain's buffers.
+func (e *Engine) baseValues(chain *gmdj.Chain, name string, detail *relation.Relation, def gmdj.BaseDef) (*relation.Relation, error) {
 	batch, err := e.detailBatch(name, detail)
 	if err != nil {
 		return nil, err
 	}
-	return gmdj.EvalBaseBatch(batch, def)
+	return chain.EvalBaseBatch(batch, def)
 }
 
 func baseDef(req *transport.Request) (gmdj.BaseDef, error) {
@@ -421,6 +427,10 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	}
 	start := time.Now()
 	shipped := req.ShipsBase()
+	// One chain for the request: its fused base filter and locally chained
+	// rounds share each kernel worker's buffers.
+	chain := e.chains.Get().(*gmdj.Chain)
+	defer e.chains.Put(chain)
 
 	base := req.Base
 	if len(req.BaseCols) > 0 {
@@ -432,7 +442,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, err
 		}
-		base, err = e.baseValues(firstDetail(req), detail, def)
+		base, err = e.baseValues(chain, firstDetail(req), detail, def)
 		if err != nil {
 			return nil, fmt.Errorf("fused base: %w", err)
 		}
@@ -468,9 +478,6 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		}
 	}
 
-	// One chain for the request: locally chained rounds share each kernel
-	// worker's lane buffers instead of growing their own per round.
-	var chain gmdj.Chain
 	for ri, spec := range req.Rounds {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
@@ -522,18 +529,23 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 			}
 		}
 		if statesOnly && len(stateCols) > 0 {
-			// Lead the reply with the earlier operators' states.
-			prev, err := base.Project(stateCols)
+			// Lead the reply with the earlier operators' states, its rows
+			// carved from one backing of the full width.
+			lead, idx, err := base.Schema.Project(stateCols)
 			if err == nil {
-				prev.Schema, err = prev.Schema.Concat(h.Schema.Cols...)
+				lead, err = lead.Concat(h.Schema.Cols...)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("round %d: %w", ri+1, err)
 			}
-			for i := range prev.Rows {
-				prev.Rows[i] = append(prev.Rows[i], h.Rows[i]...)
+			rows := relation.MakeRows(h.Len(), lead.Len())
+			for i, row := range h.Rows {
+				for _, p := range idx {
+					rows[i] = append(rows[i], base.Rows[i][p])
+				}
+				rows[i] = append(rows[i], row...)
 			}
-			h = prev
+			h = &relation.Relation{Schema: lead, Rows: rows}
 		}
 		if shipped && !statesOnly {
 			for _, s := range md.Specs() {
