@@ -46,7 +46,7 @@ func main() {
 	for _, row := range cube.Rows {
 		if !row[0].IsNull() && row[1].IsNull() && row[2].IsNull() {
 			fmt.Printf("  region %v: %v lines, qty %v, avg price %.2f\n",
-				row[0], row[3], row[4], row[5].F)
+				row[0], row[3], row[4], row[5].Float())
 			show++
 		}
 	}
@@ -57,7 +57,7 @@ func main() {
 	fmt.Println("\nGrand total:")
 	for _, row := range cube.Rows {
 		if row[0].IsNull() && row[1].IsNull() && row[2].IsNull() {
-			fmt.Printf("  %v lines, qty %v, avg price %.2f\n", row[3], row[4], row[5].F)
+			fmt.Printf("  %v lines, qty %v, avg price %.2f\n", row[3], row[4], row[5].Float())
 		}
 	}
 

@@ -67,8 +67,8 @@ func webFractionPerHour(cluster *skalla.Cluster) {
 	fmt.Println("Hourly Web-traffic fraction (flows):")
 	fmt.Printf("%5s %8s %8s %8s\n", "hour", "flows", "web", "frac")
 	for _, row := range res.Relation.Rows {
-		flows, web := row[1].I, row[2].I
-		fmt.Printf("%5d %8d %8d %8.2f\n", row[0].I, flows, web, float64(web)/float64(flows))
+		flows, web := row[1].Int(), row[2].Int()
+		fmt.Printf("%5d %8d %8d %8.2f\n", row[0].Int(), flows, web, float64(web)/float64(flows))
 	}
 	fmt.Printf("(evaluated in %d round(s), %d bytes moved)\n\n",
 		len(res.Stats.Rounds), res.Stats.Bytes())
@@ -109,7 +109,7 @@ func heavyHitterFraction(cluster *skalla.Cluster) {
 		return a
 	}
 	for _, row := range rows {
-		h := row[0].I
+		h := row[0].Int()
 		as, _ := row[2].AsFloat()
 		tot, _ := row[3].AsFloat()
 		a := byHour(h)
@@ -119,7 +119,7 @@ func heavyHitterFraction(cluster *skalla.Cluster) {
 		a.total = tot
 	}
 	for _, row := range rows {
-		h := row[0].I
+		h := row[0].Int()
 		as, _ := row[2].AsFloat()
 		if a := byHour(h); as >= 0.9*a.max {
 			a.heavy += as

@@ -131,20 +131,20 @@ func TestAggregatePipeline(t *testing.T) {
 
 func TestAggregateNulls(t *testing.T) {
 	vals := []value.V{value.NewInt(10), value.Null, value.NewInt(20), value.Null}
-	if got := runAgg(t, MustParseSpec("count(*) AS c"), vals, 2); got.I != 4 {
+	if got := runAgg(t, MustParseSpec("count(*) AS c"), vals, 2); got.Int() != 4 {
 		t.Errorf("count(*) = %v, want 4", got)
 	}
-	if got := runAgg(t, MustParseSpec("count(x) AS c"), vals, 2); got.I != 2 {
+	if got := runAgg(t, MustParseSpec("count(x) AS c"), vals, 2); got.Int() != 2 {
 		t.Errorf("count(x) = %v, want 2", got)
 	}
-	if got := runAgg(t, MustParseSpec("avg(x) AS a"), vals, 2); got.F != 15 {
+	if got := runAgg(t, MustParseSpec("avg(x) AS a"), vals, 2); got.Float() != 15 {
 		t.Errorf("avg = %v, want 15", got)
 	}
 }
 
 func TestAggregateEmpty(t *testing.T) {
 	var vals []value.V
-	if got := runAgg(t, MustParseSpec("count(*) AS c"), vals, 2); got.I != 0 || got.K != value.KindInt {
+	if got := runAgg(t, MustParseSpec("count(*) AS c"), vals, 2); got.Int() != 0 || got.K != value.KindInt {
 		t.Errorf("count over empty = %v, want 0", got)
 	}
 	for _, spec := range []string{"sum(x) AS s", "avg(x) AS a", "min(x) AS m", "max(x) AS m", "var(x) AS v"} {
@@ -152,7 +152,7 @@ func TestAggregateEmpty(t *testing.T) {
 			t.Errorf("%s over empty = %v, want NULL", spec, got)
 		}
 	}
-	if got := runAgg(t, MustParseSpec("countd(x) AS c"), vals, 2); got.I != 0 {
+	if got := runAgg(t, MustParseSpec("countd(x) AS c"), vals, 2); got.Int() != 0 {
 		t.Errorf("countd over empty = %v, want 0", got)
 	}
 }
@@ -160,11 +160,11 @@ func TestAggregateEmpty(t *testing.T) {
 func TestVarAndStddev(t *testing.T) {
 	vals := ints(2, 4, 4, 4, 5, 5, 7, 9) // classic example: var=4, sd=2
 	v := runAgg(t, MustParseSpec("var(x) AS v"), vals, 3)
-	if math.Abs(v.F-4) > 1e-9 {
+	if math.Abs(v.Float()-4) > 1e-9 {
 		t.Errorf("var = %v, want 4", v)
 	}
 	sd := runAgg(t, MustParseSpec("stddev(x) AS s"), vals, 3)
-	if math.Abs(sd.F-2) > 1e-9 {
+	if math.Abs(sd.Float()-2) > 1e-9 {
 		t.Errorf("stddev = %v, want 2", sd)
 	}
 }
@@ -182,7 +182,7 @@ func TestMinMaxStrings(t *testing.T) {
 func TestSumMixedIntFloat(t *testing.T) {
 	vals := []value.V{value.NewInt(1), value.NewFloat(2.5)}
 	got := runAgg(t, MustParseSpec("sum(x) AS s"), vals, 1)
-	if got.K != value.KindFloat || got.F != 3.5 {
+	if got.K != value.KindFloat || got.Float() != 3.5 {
 		t.Errorf("sum mixed = %v", got)
 	}
 	// Float partial merged into int partial promotes.
@@ -239,9 +239,9 @@ func TestHLLAccuracy(t *testing.T) {
 		}
 		rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 		got := runAgg(t, MustParseSpec("countd(x) AS c"), vals, 4)
-		err := math.Abs(float64(got.I)-float64(n)) / float64(n)
+		err := math.Abs(float64(got.Int())-float64(n)) / float64(n)
 		if err > 0.15 {
-			t.Errorf("countd(%d distinct) = %d (%.1f%% error)", n, got.I, err*100)
+			t.Errorf("countd(%d distinct) = %d (%.1f%% error)", n, got.Int(), err*100)
 		}
 	}
 }
@@ -320,12 +320,12 @@ func TestExactCountDistinct(t *testing.T) {
 	}
 	for _, parts := range []int{1, 2, 3} {
 		got := runAgg(t, MustParseSpec("countdx(x) AS u"), vals, parts)
-		if got.I != 3 {
+		if got.Int() != 3 {
 			t.Errorf("countdx over %d parts = %v, want 3", parts, got)
 		}
 	}
 	// Empty input.
-	if got := runAgg(t, MustParseSpec("countdx(x) AS u"), nil, 2); got.I != 0 {
+	if got := runAgg(t, MustParseSpec("countdx(x) AS u"), nil, 2); got.Int() != 0 {
 		t.Errorf("countdx empty = %v", got)
 	}
 	// Aliases parse.

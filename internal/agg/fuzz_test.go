@@ -191,5 +191,5 @@ func TestExtremumFoldNaN(t *testing.T) {
 
 // sameState compares states bit for bit, float bit patterns included.
 func sameState(a, b value.V) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+	return a == b // one payload word: floats compare by their bits
 }

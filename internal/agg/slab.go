@@ -115,6 +115,9 @@ func (s *Slab) AddGroup() int {
 	return s.groups - 1
 }
 
+// Specs returns the specs the slab holds the states of.
+func (s *Slab) Specs() []Spec { return s.specs }
+
 // Width returns the number of primitives per group.
 func (s *Slab) Width() int { return len(s.lanes) }
 
@@ -221,7 +224,7 @@ func (l *lane) sum(g int, v value.V, f float64) {
 		fl |= sumFloat
 	}
 	if fl&sumFloat == 0 {
-		l.ints[g] += v.I
+		l.ints[g] += v.Int()
 	}
 	l.floats[g] += f
 	l.flags[g] = fl
@@ -309,6 +312,10 @@ func (s *Slab) AddRows(g, p, n int) error {
 // AddInts folds int64 lanes of the given kind (KindInt or KindBool).
 func (s *Slab) AddInts(g, p int, kind value.Kind, vals []int64, nulls []bool) error {
 	l := &s.lanes[p]
+	box := value.NewInt
+	if kind == value.KindBool {
+		box = func(x int64) value.V { return value.NewBool(x != 0) }
+	}
 	switch l.prim {
 	case PCount:
 		l.ints[g] += l.count(len(vals), nulls)
@@ -338,12 +345,12 @@ func (s *Slab) AddInts(g, p int, kind value.Kind, vals []int64, nulls []bool) er
 		l.floats[g], l.flags[g] = f, fl
 	case PMin, PMax:
 		if cur := l.vals[g]; cur.K == value.KindNull || cur.K == value.KindInt || cur.K == value.KindBool {
-			foldExtremum(l, g, cur.I, vals, nulls, func(x int64) value.V { return value.V{K: kind, I: x} })
+			foldExtremum(l, g, cur.Int(), vals, nulls, box)
 			return nil
 		}
 		fallthrough
 	default:
-		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return value.V{K: kind, I: vals[i]} })
+		return s.addBoxed(g, p, len(vals), nulls, func(i int) value.V { return box(vals[i]) })
 	}
 	return nil
 }
@@ -369,7 +376,7 @@ func (s *Slab) AddFloats(g, p int, vals []float64, nulls []bool) error {
 		l.floats[g], l.flags[g] = f, fl
 	case PMin, PMax:
 		if cur := l.vals[g]; cur.K == value.KindNull || cur.K == value.KindFloat {
-			foldExtremum(l, g, cur.F, vals, nulls, value.NewFloat)
+			foldExtremum(l, g, cur.Float(), vals, nulls, value.NewFloat)
 			return nil
 		}
 		fallthrough

@@ -11,7 +11,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -315,7 +314,7 @@ func resultDiff(a, b *relation.Relation, keys []string) string {
 	}
 	for i, ra := range a.Rows {
 		for j, x := range ra {
-			if y := b.Rows[i][j]; x.K != y.K || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+			if y := b.Rows[i][j]; x != y { // floats by their bits
 				return fmt.Sprintf("row %d col %d: %v vs %v", i, j, x, y)
 			}
 		}

@@ -164,10 +164,10 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Error("partition knowledge lost")
 	}
 	d := back.DomainsFor("s0")["shipdate"]
-	if !d.HasMin || !d.HasMax || d.Min.I != 0 || d.Max.I != 100 {
+	if !d.HasMin || !d.HasMax || d.Min.Int() != 0 || d.Max.Int() != 100 {
 		t.Errorf("range domain lost: %+v", d)
 	}
-	if f := back.DomainsFor("s0")["frac"]; !f.HasMin || f.Min.F != 0.25 {
+	if f := back.DomainsFor("s0")["frac"]; !f.HasMin || f.Min.Float() != 0.25 {
 		t.Errorf("float domain lost: %+v", f)
 	}
 	if names := back.DomainsFor("s1")["name"]; len(names.Set) != 2 || names.Set[0].S != "a" {

@@ -34,10 +34,10 @@ type jsonValue struct {
 func toJSONValue(v value.V) (jsonValue, error) {
 	switch v.K {
 	case value.KindInt:
-		i := v.I
+		i := v.Int()
 		return jsonValue{Int: &i}, nil
 	case value.KindFloat:
-		f := v.F
+		f := v.Float()
 		return jsonValue{Num: &f}, nil
 	case value.KindString:
 		s := v.S

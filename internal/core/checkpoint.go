@@ -174,7 +174,7 @@ func relToJSON(r *relation.Relation) (*relationJSON, error) {
 	for i, row := range r.Rows {
 		jr := make([]ckptVal, len(row))
 		for j, v := range row {
-			jr[j] = ckptVal{K: uint8(v.K), I: v.I, F: v.F, S: v.S}
+			jr[j] = ckptVal{K: uint8(v.K), I: v.Int(), F: v.Float(), S: v.S}
 		}
 		out.Rows[i] = jr
 	}
@@ -198,7 +198,11 @@ func relFromJSON(in *relationJSON) (*relation.Relation, error) {
 		}
 		row := make(relation.Row, len(jr))
 		for j, jv := range jr {
-			row[j] = value.V{K: value.Kind(jv.K), I: jv.I, F: jv.F, S: jv.S}
+			v, ok := value.FromParts(value.Kind(jv.K), jv.I, jv.F, jv.S)
+			if !ok {
+				return nil, fmt.Errorf("row %d column %d: no %s value has this payload", i, j, v.K)
+			}
+			row[j] = v
 		}
 		out.Rows[i] = row
 	}

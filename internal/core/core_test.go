@@ -50,7 +50,7 @@ func cluster(t *testing.T, rows []relation.Row, nSites int, partitioned bool) (*
 	for i, row := range rows {
 		var s int
 		if partitioned {
-			s = int(row[0].I) % nSites
+			s = int(row[0].Int()) % nSites
 			siteDomains[s][row[0].Key()] = struct{}{}
 		} else {
 			s = i % nSites
@@ -366,9 +366,9 @@ func TestUntouchedGroupsSurvive(t *testing.T) {
 		// Specifically: group (2,20) present with big = 0.
 		found := false
 		for _, row := range got.Rows {
-			if row[0].I == 2 && row[1].I == 20 {
+			if row[0].Int() == 2 && row[1].Int() == 20 {
 				found = true
-				if row[2].I != 0 {
+				if row[2].Int() != 0 {
 					t.Errorf("%s: group (2,20) big = %v, want 0", optLabel(opts), row[2])
 				}
 			}
@@ -801,7 +801,7 @@ func TestPaperExample2EndToEnd(t *testing.T) {
 	// Partition by SourceAS range: site0 gets [0,5], site1 [6,11].
 	parts := []*relation.Relation{relation.New(flowSchema()), relation.New(flowSchema())}
 	for _, row := range rows {
-		if row[0].I <= 5 {
+		if row[0].Int() <= 5 {
 			parts[0].Rows = append(parts[0].Rows, row)
 		} else {
 			parts[1].Rows = append(parts[1].Rows, row)

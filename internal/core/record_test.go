@@ -390,7 +390,7 @@ func TestConcurrentProfilesNoBleed(t *testing.T) {
 		parts[i] = relation.New(flowSchema())
 	}
 	for _, row := range rows {
-		s := int(row[0].I) % nSites
+		s := int(row[0].Int()) % nSites
 		parts[s].Rows = append(parts[s].Rows, row)
 	}
 	var clients []transport.Client

@@ -35,7 +35,7 @@ func assertExactRelation(t *testing.T, label string, got, want *relation.Relatio
 	for i := range want.Rows {
 		for j := range want.Rows[i] {
 			g, w := got.Rows[i][j], want.Rows[i][j]
-			if g.K != w.K || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
+			if g.K != w.K || g.Int() != w.Int() || g.S != w.S || math.Float64bits(g.Float()) != math.Float64bits(w.Float()) {
 				t.Fatalf("%s: row %d col %s: %#v != %#v", label, i, got.Schema.Cols[j].Name, g, w)
 			}
 		}

@@ -175,10 +175,10 @@ func TestRelayGenerate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, row := range rel.Rows {
-			if prev, dup := seen[row[nk].I]; dup && prev != eng.ID() {
-				t.Fatalf("nation %d at both %s and %s", row[nk].I, prev, eng.ID())
+			if prev, dup := seen[row[nk].Int()]; dup && prev != eng.ID() {
+				t.Fatalf("nation %d at both %s and %s", row[nk].Int(), prev, eng.ID())
 			}
-			seen[row[nk].I] = eng.ID()
+			seen[row[nk].Int()] = eng.ID()
 		}
 	}
 }
@@ -217,7 +217,7 @@ func TestRelayFusedMergesOnBaseCols(t *testing.T) {
 	want := map[int64]int64{}
 	for i, row := range rows {
 		parts[i%2].Rows = append(parts[i%2].Rows, row)
-		want[row[0].I]++
+		want[row[0].Int()]++
 	}
 	var children []transport.Client
 	for i, part := range parts {
@@ -249,10 +249,10 @@ func TestRelayFusedMergesOnBaseCols(t *testing.T) {
 		t.Errorf("reply has %d rows for %d distinct SourceAS", resp.Rel.Len(), len(want))
 	}
 	for _, row := range resp.Rel.Rows {
-		if n := want[row[0].I]; row[1].I != n {
-			t.Errorf("SourceAS %d: count %d, want %d", row[0].I, row[1].I, n)
+		if n := want[row[0].Int()]; row[1].Int() != n {
+			t.Errorf("SourceAS %d: count %d, want %d", row[0].Int(), row[1].Int(), n)
 		}
-		delete(want, row[0].I)
+		delete(want, row[0].Int())
 	}
 }
 

@@ -60,8 +60,8 @@ func fig5Parts(t *testing.T) []*relation.Relation {
 			t.Fatal(err)
 		}
 		for _, row := range p.Rows {
-			row[disc] = value.NewFloat(math.Round(row[disc].F*100) / 128)
-			row[price] = value.NewFloat(math.Round(row[price].F))
+			row[disc] = value.NewFloat(math.Round(row[disc].Float()*100) / 128)
+			row[price] = value.NewFloat(math.Round(row[price].Float()))
 		}
 		parts[i] = p
 	}

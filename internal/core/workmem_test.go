@@ -93,7 +93,7 @@ func TestExecutedXNeverAliases(t *testing.T) {
 			part := relation.New(flowSchema())
 			for j, row := range rows {
 				if j%len(engines) == i {
-					part.Rows = append(part.Rows, flowRow(row[0].I, row[1].I, row[2].I+shift))
+					part.Rows = append(part.Rows, flowRow(row[0].Int(), row[1].Int(), row[2].Int()+shift))
 				}
 			}
 			e.Load("flow", part)

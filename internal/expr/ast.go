@@ -305,7 +305,7 @@ func Cols(e Expr) []Col {
 // IsTrue reports whether e is the constant TRUE.
 func IsTrue(e Expr) bool {
 	c, ok := e.(Const)
-	return ok && c.Val.K == value.KindBool && c.Val.I != 0
+	return ok && c.Val.K == value.KindBool && c.Val.Int() != 0
 }
 
 // Rewrite returns a copy of e with fn applied bottom-up to every node. If

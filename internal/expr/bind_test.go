@@ -126,7 +126,7 @@ func TestArithmeticEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.F != 25 {
+	if v.Float() != 25 {
 		t.Errorf("100/4 = %v", v)
 	}
 	// Division by zero yields NULL, predicates on it are false.

@@ -152,13 +152,13 @@ func compileCall(n Call, bd Binding) (evalFn, error) {
 			}
 			switch v.K {
 			case value.KindInt:
-				if v.I < 0 {
-					return value.NewInt(-v.I), nil
+				if v.Int() < 0 {
+					return value.NewInt(-v.Int()), nil
 				}
 				return v, nil
 			case value.KindFloat:
-				if v.F < 0 {
-					return value.NewFloat(-v.F), nil
+				if v.Float() < 0 {
+					return value.NewFloat(-v.Float()), nil
 				}
 				return v, nil
 			default:

@@ -73,12 +73,12 @@ func TestCaseEval(t *testing.T) {
 	}
 	row := relation.Row{value.NewInt(443), value.NewInt(1000)}
 	v, err := bound.Eval(nil, row)
-	if err != nil || v.I != 1000 {
+	if err != nil || v.Int() != 1000 {
 		t.Errorf("web row = %v, %v", v, err)
 	}
 	row = relation.Row{value.NewInt(22), value.NewInt(1000)}
 	v, err = bound.Eval(nil, row)
-	if err != nil || v.I != 0 {
+	if err != nil || v.Int() != 0 {
 		t.Errorf("ssh row = %v, %v", v, err)
 	}
 	// No ELSE → NULL.

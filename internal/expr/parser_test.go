@@ -115,11 +115,11 @@ func TestParseLiteralKinds(t *testing.T) {
 		t.Errorf("3.0 parsed as %#v", e)
 	}
 	e = MustParse("1e3")
-	if c, ok := e.(Const); !ok || c.Val.K != value.KindFloat || c.Val.F != 1000 {
+	if c, ok := e.(Const); !ok || c.Val.K != value.KindFloat || c.Val.Float() != 1000 {
 		t.Errorf("1e3 parsed as %#v", e)
 	}
 	e = MustParse("-42")
-	if c, ok := e.(Const); !ok || c.Val.K != value.KindInt || c.Val.I != -42 {
+	if c, ok := e.(Const); !ok || c.Val.K != value.KindInt || c.Val.Int() != -42 {
 		t.Errorf("-42 parsed as %#v", e)
 	}
 }

@@ -164,11 +164,11 @@ func BenchmarkChainVec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var chain Chain
-		out1, err := chain.evalVec(base, detail, md1, opts)
+		out1, err := chain.EvalSub(base, detail, md1, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := chain.evalVec(out1, detail, md2, opts); err != nil {
+		if _, err := chain.EvalSub(out1, detail, md2, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

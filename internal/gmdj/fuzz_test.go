@@ -223,7 +223,7 @@ func coerceStrays(detail *relation.Relation) *relation.Relation {
 	detail = detail.Clone()
 	for _, row := range detail.Rows {
 		if row[2].K == value.KindFloat {
-			row[2] = value.NewInt(int64(row[2].F))
+			row[2] = value.NewInt(int64(row[2].Float()))
 		}
 	}
 	return detail

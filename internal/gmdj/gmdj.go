@@ -125,10 +125,8 @@ func (md MD) Validate(base, detail *relation.Schema) error {
 // SubOpts selects what EvalSub appends to the base columns and how the
 // evaluation runs.
 type SubOpts struct {
-	// Finalize appends the finalized aggregate columns (named Spec.As) in
-	// addition to the primitive state columns. Local chained evaluation
-	// (synchronization reduction) needs finalized values because later
-	// conditions reference them.
+	// Finalize appends the finalized aggregate columns (named Spec.As)
+	// after the primitive state columns.
 	Finalize bool
 	// Touched appends a TouchedCol count of detail matches across all θ_i.
 	// It is positive iff |RNG(b, R, θ_1 ∨ ... ∨ θ_m)| > 0, the test of
@@ -195,8 +193,24 @@ func (c *Chain) grow(n int) []vecWorker {
 	return c.workers[:n]
 }
 
-// EvalSub is the package-level EvalSub with the chain's scratch.
+// EvalSub is the package-level EvalSub with the chain's scratch:
+// EvalStates, then the rows opts asks for.
 func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
+	accs, matched, err := c.EvalStates(b, r, md, opts)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(b, accs, matched, opts.StatesOnly, true, opts.Finalize, opts.Touched)
+}
+
+// EvalStates evaluates md like EvalSub but boxes nothing: it returns the
+// primitive states, group i of the slab answering base row i, and each
+// base row's detail match count over every θ_i (what Touched appends). Of
+// opts it reads only how the evaluation runs, not what EvalSub appends.
+func (c *Chain) EvalStates(b, r *relation.Relation, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
+	if err := md.Validate(b.Schema, r.Schema); err != nil {
+		return nil, nil, err
+	}
 	return c.evalVec(b, r, md, opts)
 }
 
@@ -231,8 +245,12 @@ func outputSchema(base *relation.Schema, specs []agg.Spec, statesOnly, prims, fi
 // assemble materializes the output rows from the per-base-row slab and
 // match-count state — shared by both engines so their outputs are
 // byte-identical.
-func assemble(outSchema *relation.Schema, b *relation.Relation, specs []agg.Spec,
-	accs *agg.Slab, matched []int64, statesOnly, prims, final, touched bool) (*relation.Relation, error) {
+func assemble(b *relation.Relation, accs *agg.Slab, matched []int64, statesOnly, prims, final, touched bool) (*relation.Relation, error) {
+	specs := accs.Specs()
+	outSchema, err := outputSchema(b.Schema, specs, statesOnly, prims, final, touched)
+	if err != nil {
+		return nil, err
+	}
 	out := relation.New(outSchema)
 	out.Rows = relation.MakeRows(len(b.Rows), outSchema.Len())
 	for gi, bRow := range b.Rows {
@@ -266,14 +284,8 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 	if err := md.Validate(b.Schema, r.Schema); err != nil {
 		return nil, err
 	}
-	specs := md.Specs()
-	outSchema, err := outputSchema(b.Schema, specs, false, prims, final, touched)
-	if err != nil {
-		return nil, err
-	}
-
 	// Primitive states per base row.
-	accs := agg.NewSlab(specs, len(b.Rows))
+	accs := agg.NewSlab(md.Specs(), len(b.Rows))
 	matched := make([]int64, len(b.Rows))
 
 	bd := md.Binding(b.Schema, r.Schema)
@@ -383,5 +395,5 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 		specBase += len(md.Aggs[ti])
 	}
 
-	return assemble(outSchema, b, specs, accs, matched, false, prims, final, touched)
+	return assemble(b, accs, matched, false, prims, final, touched)
 }

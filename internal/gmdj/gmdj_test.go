@@ -172,9 +172,9 @@ func TestEvalSubTouched(t *testing.T) {
 	}
 	var untouched int
 	for _, row := range h.Rows {
-		if row[ti].I == 0 {
+		if row[ti].Int() == 0 {
 			untouched++
-			if row[0].I != 99 {
+			if row[0].Int() != 99 {
 				t.Errorf("unexpected untouched group %v", row[:2])
 			}
 		}
@@ -293,7 +293,7 @@ func TestNoEquiConditionFallsBackToNestedLoop(t *testing.T) {
 	out.SortBy("SourceAS")
 	// SourceAS=1: rows with NumBytes>100: {300,200,150,500} = 4
 	// SourceAS=2: rows with NumBytes>200: {300,500} = 2
-	if out.Rows[0][1].I != 4 || out.Rows[1][1].I != 2 {
+	if out.Rows[0][1].Int() != 4 || out.Rows[1][1].Int() != 2 {
 		t.Errorf("nested-loop GMDJ wrong:\n%s", out)
 	}
 }
@@ -315,7 +315,7 @@ func TestOverlappingRNG(t *testing.T) {
 	out.SortBy("SourceAS")
 	want := []int64{2, 3, 2}
 	for i, w := range want {
-		if out.Rows[i][1].I != w {
+		if out.Rows[i][1].Int() != w {
 			t.Errorf("window count for AS %d = %v, want %d", i+1, out.Rows[i][1], w)
 		}
 	}
@@ -330,7 +330,7 @@ func TestEvalBaseWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 || b.Rows[0][0].I != 1 {
+	if b.Len() != 1 || b.Rows[0][0].Int() != 1 {
 		t.Errorf("filtered base = %s", b)
 	}
 	if _, err := EvalBase(detail, BaseDef{Cols: []string{"Nope"}}); err == nil {
@@ -517,10 +517,10 @@ func TestMultipleThetasOneMD(t *testing.T) {
 	}
 	out.SortBy("SourceAS")
 	// AS 1: total 4, big {300,200,500} = 3; AS 2: total 2, big 0.
-	if out.Rows[0][1].I != 4 || out.Rows[0][2].I != 3 {
+	if out.Rows[0][1].Int() != 4 || out.Rows[0][2].Int() != 3 {
 		t.Errorf("AS1 = %v", out.Rows[0])
 	}
-	if out.Rows[1][1].I != 2 || out.Rows[1][2].I != 0 {
+	if out.Rows[1][1].Int() != 2 || out.Rows[1][2].Int() != 0 {
 		t.Errorf("AS2 = %v", out.Rows[1])
 	}
 }

@@ -37,23 +37,16 @@ import (
 // (base row, detail row, θ) combinations are evaluated), but may surface a
 // different one first because iteration order differs.
 
-// evalVec is the vectorized counterpart of eval, and what EvalSub runs.
-func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
-	if err := md.Validate(b.Schema, r.Schema); err != nil {
-		return nil, err
-	}
+// evalVec is the vectorized counterpart of eval, and what EvalStates runs
+// once md is validated against b and r.
+func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
 	batch := opts.DetailBatch
 	if batch == nil || batch.Schema != r.Schema || batch.Len() != len(r.Rows) {
 		var err error
 		batch, err = vec.FromRelation(r)
 		if err != nil {
-			return nil, fmt.Errorf("gmdj: detail relation: %w", err)
+			return nil, nil, fmt.Errorf("gmdj: detail relation: %w", err)
 		}
-	}
-	specs := md.Specs()
-	outSchema, err := outputSchema(b.Schema, specs, opts.StatesOnly, true, opts.Finalize, opts.Touched)
-	if err != nil {
-		return nil, err
 	}
 
 	bd := md.Binding(b.Schema, r.Schema)
@@ -61,10 +54,10 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 
 	plans, err := planThetas(b, r, md, bd, batch)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	accs := agg.NewSlab(specs, len(b.Rows))
+	accs := agg.NewSlab(md.Specs(), len(b.Rows))
 	matched := make([]int64, len(b.Rows))
 
 	// Worker partitioning: each worker owns a contiguous range of base
@@ -130,9 +123,9 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 		opts.Stats.Selected += total.Selected
 	}
 	if best >= 0 {
-		return nil, states[best].err
+		return nil, nil, states[best].err
 	}
-	return assemble(outSchema, b, specs, accs, matched, opts.StatesOnly, true, opts.Finalize, opts.Touched)
+	return accs, matched, nil
 }
 
 // thetaPlan is the static, worker-shared plan for one θ_i.

@@ -2,7 +2,6 @@ package gmdj
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -39,8 +38,7 @@ func exactRows(a, b *relation.Relation) string {
 	for i := range a.Rows {
 		for j := range a.Rows[i] {
 			x, y := a.Rows[i][j], b.Rows[i][j]
-			if x.K != y.K || x.I != y.I || x.S != y.S ||
-				math.Float64bits(x.F) != math.Float64bits(y.F) {
+			if x != y { // floats by their bits
 				return fmt.Sprintf("row %d col %d: %#v vs %#v", i, j, x, y)
 			}
 		}
@@ -269,7 +267,7 @@ func TestVecConditionalAggregateExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats vec.Stats
-	got, err := new(Chain).evalVec(b, detail, md, SubOpts{Stats: &stats, DetailBatch: batch})
+	got, err := new(Chain).EvalSub(b, detail, md, SubOpts{Stats: &stats, DetailBatch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func generate(cfg Config, onlyRouter int64) *relation.Relation {
 			value.NewInt(packets),
 			value.NewInt(bytes),
 		}
-		if onlyRouter >= 0 && row[0].I != onlyRouter {
+		if onlyRouter >= 0 && row[0].Int() != onlyRouter {
 			continue
 		}
 		out.Rows = append(out.Rows, row)

@@ -28,8 +28,8 @@ func TestDeterminismAndPartition(t *testing.T) {
 		}
 		total += part.Len()
 		for _, row := range part.Rows {
-			if row[rid].I != int64(s) {
-				t.Fatalf("site %d holds router %d", s, row[rid].I)
+			if row[rid].Int() != int64(s) {
+				t.Fatalf("site %d holds router %d", s, row[rid].Int())
 			}
 		}
 	}
@@ -47,7 +47,7 @@ func TestASPartitioning(t *testing.T) {
 	rid, _ := Schema().MustLookup("RouterId")
 	sas, _ := Schema().MustLookup("SourceAS")
 	for _, row := range r.Rows {
-		if row[rid].I != RouterOfAS(row[sas].I, 4) {
+		if row[rid].Int() != RouterOfAS(row[sas].Int(), 4) {
 			t.Fatal("SourceAS not pinned to its router")
 		}
 	}
@@ -64,16 +64,16 @@ func TestFlowShape(t *testing.T) {
 	np, _ := Schema().MustLookup("NumPackets")
 	web := 0
 	for _, row := range r.Rows {
-		if row[et].I <= row[st].I {
+		if row[et].Int() <= row[st].Int() {
 			t.Fatal("EndTime not after StartTime")
 		}
-		if row[hr].I != row[st].I/3600 || row[hr].I < 0 || row[hr].I >= 24 {
-			t.Fatalf("bad hour %d for start %d", row[hr].I, row[st].I)
+		if row[hr].Int() != row[st].Int()/3600 || row[hr].Int() < 0 || row[hr].Int() >= 24 {
+			t.Fatalf("bad hour %d for start %d", row[hr].Int(), row[st].Int())
 		}
-		if row[nb].I < 40*row[np].I {
+		if row[nb].Int() < 40*row[np].Int() {
 			t.Fatal("bytes below minimum packet size")
 		}
-		if row[dp].I == 80 || row[dp].I == 443 {
+		if row[dp].Int() == 80 || row[dp].Int() == 443 {
 			web++
 		}
 	}

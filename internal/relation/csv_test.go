@@ -63,7 +63,7 @@ func TestReadCSVBoolAndNull(t *testing.T) {
 	if !r.Rows[0][0].Bool() || !r.Rows[0][1].IsNull() {
 		t.Errorf("row 0 = %v", r.Rows[0])
 	}
-	if r.Rows[1][0].Bool() || r.Rows[1][1].I != 7 {
+	if r.Rows[1][0].Bool() || r.Rows[1][1].Int() != 7 {
 		t.Errorf("row 1 = %v", r.Rows[1])
 	}
 }

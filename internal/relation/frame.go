@@ -19,9 +19,10 @@ const FrameVersion = 1
 
 // A frame carries a relation column by column, one lane per column
 // (PROTOCOL.md, "Framing and encoding", has the layout byte by byte). A
-// typed lane's mode is the one kind its values share in canonical form,
-// plus laneNulls and a bitmap of the non-NULL rows when some are NULL; a
-// generic lane carries every field of every value. ReadFrame accepts only
+// typed lane's mode is the one known kind its values share, plus laneNulls
+// and a bitmap of the non-NULL rows when some are NULL; a generic lane
+// carries each value's kind, an I and an F slot (its payload in the one its
+// kind reads, zero in the other) and its string. ReadFrame accepts only
 // what AppendFrame writes, so a decoded frame re-encodes to the same bytes.
 const (
 	laneGeneric byte = 0
@@ -32,30 +33,13 @@ const (
 	maxStringExpansion = 64
 )
 
-// canonical reports whether v is of a known kind and its unused payload
-// fields are zero, the form a typed lane carries; −0 is not zero.
-func canonical(v value.V) bool {
-	noF := math.Float64bits(v.F) == 0
-	switch v.K {
-	case value.KindNull:
-		return v.I == 0 && noF && v.S == ""
-	case value.KindBool, value.KindInt:
-		return noF && v.S == ""
-	case value.KindFloat:
-		return v.I == 0 && v.S == ""
-	case value.KindString:
-		return v.I == 0 && noF
-	}
-	return false
-}
-
 // laneMode returns the mode column j of rows is encoded in.
 func laneMode(rows []Row, j int) byte {
 	kind, nulls := value.KindNull, false
 	for _, row := range rows {
 		switch v := row[j]; {
-		case !canonical(v):
-			return laneGeneric
+		case v.K > value.KindString || v.S != "" && v.K != value.KindString:
+			return laneGeneric // an unknown kind, or a string under another
 		case v.K == value.KindNull:
 			nulls = true
 		case kind == value.KindNull:
@@ -124,10 +108,10 @@ func AppendFrame(dst []byte, r *Relation) []byte {
 				dst = append(dst, byte(v.K))
 			}
 			if mode == laneGeneric || v.K == value.KindBool || v.K == value.KindInt {
-				dst = binary.AppendVarint(dst, v.I)
+				dst = binary.AppendVarint(dst, v.Int())
 			}
 			if mode == laneGeneric || v.K == value.KindFloat {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
 			}
 			if mode == laneGeneric {
 				dst = appendString(dst, v.S)
@@ -306,16 +290,25 @@ func (d *frameReader) lane(rows []Row, j int, budget *int) {
 		switch {
 		case !present(bm, i):
 		case mode == laneGeneric:
-			row[j] = value.V{K: value.Kind(d.byte()), I: d.varint(), F: d.float(), S: string(d.str())}
+			row[j] = d.value(value.Kind(d.byte()), d.varint(), d.float(), string(d.str()))
 		case kind == value.KindFloat:
 			row[j] = value.NewFloat(d.float())
 		default:
-			row[j] = value.V{K: kind, I: d.varint()}
+			row[j] = d.value(kind, d.varint(), 0, "")
 		}
 	}
 	if mode == laneGeneric && laneMode(rows, j) != laneGeneric {
 		d.fail("generic lane for column %d, whose values fit a typed one", j)
 	}
+}
+
+// value returns value.FromParts(k, i, f, s), failing on parts no value has.
+func (d *frameReader) value(k value.Kind, i int64, f float64, s string) value.V {
+	v, ok := value.FromParts(k, i, f, s)
+	if !ok {
+		d.fail("no %s value has this payload", k)
+	}
+	return v
 }
 
 // strings decodes a front-coded lane in two passes: one to check it and

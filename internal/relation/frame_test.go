@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -99,9 +100,9 @@ func TestReadFrameRefuses(t *testing.T) {
 }
 
 // randomRelation draws a relation from the shapes a frame must carry:
-// typed lanes with NULL runs, mixed and off-declared kinds, non-canonical
-// payloads, NaN payloads and −0, NULL-only columns, empty and long
-// front-coded strings, zero rows and zero columns.
+// typed lanes with NULL runs, mixed and off-declared kinds, strings under
+// other kinds and unknown kinds, NaN payloads and −0, NULL-only columns,
+// empty and long front-coded strings, zero rows and zero columns.
 func randomRelation(rng *rand.Rand) *Relation {
 	cols := make([]Column, rng.Intn(6))
 	for j := range cols {
@@ -138,8 +139,8 @@ func randomRelation(rng *rand.Rand) *Relation {
 				v = []value.V{value.NewInt(7), value.NewFloat(-2), value.NewString("m"), value.NewBool(true)}[rng.Intn(4)]
 			case 6: // an int sum in a FLOAT-declared state column
 				v = value.NewInt(int64(rng.Intn(100)))
-			case 7: // non-canonical payloads and unknown kinds
-				v = value.V{K: value.Kind(rng.Intn(7)), I: int64(rng.Intn(3)), F: floats[rng.Intn(len(floats))], S: strs[rng.Intn(3)]}
+			case 7: // strings under other kinds, and unknown kinds
+				v = value.V{K: value.Kind(rng.Intn(7)), S: strs[rng.Intn(3)]}
 			case 8: // NULLs only
 			}
 			r.Rows[i][j] = v
@@ -148,15 +149,69 @@ func randomRelation(rng *rand.Rand) *Relation {
 	return r
 }
 
+// mixedPayloadFrames are frames whose one fault is a value carrying a
+// payload its kind does not read: a generic lane of a FLOAT column whose
+// first entry is the case's and whose second, a STRING, makes the lane
+// generic. No value.V has such parts, so no encoder writes them. at is the
+// byte offset just past the faulty entry.
+func mixedPayloadFrames() (names []string, frames [][]byte, at []int) {
+	f := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+	cases := []struct {
+		name string
+		kind value.Kind
+		i    int64
+		f    []byte
+	}{
+		{"integer payload under FLOAT", value.KindFloat, 5, f(1.5)},
+		{"integer payload under FLOAT 0", value.KindFloat, 1, f(0)},
+		{"float bits under INT", value.KindInt, 5, f(1.5)},
+		{"−0 under INT", value.KindInt, 0, f(math.Copysign(0, -1))},
+		{"float bits under BOOL", value.KindBool, 1, f(1)},
+		{"BOOL 2", value.KindBool, 2, f(0)},
+		{"integer payload under NULL", value.KindNull, 1, f(0)},
+		{"NaN bits under NULL", value.KindNull, 0, f(math.NaN())},
+		{"integer payload under STRING", value.KindString, -1, f(0)},
+		{"float bits under STRING", value.KindString, 0, f(2)},
+		{"payload under an unknown kind", 6, 3, f(0)},
+	}
+	for _, c := range cases {
+		b := []byte{FrameVersion, 1, 1, 'a', byte(value.KindFloat), 2, laneGeneric, byte(c.kind)}
+		b = append(append(binary.AppendVarint(b, c.i), c.f...), 1, 'x')
+		names, at = append(names, c.name), append(at, len(b))
+		frames = append(frames, append(b, byte(value.KindString), 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 'm'))
+	}
+	return names, frames, at
+}
+
+// TestReadFrameRefusesMixedPayloads: a generic-lane entry whose unused
+// payload slot is not zero, or a BOOL other than 0 or 1 in a typed lane,
+// is refused at the byte that ends it; the same frame with that slot
+// zeroed decodes and re-encodes to itself.
+func TestReadFrameRefusesMixedPayloads(t *testing.T) {
+	names, frames, at := mixedPayloadFrames()
+	for k, b := range frames {
+		want := fmt.Sprintf("frame at byte %d: ", at[k])
+		if r, err := ReadFrame(b); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "payload") {
+			t.Errorf("%s: got %v, %v; want an error containing %q", names[k], r, err, want)
+		}
+	}
+	zeroed := bytes.Clone(frames[0])
+	zeroed[8] = 0 // the FLOAT's integer slot
+	r, err := ReadFrame(zeroed)
+	if err != nil || !bytes.Equal(AppendFrame(nil, r), zeroed) {
+		t.Errorf("the zeroed control frame: %v, %v", r, err)
+	}
+	boolLane := []byte{FrameVersion, 1, 1, 'b', byte(value.KindBool), 2, byte(value.KindBool), 2, 4}
+	if r, err := ReadFrame(boolLane); err == nil || !strings.Contains(err.Error(), "frame at byte 9: no BOOL value has this payload") {
+		t.Errorf("BOOL lane holding 2: got %v, %v", r, err)
+	}
+}
+
 // genRelation is a quick.Generator of random relations.
 type genRelation struct{ r *Relation }
 
 func (genRelation) Generate(rng *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(genRelation{randomRelation(rng)})
-}
-
-func sameV(a, b value.V) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 func gobRoundTrip(t *testing.T, r *Relation) *Relation {
@@ -190,7 +245,7 @@ func TestFrameMatchesGob(t *testing.T) {
 		}
 		for i, row := range in.Rows {
 			for j, v := range row {
-				if !sameV(gr.Rows[i][j], v) {
+				if gr.Rows[i][j] != v { // the payload compares by its bits
 					t.Logf("row %d col %d: gob %#v, sent %#v", i, j, gr.Rows[i][j], v)
 					return false
 				}
@@ -255,6 +310,10 @@ func FuzzFrame(f *testing.F) {
 		}
 	}
 	f.Add(AppendFrame(nil, layoutRelation()))
+	_, mixed, _ := mixedPayloadFrames()
+	for _, b := range mixed {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

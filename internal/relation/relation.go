@@ -264,7 +264,8 @@ func SameKey(a, b value.V) bool {
 	}
 	switch a.K {
 	case value.KindFloat:
-		return a.F == b.F || (a.F != a.F && b.F != b.F)
+		af, bf := a.Float(), b.Float()
+		return af == bf || (af != af && bf != bf)
 	case value.KindString:
 		return a.S == b.S
 	}
@@ -276,9 +277,9 @@ func SameKey(a, b value.V) bool {
 func integralKey(v value.V) (int64, bool) {
 	switch v.K {
 	case value.KindBool, value.KindInt:
-		return v.I, true
+		return v.Int(), true
 	case value.KindFloat:
-		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) &&
+		if f := v.Float(); f == math.Trunc(f) && !math.IsInf(f, 0) &&
 			f >= math.MinInt64 && f <= math.MaxInt64 {
 			return int64(f), true
 		}

@@ -126,7 +126,7 @@ func TestDistinctProject(t *testing.T) {
 		t.Errorf("distinct project rows = %d, want 3", p.Len())
 	}
 	// First-seen order preserved.
-	if p.Rows[0][0].I != 1 || p.Rows[0][1].I != 10 {
+	if p.Rows[0][0].Int() != 1 || p.Rows[0][1].Int() != 10 {
 		t.Errorf("first row = %v", p.Rows[0])
 	}
 }
@@ -152,7 +152,7 @@ func TestSortBy(t *testing.T) {
 	}
 	want := [][2]int64{{1, 10}, {1, 10}, {1, 20}, {2, 20}}
 	for i, w := range want {
-		if r.Rows[i][0].I != w[0] || r.Rows[i][1].I != w[1] {
+		if r.Rows[i][0].Int() != w[0] || r.Rows[i][1].Int() != w[1] {
 			t.Errorf("row %d = (%v,%v), want %v", i, r.Rows[i][0], r.Rows[i][1], w)
 		}
 	}
@@ -189,7 +189,7 @@ func TestClone(t *testing.T) {
 	r := mkRel(t)
 	c := r.Clone()
 	c.Rows[0][0] = value.NewInt(99)
-	if r.Rows[0][0].I == 99 {
+	if r.Rows[0][0].Int() == 99 {
 		t.Error("clone shares row storage")
 	}
 }
@@ -217,7 +217,7 @@ func TestSortKeysDesc(t *testing.T) {
 	}
 	want := []float64{100, 75, 50, 25}
 	for i, w := range want {
-		if r.Rows[i][2].F != w {
+		if r.Rows[i][2].Float() != w {
 			t.Errorf("row %d NumBytes = %v, want %v", i, r.Rows[i][2], w)
 		}
 	}
@@ -225,7 +225,7 @@ func TestSortKeysDesc(t *testing.T) {
 	if err := r.SortKeys(SortKey{Name: "SourceAS"}, SortKey{Name: "NumBytes", Desc: true}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Rows[0][0].I != 1 || r.Rows[0][2].F != 100 {
+	if r.Rows[0][0].Int() != 1 || r.Rows[0][2].Float() != 100 {
 		t.Errorf("first row = %v", r.Rows[0])
 	}
 	if err := r.SortKeys(SortKey{Name: "missing"}); err == nil {

@@ -104,9 +104,9 @@ func TestSortKeysMatchesSliceStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range r.Rows {
-			if r.Rows[i][4].I != want.Rows[i][4].I {
+			if r.Rows[i][4].Int() != want.Rows[i][4].Int() {
 				t.Fatalf("trial %d, keys %v: row %d is input row %d, want %d\ngot:\n%s\nwant:\n%s",
-					trial, keys, i, r.Rows[i][4].I, want.Rows[i][4].I, r.Format(-1), want.Format(-1))
+					trial, keys, i, r.Rows[i][4].Int(), want.Rows[i][4].Int(), r.Format(-1), want.Format(-1))
 			}
 		}
 	}

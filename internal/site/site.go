@@ -11,6 +11,7 @@
 package site
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -367,18 +368,10 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 
 // evalBase computes the base-values query over the local detail relation.
 func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
-	detail, err := e.Relation(req.Detail)
-	if err != nil {
-		return nil, err
-	}
-	def, err := baseDef(req)
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	chain := e.chains.Get().(*gmdj.Chain)
 	defer e.chains.Put(chain)
-	b, err := e.baseValues(chain, req.Detail, detail, def)
+	b, err := e.baseValues(chain, req.Detail, req)
 	if err != nil {
 		return nil, err
 	}
@@ -392,9 +385,19 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 	return &transport.Response{Rel: b, ComputeNs: time.Since(start).Nanoseconds()}, nil
 }
 
-// baseValues computes the base-values query B_0 over the named detail
-// relation's cached columnar batch, on chain's buffers.
-func (e *Engine) baseValues(chain *gmdj.Chain, name string, detail *relation.Relation, def gmdj.BaseDef) (*relation.Relation, error) {
+// baseValues computes the base-values query B_0 req defines over the named
+// detail relation's cached columnar batch, on chain's buffers.
+func (e *Engine) baseValues(chain *gmdj.Chain, name string, req *transport.Request) (*relation.Relation, error) {
+	detail, err := e.Relation(name)
+	if err != nil {
+		return nil, err
+	}
+	def := gmdj.BaseDef{Cols: req.BaseCols}
+	if req.BaseWhere != "" {
+		if def.Where, err = expr.Parse(req.BaseWhere); err != nil {
+			return nil, fmt.Errorf("base filter: %w", err)
+		}
+	}
 	batch, err := e.detailBatch(name, detail)
 	if err != nil {
 		return nil, err
@@ -402,25 +405,14 @@ func (e *Engine) baseValues(chain *gmdj.Chain, name string, detail *relation.Rel
 	return chain.EvalBaseBatch(batch, def)
 }
 
-func baseDef(req *transport.Request) (gmdj.BaseDef, error) {
-	def := gmdj.BaseDef{Cols: req.BaseCols}
-	if req.BaseWhere != "" {
-		w, err := expr.Parse(req.BaseWhere)
-		if err != nil {
-			return def, fmt.Errorf("base filter: %w", err)
-		}
-		def.Where = w
-	}
-	return def, nil
-}
-
 // evalRounds runs one or more GMDJ rounds locally. With req.Base set the
 // shipped base-result fragment is used; with req.BaseCols set the base is
 // computed locally first (Proposition 2 fusion). Multiple rounds evaluate
 // as a local chain without intermediate synchronization (Theorem 5 /
-// Corollary 1); later rounds see the finalized aggregates of earlier ones.
-// A shipped base gets the states alone, in shipped order, with
-// Response.Kept; a fused one the base echoed beside the states.
+// Corollary 1); a later round's θ sees the finalized aggregates of earlier
+// ones it names. Every round leaves its states in a slab and the reply is
+// boxed once from them: a shipped base gets the states alone, in shipped
+// order, with Response.Kept; a fused one the base echoed beside the states.
 func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
 	if len(req.Rounds) == 0 {
 		return nil, fmt.Errorf("no rounds")
@@ -434,31 +426,33 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 
 	base := req.Base
 	if len(req.BaseCols) > 0 {
-		detail, err := e.Relation(firstDetail(req))
-		if err != nil {
-			return nil, err
-		}
-		def, err := baseDef(req)
-		if err != nil {
-			return nil, err
-		}
-		base, err = e.baseValues(chain, firstDetail(req), detail, def)
-		if err != nil {
+		var err error
+		if base, err = e.baseValues(chain, cmp.Or(req.Detail, req.Rounds[0].Detail), req); err != nil {
 			return nil, fmt.Errorf("fused base: %w", err)
 		}
 	}
 	if base == nil || base.Schema == nil {
 		return nil, fmt.Errorf("no base relation (ship Base or set BaseCols)")
 	}
+	// Chains are short: mds and slabs stay on the stack.
+	mds, slabs := make([]gmdj.MD, 0, 4), make([]*agg.Slab, 0, 4)
+	for ri, spec := range req.Rounds {
+		md, err := parseRound(spec)
+		if err != nil {
+			return nil, fmt.Errorf("round %d: %w", ri+1, err)
+		}
+		mds = append(mds, md)
+	}
 
-	// Accumulated |RNG| counts across rounds (Proposition 1 over
-	// θ_1 ∨ ... ∨ θ_m of the whole chain).
-	var touchedTotals []int64
-	anyTouched := false
-	// finalCols names the columns the chain's operators finalized so far;
-	// stateCols, for a states-only reply, the states the earlier ones
-	// appended.
-	var finalCols, stateCols []string
+	// The reply's columns: a fused base's, then every round's states.
+	var keys *relation.Relation
+	var cols []relation.Column
+	if !shipped {
+		keys, cols = base, append(cols, base.Schema.Cols...)
+	}
+	// Accumulated |RNG| counts across the Touched rounds (Proposition 1
+	// over θ_1 ∨ ... ∨ θ_m of the whole chain); nil when none is.
+	var touched []int64
 
 	o := e.getObs()
 	workers := runtime.GOMAXPROCS(0)
@@ -478,12 +472,10 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		}
 	}
 
-	for ri, spec := range req.Rounds {
+	n := base.Len()
+	for ri, md := range mds {
+		spec := req.Rounds[ri]
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("round %d: %w", ri+1, err)
-		}
-		md, err := parseRound(spec)
-		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
 		detail, err := e.Relation(spec.Detail)
@@ -494,15 +486,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		// The last operator over a shipped base echoes nothing and
-		// finalizes nothing: no later operator reads its output, and the
-		// coordinator already holds every base column. Earlier operators
-		// still see base and finalized columns.
-		statesOnly := shipped && ri == len(req.Rounds)-1
-		h, err := chain.EvalSub(base, detail, md, gmdj.SubOpts{
-			Finalize:    spec.Finalize && !statesOnly,
-			Touched:     spec.Touched,
-			StatesOnly:  statesOnly,
+		slab, matched, err := chain.EvalStates(base, detail, md, gmdj.SubOpts{
 			Workers:     workers,
 			Obs:         o,
 			Stats:       vecStats,
@@ -511,65 +495,30 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		if spec.Finalize && !statesOnly {
-			for _, s := range md.Specs() {
-				finalCols = append(finalCols, s.As)
+		slabs = append(slabs, slab)
+		for _, sp := range slab.Specs() {
+			cols = append(cols, sp.SubColumns()...)
+		}
+		switch {
+		case spec.Touched && touched == nil:
+			touched = matched
+		case spec.Touched:
+			for i, m := range matched {
+				touched[i] += m
 			}
 		}
-		if spec.Touched {
-			anyTouched = true
-			h, touchedTotals, err = absorbTouched(h, touchedTotals)
-			if err != nil {
+		// The coordinator finalizes from the merged states, so finals only
+		// feed the later rounds that name them.
+		if spec.Finalize && ri < len(mds)-1 {
+			if base, err = withFinals(base, slab, mds[ri+1:]); err != nil {
 				return nil, fmt.Errorf("round %d: %w", ri+1, err)
 			}
-		} else if touchedTotals != nil {
-			// Keep alignment: rows per base tuple are stable across rounds.
-			if len(touchedTotals) != h.Len() {
-				return nil, fmt.Errorf("round %d: row count changed mid-chain", ri+1)
-			}
 		}
-		if statesOnly && len(stateCols) > 0 {
-			// Lead the reply with the earlier operators' states, its rows
-			// carved from one backing of the full width.
-			lead, idx, err := base.Schema.Project(stateCols)
-			if err == nil {
-				lead, err = lead.Concat(h.Schema.Cols...)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("round %d: %w", ri+1, err)
-			}
-			rows := relation.MakeRows(h.Len(), lead.Len())
-			for i, row := range h.Rows {
-				for _, p := range idx {
-					rows[i] = append(rows[i], base.Rows[i][p])
-				}
-				rows[i] = append(rows[i], row...)
-			}
-			h = &relation.Relation{Schema: lead, Rows: rows}
-		}
-		if shipped && !statesOnly {
-			for _, s := range md.Specs() {
-				for pi := range s.Prims() {
-					stateCols = append(stateCols, s.SubColName(pi))
-				}
-			}
-		}
-		base = h
 	}
 
-	out := base
-	// Strip locally-finalized columns before shipping: the coordinator
-	// recomputes finals from the merged primitives.
-	if len(finalCols) > 0 {
-		var err error
-		out, err = dropColumns(out, finalCols)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var kept []byte
-	if anyTouched {
-		out, kept = filterByTotals(out, touchedTotals)
+	out, kept, err := reply(cols, n, keys, slabs, touched)
+	if err != nil {
+		return nil, err
 	}
 	if err := e.checkLimits(out); err != nil {
 		return nil, err
@@ -587,18 +536,98 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		prof.VecFilterRows = vecStats.FilterRows
 		prof.VecSelected = vecStats.Selected
 	}
-	resp := &transport.Response{Rel: out, ComputeNs: time.Since(start).Nanoseconds()}
-	if shipped {
-		resp.Kept = kept
+	if !shipped {
+		kept = nil
 	}
-	return resp, nil
+	return &transport.Response{Rel: out, Kept: kept, ComputeNs: time.Since(start).Nanoseconds()}, nil
 }
 
-func firstDetail(req *transport.Request) string {
-	if req.Detail != "" {
-		return req.Detail
+// withFinals returns b with the finalized aggregates of slab's states that
+// a θ of later names appended to every row; b itself when none is named.
+func withFinals(b *relation.Relation, slab *agg.Slab, later []gmdj.MD) (*relation.Relation, error) {
+	specs := slab.Specs()
+	var cols []relation.Column
+	var idx []int
+	for si, s := range specs {
+		if named(later, s.As) {
+			cols, idx = append(cols, s.OutColumn()), append(idx, si)
+		}
 	}
-	return req.Rounds[0].Detail
+	if len(idx) == 0 {
+		return b, nil
+	}
+	schema, err := b.Schema.Concat(cols...)
+	if err != nil {
+		return nil, err
+	}
+	rows := relation.MakeRows(b.Len(), schema.Len())
+	for i, row := range b.Rows {
+		rows[i] = append(rows[i], row...)
+		for _, si := range idx {
+			v, err := slab.Finalize(i, si)
+			if err != nil {
+				return nil, fmt.Errorf("finalize %s: %w", specs[si], err)
+			}
+			rows[i] = append(rows[i], v)
+		}
+	}
+	return &relation.Relation{Schema: schema, Rows: rows}, nil
+}
+
+// named reports whether a θ of mds names the column col.
+func named(mds []gmdj.MD, col string) bool {
+	for _, md := range mds {
+		for _, theta := range md.Thetas {
+			for _, c := range expr.Cols(theta) {
+				if strings.EqualFold(c.Name, col) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// reply boxes the answer to n base rows once, from one backing: a row per
+// group with a non-zero touched count (every group when touched is nil —
+// Proposition 1's site-side half), holding keys' row when keys is set and
+// then every slab's states. kept is the bitmap of the groups it kept, nil
+// when it kept all; the counts themselves are not shipped.
+func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.Slab, touched []int64) (out *relation.Relation, kept []byte, err error) {
+	schema, err := relation.NewSchema(cols...)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := n
+	for _, t := range touched {
+		if t == 0 {
+			rows--
+		}
+	}
+	if rows < n {
+		kept = make([]byte, (n+7)/8)
+	}
+	out = &relation.Relation{Schema: schema, Rows: relation.MakeRows(rows, schema.Len())}
+	k := 0
+	for i := 0; i < n; i++ {
+		if touched != nil && touched[i] == 0 {
+			continue
+		}
+		row := out.Rows[k]
+		if keys != nil {
+			row = append(row, keys.Rows[i]...)
+		}
+		for _, s := range slabs {
+			for p := 0; p < s.Width(); p++ {
+				row = append(row, s.Result(i, p))
+			}
+		}
+		out.Rows[k] = row
+		if k++; kept != nil {
+			kept[i/8] |= 1 << (i % 8)
+		}
+	}
+	return out, kept, nil
 }
 
 // parseRound converts the wire form of a round into an MD operator.
@@ -624,62 +653,4 @@ func parseRound(spec transport.RoundSpec) (gmdj.MD, error) {
 		md.Aggs = append(md.Aggs, specs)
 	}
 	return md, nil
-}
-
-// absorbTouched strips the touched column — the last of h, where EvalSub
-// appends it — in place, adding its counts into the running totals.
-func absorbTouched(h *relation.Relation, totals []int64) (*relation.Relation, []int64, error) {
-	ti := h.Schema.Len() - 1
-	if totals == nil {
-		totals = make([]int64, h.Len())
-	}
-	if ti < 0 || h.Schema.Cols[ti].Name != gmdj.TouchedCol || len(totals) != h.Len() {
-		return nil, nil, fmt.Errorf("touched column missing or misaligned: %d totals for %s", len(totals), h.Schema)
-	}
-	schema, err := relation.NewSchema(h.Schema.Cols[:ti]...)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, row := range h.Rows {
-		totals[i] += row[ti].I
-		h.Rows[i] = row[:ti]
-	}
-	return &relation.Relation{Schema: schema, Rows: h.Rows}, totals, nil
-}
-
-// filterByTotals drops groups whose accumulated |RNG| count is zero — the
-// site-side half of Proposition 1 — and returns the Response.Kept bitmap
-// of the rows it kept (nil when it kept all). The count itself is a local
-// detection mechanism and is not shipped.
-func filterByTotals(h *relation.Relation, totals []int64) (*relation.Relation, []byte) {
-	out := relation.New(h.Schema)
-	kept := make([]byte, (h.Len()+7)/8)
-	for i, row := range h.Rows {
-		if totals[i] > 0 {
-			out.Rows = append(out.Rows, row)
-			kept[i/8] |= 1 << (i % 8)
-		}
-	}
-	if out.Len() == h.Len() {
-		return out, nil
-	}
-	return out, kept
-}
-
-// dropColumns projects away the named columns.
-func dropColumns(r *relation.Relation, names []string) (*relation.Relation, error) {
-	drop := make(map[string]struct{}, len(names))
-	for _, n := range names {
-		drop[strings.ToLower(n)] = struct{}{}
-	}
-	var keep []string
-	for _, c := range r.Schema.Cols {
-		if _, d := drop[strings.ToLower(c.Name)]; !d {
-			keep = append(keep, c.Name)
-		}
-	}
-	if len(keep) == r.Schema.Len() {
-		return r, nil
-	}
-	return r.Project(keep)
 }

@@ -208,7 +208,7 @@ func TestEvalRoundsChained(t *testing.T) {
 	// cnt2 = #{300} = 1.
 	h.SortBy("SourceAS", "DestAS")
 	c2, _ := h.Schema.MustLookup("cnt2__p0")
-	if h.Rows[0][c2].I != 1 {
+	if h.Rows[0][c2].Int() != 1 {
 		t.Errorf("chained cnt2 = %v, want 1\n%s", h.Rows[0][c2], h)
 	}
 }

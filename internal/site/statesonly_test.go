@@ -72,7 +72,7 @@ func TestEvalRoundsStatesOnly(t *testing.T) {
 		rows, want := []int{0, 2, 3}, []byte(nil)
 		if touched {
 			rows, want = []int{0, 1, 2}, []byte{0b1101} // shipped row 1, the foreign group, dropped
-		} else if c := resp.Rel.Rows[1][0]; c.I != 0 {
+		} else if c := resp.Rel.Rows[1][0]; c.Int() != 0 {
 			t.Errorf("the foreign group counts %v rows", c)
 		}
 		assertStatesOf(t, resp.Rel, fusedReply(t, e, rounds), b.Schema.Len(), rows)

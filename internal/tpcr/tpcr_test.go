@@ -52,7 +52,7 @@ func TestPartitionUnion(t *testing.T) {
 		}
 		total += part.Len()
 		for _, row := range part.Rows {
-			nk := row[nkIdx].I
+			nk := row[nkIdx].Int()
 			if int(nk)%nSites != s {
 				t.Fatalf("site %d has nation %d", s, nk)
 			}
@@ -77,19 +77,19 @@ func TestFunctionalDependencies(t *testing.T) {
 	nameToKey := map[string]int64{}
 	keyToNation := map[int64]int64{}
 	for _, row := range r.Rows {
-		if prev, ok := nameToKey[row[cn].S]; ok && prev != row[ck].I {
+		if prev, ok := nameToKey[row[cn].S]; ok && prev != row[ck].Int() {
 			t.Fatal("CustName does not determine CustKey")
 		}
-		nameToKey[row[cn].S] = row[ck].I
-		if prev, ok := keyToNation[row[ck].I]; ok && prev != row[nk].I {
+		nameToKey[row[cn].S] = row[ck].Int()
+		if prev, ok := keyToNation[row[ck].Int()]; ok && prev != row[nk].Int() {
 			t.Fatal("CustKey does not determine NationKey")
 		}
-		keyToNation[row[ck].I] = row[nk].I
-		if row[rk].I != row[nk].I%5 {
+		keyToNation[row[ck].Int()] = row[nk].Int()
+		if row[rk].Int() != row[nk].Int()%5 {
 			t.Fatal("RegionKey != NationKey % 5")
 		}
-		if row[nk].I < 0 || row[nk].I >= int64(cfg.Nations) {
-			t.Fatalf("NationKey %d out of range", row[nk].I)
+		if row[nk].Int() < 0 || row[nk].Int() >= int64(cfg.Nations) {
+			t.Fatalf("NationKey %d out of range", row[nk].Int())
 		}
 	}
 }
@@ -102,8 +102,8 @@ func TestCardinalities(t *testing.T) {
 	custs := map[int64]struct{}{}
 	parts := map[int64]struct{}{}
 	for _, row := range r.Rows {
-		custs[row[ck].I] = struct{}{}
-		parts[row[pk].I] = struct{}{}
+		custs[row[ck].Int()] = struct{}{}
+		parts[row[pk].Int()] = struct{}{}
 	}
 	if len(custs) != 150 {
 		t.Errorf("distinct customers = %d, want 150", len(custs))
@@ -120,13 +120,13 @@ func TestMeasureRanges(t *testing.T) {
 	sd, _ := Schema().MustLookup("ShipDate")
 	od, _ := Schema().MustLookup("OrderDate")
 	for _, row := range r.Rows {
-		if row[q].I < 1 || row[q].I > 50 {
-			t.Fatalf("Quantity %d out of range", row[q].I)
+		if row[q].Int() < 1 || row[q].Int() > 50 {
+			t.Fatalf("Quantity %d out of range", row[q].Int())
 		}
-		if row[d].F < 0 || row[d].F > 0.1 {
+		if row[d].Float() < 0 || row[d].Float() > 0.1 {
 			t.Fatalf("Discount %v out of range", row[d])
 		}
-		if row[sd].I <= row[od].I {
+		if row[sd].Int() <= row[od].Int() {
 			t.Fatal("ShipDate not after OrderDate")
 		}
 	}

@@ -288,7 +288,7 @@ func TestValueGobProperty(t *testing.T) {
 		}
 		// NaN never equals itself; compare bit pattern via kind+string.
 		if v.K == value.KindFloat && fl != fl {
-			return got.K == value.KindFloat && got.F != got.F
+			return got.K == value.KindFloat && got.Float() != got.Float()
 		}
 		return value.Equal(got, v)
 	}

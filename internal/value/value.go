@@ -4,12 +4,13 @@
 //
 // The type system is deliberately small — NULL, 64-bit integers, 64-bit
 // floats, booleans, and strings — which matches the attribute types needed
-// by the paper's TPC-R and IP-flow schemas. Values are plain structs with
-// exported fields; on the wire they travel inside a relation's frame
+// by the paper's TPC-R and IP-flow schemas. Values are small structs built
+// by the constructors; on the wire they travel inside a relation's frame
 // (relation.AppendFrame), column by column.
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -51,12 +52,13 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 
 // V is a single scalar value. The zero value of V is NULL.
 //
-// Exactly one payload field is meaningful, selected by K: I for KindInt and
-// KindBool (0 or 1), F for KindFloat, S for KindString.
+// A value has one payload word, read by Int for KindInt and KindBool (0 or
+// 1) and by Float for KindFloat; S holds a KindString's bytes. Only the
+// constructors set the payload, so no value carries one under a kind that
+// does not read it, and a V is 32 bytes.
 type V struct {
 	K Kind
-	I int64
-	F float64
+	n uint64
 	S string
 }
 
@@ -64,10 +66,11 @@ type V struct {
 var Null = V{}
 
 // NewInt returns an integer value.
-func NewInt(i int64) V { return V{K: KindInt, I: i} }
+func NewInt(i int64) V { return V{K: KindInt, n: uint64(i)} }
 
-// NewFloat returns a float value.
-func NewFloat(f float64) V { return V{K: KindFloat, F: f} }
+// NewFloat returns a float value. Its payload holds f's bits exactly, −0
+// and NaN payloads included.
+func NewFloat(f float64) V { return V{K: KindFloat, n: math.Float64bits(f)} }
 
 // NewString returns a string value.
 func NewString(s string) V { return V{K: KindString, S: s} }
@@ -75,9 +78,42 @@ func NewString(s string) V { return V{K: KindString, S: s} }
 // NewBool returns a boolean value.
 func NewBool(b bool) V {
 	if b {
-		return V{K: KindBool, I: 1}
+		return V{K: KindBool, n: 1}
 	}
 	return V{K: KindBool}
+}
+
+// FromParts returns the value of kind k whose Int reads i, whose Float
+// reads f and whose S is s, and false when no value has those parts: a
+// non-zero payload (−0 included) under a kind that does not read it, or a
+// BOOL other than 0 or 1. Decoders refuse what no encoder of a value wrote.
+func FromParts(k Kind, i int64, f float64, s string) (V, bool) {
+	v, noF := V{K: k, n: uint64(i), S: s}, math.Float64bits(f) == 0
+	switch k {
+	case KindBool:
+		return v, noF && v.n <= 1
+	case KindInt:
+		return v, noF
+	case KindFloat:
+		return V{K: k, n: math.Float64bits(f), S: s}, i == 0
+	}
+	return V{K: k, S: s}, i == 0 && noF
+}
+
+// Int returns the payload of an INT or BOOL value, and 0 for other kinds.
+func (v V) Int() int64 {
+	if v.K == KindInt || v.K == KindBool {
+		return int64(v.n)
+	}
+	return 0
+}
+
+// Float returns the payload of a FLOAT value, and 0 for other kinds.
+func (v V) Float() float64 {
+	if v.K == KindFloat {
+		return math.Float64frombits(v.n)
+	}
+	return 0
 }
 
 // IsNull reports whether v is NULL.
@@ -85,25 +121,16 @@ func (v V) IsNull() bool { return v.K == KindNull }
 
 // Bool reports the truthiness of v: true booleans, non-zero numbers.
 // NULL and strings are never truthy.
-func (v V) Bool() bool {
-	switch v.K {
-	case KindBool, KindInt:
-		return v.I != 0
-	case KindFloat:
-		return v.F != 0
-	default:
-		return false
-	}
-}
+func (v V) Bool() bool { return v.Int() != 0 || v.Float() != 0 }
 
 // AsFloat converts a numeric or boolean value to float64.
 // It returns an error for NULL and string values.
 func (v V) AsFloat() (float64, error) {
 	switch v.K {
 	case KindInt, KindBool:
-		return float64(v.I), nil
+		return float64(int64(v.n)), nil
 	case KindFloat:
-		return v.F, nil
+		return math.Float64frombits(v.n), nil
 	default:
 		return 0, fmt.Errorf("value: cannot convert %s to float", v.K)
 	}
@@ -114,9 +141,9 @@ func (v V) AsFloat() (float64, error) {
 func (v V) AsInt() (int64, error) {
 	switch v.K {
 	case KindInt, KindBool:
-		return v.I, nil
+		return int64(v.n), nil
 	case KindFloat:
-		return int64(v.F), nil
+		return int64(math.Float64frombits(v.n)), nil
 	default:
 		return 0, fmt.Errorf("value: cannot convert %s to int", v.K)
 	}
@@ -128,14 +155,14 @@ func (v V) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.I != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return v.S
 	default:
@@ -166,14 +193,7 @@ func Compare(a, b V) (int, error) {
 	// Numeric (or bool) comparison. Compare as ints when both sides are
 	// integral to avoid float rounding on large int64 values.
 	if a.K != KindFloat && b.K != KindFloat {
-		switch {
-		case a.I < b.I:
-			return -1, nil
-		case a.I > b.I:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp.Compare(int64(a.n), int64(b.n)), nil
 	}
 	af, _ := a.AsFloat()
 	bf, _ := b.AsFloat()
@@ -237,16 +257,16 @@ func UpdateHash(h uint64, v V) uint64 {
 	case KindBool, KindInt:
 		// Integral values hash via their float form when exactly
 		// representable so 1 and 1.0 land in the same bucket.
-		f := float64(v.I)
-		if int64(f) == v.I {
+		f := float64(int64(v.n))
+		if int64(f) == int64(v.n) {
 			return hashUint64(hashByte(h, 2), math.Float64bits(f))
 		}
-		return hashUint64(hashByte(h, 1), uint64(v.I))
+		return hashUint64(hashByte(h, 1), v.n)
 	case KindFloat:
 		// Normalize -0.0 and NaN payloads so every value a Key/Equal
 		// equivalence class contains hashes identically (hash grouping
 		// relies on Equal values never landing in different buckets).
-		f := v.F
+		f := math.Float64frombits(v.n)
 		if f == 0 {
 			f = 0
 		} else if math.IsNaN(f) {
@@ -275,13 +295,13 @@ func (v V) Key() string {
 	case KindNull:
 		return "\x00"
 	case KindBool, KindInt:
-		return "\x01" + strconv.FormatInt(v.I, 10)
+		return "\x01" + strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) &&
+		if f := math.Float64frombits(v.n); f == math.Trunc(f) && !math.IsInf(f, 0) &&
 			f >= math.MinInt64 && f <= math.MaxInt64 {
 			return "\x01" + strconv.FormatInt(int64(f), 10)
 		}
-		return "\x02" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return "\x02" + strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return "\x03" + v.S
 	default:
@@ -314,9 +334,9 @@ func Neg(a V) (V, error) {
 	case KindNull:
 		return Null, nil
 	case KindInt:
-		return NewInt(-a.I), nil
+		return NewInt(-int64(a.n)), nil
 	case KindFloat:
-		return NewFloat(-a.F), nil
+		return NewFloat(-math.Float64frombits(a.n)), nil
 	default:
 		return Null, fmt.Errorf("value: cannot negate %s", a.K)
 	}
@@ -363,7 +383,7 @@ func arith(a, b V, op string) (V, error) {
 			return NewFloat(af * bf), nil
 		}
 	}
-	ai, bi := a.I, b.I
+	ai, bi := int64(a.n), int64(b.n)
 	switch op {
 	case "+":
 		return NewInt(ai + bi), nil

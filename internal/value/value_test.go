@@ -3,9 +3,43 @@ package value
 import (
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// TestValueSize: a value is its kind, one payload word and a string
+// header, 32 bytes on a 64-bit platform.
+func TestValueSize(t *testing.T) {
+	if n := reflect.TypeOf(V{}).Size(); n != 32 {
+		t.Errorf("value.V is %d bytes, want 32", n)
+	}
+}
+
+// TestPayloadReaders: Int and Float read a value's one payload by its
+// kind and read zero for every other kind; FromParts builds exactly the
+// values whose parts those readers give back.
+func TestPayloadReaders(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, v := range []V{Null, NewBool(true), NewBool(false), NewInt(-3), NewFloat(negZero), NewFloat(math.NaN()), NewString("s")} {
+		back, ok := FromParts(v.K, v.Int(), v.Float(), v.S)
+		if !ok || back != v {
+			t.Errorf("FromParts of %s %v parts = %v, %v", v.K, v, back, ok)
+		}
+		if v.K != KindInt && v.K != KindBool && v.Int() != 0 || v.K != KindFloat && math.Float64bits(v.Float()) != 0 {
+			t.Errorf("%s %v reads a payload of another kind: %d, %v", v.K, v, v.Int(), v.Float())
+		}
+	}
+	for _, c := range []struct {
+		k Kind
+		i int64
+		f float64
+	}{{KindInt, 0, 1}, {KindInt, 1, negZero}, {KindBool, 2, 0}, {KindBool, -1, 0}, {KindFloat, 1, 0}, {KindNull, 1, 0}, {KindString, 0, 2}, {9, 1, 0}} {
+		if v, ok := FromParts(c.k, c.i, c.f, ""); ok {
+			t.Errorf("FromParts(%s, %d, %v) = %v, want refused", c.k, c.i, c.f, v)
+		}
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -20,10 +54,10 @@ func TestKindString(t *testing.T) {
 }
 
 func TestConstructorsAndAccessors(t *testing.T) {
-	if v := NewInt(42); v.K != KindInt || v.I != 42 {
+	if v := NewInt(42); v.K != KindInt || v.Int() != 42 {
 		t.Errorf("NewInt(42) = %+v", v)
 	}
-	if v := NewFloat(2.5); v.K != KindFloat || v.F != 2.5 {
+	if v := NewFloat(2.5); v.K != KindFloat || v.Float() != 2.5 {
 		t.Errorf("NewFloat(2.5) = %+v", v)
 	}
 	if v := NewString("x"); v.K != KindString || v.S != "x" {

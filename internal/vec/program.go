@@ -65,7 +65,7 @@ func (l *Lanes) Value(i int) value.V {
 	case kindBoxed:
 		return l.vals[i]
 	case value.KindBool:
-		return value.V{K: value.KindBool, I: l.Ints[i]}
+		return value.NewBool(l.Ints[i] != 0)
 	case value.KindInt:
 		return value.NewInt(l.Ints[i])
 	case value.KindFloat:
@@ -229,9 +229,9 @@ func (l *Lanes) put(sc *Scratch, i int, v value.V) {
 	case kindBoxed:
 		l.vals[i] = v
 	case value.KindFloat:
-		l.Floats[i] = v.F
+		l.Floats[i] = v.Float()
 	default:
-		l.Ints[i] = v.I
+		l.Ints[i] = v.Int()
 	}
 }
 
@@ -487,14 +487,14 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 		for _, v := range n.Vals {
 			switch v.K {
 			case value.KindBool, value.KindInt:
-				in.ints[v.I] = struct{}{}
+				in.ints[v.Int()] = struct{}{}
 			case value.KindFloat:
-				if iv, ok := integralKey(v.F); ok {
+				if iv, ok := integralKey(v.Float()); ok {
 					in.ints[iv] = struct{}{}
-				} else if math.IsNaN(v.F) {
+				} else if math.IsNaN(v.Float()) {
 					in.hasNaN = true
 				} else {
-					in.fbit[math.Float64bits(v.F)] = struct{}{}
+					in.fbit[math.Float64bits(v.Float())] = struct{}{}
 				}
 			case value.KindString:
 				in.strs[v.S] = struct{}{}
@@ -650,7 +650,7 @@ func rawIntLanes(sc *Scratch, l *Lanes, n int, scratch []int64) []int64 {
 	scratch = sc.i64.grow(scratch, n)
 	if l.Const {
 		for i := range scratch {
-			scratch[i] = l.ConstV.I
+			scratch[i] = l.ConstV.Int()
 		}
 		return scratch
 	}
@@ -1019,9 +1019,9 @@ func (n *cmpNode) filter(p *Program, sel, dst []int32) (out []int32, ok bool, er
 		y, _ := v.AsFloat()
 		k = selectHolds(dst[start:], sel, c.Floats, y, holds, c.Nulls)
 	case v.K == value.KindFloat:
-		k = selectHolds(dst[start:], sel, c.Ints, v.F, holds, c.Nulls)
+		k = selectHolds(dst[start:], sel, c.Ints, v.Float(), holds, c.Nulls)
 	default:
-		k = selectHolds(dst[start:], sel, c.Ints, v.I, holds, c.Nulls)
+		k = selectHolds(dst[start:], sel, c.Ints, v.Int(), holds, c.Nulls)
 	}
 	return dst[:start+k], true, nil
 }
@@ -1204,17 +1204,17 @@ type inNode struct {
 func (n *inNode) contains(v value.V) bool {
 	switch v.K {
 	case value.KindBool, value.KindInt:
-		_, in := n.ints[v.I]
+		_, in := n.ints[v.Int()]
 		return in
 	case value.KindFloat:
-		if iv, ok := integralKey(v.F); ok {
+		if iv, ok := integralKey(v.Float()); ok {
 			_, in := n.ints[iv]
 			return in
 		}
-		if math.IsNaN(v.F) {
+		if math.IsNaN(v.Float()) {
 			return n.hasNaN
 		}
-		_, in := n.fbit[math.Float64bits(v.F)]
+		_, in := n.fbit[math.Float64bits(v.Float())]
 		return in
 	case value.KindString:
 		_, in := n.strs[v.S]
@@ -1345,7 +1345,7 @@ func (n *betweenNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Ints[i] = v.I
+		out.Ints[i] = v.Int()
 	}
 	return out, nil
 }

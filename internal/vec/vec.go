@@ -88,7 +88,7 @@ func (c *Col) Value(i int) value.V {
 	}
 	switch c.Kind {
 	case value.KindBool:
-		return value.V{K: value.KindBool, I: c.Ints[i]}
+		return value.NewBool(c.Ints[i] != 0)
 	case value.KindInt:
 		return value.NewInt(c.Ints[i])
 	case value.KindFloat:
@@ -211,9 +211,9 @@ func FromRelation(r *relation.Relation) (*Batch, error) {
 			}
 			switch sc.Kind {
 			case value.KindInt, value.KindBool:
-				col.Ints[i] = v.I
+				col.Ints[i] = v.Int()
 			case value.KindFloat:
-				col.Floats[i] = v.F
+				col.Floats[i] = v.Float()
 			case value.KindString:
 				code, ok := dict[v.S]
 				if !ok {

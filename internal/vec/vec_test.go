@@ -23,8 +23,7 @@ func exact(a, b *relation.Relation) string {
 	for i := range a.Rows {
 		for j := range a.Rows[i] {
 			x, y := a.Rows[i][j], b.Rows[i][j]
-			if x.K != y.K || x.I != y.I || x.S != y.S ||
-				math.Float64bits(x.F) != math.Float64bits(y.F) {
+			if x != y { // floats by their bits
 				return fmt.Sprintf("row %d col %d: %#v vs %#v", i, j, x, y)
 			}
 		}
@@ -162,7 +161,7 @@ func TestDistinctFirstSeenOrder(t *testing.T) {
 	}
 	// -0 seen first is the representative that is kept, bit for bit.
 	z := distinctBoth(t, hostileRel(), []string{"F"}, nil)
-	if f := z.Rows[0][0].F; !math.Signbit(f) {
+	if f := z.Rows[0][0].Float(); !math.Signbit(f) {
 		t.Fatalf("representative of the zero group is %v, want the first-seen -0", f)
 	}
 }
@@ -400,7 +399,7 @@ func TestRoundTripAndRows(t *testing.T) {
 	}
 	// Rows are capped at their width: growing one must not reach the next.
 	first := append(back.Rows[0], value.NewInt(99))
-	if back.Rows[1][0].I == 99 || len(first) != 5 {
+	if back.Rows[1][0].Int() == 99 || len(first) != 5 {
 		t.Fatal("appending to a row overwrote its neighbour")
 	}
 	mixed := keyRel(row(value.NewFloat(1), null, null, null)) // Float in the Int column

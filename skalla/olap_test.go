@@ -208,10 +208,10 @@ func TestUnpivot(t *testing.T) {
 	if out.Len() != 4 {
 		t.Fatalf("unpivot rows = %d, want 4", out.Len())
 	}
-	if out.Rows[0][1].S != "web" || out.Rows[0][2].I != 10 {
+	if out.Rows[0][1].S != "web" || out.Rows[0][2].Int() != 10 {
 		t.Errorf("row 0 = %v", out.Rows[0])
 	}
-	if out.Rows[1][1].S != "mail" || out.Rows[1][2].I != 2 {
+	if out.Rows[1][1].S != "mail" || out.Rows[1][2].Int() != 2 {
 		t.Errorf("row 1 = %v", out.Rows[1])
 	}
 	if _, err := Unpivot(rel, []string{"Hour"}, nil, "k", "v"); err == nil {
@@ -267,7 +267,7 @@ func TestRollup(t *testing.T) {
 	}
 	// Region subtotals present.
 	east := findCubeRow(r, value.NewString("east"), CubeAll)
-	if east == nil || east[2].I != 3 {
+	if east == nil || east[2].Int() != 3 {
 		t.Errorf("east subtotal: %v", east)
 	}
 }
@@ -286,7 +286,7 @@ func TestGroupingSets(t *testing.T) {
 	}
 	var grand int64
 	for _, row := range whole.Rows {
-		grand += row[2].I
+		grand += row[2].Int()
 	}
 	total := findCubeRow(gs, CubeAll, CubeAll)
 	if total == nil {

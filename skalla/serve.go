@@ -443,10 +443,10 @@ func valueJSON(v value.V) any {
 	case v.IsNull():
 		return nil
 	case v.K == value.KindFloat:
-		return v.F
+		return v.Float()
 	case v.K == value.KindString:
 		return v.S
 	default:
-		return v.I
+		return v.Int()
 	}
 }

@@ -294,12 +294,12 @@ func TestConditionalAggregation(t *testing.T) {
 	// Sanity: to10 + other accounts for all bytes of AS 1.
 	var all, got int64
 	for _, row := range whole.Rows {
-		if row[0].I == 1 {
-			all += row[2].I
+		if row[0].Int() == 1 {
+			all += row[2].Int()
 		}
 	}
 	for _, row := range res.Relation.Rows {
-		if row[0].I == 1 {
+		if row[0].Int() == 1 {
 			a, _ := row[1].AsInt()
 			b, _ := row[2].AsInt()
 			got = a + b
@@ -568,16 +568,16 @@ func TestExactDistinctDistributed(t *testing.T) {
 	// Reference: distinct DestAS per SourceAS over the whole relation.
 	want := map[int64]map[int64]bool{}
 	for _, row := range whole.Rows {
-		m, ok := want[row[0].I]
+		m, ok := want[row[0].Int()]
 		if !ok {
 			m = map[int64]bool{}
-			want[row[0].I] = m
+			want[row[0].Int()] = m
 		}
-		m[row[1].I] = true
+		m[row[1].Int()] = true
 	}
 	for _, row := range res.Relation.Rows {
-		if got := row[1].I; got != int64(len(want[row[0].I])) {
-			t.Errorf("SourceAS %d: %d distinct dests, want %d", row[0].I, got, len(want[row[0].I]))
+		if got := row[1].Int(); got != int64(len(want[row[0].Int()])) {
+			t.Errorf("SourceAS %d: %d distinct dests, want %d", row[0].Int(), got, len(want[row[0].Int()]))
 		}
 	}
 }

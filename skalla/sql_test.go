@@ -47,7 +47,7 @@ func TestSQLWhereAndHaving(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pens: east 2 (10, 20), west 1 (7) → only east survives HAVING.
-	if got.Len() != 1 || got.Rows[0][0].S != "east" || got.Rows[0][1].I != 2 {
+	if got.Len() != 1 || got.Rows[0][0].S != "east" || got.Rows[0][1].Int() != 2 {
 		t.Errorf("result:\n%s", got)
 	}
 }
