@@ -39,6 +39,9 @@ func FuzzVecVsRow(f *testing.F) {
 	f.Add(int64(11), uint8(90), uint8(9))
 	f.Add(int64(12), uint8(90), uint8(10))
 	f.Add(int64(13), uint8(90), uint8(11))
+	// Shape 8 is mixedKeyMD: θs on two key groupings and one on none.
+	f.Add(int64(14), uint8(150), uint8(8))
+	f.Add(int64(15), uint8(250), uint8(17))
 	f.Fuzz(func(t *testing.T, seed int64, size, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		detail := fuzzDetail(rng, int(size))

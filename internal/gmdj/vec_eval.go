@@ -22,13 +22,14 @@ import (
 // row, the DETAIL side is grouped by equi key once (vec.Grouping), and
 // each base row resolves its key to one group, filters the group's lanes
 // with a compiled column-program, and accumulates the matched lanes
-// column-wise.
+// column-wise, on the grouping's clustered view, where a group's lanes
+// are one contiguous run.
 //
 // Byte-exactness with the row engine follows from two invariants:
-//   - group lanes are kept in detail scan order and Filter preserves
-//     selection order, so every accumulator folds exactly the values the
-//     row engine's detail scan would feed it, in the same order (float
-//     accumulation is order-sensitive);
+//   - group lanes keep detail scan order (the view's permutation is
+//     stable) and Filter preserves selection order, so every accumulator
+//     folds exactly the values the row engine's detail scan would feed
+//     it, in the same order (float accumulation is order-sensitive);
 //   - each base row is owned by exactly one worker (a contiguous index
 //     range of B), so accumulator state is single-writer and the
 //     merge-free result is identical for any worker count.
@@ -52,7 +53,7 @@ func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*agg.Slab
 	bd := md.Binding(b.Schema, r.Schema)
 	detailOnly := expr.Binding{Detail: r.Schema, DetailAliases: bd.DetailAliases}
 
-	plans, err := planThetas(b, r, md, bd, batch)
+	plans, err := planThetas(b, r, md, bd, detailOnly, batch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,12 +143,13 @@ type thetaPlan struct {
 	// order; nil when the condition has no equi pairs (every lane is a
 	// candidate). Probed concurrently, never mutated.
 	groups *vec.Grouping
+	detail *vec.Batch // what the programs read: groups' view, or the batch
 }
 
-// planThetas builds the shared per-θ plans: equi keys and detail-side key
-// groupings. Residuals and arguments compile per worker (run); md.Validate
-// has already bound every one of them.
-func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
+// planThetas builds the shared per-θ plans: equi keys, detail-side key
+// groupings and their clustered views. Residuals and arguments compile per
+// worker (run); md.Validate has already bound every one of them.
+func planThetas(b, r *relation.Relation, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
 	plans := make([]thetaPlan, len(md.Thetas))
 	specBase := 0
 	for ti, theta := range md.Thetas {
@@ -155,6 +157,7 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 		pairs := expr.EquiPairs(theta, bd)
 		pl.residual = expr.Residual(theta, bd, pairs)
 		pl.trivial = expr.IsTrue(pl.residual)
+		pl.detail = batch
 		if len(pairs) > 0 {
 			pl.bIdx = make([]int, len(pairs))
 			rIdx := make([]int, len(pairs))
@@ -173,11 +176,37 @@ func planThetas(b, r *relation.Relation, md MD, bd expr.Binding, batch *vec.Batc
 			if pl.groups, err = batch.Grouping(rIdx); err != nil {
 				return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 			}
+			var buf [8]int // the column list stays on the stack
+			cols := detailCols(pl.residual, bd, r.Schema, buf[:0])
+			for _, spec := range md.Aggs[ti] {
+				if spec.Arg != nil {
+					cols = detailCols(spec.Arg, detailOnly, r.Schema, cols)
+				}
+			}
+			if pl.detail, err = pl.groups.View(cols); err != nil {
+				return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
+			}
 		}
 		pl.aggs, pl.specBase = md.Aggs[ti], specBase
 		specBase += len(md.Aggs[ti])
 	}
 	return plans, nil
+}
+
+// detailCols appends to cols the detail columns e reads under bd.
+func detailCols(e expr.Expr, bd expr.Binding, detail *relation.Schema, cols []int) []int {
+	expr.Walk(e, func(x expr.Expr) {
+		c, ok := x.(expr.Col)
+		if !ok {
+			return
+		}
+		if side, ok := bd.SideOf(c); ok && side == expr.SideDetail {
+			if i, ok := detail.Lookup(c.Name); ok {
+				cols = append(cols, i)
+			}
+		}
+	})
+	return cols
 }
 
 // vecWorker is the per-worker state. The scratch and selection buffers
@@ -218,7 +247,7 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 	res := make([]*vec.Program, len(plans))
 	argProgs := make([][]*vec.Program, len(plans))
 	for ti := range plans {
-		p, err := vec.Compile(plans[ti].residual, bd, batch, &ws.scratch)
+		p, err := vec.Compile(plans[ti].residual, bd, plans[ti].detail, &ws.scratch)
 		if err != nil {
 			ws.fail(ti, 0, fmt.Errorf("gmdj: θ_%d residual: %w", ti+1, err))
 			return
@@ -230,7 +259,7 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 			if spec.Arg == nil {
 				continue
 			}
-			q, err := vec.Compile(spec.Arg, detailOnly, batch, &ws.scratch)
+			q, err := vec.Compile(spec.Arg, detailOnly, plans[ti].detail, &ws.scratch)
 			if err != nil {
 				ws.fail(ti, 0, fmt.Errorf("gmdj: aggregate arg: %w", err))
 				return

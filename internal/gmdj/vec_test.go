@@ -79,8 +79,9 @@ func randDetail(rng *rand.Rand, n int) *relation.Relation {
 
 // diffMDs is the shape battery: equi probes, pure nested-loop θ,
 // arithmetic, IN/LIKE/BETWEEN, base-side scalar references, multi-θ,
-// every aggregate family, and CASE / coalesce / abs / least / greatest in
-// θ residuals and aggregate arguments (baseWheres has the base filters).
+// every aggregate family, CASE / coalesce / abs / least / greatest in θ
+// residuals and aggregate arguments, and θs of one MD on different key
+// groupings (baseWheres has the base filters).
 func diffMDs() []MD {
 	return []MD{
 		{ // equi + residual with base reference
@@ -157,6 +158,26 @@ func diffMDs() []MD {
 			}},
 			Thetas: []expr.Expr{expr.MustParse(
 				"F.K = B.K AND CASE WHEN F.Q < -450 THEN F.G + 1 ELSE F.Q END > -1000")},
+		},
+		mixedKeyMD(),
+	}
+}
+
+// mixedKeyMD is one MD whose θs probe different key groupings — θ_1 on K,
+// θ_2 on G — beside a θ_3 with no equi pair, each reading other
+// NULL-bearing columns: every θ's programs must run on its own grouping's
+// clustered view, or on the batch for θ_3.
+func mixedKeyMD() MD {
+	return MD{
+		Aggs: [][]agg.Spec{
+			{agg.MustParseSpec("sum(F.P) AS kp"), agg.MustParseSpec("count(F.Flag) AS kf")},
+			{agg.MustParseSpec("avg(F.Q) AS gq"), agg.MustParseSpec("min(F.P) AS gp")},
+			{agg.MustParseSpec("count(*) AS nc"), agg.MustParseSpec("max(F.G) AS ng")},
+		},
+		Thetas: []expr.Expr{
+			expr.MustParse("F.K = B.K AND F.Q > -200"),
+			expr.MustParse("F.G = B.G AND (F.Flag OR F.P < 50)"),
+			expr.MustParse("F.Q + B.K > 300 AND F.P > 0"),
 		},
 	}
 }
@@ -363,41 +384,81 @@ func TestVecErrorPresenceMatchesRow(t *testing.T) {
 	}
 }
 
-// TestVecConcurrentFirstProbe: eight evaluations start at once on one
-// fresh detail batch, so the first build of its key groupings is
-// contended and every kernel worker reads the memo the others built —
-// under -race, the check that the groupings are published safely.
+// TestVecConcurrentFirstProbe: sixteen evaluations start at once on one
+// fresh detail batch, half of one MD and half of another whose θs read
+// other columns on the same key, so the first builds of the key grouping
+// and of its two clustered views are contended and every kernel worker
+// reads the memo the others built — under -race, the check that the
+// groupings and views are published safely.
 func TestVecConcurrentFirstProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	detail := randDetail(rng, 400)
 	b := diffBase(t, detail)
-	md := diffMDs()[3]
-	want, err := rowSub(b, detail, md, SubOpts{Finalize: true})
-	if err != nil {
-		t.Fatal(err)
+	mds := []MD{diffMDs()[3], diffMDs()[4]}
+	wants := make([]*relation.Relation, len(mds))
+	for i, md := range mds {
+		var err error
+		if wants[i], err = rowSub(b, detail, md, SubOpts{Finalize: true}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	batch, err := vec.FromRelation(detail)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	diffs := make([]string, 8)
+	diffs := make([]string, 16)
 	for i := range diffs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, err := EvalSub(b, detail, md, SubOpts{Finalize: true, Workers: 2, DetailBatch: batch})
+			md := mds[i%len(mds)]
+			got, err := EvalSub(b, detail, md, SubOpts{Finalize: true, Workers: 1 + i%4, DetailBatch: batch})
 			if err != nil {
 				diffs[i] = err.Error()
 				return
 			}
-			diffs[i] = exactRows(want, got)
+			diffs[i] = exactRows(wants[i%len(mds)], got)
 		}(i)
 	}
 	wg.Wait()
 	for i, d := range diffs {
 		if d != "" {
 			t.Errorf("evaluation %d: %s", i, d)
+		}
+	}
+}
+
+// TestVecMixedKeyViews: an MD whose θs probe two different key groupings
+// and one that probes none is byte-equal to the row reference for any
+// worker count, with a cached batch and without.
+func TestVecMixedKeyViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 5; trial++ {
+		detail := randDetail(rng, 300)
+		b := diffBase(t, detail)
+		batch, err := vec.FromRelation(detail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md := mixedKeyMD()
+		opts := SubOpts{Finalize: true, Touched: true}
+		want, err := rowSub(b, detail, md, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			for _, cached := range []*vec.Batch{nil, batch} {
+				vecOpts := opts
+				vecOpts.Workers, vecOpts.DetailBatch = workers, cached
+				got, err := EvalSub(b, detail, md, vecOpts)
+				if err != nil {
+					t.Fatalf("trial %d W=%d: %v", trial, workers, err)
+				}
+				if d := exactRows(want, got); d != "" {
+					t.Fatalf("trial %d W=%d cached=%v: %s", trial, workers, cached != nil, d)
+				}
+			}
 		}
 	}
 }

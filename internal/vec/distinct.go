@@ -4,6 +4,7 @@ package vec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relation"
 )
@@ -14,15 +15,20 @@ import (
 // when relation.DistinctProject would fold their rows together — the same
 // chained key hash and relation.KeysEqual on the key columns. The distinct
 // kernel reads each lane's group, and the GMDJ equi probe resolves a base
-// row's key to one group (Find). A Grouping is immutable once built, so
-// concurrent kernels share it without a lock.
+// row's key to one group's run (Find) of a clustered view (View). The key
+// structure is immutable once built, so concurrent kernels share it.
 type Grouping struct {
+	src   *Batch
 	keys  []*Col
 	ids   []int32           // ids[lane] is the lane's group
 	index relation.KeyIndex // chained key hash → group
 	first []int32           // first[id] is group id's first lane
-	// Group id's lanes, in scan order, are lanes[offs[id]:offs[id+1]].
+	// Group id's lanes, in scan order, are lanes[offs[id]:offs[id+1]]; view
+	// lane i holds source lane lanes[i], so they are view lanes
+	// offs[id]:offs[id+1], a run of the identity src and its views share.
 	offs, lanes []int32
+	perm        []*Col   // perm[ci] is column ci in view order; guarded by src.groupMu
+	views       []*Batch // guarded by src.groupMu
 }
 
 // Len returns the number of groups.
@@ -41,11 +47,11 @@ func (b *Batch) Grouping(cols []int) (*Grouping, error) {
 	if g, ok := b.groupMemo[key]; ok {
 		return g, nil
 	}
-	hashes := make([]uint64, b.n)
-	if err := HashLanes(b, cols, b.AllLanes(), hashes); err != nil {
+	hashes, err := hashLanes(b, cols)
+	if err != nil {
 		return nil, err
 	}
-	g := &Grouping{ids: make([]int32, b.n), keys: make([]*Col, len(cols))}
+	g := &Grouping{src: b, ids: make([]int32, b.n), keys: make([]*Col, len(cols)), perm: make([]*Col, len(b.Cols))}
 	for k, ci := range cols {
 		g.keys[k] = &b.Cols[ci]
 	}
@@ -97,11 +103,11 @@ func (g *Grouping) laneIs(i, j int) bool {
 	return true
 }
 
-// Find returns the lanes, in scan order, of the group whose key row holds
-// at positions idx (one per key column), or nil when no lane holds it. The
-// key hashes once, and each group on its hash chain is checked on its
-// first lane alone: a group is one key, so the rest of its lanes match
-// exactly when the first does.
+// Find returns the view lanes, a run in scan order, of the group whose key
+// row holds at positions idx (one per key column), or nil when no lane
+// holds it. The key hashes once, and each group on its hash chain is
+// checked on its first lane alone: a group is one key, so the rest of its
+// lanes match exactly when the first does.
 func (g *Grouping) Find(row relation.Row, idx []int) []int32 {
 	id, ok := g.index.Find(relation.HashRow(row, idx), func(id int) bool {
 		lane := int(g.first[id])
@@ -115,7 +121,62 @@ func (g *Grouping) Find(row relation.Row, idx []int) []int32 {
 	if !ok {
 		return nil
 	}
-	return g.lanes[g.offs[id]:g.offs[id+1]]
+	return g.src.AllLanes()[g.offs[id]:g.offs[id+1]]
+}
+
+// View returns the grouping's clustered view of the listed columns: a
+// batch of the source's schema and lane count whose lane i holds source
+// lane lanes[i] of each listed column, so Find's runs select a group's
+// lanes in scan order. Reading another column is an error. Views live as
+// long as the batch, memoized by column set, and share permuted columns.
+func (g *Grouping) View(cols []int) (*Batch, error) {
+	b := g.src
+	want := make([]bool, len(b.Cols))
+	for _, ci := range cols {
+		if err := b.checkCol(ci); err != nil {
+			return nil, err
+		}
+		want[ci] = true
+	}
+	b.groupMu.Lock()
+	defer b.groupMu.Unlock()
+	for _, v := range g.views {
+		if slices.Equal(v.clustered, want) {
+			return v, nil
+		}
+	}
+	v := &Batch{Schema: b.Schema, Cols: make([]Col, len(b.Cols)), n: b.n, clustered: want}
+	for _, ci := range cols {
+		if c := &b.Cols[ci]; g.perm[ci] == nil {
+			p := &Col{Kind: c.Kind, Dict: c.Dict, Ints: gather(c.Ints, g.lanes),
+				Floats: gather(c.Floats, g.lanes), Codes: gather(c.Codes, g.lanes)}
+			if c.Nulls != nil {
+				p.Nulls = NewBitmap(b.n)
+				for i, l := range g.lanes {
+					if c.Nulls.Get(int(l)) {
+						p.Nulls.Set(i)
+					}
+				}
+			}
+			g.perm[ci] = p
+		}
+		v.Cols[ci] = *g.perm[ci]
+	}
+	v.allOnce.Do(func() { v.all = b.AllLanes() })
+	g.views = append(g.views, v)
+	return v, nil
+}
+
+// gather returns xs[lanes[0]], xs[lanes[1]], …; nil for nil.
+func gather[T any](xs []T, lanes []int32) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, len(lanes))
+	for i, l := range lanes {
+		out[i] = xs[l]
+	}
+	return out
 }
 
 // Distinct is the set-projection kernel. Of the selected lanes it returns,

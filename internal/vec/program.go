@@ -442,6 +442,9 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := p.batch.checkCol(idx); err != nil {
+			return nil, err
+		}
 		return &colNode{col: idx}, nil
 
 	case expr.Unary:
@@ -711,20 +714,15 @@ func (n *colNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	ln := len(sel)
 	out := &n.out
 	out.reset(p.sc, c.Kind, ln)
+	lo, run := p.batch.run(sel)
 	switch c.Kind {
 	case value.KindBool, value.KindInt:
-		for i, lane := range sel {
-			out.Ints[i] = c.Ints[lane]
-		}
+		take(out.Ints, c.Ints, sel, lo, run)
 	case value.KindFloat:
-		for i, lane := range sel {
-			out.Floats[i] = c.Floats[lane]
-		}
+		take(out.Floats, c.Floats, sel, lo, run)
 	case value.KindString:
 		out.Codes = p.sc.i32.grow(out.Codes, ln)
-		for i, lane := range sel {
-			out.Codes[i] = c.Codes[lane]
-		}
+		take(out.Codes, c.Codes, sel, lo, run)
 		out.Dict = c.Dict
 	}
 	if c.Nulls != nil {
@@ -742,6 +740,17 @@ func (n *colNode) eval(p *Program, sel []int32) (*Lanes, error) {
 		}
 	}
 	return out, nil
+}
+
+// take fills dst with the selected lanes of xs: one copy for a run at lo.
+func take[T any](dst, xs []T, sel []int32, lo int, run bool) {
+	if run {
+		copy(dst, xs[lo:lo+len(sel)])
+		return
+	}
+	for i, lane := range sel {
+		dst[i] = xs[lane]
+	}
 }
 
 type notNode struct {
@@ -1013,15 +1022,16 @@ func (n *cmpNode) filter(p *Program, sel, dst []int32) (out []int32, ok bool, er
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
+	lo, run := p.batch.run(sel)
 	var k int
 	switch {
 	case c.Kind == value.KindFloat:
 		y, _ := v.AsFloat()
-		k = selectHolds(dst[start:], sel, c.Floats, y, holds, c.Nulls)
+		k = selectHolds(dst[start:], sel, c.Floats, y, holds, c.Nulls, lo, run)
 	case v.K == value.KindFloat:
-		k = selectHolds(dst[start:], sel, c.Ints, v.Float(), holds, c.Nulls)
+		k = selectHolds(dst[start:], sel, c.Ints, v.Float(), holds, c.Nulls, lo, run)
 	default:
-		k = selectHolds(dst[start:], sel, c.Ints, v.Int(), holds, c.Nulls)
+		k = selectHolds(dst[start:], sel, c.Ints, v.Int(), holds, c.Nulls, lo, run)
 	}
 	return dst[:start+k], true, nil
 }
@@ -1029,9 +1039,21 @@ func (n *cmpNode) filter(p *Program, sel, dst []int32) (out []int32, ok bool, er
 // selectHolds writes to out, in order, the lanes of sel whose non-NULL
 // column value x has order(x, y) in holds, and returns how many it wrote.
 // Every lane is stored and the cursor advances by the verdict, so the loop
-// has no data-dependent branch.
-func selectHolds[S, T int64 | float64](out, sel []int32, xs []S, y T, holds uint8, nulls *Bitmap) int {
+// has no data-dependent branch; a run at lo reads xs[lo:] contiguously.
+func selectHolds[S, T int64 | float64](out, sel []int32, xs []S, y T, holds uint8, nulls *Bitmap, lo int, run bool) int {
 	k := 0
+	if run {
+		for i, x := range xs[lo : lo+len(sel)] {
+			lane := lo + i
+			keep := holds >> order(T(x), y) & 1
+			if nulls != nil {
+				keep &^= uint8(nulls.bits[lane>>6]>>(uint(lane)&63)) & 1
+			}
+			out[k] = int32(lane)
+			k += int(keep)
+		}
+		return k
+	}
 	for _, lane := range sel {
 		keep := holds >> order(T(xs[lane]), y) & 1
 		if nulls != nil {

@@ -15,7 +15,6 @@ package vec
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"repro/internal/relation"
@@ -42,15 +41,6 @@ func (m *Bitmap) Get(i int) bool { return m.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Set sets bit i.
 func (m *Bitmap) Set(i int) { m.bits[i>>6] |= 1 << (uint(i) & 63) }
-
-// Count returns the number of set bits.
-func (m *Bitmap) Count() int {
-	c := 0
-	for _, w := range m.bits {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
 
 // Col is one typed column vector. Exactly one payload slice is populated,
 // selected by Kind: Ints for KindInt and KindBool (0/1), Floats for
@@ -103,9 +93,10 @@ func (c *Col) Value(i int) value.V {
 // Batch is a column-major slice of a relation: a schema plus one Col per
 // schema column, all of the same lane count.
 type Batch struct {
-	Schema *relation.Schema
-	Cols   []Col
-	n      int
+	Schema    *relation.Schema
+	Cols      []Col
+	n         int
+	clustered []bool // the columns a view (Grouping.View) holds; nil outside views
 
 	allOnce sync.Once
 	all     []int32 // the identity selection, see AllLanes
@@ -147,6 +138,9 @@ func (b *Batch) Check() error {
 	}
 	for i := range b.Cols {
 		c := &b.Cols[i]
+		if b.clustered != nil && !b.clustered[i] {
+			continue
+		}
 		if got := c.Len(); got != b.n {
 			return fmt.Errorf("vec: column %d (%s) has %d lanes, batch has %d",
 				i, b.Schema.Cols[i].Name, got, b.n)
@@ -166,9 +160,31 @@ func (b *Batch) Check() error {
 // checkSel validates that every selection entry indexes a batch lane.
 func (b *Batch) checkSel(sel []int32) error {
 	for _, s := range sel {
-		if int(s) < 0 || int(s) >= b.n {
+		if uint(s) >= uint(b.n) {
 			return fmt.Errorf("vec: selection lane %d out of range [0,%d)", s, b.n)
 		}
+	}
+	return nil
+}
+
+// run reports whether sel is AllLanes()[lo:lo+len(sel)], returning lo: only a
+// slice of the identity's array has its capacity end at the last entry.
+func (b *Batch) run(sel []int32) (lo int, ok bool) {
+	all := b.AllLanes()
+	c := cap(sel)
+	if len(sel) == 0 || c > len(all) || &sel[:c][c-1] != &all[len(all)-1] {
+		return 0, false
+	}
+	return len(all) - c, true
+}
+
+// checkCol validates that ci names a column the batch holds lanes for.
+func (b *Batch) checkCol(ci int) error {
+	if ci < 0 || ci >= len(b.Cols) {
+		return fmt.Errorf("vec: column %d out of range", ci)
+	}
+	if b.clustered != nil && !b.clustered[ci] {
+		return fmt.Errorf("vec: column %s is not in the clustered view", b.Schema.Cols[ci].Name)
 	}
 	return nil
 }
@@ -252,8 +268,8 @@ func Rows(b *Batch, cols []int, sel []int32) ([]relation.Row, error) {
 		return nil, err
 	}
 	for _, ci := range cols {
-		if ci < 0 || ci >= len(b.Cols) {
-			return nil, fmt.Errorf("vec: column %d out of range", ci)
+		if err := b.checkCol(ci); err != nil {
+			return nil, err
 		}
 	}
 	rows := relation.MakeRows(len(sel), len(cols))
@@ -267,25 +283,16 @@ func Rows(b *Batch, cols []int, sel []int32) ([]relation.Row, error) {
 	return rows, nil
 }
 
-// HashLanes computes, for each selected lane, the chained value hash of
-// the key columns — the same chain relation.HashRow produces for the
-// corresponding row, so batch-side groupings and row-side probes agree.
-// dst must have one entry per selection lane.
-func HashLanes(b *Batch, cols []int, sel []int32, dst []uint64) error {
-	if err := b.Check(); err != nil {
-		return err
-	}
-	if err := b.checkSel(sel); err != nil {
-		return err
-	}
-	if len(dst) != len(sel) {
-		return fmt.Errorf("vec: dst has %d entries, selection has %d", len(dst), len(sel))
-	}
+// hashLanes returns, for each lane, the chained value hash of the key
+// columns — the same chain relation.HashRow produces for the corresponding
+// row, so batch-side groupings and row-side probes agree.
+func hashLanes(b *Batch, cols []int) ([]uint64, error) {
 	for _, ci := range cols {
-		if ci < 0 || ci >= len(b.Cols) {
-			return fmt.Errorf("vec: key column %d out of range", ci)
+		if err := b.checkCol(ci); err != nil {
+			return nil, err
 		}
 	}
+	dst := make([]uint64, b.n)
 	// Single string key column: hash each dictionary entry once.
 	if len(cols) == 1 && b.Cols[cols[0]].Kind == value.KindString {
 		c := &b.Cols[cols[0]]
@@ -294,21 +301,21 @@ func HashLanes(b *Batch, cols []int, sel []int32, dst []uint64) error {
 			dictHash[di] = value.UpdateHash(value.HashSeed, value.NewString(s))
 		}
 		nullHash := value.UpdateHash(value.HashSeed, value.Null)
-		for i, lane := range sel {
-			if c.IsNull(int(lane)) {
-				dst[i] = nullHash
+		for lane := range dst {
+			if c.IsNull(lane) {
+				dst[lane] = nullHash
 			} else {
-				dst[i] = dictHash[c.Codes[lane]]
+				dst[lane] = dictHash[c.Codes[lane]]
 			}
 		}
-		return nil
+		return dst, nil
 	}
-	for i, lane := range sel {
+	for lane := range dst {
 		h := value.HashSeed
 		for _, ci := range cols {
-			h = value.UpdateHash(h, b.Cols[ci].Value(int(lane)))
+			h = value.UpdateHash(h, b.Cols[ci].Value(lane))
 		}
-		dst[i] = h
+		dst[lane] = h
 	}
-	return nil
+	return dst, nil
 }

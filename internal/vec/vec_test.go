@@ -260,8 +260,9 @@ func laneKey(b *Batch, cols []int, lane int) string {
 
 // TestGroupingFind: for random detail keys — ints; floats with NaN, ±0
 // and integral values; strings; NULLs; two-column keys — the lanes a
-// needle finds are exactly the lanes whose key has the needle's Key(), and
-// a group is exactly one Key() class.
+// needle finds, mapped back through the grouping's permutation, are
+// exactly the lanes whose key has the needle's Key(), in scan order, and a
+// group is exactly one Key() class.
 func TestGroupingFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	i, f, s := value.NewInt, value.NewFloat, value.NewString
@@ -306,7 +307,7 @@ func TestGroupingFind(t *testing.T) {
 					want = append(want, int32(lane))
 				}
 			}
-			if got := g.Find(row, cols); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := sourceLanes(g, g.Find(row, cols)); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("cols %v needle %v: found %v, want %v", cols, row, got, want)
 			}
 		}
@@ -343,12 +344,25 @@ func TestGroupingFindOnCollision(t *testing.T) {
 	h := relation.HashRow(relation.Row{s("b")}, []int{0})
 	forged.index.Add(h, 0) // "b", lanes 0 and 2
 	forged.index.Add(h, 1) // "a", first on the chain
-	if got := forged.Find(relation.Row{s("b")}, []int{0}); fmt.Sprint(got) != "[0 2]" {
+	if got := sourceLanes(g, forged.Find(relation.Row{s("b")}, []int{0})); fmt.Sprint(got) != "[0 2]" {
 		t.Errorf("needle b on a shared chain found lanes %v, want [0 2]", got)
 	}
 	if got := forged.Find(relation.Row{s("a")}, []int{0}); got != nil {
 		t.Errorf("needle a, whose hash has no chain, found lanes %v", got)
 	}
+}
+
+// sourceLanes maps a run Find returned back through the grouping's
+// permutation to the source lanes it stands for; nil stays nil.
+func sourceLanes(g *Grouping, run []int32) []int32 {
+	if run == nil {
+		return nil
+	}
+	out := make([]int32, len(run))
+	for i, l := range run {
+		out[i] = g.lanes[l]
+	}
+	return out
 }
 
 func laneKeyOfRow(row relation.Row, cols []int) string {
