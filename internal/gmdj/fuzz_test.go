@@ -185,7 +185,7 @@ func fuzzBase(t *testing.T, detail *relation.Relation, shape int) {
 			def.Where = expr.MustParse(where)
 		}
 		want, rowErr := EvalBase(detail, def)
-		got, vecErr := EvalBaseBatch(batch, def)
+		got, vecErr := new(Chain).EvalBaseBatch(batch, def)
 		if (rowErr != nil) != (vecErr != nil) {
 			t.Fatalf("π_%v WHERE %s: row err %v, vec err %v", cols, where, rowErr, vecErr)
 		}

@@ -147,8 +147,8 @@ type SubOpts struct {
 	// query profiler reports, unlike the global Obs counters.
 	Stats *vec.Stats
 	// DetailBatch optionally supplies a pre-built columnar batch of the
-	// detail relation (it must have been built from exactly this
-	// relation); nil converts on the fly.
+	// detail relation. EvalSub uses it when it has the relation's schema
+	// and row count, and converts the relation otherwise.
 	DetailBatch *vec.Batch
 }
 
@@ -193,25 +193,33 @@ func (c *Chain) grow(n int) []vecWorker {
 	return c.workers[:n]
 }
 
-// EvalSub is the package-level EvalSub with the chain's scratch:
+// EvalSub is the package-level EvalSub with the chain's scratch: the
+// detail batch (opts.DetailBatch when it fits r, else r converted), then
 // EvalStates, then the rows opts asks for.
 func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
-	accs, matched, err := c.EvalStates(b, r, md, opts)
+	detail := opts.DetailBatch
+	if detail == nil || detail.Schema != r.Schema || detail.Len() != len(r.Rows) {
+		var err error
+		if detail, err = vec.FromRelation(r); err != nil {
+			return nil, fmt.Errorf("gmdj: detail relation: %w", err)
+		}
+	}
+	accs, matched, err := c.EvalStates(b, detail, md, opts)
 	if err != nil {
 		return nil, err
 	}
 	return assemble(b, accs, matched, opts.StatesOnly, true, opts.Finalize, opts.Touched)
 }
 
-// EvalStates evaluates md like EvalSub but boxes nothing: it returns the
-// primitive states, group i of the slab answering base row i, and each
-// base row's detail match count over every θ_i (what Touched appends). Of
-// opts it reads only how the evaluation runs, not what EvalSub appends.
-func (c *Chain) EvalStates(b, r *relation.Relation, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
-	if err := md.Validate(b.Schema, r.Schema); err != nil {
+// EvalStates evaluates md over the detail batch like EvalSub but boxes
+// nothing: it returns the primitive states, group i of the slab answering
+// base row i, and each base row's detail match count over every θ_i (what
+// Touched appends). Of opts it reads only how the evaluation runs.
+func (c *Chain) EvalStates(b *relation.Relation, detail *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
+	if err := md.Validate(b.Schema, detail.Schema); err != nil {
 		return nil, nil, err
 	}
-	return c.evalVec(b, r, md, opts)
+	return c.evalVec(b, detail, md, opts)
 }
 
 // outputSchema builds the result schema shared by both engines: base

@@ -172,18 +172,13 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 }
 
 // EvalBaseBatch is EvalBase over the columnar form of the detail relation:
-// the filter runs as a compiled column-program and the duplicate
-// elimination as the vec.Distinct kernel over the batch's memoized key
-// grouping, so a site that caches its detail batch hashes no row per
-// request. The result is byte-identical to EvalBase on the relation the
-// batch was built from: the same groups in the same first-seen scan order
-// (the coordinator merges fragments, and gob encodes them, in that order).
-func EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
-	return new(Chain).EvalBaseBatch(batch, def)
-}
-
-// EvalBaseBatch is the package-level EvalBaseBatch with the filter on the
-// chain's first worker's lane and selection buffers.
+// the filter runs as a compiled column-program on the chain's first
+// worker's buffers, and the duplicate elimination as the vec.Distinct
+// kernel over the batch's memoized key grouping, so a site, which stores
+// its detail batch, hashes no row per request. The result is byte-identical
+// to EvalBase on the relation the batch was built from: the same groups in
+// the same first-seen scan order (the coordinator merges fragments, and
+// gob encodes them, in that order).
 func (c *Chain) EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
 	sel := batch.AllLanes()
 	if def.Where != nil {

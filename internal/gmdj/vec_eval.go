@@ -39,21 +39,12 @@ import (
 // different one first because iteration order differs.
 
 // evalVec is the vectorized counterpart of eval, and what EvalStates runs
-// once md is validated against b and r.
-func (c *Chain) evalVec(b, r *relation.Relation, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
-	batch := opts.DetailBatch
-	if batch == nil || batch.Schema != r.Schema || batch.Len() != len(r.Rows) {
-		var err error
-		batch, err = vec.FromRelation(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("gmdj: detail relation: %w", err)
-		}
-	}
+// once md is validated against b and the detail batch.
+func (c *Chain) evalVec(b *relation.Relation, batch *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
+	bd := md.Binding(b.Schema, batch.Schema)
+	detailOnly := expr.Binding{Detail: batch.Schema, DetailAliases: bd.DetailAliases}
 
-	bd := md.Binding(b.Schema, r.Schema)
-	detailOnly := expr.Binding{Detail: r.Schema, DetailAliases: bd.DetailAliases}
-
-	plans, err := planThetas(b, r, md, bd, detailOnly, batch)
+	plans, err := planThetas(b, md, bd, detailOnly, batch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,7 +140,7 @@ type thetaPlan struct {
 // planThetas builds the shared per-θ plans: equi keys, detail-side key
 // groupings and their clustered views. Residuals and arguments compile per
 // worker (run); md.Validate has already bound every one of them.
-func planThetas(b, r *relation.Relation, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
+func planThetas(b *relation.Relation, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
 	plans := make([]thetaPlan, len(md.Thetas))
 	specBase := 0
 	for ti, theta := range md.Thetas {
@@ -166,7 +157,7 @@ func planThetas(b, r *relation.Relation, md MD, bd, detailOnly expr.Binding, bat
 				if err != nil {
 					return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 				}
-				ri, err := r.Schema.MustLookup(p.Detail.Name)
+				ri, err := batch.Schema.MustLookup(p.Detail.Name)
 				if err != nil {
 					return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 				}
@@ -177,10 +168,10 @@ func planThetas(b, r *relation.Relation, md MD, bd, detailOnly expr.Binding, bat
 				return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 			}
 			var buf [8]int // the column list stays on the stack
-			cols := detailCols(pl.residual, bd, r.Schema, buf[:0])
+			cols := detailCols(pl.residual, bd, batch.Schema, buf[:0])
 			for _, spec := range md.Aggs[ti] {
 				if spec.Arg != nil {
-					cols = detailCols(spec.Arg, detailOnly, r.Schema, cols)
+					cols = detailCols(spec.Arg, detailOnly, batch.Schema, cols)
 				}
 			}
 			if pl.detail, err = pl.groups.View(cols); err != nil {

@@ -271,7 +271,7 @@ func TestVecConditionalAggregateExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvalBaseBatch(batch, def)
+	b, err := new(Chain).EvalBaseBatch(batch, def)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -15,15 +16,20 @@ import (
 // fusedEngine returns an engine holding a TPCR dataset of the given size
 // with 200 CustGroup values.
 func fusedEngine(tb testing.TB, rows int) *Engine {
+	e := NewEngine("site0")
+	e.Load("tpcr", fusedPartition(tb, rows))
+	return e
+}
+
+// fusedPartition is the relation fusedEngine loads.
+func fusedPartition(tb testing.TB, rows int) *relation.Relation {
 	tb.Helper()
 	part, err := tpcr.GeneratePartition(
 		tpcr.Config{Rows: rows, Customers: 2000, LowCardGroups: 200, Seed: 1}, 0, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e := NewEngine("site0")
-	e.Load("tpcr", part)
-	return e
+	return part
 }
 
 // fusedRequest is the request the fully optimized Fig. 5 plan sends every
@@ -101,11 +107,12 @@ func TestCaseBaseFilterVectorized(t *testing.T) {
 	}
 }
 
-// TestMixedKindRelationRefused: a loaded relation holding a FLOAT in an INT
-// column has no columnar form, and the site evaluates on nothing else. Both
-// evaluation ops refuse it with an error naming relation, column, declared
-// and found kind; the refusal is cached, not re-derived per request; and a
-// well-typed Load of the same name clears it.
+// TestMixedKindRelationRefused: a relation holding a FLOAT in an INT column
+// has no columnar form, and a site keeps nothing else. OpLoad refuses it at
+// once, naming site, relation, column, declared and found kind and row. An
+// in-process Load stores the refusal instead: every request naming the
+// relation returns it until a drop removes it or a well-typed Load
+// replaces it.
 func TestMixedKindRelationRefused(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Column{Name: "K", Kind: value.KindInt},
@@ -117,9 +124,15 @@ func TestMixedKindRelationRefused(t *testing.T) {
 	}
 	good := bad.Clone()
 	bad.Rows[4321][1] = value.NewFloat(2.5)
+	const want = "site site0: relation flows: column Q declared INT holds FLOAT at row 4321"
 
 	e := NewEngine("site0")
-	e.Load("flows", bad)
+	ctx := context.Background()
+	load := &transport.Request{Op: transport.OpLoad, Rel: "flows", Data: bad}
+	if resp := e.Handle(ctx, load); resp.Err != "load: "+want {
+		t.Fatalf("OpLoad of the mixed-kind relation: Err %q, want %q", resp.Err, "load: "+want)
+	}
+
 	evalBase := &transport.Request{Op: transport.OpEvalBase, Detail: "flows", BaseCols: []string{"K"}}
 	evalRounds := &transport.Request{
 		Op: transport.OpEvalRounds, Detail: "flows", BaseCols: []string{"K"},
@@ -128,27 +141,81 @@ func TestMixedKindRelationRefused(t *testing.T) {
 			Aggs: [][]string{{"sum(F.Q) AS s"}}, Thetas: []string{"F.K = B.K"},
 		}},
 	}
-	const want = "site site0: relation flows: column Q declared INT holds FLOAT at row 4321"
-	for _, req := range []*transport.Request{evalBase, evalRounds} {
-		if resp := e.Handle(context.Background(), req); !strings.Contains(resp.Err, want) {
-			t.Fatalf("%s over the mixed-kind relation: Err %q, want it to contain %q", req.Op, resp.Err, want)
+	relInfo := &transport.Request{Op: transport.OpRelInfo, Rel: "flows"}
+	refused := func(when string) {
+		t.Helper()
+		for _, req := range []*transport.Request{evalBase, evalRounds, relInfo} {
+			if resp := e.Handle(ctx, req); !strings.HasSuffix(resp.Err, ": "+want) {
+				t.Fatalf("%s, %s: Err %q, want the refusal %q", when, req.Op, resp.Err, want)
+			}
 		}
 	}
-	// Later requests get the refusal the first conversion cached — the very
-	// same error value — instead of scanning 4 321 rows again to rebuild it.
-	_, first := e.detailBatch("flows", bad)
-	if resp := e.Handle(context.Background(), evalBase); !strings.Contains(resp.Err, want) {
-		t.Fatalf("second request: Err %q, want it to contain %q", resp.Err, want)
-	}
-	if _, again := e.detailBatch("flows", bad); first == nil || again != first {
-		t.Errorf("the refusal was rebuilt (%v, then %v): conversion re-ran instead of being cached", first, again)
+	e.Load("flows", bad)
+	refused("after Load")
+	refused("on a second request")
+
+	handleOK(t, e, &transport.Request{Op: transport.OpDrop, Rel: "flows"})
+	if resp := e.Handle(ctx, relInfo); resp.Err != `relInfo: site site0: no relation "flows"` {
+		t.Fatalf("after drop: Err %q, want no relation", resp.Err)
 	}
 
+	e.Load("flows", bad)
+	refused("after a second Load")
 	e.Load("flows", good)
 	handleOK(t, e, evalBase)
 	if got := handleOK(t, e, evalRounds).Rel.Len(); got != 7 {
 		t.Fatalf("after the well-typed Load: %d groups, want 7", got)
 	}
+	if got := handleOK(t, e, relInfo).RowCount; got != 5000 {
+		t.Fatalf("after the well-typed Load: relInfo counts %d rows, want 5000", got)
+	}
+}
+
+// TestLoadDropRacesEvalRounds: Loads and drops of one name race requests
+// on it. Every reply is byte for byte the answer over the old relation or
+// over the new one, or the "no relation" refusal after a drop: a request
+// sees one stored batch whole, never a mix or a half-built one.
+func TestLoadDropRacesEvalRounds(t *testing.T) {
+	oldRel, newRel := fusedPartition(t, 1500), fusedPartition(t, 2500)
+	req := fusedRequest("")
+	answer := func(r *relation.Relation) string {
+		e := NewEngine("site0")
+		if r != nil {
+			e.Load("tpcr", r)
+		}
+		return string(replyBytes(e.Handle(context.Background(), req)))
+	}
+	allowed := map[string]string{answer(oldRel): "old", answer(newRel): "new", answer(nil): "dropped"}
+	if len(allowed) != 3 {
+		t.Fatal("the old, new and dropped answers are not distinct")
+	}
+
+	e := NewEngine("site0")
+	e.Load("tpcr", oldRel)
+	const readers, requests, cycles = 4, 30, 30
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				if got := replyBytes(e.Handle(context.Background(), req)); allowed[string(got)] == "" {
+					t.Errorf("reply %.200q is none of the old, new or dropped answers", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < cycles; i++ {
+		if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpLoad, Rel: "tpcr", Data: newRel}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpDrop, Rel: "tpcr"}); resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		e.Load("tpcr", oldRel)
+	}
+	wg.Wait()
 }
 
 // TestFusedVecStatsPinned: the kernel work counters of the Fig. 5 fused

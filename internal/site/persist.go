@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/relation"
+	"repro/internal/vec"
 )
 
 // Snapshot durability: a site can persist its stored relations to disk
@@ -28,14 +29,21 @@ type snapshotFile struct {
 	Rels   map[string]*relation.Relation
 }
 
-// Snapshot writes every stored relation to path, atomically.
+// Snapshot writes every stored relation to path, atomically, each boxed
+// back into rows from its batch. A refused relation is not written.
 func (e *Engine) Snapshot(path string) error {
-	e.mu.RLock()
-	snap := snapshotFile{Magic: snapshotMagic, SiteID: e.id, Rels: make(map[string]*relation.Relation, len(e.rels))}
-	for name, rel := range e.rels {
-		snap.Rels[name] = rel
+	rels := e.relations()
+	snap := snapshotFile{Magic: snapshotMagic, SiteID: e.id, Rels: make(map[string]*relation.Relation, len(rels))}
+	for name, s := range rels {
+		if s.err != nil {
+			continue
+		}
+		r, err := vec.ToRelation(s.batch)
+		if err != nil {
+			return fmt.Errorf("site: snapshot %s: %w", name, err)
+		}
+		snap.Rels[name] = r
 	}
-	e.mu.RUnlock()
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".skalla-snapshot-*")
@@ -63,8 +71,9 @@ func (e *Engine) Snapshot(path string) error {
 	return nil
 }
 
-// Restore replaces the engine's relations with the snapshot's contents.
-// A file it cannot read whole leaves them as they were.
+// Restore replaces the engine's relations with the snapshot's contents,
+// converting each as Load does. A file it cannot read whole, or one holding
+// a relation Load would refuse, leaves them as they were.
 func (e *Engine) Restore(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -78,21 +87,25 @@ func (e *Engine) Restore(path string) error {
 	if snap.Magic != snapshotMagic {
 		return fmt.Errorf("site: %s is not a site snapshot", path)
 	}
-	e.mu.Lock()
-	e.rels = snap.Rels
-	if e.rels == nil {
-		e.rels = map[string]*relation.Relation{}
+	rels := make(map[string]stored, len(snap.Rels))
+	for name, r := range snap.Rels {
+		s := e.convert(name, r)
+		if s.err != nil {
+			return fmt.Errorf("site: restore %s: %w", path, s.err)
+		}
+		rels[name] = s
 	}
+	e.mu.Lock()
+	e.rels = rels
 	e.mu.Unlock()
 	return nil
 }
 
 // RelationNames lists the stored relations, for diagnostics.
 func (e *Engine) RelationNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.rels))
-	for name := range e.rels {
+	rels := e.relations()
+	out := make([]string, 0, len(rels))
+	for name := range rels {
 		out = append(out, name)
 	}
 	return out

@@ -1,0 +1,179 @@
+package site
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/gob"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/transport"
+	"repro/internal/value"
+	"repro/internal/vec"
+)
+
+// goldenSnapshot was written by an engine that kept every relation's boxed
+// rows beside its batch: site "site0" holding goldenRel() loaded as
+// "Orders". One relation, so gob's map order cannot vary.
+const goldenSnapshot = "testdata/site0-v2.snap"
+
+// goldenRel has a column of every kind, NULLs in each, and repeated, empty
+// and prefix-sharing strings.
+func goldenRel() *relation.Relation {
+	r := relation.New(relation.MustSchema(
+		relation.Column{Name: "K", Kind: value.KindInt},
+		relation.Column{Name: "Price", Kind: value.KindFloat},
+		relation.Column{Name: "Cust", Kind: value.KindString},
+		relation.Column{Name: "Open", Kind: value.KindBool},
+		relation.Column{Name: "Note", Kind: value.KindNull},
+	))
+	custs := []string{"alpha", "beta", "", "gamma", "alphabet"}
+	for i := 0; i < 12; i++ {
+		k, price, cust, open := value.NewInt(int64(i%4-1)), value.NewFloat(float64(i)*1.25-3), value.NewString(custs[i%len(custs)]), value.NewBool(i%3 == 0)
+		switch i % 5 {
+		case 1:
+			k = value.Null
+		case 2:
+			price = value.Null
+		case 3:
+			cust = value.Null
+		case 4:
+			open = value.Null
+		}
+		r.MustAppend(k, price, cust, open, value.Null)
+	}
+	return r
+}
+
+// goldenChildDir, when set in the environment, makes TestSnapshotGolden
+// the child that writes its snapshots into that directory.
+const goldenChildDir = "SKALLA_SNAPSHOT_GOLDEN_DIR"
+
+// TestSnapshotGolden: the snapshot format did not move when sites stopped
+// keeping boxed rows. The golden restores to goldenRel, the restored
+// engine writes it back byte for byte, and so does an engine that loaded
+// goldenRel. gob numbers types per process in the order it first meets
+// them, so the snapshots are written by a fresh process, as the golden was.
+func TestSnapshotGolden(t *testing.T) {
+	if dir := os.Getenv(goldenChildDir); dir != "" {
+		restored := NewEngine("site0")
+		if err := restored.Restore(goldenSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Snapshot(filepath.Join(dir, "restored.snap")); err != nil {
+			t.Fatal(err)
+		}
+		loaded := NewEngine("site0")
+		loaded.Load("Orders", goldenRel())
+		if err := loaded.Snapshot(filepath.Join(dir, "loaded.snap")); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	restored := NewEngine("site0")
+	if err := restored.Restore(goldenSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	b, err := restored.batch(restored.relations(), "orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := vec.ToRelation(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := relation.AppendFrame(nil, rel); !bytes.Equal(got, relation.AppendFrame(nil, goldenRel())) {
+		t.Errorf("the golden restored to a relation other than goldenRel")
+	}
+
+	dir := t.TempDir()
+	child := exec.Command(os.Args[0], "-test.run=^TestSnapshotGolden$", "-test.count=1")
+	child.Env = append(os.Environ(), goldenChildDir+"="+dir)
+	if out, err := child.CombinedOutput(); err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	want, err := os.ReadFile(goldenSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"restored.snap", "loaded.snap"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the golden:\n got %x\nwant %x", name, got, want)
+		}
+	}
+}
+
+// TestSnapshotSkipsRefused: a relation stored as its refusal has nothing to
+// write, so a snapshot holds the others alone.
+func TestSnapshotSkipsRefused(t *testing.T) {
+	e := loadedEngine(t)
+	e.Load("bad", mixedFlow())
+	path := t.TempDir() + "/site.snap"
+	if err := e.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewEngine("s1")
+	if err := fresh.Restore(path); err != nil {
+		t.Fatal(err)
+	}
+	if names := fresh.RelationNames(); !reflect.DeepEqual(names, []string{"flow"}) {
+		t.Errorf("restored %v, want [flow]", names)
+	}
+}
+
+// TestRestoreRefusesIllTyped: a snapshot holding a relation Load would
+// refuse is refused whole, naming path, relation, column and row, and the
+// engine keeps the relations and answers it had.
+func TestRestoreRefusesIllTyped(t *testing.T) {
+	path := t.TempDir() + "/ill.snap"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriter(f)
+	if err := gob.NewEncoder(w).Encode(&snapshotFile{Magic: snapshotMagic, SiteID: "s1", Rels: map[string]*relation.Relation{
+		"good": flowRel(testFlow...),
+		"bad":  mixedFlow(),
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := loadedEngine(t)
+	req := &transport.Request{Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"}}
+	before := handleOK(t, e, req)
+	want := "site: restore " + path + ": site s1: relation bad: column NumBytes declared INT holds FLOAT at row 2"
+	if err := e.Restore(path); err == nil || err.Error() != want {
+		t.Fatalf("restore: %v, want %q", err, want)
+	}
+	if names := e.RelationNames(); !reflect.DeepEqual(names, []string{"flow"}) {
+		t.Errorf("after the refused restore the engine holds %v, want [flow]", names)
+	}
+	if after := handleOK(t, e, req); !reflect.DeepEqual(after.Rel.Rows, before.Rel.Rows) {
+		t.Errorf("after the refused restore flow answers %v, before %v", after.Rel.Rows, before.Rel.Rows)
+	}
+	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "good"}); resp.Error() == nil {
+		t.Error("the refused snapshot's well-typed relation was stored")
+	}
+}
+
+// mixedFlow is testFlow with a FLOAT in the INT column NumBytes at row 2.
+func mixedFlow() *relation.Relation {
+	r := flowRel(testFlow...)
+	r.Rows[2][2] = value.NewFloat(50)
+	return r
+}

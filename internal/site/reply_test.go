@@ -51,14 +51,11 @@ func chainRounds(attr string, n int, touched ...int) []transport.RoundSpec {
 // output; then the finals, the touched counts and (for a shipped base) the
 // base columns stripped, and the untouched groups dropped. kept is the
 // bitmap a shipped base's reply carries.
-func assembledReply(t *testing.T, e *Engine, req *transport.Request) (*relation.Relation, []byte) {
+func assembledReply(t *testing.T, detail *relation.Relation, req *transport.Request) (*relation.Relation, []byte) {
 	t.Helper()
-	detail, err := e.Relation("tpcr")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cur := req.Base
 	if len(req.BaseCols) > 0 {
+		var err error
 		if cur, err = gmdj.EvalBase(detail, gmdj.BaseDef{Cols: req.BaseCols}); err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +122,9 @@ func assembledReply(t *testing.T, e *Engine, req *transport.Request) (*relation.
 // two rounds over a base with groups the site never saw, and requests
 // whose every group is untouched.
 func TestReplyMatchesAssembledChain(t *testing.T) {
-	e := fusedEngine(t, 6000)
-	part, err := e.Relation("tpcr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := fusedPartition(t, 6000)
+	e := NewEngine("site0")
+	e.Load("tpcr", part)
 	shipped, err := gmdj.EvalBase(part, gmdj.BaseDef{Cols: []string{"CustGroup"}})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +161,7 @@ func TestReplyMatchesAssembledChain(t *testing.T) {
 		{"shipped none touched", over(onlyForeign, chainRounds("CustGroup", 2, 0, 1))},
 	}
 	for _, c := range cases {
-		want, kept := assembledReply(t, e, c.req)
+		want, kept := assembledReply(t, part, c.req)
 		if !c.req.ShipsBase() {
 			kept = nil
 		}

@@ -5,9 +5,9 @@
 // never detail tuples.
 //
 // The original system used the Daytona DBMS as the local warehouse; here
-// the local evaluator is the gmdj package over in-memory relations, which
-// exposes the same contract (local evaluation of GMDJ expressions and of
-// base-values queries).
+// the local evaluator is the gmdj package over one in-memory columnar batch
+// per relation, which exposes the same contract (local evaluation of GMDJ
+// expressions and of base-values queries).
 package site
 
 import (
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -80,28 +81,22 @@ type Engine struct {
 	id string
 
 	mu sync.RWMutex
+	// rels maps lowercase names to what the site stores. Load and drop
+	// install a new map, so a request reads one version throughout.
 	//lint:guarded-by mu
-	rels map[string]*relation.Relation
+	rels map[string]stored
 	//lint:guarded-by mu
 	obs *obs.Obs
 	//lint:guarded-by mu
 	limits Limits
-	// batches caches the columnar form of loaded relations, keyed by
-	// lowercase name and validated by relation pointer identity (Load
-	// replaces the pointer, invalidating the entry on next access). A
-	// relation that has none — a value strays from its column's declared
-	// kind — caches the refusal instead, so it is not re-converted per
-	// round.
-	//lint:guarded-by mu
-	batches map[string]*batchEntry
 	// chains hold the kernels' working memory: an evaluation takes one
 	// *gmdj.Chain for its whole run and puts it back for the next.
 	chains sync.Pool
 }
 
-// batchEntry is one cached columnar conversion, or the reason there is none.
-type batchEntry struct {
-	rel   *relation.Relation // the exact relation the batch was built from
+// stored is what the site keeps of a loaded relation: its batch, or the
+// reason it has none.
+type stored struct {
 	batch *vec.Batch
 	err   error
 }
@@ -109,34 +104,10 @@ type batchEntry struct {
 // NewEngine returns an empty site engine.
 func NewEngine(id string) *Engine {
 	return &Engine{
-		id:      id,
-		rels:    map[string]*relation.Relation{},
-		batches: map[string]*batchEntry{},
-		chains:  sync.Pool{New: func() any { return new(gmdj.Chain) }},
+		id:     id,
+		rels:   map[string]stored{},
+		chains: sync.Pool{New: func() any { return new(gmdj.Chain) }},
 	}
-}
-
-// detailBatch returns the cached columnar form of the named relation,
-// converting on first use (Load stays cheap). Sites evaluate on batches
-// only, so a relation whose values violate its declared column kinds is
-// refused — by every evaluation that needs it, with the same error —
-// until a well-typed Load replaces it.
-func (e *Engine) detailBatch(name string, r *relation.Relation) (*vec.Batch, error) {
-	key := strings.ToLower(name)
-	e.mu.RLock()
-	ent := e.batches[key]
-	e.mu.RUnlock()
-	if ent == nil || ent.rel != r {
-		b, err := vec.FromRelation(r)
-		if err != nil {
-			err = fmt.Errorf("site %s: relation %s: %w", e.id, name, err)
-		}
-		ent = &batchEntry{rel: r, batch: b, err: err}
-		e.mu.Lock()
-		e.batches[key] = ent
-		e.mu.Unlock()
-	}
-	return ent.batch, ent.err
 }
 
 // SetLimits installs per-request resource limits (zero fields disable).
@@ -173,25 +144,46 @@ func (e *Engine) getObs() *obs.Obs {
 	return e.obs
 }
 
-// Load stores a relation under the given name, replacing any previous one
-// (and dropping any cached columnar form of the replaced relation).
-func (e *Engine) Load(name string, r *relation.Relation) {
+// Load stores a relation under the given name, replacing any previous one.
+// It keeps only r's batch; a relation that has none (a value strays from
+// its column's kind) is stored as that refusal, which every request naming
+// it returns until a well-typed Load replaces it.
+func (e *Engine) Load(name string, r *relation.Relation) { _ = e.load(name, r) }
+
+// load is Load returning the refusal it stored, if any.
+func (e *Engine) load(name string, r *relation.Relation) error {
+	s := e.convert(name, r)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	key := strings.ToLower(name)
-	e.rels[key] = r
-	delete(e.batches, key)
+	rels := maps.Clone(e.rels)
+	rels[strings.ToLower(name)] = s
+	e.rels = rels
+	return s.err
 }
 
-// Relation returns the stored relation with the given name.
-func (e *Engine) Relation(name string) (*relation.Relation, error) {
+// convert builds what the site keeps of r under name.
+func (e *Engine) convert(name string, r *relation.Relation) stored {
+	b, err := vec.FromRelation(r)
+	if err != nil {
+		err = fmt.Errorf("site %s: relation %s: %w", e.id, name, err)
+	}
+	return stored{b, err}
+}
+
+// relations returns the current version of the stored relations.
+func (e *Engine) relations() map[string]stored {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	r, ok := e.rels[strings.ToLower(name)]
+	return e.rels
+}
+
+// batch returns rels' batch under name, or the refusal stored for it.
+func (e *Engine) batch(rels map[string]stored, name string) (*vec.Batch, error) {
+	s, ok := rels[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("site %s: no relation %q", e.id, name)
 	}
-	return r, nil
+	return s.batch, s.err
 }
 
 // Handle implements transport.Handler. Errors travel in Response.Err so
@@ -315,7 +307,9 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 		if req.Rel == "" {
 			return nil, fmt.Errorf("no relation name")
 		}
-		e.Load(req.Rel, req.Data)
+		if err := e.load(req.Rel, req.Data); err != nil {
+			return nil, err
+		}
 		return &transport.Response{RowCount: req.Data.Len()}, nil
 
 	case transport.OpGenerate:
@@ -335,25 +329,25 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 		if name == "" {
 			name = req.Gen.Kind
 		}
-		e.Load(name, r)
+		if err := e.load(name, r); err != nil {
+			return nil, err
+		}
 		return &transport.Response{RowCount: r.Len(), ComputeNs: time.Since(start).Nanoseconds()}, nil
 
 	case transport.OpDrop:
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		delete(e.rels, strings.ToLower(req.Rel))
-		delete(e.batches, strings.ToLower(req.Rel))
+		rels := maps.Clone(e.rels)
+		delete(rels, strings.ToLower(req.Rel))
+		e.rels = rels
 		return &transport.Response{}, nil
 
 	case transport.OpRelInfo:
-		r, err := e.Relation(req.Rel)
+		b, err := e.batch(e.relations(), req.Rel)
 		if err != nil {
 			return nil, err
 		}
-		return &transport.Response{
-			RowCount: r.Len(),
-			Rel:      &relation.Relation{Schema: r.Schema},
-		}, nil
+		return &transport.Response{RowCount: b.Len(), Rel: &relation.Relation{Schema: b.Schema}}, nil
 
 	case transport.OpEvalBase:
 		return e.evalBase(req, prof)
@@ -371,7 +365,7 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 	start := time.Now()
 	chain := e.chains.Get().(*gmdj.Chain)
 	defer e.chains.Put(chain)
-	b, err := e.baseValues(chain, req.Detail, req)
+	b, err := e.baseValues(chain, e.relations(), req.Detail, req)
 	if err != nil {
 		return nil, err
 	}
@@ -385,10 +379,10 @@ func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (
 	return &transport.Response{Rel: b, ComputeNs: time.Since(start).Nanoseconds()}, nil
 }
 
-// baseValues computes the base-values query B_0 req defines over the named
-// detail relation's cached columnar batch, on chain's buffers.
-func (e *Engine) baseValues(chain *gmdj.Chain, name string, req *transport.Request) (*relation.Relation, error) {
-	detail, err := e.Relation(name)
+// baseValues computes the base-values query B_0 req defines over rels'
+// relation of that name, on chain's buffers.
+func (e *Engine) baseValues(chain *gmdj.Chain, rels map[string]stored, name string, req *transport.Request) (*relation.Relation, error) {
+	detail, err := e.batch(rels, name)
 	if err != nil {
 		return nil, err
 	}
@@ -398,11 +392,7 @@ func (e *Engine) baseValues(chain *gmdj.Chain, name string, req *transport.Reque
 			return nil, fmt.Errorf("base filter: %w", err)
 		}
 	}
-	batch, err := e.detailBatch(name, detail)
-	if err != nil {
-		return nil, err
-	}
-	return chain.EvalBaseBatch(batch, def)
+	return chain.EvalBaseBatch(detail, def)
 }
 
 // evalRounds runs one or more GMDJ rounds locally. With req.Base set the
@@ -424,10 +414,13 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	chain := e.chains.Get().(*gmdj.Chain)
 	defer e.chains.Put(chain)
 
+	// One version of the stored relations for the whole request: a Load or
+	// drop racing it cannot swap a relation between its rounds.
+	rels := e.relations()
 	base := req.Base
 	if len(req.BaseCols) > 0 {
 		var err error
-		if base, err = e.baseValues(chain, cmp.Or(req.Detail, req.Rounds[0].Detail), req); err != nil {
+		if base, err = e.baseValues(chain, rels, cmp.Or(req.Detail, req.Rounds[0].Detail), req); err != nil {
 			return nil, fmt.Errorf("fused base: %w", err)
 		}
 	}
@@ -478,20 +471,11 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		detail, err := e.Relation(spec.Detail)
+		detail, err := e.batch(rels, spec.Detail)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		batch, err := e.detailBatch(spec.Detail, detail)
-		if err != nil {
-			return nil, fmt.Errorf("round %d: %w", ri+1, err)
-		}
-		slab, matched, err := chain.EvalStates(base, detail, md, gmdj.SubOpts{
-			Workers:     workers,
-			Obs:         o,
-			Stats:       vecStats,
-			DetailBatch: batch,
-		})
+		slab, matched, err := chain.EvalStates(base, detail, md, gmdj.SubOpts{Workers: workers, Obs: o, Stats: vecStats})
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}

@@ -305,16 +305,16 @@ func TestGeneratorRegistry(t *testing.T) {
 	if resp.Error() != nil || resp.RowCount != 4 {
 		t.Fatalf("generate: %v", resp.Error())
 	}
-	if _, err := e.Relation("g"); err != nil {
-		t.Error(err)
+	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "g"}); resp.Error() != nil || resp.RowCount != 4 {
+		t.Errorf("relInfo g: %v, %d rows", resp.Error(), resp.RowCount)
 	}
 	// Default name = kind.
 	resp = e.Handle(context.Background(), &transport.Request{Op: transport.OpGenerate, Gen: &transport.GenSpec{Kind: kind}})
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if _, err := e.Relation(kind); err != nil {
-		t.Error(err)
+	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: kind}); resp.Error() != nil {
+		t.Error(resp.Error())
 	}
 	// Failure paths.
 	resp = e.Handle(context.Background(), &transport.Request{Op: transport.OpGenerate, Gen: &transport.GenSpec{Kind: kind, Params: map[string]int64{"fail": 1}}})
@@ -335,6 +335,35 @@ func TestGeneratorRegistry(t *testing.T) {
 	RegisterGenerator(kind, nil)
 }
 
+// TestShortRowRefused: a relation with a row narrower than its schema is
+// refused at load, not left to panic the site on its first query. A
+// generator returning one fails OpGenerate with the refusal, and an
+// in-process Load stores it for every later request.
+func TestShortRowRefused(t *testing.T) {
+	short := func() *relation.Relation {
+		r := flowRel(testFlow...)
+		r.Rows[1] = r.Rows[1][:1]
+		return r
+	}
+	const want = "site s1: relation short: relation: row 1 has 1 values, schema (SourceAS:INT, DestAS:INT, NumBytes:INT) has 3 columns"
+	kind := fmt.Sprintf("test-short-%d", len(generators))
+	RegisterGenerator(kind, func(*transport.GenSpec) (*relation.Relation, error) { return short(), nil })
+	e := NewEngine("s1")
+	ctx := context.Background()
+	if resp := e.Handle(ctx, &transport.Request{Op: transport.OpGenerate, Gen: &transport.GenSpec{Kind: kind, Rel: "short"}}); resp.Err != "generate: "+want {
+		t.Fatalf("generate: Err %q, want %q", resp.Err, "generate: "+want)
+	}
+	e.Load("short", short())
+	for _, req := range []*transport.Request{
+		{Op: transport.OpRelInfo, Rel: "short"},
+		{Op: transport.OpEvalBase, Detail: "short", BaseCols: []string{"SourceAS"}},
+	} {
+		if resp := e.Handle(ctx, req); resp.Err != req.Op.String()+": "+want {
+			t.Errorf("%s after Load: Err %q, want %q", req.Op, resp.Err, want)
+		}
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/site.snap"
@@ -353,12 +382,9 @@ func TestSnapshotRestore(t *testing.T) {
 	if len(names) != 2 {
 		t.Fatalf("restored relations: %v", names)
 	}
-	rel, err := fresh.Relation("flow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 4 {
-		t.Errorf("restored flow rows = %d", rel.Len())
+	info := fresh.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "flow"})
+	if info.Error() != nil || info.RowCount != 4 {
+		t.Errorf("restored flow: %v, %d rows", info.Error(), info.RowCount)
 	}
 	// Restored engine answers queries identically.
 	resp := fresh.Handle(context.Background(), &transport.Request{

@@ -54,11 +54,9 @@ func chainOverBase(base *relation.Relation) *transport.Request {
 // two-round chain over a shipped base is built in one backing, not one
 // allocation per reply row.
 func TestChainedStatesOnlyAllocsDoNotScaleWithBase(t *testing.T) {
-	e := fusedEngine(t, 24000)
-	part, err := e.Relation("tpcr")
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := fusedPartition(t, 24000)
+	e := NewEngine("site0")
+	e.Load("tpcr", part)
 	allocs := func(groups int) float64 {
 		req := chainOverBase(custBase(t, part, groups))
 		if got := handleOK(t, e, req).Rel; got.Len() != groups || got.Schema.Len() != 4 {

@@ -35,8 +35,8 @@ type Grouping struct {
 func (g *Grouping) Len() int { return len(g.first) }
 
 // Grouping returns the memoized grouping of the key columns, building it
-// on first use. It lives on the batch, so a site that caches its detail
-// batch pays for hashing the key once, not once per request.
+// on first use. It lives on the batch, so a site, which stores its detail
+// batch, pays for hashing the key once, not once per request.
 func (b *Batch) Grouping(cols []int) (*Grouping, error) {
 	if err := b.Check(); err != nil {
 		return nil, err

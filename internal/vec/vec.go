@@ -190,10 +190,13 @@ func (b *Batch) checkCol(ci int) error {
 }
 
 // FromRelation converts a row relation into a batch. The conversion is
-// strict: every value must be NULL or match its column's declared kind
-// (a column declared KindNull accepts only NULLs); the error names the
-// first column, kinds and row that break the rule.
+// strict: every row as wide as the schema, every value NULL or of its
+// column's declared kind (a column declared KindNull accepts only NULLs);
+// the error names the first row, or column, kinds and row, that breaks it.
 func FromRelation(r *relation.Relation) (*Batch, error) {
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
 	n := len(r.Rows)
 	b := &Batch{Schema: r.Schema, Cols: make([]Col, r.Schema.Len()), n: n}
 	for ci, sc := range r.Schema.Cols {

@@ -422,6 +422,27 @@ func TestRoundTripAndRows(t *testing.T) {
 	}
 }
 
+// TestFromRelationRowWidth: a row narrower or wider than the schema is
+// refused with an error naming it, instead of panicking on the missing
+// value or dropping the extra one.
+func TestFromRelationRowWidth(t *testing.T) {
+	i := value.NewInt
+	for _, c := range []struct {
+		name string
+		bad  relation.Row
+		want string
+	}{
+		{"short", relation.Row{i(1)}, "relation: row 1 has 1 values, schema (I:INT, F:FLOAT, S:STRING, B:BOOL) has 4 columns"},
+		{"long", relation.Row{i(1), null, null, null, i(5)}, "relation: row 1 has 5 values, schema (I:INT, F:FLOAT, S:STRING, B:BOOL) has 4 columns"},
+	} {
+		r := keyRel(row(i(0), null, null, null))
+		r.Rows = append(r.Rows, c.bad, row(i(2), null, null, null))
+		if b, err := FromRelation(r); err == nil || err.Error() != c.want {
+			t.Errorf("%s row: batch %v, error %v; want %q", c.name, b, err, c.want)
+		}
+	}
+}
+
 func TestFilterMatchesRowPredicate(t *testing.T) {
 	r := hostileRel()
 	b, err := FromRelation(r)
