@@ -307,75 +307,65 @@ func FormatAblation(rows []AblationRow) string {
 	return t.String()
 }
 
-// RunAll executes every experiment and returns the full report. For the
-// machine-readable variant see RunAllResults.
-func (h *Harness) RunAll() (string, error) {
-	return h.runAll(nil)
-}
-
-// runAll executes every experiment, rendering the report and — when res
-// is non-nil — folding every figure's metrics into it.
-func (h *Harness) runAll(res Results) (string, error) {
-	collect := func(r Results) {
-		if res != nil {
-			res.Merge(r)
-		}
-	}
+// RunAllResults executes every experiment, returning both the human
+// report and the machine-readable artifact with every figure's metrics.
+func (h *Harness) RunAllResults() (string, Results, error) {
+	res := Results{}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Skalla experimental evaluation — %d sites, %d rows, %d/%d high/low-card groups\n\n",
 		h.Config.Sites, h.Config.Rows, h.Config.Customers, h.Config.LowCardGroups)
 
 	fig2, err := h.Fig2()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString(fig2.String() + "\n")
-	collect(fig2.Metrics())
+	res.Merge(fig2.Metrics())
 
 	f3h, f3l, err := h.Fig3()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString(f3h.String() + "\n" + f3l.String() + "\n")
-	collect(f3h.Metrics("fig3_high"))
-	collect(f3l.Metrics("fig3_low"))
+	res.Merge(f3h.Metrics("fig3_high"))
+	res.Merge(f3l.Metrics("fig3_low"))
 
 	f4h, f4l, err := h.Fig4()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString(f4h.String() + "\n" + f4l.String() + "\n")
-	collect(f4h.Metrics("fig4_high"))
-	collect(f4l.Metrics("fig4_low"))
+	res.Merge(f4h.Metrics("fig4_high"))
+	res.Merge(f4l.Metrics("fig4_low"))
 
 	f5, err := h.Fig5(false)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString(f5.String() + "\n")
-	collect(f5.Metrics())
+	res.Merge(f5.Metrics())
 	f5c, err := h.Fig5(true)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString(f5c.String() + "\n")
-	collect(f5c.Metrics())
+	res.Merge(f5c.Metrics())
 	if err := h.Reset(); err != nil {
-		return "", err
+		return "", nil, err
 	}
 
 	abl, err := h.Ablation()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString(FormatAblation(abl) + "\n")
-	collect(AblationMetrics(abl))
+	res.Merge(AblationMetrics(abl))
 
 	tree, err := TreeExperiment(h.Config)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	b.WriteString("\n" + tree.String())
-	collect(tree.Metrics())
-	return b.String(), nil
+	res.Merge(tree.Metrics())
+	return b.String(), res, nil
 }

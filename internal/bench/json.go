@@ -121,14 +121,3 @@ func (r *TreeResult) Metrics() Results {
 	}
 	return Results{"tree": out}
 }
-
-// RunAllResults executes every experiment, returning both the human
-// report and the machine-readable artifact.
-func (h *Harness) RunAllResults() (string, Results, error) {
-	res := Results{}
-	report, err := h.runAll(res)
-	if err != nil {
-		return "", nil, err
-	}
-	return report, res, nil
-}

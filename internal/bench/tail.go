@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -37,8 +38,10 @@ type TailConfig struct {
 	Queries int
 	// TailP is the per-call probability that a site call straggles
 	// (default 0.12); TailDelay is the injected straggler latency
-	// (default 50ms). Both variants replay the identical seeded fault
-	// sequence, so hedged and unhedged runs face the same stragglers.
+	// (default 50ms). Each site's first connection draws the same seeded
+	// fault sequence in both variants, so hedged and unhedged runs start
+	// from the same stragglers; a primary redialed after losing a hedge
+	// draws the site's next seed.
 	TailP     float64
 	TailDelay time.Duration
 	// Resilience tunes the hedged variant: HedgeDelay is the fixed hedge
@@ -168,8 +171,9 @@ func tailCluster(cfg TailConfig) ([]*site.Engine, *catalog.Catalog, error) {
 }
 
 // tailSites assembles one variant's client stacks: every site's primary
-// replica is wrapped in seeded heavy-tail chaos — seeded by site index, so
-// the fault sequence is identical across variants — and, when hedged, a
+// replica is wrapped in seeded heavy-tail chaos — seeded by site index and
+// connection, so each site's first connection faces the same stragglers in
+// both variants — and, when hedged, a
 // clean replica of the same engine answers hedges, which are drawn from
 // one budget and counted in sink.
 func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs) ([]*transport.Site, []transport.Client, error) {
@@ -177,10 +181,15 @@ func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs)
 	built := make([]*transport.Site, len(sites))
 	clients := make([]transport.Client, len(sites))
 	for i, eng := range sites {
-		seed := cfg.Seed + int64(i)
+		first := cfg.Seed + int64(i)
+		var dials atomic.Int64
 		spec := transport.SiteSpec{ID: eng.ID(), Replicas: []transport.Replica{{
 			Handler: eng,
 			Chaos: func(cl transport.Client) *transport.Chaos {
+				// A call that loses a hedge hangs up, so the primary is
+				// redialed; the new connection draws the site's next seed
+				// instead of replaying the first connection's stragglers.
+				seed := first + int64(len(sites))*(dials.Add(1)-1)
 				ch := transport.NewChaos(cl, seed)
 				ch.SetTailLatency(seed, cfg.TailP, cfg.TailDelay)
 				return ch

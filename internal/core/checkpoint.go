@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
 // Checkpoint is the durable state of one execution after a completed
@@ -91,122 +90,63 @@ func PlanEpoch(p *Plan) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// checkpointFormat versions the checkpoint file. Format 2 rounds carry
-// their per-site records (RoundStats.Sites), from which the coverage
-// lists are derived; a file of any other format (format-1 files have no
-// version field and list coverage without the records) is refused whole
-// rather than half-read, and the execution starts fresh.
-const checkpointFormat = 2
+// checkpointFormat versions the checkpoint file. Format 3 carries X as
+// its relation frame (relation.AppendFrame, base64 in the JSON), so every
+// value reads back bit for bit — −0, NaN and ±Inf included — and rounds
+// carry their per-site records (RoundStats.Sites), from which the coverage
+// lists are derived. A file of any other format (format 2 spelled X value
+// by value, format 1 had no version field and no per-site records) is
+// refused whole rather than half-read, and the execution starts fresh.
+const checkpointFormat = 3
 
 // Checkpoint wire shape. Rounds encode exactly as in ExecStats.JSON
 // (integer nanoseconds, sites sorted) so checkpoints encode
 // byte-identically run to run.
 type checkpointJSON struct {
-	Format int           `json:"format"`
-	Epoch  string        `json:"epoch"`
-	Done   int           `json:"done"`
-	X      *relationJSON `json:"x"`
-	Rounds []RoundStats  `json:"rounds"`
-}
-
-type relationJSON struct {
-	Cols []columnJSON `json:"cols"`
-	Rows [][]ckptVal  `json:"rows"`
-}
-
-type columnJSON struct {
-	Name string `json:"name"`
-	Kind uint8  `json:"kind"`
-}
-
-// ckptVal is the JSON shape of one value.V: the kind plus whichever
-// payload field the kind selects (the others stay at their zero values
-// and are omitted).
-type ckptVal struct {
-	K uint8   `json:"k"`
-	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
-	S string  `json:"s,omitempty"`
+	Format int          `json:"format"`
+	Epoch  string       `json:"epoch"`
+	Done   int          `json:"done"`
+	X      []byte       `json:"x"`
+	Rounds []RoundStats `json:"rounds"`
 }
 
 // EncodeCheckpoint renders cp as deterministic JSON.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	out := checkpointJSON{Format: checkpointFormat, Epoch: cp.Epoch, Done: cp.Done, Rounds: cp.Rounds}
 	if cp.X != nil {
-		r, err := relToJSON(cp.X)
-		if err != nil {
-			return nil, err
+		if err := cp.X.Validate(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint X: %w", err)
 		}
-		out.X = r
+		out.X = relation.AppendFrame(nil, cp.X)
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// DecodeCheckpoint parses EncodeCheckpoint's output.
+// DecodeCheckpoint parses EncodeCheckpoint's output. The format is read
+// first, so a file of another format is refused as such.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+	var format struct {
+		Format int `json:"format"`
+	}
+	if err := json.Unmarshal(b, &format); err != nil {
+		return nil, fmt.Errorf("core: parse checkpoint: %w", err)
+	}
+	if format.Format != checkpointFormat {
+		return nil, fmt.Errorf("core: checkpoint format %d, want %d", format.Format, checkpointFormat)
+	}
 	var in checkpointJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return nil, fmt.Errorf("core: parse checkpoint: %w", err)
 	}
-	if in.Format != checkpointFormat {
-		return nil, fmt.Errorf("core: checkpoint format %d, want %d", in.Format, checkpointFormat)
-	}
 	cp := &Checkpoint{Epoch: in.Epoch, Done: in.Done, Rounds: in.Rounds}
 	if in.X != nil {
-		x, err := relFromJSON(in.X)
+		x, err := relation.ReadFrame(in.X)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint X: %w", err)
 		}
 		cp.X = x
 	}
 	return cp, nil
-}
-
-func relToJSON(r *relation.Relation) (*relationJSON, error) {
-	if r.Schema == nil {
-		return nil, fmt.Errorf("core: checkpoint relation has no schema")
-	}
-	out := &relationJSON{Cols: make([]columnJSON, len(r.Schema.Cols))}
-	for i, c := range r.Schema.Cols {
-		out.Cols[i] = columnJSON{Name: c.Name, Kind: uint8(c.Kind)}
-	}
-	out.Rows = make([][]ckptVal, len(r.Rows))
-	for i, row := range r.Rows {
-		jr := make([]ckptVal, len(row))
-		for j, v := range row {
-			jr[j] = ckptVal{K: uint8(v.K), I: v.Int(), F: v.Float(), S: v.S}
-		}
-		out.Rows[i] = jr
-	}
-	return out, nil
-}
-
-func relFromJSON(in *relationJSON) (*relation.Relation, error) {
-	cols := make([]relation.Column, len(in.Cols))
-	for i, c := range in.Cols {
-		cols[i] = relation.Column{Name: c.Name, Kind: value.Kind(c.Kind)}
-	}
-	schema, err := relation.NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(schema)
-	out.Rows = make([]relation.Row, len(in.Rows))
-	for i, jr := range in.Rows {
-		if len(jr) != len(cols) {
-			return nil, fmt.Errorf("row %d has %d values for %d columns", i, len(jr), len(cols))
-		}
-		row := make(relation.Row, len(jr))
-		for j, jv := range jr {
-			v, ok := value.FromParts(value.Kind(jv.K), jv.I, jv.F, jv.S)
-			if !ok {
-				return nil, fmt.Errorf("row %d column %d: no %s value has this payload", i, j, v.K)
-			}
-			row[j] = v
-		}
-		out.Rows[i] = row
-	}
-	return out, nil
 }
 
 // MemCheckpoints is an in-memory CheckpointStore. It round-trips through

@@ -329,6 +329,14 @@ func TestResumeAfterInterruption(t *testing.T) {
 	// round 2 and only executes the last round.
 	coord2 := NewCoordinator(coord.Clients()...)
 	coord2.Checkpoints = store
+	// The interruption may have cut sibling calls short, and a redialed
+	// connection's first exchange carries gob's type preamble: warm every
+	// connection so the re-executed round is counted like the reference.
+	for _, cl := range coord2.Clients() {
+		if _, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	o2 := obs.New()
 	coord2.Obs = o2
 	got, stats, _, err := coord2.Run(context.Background(), q, "flow", egil)

@@ -13,6 +13,7 @@ import (
 
 func BenchmarkLocalRoundTrip(b *testing.B) {
 	c := NewLocalClient("s", newEchoHandler(), CostModel{})
+	defer c.Close()
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(200)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

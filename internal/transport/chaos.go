@@ -61,7 +61,7 @@ type Fault struct {
 //     the same fault sequence for the same call sequence.
 //
 // Chaos implements Client and composes with every other wrapper; wrap the
-// innermost client (e.g. chaos around a LocalClient, inside a
+// innermost client (e.g. chaos around a TCPClient, inside a
 // Reconnector) to exercise retry and failover paths.
 type Chaos struct {
 	inner Client
@@ -138,11 +138,6 @@ func (c *Chaos) DelayNext(op Op, d time.Duration) { c.Inject(op, Fault{Delay: d}
 // DropNext makes the next call with op close the underlying client and
 // fail, as if the connection were torn down mid-exchange.
 func (c *Chaos) DropNext(op Op) { c.Inject(op, Fault{Drop: true, Err: ErrInjected}) }
-
-// DropAfterNext makes the next call with op complete normally and then
-// closes the underlying client: the site's answer for this round is
-// delivered, but the connection is dead at the next round boundary.
-func (c *Chaos) DropAfterNext(op Op) { c.Inject(op, Fault{DropAfter: true}) }
 
 // InjectAt schedules a one-shot fault for the nth future call (1-based)
 // carrying the given opcode, counted from now on a per-op counter — so

@@ -10,19 +10,14 @@ import (
 // paper's experiments ran on a LAN of workstations where communication is
 // a first-order cost; on a single machine real TCP over loopback is far
 // too fast to reproduce that, so the harness attributes a modeled transfer
-// time to every message based on its measured byte size.
-//
-// With Sleep false (the default) the model only accounts time, keeping
-// tests and benchmarks fast; with Sleep true it really delays, which makes
-// the wall-clock behavior of examples faithful.
+// time to every message based on its measured byte size. The model only
+// accounts time; it never delays a message.
 type CostModel struct {
 	// LatencyPerMsg is the fixed per-message cost (propagation + RPC
 	// overhead), applied to each request and each response.
 	LatencyPerMsg time.Duration
 	// BytesPerSec is the link bandwidth; 0 means infinite.
 	BytesPerSec float64
-	// Sleep selects real delays instead of virtual accounting.
-	Sleep bool
 }
 
 // DefaultWAN is a 10 Mbit/s, 2 ms link — the rough shape of the paper-era
@@ -117,9 +112,6 @@ func (w *WireStats) AddSent(n int, c CostModel) {
 	w.messages++
 	w.commTime += d
 	w.mu.Unlock()
-	if c.Sleep {
-		time.Sleep(d)
-	}
 }
 
 // AddReceived records n bytes received plus its modeled transfer time.
@@ -129,9 +121,6 @@ func (w *WireStats) AddReceived(n int, c CostModel) {
 	w.bytesReceived += int64(n)
 	w.commTime += d
 	w.mu.Unlock()
-	if c.Sleep {
-		time.Sleep(d)
-	}
 }
 
 // Snapshot returns the current totals.

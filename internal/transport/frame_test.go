@@ -129,7 +129,9 @@ func TestMalformedRelationRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		for _, cl := range []Client{c, NewLocalClient("site1", h, CostModel{})} {
+		local := NewLocalClient("site1", h, CostModel{})
+		defer local.Close()
+		for _, cl := range []Client{c, local} {
 			for i := 0; i < 2; i++ { // the same connection answers again
 				resp, err := cl.Call(ctx, &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round})
 				if err != nil || resp.Rel != nil || !strings.Contains(resp.Err, "row 0 has 1 values") {

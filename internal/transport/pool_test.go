@@ -123,6 +123,13 @@ func TestPoolLeaseStatsIsolated(t *testing.T) {
 	h := newGateHandler()
 	p := NewPool("s0", 1, localDial(h), nil)
 	defer p.Close()
+	// The connection's first exchange carries gob's type preamble: warm it
+	// so every counted call below is the same size.
+	warm := p.Lease()
+	if _, err := warm.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	warm.Close()
 
 	a, b := p.Lease(), p.Lease()
 	if _, err := a.Call(context.Background(), &Request{Op: OpPing}); err != nil {

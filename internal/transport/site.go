@@ -16,8 +16,9 @@ import (
 type Resilience struct {
 	// Attempts is the tries per endpoint before failing over to the next
 	// replica, Backoff the base pause between them (exponential, jittered).
-	// Attempts 0 omits the retry layer: the site is called over a bare
-	// connection, as in-process and loopback clusters are.
+	// Attempts 0 omits the retry layer: each call is sent once over a
+	// bare connection, redialed after a failed call, as in-process and
+	// loopback clusters are.
 	Attempts int
 	Backoff  time.Duration
 	// Hedge races a round call that outlives the hedge threshold — the
@@ -63,7 +64,7 @@ func (r Resilience) NewBudget(o *obs.Obs) *RetryBudget {
 }
 
 // Replica is one endpoint of a logical site: a site server's TCP address
-// or, when Handler is set, an in-process handler.
+// or, when Handler is set, an in-process handler reached over a pipe.
 type Replica struct {
 	Addr    string
 	Handler Handler
@@ -148,10 +149,13 @@ func NewSite(spec SiteSpec) (*Site, error) {
 }
 
 // opener returns the function opening one retry → leaf connection over
-// replicas — or, without a retry layer, dialing the bare leaf.
+// replicas. Without a retry layer (Attempts ≤ 0) it is a one-attempt
+// Reconnector outside the retry budget: each call is sent once, and a
+// connection a failed or cancelled call broke is redialed on the next.
 func (s *Site) opener(replicas []Replica, budget *RetryBudget) func() (Client, error) {
-	if s.spec.Attempts <= 0 {
-		return func() (Client, error) { return s.dial(replicas[0]) }
+	attempts := s.spec.Attempts
+	if attempts <= 0 {
+		attempts, budget = 1, nil
 	}
 	dials := make([]func() (Client, error), len(replicas))
 	for i, r := range replicas {
@@ -159,31 +163,29 @@ func (s *Site) opener(replicas []Replica, budget *RetryBudget) func() (Client, e
 		dials[i] = func() (Client, error) { return s.dial(r) }
 	}
 	return func() (Client, error) {
-		return newReplicaSet(s.spec.ID, dials, s.spec.Attempts, s.spec.Backoff, budget, s.spec.Obs), nil
+		return newReplicaSet(s.spec.ID, dials, attempts, s.spec.Backoff, budget, s.spec.Obs), nil
 	}
 }
 
-// dial opens the leaf connection to one replica.
+// dial opens the leaf connection to one replica: a TCP connection, or a
+// pipe to an in-process handler served by the same connection loop.
 func (s *Site) dial(r Replica) (Client, error) {
-	var cl Client
+	var tc *TCPClient
 	if r.Handler != nil {
-		lc := NewLocalClient(s.spec.ID, r.Handler, s.spec.Cost)
-		lc.obs = s.spec.Obs
-		cl = lc
+		tc = dialPipe(s.spec.ID, r.Handler, s.spec.Cost)
 	} else {
-		tc, err := DialTCP(s.spec.ID, r.Addr, s.spec.Cost)
-		if err != nil {
+		var err error
+		if tc, err = DialTCP(s.spec.ID, r.Addr, s.spec.Cost); err != nil {
 			return nil, err
 		}
-		tc.obs = s.spec.Obs
-		cl = tc
 	}
-	if r.Chaos != nil {
-		ch := r.Chaos(cl)
-		ch.SetObs(s.spec.Obs)
-		cl = ch
+	tc.obs = s.spec.Obs
+	if r.Chaos == nil {
+		return tc, nil
 	}
-	return cl, nil
+	ch := r.Chaos(tc)
+	ch.SetObs(s.spec.Obs)
+	return ch, nil
 }
 
 // calls returns a view, hedge → pool → retry → leaf, over pooled leases

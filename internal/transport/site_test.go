@@ -146,6 +146,7 @@ func TestStackBudgetOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cl.Close()
 	if _, err := cl.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}

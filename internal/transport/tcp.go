@@ -19,7 +19,8 @@ import (
 
 // Server serves site requests over TCP. Each connection runs a
 // decode-handle-encode loop; connections are independent, so one server
-// can serve several coordinators.
+// can serve several coordinators. The same loop serves an in-process
+// site over a pipe (NewLocalClient).
 type Server struct {
 	handler  Handler
 	listener net.Listener
@@ -134,7 +135,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		var req Request
 		err := dec.Decode(&req)
 		if err != nil && !errors.Is(err, relation.ErrMalformed) {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
+			if !hungUp(err) {
 				s.Logf("transport: decode request: %v", err)
 			}
 			return
@@ -169,7 +170,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.release()
 		}
 		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
+			if !hungUp(err) {
 				s.Logf("transport: encode response: %v", err)
 			}
 			return
@@ -316,6 +317,15 @@ func (s *Server) handleWatched(ctx context.Context, conn net.Conn, pr *pushbackR
 	return resp, !peerGone
 }
 
+// hungUp reports whether err ended a connection the usual way, not worth
+// logging: the peer hung up (at or inside a message, which a caller
+// abandoning a call mid-send does), either end closed it — a socket or an
+// in-process pipe — or our own deadline poke timed it out.
+func hungUp(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) || isTimeout(err)
+}
+
 // isTimeout reports whether err is a network timeout (our own deadline
 // pokes surface as timeouts and are not worth logging).
 func isTimeout(err error) bool {
@@ -377,7 +387,8 @@ func (s *Server) close(wait bool) error {
 	return err
 }
 
-// TCPClient is a Client over a TCP connection.
+// TCPClient is a Client over one connection: a TCP socket, or the pipe
+// to an in-process site.
 type TCPClient struct {
 	id   string
 	conn net.Conn
@@ -405,13 +416,18 @@ func DialTCP(id, addr string, cost CostModel) (*TCPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
+	return newTCPClient(id, conn, cost), nil
+}
+
+// newTCPClient starts the gob streams of a client over conn.
+func newTCPClient(id string, conn net.Conn, cost CostModel) *TCPClient {
 	cw := &countingWriter{w: conn}
 	cr := &countingReader{r: conn}
 	return &TCPClient{
 		id: id, conn: conn,
 		enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cr),
 		cw: cw, cr: cr, cost: cost,
-	}, nil
+	}
 }
 
 // SiteID implements Client.

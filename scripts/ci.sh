@@ -77,8 +77,10 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # HandleFused also matches BenchmarkHandleFusedFiltered, the fused request
 # under a served WHERE clause's base filter; HandleChained is one site's
 # share of the scan_lowcard workload's fused two-round chain; Grouping prices
-# a key grouping's clustered view, built once per load.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core > /dev/null
+# a key grouping's clustered view, built once per load; RoundTrip is one
+# call in process (over a pipe) and over loopback TCP, the same client and
+# server code on both.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh

@@ -34,6 +34,27 @@ var CubeAll = value.Null
 // CubeAll. Aggregates may be any of count/sum/avg/min/max/var/stddev
 // (countd's sketch state is not client-mergeable through the public API).
 func Cube(cluster *Cluster, detail string, dims []string, aggs AggList, opts Options) (*Relation, error) {
+	sets, err := cubeSets(dims)
+	if err != nil {
+		return nil, err
+	}
+	return GroupingSets(cluster, detail, dims, sets, aggs, opts)
+}
+
+// Rollup computes the ROLLUP of the dimensions: the grouping sets are the
+// prefixes (a,b,c), (a,b), (a), () — the classic hierarchy drill-up.
+func Rollup(cluster *Cluster, detail string, dims []string, aggs AggList, opts Options) (*Relation, error) {
+	sets, err := rollupSets(dims)
+	if err != nil {
+		return nil, err
+	}
+	return GroupingSets(cluster, detail, dims, sets, aggs, opts)
+}
+
+// cubeSets returns the 2^d grouping sets of a cube over dims, set i
+// holding the dimensions whose bit is set in i. It refuses an empty or an
+// oversized cube.
+func cubeSets(dims []string) ([][]string, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("skalla: cube needs at least one dimension")
 	}
@@ -50,12 +71,11 @@ func Cube(cluster *Cluster, detail string, dims []string, aggs AggList, opts Opt
 		}
 		sets = append(sets, set)
 	}
-	return GroupingSets(cluster, detail, dims, sets, aggs, opts)
+	return sets, nil
 }
 
-// Rollup computes the ROLLUP of the dimensions: the grouping sets are the
-// prefixes (a,b,c), (a,b), (a), () — the classic hierarchy drill-up.
-func Rollup(cluster *Cluster, detail string, dims []string, aggs AggList, opts Options) (*Relation, error) {
+// rollupSets returns the prefixes of dims, longest first.
+func rollupSets(dims []string) ([][]string, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("skalla: rollup needs at least one dimension")
 	}
@@ -63,7 +83,7 @@ func Rollup(cluster *Cluster, detail string, dims []string, aggs AggList, opts O
 	for n := len(dims); n >= 0; n-- {
 		sets = append(sets, append([]string(nil), dims[:n]...))
 	}
-	return GroupingSets(cluster, detail, dims, sets, aggs, opts)
+	return sets, nil
 }
 
 // GroupingSets computes the given grouping sets (each a subset of dims)

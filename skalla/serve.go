@@ -191,7 +191,7 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 
 	view := &Cluster{AnalyzeTiming: s.cluster.AnalyzeTiming, ids: s.cluster.ids, clients: clients, coord: coord, cat: s.cluster.cat, obs: s.cluster.obs}
 	start := time.Now()
-	rel, err := view.SQLContext(ctx, query, *s.cfg.Opts)
+	rel, err := view.sqlStatement(ctx, st, *s.cfg.Opts)
 	wall := time.Since(start)
 	s.obs.Observe("serve.query_ns", wall.Nanoseconds())
 	if s.cfg.SlowQuery > 0 && wall >= s.cfg.SlowQuery {

@@ -26,6 +26,7 @@ package skalla
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -106,11 +107,12 @@ type ClusterConfig struct {
 	// Sites is the number of warehouse sites (default 4).
 	Sites int
 	// Cost models each coordinator↔site link; the zero value accounts
-	// nothing and sleeps never.
+	// nothing.
 	Cost CostModel
 	// UseTCP runs each site behind a real TCP server on loopback instead
-	// of the in-process transport. Byte accounting is identical; TCP
-	// mainly serves integration testing and demos.
+	// of over an in-process pipe. Both run the same client and server
+	// code, so every call is encoded, counted and cancelled alike; TCP
+	// adds the sockets, for integration testing and demos.
 	UseTCP bool
 	// Settings are the coordinator's deployment behaviours: call timeout,
 	// degraded partial results, the obs sink (also handed to the site
@@ -317,10 +319,11 @@ func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Close releases all connections and stops owned servers.
+// Close releases all connections — a tree cluster's leaf connections
+// too — and stops owned servers.
 func (c *Cluster) Close() error {
 	var first error
-	for _, cl := range c.clients {
+	for _, cl := range slices.Concat(c.clients, c.leafClients) {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -1,15 +1,21 @@
 package skalla
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gmdj"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	sqlfe "repro/internal/sql"
 	"repro/internal/tpcr"
+	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -81,6 +87,54 @@ func TestLocalClusterEndToEnd(t *testing.T) {
 		}
 		if err := cluster.Close(); err != nil {
 			t.Errorf("close: %v", err)
+		}
+	}
+}
+
+// TestCancelledCallRedials: a query cancelled while a site is handling its
+// call breaks that connection, and the next query on the same cluster
+// redials instead of failing on the broken stream — in process and over
+// loopback TCP alike.
+func TestCancelledCallRedials(t *testing.T) {
+	for _, useTCP := range []bool{false, true} {
+		cluster, err := NewLocalCluster(ClusterConfig{Sites: 2, UseTCP: useTCP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		parts, _ := flowParts(2)
+		if err := cluster.Load("flow", parts); err != nil {
+			t.Fatal(err)
+		}
+		// Site 0's request span reads the tracer clock first thing in
+		// Handle; armed, the clock holds the request there until released.
+		var armed atomic.Bool
+		entered, release := make(chan struct{}), make(chan struct{})
+		siteObs := obs.New()
+		siteObs.Tracer.SetNow(func() time.Time {
+			if armed.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+			return time.Now()
+		})
+		cluster.engines[0].SetObs(siteObs)
+
+		armed.Store(true)
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := cluster.QueryContext(ctx, example1(), "flow", NoOptimizations)
+			done <- err
+		}()
+		<-entered
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("tcp=%v: cancelled query returned %v, want context.Canceled", useTCP, err)
+		}
+		close(release)
+		if _, err := cluster.Query(example1(), "flow", NoOptimizations); err != nil {
+			t.Errorf("tcp=%v: query after a cancelled call: %v", useTCP, err)
 		}
 	}
 }
@@ -513,6 +567,13 @@ func TestSessionKeepsCostModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer session.Close()
+	// A connection's first exchange carries gob's type preamble; Load
+	// warmed the cluster's, so warm the session's too.
+	for _, cl := range session.clients {
+		if _, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	onCluster, err := cluster.Query(example1(), "flow", NoOptimizations)
 	if err != nil {
 		t.Fatal(err)

@@ -32,28 +32,26 @@ func (c *Cluster) SQLContext(ctx context.Context, query string, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
+	return c.sqlStatement(ctx, st, opts)
+}
+
+// sqlStatement executes a parsed statement.
+func (c *Cluster) sqlStatement(ctx context.Context, st *sqlfe.Statement, opts Options) (*Relation, error) {
 	if st.Explain {
 		return c.sqlExplain(ctx, st, opts)
 	}
 
 	var rel *Relation
+	var err error
 	switch {
 	case st.Cube || st.Rollup:
-		var sets [][]string
+		build := rollupSets
 		if st.Cube {
-			for mask := 0; mask < 1<<len(st.GroupCols); mask++ {
-				var set []string
-				for di := range st.GroupCols {
-					if mask&(1<<di) != 0 {
-						set = append(set, st.GroupCols[di])
-					}
-				}
-				sets = append(sets, set)
-			}
-		} else {
-			for n := len(st.GroupCols); n >= 0; n-- {
-				sets = append(sets, append([]string(nil), st.GroupCols[:n]...))
-			}
+			build = cubeSets
+		}
+		sets, err := build(st.GroupCols)
+		if err != nil {
+			return nil, &sqlfe.ParseError{Err: err}
 		}
 		rel, err = groupingSets(ctx, c, st.Detail, st.GroupCols, sets, AggList(st.Aggs), st.Where, opts)
 		if err != nil {

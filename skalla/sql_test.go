@@ -1,10 +1,18 @@
 package skalla
 
 import (
+	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/gmdj"
+	"repro/internal/obs"
+	sqlfe "repro/internal/sql"
+	"repro/internal/tpcr"
 	"repro/internal/value"
 )
 
@@ -213,5 +221,42 @@ func TestSQLOrderByAndLimit(t *testing.T) {
 		if _, err := cluster.SQL(q, NoOptimizations); err == nil {
 			t.Errorf("SQL(%q) should fail", q)
 		}
+	}
+}
+
+// TestSQLCubeRefusesOversizedCube: CUBE BY shares Cube's grouping-set
+// builder, refusal included, so a 13-dimension cube (2^13 grouping sets) is
+// refused through SQL and over HTTP before any site is called.
+func TestSQLCubeRefusesOversizedCube(t *testing.T) {
+	o := obs.New()
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 2, Settings: Settings{Obs: o}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if _, err := cluster.Generate("tpcr", "tpcr", tpcr.GenParams(tpcr.Config{Rows: 200, Customers: 10, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	stmt := "SELECT count(*) AS n FROM tpcr CUBE BY OrderKey, LineNumber, CustKey, CustName, CustGroup, " +
+		"NationKey, RegionKey, MktSegment, PartKey, SuppKey, Quantity, ShipDate, OrderDate"
+	sent := o.Metrics.CounterValue("transport.messages")
+
+	_, err = cluster.SQL(stmt, NoOptimizations)
+	var pe *sqlfe.ParseError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "2^13 cuboids") {
+		t.Errorf("SQL = %v, want the 13-dimension refusal", err)
+	}
+	w := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(stmt), nil))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "2^13 cuboids") {
+		t.Errorf("HTTP = %d %s, want 400 and the refusal", w.Code, w.Body.String())
+	}
+	if n := o.Metrics.CounterValue("transport.messages"); n != sent {
+		t.Errorf("%d site call(s) made for a refused cube", n-sent)
 	}
 }

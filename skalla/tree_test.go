@@ -4,11 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/gmdj"
+	"repro/internal/testutil"
 	"repro/internal/tpcr"
 	"repro/internal/value"
 )
 
 func TestTreeClusterEndToEnd(t *testing.T) {
+	// Every relay and leaf connection keeps a server goroutine until the
+	// cluster is closed.
+	testutil.CheckGoroutines(t)
 	tree, err := NewTreeCluster(TreeConfig{Leaves: 4, Fanout: 2})
 	if err != nil {
 		t.Fatal(err)
