@@ -14,6 +14,7 @@ package catalog
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/relation"
@@ -40,9 +41,20 @@ type FD struct {
 }
 
 // Catalog is the distribution knowledge for one distributed warehouse.
+//
+// A catalog proves each partition attribute once per version: the verdicts
+// of IsPartitionAttr are memoized until SetDomain or AddFD changes what
+// they read. A caller that writes Sites or FDs directly must call
+// Invalidate afterwards.
 type Catalog struct {
 	Sites []SiteInfo
 	FDs   []FD
+
+	mu sync.Mutex
+	// proofs memoizes IsPartitionAttr by the attribute as asked; nil is
+	// empty.
+	//lint:guarded-by mu
+	proofs map[string]bool
 }
 
 // New returns a catalog over the named sites with no distribution
@@ -75,6 +87,7 @@ func (c *Catalog) SetDomain(siteID, attr string, d expr.Domain) error {
 		s.Domains = map[string]expr.Domain{}
 	}
 	s.Domains[strings.ToLower(attr)] = d
+	c.Invalidate()
 	return nil
 }
 
@@ -88,6 +101,14 @@ func (c *Catalog) AddFD(from, to string) {
 		}
 	}
 	c.FDs = append(c.FDs, fd)
+	c.Invalidate()
+}
+
+// Invalidate drops every memoized proof, starting a new catalog version.
+func (c *Catalog) Invalidate() {
+	c.mu.Lock()
+	c.proofs = nil
+	c.mu.Unlock()
 }
 
 // DomainsFor returns the domain map of the named site (nil if unknown
@@ -104,9 +125,20 @@ func (c *Catalog) DomainsFor(siteID string) map[string]expr.Domain {
 // projections of the sites' partitions onto attr are pairwise disjoint.
 // This holds when every site declares a domain for attr and those domains
 // are pairwise disjoint, or when attr functionally determines (possibly
-// transitively) an attribute for which that holds.
+// transitively) an attribute for which that holds. The verdict is proved
+// once per catalog version; concurrent planners may ask.
 func (c *Catalog) IsPartitionAttr(attr string) bool {
-	return c.isPartitionAttr(strings.ToLower(attr), map[string]bool{})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ok, proved := c.proofs[attr]
+	if !proved {
+		ok = c.isPartitionAttr(strings.ToLower(attr), map[string]bool{})
+		if c.proofs == nil {
+			c.proofs = map[string]bool{}
+		}
+		c.proofs[attr] = ok
+	}
+	return ok
 }
 
 func (c *Catalog) isPartitionAttr(attr string, visiting map[string]bool) bool {

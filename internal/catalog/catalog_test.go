@@ -112,6 +112,34 @@ func TestFDDerivedPartitionAttr(t *testing.T) {
 	}
 }
 
+// TestPartitionProofMemo: a proof is made once per catalog version.
+// SetDomain and AddFD start a new version, so does Invalidate after a
+// direct write; a direct write alone is not seen.
+func TestPartitionProofMemo(t *testing.T) {
+	c := New("s1", "s2")
+	c.SetDomain("s1", "nk", expr.DomainSet(vi(0, 1)...))
+	c.SetDomain("s2", "nk", expr.DomainSet(vi(2, 3)...))
+	if !c.IsPartitionAttr("nk") || c.IsPartitionAttr("ck") {
+		t.Fatal("first proofs wrong")
+	}
+	c.AddFD("ck", "nk")
+	if !c.IsPartitionAttr("CK") {
+		t.Error("AddFD after a proof did not invalidate it")
+	}
+	c.SetDomain("s2", "nk", expr.DomainSet(vi(1, 2)...))
+	if c.IsPartitionAttr("nk") || c.IsPartitionAttr("ck") {
+		t.Error("SetDomain after a proof did not invalidate it")
+	}
+	c.Sites[1].Domains["nk"] = expr.DomainSet(vi(2)...)
+	if c.IsPartitionAttr("nk") {
+		t.Error("a direct write was seen without Invalidate: the proof is not memoized")
+	}
+	c.Invalidate()
+	if !c.IsPartitionAttr("nk") || !c.IsPartitionAttr("ck") {
+		t.Error("Invalidate did not start a new version")
+	}
+}
+
 func TestFDCycleGuard(t *testing.T) {
 	c := New("s1")
 	c.AddFD("a", "b")

@@ -550,12 +550,15 @@ func (c *Coordinator) publishProfile(stats *ExecStats) {
 // blocked waiting on the stream). ships is what each site received, whose
 // states-only replies merge by position into the groups of x; nil means
 // the base round or a fused step, whose fragments bring the groups
-// themselves, keyed on K — the request's BaseCols. A relay tier (tier)
-// has a positional merge record the groups the replies answered.
+// themselves, keyed on K — the request's BaseCols; on a site-disjoint step
+// (Step.disjoint) each of their rows is a group of its own, folded by
+// position, and a key two sites brought fails the round. A relay tier
+// (tier) has a positional merge record the groups the replies answered.
 func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, step *Step, ships map[string]shipment, rs *RoundStats, tier bool) (*keyedMerge, time.Duration, error) {
 	var mergeTime time.Duration
 	var firstErr error
 	fromFragments := ships == nil
+	fold := step.disjoint()
 	keys := step.Request.BaseCols
 
 	// The merge starts at the first fragment: when fragments bring the
@@ -583,8 +586,12 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			if fromFragments { // room for as many groups at every site
 				n := h.Len() * len(c.clients)
 				m.rows = make([]relation.Row, 0, n)
-				m.index.Reserve(n)
 				m.accs.Reserve(n)
+				if fold {
+					m.hashes = make([]keyHash, 0, n)
+				} else {
+					m.index.Reserve(n)
+				}
 			}
 			if tier && !fromFragments {
 				m.kept = make([]byte, (len(groups)+7)/8)
@@ -601,7 +608,15 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			if !ps.Equal(m.schema) {
 				return fmt.Errorf("base columns %s differ from %s", ps, m.schema)
 			}
-			return m.mergeKeyed(h, idx)
+			if !fold {
+				return m.mergeKeyed(h, idx)
+			}
+			for i, p := range idx {
+				if p != i {
+					return fmt.Errorf("fragment %s does not lead with its keys", h.Schema)
+				}
+			}
+			return m.fold(site, h)
 		}
 		sh := ships[site]
 		return m.merge(h, placement{idx: sh.idx, shipped: sh.base.Len(), kept: resp.Kept})
@@ -636,6 +651,15 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			return nil, mergeTime, fmt.Errorf("all sites lost: %w", firstErr)
 		}
 		return nil, mergeTime, fmt.Errorf("no fragments arrived")
+	}
+	if fold {
+		t0 := time.Now()
+		err := m.checkDisjoint()
+		mergeTime += time.Since(t0)
+		if err != nil {
+			return nil, mergeTime, fmt.Errorf("groups are not site-disjoint on %s (the catalog's partition claim is false): %w",
+				strings.Join(step.partition, ", "), err)
+		}
 	}
 	return m, mergeTime, nil
 }

@@ -462,7 +462,8 @@ func TestExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := plan.Explain()
-	for _, want := range []string{"plan:", "Corollary 1", "Proposition 2"} {
+	for _, want := range []string{"plan:", "Corollary 1", "Proposition 2",
+		"final synchronization by position (Corollary 1): groups are site-disjoint on sourceas"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

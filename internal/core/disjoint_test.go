@@ -1,0 +1,378 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/agg"
+	"repro/internal/catalog"
+	"repro/internal/expr"
+	"repro/internal/gmdj"
+	"repro/internal/relation"
+	"repro/internal/site"
+	"repro/internal/tpcr"
+	"repro/internal/transport"
+	"repro/internal/value"
+)
+
+// keyClasses are the K values of the differential test, one slice per
+// key-equivalence class (relation.SameKey): NULL, NaN and ±0 each form
+// one, so every member of a class lands at the class's site.
+var keyClasses = func() [][]value.V {
+	out := [][]value.V{
+		{value.Null},
+		{value.NewFloat(math.NaN())},
+		{value.NewFloat(0), value.NewFloat(math.Copysign(0, -1))},
+		{value.NewFloat(1.5)},
+		{value.NewFloat(-2.25)},
+	}
+	for k := 1; k <= 9; k++ {
+		out = append(out, []value.V{value.NewFloat(float64(k))})
+	}
+	return out
+}()
+
+func keyedSchema() *relation.Schema {
+	return relation.MustSchema(
+		relation.Column{Name: "K", Kind: value.KindFloat},
+		relation.Column{Name: "D", Kind: value.KindInt},
+		relation.Column{Name: "M", Kind: value.KindInt},
+	)
+}
+
+// disjointParts partitions random rows over nSites by key class, the last
+// site holding no rows, and declares each site's classes in a catalog over
+// ids, so K is a proven partition attribute.
+func disjointParts(t *testing.T, seed int64, ids []string) ([]*relation.Relation, *catalog.Catalog) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	home := make([]int, len(keyClasses))
+	parts := make([]*relation.Relation, len(ids))
+	for i := range parts {
+		parts[i] = relation.New(keyedSchema())
+	}
+	for c := range home {
+		home[c] = rng.Intn(len(ids) - 1)
+	}
+	for i := 0; i < 400; i++ {
+		c := rng.Intn(len(keyClasses))
+		k := keyClasses[c][rng.Intn(len(keyClasses[c]))]
+		parts[home[c]].Rows = append(parts[home[c]].Rows,
+			relation.Row{k, value.NewInt(int64(rng.Intn(3))), value.NewInt(int64(rng.Intn(100)))})
+	}
+	cat := catalog.New(ids...)
+	for i, id := range ids {
+		vals := []value.V{value.NewFloat(float64(1000 + i))} // no site's set is empty
+		for c, s := range home {
+			if s == i {
+				vals = append(vals, keyClasses[c]...)
+			}
+		}
+		if err := cat.SetDomain(id, "K", expr.DomainSet(vals...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return parts, cat
+}
+
+// disjointCluster serves disjointParts from nSites in-process sites; site
+// lost, when ≥ 0, fails every evaluation.
+func disjointCluster(t *testing.T, seed int64, nSites, lost int) (*Coordinator, *catalog.Catalog) {
+	t.Helper()
+	ids := make([]string, nSites)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("site%d", i)
+	}
+	parts, cat := disjointParts(t, seed, ids)
+	clients := make([]transport.Client, nSites)
+	for i, id := range ids {
+		eng := site.NewEngine(id)
+		eng.Load("flow", parts[i])
+		var h transport.Handler = eng
+		if i == lost {
+			h = failEval{eng}
+		}
+		clients[i] = transport.NewLocalClient(id, h, transport.CostModel{})
+	}
+	t.Cleanup(func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	})
+	return NewCoordinator(clients...), cat
+}
+
+// disjointQueries are the shapes whose first step may fold: a fused
+// single MD on a one-column K, a chain whose second MD reads the first's
+// average, and a two-column K.
+func disjointQueries() map[string]gmdj.Query {
+	md := func(theta string, aggs ...string) gmdj.MD {
+		var specs []agg.Spec
+		for _, a := range aggs {
+			specs = append(specs, agg.MustParseSpec(a))
+		}
+		return gmdj.MD{Aggs: [][]agg.Spec{specs}, Thetas: []expr.Expr{expr.MustParse(theta)}}
+	}
+	return map[string]gmdj.Query{
+		"single": {Base: gmdj.BaseDef{Cols: []string{"K"}}, MDs: []gmdj.MD{
+			md("F.K = B.K", "count(*) AS n", "sum(F.M) AS s", "avg(F.M) AS a", "min(F.M) AS lo", "countd(F.M) AS dm"),
+		}},
+		"chain": {Base: gmdj.BaseDef{Cols: []string{"K"}}, MDs: []gmdj.MD{
+			md("F.K = B.K", "count(*) AS n1", "avg(F.M) AS a1"),
+			md("F.K = B.K AND F.M >= B.a1", "count(*) AS n2", "max(F.M) AS hi2"),
+			md("F.D = B.n1", "count(*) AS n3"),
+		}},
+		"pair": {Base: gmdj.BaseDef{Cols: []string{"K", "D"}}, MDs: []gmdj.MD{
+			md("F.K = B.K AND F.D = B.D", "count(*) AS n", "var(F.M) AS v"),
+		}},
+	}
+}
+
+// sortedFrame is r ordered by the Key() strings of its keys, a total order
+// NaN keys included, as its relation frame.
+func sortedFrame(t *testing.T, r *relation.Relation, keys []string) []byte {
+	t.Helper()
+	idx := make([]int, len(keys))
+	for i, k := range keys {
+		var err error
+		if idx[i], err = r.Schema.MustLookup(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := r.Clone()
+	slices.SortFunc(c.Rows, func(a, b relation.Row) int {
+		return strings.Compare(relation.RowKey(a, idx), relation.RowKey(b, idx))
+	})
+	return relation.AppendFrame(nil, c)
+}
+
+// withoutFold returns a copy of plan whose steps merge every keyed reply
+// by key: the fold forced off.
+func withoutFold(plan *Plan) *Plan {
+	p := *plan
+	p.Steps = append([]Step(nil), plan.Steps...)
+	for i := range p.Steps {
+		p.Steps[i].partition = nil
+	}
+	return &p
+}
+
+// TestDisjointFoldMatchesKeyed: over random partitions of NULL, NaN and ±0
+// keys among others, with an empty site, and with a lost site under
+// AllowPartial, every plan of every option subset whose first step folds
+// gives the same relation, byte for byte, as the same plan merging by key.
+func TestDisjointFoldMatchesKeyed(t *testing.T) {
+	folded := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, lost := range []int{-1, 1} {
+			coord, cat := disjointCluster(t, seed, 4, lost)
+			coord.AllowPartial = lost >= 0
+			for name, q := range disjointQueries() {
+				for _, opts := range allOptions() {
+					label := fmt.Sprintf("seed %d lost %d %s %s", seed, lost, name, optLabel(opts))
+					plan := mustPlan(t, coord, q, Egil{Catalog: cat, Options: opts})
+					if plan.Steps[0].disjoint() != (opts.SyncReduce) {
+						t.Fatalf("%s: first step disjoint = %v\n%s", label, plan.Steps[0].disjoint(), plan.Explain())
+					}
+					if !plan.Steps[0].disjoint() {
+						continue
+					}
+					folded++
+					got, stats, err := coord.Execute(context.Background(), plan)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if stats.Partial() != (lost >= 0) {
+						t.Fatalf("%s: partial = %v", label, stats.Partial())
+					}
+					want, _, err := coord.Execute(context.Background(), withoutFold(plan))
+					if err != nil {
+						t.Fatalf("%s keyed: %v", label, err)
+					}
+					if !bytes.Equal(sortedFrame(t, got, q.Keys()), sortedFrame(t, want, q.Keys())) {
+						t.Fatalf("%s: fold\n%s\nkeyed\n%s", label, got, want)
+					}
+					assertOwnRows(t, label, got)
+				}
+			}
+		}
+	}
+	if folded == 0 {
+		t.Fatal("no plan folded its first step")
+	}
+}
+
+// violatedCluster is the wire matrix's TPCR cluster, flat or under two
+// relays, with one row of a customer whose catalog domain is site0's
+// copied to site1 (under the other relay): the catalog's claim that
+// CustName partitions the sites is false for that customer.
+func violatedCluster(t *testing.T, relays bool) (*Coordinator, *catalog.Catalog, string) {
+	t.Helper()
+	parts := fig5Parts(t)
+	custName, _ := tpcr.Schema().Lookup("CustName")
+	row := parts[0].Rows[0]
+	parts[1].Rows = append(parts[1].Rows, append(relation.Row(nil), row...))
+	coord, cat := wireCluster(t, parts, relays, sameEngine)
+	return coord, cat, row[custName].String()
+}
+
+// TestDisjointClaimViolated: a catalog claiming CustName disjoint while
+// one customer's rows sit at two sites fails the query, in process and
+// through a relay tree, with an error naming the key and both sites. The
+// same plan merging by key absorbs the lie; the fold never returns a
+// duplicated group.
+func TestDisjointClaimViolated(t *testing.T) {
+	single := gmdj.Query{Base: gmdj.BaseDef{Cols: []string{"CustName"}}, MDs: []gmdj.MD{{
+		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS n"), agg.MustParseSpec("avg(F.Quantity) AS avg_qty")}},
+		Thetas: []expr.Expr{expr.MustParse("F.CustName = B.CustName")},
+	}}}
+	for _, relays := range []bool{false, true} {
+		coord, cat, name := violatedCluster(t, relays)
+		sites := []string{"site0", "site1"}
+		if relays {
+			sites = []string{"relay0", "relay1"}
+		}
+		for label, q := range map[string]gmdj.Query{"single": single, "fig5": fig5Query("CustName")} {
+			label = fmt.Sprintf("relays=%v %s", relays, label)
+			schema, err := coord.DetailSchema(context.Background(), "tpcr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := Egil{Catalog: cat, Options: DefaultOptions}.BuildPlan(q, "tpcr", schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plan.Steps[0].disjoint() {
+				t.Fatalf("%s: the first step does not fold:\n%s", label, plan.Explain())
+			}
+			x, _, err := coord.Execute(context.Background(), plan)
+			if err == nil {
+				t.Fatalf("%s: a violated partition claim returned %d groups", label, x.Len())
+			}
+			msg := err.Error()
+			for _, want := range append([]string{"not site-disjoint on custname", "(CustName=" + name + ")"}, sites...) {
+				if !strings.Contains(msg, want) {
+					t.Errorf("%s: error %q does not name %q", label, msg, want)
+				}
+			}
+			if label == fmt.Sprintf("relays=%v single", relays) {
+				x, _, err := coord.Execute(context.Background(), withoutFold(plan))
+				if err != nil {
+					t.Fatalf("%s keyed: %v", label, err)
+				}
+				if x.Len() != wireMatrixConfig.Customers {
+					t.Errorf("%s keyed: %d groups, want %d", label, x.Len(), wireMatrixConfig.Customers)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentPlannersShareProofs: eight planners over one catalog, while
+// its proofs are dropped under them, each get the folded plan, and stay
+// clean under the race detector.
+func TestConcurrentPlannersShareProofs(t *testing.T) {
+	coord, cat := disjointCluster(t, 7, 3, -1)
+	schema, err := coord.DetailSchema(context.Background(), "flow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := disjointQueries()["chain"]
+	stop := make(chan struct{})
+	var invalidator sync.WaitGroup
+	invalidator.Add(1)
+	go func() {
+		defer invalidator.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cat.Invalidate()
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for p := 0; p < 8; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				plan, err := Egil{Catalog: cat, Options: DefaultOptions}.BuildPlan(q, "flow", schema)
+				if err == nil && !plan.Steps[0].disjoint() {
+					err = fmt.Errorf("plan %d does not fold:\n%s", i, plan.Explain())
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	invalidator.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestHedgedFusedStep: a folded step writes its finals into the reply rows
+// it was handed. With every site's call hedged and both replicas
+// answering, the winner's reply is the caller's alone: the result equals
+// the unhedged one, under the race detector too.
+func TestHedgedFusedStep(t *testing.T) {
+	ids := []string{"site0", "site1", "site2"}
+	parts, cat := disjointParts(t, 11, ids)
+	var hedged, plain []transport.Client
+	for i, id := range ids {
+		eng := site.NewEngine(id)
+		eng.Load("flow", parts[i])
+		// The primary straggles past the hedge delay, so the secondary is
+		// raced and both replicas answer.
+		primary := transport.NewChaos(transport.NewLocalClient(id, eng, transport.CostModel{}), 1)
+		primary.DelayN(transport.OpEvalRounds, 1000, 2*time.Millisecond)
+		secondary := transport.NewLocalClient(id, eng, transport.CostModel{})
+		h := transport.NewHedger(id, []transport.Client{primary, secondary}, 500*time.Microsecond, nil, nil)
+		p := transport.NewLocalClient(id, eng, transport.CostModel{})
+		t.Cleanup(func() {
+			h.Close()
+			p.Close()
+		})
+		hedged, plain = append(hedged, h), append(plain, p)
+	}
+	coord, unhedged := NewCoordinator(hedged...), NewCoordinator(plain...)
+	for name, q := range disjointQueries() {
+		plan := mustPlan(t, coord, q, Egil{Catalog: cat, Options: DefaultOptions})
+		if !plan.Steps[0].disjoint() {
+			t.Fatalf("%s: the first step does not fold", name)
+		}
+		want, _, err := unhedged.Execute(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 5; i++ {
+			got, stats, err := coord.Execute(context.Background(), plan)
+			if err != nil {
+				t.Fatalf("%s hedged: %v", name, err)
+			}
+			if len(stats.HedgedSites()) == 0 {
+				t.Fatalf("%s: no site was hedged", name)
+			}
+			if !bytes.Equal(sortedFrame(t, got, q.Keys()), sortedFrame(t, want, q.Keys())) {
+				t.Fatalf("%s: hedged\n%s\nunhedged\n%s", name, got, want)
+			}
+		}
+	}
+}

@@ -3,7 +3,10 @@ package core
 //lint:wrap-errors merge errors must preserve their causes for errors.Is/As
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/agg"
 	"repro/internal/relation"
@@ -12,8 +15,9 @@ import (
 
 // keyedMerge is the Theorem-1 merge, the one implementation of it in this
 // package: sub-aggregate fragments are resolved to their groups — by the
-// key attributes K (mergeKeyed), or by position for a states-only fragment
-// (merge) — and their primitive states merged associatively into one
+// key attributes K (mergeKeyed), by position for a states-only fragment
+// (merge), or each row as a group of its own on a site-disjoint step
+// (fold) — and their primitive states merged associatively into one
 // agg.Slab, one primitive column at a time. The root coordinator finalizes
 // the merged states into new columns of X (finalized); a relay tier
 // re-emits them as one pre-merged fragment for the tier above (tier).
@@ -36,6 +40,17 @@ type keyedMerge struct {
 	// kept marks, as a Response.Kept bitmap, every group a fragment
 	// contributed to; nil unless a relay tier merges by position.
 	kept []byte
+	// hashes holds a fold's group keys by hash, and sites the sites whose
+	// fragments it folded, for checkDisjoint; nil unless the merge folds.
+	hashes []keyHash
+	sites  []string
+}
+
+// keyHash is the hash of a folded group's key, and the site that brought
+// the group, as an index into keyedMerge.sites.
+type keyHash struct {
+	hash        uint64
+	group, site int32
 }
 
 // newKeyedMerge starts a merge over the given group rows, which states-only
@@ -96,9 +111,10 @@ func (m *keyedMerge) primCols(schema *relation.Schema) ([]int, error) {
 
 // placement maps a states-only fragment's rows to groups: row j answers
 // the j-th shipped row kept marks (Response.Kept; nil marks all), and
-// shipped row k is group idx[k] (k when idx is nil).
+// shipped row k is group idx[k] (first+k when idx is nil).
 type placement struct {
 	idx     []int
+	first   int
 	shipped int
 	kept    []byte
 }
@@ -125,7 +141,7 @@ func (pl placement) each(fn func(j, g int) error) error {
 		if !pl.isKept(k) {
 			continue
 		}
-		g := k
+		g := pl.first + k
 		if pl.idx != nil {
 			g = pl.idx[k]
 		}
@@ -193,10 +209,58 @@ func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 	return m.merge(h, placement{idx: m.at, shipped: len(h.Rows)})
 }
 
+// fold adds the rows of a keyed fragment from site as groups of their own:
+// on a site-disjoint step (Corollary 1) no other fragment brings the same
+// key, so nothing is indexed and nothing is carved. The fragment leads
+// with K; each of its rows becomes its group's row, cut to K with room for
+// the columns this and later steps append, so finalized writes the finals
+// over the states in place. The caller owns the fragment (the contract of
+// transport.Client.Call). The keys' hashes are kept for checkDisjoint.
+func (m *keyedMerge) fold(site string, h *relation.Relation) error {
+	first, k, s := len(m.rows), len(m.keys), int32(len(m.sites))
+	for _, row := range h.Rows {
+		m.hashes = append(m.hashes, keyHash{relation.HashRow(row, m.keyIdx), int32(len(m.rows)), s})
+		m.rows = append(m.rows, row[:k:min(len(row), k+m.room)])
+	}
+	m.accs.AddGroups(len(h.Rows))
+	m.sites = append(m.sites, site)
+	return m.merge(h, placement{first: first, shipped: len(h.Rows)})
+}
+
+// checkDisjoint proves a fold's premise after the last fragment: no two
+// groups share a key. It sorts the keys' hashes and compares keys only
+// within a run of equal hashes. A key two sites brought means the catalog's
+// partition claim is false, and fails the round naming the key and both
+// sites: a fold never returns a duplicated group.
+func (m *keyedMerge) checkDisjoint() error {
+	slices.SortFunc(m.hashes, func(a, b keyHash) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.group, b.group))
+	})
+	for i := 1; i < len(m.hashes); i++ {
+		for j := i - 1; j >= 0 && m.hashes[j].hash == m.hashes[i].hash; j-- {
+			a, b := m.hashes[j], m.hashes[i]
+			if relation.KeysEqual(m.rows[a.group], m.keyIdx, m.rows[b.group], m.keyIdx) {
+				return fmt.Errorf("key (%s) answered by sites %s and %s", m.keyText(int(a.group)), m.sites[a.site], m.sites[b.site])
+			}
+		}
+	}
+	return nil
+}
+
+// keyText renders folded group g's key as name=value pairs.
+func (m *keyedMerge) keyText(g int) string {
+	parts := make([]string, len(m.keys))
+	for i, p := range m.keyIdx {
+		parts[i] = m.schema.Cols[p].Name + "=" + m.rows[g][p].String()
+	}
+	return strings.Join(parts, ", ")
+}
+
 // finalized emits the group rows extended with one finalized aggregate
-// column per spec — the coordinator's new X — under a fresh header array.
-// A row with room takes the columns in place, past the end any earlier X
-// sees; one without is first copied into a carved row.
+// column per spec — the coordinator's new X. A keyed merge's header array
+// becomes X's, a positional one's (x's) is copied. A row with room takes
+// the columns in place, past the end any earlier X sees; one without is
+// first copied into a carved row.
 func (m *keyedMerge) finalized() (*relation.Relation, error) {
 	outCols := make([]relation.Column, len(m.specs))
 	for i, sp := range m.specs {
@@ -207,7 +271,10 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 		return nil, err
 	}
 	out := relation.New(outSchema)
-	out.Rows = make([]relation.Row, len(m.rows))
+	out.Rows = m.rows
+	if len(m.keys) == 0 {
+		out.Rows = make([]relation.Row, len(m.rows))
+	}
 	var chunk []value.V
 	for gi, nr := range m.rows {
 		if cap(nr)-len(nr) < len(m.specs) {

@@ -110,6 +110,11 @@ func (e Egil) BuildPlanSchemas(q gmdj.Query, detailName string, schemas map[stri
 			steps[0].FuseBase = true
 			plan.Notes = append(plan.Notes,
 				"base synchronization elided (Proposition 2): every θ of step 1 entails key equality")
+			if steps[0].disjoint() {
+				plan.Notes = append(plan.Notes, fmt.Sprintf(
+					"final synchronization by position (Corollary 1): groups are site-disjoint on %s",
+					strings.Join(steps[0].partition, ", ")))
+			}
 		}
 	}
 	for si := range steps {
@@ -249,7 +254,8 @@ func shipSet(q gmdj.Query, step Step, x *relation.Schema) []string {
 	return ship
 }
 
-// chainSteps groups consecutive MDs into synchronization-free runs.
+// chainSteps groups consecutive MDs into synchronization-free runs, each
+// step recording the partition attributes its run shares.
 func (e Egil) chainSteps(q gmdj.Query, mdSchemas []*relation.Schema, baseSchemas []*relation.Schema, plan *Plan) []Step {
 	// partAttrs[i] = the set of partition attributes A with an
 	// R.A = B.A equality in every θ of MD i.
@@ -292,12 +298,13 @@ func (e Egil) chainSteps(q gmdj.Query, mdSchemas []*relation.Schema, baseSchemas
 			run = append(run, j)
 			j++
 		}
+		partition := sortedKeys(shared)
 		if len(run) > 1 {
 			plan.Notes = append(plan.Notes, fmt.Sprintf(
 				"synchronization reduction (Corollary 1): MDs %v chained locally on partition attribute(s) %s",
-				mdNums(run), strings.Join(sortedKeys(shared), ", ")))
+				mdNums(run), strings.Join(partition, ", ")))
 		}
-		steps = append(steps, Step{MDs: run})
+		steps = append(steps, Step{MDs: run, partition: partition})
 		i = j
 	}
 	return steps

@@ -94,6 +94,10 @@ type Step struct {
 	// room is how many columns this step and the later ones append to X's
 	// rows: what the merge leaves free in every group row it carves.
 	room int
+	// partition lists the partition attributes every θ of the step's MDs
+	// equates (R.A = B.A, Definition 2). Each is a base column, so in K:
+	// on a fused step each group then lives at exactly one site.
+	partition []string
 }
 
 // SiteFilter is one site's Theorem-4 base filter for one step: an
@@ -112,6 +116,11 @@ func (s *Step) base() bool { return s.Request.Op == transport.OpEvalBase }
 func (s *Step) ships() bool {
 	return s.Request.Op == transport.OpEvalRounds && len(s.Request.BaseCols) == 0
 }
+
+// disjoint reports whether the step's replies bring site-disjoint groups
+// (Corollary 1), so the coordinator folds them by position instead of
+// matching them by key: a fused step whose θs equate a partition attribute.
+func (s *Step) disjoint() bool { return s.FuseBase && len(s.partition) > 0 }
 
 // filter returns the step's filter for site, or nil.
 func (s *Step) filter(site string) *expr.Bound {

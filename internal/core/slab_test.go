@@ -156,10 +156,12 @@ func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[strin
 	return x, step, ships, replies
 }
 
-// runSynchronize merges the replies as they would arrive on the stream.
+// runSynchronize merges the replies as they would arrive on the stream,
+// from as many sites.
 func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment, replies []*transport.Response) (*relation.Relation, error) {
 	var rs RoundStats
-	m, _, err := (&Coordinator{}).synchronize(x, streamOf(replies), step, ships, &rs, false)
+	c := &Coordinator{clients: make([]transport.Client, len(replies))}
+	m, _, err := c.synchronize(x, streamOf(replies), step, ships, &rs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -188,5 +190,60 @@ func BenchmarkSynchronize(b *testing.B) {
 		if _, err := runSynchronize(x, step, ships, replies); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// fusedFixture is the coordinator's side of a fused step grouped on
+// CustName: each site's keyed reply of groups customers, site-disjoint,
+// with the states of count(*) and avg. A disjoint step folds them by
+// position, a keyed one merges them by key.
+func fusedFixture(groups, sites int, disjoint bool) (*Step, []*transport.Response) {
+	step := &Step{FuseBase: true, Request: transport.Request{Op: transport.OpEvalRounds, BaseCols: []string{"CustName"}},
+		Specs: []agg.Spec{agg.MustParseSpec("count(*) AS cnt1"), agg.MustParseSpec("avg(F.Quantity) AS avg1")}}
+	step.room = len(step.Specs)
+	if disjoint {
+		step.partition = []string{"custname"}
+	}
+	cols := []relation.Column{{Name: "CustName", Kind: value.KindString}}
+	for _, sp := range step.Specs {
+		cols = append(cols, sp.SubColumns()...)
+	}
+	replies := make([]*transport.Response, sites)
+	for s := range replies {
+		rel := relation.New(relation.MustSchema(cols...))
+		for g := 0; g < groups; g++ {
+			n := int64(g%5 + 1)
+			rel.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", s*groups+g)), value.NewInt(n), value.NewInt(n*int64(g%50+1)), value.NewInt(n))
+		}
+		replies[s] = &transport.Response{Rel: rel}
+	}
+	return step, replies
+}
+
+// BenchmarkSynchronizeFused is the merge and finalization of a fused step:
+// four keyed replies of 500 groups, merged by key or folded by position.
+// A fold writes its finals into the replies, so each run gets fresh ones.
+func BenchmarkSynchronizeFused(b *testing.B) {
+	for _, disjoint := range []bool{false, true} {
+		name := "keyed"
+		if disjoint {
+			name = "disjoint"
+		}
+		b.Run(name, func(b *testing.B) {
+			step, replies := fusedFixture(500, 4, disjoint)
+			fresh := make([]*transport.Response, len(replies))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for s, r := range replies {
+					fresh[s] = &transport.Response{Rel: r.Rel.Clone()}
+				}
+				b.StartTimer()
+				if _, err := runSynchronize(nil, step, nil, fresh); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

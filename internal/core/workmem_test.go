@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/expr"
+	"repro/internal/gmdj"
 	"repro/internal/relation"
 	"repro/internal/site"
 	"repro/internal/transport"
@@ -83,31 +86,55 @@ func assertOwnRows(t *testing.T, label string, x *relation.Relation) {
 // byte for byte what it was after a second execution of the plan, after
 // a resume that re-runs rounds over different site data, and after a
 // caller appends to another result's rows; and every checkpointed X is
-// unchanged by all that followed it.
+// unchanged by all that followed it. It holds for X carved by a keyed
+// base round and for X made of the reply rows a folded first step keeps.
 func TestExecutedXNeverAliases(t *testing.T) {
+	t.Run("keyed", func(t *testing.T) {
+		executedXNeverAliases(t, example1(), func(*catalog.Catalog) Egil { return Egil{Catalog: newTestCatalog(3)} })
+	})
+	// Step 1 folds MD1 on the partition attribute SourceAS; MD2 reads no
+	// partition attribute and ships X.
+	folded := example1()
+	folded.MDs[1].Thetas = []expr.Expr{expr.MustParse("F.DestAS = B.DestAS AND F.NumBytes >= B.sum1 / B.cnt1")}
+	t.Run("folded", func(t *testing.T) {
+		executedXNeverAliases(t, folded, func(cat *catalog.Catalog) Egil {
+			return Egil{Catalog: cat, Options: Options{SyncReduce: true}}
+		})
+	})
+}
+
+func executedXNeverAliases(t *testing.T, q gmdj.Query, egil func(*catalog.Catalog) Egil) {
 	rows := testRows(240, 7)
 	engines := make([]*site.Engine, 3)
 	clients := make([]transport.Client, len(engines))
 	load := func(shift int64) {
 		for i, e := range engines {
 			part := relation.New(flowSchema())
-			for j, row := range rows {
-				if j%len(engines) == i {
+			for _, row := range rows {
+				if int(row[0].Int())%len(engines) == i {
 					part.Rows = append(part.Rows, flowRow(row[0].Int(), row[1].Int(), row[2].Int()+shift))
 				}
 			}
 			e.Load("flow", part)
 		}
 	}
+	cat := newTestCatalog(len(engines))
 	for i := range engines {
 		engines[i] = site.NewEngine(fmt.Sprintf("site%d", i))
 		clients[i] = transport.NewLocalClient(engines[i].ID(), engines[i], transport.CostModel{})
+		var vals []value.V
+		for v := int64(i); v < 12; v += int64(len(engines)) {
+			vals = append(vals, value.NewInt(v))
+		}
+		if err := cat.SetDomain(engines[i].ID(), "SourceAS", expr.DomainSet(vals...)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	load(0)
 	coord := NewCoordinator(clients...)
-	plan := mustPlan(t, coord, example1(), Egil{Catalog: newTestCatalog(3)})
-	if plan.Rounds() != 3 {
-		t.Fatalf("plan has %d rounds, want 3", plan.Rounds())
+	plan := mustPlan(t, coord, q, egil(cat))
+	if plan.Rounds() != 3 && !plan.Steps[0].disjoint() {
+		t.Fatalf("plan has %d rounds and no folded step:\n%s", plan.Rounds(), plan.Explain())
 	}
 	store := &heldCheckpoints{}
 	coord.Checkpoints = store
@@ -139,8 +166,8 @@ func TestExecutedXNeverAliases(t *testing.T) {
 
 	first := execute("first execution")
 	want := relation.AppendFrame(nil, first)
-	if len(store.saved) != 3 {
-		t.Fatalf("%d checkpoints saved, want 3", len(store.saved))
+	if len(store.saved) != plan.Rounds() {
+		t.Fatalf("%d checkpoints saved, want %d", len(store.saved), plan.Rounds())
 	}
 
 	second := execute("second execution")
@@ -149,13 +176,13 @@ func TestExecutedXNeverAliases(t *testing.T) {
 		t.Fatal("a second execution of the plan computed another result")
 	}
 
-	// Resume after the base round with every NumBytes shifted: the re-run
-	// rounds compute other sums, and the checkpointed X of the base round
-	// shares its backing with the first result.
+	// Resume after the first round with every NumBytes shifted: the re-run
+	// rounds compute other aggregates, and the checkpointed X of the first
+	// round shares its backing with the first result.
 	load(1000)
 	store.resume = store.saved[0]
 	resumed := execute("resumed execution")
-	unchanged("a resume that re-ran rounds 2 and 3", first, want)
+	unchanged("a resume that re-ran the later rounds", first, want)
 	if bytes.Equal(sorted(resumed), sorted(first)) {
 		t.Fatal("the resumed execution over shifted data reproduced the first result")
 	}

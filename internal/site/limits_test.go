@@ -49,6 +49,48 @@ func TestLimitsMaxResultRows(t *testing.T) {
 	}
 }
 
+// TestLimitRefusalReachesOneReplica: a limit refusal is deterministic per
+// request, so behind a replica set or a hedger of equally limited replicas
+// the request reaches exactly one of them, and the caller gets
+// ErrOverloaded.
+func TestLimitRefusalReachesOneReplica(t *testing.T) {
+	replicas := func() ([]transport.Client, []*obs.Obs) {
+		var clients []transport.Client
+		var sinks []*obs.Obs
+		for i := 0; i < 2; i++ {
+			e := loadedEngine(t)
+			o := obs.New()
+			e.SetObs(o)
+			e.SetLimits(Limits{MaxResultRows: 2}) // base query yields 3 groups
+			cl := transport.NewLocalClient(e.ID(), e, transport.CostModel{})
+			t.Cleanup(func() { cl.Close() })
+			clients, sinks = append(clients, cl), append(sinks, o)
+		}
+		return clients, sinks
+	}
+	check := func(label string, cl transport.Client, sinks []*obs.Obs) {
+		t.Helper()
+		resp, err := cl.Call(context.Background(), baseReq())
+		if err != nil || !errors.Is(resp.Error(), transport.ErrOverloaded) {
+			t.Fatalf("%s: %v / %v, want the ErrOverloaded refusal", label, err, resp.Error())
+		}
+		a, b := sinks[0].Metrics.CounterValue("site.overloads"), sinks[1].Metrics.CounterValue("site.overloads")
+		if a+b != 1 {
+			t.Errorf("%s: the replicas refused %d and %d times, want one refusal in all", label, a, b)
+		}
+	}
+
+	clients, sinks := replicas()
+	dials := []func() (transport.Client, error){
+		func() (transport.Client, error) { return clients[0], nil },
+		func() (transport.Client, error) { return clients[1], nil },
+	}
+	check("replica set", transport.NewReplicaSet("s1", dials, 3, 0), sinks)
+
+	clients, sinks = replicas()
+	check("hedger", transport.NewHedger("s1", clients, 10*time.Second, nil, nil), sinks)
+}
+
 func TestLimitsMaxResultBytes(t *testing.T) {
 	e := loadedEngine(t)
 	e.SetLimits(Limits{MaxResultBytes: 10}) // 3 groups × 2 int cols ≫ 10 bytes

@@ -44,9 +44,14 @@ const (
 //
 // Only the idempotent evaluation ops (OpEvalBase, OpEvalRounds) are
 // hedged; every other op goes to the primary alone. A primary that fails
-// or sheds before the threshold fires fails over to the secondary
+// or sheds (drains) before the threshold fires fails over to the secondary
 // immediately, charged to the same budget, so the Hedger subsumes the
-// replica-failover role in hedged wiring.
+// replica-failover role in hedged wiring. A limit refusal is decisive: it
+// is returned as the answer, never raced against a replica.
+//
+// Each attempt returns its own response; the winner's is handed to the
+// caller once and the losers' are dropped, so the caller owns what Call
+// returns (see Client.Call).
 //
 // Wire statistics fold only the winning attempt's traffic into Stats(),
 // keeping the coordinator's per-round byte accounting exact and

@@ -41,7 +41,7 @@ func (r *replicaStub) Call(ctx context.Context, req *Request) (*Response, error)
 	}
 	r.stats.AddReceived(20, CostModel{})
 	if r.shed {
-		return &Response{Err: "overloaded", Code: CodeOverloaded}, nil
+		return &Response{Err: "draining", Code: CodeDraining}, nil
 	}
 	return &Response{RowCount: 1}, nil
 }
@@ -137,8 +137,8 @@ func TestHedgerImmediateFailover(t *testing.T) {
 }
 
 func TestHedgerShedFailover(t *testing.T) {
-	// A typed shed is not decisive either: the hedger tries the next
-	// replica, and only if everyone sheds does the shed surface.
+	// A typed shed (a drain) is not decisive either: the hedger tries the
+	// next replica, and only if everyone sheds does the shed surface.
 	primary := &replicaStub{id: "s0", shed: true}
 	secondary := &replicaStub{id: "s0"}
 	h := NewHedger("s0", []Client{primary, secondary}, 10*time.Second, nil, nil)

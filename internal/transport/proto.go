@@ -23,12 +23,15 @@ import (
 // Typed site-condition errors. They cross the wire as Response.Code (gob
 // ships strings, not error chains), and Response.Error rebuilds a chain
 // that matches with errors.Is, so callers can classify without string
-// inspection: an overloaded or draining site is healthy but shedding load
-// — the right reaction is immediate replica failover, not a retry against
-// the same endpoint and not a permanent site-loss verdict.
+// inspection. A draining site is healthy but shedding load — the right
+// reaction is immediate replica failover, not a retry against the same
+// endpoint and not a permanent site-loss verdict. An overloaded one refused
+// the request by its size, which every replica would refuse the same way,
+// so that refusal is final.
 var (
 	// ErrOverloaded: the site refused the request because a per-request
-	// resource limit (max result rows/bytes) was exceeded.
+	// resource limit (max result rows/bytes) was exceeded. The refusal is
+	// deterministic per request: no layer re-sends it to a replica.
 	ErrOverloaded = errors.New("transport: site overloaded")
 	// ErrDraining: the site is shutting down gracefully and no longer
 	// accepts new requests (in-flight requests still complete).
@@ -316,11 +319,13 @@ func (r *Response) Error() error {
 	}
 }
 
-// Shed reports whether the response is a load-shedding refusal (overload
-// or drain): the site is alive but declined the request, so callers
-// should fail over to a replica immediately rather than retry here.
+// Shed reports whether the response is a load-shedding refusal (a drain):
+// the site is alive but declined the request, so callers should fail over
+// to a replica immediately rather than retry here. A limit refusal
+// (CodeOverloaded) is not shed: it is final, since every replica applies
+// the same limits to the same request.
 func (r *Response) Shed() bool {
-	return r != nil && (r.Code == CodeOverloaded || r.Code == CodeDraining)
+	return r != nil && r.Code == CodeDraining
 }
 
 // Handler processes site requests; implemented by the site engine and by
@@ -338,7 +343,10 @@ type Handler interface {
 type Client interface {
 	// SiteID returns the site's identifier.
 	SiteID() string
-	// Call performs one request/response exchange. Cancelling ctx (or
+	// Call performs one request/response exchange. The caller owns the
+	// returned *Response, its relation's rows included, and may write to
+	// them: no layer (Pool, Reconnector, Hedger, Chaos) keeps a response
+	// it returned or hands the same one out twice. Cancelling ctx (or
 	// hitting its deadline) aborts the exchange: connection-oriented
 	// transports interrupt blocked I/O and the call returns an error
 	// wrapping ctx.Err(). A call aborted mid-exchange may leave the

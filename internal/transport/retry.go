@@ -171,12 +171,13 @@ func (r *Reconnector) Close() error {
 
 // Call implements Client with reconnect-and-retry plus replica failover.
 //
-// A shed response (Response.Code CodeOverloaded or CodeDraining) is
-// treated as "this replica is healthy but refusing work": the call fails
-// over to the next replica immediately, without backoff and without
-// consuming the endpoint's retry budget. Once every replica has shed the
-// call, the last shed response is returned as-is so the caller sees the
-// typed refusal (ErrOverloaded / ErrDraining via Response.Error).
+// A shed response (Response.Code CodeDraining) is treated as "this
+// replica is healthy but refusing work": the call fails over to the next
+// replica immediately, without backoff and without consuming the
+// endpoint's retry budget. Once every replica has shed the call, the last
+// shed response is returned as-is so the caller sees the typed refusal
+// (ErrDraining via Response.Error). A limit refusal (CodeOverloaded) is
+// returned at once: every replica would refuse the request the same way.
 func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -249,11 +250,11 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 					r.stats.Add(d)
 					return resp, nil
 				}
-				// The replica is up but refusing work (overloaded or
-				// draining): fail over immediately without burning the
-				// endpoint's retry budget — retrying the same replica
-				// would only be refused again. The refused exchange's
-				// traffic is waste, like a failed retry's.
+				// The replica is up but refusing work (draining): fail
+				// over immediately without burning the endpoint's retry
+				// budget — retrying the same replica would only be
+				// refused again. The refused exchange's traffic is
+				// waste, like a failed retry's.
 				if wasted := d.Sent + d.Recv; wasted > 0 {
 					r.obs.Count("transport.retry_wasted_bytes", wasted)
 				}

@@ -311,8 +311,8 @@ func TestReconnectorStopsOnCancel(t *testing.T) {
 	}
 }
 
-// shedClient sheds (overload/draining response) its first shedN calls,
-// then succeeds.
+// shedClient refuses its first shedN calls with code (a drain sheds, a
+// limit refusal is final), then succeeds.
 type shedClient struct {
 	id    string
 	shedN int
@@ -330,16 +330,16 @@ func (s *shedClient) Call(ctx context.Context, req *Request) (*Response, error) 
 	s.stats.AddSent(10, CostModel{})
 	s.stats.AddReceived(5, CostModel{})
 	if s.calls <= s.shedN {
-		return &Response{Err: "overloaded", Code: s.code}, nil
+		return &Response{Err: "refused", Code: s.code}, nil
 	}
 	return &Response{RowCount: 1}, nil
 }
 
 func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 	// One attempt only: if the shed failover consumed retry budget, the
-	// very first overloaded response would exhaust it and the call would
+	// very first drain refusal would exhaust it and the call would
 	// fail instead of landing on the healthy replica.
-	over := &shedClient{id: "a", shedN: 99, code: CodeOverloaded}
+	over := &shedClient{id: "a", shedN: 99, code: CodeDraining}
 	good := &flakyClient{id: "b"}
 	o := obs.New()
 	rc := newReplicaSet("s", []func() (Client, error){
@@ -378,8 +378,8 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 
 func TestAllReplicasShed(t *testing.T) {
 	// Every replica sheds: the caller gets the shed response itself (not a
-	// transport error), so it can classify via errors.Is(_, ErrOverloaded).
-	a := &shedClient{id: "a", shedN: 99, code: CodeOverloaded}
+	// transport error), so it can classify via errors.Is(_, ErrDraining).
+	a := &shedClient{id: "a", shedN: 99, code: CodeDraining}
 	b := &shedClient{id: "b", shedN: 99, code: CodeDraining}
 	rc := NewReplicaSet("s", []func() (Client, error){
 		func() (Client, error) { return a, nil },

@@ -79,8 +79,10 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # share of the scan_lowcard workload's fused two-round chain; Grouping prices
 # a key grouping's clustered view, built once per load; RoundTrip is one
 # call in process (over a pipe) and over loopback TCP, the same client and
-# server code on both.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport > /dev/null
+# server code on both. Synchronize also matches BenchmarkSynchronizeFused,
+# a fused step's keyed replies merged by key and folded by position;
+# PartitionAttr is the catalog's partition proof, memoized and cold.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip|PartitionAttr' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh

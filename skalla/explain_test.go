@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/transport"
+	"repro/internal/value"
 )
 
 // planText extracts the rendered report from an EXPLAIN result relation.
@@ -136,5 +138,35 @@ func TestExplainCubeRejected(t *testing.T) {
 	cluster, _ := cubeCluster(t)
 	if _, err := cluster.SQL("EXPLAIN SELECT Region, count(*) AS n FROM sales CUBE BY Region", AllOptimizations); err == nil {
 		t.Error("EXPLAIN over CUBE BY did not error")
+	}
+}
+
+// TestUseCatalogFreshProofs: UseCatalog plans from a fresh version of the
+// catalog it is given, so a partition claim written into it directly after
+// a proof is re-proved instead of reused.
+func TestUseCatalogFreshProofs(t *testing.T) {
+	cluster, _ := cubeCluster(t)
+	cat := cluster.Catalog()
+	for i, region := range []string{"east", "west"} {
+		if err := cat.SetDomain(cluster.SiteIDs()[i], "Region", expr.DomainSet(value.NewString(region))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const note = "groups are site-disjoint on region"
+	explain := func() string {
+		t.Helper()
+		rel, err := cluster.SQL("EXPLAIN SELECT Region, count(*) AS n FROM sales GROUP BY Region", AllOptimizations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planText(t, rel)
+	}
+	if out := explain(); !strings.Contains(out, note) {
+		t.Fatalf("disjoint Region domains did not fold the step:\n%s", out)
+	}
+	cat.Sites[1].Domains["region"] = expr.DomainSet(value.NewString("east"), value.NewString("west"))
+	cluster.UseCatalog(cat)
+	if out := explain(); strings.Contains(out, note) {
+		t.Errorf("UseCatalog reused a proof its catalog no longer supports:\n%s", out)
 	}
 }

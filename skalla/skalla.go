@@ -349,9 +349,11 @@ func (c *Cluster) Catalog() *catalog.Catalog { return c.cat }
 
 // UseCatalog replaces the cluster's distribution knowledge, e.g. with a
 // catalog loaded from a JSON file (catalog.LoadFile) describing a real
-// deployment's partitioning.
+// deployment's partitioning. Planning starts from a fresh version of it:
+// no proof made before the call is reused.
 func (c *Cluster) UseCatalog(cat *Catalog) {
 	if cat != nil {
+		cat.Invalidate()
 		c.cat = cat
 	}
 }
