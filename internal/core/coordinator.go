@@ -357,9 +357,9 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 			req := tmpl
 			req.Base = ships[cl.SiteID()].base
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
-			// wire is what the exchange added to the client's statistics:
-			// the round's bytes, and the retries and hedges the client's
-			// layers spent on it.
+			// wire is the exchange's own traffic, exact however many
+			// executions share cl: the round's bytes, and the retries and
+			// hedges the client's layers spent on it.
 			callCtx, done := c.callContext(roundCtx)
 			resp, wire, err := transport.Exchange(callCtx, cl, &req)
 			done()

@@ -25,8 +25,8 @@ type SiteRound struct {
 	// totals.
 	Lost bool   `json:"lost,omitempty"`
 	Err  string `json:"err,omitempty"`
-	// BytesSent / BytesRecv are this site's exact wire bytes, measured as
-	// transport-stats deltas around the call.
+	// BytesSent / BytesRecv are this site's exact wire bytes, the Delta
+	// that travels with the call (transport.Exchange).
 	BytesSent int64 `json:"bytes_to_site"`
 	BytesRecv int64 `json:"bytes_from_site"`
 	// RowsShipped / RowsReturned count base-result rows moved.

@@ -195,10 +195,9 @@ func (c *Chaos) DelayN(op Op, n int, d time.Duration) {
 
 // SetObs publishes every injected fault as an obs event (kind
 // obs.EventChaos) and per-mode counters ("chaos.injected",
-// "chaos.injected.err", ...), so chaos attribution is never lost behind
-// the Stats() pass-through to the inner client: wire statistics flow
-// through untouched, while the faults themselves become observable and
-// exactly countable.
+// "chaos.injected.err", ...), so chaos attribution is never lost: the
+// inner client's wire traffic flows through untouched, while the faults
+// themselves become observable and exactly countable.
 func (c *Chaos) SetObs(o *obs.Obs) {
 	c.mu.Lock()
 	c.obs = o
@@ -221,9 +220,6 @@ func (c *Chaos) Injected() int {
 
 // SiteID implements Client.
 func (c *Chaos) SiteID() string { return c.inner.SiteID() }
-
-// Stats implements Client.
-func (c *Chaos) Stats() *WireStats { return c.inner.Stats() }
 
 // Close implements Client, releasing hung calls.
 func (c *Chaos) Close() error {

@@ -184,8 +184,8 @@ func TestChaosSeededDeterminism(t *testing.T) {
 }
 
 // TestChaosObsAttribution is the regression test for chaos attribution
-// getting lost behind the Stats() pass-through: wire stats flow through
-// to the inner client untouched, so injected faults must surface as obs
+// getting lost behind the pass-through: wire traffic flows through to
+// the inner client untouched, so injected faults must surface as obs
 // counters and events with exact counts — including over the /events
 // debug endpoint, which is what operators (and this test) assert on.
 func TestChaosObsAttribution(t *testing.T) {

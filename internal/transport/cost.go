@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
@@ -33,33 +32,11 @@ func (c CostModel) TransferTime(n int) time.Duration {
 	return d
 }
 
-// WireStats accumulates per-client communication statistics. It is safe
-// for concurrent use.
-type WireStats struct {
-	mu sync.Mutex
-	//lint:guarded-by mu
-	bytesSent int64
-	//lint:guarded-by mu
-	bytesReceived int64
-	//lint:guarded-by mu
-	messages int64
-	//lint:guarded-by mu
-	commTime time.Duration
-	// hedges counts the speculative duplicate sends launched on behalf of
-	// this client's calls; only a hedging layer ever adds to it.
-	//
-	//lint:guarded-by mu
-	hedges int
-	// retries counts the re-sends a retry layer needed before this
-	// client's calls succeeded; only a retry layer ever adds to it.
-	//
-	//lint:guarded-by mu
-	retries int
-}
-
-// Delta is what one or more exchanges added to a client's statistics:
-// the unit every accounting layer (retry, hedge, pooled lease, the
-// coordinator's per-round record) folds upward.
+// Delta is the wire traffic of one call: its bytes each way, their
+// modeled transfer time, and the re-sends a retry layer and the
+// duplicates a hedging layer spent on it. It is the unit every accounting
+// layer (retry, pool, hedge, the coordinator's per-round record) folds
+// upward.
 type Delta struct {
 	Sent, Recv int64
 	Comm       time.Duration
@@ -67,86 +44,52 @@ type Delta struct {
 	Retries    int
 }
 
-// Exchange performs one call on cl and returns, beside the outcome, what
-// the call added to cl's statistics. It is exact while calls on cl do not
-// overlap — true of every per-execution client view, whose statistics
-// are private to one execution.
-func Exchange(ctx context.Context, cl Client, req *Request) (*Response, Delta, error) {
-	before := cl.Stats().Totals()
-	resp, err := cl.Call(ctx, req)
-	after := cl.Stats().Totals()
-	return resp, Delta{
-		Sent: after.Sent - before.Sent, Recv: after.Recv - before.Recv,
-		Comm: after.Comm - before.Comm, Hedges: after.Hedges - before.Hedges,
-		Retries: after.Retries - before.Retries,
-	}, err
+// add folds o into d.
+func (d *Delta) add(o Delta) {
+	d.Sent += o.Sent
+	d.Recv += o.Recv
+	d.Comm += o.Comm
+	d.Hedges += o.Hedges
+	d.Retries += o.Retries
 }
 
-// Add folds an inner client's exchange into these statistics as one
-// message, preserving its comm-time accounting without re-sleeping.
-func (w *WireStats) Add(d Delta) {
-	w.mu.Lock()
-	w.bytesSent += d.Sent
-	w.bytesReceived += d.Recv
-	if d.Sent > 0 {
-		w.messages++
+// meter is the context an exchange's call runs under: the caller's
+// context plus the exchange's own Delta, in one allocation. The layers
+// beneath charge the Delta on the goroutine running the call, before the
+// call returns, so it needs no lock.
+type meter struct {
+	context.Context
+	d Delta
+}
+
+// meterKey finds the innermost meter through a chain of derived contexts.
+type meterKey struct{}
+
+// Value implements context.Context.
+func (m *meter) Value(key any) any {
+	if key == (meterKey{}) {
+		return &m.d
 	}
-	w.commTime += d.Comm
-	w.hedges += d.Hedges
-	w.retries += d.Retries
-	w.mu.Unlock()
+	return m.Context.Value(key)
 }
 
-// Totals returns everything accumulated so far as one Delta.
-func (w *WireStats) Totals() Delta {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return Delta{Sent: w.bytesSent, Recv: w.bytesReceived, Comm: w.commTime, Hedges: w.hedges, Retries: w.retries}
+// Exchange performs one call on cl and returns, beside the outcome, the
+// call's wire traffic. The traffic travels with the call, not with the
+// client: the call runs under a context carrying a fresh meter that the
+// layers beneath charge, so the count is exact however many calls share
+// cl at once.
+func Exchange(ctx context.Context, cl Client, req *Request) (*Response, Delta, error) {
+	m := &meter{Context: ctx}
+	resp, err := cl.Call(m, req)
+	return resp, m.d, err
 }
 
-// AddSent records n bytes sent plus its modeled transfer time.
-func (w *WireStats) AddSent(n int, c CostModel) {
-	d := c.TransferTime(n)
-	w.mu.Lock()
-	w.bytesSent += int64(n)
-	w.messages++
-	w.commTime += d
-	w.mu.Unlock()
-}
-
-// AddReceived records n bytes received plus its modeled transfer time.
-func (w *WireStats) AddReceived(n int, c CostModel) {
-	d := c.TransferTime(n)
-	w.mu.Lock()
-	w.bytesReceived += int64(n)
-	w.commTime += d
-	w.mu.Unlock()
-}
-
-// Snapshot returns the current totals.
-func (w *WireStats) Snapshot() (sent, received, messages int64, commTime time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.bytesSent, w.bytesReceived, w.messages, w.commTime
-}
-
-// Bytes returns total bytes moved in both directions.
-func (w *WireStats) Bytes() int64 {
-	s, r, _, _ := w.Snapshot()
-	return s + r
-}
-
-// CommTime returns the accumulated modeled communication time.
-func (w *WireStats) CommTime() time.Duration {
-	_, _, _, d := w.Snapshot()
-	return d
-}
-
-// Reset zeroes the statistics.
-func (w *WireStats) Reset() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.bytesSent, w.bytesReceived, w.messages, w.commTime, w.hedges, w.retries = 0, 0, 0, 0, 0, 0
+// charge adds d to the meter of the exchange ctx belongs to; a call made
+// outside any exchange is charged nowhere.
+func charge(ctx context.Context, d Delta) {
+	if m, ok := ctx.Value(meterKey{}).(*Delta); ok {
+		m.add(d)
+	}
 }
 
 // countingWriter counts bytes written to an underlying writer.

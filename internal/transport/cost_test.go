@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -17,90 +18,43 @@ func TestCostModelTransferTime(t *testing.T) {
 	}
 }
 
-// TestWireStatsConcurrent hammers AddSent/AddReceived from many
-// goroutines while Snapshot readers run, then checks the exact totals.
-// Run with -race to verify the locking discipline.
-func TestWireStatsConcurrent(t *testing.T) {
-	var w WireStats
-	const (
-		writers = 8
-		perG    = 500
-	)
+// TestConcurrentExchangesExact: exchanges that share one client each get
+// exactly a lone call's Delta — bytes each way and their modeled transfer
+// time — however their calls interleave.
+func TestConcurrentExchangesExact(t *testing.T) {
+	cost := CostModel{LatencyPerMsg: time.Millisecond, BytesPerSec: 1e6}
+	c := NewLocalClient("s", newEchoHandler(), cost)
+	defer c.Close()
+	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(20)}
+	// The connection's first exchange carries gob's type preamble.
+	if _, err := c.Call(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	_, lone, err := Exchange(context.Background(), c, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cost.TransferTime(int(lone.Sent)) + cost.TransferTime(int(lone.Recv)); lone.Sent <= 0 || lone.Recv <= 0 || lone.Comm != want {
+		t.Fatalf("lone delta = %+v, want traffic both ways and comm %v", lone, want)
+	}
+
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Concurrent snapshot readers: values must always be consistent
-	// (never negative, received never ahead of what writers could have
-	// produced in total).
-	for i := 0; i < 2; i++ {
+	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sent, recv, msgs, _ := w.Snapshot()
-				if sent < 0 || recv < 0 || msgs < 0 {
-					t.Error("negative snapshot")
+			for i := 0; i < 50; i++ {
+				_, d, err := Exchange(context.Background(), c, req)
+				if err != nil {
+					t.Error(err)
 					return
 				}
-				if sent > writers*perG*3 || recv > writers*perG*7 {
-					t.Errorf("snapshot overran totals: sent=%d recv=%d", sent, recv)
+				if d != lone {
+					t.Errorf("exchange %d: delta = %+v, want a lone call's %+v", i, d, lone)
 					return
-				}
-			}
-		}()
-	}
-	var writersWG sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		writersWG.Add(1)
-		go func() {
-			defer writersWG.Done()
-			for j := 0; j < perG; j++ {
-				w.AddSent(3, CostModel{})
-				w.AddReceived(7, CostModel{})
-			}
-		}()
-	}
-	writersWG.Wait()
-	close(stop)
-	wg.Wait()
-
-	sent, recv, msgs, _ := w.Snapshot()
-	if sent != writers*perG*3 || recv != writers*perG*7 || msgs != writers*perG {
-		t.Errorf("totals: sent=%d recv=%d msgs=%d, want %d/%d/%d",
-			sent, recv, msgs, writers*perG*3, writers*perG*7, writers*perG)
-	}
-	w.Reset()
-	if w.Bytes() != 0 || w.CommTime() != 0 {
-		t.Errorf("Reset left bytes=%d comm=%v", w.Bytes(), w.CommTime())
-	}
-}
-
-// TestWireStatsResetConcurrent interleaves Reset with writers: the point
-// is race-freedom plus the invariant that a final Reset always lands on
-// zero regardless of interleaving.
-func TestWireStatsResetConcurrent(t *testing.T) {
-	var w WireStats
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				w.AddSent(1, CostModel{})
-				w.AddReceived(1, CostModel{})
-				if j%50 == 0 {
-					w.Reset()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	w.Reset()
-	if s, r, m, d := w.Snapshot(); s != 0 || r != 0 || m != 0 || d != 0 {
-		t.Errorf("final Reset left %d/%d/%d/%v", s, r, m, d)
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -17,7 +16,7 @@ import (
 // ErrHedgeLost is the cancellation cause attached to the context of a
 // hedged attempt that lost the race: its result is no longer wanted
 // because the other replica already answered. Wrappers below the hedger
-// (Reconnector, pool leases) use context.Cause to tell this apart from a
+// (Reconnector, Pool) use context.Cause to tell this apart from a
 // real caller cancellation — a lost hedge is planned waste accounted
 // under hedge counters, never a site failure and never retry waste.
 var ErrHedgeLost = errors.New("transport: hedged request lost the race")
@@ -39,7 +38,7 @@ const (
 // first success wins, the loser cancelled with cause ErrHedgeLost.
 // Duplicating a round is safe by construction: rounds are pure functions
 // of the request over immutable site data, and only the winner's traffic
-// is folded into the statistics, so a hedge never double-counts (see
+// is charged to the call, so a hedge never double-counts (see
 // PROTOCOL.md, "Tail tolerance").
 //
 // Only the idempotent evaluation ops (OpEvalBase, OpEvalRounds) are
@@ -53,27 +52,26 @@ const (
 // caller once and the losers' are dropped, so the caller owns what Call
 // returns (see Client.Call).
 //
-// Wire statistics fold only the winning attempt's traffic into Stats(),
-// keeping the coordinator's per-round byte accounting exact and
-// deterministic — together with the number of hedges the call launched,
-// which is how a round learns it was hedged; the loser's partial traffic
-// is counted under the "transport.hedge_wasted_bytes" counter instead.
+// A call charges its exchange (see Exchange) with the winning attempt's
+// traffic alone, keeping the coordinator's per-round byte accounting
+// exact and deterministic — together with the number of hedges the call
+// launched, which is how a round learns it was hedged; the loser's
+// partial traffic is counted under the "transport.hedge_wasted_bytes"
+// counter instead.
 type Hedger struct {
 	id       string
 	replicas []Client
 	// hedgeState is shared by every Hedger of one site (see Site): each
-	// execution races its own replica clients and keeps its own
-	// statistics, all against one latency estimate.
+	// races its own replica clients against one latency estimate.
 	*hedgeState
 
-	stats WireStats
 	// wg tracks attempt and loser-drain goroutines so Close can prove
 	// none leak (goleak).
 	wg sync.WaitGroup
 }
 
-// hedgeState is a site's hedging memory: the tuning, the adaptive
-// threshold's latency estimate and the lifetime counters.
+// hedgeState is a site's hedging memory: the tuning and the adaptive
+// threshold's latency estimate.
 type hedgeState struct {
 	// delay, when positive, fixes the hedge threshold; zero adapts it.
 	delay time.Duration
@@ -84,9 +82,6 @@ type hedgeState struct {
 	// "transport.hedges" / "transport.hedge_wins" /
 	// "transport.hedge_wasted_bytes" counters.
 	obs *obs.Obs
-
-	hedges int64 // atomic: duplicate/failover sends launched
-	wins   int64 // atomic: hedged sends whose answer was used
 
 	mu sync.Mutex
 	// ewmaNs is the exponentially weighted moving average of successful
@@ -103,7 +98,7 @@ func NewHedger(id string, replicas []Client, delay time.Duration, budget *RetryB
 	return (&hedgeState{delay: delay, budget: budget, obs: o}).hedger(id, replicas)
 }
 
-// hedger returns one execution's Hedger over its own replica clients.
+// hedger returns a Hedger over replica clients of its own.
 func (s *hedgeState) hedger(id string, replicas []Client) *Hedger {
 	if len(replicas) == 0 {
 		panic("transport: hedger needs at least one replica")
@@ -113,16 +108,6 @@ func (s *hedgeState) hedger(id string, replicas []Client) *Hedger {
 
 // SiteID implements Client.
 func (h *Hedger) SiteID() string { return h.id }
-
-// Stats implements Client: only winning attempts' traffic, so round byte
-// accounting stays exact.
-func (h *Hedger) Stats() *WireStats { return &h.stats }
-
-// HedgeCounts returns how many hedged sends were launched and how many
-// of their answers won the race.
-func (h *hedgeState) HedgeCounts() (hedges, wins int64) {
-	return atomic.LoadInt64(&h.hedges), atomic.LoadInt64(&h.wins)
-}
 
 // Close implements Client: it closes every replica and waits for all
 // attempt goroutines (including cancelled losers) to drain.
@@ -203,7 +188,6 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 		if launched >= len(h.replicas) || !h.budget.Take() {
 			return false
 		}
-		atomic.AddInt64(&h.hedges, 1)
 		o := h.obs
 		o.Count("transport.hedges", 1)
 		o.Event(obs.EventHedge, h.id, "hedging "+req.Op.String()+" to next replica: "+reason,
@@ -215,8 +199,8 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 		launch()
 		return true
 	}
-	// finish settles the race: the decisive attempt's traffic folds into
-	// the aggregate beside the hedges launched, every other in-flight
+	// finish settles the race: the decisive attempt's traffic is charged
+	// to the call beside the hedges launched, every other in-flight
 	// attempt is cancelled with cause ErrHedgeLost, and a drain goroutine
 	// accounts the losers' partial traffic as hedge waste.
 	finish := func(a hedgeAttempt, consumed int) {
@@ -230,7 +214,7 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 			d = Delta{}
 		}
 		d.Hedges = launched - 1
-		h.stats.Add(d)
+		charge(ctx, d)
 		if remaining := launched - consumed; remaining > 0 {
 			h.wg.Add(1)
 			go func() {
@@ -292,7 +276,6 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 				return nil, fmt.Errorf("transport: %s: %w", h.id, a.err)
 			}
 			if a.idx > 0 {
-				atomic.AddInt64(&h.wins, 1)
 				h.obs.Count("transport.hedge_wins", 1)
 			}
 			if a.resp.Error() == nil {
@@ -303,15 +286,15 @@ func (h *Hedger) Call(ctx context.Context, req *Request) (*Response, error) {
 	}
 }
 
-// callDirect forwards to the primary replica alone, folding its traffic
-// into the aggregate.
+// callDirect forwards to the primary replica alone, charging its traffic
+// to the call.
 func (h *Hedger) callDirect(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
 	resp, d, err := Exchange(ctx, h.replicas[0], req)
 	if err != nil {
 		return nil, err
 	}
-	h.stats.Add(d)
+	charge(ctx, d)
 	if hedgeable(req.Op) && resp.Error() == nil {
 		// Passthrough successes still seed the adaptive threshold.
 		h.observe(time.Since(start))

@@ -20,17 +20,15 @@ type replicaStub struct {
 	fail  bool
 	shed  bool
 	calls int64 // atomic
-	stats WireStats
 }
 
-func (r *replicaStub) SiteID() string    { return r.id }
-func (r *replicaStub) Stats() *WireStats { return &r.stats }
-func (r *replicaStub) Close() error      { return nil }
-func (r *replicaStub) Calls() int64      { return atomic.LoadInt64(&r.calls) }
+func (r *replicaStub) SiteID() string { return r.id }
+func (r *replicaStub) Close() error   { return nil }
+func (r *replicaStub) Calls() int64   { return atomic.LoadInt64(&r.calls) }
 
 func (r *replicaStub) Call(ctx context.Context, req *Request) (*Response, error) {
 	atomic.AddInt64(&r.calls, 1)
-	r.stats.AddSent(10, CostModel{})
+	charge(ctx, Delta{Sent: 10})
 	if r.delay > 0 {
 		if err := sleepCtx(ctx, r.delay); err != nil {
 			return nil, err
@@ -39,7 +37,7 @@ func (r *replicaStub) Call(ctx context.Context, req *Request) (*Response, error)
 	if r.fail {
 		return nil, errConnReset
 	}
-	r.stats.AddReceived(20, CostModel{})
+	charge(ctx, Delta{Recv: 20})
 	if r.shed {
 		return &Response{Err: "draining", Code: CodeDraining}, nil
 	}
@@ -53,21 +51,20 @@ func TestHedgerWinsRaceAgainstStraggler(t *testing.T) {
 	secondary := &replicaStub{id: "s0"}
 	h := NewHedger("s0", []Client{primary, secondary}, 5*time.Millisecond, nil, o)
 
-	resp, err := h.Call(context.Background(), &Request{Op: OpEvalRounds})
+	resp, d, err := Exchange(context.Background(), h, &Request{Op: OpEvalRounds})
 	if err != nil || resp.RowCount != 1 {
 		t.Fatalf("hedged call: %v / %+v", err, resp)
 	}
-	if hedges, wins := h.HedgeCounts(); hedges != 1 || wins != 1 {
-		t.Errorf("hedges/wins = %d/%d, want 1/1", hedges, wins)
+	if wins := o.Metrics.CounterValue("transport.hedge_wins"); d.Hedges != 1 || wins != 1 {
+		t.Errorf("hedges/wins = %d/%d, want 1/1", d.Hedges, wins)
 	}
 	if got := secondary.Calls(); got != 1 {
 		t.Errorf("secondary calls = %d, want 1", got)
 	}
-	// Only the winner's traffic is in Stats(): the coordinator's round
-	// byte accounting must stay deterministic under hedging.
-	sent, recv, msgs, _ := h.Stats().Snapshot()
-	if sent != 10 || recv != 20 || msgs != 1 {
-		t.Errorf("stats = sent %d recv %d msgs %d, want winner-only 10/20/1", sent, recv, msgs)
+	// Only the winner's traffic is charged to the call: the coordinator's
+	// round byte accounting must stay deterministic under hedging.
+	if d.Sent != 10 || d.Recv != 20 {
+		t.Errorf("delta = sent %d recv %d, want winner-only 10/20", d.Sent, d.Recv)
 	}
 	if got := o.Metrics.CounterValue("transport.hedges"); got != 1 {
 		t.Errorf("transport.hedges = %d, want 1", got)
@@ -90,16 +87,21 @@ func TestHedgerWinsRaceAgainstStraggler(t *testing.T) {
 func TestHedgerFastPrimaryNeverHedges(t *testing.T) {
 	primary := &replicaStub{id: "s0"}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, time.Second, nil, nil)
+	o := obs.New()
+	h := NewHedger("s0", []Client{primary, secondary}, time.Second, nil, o)
 	defer h.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := h.Call(context.Background(), &Request{Op: OpEvalRounds}); err != nil {
+		_, d, err := Exchange(context.Background(), h, &Request{Op: OpEvalRounds})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if d.Hedges != 0 {
+			t.Errorf("call %d: hedges = %d, want 0 for a fast primary", i, d.Hedges)
+		}
 	}
-	if hedges, _ := h.HedgeCounts(); hedges != 0 {
-		t.Errorf("hedges = %d, want 0 for a fast primary", hedges)
+	if hedges := o.Metrics.CounterValue("transport.hedges"); hedges != 0 {
+		t.Errorf("transport.hedges = %d, want 0 for a fast primary", hedges)
 	}
 	if got := secondary.Calls(); got != 0 {
 		t.Errorf("secondary calls = %d, want 0", got)
@@ -111,19 +113,20 @@ func TestHedgerImmediateFailover(t *testing.T) {
 	// hedger must not sit out the timer: it fails over immediately.
 	primary := &replicaStub{id: "s0", fail: true}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, 10*time.Second, nil, nil)
+	o := obs.New()
+	h := NewHedger("s0", []Client{primary, secondary}, 10*time.Second, nil, o)
 	defer h.Close()
 
 	start := time.Now()
-	resp, err := h.Call(context.Background(), &Request{Op: OpEvalRounds})
+	resp, d, err := Exchange(context.Background(), h, &Request{Op: OpEvalRounds})
 	if err != nil || resp.RowCount != 1 {
 		t.Fatalf("failover call: %v / %+v", err, resp)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("failover waited for the hedge timer (%s)", elapsed)
 	}
-	if hedges, wins := h.HedgeCounts(); hedges != 1 || wins != 1 {
-		t.Errorf("hedges/wins = %d/%d, want 1/1", hedges, wins)
+	if wins := o.Metrics.CounterValue("transport.hedge_wins"); d.Hedges != 1 || wins != 1 {
+		t.Errorf("hedges/wins = %d/%d, want 1/1", d.Hedges, wins)
 	}
 
 	// With every replica failing, the settling failure reaches the caller
@@ -168,15 +171,16 @@ func TestHedgerRespectsBudget(t *testing.T) {
 	}
 	primary := &replicaStub{id: "s0", delay: 50 * time.Millisecond}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, budget, nil)
+	o := obs.New()
+	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, budget, o)
 	defer h.Close()
 
-	resp, err := h.Call(context.Background(), &Request{Op: OpEvalRounds})
+	resp, d, err := Exchange(context.Background(), h, &Request{Op: OpEvalRounds})
 	if err != nil || resp.RowCount != 1 {
 		t.Fatalf("call: %v / %+v", err, resp)
 	}
-	if hedges, _ := h.HedgeCounts(); hedges != 0 {
-		t.Errorf("hedges = %d, want 0 with an exhausted budget", hedges)
+	if hedges := o.Metrics.CounterValue("transport.hedges"); d.Hedges != 0 || hedges != 0 {
+		t.Errorf("hedges = %d (transport.hedges %d), want 0 with an exhausted budget", d.Hedges, hedges)
 	}
 	if got := secondary.Calls(); got != 0 {
 		t.Errorf("secondary calls = %d, want 0 (budget denied the hedge)", got)
@@ -191,14 +195,16 @@ func TestHedgerOnlyEvalOpsHedge(t *testing.T) {
 	// matter how slow the primary is.
 	primary := &replicaStub{id: "s0", delay: 20 * time.Millisecond}
 	secondary := &replicaStub{id: "s0"}
-	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, nil, nil)
+	o := obs.New()
+	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, nil, o)
 	defer h.Close()
 
-	if _, err := h.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	_, d, err := Exchange(context.Background(), h, &Request{Op: OpPing})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hedges, _ := h.HedgeCounts(); hedges != 0 {
-		t.Errorf("hedges = %d, want 0 for OpPing", hedges)
+	if hedges := o.Metrics.CounterValue("transport.hedges"); d.Hedges != 0 || hedges != 0 {
+		t.Errorf("hedges = %d (transport.hedges %d), want 0 for OpPing", d.Hedges, hedges)
 	}
 	if got := secondary.Calls(); got != 0 {
 		t.Errorf("secondary calls = %d, want 0", got)
@@ -248,7 +254,7 @@ func TestPoolHedgeDiscardAccounting(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Lease().Call(ctx, &Request{Op: OpDrop})
+		_, err := p.Call(ctx, &Request{Op: OpDrop})
 		done <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -266,7 +272,7 @@ func TestPoolHedgeDiscardAccounting(t *testing.T) {
 		t.Errorf("discards = %d, want 0 (hedge losers are not connection churn)", got)
 	}
 	// The pool stays serviceable after the discard.
-	if _, err := p.Lease().Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("pool unusable after hedge discard: %v", err)
 	}
 }

@@ -19,10 +19,10 @@ import (
 // an idle one, queueing callers when every connection is busy — the
 // pool's capacity is the site's client-side in-flight ceiling.
 //
-// Executions do not use the Pool directly: each takes a Lease, a
-// transport.Client view with its own WireStats. Calls on any lease borrow
-// whichever pooled connection is free, so connections are shared across
-// concurrent epochs while byte accounting stays exact per execution.
+// A Pool is a Client: concurrent executions call it directly, each call
+// borrowing whichever pooled connection is free, so connections are
+// shared across concurrent epochs while each call's bytes travel with the
+// call itself (see Exchange).
 //
 // Cancellation is isolated per call: cancelling one execution's context
 // aborts only the connection its call borrowed (the broken connection is
@@ -143,7 +143,8 @@ func (p *Pool) discardAs(cl Client, counter string) {
 	p.obs.SetGauge("transport.pool.in_use", int64(len(p.slots)))
 }
 
-// Close closes every idle connection and fails subsequent borrows.
+// Close implements Client: it closes every idle connection and fails
+// subsequent borrows.
 // Borrowed connections are closed as their calls return them.
 func (p *Pool) Close() error {
 	p.mu.Lock()
@@ -165,58 +166,32 @@ func (p *Pool) Close() error {
 	return first
 }
 
-// Lease returns a per-execution Client view over the pool. Each call on
-// the lease borrows a pooled connection for exactly one exchange, and the
-// exchange's wire traffic is folded into the lease's own statistics — so
-// concurrent executions sharing the pool each see exact per-execution
-// byte accounting, which the coordinator's per-round ExecStats depend on.
-func (p *Pool) Lease() *Lease {
-	return &Lease{pool: p}
-}
-
-// Lease is one execution's view of a shared connection pool; it
-// implements Client.
-type Lease struct {
-	pool  *Pool
-	stats WireStats
-}
-
 // SiteID implements Client.
-func (l *Lease) SiteID() string { return l.pool.id }
-
-// Stats implements Client, returning this lease's (not the pool's)
-// accumulated statistics.
-func (l *Lease) Stats() *WireStats { return &l.stats }
-
-// Close implements Client. Leases own no connections — the pool does —
-// so closing a lease is a no-op; close the pool to release connections.
-func (l *Lease) Close() error { return nil }
+func (p *Pool) SiteID() string { return p.id }
 
 // Call implements Client: borrow a pooled connection, perform one
-// exchange, account its traffic against the lease, and return the
-// connection (discarding it after a transport failure).
-func (l *Lease) Call(ctx context.Context, req *Request) (*Response, error) {
-	cl, err := l.pool.get(ctx)
+// exchange, charge its traffic to the call, and return the connection
+// (discarding it after a transport failure).
+func (p *Pool) Call(ctx context.Context, req *Request) (*Response, error) {
+	cl, err := p.get(ctx)
 	if err != nil {
 		return nil, err
 	}
 	resp, d, err := Exchange(ctx, cl, req)
-	if err != nil {
-		if errors.Is(context.Cause(ctx), ErrHedgeLost) {
-			// The exchange was abandoned because its hedge lost the
-			// race: the partial traffic is the hedger's speculative
-			// waste (it counts the bytes under hedge_wasted_bytes), so
-			// folding the delta into the lease would double-count it
-			// into the execution's round bytes; the torn connection is
-			// a hedge discard, not generic churn.
-			l.pool.hedgeDiscard(cl)
-			return nil, err
-		}
-		l.stats.Add(d)
-		l.pool.discard(cl)
+	if err != nil && errors.Is(context.Cause(ctx), ErrHedgeLost) {
+		// The exchange was abandoned because its hedge lost the race: the
+		// partial traffic is the hedger's speculative waste (it counts the
+		// bytes under hedge_wasted_bytes), so charging it to the call
+		// would double-count it into the execution's round bytes; the
+		// torn connection is a hedge discard, not generic churn.
+		p.hedgeDiscard(cl)
 		return nil, err
 	}
-	l.stats.Add(d)
-	l.pool.put(cl)
+	charge(ctx, d)
+	if err != nil {
+		p.discard(cl)
+		return nil, err
+	}
+	p.put(cl)
 	return resp, nil
 }

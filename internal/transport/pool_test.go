@@ -56,8 +56,8 @@ func (h *gateHandler) peakInflight() int {
 	return h.peak
 }
 
-// localDial's dial function is called by concurrent leases, hence the
-// atomic connection counter.
+// localDial's dial function is called by concurrent pool calls, hence
+// the atomic connection counter.
 func localDial(h Handler) func() (Client, error) {
 	var n atomic.Int64
 	return func() (Client, error) {
@@ -70,9 +70,8 @@ func TestPoolReusesConnections(t *testing.T) {
 	p := NewPool("s0", 4, localDial(newGateHandler()), o)
 	defer p.Close()
 
-	l := p.Lease()
 	for i := 0; i < 5; i++ {
-		if _, err := l.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+		if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,8 +95,7 @@ func TestPoolCapsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := p.Lease()
-			_, err := l.Call(context.Background(), &Request{Op: OpDrop})
+			_, err := p.Call(context.Background(), &Request{Op: OpDrop})
 			errs <- err
 		}()
 	}
@@ -119,36 +117,44 @@ func TestPoolCapsConcurrency(t *testing.T) {
 	}
 }
 
-func TestPoolLeaseStatsIsolated(t *testing.T) {
+// TestPoolConcurrentCallsExact: calls sharing one pool, and one pooled
+// connection, each see exactly their own traffic.
+func TestPoolConcurrentCallsExact(t *testing.T) {
 	h := newGateHandler()
 	p := NewPool("s0", 1, localDial(h), nil)
 	defer p.Close()
 	// The connection's first exchange carries gob's type preamble: warm it
 	// so every counted call below is the same size.
-	warm := p.Lease()
-	if _, err := warm.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
-	warm.Close()
+	_, lone, err := Exchange(context.Background(), p, &Request{Op: OpPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lone.Sent <= 0 || lone.Recv <= 0 {
+		t.Fatalf("lone call delta = %+v, want traffic both ways", lone)
+	}
 
-	a, b := p.Lease(), p.Lease()
-	if _, err := a.Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				_, d, err := Exchange(context.Background(), p, &Request{Op: OpPing})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d != lone {
+					t.Errorf("delta = %+v, want a lone call's %+v: calls sharing one connection must each see exactly their own traffic", d, lone)
+					return
+				}
+			}
+		}()
 	}
-	if _, err := b.Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	aSent, _, aMsgs, _ := a.Stats().Snapshot()
-	bSent, _, bMsgs, _ := b.Stats().Snapshot()
-	if aMsgs != 1 || bMsgs != 2 {
-		t.Errorf("messages = %d/%d, want 1/2", aMsgs, bMsgs)
-	}
-	if aSent <= 0 || bSent != 2*aSent {
-		t.Errorf("sent = %d/%d: leases sharing one connection must each see exactly their own traffic", aSent, bSent)
-	}
+	wg.Wait()
 }
 
 func TestPoolCancellationIsolation(t *testing.T) {
@@ -160,7 +166,7 @@ func TestPoolCancellationIsolation(t *testing.T) {
 	hungCtx, cancel := context.WithCancel(context.Background())
 	hung := make(chan error, 1)
 	go func() {
-		_, err := p.Lease().Call(hungCtx, &Request{Op: OpDrop})
+		_, err := p.Call(hungCtx, &Request{Op: OpDrop})
 		hung <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -169,8 +175,8 @@ func TestPoolCancellationIsolation(t *testing.T) {
 	}
 
 	// A sibling call on the same pool completes while the first hangs…
-	if _, err := p.Lease().Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatalf("sibling call failed while another lease hung: %v", err)
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+		t.Fatalf("sibling call failed while another call hung: %v", err)
 	}
 
 	// …and cancelling the hung call kills only its borrowed connection.
@@ -181,7 +187,7 @@ func TestPoolCancellationIsolation(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.pool.discards"); got != 1 {
 		t.Errorf("discards = %d, want 1 (only the cancelled call's connection)", got)
 	}
-	if _, err := p.Lease().Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("pool unusable after discard: %v", err)
 	}
 }
@@ -196,7 +202,7 @@ func TestPoolQueueTimeout(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		p.Lease().Call(context.Background(), &Request{Op: OpDrop}) //nolint:errcheck
+		p.Call(context.Background(), &Request{Op: OpDrop}) //nolint:errcheck
 	}()
 	<-started
 	deadline := time.Now().Add(2 * time.Second)
@@ -206,7 +212,7 @@ func TestPoolQueueTimeout(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := p.Lease().Call(ctx, &Request{Op: OpPing})
+	_, err := p.Call(ctx, &Request{Op: OpPing})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued call err = %v, want context.DeadlineExceeded", err)
 	}
@@ -228,7 +234,7 @@ func TestPoolDialFailure(t *testing.T) {
 	p := NewPool("s0", 1, dial, o)
 	defer p.Close()
 
-	if _, err := p.Lease().Call(context.Background(), &Request{Op: OpPing}); err == nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err == nil {
 		t.Fatal("dial failure not surfaced")
 	} else if !strings.Contains(err.Error(), "connection refused") {
 		t.Fatalf("err = %v, want dial failure", err)
@@ -239,7 +245,7 @@ func TestPoolDialFailure(t *testing.T) {
 	// The failed dial released its slot: the pool recovers once the site
 	// is reachable again.
 	fail = false
-	if _, err := p.Lease().Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("pool stuck after dial failure: %v", err)
 	}
 }
@@ -247,14 +253,13 @@ func TestPoolDialFailure(t *testing.T) {
 func TestPoolClose(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	p := NewPool("s0", 2, localDial(newGateHandler()), nil)
-	l := p.Lease()
-	if _, err := l.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Call(context.Background(), &Request{Op: OpPing}); err == nil {
+	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err == nil {
 		t.Fatal("call succeeded on closed pool")
 	}
 	if err := p.Close(); err != nil {
@@ -279,9 +284,8 @@ func TestPoolOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := p.Lease()
 			for j := 0; j < 5; j++ {
-				if _, err := l.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+				if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 					failed.Add(1)
 					return
 				}
@@ -290,6 +294,6 @@ func TestPoolOverTCP(t *testing.T) {
 	}
 	wg.Wait()
 	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d lease workers failed", n)
+		t.Fatalf("%d pool workers failed", n)
 	}
 }

@@ -353,8 +353,6 @@ type Client interface {
 	// underlying connection unusable; such clients report subsequent
 	// calls as transport errors so a retrying wrapper redials.
 	Call(ctx context.Context, req *Request) (*Response, error)
-	// Stats returns the cumulative wire statistics of this client.
-	Stats() *WireStats
 	// Close releases the connection.
 	Close() error
 }

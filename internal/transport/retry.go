@@ -34,10 +34,10 @@ import (
 //
 // Retries back off exponentially with full jitter from a deterministic
 // per-site seed: delay n is uniform in [base·2ⁿ/2, base·2ⁿ], capped at
-// MaxBackoff. Wire statistics aggregate across reconnections and
-// failovers, so coordinators see one continuous accounting stream per
-// logical site, and count the re-sends each answered call needed
-// (Delta.Retries), which is how a round learns it was retried. This is
+// MaxBackoff. A call charges its exchange (see Exchange) with the
+// answered attempt's traffic alone, whichever connection or replica
+// carried it, plus the re-sends it needed (Delta.Retries), which is how a
+// round learns it was retried. This is
 // the only layer that re-sends a failed call: the coordinator never
 // re-issues a round on its own.
 type Reconnector struct {
@@ -68,7 +68,6 @@ type Reconnector struct {
 	rng *rand.Rand
 	//lint:guarded-by mu
 	sleep func(ctx context.Context, d time.Duration) error
-	stats WireStats
 }
 
 // NewReconnector returns a client for a single-endpoint site that dials
@@ -146,9 +145,6 @@ func (r *Reconnector) SetSeed(seed int64) {
 
 // SiteID implements Client.
 func (r *Reconnector) SiteID() string { return r.id }
-
-// Stats implements Client, returning the aggregated statistics.
-func (r *Reconnector) Stats() *WireStats { return &r.stats }
 
 // Endpoint returns the index of the currently selected replica endpoint.
 func (r *Reconnector) Endpoint() int {
@@ -247,7 +243,7 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 				if shedHops >= len(r.dials) {
 					// Every replica is shedding: surface the typed
 					// refusal to the caller instead of spinning.
-					r.stats.Add(d)
+					charge(ctx, d)
 					return resp, nil
 				}
 				// The replica is up but refusing work (draining): fail
@@ -274,7 +270,7 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 				i--
 				continue
 			}
-			r.stats.Add(d)
+			charge(ctx, d)
 			return resp, nil
 		}
 		// A failed attempt's partial traffic is retry waste, not part of

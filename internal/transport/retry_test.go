@@ -20,20 +20,18 @@ type flakyClient struct {
 	failN  int
 	calls  int
 	closed int
-	stats  WireStats
 }
 
-func (f *flakyClient) SiteID() string    { return f.id }
-func (f *flakyClient) Stats() *WireStats { return &f.stats }
-func (f *flakyClient) Close() error      { f.closed++; return nil }
+func (f *flakyClient) SiteID() string { return f.id }
+func (f *flakyClient) Close() error   { f.closed++; return nil }
 
 func (f *flakyClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	f.calls++
-	f.stats.AddSent(10, CostModel{})
+	charge(ctx, Delta{Sent: 10})
 	if f.calls <= f.failN {
 		return nil, errConnReset
 	}
-	f.stats.AddReceived(20, CostModel{})
+	charge(ctx, Delta{Recv: 20})
 	if req.Op == OpRelInfo {
 		return &Response{Err: "no such relation"}, nil
 	}
@@ -48,7 +46,7 @@ func TestReconnectorRetries(t *testing.T) {
 		dials++
 		return inner, nil
 	}}, 3, 0, nil, o)
-	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
+	resp, d, err := Exchange(context.Background(), rc, &Request{Op: OpPing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +59,15 @@ func TestReconnectorRetries(t *testing.T) {
 	if dials != 3 { // redial after each transport failure
 		t.Errorf("dials = %d, want 3", dials)
 	}
-	// Aggregated stats cover only the successful attempt: the two failed
+	// The call is charged only the successful attempt: the two failed
 	// attempts' bytes are retry waste, not part of the logical exchange,
 	// and must not inflate the coordinator's round byte accounting.
-	sent, recv, _, _ := rc.Stats().Snapshot()
-	if sent != 10 || recv != 20 {
-		t.Errorf("aggregated stats: sent=%d recv=%d, want sent=10 recv=20", sent, recv)
+	if d.Sent != 10 || d.Recv != 20 {
+		t.Errorf("exchange delta: sent=%d recv=%d, want sent=10 recv=20", d.Sent, d.Recv)
 	}
-	// The two re-sends do ride the aggregate, for the round to attribute.
-	if got := rc.Stats().Totals().Retries; got != 2 {
-		t.Errorf("aggregated retries = %d, want 2", got)
+	// The two re-sends do ride the delta, for the round to attribute.
+	if d.Retries != 2 {
+		t.Errorf("exchange retries = %d, want 2", d.Retries)
 	}
 	if got := o.Metrics.CounterValue("transport.retry_wasted_bytes"); got != 20 {
 		t.Errorf("retry_wasted_bytes = %d, want 20 (2 failed attempts × 10 sent)", got)
@@ -318,17 +315,14 @@ type shedClient struct {
 	shedN int
 	code  int
 	calls int
-	stats WireStats
 }
 
-func (s *shedClient) SiteID() string    { return s.id }
-func (s *shedClient) Stats() *WireStats { return &s.stats }
-func (s *shedClient) Close() error      { return nil }
+func (s *shedClient) SiteID() string { return s.id }
+func (s *shedClient) Close() error   { return nil }
 
 func (s *shedClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	s.calls++
-	s.stats.AddSent(10, CostModel{})
-	s.stats.AddReceived(5, CostModel{})
+	charge(ctx, Delta{Sent: 10, Recv: 5})
 	if s.calls <= s.shedN {
 		return &Response{Err: "refused", Code: s.code}, nil
 	}
@@ -346,7 +340,7 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 		func() (Client, error) { return over, nil },
 		func() (Client, error) { return good, nil },
 	}, 1, 0, nil, o)
-	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
+	resp, d, err := Exchange(context.Background(), rc, &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("shed failover failed: %v", err)
 	}
@@ -366,10 +360,9 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 		t.Errorf("overload events = %d, want 1", got)
 	}
 	// The shed attempt's traffic is waste, not part of the exchange: only
-	// the successful replica's bytes (10 sent / 20 received) aggregate.
-	sent, recv, _, _ := rc.Stats().Snapshot()
-	if sent != 10 || recv != 20 {
-		t.Errorf("aggregated stats sent=%d recv=%d, want 10/20", sent, recv)
+	// the successful replica's bytes (10 sent / 20 received) are charged.
+	if d.Sent != 10 || d.Recv != 20 {
+		t.Errorf("exchange delta sent=%d recv=%d, want 10/20", d.Sent, d.Recv)
 	}
 	if got := o.Metrics.CounterValue("transport.retry_wasted_bytes"); got != 15 {
 		t.Errorf("retry_wasted_bytes = %d, want 15", got)
@@ -407,12 +400,10 @@ func TestAllReplicasShed(t *testing.T) {
 type cancelledClient struct {
 	id    string
 	calls int
-	stats WireStats
 }
 
-func (c *cancelledClient) SiteID() string    { return c.id }
-func (c *cancelledClient) Stats() *WireStats { return &c.stats }
-func (c *cancelledClient) Close() error      { return nil }
+func (c *cancelledClient) SiteID() string { return c.id }
+func (c *cancelledClient) Close() error   { return nil }
 
 func (c *cancelledClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	c.calls++

@@ -86,19 +86,18 @@ type SiteSpec struct {
 	// Budget is the retry budget shared with the other sites of the
 	// cluster (Resilience.NewBudget); nil is unlimited.
 	Budget *RetryBudget
-	// SiteInflight caps concurrent in-flight requests to the site: it is
-	// the connection-pool size, the one per-site bound concurrent
-	// executions share. 0 omits the pool: every client view owns its
-	// connections.
+	// SiteInflight caps the requests one client of the site has in
+	// flight at once: it is the size of the client's connection pool (one
+	// per replica when hedging races them), a bound every execution
+	// sharing the client shares. 0 omits the pool: the client's calls take
+	// turns on one connection per replica.
 	SiteInflight int
 }
 
 // Site is the one place a logical site's client stack is assembled. It
-// owns what every execution against the site shares — the hedging
-// latency estimate and counters, the connection pools, a liveness-probe
-// connection — and hands out per-execution Client views with private
-// statistics. A view is composed, outermost to innermost, in the only
-// order this package can produce:
+// owns the hedging latency estimate all its clients share and a
+// liveness-probe connection, and hands out clients, each composed,
+// outermost to innermost, in the only order this package can produce:
 //
 //	hedge → pool → retry → leaf
 //
@@ -114,7 +113,6 @@ type Site struct {
 	// conns opens retry → leaf connections: one opener per replica when
 	// hedging races them, else a single one failing over across them all.
 	conns []func() (Client, error)
-	pools []*Pool // one per opener; nil when connections are not pooled
 
 	mu sync.Mutex
 	//lint:guarded-by mu
@@ -139,11 +137,6 @@ func NewSite(spec SiteSpec) (*Site, error) {
 		}
 	} else {
 		s.conns = append(s.conns, s.opener(spec.Replicas, spec.Budget))
-	}
-	if spec.SiteInflight > 0 {
-		for _, open := range s.conns {
-			s.pools = append(s.pools, NewPool(spec.ID, spec.SiteInflight, open, spec.Obs))
-		}
 	}
 	return s, nil
 }
@@ -188,13 +181,13 @@ func (s *Site) dial(r Replica) (Client, error) {
 	return ch, nil
 }
 
-// calls returns a view, hedge → pool → retry → leaf, over pooled leases
-// or over connections of its own.
+// calls returns a client, hedge → pool → retry → leaf, whose pools,
+// when pooled, are its own.
 func (s *Site) calls(pooled bool) (Client, error) {
 	replicas := make([]Client, len(s.conns))
 	for i, open := range s.conns {
 		if pooled {
-			replicas[i] = s.pools[i].Lease()
+			replicas[i] = NewPool(s.spec.ID, s.spec.SiteInflight, open, s.spec.Obs)
 			continue
 		}
 		cl, err := open()
@@ -212,13 +205,12 @@ func (s *Site) calls(pooled bool) (Client, error) {
 	return replicas[0], nil
 }
 
-// Client returns a new view of the site for one execution (or one
-// long-lived caller): its statistics are private, so the traffic and the
-// hedges of the calls made through it are exactly Stats()'s growth.
-// Closing the view releases only what it owns — its connections, when
-// they are not pooled.
+// Client returns a new client of the site, safe for concurrent calls:
+// each call's traffic travels with the call (see Exchange), so any number
+// of executions may share one client. Closing it releases its
+// connections and pools.
 func (s *Site) Client() (Client, error) {
-	return s.calls(s.pools != nil)
+	return s.calls(s.spec.SiteInflight > 0)
 }
 
 // Ping probes the site's liveness over a dedicated, lazily dialed
@@ -261,7 +253,7 @@ func (s *Site) String() string {
 	}
 	layer(s.hedge != nil && s.spec.HedgeDelay > 0, "hedge(%s)", s.spec.HedgeDelay)
 	layer(s.hedge != nil && s.spec.HedgeDelay <= 0, "hedge(adaptive)")
-	layer(s.pools != nil, "pool(%d)", s.spec.SiteInflight)
+	layer(s.spec.SiteInflight > 0, "pool(%d)", s.spec.SiteInflight)
 	layer(s.spec.Attempts > 0, "retry(%d,%s)", s.spec.Attempts, s.spec.Backoff)
 	if s.spec.Replicas[0].Handler == nil {
 		b.WriteString("tcp ")
@@ -282,20 +274,14 @@ func (s *Site) String() string {
 	return b.String()
 }
 
-// Close releases the pooled connections and the probe connection. Views
-// over connections of their own are closed by their holders.
+// Close releases the probe connection. Clients are closed by their
+// holders.
 func (s *Site) Close() error {
-	var first error
-	for _, p := range s.pools {
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.probe != nil {
 		s.probe.Close()
 		s.probe = nil
 	}
-	return first
+	return nil
 }

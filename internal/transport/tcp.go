@@ -401,7 +401,6 @@ type TCPClient struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	broken bool
-	stats  WireStats
 	// obs, set by the site builder before the client is shared, receives
 	// the raw client-side wire totals ("transport.bytes_sent",
 	// "transport.bytes_received", "transport.messages"). Raw totals
@@ -433,14 +432,13 @@ func newTCPClient(id string, conn net.Conn, cost CostModel) *TCPClient {
 // SiteID implements Client.
 func (c *TCPClient) SiteID() string { return c.id }
 
-// Stats implements Client.
-func (c *TCPClient) Stats() *WireStats { return &c.stats }
-
 // Close implements Client.
 func (c *TCPClient) Close() error { return c.conn.Close() }
 
 // Call implements Client. Calls on one client are serialized; the
 // coordinator uses one client per site and fans out with goroutines.
+// The bytes a call sends and receives, with their modeled transfer time,
+// are charged to the exchange it runs under (see Exchange).
 //
 // The context bounds the whole exchange via connection deadlines; a
 // cancellation or deadline mid-exchange interrupts blocked I/O. After any
@@ -486,8 +484,9 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return nil, c.failLocked("send to", err, ctx)
 	}
-	c.stats.AddSent(int(c.cw.n-before), c.cost)
-	c.obs.Count("transport.bytes_sent", c.cw.n-before)
+	sent := c.cw.n - before
+	charge(ctx, Delta{Sent: sent, Comm: c.cost.TransferTime(int(sent))})
+	c.obs.Count("transport.bytes_sent", sent)
 	c.obs.Count("transport.messages", 1)
 
 	beforeR := c.cr.n
@@ -495,8 +494,9 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	if err := c.dec.Decode(&resp); err != nil {
 		return nil, c.failLocked("receive from", err, ctx)
 	}
-	c.stats.AddReceived(int(c.cr.n-beforeR), c.cost)
-	c.obs.Count("transport.bytes_received", c.cr.n-beforeR)
+	recv := c.cr.n - beforeR
+	charge(ctx, Delta{Recv: recv, Comm: c.cost.TransferTime(int(recv))})
+	c.obs.Count("transport.bytes_received", recv)
 	return &resp, nil
 }
 

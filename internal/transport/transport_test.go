@@ -63,19 +63,30 @@ func sampleRelation(n int) *relation.Relation {
 
 func exerciseClient(t *testing.T, c Client) {
 	t.Helper()
-	resp, err := c.Call(context.Background(), &Request{Op: OpPing})
+	// Every exchange's traffic is summed, and each that sent bytes counted.
+	var total Delta
+	msgs := 0
+	call := func(ctx context.Context, req *Request) (*Response, error) {
+		resp, d, err := Exchange(ctx, c, req)
+		total.add(d)
+		if d.Sent > 0 {
+			msgs++
+		}
+		return resp, err
+	}
+	resp, err := call(context.Background(), &Request{Op: OpPing})
 	if err != nil || resp.Error() != nil {
 		t.Fatalf("ping: %v / %v", err, resp.Error())
 	}
 	rel := sampleRelation(50)
-	resp, err = c.Call(context.Background(), &Request{Op: OpLoad, Rel: "t", Data: rel})
+	resp, err = call(context.Background(), &Request{Op: OpLoad, Rel: "t", Data: rel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.RowCount != 50 {
 		t.Errorf("load count = %d", resp.RowCount)
 	}
-	resp, err = c.Call(context.Background(), &Request{Op: OpRelInfo, Rel: "t"})
+	resp, err = call(context.Background(), &Request{Op: OpRelInfo, Rel: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,17 +105,16 @@ func exerciseClient(t *testing.T, c Client) {
 		t.Errorf("string value corrupted: %v", back.Rows[7][2])
 	}
 	// Error responses convert to errors.
-	resp, err = c.Call(context.Background(), &Request{Op: OpRelInfo, Rel: "missing"})
+	resp, err = call(context.Background(), &Request{Op: OpRelInfo, Rel: "missing"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Error() == nil || !strings.Contains(resp.Error().Error(), "no such relation") {
 		t.Errorf("error field: %v", resp.Error())
 	}
-	// Stats accumulated.
-	sent, recv, msgs, _ := c.Stats().Snapshot()
-	if sent <= 0 || recv <= 0 || msgs < 4 {
-		t.Errorf("stats: sent=%d recv=%d msgs=%d", sent, recv, msgs)
+	// The exchanges carried their traffic.
+	if total.Sent <= 0 || total.Recv <= 0 || msgs < 4 {
+		t.Errorf("exchanges: sent=%d recv=%d msgs=%d", total.Sent, total.Recv, msgs)
 	}
 }
 
@@ -235,27 +245,6 @@ func TestCostModel(t *testing.T) {
 	}
 	if DefaultWAN.TransferTime(0) <= 0 {
 		t.Error("DefaultWAN has no latency")
-	}
-}
-
-func TestWireStats(t *testing.T) {
-	var w WireStats
-	cm := CostModel{LatencyPerMsg: time.Millisecond}
-	w.AddSent(100, cm)
-	w.AddReceived(200, cm)
-	s, r, m, d := w.Snapshot()
-	if s != 100 || r != 200 || m != 1 || d != 2*time.Millisecond {
-		t.Errorf("snapshot = %d %d %d %v", s, r, m, d)
-	}
-	if w.Bytes() != 300 {
-		t.Errorf("Bytes = %d", w.Bytes())
-	}
-	if w.CommTime() != 2*time.Millisecond {
-		t.Errorf("CommTime = %v", w.CommTime())
-	}
-	w.Reset()
-	if w.Bytes() != 0 {
-		t.Error("Reset failed")
 	}
 }
 

@@ -76,9 +76,8 @@ type ServeConfig struct {
 // QueryService runs concurrent SQL queries against one cluster's sites.
 // Construct with NewQueryService; serve over HTTP via Handler or call
 // Query directly. Each admitted query executes on its own coordinator
-// with its own epoch and its own leased connections, so executions are
-// isolated while sharing the site fleet, admission, and the per-site
-// connection pools.
+// with its own epoch, so executions are isolated while sharing the site
+// fleet, admission, and one pooled client per site.
 //
 // Admission bounds the executions against the shared fleet: at most
 // MaxConcurrent run at once, a queue of QueueDepth absorbs bursts, and
@@ -90,6 +89,10 @@ type ServeConfig struct {
 type QueryService struct {
 	cluster *Cluster
 	sites   []*transport.Site
+	// clients holds one pooled client per site, shared by every
+	// execution: each call's bytes travel with the call, so sharing
+	// leaves every query's per-round accounting exact.
+	clients []transport.Client
 	cfg     ServeConfig
 	obs     *obs.Obs
 
@@ -124,17 +127,29 @@ func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {
 		spec.SiteInflight = cfg.SiteInflight
 		site, err := transport.NewSite(spec)
 		if err != nil {
+			s.Close()
 			return nil, fmt.Errorf("skalla: %w", err)
 		}
 		s.sites = append(s.sites, site)
+		cl, err := site.Client()
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("skalla: %w", err)
+		}
+		s.clients = append(s.clients, cl)
 	}
 	return s, nil
 }
 
-// Close releases the service's pooled connections. The underlying
-// cluster is not closed.
+// Close releases the service's pooled and probe connections. The
+// underlying cluster is not closed.
 func (s *QueryService) Close() error {
 	var first error
+	for _, cl := range s.clients {
+		if err := cl.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
 	for _, site := range s.sites {
 		if err := site.Close(); err != nil && first == nil {
 			first = err
@@ -169,27 +184,17 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		defer cancel()
 	}
 
-	// Per-execution isolation: a private view of every site (shared pools;
-	// private byte accounting; cancellation confined to
-	// borrowed connections), driven by a private coordinator under a
-	// unique epoch.
-	clients := make([]transport.Client, len(s.sites))
-	for i, site := range s.sites {
-		cl, err := site.Client()
-		if err != nil {
-			return nil, err
-		}
-		defer cl.Close()
-		clients[i] = cl
-	}
-	coord := s.cluster.coord.Derive(clients...)
+	// Per-execution isolation: the shared pooled clients (cancellation
+	// confined to borrowed connections) driven by a private coordinator
+	// under a unique epoch.
+	coord := s.cluster.coord.Derive(s.clients...)
 	coord.Epoch = s.nextEpoch()
 	// The unique serve epoch doubles as the query ID: every served query
 	// is profiled, its statistics published to the shared obs sink
 	// (/profiles on the coordinator daemon) by the coordinator itself.
 	coord.QueryID = coord.Epoch
 
-	view := &Cluster{AnalyzeTiming: s.cluster.AnalyzeTiming, ids: s.cluster.ids, clients: clients, coord: coord, cat: s.cluster.cat, obs: s.cluster.obs}
+	view := &Cluster{AnalyzeTiming: s.cluster.AnalyzeTiming, ids: s.cluster.ids, clients: s.clients, coord: coord, cat: s.cluster.cat, obs: s.cluster.obs}
 	start := time.Now()
 	rel, err := view.sqlStatement(ctx, st, *s.cfg.Opts)
 	wall := time.Since(start)

@@ -147,7 +147,7 @@ type Cluster struct {
 	// specs describe each site's client stack, in ids order. The cluster's
 	// own clients are built from them, and so is every further view of the
 	// same sites: sessions, and the concurrent query service's pooled
-	// stacks (NewQueryService). Multi-tier clusters have none.
+	// clients (NewQueryService). Multi-tier clusters have none.
 	specs []transport.SiteSpec
 }
 
@@ -207,7 +207,7 @@ func (c *Cluster) connect(settings Settings) error {
 	return nil
 }
 
-// openClient opens one client view of the stack spec describes.
+// openClient opens one client of the stack spec describes.
 func openClient(spec transport.SiteSpec) (transport.Client, error) {
 	s, err := transport.NewSite(spec)
 	if err != nil {
@@ -489,8 +489,9 @@ func (c *Cluster) Explain(q Query, detail string, opts Options) (*Plan, error) {
 }
 
 // Session returns a cluster view with its own connections to the same
-// sites, for concurrent use: queries on different sessions do not
-// serialize on shared connections and keep independent traffic statistics.
+// sites, so that queries on different sessions do not take turns on
+// shared connections. Queries may share one cluster too: every query's
+// traffic statistics are its own either way.
 // Sessions share the parent's catalog and in-process site engines; closing
 // a session closes only its own connections. Only in-process clusters
 // support sessions (remote clusters should Connect again instead).
