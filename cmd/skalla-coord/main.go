@@ -75,7 +75,7 @@ func bindFlags(fs *flag.FlagSet) *config {
 	c := &config{
 		conn: skalla.ConnectConfig{Resilience: transport.DefaultResilience},
 		serve: skalla.ServeConfig{
-			MaxConcurrent: 4, QueueDepth: 8, QueueTimeout: 2 * time.Second, SiteInflight: 4,
+			MaxConcurrent: 4, QueueDepth: 8, QueueTimeout: 2 * time.Second,
 		},
 	}
 	fs.StringVar(&c.sites, "sites", "127.0.0.1:7001", "comma-separated site addresses; replicas of one site joined with | (addr1|addr2)")
@@ -105,7 +105,6 @@ func bindFlags(fs *flag.FlagSet) *config {
 	fs.IntVar(&c.serve.MaxConcurrent, "serve-concurrency", c.serve.MaxConcurrent, "queries executing at once in -serve mode")
 	fs.IntVar(&c.serve.QueueDepth, "serve-queue", c.serve.QueueDepth, "queries that may wait for an execution slot before new arrivals are rejected (HTTP 429)")
 	fs.DurationVar(&c.serve.QueueTimeout, "serve-queue-timeout", c.serve.QueueTimeout, "max time a queued query waits for a slot before rejection (0 = bounded only by the request)")
-	fs.IntVar(&c.serve.SiteInflight, "serve-site-inflight", c.serve.SiteInflight, "per-site connection-pool size in -serve mode: the most requests queries may have in flight to one site at once")
 	fs.DurationVar(&c.serve.QueryTimeout, "serve-query-timeout", c.serve.QueryTimeout, "per-query execution bound in -serve mode (0 = none)")
 	fs.DurationVar(&c.serve.SlowQuery, "serve-slow-query", c.serve.SlowQuery, "emit a slow-query event (and count serve.slow_queries) for served queries at or above this wall time (0 = disabled)")
 	fs.BoolVar(&c.conn.Hedge, "hedge", c.conn.Hedge, "hedge straggling round requests against the next replica of sites with | replica addresses: first success wins, the loser is cancelled")
@@ -143,9 +142,7 @@ func main() {
 		log.Fatalf("skalla-coord: %v", err)
 	}
 	defer cluster.Close()
-	if cfg.serveAddr == "" { // serve mode logs the served stacks instead
-		fmt.Fprint(os.Stderr, cluster.Stacks())
-	}
+	fmt.Fprint(os.Stderr, cluster.Stacks())
 	cluster.AnalyzeTiming = cfg.profile
 	if cfg.profile {
 		// One query per CLI invocation: a fixed ID is unambiguous.
@@ -278,9 +275,8 @@ func runServe(cluster *skalla.Cluster, sink *obs.Obs, addr string, cfg skalla.Se
 	defer srv.Close()
 	sink.Health.SetCheck(svc.CheckReady)
 	srv.Handle("/query", svc.Handler())
-	fmt.Fprint(os.Stderr, svc.Stacks())
-	fmt.Fprintf(os.Stderr, "serving queries on http://%s/query (%d concurrent, queue %d, per-site inflight %d; /metrics /healthz /readyz)\n",
-		srv.Addr(), cfg.MaxConcurrent, cfg.QueueDepth, cfg.SiteInflight)
+	fmt.Fprintf(os.Stderr, "serving queries on http://%s/query (%d concurrent, queue %d; /metrics /healthz /readyz)\n",
+		srv.Addr(), cfg.MaxConcurrent, cfg.QueueDepth)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -56,8 +56,8 @@ type Coordinator struct {
 
 // Settings groups the coordinator behaviours that describe a deployment
 // rather than one execution. They travel together: every place that builds
-// a coordinator over other clients of the same cluster (a subset, a
-// session, a served query, EXPLAIN ANALYZE) takes them whole via Derive.
+// another coordinator over the same cluster's clients (a subset, a served
+// query, EXPLAIN ANALYZE) takes them whole via Derive.
 type Settings struct {
 	// CallTimeout bounds each site round-trip; 0 means no per-call bound
 	// (the Execute context still applies).
@@ -146,19 +146,23 @@ func (c *Coordinator) callContext(ctx context.Context) (context.Context, context
 	return ctx, func() {}
 }
 
-// Run plans and executes a query in one call: it fetches the schemas of
-// every detail relation the query references, builds the plan with the
-// given optimizer, and executes it.
-func (c *Coordinator) Run(ctx context.Context, q gmdj.Query, detailName string, egil Egil) (*relation.Relation, *ExecStats, *Plan, error) {
+// Plan fetches the schema of every detail relation the query references
+// and builds the plan with the given optimizer.
+func (c *Coordinator) Plan(ctx context.Context, q gmdj.Query, detailName string, egil Egil) (*Plan, error) {
 	schemas := map[string]*relation.Schema{}
 	for _, name := range q.DetailNames(detailName) {
 		schema, err := c.DetailSchema(ctx, name)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		schemas[name] = schema
 	}
-	plan, err := egil.BuildPlanSchemas(q, detailName, schemas)
+	return egil.BuildPlanSchemas(q, detailName, schemas)
+}
+
+// Run plans (see Plan) and executes a query in one call.
+func (c *Coordinator) Run(ctx context.Context, q gmdj.Query, detailName string, egil Egil) (*relation.Relation, *ExecStats, *Plan, error) {
+	plan, err := c.Plan(ctx, q, detailName, egil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -77,61 +77,29 @@ type Event struct {
 // capacity evicts the oldest entries, so a long-running daemon's incident
 // history stays fresh and its memory stays bounded.
 type EventLog struct {
-	mu sync.Mutex
-	//lint:guarded-by mu
-	buf []Event
-	// head is the index of the oldest event when full.
-	//
-	//lint:guarded-by mu
-	head int
-	// next is the next sequence number.
-	//
-	//lint:guarded-by mu
-	next int64
-	//lint:guarded-by mu
-	cap int
-	//lint:guarded-by mu
-	now func() time.Time
+	ring[Event]
+	now atomic.Pointer[func() time.Time]
 }
 
 // NewEventLog returns an event log evicting beyond capacity (minimum 1).
 func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventLog{cap: capacity, now: time.Now}
+	l := &EventLog{ring: newRing[Event](capacity)}
+	l.SetNow(time.Now)
+	return l
 }
 
 // SetNow overrides the clock (tests inject fixed timestamps).
-func (l *EventLog) SetNow(now func() time.Time) {
-	l.mu.Lock()
-	l.now = now
-	l.mu.Unlock()
-}
+func (l *EventLog) SetNow(now func() time.Time) { l.now.Store(&now) }
 
 // Append records one event, evicting the oldest if the log is full.
 func (l *EventLog) Append(kind, site, msg string, fields map[string]string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := Event{Seq: l.next, Time: l.now(), Kind: kind, Site: site, Msg: msg, Fields: fields}
-	l.next++
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, e)
-		return
-	}
-	l.buf[l.head] = e
-	l.head = (l.head + 1) % l.cap
+	l.pushLocked(Event{Seq: l.total, Time: (*l.now.Load())(), Kind: kind, Site: site, Msg: msg, Fields: fields})
 }
 
 // Events returns a copy of the retained events, oldest first.
-func (l *EventLog) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.buf))
-	out = append(out, l.buf[l.head:]...)
-	out = append(out, l.buf[:l.head]...)
-	return out
-}
+func (l *EventLog) Events() []Event { return l.entries() }
 
 // ByKind returns the retained events of one kind, oldest first.
 func (l *EventLog) ByKind(kind string) []Event {
@@ -161,14 +129,12 @@ func (l *EventLog) CountKind(kind string) int {
 
 // Total returns how many events were ever appended (retained or evicted).
 func (l *EventLog) Total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
+	_, total := l.counts()
+	return total
 }
 
 // Dropped returns how many events were evicted by the capacity bound.
 func (l *EventLog) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - int64(len(l.buf))
+	retained, total := l.counts()
+	return total - int64(retained)
 }

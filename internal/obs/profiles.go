@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 )
 
 // DefaultProfileCap bounds the profile ring of New.
@@ -17,26 +16,13 @@ const DefaultProfileCap = 64
 // obs never imports core or transport, and /profiles serves both daemons
 // with one implementation.
 type ProfileLog struct {
-	mu sync.Mutex
-	//lint:guarded-by mu
-	buf []json.RawMessage
-	// head is the index of the oldest entry when full.
-	//
-	//lint:guarded-by mu
-	head int
-	//lint:guarded-by mu
-	total int64
-	//lint:guarded-by mu
-	cap int
+	ring[json.RawMessage]
 }
 
 // NewProfileLog returns a profile ring evicting beyond capacity
 // (minimum 1).
 func NewProfileLog(capacity int) *ProfileLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &ProfileLog{cap: capacity}
+	return &ProfileLog{newRing[json.RawMessage](capacity)}
 }
 
 // Add appends one encoded profile, evicting the oldest when full. The
@@ -47,13 +33,7 @@ func (l *ProfileLog) Add(p json.RawMessage) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.total++
-	if len(l.buf) < l.cap {
-		l.buf = append(l.buf, p)
-		return
-	}
-	l.buf[l.head] = p
-	l.head = (l.head + 1) % l.cap
+	l.pushLocked(p)
 }
 
 // Profiles returns the retained profiles, oldest first.
@@ -61,12 +41,7 @@ func (l *ProfileLog) Profiles() []json.RawMessage {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]json.RawMessage, 0, len(l.buf))
-	out = append(out, l.buf[l.head:]...)
-	out = append(out, l.buf[:l.head]...)
-	return out
+	return l.entries()
 }
 
 // Len returns how many profiles are retained.
@@ -74,9 +49,8 @@ func (l *ProfileLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
+	retained, _ := l.counts()
+	return retained
 }
 
 // Total returns how many profiles were ever added (retained or evicted).
@@ -84,9 +58,8 @@ func (l *ProfileLog) Total() int64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
+	_, total := l.counts()
+	return total
 }
 
 // EncodeJSON renders the retained profiles as one JSON array, oldest

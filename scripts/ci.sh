@@ -43,9 +43,9 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # without it by every worker of every concurrent request.
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
-# and so does the check that queries sharing one cluster each count
-# exactly their own bytes.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes)' ./skalla
+# and so do the checks that queries sharing one cluster each count
+# exactly their own bytes and never wait on a sibling's held call.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation)' ./skalla
 
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg

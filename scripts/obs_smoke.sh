@@ -56,8 +56,8 @@ echo "== run query (stats JSON + trace, profiled) =="
 
 echo "== validate coordinator artifacts =="
 # The coordinator logs the client stack it assembled for each site.
-grep -qxF "client stack site0: retry(3,100ms) > tcp $S1" "$WORK/coord.log"
-grep -qxF "client stack site1: retry(3,100ms) > tcp $S2" "$WORK/coord.log"
+grep -qxF "client stack site0: pool(4) > retry(3,100ms) > tcp $S1" "$WORK/coord.log"
+grep -qxF "client stack site1: pool(4) > retry(3,100ms) > tcp $S2" "$WORK/coord.log"
 "$WORK/jsoncheck" -require rounds,bytes,rounds.0.name "$WORK/stats.json"
 "$WORK/jsoncheck" -require traceEvents,traceEvents.0.name "$WORK/trace.json"
 

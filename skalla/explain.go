@@ -44,11 +44,7 @@ func (c *Cluster) sqlExplain(ctx context.Context, st *sqlfe.Statement, opts Opti
 	egil := core.Egil{Catalog: c.cat, Options: opts}
 
 	if !st.Analyze {
-		schema, err := c.coord.DetailSchema(ctx, st.Detail)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := egil.BuildPlan(q, st.Detail, schema)
+		plan, err := c.coord.Plan(ctx, q, st.Detail, egil)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/relation"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -168,5 +169,49 @@ func TestUseCatalogFreshProofs(t *testing.T) {
 	cluster.UseCatalog(cat)
 	if out := explain(); strings.Contains(out, note) {
 		t.Errorf("UseCatalog reused a proof its catalog no longer supports:\n%s", out)
+	}
+}
+
+// TestExplainMultiDetail: Explain plans a query whose second MD runs over
+// another detail relation, exactly as Prepare does.
+func TestExplainMultiDetail(t *testing.T) {
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	flows, _ := flowParts(3)
+	if err := cluster.Load("flow", flows); err != nil {
+		t.Fatal(err)
+	}
+	alertSchema := relation.MustSchema(
+		relation.Column{Name: "SourceAS", Kind: value.KindInt},
+		relation.Column{Name: "Severity", Kind: value.KindInt},
+	)
+	alerts := make([]*relation.Relation, 3)
+	for i := range alerts {
+		alerts[i] = relation.New(alertSchema)
+		alerts[i].MustAppend(value.NewInt(int64(i+1)), value.NewInt(int64(i+1)))
+	}
+	if err := cluster.Load("alerts", alerts); err != nil {
+		t.Fatal(err)
+	}
+	q := NewQuery("SourceAS").
+		MD(Aggs("count(*) AS flows", "avg(F.NumBytes) AS avg_nb"), "F.SourceAS = B.SourceAS").
+		MD(Aggs("count(*) AS alerts", "max(F.Severity) AS worst"), "F.SourceAS = B.SourceAS AND F.Severity >= 2").
+		MustBuild()
+	q.MDs[1].Detail = "alerts"
+	for _, opts := range []Options{NoOptimizations, AllOptimizations} {
+		prepared, err := cluster.Prepare(q, "flow", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := cluster.Explain(q, "flow", opts)
+		if err != nil {
+			t.Fatalf("Explain: %v", err)
+		}
+		if got, want := plan.Explain(), prepared.Plan().Explain(); got != want {
+			t.Errorf("Explain plan:\n%s\nPrepare plan:\n%s", got, want)
+		}
 	}
 }

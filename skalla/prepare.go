@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/relation"
 	"repro/internal/transport"
 )
 
@@ -29,15 +28,7 @@ func (c *Cluster) Prepare(q Query, detail string, opts Options) (*Prepared, erro
 // fetches detail schemas from the sites, and cancelling the context (or
 // hitting its deadline) aborts those calls.
 func (c *Cluster) PrepareContext(ctx context.Context, q Query, detail string, opts Options) (*Prepared, error) {
-	schemas := map[string]*relation.Schema{}
-	for _, name := range q.DetailNames(detail) {
-		s, err := c.coord.DetailSchema(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		schemas[name] = s
-	}
-	plan, err := core.Egil{Catalog: c.cat, Options: opts}.BuildPlanSchemas(q, detail, schemas)
+	plan, err := c.coord.Plan(ctx, q, detail, core.Egil{Catalog: c.cat, Options: opts})
 	if err != nil {
 		return nil, err
 	}
@@ -79,29 +70,26 @@ func (c *Cluster) Status(relations ...string) []SiteStatus {
 }
 
 // StatusContext is Status under a caller-supplied context, bounding the
-// ping and relation-info exchanges with every site.
+// ping and relation-info exchanges with every site. Sites are asked all
+// at once.
 func (c *Cluster) StatusContext(ctx context.Context, relations ...string) []SiteStatus {
 	out := make([]SiteStatus, len(c.clients))
-	for i, cl := range c.clients {
+	c.eachSite(func(i int) error {
+		cl := c.clients[i]
 		st := SiteStatus{ID: cl.SiteID(), Relations: map[string]int{}}
-		resp, err := cl.Call(ctx, &transport.Request{Op: transport.OpPing})
-		switch {
-		case err != nil:
+		if _, err := call(ctx, cl, &transport.Request{Op: transport.OpPing}); err != nil {
 			st.Err = err.Error()
-		case resp.Error() != nil:
-			st.Err = resp.Error().Error()
-		default:
+		} else {
 			st.Reachable = true
 			for _, rel := range relations {
-				info, err := cl.Call(ctx, &transport.Request{Op: transport.OpRelInfo, Rel: rel})
-				if err != nil || info.Error() != nil {
-					continue
+				if info, err := call(ctx, cl, &transport.Request{Op: transport.OpRelInfo, Rel: rel}); err == nil {
+					st.Relations[rel] = info.RowCount
 				}
-				st.Relations[rel] = info.RowCount
 			}
 		}
 		out[i] = st
-	}
+		return nil
+	})
 	return out
 }
 

@@ -2,11 +2,10 @@ package skalla
 
 // This file is the concurrent query service behind `skalla-coord -serve`:
 // many SQL queries at once over one shared site fleet, with bounded
-// admission (typed rejections instead of unbounded queueing), per-site
-// connection pools that bound each site's in-flight requests (concurrent
-// executions do not serialize on one TCP stream), and per-query
-// cancellation isolation (one query's failure or cancellation
-// never tears down a sibling's in-flight site calls).
+// admission (typed rejections instead of unbounded queueing). The site
+// clients are the cluster's own: their connection pools bound each
+// site's in-flight requests and confine a query's failure or
+// cancellation to the connections its own calls borrowed.
 
 import (
 	"context"
@@ -59,10 +58,6 @@ type ServeConfig struct {
 	// QueueTimeout bounds how long a queued query waits for a slot (0 =
 	// as long as its own context allows).
 	QueueTimeout time.Duration
-	// SiteInflight is how many requests concurrent queries may have in
-	// flight to one site at once: the size of the site's connection pool
-	// (default 4).
-	SiteInflight int
 	// QueryTimeout bounds each query's whole execution (0 = none).
 	QueryTimeout time.Duration
 	// SlowQuery, when positive, emits an obs slow-query event (and counts
@@ -77,22 +72,17 @@ type ServeConfig struct {
 // Construct with NewQueryService; serve over HTTP via Handler or call
 // Query directly. Each admitted query executes on its own coordinator
 // with its own epoch, so executions are isolated while sharing the site
-// fleet, admission, and one pooled client per site.
+// fleet, admission, and the cluster's pooled client per site.
 //
 // Admission bounds the executions against the shared fleet: at most
 // MaxConcurrent run at once, a queue of QueueDepth absorbs bursts, and
 // everything beyond that is rejected fast with a typed ErrAdmission
 // instead of piling latency onto queries already running. The per-site
-// bound is separate — each site's pool holds at most SiteInflight
-// connections, see transport.Site — so calls queue at a slow site without
+// bound is the cluster's — each site client's pool holds at most a fixed
+// number of connections — so calls queue at a slow site without
 // stalling admission globally.
 type QueryService struct {
 	cluster *Cluster
-	sites   []*transport.Site
-	// clients holds one pooled client per site, shared by every
-	// execution: each call's bytes travel with the call, so sharing
-	// leaves every query's per-round accounting exact.
-	clients []transport.Client
 	cfg     ServeConfig
 	obs     *obs.Obs
 
@@ -104,63 +94,22 @@ type QueryService struct {
 }
 
 // NewQueryService builds the concurrent query service on top of an
-// existing cluster (NewLocalCluster or ConnectWith). The cluster provides
-// the site fleet, catalog, and fault-tolerance settings; cfg bounds the
-// concurrency. Sessions and multi-tier clusters are not supported.
+// existing cluster (NewLocalCluster, ConnectWith or NewTreeCluster). The
+// cluster provides the site fleet and its clients, the catalog, and the
+// fault-tolerance settings; cfg bounds the concurrency.
 func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {
-	if len(c.specs) != len(c.ids) {
-		return nil, fmt.Errorf("skalla: cluster cannot serve concurrently (no per-site client specs)")
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
-	}
-	if cfg.SiteInflight <= 0 {
-		cfg.SiteInflight = 4
 	}
 	if cfg.Opts == nil {
 		cfg.Opts = &AllOptimizations
 	}
-	s := &QueryService{cluster: c, cfg: cfg, obs: c.obs, slots: make(chan struct{}, cfg.MaxConcurrent)}
-	// The served stack is the cluster's own with the connection pools
-	// concurrent executions share added on top.
-	for _, spec := range c.specs {
-		spec.SiteInflight = cfg.SiteInflight
-		site, err := transport.NewSite(spec)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("skalla: %w", err)
-		}
-		s.sites = append(s.sites, site)
-		cl, err := site.Client()
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("skalla: %w", err)
-		}
-		s.clients = append(s.clients, cl)
-	}
-	return s, nil
+	return &QueryService{cluster: c, cfg: cfg, obs: c.obs, slots: make(chan struct{}, cfg.MaxConcurrent)}, nil
 }
 
-// Close releases the service's pooled and probe connections. The
-// underlying cluster is not closed.
-func (s *QueryService) Close() error {
-	var first error
-	for _, cl := range s.clients {
-		if err := cl.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, site := range s.sites {
-		if err := site.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Stacks names, one line per site, the client stack queries reach the
-// site through, for start-up logs.
-func (s *QueryService) Stacks() string { return stackLines(s.sites) }
+// Close releases nothing: the service holds no connections of its own,
+// and the cluster's are closed with the cluster.
+func (s *QueryService) Close() error { return nil }
 
 // Query admits and executes one SQL statement. Saturation surfaces as an
 // error matching errors.Is(err, ErrAdmission); a query the sites refused
@@ -184,17 +133,18 @@ func (s *QueryService) Query(ctx context.Context, query string) (*Relation, erro
 		defer cancel()
 	}
 
-	// Per-execution isolation: the shared pooled clients (cancellation
+	// Per-execution isolation: the cluster's pooled clients (cancellation
 	// confined to borrowed connections) driven by a private coordinator
 	// under a unique epoch.
-	coord := s.cluster.coord.Derive(s.clients...)
+	coord := s.cluster.coord.Derive(s.cluster.clients...)
 	coord.Epoch = s.nextEpoch()
 	// The unique serve epoch doubles as the query ID: every served query
 	// is profiled, its statistics published to the shared obs sink
 	// (/profiles on the coordinator daemon) by the coordinator itself.
 	coord.QueryID = coord.Epoch
+	view := *s.cluster
+	view.coord = coord
 
-	view := &Cluster{AnalyzeTiming: s.cluster.AnalyzeTiming, ids: s.cluster.ids, clients: s.clients, coord: coord, cat: s.cluster.cat, obs: s.cluster.obs}
 	start := time.Now()
 	rel, err := view.sqlStatement(ctx, st, *s.cfg.Opts)
 	wall := time.Since(start)
@@ -302,42 +252,33 @@ func (s *QueryService) admitted() func() {
 }
 
 // CheckReady is the coordinator's readiness gate for /readyz: it probes
-// every site's liveness in parallel (a dedicated probe connection per
-// site, never a pooled query connection, so a saturated pool does not
-// read as an unhealthy site). In strict mode every site must answer — a
-// query fanning out would fail anyway; with AllowPartial one reachable
-// site suffices. Install via obs.Health.SetCheck.
+// every site's liveness in parallel (over each site's probe connection,
+// never a pooled query connection, so a saturated pool does not read as
+// an unhealthy site). In strict mode every site must answer — a query
+// fanning out would fail anyway; with AllowPartial one reachable site
+// suffices. Install via obs.Health.SetCheck.
 func (s *QueryService) CheckReady() (bool, string) {
-	timeout := s.cluster.coord.CallTimeout
+	c := s.cluster
+	timeout := c.coord.CallTimeout
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	errs := make([]error, len(s.sites))
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	var done = make(chan int, len(s.sites))
-	for i := range s.sites {
-		go func(i int) {
-			errs[i] = s.sites[i].Ping(ctx)
-			done <- i
-		}(i)
-	}
-	for range s.sites {
-		<-done
-	}
+	errs := c.eachSite(func(i int) error { return c.sites[i].Ping(ctx) })
 	reachable := 0
 	var firstDown string
 	for i, err := range errs {
 		if err == nil {
 			reachable++
 		} else if firstDown == "" {
-			firstDown = fmt.Sprintf("site %s unreachable: %v", s.cluster.ids[i], err)
+			firstDown = fmt.Sprintf("site %s unreachable: %v", c.ids[i], err)
 		}
 	}
 	switch {
-	case reachable == len(s.sites):
+	case reachable == len(errs):
 		return true, ""
-	case s.cluster.coord.AllowPartial && reachable > 0:
+	case c.coord.AllowPartial && reachable > 0:
 		return true, ""
 	default:
 		return false, firstDown

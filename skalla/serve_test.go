@@ -90,15 +90,30 @@ func TestServeConcurrentE2E(t *testing.T) {
 		servers = append(servers, srvs)
 	}
 	o := obs.New()
-	cluster, err := ConnectWith(ConnectConfig{
+	cfg := ConnectConfig{
 		Sites:      sites,
 		Settings:   Settings{CallTimeout: 10 * time.Second, Obs: o},
 		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond},
-	})
+	}
+	specs, err := cfg.siteSpecs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every connection to site1 runs through a chaos wrapper, armed below.
+	var chaosMu sync.Mutex
+	var site1 []*transport.Chaos
+	specs[1].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
+		chaosMu.Lock()
+		defer chaosMu.Unlock()
+		ch := transport.NewChaos(cl, int64(len(site1)))
+		site1 = append(site1, ch)
+		return ch
+	}
+	cluster := &Cluster{obs: o}
 	defer cluster.Close()
+	if err := cluster.open(specs, cfg.Settings); err != nil {
+		t.Fatal(err)
+	}
 
 	// Serial baselines before any chaos or draining.
 	baselines := make([]*Relation, len(serveQueries))
@@ -106,23 +121,15 @@ func TestServeConcurrentE2E(t *testing.T) {
 		baselines[i] = serveBaseline(t, cluster, q)
 	}
 
-	// Chaos: the first pooled connection to site1 fails its first
-	// evalRounds fan-out with a transport error; the pooled connection's
-	// retry layer must absorb it by re-sending the round.
-	var chaosMu sync.Mutex
-	chaosDials := 0
-	cluster.specs[1].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
-		chaosMu.Lock()
-		defer chaosMu.Unlock()
-		ch := transport.NewChaos(cl, int64(chaosDials))
-		if chaosDials == 0 {
-			ch.FailNext(transport.OpEvalRounds, 1)
-		}
-		chaosDials++
-		return ch
-	}
+	// Chaos: the first pooled connection to site1 — the one the serial
+	// baselines used — fails its next evalRounds fan-out with a transport
+	// error; the pooled connection's retry layer must absorb it by
+	// re-sending the round.
+	chaosMu.Lock()
+	site1[0].FailNext(transport.OpEvalRounds, 1)
+	chaosMu.Unlock()
 
-	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16, SiteInflight: 4})
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +163,11 @@ func TestServeConcurrentE2E(t *testing.T) {
 		assertIdentical(t, fmt.Sprintf("query %d", i), results[i], baselines[i%len(serveQueries)])
 	}
 
+	chaosMu.Lock()
+	if got := site1[0].Injected(); got != 1 {
+		t.Errorf("site1's first connection injected %d faults, want 1", got)
+	}
+	chaosMu.Unlock()
 	if got := o.Metrics.CounterValue("sched.admitted"); got != int64(total) {
 		t.Errorf("sched.admitted = %d, want %d", got, total)
 	}
@@ -259,29 +271,15 @@ func TestServeSiblingCancellationIsolation(t *testing.T) {
 	}
 	baseline := serveBaseline(t, cluster, serveQueries[0])
 
-	// The first pooled connection to site 0 hangs its first evalRounds
-	// until the borrowing query's context is cancelled.
-	chaosCh := make(chan *transport.Chaos, 1)
-	var dialMu sync.Mutex
-	dialed := false
-	cluster.specs[0].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
-		dialMu.Lock()
-		defer dialMu.Unlock()
-		ch := transport.NewChaos(cl, 1)
-		if !dialed {
-			dialed = true
-			ch.HangNext(transport.OpEvalRounds)
-			chaosCh <- ch
-		}
-		return ch
-	}
-
-	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 4, SiteInflight: 4})
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
+	// Site 0 holds query A's first call; A is cancelled while it is held.
+	entered, release := holdNext(cluster.engines[0])
+	defer release()
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	errA := make(chan error, 1)
@@ -289,21 +287,7 @@ func TestServeSiblingCancellationIsolation(t *testing.T) {
 		_, err := svc.Query(ctxA, serveQueries[0])
 		errA <- err
 	}()
-
-	// Wait until A is demonstrably hung inside the chaos fault.
-	ch := <-chaosCh
-	deadline := time.Now().Add(5 * time.Second)
-	for ch.Injected() == 0 {
-		select {
-		case err := <-errA:
-			t.Fatalf("query A finished before the injected hang: %v", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("query A never reached the injected hang")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-entered
 
 	// B runs to completion while A hangs on a sibling connection.
 	got, err := svc.Query(context.Background(), serveQueries[0])
@@ -321,6 +305,7 @@ func TestServeSiblingCancellationIsolation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelling query A did not unblock it")
 	}
+	release()
 
 	// The pools must still be healthy: a fresh query succeeds.
 	got, err = svc.Query(context.Background(), serveQueries[0])
@@ -595,14 +580,14 @@ func TestServeHedgesAttributed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hedge=%v: %v", hedge, err)
 		}
-		return rel, sink, svc.Stacks()
+		return rel, sink, cluster.Stacks()
 	}
 	want, _, _ := serve(false)
 	got, sink, stacks := serve(true)
 	assertIdentical(t, "hedged vs unhedged", got, want)
 
 	if want := "client stack site1: hedge(10ms) > pool(4) > retry(2,1ms) > tcp " + entries[1] + "\n"; !strings.HasSuffix(stacks, want) {
-		t.Errorf("served stacks:\n%swant the last line to be\n%s", stacks, want)
+		t.Errorf("cluster stacks:\n%swant the last line to be\n%s", stacks, want)
 	}
 	// The served query's statistics (its /profiles entry) name the hedged
 	// site on the rounds that raced.

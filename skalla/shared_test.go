@@ -1,15 +1,82 @@
 package skalla
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/site"
+	"repro/internal/transport"
 )
+
+// holdNext holds the next request eng handles: Handle reads the tracer
+// clock first thing, and the armed clock blocks there until release is
+// called. entered is closed when the request arrives. It replaces eng's
+// obs sink.
+func holdNext(eng *site.Engine) (entered <-chan struct{}, release func()) {
+	var armed atomic.Bool
+	in, out := make(chan struct{}), make(chan struct{})
+	o := obs.New()
+	o.Tracer.SetNow(func() time.Time {
+		if armed.CompareAndSwap(true, false) {
+			close(in)
+			<-out
+		}
+		return time.Now()
+	})
+	armed.Store(true)
+	eng.SetObs(o)
+	var once sync.Once
+	return in, func() { once.Do(func() { close(out) }) }
+}
+
+// warmPools dials every connection of every site's pool: sitePool pings
+// per site, each held at its site until all have arrived, so no ping can
+// reuse another's connection. A connection's first exchange carries
+// gob's type preamble; after this none of the cluster's does. The sites
+// report to o again afterwards.
+func warmPools(t *testing.T, c *Cluster, o *obs.Obs) {
+	t.Helper()
+	for i, eng := range c.engines {
+		var armed atomic.Bool
+		var arrived atomic.Int32
+		all := make(chan struct{})
+		hold := obs.New()
+		hold.Tracer.SetNow(func() time.Time {
+			if !armed.Load() {
+				return time.Now()
+			}
+			if n := arrived.Add(1); n == sitePool {
+				close(all)
+			} else if n < sitePool {
+				<-all
+			}
+			return time.Now()
+		})
+		armed.Store(true)
+		eng.SetObs(hold)
+		errs := make(chan error, sitePool)
+		for j := 0; j < sitePool; j++ {
+			go func() {
+				_, err := call(context.Background(), c.clients[i], &transport.Request{Op: transport.OpPing})
+				errs <- err
+			}()
+		}
+		for j := 0; j < sitePool; j++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.SetObs(o)
+	}
+}
 
 // replyTimingSlack is how far a reply's size may drift between two runs of
 // one query: every reply carries its site's compute time (and a profiled
@@ -99,6 +166,7 @@ func TestSharedClusterExactBytes(t *testing.T) {
 		if err := cluster.Load("flow", parts); err != nil {
 			t.Fatal(err)
 		}
+		warmPools(t, cluster, o)
 		query := func() ([]siteBytes, error) {
 			res, err := cluster.Query(example1(), "flow", NoOptimizations)
 			if err != nil {
@@ -106,8 +174,6 @@ func TestSharedClusterExactBytes(t *testing.T) {
 			}
 			return roundBytes(res.Stats.Rounds), nil
 		}
-		// Each connection's first exchange of a message type carries
-		// gob's type preamble: warm both statements before measuring.
 		var alone []siteBytes
 		for i := 0; i < 2; i++ {
 			if alone, err = query(); err != nil {
@@ -168,6 +234,53 @@ func TestSharedClusterExactBytes(t *testing.T) {
 			if diff := sameBytes(got, analyzeAlone); diff != "" {
 				t.Errorf("tcp=%v: concurrent %s: %s", useTCP, id, diff)
 			}
+		}
+	}
+}
+
+// TestSharedClusterCancelIsolation: a query whose call to site 0 is held
+// at the site holds only the pooled connection it borrowed. A sibling
+// query on the same cluster, under a 100 ms deadline, answers before the
+// held call is released — in process and over loopback TCP.
+func TestSharedClusterCancelIsolation(t *testing.T) {
+	for _, useTCP := range []bool{false, true} {
+		cluster, err := NewLocalCluster(ClusterConfig{Sites: 2, UseTCP: useTCP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		parts, _ := flowParts(2)
+		if err := cluster.Load("flow", parts); err != nil {
+			t.Fatal(err)
+		}
+		entered, release := holdNext(cluster.engines[0])
+		held := make(chan error, 1)
+		go func() {
+			_, err := cluster.Query(example1(), "flow", NoOptimizations)
+			held <- err
+		}()
+		<-entered
+
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		sibling := make(chan error, 1)
+		go func() {
+			_, err := cluster.QueryContext(ctx, example1(), "flow", NoOptimizations)
+			sibling <- err
+		}()
+		select {
+		case err := <-sibling:
+			if err != nil {
+				t.Errorf("tcp=%v: sibling query: %v", useTCP, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("tcp=%v: sibling query still waiting on the held call after 2s", useTCP)
+			release()
+			<-sibling
+		}
+		cancel()
+		release()
+		if err := <-held; err != nil {
+			t.Errorf("tcp=%v: held query: %v", useTCP, err)
 		}
 	}
 }

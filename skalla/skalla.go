@@ -26,7 +26,6 @@ package skalla
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -132,23 +131,53 @@ type Cluster struct {
 	// -profile flag of skalla-coord turns it on.
 	AnalyzeTiming bool
 
-	ids     []string
+	ids []string
+	// sites and clients hold, in ids order, each site's stack and its one
+	// pooled client. Every caller — queries, SQL, EXPLAIN ANALYZE,
+	// subsets, status checks and the query service — calls through them:
+	// each call's bytes travel with the call, so sharing leaves every
+	// query's accounting exact.
+	sites   []*transport.Site
 	clients []transport.Client
 	coord   *core.Coordinator
 	cat     *catalog.Catalog
-	engines []*site.Engine      // in-process sites (nil entries when remote)
+	engines []*site.Engine      // in-process sites (NewLocalCluster)
 	servers []*transport.Server // owned TCP servers, closed with the cluster
 	obs     *obs.Obs
 
-	// leafClients is set for multi-tier clusters: direct handles to the
-	// leaf sites, used by Load (relays cannot split shipped relations).
-	leafClients []transport.Client
+	// leaves is set for multi-tier clusters: the leaf sites, which Load
+	// addresses directly (relays cannot split shipped relations).
+	leaves *Cluster
+}
 
-	// specs describe each site's client stack, in ids order. The cluster's
-	// own clients are built from them, and so is every further view of the
-	// same sites: sessions, and the concurrent query service's pooled
-	// clients (NewQueryService). Multi-tier clusters have none.
-	specs []transport.SiteSpec
+// sitePool is the ceiling of each site client's connection pool: the
+// most calls the cluster has in flight to one site at once. Calls beyond
+// it queue at the site; a held or cancelled call holds only its own
+// connection.
+const sitePool = 4
+
+// open builds, for each spec, the site's stack and its one pooled client
+// — the only place a cluster builds site clients — and the coordinator
+// and the catalog over them. On error the caller closes c.
+func (c *Cluster) open(specs []transport.SiteSpec, settings Settings) error {
+	for _, spec := range specs {
+		spec.SiteInflight = sitePool
+		s, err := transport.NewSite(spec)
+		if err != nil {
+			return fmt.Errorf("skalla: connect site %s: %w", spec.ID, err)
+		}
+		c.sites = append(c.sites, s)
+		cl, err := s.Client()
+		if err != nil {
+			return fmt.Errorf("skalla: connect site %s: %w", spec.ID, err)
+		}
+		c.ids = append(c.ids, spec.ID)
+		c.clients = append(c.clients, cl)
+	}
+	c.coord = core.NewCoordinator(c.clients...)
+	c.coord.Settings = settings
+	c.cat = catalog.New(c.ids...)
+	return nil
 }
 
 // NewLocalCluster starts an in-process cluster with cfg.Sites sites.
@@ -161,6 +190,7 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("skalla: invalid site count %d", cfg.Sites)
 	}
 	c := &Cluster{obs: cfg.Obs}
+	var specs []transport.SiteSpec
 	for i := 0; i < cfg.Sites; i++ {
 		id := fmt.Sprintf("site%d", i)
 		eng := site.NewEngine(id)
@@ -179,58 +209,22 @@ func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 			c.servers = append(c.servers, srv)
 			replica = transport.Replica{Addr: addr}
 		}
-		c.specs = append(c.specs, transport.SiteSpec{
+		specs = append(specs, transport.SiteSpec{
 			ID: id, Replicas: []transport.Replica{replica}, Cost: cfg.Cost, Obs: cfg.Obs,
 		})
 	}
-	if err := c.connect(cfg.Settings); err != nil {
+	if err := c.open(specs, cfg.Settings); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// connect opens the cluster's own client of every site in specs and
-// builds the coordinator and the catalog over them.
-func (c *Cluster) connect(settings Settings) error {
-	for _, spec := range c.specs {
-		cl, err := openClient(spec)
-		if err != nil {
-			return fmt.Errorf("skalla: connect site %s: %w", spec.ID, err)
-		}
-		c.ids = append(c.ids, spec.ID)
-		c.clients = append(c.clients, cl)
-	}
-	c.coord = core.NewCoordinator(c.clients...)
-	c.coord.Settings = settings
-	c.cat = catalog.New(c.ids...)
-	return nil
-}
-
-// openClient opens one client of the stack spec describes.
-func openClient(spec transport.SiteSpec) (transport.Client, error) {
-	s, err := transport.NewSite(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.Client()
-}
-
 // Stacks names, one line per site, the client stack the cluster reaches
 // the site through, for start-up logs.
 func (c *Cluster) Stacks() string {
-	var sites []*transport.Site
-	for _, spec := range c.specs {
-		if s, err := transport.NewSite(spec); err == nil {
-			sites = append(sites, s)
-		}
-	}
-	return stackLines(sites)
-}
-
-func stackLines(sites []*transport.Site) string {
 	var b strings.Builder
-	for _, s := range sites {
+	for _, s := range c.sites {
 		fmt.Fprintf(&b, "client stack %s: %s\n", s.ID(), s)
 	}
 	return b.String()
@@ -276,27 +270,12 @@ func Connect(addrs []string, cost CostModel) (*Cluster, error) {
 // partial results.
 func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 	registerGenerators()
-	if len(cfg.Sites) == 0 {
-		return nil, fmt.Errorf("skalla: no site addresses")
+	specs, err := cfg.siteSpecs()
+	if err != nil {
+		return nil, err
 	}
-	cfg.Resilience = cfg.Resilience.WithDefaults()
-	budget := cfg.Resilience.NewBudget(cfg.Obs)
 	c := &Cluster{obs: cfg.Obs}
-	for i, entry := range cfg.Sites {
-		spec := transport.SiteSpec{
-			ID: fmt.Sprintf("site%d", i), Cost: cfg.Cost, Obs: cfg.Obs,
-			Resilience: cfg.Resilience, Budget: budget,
-		}
-		for _, a := range strings.Split(entry, "|") {
-			if a = strings.TrimSpace(a); a == "" {
-				return nil, fmt.Errorf("skalla: empty address in site entry %q", entry)
-			}
-			spec.Replicas = append(spec.Replicas, transport.Replica{Addr: a})
-		}
-		c.specs = append(c.specs, spec)
-		c.engines = append(c.engines, nil)
-	}
-	if err := c.connect(cfg.Settings); err != nil {
+	if err := c.open(specs, cfg.Settings); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -304,13 +283,16 @@ func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 	// connect time, not at first query — unless partial results are
 	// allowed, in which case a down site is tolerable now and reported as
 	// lost coverage later.
-	for i, cl := range c.clients {
-		pingCtx, done := context.Background(), func() {}
-		if cfg.CallTimeout > 0 {
-			pingCtx, done = context.WithTimeout(context.Background(), cfg.CallTimeout)
-		}
-		_, err := cl.Call(pingCtx, &transport.Request{Op: transport.OpPing})
-		done()
+	ctx, done := context.Background(), context.CancelFunc(func() {})
+	if cfg.CallTimeout > 0 {
+		ctx, done = context.WithTimeout(ctx, cfg.CallTimeout)
+	}
+	errs := c.eachSite(func(i int) error {
+		_, err := call(ctx, c.clients[i], &transport.Request{Op: transport.OpPing})
+		return err
+	})
+	done()
+	for i, err := range errs {
 		if err != nil && !cfg.AllowPartial {
 			c.Close()
 			return nil, fmt.Errorf("skalla: connect %s: %w", cfg.Sites[i], err)
@@ -319,19 +301,75 @@ func ConnectWith(cfg ConnectConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// siteSpecs describes the client stack of every site entry.
+func (cfg ConnectConfig) siteSpecs() ([]transport.SiteSpec, error) {
+	if len(cfg.Sites) == 0 {
+		return nil, fmt.Errorf("skalla: no site addresses")
+	}
+	res := cfg.Resilience.WithDefaults()
+	budget := res.NewBudget(cfg.Obs)
+	specs := make([]transport.SiteSpec, len(cfg.Sites))
+	for i, entry := range cfg.Sites {
+		specs[i] = transport.SiteSpec{
+			ID: fmt.Sprintf("site%d", i), Cost: cfg.Cost, Obs: cfg.Obs,
+			Resilience: res, Budget: budget,
+		}
+		for _, a := range strings.Split(entry, "|") {
+			if a = strings.TrimSpace(a); a == "" {
+				return nil, fmt.Errorf("skalla: empty address in site entry %q", entry)
+			}
+			specs[i].Replicas = append(specs[i].Replicas, transport.Replica{Addr: a})
+		}
+	}
+	return specs, nil
+}
+
+// eachSite calls fn for every site at once and returns each site's
+// error, in site order.
+func (c *Cluster) eachSite(fn func(i int) error) []error {
+	errs := make([]error, len(c.clients))
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	return errs
+}
+
+// call makes one request of a site and folds a site-reported error into
+// the returned error.
+func call(ctx context.Context, cl transport.Client, req *transport.Request) (*transport.Response, error) {
+	resp, err := cl.Call(ctx, req)
+	if err == nil {
+		err = resp.Error()
+	}
+	return resp, err
+}
+
 // Close releases all connections — a tree cluster's leaf connections
 // too — and stops owned servers.
 func (c *Cluster) Close() error {
 	var first error
-	for _, cl := range slices.Concat(c.clients, c.leafClients) {
-		if err := cl.Close(); err != nil && first == nil {
+	keep := func(err error) {
+		if err != nil && first == nil {
 			first = err
 		}
 	}
+	for _, cl := range c.clients {
+		keep(cl.Close())
+	}
+	for _, s := range c.sites {
+		keep(s.Close())
+	}
+	if c.leaves != nil {
+		keep(c.leaves.Close())
+	}
 	for _, srv := range c.servers {
-		if err := srv.Close(); err != nil && first == nil {
-			first = err
-		}
+		keep(srv.Close())
 	}
 	return first
 }
@@ -377,41 +415,33 @@ func (c *Cluster) Subset(n int) (*Cluster, error) {
 	sub := &Cluster{
 		AnalyzeTiming: c.AnalyzeTiming,
 		ids:           c.ids[:n],
+		sites:         c.sites[:n],
 		clients:       c.clients[:n],
-		engines:       c.engines[:n],
 		cat:           c.cat,
 		obs:           c.obs,
-	}
-	if len(c.specs) >= n {
-		sub.specs = c.specs[:n]
 	}
 	sub.coord = c.coord.Derive(sub.clients...)
 	return sub, nil
 }
 
-// Load ships one partition per site and stores it under the given
-// relation name. len(parts) must equal the number of sites (leaves for a
-// multi-tier cluster). (Loading moves detail data and is meant for small
-// examples; production-shaped deployments Generate data at the sites or
-// ingest it locally.)
+// Load ships one partition per site, to all sites at once, and stores it
+// under the given relation name. len(parts) must equal the number of
+// sites (leaves for a multi-tier cluster). (Loading moves detail data and
+// is meant for small examples; production-shaped deployments Generate
+// data at the sites or ingest it locally.)
 func (c *Cluster) Load(rel string, parts []*relation.Relation) error {
-	targets := c.clients
-	if len(c.leafClients) > 0 {
-		targets = c.leafClients
+	target := c
+	if c.leaves != nil {
+		target = c.leaves
 	}
-	if len(parts) != len(targets) {
-		return fmt.Errorf("skalla: %d partitions for %d sites", len(parts), len(targets))
+	if len(parts) != len(target.clients) {
+		return fmt.Errorf("skalla: %d partitions for %d sites", len(parts), len(target.clients))
 	}
-	for i, cl := range targets {
-		resp, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpLoad, Rel: rel, Data: parts[i]})
-		if err != nil {
-			return fmt.Errorf("skalla: load to %s: %w", cl.SiteID(), err)
-		}
-		if err := resp.Error(); err != nil {
-			return fmt.Errorf("skalla: load to %s: %w", cl.SiteID(), err)
-		}
-	}
-	return nil
+	errs := target.eachSite(func(i int) error {
+		_, err := call(context.Background(), target.clients[i], &transport.Request{Op: transport.OpLoad, Rel: rel, Data: parts[i]})
+		return err
+	})
+	return target.firstErr("load to", errs)
 }
 
 // Generate has every site synthesize its own partition of a registered
@@ -419,37 +449,34 @@ func (c *Cluster) Load(rel string, parts []*relation.Relation) error {
 // It returns the per-site row counts.
 func (c *Cluster) Generate(rel, kind string, params map[string]int64) ([]int, error) {
 	counts := make([]int, len(c.clients))
-	errs := make([]error, len(c.clients))
-	var wg sync.WaitGroup
-	for i, cl := range c.clients {
-		wg.Add(1)
-		go func(i int, cl transport.Client) {
-			defer wg.Done()
-			resp, err := cl.Call(context.Background(), &transport.Request{
-				Op: transport.OpGenerate,
-				Gen: &transport.GenSpec{
-					Kind: kind, Rel: rel, Params: params,
-					Site: i, NumSites: len(c.clients),
-				},
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := resp.Error(); err != nil {
-				errs[i] = err
-				return
-			}
+	errs := c.eachSite(func(i int) error {
+		resp, err := call(context.Background(), c.clients[i], &transport.Request{
+			Op: transport.OpGenerate,
+			Gen: &transport.GenSpec{
+				Kind: kind, Rel: rel, Params: params,
+				Site: i, NumSites: len(c.clients),
+			},
+		})
+		if err == nil {
 			counts[i] = resp.RowCount
-		}(i, cl)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("skalla: generate at %s: %w", c.ids[i], err)
 		}
+		return err
+	})
+	if err := c.firstErr("generate at", errs); err != nil {
+		return nil, err
 	}
 	return counts, nil
+}
+
+// firstErr returns the first error of errs, in site order, naming its
+// site after what.
+func (c *Cluster) firstErr(what string, errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("skalla: %s %s: %w", what, c.ids[i], err)
+		}
+	}
+	return nil
 }
 
 // Result bundles the outcome of one distributed query execution.
@@ -481,36 +508,5 @@ func (c *Cluster) QueryContext(ctx context.Context, q Query, detail string, opts
 
 // Explain plans the query without executing it.
 func (c *Cluster) Explain(q Query, detail string, opts Options) (*Plan, error) {
-	schema, err := c.coord.DetailSchema(context.Background(), detail)
-	if err != nil {
-		return nil, err
-	}
-	return core.Egil{Catalog: c.cat, Options: opts}.BuildPlan(q, detail, schema)
-}
-
-// Session returns a cluster view with its own connections to the same
-// sites, so that queries on different sessions do not take turns on
-// shared connections. Queries may share one cluster too: every query's
-// traffic statistics are its own either way.
-// Sessions share the parent's catalog and in-process site engines; closing
-// a session closes only its own connections. Only in-process clusters
-// support sessions (remote clusters should Connect again instead).
-func (c *Cluster) Session() (*Cluster, error) {
-	if len(c.engines) == 0 || c.engines[0] == nil {
-		return nil, fmt.Errorf("skalla: sessions require an in-process cluster; use Connect for remote sites")
-	}
-	if len(c.leafClients) > 0 {
-		return nil, fmt.Errorf("skalla: sessions over multi-tier clusters are not supported")
-	}
-	s := &Cluster{AnalyzeTiming: c.AnalyzeTiming, ids: c.ids, engines: c.engines, cat: c.cat, obs: c.obs}
-	for _, spec := range c.specs {
-		cl, err := openClient(spec)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("skalla: session: %w", err)
-		}
-		s.clients = append(s.clients, cl)
-	}
-	s.coord = c.coord.Derive(s.clients...)
-	return s, nil
+	return c.coord.Plan(context.Background(), q, detail, core.Egil{Catalog: c.cat, Options: opts})
 }

@@ -3,19 +3,14 @@ package skalla
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/gmdj"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	sqlfe "repro/internal/sql"
 	"repro/internal/tpcr"
-	"repro/internal/transport"
 	"repro/internal/value"
 )
 
@@ -106,21 +101,7 @@ func TestCancelledCallRedials(t *testing.T) {
 		if err := cluster.Load("flow", parts); err != nil {
 			t.Fatal(err)
 		}
-		// Site 0's request span reads the tracer clock first thing in
-		// Handle; armed, the clock holds the request there until released.
-		var armed atomic.Bool
-		entered, release := make(chan struct{}), make(chan struct{})
-		siteObs := obs.New()
-		siteObs.Tracer.SetNow(func() time.Time {
-			if armed.CompareAndSwap(true, false) {
-				close(entered)
-				<-release
-			}
-			return time.Now()
-		})
-		cluster.engines[0].SetObs(siteObs)
-
-		armed.Store(true)
+		entered, release := holdNext(cluster.engines[0])
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
@@ -132,7 +113,7 @@ func TestCancelledCallRedials(t *testing.T) {
 		if err := <-done; !errors.Is(err, context.Canceled) {
 			t.Fatalf("tcp=%v: cancelled query returned %v, want context.Canceled", useTCP, err)
 		}
-		close(release)
+		release()
 		if _, err := cluster.Query(example1(), "flow", NoOptimizations); err != nil {
 			t.Errorf("tcp=%v: query after a cancelled call: %v", useTCP, err)
 		}
@@ -491,10 +472,11 @@ func TestStatus(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessions: parallel sessions over the same sites must all
-// produce the centralized result.
-func TestConcurrentSessions(t *testing.T) {
-	cluster, err := NewLocalCluster(ClusterConfig{Sites: 3})
+// TestConcurrentQueriesShareCluster: parallel queries on one cluster —
+// sharing its pooled site clients — all produce the centralized result,
+// and each accounts communication under the cluster's cost model.
+func TestConcurrentQueriesShareCluster(t *testing.T) {
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 3, Cost: DefaultWAN})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,26 +490,18 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const workers = 8
+	const workers, perWorker = 8, 5
+	results := make(chan *Result, workers*perWorker)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			session, err := cluster.Session()
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer session.Close()
-			for i := 0; i < 5; i++ {
-				res, err := session.Query(example1(), "flow", AllOptimizations)
+			for i := 0; i < perWorker; i++ {
+				res, err := cluster.Query(example1(), "flow", AllOptimizations)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if res.Relation.Len() != want.Len() {
-					errs <- fmt.Errorf("row count %d != %d", res.Relation.Len(), want.Len())
-					return
-				}
+				results <- res
 			}
 			errs <- nil
 		}()
@@ -537,72 +511,13 @@ func TestConcurrentSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Sessions are unsupported on remote and multi-tier clusters.
-	tree, err := NewTreeCluster(TreeConfig{Leaves: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	if _, err := tree.Session(); err == nil {
-		t.Error("tree session accepted")
-	}
-}
-
-// TestSessionKeepsCostModel: a session's connections come from the
-// cluster's own dialers, so a session over a cluster configured with a
-// cost model accounts communication exactly as the cluster does. (It used
-// to hand-build cost-free clients and report CommTime 0.)
-func TestSessionKeepsCostModel(t *testing.T) {
-	cluster, err := NewLocalCluster(ClusterConfig{Sites: 3, Cost: DefaultWAN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	parts, _ := flowParts(3)
-	if err := cluster.Load("flow", parts); err != nil {
-		t.Fatal(err)
-	}
-	session, err := cluster.Session()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer session.Close()
-	// A connection's first exchange carries gob's type preamble; Load
-	// warmed the cluster's, so warm the session's too.
-	for _, cl := range session.clients {
-		if _, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	onCluster, err := cluster.Query(example1(), "flow", NoOptimizations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onSession, err := session.Query(example1(), "flow", NoOptimizations)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := onCluster.Stats, onSession.Stats
-	if len(a.Rounds) != len(b.Rounds) {
-		t.Fatalf("rounds: cluster %d, session %d", len(a.Rounds), len(b.Rounds))
-	}
-	// Responses carry the measured compute time as a varint, so their
-	// size — and the transfer time modeled from it — may differ by a few
-	// bytes between any two runs; requests are exact.
-	const jitter = 16
-	for i, ra := range a.Rounds {
-		rb := b.Rounds[i]
-		if ra.BytesToSites != rb.BytesToSites {
-			t.Errorf("round %s: bytes to sites: cluster %d, session %d", ra.Name, ra.BytesToSites, rb.BytesToSites)
-		}
-		if d := ra.BytesFromSites - rb.BytesFromSites; d < -3*jitter || d > 3*jitter {
-			t.Errorf("round %s: bytes from sites: cluster %d, session %d", ra.Name, ra.BytesFromSites, rb.BytesFromSites)
-		}
-		if rb.CommTime <= 0 {
-			t.Errorf("round %s: session CommTime = %v under DefaultWAN", ra.Name, rb.CommTime)
-		}
-		if d := ra.CommTime - rb.CommTime; d < -DefaultWAN.TransferTime(jitter) || d > DefaultWAN.TransferTime(jitter) {
-			t.Errorf("round %s: CommTime: cluster %v, session %v", ra.Name, ra.CommTime, rb.CommTime)
+	close(results)
+	for res := range results {
+		assertSameResult(t, "concurrent query", res.Relation, want.Clone())
+		for _, r := range res.Stats.Rounds {
+			if r.CommTime <= 0 {
+				t.Errorf("round %s: CommTime = %v under DefaultWAN", r.Name, r.CommTime)
+			}
 		}
 	}
 }

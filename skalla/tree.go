@@ -3,7 +3,6 @@ package skalla
 import (
 	"fmt"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/site"
 	"repro/internal/transport"
@@ -34,33 +33,41 @@ func NewTreeCluster(cfg TreeConfig) (*Cluster, error) {
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = 2
 	}
-	c := &Cluster{}
-	var leafClients []transport.Client
-	for i := 0; i < cfg.Leaves; i++ {
+	leafSpecs := make([]transport.SiteSpec, cfg.Leaves)
+	for i := range leafSpecs {
 		eng := site.NewEngine(fmt.Sprintf("leaf%d", i))
-		c.engines = append(c.engines, eng)
-		leafClients = append(leafClients, transport.NewLocalClient(eng.ID(), eng, cfg.Cost))
+		leafSpecs[i] = transport.SiteSpec{ID: eng.ID(), Replicas: []transport.Replica{{Handler: eng}}, Cost: cfg.Cost}
 	}
-	c.leafClients = leafClients
+	leaves := &Cluster{}
+	c := &Cluster{leaves: leaves}
+	if err := leaves.open(leafSpecs, Settings{}); err != nil {
+		c.Close()
+		return nil, err
+	}
 
+	var relays []transport.SiteSpec
 	for off := 0; off < cfg.Leaves; off += cfg.Fanout {
-		end := off + cfg.Fanout
-		if end > cfg.Leaves {
-			end = cfg.Leaves
-		}
-		relay, err := core.NewRelay(leafClients[off:end], off, cfg.Leaves)
+		end := min(off+cfg.Fanout, cfg.Leaves)
+		relay, err := core.NewRelay(leaves.clients[off:end], off, cfg.Leaves)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("skalla: %w", err)
 		}
-		id := fmt.Sprintf("relay%d", off/cfg.Fanout)
-		c.ids = append(c.ids, id)
-		c.clients = append(c.clients, transport.NewLocalClient(id, relay, cfg.Cost))
+		relays = append(relays, transport.SiteSpec{
+			ID: fmt.Sprintf("relay%d", off/cfg.Fanout), Replicas: []transport.Replica{{Handler: relay}}, Cost: cfg.Cost,
+		})
 	}
-	c.coord = core.NewCoordinator(c.clients...)
-	c.cat = catalog.New(c.ids...)
+	if err := c.open(relays, Settings{}); err != nil {
+		c.Close()
+		return nil, err
+	}
 	return c, nil
 }
 
 // NumLeaves returns the number of leaf sites (0 for flat clusters).
-func (c *Cluster) NumLeaves() int { return len(c.leafClients) }
+func (c *Cluster) NumLeaves() int {
+	if c.leaves == nil {
+		return 0
+	}
+	return c.leaves.NumSites()
+}

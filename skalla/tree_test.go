@@ -1,6 +1,7 @@
 package skalla
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gmdj"
@@ -131,5 +132,35 @@ func TestTreeClusterErrors(t *testing.T) {
 	defer tree.Close()
 	if tree.NumSites() != 3 {
 		t.Errorf("5 leaves / fanout 2 = %d relays, want 3", tree.NumSites())
+	}
+}
+
+// TestTreeClusterServes: the query service runs over a tree cluster's
+// relays and answers every statement as the tree itself does.
+func TestTreeClusterServes(t *testing.T) {
+	tree, err := NewTreeCluster(TreeConfig{Leaves: 4, Fanout: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	parts, _ := flowParts(4)
+	if err := tree.Load("flow", parts); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewQueryService(tree, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if ok, why := svc.CheckReady(); !ok {
+		t.Errorf("tree service not ready: %s", why)
+	}
+	for _, q := range serveQueries {
+		want := serveBaseline(t, tree, q)
+		got, err := svc.Query(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		assertIdentical(t, q, got, want)
 	}
 }
