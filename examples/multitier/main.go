@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tree, err := skalla.NewTreeCluster(skalla.TreeConfig{Leaves: leaves, Fanout: 4})
+	tree, err := skalla.NewLocalCluster(skalla.ClusterConfig{Sites: leaves, Fanout: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TreeExperiment(cfg Config) (*TreeResult, error) {
 		if fanout >= leaves {
 			continue
 		}
-		tree, err := skalla.NewTreeCluster(skalla.TreeConfig{Leaves: leaves, Fanout: fanout, Cost: cfg.Cost})
+		tree, err := skalla.NewLocalCluster(skalla.ClusterConfig{Sites: leaves, Fanout: fanout, Cost: cfg.Cost})
 		if err != nil {
 			return nil, err
 		}

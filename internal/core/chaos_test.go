@@ -71,12 +71,14 @@ func TestExecuteSurvivesOneShotSiteErrors(t *testing.T) {
 	rows := testRows(240, 3)
 	q := example1()
 	coord, chaos, whole := retryingChaosCluster(t, rows, 3, 3)
-	// One-shot failures scattered across ops and sites: the schema fetch,
-	// a base-round call, and two evalRounds calls.
+	// One-shot failures scattered across ops, rounds and sites: the schema
+	// fetch, a base-round call (site1's first evaluation), and two calls of
+	// the next round (its third and fourth, the base call's retry between).
 	chaos[0].FailNext(transport.OpRelInfo, 1)
-	chaos[1].FailNext(transport.OpEvalBase, 1)
-	chaos[1].FailNext(transport.OpEvalRounds, 2)
-	chaos[2].FailNext(transport.OpEvalRounds, 1)
+	for _, nth := range []int{1, 3, 4} {
+		chaos[1].InjectAt(transport.OpEvalRounds, nth, transport.Fault{Err: transport.ErrInjected})
+	}
+	chaos[2].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
 
 	want, err := gmdj.EvalQuery(whole, q)
 	if err != nil {
@@ -125,11 +127,13 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 			clients[i] = mkReplica()
 			continue
 		}
-		// Site 1 is a replica set: the primary answers the base round and
-		// then fails every evalRounds call; the secondary holds the same
-		// partition.
+		// Site 1 is a replica set: the primary answers the base round (its
+		// first evaluation) and then fails every evaluation call; the
+		// secondary holds the same partition.
 		primary := transport.NewChaos(mkReplica(), 11)
-		primary.FailNext(transport.OpEvalRounds, 1000)
+		for nth := 2; nth <= 10; nth++ {
+			primary.InjectAt(transport.OpEvalRounds, nth, transport.Fault{Err: transport.ErrInjected})
+		}
 		secondary := mkReplica()
 		failover = transport.NewReplicaSet(id, []func() (transport.Client, error){
 			func() (transport.Client, error) { return primary, nil },
@@ -268,7 +272,6 @@ func TestDegradedAllSitesLost(t *testing.T) {
 	coord, chaos, _ := chaosCluster(t, rows, 2, 1)
 	coord.AllowPartial = true
 	for _, ch := range chaos {
-		ch.FailNext(transport.OpEvalBase, 1000)
 		ch.FailNext(transport.OpEvalRounds, 1000)
 	}
 	_, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: newTestCatalog(2)})

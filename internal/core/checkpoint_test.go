@@ -305,13 +305,14 @@ func TestResumeAfterInterruption(t *testing.T) {
 		t.Fatalf("reference run resumed %d rounds", refStats.ResumedRounds())
 	}
 
-	// Interrupted: the second evalRounds round (step 2) dies on site2.
+	// Interrupted: site2's third evaluation (step 2, after the base round
+	// and step 1) dies.
 	coord, chaos, _ := chaosCluster(t, rows, 3, 101)
 	store := NewMemCheckpoints()
 	coord.Checkpoints = store
 	o := obs.New()
 	coord.Obs = o
-	chaos[2].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
+	chaos[2].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 	if _, _, _, err := coord.Run(context.Background(), q, "flow", egil); err == nil {
 		t.Fatal("interrupted run should fail")
 	}
@@ -425,9 +426,9 @@ func TestRetryAfterTransportFailure(t *testing.T) {
 	coord, chaos, whole := retryingChaosCluster(t, rows, 3, 2)
 	o := obs.New()
 	coord.Obs = o
-	// Site 1's second evalRounds call (step 2) dies at the transport; its
+	// Site 1's third evaluation call (step 2) dies at the transport; its
 	// retry layer re-sends it within the same round.
-	chaos[1].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
+	chaos[1].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 	got, stats, _, err := coord.Run(context.Background(), q, "flow", egil)
 	if err != nil {
 		t.Fatalf("run with mid-round transport failure: %v", err)
@@ -450,7 +451,7 @@ func TestRetryAfterTransportFailure(t *testing.T) {
 	// The coordinator sends each call once: without a retry layer the
 	// same fault aborts the run.
 	coordStrict, chaosStrict, _ := chaosCluster(t, rows, 3, 103)
-	chaosStrict[1].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
+	chaosStrict[1].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 	if _, _, _, err := coordStrict.Run(context.Background(), q, "flow", egil); err == nil {
 		t.Fatal("no retry layer: transport failure should abort")
 	}

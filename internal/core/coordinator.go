@@ -414,11 +414,10 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 	return out
 }
 
-// broadcast sends every site, in parallel, the request req builds for its
-// index and waits for all of them. It returns each site's response and
-// error — a site-side error included — by index. Each call is bounded by
-// CallTimeout.
-func (c *Coordinator) broadcast(ctx context.Context, req func(i int) *transport.Request) ([]*transport.Response, []error) {
+// broadcast sends every site req, in parallel, and waits for all of them.
+// It returns each site's response and error — a site-side error included —
+// by index. Each call is bounded by CallTimeout.
+func (c *Coordinator) broadcast(ctx context.Context, req *transport.Request) ([]*transport.Response, []error) {
 	resps := make([]*transport.Response, len(c.clients))
 	errs := make([]error, len(c.clients))
 	var wg sync.WaitGroup
@@ -428,7 +427,7 @@ func (c *Coordinator) broadcast(ctx context.Context, req func(i int) *transport.
 			defer wg.Done()
 			callCtx, done := c.callContext(ctx)
 			defer done()
-			resp, err := cl.Call(callCtx, req(i))
+			resp, err := cl.Call(callCtx, req)
 			if err == nil {
 				err = resp.Error()
 			}

@@ -714,7 +714,7 @@ type kindShift struct{ transport.Handler }
 
 func (k kindShift) Handle(ctx context.Context, req *transport.Request) *transport.Response {
 	resp := k.Handler.Handle(ctx, req)
-	if req.Op == transport.OpEvalBase && resp.Rel != nil {
+	if req.Op == transport.OpEvalRounds && len(req.Rounds) == 0 && resp.Rel != nil {
 		cols := append([]relation.Column(nil), resp.Rel.Schema.Cols...)
 		cols[0].Kind = value.KindString
 		resp.Rel.Schema, _ = relation.NewSchema(cols...)

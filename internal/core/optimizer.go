@@ -144,7 +144,7 @@ func prepare(plan *Plan, steps []Step) {
 	where := whereText(q.Base.Where)
 	if len(steps) == 0 || !steps[0].FuseBase {
 		plan.Steps = append(plan.Steps, Step{Name: "base", Request: transport.Request{
-			Op: transport.OpEvalBase, Detail: plan.Detail, BaseCols: q.Base.Cols, BaseWhere: where}})
+			Op: transport.OpEvalRounds, Detail: plan.Detail, BaseCols: q.Base.Cols, BaseWhere: where}})
 	}
 	for si, step := range steps {
 		step.Name = fmt.Sprintf("step %d", si+1)

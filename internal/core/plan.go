@@ -55,13 +55,13 @@ var DefaultOptions = Options{
 
 // Step is one network round of a plan, prepared once by Egil: the request
 // every site's copy starts from, the aggregates its replies carry and the
-// per-site filters of what it ships. There are three kinds, read from the
-// request. The base step (OpEvalBase) computes the base-values relation at
-// the sites; the coordinator merges the fragments into X keyed on K, which
-// is the request's BaseCols. A fused step (OpEvalRounds with BaseCols,
-// FuseBase in the plan) computes the base locally and evaluates its MDs
-// against it, so nothing is shipped and its replies bring the groups, keyed
-// on K as well. Every other step ships X, cut per site, and merges the
+// per-site filters of what it ships. Every step's request is OpEvalRounds,
+// and there are three kinds. The base step (BaseCols and no MDs) computes
+// the base-values relation at the sites; the coordinator merges the
+// fragments into X keyed on K, which is the request's BaseCols. A fused
+// step (BaseCols and MDs, FuseBase in the plan) computes the base locally
+// and evaluates its MDs against it, so nothing is shipped and its replies
+// bring the groups, keyed on K as well. Every other step ships X, cut per site, and merges the
 // states-only replies by position. Steps with more than one MD are the
 // synchronization reduction of Theorem 5: no synchronization happens
 // between their MDs. A relay tier runs a one-step plan rebuilt from the
@@ -109,7 +109,7 @@ type SiteFilter struct {
 }
 
 // base reports whether the step is the base round.
-func (s *Step) base() bool { return s.Request.Op == transport.OpEvalBase }
+func (s *Step) base() bool { return len(s.MDs) == 0 }
 
 // ships reports whether the step ships X, and so gets states-only replies:
 // it evaluates rounds without computing its base (Request.ShipsBase).

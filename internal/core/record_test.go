@@ -167,7 +167,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 
 	t.Run("replayed", func(t *testing.T) {
 		coord, chaos, _ := retryingChaosCluster(t, rows, nSites, 2)
-		chaos[1].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
+		chaos[1].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 		stats := run(t, coord)
 		allAnswered(t, stats)
 		for i, r := range stats.Rounds {
@@ -230,7 +230,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 		coord, chaos, _ := chaosCluster(t, rows, nSites, 101)
 		coord.Checkpoints = NewMemCheckpoints()
 		coord.QueryID = "q-resume"
-		chaos[2].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
+		chaos[2].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 		_, failed, err := coord.run(context.Background(), mustPlan(t, coord, q, egil))
 		if err == nil {
 			t.Fatal("interrupted run should fail")
@@ -263,7 +263,7 @@ func TestFailedExecutionRecordsWall(t *testing.T) {
 	coord.QueryID = "q-fail"
 	coord.Obs = obs.New()
 	// Round 2 (step 1) fails on site1 after the base round completed.
-	chaos[1].InjectAt(transport.OpEvalRounds, 1, transport.Fault{Err: transport.ErrInjected})
+	chaos[1].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
 	_, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: newTestCatalog(3)})
 	if err == nil {
 		t.Fatal("expected the injected failure")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -29,37 +30,31 @@ import (
 // groups under the OR of the children's Kept bitmaps.
 //
 // A relay is strict: the first failing child cancels its siblings and
-// fails the request. The request context reaches every child call, so a
-// parent abandoning a relay call stops the whole subtree.
+// fails the request, and the reply keeps the child's error code, so a
+// limit refusal or a draining leaf reaches the root classified. The
+// request context reaches every child call, so a parent abandoning a relay
+// call stops the whole subtree.
 type Relay struct {
 	coord *Coordinator
-
-	// leafOffset and totalLeaves describe where this relay's leaves sit
-	// in the global leaf numbering, so OpGenerate partitions correctly
-	// across the whole tree.
-	leafOffset  int
-	totalLeaves int
 }
 
-// NewRelay builds a relay over child clients. The relay's children
-// generate partitions leafOffset..leafOffset+len(children)-1 of
-// totalLeaves when asked to synthesize datasets.
-func NewRelay(children []transport.Client, leafOffset, totalLeaves int) (*Relay, error) {
+// NewRelay builds a relay over child clients.
+func NewRelay(children []transport.Client) (*Relay, error) {
 	if len(children) == 0 {
 		return nil, fmt.Errorf("core: relay needs children")
 	}
-	if leafOffset < 0 || totalLeaves < leafOffset+len(children) {
-		return nil, fmt.Errorf("core: relay leaves %d..%d exceed total %d",
-			leafOffset, leafOffset+len(children)-1, totalLeaves)
-	}
-	return &Relay{coord: NewCoordinator(children...), leafOffset: leafOffset, totalLeaves: totalLeaves}, nil
+	return &Relay{coord: NewCoordinator(children...)}, nil
 }
+
+// SetObs publishes the relay's exchanges into o: each child call's rpc
+// span on the child's track, as the root's calls appear on the relays'.
+func (r *Relay) SetObs(o *obs.Obs) { r.coord.Obs = o }
 
 // Handle implements transport.Handler.
 func (r *Relay) Handle(ctx context.Context, req *transport.Request) *transport.Response {
 	resp, err := r.handle(ctx, req)
 	if err != nil {
-		return &transport.Response{Err: fmt.Sprintf("relay: %v", err)}
+		return &transport.Response{Err: fmt.Sprintf("relay: %v", err), Code: transport.ErrCode(err)}
 	}
 	return resp
 }
@@ -67,37 +62,22 @@ func (r *Relay) Handle(ctx context.Context, req *transport.Request) *transport.R
 func (r *Relay) handle(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	switch req.Op {
 	case transport.OpPing, transport.OpDrop, transport.OpRelInfo:
-		return r.broadcast(ctx, func(int) *transport.Request { return req })
+		return r.broadcast(ctx, req)
 
-	case transport.OpLoad:
-		// A relay cannot split a shipped relation meaningfully; load
-		// data at the leaves (or use OpGenerate).
-		return nil, fmt.Errorf("cannot load through a relay; load at the leaf sites")
-
-	case transport.OpGenerate:
-		if req.Gen == nil {
-			return nil, fmt.Errorf("no generator spec")
-		}
-		return r.broadcast(ctx, func(i int) *transport.Request {
-			sub, gen := *req, *req.Gen
-			gen.Site, gen.NumSites = r.leafOffset+i, r.totalLeaves
-			sub.Gen = &gen
-			return &sub
-		})
-
-	case transport.OpEvalBase, transport.OpEvalRounds:
+	case transport.OpEvalRounds:
 		return r.eval(ctx, req)
 
 	default:
-		return nil, fmt.Errorf("unsupported op %s", req.Op)
+		// Data placement (load, generate) addresses the leaves directly:
+		// a relay cannot split a shipped relation or renumber partitions.
+		return nil, fmt.Errorf("unsupported op %s; place data at the leaf sites", req.Op)
 	}
 }
 
-// broadcast sends every child the request req builds for it and answers
-// for the subtree: the children's row counts summed (relInfo's and
-// generate's rows) beside the first child's relation (relInfo's schema).
-// A child's error fails it.
-func (r *Relay) broadcast(ctx context.Context, req func(i int) *transport.Request) (*transport.Response, error) {
+// broadcast sends every child req and answers for the subtree: the
+// children's row counts summed (relInfo's rows) beside the first child's
+// relation (relInfo's schema). A child's error fails it.
+func (r *Relay) broadcast(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	start := time.Now()
 	resps, errs := r.coord.broadcast(ctx, req)
 	out := &transport.Response{}

@@ -48,7 +48,7 @@ func treeCluster(t *testing.T, rows []relation.Row, leaves, fanout int) (tree, f
 		if end > leaves {
 			end = leaves
 		}
-		relay, err := NewRelay(leafClients[off:end], off, leaves)
+		relay, err := NewRelay(leafClients[off:end])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,67 +131,13 @@ func TestRelayChainedRounds(t *testing.T) {
 	assertSameRelation(t, "tree chained", got, want, q.Keys())
 }
 
-func TestRelayGenerate(t *testing.T) {
-	leaves := 4
-	var leafClients []transport.Client
-	engines := make([]*site.Engine, leaves)
-	for i := 0; i < leaves; i++ {
-		engines[i] = site.NewEngine(fmt.Sprintf("leaf%d", i))
-		leafClients = append(leafClients, transport.NewLocalClient(engines[i].ID(), engines[i], transport.CostModel{}))
-	}
-	var relays []transport.Client
-	for off := 0; off < leaves; off += 2 {
-		relay, err := NewRelay(leafClients[off:off+2], off, leaves)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relays = append(relays, transport.NewLocalClient(fmt.Sprintf("relay%d", off/2), relay, transport.CostModel{}))
-	}
-
-	cfg := tpcr.Config{Rows: 2000, Customers: 50, Seed: 3}
-	total := 0
-	for i, rc := range relays {
-		resp, err := rc.Call(context.Background(), &transport.Request{
-			Op:  transport.OpGenerate,
-			Gen: &transport.GenSpec{Kind: "tpcr", Rel: "tpcr", Params: tpcr.GenParams(cfg), Site: i, NumSites: len(relays)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resp.Error(); err != nil {
-			t.Fatal(err)
-		}
-		total += resp.RowCount
-	}
-	if want := tpcr.Generate(cfg).Len(); total != want {
-		t.Errorf("tree generated %d rows, want %d", total, want)
-	}
-	// Every leaf holds a disjoint nation set.
-	seen := map[int64]string{}
-	for _, eng := range engines {
-		resp := eng.Handle(context.Background(), &transport.Request{Op: transport.OpEvalBase, Detail: "tpcr", BaseCols: []string{"NationKey"}})
-		if err := resp.Error(); err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range resp.Rel.Rows {
-			if prev, dup := seen[row[0].Int()]; dup {
-				t.Fatalf("nation %d at both %s and %s", row[0].Int(), prev, eng.ID())
-			}
-			seen[row[0].Int()] = eng.ID()
-		}
-	}
-}
-
 func TestRelayErrors(t *testing.T) {
-	if _, err := NewRelay(nil, 0, 0); err == nil {
+	if _, err := NewRelay(nil); err == nil {
 		t.Error("relay without children accepted")
 	}
 	eng := site.NewEngine("leaf")
 	child := transport.NewLocalClient("leaf", eng, transport.CostModel{})
-	if _, err := NewRelay([]transport.Client{child}, 2, 2); err == nil {
-		t.Error("bad leaf range accepted")
-	}
-	relay, err := NewRelay([]transport.Client{child}, 0, 1)
+	relay, err := NewRelay([]transport.Client{child})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +145,48 @@ func TestRelayErrors(t *testing.T) {
 		t.Error("load through relay accepted")
 	}
 	if resp := relay.Handle(context.Background(), &transport.Request{Op: transport.OpGenerate}); resp.Error() == nil {
-		t.Error("generate without spec accepted")
+		t.Error("generate through relay accepted")
 	}
 	// Child errors surface.
 	if resp := relay.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "missing"}); resp.Error() == nil {
 		t.Error("child error not propagated")
+	}
+}
+
+// TestRelayKeepsChildErrorCode: a relay's reply carries its child's error
+// code, so a limit refusal stays ErrOverloaded and a draining child stays
+// ErrDraining at the relay's parent.
+func TestRelayKeepsChildErrorCode(t *testing.T) {
+	limited := site.NewEngine("leaf0")
+	flows := relation.New(flowSchema())
+	flows.Rows = testRows(40, 7)
+	limited.Load("flow", flows)
+	limited.SetLimits(site.Limits{MaxResultRows: 1})
+	draining := handlerFunc(func(context.Context, *transport.Request) *transport.Response {
+		return &transport.Response{Err: "leaf draining", Code: transport.CodeDraining}
+	})
+	base := &transport.Request{Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS"}}
+	for _, tc := range []struct {
+		leaf transport.Handler
+		code int
+		want error
+	}{
+		{limited, transport.CodeOverloaded, transport.ErrOverloaded},
+		{draining, transport.CodeDraining, transport.ErrDraining},
+	} {
+		leaf := transport.NewLocalClient("leaf0", tc.leaf, transport.CostModel{})
+		if resp, err := leaf.Call(context.Background(), base); err != nil || resp.Code != tc.code {
+			t.Fatalf("leaf answered code %d (%v), want %d", resp.Code, err, tc.code)
+		}
+		relay, err := NewRelay([]transport.Client{leaf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := relay.Handle(context.Background(), base)
+		if resp.Code != tc.code || !errors.Is(resp.Error(), tc.want) {
+			t.Errorf("relay answered code %d, error %v; want code %d matching %v", resp.Code, resp.Error(), tc.code, tc.want)
+		}
+		leaf.Close()
 	}
 }
 
@@ -224,7 +207,7 @@ func TestRelayFusedMergesOnBaseCols(t *testing.T) {
 		eng.Load("flow", part)
 		children = append(children, transport.NewLocalClient(eng.ID(), eng, transport.CostModel{}))
 	}
-	relay, err := NewRelay(children, 0, 2)
+	relay, err := NewRelay(children)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +288,7 @@ func relayCancellationReachesLeaves(t *testing.T, req *transport.Request) {
 	for i, h := range leaves {
 		children = append(children, transport.NewLocalClient(fmt.Sprintf("leaf%d", i), h, transport.CostModel{}))
 	}
-	relay, err := NewRelay(children, 0, len(children))
+	relay, err := NewRelay(children)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +343,13 @@ func TestRelayFailsFast(t *testing.T) {
 	relay, err := NewRelay([]transport.Client{
 		transport.NewLocalClient("leaf0", failing, transport.CostModel{}),
 		transport.NewLocalClient("leaf1", probe, transport.CostModel{}),
-	}, 0, 2)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	resp := relay.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"}})
+		Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS"}})
 	if err := resp.Error(); err == nil || !strings.Contains(err.Error(), "child0 down") {
 		t.Fatalf("relay answered %v, want child0's error", err)
 	}
@@ -460,7 +443,7 @@ func TestRelayReplyShape(t *testing.T) {
 	defer rec.mu.Unlock()
 	evals, ored := 0, 0
 	for _, ex := range rec.done {
-		if ex.resp.Error() != nil || ex.req.Op != transport.OpEvalBase && ex.req.Op != transport.OpEvalRounds {
+		if ex.resp.Error() != nil || ex.req.Op != transport.OpEvalRounds {
 			continue
 		}
 		if len(ex.children) != 2 {

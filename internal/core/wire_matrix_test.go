@@ -93,7 +93,7 @@ func fig5Query(attr string) gmdj.Query {
 type failEval struct{ transport.Handler }
 
 func (f failEval) Handle(ctx context.Context, req *transport.Request) *transport.Response {
-	if req.Op == transport.OpEvalBase || req.Op == transport.OpEvalRounds {
+	if req.Op == transport.OpEvalRounds {
 		return &transport.Response{Err: "site down"}
 	}
 	return f.Handler.Handle(ctx, req)
@@ -117,7 +117,7 @@ func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap fun
 	if relays {
 		clients = nil
 		for r := 0; r < 2; r++ {
-			relay, err := NewRelay([]transport.Client{leaves[r], leaves[r+2]}, 2*r, len(parts))
+			relay, err := NewRelay([]transport.Client{leaves[r], leaves[r+2]})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,7 +133,7 @@ func TestMixedKindRelationRefused(t *testing.T) {
 		t.Fatalf("OpLoad of the mixed-kind relation: Err %q, want %q", resp.Err, "load: "+want)
 	}
 
-	evalBase := &transport.Request{Op: transport.OpEvalBase, Detail: "flows", BaseCols: []string{"K"}}
+	evalBase := &transport.Request{Op: transport.OpEvalRounds, Detail: "flows", BaseCols: []string{"K"}}
 	evalRounds := &transport.Request{
 		Op: transport.OpEvalRounds, Detail: "flows", BaseCols: []string{"K"},
 		Rounds: []transport.RoundSpec{{

@@ -13,7 +13,7 @@ import (
 
 func baseReq() *transport.Request {
 	return &transport.Request{
-		Op: transport.OpEvalBase, Detail: "flow",
+		Op: transport.OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS", "DestAS"},
 	}
 }

@@ -154,7 +154,7 @@ func TestRestoreRefusesIllTyped(t *testing.T) {
 	}
 
 	e := loadedEngine(t)
-	req := &transport.Request{Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"}}
+	req := &transport.Request{Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"}}
 	before := handleOK(t, e, req)
 	want := "site: restore " + path + ": site s1: relation bad: column NumBytes declared INT holds FLOAT at row 2"
 	if err := e.Restore(path); err == nil || err.Error() != want {

@@ -17,7 +17,7 @@ func TestProfileEntryShape(t *testing.T) {
 	o := obs.New()
 	e.SetObs(o)
 	resp := e.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"},
+		Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS"},
 		QueryID: "q1", Round: 3,
 	})
 	if err := resp.Error(); err != nil {
@@ -41,7 +41,7 @@ func TestProfileEntryShape(t *testing.T) {
 		}
 	}
 	if got["query_id"] != "q1" || got["round"] != 3.0 ||
-		got["op"] != "evalBase" || got["outcome"] != transport.OutcomeOK ||
+		got["op"] != "evalRounds" || got["outcome"] != transport.OutcomeOK ||
 		got["rows_out"] != float64(resp.Profile.RowsOut) {
 		t.Errorf("profile entry = %v", got)
 	}

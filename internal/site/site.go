@@ -11,7 +11,6 @@
 package site
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -349,9 +348,6 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 		}
 		return &transport.Response{RowCount: b.Len(), Rel: &relation.Relation{Schema: b.Schema}}, nil
 
-	case transport.OpEvalBase:
-		return e.evalBase(req, prof)
-
 	case transport.OpEvalRounds:
 		return e.evalRounds(ctx, req, prof)
 
@@ -360,28 +356,14 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 	}
 }
 
-// evalBase computes the base-values query over the local detail relation.
-func (e *Engine) evalBase(req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
-	start := time.Now()
-	chain := e.chains.Get().(*gmdj.Chain)
-	defer e.chains.Put(chain)
-	b, err := e.baseValues(chain, e.relations(), req.Detail, req)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.checkLimits(b); err != nil {
-		return nil, err
-	}
-	if prof != nil {
-		prof.RowsOut = b.Len()
-		prof.BytesOutApprox = approxRelBytes(b)
-	}
-	return &transport.Response{Rel: b, ComputeNs: time.Since(start).Nanoseconds()}, nil
-}
-
 // baseValues computes the base-values query B_0 req defines over rels'
-// relation of that name, on chain's buffers.
-func (e *Engine) baseValues(chain *gmdj.Chain, rels map[string]stored, name string, req *transport.Request) (*relation.Relation, error) {
+// detail relation, on chain's buffers. The detail is req.Detail, else the
+// first round's.
+func (e *Engine) baseValues(chain *gmdj.Chain, rels map[string]stored, req *transport.Request) (*relation.Relation, error) {
+	name := req.Detail
+	if name == "" && len(req.Rounds) > 0 {
+		name = req.Rounds[0].Detail
+	}
 	detail, err := e.batch(rels, name)
 	if err != nil {
 		return nil, err
@@ -395,17 +377,18 @@ func (e *Engine) baseValues(chain *gmdj.Chain, rels map[string]stored, name stri
 	return chain.EvalBaseBatch(detail, def)
 }
 
-// evalRounds runs one or more GMDJ rounds locally. With req.Base set the
+// evalRounds runs zero or more GMDJ rounds locally. With req.Base set the
 // shipped base-result fragment is used; with req.BaseCols set the base is
-// computed locally first (Proposition 2 fusion). Multiple rounds evaluate
-// as a local chain without intermediate synchronization (Theorem 5 /
-// Corollary 1); a later round's θ sees the finalized aggregates of earlier
-// ones it names. Every round leaves its states in a slab and the reply is
-// boxed once from them: a shipped base gets the states alone, in shipped
-// order, with Response.Kept; a fused one the base echoed beside the states.
+// computed locally first (Proposition 2 fusion), and with no rounds that
+// base is the reply: the base round. Multiple rounds evaluate as a local
+// chain without intermediate synchronization (Theorem 5 / Corollary 1); a
+// later round's θ sees the finalized aggregates of earlier ones it names.
+// Every round leaves its states in a slab and the reply is boxed once from
+// them: a shipped base gets the states alone, in shipped order, with
+// Response.Kept; a fused one the base echoed beside the states.
 func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
-	if len(req.Rounds) == 0 {
-		return nil, fmt.Errorf("no rounds")
+	if len(req.Rounds) == 0 && (req.Detail == "" || len(req.BaseCols) == 0) {
+		return nil, fmt.Errorf("no rounds and no base to compute (a base round sets Detail and BaseCols)")
 	}
 	start := time.Now()
 	shipped := req.ShipsBase()
@@ -420,8 +403,18 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	base := req.Base
 	if len(req.BaseCols) > 0 {
 		var err error
-		if base, err = e.baseValues(chain, rels, cmp.Or(req.Detail, req.Rounds[0].Detail), req); err != nil {
-			return nil, fmt.Errorf("fused base: %w", err)
+		if base, err = e.baseValues(chain, rels, req); err != nil {
+			return nil, err
+		}
+		if len(req.Rounds) == 0 {
+			if err := e.checkLimits(base); err != nil {
+				return nil, err
+			}
+			if prof != nil {
+				prof.RowsOut = base.Len()
+				prof.BytesOutApprox = approxRelBytes(base)
+			}
+			return &transport.Response{Rel: base, ComputeNs: time.Since(start).Nanoseconds()}, nil
 		}
 	}
 	if base == nil || base.Schema == nil {

@@ -83,7 +83,7 @@ func TestLoadDropInfo(t *testing.T) {
 func TestEvalBase(t *testing.T) {
 	e := loadedEngine(t)
 	resp := e.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalBase, Detail: "flow",
+		Op: transport.OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS", "DestAS"},
 	})
 	if resp.Error() != nil {
@@ -97,7 +97,7 @@ func TestEvalBase(t *testing.T) {
 	}
 	// With filter.
 	resp = e.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalBase, Detail: "flow",
+		Op: transport.OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS"}, BaseWhere: "F.NumBytes >= 300",
 	})
 	if resp.Error() != nil {
@@ -107,10 +107,10 @@ func TestEvalBase(t *testing.T) {
 		t.Errorf("filtered base rows = %d", resp.Rel.Len())
 	}
 	// Errors.
-	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalBase, Detail: "none", BaseCols: []string{"x"}}); resp.Error() == nil {
+	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Detail: "none", BaseCols: []string{"x"}}); resp.Error() == nil {
 		t.Error("missing detail accepted")
 	}
-	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"}, BaseWhere: "(("}); resp.Error() == nil {
+	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS"}, BaseWhere: "(("}); resp.Error() == nil {
 		t.Error("bad filter accepted")
 	}
 }
@@ -356,7 +356,7 @@ func TestShortRowRefused(t *testing.T) {
 	e.Load("short", short())
 	for _, req := range []*transport.Request{
 		{Op: transport.OpRelInfo, Rel: "short"},
-		{Op: transport.OpEvalBase, Detail: "short", BaseCols: []string{"SourceAS"}},
+		{Op: transport.OpEvalRounds, Detail: "short", BaseCols: []string{"SourceAS"}},
 	} {
 		if resp := e.Handle(ctx, req); resp.Err != req.Op.String()+": "+want {
 			t.Errorf("%s after Load: Err %q, want %q", req.Op, resp.Err, want)
@@ -388,7 +388,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	// Restored engine answers queries identically.
 	resp := fresh.Handle(context.Background(), &transport.Request{
-		Op: transport.OpEvalBase, Detail: "flow",
+		Op: transport.OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS"},
 	})
 	if resp.Error() != nil || resp.Rel.Len() != 2 {
@@ -473,7 +473,7 @@ type prevProtocolRequest struct {
 func TestPreviousProtocolRequestEvaluates(t *testing.T) {
 	e := loadedEngine(t)
 	old := &prevProtocolRequest{
-		Op: transport.OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"},
+		Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"},
 		Epoch: "e1", Round: 1, DeadlineNs: -1,
 	}
 	var buf bytes.Buffer

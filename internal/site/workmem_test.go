@@ -107,7 +107,7 @@ func TestPooledChainsInvisible(t *testing.T) {
 		fusedRequest("F.Discount > 0.02 AND F.Quantity < 30"),
 		statesOnly,
 		failing,
-		{Op: transport.OpEvalBase, Detail: "tpcr", BaseCols: []string{"CustName"}, BaseWhere: "F.Quantity > 45"},
+		{Op: transport.OpEvalRounds, Detail: "tpcr", BaseCols: []string{"CustName"}, BaseWhere: "F.Quantity > 45"},
 		chainOverBase(custBase(t, part, 40)),
 		fusedRequest("F.Discount > 0.05"),
 	}

@@ -41,9 +41,9 @@ const (
 // is charged to the call, so a hedge never double-counts (see
 // PROTOCOL.md, "Tail tolerance").
 //
-// Only the idempotent evaluation ops (OpEvalBase, OpEvalRounds) are
-// hedged; every other op goes to the primary alone. A primary that fails
-// or sheds (drains) before the threshold fires fails over to the secondary
+// Only the idempotent evaluation op (OpEvalRounds) is hedged; every
+// other op goes to the primary alone. A primary that fails or sheds
+// (drains) before the threshold fires fails over to the secondary
 // immediately, charged to the same budget, so the Hedger subsumes the
 // replica-failover role in hedged wiring. A limit refusal is decisive: it
 // is returned as the answer, never raced against a replica.
@@ -148,7 +148,7 @@ func (h *hedgeState) observe(d time.Duration) {
 }
 
 // hedgeable reports whether op may be duplicated across replicas.
-func hedgeable(op Op) bool { return op == OpEvalBase || op == OpEvalRounds }
+func hedgeable(op Op) bool { return op == OpEvalRounds }
 
 // hedgeAttempt is one replica attempt's outcome plus its wire delta.
 type hedgeAttempt struct {

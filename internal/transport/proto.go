@@ -74,13 +74,14 @@ const (
 	// OpGenerate makes the site synthesize its partition of a dataset
 	// locally (so benchmarks never ship detail data).
 	OpGenerate
-	// OpEvalBase computes the base-values query over the local detail
-	// relation and returns the result.
-	OpEvalBase
-	// OpEvalRounds evaluates one or more GMDJ rounds against the local
+	// Op 3 is retired: it computed the base-values query, which is now an
+	// OpEvalRounds request with no rounds. Sites refuse it as unknown.
+	_
+	// OpEvalRounds evaluates zero or more GMDJ rounds against the local
 	// detail relation and returns the sub-aggregate result. The base
 	// relation either arrives with the request or is computed locally
-	// (Proposition 2 fusion) when Request.BaseCols is set.
+	// (Proposition 2 fusion) when Request.BaseCols is set; with no rounds
+	// the computed base-values relation is the result.
 	OpEvalRounds
 	// OpDrop removes a stored relation.
 	OpDrop
@@ -97,8 +98,6 @@ func (o Op) String() string {
 		return "load"
 	case OpGenerate:
 		return "generate"
-	case OpEvalBase:
-		return "evalBase"
 	case OpEvalRounds:
 		return "evalRounds"
 	case OpDrop:
@@ -158,11 +157,10 @@ type Request struct {
 	// OpGenerate payload.
 	Gen *GenSpec
 
-	// OpEvalBase / OpEvalRounds: base-values definition. For
-	// OpEvalRounds, a non-empty BaseCols means "compute the base locally
-	// from the detail relation" (Proposition 2) and gets the keyed reply;
-	// otherwise Base carries the shipped base-result fragment and gets the
-	// states-only reply (ShipsBase). BaseCols are the key K of the
+	// OpEvalRounds: base-values definition. A non-empty BaseCols means
+	// "compute the base locally from the detail relation" (Proposition 2)
+	// and gets the keyed reply; otherwise Base carries the shipped
+	// base-result fragment and gets the states-only reply (ShipsBase). BaseCols are the key K of the
 	// base-result structure, so whoever merges keyed replies — the
 	// coordinator, or a relay tier pre-merging its children's — keys them
 	// on BaseCols.
@@ -171,9 +169,9 @@ type Request struct {
 	Detail    string
 	Base      *relation.Relation
 
-	// OpEvalRounds: the rounds to evaluate locally in sequence. More than
-	// one round means chained local evaluation (synchronization
-	// reduction, Theorem 5 / Corollary 1).
+	// OpEvalRounds: the rounds to evaluate locally in sequence. None is
+	// the base round; more than one means chained local evaluation
+	// (synchronization reduction, Theorem 5 / Corollary 1).
 	Rounds []RoundSpec
 
 	// Round is the zero-based synchronization-round sequence number of

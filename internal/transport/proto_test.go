@@ -188,9 +188,11 @@ func TestUntaggedWireCompat(t *testing.T) {
 
 	// Old coordinator → new site: a legacy request decodes with an empty
 	// QueryID, i.e. profiling stays off, and its recovery tags — an epoch
-	// and a deadline stamp saying "already expired" — are skipped.
+	// and a deadline stamp saying "already expired" — are skipped. Its op
+	// 3, the retired base-values op, decodes as itself: no site answers it
+	// (internal/site's TestZeroRoundRequestsRefused) and no hedger races it.
 	buf.Reset()
-	old := &legacyRequest{Op: OpEvalBase, Detail: "flow", BaseCols: []string{"SourceAS"}, Round: 1, Epoch: "e2", DeadlineNs: -1}
+	old := &legacyRequest{Op: 3, Detail: "flow", BaseCols: []string{"SourceAS"}, Round: 1, Epoch: "e2", DeadlineNs: -1}
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatalf("encode legacy: %v", err)
 	}
@@ -198,7 +200,7 @@ func TestUntaggedWireCompat(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&newSite); err != nil {
 		t.Fatalf("decode legacy request: %v", err)
 	}
-	if newSite.QueryID != "" || newSite.Op != OpEvalBase || newSite.Round != 1 ||
+	if newSite.QueryID != "" || newSite.Op != 3 || newSite.Op.String() != "Op(3)" || hedgeable(newSite.Op) || newSite.Round != 1 ||
 		!reflect.DeepEqual(newSite.BaseCols, old.BaseCols) {
 		t.Errorf("legacy request decoded wrong: %+v", newSite)
 	}

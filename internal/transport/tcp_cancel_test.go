@@ -142,7 +142,7 @@ func TestHangUpCancelsHandler(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := c.Call(ctx, &Request{Op: OpEvalBase}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := c.Call(ctx, &Request{Op: OpEvalRounds}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("call past its deadline: err = %v, want DeadlineExceeded", err)
 	}
 	select {

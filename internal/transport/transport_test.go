@@ -251,7 +251,7 @@ func TestCostModel(t *testing.T) {
 func TestOpString(t *testing.T) {
 	for op, want := range map[Op]string{
 		OpPing: "ping", OpLoad: "load", OpGenerate: "generate",
-		OpEvalBase: "evalBase", OpEvalRounds: "evalRounds",
+		Op(3): "Op(3)", OpEvalRounds: "evalRounds",
 		OpDrop: "drop", OpRelInfo: "relInfo", Op(99): "Op(99)",
 	} {
 		if got := op.String(); got != want {

@@ -44,8 +44,9 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
-# exactly their own bytes and never wait on a sibling's held call.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation)' ./skalla
+# exactly their own bytes and never wait on a sibling's held call, and the
+# relay-tree shapes, whose relays fan out concurrently to their leaves.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster)' ./skalla
 
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg

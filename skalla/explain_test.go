@@ -110,7 +110,7 @@ func TestExplainAnalyzeTiming(t *testing.T) {
 type failEvals struct{ transport.Client }
 
 func (f failEvals) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
-	if req.Op == transport.OpEvalBase || req.Op == transport.OpEvalRounds {
+	if req.Op == transport.OpEvalRounds {
 		return nil, transport.ErrInjected
 	}
 	return f.Client.Call(ctx, req)

@@ -61,7 +61,7 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	assertSameResult(t, "uninterrupted", ref.Relation, want)
 
 	// Coordinator process #1: checkpoints to dir, and is killed between
-	// rounds — the injected fault fails the second evalRounds fan-out
+	// rounds — the injected fault fails the third evaluation fan-out
 	// (plan round 3), after rounds 1 and 2 were checkpointed.
 	store1, err := NewFileCheckpoints(dir)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 		clients = append(clients, ch)
 		chaos = append(chaos, ch)
 	}
-	chaos[2].InjectAt(transport.OpEvalRounds, 2, transport.Fault{Err: transport.ErrInjected})
+	chaos[2].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 	coord := core.NewCoordinator(clients...)
 	coord.Checkpoints = store1
 	coord.Obs = o1
@@ -208,7 +208,7 @@ func TestRoundBoundaryConnectionLoss(t *testing.T) {
 			ch.Close()
 		}
 	}()
-	chaos[1].InjectAt(transport.OpEvalBase, 1, transport.Fault{DropAfter: true})
+	chaos[1].InjectAt(transport.OpEvalRounds, 1, transport.Fault{DropAfter: true})
 
 	coord := core.NewCoordinator(clients...)
 	coord.Obs = o

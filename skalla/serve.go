@@ -94,7 +94,7 @@ type QueryService struct {
 }
 
 // NewQueryService builds the concurrent query service on top of an
-// existing cluster (NewLocalCluster, ConnectWith or NewTreeCluster). The
+// existing cluster (NewLocalCluster, flat or multi-tier, or ConnectWith). The
 // cluster provides the site fleet and its clients, the catalog, and the
 // fault-tolerance settings; cfg bounds the concurrency.
 func NewQueryService(c *Cluster, cfg ServeConfig) (*QueryService, error) {

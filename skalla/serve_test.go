@@ -520,7 +520,7 @@ type straggler struct {
 }
 
 func (s straggler) Handle(ctx context.Context, req *transport.Request) *transport.Response {
-	if req.Op == transport.OpEvalBase || req.Op == transport.OpEvalRounds {
+	if req.Op == transport.OpEvalRounds {
 		select {
 		case <-time.After(s.d):
 		case <-ctx.Done():

@@ -105,6 +105,13 @@ func registerGenerators() {
 type ClusterConfig struct {
 	// Sites is the number of warehouse sites (default 4).
 	Sites int
+	// Fanout, when positive, puts a relay tier between the coordinator and
+	// the sites — the multi-tier architecture of the paper's §6: each relay
+	// coordinates Fanout sites (the last one the rest) and pre-merges their
+	// sub-aggregates, and the coordinator talks only to the relays. The
+	// sites are then the leaves ("leafN", Load and Generate address them);
+	// the relays ("relayN") are the cluster's sites.
+	Fanout int
 	// Cost models each coordinator↔site link; the zero value accounts
 	// nothing.
 	Cost CostModel
@@ -146,7 +153,7 @@ type Cluster struct {
 	obs     *obs.Obs
 
 	// leaves is set for multi-tier clusters: the leaf sites, which Load
-	// addresses directly (relays cannot split shipped relations).
+	// and Generate address directly (a relay places no data).
 	leaves *Cluster
 }
 
@@ -180,44 +187,82 @@ func (c *Cluster) open(specs []transport.SiteSpec, settings Settings) error {
 	return nil
 }
 
-// NewLocalCluster starts an in-process cluster with cfg.Sites sites.
+// NewLocalCluster starts an in-process cluster with cfg.Sites sites, under
+// a relay tier when cfg.Fanout is set. The coordinator runs with
+// cfg.Settings and the sites with cfg.Obs and cfg.Limits; a relay's
+// coordinator gets cfg.Obs alone, so a relay stays strict.
 func NewLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	registerGenerators()
 	if cfg.Sites == 0 {
 		cfg.Sites = 4
 	}
-	if cfg.Sites < 0 {
-		return nil, fmt.Errorf("skalla: invalid site count %d", cfg.Sites)
+	if cfg.Sites < 0 || cfg.Fanout < 0 {
+		return nil, fmt.Errorf("skalla: invalid cluster shape: %d sites, fanout %d", cfg.Sites, cfg.Fanout)
 	}
 	c := &Cluster{obs: cfg.Obs}
-	var specs []transport.SiteSpec
-	for i := 0; i < cfg.Sites; i++ {
-		id := fmt.Sprintf("site%d", i)
-		eng := site.NewEngine(id)
-		eng.SetObs(cfg.Obs)
-		eng.SetLimits(cfg.Limits)
-		c.engines = append(c.engines, eng)
-		replica := transport.Replica{Handler: eng}
-		if cfg.UseTCP {
-			srv := transport.NewServer(eng)
-			srv.Obs = cfg.Obs
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("skalla: start site %s: %w", id, err)
-			}
-			c.servers = append(c.servers, srv)
-			replica = transport.Replica{Addr: addr}
-		}
-		specs = append(specs, transport.SiteSpec{
-			ID: id, Replicas: []transport.Replica{replica}, Cost: cfg.Cost, Obs: cfg.Obs,
-		})
-	}
-	if err := c.open(specs, cfg.Settings); err != nil {
+	if err := c.startLocal(cfg); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// startLocal starts cfg's site engines, and with cfg.Fanout the relays
+// over them, and opens c over the top tier.
+func (c *Cluster) startLocal(cfg ClusterConfig) error {
+	leaves, name := c, "site%d"
+	if cfg.Fanout > 0 {
+		leaves, name = &Cluster{obs: cfg.Obs}, "leaf%d"
+		c.leaves = leaves
+	}
+	specs := make([]transport.SiteSpec, cfg.Sites)
+	for i := range specs {
+		eng := site.NewEngine(fmt.Sprintf(name, i))
+		eng.SetObs(cfg.Obs)
+		eng.SetLimits(cfg.Limits)
+		leaves.engines = append(leaves.engines, eng)
+		var err error
+		if specs[i], err = c.localSpec(eng.ID(), eng, cfg); err != nil {
+			return err
+		}
+	}
+	if cfg.Fanout > 0 {
+		if err := leaves.open(specs, Settings{}); err != nil {
+			return err
+		}
+		specs = nil
+		for off := 0; off < cfg.Sites; off += cfg.Fanout {
+			relay, err := core.NewRelay(leaves.clients[off:min(off+cfg.Fanout, cfg.Sites)])
+			if err != nil {
+				return fmt.Errorf("skalla: %w", err)
+			}
+			relay.SetObs(cfg.Obs)
+			spec, err := c.localSpec(fmt.Sprintf("relay%d", off/cfg.Fanout), relay, cfg)
+			if err != nil {
+				return err
+			}
+			specs = append(specs, spec)
+		}
+	}
+	return c.open(specs, cfg.Settings)
+}
+
+// localSpec describes in-process handler h, a site engine or a relay, as
+// site id: reached over a pipe, or with cfg.UseTCP through a loopback TCP
+// server the cluster owns.
+func (c *Cluster) localSpec(id string, h transport.Handler, cfg ClusterConfig) (transport.SiteSpec, error) {
+	replica := transport.Replica{Handler: h}
+	if cfg.UseTCP {
+		srv := transport.NewServer(h)
+		srv.Obs = cfg.Obs
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			return transport.SiteSpec{}, fmt.Errorf("skalla: start site %s: %w", id, err)
+		}
+		c.servers = append(c.servers, srv)
+		replica = transport.Replica{Addr: addr}
+	}
+	return transport.SiteSpec{ID: id, Replicas: []transport.Replica{replica}, Cost: cfg.Cost, Obs: cfg.Obs}, nil
 }
 
 // Stacks names, one line per site, the client stack the cluster reaches
@@ -430,10 +475,7 @@ func (c *Cluster) Subset(n int) (*Cluster, error) {
 // is meant for small examples; production-shaped deployments Generate
 // data at the sites or ingest it locally.)
 func (c *Cluster) Load(rel string, parts []*relation.Relation) error {
-	target := c
-	if c.leaves != nil {
-		target = c.leaves
-	}
+	target := c.dataSites()
 	if len(parts) != len(target.clients) {
 		return fmt.Errorf("skalla: %d partitions for %d sites", len(parts), len(target.clients))
 	}
@@ -444,17 +486,18 @@ func (c *Cluster) Load(rel string, parts []*relation.Relation) error {
 	return target.firstErr("load to", errs)
 }
 
-// Generate has every site synthesize its own partition of a registered
-// dataset ("tpcr" or "ipflow") locally — no detail data crosses the wire.
-// It returns the per-site row counts.
+// Generate has every site (every leaf of a multi-tier cluster) synthesize
+// its own partition of a registered dataset ("tpcr" or "ipflow") locally —
+// no detail data crosses the wire. It returns the per-site row counts.
 func (c *Cluster) Generate(rel, kind string, params map[string]int64) ([]int, error) {
-	counts := make([]int, len(c.clients))
-	errs := c.eachSite(func(i int) error {
-		resp, err := call(context.Background(), c.clients[i], &transport.Request{
+	target := c.dataSites()
+	counts := make([]int, len(target.clients))
+	errs := target.eachSite(func(i int) error {
+		resp, err := call(context.Background(), target.clients[i], &transport.Request{
 			Op: transport.OpGenerate,
 			Gen: &transport.GenSpec{
 				Kind: kind, Rel: rel, Params: params,
-				Site: i, NumSites: len(c.clients),
+				Site: i, NumSites: len(counts),
 			},
 		})
 		if err == nil {
@@ -462,10 +505,27 @@ func (c *Cluster) Generate(rel, kind string, params map[string]int64) ([]int, er
 		}
 		return err
 	})
-	if err := c.firstErr("generate at", errs); err != nil {
+	if err := target.firstErr("generate at", errs); err != nil {
 		return nil, err
 	}
 	return counts, nil
+}
+
+// dataSites is the tier that holds the data: the leaves of a multi-tier
+// cluster, else the cluster itself.
+func (c *Cluster) dataSites() *Cluster {
+	if c.leaves != nil {
+		return c.leaves
+	}
+	return c
+}
+
+// NumLeaves returns the number of leaf sites (0 for flat clusters).
+func (c *Cluster) NumLeaves() int {
+	if c.leaves == nil {
+		return 0
+	}
+	return c.leaves.NumSites()
 }
 
 // firstErr returns the first error of errs, in site order, naming its
