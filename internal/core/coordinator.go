@@ -402,6 +402,8 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 			}
 			if resp.Rel != nil {
 				sr.RowsReturned = int64(resp.Rel.Len())
+			} else if f, err := resp.Frame(); err == nil {
+				sr.RowsReturned = int64(f.Len())
 			}
 			out <- streamItem{SiteRound: sr, resp: resp}
 		}(cl)
@@ -568,61 +570,62 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 	// groups, the base schema comes from it.
 	var m *keyedMerge
 	mergeFragment := func(site string, resp *transport.Response) error {
+		// A states-only fragment answers shipped rows by position.
+		if !fromFragments {
+			h, err := resp.Frame()
+			if err != nil {
+				return err
+			}
+			if m == nil {
+				if m, err = newKeyedMerge(x.Schema, x.Rows, keys, step.Specs, step.room); err != nil {
+					return err
+				}
+				if tier {
+					m.kept = make([]byte, (x.Len()+7)/8)
+				}
+			}
+			sh := ships[site]
+			return m.merge(h.Schema, h, placement{idx: sh.idx, shipped: sh.base.Len(), kept: resp.Kept})
+		}
+		// A fragment that brings the groups keys them on K: a group the
+		// coordinator never shipped becomes a new base row.
 		h := resp.Rel
 		if h == nil {
 			return fmt.Errorf("no relation")
 		}
 		if m == nil {
-			var schema *relation.Schema
-			var groups []relation.Row
-			var err error
-			if fromFragments {
-				if schema, _, err = h.Schema.Project(keys); err != nil {
-					return fmt.Errorf("base schema: %w", err)
-				}
-			} else {
-				schema, groups = x.Schema, x.Rows
-			}
-			if m, err = newKeyedMerge(schema, groups, keys, step.Specs, step.room); err != nil {
-				return err
-			}
-			if fromFragments { // room for as many groups at every site
-				n := h.Len() * len(c.clients)
-				m.rows = make([]relation.Row, 0, n)
-				m.accs.Reserve(n)
-				if fold {
-					m.hashes = make([]keyHash, 0, n)
-				} else {
-					m.index.Reserve(n)
-				}
-			}
-			if tier && !fromFragments {
-				m.kept = make([]byte, (len(groups)+7)/8)
-			}
-		}
-		// A fragment group the coordinator never shipped is only legal
-		// when nothing was shipped, and becomes a new base row; a
-		// states-only fragment answers shipped rows by position.
-		if fromFragments {
-			ps, idx, err := h.Schema.Project(m.schema.Names())
+			schema, _, err := h.Schema.Project(keys)
 			if err != nil {
+				return fmt.Errorf("base schema: %w", err)
+			}
+			if m, err = newKeyedMerge(schema, nil, keys, step.Specs, step.room); err != nil {
 				return err
 			}
-			if !ps.Equal(m.schema) {
-				return fmt.Errorf("base columns %s differ from %s", ps, m.schema)
+			n := h.Len() * len(c.clients) // room for as many groups at every site
+			m.rows = make([]relation.Row, 0, n)
+			m.accs.Reserve(n)
+			if fold {
+				m.hashes = make([]keyHash, 0, n)
+			} else {
+				m.index.Reserve(n)
 			}
-			if !fold {
-				return m.mergeKeyed(h, idx)
-			}
-			for i, p := range idx {
-				if p != i {
-					return fmt.Errorf("fragment %s does not lead with its keys", h.Schema)
-				}
-			}
-			return m.fold(site, h)
 		}
-		sh := ships[site]
-		return m.merge(h, placement{idx: sh.idx, shipped: sh.base.Len(), kept: resp.Kept})
+		ps, idx, err := h.Schema.Project(m.schema.Names())
+		if err != nil {
+			return err
+		}
+		if !ps.Equal(m.schema) {
+			return fmt.Errorf("base columns %s differ from %s", ps, m.schema)
+		}
+		if !fold {
+			return m.mergeKeyed(h, idx)
+		}
+		for i, p := range idx {
+			if p != i {
+				return fmt.Errorf("fragment %s does not lead with its keys", h.Schema)
+			}
+		}
+		return m.fold(site, h)
 	}
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are

@@ -36,7 +36,7 @@ type keyedMerge struct {
 	// fragments of one step share.
 	prims      []int
 	primSchema *relation.Schema
-	at         []int // a keyed fragment's groups, row by row; reused
+	at         []int // a fragment's groups, row by row; reused
 	// kept marks, as a Response.Kept bitmap, every group a fragment
 	// contributed to; nil unless a relay tier merges by position.
 	kept []byte
@@ -111,69 +111,66 @@ func (m *keyedMerge) primCols(schema *relation.Schema) ([]int, error) {
 
 // placement maps a states-only fragment's rows to groups: row j answers
 // the j-th shipped row kept marks (Response.Kept; nil marks all), and
-// shipped row k is group idx[k] (first+k when idx is nil).
+// shipped row k is group idx[k] (k when idx is nil).
 type placement struct {
 	idx     []int
-	first   int
 	shipped int
 	kept    []byte
 }
 
-func (pl placement) isKept(k int) bool {
-	return pl.kept == nil || k/8 < len(pl.kept) && pl.kept[k/8]&(1<<(k%8)) != 0
-}
-
-// rows counts the fragment rows the placement expects.
-func (pl placement) rows() int {
-	n := 0
+// groups appends to dst the group of every fragment row, in order.
+func (pl placement) groups(dst []int) []int {
+	dst = slices.Grow(dst, pl.shipped)
 	for k := 0; k < pl.shipped; k++ {
-		if pl.isKept(k) {
-			n++
-		}
-	}
-	return n
-}
-
-// each calls fn(j, g) for every fragment row j and its group g, in order.
-func (pl placement) each(fn func(j, g int) error) error {
-	j := 0
-	for k := 0; k < pl.shipped; k++ {
-		if !pl.isKept(k) {
+		if pl.kept != nil && pl.kept[k/8]&(1<<(k%8)) == 0 {
 			continue
 		}
-		g := pl.first + k
+		g := k
 		if pl.idx != nil {
 			g = pl.idx[k]
 		}
-		if err := fn(j, g); err != nil {
-			return err
-		}
-		j++
+		dst = append(dst, g)
 	}
-	return nil
+	return dst
 }
 
-// merge folds the states of fragment h, placed by pl, into the groups;
-// columns are resolved in h by name.
-func (m *keyedMerge) merge(h *relation.Relation, pl placement) error {
-	if n := pl.rows(); n != len(h.Rows) {
-		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", len(h.Rows), n)
+// fragment is a reply's relation as a merge reads it, lane by lane: a
+// keyed reply's relation, or a states-only reply's frame.
+type fragment interface {
+	Len() int
+	Lane(j int, fn func(i int, v value.V) error) error
+}
+
+// merge folds the states of states-only fragment h, whose columns schema
+// names, placed by pl, into the groups.
+func (m *keyedMerge) merge(schema *relation.Schema, h fragment, pl placement) error {
+	// A kept bitmap is ⌈shipped/8⌉ bytes, clear past the last shipped row.
+	if pl.kept != nil && (len(pl.kept) != (pl.shipped+7)/8 || pl.shipped%8 != 0 && pl.kept[len(pl.kept)-1]>>(pl.shipped%8) != 0) {
+		return fmt.Errorf("kept bitmap % x is not over the %d shipped rows", pl.kept, pl.shipped)
 	}
-	prims, err := m.primCols(h.Schema)
+	if m.at = pl.groups(m.at[:0]); len(m.at) != h.Len() {
+		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", h.Len(), len(m.at))
+	}
+	return m.mergeAt(schema, h)
+}
+
+// mergeAt folds the states of fragment h, row j into group at[j], one
+// primitive column at a time; columns are resolved in schema by name.
+func (m *keyedMerge) mergeAt(schema *relation.Schema, h fragment) error {
+	prims, err := m.primCols(schema)
 	if err != nil {
 		return err
 	}
 	for p, c := range prims {
-		err := pl.each(func(j, g int) error { return m.accs.Merge(g, p, h.Rows[j][c]) })
+		err := h.Lane(c, func(j int, v value.V) error { return m.accs.Merge(m.at[j], p, v) })
 		if err != nil {
 			return fmt.Errorf("group merge: %w", err)
 		}
 	}
 	if m.kept != nil {
-		return pl.each(func(_, g int) error {
+		for _, g := range m.at {
 			m.kept[g/8] |= 1 << (g % 8)
-			return nil
-		})
+		}
 	}
 	return nil
 }
@@ -206,7 +203,7 @@ func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 		}
 		m.at = append(m.at, pos)
 	}
-	return m.merge(h, placement{idx: m.at, shipped: len(h.Rows)})
+	return m.mergeAt(h.Schema, h)
 }
 
 // fold adds the rows of a keyed fragment from site as groups of their own:
@@ -217,14 +214,16 @@ func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
 // over the states in place. The caller owns the fragment (the contract of
 // transport.Client.Call). The keys' hashes are kept for checkDisjoint.
 func (m *keyedMerge) fold(site string, h *relation.Relation) error {
-	first, k, s := len(m.rows), len(m.keys), int32(len(m.sites))
+	k, s := len(m.keys), int32(len(m.sites))
+	m.at = slices.Grow(m.at[:0], len(h.Rows))
 	for _, row := range h.Rows {
+		m.at = append(m.at, len(m.rows))
 		m.hashes = append(m.hashes, keyHash{relation.HashRow(row, m.keyIdx), int32(len(m.rows)), s})
 		m.rows = append(m.rows, row[:k:min(len(row), k+m.room)])
 	}
 	m.accs.AddGroups(len(h.Rows))
 	m.sites = append(m.sites, site)
-	return m.merge(h, placement{first: first, shipped: len(h.Rows)})
+	return m.mergeAt(h.Schema, h)
 }
 
 // checkDisjoint proves a fold's premise after the last fragment: no two

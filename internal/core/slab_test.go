@@ -169,21 +169,60 @@ func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment,
 }
 
 // TestSynchronizeRefusesMisplacedStates: a states-only reply must carry one
-// row for each shipped row its Kept bitmap marks; any other count is
-// refused, never merged into the wrong groups.
+// row for each shipped row its Kept bitmap marks, under a bitmap of
+// exactly ⌈shipped/8⌉ bytes with no bit past the last shipped row; any
+// other reply is refused, naming its site, never merged into the wrong
+// groups.
 func TestSynchronizeRefusesMisplacedStates(t *testing.T) {
-	x, step, ships, replies := synchronizeFixture(10, 1)
-	replies[0].Kept = []byte{0b101}
-	_, err := runSynchronize(x, step, ships, replies)
-	if err == nil || !strings.Contains(err.Error(), "states-only fragment has 10 rows for 2 kept positions") {
-		t.Fatalf("err = %v, want the kept-positions refusal", err)
+	cases := []struct {
+		kept []byte
+		rows int
+		want string
+	}{
+		{[]byte{0b101, 0}, 10, "site site0 fragment: states-only fragment has 10 rows for 2 kept positions"},
+		{[]byte{0b101}, 10, "site site0 fragment: kept bitmap 05 is not over the 10 shipped rows"},
+		{[]byte{0xFF}, 8, "site site0 fragment: kept bitmap ff is not over the 10 shipped rows"},
+		{[]byte{0xFF, 0xFF, 0xAA}, 10, "site site0 fragment: kept bitmap ff ff aa is not over the 10 shipped rows"},
+		{[]byte{0xFF, 0x07}, 10, "site site0 fragment: kept bitmap ff 07 is not over the 10 shipped rows"},
+	}
+	for _, c := range cases {
+		x, step, ships, replies := synchronizeFixture(10, 1)
+		replies[0].Kept = c.kept
+		replies[0].Rel.Rows = replies[0].Rel.Rows[:c.rows]
+		if _, err := runSynchronize(x, step, ships, replies); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Kept % x over %d rows: err = %v, want %q", c.kept, c.rows, err, c.want)
+		}
 	}
 }
 
+// replyHandler answers every request with its one reply.
+type replyHandler struct{ resp *transport.Response }
+
+func (h replyHandler) Handle(context.Context, *transport.Request) *transport.Response { return h.resp }
+
+// received returns replies as a site client delivers them: each sent over
+// the wire in answer to a request that ships x, so that a states-only
+// reply arrives as its frame.
+func received(tb testing.TB, x *relation.Relation, replies []*transport.Response) []*transport.Response {
+	out := make([]*transport.Response, len(replies))
+	for i, resp := range replies {
+		cl := transport.NewLocalClient(fmt.Sprintf("site%d", i), replyHandler{resp}, transport.CostModel{})
+		got, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Base: x})
+		cl.Close()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = got
+	}
+	return out
+}
+
 // BenchmarkSynchronize is the coordinator's merge and finalization of one
-// such step: four states-only replies of 2 000 groups.
+// such step: four states-only replies of 2 000 groups, as the site clients
+// deliver them.
 func BenchmarkSynchronize(b *testing.B) {
 	x, step, ships, replies := synchronizeFixture(2000, 4)
+	replies = received(b, x, replies)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -70,3 +70,36 @@ func BenchmarkSortBy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecodeFrame reads a states-only reply of 2 000 rows and three
+// states (count(*) and avg's sum and count, the sum's column declared
+// FLOAT holding INTs): boxed into rows, and checked without boxing.
+func BenchmarkDecodeFrame(b *testing.B) {
+	r := New(MustSchema(
+		Column{Name: "cnt1__p0", Kind: value.KindInt},
+		Column{Name: "avg1__p0", Kind: value.KindFloat},
+		Column{Name: "avg1__p1", Kind: value.KindInt},
+	))
+	for g := 0; g < 2000; g++ {
+		n := int64(g%5 + 1)
+		r.MustAppend(value.NewInt(n), value.NewInt(n*int64(g%50+1)), value.NewInt(n))
+	}
+	frame := AppendFrame(nil, r)
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) error
+	}{
+		{"ReadFrame", func(b []byte) error { _, err := ReadFrame(b); return err }},
+		{"DecodeFrame", func(b []byte) error { _, err := DecodeFrame(b); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -35,30 +35,43 @@ const (
 
 // laneMode returns the mode column j of rows is encoded in.
 func laneMode(rows []Row, j int) byte {
-	kind, nulls := value.KindNull, false
+	var l laneShape
 	for _, row := range rows {
-		switch v := row[j]; {
-		case v.K > value.KindString || v.S != "" && v.K != value.KindString:
-			return laneGeneric // an unknown kind, or a string under another
-		case v.K == value.KindNull:
-			nulls = true
-		case kind == value.KindNull:
-			kind = v.K
-		case v.K != kind:
-			return laneGeneric
-		}
+		l.add(row[j].K, row[j].S != "")
 	}
-	if nulls {
-		return byte(kind) | laneNulls
+	return l.mode()
+}
+
+// laneShape gathers, value by value, the mode a lane is encoded in.
+type laneShape struct {
+	kind    value.Kind
+	nulls   byte // laneNulls once a NULL is seen
+	generic bool
+}
+
+// add takes a value of kind k, with a string if hasS. An unknown kind, a
+// string under another kind or a second known kind makes the lane generic.
+func (l *laneShape) add(k value.Kind, hasS bool) {
+	l.generic = l.generic || k > value.KindString || hasS && k != value.KindString || k != value.KindNull && l.kind != value.KindNull && k != l.kind
+	if k == value.KindNull {
+		l.nulls = laneNulls
+	} else {
+		l.kind = k
 	}
-	return byte(kind)
+}
+
+func (l *laneShape) mode() byte {
+	if l.generic {
+		return laneGeneric
+	}
+	return byte(l.kind) | l.nulls
 }
 
 // sharedPrefix returns how many leading bytes of prev, the lane's previous
 // non-NULL string, the encoding of s reuses: their common prefix, or none
 // when s has bytes of its own and would unfold into more than
 // maxStringExpansion bytes per byte it costs.
-func sharedPrefix(prev, s string) int {
+func sharedPrefix[S ~string | ~[]byte](prev, s S) int {
 	p := 0
 	for p < len(prev) && p < len(s) && prev[p] == s[p] {
 		p++
@@ -158,13 +171,37 @@ func (r *Relation) GobDecode(b []byte) error {
 	return nil
 }
 
-// ReadFrame decodes a frame from anywhere: it never panics, refuses what
-// AppendFrame would not write (truncation and trailing bytes included) and
-// allocates at most a constant times len(b). Every value, and every row of
-// a relation without columns (a bitmap of them stands in for the lanes),
-// costs at least a bit; all rows share one value backing, and each STRING
-// lane's values one string.
-func ReadFrame(b []byte) (r *Relation, err error) {
+// ReadFrame decodes a frame from anywhere into a relation (Frame.Relation).
+func ReadFrame(b []byte) (*Relation, error) {
+	f, err := DecodeFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	return f.Relation(), nil
+}
+
+// Frame is a checked frame whose values stay in its bytes: its lanes are
+// read on demand (Lane), or boxed into a relation all at once (Relation).
+type Frame struct {
+	Schema *Schema
+	b      []byte
+	n      int
+	lanes  []frameLane // one per column
+}
+
+// frameLane is a lane's mode, its bitmap of non-NULL rows if any, where its
+// values start, and the bytes a STRING lane's values unfold into.
+type frameLane struct {
+	mode byte
+	bm   []byte
+	off  int
+	strs int
+}
+
+// DecodeFrame checks a frame from anywhere: it never panics and refuses
+// what AppendFrame would not write, truncation and trailing bytes included.
+// It boxes nothing, and its allocations do not grow with the rows. f keeps b.
+func DecodeFrame(b []byte) (f *Frame, err error) {
 	d := &frameReader{b: b}
 	defer func() {
 		if p := recover(); p != nil {
@@ -172,7 +209,7 @@ func ReadFrame(b []byte) (r *Relation, err error) {
 			if !ok {
 				panic(p)
 			}
-			r, err = nil, fmt.Errorf("relation: frame at byte %d: %s", d.off, string(e))
+			f, err = nil, fmt.Errorf("relation: frame at byte %d: %s", d.off, string(e))
 		}
 	}()
 	if v := d.byte(); v != FrameVersion {
@@ -187,34 +224,96 @@ func ReadFrame(b []byte) (r *Relation, err error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every value, and every row of a relation without columns (a bitmap
+	// of them stands in for the lanes), costs at least a bit.
 	if limit := uint64(8 * len(b)); n > limit || w > 0 && n > limit/uint64(w) {
 		d.fail("%d rows of %d columns", n, w)
 	}
-	r = &Relation{Schema: schema}
-	if n > 0 {
-		vals := make([]value.V, int(n)*w)
-		r.Rows = make([]Row, n)
-		for i := range r.Rows {
-			r.Rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
-		}
-	}
-	for i := 0; w == 0 && i < len(r.Rows); i += 8 {
-		if d.byte() != allSet(len(r.Rows)-i) {
+	f = &Frame{Schema: schema, b: b, n: int(n)}
+	for i := 0; w == 0 && i < f.n; i += 8 {
+		if d.byte() != allSet(f.n-i) {
 			d.fail("row bitmap")
 		}
 	}
+	f.lanes = make([]frameLane, w)
 	budget := maxStringExpansion * len(b)
+	var prev, cur []byte // scratch for unfolding strings
 	for j := 0; n > 0 && j < w; j++ {
-		d.lane(r.Rows, j, &budget)
+		f.lanes[j] = d.lane(f.n, j, &budget, &prev, &cur)
 	}
 	if d.off != len(b) {
 		d.fail("%d trailing bytes", len(b)-d.off)
 	}
-	return r, nil
+	return f, nil
+}
+
+// Len returns the number of rows.
+func (f *Frame) Len() int { return f.n }
+
+// Lane calls fn with each row's value of column j, in row order, until fn
+// fails. Values are built on the stack; a STRING lane's share one string.
+func (f *Frame) Lane(j int, fn func(i int, v value.V) error) error {
+	l := f.lanes[j]
+	d := frameReader{b: f.b, off: l.off}
+	kind := value.Kind(l.mode &^ laneNulls)
+	var sb strings.Builder
+	sb.Grow(l.strs)
+	prev := ""
+	for i := 0; i < f.n; i++ {
+		var v value.V
+		switch {
+		case !present(l.bm, i):
+		case l.mode == laneGeneric:
+			v, _ = value.FromParts(value.Kind(d.byte()), d.varint(), d.float(), string(d.str()))
+		case kind == value.KindFloat:
+			v = value.NewFloat(d.float())
+		case kind == value.KindString:
+			p, rest := d.uvarint(), d.str()
+			s := prev[:p]
+			if len(rest) > 0 {
+				at := sb.Len()
+				sb.WriteString(s)
+				sb.Write(rest)
+				s = sb.String()[at:]
+			}
+			v, prev = value.NewString(s), s
+		default:
+			v, _ = value.FromParts(kind, d.varint(), 0, "")
+		}
+		if err := fn(i, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Relation boxes the frame's values into rows sharing one value backing.
+func (f *Frame) Relation() *Relation {
+	r := &Relation{Schema: f.Schema}
+	if f.n > 0 {
+		r.Rows = MakeRows(f.n, f.Schema.Len())
+	}
+	for j := range f.lanes {
+		f.Lane(j, func(i int, v value.V) error {
+			r.Rows[i] = append(r.Rows[i], v)
+			return nil
+		})
+	}
+	return r
+}
+
+// GobDecode sets f to a copy of the frame b holds, which gob may reuse.
+func (f *Frame) GobDecode(b []byte) error {
+	fr, err := DecodeFrame(bytes.Clone(b))
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	*f = *fr
+	return nil
 }
 
 // frameReader walks a frame. Like encoding/gob's decoder it reports a bad
-// frame by panicking with a frameError, for ReadFrame to recover.
+// frame by panicking with a frameError, for DecodeFrame to recover.
 type frameReader struct {
 	b   []byte
 	off int
@@ -236,8 +335,13 @@ func (d *frameReader) bytes(n uint64) []byte {
 
 func (d *frameReader) byte() byte { return d.bytes(1)[0] }
 
-// uvarint reads a varint in its one minimal encoding.
+// uvarint reads a varint in its one minimal encoding; one byte long, the
+// common case, it is read without binary.Uvarint.
 func (d *frameReader) uvarint() uint64 {
+	if d.off < len(d.b) && d.b[d.off] < 0x80 {
+		d.off++
+		return uint64(d.b[d.off-1])
+	}
 	x, n := binary.Uvarint(d.b[d.off:])
 	if n == 0 {
 		d.fail("truncated")
@@ -263,93 +367,82 @@ func (d *frameReader) str() []byte { return d.bytes(d.uvarint()) }
 // present reports whether row i of a lane, with bitmap bm if any, is set.
 func present(bm []byte, i int) bool { return bm == nil || bm[i/8]&(1<<(i%8)) != 0 }
 
-// lane decodes column j of rows, spending budget on string bytes.
-func (d *frameReader) lane(rows []Row, j int, budget *int) {
-	mode := d.byte()
-	kind := value.Kind(mode &^ laneNulls)
+// lane checks column j of n rows, spending budget on string bytes.
+func (d *frameReader) lane(n, j int, budget *int, prev, cur *[]byte) frameLane {
+	l := frameLane{mode: d.byte()}
+	kind := value.Kind(l.mode &^ laneNulls)
 	if kind > value.KindString {
-		d.fail("unknown lane mode %#x", mode)
+		d.fail("unknown lane mode %#x", l.mode)
 	}
-	var bm []byte
-	if mode&laneNulls != 0 {
-		bm = d.bytes(uint64(len(rows)+7) / 8)
+	if l.mode&laneNulls != 0 {
+		l.bm = d.bytes(uint64(n+7) / 8)
 		set := 0
-		for _, c := range bm {
+		for _, c := range l.bm {
 			set += bits.OnesCount8(c)
 		}
 		// Clear past the last row, and NULLs in the lane iff some are clear.
-		if bm[len(bm)-1]>>((len(rows)-1)%8+1) != 0 || (kind == value.KindNull) != (set == 0) || set == len(rows) {
-			d.fail("bitmap of lane mode %#x", mode)
+		if l.bm[len(l.bm)-1]>>((n-1)%8+1) != 0 || (kind == value.KindNull) != (set == 0) || set == n {
+			d.fail("bitmap of lane mode %#x", l.mode)
 		}
 	}
+	l.off = d.off
 	if kind == value.KindString {
-		d.strings(rows, j, bm, budget)
-		return
+		l.strs = d.strings(n, l.bm, budget, prev, cur)
+		return l
 	}
-	for i, row := range rows {
+	var shape laneShape
+	for i := 0; i < n; i++ {
 		switch {
-		case !present(bm, i):
-		case mode == laneGeneric:
-			row[j] = d.value(value.Kind(d.byte()), d.varint(), d.float(), string(d.str()))
+		case !present(l.bm, i):
+		case l.mode == laneGeneric:
+			k, x, f, s := value.Kind(d.byte()), d.varint(), d.float(), d.str()
+			d.value(k, x, f)
+			shape.add(k, len(s) > 0)
 		case kind == value.KindFloat:
-			row[j] = value.NewFloat(d.float())
+			d.float()
 		default:
-			row[j] = d.value(kind, d.varint(), 0, "")
+			d.value(kind, d.varint(), 0)
 		}
 	}
-	if mode == laneGeneric && laneMode(rows, j) != laneGeneric {
+	if l.mode == laneGeneric && shape.mode() != laneGeneric {
 		d.fail("generic lane for column %d, whose values fit a typed one", j)
 	}
+	return l
 }
 
-// value returns value.FromParts(k, i, f, s), failing on parts no value has.
-func (d *frameReader) value(k value.Kind, i int64, f float64, s string) value.V {
-	v, ok := value.FromParts(k, i, f, s)
-	if !ok {
+// value fails on parts no value of kind k has.
+func (d *frameReader) value(k value.Kind, i int64, f float64) {
+	if _, ok := value.FromParts(k, i, f, ""); !ok {
 		d.fail("no %s value has this payload", k)
 	}
-	return v
 }
 
-// strings decodes a front-coded lane in two passes: one to check it and
-// size a buffer for all its values, one to fill it. A value with no bytes
-// of its own is a prefix of the previous one and takes no new bytes.
-func (d *frameReader) strings(rows []Row, j int, bm []byte, budget *int) {
-	start, total, prevLen := d.off, 0, uint64(0)
-	for i := range rows {
+// strings checks a front-coded lane of n rows and returns the bytes its
+// values unfold into. It unfolds each value into one of the two buffers
+// *prev and *cur, over the one before it in the other, so a value with no
+// bytes of its own is a prefix of the previous one.
+func (d *frameReader) strings(n int, bm []byte, budget *int, prev, cur *[]byte) int {
+	total := 0
+	*prev = (*prev)[:0]
+	for i := 0; i < n; i++ {
 		if !present(bm, i) {
 			continue
 		}
 		p, rest := d.uvarint(), d.str()
-		if p > prevLen {
-			d.fail("prefix %d of a %d-byte string", p, prevLen)
+		if p > uint64(len(*prev)) {
+			d.fail("prefix %d of a %d-byte string", p, len(*prev))
 		}
-		if prevLen = p + uint64(len(rest)); len(rest) > 0 {
-			if total += int(prevLen); total > *budget {
+		*cur = append(append((*cur)[:0], (*prev)[:p]...), rest...)
+		if len(rest) > 0 {
+			if total += len(*cur); total > *budget {
 				d.fail("strings unfold to over %d bytes per frame byte", maxStringExpansion)
 			}
-		}
-	}
-	*budget -= total
-	d.off = start
-	var sb strings.Builder
-	sb.Grow(total)
-	prev := ""
-	for i, row := range rows {
-		if !present(bm, i) {
-			continue
-		}
-		p, rest := d.uvarint(), d.str()
-		s := prev[:p]
-		if len(rest) > 0 {
-			at := sb.Len()
-			sb.WriteString(s)
-			sb.Write(rest)
-			if s = sb.String()[at:]; uint64(sharedPrefix(prev, s)) != p {
+			if uint64(sharedPrefix(*prev, *cur)) != p {
 				d.fail("string %d not front-coded on its shared prefix", i)
 			}
 		}
-		row[j] = value.NewString(s)
-		prev = s
+		*prev, *cur = *cur, *prev
 	}
+	*budget -= total
+	return total
 }

@@ -273,9 +273,8 @@ func TestGobRefusesMalformed(t *testing.T) {
 	}
 }
 
-// TestFrameDecodeAllocs: decoding costs a constant number of allocations
-// per column, whatever the row count.
-func TestFrameDecodeAllocs(t *testing.T) {
+// allocsFrame is the frame of 2 000 rows of a STRING key and two states.
+func allocsFrame() []byte {
 	r := New(MustSchema(
 		Column{Name: "CustName", Kind: value.KindString},
 		Column{Name: "n", Kind: value.KindInt},
@@ -284,7 +283,13 @@ func TestFrameDecodeAllocs(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		r.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", i)), value.NewInt(int64(i)), value.NewFloat(float64(i)/3))
 	}
-	b := AppendFrame(nil, r)
+	return AppendFrame(nil, r)
+}
+
+// TestFrameDecodeAllocs: decoding costs a constant number of allocations
+// per column, whatever the row count.
+func TestFrameDecodeAllocs(t *testing.T) {
+	b := allocsFrame()
 	if allocs := testing.AllocsPerRun(20, func() {
 		if _, err := ReadFrame(b); err != nil {
 			t.Fatal(err)
@@ -294,12 +299,74 @@ func TestFrameDecodeAllocs(t *testing.T) {
 	}
 }
 
+// bytesPerRun returns the bytes one call of fn allocates, averaged over
+// runs on one P, as testing.AllocsPerRun counts allocations.
+func bytesPerRun(runs int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
+// TestDecodeFrameAllocs: checking a frame boxes nothing. DecodeFrame makes
+// a constant number of allocations, of bytes that grow with the columns
+// and not with the rows; Frame.GobDecode adds one copy of the frame.
+func TestDecodeFrameAllocs(t *testing.T) {
+	b := allocsFrame()
+	const perColumn = 256
+	decode := func() {
+		if _, err := DecodeFrame(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, decode); allocs > 12 {
+		t.Errorf("DecodeFrame of 2000 rows × 3 columns: %.0f allocations, want at most 12", allocs)
+	}
+	if got := bytesPerRun(20, decode); got > 3*perColumn {
+		t.Errorf("DecodeFrame of 2000 rows × 3 columns allocated %d bytes, want at most %d", got, 3*perColumn)
+	}
+	var f Frame
+	gobDecode := func() {
+		if err := f.GobDecode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The copy is rounded up to a size class, by at most an eighth.
+	if got, want := bytesPerRun(20, gobDecode), uint64(len(b)*9/8+3*perColumn); got > want {
+		t.Errorf("Frame.GobDecode of a %d-byte frame allocated %d bytes, want at most %d", len(b), got, want)
+	}
+}
+
+// TestFrameGobDecodeCopies: a Frame gob decoded reads the same values after
+// gob reuses the bytes it was decoded from.
+func TestFrameGobDecodeCopies(t *testing.T) {
+	r := layoutRelation()
+	b := AppendFrame(nil, r)
+	var f Frame
+	if err := f.GobDecode(b); err != nil {
+		t.Fatal(err)
+	}
+	clear(b)
+	if got := f.Relation(); !reflect.DeepEqual(got.Rows, r.Rows) || !got.Schema.Equal(r.Schema) {
+		t.Errorf("after its bytes were overwritten the frame reads %v", got.Rows)
+	}
+	if err := f.GobDecode([]byte{1, 1}); !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("decoding a truncated frame: %v", err)
+	}
+}
+
 // frameAllocBound is what ReadFrame may allocate for a frame of n bytes.
 func frameAllocBound(n int) uint64 { return 1024*uint64(n) + 64<<10 }
 
 // FuzzFrame: decoding arbitrary bytes never panics and allocates within
-// frameAllocBound; a frame that decodes re-encodes to the same bytes, and
-// no strict prefix of it decodes.
+// frameAllocBound; DecodeFrame accepts exactly what ReadFrame accepts, and
+// its Relation and its lanes give ReadFrame's values; a frame that decodes
+// re-encodes to the same bytes, and no strict prefix of it decodes.
 func FuzzFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for seeds := 0; seeds < 32; {
@@ -322,8 +389,27 @@ func FuzzFrame(f *testing.F) {
 		if got := m1.TotalAlloc - m0.TotalAlloc; got > frameAllocBound(len(b)) {
 			t.Fatalf("ReadFrame of %d bytes allocated %d", len(b), got)
 		}
+		f, ferr := DecodeFrame(b)
+		if (ferr == nil) != (err == nil) {
+			t.Fatalf("ReadFrame: %v; DecodeFrame: %v", err, ferr)
+		}
 		if err != nil {
 			return
+		}
+		if got := f.Relation(); !reflect.DeepEqual(got, r) {
+			t.Fatalf("Frame.Relation\n%v\nReadFrame\n%v", got, r)
+		}
+		for j := range r.Schema.Cols {
+			n := 0
+			f.Lane(j, func(i int, v value.V) error {
+				if n++; i != n-1 || v != r.Rows[i][j] {
+					t.Fatalf("lane %d yields %#v as row %d, ReadFrame has %#v at row %d", j, v, i, r.Rows[n-1][j], n-1)
+				}
+				return nil
+			})
+			if n != f.Len() || n != r.Len() {
+				t.Fatalf("lane %d yields %d values of %d rows", j, n, r.Len())
+			}
 		}
 		if again := AppendFrame(nil, r); !bytes.Equal(again, b) {
 			t.Fatalf("re-encoded\n% x\nfrom\n% x", again, b)

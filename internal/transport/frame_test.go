@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
@@ -140,6 +141,131 @@ func TestMalformedRelationRefused(t *testing.T) {
 			}
 		}
 	})
+
+	// A reply whose relation is not a frame fails the call with
+	// ErrMalformed inside the decode, whether the client boxes the relation
+	// (a keyed reply) or keeps its frame (a states-only reply), and the
+	// retry layer's next call redials and is answered.
+	t.Run("corrupt reply", func(t *testing.T) {
+		for _, req := range []*Request{
+			{Op: OpEvalRounds, Detail: "flow", BaseCols: []string{"k"}, Rounds: round},
+			{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round},
+		} {
+			addr := serveCorruptOnce(t, sampleRelation(2))
+			cl := NewReconnector("site0", func() (Client, error) { return DialTCP("site0", addr, CostModel{}) }, 1, 0)
+			defer cl.Close()
+			if _, err := cl.Call(ctx, req); !errors.Is(err, relation.ErrMalformed) || !strings.Contains(err.Error(), "truncated") {
+				t.Errorf("ShipsBase %v: a reply that is not a frame: %v, want ErrMalformed", req.ShipsBase(), err)
+			}
+			resp, err := cl.Call(ctx, req)
+			if err != nil {
+				t.Fatalf("ShipsBase %v: the next call: %v", req.ShipsBase(), err)
+			}
+			f, err := resp.Frame()
+			if err != nil || f == nil || !reflect.DeepEqual(f.Relation(), sampleRelation(2)) {
+				t.Errorf("ShipsBase %v: the next call answered %v, %v", req.ShipsBase(), f, err)
+			}
+		}
+	})
+}
+
+// corruptResponse is a Response whose Rel is not a frame.
+type corruptResponse struct {
+	Err string
+	Rel notAFrame
+}
+
+// serveCorruptOnce answers the first request it reads, on any connection,
+// with a reply whose relation is not a frame, and every later one with
+// rel.
+func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	var served atomic.Int64
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+				for {
+					var req Request
+					if dec.Decode(&req) != nil {
+						return
+					}
+					var reply any = &Response{Rel: rel}
+					if served.Add(1) == 1 {
+						reply = &corruptResponse{Rel: notAFrame{1, 1}}
+					}
+					if enc.Encode(reply) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestStatesOnlyReplyArrivesAsFrame: the reply to a request that ShipsBase
+// reaches the caller as its frame, Rel nil, every other field as sent;
+// every other reply arrives boxed. Either way Frame gives the relation.
+func TestStatesOnlyReplyArrivesAsFrame(t *testing.T) {
+	rel := sampleRelation(20)
+	sent := &Response{Rel: rel, RowCount: 7, ComputeNs: 99, Kept: []byte{0xff, 0xff, 0x0f}, Profile: &SiteProfile{RowsOut: 20, Outcome: OutcomeOK}}
+	cl := NewLocalClient("site0", &countingHandler{resp: sent}, CostModel{})
+	defer cl.Close()
+	for _, req := range []*Request{
+		{Op: OpEvalRounds, Base: sampleRelation(20)},
+		{Op: OpEvalRounds, Detail: "flow", BaseCols: []string{"k"}},
+	} {
+		resp, err := cl.Call(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boxed := resp.Rel != nil; boxed == req.ShipsBase() {
+			t.Errorf("ShipsBase %v: Rel %v", req.ShipsBase(), resp.Rel)
+		}
+		f, err := resp.Frame()
+		if err != nil || !reflect.DeepEqual(f.Relation(), rel) {
+			t.Errorf("ShipsBase %v: frame %v, %v", req.ShipsBase(), f, err)
+		}
+		if resp.RowCount != 7 || resp.ComputeNs != 99 || !reflect.DeepEqual(resp.Kept, sent.Kept) || !reflect.DeepEqual(resp.Profile, sent.Profile) {
+			t.Errorf("ShipsBase %v: got %+v, sent %+v", req.ShipsBase(), resp, sent)
+		}
+	}
+}
+
+// TestStatesReplyMirrorsResponse: the struct a client decodes a
+// states-only reply into has Response's exported fields, by name and in
+// order, each of Response's type but Rel, which is a frame.
+func TestStatesReplyMirrorsResponse(t *testing.T) {
+	var want []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Response{})) {
+		if f.IsExported() {
+			want = append(want, f)
+		}
+	}
+	got := reflect.VisibleFields(reflect.TypeOf(statesReply{}))
+	if len(got) != len(want) {
+		t.Fatalf("statesReply has %d fields, Response %d exported", len(got), len(want))
+	}
+	for i, f := range want {
+		typ := f.Type
+		if f.Name == "Rel" {
+			typ = reflect.TypeOf((*relation.Frame)(nil))
+		}
+		if got[i].Name != f.Name || got[i].Type != typ {
+			t.Errorf("statesReply field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
+		}
+	}
 }
 
 // TestFramedRepliesLeaveTheResponse: a server encodes the handler's Response

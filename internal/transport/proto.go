@@ -226,6 +226,41 @@ type Response struct {
 	// a row for shipped row i (Proposition 1 drops the untouched ones).
 	// Nil means every shipped row, in order.
 	Kept []byte
+
+	// frame is a states-only reply's relation as a client received it.
+	//lint:ignore wiresafe set by the client on decode; Rel is what crosses the wire
+	frame *relation.Frame
+}
+
+// Frame returns a reply's relation as a frame: the one a client kept from
+// a states-only reply, or the frame of Rel for a response a handler built.
+func (r *Response) Frame() (*relation.Frame, error) {
+	switch {
+	case r.frame != nil:
+		return r.frame, nil
+	case r.Rel == nil:
+		return nil, errors.New("no relation")
+	}
+	b, err := r.Rel.GobEncode()
+	if err != nil {
+		return nil, err
+	}
+	return relation.DecodeFrame(b)
+}
+
+// statesReply is Response with Rel received as a frame: a client decodes
+// the reply to a request that ShipsBase into it. gob matches fields by
+// name, so the wire bytes are Response's. The mirror exists because the
+// benchmark's probes read Response.Rel boxed (benchmark/probes.go); once
+// they do not, Rel itself can be the frame and this type goes.
+type statesReply struct {
+	Err       string
+	Code      int
+	Rel       *relation.Frame
+	RowCount  int
+	ComputeNs int64
+	Profile   *SiteProfile
+	Kept      []byte
 }
 
 // refusedReply is what a transport delivers in place of a reply whose
@@ -341,10 +376,12 @@ type Handler interface {
 type Client interface {
 	// SiteID returns the site's identifier.
 	SiteID() string
-	// Call performs one request/response exchange. The caller owns the
-	// returned *Response, its relation's rows included, and may write to
-	// them: no layer (Pool, Reconnector, Hedger, Chaos) keeps a response
-	// it returned or hands the same one out twice. Cancelling ctx (or
+	// Call performs one request/response exchange. The reply to a request
+	// that ShipsBase holds its relation as a frame (Response.Frame), every
+	// other reply as Rel. The caller owns the returned *Response, its
+	// relation's rows included, and may write to them: no layer (Pool,
+	// Reconnector, Hedger, Chaos) keeps a response it returned or hands
+	// the same one out twice. Cancelling ctx (or
 	// hitting its deadline) aborts the exchange: connection-oriented
 	// transports interrupt blocked I/O and the call returns an error
 	// wrapping ctx.Err(). A call aborted mid-exchange may leave the

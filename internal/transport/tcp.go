@@ -490,14 +490,22 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	c.obs.Count("transport.messages", 1)
 
 	beforeR := c.cr.n
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	resp := new(Response)
+	var err error
+	if req.ShipsBase() {
+		var sr statesReply
+		err = c.dec.Decode(&sr)
+		*resp = Response{Err: sr.Err, Code: sr.Code, RowCount: sr.RowCount, ComputeNs: sr.ComputeNs, Profile: sr.Profile, Kept: sr.Kept, frame: sr.Rel}
+	} else {
+		err = c.dec.Decode(resp)
+	}
+	if err != nil {
 		return nil, c.failLocked("receive from", err, ctx)
 	}
 	recv := c.cr.n - beforeR
 	charge(ctx, Delta{Recv: recv, Comm: c.cost.TransferTime(int(recv))})
 	c.obs.Count("transport.bytes_received", recv)
-	return &resp, nil
+	return resp, nil
 }
 
 // failLocked marks the client broken after a mid-stream error and closes

@@ -84,8 +84,10 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # call in process (over a pipe) and over loopback TCP, the same client and
 # server code on both. Synchronize also matches BenchmarkSynchronizeFused,
 # a fused step's keyed replies merged by key and folded by position;
-# PartitionAttr is the catalog's partition proof, memoized and cold.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip|PartitionAttr' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
+# PartitionAttr is the catalog's partition proof, memoized and cold;
+# DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
+# unboxed (DecodeFrame), the form the coordinator merges from.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip|PartitionAttr|DecodeFrame' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
