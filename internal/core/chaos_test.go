@@ -114,7 +114,7 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 		parts[i%nSites].Rows = append(parts[i%nSites].Rows, row)
 	}
 
-	var failover *transport.Reconnector
+	var primary *transport.Chaos
 	clients := make([]transport.Client, nSites)
 	for i := 0; i < nSites; i++ {
 		id := fmt.Sprintf("site%d", i)
@@ -130,16 +130,15 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 		// Site 1 is a replica set: the primary answers the base round (its
 		// first evaluation) and then fails every evaluation call; the
 		// secondary holds the same partition.
-		primary := transport.NewChaos(mkReplica(), 11)
+		primary = transport.NewChaos(mkReplica(), 11)
 		for nth := 2; nth <= 10; nth++ {
 			primary.InjectAt(transport.OpEvalRounds, nth, transport.Fault{Err: transport.ErrInjected})
 		}
 		secondary := mkReplica()
-		failover = transport.NewReplicaSet(id, []func() (transport.Client, error){
-			func() (transport.Client, error) { return primary, nil },
-			func() (transport.Client, error) { return secondary, nil },
-		}, 2, 0)
-		clients[i] = failover
+		clients[i] = transport.NewReplicaSet(id, []transport.Client{
+			transport.NewReconnector(id, func() (transport.Client, error) { return primary, nil }, 2, 0),
+			transport.NewReconnector(id, func() (transport.Client, error) { return secondary, nil }, 2, 0),
+		}, nil, nil)
 	}
 	coord := NewCoordinator(clients...)
 
@@ -155,8 +154,10 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 	if stats.Partial() {
 		t.Errorf("failover must not degrade the result: lost %v", stats.LostSites())
 	}
-	if failover.Endpoint() != 1 {
-		t.Errorf("endpoint = %d, want 1 (failed over to the replica)", failover.Endpoint())
+	// The base round, then two failed attempts before the failover; the
+	// secondary stays current for the rest of the query.
+	if got := primary.Calls(); got != 3 {
+		t.Errorf("primary calls = %d, want 3 (sticky failover to the replica)", got)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 
 // ErrFlow enforces inspectable error chains in files tagged
 // //lint:wrap-errors — the transport and coordinator layers, where
-// failover policy hinges on errors.Is/errors.As: the Reconnector must
-// distinguish context cancellation (stop retrying) from transport faults
-// (retry, then fail over), and the coordinator must recognize
-// context.Canceled to avoid shadowing a root cause with sibling-
-// cancellation fallout. A fmt.Errorf that formats an error argument with
+// failover policy hinges on errors.Is/errors.As: the retry and replica
+// layers must distinguish context cancellation (stop retrying) from
+// transport faults (retry at one replica, then fail over to the next),
+// and the coordinator must recognize context.Canceled to avoid shadowing
+// a root cause with sibling-cancellation fallout. A fmt.Errorf that formats an error argument with
 // %v or %s flattens it to text, so errors.Is sees nothing: every such
 // call must wrap at least one error with %w (annotating secondary errors
 // with %v next to a %w is fine) or return an explicit sentinel instead.

@@ -1,6 +1,6 @@
-// Shed classification: the Reconnector fails over immediately — without
-// burning retry budget — when errors.Is finds ErrOverloaded or ErrDraining
-// in a response's error chain. These sentinels mirror the transport
+// Shed classification: the replica layer fails over immediately — without
+// burning retry budget — on a draining refusal, and callers classify
+// ErrOverloaded or ErrDraining in a response's error chain with errors.Is. These sentinels mirror the transport
 // package's; a handler that flattens them to text breaks that
 // classification, so wrap-errors files must keep the chain intact.
 //

@@ -7,8 +7,8 @@
 // The paper's evaluation is an argument about where time and bytes go per
 // synchronization round; obs makes that story visible on a *running*
 // system instead of only in a one-shot ExecStats printout. Transport
-// clients publish wire totals, the Reconnector publishes retry/failover
-// activity, site engines publish rounds served and compute histograms,
+// clients publish wire totals, the retry and replica layers publish
+// retry/failover activity, site engines publish rounds served and compute histograms,
 // and the coordinator publishes per-round byte and group counters that
 // match ExecStats exactly.
 //

@@ -81,11 +81,10 @@ func TestLimitRefusalReachesOneReplica(t *testing.T) {
 	}
 
 	clients, sinks := replicas()
-	dials := []func() (transport.Client, error){
-		func() (transport.Client, error) { return clients[0], nil },
-		func() (transport.Client, error) { return clients[1], nil },
+	for i, cl := range clients {
+		clients[i] = transport.NewReconnector("s1", func() (transport.Client, error) { return cl, nil }, 3, 0)
 	}
-	check("replica set", transport.NewReplicaSet("s1", dials, 3, 0), sinks)
+	check("replica set", transport.NewReplicaSet("s1", clients, nil, nil), sinks)
 
 	clients, sinks = replicas()
 	check("hedger", transport.NewHedger("s1", clients, 10*time.Second, nil, nil), sinks)

@@ -17,8 +17,9 @@ var ErrBudgetExhausted = errors.New("transport: retry budget exhausted")
 
 // RetryBudget is a token bucket shared by everything that issues
 // speculative or repeated traffic against the sites — Reconnector retries
-// and Hedger hedges. Primary requests earn Ratio tokens each (capped at
-// Burst); every retry or hedge spends one. When the bucket is empty the
+// and ReplicaSet hedges. Every call earns Ratio tokens at the replica
+// layer (capped at Burst); every same-replica retry or hedge spends one,
+// a failover to another replica none. When the bucket is empty the
 // speculative send is suppressed, so a sick cluster degrades to at most
 // (1+Ratio)× its primary traffic instead of melting down in a retry
 // storm.

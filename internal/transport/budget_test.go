@@ -66,7 +66,7 @@ func TestReconnectorBudgetExhaustion(t *testing.T) {
 	chaos := NewChaos(NewLocalClient("s0", newEchoHandler(), CostModel{}), 1)
 	chaos.FailNext(OpPing, 100)
 	budget := NewRetryBudget(0.001, 1, nil) // one banked retry, near-zero refill
-	rc := newReplicaSet("s0", []func() (Client, error){func() (Client, error) { return chaos, nil }}, 10, 0, budget, nil)
+	rc := newReconnector("s0", func() (Client, error) { return chaos, nil }, 10, 0, budget, nil)
 
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -88,7 +88,7 @@ func TestReconnectorBudgetExhaustion(t *testing.T) {
 	replenish := NewRetryBudget(1, 5, nil)
 	chaos2 := NewChaos(NewLocalClient("s1", newEchoHandler(), CostModel{}), 1)
 	chaos2.FailNext(OpPing, 2)
-	rc2 := newReplicaSet("s1", []func() (Client, error){func() (Client, error) { return chaos2, nil }}, 5, 0, replenish, nil)
+	rc2 := newReconnector("s1", func() (Client, error) { return chaos2, nil }, 5, 0, replenish, nil)
 	if _, err := rc2.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("budgeted retries failed despite tokens: %v", err)
 	}

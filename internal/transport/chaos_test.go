@@ -197,7 +197,7 @@ func TestChaosObsAttribution(t *testing.T) {
 	// Injector and retry layer publish into one sink, as in a stack the
 	// site builder assembles.
 	ch.SetObs(o)
-	rc := newReplicaSet("s", []func() (Client, error){func() (Client, error) { return ch, nil }}, 3, 0, nil, o)
+	rc := newReconnector("s", func() (Client, error) { return ch, nil }, 3, 0, nil, o)
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestHedgerFastPrimaryNeverHedges(t *testing.T) {
 
 func TestHedgerImmediateFailover(t *testing.T) {
 	// The primary fails fast — long before the hedge threshold. The
-	// hedger must not sit out the timer: it fails over immediately.
+	// replica layer must not sit out the timer: it fails over immediately.
 	primary := &replicaStub{id: "s0", fail: true}
 	secondary := &replicaStub{id: "s0"}
 	o := obs.New()
@@ -125,8 +125,12 @@ func TestHedgerImmediateFailover(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("failover waited for the hedge timer (%s)", elapsed)
 	}
-	if wins := o.Metrics.CounterValue("transport.hedge_wins"); d.Hedges != 1 || wins != 1 {
-		t.Errorf("hedges/wins = %d/%d, want 1/1", d.Hedges, wins)
+	// A failover is not a hedge: it counts as a re-send of the call.
+	if wins := o.Metrics.CounterValue("transport.hedge_wins"); d.Hedges != 0 || wins != 0 || d.Retries != 1 {
+		t.Errorf("hedges/wins/retries = %d/%d/%d, want 0/0/1", d.Hedges, wins, d.Retries)
+	}
+	if got := o.Metrics.CounterValue("transport.failovers"); got != 1 {
+		t.Errorf("transport.failovers = %d, want 1", got)
 	}
 
 	// With every replica failing, the settling failure reaches the caller

@@ -12,7 +12,7 @@ import (
 )
 
 // Pool multiplexes concurrent executions over a bounded set of
-// connections to one logical site. One TCP connection (or Reconnector)
+// connections to one replica of a site. One TCP connection (or Reconnector)
 // serializes its calls, so a coordinator that runs many queries at once
 // against the same site would otherwise serialize every round on a single
 // stream; the pool dials up to Max connections lazily and hands each call
@@ -180,7 +180,7 @@ func (p *Pool) Call(ctx context.Context, req *Request) (*Response, error) {
 	resp, d, err := Exchange(ctx, cl, req)
 	if err != nil && errors.Is(context.Cause(ctx), ErrHedgeLost) {
 		// The exchange was abandoned because its hedge lost the race: the
-		// partial traffic is the hedger's speculative waste (it counts the
+		// partial traffic is the replica layer's speculative waste (it counts the
 		// bytes under hedge_wasted_bytes), so charging it to the call
 		// would double-count it into the execution's round bytes; the
 		// torn connection is a hedge discard, not generic churn.

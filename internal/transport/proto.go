@@ -379,9 +379,9 @@ type Client interface {
 	// Call performs one request/response exchange. The reply to a request
 	// that ShipsBase holds its relation as a frame (Response.Frame), every
 	// other reply as Rel. The caller owns the returned *Response, its
-	// relation's rows included, and may write to them: no layer (Pool,
-	// Reconnector, Hedger, Chaos) keeps a response it returned or hands
-	// the same one out twice. Cancelling ctx (or
+	// relation's rows included, and may write to them: no layer (the
+	// ReplicaSet, Pool, Reconnector or Chaos) keeps a response it
+	// returned or hands the same one out twice. Cancelling ctx (or
 	// hitting its deadline) aborts the exchange: connection-oriented
 	// transports interrupt blocked I/O and the call returns an error
 	// wrapping ctx.Err(). A call aborted mid-exchange may leave the

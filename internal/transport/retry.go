@@ -16,54 +16,46 @@ import (
 	"repro/internal/obs"
 )
 
-// Reconnector wraps a logical site with transparent reconnect-and-retry on
-// transport failures (broken TCP connections, site restarts) and replica
-// failover: the logical site is backed by an ordered list of endpoints,
-// and when retries against the current endpoint are exhausted the call is
-// transparently re-issued to the next replica. Re-issuing a request to a
-// replica is safe because every protocol exchange is idempotent — only
-// partial aggregate state and queries in wire form are shipped, never
-// detail data, so repeating a round recomputes the same sub-aggregates
-// (see PROTOCOL.md, "Timeouts, cancellation, and failover").
+// Reconnector is the retry layer: a client of one site endpoint with
+// transparent reconnect-and-retry on transport failures (broken TCP
+// connections, site restarts). It dials lazily, redials after a failed
+// call, and re-sends the call up to attempts times. Re-sending is safe
+// because every protocol exchange is idempotent — only partial aggregate
+// state and queries in wire form are shipped, never detail data, so
+// repeating a round recomputes the same sub-aggregates (see PROTOCOL.md,
+// "Timeouts, cancellation, and failover"). Moving a call to another
+// replica is the replica layer's (ReplicaSet), never this one's.
 //
 // Site-side errors (Response.Err) are deterministic results of the request
-// and are never retried — only transport-level Call errors are. Context
+// and are never retried — only transport-level Call errors are. A shed or a
+// limit refusal is a response too, returned as it arrives. Context
 // cancellation and deadline expiry also stop retrying immediately: the
-// caller gave up, so burning further attempts (or failing over) is wasted
-// work.
+// caller gave up, so burning further attempts is wasted work.
 //
 // Retries back off exponentially with full jitter from a deterministic
 // per-site seed: delay n is uniform in [base·2ⁿ/2, base·2ⁿ], capped at
-// MaxBackoff. A call charges its exchange (see Exchange) with the
-// answered attempt's traffic alone, whichever connection or replica
-// carried it, plus the re-sends it needed (Delta.Retries), which is how a
-// round learns it was retried. This is
-// the only layer that re-sends a failed call: the coordinator never
-// re-issues a round on its own.
+// maxBackoff. A call charges its exchange (see Exchange) with the
+// answered attempt's traffic alone, whichever connection carried it, plus
+// the re-sends it needed (Delta.Retries), which is how a round learns it
+// was retried. This is the only layer that re-sends a failed call to the
+// same endpoint: the coordinator never re-issues a round on its own.
 type Reconnector struct {
 	id       string
-	dials    []func() (Client, error)
+	dial     func() (Client, error)
 	attempts int
 	backoff  time.Duration
-	// budget and obs are fixed at construction: every Call earns into the
-	// budget and every same-endpoint retry must take a token first (nil is
-	// unlimited); retry, failover and redial activity is published to obs
-	// ("transport.retries", "transport.failovers",
+	// maxBackoff caps the exponential backoff: 10×backoff, at least 2s.
+	maxBackoff time.Duration
+	// budget and obs are fixed at construction: every same-endpoint retry
+	// must take a token from the budget first (nil is unlimited); retry
+	// and redial activity is published to obs ("transport.retries",
 	// "transport.redial_failures", "transport.retry_wasted_bytes").
 	budget *RetryBudget
 	obs    *obs.Obs
 
-	// MaxBackoff caps the exponential backoff (default 10×backoff, at
-	// least 2s). Set before the first Call.
-	MaxBackoff time.Duration
-
 	mu sync.Mutex
 	//lint:guarded-by mu
 	cur Client
-	// ep is the current endpoint index; sticky across calls.
-	//
-	//lint:guarded-by mu
-	ep int
 	//lint:guarded-by mu
 	rng *rand.Rand
 	//lint:guarded-by mu
@@ -74,57 +66,39 @@ type Reconnector struct {
 // lazily and retries each call up to attempts times (minimum 1). backoff
 // is the base pause between retries.
 func NewReconnector(id string, dial func() (Client, error), attempts int, backoff time.Duration) *Reconnector {
-	return NewReplicaSet(id, []func() (Client, error){dial}, attempts, backoff)
+	return newReconnector(id, dial, attempts, backoff, nil, nil)
 }
 
-// NewReplicaSet returns a client for a logical site backed by replica
-// endpoints in preference order. Each call tries the current endpoint up
-// to attempts times, then fails over to the next replica; the working
-// endpoint stays selected for subsequent calls.
-func NewReplicaSet(id string, dials []func() (Client, error), attempts int, backoff time.Duration) *Reconnector {
-	return newReplicaSet(id, dials, attempts, backoff, nil, nil)
-}
-
-// newReplicaSet is NewReplicaSet with the shared retry budget and the obs
-// sink the site builder attaches. An exhausted budget fails the call with
-// an error wrapping ErrBudgetExhausted (and the last transport error)
-// instead of retrying, so a sick cluster's retry volume stays bounded by
-// the budget's ratio of primary traffic. Replica failovers are not
-// charged — the next endpoint is an independent, presumed-healthy site,
-// and charging failovers would let one dead replica starve the budget
-// for everyone.
-func newReplicaSet(id string, dials []func() (Client, error), attempts int, backoff time.Duration, budget *RetryBudget, o *obs.Obs) *Reconnector {
-	if attempts < 1 {
-		attempts = 1
-	}
-	if len(dials) == 0 {
-		panic("transport: replica set needs at least one endpoint")
-	}
-	maxB := 10 * backoff
-	if maxB < 2*time.Second {
-		maxB = 2 * time.Second
-	}
+// newReconnector is NewReconnector with the shared retry budget and the
+// obs sink the site builder attaches. An exhausted budget fails the call
+// with an error wrapping ErrBudgetExhausted (and the last transport
+// error) instead of retrying, so a sick cluster's retry volume stays
+// bounded by the budget's ratio of primary traffic; the replica layer
+// above may still fail the call over to another replica.
+func newReconnector(id string, dial func() (Client, error), attempts int, backoff time.Duration, budget *RetryBudget, o *obs.Obs) *Reconnector {
 	h := fnv.New64a()
 	h.Write([]byte(id))
 	return &Reconnector{
-		id: id, dials: dials, attempts: attempts, backoff: backoff,
-		budget: budget, obs: o,
-		MaxBackoff: maxB,
-		rng:        rand.New(rand.NewSource(int64(h.Sum64()))),
-		sleep:      sleepCtx,
+		id: id, dial: dial, attempts: max(attempts, 1), backoff: backoff,
+		maxBackoff: max(10*backoff, 2*time.Second),
+		budget:     budget, obs: o,
+		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
+		sleep: sleepCtx,
 	}
 }
 
-// NewReplicaTCP is a Reconnector failing over across TCP addresses.
-func NewReplicaTCP(id string, addrs []string, cost CostModel, attempts int, backoff time.Duration) *Reconnector {
-	dials := make([]func() (Client, error), 0, len(addrs))
-	for _, addr := range addrs {
-		addr := addr
-		dials = append(dials, func() (Client, error) {
-			return DialTCP(id, addr, cost)
-		})
+// NewReplicaTCP is the client of a site served at the TCP addresses, in
+// preference order: a retry layer per address, under a replica layer
+// failing over between them when there is more than one.
+func NewReplicaTCP(id string, addrs []string, cost CostModel, attempts int, backoff time.Duration) Client {
+	replicas := make([]Client, len(addrs))
+	for i, addr := range addrs {
+		replicas[i] = NewReconnector(id, func() (Client, error) { return DialTCP(id, addr, cost) }, attempts, backoff)
 	}
-	return NewReplicaSet(id, dials, attempts, backoff)
+	if len(replicas) == 1 {
+		return replicas[0]
+	}
+	return NewReplicaSet(id, replicas, nil, nil)
 }
 
 // SetSleep overrides the backoff sleep function (tests inject virtual
@@ -135,23 +109,8 @@ func (r *Reconnector) SetSleep(f func(ctx context.Context, d time.Duration) erro
 	r.mu.Unlock()
 }
 
-// SetSeed reseeds the jitter source, making backoff sequences reproducible
-// across runs regardless of the site id.
-func (r *Reconnector) SetSeed(seed int64) {
-	r.mu.Lock()
-	r.rng = rand.New(rand.NewSource(seed))
-	r.mu.Unlock()
-}
-
 // SiteID implements Client.
 func (r *Reconnector) SiteID() string { return r.id }
-
-// Endpoint returns the index of the currently selected replica endpoint.
-func (r *Reconnector) Endpoint() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ep
-}
 
 // Close implements Client.
 func (r *Reconnector) Close() error {
@@ -165,58 +124,27 @@ func (r *Reconnector) Close() error {
 	return err
 }
 
-// Call implements Client with reconnect-and-retry plus replica failover.
-//
-// A shed response (Response.Code CodeDraining) is treated as "this
-// replica is healthy but refusing work": the call fails over to the next
-// replica immediately, without backoff and without consuming the
-// endpoint's retry budget. Once every replica has shed the call, the last
-// shed response is returned as-is so the caller sees the typed refusal
-// (ErrDraining via Response.Error). A limit refusal (CodeOverloaded) is
-// returned at once: every replica would refuse the request the same way.
+// Call implements Client with reconnect-and-retry.
 func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.budget.Earn()
 	var lastErr error
-	shedHops := 0           // replicas that shed this call in a row
-	sends := 0              // exchanges attempted, the answered one included
-	justFailedOver := false // skip the loop-top transition after a shed failover
-	total := r.attempts * len(r.dials)
-	for i := 0; i < total; i++ {
-		attempt := i % r.attempts // attempt index at the current endpoint
-		if justFailedOver {
-			justFailedOver = false
-		} else if i > 0 {
-			if attempt == 0 {
-				// Retries at the previous endpoint are exhausted: fail
-				// over to the next replica without backing off (it is an
-				// independent endpoint, presumed healthy).
-				from := r.ep
-				r.ep = (r.ep + 1) % len(r.dials)
-				r.obs.Count("transport.failovers", 1)
-				r.obs.Event(obs.EventFailover, r.id, "failing over to next replica",
-					map[string]string{
-						"op":   req.Op.String(),
-						"from": strconv.Itoa(from),
-						"to":   strconv.Itoa(r.ep),
-					})
-			} else {
-				if !r.budget.Take() {
-					return nil, fmt.Errorf("transport: %s: %w: %w", r.id, ErrBudgetExhausted, lastErr)
-				}
-				r.obs.Count("transport.retries", 1)
-				r.obs.Event(obs.EventRetry, r.id, "retrying after transport failure",
-					map[string]string{
-						"op":       req.Op.String(),
-						"attempt":  strconv.Itoa(attempt + 1),
-						"endpoint": strconv.Itoa(r.ep),
-						"error":    lastErr.Error(),
-					})
-				if r.backoff > 0 {
-					if err := r.sleep(ctx, r.jitteredBackoffLocked(attempt)); err != nil {
-						return nil, fmt.Errorf("transport: %s: %w", r.id, err)
-					}
+	sends := 0 // exchanges attempted, the answered one included
+	for attempt := 0; attempt < r.attempts; attempt++ {
+		if attempt > 0 {
+			if !r.budget.Take() {
+				return nil, fmt.Errorf("transport: %s: %w: %w", r.id, ErrBudgetExhausted, lastErr)
+			}
+			r.obs.Count("transport.retries", 1)
+			r.obs.Event(obs.EventRetry, r.id, "retrying after transport failure",
+				map[string]string{
+					"op":      req.Op.String(),
+					"attempt": strconv.Itoa(attempt + 1),
+					"error":   lastErr.Error(),
+				})
+			if r.backoff > 0 {
+				if err := r.sleep(ctx, r.jitteredBackoffLocked(attempt)); err != nil {
+					return nil, fmt.Errorf("transport: %s: %w", r.id, err)
 				}
 			}
 		}
@@ -224,12 +152,11 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 			return nil, fmt.Errorf("transport: %s: %w", r.id, err)
 		}
 		if r.cur == nil {
-			c, err := r.dialLocked()
+			c, err := r.dial()
 			if err != nil {
-				lastErr = err
+				lastErr = fmt.Errorf("transport: dial %s: %w", r.id, err)
 				r.obs.Count("transport.redial_failures", 1)
-				r.obs.Event(obs.EventRedial, r.id, "dial failed",
-					map[string]string{"endpoint": strconv.Itoa(r.ep), "error": err.Error()})
+				r.obs.Event(obs.EventRedial, r.id, "dial failed", map[string]string{"error": err.Error()})
 				continue
 			}
 			r.cur = c
@@ -238,38 +165,6 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		sends++
 		if err == nil {
 			d.Retries += sends - 1
-			if resp.Shed() {
-				shedHops++
-				if shedHops >= len(r.dials) {
-					// Every replica is shedding: surface the typed
-					// refusal to the caller instead of spinning.
-					charge(ctx, d)
-					return resp, nil
-				}
-				// The replica is up but refusing work (draining): fail
-				// over immediately without burning the endpoint's retry
-				// budget — retrying the same replica would only be
-				// refused again. The refused exchange's traffic is
-				// waste, like a failed retry's.
-				if wasted := d.Sent + d.Recv; wasted > 0 {
-					r.obs.Count("transport.retry_wasted_bytes", wasted)
-				}
-				from := r.ep
-				r.ep = (r.ep + 1) % len(r.dials)
-				r.cur.Close()
-				r.cur = nil
-				r.obs.Count("transport.overload_failovers", 1)
-				r.obs.Event(obs.EventOverload, r.id, "replica shed the call; failing over",
-					map[string]string{
-						"op":   req.Op.String(),
-						"code": strconv.Itoa(resp.Code),
-						"from": strconv.Itoa(from),
-						"to":   strconv.Itoa(r.ep),
-					})
-				justFailedOver = true
-				i--
-				continue
-			}
 			charge(ctx, d)
 			return resp, nil
 		}
@@ -277,9 +172,10 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		// the logical exchange: folding it into the aggregate would make
 		// the coordinator double-count round bytes once a retry succeeds.
 		// It stays visible as a dedicated counter instead — except when
-		// the failure is a hedge losing its race: the Hedger accounts
-		// that traffic under transport.hedge_wasted_bytes, and counting
-		// it here too would double-book the same bytes as retry waste.
+		// the failure is a hedge losing its race: the replica layer
+		// accounts that traffic under transport.hedge_wasted_bytes, and
+		// counting it here too would double-book the same bytes as retry
+		// waste.
 		if wasted := d.Sent + d.Recv; wasted > 0 && !errors.Is(context.Cause(ctx), ErrHedgeLost) {
 			r.obs.Count("transport.retry_wasted_bytes", wasted)
 		}
@@ -288,40 +184,32 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		// the next attempt redials.
 		r.cur.Close()
 		r.cur = nil
-		if ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The caller cancelled or timed out; do not reinterpret that
-			// as an endpoint failure. The errors.Is checks matter when the
-			// cancellation surfaced inside the inner client (e.g. a
-			// coordinator cancelling siblings after a first error) before
-			// this context observes it: classifying that as a site fault
-			// would burn a healthy site's retry budget.
+		if callerGaveUp(ctx, err) {
 			return nil, lastErr
 		}
 	}
-	if len(r.dials) > 1 {
-		return nil, fmt.Errorf("transport: %s failed after %d attempt(s) across %d replicas: %w",
-			r.id, total, len(r.dials), lastErr)
-	}
-	return nil, fmt.Errorf("transport: %s failed after %d attempt(s): %w", r.id, total, lastErr)
+	return nil, fmt.Errorf("transport: %s failed after %d attempt(s): %w", r.id, r.attempts, lastErr)
 }
 
-// dialLocked connects to the current endpoint; callers hold r.mu.
-func (r *Reconnector) dialLocked() (Client, error) {
-	c, err := r.dials[r.ep]()
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s[%d]: %w", r.id, r.ep, err)
-	}
-	return c, nil
+// callerGaveUp reports whether a call failed with err because its caller
+// cancelled or timed out, which is no fault of the endpoint: such a call
+// is neither retried nor failed over. The errors.Is checks matter when the
+// cancellation surfaced inside the inner client (e.g. a coordinator
+// cancelling siblings after a first error) before ctx observes it:
+// classifying that as a site fault would burn a healthy site's retry
+// budget.
+func callerGaveUp(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // jitteredBackoffLocked returns the delay before retry number attempt
 // (≥1) at one endpoint: exponential in the attempt with full jitter in
-// the upper half of the window, capped at MaxBackoff; callers hold r.mu
+// the upper half of the window, capped at maxBackoff; callers hold r.mu
 // (the jitter rng is guarded by it).
 func (r *Reconnector) jitteredBackoffLocked(attempt int) time.Duration {
 	d := r.backoff << uint(attempt-1)
-	if d > r.MaxBackoff || d <= 0 { // d <= 0 on shift overflow
-		d = r.MaxBackoff
+	if d > r.maxBackoff || d <= 0 { // d <= 0 on shift overflow
+		d = r.maxBackoff
 	}
 	half := d / 2
 	return half + time.Duration(r.rng.Int63n(int64(half)+1))

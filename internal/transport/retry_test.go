@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -42,10 +41,10 @@ func TestReconnectorRetries(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 2}
 	dials := 0
 	o := obs.New()
-	rc := newReplicaSet("s", []func() (Client, error){func() (Client, error) {
+	rc := newReconnector("s", func() (Client, error) {
 		dials++
 		return inner, nil
-	}}, 3, 0, nil, o)
+	}, 3, 0, nil, o)
 	resp, d, err := Exchange(context.Background(), rc, &Request{Op: OpPing})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +166,6 @@ func TestReconnectorBackoffJitter(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
 	base := 100 * time.Millisecond
 	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 6, base)
-	rc.SetSeed(42)
 	var delays []time.Duration
 	rc.SetSleep(recordSleep(&delays))
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err == nil {
@@ -180,8 +178,8 @@ func TestReconnectorBackoffJitter(t *testing.T) {
 		// Exponential window with full jitter in the upper half:
 		// delay i is uniform in [base·2^i/2, base·2^i], capped.
 		lo, hi := base<<uint(i)/2, base<<uint(i)
-		if hi > rc.MaxBackoff {
-			hi = rc.MaxBackoff
+		if hi > rc.maxBackoff {
+			hi = rc.maxBackoff
 			lo = hi / 2
 		}
 		if d < lo || d > hi {
@@ -199,10 +197,9 @@ func TestReconnectorBackoffJitter(t *testing.T) {
 	if allMid {
 		t.Error("no jitter applied")
 	}
-	// Same seed, same sequence: backoff is reproducible.
+	// Same site id, same seed, same sequence: backoff is reproducible.
 	inner2 := &flakyClient{id: "s", failN: 99}
 	rc2 := NewReconnector("s", func() (Client, error) { return inner2, nil }, 6, base)
-	rc2.SetSeed(42)
 	var delays2 []time.Duration
 	rc2.SetSleep(recordSleep(&delays2))
 	rc2.Call(context.Background(), &Request{Op: OpPing})
@@ -216,7 +213,7 @@ func TestReconnectorBackoffJitter(t *testing.T) {
 func TestReconnectorBackoffCap(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
 	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 20, time.Second)
-	rc.MaxBackoff = 2 * time.Second
+	rc.maxBackoff = 2 * time.Second
 	var delays []time.Duration
 	rc.SetSleep(recordSleep(&delays))
 	rc.Call(context.Background(), &Request{Op: OpPing})
@@ -231,10 +228,10 @@ func TestReplicaFailover(t *testing.T) {
 	bad := &flakyClient{id: "a", failN: 99}
 	good := &flakyClient{id: "b"}
 	dials := [2]int{}
-	rc := NewReplicaSet("s", []func() (Client, error){
-		func() (Client, error) { dials[0]++; return bad, nil },
-		func() (Client, error) { dials[1]++; return good, nil },
-	}, 2, 0)
+	rc := NewReplicaSet("s", []Client{
+		NewReconnector("s", func() (Client, error) { dials[0]++; return bad, nil }, 2, 0),
+		NewReconnector("s", func() (Client, error) { dials[1]++; return good, nil }, 2, 0),
+	}, nil, nil)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("failover failed: %v", err)
@@ -245,8 +242,8 @@ func TestReplicaFailover(t *testing.T) {
 	if bad.calls != 2 || good.calls != 1 {
 		t.Errorf("calls: bad=%d good=%d, want 2/1", bad.calls, good.calls)
 	}
-	if rc.Endpoint() != 1 {
-		t.Errorf("endpoint = %d, want 1 (sticky failover)", rc.Endpoint())
+	if cur := rc.current(); cur != 1 {
+		t.Errorf("current replica = %d, want 1 (sticky failover)", cur)
 	}
 	// Subsequent calls go straight to the surviving replica over the
 	// retained connection.
@@ -264,16 +261,16 @@ func TestReplicaFailover(t *testing.T) {
 func TestReplicaAllDown(t *testing.T) {
 	a := &flakyClient{id: "a", failN: 99}
 	b := &flakyClient{id: "b", failN: 99}
-	rc := NewReplicaSet("s", []func() (Client, error){
-		func() (Client, error) { return a, nil },
-		func() (Client, error) { return b, nil },
-	}, 2, 0)
+	rc := NewReplicaSet("s", []Client{
+		NewReconnector("s", func() (Client, error) { return a, nil }, 2, 0),
+		NewReconnector("s", func() (Client, error) { return b, nil }, 2, 0),
+	}, nil, nil)
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err == nil {
 		t.Fatal("expected failure with every replica down")
 	}
-	if !strings.Contains(err.Error(), "2 replicas") {
-		t.Errorf("error does not mention replicas: %v", err)
+	if !errors.Is(err, errConnReset) {
+		t.Errorf("err = %v, want the last replica's failure in the chain", err)
 	}
 	if a.calls != 2 || b.calls != 2 {
 		t.Errorf("calls: a=%d b=%d, want 2/2", a.calls, b.calls)
@@ -336,10 +333,10 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 	over := &shedClient{id: "a", shedN: 99, code: CodeDraining}
 	good := &flakyClient{id: "b"}
 	o := obs.New()
-	rc := newReplicaSet("s", []func() (Client, error){
-		func() (Client, error) { return over, nil },
-		func() (Client, error) { return good, nil },
-	}, 1, 0, nil, o)
+	rc := NewReplicaSet("s", []Client{
+		NewReconnector("s", func() (Client, error) { return over, nil }, 1, 0),
+		NewReconnector("s", func() (Client, error) { return good, nil }, 1, 0),
+	}, nil, o)
 	resp, d, err := Exchange(context.Background(), rc, &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("shed failover failed: %v", err)
@@ -350,8 +347,8 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 	if over.calls != 1 || good.calls != 1 {
 		t.Errorf("calls: over=%d good=%d, want 1/1", over.calls, good.calls)
 	}
-	if rc.Endpoint() != 1 {
-		t.Errorf("endpoint = %d, want sticky failover to 1", rc.Endpoint())
+	if cur := rc.current(); cur != 1 {
+		t.Errorf("current replica = %d, want sticky failover to 1", cur)
 	}
 	if got := o.Metrics.CounterValue("transport.overload_failovers"); got != 1 {
 		t.Errorf("overload_failovers = %d, want 1", got)
@@ -374,10 +371,10 @@ func TestAllReplicasShed(t *testing.T) {
 	// transport error), so it can classify via errors.Is(_, ErrDraining).
 	a := &shedClient{id: "a", shedN: 99, code: CodeDraining}
 	b := &shedClient{id: "b", shedN: 99, code: CodeDraining}
-	rc := NewReplicaSet("s", []func() (Client, error){
-		func() (Client, error) { return a, nil },
-		func() (Client, error) { return b, nil },
-	}, 3, 0)
+	rc := NewReplicaSet("s", []Client{
+		NewReconnector("s", func() (Client, error) { return a, nil }, 3, 0),
+		NewReconnector("s", func() (Client, error) { return b, nil }, 3, 0),
+	}, nil, nil)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("want shed response, got transport error %v", err)

@@ -14,11 +14,12 @@ import (
 
 // Resilience is how one call to a logical site survives a bad replica.
 type Resilience struct {
-	// Attempts is the tries per endpoint before failing over to the next
-	// replica, Backoff the base pause between them (exponential, jittered).
-	// Attempts 0 omits the retry layer: each call is sent once over a
-	// bare connection, redialed after a failed call, as in-process and
-	// loopback clusters are.
+	// Attempts is the tries at one replica before failing over to the
+	// next, Backoff the base pause between them (exponential, jittered).
+	// Attempts 0 omits the retry layer: each call is sent once to a
+	// replica over a bare connection, redialed after a failed call, as
+	// in-process and loopback clusters are; a site with replicas still
+	// fails over, after one attempt at each.
 	Attempts int
 	Backoff  time.Duration
 	// Hedge races a round call that outlives the hedge threshold — the
@@ -28,9 +29,10 @@ type Resilience struct {
 	// evaluation is safe (PROTOCOL.md, "Tail tolerance").
 	Hedge      bool
 	HedgeDelay time.Duration
-	// RetryBudget is the retry tokens each primary call earns for the
-	// cluster-wide budget every retry and hedge spends from, capped at
-	// RetryBudgetBurst banked tokens.
+	// RetryBudget is the retry tokens each call earns for the
+	// cluster-wide budget every same-replica retry and every hedge spends
+	// one token from, capped at RetryBudgetBurst banked tokens. A failover
+	// to another replica spends none.
 	RetryBudget      float64
 	RetryBudgetBurst int
 }
@@ -87,32 +89,31 @@ type SiteSpec struct {
 	// cluster (Resilience.NewBudget); nil is unlimited.
 	Budget *RetryBudget
 	// SiteInflight caps the requests one client of the site has in
-	// flight at once: it is the size of the client's connection pool (one
-	// per replica when hedging races them), a bound every execution
-	// sharing the client shares. 0 omits the pool: the client's calls take
-	// turns on one connection per replica.
+	// flight at once to each replica: it is the size of the client's
+	// connection pool, one per replica, a bound every execution sharing
+	// the client shares. 0 omits the pool: the client's calls take turns
+	// on one connection per replica.
 	SiteInflight int
 }
 
 // Site is the one place a logical site's client stack is assembled. It
-// owns the hedging latency estimate all its clients share and a
-// liveness-probe connection, and hands out clients, each composed,
-// outermost to innermost, in the only order this package can produce:
+// owns what all its clients share — the current replica and the hedging
+// latency estimate — and a liveness-probe connection, and hands out
+// clients, each composed, outermost to innermost, in the only order this
+// package can produce:
 //
-//	hedge → pool → retry → leaf
+//	replicas → pool → retry → leaf
 //
-// with the layers the spec does not ask for omitted. The retry layer
-// holds all replicas and fails over between them sequentially, sticking
-// to the endpoint that works; hedging instead splits everything beneath
-// it per replica (one pool, one single-endpoint retry layer each) and
-// races them. Exactly one layer earns into and spends from the shared
-// retry budget: the hedger where there is one, else the retry layer.
+// with one pool → retry → leaf stack per replica and the layers the spec
+// does not ask for omitted. The replica layer (ReplicaSet) is the only
+// one that knows the site has replicas: it fails over between them,
+// sticking per site to the replica that works, and hedges when asked; the
+// retry layer beneath holds one endpoint. The replica layer earns into
+// the shared retry budget once per call; a same-endpoint retry and a
+// hedge each spend a token, a failover none.
 type Site struct {
 	spec  SiteSpec
-	hedge *hedgeState
-	// conns opens retry → leaf connections: one opener per replica when
-	// hedging races them, else a single one failing over across them all.
-	conns []func() (Client, error)
+	state *replicaState
 
 	mu sync.Mutex
 	//lint:guarded-by mu
@@ -122,42 +123,20 @@ type Site struct {
 // NewSite assembles the shared state of the stack spec describes. It
 // dials nothing.
 func NewSite(spec SiteSpec) (*Site, error) {
-	hedged := spec.Hedge && len(spec.Replicas) >= 2
-	switch {
-	case len(spec.Replicas) == 0:
+	if len(spec.Replicas) == 0 {
 		return nil, fmt.Errorf("transport: site %s: no replicas", spec.ID)
-	case len(spec.Replicas) > 1 && !hedged && spec.Attempts <= 0:
-		return nil, fmt.Errorf("transport: site %s: failing over across replicas needs a retry layer (Attempts > 0)", spec.ID)
 	}
-	s := &Site{spec: spec}
-	if hedged {
-		s.hedge = &hedgeState{delay: spec.HedgeDelay, budget: spec.Budget, obs: spec.Obs}
-		for i := range spec.Replicas {
-			s.conns = append(s.conns, s.opener(spec.Replicas[i:i+1], nil)) // the hedger charges the budget
-		}
-	} else {
-		s.conns = append(s.conns, s.opener(spec.Replicas, spec.Budget))
-	}
-	return s, nil
+	return &Site{spec: spec, state: &replicaState{
+		hedge: spec.Hedge, delay: spec.HedgeDelay, budget: spec.Budget, obs: spec.Obs,
+	}}, nil
 }
 
-// opener returns the function opening one retry → leaf connection over
-// replicas. Without a retry layer (Attempts ≤ 0) it is a one-attempt
-// Reconnector outside the retry budget: each call is sent once, and a
+// retry returns the retry layer over one replica. Without one asked for
+// (Attempts ≤ 0) it makes one attempt: each call is sent once, and a
 // connection a failed or cancelled call broke is redialed on the next.
-func (s *Site) opener(replicas []Replica, budget *RetryBudget) func() (Client, error) {
-	attempts := s.spec.Attempts
-	if attempts <= 0 {
-		attempts, budget = 1, nil
-	}
-	dials := make([]func() (Client, error), len(replicas))
-	for i, r := range replicas {
-		r := r
-		dials[i] = func() (Client, error) { return s.dial(r) }
-	}
-	return func() (Client, error) {
-		return newReplicaSet(s.spec.ID, dials, attempts, s.spec.Backoff, budget, s.spec.Obs), nil
-	}
+func (s *Site) retry(r Replica) *Reconnector {
+	return newReconnector(s.spec.ID, func() (Client, error) { return s.dial(r) },
+		s.spec.Attempts, s.spec.Backoff, s.spec.Budget, s.spec.Obs)
 }
 
 // dial opens the leaf connection to one replica: a TCP connection, or a
@@ -181,28 +160,18 @@ func (s *Site) dial(r Replica) (Client, error) {
 	return ch, nil
 }
 
-// calls returns a client, hedge → pool → retry → leaf, whose pools,
+// calls returns a client, replicas → pool → retry → leaf, whose pools,
 // when pooled, are its own.
-func (s *Site) calls(pooled bool) (Client, error) {
-	replicas := make([]Client, len(s.conns))
-	for i, open := range s.conns {
+func (s *Site) calls(pooled bool) Client {
+	replicas := make([]Client, len(s.spec.Replicas))
+	for i, r := range s.spec.Replicas {
 		if pooled {
-			replicas[i] = NewPool(s.spec.ID, s.spec.SiteInflight, open, s.spec.Obs)
-			continue
+			replicas[i] = NewPool(s.spec.ID, s.spec.SiteInflight, func() (Client, error) { return s.retry(r), nil }, s.spec.Obs)
+		} else {
+			replicas[i] = s.retry(r)
 		}
-		cl, err := open()
-		if err != nil {
-			for _, opened := range replicas[:i] {
-				opened.Close()
-			}
-			return nil, err
-		}
-		replicas[i] = cl
 	}
-	if s.hedge != nil {
-		return s.hedge.hedger(s.spec.ID, replicas), nil
-	}
-	return replicas[0], nil
+	return s.state.replicaSet(s.spec.ID, replicas)
 }
 
 // Client returns a new client of the site, safe for concurrent calls:
@@ -210,7 +179,7 @@ func (s *Site) calls(pooled bool) (Client, error) {
 // of executions may share one client. Closing it releases its
 // connections and pools.
 func (s *Site) Client() (Client, error) {
-	return s.calls(s.spec.SiteInflight > 0)
+	return s.calls(s.spec.SiteInflight > 0), nil
 }
 
 // Ping probes the site's liveness over a dedicated, lazily dialed
@@ -221,11 +190,7 @@ func (s *Site) Ping(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.probe == nil {
-		cl, err := s.calls(false)
-		if err != nil {
-			return err
-		}
-		s.probe = cl
+		s.probe = s.calls(false)
 	}
 	resp, err := s.probe.Call(ctx, &Request{Op: OpPing})
 	if err == nil {
@@ -244,6 +209,9 @@ func (s *Site) ID() string { return s.spec.ID }
 // String prints the assembled stack, outermost layer first, e.g.
 //
 //	hedge(adaptive) > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001
+//
+// The replica layer prints as hedge(...) when it hedges, as failover
+// when it does not, and not at all over one replica.
 func (s *Site) String() string {
 	var b strings.Builder
 	layer := func(present bool, format string, args ...any) {
@@ -251,8 +219,10 @@ func (s *Site) String() string {
 			fmt.Fprintf(&b, format+" > ", args...)
 		}
 	}
-	layer(s.hedge != nil && s.spec.HedgeDelay > 0, "hedge(%s)", s.spec.HedgeDelay)
-	layer(s.hedge != nil && s.spec.HedgeDelay <= 0, "hedge(adaptive)")
+	replicated := len(s.spec.Replicas) > 1
+	layer(replicated && s.spec.Hedge && s.spec.HedgeDelay > 0, "hedge(%s)", s.spec.HedgeDelay)
+	layer(replicated && s.spec.Hedge && s.spec.HedgeDelay <= 0, "hedge(adaptive)")
+	layer(replicated && !s.spec.Hedge, "failover")
 	layer(s.spec.SiteInflight > 0, "pool(%d)", s.spec.SiteInflight)
 	layer(s.spec.Attempts > 0, "retry(%d,%s)", s.spec.Attempts, s.spec.Backoff)
 	if s.spec.Replicas[0].Handler == nil {

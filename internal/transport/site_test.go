@@ -2,6 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +16,8 @@ import (
 // caller builds: NewLocalCluster (in-process, loopback TCP), Connect and
 // ConnectWith (replicas failing over or hedged), each again as
 // NewQueryService serves it, and the tail experiment's chaos primary with
-// and without its clean replica.
+// and without its clean replica. The replica layer prints over two
+// replicas only.
 func TestStackShapes(t *testing.T) {
 	h := newEchoHandler()
 	chaos := func(cl Client) *Chaos { return NewChaos(cl, 1) }
@@ -37,8 +42,11 @@ func TestStackShapes(t *testing.T) {
 			"retry(3,100ms) > tcp 10.0.0.1:7001",
 			"pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001"},
 		{"replicas", []Replica{{Addr: "10.0.0.1:7001"}, {Addr: "10.0.1.1:7001"}}, remote,
-			"retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001",
-			"pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001"},
+			"failover > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001",
+			"failover > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001"},
+		{"replicas without retry", []Replica{{Addr: "a:1"}, {Addr: "b:1"}}, Resilience{},
+			"failover > tcp a:1|b:1",
+			"failover > pool(4) > tcp a:1|b:1"},
 		{"replicas hedged", []Replica{{Addr: "10.0.0.1:7001"}, {Addr: "10.0.1.1:7001"}}, hedged,
 			"hedge(adaptive) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001",
 			"hedge(adaptive) > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001"},
@@ -71,23 +79,17 @@ func TestStackShapes(t *testing.T) {
 		}
 	}
 
-	// Orders the package cannot produce are refused, not reinterpreted.
-	for name, spec := range map[string]SiteSpec{
-		"no replicas":            {ID: "s"},
-		"failover without retry": {ID: "s", Replicas: []Replica{{Addr: "a:1"}, {Addr: "b:1"}}},
-	} {
-		if _, err := NewSite(spec); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	// A site without replicas is refused.
+	if _, err := NewSite(SiteSpec{ID: "s"}); err == nil {
+		t.Error("no replicas: accepted")
 	}
 }
 
-// TestStackBudgetOwner: whatever the shape, exactly one layer earns into
-// and spends from the shared retry budget. The primary replica fails every
-// exchange, so each shape burns its per-endpoint attempts and then moves
-// to the clean replica: one primary call earned, one speculative send
-// charged — a hedged site never also charges its inner retry layers, and
-// pooling changes nothing.
+// TestStackBudgetOwner: whatever the shape, the budget follows one rule.
+// The replica layer earns once per call; the primary replica fails every
+// exchange, so each shape spends one token on its same-replica retry and
+// then fails over to the clean replica for free: one call earned, one
+// retry spent, whether hedged or pooled.
 func TestStackBudgetOwner(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	failing := func(cl Client) *Chaos {
@@ -136,7 +138,7 @@ func TestStackBudgetOwner(t *testing.T) {
 		}
 	}
 
-	// A stack with neither a retry layer nor a hedger has no budget owner.
+	// A bare stack earns once per call too, and spends nothing.
 	budget := NewRetryBudget(0.25, 10, nil)
 	s, err := NewSite(SiteSpec{ID: "s0", Replicas: []Replica{{Handler: newEchoHandler()}}, Budget: budget})
 	if err != nil {
@@ -151,8 +153,162 @@ func TestStackBudgetOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget.mu.Lock()
-	defer budget.mu.Unlock()
-	if budget.earned != 0 {
-		t.Errorf("bare stack earned %d into the budget, want 0", budget.earned)
+	earned := budget.earned
+	budget.mu.Unlock()
+	if taken, _ := budget.Counts(); earned != 1 || taken != 0 {
+		t.Errorf("bare stack: budget earned %d / spent %d, want 1 / 0", earned, taken)
 	}
 }
+
+// answerHandler answers every op with RowCount n, so a reply names the
+// replica that gave it, and counts the loads it was sent.
+type answerHandler struct {
+	n     int
+	loads atomic.Int64
+}
+
+func (h *answerHandler) Handle(ctx context.Context, req *Request) *Response {
+	if req.Op == OpLoad {
+		h.loads.Add(1)
+	}
+	return &Response{RowCount: h.n}
+}
+
+// failing wraps every connection dialed to a replica in chaos failing
+// every call of ops, and counts the dials.
+func failing(dials *atomic.Int64, ops ...Op) func(Client) *Chaos {
+	return func(cl Client) *Chaos {
+		dials.Add(1)
+		ch := NewChaos(cl, 1)
+		for _, op := range ops {
+			ch.FailNext(op, 1000)
+		}
+		return ch
+	}
+}
+
+// TestReplicaFailoverEveryShape: a two-replica site whose primary fails
+// every call answers every op from the healthy secondary, hedged or not,
+// with the retry budget unlimited or exhausted — a failover spends no
+// token. A load is placement: it reaches both replicas and answers with
+// the primary's reply; a replica failing it fails the op, named.
+func TestReplicaFailoverEveryShape(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	site := func(hedge, exhausted bool, failOps ...Op) (Client, *answerHandler, *answerHandler) {
+		var budget *RetryBudget
+		if exhausted {
+			budget = NewRetryBudget(0.001, 1, nil)
+			budget.Take()
+		}
+		primary, secondary := &answerHandler{n: 1}, &answerHandler{n: 2}
+		var dials atomic.Int64
+		s, err := NewSite(SiteSpec{
+			ID:           "s0",
+			Replicas:     []Replica{{Handler: primary, Chaos: failing(&dials, failOps...)}, {Handler: secondary}},
+			Resilience:   Resilience{Attempts: 2, Hedge: hedge, HedgeDelay: time.Hour},
+			Budget:       budget,
+			SiteInflight: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := s.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl, primary, secondary
+	}
+	load := func() *Request { return &Request{Op: OpLoad, Rel: "r", Data: sampleRelation(3)} }
+	for _, op := range []Op{OpPing, OpRelInfo, OpEvalRounds, OpLoad} {
+		for _, hedge := range []bool{false, true} {
+			for _, exhausted := range []bool{false, true} {
+				name := fmt.Sprintf("%s hedge=%t exhausted=%t", op, hedge, exhausted)
+				cl, primary, secondary := site(hedge, exhausted, OpPing, OpRelInfo, OpEvalRounds)
+				req, want := &Request{Op: op}, 2
+				if op == OpLoad {
+					req, want = load(), 1
+				}
+				resp, err := cl.Call(context.Background(), req)
+				if err != nil || resp.Error() != nil || resp.RowCount != want {
+					t.Errorf("%s: %v / %+v, want the answer of replica %d", name, err, resp, want-1)
+				}
+				if op == OpLoad && (primary.loads.Load() != 1 || secondary.loads.Load() != 1) {
+					t.Errorf("%s: loads reached the replicas %d and %d times, want once each",
+						name, primary.loads.Load(), secondary.loads.Load())
+				}
+			}
+		}
+	}
+
+	cl, _, secondary := site(false, false, OpLoad)
+	_, err := cl.Call(context.Background(), load())
+	if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "replica 0") {
+		t.Errorf("load failing at the primary: err = %v, want the injected fault naming replica 0", err)
+	}
+	if got := secondary.loads.Load(); got != 0 {
+		t.Errorf("a failed load failed over: the secondary got it %d times", got)
+	}
+}
+
+// TestReplicaStickyPerSite: the current replica is the site's, not a
+// connection's. After one failover a second pooled connection and the
+// site's liveness probe go straight to the secondary, never redialing the
+// dead primary.
+func TestReplicaStickyPerSite(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	held := &opBlockingHandler{release: make(chan struct{})}
+	var primaryDials atomic.Int64
+	s, err := NewSite(SiteSpec{
+		ID: "s0",
+		Replicas: []Replica{
+			{Handler: newEchoHandler(), Chaos: failing(&primaryDials, OpPing, OpEvalRounds)},
+			{Handler: held},
+		},
+		Resilience:   Resilience{Attempts: 2},
+		SiteInflight: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cl, err := s.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ping := &Request{Op: OpPing}
+	if _, err := cl.Call(context.Background(), ping); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if got := primaryDials.Load(); got != 2 {
+		t.Fatalf("primary dialed %d times by the first call, want 2 (one per attempt)", got)
+	}
+	// Hold the secondary's one pooled connection, so the next call needs
+	// a second one.
+	evalDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Call(context.Background(), &Request{Op: OpEvalRounds})
+		evalDone <- err
+	}()
+	defer func() {
+		close(held.release)
+		if err := <-evalDone; err != nil {
+			t.Errorf("held call: %v", err)
+		}
+	}()
+	waitUntil(t, "the held call to borrow the pooled connection", func() bool { return secondaryInUse(cl) == 1 })
+	if _, err := cl.Call(context.Background(), ping); err != nil {
+		t.Fatalf("second pooled connection: %v", err)
+	}
+	if err := s.Ping(context.Background()); err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if got := primaryDials.Load(); got != 2 {
+		t.Errorf("primary dialed %d times, want 2: a later connection rediscovered the dead primary", got)
+	}
+}
+
+// secondaryInUse reports the borrowed connections of the second
+// replica's pool under the replica layer cl.
+func secondaryInUse(cl Client) int { return cl.(*ReplicaSet).replicas[1].(*Pool).InUse() }

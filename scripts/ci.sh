@@ -26,7 +26,7 @@ go test -race ./internal/lint/...
 # Zero findings required; suppressions need //lint:ignore with a reason
 # (see LINT.md). The recovery layers (checkpointing, drain, limits) are
 # linted first for a targeted signal — errflow guards the ErrOverloaded /
-# ErrDraining chains the Reconnector classifies with errors.Is — then the
+# ErrDraining chains the replica layer classifies with errors.Is — then the
 # whole tree.
 go run ./cmd/skalla-lint -timing ./internal/transport/... ./internal/core/... ./internal/site/...
 go run ./cmd/skalla-lint -timing ./...
@@ -44,9 +44,10 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
-# exactly their own bytes and never wait on a sibling's held call, and the
-# relay-tree shapes, whose relays fan out concurrently to their leaves.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster)' ./skalla
+# exactly their own bytes and never wait on a sibling's held call, the
+# relay-tree shapes, whose relays fan out concurrently to their leaves, and
+# the replica layer's failover under hedging and placement on every replica.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica)' ./skalla
 
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg

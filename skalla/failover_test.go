@@ -1,7 +1,9 @@
 package skalla
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/gmdj"
 	"repro/internal/relation"
 	"repro/internal/site"
+	"repro/internal/tpcr"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -152,4 +155,127 @@ func TestConnectWithErrors(t *testing.T) {
 	if err == nil {
 		t.Error("unreachable strict site accepted at connect time")
 	}
+}
+
+// deadAddr returns a loopback address nothing listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestConnectWithHedgedDeadPrimary: hedging does not switch failover off.
+// Every site is "dead|live" with Hedge on: the cluster connects, Status
+// and the query service's readiness check see every site, and a query
+// answers from the live replicas with the centralized result.
+func TestConnectWithHedgedDeadPrimary(t *testing.T) {
+	parts, whole := flowParts(2)
+	var sites []string
+	for i := range parts {
+		live, _ := startFlowSite(t, fmt.Sprintf("site%d", i), parts[i], 1)
+		sites = append(sites, deadAddr(t)+"|"+live)
+	}
+	cluster, err := ConnectWith(ConnectConfig{
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second},
+		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond, Hedge: true},
+	})
+	if err != nil {
+		t.Fatalf("connect: %v", err)
+	}
+	defer cluster.Close()
+	for _, st := range cluster.Status("flow") {
+		if !st.Reachable {
+			t.Errorf("status: %s", st)
+		}
+	}
+	svc, err := NewQueryService(cluster, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if ok, why := svc.CheckReady(); !ok {
+		t.Errorf("not ready: %s", why)
+	}
+	want, err := gmdj.EvalQuery(whole, example1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.Query(example1(), "flow", NoOptimizations)
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	assertSameResult(t, "hedged dead primary", res.Relation, want)
+}
+
+// TestPlacementReachesEveryReplica: every site is "a|b" over two engines
+// of its own. Load and Generate reach both replicas, so after the primary
+// servers stop the query still equals the centralized answer, and both
+// replicas generated the same partition.
+func TestPlacementReachesEveryReplica(t *testing.T) {
+	parts, whole := flowParts(2)
+	var sites []string
+	var primaries []*transport.Server
+	var engines [][2]*site.Engine
+	for i := range parts {
+		var addrs [2]string
+		var pair [2]*site.Engine
+		for r := range pair {
+			pair[r] = site.NewEngine(fmt.Sprintf("site%d", i))
+			srv := transport.NewServer(pair[r])
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			addrs[r] = addr
+			if r == 0 {
+				primaries = append(primaries, srv)
+			}
+		}
+		sites = append(sites, addrs[0]+"|"+addrs[1])
+		engines = append(engines, pair)
+	}
+	cluster, err := ConnectWith(ConnectConfig{
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second},
+		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.Load("flow", parts); err != nil {
+		t.Fatal(err)
+	}
+	counts, err := cluster.Generate("tpcr", "tpcr", tpcr.GenParams(tpcr.Config{Rows: 200, Customers: 10, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pair := range engines {
+		for r, eng := range pair {
+			info := eng.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "tpcr"})
+			if info.Error() != nil || info.RowCount != counts[i] {
+				t.Errorf("site%d replica %d: generated %d rows (%v), want %d", i, r, info.RowCount, info.Error(), counts[i])
+			}
+		}
+	}
+
+	for _, srv := range primaries {
+		srv.Close()
+	}
+	want, err := gmdj.EvalQuery(whole, example1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.Query(example1(), "flow", NoOptimizations)
+	if err != nil {
+		t.Fatalf("query after the primaries stopped: %v", err)
+	}
+	assertSameResult(t, "after failover", res.Relation, want)
 }
