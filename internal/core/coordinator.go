@@ -117,10 +117,11 @@ func (c *Coordinator) DetailSchema(ctx context.Context, name string) (*relation.
 			}
 			continue
 		}
-		if resp.Rel == nil || resp.Rel.Schema == nil {
+		f, err := resp.Frame()
+		if err != nil {
 			return nil, fmt.Errorf("core: site returned no schema for %q", name)
 		}
-		return resp.Rel.Schema, nil
+		return f.Schema, nil
 	}
 	return nil, lastErr
 }
@@ -400,9 +401,7 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 			if req.Base != nil {
 				sr.RowsShipped = int64(req.Base.Len())
 			}
-			if resp.Rel != nil {
-				sr.RowsReturned = int64(resp.Rel.Len())
-			} else if f, err := resp.Frame(); err == nil {
+			if f, err := resp.Frame(); err == nil {
 				sr.RowsReturned = int64(f.Len())
 			}
 			out <- streamItem{SiteRound: sr, resp: resp}
@@ -570,12 +569,12 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 	// groups, the base schema comes from it.
 	var m *keyedMerge
 	mergeFragment := func(site string, resp *transport.Response) error {
+		h, err := resp.Frame()
+		if err != nil {
+			return err
+		}
 		// A states-only fragment answers shipped rows by position.
 		if !fromFragments {
-			h, err := resp.Frame()
-			if err != nil {
-				return err
-			}
 			if m == nil {
 				if m, err = newKeyedMerge(x.Schema, x.Rows, keys, step.Specs, step.room); err != nil {
 					return err
@@ -585,14 +584,11 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 				}
 			}
 			sh := ships[site]
-			return m.merge(h.Schema, h, placement{idx: sh.idx, shipped: sh.base.Len(), kept: resp.Kept})
+			return m.merge(h, placement{idx: sh.idx, shipped: sh.base.Len(), kept: resp.Kept})
 		}
 		// A fragment that brings the groups keys them on K: a group the
-		// coordinator never shipped becomes a new base row.
-		h := resp.Rel
-		if h == nil {
-			return fmt.Errorf("no relation")
-		}
+		// coordinator never shipped becomes a new base row, its K boxed
+		// with room for the columns this and later steps append.
 		if m == nil {
 			schema, _, err := h.Schema.Project(keys)
 			if err != nil {
@@ -617,15 +613,11 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		if !ps.Equal(m.schema) {
 			return fmt.Errorf("base columns %s differ from %s", ps, m.schema)
 		}
-		if !fold {
-			return m.mergeKeyed(h, idx)
+		rows := h.Rows(idx, m.room)
+		if fold {
+			return m.fold(site, h, rows)
 		}
-		for i, p := range idx {
-			if p != i {
-				return fmt.Errorf("fragment %s does not lead with its keys", h.Schema)
-			}
-		}
-		return m.fold(site, h)
+		return m.mergeKeyed(h, rows)
 	}
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are

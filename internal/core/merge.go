@@ -27,7 +27,7 @@ type keyedMerge struct {
 	specs  []agg.Spec
 	rows   []relation.Row // one row per group, in first-seen order
 	keyIdx []int          // positions of keys in rows
-	room   int            // Step.room: the free capacity of a carved row
+	room   int            // Step.room: the spare capacity of a boxed group row
 	// index resolves keys to groups, each added as a keyed fragment brings
 	// it, so a positional merge never hashes K.
 	index relation.KeyIndex
@@ -134,16 +134,9 @@ func (pl placement) groups(dst []int) []int {
 	return dst
 }
 
-// fragment is a reply's relation as a merge reads it, lane by lane: a
-// keyed reply's relation, or a states-only reply's frame.
-type fragment interface {
-	Len() int
-	Lane(j int, fn func(i int, v value.V) error) error
-}
-
-// merge folds the states of states-only fragment h, whose columns schema
-// names, placed by pl, into the groups.
-func (m *keyedMerge) merge(schema *relation.Schema, h fragment, pl placement) error {
+// merge folds the states of states-only fragment h, placed by pl, into the
+// groups.
+func (m *keyedMerge) merge(h *relation.Frame, pl placement) error {
 	// A kept bitmap is ⌈shipped/8⌉ bytes, clear past the last shipped row.
 	if pl.kept != nil && (len(pl.kept) != (pl.shipped+7)/8 || pl.shipped%8 != 0 && pl.kept[len(pl.kept)-1]>>(pl.shipped%8) != 0) {
 		return fmt.Errorf("kept bitmap % x is not over the %d shipped rows", pl.kept, pl.shipped)
@@ -151,13 +144,13 @@ func (m *keyedMerge) merge(schema *relation.Schema, h fragment, pl placement) er
 	if m.at = pl.groups(m.at[:0]); len(m.at) != h.Len() {
 		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", h.Len(), len(m.at))
 	}
-	return m.mergeAt(schema, h)
+	return m.mergeAt(h)
 }
 
 // mergeAt folds the states of fragment h, row j into group at[j], one
-// primitive column at a time; columns are resolved in schema by name.
-func (m *keyedMerge) mergeAt(schema *relation.Schema, h fragment) error {
-	prims, err := m.primCols(schema)
+// primitive column at a time; columns are resolved by name.
+func (m *keyedMerge) mergeAt(h *relation.Frame) error {
+	prims, err := m.primCols(h.Schema)
 	if err != nil {
 		return err
 	}
@@ -175,55 +168,41 @@ func (m *keyedMerge) mergeAt(schema *relation.Schema, h fragment) error {
 	return nil
 }
 
-// mergeKeyed folds a fragment that carries the keys: each row resolves to
-// its group by them, a group first seen there taking its row from the
-// fragment positions newRow, carved from one chunk per fragment with room
-// for the columns this and later steps append.
-func (m *keyedMerge) mergeKeyed(h *relation.Relation, newRow []int) error {
-	hKey, err := lookupAll(h.Schema, m.keys)
-	if err != nil {
-		return err
-	}
+// mergeKeyed folds keyed fragment h, whose rows are its K boxed with room
+// for the columns this and later steps append: each row resolves to its
+// group by K, a group first seen there taking the row as its own.
+func (m *keyedMerge) mergeKeyed(h *relation.Frame, rows []relation.Row) error {
 	var row relation.Row
-	sameKey := func(pos int) bool { return relation.KeysEqual(row, hKey, m.rows[pos], m.keyIdx) }
+	sameKey := func(pos int) bool { return relation.KeysEqual(row, m.keyIdx, m.rows[pos], m.keyIdx) }
 	m.at = m.at[:0]
-	var chunk []value.V
-	for j := range h.Rows {
-		row = h.Rows[j]
-		hash := relation.HashRow(row, hKey)
+	for _, row = range rows {
+		hash := relation.HashRow(row, m.keyIdx)
 		pos, ok := m.index.Find(hash, sameKey)
 		if !ok {
-			nr := carve(&chunk, len(newRow)+m.room, len(h.Rows)-j)
-			for _, p := range newRow {
-				nr = append(nr, row[p])
-			}
-			m.rows = append(m.rows, nr)
+			m.rows = append(m.rows, row)
 			pos = m.accs.AddGroup()
 			m.index.Add(hash, pos)
 		}
 		m.at = append(m.at, pos)
 	}
-	return m.mergeAt(h.Schema, h)
+	return m.mergeAt(h)
 }
 
-// fold adds the rows of a keyed fragment from site as groups of their own:
-// on a site-disjoint step (Corollary 1) no other fragment brings the same
-// key, so nothing is indexed and nothing is carved. The fragment leads
-// with K; each of its rows becomes its group's row, cut to K with room for
-// the columns this and later steps append, so finalized writes the finals
-// over the states in place. The caller owns the fragment (the contract of
-// transport.Client.Call). The keys' hashes are kept for checkDisjoint.
-func (m *keyedMerge) fold(site string, h *relation.Relation) error {
-	k, s := len(m.keys), int32(len(m.sites))
-	m.at = slices.Grow(m.at[:0], len(h.Rows))
-	for _, row := range h.Rows {
+// fold adds the rows of keyed fragment h from site, boxed as mergeKeyed's
+// are, as groups of their own: on a site-disjoint step (Corollary 1) no
+// other fragment brings the same key, so nothing is indexed. The keys'
+// hashes are kept for checkDisjoint.
+func (m *keyedMerge) fold(site string, h *relation.Frame, rows []relation.Row) error {
+	s := int32(len(m.sites))
+	m.at = slices.Grow(m.at[:0], len(rows))
+	for _, row := range rows {
 		m.at = append(m.at, len(m.rows))
 		m.hashes = append(m.hashes, keyHash{relation.HashRow(row, m.keyIdx), int32(len(m.rows)), s})
-		m.rows = append(m.rows, row[:k:min(len(row), k+m.room)])
+		m.rows = append(m.rows, row)
 	}
-	m.accs.AddGroups(len(h.Rows))
+	m.accs.AddGroups(len(rows))
 	m.sites = append(m.sites, site)
-	return m.mergeAt(h.Schema, h)
+	return m.mergeAt(h)
 }
 
 // checkDisjoint proves a fold's premise after the last fragment: no two

@@ -92,7 +92,7 @@ type Step struct {
 	Filters []SiteFilter
 	xSchema *relation.Schema
 	// room is how many columns this step and the later ones append to X's
-	// rows: what the merge leaves free in every group row it carves.
+	// rows: what the merge leaves free in every group row it boxes.
 	room int
 	// partition lists the partition attributes every θ of the step's MDs
 	// equates (R.A = B.A, Definition 2). Each is a base column, so in K:

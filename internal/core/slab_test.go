@@ -201,8 +201,7 @@ type replyHandler struct{ resp *transport.Response }
 func (h replyHandler) Handle(context.Context, *transport.Request) *transport.Response { return h.resp }
 
 // received returns replies as a site client delivers them: each sent over
-// the wire in answer to a request that ships x, so that a states-only
-// reply arrives as its frame.
+// the wire, in answer to a request that ships x, and arriving as its frame.
 func received(tb testing.TB, x *relation.Relation, replies []*transport.Response) []*transport.Response {
 	out := make([]*transport.Response, len(replies))
 	for i, resp := range replies {
@@ -260,8 +259,8 @@ func fusedFixture(groups, sites int, disjoint bool) (*Step, []*transport.Respons
 }
 
 // BenchmarkSynchronizeFused is the merge and finalization of a fused step:
-// four keyed replies of 500 groups, merged by key or folded by position.
-// A fold writes its finals into the replies, so each run gets fresh ones.
+// four keyed replies of 500 groups, as the site clients deliver them,
+// merged by key or folded by position.
 func BenchmarkSynchronizeFused(b *testing.B) {
 	for _, disjoint := range []bool{false, true} {
 		name := "keyed"
@@ -270,16 +269,11 @@ func BenchmarkSynchronizeFused(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			step, replies := fusedFixture(500, 4, disjoint)
-			fresh := make([]*transport.Response, len(replies))
+			replies = received(b, nil, replies)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for s, r := range replies {
-					fresh[s] = &transport.Response{Rel: r.Rel.Clone()}
-				}
-				b.StartTimer()
-				if _, err := runSynchronize(nil, step, nil, fresh); err != nil {
+				if _, err := runSynchronize(nil, step, nil, replies); err != nil {
 					b.Fatal(err)
 				}
 			}

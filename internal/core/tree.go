@@ -86,8 +86,8 @@ func (r *Relay) broadcast(ctx context.Context, req *transport.Request) (*transpo
 			return nil, errs[i]
 		}
 		out.RowCount += resp.RowCount
-		if out.Rel == nil {
-			out.Rel = resp.Rel
+		if f, err := resp.Frame(); out.Rel == nil && err == nil {
+			out.Rel = f.Relation()
 		}
 	}
 	out.ComputeNs = time.Since(start).Nanoseconds()

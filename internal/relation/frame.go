@@ -289,17 +289,32 @@ func (f *Frame) Lane(j int, fn func(i int, v value.V) error) error {
 
 // Relation boxes the frame's values into rows sharing one value backing.
 func (f *Frame) Relation() *Relation {
-	r := &Relation{Schema: f.Schema}
-	if f.n > 0 {
-		r.Rows = MakeRows(f.n, f.Schema.Len())
+	return &Relation{Schema: f.Schema, Rows: f.Rows(nil, 0)}
+}
+
+// Rows boxes the columns cols of the frame (every column when cols is nil),
+// in that order, into rows sharing one value backing, each with room for
+// extra more values (MakeRows).
+func (f *Frame) Rows(cols []int, extra int) []Row {
+	if f.n == 0 {
+		return nil
 	}
-	for j := range f.lanes {
+	w := len(cols)
+	if cols == nil {
+		w = len(f.lanes)
+	}
+	rows := MakeRows(f.n, w+extra)
+	for c := 0; c < w; c++ {
+		j := c
+		if cols != nil {
+			j = cols[c]
+		}
 		f.Lane(j, func(i int, v value.V) error {
-			r.Rows[i] = append(r.Rows[i], v)
+			rows[i] = append(rows[i], v)
 			return nil
 		})
 	}
-	return r
+	return rows
 }
 
 // GobDecode sets f to a copy of the frame b holds, which gob may reuse.

@@ -411,6 +411,32 @@ func FuzzFrame(f *testing.F) {
 				t.Fatalf("lane %d yields %d values of %d rows", j, n, r.Len())
 			}
 		}
+		// Rows boxes a selection of the columns, drawn from the input with
+		// repeats, into r projected on it, with extra spare capacity.
+		if w := r.Schema.Len(); w > 0 {
+			cols := make([]int, int(b[len(b)-1])%(w+2))
+			for c := range cols {
+				cols[c] = int(b[c%len(b)]) % w
+			}
+			extra := int(b[0]) % 4
+			var want []Row
+			for _, row := range r.Rows {
+				p := Row{}
+				for _, j := range cols {
+					p = append(p, row[j])
+				}
+				want = append(want, p)
+			}
+			got := f.Rows(cols, extra)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Rows(%v)\n%v\nprojected\n%v", cols, got, want)
+			}
+			for i, row := range got {
+				if cap(row) != len(cols)+extra {
+					t.Fatalf("Rows(%v, %d): row %d has capacity %d", cols, extra, i, cap(row))
+				}
+			}
+		}
 		if again := AppendFrame(nil, r); !bytes.Equal(again, b) {
 			t.Fatalf("re-encoded\n% x\nfrom\n% x", again, b)
 		}

@@ -201,16 +201,6 @@ func MakeRows(n, w int) []Row {
 	return rows
 }
 
-// Lane calls fn with each row's value of column j, as Frame.Lane does.
-func (r *Relation) Lane(j int, fn func(i int, v value.V) error) error {
-	for i, row := range r.Rows {
-		if err := fn(i, row[j]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep-enough copy: the row slice and each row are copied
 // (values themselves are immutable).
 func (r *Relation) Clone() *Relation {

@@ -143,9 +143,8 @@ func TestMalformedRelationRefused(t *testing.T) {
 	})
 
 	// A reply whose relation is not a frame fails the call with
-	// ErrMalformed inside the decode, whether the client boxes the relation
-	// (a keyed reply) or keeps its frame (a states-only reply), and the
-	// retry layer's next call redials and is answered.
+	// ErrMalformed inside the decode, a keyed reply and a states-only reply
+	// alike, and the retry layer's next call is answered.
 	t.Run("corrupt reply", func(t *testing.T) {
 		for _, req := range []*Request{
 			{Op: OpEvalRounds, Detail: "flow", BaseCols: []string{"k"}, Rounds: round},
@@ -167,6 +166,51 @@ func TestMalformedRelationRefused(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMalformedRelationFailsOnlyItsCall: gob reports a malformed relation
+// with the stream still in sync, so a request it refuses to encode, or a
+// reply whose frame does not decode, fails only its own call, and the next
+// call on the same connection is answered. Every byte the client wrote is
+// charged to one of the calls, the type preamble a refused first request
+// sent included.
+func TestMalformedRelationFailsOnlyItsCall(t *testing.T) {
+	ctx := context.Background()
+	round := []RoundSpec{{Detail: "flow", Aggs: [][]string{{"count(*) AS c"}}, Thetas: []string{"F.SourceAS = B.SourceAS"}}}
+	srv := NewServer(&countingHandler{resp: &Response{Rel: sampleRelation(2)}})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, c := range []struct {
+		what, addr string
+		first      *Request
+		want       string
+	}{
+		{"a refused request", addr, &Request{Op: OpEvalRounds, Base: shortRow(), Rounds: round}, "row 0 has 1 values"},
+		{"a corrupt reply", serveCorruptOnce(t, sampleRelation(2)), &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round}, "truncated"},
+	} {
+		cl, err := DialTCP("site0", c.addr, CostModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		_, first, err := Exchange(ctx, cl, c.first)
+		if !errors.Is(err, relation.ErrMalformed) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want ErrMalformed naming %q", c.what, err, c.want)
+		}
+		resp, next, err := Exchange(ctx, cl, &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round})
+		if err != nil {
+			t.Fatalf("%s: the next call on the connection: %v", c.what, err)
+		}
+		if f, err := resp.Frame(); err != nil || !reflect.DeepEqual(f.Relation(), sampleRelation(2)) {
+			t.Errorf("%s: the next call answered %v, %v", c.what, f, err)
+		}
+		if sent := first.Sent + next.Sent; sent != cl.cw.n {
+			t.Errorf("%s: the calls were charged %d bytes sent, the client wrote %d", c.what, sent, cl.cw.n)
+		}
+	}
 }
 
 // corruptResponse is a Response whose Rel is not a frame.
@@ -214,10 +258,10 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
 	return l.Addr().String()
 }
 
-// TestStatesOnlyReplyArrivesAsFrame: the reply to a request that ShipsBase
-// reaches the caller as its frame, Rel nil, every other field as sent;
-// every other reply arrives boxed. Either way Frame gives the relation.
-func TestStatesOnlyReplyArrivesAsFrame(t *testing.T) {
+// TestEveryReplyArrivesAsFrame: every reply — to a states-only evaluation,
+// a keyed one and a relInfo — reaches the caller as its frame, Rel nil,
+// every other field as sent.
+func TestEveryReplyArrivesAsFrame(t *testing.T) {
 	rel := sampleRelation(20)
 	sent := &Response{Rel: rel, RowCount: 7, ComputeNs: 99, Kept: []byte{0xff, 0xff, 0x0f}, Profile: &SiteProfile{RowsOut: 20, Outcome: OutcomeOK}}
 	cl := NewLocalClient("site0", &countingHandler{resp: sent}, CostModel{})
@@ -225,37 +269,38 @@ func TestStatesOnlyReplyArrivesAsFrame(t *testing.T) {
 	for _, req := range []*Request{
 		{Op: OpEvalRounds, Base: sampleRelation(20)},
 		{Op: OpEvalRounds, Detail: "flow", BaseCols: []string{"k"}},
+		{Op: OpRelInfo, Rel: "flow"},
 	} {
 		resp, err := cl.Call(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if boxed := resp.Rel != nil; boxed == req.ShipsBase() {
-			t.Errorf("ShipsBase %v: Rel %v", req.ShipsBase(), resp.Rel)
+		if resp.Rel != nil || resp.frame == nil {
+			t.Errorf("%s: Rel %v, frame %v", req.Op, resp.Rel, resp.frame)
 		}
 		f, err := resp.Frame()
 		if err != nil || !reflect.DeepEqual(f.Relation(), rel) {
-			t.Errorf("ShipsBase %v: frame %v, %v", req.ShipsBase(), f, err)
+			t.Errorf("%s: frame %v, %v", req.Op, f, err)
 		}
 		if resp.RowCount != 7 || resp.ComputeNs != 99 || !reflect.DeepEqual(resp.Kept, sent.Kept) || !reflect.DeepEqual(resp.Profile, sent.Profile) {
-			t.Errorf("ShipsBase %v: got %+v, sent %+v", req.ShipsBase(), resp, sent)
+			t.Errorf("%s: got %+v, sent %+v", req.Op, resp, sent)
 		}
 	}
 }
 
-// TestStatesReplyMirrorsResponse: the struct a client decodes a
-// states-only reply into has Response's exported fields, by name and in
-// order, each of Response's type but Rel, which is a frame.
-func TestStatesReplyMirrorsResponse(t *testing.T) {
+// TestReplyMirrorsResponse: the struct a client decodes a reply into has
+// Response's exported fields, by name and in order, each of Response's
+// type but Rel, which is a frame.
+func TestReplyMirrorsResponse(t *testing.T) {
 	var want []reflect.StructField
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Response{})) {
 		if f.IsExported() {
 			want = append(want, f)
 		}
 	}
-	got := reflect.VisibleFields(reflect.TypeOf(statesReply{}))
+	got := reflect.VisibleFields(reflect.TypeOf(reply{}))
 	if len(got) != len(want) {
-		t.Fatalf("statesReply has %d fields, Response %d exported", len(got), len(want))
+		t.Fatalf("reply has %d fields, Response %d exported", len(got), len(want))
 	}
 	for i, f := range want {
 		typ := f.Type
@@ -263,7 +308,7 @@ func TestStatesReplyMirrorsResponse(t *testing.T) {
 			typ = reflect.TypeOf((*relation.Frame)(nil))
 		}
 		if got[i].Name != f.Name || got[i].Type != typ {
-			t.Errorf("statesReply field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
+			t.Errorf("reply field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
 		}
 	}
 }
@@ -290,8 +335,8 @@ func TestFramedRepliesLeaveTheResponse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(resp.Rel.Rows, rel.Rows) || resp.RowCount != 40 {
-			t.Errorf("call %d: got %+v", i, resp)
+		if f, err := resp.Frame(); err != nil || !reflect.DeepEqual(f.Relation().Rows, rel.Rows) || resp.RowCount != 40 {
+			t.Errorf("call %d: got %+v, %v", i, resp, err)
 		}
 	}
 	if cached.Rel != rel || !reflect.DeepEqual(rel.Rows, sampleRelation(40).Rows) {

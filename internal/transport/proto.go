@@ -227,13 +227,13 @@ type Response struct {
 	// Nil means every shipped row, in order.
 	Kept []byte
 
-	// frame is a states-only reply's relation as a client received it.
+	// frame is the reply's relation as a client received it.
 	//lint:ignore wiresafe set by the client on decode; Rel is what crosses the wire
 	frame *relation.Frame
 }
 
-// Frame returns a reply's relation as a frame: the one a client kept from
-// a states-only reply, or the frame of Rel for a response a handler built.
+// Frame returns a reply's relation as a frame: the one a client received,
+// or the frame of Rel for a response a handler built.
 func (r *Response) Frame() (*relation.Frame, error) {
 	switch {
 	case r.frame != nil:
@@ -248,12 +248,12 @@ func (r *Response) Frame() (*relation.Frame, error) {
 	return relation.DecodeFrame(b)
 }
 
-// statesReply is Response with Rel received as a frame: a client decodes
-// the reply to a request that ShipsBase into it. gob matches fields by
-// name, so the wire bytes are Response's. The mirror exists because the
-// benchmark's probes read Response.Rel boxed (benchmark/probes.go); once
-// they do not, Rel itself can be the frame and this type goes.
-type statesReply struct {
+// reply is Response with Rel received as a frame: a client decodes every
+// reply into it. gob matches fields by name, so the wire bytes are
+// Response's. The mirror exists because handlers build Rel boxed, and the
+// benchmark reads it so (benchmark/probes.go); once they do not, Rel itself
+// can be the frame and this type goes.
+type reply struct {
 	Err       string
 	Code      int
 	Rel       *relation.Frame
@@ -376,17 +376,16 @@ type Handler interface {
 type Client interface {
 	// SiteID returns the site's identifier.
 	SiteID() string
-	// Call performs one request/response exchange. The reply to a request
-	// that ShipsBase holds its relation as a frame (Response.Frame), every
-	// other reply as Rel. The caller owns the returned *Response, its
-	// relation's rows included, and may write to them: no layer (the
-	// ReplicaSet, Pool, Reconnector or Chaos) keeps a response it
-	// returned or hands the same one out twice. Cancelling ctx (or
-	// hitting its deadline) aborts the exchange: connection-oriented
-	// transports interrupt blocked I/O and the call returns an error
-	// wrapping ctx.Err(). A call aborted mid-exchange may leave the
-	// underlying connection unusable; such clients report subsequent
-	// calls as transport errors so a retrying wrapper redials.
+	// Call performs one request/response exchange. A reply holds its
+	// relation as a frame (Response.Frame); Rel is only what a handler
+	// sets. The caller owns the returned *Response and may write to it:
+	// no layer (the ReplicaSet, Pool, Reconnector or Chaos) keeps a
+	// response it returned or hands the same one out twice. Cancelling
+	// ctx (or hitting its deadline) aborts the exchange:
+	// connection-oriented transports interrupt blocked I/O and the call
+	// returns an error wrapping ctx.Err(). A call aborted mid-exchange may
+	// leave the underlying connection unusable; such clients report
+	// subsequent calls as transport errors so a retrying wrapper redials.
 	Call(ctx context.Context, req *Request) (*Response, error)
 	// Close releases the connection.
 	Close() error

@@ -442,11 +442,11 @@ func (c *TCPClient) Close() error { return c.conn.Close() }
 //
 // The context bounds the whole exchange via connection deadlines; a
 // cancellation or deadline mid-exchange interrupts blocked I/O. After any
-// encode/decode failure — including an abort — the gob streams are
-// desynced, so the client marks itself broken and closes the connection:
-// later calls fail fast with a transport error and a retrying wrapper
-// (Reconnector) redials a fresh connection instead of reusing a corrupt
-// stream.
+// other encode/decode failure than a malformed relation — an abort
+// included — the gob streams are desynced, so the client marks itself
+// broken and closes the connection: later calls fail fast with a transport
+// error and a retrying wrapper (Reconnector) redials a fresh connection
+// instead of reusing a corrupt stream.
 func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -480,41 +480,40 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 		}()
 	}
 
+	// What was written is charged even when the encode fails: a refused
+	// request may have sent gob's type preamble, which the connection keeps.
 	before := c.cw.n
-	if err := c.enc.Encode(req); err != nil {
-		return nil, c.failLocked("send to", err, ctx)
-	}
+	err := c.enc.Encode(req)
 	sent := c.cw.n - before
 	charge(ctx, Delta{Sent: sent, Comm: c.cost.TransferTime(int(sent))})
 	c.obs.Count("transport.bytes_sent", sent)
+	if err != nil {
+		return nil, c.failLocked("send to", err, ctx)
+	}
 	c.obs.Count("transport.messages", 1)
 
 	beforeR := c.cr.n
-	resp := new(Response)
-	var err error
-	if req.ShipsBase() {
-		var sr statesReply
-		err = c.dec.Decode(&sr)
-		*resp = Response{Err: sr.Err, Code: sr.Code, RowCount: sr.RowCount, ComputeNs: sr.ComputeNs, Profile: sr.Profile, Kept: sr.Kept, frame: sr.Rel}
-	} else {
-		err = c.dec.Decode(resp)
-	}
-	if err != nil {
+	var r reply
+	if err := c.dec.Decode(&r); err != nil {
 		return nil, c.failLocked("receive from", err, ctx)
 	}
 	recv := c.cr.n - beforeR
 	charge(ctx, Delta{Recv: recv, Comm: c.cost.TransferTime(int(recv))})
 	c.obs.Count("transport.bytes_received", recv)
-	return resp, nil
+	return &Response{Err: r.Err, Code: r.Code, RowCount: r.RowCount, ComputeNs: r.ComputeNs, Profile: r.Profile, Kept: r.Kept, frame: r.Rel}, nil
 }
 
 // failLocked marks the client broken after a mid-stream error and closes
-// the connection; callers hold c.mu. It prefers reporting the context
-// error when the failure was caused by cancellation (the raw I/O error is
-// then just "i/o timeout" from the deadline poke).
+// the connection; callers hold c.mu. A relation gob refused to encode or
+// decode (relation.ErrMalformed) fails only the call: gob reports it with
+// the stream still in sync. It prefers reporting the context error when
+// the failure was caused by cancellation (the raw I/O error is then just
+// "i/o timeout" from the deadline poke).
 func (c *TCPClient) failLocked(verb string, err error, ctx context.Context) error {
-	c.broken = true
-	c.conn.Close()
+	if !errors.Is(err, relation.ErrMalformed) {
+		c.broken = true
+		c.conn.Close()
+	}
 	ctxErr := ctx.Err()
 	if ctxErr == nil {
 		// The connection deadline can fire marginally before the

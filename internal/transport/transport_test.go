@@ -90,10 +90,11 @@ func exerciseClient(t *testing.T, c Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := resp.Rel
-	if back == nil || back.Len() != 50 {
-		t.Fatalf("echo returned %v", back)
+	f, err := resp.Frame()
+	if err != nil || f.Len() != 50 {
+		t.Fatalf("echo returned %v, %v", f, err)
 	}
+	back := f.Relation()
 	// Schema survives the wire including lookup capability.
 	if i, ok := back.Schema.Lookup("v"); !ok || i != 1 {
 		t.Error("schema lookup broken after wire round trip")

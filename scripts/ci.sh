@@ -84,10 +84,11 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # a key grouping's clustered view, built once per load; RoundTrip is one
 # call in process (over a pipe) and over loopback TCP, the same client and
 # server code on both. Synchronize also matches BenchmarkSynchronizeFused,
-# a fused step's keyed replies merged by key and folded by position;
+# a fused step's keyed replies, as a site client delivers them, merged by
+# key and folded by position, each boxing only K from its frame;
 # PartitionAttr is the catalog's partition proof, memoized and cold;
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
-# unboxed (DecodeFrame), the form the coordinator merges from.
+# unboxed (DecodeFrame), the form a client decodes every reply in.
 go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip|PartitionAttr|DecodeFrame' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
 
 echo "== observability smoke =="
