@@ -115,9 +115,6 @@ func (s *Slab) AddGroup() int {
 	return s.groups - 1
 }
 
-// AddGroups appends n groups of empty states.
-func (s *Slab) AddGroups(n int) { s.grow(n) }
-
 // Specs returns the specs the slab holds the states of.
 func (s *Slab) Specs() []Spec { return s.specs }
 

@@ -555,14 +555,12 @@ func (c *Coordinator) publishProfile(stats *ExecStats) {
 // states-only replies merge by position into the groups of x; nil means
 // the base round or a fused step, whose fragments bring the groups
 // themselves, keyed on K — the request's BaseCols; on a site-disjoint step
-// (Step.disjoint) each of their rows is a group of its own, folded by
-// position, and a key two sites brought fails the round. A relay tier
+// (Step.disjoint) a key two sites brought fails the round. A relay tier
 // (tier) has a positional merge record the groups the replies answered.
 func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem, step *Step, ships map[string]shipment, rs *RoundStats, tier bool) (*keyedMerge, time.Duration, error) {
 	var mergeTime time.Duration
 	var firstErr error
 	fromFragments := ships == nil
-	fold := step.disjoint()
 	keys := step.Request.BaseCols
 
 	// The merge starts at the first fragment: when fragments bring the
@@ -600,11 +598,8 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			n := h.Len() * len(c.clients) // room for as many groups at every site
 			m.rows = make([]relation.Row, 0, n)
 			m.accs.Reserve(n)
-			if fold {
-				m.hashes = make([]keyHash, 0, n)
-			} else {
-				m.index.Reserve(n)
-			}
+			m.index.Reserve(n)
+			m.disjoint, m.partition = step.disjoint(), step.partition
 		}
 		ps, idx, err := h.Schema.Project(m.schema.Names())
 		if err != nil {
@@ -613,11 +608,7 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		if !ps.Equal(m.schema) {
 			return fmt.Errorf("base columns %s differ from %s", ps, m.schema)
 		}
-		rows := h.Rows(idx, m.room)
-		if fold {
-			return m.fold(site, h, rows)
-		}
-		return m.mergeKeyed(h, rows)
+		return m.mergeKeyed(site, h, h.Rows(idx, m.room))
 	}
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are
@@ -649,15 +640,6 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			return nil, mergeTime, fmt.Errorf("all sites lost: %w", firstErr)
 		}
 		return nil, mergeTime, fmt.Errorf("no fragments arrived")
-	}
-	if fold {
-		t0 := time.Now()
-		err := m.checkDisjoint()
-		mergeTime += time.Since(t0)
-		if err != nil {
-			return nil, mergeTime, fmt.Errorf("groups are not site-disjoint on %s (the catalog's partition claim is false): %w",
-				strings.Join(step.partition, ", "), err)
-		}
 	}
 	return m, mergeTime, nil
 }

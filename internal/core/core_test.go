@@ -463,7 +463,7 @@ func TestExplain(t *testing.T) {
 	}
 	out := plan.Explain()
 	for _, want := range []string{"plan:", "Corollary 1", "Proposition 2",
-		"final synchronization by position (Corollary 1): groups are site-disjoint on sourceas"} {
+		"final synchronization checks that groups are site-disjoint on sourceas (Corollary 1)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

@@ -110,8 +110,8 @@ func disjointCluster(t *testing.T, seed int64, nSites, lost int) (*Coordinator, 
 	return NewCoordinator(clients...), cat
 }
 
-// disjointQueries are the shapes whose first step may fold: a fused
-// single MD on a one-column K, a chain whose second MD reads the first's
+// disjointQueries are the shapes whose first step may be site-disjoint: a
+// fused single MD on a one-column K, a chain whose second MD reads the first's
 // average, and a two-column K.
 func disjointQueries() map[string]gmdj.Query {
 	md := func(theta string, aggs ...string) gmdj.MD {
@@ -154,23 +154,24 @@ func sortedFrame(t *testing.T, r *relation.Relation, keys []string) []byte {
 	return relation.AppendFrame(nil, c)
 }
 
-// withoutFold returns a copy of plan whose steps merge every keyed reply
-// by key: the fold forced off.
-func withoutFold(plan *Plan) *Plan {
+// withoutClaim returns a copy of plan whose steps claim nothing about
+// site-disjoint groups, so no merge checks the claim.
+func withoutClaim(plan *Plan) *Plan {
 	p := *plan
 	p.Steps = append([]Step(nil), plan.Steps...)
 	for i := range p.Steps {
-		p.Steps[i].partition = nil
+		p.Steps[i].partition, p.Steps[i].Request.SiteDisjoint = nil, false
 	}
 	return &p
 }
 
-// TestDisjointFoldMatchesKeyed: over random partitions of NULL, NaN and ±0
-// keys among others, with an empty site, and with a lost site under
-// AllowPartial, every plan of every option subset whose first step folds
-// gives the same relation, byte for byte, as the same plan merging by key.
-func TestDisjointFoldMatchesKeyed(t *testing.T) {
-	folded := 0
+// TestDisjointClaimMatchesUnclaimed: over random partitions of NULL, NaN
+// and ±0 keys among others, with an empty site, and with a lost site under
+// AllowPartial, every plan of every option subset whose first step claims
+// site-disjoint groups gives the same relation, byte for byte, as the same
+// plan without the claim.
+func TestDisjointClaimMatchesUnclaimed(t *testing.T) {
+	claimed := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, lost := range []int{-1, 1} {
 			coord, cat := disjointCluster(t, seed, 4, lost)
@@ -185,7 +186,7 @@ func TestDisjointFoldMatchesKeyed(t *testing.T) {
 					if !plan.Steps[0].disjoint() {
 						continue
 					}
-					folded++
+					claimed++
 					got, stats, err := coord.Execute(context.Background(), plan)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -193,55 +194,64 @@ func TestDisjointFoldMatchesKeyed(t *testing.T) {
 					if stats.Partial() != (lost >= 0) {
 						t.Fatalf("%s: partial = %v", label, stats.Partial())
 					}
-					want, _, err := coord.Execute(context.Background(), withoutFold(plan))
+					want, _, err := coord.Execute(context.Background(), withoutClaim(plan))
 					if err != nil {
 						t.Fatalf("%s keyed: %v", label, err)
 					}
 					if !bytes.Equal(sortedFrame(t, got, q.Keys()), sortedFrame(t, want, q.Keys())) {
-						t.Fatalf("%s: fold\n%s\nkeyed\n%s", label, got, want)
+						t.Fatalf("%s: claimed\n%s\nunclaimed\n%s", label, got, want)
 					}
 					assertOwnRows(t, label, got)
 				}
 			}
 		}
 	}
-	if folded == 0 {
-		t.Fatal("no plan folded its first step")
+	if claimed == 0 {
+		t.Fatal("no plan claimed its first step site-disjoint")
 	}
 }
 
 // violatedCluster is the wire matrix's TPCR cluster, flat or under two
 // relays, with one row of a customer whose catalog domain is site0's
-// copied to site1 (under the other relay): the catalog's claim that
-// CustName partitions the sites is false for that customer.
-func violatedCluster(t *testing.T, relays bool) (*Coordinator, *catalog.Catalog, string) {
+// copied to site to: the catalog's claim that CustName partitions the
+// sites is false for that customer.
+func violatedCluster(t *testing.T, relays bool, to int) (*Coordinator, *catalog.Catalog, string) {
 	t.Helper()
 	parts := fig5Parts(t)
 	custName, _ := tpcr.Schema().Lookup("CustName")
 	row := parts[0].Rows[0]
-	parts[1].Rows = append(parts[1].Rows, append(relation.Row(nil), row...))
+	parts[to].Rows = append(parts[to].Rows, append(relation.Row(nil), row...))
 	coord, cat := wireCluster(t, parts, relays, sameEngine)
 	return coord, cat, row[custName].String()
 }
 
 // TestDisjointClaimViolated: a catalog claiming CustName disjoint while
-// one customer's rows sit at two sites fails the query, in process and
-// through a relay tree, with an error naming the key and both sites. The
-// same plan merging by key absorbs the lie; the fold never returns a
-// duplicated group.
+// one customer's rows sit at two sites fails the query with an error
+// naming the key and both sites: in process, through a relay tree where
+// the two sites are under different relays (the root checks), and where
+// they are under one relay (that relay checks, and names no attributes:
+// it knows none). The same plan without the claim absorbs the lie.
 func TestDisjointClaimViolated(t *testing.T) {
 	single := gmdj.Query{Base: gmdj.BaseDef{Cols: []string{"CustName"}}, MDs: []gmdj.MD{{
 		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS n"), agg.MustParseSpec("avg(F.Quantity) AS avg_qty")}},
 		Thetas: []expr.Expr{expr.MustParse("F.CustName = B.CustName")},
 	}}}
-	for _, relays := range []bool{false, true} {
-		coord, cat, name := violatedCluster(t, relays)
-		sites := []string{"site0", "site1"}
-		if relays {
-			sites = []string{"relay0", "relay1"}
-		}
-		for label, q := range map[string]gmdj.Query{"single": single, "fig5": fig5Query("CustName")} {
-			label = fmt.Sprintf("relays=%v %s", relays, label)
+	for _, tc := range []struct {
+		name   string
+		relays bool
+		to     int
+		names  []string
+	}{
+		{"flat", false, 1, []string{"not site-disjoint on custname", "site0", "site1"}},
+		{"two relays", true, 1, []string{"not site-disjoint on custname", "relay0", "relay1"}},
+		{"one relay", true, 2, []string{"not site-disjoint (the catalog's partition claim is false)", "relay0", "site0", "site2"}},
+	} {
+		coord, cat, name := violatedCluster(t, tc.relays, tc.to)
+		for _, qc := range []struct {
+			name string
+			q    gmdj.Query
+		}{{"single", single}, {"fig5", fig5Query("CustName")}} {
+			q, label := qc.q, tc.name+" "+qc.name
 			schema, err := coord.DetailSchema(context.Background(), "tpcr")
 			if err != nil {
 				t.Fatal(err)
@@ -251,25 +261,25 @@ func TestDisjointClaimViolated(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !plan.Steps[0].disjoint() {
-				t.Fatalf("%s: the first step does not fold:\n%s", label, plan.Explain())
+				t.Fatalf("%s: the first step claims nothing:\n%s", label, plan.Explain())
 			}
 			x, _, err := coord.Execute(context.Background(), plan)
 			if err == nil {
 				t.Fatalf("%s: a violated partition claim returned %d groups", label, x.Len())
 			}
 			msg := err.Error()
-			for _, want := range append([]string{"not site-disjoint on custname", "(CustName=" + name + ")"}, sites...) {
+			for _, want := range append([]string{"(CustName=" + name + ")"}, tc.names...) {
 				if !strings.Contains(msg, want) {
 					t.Errorf("%s: error %q does not name %q", label, msg, want)
 				}
 			}
-			if label == fmt.Sprintf("relays=%v single", relays) {
-				x, _, err := coord.Execute(context.Background(), withoutFold(plan))
+			if qc.name == "single" {
+				x, _, err := coord.Execute(context.Background(), withoutClaim(plan))
 				if err != nil {
-					t.Fatalf("%s keyed: %v", label, err)
+					t.Fatalf("%s unclaimed: %v", label, err)
 				}
 				if x.Len() != wireMatrixConfig.Customers {
-					t.Errorf("%s keyed: %d groups, want %d", label, x.Len(), wireMatrixConfig.Customers)
+					t.Errorf("%s unclaimed: %d groups, want %d", label, x.Len(), wireMatrixConfig.Customers)
 				}
 			}
 		}
@@ -277,7 +287,7 @@ func TestDisjointClaimViolated(t *testing.T) {
 }
 
 // TestConcurrentPlannersShareProofs: eight planners over one catalog, while
-// its proofs are dropped under them, each get the folded plan, and stay
+// its proofs are dropped under them, each get the site-disjoint plan, and stay
 // clean under the race detector.
 func TestConcurrentPlannersShareProofs(t *testing.T) {
 	coord, cat := disjointCluster(t, 7, 3, -1)
@@ -310,7 +320,7 @@ func TestConcurrentPlannersShareProofs(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				plan, err := Egil{Catalog: cat, Options: DefaultOptions}.BuildPlan(q, "flow", schema)
 				if err == nil && !plan.Steps[0].disjoint() {
-					err = fmt.Errorf("plan %d does not fold:\n%s", i, plan.Explain())
+					err = fmt.Errorf("plan %d claims nothing:\n%s", i, plan.Explain())
 				}
 				if err != nil {
 					errs <- err
@@ -328,7 +338,7 @@ func TestConcurrentPlannersShareProofs(t *testing.T) {
 	}
 }
 
-// TestHedgedFusedStep: a folded step writes its finals into the reply rows
+// TestHedgedFusedStep: a site-disjoint step's groups come from the replies
 // it was handed. With every site's call hedged and both replicas
 // answering, the winner's reply is the caller's alone: the result equals
 // the unhedged one, under the race detector too.
@@ -356,7 +366,7 @@ func TestHedgedFusedStep(t *testing.T) {
 	for name, q := range disjointQueries() {
 		plan := mustPlan(t, coord, q, Egil{Catalog: cat, Options: DefaultOptions})
 		if !plan.Steps[0].disjoint() {
-			t.Fatalf("%s: the first step does not fold", name)
+			t.Fatalf("%s: the first step claims nothing", name)
 		}
 		want, _, err := unhedged.Execute(context.Background(), plan)
 		if err != nil {

@@ -166,7 +166,7 @@ func kindsOf(rel *relation.Relation, c int) map[value.Kind]bool {
 // byte for byte, the X (and the relay fragment) that the same values give
 // when added into one slab directly: states-only replies over every lane
 // shape their states take and every placement of their rows, and keyed
-// replies merged by key and folded.
+// replies merged by key, with and without the site-disjoint check.
 func TestMergeFromFrameMatchesRows(t *testing.T) {
 	const groups, sites = 21, 3
 	x := relation.New(relation.MustSchema(relation.Column{Name: "g", Kind: value.KindString}))
@@ -324,13 +324,14 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 	// NaN, −0 or +0 (one key, the first one a merge sees kept) or another
 	// float, beside string names. Site 1 sends its states first and K in
 	// reverse, which a merge that picks K by name does not mind. Merged by
-	// key, the sites share groups, each bringing a different subset; folded,
-	// the names are site-disjoint and every row is a group of its own. The
+	// key, the sites share groups, each bringing a different subset; under
+	// the site-disjoint check, the names are site-disjoint and every row is
+	// a group of its own. The
 	// replies arrive as a site client delivers them, and both the X and the
 	// relay fragment are merged from the same ones.
 	specs := []agg.Spec{agg.MustParseSpec("count(*) AS n"), agg.MustParseSpec("sum(F.v) AS s"), agg.MustParseSpec("max(F.v) AS hi")}
 	keySchema := relation.MustSchema(relation.Column{Name: "k", Kind: value.KindFloat}, relation.Column{Name: "name", Kind: value.KindString})
-	key := func(s, g int, fold bool) relation.Row {
+	key := func(s, g int, disjoint bool) relation.Row {
 		k := value.Null
 		switch g % 4 {
 		case 1:
@@ -341,16 +342,16 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 			k = value.NewFloat(float64(g) + 0.5)
 		}
 		name := fmt.Sprintf("g%02d", g)
-		if fold {
+		if disjoint {
 			name = fmt.Sprintf("site%d/%s", s, name)
 		}
 		return relation.Row{k, value.NewString(name)}
 	}
-	for _, fold := range []bool{false, true} {
+	for _, disjoint := range []bool{false, true} {
 		step := &Step{FuseBase: true, Request: transport.Request{Op: transport.OpEvalRounds, BaseCols: []string{"K", "Name"}}, Specs: specs}
 		step.room = len(specs)
-		if fold {
-			step.partition = []string{"name"}
+		if disjoint {
+			step.partition, step.Request.SiteDisjoint = []string{"name"}, true
 		}
 		want := relation.New(keySchema) // the groups, in first-seen order
 		ref := agg.NewSlab(specs, 0)
@@ -363,7 +364,7 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 			}
 			slab := agg.NewSlab(specs, 0)
 			for g := 0; g < groups; g++ {
-				if !fold && (g+s)%3 == 0 {
+				if !disjoint && (g+s)%3 == 0 {
 					continue
 				}
 				val := func(i int) value.V {
@@ -372,7 +373,7 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 					}
 					return value.NewInt(int64(s*7 + g*3 + i))
 				}
-				kr := key(s, g, fold)
+				kr := key(s, g, disjoint)
 				sg := slab.AddGroup()
 				addAll(t, slab, sg, val)
 				if s == 1 {
@@ -382,7 +383,7 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 				}
 				rk := relation.RowKey(kr, []int{0, 1})
 				rg, ok := index[rk]
-				if !ok || fold {
+				if !ok || disjoint {
 					rg = ref.AddGroup()
 					index[rk] = rg
 					want.Rows = append(want.Rows, kr)
@@ -401,10 +402,10 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 			c := &Coordinator{clients: make([]transport.Client, sites)}
 			m, _, err := c.synchronize(nil, streamOf(replies), step, nil, &RoundStats{}, i == 1)
 			if err != nil {
-				t.Fatalf("fold %v: %v", fold, err)
+				t.Fatalf("disjoint %v: %v", disjoint, err)
 			}
 			if got := emitted(t, m, i == 1); !bytes.Equal(got, wants[i]) {
-				t.Errorf("fold %v: keyed %s merged from frames\n% x\nadded into one slab\n% x", fold, what, got, wants[i])
+				t.Errorf("disjoint %v: keyed %s merged from frames\n% x\nadded into one slab\n% x", disjoint, what, got, wants[i])
 			}
 		}
 	}

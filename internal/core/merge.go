@@ -3,9 +3,9 @@ package core
 //lint:wrap-errors merge errors must preserve their causes for errors.Is/As
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/agg"
@@ -15,9 +15,8 @@ import (
 
 // keyedMerge is the Theorem-1 merge, the one implementation of it in this
 // package: sub-aggregate fragments are resolved to their groups — by the
-// key attributes K (mergeKeyed), by position for a states-only fragment
-// (merge), or each row as a group of its own on a site-disjoint step
-// (fold) — and their primitive states merged associatively into one
+// key attributes K (mergeKeyed), or by position for a states-only fragment
+// (merge) — and their primitive states merged associatively into one
 // agg.Slab, one primitive column at a time. The root coordinator finalizes
 // the merged states into new columns of X (finalized); a relay tier
 // re-emits them as one pre-merged fragment for the tier above (tier).
@@ -40,17 +39,13 @@ type keyedMerge struct {
 	// kept marks, as a Response.Kept bitmap, every group a fragment
 	// contributed to; nil unless a relay tier merges by position.
 	kept []byte
-	// hashes holds a fold's group keys by hash, and sites the sites whose
-	// fragments it folded, for checkDisjoint; nil unless the merge folds.
-	hashes []keyHash
-	sites  []string
-}
-
-// keyHash is the hash of a folded group's key, and the site that brought
-// the group, as an index into keyedMerge.sites.
-type keyHash struct {
-	hash        uint64
-	group, site int32
+	// disjoint has mergeKeyed check a step's claim (Step.disjoint) on the
+	// partition attributes, when known; sites and starts record each keyed
+	// fragment's site and the first group it could bring.
+	disjoint  bool
+	partition []string
+	sites     []string
+	starts    []int
 }
 
 // newKeyedMerge starts a merge over the given group rows, which states-only
@@ -168,64 +163,43 @@ func (m *keyedMerge) mergeAt(h *relation.Frame) error {
 	return nil
 }
 
-// mergeKeyed folds keyed fragment h, whose rows are its K boxed with room
-// for the columns this and later steps append: each row resolves to its
-// group by K, a group first seen there taking the row as its own.
-func (m *keyedMerge) mergeKeyed(h *relation.Frame, rows []relation.Row) error {
+// mergeKeyed folds keyed fragment h from site, whose rows are its K boxed
+// with room for the columns this and later steps append: each row resolves
+// to its group by K, a group first seen there taking the row as its own. On
+// a site-disjoint step a key an earlier fragment brought fails the merge,
+// naming both sites: the catalog's partition claim is false, and merging
+// the two would answer from a claim the data violates.
+func (m *keyedMerge) mergeKeyed(site string, h *relation.Frame, rows []relation.Row) error {
+	first := len(m.rows)
+	if m.disjoint {
+		m.sites, m.starts = append(m.sites, site), append(m.starts, first)
+	}
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, m.keyIdx, m.rows[pos], m.keyIdx) }
 	m.at = m.at[:0]
 	for _, row = range rows {
 		hash := relation.HashRow(row, m.keyIdx)
 		pos, ok := m.index.Find(hash, sameKey)
-		if !ok {
+		switch {
+		case !ok:
 			m.rows = append(m.rows, row)
 			pos = m.accs.AddGroup()
 			m.index.Add(hash, pos)
+		case m.disjoint && pos < first:
+			on := ""
+			if len(m.partition) > 0 {
+				on = " on " + strings.Join(m.partition, ", ")
+			}
+			earlier := m.sites[sort.SearchInts(m.starts, pos+1)-1]
+			return fmt.Errorf("groups are not site-disjoint%s (the catalog's partition claim is false): key (%s) answered by sites %s and %s",
+				on, m.keyText(pos), earlier, site)
 		}
 		m.at = append(m.at, pos)
 	}
 	return m.mergeAt(h)
 }
 
-// fold adds the rows of keyed fragment h from site, boxed as mergeKeyed's
-// are, as groups of their own: on a site-disjoint step (Corollary 1) no
-// other fragment brings the same key, so nothing is indexed. The keys'
-// hashes are kept for checkDisjoint.
-func (m *keyedMerge) fold(site string, h *relation.Frame, rows []relation.Row) error {
-	s := int32(len(m.sites))
-	m.at = slices.Grow(m.at[:0], len(rows))
-	for _, row := range rows {
-		m.at = append(m.at, len(m.rows))
-		m.hashes = append(m.hashes, keyHash{relation.HashRow(row, m.keyIdx), int32(len(m.rows)), s})
-		m.rows = append(m.rows, row)
-	}
-	m.accs.AddGroups(len(rows))
-	m.sites = append(m.sites, site)
-	return m.mergeAt(h)
-}
-
-// checkDisjoint proves a fold's premise after the last fragment: no two
-// groups share a key. It sorts the keys' hashes and compares keys only
-// within a run of equal hashes. A key two sites brought means the catalog's
-// partition claim is false, and fails the round naming the key and both
-// sites: a fold never returns a duplicated group.
-func (m *keyedMerge) checkDisjoint() error {
-	slices.SortFunc(m.hashes, func(a, b keyHash) int {
-		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.group, b.group))
-	})
-	for i := 1; i < len(m.hashes); i++ {
-		for j := i - 1; j >= 0 && m.hashes[j].hash == m.hashes[i].hash; j-- {
-			a, b := m.hashes[j], m.hashes[i]
-			if relation.KeysEqual(m.rows[a.group], m.keyIdx, m.rows[b.group], m.keyIdx) {
-				return fmt.Errorf("key (%s) answered by sites %s and %s", m.keyText(int(a.group)), m.sites[a.site], m.sites[b.site])
-			}
-		}
-	}
-	return nil
-}
-
-// keyText renders folded group g's key as name=value pairs.
+// keyText renders group g's key as name=value pairs.
 func (m *keyedMerge) keyText(g int) string {
 	parts := make([]string, len(m.keys))
 	for i, p := range m.keyIdx {

@@ -110,9 +110,9 @@ func (e Egil) BuildPlanSchemas(q gmdj.Query, detailName string, schemas map[stri
 			steps[0].FuseBase = true
 			plan.Notes = append(plan.Notes,
 				"base synchronization elided (Proposition 2): every θ of step 1 entails key equality")
-			if steps[0].disjoint() {
+			if len(steps[0].partition) > 0 {
 				plan.Notes = append(plan.Notes, fmt.Sprintf(
-					"final synchronization by position (Corollary 1): groups are site-disjoint on %s",
+					"final synchronization checks that groups are site-disjoint on %s (Corollary 1)",
 					strings.Join(steps[0].partition, ", ")))
 			}
 		}
@@ -151,6 +151,7 @@ func prepare(plan *Plan, steps []Step) {
 		req := transport.Request{Op: transport.OpEvalRounds}
 		if step.FuseBase {
 			req.Detail, req.BaseCols, req.BaseWhere = plan.Detail, q.Base.Cols, where
+			req.SiteDisjoint = len(step.partition) > 0
 		}
 		for _, mi := range step.MDs {
 			md := q.MDs[mi]

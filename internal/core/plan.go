@@ -117,10 +117,10 @@ func (s *Step) ships() bool {
 	return s.Request.Op == transport.OpEvalRounds && len(s.Request.BaseCols) == 0
 }
 
-// disjoint reports whether the step's replies bring site-disjoint groups
-// (Corollary 1), so the coordinator folds them by position instead of
-// matching them by key: a fused step whose θs equate a partition attribute.
-func (s *Step) disjoint() bool { return s.FuseBase && len(s.partition) > 0 }
+// disjoint reports whether the step's request claims that its replies
+// bring site-disjoint groups (Corollary 1), which its keyed merge checks:
+// Egil claims it for a fused step whose θs equate a partition attribute.
+func (s *Step) disjoint() bool { return s.Request.SiteDisjoint }
 
 // filter returns the step's filter for site, or nil.
 func (s *Step) filter(site string) *expr.Bound {

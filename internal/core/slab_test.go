@@ -233,14 +233,14 @@ func BenchmarkSynchronize(b *testing.B) {
 
 // fusedFixture is the coordinator's side of a fused step grouped on
 // CustName: each site's keyed reply of groups customers, site-disjoint,
-// with the states of count(*) and avg. A disjoint step folds them by
-// position, a keyed one merges them by key.
+// with the states of count(*) and avg. Both merge them by key; a disjoint
+// step also checks that no key comes from two sites.
 func fusedFixture(groups, sites int, disjoint bool) (*Step, []*transport.Response) {
 	step := &Step{FuseBase: true, Request: transport.Request{Op: transport.OpEvalRounds, BaseCols: []string{"CustName"}},
 		Specs: []agg.Spec{agg.MustParseSpec("count(*) AS cnt1"), agg.MustParseSpec("avg(F.Quantity) AS avg1")}}
 	step.room = len(step.Specs)
 	if disjoint {
-		step.partition = []string{"custname"}
+		step.partition, step.Request.SiteDisjoint = []string{"custname"}, true
 	}
 	cols := []relation.Column{{Name: "CustName", Kind: value.KindString}}
 	for _, sp := range step.Specs {
@@ -260,7 +260,7 @@ func fusedFixture(groups, sites int, disjoint bool) (*Step, []*transport.Respons
 
 // BenchmarkSynchronizeFused is the merge and finalization of a fused step:
 // four keyed replies of 500 groups, as the site clients deliver them,
-// merged by key or folded by position.
+// merged by key, with the site-disjoint claim unchecked and checked.
 func BenchmarkSynchronizeFused(b *testing.B) {
 	for _, disjoint := range []bool{false, true} {
 		name := "keyed"

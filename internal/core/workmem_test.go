@@ -87,17 +87,17 @@ func assertOwnRows(t *testing.T, label string, x *relation.Relation) {
 // a resume that re-runs rounds over different site data, and after a
 // caller appends to another result's rows; and every checkpointed X is
 // unchanged by all that followed it. It holds for X carved by a keyed
-// base round and for X made of the reply rows a folded first step keeps.
+// base round and by a site-disjoint fused first step.
 func TestExecutedXNeverAliases(t *testing.T) {
 	t.Run("keyed", func(t *testing.T) {
 		executedXNeverAliases(t, example1(), func(*catalog.Catalog) Egil { return Egil{Catalog: newTestCatalog(3)} })
 	})
-	// Step 1 folds MD1 on the partition attribute SourceAS; MD2 reads no
+	// Step 1 fuses MD1 on the partition attribute SourceAS; MD2 reads no
 	// partition attribute and ships X.
-	folded := example1()
-	folded.MDs[1].Thetas = []expr.Expr{expr.MustParse("F.DestAS = B.DestAS AND F.NumBytes >= B.sum1 / B.cnt1")}
-	t.Run("folded", func(t *testing.T) {
-		executedXNeverAliases(t, folded, func(cat *catalog.Catalog) Egil {
+	disjoint := example1()
+	disjoint.MDs[1].Thetas = []expr.Expr{expr.MustParse("F.DestAS = B.DestAS AND F.NumBytes >= B.sum1 / B.cnt1")}
+	t.Run("disjoint", func(t *testing.T) {
+		executedXNeverAliases(t, disjoint, func(cat *catalog.Catalog) Egil {
 			return Egil{Catalog: cat, Options: Options{SyncReduce: true}}
 		})
 	})
@@ -134,7 +134,7 @@ func executedXNeverAliases(t *testing.T, q gmdj.Query, egil func(*catalog.Catalo
 	coord := NewCoordinator(clients...)
 	plan := mustPlan(t, coord, q, egil(cat))
 	if plan.Rounds() != 3 && !plan.Steps[0].disjoint() {
-		t.Fatalf("plan has %d rounds and no folded step:\n%s", plan.Rounds(), plan.Explain())
+		t.Fatalf("plan has %d rounds and no site-disjoint step:\n%s", plan.Rounds(), plan.Explain())
 	}
 	store := &heldCheckpoints{}
 	coord.Checkpoints = store

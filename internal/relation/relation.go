@@ -10,6 +10,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -340,49 +341,68 @@ func (r *Relation) DistinctProject(names []string) (*Relation, error) {
 }
 
 // KeyIndex maps a composite key to the position of the one entry holding
-// it in a growing list: positions are bucketed by key hash, chained on
-// collision and verified by the caller's equality (KeysEqual on rows,
-// its lane equivalent on a columnar batch), so no key string is built per
-// row. It is the one place that decides which entry a key resolves to for
-// DistinctProject, the coordinator's merge, the vec distinct kernel and
-// the GMDJ equi probe.
+// it in a growing list: positions are found by key hash and verified by the
+// caller's equality (KeysEqual on rows, its lane equivalent on a columnar
+// batch), so no key string is built per row. It is the one place that
+// decides which entry a key resolves to for DistinctProject, the
+// coordinator's merge, the vec distinct kernel and the GMDJ equi probe.
 // Positions must be added in order, 0, 1, 2, ... The zero value is an
 // empty index.
 type KeyIndex struct {
-	heads map[uint64]int32 // hash → latest position with that hash
-	next  []int32          // next[pos] → previous position with the same hash, -1 at the end
+	// slots holds pos+1 (0 is empty) in a power-of-two table at most half
+	// full, linearly probed from the high bits of hash × 0x9E3779B97F4A7C15.
+	slots []int32
+	// hashes[pos] is position pos's hash: a probe compares it before it
+	// calls eq, and growth re-inserts from it.
+	hashes []uint64
 }
 
 // Reserve sizes an empty index for n positions up front.
 func (ix *KeyIndex) Reserve(n int) {
-	ix.heads = make(map[uint64]int32, n)
-	ix.next = make([]int32, 0, n)
+	ix.slots = make([]int32, 2<<bits.Len(uint(max(n, 4)-1))) // ≥ 2n
+	ix.hashes = make([]uint64, 0, n)
 }
 
 // Add indexes position pos — the next unindexed one — under hash.
 func (ix *KeyIndex) Add(hash uint64, pos int) {
-	if ix.heads == nil {
-		ix.heads = make(map[uint64]int32)
+	if 2*len(ix.hashes) >= len(ix.slots) {
+		ix.slots = make([]int32, max(8, 2*len(ix.slots)))
+		ix.hashes = slices.Grow(ix.hashes, len(ix.slots)/2-len(ix.hashes))
+		for p := range ix.hashes {
+			ix.insert(p)
+		}
 	}
-	head, ok := ix.heads[hash]
-	if !ok {
-		head = -1
+	ix.hashes = append(ix.hashes, hash)
+	ix.insert(pos)
+}
+
+// insert puts pos in the first empty slot of its hash's probe sequence.
+func (ix *KeyIndex) insert(pos int) {
+	i := ix.home(ix.hashes[pos])
+	for ix.slots[i] != 0 {
+		i = (i + 1) & (len(ix.slots) - 1)
 	}
-	ix.next = append(ix.next, head)
-	ix.heads[hash] = int32(pos)
+	ix.slots[i] = int32(pos + 1)
+}
+
+// home is the slot hash's probe sequence starts at.
+func (ix *KeyIndex) home(hash uint64) int {
+	return int(hash * 0x9E3779B97F4A7C15 >> (bits.LeadingZeros64(uint64(len(ix.slots))) + 1))
 }
 
 // Find returns the position, among those indexed under hash, for which eq
 // reports that the entry holds the probed key. At most one can: a key is
 // only added after Find missed it.
 func (ix *KeyIndex) Find(hash uint64, eq func(pos int) bool) (int, bool) {
-	pos, ok := ix.heads[hash]
-	for ok {
-		if eq(int(pos)) {
-			return int(pos), true
+	if len(ix.slots) == 0 {
+		return 0, false
+	}
+	mask := len(ix.slots) - 1
+	for i := ix.home(hash); ix.slots[i] != 0; i = (i + 1) & mask {
+		pos := int(ix.slots[i] - 1)
+		if ix.hashes[pos] == hash && eq(pos) {
+			return pos, true
 		}
-		pos = ix.next[pos]
-		ok = pos >= 0
 	}
 	return 0, false
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -278,5 +279,41 @@ func TestPoolHedgeDiscardAccounting(t *testing.T) {
 	// The pool stays serviceable after the discard.
 	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("pool unusable after hedge discard: %v", err)
+	}
+}
+
+// refuseLoads is a replica that refuses every load.
+type refuseLoads struct{ Handler }
+
+func (r refuseLoads) Handle(ctx context.Context, req *Request) *Response {
+	if req.Op == OpLoad {
+		return &Response{Err: "load refused"}
+	}
+	return r.Handler.Handle(ctx, req)
+}
+
+// TestPlacementReachesEveryReplicaPastAFailure: a load over three replicas
+// whose middle one refuses it fails naming that replica alone, and both
+// others hold the relation.
+func TestPlacementReachesEveryReplicaPastAFailure(t *testing.T) {
+	handlers := []*echoHandler{newEchoHandler(), newEchoHandler(), newEchoHandler()}
+	var replicas []Client
+	for i, h := range handlers {
+		var hd Handler = h
+		if i == 1 {
+			hd = refuseLoads{h}
+		}
+		replicas = append(replicas, NewLocalClient("s0", hd, CostModel{}))
+	}
+	rs := NewReplicaSet("s0", replicas, nil, nil)
+	defer rs.Close()
+	_, err := rs.Call(context.Background(), &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(10)})
+	if err == nil || !strings.Contains(err.Error(), "replica 1: ") || strings.Contains(err.Error(), "replica 0") || strings.Contains(err.Error(), "replica 2") {
+		t.Fatalf("load with replica 1 refusing: %v", err)
+	}
+	for _, i := range []int{0, 2} {
+		if got := handlers[i].rels["t"]; got == nil || got.Len() != 10 {
+			t.Errorf("replica %d holds %v, want the 10 loaded rows", i, got)
+		}
 	}
 }

@@ -168,6 +168,10 @@ type Request struct {
 	BaseWhere string
 	Detail    string
 	Base      *relation.Relation
+	// SiteDisjoint claims that no two sites answer the same group of a
+	// keyed reply (Corollary 1). Whoever merges the replies, the root or a
+	// relay tier, checks it; leaf sites ignore it.
+	SiteDisjoint bool
 
 	// OpEvalRounds: the rounds to evaluate locally in sequence. None is
 	// the base round; more than one means chained local evaluation

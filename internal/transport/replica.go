@@ -325,20 +325,26 @@ func (r *ReplicaSet) failover(req *Request, a outcome, to int) {
 }
 
 // place sends a placement op to every replica in turn, charging all their
-// traffic to the call, and returns the first replica's reply.
+// traffic to the call, and returns the first replica's reply. A failing
+// replica does not keep the op from the others: the call fails naming
+// every replica that failed.
 func (r *ReplicaSet) place(ctx context.Context, req *Request) (*Response, error) {
 	var first *Response
+	var errs []error
 	for i, cl := range r.replicas {
 		resp, err := cl.Call(ctx, req)
 		if err == nil {
 			err = resp.Error()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("transport: %s replica %d: %w", r.id, i, err)
+			errs = append(errs, fmt.Errorf("transport: %s replica %d: %w", r.id, i, err))
 		}
 		if i == 0 {
 			first = resp
 		}
+	}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
 	return first, nil
 }

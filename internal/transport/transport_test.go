@@ -151,7 +151,7 @@ func TestTCPClient(t *testing.T) {
 // connection. The first call of each carries gob's type preamble for the
 // Request and Response types, and only the first.
 func TestLocalAndTCPByteParity(t *testing.T) {
-	const reqPreamble, respPreamble = 613, 473
+	const reqPreamble, respPreamble = 630, 473
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

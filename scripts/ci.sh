@@ -85,11 +85,13 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # call in process (over a pipe) and over loopback TCP, the same client and
 # server code on both. Synchronize also matches BenchmarkSynchronizeFused,
 # a fused step's keyed replies, as a site client delivers them, merged by
-# key and folded by position, each boxing only K from its frame;
+# key with the site-disjoint claim unchecked and checked, each boxing only
+# K from its frame; KeyIndex is the open-addressed key table every keyed
+# merge, distinct projection and key grouping resolves keys through;
 # PartitionAttr is the catalog's partition proof, memoized and cold;
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
 # unboxed (DecodeFrame), the form a client decodes every reply in.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|RoundTrip|PartitionAttr|DecodeFrame' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh

@@ -138,6 +138,59 @@ func TestConnectWithDegradedPartial(t *testing.T) {
 	}
 }
 
+// TestSQLRefusesPartial: with AllowPartial and a dead site, SQL — GROUP BY
+// and CUBE BY, through Cluster.SQL and a QueryService — fails naming the
+// lost site instead of answering from the survivors: a SQL result carries
+// no coverage. The same cluster's GMDJ query still degrades to a partial
+// result.
+func TestSQLRefusesPartial(t *testing.T) {
+	parts, _ := flowParts(2)
+	var sites []string
+	var servers [][]*transport.Server
+	for i := range parts {
+		entry, srvs := startFlowSite(t, fmt.Sprintf("site%d", i), parts[i], 1)
+		sites = append(sites, entry)
+		servers = append(servers, srvs)
+	}
+	cluster, err := ConnectWith(ConnectConfig{
+		Sites:      sites,
+		Settings:   Settings{CallTimeout: 10 * time.Second, AllowPartial: true},
+		Resilience: Resilience{Attempts: 1, Backoff: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	svc, err := NewQueryService(cluster, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	servers[1][0].Close() // site1 is gone, no replica
+
+	for _, q := range []string{
+		"SELECT SourceAS, count(*) AS n FROM flow GROUP BY SourceAS",
+		"SELECT SourceAS, DestAS, count(*) AS n FROM flow CUBE BY SourceAS, DestAS",
+	} {
+		for name, run := range map[string]func() (*Relation, error){
+			"SQL":   func() (*Relation, error) { return cluster.SQL(q, AllOptimizations) },
+			"serve": func() (*Relation, error) { return svc.Query(context.Background(), q) },
+		} {
+			rel, err := run()
+			if err == nil {
+				t.Errorf("%s %q: a partial execution answered\n%s", name, q, rel)
+			} else if !strings.Contains(err.Error(), "lost sites site1") {
+				t.Errorf("%s %q: error %q does not name site1", name, q, err)
+			}
+		}
+	}
+	res, err := cluster.Query(example1(), "flow", NoOptimizations)
+	if err != nil || !res.Stats.Partial() {
+		t.Fatalf("GMDJ query under AllowPartial: %v, partial %v", err, err == nil && res.Stats.Partial())
+	}
+}
+
 // TestConnectWithErrors: malformed replica entries and unreachable strict
 // sites fail at connect time.
 func TestConnectWithErrors(t *testing.T) {

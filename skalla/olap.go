@@ -145,7 +145,10 @@ func groupingSets(ctx context.Context, cluster *Cluster, detail string, dims []s
 	if err != nil {
 		return nil, fmt.Errorf("skalla: base cuboid: %w", err)
 	}
-	base := res.Relation
+	base, err := res.whole()
+	if err != nil {
+		return nil, fmt.Errorf("skalla: base cuboid: %w", err)
+	}
 
 	// Output schema: dimensions plus finalized aggregate columns.
 	outCols := make([]relation.Column, 0, len(dims)+len(aggs))

@@ -549,6 +549,15 @@ type Result struct {
 	Plan *Plan
 }
 
+// whole returns the relation of a result that lost no site: SQL and
+// grouping sets keep no ExecStats, so a partial one would pass for whole.
+func (r *Result) whole() (*Relation, error) {
+	if lost := r.Stats.LostSites(); len(lost) > 0 {
+		return nil, fmt.Errorf("skalla: partial result refused: lost sites %s", strings.Join(lost, ", "))
+	}
+	return r.Relation, nil
+}
+
 // Query plans and executes a GMDJ query against the named detail
 // relation under the given optimization options.
 func (c *Cluster) Query(q Query, detail string, opts Options) (*Result, error) {

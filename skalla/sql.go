@@ -19,6 +19,7 @@ import (
 // statements run the distributed cube. HAVING is evaluated on the
 // synchronized result at the coordinator (it references super-aggregates,
 // which exist nowhere else). The output columns follow the select list.
+// A partial execution (AllowPartial) fails, naming the lost sites.
 func (c *Cluster) SQL(query string, opts Options) (*Relation, error) {
 	return c.SQLContext(context.Background(), query, opts)
 }
@@ -66,7 +67,9 @@ func (c *Cluster) sqlStatement(ctx context.Context, st *sqlfe.Statement, opts Op
 		if err != nil {
 			return nil, err
 		}
-		rel = res.Relation
+		if rel, err = res.whole(); err != nil {
+			return nil, err
+		}
 	}
 
 	if st.Having != nil {
