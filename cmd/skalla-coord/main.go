@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/ipflow"
 	"repro/internal/obs"
 	"repro/internal/tpcr"
@@ -412,24 +413,22 @@ func buildQuery(base, where string, mds mdFlags) (skalla.Query, error) {
 	if where != "" {
 		b = b.Where(where)
 	}
+	// An -md value is "spec, ... ; condition", read on the query
+	// language's parser.
 	for _, md := range mds {
-		parts := strings.SplitN(md, ";", 2)
-		if len(parts) != 2 {
-			return skalla.Query{}, fmt.Errorf("bad -md %q, want \"aggs ; condition\"", md)
-		}
+		p := expr.NewParser(md)
 		var list skalla.AggList
-		for _, a := range strings.Split(parts[0], ",") {
-			s := strings.TrimSpace(a)
-			if s == "" {
-				continue
-			}
-			spec, err := agg.ParseSpec(s)
+		for more := true; more; more = p.Op(",") {
+			spec, err := agg.ReadSpec(p)
 			if err != nil {
-				return skalla.Query{}, err
+				return skalla.Query{}, fmt.Errorf("bad -md %q: %w", md, err)
 			}
 			list = append(list, spec)
 		}
-		b = b.MD(list, strings.TrimSpace(parts[1]))
+		if !p.Op(";") {
+			return skalla.Query{}, p.Errorf("bad -md %q, want \"aggs ; condition\"", md)
+		}
+		b = b.MD(list, p.Text(p.Pos(), len(md)))
 	}
 	return b.Build()
 }

@@ -71,6 +71,27 @@ func TestBuildQuery(t *testing.T) {
 	}
 }
 
+// TestBuildQueryCallsWithCommas: an -md aggregate list is read by the query
+// language's parser, so a call's own commas (a multi-argument function, an
+// IN list) and a ';' inside a string stay in the call.
+func TestBuildQueryCallsWithCommas(t *testing.T) {
+	q, err := buildQuery("CustName", "", mdFlags{
+		"sum(least(F.Quantity, 10)) AS s, count(CASE WHEN F.RegionKey IN (1, 2) THEN 1 END) -> c ; " +
+			"F.CustName = B.CustName AND F.MktSegment != 'a;b'",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := q.MDs[0].Specs()
+	if len(specs) != 2 || specs[0].String() != "sum(least(F.Quantity, 10)) AS s" ||
+		specs[1].String() != "count(CASE WHEN F.RegionKey IN (1, 2) THEN 1 END) AS c" {
+		t.Errorf("specs: %v", specs)
+	}
+	if got := q.MDs[0].Thetas[0].String(); got != "F.CustName = B.CustName AND F.MktSegment != 'a;b'" {
+		t.Errorf("condition: %s", got)
+	}
+}
+
 func TestMDFlags(t *testing.T) {
 	var m mdFlags
 	m.Set("one")

@@ -87,70 +87,69 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s(%s) AS %s", s.Func, arg, s.As)
 }
 
-// ParseSpec parses the wire form produced by Spec.String. The paper's
-// arrow notation "cnt(*) -> cnt1" is accepted as well.
+// ParseSpec parses the wire form produced by Spec.String: an aggregate
+// call, AS, and the output name. The paper's arrow notation
+// "cnt(*) -> cnt1" is accepted as well.
 func ParseSpec(in string) (Spec, error) {
-	src := strings.TrimSpace(in)
-	// Normalize "->" to " AS ".
-	if i := strings.LastIndex(src, "->"); i >= 0 {
-		src = src[:i] + " AS " + src[i+2:]
+	p := expr.NewParser(strings.TrimSpace(in))
+	s, err := ReadSpec(p)
+	if err == nil {
+		err = p.Done()
 	}
-	asIdx := lastIndexASCIIFold(src, " AS ")
-	if asIdx < 0 {
-		return Spec{}, fmt.Errorf("agg: %q: missing AS clause", in)
-	}
-	name := strings.TrimSpace(src[asIdx+4:])
-	if name == "" {
-		return Spec{}, fmt.Errorf("agg: %q: empty output name", in)
-	}
-	call := strings.TrimSpace(src[:asIdx])
-	open := strings.Index(call, "(")
-	if open < 0 || !strings.HasSuffix(call, ")") {
-		return Spec{}, fmt.Errorf("agg: %q: expected func(arg)", in)
-	}
-	fname := strings.ToLower(strings.TrimSpace(call[:open]))
-	f, ok := funcByName[fname]
-	if !ok {
-		return Spec{}, fmt.Errorf("agg: %q: unknown aggregate function %q", in, fname)
-	}
-	argStr := strings.TrimSpace(call[open+1 : len(call)-1])
-	if argStr == "*" || argStr == "" {
-		if f != Count {
-			return Spec{}, fmt.Errorf("agg: %q: only count may take *", in)
-		}
-		return Spec{Func: Count, As: name}, nil
-	}
-	arg, err := expr.Parse(argStr)
 	if err != nil {
-		return Spec{}, fmt.Errorf("agg: %q: %w", in, err)
+		return Spec{}, fmt.Errorf("spec %q: %w", in, err)
 	}
-	return Spec{Func: f, Arg: arg, As: name}, nil
+	return s, nil
 }
 
-// lastIndexASCIIFold finds the last occurrence of pattern in s comparing
-// bytes ASCII-case-insensitively. Unlike searching strings.ToUpper(s),
-// byte positions stay valid for arbitrary (even non-UTF-8) input.
-func lastIndexASCIIFold(s, pattern string) int {
-	for i := len(s) - len(pattern); i >= 0; i-- {
-		match := true
-		for j := 0; j < len(pattern); j++ {
-			a, b := s[i+j], pattern[j]
-			if 'A' <= a && a <= 'Z' {
-				a += 'a' - 'A'
-			}
-			if 'A' <= b && b <= 'Z' {
-				b += 'a' - 'A'
-			}
-			if a != b {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
+// ReadSpec reads one spec, "func(arg) AS name" or "func(arg) -> name",
+// from p.
+func ReadSpec(p *expr.Parser) (Spec, error) {
+	s, err := ParseCall(p)
+	if err != nil {
+		return Spec{}, err
 	}
-	return -1
+	if !p.Word("AS") && !p.Op("->") {
+		return Spec{}, p.Errorf("agg: expected AS or -> after %s", s.Func)
+	}
+	var ok bool
+	if s.As, ok = p.Ident(); !ok {
+		return Spec{}, p.Errorf("agg: expected an output name")
+	}
+	return s, nil
+}
+
+// ParseCall reads an aggregate call, func(*) or func(arg), from p: a Spec
+// without its output name. count() is count(*).
+func ParseCall(p *expr.Parser) (Spec, error) {
+	name, ok := p.Ident()
+	if !ok {
+		return Spec{}, p.Errorf("agg: expected an aggregate function")
+	}
+	f, ok := funcByName[strings.ToLower(name)]
+	if !ok {
+		return Spec{}, fmt.Errorf("agg: unknown aggregate function %q", name)
+	}
+	if !p.Op("(") {
+		return Spec{}, p.Errorf("agg: expected ( after %s", name)
+	}
+	if star := p.Op("*"); star || p.Op(")") {
+		if star && !p.Op(")") {
+			return Spec{}, p.Errorf("agg: expected ) after *")
+		}
+		if f != Count {
+			return Spec{}, fmt.Errorf("agg: only count may take *")
+		}
+		return Spec{Func: Count}, nil
+	}
+	arg, err := p.Expr()
+	if err != nil {
+		return Spec{}, err
+	}
+	if !p.Op(")") {
+		return Spec{}, p.Errorf("agg: expected ) after the argument of %s", name)
+	}
+	return Spec{Func: f, Arg: arg}, nil
 }
 
 // MustParseSpec is ParseSpec but panics on error; for tests and literals.

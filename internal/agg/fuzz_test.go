@@ -5,11 +5,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/value"
 )
 
-// FuzzParseSpec asserts the aggregate-spec parser never panics and that
-// the wire form is a fixpoint.
+// FuzzParseSpec asserts the aggregate-spec parser never panics, that the
+// wire form is a fixpoint, and that the wire form carries any argument the
+// expression parser accepts: for every expression e, the spec over e parses
+// back to e. A string holding "->" or " AS " is an argument like any other.
 func FuzzParseSpec(f *testing.F) {
 	seeds := []string{
 		"count(*) AS cnt1",
@@ -18,11 +21,23 @@ func FuzzParseSpec(f *testing.F) {
 		"sum(x * (1 - y)) AS revenue",
 		"countd(ip) AS uniq",
 		"stddev(v) AS sd",
+		"'->'",
+		"CASE WHEN F.Sales > 0 THEN ' AS ' ELSE F.Product END",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
+		if e, err := expr.Parse(input); err == nil {
+			wire := Spec{Func: Max, Arg: e, As: "m"}.String()
+			spec, err := ParseSpec(wire)
+			if err != nil {
+				t.Fatalf("spec over %q does not parse: %q: %v", input, wire, err)
+			}
+			if got := spec.Arg.String(); got != e.String() {
+				t.Fatalf("spec over %q: %q parses to argument %q", e, wire, got)
+			}
+		}
 		spec, err := ParseSpec(input)
 		if err != nil {
 			return

@@ -613,10 +613,14 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 
 	// Consume arrivals; merge each as soon as it lands. Site failures are
 	// fatal in strict mode but only coverage loss in degraded mode; merge
-	// failures (corrupt or inconsistent fragments) are always fatal.
+	// failures (corrupt or inconsistent fragments), here or at a relay
+	// below, are always fatal.
 	var mergeErr error
 	for it := range stream {
 		rs.add(it.SiteRound)
+		if errors.Is(it.err, transport.ErrInconsistent) && mergeErr == nil {
+			mergeErr = it.err
+		}
 		if it.err != nil {
 			firstErr = betterErr(firstErr, it.err)
 			continue
@@ -624,7 +628,7 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		t0 := time.Now()
 		if mergeErr == nil && (c.AllowPartial || firstErr == nil) {
 			if err := mergeFragment(it.Site, it.resp); err != nil {
-				mergeErr = fmt.Errorf("site %s fragment: %w", it.Site, err)
+				mergeErr = fmt.Errorf("site %s fragment: %w: %w", it.Site, err, transport.ErrInconsistent)
 			}
 		}
 		mergeTime += time.Since(t0)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -230,7 +231,9 @@ func violatedCluster(t *testing.T, relays bool, to int) (*Coordinator, *catalog.
 // naming the key and both sites: in process, through a relay tree where
 // the two sites are under different relays (the root checks), and where
 // they are under one relay (that relay checks, and names no attributes:
-// it knows none). The same plan without the claim absorbs the lie.
+// it knows none), with and without AllowPartial: a relay's failed merge
+// reaches the root as ErrInconsistent, never as a lost site. The same plan
+// without the claim absorbs the lie.
 func TestDisjointClaimViolated(t *testing.T) {
 	single := gmdj.Query{Base: gmdj.BaseDef{Cols: []string{"CustName"}}, MDs: []gmdj.MD{{
 		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS n"), agg.MustParseSpec("avg(F.Quantity) AS avg_qty")}},
@@ -263,16 +266,25 @@ func TestDisjointClaimViolated(t *testing.T) {
 			if !plan.Steps[0].disjoint() {
 				t.Fatalf("%s: the first step claims nothing:\n%s", label, plan.Explain())
 			}
-			x, _, err := coord.Execute(context.Background(), plan)
-			if err == nil {
-				t.Fatalf("%s: a violated partition claim returned %d groups", label, x.Len())
-			}
-			msg := err.Error()
-			for _, want := range append([]string{"(CustName=" + name + ")"}, tc.names...) {
-				if !strings.Contains(msg, want) {
-					t.Errorf("%s: error %q does not name %q", label, msg, want)
+			// A merge failure is fatal under AllowPartial too: the sites
+			// answered, and no subset of their answers is the result.
+			for _, partial := range []bool{false, true} {
+				coord.AllowPartial = partial
+				x, _, err := coord.Execute(context.Background(), plan)
+				if err == nil {
+					t.Fatalf("%s (partial %t): a violated partition claim returned %d groups", label, partial, x.Len())
+				}
+				if !errors.Is(err, transport.ErrInconsistent) {
+					t.Errorf("%s (partial %t): error %v is not ErrInconsistent", label, partial, err)
+				}
+				msg := err.Error()
+				for _, want := range append([]string{"(CustName=" + name + ")"}, tc.names...) {
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s (partial %t): error %q does not name %q", label, partial, msg, want)
+					}
 				}
 			}
+			coord.AllowPartial = false
 			if qc.name == "single" {
 				x, _, err := coord.Execute(context.Background(), withoutClaim(plan))
 				if err != nil {

@@ -8,6 +8,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/value"
@@ -107,9 +108,13 @@ func (b Binary) precedence() int {
 }
 
 // String renders a literal; strings are single-quoted with ” escaping.
+// A float −0 renders as -0.0: "-0" would read back as the integer 0.
 func (c Const) String() string {
-	if c.Val.K == value.KindString {
+	switch {
+	case c.Val.K == value.KindString:
 		return "'" + strings.ReplaceAll(c.Val.S, "'", "''") + "'"
+	case c.Val.K == value.KindFloat && c.Val.Float() == 0 && math.Signbit(c.Val.Float()):
+		return "-0.0"
 	}
 	return c.Val.String()
 }

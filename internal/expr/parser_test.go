@@ -67,6 +67,7 @@ func TestParseRoundTrip(t *testing.T) {
 		"x BETWEEN 1 AND 10 OR y NOT BETWEEN -5 AND 5",
 		"(a + b) * (c - d) <= 10.25",
 		"s = 'it''s'",
+		"1 % -0.0",
 	}
 	for _, in := range inputs {
 		e1, err := Parse(in)

@@ -2,28 +2,30 @@
 // paper assigns to the query generator, which "constructs query plans
 // from the OLAP queries" before Egil optimizes them as GMDJ expressions.
 //
-// Supported statement shape:
+// The grammar, read by recursive descent over the expression language's
+// tokens (expr.Parser); keywords in any case, a trailing ";" tolerated:
 //
-//	[EXPLAIN [ANALYZE]]
-//	SELECT <cols and aggregates>
-//	FROM <relation>
-//	[WHERE <condition over detail columns>]
-//	{GROUP BY <cols> | CUBE BY <cols> | ROLLUP BY <cols>}
-//	[HAVING <condition over the result columns>]
-//	[ORDER BY <col [ASC|DESC]>, ...]
-//	[LIMIT <n>]
+//	statement = [EXPLAIN [ANALYZE]] SELECT item {"," item} FROM name
+//	            [WHERE expr] (GROUP | CUBE | ROLLUP) BY name {"," name}
+//	            [HAVING expr] [ORDER BY key {"," key}] [LIMIT int]
+//	item      = name [AS name] | call [AS name]
+//	call      = aggregate "(" ("*" | expr) ")"     (agg.ParseCall)
+//	key       = name [ASC | DESC]
 //
-// Aggregates are count/sum/avg/min/max/var/stddev/countd over detail
-// expressions; every non-aggregate select item must appear in the
-// grouping columns. GROUP BY compiles to a single-MD GMDJ query (group
-// equality plus the WHERE condition as θ); CUBE BY marks the statement
-// for data-cube execution. HAVING is returned as a predicate over the
-// result relation, applied after synchronization (it references
-// super-aggregates, which only exist at the coordinator).
+// A name is an identifier; expr is an expression (expr.Parse). A column
+// item must be a grouping column and keeps its name; an unnamed call is
+// named from its text (avg(Quantity) → avg_quantity). HAVING may name the
+// grouping columns and aggregates, ORDER BY the select list. GROUP BY
+// compiles to a single-MD GMDJ query (group equality plus the WHERE
+// condition as θ); CUBE and ROLLUP mark the statement for grouping-sets
+// execution. HAVING is returned as a predicate over the result relation,
+// applied after synchronization (it references super-aggregates, which
+// only exist at the coordinator).
 package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/agg"
@@ -119,435 +121,206 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // Parse parses one statement. A trailing semicolon is tolerated. Every
 // returned error is a *ParseError.
 func Parse(input string) (*Statement, error) {
-	input = strings.TrimSpace(input)
-	input = strings.TrimSuffix(input, ";")
-	toks, err := lex(input)
-	if err != nil {
-		return nil, &ParseError{Err: err}
-	}
-	p := &parser{input: input, toks: toks}
-	st, err := p.parse()
+	st, err := parse(expr.NewParser(strings.TrimSpace(input)))
 	if err != nil {
 		return nil, &ParseError{Err: err}
 	}
 	return st, nil
 }
 
-// token kinds for the SQL splitter.
-type tokKind int
-
-const (
-	tokEOF tokKind = iota
-	tokWord
-	tokString
-	tokPunct
-)
-
-type token struct {
-	kind tokKind
-	text string
-	pos  int
+// selectItem is one entry of the select list: a column col with its alias
+// as, if any, or an aggregate spec when col is empty.
+type selectItem struct {
+	col, as string
+	spec    agg.Spec
 }
 
-// lex splits the input into words, quoted strings, and punctuation,
-// preserving original spelling (expr.Parse re-parses the fragments).
-func lex(s string) ([]token, error) {
-	var toks []token
-	i := 0
-	for i < len(s) {
-		c := s[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '\'':
-			start := i
-			i++
-			for {
-				if i >= len(s) {
-					return nil, fmt.Errorf("sql: unterminated string at offset %d", start)
-				}
-				if s[i] == '\'' {
-					if i+1 < len(s) && s[i+1] == '\'' {
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				i++
-			}
-			toks = append(toks, token{tokString, s[start:i], start})
-		case isWordChar(c) || c == '.':
-			start := i
-			for i < len(s) && (isWordChar(s[i]) || s[i] == '.') {
-				i++
-			}
-			toks = append(toks, token{tokWord, s[start:i], start})
-		default:
-			// Two-character operators stay glued so expr.Parse sees them.
-			if i+1 < len(s) {
-				two := s[i : i+2]
-				switch two {
-				case "<=", ">=", "!=", "<>", "==", "&&", "||":
-					toks = append(toks, token{tokPunct, two, i})
-					i += 2
-					continue
-				}
-			}
-			toks = append(toks, token{tokPunct, s[i : i+1], i})
-			i++
+func parse(p *expr.Parser) (*Statement, error) {
+	st := &Statement{}
+	if p.Word("EXPLAIN") {
+		st.Explain = true
+		st.Analyze = p.Word("ANALYZE")
+	}
+	if !p.Word("SELECT") {
+		return nil, p.Errorf("sql: expected SELECT")
+	}
+	var items []selectItem
+	used := map[string]bool{}
+	for more := true; more; more = p.Op(",") {
+		it, err := parseSelectItem(p, used)
+		if err != nil {
+			return nil, err
 		}
+		items = append(items, it)
 	}
-	toks = append(toks, token{tokEOF, "", len(s)})
-	return toks, nil
-}
-
-func isWordChar(c byte) bool {
-	return c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
-}
-
-type parser struct {
-	input string
-	toks  []token
-	pos   int
-}
-
-func (p *parser) peek() token { return p.toks[p.pos] }
-
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
+	if !p.Word("FROM") {
+		return nil, p.Errorf("sql: expected FROM")
 	}
-	return t
-}
-
-// acceptWord consumes the next token if it is the given keyword.
-func (p *parser) acceptWord(word string) bool {
-	t := p.peek()
-	if t.kind == tokWord && strings.EqualFold(t.text, word) {
-		p.pos++
-		return true
+	var ok bool
+	if st.Detail, ok = p.Ident(); !ok {
+		return nil, p.Errorf("sql: expected relation name after FROM")
 	}
-	return false
-}
-
-func (p *parser) expectWord(word string) error {
-	if !p.acceptWord(word) {
-		t := p.peek()
-		return fmt.Errorf("sql: expected %s, found %q at offset %d", word, t.text, t.pos)
-	}
-	return nil
-}
-
-// atClauseKeyword reports whether the next token starts a new clause.
-func (p *parser) atClauseKeyword() bool {
-	t := p.peek()
-	if t.kind != tokWord {
-		return false
-	}
-	switch strings.ToUpper(t.text) {
-	case "FROM", "WHERE", "GROUP", "CUBE", "ROLLUP", "HAVING", "ORDER", "LIMIT":
-		return true
-	}
-	return false
-}
-
-// collectUntilClause gathers raw text until the next top-level clause
-// keyword (respecting parenthesis depth) and returns it.
-func (p *parser) collectUntilClause() string {
-	depth := 0
-	start := -1
-	end := -1
-	for {
-		t := p.peek()
-		if t.kind == tokEOF {
-			break
-		}
-		if depth == 0 && p.atClauseKeyword() {
-			break
-		}
-		if t.kind == tokPunct {
-			if t.text == "(" {
-				depth++
-			}
-			if t.text == ")" {
-				depth--
-			}
-		}
-		if start < 0 {
-			start = t.pos
-		}
-		end = t.pos + len(t.text)
-		p.next()
-	}
-	if start < 0 {
-		return ""
-	}
-	return p.input[start:end]
-}
-
-// splitTopLevel splits raw text on top-level commas.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth := 0
-	inStr := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			if c == '\'' {
-				if i+1 < len(s) && s[i+1] == '\'' {
-					i++
-					continue
-				}
-				inStr = false
-			}
-			continue
-		}
-		switch c {
-		case '\'':
-			inStr = true
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
-}
-
-func (p *parser) parse() (*Statement, error) {
-	explain, analyze := false, false
-	if p.acceptWord("EXPLAIN") {
-		explain = true
-		analyze = p.acceptWord("ANALYZE")
-	}
-	if err := p.expectWord("SELECT"); err != nil {
-		return nil, err
-	}
-	selectRaw := p.collectUntilClause()
-	if strings.TrimSpace(selectRaw) == "" {
-		return nil, fmt.Errorf("sql: empty select list")
-	}
-	if err := p.expectWord("FROM"); err != nil {
-		return nil, err
-	}
-	fromTok := p.next()
-	if fromTok.kind != tokWord {
-		return nil, fmt.Errorf("sql: expected relation name after FROM, found %q", fromTok.text)
-	}
-
-	st := &Statement{Explain: explain, Analyze: analyze, Detail: fromTok.text}
-
-	if p.acceptWord("WHERE") {
-		raw := p.collectUntilClause()
-		w, err := expr.Parse(raw)
+	if p.Word("WHERE") {
+		w, err := p.Expr()
 		if err != nil {
 			return nil, fmt.Errorf("sql: WHERE: %w", err)
 		}
 		st.Where = qualifyDetail(w)
 	}
-
 	switch {
-	case p.acceptWord("GROUP"):
-		if err := p.expectWord("BY"); err != nil {
-			return nil, err
-		}
-	case p.acceptWord("CUBE"):
-		if err := p.expectWord("BY"); err != nil {
-			return nil, err
-		}
+	case p.Word("GROUP"):
+	case p.Word("CUBE"):
 		st.Cube = true
-	case p.acceptWord("ROLLUP"):
-		if err := p.expectWord("BY"); err != nil {
-			return nil, err
-		}
+	case p.Word("ROLLUP"):
 		st.Rollup = true
 	default:
-		return nil, fmt.Errorf("sql: statement needs GROUP BY, CUBE BY, or ROLLUP BY")
+		return nil, p.Errorf("sql: statement needs GROUP BY, CUBE BY, or ROLLUP BY")
 	}
-	for _, col := range splitTopLevel(p.collectUntilClause()) {
-		if col == "" || strings.ContainsAny(col, " ()") {
-			return nil, fmt.Errorf("sql: bad grouping column %q", col)
+	if !p.Word("BY") {
+		return nil, p.Errorf("sql: expected BY")
+	}
+	for more := true; more; more = p.Op(",") {
+		col, ok := p.Ident()
+		if !ok {
+			return nil, p.Errorf("sql: expected a grouping column")
 		}
 		st.GroupCols = append(st.GroupCols, col)
 	}
-	if len(st.GroupCols) == 0 {
-		return nil, fmt.Errorf("sql: empty grouping column list")
+	for _, it := range items {
+		switch {
+		case it.col == "":
+			st.Aggs = append(st.Aggs, it.spec)
+			it.col = it.spec.As
+		case !hasName(st.GroupCols, it.col):
+			return nil, fmt.Errorf("sql: select column %q is not in the grouping columns", it.col)
+		case it.as != "" && it.as != it.col:
+			return nil, fmt.Errorf("sql: select column %q cannot be renamed to %q: grouping columns keep their names", it.col, it.as)
+		}
+		st.SelectCols = append(st.SelectCols, it.col)
 	}
-
-	if p.acceptWord("HAVING") {
-		raw := p.collectUntilClause()
-		h, err := expr.Parse(raw)
-		if err != nil {
+	if p.Word("HAVING") {
+		var err error
+		if st.Having, err = p.Expr(); err != nil {
 			return nil, fmt.Errorf("sql: HAVING: %w", err)
 		}
-		st.Having = h
-	}
-	if p.acceptWord("ORDER") {
-		if err := p.expectWord("BY"); err != nil {
-			return nil, err
-		}
-		for _, item := range splitTopLevel(p.collectUntilClause()) {
-			fields := strings.Fields(item)
-			switch {
-			case len(fields) == 1:
-				st.OrderBy = append(st.OrderBy, OrderKey{Col: fields[0]})
-			case len(fields) == 2 && strings.EqualFold(fields[1], "DESC"):
-				st.OrderBy = append(st.OrderBy, OrderKey{Col: fields[0], Desc: true})
-			case len(fields) == 2 && strings.EqualFold(fields[1], "ASC"):
-				st.OrderBy = append(st.OrderBy, OrderKey{Col: fields[0]})
-			default:
-				return nil, fmt.Errorf("sql: bad ORDER BY item %q", item)
+		for _, c := range expr.Cols(st.Having) {
+			isAgg := slices.ContainsFunc(st.Aggs, func(a agg.Spec) bool { return strings.EqualFold(a.As, c.Name) })
+			if c.Qual != "" || !isAgg && !hasName(st.GroupCols, c.Name) {
+				return nil, fmt.Errorf("sql: HAVING: %s is neither a grouping column nor an aggregate name", c)
 			}
 		}
-		if len(st.OrderBy) == 0 {
-			return nil, fmt.Errorf("sql: empty ORDER BY list")
+	}
+	if p.Word("ORDER") {
+		if !p.Word("BY") {
+			return nil, p.Errorf("sql: expected BY")
+		}
+		for more := true; more; more = p.Op(",") {
+			col, ok := p.Ident()
+			if !ok {
+				return nil, p.Errorf("sql: expected an ORDER BY column")
+			}
+			if !hasName(st.SelectCols, col) {
+				return nil, fmt.Errorf("sql: ORDER BY: %s is not in the select list", col)
+			}
+			desc := p.Word("DESC")
+			if !desc {
+				p.Word("ASC")
+			}
+			st.OrderBy = append(st.OrderBy, OrderKey{Col: col, Desc: desc})
 		}
 	}
-	if p.acceptWord("LIMIT") {
-		nt := p.next()
-		n := 0
-		if _, err := fmt.Sscanf(nt.text, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("sql: bad LIMIT %q", nt.text)
+	if p.Word("LIMIT") {
+		n, ok := p.Int()
+		if !ok || n <= 0 {
+			return nil, p.Errorf("sql: LIMIT needs a positive integer")
 		}
-		st.Limit = n
+		st.Limit = int(n)
 	}
-	if t := p.peek(); t.kind != tokEOF && t.text != ";" {
-		return nil, fmt.Errorf("sql: unexpected %q at offset %d", t.text, t.pos)
-	}
-
-	if err := st.parseSelectList(selectRaw); err != nil {
-		return nil, err
+	p.Op(";")
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("sql: %w", err)
 	}
 	return st, nil
 }
 
-// parseSelectList resolves select items into grouping-column references
-// and aggregate specs.
-func (st *Statement) parseSelectList(raw string) error {
-	groupSet := map[string]bool{}
-	for _, c := range st.GroupCols {
-		groupSet[strings.ToLower(c)] = true
-	}
-	used := map[string]bool{}
-	for _, item := range splitTopLevel(raw) {
-		if item == "" {
-			return fmt.Errorf("sql: empty select item")
-		}
-		if !strings.Contains(item, "(") {
-			// Plain column, optionally aliased (alias must match — we do
-			// not rename grouping columns).
-			name := item
-			if i := indexFoldWord(item, "AS"); i >= 0 {
-				name = strings.TrimSpace(item[:i])
-			}
-			if !groupSet[strings.ToLower(name)] {
-				return fmt.Errorf("sql: select column %q is not in the grouping columns", name)
-			}
-			st.SelectCols = append(st.SelectCols, name)
-			continue
-		}
-		spec, err := parseAggItem(item, used)
-		if err != nil {
-			return err
-		}
-		if spec.Arg != nil {
-			spec.Arg = qualifyDetail(spec.Arg)
-		}
-		st.Aggs = append(st.Aggs, spec)
-		st.SelectCols = append(st.SelectCols, spec.As)
-	}
-	return nil
+// hasName reports whether names holds name, in any case, as a relation
+// schema finds its columns.
+func hasName(names []string, name string) bool {
+	return slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, name) })
 }
 
-// parseAggItem parses "func(arg) [AS alias]" with alias autogeneration.
-func parseAggItem(item string, used map[string]bool) (agg.Spec, error) {
-	text := item
-	if indexFoldWord(item, "AS") < 0 {
-		// Autogenerate an alias from the call: avg(Quantity) → avg_quantity.
-		open := strings.Index(item, "(")
-		fn := strings.ToLower(strings.TrimSpace(item[:open]))
-		argPart := strings.TrimSuffix(strings.TrimSpace(item[open+1:]), ")")
-		alias := fn
-		argName := strings.ToLower(strings.TrimSpace(argPart))
-		if argName != "*" && argName != "" {
-			clean := strings.Map(func(r rune) rune {
-				switch {
-				case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
-					return r
-				case r == '.':
-					return '_'
-				default:
-					return -1
-				}
-			}, argName)
-			if clean != "" {
-				alias += "_" + clean
-			}
+// parseSelectItem reads a column or an aggregate call, either with an
+// optional "AS name". An unnamed call is named from its source text,
+// avg(Quantity) → avg_quantity, with _2, _3 ... on repeats; used holds the
+// aggregates' output names so far.
+func parseSelectItem(p *expr.Parser, used map[string]bool) (selectItem, error) {
+	if !p.AtCall() {
+		col, ok := p.Ident()
+		if !ok {
+			return selectItem{}, p.Errorf("sql: expected a column or an aggregate")
 		}
-		base := alias
-		for i := 2; used[alias]; i++ {
-			alias = fmt.Sprintf("%s_%d", base, i)
-		}
-		text = item + " AS " + alias
+		as, err := alias(p)
+		return selectItem{col: col, as: as}, err
 	}
-	spec, err := agg.ParseSpec(text)
+	from := p.Pos()
+	spec, err := agg.ParseCall(p)
 	if err != nil {
-		return agg.Spec{}, fmt.Errorf("sql: select item %q: %w", item, err)
+		return selectItem{}, fmt.Errorf("sql: select item: %w", err)
+	}
+	if spec.Arg != nil {
+		spec.Arg = qualifyDetail(spec.Arg)
+	}
+	if spec.As, err = alias(p); err != nil {
+		return selectItem{}, err
+	}
+	if spec.As == "" {
+		spec.As = defaultAlias(strings.TrimSpace(p.Text(from, p.Pos())), used)
 	}
 	if used[spec.As] {
-		return agg.Spec{}, fmt.Errorf("sql: duplicate output column %q", spec.As)
+		return selectItem{}, fmt.Errorf("sql: duplicate output column %q", spec.As)
 	}
 	used[spec.As] = true
-	return spec, nil
+	return selectItem{spec: spec}, nil
 }
 
-// indexFoldWord finds a standalone (space-delimited) keyword,
-// case-insensitively, outside parentheses and strings.
-func indexFoldWord(s, word string) int {
-	depth := 0
-	inStr := false
-	for i := 0; i+len(word) <= len(s); i++ {
-		c := s[i]
-		if inStr {
-			if c == '\'' {
-				inStr = false
+// alias reads an optional "AS name".
+func alias(p *expr.Parser) (string, error) {
+	if !p.Word("AS") {
+		return "", nil
+	}
+	if name, ok := p.Ident(); ok {
+		return name, nil
+	}
+	return "", p.Errorf("sql: expected a name after AS")
+}
+
+// defaultAlias names an aggregate call from its text: the function name,
+// then the argument's letters, digits and underscores, dots as
+// underscores, all lower-cased.
+func defaultAlias(call string, used map[string]bool) string {
+	open := strings.Index(call, "(")
+	alias := strings.ToLower(strings.TrimSpace(call[:open]))
+	arg := strings.ToLower(strings.TrimSpace(strings.TrimSuffix(call[open+1:], ")")))
+	if arg != "*" && arg != "" {
+		clean := strings.Map(func(r rune) rune {
+			switch {
+			case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
+				return r
+			case r == '.':
+				return '_'
+			default:
+				return -1
 			}
-			continue
-		}
-		switch c {
-		case '\'':
-			inStr = true
-			continue
-		case '(':
-			depth++
-			continue
-		case ')':
-			depth--
-			continue
-		}
-		if depth != 0 {
-			continue
-		}
-		if !strings.EqualFold(s[i:i+len(word)], word) {
-			continue
-		}
-		beforeOK := i == 0 || s[i-1] == ' ' || s[i-1] == '\t'
-		afterIdx := i + len(word)
-		afterOK := afterIdx == len(s) || s[afterIdx] == ' ' || s[afterIdx] == '\t'
-		if beforeOK && afterOK {
-			return i
+		}, arg)
+		if clean != "" {
+			alias += "_" + clean
 		}
 	}
-	return -1
+	base := alias
+	for i := 2; used[alias]; i++ {
+		alias = fmt.Sprintf("%s_%d", base, i)
+	}
+	return alias
 }
 
 // qualifyDetail rewrites unqualified column references to the detail

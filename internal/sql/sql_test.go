@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -148,8 +149,12 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t GROUP BY a HAVING ((", // bad having
 		"SELECT a FROM t GROUP BY a extra",     // trailing junk
 		"SELECT a, count(*) AS a2, count(*) AS a2 FROM t GROUP BY a", // dup alias
-		"SELECT 'oops",                 // unterminated string
-		"SELECT a FROM t GROUP BY a b", // bad group col
+		"SELECT 'oops",                                             // unterminated string
+		"SELECT a FROM t GROUP BY a b",                             // bad group col
+		"SELECT a AS b FROM t GROUP BY a",                          // a grouping column keeps its name
+		"SELECT a, count(*) AS n FROM t GROUP BY a ORDER BY m",     // not in the select list
+		"SELECT a, count(*) AS n FROM t GROUP BY a HAVING m > 1",   // not a result column
+		"SELECT a, count(*) AS n FROM t GROUP BY a HAVING t.n > 1", // qualified
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
@@ -171,5 +176,39 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 func TestSemicolonTolerated(t *testing.T) {
 	if _, err := Parse("SELECT a, count(*) FROM t GROUP BY a;"); err != nil {
 		t.Errorf("trailing semicolon rejected: %v", err)
+	}
+}
+
+// TestParseRename: a grouping column may repeat its own name after AS, and
+// renaming it is refused, since the result column keeps the grouping name.
+func TestParseRename(t *testing.T) {
+	if _, err := Parse("SELECT Region AS Region, count(*) FROM sales GROUP BY Region"); err != nil {
+		t.Errorf("an alias repeating the column: %v", err)
+	}
+	_, err := Parse("SELECT Region AS r, count(*) FROM sales GROUP BY Region")
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Errorf("renamed grouping column: %v, want a *ParseError", err)
+	}
+}
+
+// TestParseCallSyntax: aggregate calls in the select list are read by the
+// expression grammar, so commas, keywords and arrows inside a call stay in
+// it, and a keyword may touch punctuation.
+func TestParseCallSyntax(t *testing.T) {
+	for in, want := range map[string]string{
+		"SELECT a, sum(least(x, 10)) AS s FROM t GROUP BY a":                         "sum(least(F.x, 10)) AS s",
+		"SELECT a, count(x IN (1, 2)) FROM t GROUP BY a":                             "count(F.x IN (1, 2)) AS count_xin12",
+		"SELECT a, max(CASE WHEN x > 0 THEN '->' ELSE y END) AS m FROM t GROUP BY a": "max(CASE WHEN F.x > 0 THEN '->' ELSE F.y END) AS m",
+		"SELECT a,count(*)AS n FROM t GROUP BY a":                                    "count(*) AS n",
+	} {
+		st, err := Parse(in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", in, err)
+			continue
+		}
+		if got := st.Aggs[0].String(); got != want {
+			t.Errorf("Parse(%q): aggregate %s, want %s", in, got, want)
+		}
 	}
 }

@@ -36,6 +36,11 @@ var (
 	// ErrDraining: the site is shutting down gracefully and no longer
 	// accepts new requests (in-flight requests still complete).
 	ErrDraining = errors.New("transport: site draining")
+	// ErrInconsistent: a merge of the sites' replies failed, at the root
+	// or at a relay (a violated partition claim, a malformed fragment).
+	// The sites answered; their answers do not add up, so no replica or
+	// partial result can mend it.
+	ErrInconsistent = errors.New("transport: inconsistent fragments")
 )
 
 // Response.Code values classifying site-side errors on the wire.
@@ -47,6 +52,8 @@ const (
 	CodeOverloaded = 1
 	// CodeDraining maps to ErrDraining.
 	CodeDraining = 2
+	// CodeInconsistent maps to ErrInconsistent.
+	CodeInconsistent = 3
 )
 
 // ErrCode classifies an error chain into a wire code, the inverse of
@@ -57,6 +64,8 @@ func ErrCode(err error) int {
 		return CodeOverloaded
 	case errors.Is(err, ErrDraining):
 		return CodeDraining
+	case errors.Is(err, ErrInconsistent):
+		return CodeInconsistent
 	default:
 		return CodeOK
 	}
@@ -351,6 +360,8 @@ func (r *Response) Error() error {
 		return fmt.Errorf("site error: %s: %w", r.Err, ErrOverloaded)
 	case CodeDraining:
 		return fmt.Errorf("site error: %s: %w", r.Err, ErrDraining)
+	case CodeInconsistent:
+		return fmt.Errorf("site error: %s: %w", r.Err, ErrInconsistent)
 	default:
 		return fmt.Errorf("site error: %s", r.Err)
 	}

@@ -49,6 +49,9 @@ go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./i
 # the replica layer's failover under hedging and placement on every replica.
 go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica)' ./skalla
 
+echo "== fuzz smoke (expression parser) =="
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/expr
+
 echo "== fuzz smoke (agg spec parser) =="
 go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg
 
@@ -90,8 +93,10 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # merge, distinct projection and key grouping resolves keys through;
 # PartitionAttr is the catalog's partition proof, memoized and cold;
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
-# unboxed (DecodeFrame), the form a client decodes every reply in.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog > /dev/null
+# unboxed (DecodeFrame), the form a client decodes every reply in;
+# ParseSpec is the workloads' aggregate specs, parsed by every site on
+# every request, and SQLParse three statements of the serve mix.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh

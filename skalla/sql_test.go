@@ -260,3 +260,39 @@ func TestSQLCubeRefusesOversizedCube(t *testing.T) {
 		t.Errorf("%d site call(s) made for a refused cube", n-sent)
 	}
 }
+
+// TestSQLNamesCheckedAtParse: an ORDER BY key outside the select list and a
+// HAVING column that is neither a grouping column nor an aggregate are
+// parse errors, so the service answers 400 "parse" before any query runs.
+func TestSQLNamesCheckedAtParse(t *testing.T) {
+	o := obs.New()
+	cluster, err := NewLocalCluster(ClusterConfig{Sites: 2, Settings: Settings{Obs: o}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if _, err := cluster.Generate("tpcr", "tpcr", tpcr.GenParams(tpcr.Config{Rows: 200, Customers: 10, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, stmt := range []string{
+		"SELECT CustName, count(*) AS n FROM tpcr GROUP BY CustName ORDER BY zzz",
+		"SELECT CustName, count(*) AS n FROM tpcr GROUP BY CustName HAVING zzz > 1",
+		"SELECT CustName, count(*) AS n FROM tpcr GROUP BY CustName HAVING F.n > 1",
+		"SELECT RegionKey, count(*) AS n FROM tpcr CUBE BY RegionKey ORDER BY CustName",
+	} {
+		queries := o.Metrics.CounterValue("coord.queries")
+		w := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/query?q="+url.QueryEscape(stmt), nil))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"parse"`) {
+			t.Errorf("%s: HTTP %d %s, want 400 parse", stmt, w.Code, w.Body.String())
+		}
+		if n := o.Metrics.CounterValue("coord.queries"); n != queries {
+			t.Errorf("%s: %d queries ran", stmt, n-queries)
+		}
+	}
+}
