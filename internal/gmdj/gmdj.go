@@ -132,10 +132,6 @@ type SubOpts struct {
 	// It is positive iff |RNG(b, R, θ_1 ∨ ... ∨ θ_m)| > 0, the test of
 	// Proposition 1 (distribution-independent group reduction).
 	Touched bool
-	// StatesOnly leaves B's columns out of the result: row i holds base
-	// row i's appended columns alone, for a caller that already knows
-	// which base row it answers.
-	StatesOnly bool
 	// Workers bounds the evaluation's parallelism; <= 0 means GOMAXPROCS.
 	Workers int
 	// Obs, when set, receives the vec.batches / vec.rows /
@@ -164,13 +160,13 @@ func Eval(b, r *relation.Relation, md MD) (*relation.Relation, error) {
 }
 
 // EvalSub computes the sub-aggregate GMDJ of Theorem 1: the result schema
-// is B's columns (left out with StatesOnly) followed by primitive state
-// columns per aggregate (and optionally finalized columns and the touched
-// count). Primitive states from disjoint partitions of R merge at the
-// coordinator into the same result Eval would give on the whole of R. It
-// runs on the columnar kernels of internal/vec; the row-at-a-time eval is
-// the reference the tests compare it against, and a detail relation whose
-// values violate its declared column kinds is an error.
+// is B's columns followed by primitive state columns per aggregate (and
+// optionally finalized columns and the touched count). Primitive states
+// from disjoint partitions of R merge at the coordinator into the same
+// result Eval would give on the whole of R. It runs on the columnar
+// kernels of internal/vec; the row-at-a-time eval is the reference the
+// tests compare it against, and a detail relation whose values violate
+// its declared column kinds is an error.
 func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, error) {
 	return new(Chain).EvalSub(b, r, md, opts)
 }
@@ -208,7 +204,7 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 	if err != nil {
 		return nil, err
 	}
-	return assemble(b, accs, matched, opts.StatesOnly, true, opts.Finalize, opts.Touched)
+	return assemble(b, accs, matched, true, opts.Finalize, opts.Touched)
 }
 
 // EvalStates evaluates md over the detail batch like EvalSub but boxes
@@ -223,13 +219,10 @@ func (c *Chain) EvalStates(b *relation.Relation, detail *vec.Batch, md MD, opts 
 }
 
 // outputSchema builds the result schema shared by both engines: base
-// columns (unless statesOnly), then per-spec prim columns and/or
-// finalized columns, then the touched counter.
-func outputSchema(base *relation.Schema, specs []agg.Spec, statesOnly, prims, final, touched bool) (*relation.Schema, error) {
-	var outCols []relation.Column
-	if !statesOnly {
-		outCols = append(outCols, base.Cols...)
-	}
+// columns, then per-spec prim columns and/or finalized columns, then the
+// touched counter.
+func outputSchema(base *relation.Schema, specs []agg.Spec, prims, final, touched bool) (*relation.Schema, error) {
+	outCols := append([]relation.Column(nil), base.Cols...)
 	if prims {
 		for _, s := range specs {
 			outCols = append(outCols, s.SubColumns()...)
@@ -253,19 +246,16 @@ func outputSchema(base *relation.Schema, specs []agg.Spec, statesOnly, prims, fi
 // assemble materializes the output rows from the per-base-row slab and
 // match-count state — shared by both engines so their outputs are
 // byte-identical.
-func assemble(b *relation.Relation, accs *agg.Slab, matched []int64, statesOnly, prims, final, touched bool) (*relation.Relation, error) {
+func assemble(b *relation.Relation, accs *agg.Slab, matched []int64, prims, final, touched bool) (*relation.Relation, error) {
 	specs := accs.Specs()
-	outSchema, err := outputSchema(b.Schema, specs, statesOnly, prims, final, touched)
+	outSchema, err := outputSchema(b.Schema, specs, prims, final, touched)
 	if err != nil {
 		return nil, err
 	}
 	out := relation.New(outSchema)
 	out.Rows = relation.MakeRows(len(b.Rows), outSchema.Len())
 	for gi, bRow := range b.Rows {
-		row := out.Rows[gi]
-		if !statesOnly {
-			row = append(row, bRow...)
-		}
+		row := append(out.Rows[gi], bRow...)
 		if prims {
 			for p := 0; p < accs.Width(); p++ {
 				row = append(row, accs.Result(gi, p))
@@ -403,5 +393,5 @@ func eval(b, r *relation.Relation, md MD, prims, final, touched bool) (*relation
 		specBase += len(md.Aggs[ti])
 	}
 
-	return assemble(b, accs, matched, false, prims, final, touched)
+	return assemble(b, accs, matched, prims, final, touched)
 }

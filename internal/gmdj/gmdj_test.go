@@ -3,7 +3,6 @@ package gmdj
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/agg"
@@ -181,37 +180,6 @@ func TestEvalSubTouched(t *testing.T) {
 	}
 	if untouched != 1 {
 		t.Errorf("untouched groups = %d, want 1", untouched)
-	}
-}
-
-// TestEvalSubStatesOnly: leaving B's columns out changes nothing else —
-// row i carries exactly the columns the echoing result appends to base
-// row i.
-func TestEvalSubStatesOnly(t *testing.T) {
-	detail := flowRel(testFlow...)
-	b, err := EvalBase(detail, BaseDef{Cols: []string{"SourceAS", "DestAS"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	md := example1Query().MDs[0]
-	for _, opts := range []SubOpts{{}, {Finalize: true, Touched: true}} {
-		echo, err := EvalSub(b, detail, md, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.StatesOnly = true
-		states, err := EvalSub(b, detail, md, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := echo.Schema.Cols[b.Schema.Len():]; !reflect.DeepEqual(states.Schema.Cols, want) {
-			t.Fatalf("states-only schema %s, want %v", states.Schema, want)
-		}
-		for i, row := range echo.Rows {
-			if !reflect.DeepEqual(states.Rows[i], row[b.Schema.Len():]) {
-				t.Errorf("row %d: states-only %v, echo %v", i, states.Rows[i], row)
-			}
-		}
 	}
 }
 

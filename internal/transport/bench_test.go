@@ -124,3 +124,24 @@ func benchCodec[T any](b *testing.B, msg *T) {
 	}
 	b.ReportMetric(float64(n), "wire-B/op")
 }
+
+// BenchmarkPoolCall is one pooled ping: a pool of 4 over in-process
+// clients, called sequentially through Exchange as the replica layer calls
+// it.
+func BenchmarkPoolCall(b *testing.B) {
+	h := newEchoHandler()
+	p := NewPool("s", 4, func() Client { return NewLocalClient("s", h, CostModel{}) }, nil)
+	defer p.Close()
+	req := &Request{Op: OpPing}
+	// Warm the pooled connection past gob's type preamble.
+	if _, _, err := Exchange(context.Background(), p, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Exchange(context.Background(), p, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

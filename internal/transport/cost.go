@@ -35,7 +35,7 @@ func (c CostModel) TransferTime(n int) time.Duration {
 // Delta is the wire traffic of one call: its bytes each way, their
 // modeled transfer time, and the re-sends a retry layer and the
 // duplicates a hedging layer spent on it. It is the unit every accounting
-// layer (retry, pool, hedge, the coordinator's per-round record) folds
+// layer (retry, hedge, the coordinator's per-round record) folds
 // upward.
 type Delta struct {
 	Sent, Recv int64

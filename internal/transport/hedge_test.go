@@ -245,14 +245,19 @@ func TestHedgerAdaptiveThreshold(t *testing.T) {
 	}
 }
 
-// TestPoolHedgeDiscardAccounting: a pooled connection abandoned because
-// its hedged call lost the race is discarded under the dedicated
-// hedge-discard counter, not the generic discard counter — hedge churn
-// is planned speculative waste, not connection failure.
-func TestPoolHedgeDiscardAccounting(t *testing.T) {
+// TestPoolLendsHedgeLoser: a pooled client whose call was abandoned
+// because its hedge lost the race is lent again, and its next call
+// succeeds on a fresh connection. The abandoned call's traffic is the
+// replica layer's hedge waste, so the retry layer books none of it.
+func TestPoolLendsHedgeLoser(t *testing.T) {
 	h := newGateHandler()
+	var conns atomic.Int64
+	dial := func() (Client, error) {
+		conns.Add(1)
+		return dialPipe("s0", h, CostModel{}), nil
+	}
 	o := obs.New()
-	p := NewPool("s0", 2, localDial(h), o)
+	p := NewPool("s0", 2, func() Client { return newReconnector("s0", dial, 1, 0, nil, o) }, o)
 	defer p.Close()
 	defer close(h.release)
 
@@ -270,15 +275,17 @@ func TestPoolHedgeDiscardAccounting(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("lost hedge err = %v, want context.Canceled", err)
 	}
-	if got := o.Metrics.CounterValue("transport.pool.hedge_discards"); got != 1 {
-		t.Errorf("hedge_discards = %d, want 1", got)
-	}
-	if got := o.Metrics.CounterValue("transport.pool.discards"); got != 0 {
-		t.Errorf("discards = %d, want 0 (hedge losers are not connection churn)", got)
-	}
-	// The pool stays serviceable after the discard.
 	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatalf("pool unusable after hedge discard: %v", err)
+		t.Fatalf("pool unusable after a lost hedge: %v", err)
+	}
+	if got := o.Metrics.CounterValue("transport.pool.dials"); got != 1 {
+		t.Errorf("pool.dials = %d, want 1 (the loser's client is lent again)", got)
+	}
+	if got := conns.Load(); got != 2 {
+		t.Errorf("connections dialed = %d, want 2 (the loser's connection is replaced)", got)
+	}
+	if got := o.Metrics.CounterValue("transport.retry_wasted_bytes"); got != 0 {
+		t.Errorf("retry_wasted_bytes = %d, want 0 (a lost hedge is not retry waste)", got)
 	}
 }
 

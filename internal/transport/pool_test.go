@@ -56,12 +56,12 @@ func (h *gateHandler) peakInflight() int {
 	return h.peak
 }
 
-// localDial's dial function is called by concurrent pool calls, hence
-// the atomic connection counter.
-func localDial(h Handler) func() (Client, error) {
+// localDial's clients are made by concurrent pool calls, hence the
+// atomic client counter.
+func localDial(h Handler) func() Client {
 	var n atomic.Int64
-	return func() (Client, error) {
-		return NewLocalClient(fmt.Sprintf("conn-%d", n.Add(1)), h, CostModel{}), nil
+	return func() Client {
+		return NewLocalClient(fmt.Sprintf("conn-%d", n.Add(1)), h, CostModel{})
 	}
 }
 
@@ -75,7 +75,7 @@ func TestPoolReusesConnections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Sequential calls ride one connection: no reason to dial more.
+	// Sequential calls ride one client: no reason to make more.
 	if got := o.Metrics.CounterValue("transport.pool.dials"); got != 1 {
 		t.Errorf("dials = %d, want 1", got)
 	}
@@ -159,8 +159,7 @@ func TestPoolConcurrentCallsExact(t *testing.T) {
 
 func TestPoolCancellationIsolation(t *testing.T) {
 	h := newGateHandler()
-	o := obs.New()
-	p := NewPool("s0", 2, localDial(h), o)
+	p := NewPool("s0", 2, localDial(h), nil)
 	defer p.Close()
 
 	hungCtx, cancel := context.WithCancel(context.Background())
@@ -179,16 +178,16 @@ func TestPoolCancellationIsolation(t *testing.T) {
 		t.Fatalf("sibling call failed while another call hung: %v", err)
 	}
 
-	// …and cancelling the hung call kills only its borrowed connection.
+	// …and cancelling the hung call aborts only its own call; both clients
+	// are lent again, the cancelled one over a redialed connection.
 	cancel()
 	if err := <-hung; !errors.Is(err, context.Canceled) {
 		t.Fatalf("hung call err = %v, want context.Canceled", err)
 	}
-	if got := o.Metrics.CounterValue("transport.pool.discards"); got != 1 {
-		t.Errorf("discards = %d, want 1 (only the cancelled call's connection)", got)
-	}
-	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatalf("pool unusable after discard: %v", err)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+			t.Fatalf("pool unusable after a cancelled call: %v", err)
+		}
 	}
 }
 
@@ -221,17 +220,21 @@ func TestPoolQueueTimeout(t *testing.T) {
 	}
 }
 
+// TestPoolDialFailure: a pooled retry client whose dial fails surfaces
+// the failure, gives its slot back, and is lent again: it dials afresh on
+// its next call.
 func TestPoolDialFailure(t *testing.T) {
 	h := newGateHandler()
-	fail := true
+	var fail atomic.Bool
+	fail.Store(true)
 	dial := func() (Client, error) {
-		if fail {
+		if fail.Load() {
 			return nil, errors.New("connection refused")
 		}
-		return NewLocalClient("c", h, CostModel{}), nil
+		return dialPipe("s0", h, CostModel{}), nil
 	}
 	o := obs.New()
-	p := NewPool("s0", 1, dial, o)
+	p := NewPool("s0", 1, func() Client { return newReconnector("s0", dial, 1, 0, nil, o) }, o)
 	defer p.Close()
 
 	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err == nil {
@@ -239,14 +242,21 @@ func TestPoolDialFailure(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "connection refused") {
 		t.Fatalf("err = %v, want dial failure", err)
 	}
-	if got := o.Metrics.CounterValue("transport.pool.dial_failures"); got != 1 {
-		t.Errorf("dial_failures = %d, want 1", got)
+	if got := o.Metrics.CounterValue("transport.redial_failures"); got != 1 {
+		t.Errorf("redial_failures = %d, want 1", got)
 	}
-	// The failed dial released its slot: the pool recovers once the site
-	// is reachable again.
-	fail = false
-	if _, err := p.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+	if p.InUse() != 0 {
+		t.Fatalf("in-use = %d after the failed call returned", p.InUse())
+	}
+	// The site is reachable again: the same client serves the next call.
+	fail.Store(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := p.Call(ctx, &Request{Op: OpPing}); err != nil {
 		t.Fatalf("pool stuck after dial failure: %v", err)
+	}
+	if got := o.Metrics.CounterValue("transport.pool.dials"); got != 1 {
+		t.Errorf("pool.dials = %d, want 1 (the failed client is lent again)", got)
 	}
 }
 
@@ -275,7 +285,7 @@ func TestPoolOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := NewPool("s0", 3, func() (Client, error) { return DialTCP("s0", addr, CostModel{}) }, nil)
+	p := NewPool("s0", 3, func() Client { return NewReplicaTCP("s0", []string{addr}, CostModel{}, 1, 0) }, nil)
 	defer p.Close()
 
 	var wg sync.WaitGroup

@@ -56,20 +56,37 @@ const (
 	CodeInconsistent = 3
 )
 
+// failure is one classified site condition: its wire code, the sentinel
+// Response.Error wraps for it, and its profile outcome.
+type failure struct {
+	code     int
+	sentinel error
+	outcome  string
+}
+
+// failures is the one mapping between codes, sentinels and outcomes that
+// ErrCode, ErrOutcome and Response.Error read. An error matching several
+// sentinels classifies as the first.
+var failures = []failure{
+	{CodeOverloaded, ErrOverloaded, OutcomeOverloaded},
+	{CodeDraining, ErrDraining, OutcomeDraining},
+	{CodeInconsistent, ErrInconsistent, OutcomeError},
+}
+
+// classify returns the row of failures err matches, or an unclassified
+// one.
+func classify(err error) failure {
+	for _, f := range failures {
+		if errors.Is(err, f.sentinel) {
+			return f
+		}
+	}
+	return failure{CodeOK, nil, OutcomeError}
+}
+
 // ErrCode classifies an error chain into a wire code, the inverse of
 // Response.Error's code-to-sentinel mapping.
-func ErrCode(err error) int {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, ErrDraining):
-		return CodeDraining
-	case errors.Is(err, ErrInconsistent):
-		return CodeInconsistent
-	default:
-		return CodeOK
-	}
-}
+func ErrCode(err error) int { return classify(err).code }
 
 // Op is a request opcode.
 type Op int
@@ -335,36 +352,23 @@ const (
 	OutcomeError = "error"
 )
 
-// ErrOutcome classifies an error chain into a profile outcome, mirroring
-// ErrCode's sentinel mapping.
-func ErrOutcome(err error) string {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return OutcomeOverloaded
-	case errors.Is(err, ErrDraining):
-		return OutcomeDraining
-	default:
-		return OutcomeError
-	}
-}
+// ErrOutcome classifies an error chain into a profile outcome, by the same
+// table as ErrCode.
+func ErrOutcome(err error) string { return classify(err).outcome }
 
 // Error converts a Response error field back into a Go error. Classified
 // codes wrap the matching sentinel so errors.Is(err, ErrOverloaded) and
-// errors.Is(err, ErrDraining) survive the gob round trip.
+// the like survive the gob round trip.
 func (r *Response) Error() error {
 	if r.Err == "" {
 		return nil
 	}
-	switch r.Code {
-	case CodeOverloaded:
-		return fmt.Errorf("site error: %s: %w", r.Err, ErrOverloaded)
-	case CodeDraining:
-		return fmt.Errorf("site error: %s: %w", r.Err, ErrDraining)
-	case CodeInconsistent:
-		return fmt.Errorf("site error: %s: %w", r.Err, ErrInconsistent)
-	default:
-		return fmt.Errorf("site error: %s", r.Err)
+	for _, f := range failures {
+		if f.code == r.Code {
+			return fmt.Errorf("site error: %s: %w", r.Err, f.sentinel)
+		}
 	}
+	return fmt.Errorf("site error: %s", r.Err)
 }
 
 // Shed reports whether the response is a load-shedding refusal (a drain):
@@ -402,6 +406,11 @@ type Client interface {
 	// leave the underlying connection unusable; such clients report
 	// subsequent calls as transport errors so a retrying wrapper redials.
 	Call(ctx context.Context, req *Request) (*Response, error)
-	// Close releases the connection.
+	// Close releases the client's connections. What a later call does
+	// depends on the layer: the retry layer (Reconnector), and a replica
+	// layer over retry layers, redial and serve it; a Pool, a replica
+	// layer over pools, and a bare leaf (TCPClient) refuse it. Chaos's
+	// Drop and DropAfter faults close the client they wrap and rely on a
+	// retry layer, at or above it, to redial.
 	Close() error
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -110,6 +111,51 @@ func TestKeysFieldSkew(t *testing.T) {
 	}
 	if back.Keys != nil || !reflect.DeepEqual(back.BaseCols, old.BaseCols) {
 		t.Errorf("old peer decoded %+v", back)
+	}
+}
+
+// TestFailureTable: every classified code rebuilds its sentinel from a
+// Response, and that error classifies back to the same code and outcome;
+// CodeOK and an unknown code rebuild a plain site error.
+func TestFailureTable(t *testing.T) {
+	cases := []struct {
+		code     int
+		sentinel error // nil: the error matches no sentinel
+		outcome  string
+	}{
+		{CodeOverloaded, ErrOverloaded, OutcomeOverloaded},
+		{CodeDraining, ErrDraining, OutcomeDraining},
+		{CodeInconsistent, ErrInconsistent, OutcomeError},
+		{CodeOK, nil, OutcomeError},
+		{99, nil, OutcomeError},
+	}
+	tested := map[int]bool{}
+	for _, c := range cases {
+		tested[c.code] = true
+		err := (&Response{Err: "boom", Code: c.code}).Error()
+		if err == nil {
+			t.Fatalf("code %d: Response.Error() = nil", c.code)
+		}
+		for _, f := range failures {
+			if got, want := errors.Is(err, f.sentinel), f.sentinel == c.sentinel; got != want {
+				t.Errorf("code %d: errors.Is(%v, %v) = %v, want %v", c.code, err, f.sentinel, got, want)
+			}
+		}
+		wantCode := c.code
+		if c.sentinel == nil {
+			wantCode = CodeOK
+		}
+		if got := ErrCode(err); got != wantCode {
+			t.Errorf("code %d: ErrCode = %d, want %d", c.code, got, wantCode)
+		}
+		if got := ErrOutcome(err); got != c.outcome {
+			t.Errorf("code %d: ErrOutcome = %q, want %q", c.code, got, c.outcome)
+		}
+	}
+	for _, f := range failures {
+		if !tested[f.code] {
+			t.Errorf("failure row for code %d has no case here", f.code)
+		}
 	}
 }
 

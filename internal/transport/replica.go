@@ -15,8 +15,8 @@ import (
 
 // ErrHedgeLost is the cancellation cause attached to the context of a
 // hedged attempt that lost the race: its result is no longer wanted
-// because the other replica already answered. Wrappers below the replica
-// layer (Reconnector, Pool) use context.Cause to tell this apart from a
+// because the other replica already answered. The retry layer below the
+// replica layer (Reconnector) uses context.Cause to tell this apart from a
 // real caller cancellation — a lost hedge is planned waste accounted
 // under hedge counters, never a site failure and never retry waste.
 var ErrHedgeLost = errors.New("transport: hedged request lost the race")

@@ -166,7 +166,7 @@ func (s *Site) calls(pooled bool) Client {
 	replicas := make([]Client, len(s.spec.Replicas))
 	for i, r := range s.spec.Replicas {
 		if pooled {
-			replicas[i] = NewPool(s.spec.ID, s.spec.SiteInflight, func() (Client, error) { return s.retry(r), nil }, s.spec.Obs)
+			replicas[i] = NewPool(s.spec.ID, s.spec.SiteInflight, func() Client { return s.retry(r) }, s.spec.Obs)
 		} else {
 			replicas[i] = s.retry(r)
 		}

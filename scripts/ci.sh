@@ -46,8 +46,9 @@ go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./i
 # and so do the checks that queries sharing one cluster each count
 # exactly their own bytes and never wait on a sibling's held call, the
 # relay-tree shapes, whose relays fan out concurrently to their leaves, and
-# the replica layer's failover under hedging and placement on every replica.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica)' ./skalla
+# the replica layer's failover under hedging and placement on every replica,
+# and served hedges, whose losing pooled clients are lent again.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed)' ./skalla
 
 echo "== fuzz smoke (expression parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/expr
@@ -95,8 +96,9 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
 # unboxed (DecodeFrame), the form a client decodes every reply in;
 # ParseSpec is the workloads' aggregate specs, parsed by every site on
-# every request, and SQLParse three statements of the serve mix.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
+# every request, SQLParse three statements of the serve mix, and PoolCall
+# one pooled call.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
