@@ -144,18 +144,17 @@ func compile(e Expr, bd Binding) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := n.String()
 		if side == SideBase {
 			return func(b, _ relation.Row) (value.V, error) {
 				if idx >= len(b) {
-					return value.Null, errorf("row too short for column %s", name)
+					return value.Null, errorf("row too short for column %s", n)
 				}
 				return b[idx], nil
 			}, nil
 		}
 		return func(_, r relation.Row) (value.V, error) {
 			if idx >= len(r) {
-				return value.Null, errorf("row too short for column %s", name)
+				return value.Null, errorf("row too short for column %s", n)
 			}
 			return r[idx], nil
 		}, nil

@@ -199,19 +199,27 @@ func fuzzBase(t *testing.T, detail *relation.Relation, shape int) {
 }
 
 // fuzzDetail is randDetail plus fuzz-only hostility: occasional kind
-// strays in the Q column (a relation the site refuses), NaN and ±0 in the
-// P column, and duplicated rows.
+// strays in the Q column (a relation the site refuses), NaN, ±0, ±Inf and
+// floats either side of ±2^53 in the P column, Q lanes at the int64
+// extremes and either side of ±2^53 (so an INT detail lane meets every
+// one of those FLOAT base values in fuzzNumericConj), and duplicated rows.
 // Floats stay within int64 range: Key() overflows int64 conversion on
 // out-of-range integral floats, which is platform-defined and not a
 // contract either evaluation needs to chase.
 func fuzzDetail(rng *rand.Rand, n int) *relation.Relation {
+	const p53 = 1 << 53
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		p53, -p53, p53 - 1, p53 + 2, -p53 - 2, 2.5, -0.5}
+	ints := []int64{math.MinInt64, math.MaxInt64, p53, -p53, p53 + 1, -p53 - 1, p53 - 1, 2, -1}
 	r := randDetail(rng, n)
 	for i := range r.Rows {
 		if rng.Intn(40) == 0 {
 			r.Rows[i][2] = value.NewFloat(float64(rng.Intn(100)) / 4) // Float straying into the Int column
+		} else if rng.Intn(12) == 0 {
+			r.Rows[i][2] = value.NewInt(ints[rng.Intn(len(ints))])
 		}
 		if rng.Intn(10) == 0 {
-			r.Rows[i][3] = value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0}[rng.Intn(3)])
+			r.Rows[i][3] = value.NewFloat(floats[rng.Intn(len(floats))])
 		}
 		if rng.Intn(20) == 0 && i > 0 {
 			r.Rows[i] = r.Rows[i-1]

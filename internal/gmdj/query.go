@@ -188,11 +188,9 @@ func (c *Chain) EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation
 		if err != nil {
 			return nil, fmt.Errorf("gmdj: base filter: %w", err)
 		}
-		picked, err := prog.Filter(sel, ws.matchBuf[:0])
-		if err != nil {
+		if sel, err = prog.Filter(sel); err != nil {
 			return nil, fmt.Errorf("gmdj: base filter: %w", err)
 		}
-		sel, ws.matchBuf = picked, picked
 	}
 	ps, idx, err := batch.Schema.Project(def.Cols)
 	if err != nil {

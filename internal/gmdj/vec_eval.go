@@ -200,13 +200,16 @@ func detailCols(e expr.Expr, bd expr.Binding, detail *relation.Schema, cols []in
 	return cols
 }
 
-// vecWorker is the per-worker state. The scratch and selection buffers
+// vecWorker is the per-worker state. The scratch and program buffers
 // persist across the operators of a Chain; the statistics and the first
 // error hit (errTheta/errG locate it for the deterministic cross-worker
 // pick) are per operator.
 type vecWorker struct {
-	scratch  vec.Scratch
-	matchBuf []int32
+	scratch vec.Scratch
+	// progs holds an operator's programs: θ_i's from specBase+i on, its
+	// residual (nil when trivial), then one per aggregate (nil for
+	// COUNT(*)).
+	progs []*vec.Program
 
 	stats    vec.Stats
 	err      error
@@ -235,33 +238,38 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 	ws.scratch.Reset()
 	// Per-worker program instances: compiled nodes carry scratch vectors
 	// and per-base-row scalar caches, so they cannot be shared.
-	res := make([]*vec.Program, len(plans))
-	argProgs := make([][]*vec.Program, len(plans))
+	progs := ws.progs[:0]
+	defer func() {
+		// The programs die with the operator; their slots stay.
+		ws.progs = progs
+		clear(progs)
+	}()
 	for ti := range plans {
-		p, err := vec.Compile(plans[ti].residual, bd, plans[ti].detail, &ws.scratch)
-		if err != nil {
-			ws.fail(ti, 0, fmt.Errorf("gmdj: θ_%d residual: %w", ti+1, err))
-			return
-		}
-		p.SetStats(&ws.stats)
-		res[ti] = p
-		argProgs[ti] = make([]*vec.Program, len(plans[ti].aggs))
-		for j, spec := range plans[ti].aggs {
-			if spec.Arg == nil {
-				continue
-			}
-			q, err := vec.Compile(spec.Arg, detailOnly, plans[ti].detail, &ws.scratch)
-			if err != nil {
-				ws.fail(ti, 0, fmt.Errorf("gmdj: aggregate arg: %w", err))
+		pl := &plans[ti]
+		var p *vec.Program
+		if !pl.trivial {
+			var err error
+			if p, err = vec.Compile(pl.residual, bd, pl.detail, &ws.scratch); err != nil {
+				ws.fail(ti, 0, fmt.Errorf("gmdj: θ_%d residual: %w", ti+1, err))
 				return
 			}
-			q.SetStats(&ws.stats)
-			argProgs[ti][j] = q
+			p.SetStats(&ws.stats)
+		}
+		progs = append(progs, p)
+		for _, spec := range pl.aggs {
+			var q *vec.Program
+			if spec.Arg != nil {
+				var err error
+				if q, err = vec.Compile(spec.Arg, detailOnly, pl.detail, &ws.scratch); err != nil {
+					ws.fail(ti, 0, fmt.Errorf("gmdj: aggregate arg: %w", err))
+					return
+				}
+				q.SetStats(&ws.stats)
+			}
+			progs = append(progs, q)
 		}
 	}
 
-	matchBuf := ws.matchBuf
-	defer func() { ws.matchBuf = matchBuf }()
 	for g := lo; g < hi; g++ {
 		row := b.Rows[g]
 		for ti := range plans {
@@ -273,37 +281,34 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 			if pl.groups != nil {
 				cands = pl.groups.Find(row, pl.bIdx)
 			}
-			if len(cands) == 0 {
+			if cands.Len() == 0 {
 				// No candidate pairs: the row engine evaluates nothing
 				// for this base row, not even scalar subtrees.
 				continue
 			}
 			sel := cands
-			if !pl.trivial {
-				res[ti].SetBase(row)
-				matchBuf = matchBuf[:0]
+			if res := progs[pl.specBase+ti]; res != nil {
+				res.SetBase(row)
 				var err error
-				matchBuf, err = res[ti].Filter(cands, matchBuf)
-				if err != nil {
+				if sel, err = res.Filter(cands); err != nil {
 					ws.fail(ti, g, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err))
 					return
 				}
-				sel = matchBuf
 			}
-			matched[g] += int64(len(sel))
-			if len(sel) == 0 {
+			matched[g] += int64(sel.Len())
+			if sel.Len() == 0 {
 				continue
 			}
 			for j := range pl.aggs {
 				p0, p1 := accs.SpecPrims(pl.specBase + j)
-				prog := argProgs[ti][j]
+				prog := progs[pl.specBase+ti+1+j]
 				if prog == nil {
 					// COUNT(*): the row engine adds a non-NULL int
 					// marker per matched pair.
 					for p := p0; p < p1; p++ {
-						aerr := accs.AddRows(g, p, len(sel))
+						aerr := accs.AddRows(g, p, sel.Len())
 						if aerr != nil {
-							aerr = accs.AddRepeat(g, p, value.NewInt(1), len(sel))
+							aerr = accs.AddRepeat(g, p, value.NewInt(1), sel.Len())
 						}
 						if aerr != nil {
 							ws.fail(ti, g, fmt.Errorf("gmdj: %w", aerr))

@@ -58,9 +58,21 @@ func MustSchema(cols ...Column) *Schema {
 }
 
 // Lookup returns the position of the named column (case-insensitive) and
-// whether it exists.
+// whether it exists. A short ASCII name is lower-cased on the stack, which
+// a map index through a byte-slice conversion does not copy.
 func (s *Schema) Lookup(name string) (int, bool) {
-	i, ok := s.byName[strings.ToLower(name)]
+	var buf [32]byte
+	key := append(buf[:0], name...)
+	for j, c := range key {
+		if c >= 0x80 {
+			key = []byte(strings.ToLower(name))
+			break
+		}
+		if 'A' <= c && c <= 'Z' {
+			key[j] = c + 'a' - 'A'
+		}
+	}
+	i, ok := s.byName[string(key)]
 	return i, ok
 }
 

@@ -39,6 +39,18 @@ func TestSchemaLookup(t *testing.T) {
 	if _, err := s.MustLookup("nope"); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Errorf("MustLookup error should name the column: %v", err)
 	}
+	// Case folds as strings.ToLower does: ASCII on the stack, a non-ASCII
+	// or long name through ToLower.
+	long := strings.Repeat("Quantity", 5)
+	u := MustSchema(Column{"Straße", value.KindInt}, Column{long, value.KindInt}, Column{"DestAS", value.KindInt})
+	for name, want := range map[string]int{"STRASSE": -1, "STRAßE": 0, "straße": 0, long: 1, strings.ToUpper(long): 1, "destAs": 2, "DestA": -1} {
+		if i, ok := u.Lookup(name); ok != (want >= 0) || ok && i != want {
+			t.Errorf("Lookup(%s) = %d, %v; want %d", name, i, ok, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { u.Lookup("DESTAS") }); n != 0 {
+		t.Errorf("Lookup of a short ASCII name allocates %.0f objects", n)
+	}
 }
 
 // TestSchemaLookupAfterGob: a schema that arrived over the wire answers

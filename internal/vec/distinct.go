@@ -104,11 +104,11 @@ func (g *Grouping) laneIs(i, j int) bool {
 }
 
 // Find returns the view lanes, a run in scan order, of the group whose key
-// row holds at positions idx (one per key column), or nil when no lane
+// row holds at positions idx (one per key column), or no lanes when no lane
 // holds it. The key hashes once, and each group on its hash chain is
 // checked on its first lane alone: a group is one key, so the rest of its
 // lanes match exactly when the first does.
-func (g *Grouping) Find(row relation.Row, idx []int) []int32 {
+func (g *Grouping) Find(row relation.Row, idx []int) Sel {
 	id, ok := g.index.Find(relation.HashRow(row, idx), func(id int) bool {
 		lane := int(g.first[id])
 		for k, c := range g.keys {
@@ -119,9 +119,9 @@ func (g *Grouping) Find(row relation.Row, idx []int) []int32 {
 		return true
 	})
 	if !ok {
-		return nil
+		return Sel{n: g.src.n}
 	}
-	return g.src.AllLanes()[g.offs[id]:g.offs[id+1]]
+	return Sel{lanes: g.src.identity()[g.offs[id]:g.offs[id+1]], n: g.src.n}
 }
 
 // View returns the grouping's clustered view of the listed columns: a
@@ -162,7 +162,7 @@ func (g *Grouping) View(cols []int) (*Batch, error) {
 		}
 		v.Cols[ci] = *g.perm[ci]
 	}
-	v.allOnce.Do(func() { v.all = b.AllLanes() })
+	v.allOnce.Do(func() { v.all = b.identity() })
 	g.views = append(g.views, v)
 	return v, nil
 }
@@ -183,17 +183,17 @@ func gather[T any](xs []T, lanes []int32) []T {
 // in selection order, the first lane of every distinct key over cols —
 // the lanes whose rows relation.DistinctProject(cols) would keep had it
 // scanned the selected rows in that order.
-func Distinct(b *Batch, cols []int, sel []int32) ([]int32, error) {
-	if err := b.checkSel(sel); err != nil {
-		return nil, err
+func Distinct(b *Batch, cols []int, sel Sel) (Sel, error) {
+	if err := b.owns(sel); err != nil {
+		return Sel{}, err
 	}
 	g, err := b.Grouping(cols)
 	if err != nil {
-		return nil, err
+		return Sel{}, err
 	}
 	seen := NewBitmap(g.Len())
-	out := make([]int32, 0, min(g.Len(), len(sel)))
-	for _, lane := range sel {
+	out := make([]int32, 0, min(g.Len(), sel.Len()))
+	for _, lane := range sel.lanes {
 		id := int(g.ids[lane])
 		if seen.Get(id) {
 			continue
@@ -204,5 +204,5 @@ func Distinct(b *Batch, cols []int, sel []int32) ([]int32, error) {
 			break // every group of the batch has been seen
 		}
 	}
-	return out, nil
+	return Sel{lanes: out, n: b.n}, nil
 }

@@ -64,7 +64,7 @@ func filterBaseRow() relation.Row {
 // filterAgrees runs e as a compiled filter over sel and as the bound row
 // predicate over the same lanes, and reports the first difference in the
 // selection or in error presence ("" when they agree).
-func filterAgrees(e expr.Expr, r *relation.Relation, b *Batch, base relation.Row, sel []int32) string {
+func filterAgrees(e expr.Expr, r *relation.Relation, b *Batch, base relation.Row, sel Sel) string {
 	bd := expr.Binding{Base: filterBase, Detail: r.Schema, BaseAliases: []string{"B"}, DetailAliases: []string{"R"}}
 	bound, err := expr.Bind(e, bd)
 	if err != nil {
@@ -75,10 +75,10 @@ func filterAgrees(e expr.Expr, r *relation.Relation, b *Batch, base relation.Row
 		return fmt.Sprintf("%s: compile: %v", e, err)
 	}
 	p.SetBase(base)
-	got, vecErr := p.Filter(sel, nil)
+	got, vecErr := p.Filter(sel)
 	var want []int32
 	var rowErr error
-	for _, lane := range sel {
+	for _, lane := range sel.lanes {
 		ok, err := bound.EvalBool(base, r.Rows[lane])
 		if err != nil {
 			rowErr = err
@@ -91,7 +91,7 @@ func filterAgrees(e expr.Expr, r *relation.Relation, b *Batch, base relation.Row
 	switch {
 	case (rowErr != nil) != (vecErr != nil):
 		return fmt.Sprintf("%s: row err %v, filter err %v", e, rowErr, vecErr)
-	case rowErr == nil && fmt.Sprint(got) != fmt.Sprint(want):
+	case rowErr == nil && fmt.Sprint(got.lanes) != fmt.Sprint(want):
 		return fmt.Sprintf("%s: selected %v, row predicate %v", e, got, want)
 	}
 	return ""
@@ -163,9 +163,12 @@ func FuzzFilter(f *testing.F) {
 		sel := b.AllLanes()
 		if selSeed != 0 && size > 0 {
 			srng := rand.New(rand.NewSource(selSeed))
-			sel = nil
+			var lanes []int32
 			for i := srng.Intn(2 * int(size)); i > 0; i-- {
-				sel = append(sel, int32(srng.Intn(int(size))))
+				lanes = append(lanes, int32(srng.Intn(int(size))))
+			}
+			if sel, err = b.Select(lanes); err != nil {
+				t.Fatal(err)
 			}
 		}
 		base := filterBaseRow()
@@ -259,9 +262,9 @@ func BenchmarkFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	groups := make([][]int32, g.Len())
+	groups := make([]Sel, g.Len())
 	for id := range groups {
-		groups[id] = batch.AllLanes()[g.offs[id]:g.offs[id+1]]
+		groups[id] = Sel{lanes: batch.identity()[g.offs[id]:g.offs[id+1]], n: batch.Len()}
 	}
 	baseSchema := relation.MustSchema(relation.Column{Name: "avg1", Kind: value.KindFloat})
 	bd := expr.Binding{Base: baseSchema, Detail: part.Schema, BaseAliases: []string{"B"}, DetailAliases: []string{"F"}}
@@ -272,19 +275,192 @@ func BenchmarkFilter(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var dst []int32
 			lanes := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, sel := range groups {
 					p.SetBase(base)
-					if dst, err = p.Filter(sel, dst[:0]); err != nil {
+					if _, err = p.Filter(sel); err != nil {
 						b.Fatal(err)
 					}
-					lanes += len(sel)
+					lanes += sel.Len()
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lanes), "ns/lane")
 		})
+	}
+}
+
+// TestIntFloatFold: an INT column compared with a FLOAT per-base-row value
+// — the comparison foldInt turns into integer bounds — selects, for all six
+// operators in both operand orders, exactly the lanes value.Compare orders
+// that way. The values are NaN, ±Inf, ±0, integral floats and floats
+// either side of ±2^53 against lanes from MinInt64 to MaxInt64, with and
+// without NULL lanes, over a run and over a gathered selection.
+func TestIntFloatFold(t *testing.T) {
+	const p53 = 1 << 53
+	xs := []int64{math.MinInt64, math.MinInt64 + 1, -p53 - 2, -p53 - 1, -p53, -p53 + 1, -3, -2, -1, 0, 1, 2, 3,
+		p53 - 1, p53, p53 + 1, p53 + 2, p53 + 3, math.MaxInt64 - 1, math.MaxInt64}
+	ys := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 2, -2, 2.5, -2.5, 0.5, -0.5,
+		p53, -p53, p53 - 1, -p53 + 1, p53 + 2, -p53 - 2, p53 + 4, 1<<52 - 0.5, -1<<52 + 0.5,
+		1 << 63, -1 << 63, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	// foldInt's bounds, lane by lane, where it folds.
+	for _, y := range ys {
+		lo, hi, ok := foldInt(y)
+		if !ok {
+			if !math.IsInf(y, 0) && math.Abs(y) < p53 {
+				t.Errorf("y = %v: not folded", y)
+			}
+			continue
+		}
+		for _, x := range xs {
+			if (x < lo) != (float64(x) < y) || (x > hi) != (float64(x) > y) {
+				t.Errorf("y = %v, x = %d: bounds [%d, %d] disagree with float64(x)", y, x, lo, hi)
+			}
+		}
+	}
+	base := relation.MustSchema(relation.Column{Name: "y", Kind: value.KindFloat})
+	for _, nulls := range []bool{false, true} {
+		r := relation.New(relation.MustSchema(relation.Column{Name: "x", Kind: value.KindInt}))
+		for i, x := range xs {
+			if v := value.NewInt(x); nulls && i%3 == 1 {
+				r.MustAppend(value.Null)
+			} else {
+				r.MustAppend(v)
+			}
+		}
+		b, err := FromRelation(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed := make([]int32, b.Len())
+		for i := range reversed {
+			reversed[i] = int32(b.Len() - 1 - i)
+		}
+		gathered, err := b.Select(reversed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd := expr.Binding{Base: base, Detail: r.Schema, BaseAliases: []string{"B"}, DetailAliases: []string{"R"}}
+		for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+			for _, flip := range []bool{false, true} {
+				e := expr.Binary{Op: op, L: expr.Col{Qual: "R", Name: "x"}, R: expr.Col{Qual: "B", Name: "y"}}
+				if flip {
+					e.L, e.R = e.R, e.L
+				}
+				p, err := Compile(e, bd, b, new(Scratch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, y := range ys {
+					p.SetBase(relation.Row{value.NewFloat(y)})
+					for _, sel := range []Sel{b.AllLanes(), gathered} {
+						got, err := p.Filter(sel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var want []int32
+						for _, lane := range sel.lanes {
+							xv, yv := r.Rows[lane][0], value.NewFloat(y)
+							if xv.IsNull() {
+								continue
+							}
+							if flip {
+								xv, yv = yv, xv
+							}
+							c, err := value.Compare(xv, yv)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if cmpHolds[op]>>order(c, 0)&1 != 0 {
+								want = append(want, lane)
+							}
+						}
+						if fmt.Sprint(got.lanes) != fmt.Sprint(want) {
+							t.Fatalf("%s with y = %v, nulls %v: selected %v, value.Compare %v", e, y, nulls, got.lanes, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsWarmAllocateNothing: once its buffers have grown, a program
+// filters proven selections — runs of a clustered view, with an INT lane
+// against a FLOAT base value and a FLOAT lane against a constant — and
+// evaluates arguments over the survivors and over the runs without
+// allocating: nothing is re-proven into a copy, and every lane buffer is
+// the program's own.
+func TestKernelsWarmAllocateNothing(t *testing.T) {
+	r := filterRel(rand.New(rand.NewSource(3)), 400)
+	b, err := FromRelation(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Grouping([]int{7}) // S
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := g.View([]int{0, 1, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []Sel
+	for _, s := range []string{"", "a", "b", "ab"} {
+		if run := g.Find(relation.Row{value.NewString(s)}, []int{0}); run.Len() > 0 {
+			runs = append(runs, run)
+		}
+	}
+	bd := expr.Binding{Base: filterBase, Detail: r.Schema, BaseAliases: []string{"B"}, DetailAliases: []string{"R"}}
+	cond, err := Compile(expr.MustParse("R.I >= B.bf AND R.F > 0.5"), bd, view, new(Scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	args := make([]*Program, 0, 3)
+	for _, e := range []expr.Expr{expr.MustParse("R.I"), expr.MustParse("R.F * 2"), expr.Col{Qual: "R", Name: "IN"}} {
+		p, err := Compile(e, bd, view, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, p)
+	}
+	base := filterBaseRow()
+	var sum float64
+	fold := func(l *Lanes) error {
+		for i := 0; i < l.N; i++ {
+			if l.Kind == value.KindFloat {
+				sum += l.Floats[i]
+			} else if !l.isNull(i) {
+				sum += float64(l.Ints[i])
+			}
+		}
+		return nil
+	}
+	var match Sel
+	pass := func() {
+		for _, run := range runs {
+			cond.SetBase(base)
+			if match, err = cond.Filter(run); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range args {
+				p.SetBase(base)
+				if err := p.EvalEach(match, fold); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.EvalEach(run, fold); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	pass()
+	if match.Len() == 0 || sum == 0 {
+		t.Fatal("the filter selected nothing or the arguments read nothing")
+	}
+	if allocs := testing.AllocsPerRun(50, pass); allocs != 0 {
+		t.Errorf("a warm pass allocates %.1f objects", allocs)
 	}
 }

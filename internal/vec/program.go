@@ -32,8 +32,8 @@ type Stats struct {
 // call yields different kinds on different lanes — one boxed value per
 // lane, which has no exported payload: Kind is then none of the value
 // kinds and Value reads the lanes. Nulls marks NULL lanes (nil when none).
-// Payload slices are scratch owned by the program and valid until its next
-// evaluation.
+// Payload slices are read-only, valid until the program's next evaluation:
+// scratch the program owns, or a run of the batch's own column.
 type Lanes struct {
 	Kind   value.Kind
 	N      int
@@ -254,6 +254,7 @@ type Program struct {
 	base   relation.Row
 	stats  *Stats
 	sc     *Scratch
+	picked []int32 // Filter's result
 }
 
 type scalarSlot struct {
@@ -325,33 +326,36 @@ func (p *Program) countEval(scanned int) {
 }
 
 // Filter evaluates the program as a predicate over the selected lanes and
-// appends the truthy lanes to dst, preserving selection order. NULL
-// results are false, as in SQL WHERE semantics.
-func (p *Program) Filter(sel, dst []int32) ([]int32, error) {
-	if err := p.batch.checkSel(sel); err != nil {
-		return nil, err
+// returns the truthy ones, preserving selection order. NULL results are
+// false, as in SQL WHERE semantics. The result's lanes are a buffer of the
+// program's, drawn from its Scratch: valid until its next Filter.
+func (p *Program) Filter(sel Sel) (Sel, error) {
+	if err := p.batch.owns(sel); err != nil {
+		return Sel{}, err
 	}
+	p.picked = p.sc.i32.grow(p.picked, sel.Len())
+	dst := p.picked[:0]
 	// Constant-true residuals (the common equi-join case) select
 	// everything without touching the kernels.
 	if c, ok := p.root.(*constNode); ok {
 		n := 0
 		if c.v.Bool() {
-			dst = append(dst, sel...)
-			n = len(sel)
+			dst = append(dst, sel.lanes...)
+			n = sel.Len()
 		}
-		p.countFilter(len(sel), n)
-		return dst, nil
+		p.countFilter(sel.Len(), n)
+		return Sel{lanes: dst, n: sel.n}, nil
 	}
-	for start := 0; start < len(sel); start += chunkLanes {
-		seg := sel[start:min(start+chunkLanes, len(sel))]
+	for start := 0; start < sel.Len(); start += chunkLanes {
+		seg := sel.lanes[start:min(start+chunkLanes, sel.Len())]
 		picked := len(dst)
 		var err error
 		if dst, err = p.filter(p.root, seg, dst); err != nil {
-			return nil, err
+			return Sel{}, err
 		}
 		p.countFilter(len(seg), len(dst)-picked)
 	}
-	return dst, nil
+	return Sel{lanes: dst, n: sel.n}, nil
 }
 
 // filter appends to dst the lanes of sel on which n is true, in selection
@@ -391,16 +395,12 @@ func (p *Program) filter(n node, sel, dst []int32) ([]int32, error) {
 // EvalEach evaluates the program as a scalar expression over the selected
 // lanes in segments, invoking fn once per segment with the resulting
 // vector. The vector is scratch: fn must consume it before returning.
-func (p *Program) EvalEach(sel []int32, fn func(*Lanes) error) error {
-	if err := p.batch.checkSel(sel); err != nil {
+func (p *Program) EvalEach(sel Sel, fn func(*Lanes) error) error {
+	if err := p.batch.owns(sel); err != nil {
 		return err
 	}
-	for start := 0; start < len(sel); start += chunkLanes {
-		end := start + chunkLanes
-		if end > len(sel) {
-			end = len(sel)
-		}
-		seg := sel[start:end]
+	for start := 0; start < sel.Len(); start += chunkLanes {
+		seg := sel.lanes[start:min(start+chunkLanes, sel.Len())]
 		out, err := p.root.eval(p, seg)
 		if err != nil {
 			return err
@@ -707,23 +707,27 @@ func (n *scalarNode) eval(p *Program, sel []int32) (*Lanes, error) {
 type colNode struct {
 	col int
 	out Lanes
+	// The node's own lane buffers: out's payload is one of them, or a run
+	// of the column itself, which no node writes.
+	ints  []int64
+	flts  []float64
+	codes []int32
 }
 
 func (n *colNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	c := &p.batch.Cols[n.col]
 	ln := len(sel)
 	out := &n.out
-	out.reset(p.sc, c.Kind, ln)
+	out.Kind, out.N, out.Const, out.Nulls, out.ConstV, out.Dict = c.Kind, ln, false, nil, value.Null, c.Dict
 	lo, run := p.batch.run(sel)
+	inPlace := run && c.Nulls == nil
 	switch c.Kind {
 	case value.KindBool, value.KindInt:
-		take(out.Ints, c.Ints, sel, lo, run)
+		out.Ints = take(&p.sc.i64, &n.ints, c.Ints, sel, lo, inPlace)
 	case value.KindFloat:
-		take(out.Floats, c.Floats, sel, lo, run)
+		out.Floats = take(&p.sc.f64, &n.flts, c.Floats, sel, lo, inPlace)
 	case value.KindString:
-		out.Codes = p.sc.i32.grow(out.Codes, ln)
-		take(out.Codes, c.Codes, sel, lo, run)
-		out.Dict = c.Dict
+		out.Codes = take(&p.sc.i32, &n.codes, c.Codes, sel, lo, inPlace)
 	}
 	if c.Nulls != nil {
 		nulls := p.sc.growB(out.nullBuf, ln)
@@ -742,15 +746,18 @@ func (n *colNode) eval(p *Program, sel []int32) (*Lanes, error) {
 	return out, nil
 }
 
-// take fills dst with the selected lanes of xs: one copy for a run at lo.
-func take[T any](dst, xs []T, sel []int32, lo int, run bool) {
-	if run {
-		copy(dst, xs[lo:lo+len(sel)])
-		return
+// take returns the selected lanes of xs: the run at lo read in place when
+// inPlace, else gathered into *buf, grown from pool.
+func take[T any](pool *bufPool[T], buf *[]T, xs []T, sel []int32, lo int, inPlace bool) []T {
+	if inPlace {
+		return xs[lo : lo+len(sel) : lo+len(sel)]
 	}
+	dst := pool.grow(*buf, len(sel))
+	*buf = dst
 	for i, lane := range sel {
 		dst[i] = xs[lane]
 	}
+	return dst
 }
 
 type notNode struct {
@@ -910,7 +917,10 @@ var cmpHolds = map[string]uint8{"=": 1, "!=": 6, "<": 2, "<=": 3, ">": 4, ">=": 
 // non-NULL operands — as a bit index: 0 equal, 1 less, 2 greater. Callers
 // compare ints and bools as int64 and anything else with a float side as
 // float64, where NaN orders equal to everything, as in value.Compare.
-func order[T cmp.Ordered](x, y T) uint { return b2u(x < y) | b2u(x > y)<<1 }
+func order[T cmp.Ordered](x, y T) uint { return bounded(x, y, y) }
+
+// bounded is order against the interval [lo, hi]: 1 below it, 2 above it.
+func bounded[T cmp.Ordered](x, lo, hi T) uint { return b2u(x < lo) | b2u(x > hi)<<1 }
 
 func b2u(b bool) uint {
 	if b {
@@ -1022,47 +1032,69 @@ func (n *cmpNode) filter(p *Program, sel, dst []int32) (out []int32, ok bool, er
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, len(sel))[:start+len(sel)]
-	lo, run := p.batch.run(sel)
+	to := dst[start:]
+	first, run := p.batch.run(sel)
 	var k int
 	switch {
 	case c.Kind == value.KindFloat:
 		y, _ := v.AsFloat()
-		k = selectHolds(dst[start:], sel, c.Floats, y, holds, c.Nulls, lo, run)
+		k = selectHolds(to, sel, c.Floats, y, y, holds, c.Nulls, first, run)
 	case v.K == value.KindFloat:
-		k = selectHolds(dst[start:], sel, c.Ints, v.Float(), holds, c.Nulls, lo, run)
+		if lo, hi, ok := foldInt(v.Float()); ok {
+			k = selectHolds(to, sel, c.Ints, lo, hi, holds, c.Nulls, first, run)
+		} else {
+			k = selectHolds(to, sel, c.Ints, v.Float(), v.Float(), holds, c.Nulls, first, run)
+		}
 	default:
-		k = selectHolds(dst[start:], sel, c.Ints, v.Int(), holds, c.Nulls, lo, run)
+		k = selectHolds(to, sel, c.Ints, v.Int(), v.Int(), holds, c.Nulls, first, run)
 	}
 	return dst[:start+k], true, nil
 }
 
+// foldInt folds a FLOAT operand y into bounds on INT lanes x: float64(x) < y
+// holds exactly when x < lo, and float64(x) > y exactly when x > hi, so the
+// lanes compare as INT with value.Compare's verdict. float64 is monotone on
+// int64 and exact within ±2^53, so ceil and floor are the bounds there; a
+// NaN y orders equal to every lane. ok is false for every other y (±Inf,
+// and magnitudes where converting a lane rounds), which compares as float.
+func foldInt(y float64) (lo, hi int64, ok bool) {
+	switch {
+	case y != y:
+		return math.MinInt64, math.MaxInt64, true
+	case math.Abs(y) < 1<<53:
+		return int64(math.Ceil(y)), int64(math.Floor(y)), true
+	}
+	return 0, 0, false
+}
+
 // selectHolds writes to out, in order, the lanes of sel whose non-NULL
-// column value x has order(x, y) in holds, and returns how many it wrote.
-// Every lane is stored and the cursor advances by the verdict, so the loop
-// has no data-dependent branch; a run at lo reads xs[lo:] contiguously.
-func selectHolds[S, T int64 | float64](out, sel []int32, xs []S, y T, holds uint8, nulls *Bitmap, lo int, run bool) int {
+// column value x has order(x, y) in holds, and returns how many it wrote;
+// the order is bounded(T(x), lo, hi), with lo = hi = y but for foldInt's
+// bounds. Every lane is stored and the cursor advances by the verdict, so
+// the loop has no data-dependent branch; a run at first reads xs[first:]
+// contiguously. NULL lanes leave in a second pass over the lanes kept.
+func selectHolds[S, T int64 | float64](out, sel []int32, xs []S, lo, hi T, holds uint8, nulls *Bitmap, first int, run bool) int {
 	k := 0
 	if run {
-		for i, x := range xs[lo : lo+len(sel)] {
-			lane := lo + i
-			keep := holds >> order(T(x), y) & 1
-			if nulls != nil {
-				keep &^= uint8(nulls.bits[lane>>6]>>(uint(lane)&63)) & 1
-			}
-			out[k] = int32(lane)
-			k += int(keep)
+		for i, x := range xs[first : first+len(sel)] {
+			out[k] = int32(first + i)
+			k += int(holds >> bounded(T(x), lo, hi) & 1)
 		}
+	} else {
+		for _, lane := range sel {
+			out[k] = lane
+			k += int(holds >> bounded(T(xs[lane]), lo, hi) & 1)
+		}
+	}
+	if nulls == nil {
 		return k
 	}
-	for _, lane := range sel {
-		keep := holds >> order(T(xs[lane]), y) & 1
-		if nulls != nil {
-			keep &^= uint8(nulls.bits[lane>>6]>>(uint(lane)&63)) & 1
-		}
-		out[k] = lane
-		k += int(keep)
+	kept := 0
+	for _, lane := range out[:k] {
+		out[kept] = lane
+		kept += int(^nulls.bits[lane>>6] >> (uint(lane) & 63) & 1)
 	}
-	return k
+	return kept
 }
 
 type arithNode struct {

@@ -99,7 +99,7 @@ type Batch struct {
 	clustered []bool // the columns a view (Grouping.View) holds; nil outside views
 
 	allOnce sync.Once
-	all     []int32 // the identity selection, see AllLanes
+	all     []int32 // see identity
 
 	groupMu sync.Mutex
 	// groupMemo caches the Grouping per key-column set; entries are
@@ -113,9 +113,26 @@ type Batch struct {
 // Len returns the number of rows (lanes) in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// AllLanes returns the identity selection: every lane, in scan order. It
-// is built on first use and shared by all callers, who must not modify it.
-func (b *Batch) AllLanes() []int32 {
+// Sel is a selection of lanes, in order, that carries its proof: every
+// entry indexes one of the n lanes of the batch it was made for. Only
+// AllLanes, Grouping.Find, Filter and Distinct make one, from lanes they
+// know to be in range, and Select from a caller's lanes, checking each; so
+// a kernel handed one checks in O(1) that it was made for a batch of its
+// length (owns) instead of walking its lanes.
+type Sel struct {
+	lanes []int32
+	n     int
+}
+
+// Len returns the number of selected lanes.
+func (s Sel) Len() int { return len(s.lanes) }
+
+// AllLanes returns the identity selection: every lane, in scan order.
+func (b *Batch) AllLanes() Sel { return Sel{lanes: b.identity(), n: b.n} }
+
+// identity returns the lanes 0..n-1, built on first use and shared by every
+// selection of them and by the batch's views; nothing writes to it.
+func (b *Batch) identity() []int32 {
 	b.allOnce.Do(func() {
 		b.all = make([]int32, b.n)
 		for i := range b.all {
@@ -125,9 +142,28 @@ func (b *Batch) AllLanes() []int32 {
 	return b.all
 }
 
+// Select is the checked constructor of a selection of b from a caller's
+// lanes, which it copies: every entry must index a lane of b.
+func (b *Batch) Select(lanes []int32) (Sel, error) {
+	for _, s := range lanes {
+		if uint(s) >= uint(b.n) {
+			return Sel{}, fmt.Errorf("vec: selection lane %d out of range [0,%d)", s, b.n)
+		}
+	}
+	return Sel{lanes: append([]int32(nil), lanes...), n: b.n}, nil
+}
+
+// owns checks that sel was made for a batch of b's length.
+func (b *Batch) owns(sel Sel) error {
+	if sel.n != b.n {
+		return fmt.Errorf("vec: selection made for a batch of %d lanes, batch has %d", sel.n, b.n)
+	}
+	return nil
+}
+
 // Check validates the structural invariants of the batch: one column per
 // schema column, every payload and null bitmap of the batch's lane count.
-// Exported kernels call it (or checkSel) before touching payloads.
+// Exported kernels call it before touching payloads.
 func (b *Batch) Check() error {
 	if b.Schema == nil {
 		return fmt.Errorf("vec: batch has no schema")
@@ -157,20 +193,10 @@ func (b *Batch) Check() error {
 	return nil
 }
 
-// checkSel validates that every selection entry indexes a batch lane.
-func (b *Batch) checkSel(sel []int32) error {
-	for _, s := range sel {
-		if uint(s) >= uint(b.n) {
-			return fmt.Errorf("vec: selection lane %d out of range [0,%d)", s, b.n)
-		}
-	}
-	return nil
-}
-
-// run reports whether sel is AllLanes()[lo:lo+len(sel)], returning lo: only a
+// run reports whether sel is identity()[lo:lo+len(sel)], returning lo: only a
 // slice of the identity's array has its capacity end at the last entry.
 func (b *Batch) run(sel []int32) (lo int, ok bool) {
-	all := b.AllLanes()
+	all := b.identity()
 	c := cap(sel)
 	if len(sel) == 0 || c > len(all) || &sel[:c][c-1] != &all[len(all)-1] {
 		return 0, false
@@ -263,11 +289,11 @@ func ToRelation(b *Batch) (*relation.Relation, error) {
 
 // Rows boxes the selected lanes of the given columns into rows, in
 // selection order.
-func Rows(b *Batch, cols []int, sel []int32) ([]relation.Row, error) {
+func Rows(b *Batch, cols []int, sel Sel) ([]relation.Row, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
-	if err := b.checkSel(sel); err != nil {
+	if err := b.owns(sel); err != nil {
 		return nil, err
 	}
 	for _, ci := range cols {
@@ -275,8 +301,8 @@ func Rows(b *Batch, cols []int, sel []int32) ([]relation.Row, error) {
 			return nil, err
 		}
 	}
-	rows := relation.MakeRows(len(sel), len(cols))
-	for i, lane := range sel {
+	rows := relation.MakeRows(sel.Len(), len(cols))
+	for i, lane := range sel.lanes {
 		row := rows[i]
 		for _, ci := range cols {
 			row = append(row, b.Cols[ci].Value(int(lane)))

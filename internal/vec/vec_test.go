@@ -98,14 +98,17 @@ func distinctBoth(t *testing.T, r *relation.Relation, cols []string, sel []int32
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel == nil {
-		sel = b.AllLanes()
+	all := b.AllLanes()
+	if sel != nil {
+		if all, err = b.Select(sel); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ps, idx, err := r.Schema.Project(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes, err := Distinct(b, idx, sel)
+	lanes, err := Distinct(b, idx, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +182,12 @@ func TestDistinctRejectsBadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Distinct(b, []int{0}, []int32{int32(b.Len())}); err == nil {
-		t.Error("selection lane past the batch accepted")
+	// The lanes Distinct, Filter and EvalEach were once handed raw are
+	// refused where a selection is made of them.
+	for _, bad := range [][]int32{{int32(b.Len())}, {-1}} {
+		if _, err := b.Select(bad); err == nil {
+			t.Errorf("selection %v of a %d-lane batch accepted", bad, b.Len())
+		}
 	}
 	if _, err := Distinct(b, []int{9}, b.AllLanes()); err == nil {
 		t.Error("key column out of range accepted")
@@ -193,11 +200,33 @@ func TestDistinctRejectsBadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Filter([]int32{-1}, nil); err == nil {
-		t.Error("Filter accepted a negative selection lane")
+	// A selection made for a batch of another length is refused by every
+	// kernel, before any of its lanes is read.
+	shorter, err := FromRelation(keyRel(row(value.NewInt(1), null, null, null)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := p.EvalEach([]int32{int32(b.Len())}, func(*Lanes) error { return nil }); err == nil {
-		t.Error("EvalEach accepted a selection lane past the batch")
+	picked, err := shorter.Select([]int32{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sel := range map[string]Sel{
+		"another batch's lanes":     shorter.AllLanes(),
+		"another batch's selection": picked,
+		"the zero selection":        {},
+	} {
+		if _, err := Distinct(b, []int{0}, sel); err == nil {
+			t.Errorf("Distinct accepted %s", name)
+		}
+		if _, err := p.Filter(sel); err == nil {
+			t.Errorf("Filter accepted %s", name)
+		}
+		if err := p.EvalEach(sel, func(*Lanes) error { return nil }); err == nil {
+			t.Errorf("EvalEach accepted %s", name)
+		}
+		if _, err := Rows(b, []int{0}, sel); err == nil {
+			t.Errorf("Rows accepted %s", name)
+		}
 	}
 	short := &Batch{Schema: b.Schema, Cols: b.Cols[:1]}
 	if _, err := Compile(expr.MustParse("R.I > 0"), bd, short, new(Scratch)); err == nil {
@@ -315,12 +344,12 @@ func TestGroupingFind(t *testing.T) {
 	// An int needle finds integral float lanes; a string outside the
 	// dictionary finds nothing.
 	g, _ := b.Grouping([]int{1})
-	if got := g.Find(relation.Row{null, i(5)}, []int{1}); len(got) == 0 {
+	if got := g.Find(relation.Row{null, i(5)}, []int{1}); got.Len() == 0 {
 		t.Error("int needle 5 found no 5.0 lane")
 	}
 	g, _ = b.Grouping([]int{2})
-	if got := g.Find(relation.Row{null, null, s("zz")}, []int{2}); got != nil {
-		t.Errorf("absent string found lanes %v", got)
+	if got := g.Find(relation.Row{null, null, s("zz")}, []int{2}); got.Len() != 0 {
+		t.Errorf("absent string found lanes %v", got.lanes)
 	}
 }
 
@@ -347,19 +376,19 @@ func TestGroupingFindOnCollision(t *testing.T) {
 	if got := sourceLanes(g, forged.Find(relation.Row{s("b")}, []int{0})); fmt.Sprint(got) != "[0 2]" {
 		t.Errorf("needle b on a shared chain found lanes %v, want [0 2]", got)
 	}
-	if got := forged.Find(relation.Row{s("a")}, []int{0}); got != nil {
-		t.Errorf("needle a, whose hash has no chain, found lanes %v", got)
+	if got := forged.Find(relation.Row{s("a")}, []int{0}); got.Len() != 0 {
+		t.Errorf("needle a, whose hash has no chain, found lanes %v", got.lanes)
 	}
 }
 
 // sourceLanes maps a run Find returned back through the grouping's
-// permutation to the source lanes it stands for; nil stays nil.
-func sourceLanes(g *Grouping, run []int32) []int32 {
-	if run == nil {
+// permutation to the source lanes it stands for; no lanes are nil.
+func sourceLanes(g *Grouping, run Sel) []int32 {
+	if run.Len() == 0 {
 		return nil
 	}
-	out := make([]int32, len(run))
-	for i, l := range run {
+	out := make([]int32, run.Len())
+	for i, l := range run.lanes {
 		out[i] = g.lanes[l]
 	}
 	return out
@@ -465,10 +494,11 @@ func TestFilterMatchesRowPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
-		got, err := p.Filter(b.AllLanes(), nil)
+		sel, err := p.Filter(b.AllLanes())
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
+		got := sel.lanes
 		var want []int32
 		for i, row := range r.Rows {
 			ok, err := bound.EvalBool(nil, row)
@@ -507,11 +537,12 @@ func TestScratchReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := p.Filter(b.AllLanes(), nil)
+		out, err := p.Filter(b.AllLanes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		// The lanes are the scratch's, which the next generation reuses.
+		return append([]int32(nil), out.lanes...)
 	}
 	want = generation()
 	if len(want) == 0 {

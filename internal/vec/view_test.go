@@ -101,28 +101,37 @@ func TestGroupingViewMatchesSource(t *testing.T) {
 
 // viewAgrees compares the view over run with the source over want, and a
 // filter over run with one over a copy of it.
-func viewAgrees(src, v *Batch, cols []int, run, want []int32) string {
-	if len(run) != len(want) {
-		return fmt.Sprintf("run %v has %d lanes, the group %d", run, len(run), len(want))
+func viewAgrees(src, v *Batch, cols []int, run Sel, want []int32) string {
+	lanes := run.lanes
+	if len(lanes) != len(want) {
+		return fmt.Sprintf("run %v has %d lanes, the group %d", lanes, len(lanes), len(want))
 	}
-	if lo, ok := v.run(run); !ok || lo != int(run[0]) {
-		return fmt.Sprintf("run %v is not a run of the view's identity", run)
+	if lo, ok := v.run(lanes); !ok || lo != int(lanes[0]) {
+		return fmt.Sprintf("run %v is not a run of the view's identity", lanes)
 	}
 	got, err := Rows(v, cols, run)
 	if err != nil {
 		return err.Error()
 	}
-	exp, err := Rows(src, cols, want)
+	wantSel, err := src.Select(want)
 	if err != nil {
 		return err.Error()
 	}
-	for k := range run {
+	exp, err := Rows(src, cols, wantSel)
+	if err != nil {
+		return err.Error()
+	}
+	runCopy, err := v.Select(lanes)
+	if err != nil {
+		return err.Error()
+	}
+	for k, lane := range lanes {
 		for j, ci := range cols {
 			if got[k][j] != exp[k][j] { // floats by their bits
-				return fmt.Sprintf("column %d: view lane %d holds %#v, source lane %d %#v", ci, run[k], got[k][j], want[k], exp[k][j])
+				return fmt.Sprintf("column %d: view lane %d holds %#v, source lane %d %#v", ci, lane, got[k][j], want[k], exp[k][j])
 			}
-			if v.Cols[ci].IsNull(int(run[k])) != src.Cols[ci].IsNull(int(want[k])) {
-				return fmt.Sprintf("column %d: NULL bit of view lane %d differs from source lane %d", ci, run[k], want[k])
+			if v.Cols[ci].IsNull(int(lane)) != src.Cols[ci].IsNull(int(want[k])) {
+				return fmt.Sprintf("column %d: NULL bit of view lane %d differs from source lane %d", ci, lane, want[k])
 			}
 		}
 	}
@@ -134,10 +143,11 @@ func viewAgrees(src, v *Batch, cols []int, run, want []int32) string {
 			if err != nil {
 				return err.Error()
 			}
-			onRun, errRun := p.Filter(run, nil)
-			onCopy, errCopy := p.Filter(append([]int32(nil), run...), nil)
-			if fmt.Sprint(onRun, errRun) != fmt.Sprint(onCopy, errCopy) {
-				return fmt.Sprintf("%s: run selects %v (%v), its copy %v (%v)", text, onRun, errRun, onCopy, errCopy)
+			onRun, err := p.Filter(run)
+			selected := fmt.Sprint(onRun.lanes, err) // the next Filter reuses the lanes
+			onCopy, err := p.Filter(runCopy)
+			if copied := fmt.Sprint(onCopy.lanes, err); copied != selected {
+				return fmt.Sprintf("%s: run selects %s, its copy %s", text, selected, copied)
 			}
 		}
 	}
@@ -168,7 +178,7 @@ func TestGroupingViewsShare(t *testing.T) {
 	if &v1.Cols[1].Floats[0] != &v3.Cols[1].Floats[0] {
 		t.Error("two views of one grouping hold separate copies of column 1")
 	}
-	if &v1.AllLanes()[0] != &v3.AllLanes()[0] || &v1.AllLanes()[0] != &b.AllLanes()[0] {
+	if &v1.identity()[0] != &v3.identity()[0] || &v1.identity()[0] != &b.identity()[0] {
 		t.Error("views of one grouping have separate identity selections")
 	}
 	if _, err := g.View([]int{4}); err == nil {
@@ -179,8 +189,8 @@ func TestGroupingViewsShare(t *testing.T) {
 	}
 }
 
-// TestCheckSelBounds: one unsigned compare per lane still rejects every
-// entry outside [0, n).
+// TestCheckSelBounds: the checked constructor's one unsigned compare per
+// lane rejects every entry outside [0, n).
 func TestCheckSelBounds(t *testing.T) {
 	b, err := FromRelation(hostileRel())
 	if err != nil {
@@ -188,12 +198,12 @@ func TestCheckSelBounds(t *testing.T) {
 	}
 	n := int32(b.Len())
 	for _, bad := range []int32{-1, n, math.MaxInt32, math.MinInt32} {
-		if err := b.checkSel([]int32{0, bad}); err == nil {
-			t.Errorf("checkSel accepted lane %d of %d", bad, n)
+		if _, err := b.Select([]int32{0, bad}); err == nil {
+			t.Errorf("Select accepted lane %d of %d", bad, n)
 		}
 	}
-	if err := b.checkSel([]int32{0, n - 1}); err != nil {
-		t.Errorf("checkSel refused lane n-1: %v", err)
+	if sel, err := b.Select([]int32{0, n - 1}); err != nil || sel.Len() != 2 {
+		t.Errorf("Select refused lane n-1: %v", err)
 	}
 }
 
@@ -209,7 +219,7 @@ func TestRunRecogniser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, n := b.AllLanes(), b.Len()
+	all, n := b.identity(), b.Len()
 	for _, lh := range [][2]int{{0, n}, {0, 1}, {3, 7}, {n - 1, n}, {5, n}} {
 		lo, ok := b.run(all[lh[0]:lh[1]])
 		if !ok || lo != lh[0] {
@@ -221,7 +231,7 @@ func TestRunRecogniser(t *testing.T) {
 		"a full copy":           append([]int32(nil), all...),
 		"a capped all[2:6:6]":   all[2:6:6],
 		"a capped all[0:1:1]":   all[0:1:1],
-		"another batch's lanes": other.AllLanes(),
+		"another batch's lanes": other.identity(),
 		"an empty selection":    all[n:],
 		"an empty run start":    all[3:3],
 		"nil":                   nil,

@@ -40,7 +40,9 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # fan-out, parallel site evaluation and the kernel workers it fans out to
 # — must be green twenty times over.
 # The kernel's key groupings are built once under a lock and then read
-# without it by every worker of every concurrent request.
+# without it by every worker of every concurrent request. The run includes
+# TestKernelsWarmAllocateNothing: on one goroutine, a warm Filter and
+# EvalEach over proven selections allocate nothing.
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
