@@ -39,7 +39,7 @@ var (
 	debugAddr      = flag.String("debug-addr", "", "serve observability over HTTP on this address (/metrics, /events, /trace, /healthz, /readyz); empty disables")
 	drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, stop accepting and wait up to this long for in-flight requests before exiting")
 	maxResultRows  = flag.Int("max-result-rows", 0, "reject a request whose result exceeds this many rows with an overload error (0 = unlimited)")
-	maxResultBytes = flag.Int64("max-result-bytes", 0, "reject a request whose result exceeds roughly this many bytes with an overload error (0 = unlimited)")
+	maxResultBytes = flag.Int64("max-result-bytes", 0, "reject a request whose result frame exceeds this many bytes with an overload error (0 = unlimited)")
 )
 
 func main() {

@@ -1,11 +1,14 @@
 package agg
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/relation"
 	"repro/internal/value"
 )
 
@@ -207,4 +210,87 @@ func TestExtremumFoldNaN(t *testing.T) {
 // sameState compares states bit for bit, float bit patterns included.
 func sameState(a, b value.V) bool {
 	return a == b // one payload word: floats compare by their bits
+}
+
+// FuzzSlabFrame folds values of every kind — NULLs, ints, bools, floats
+// with NaN and −0, strings — into the groups of a slab of every primitive,
+// and frames its lanes (Slab.Lane) over the groups a bitmap keeps: the
+// frame must be, byte for byte, AppendFrame of the same states boxed into
+// rows (Result), and must read as its bytes decode. A group may see no
+// value (NULL states), one kind, or several (a generic extremum lane).
+func FuzzSlabFrame(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6}, uint8(9))
+	f.Add([]byte{0, 11, 0, 12, 2, 13, 2, 14, 0xff}, uint8(3+0x80))
+	f.Add([]byte{1, 33, 1, 34, 3, 35, 4, 36, 5, 37}, uint8(7))
+	f.Add([]byte{}, uint8(0))
+	specs := []Spec{
+		MustParseSpec("count(*) AS n"), MustParseSpec("count(x) AS c"),
+		MustParseSpec("sum(x) AS s"), MustParseSpec("var(x) AS v"),
+		MustParseSpec("min(x) AS lo"), MustParseSpec("max(x) AS hi"),
+		MustParseSpec("countd(x) AS d"), MustParseSpec("countdx(x) AS dx"),
+	}
+	var cols []relation.Column
+	for _, sp := range specs {
+		cols = append(cols, sp.SubColumns()...)
+	}
+	schema := relation.MustSchema(cols...)
+	f.Fuzz(func(t *testing.T, data []byte, groups uint8) {
+		if len(data) > 512 {
+			return
+		}
+		n := int(groups % 0x40)
+		slab := NewSlab(specs, n)
+		for i := 0; n > 0 && i+1 < len(data); i += 2 {
+			b := data[i+1]
+			var v value.V
+			switch b % 5 {
+			case 1:
+				v = value.NewInt(int64(int8(b)))
+			case 2:
+				v = value.NewBool(b&8 != 0)
+			case 3:
+				v = value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, float64(int8(b)) / 4}[b/5%4])
+			case 4:
+				v = value.NewString(fmt.Sprint(b % 13))
+			}
+			for p := 0; p < slab.Width(); p++ {
+				_ = slab.Add(int(data[i])%n, p, v) // a refused value leaves the state as it was
+			}
+		}
+		var kept []byte // every group when groups' top bit is clear
+		if groups&0x80 != 0 {
+			kept = make([]byte, (n+7)/8)
+			for g := 0; g < n; g++ {
+				if len(data) > 0 && data[g%len(data)]&0x10 != 0 {
+					kept[g/8] |= 1 << (g % 8)
+				}
+			}
+		}
+		lanes := make([]relation.LaneSource, slab.Width())
+		boxed := relation.New(schema)
+		for p := range lanes {
+			lanes[p] = slab.Lane(p)
+		}
+		for g := 0; g < n; g++ {
+			if kept != nil && kept[g/8]&(1<<(g%8)) == 0 {
+				continue
+			}
+			row := make(relation.Row, slab.Width())
+			for p := range row {
+				row[p] = slab.Result(g, p)
+			}
+			boxed.Rows = append(boxed.Rows, row)
+		}
+		got := relation.EncodeFrame(schema, n, kept, lanes)
+		if want := relation.AppendFrame(nil, boxed); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("framed from the lanes\n% x\nboxed\n% x", got.Bytes(), want)
+		}
+		dec, err := relation.DecodeFrame(got.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Relation(), dec.Relation()) || (boxed.Len() > 0 && !reflect.DeepEqual(got.Relation().Rows, boxed.Rows)) {
+			t.Fatalf("the frame reads\n%v\nits bytes decode to\n%v\nboxed\n%v", got.Relation(), dec.Relation(), boxed)
+		}
+	})
 }

@@ -5,6 +5,7 @@ package agg
 import (
 	"fmt"
 
+	"repro/internal/relation"
 	"repro/internal/value"
 )
 
@@ -255,8 +256,28 @@ func (l *lane) checkSet(g int) error {
 
 // Result returns primitive p of group g as a shippable value. Empty states
 // are NULL except PCount, which is 0.
-func (s *Slab) Result(g, p int) value.V {
-	l := &s.lanes[p]
+func (s *Slab) Result(g, p int) value.V { return s.lanes[p].Value(g) }
+
+// Lane returns primitive p's states, group g's as value g, as the lane of
+// a frame: Result's values.
+func (s *Slab) Lane(p int) relation.LaneSource { return &s.lanes[p] }
+
+// Values sets dst[k] to Value(from+k) (relation.LaneSource). For kinds
+// alone, a sketch or a set that holds something is an empty STRING: it is
+// encoded only when its value is written.
+func (l *lane) Values(dst []value.V, from int, kindsOnly bool) {
+	for k := range dst {
+		g := from + k
+		if kindsOnly && (l.prim == PHLL && l.hlls[g] != nil || l.prim == PSet && l.sets[g] != nil) {
+			dst[k] = value.NewString("")
+		} else {
+			dst[k] = l.Value(g)
+		}
+	}
+}
+
+// Value returns group g's state as a shippable value.
+func (l *lane) Value(g int) value.V {
 	switch l.prim {
 	case PCount:
 		return value.NewInt(l.ints[g])

@@ -714,10 +714,13 @@ type kindShift struct{ transport.Handler }
 
 func (k kindShift) Handle(ctx context.Context, req *transport.Request) *transport.Response {
 	resp := k.Handler.Handle(ctx, req)
-	if req.Op == transport.OpEvalRounds && len(req.Rounds) == 0 && resp.Rel != nil {
-		cols := append([]relation.Column(nil), resp.Rel.Schema.Cols...)
+	if f, err := resp.Frame(); req.Op == transport.OpEvalRounds && len(req.Rounds) == 0 && err == nil {
+		rel := f.Relation()
+		cols := append([]relation.Column(nil), rel.Schema.Cols...)
 		cols[0].Kind = value.KindString
-		resp.Rel.Schema, _ = relation.NewSchema(cols...)
+		rel.Schema, _ = relation.NewSchema(cols...)
+		f, _ = relation.FrameOf(rel)
+		resp.SetFrame(f)
 	}
 	return resp
 }

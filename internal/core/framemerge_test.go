@@ -65,7 +65,7 @@ func emitted(t *testing.T, m *keyedMerge, tier bool) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(relation.AppendFrame(nil, rel), kept...)
+		return append(rel.Bytes(), kept...)
 	}
 	x, err := m.finalized()
 	if err != nil {
@@ -311,11 +311,11 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		sub, subAnswered := direct(1)
-		if got, want := append(relation.AppendFrame(nil, frag), fragKept...), directTier(x, false, specs, sub, subAnswered); !bytes.Equal(got, want) {
+		if got, want := append(frag.Bytes(), fragKept...), directTier(x, false, specs, sub, subAnswered); !bytes.Equal(got, want) {
 			t.Errorf("%s: relay fragment of sites 1 on\n% x\nadded into one slab\n% x", c.name, got, want)
 		}
 		tierPls := []placement{pls[0], {shipped: groups, kept: fragKept}}
-		if got, want := mergedFrames(t, x, specs, []*relation.Relation{replies[0], frag}, tierPls, false), directX(t, x, specs, ref); !bytes.Equal(got, want) {
+		if got, want := mergedFrames(t, x, specs, []*relation.Relation{replies[0], frag.Relation()}, tierPls, false), directX(t, x, specs, ref); !bytes.Equal(got, want) {
 			t.Errorf("%s: X merged from a relay's frame\n% x\nadded into one slab\n% x", c.name, got, want)
 		}
 	}

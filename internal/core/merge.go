@@ -19,7 +19,7 @@ import (
 // (merge) — and their primitive states merged associatively into one
 // agg.Slab, one primitive column at a time. The root coordinator finalizes
 // the merged states into new columns of X (finalized); a relay tier
-// re-emits them as one pre-merged fragment for the tier above (tier).
+// frames them as one pre-merged fragment for the tier above (tier).
 type keyedMerge struct {
 	schema *relation.Schema // of rows
 	keys   []string
@@ -244,13 +244,13 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 	return out, nil
 }
 
-// tier emits the merge as one fragment for the tier above, in the shape a
+// tier frames the merge as one fragment for the tier above, in the shape a
 // leaf answers the same request with: a keyed merge's group rows (the base
 // columns), then every spec's merged primitive states. A positional merge
-// echoes no base columns and emits only the groups some fragment answered,
+// echoes no base columns and frames only the groups some fragment answered,
 // in group order, returning the Response.Kept bitmap that names them (nil
 // when it names every group).
-func (m *keyedMerge) tier() (*relation.Relation, []byte, error) {
+func (m *keyedMerge) tier() (*relation.Frame, []byte, error) {
 	echo := 0 // the base columns each row leads with
 	if len(m.keys) > 0 {
 		echo = m.schema.Len()
@@ -263,18 +263,11 @@ func (m *keyedMerge) tier() (*relation.Relation, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := relation.MakeRows(len(m.rows), schema.Len())
-	out := &relation.Relation{Schema: schema, Rows: rows[:0]}
-	for gi, row := range m.rows {
-		if m.kept != nil && m.kept[gi/8]&(1<<(gi%8)) == 0 {
-			continue
-		}
-		nr := append(rows[len(out.Rows)], row[:echo]...)
-		for p := 0; p < m.accs.Width(); p++ {
-			nr = append(nr, m.accs.Result(gi, p))
-		}
-		out.Rows = append(out.Rows, nr)
+	lanes := append(make([]relation.LaneSource, 0, len(cols)), relation.RowLanes(m.rows, echo)...)
+	for p := 0; p < m.accs.Width(); p++ {
+		lanes = append(lanes, m.accs.Lane(p))
 	}
+	out := relation.EncodeFrame(schema, len(m.rows), m.kept, lanes)
 	if out.Len() == len(m.rows) {
 		return out, nil, nil
 	}

@@ -117,6 +117,11 @@ func (r *Relay) eval(ctx context.Context, req *transport.Request) (*transport.Re
 	if err != nil {
 		return nil, err
 	}
-	rel, kept, err := m.tier()
-	return &transport.Response{Rel: rel, Kept: kept, ComputeNs: time.Since(start).Nanoseconds()}, err
+	out, kept, err := m.tier()
+	if err != nil {
+		return nil, err
+	}
+	resp := &transport.Response{Kept: kept, ComputeNs: time.Since(start).Nanoseconds()}
+	resp.SetFrame(out)
+	return resp, nil
 }

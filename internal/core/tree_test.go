@@ -224,13 +224,14 @@ func TestRelayFusedMergesOnBaseCols(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if got := resp.Rel.Schema.String(); got != "(SourceAS:INT, c__p0:INT)" {
+	rel := replyRel(t, resp)
+	if got := rel.Schema.String(); got != "(SourceAS:INT, c__p0:INT)" {
 		t.Errorf("reply schema %s", got)
 	}
-	if resp.Rel.Len() != len(want) {
-		t.Errorf("reply has %d rows for %d distinct SourceAS", resp.Rel.Len(), len(want))
+	if rel.Len() != len(want) {
+		t.Errorf("reply has %d rows for %d distinct SourceAS", rel.Len(), len(want))
 	}
-	for _, row := range resp.Rel.Rows {
+	for _, row := range rel.Rows {
 		if n := want[row[0].Int()]; row[1].Int() != n {
 			t.Errorf("SourceAS %d: count %d, want %d", row[0].Int(), row[1].Int(), n)
 		}
@@ -370,6 +371,16 @@ func (f handlerFunc) Handle(ctx context.Context, req *transport.Request) *transp
 	return f(ctx, req)
 }
 
+// replyRel boxes the relation of a reply.
+func replyRel(tb testing.TB, resp *transport.Response) *relation.Relation {
+	tb.Helper()
+	f, err := resp.Frame()
+	if err != nil {
+		tb.Fatalf("reply %+v: %v", resp, err)
+	}
+	return f.Relation()
+}
+
 // tierRecorder wraps the nodes of wireCluster's relay tree and records,
 // for every request a relay handled, its reply and the exchanges its
 // children had for it.
@@ -454,9 +465,10 @@ func TestRelayReplyShape(t *testing.T) {
 		if ex.req.ShipsBase() {
 			want = make([]bool, ex.req.Base.Len())
 		}
+		out := replyRel(t, ex.resp)
 		for _, ch := range ex.children {
-			if !ex.resp.Rel.Schema.Equal(ch.resp.Rel.Schema) {
-				t.Fatalf("%s round %d: relay replied %s, leaf %s", ex.req.Op, ex.req.Round, ex.resp.Rel.Schema, ch.resp.Rel.Schema)
+			if leaf := replyRel(t, ch.resp); !out.Schema.Equal(leaf.Schema) {
+				t.Fatalf("%s round %d: relay replied %s, leaf %s", ex.req.Op, ex.req.Round, out.Schema, leaf.Schema)
 			}
 			if ch.resp.Kept != nil {
 				ored++
@@ -480,8 +492,8 @@ func TestRelayReplyShape(t *testing.T) {
 				rows++
 			}
 		}
-		if ex.resp.Rel.Len() != rows {
-			t.Errorf("states-only reply has %d rows for %d kept groups", ex.resp.Rel.Len(), rows)
+		if out.Len() != rows {
+			t.Errorf("states-only reply has %d rows for %d kept groups", out.Len(), rows)
 		}
 	}
 	if evals == 0 || ored == 0 {

@@ -33,15 +33,6 @@ const (
 	maxStringExpansion = 64
 )
 
-// laneMode returns the mode column j of rows is encoded in.
-func laneMode(rows []Row, j int) byte {
-	var l laneShape
-	for _, row := range rows {
-		l.add(row[j].K, row[j].S != "")
-	}
-	return l.mode()
-}
-
 // laneShape gathers, value by value, the mode a lane is encoded in.
 type laneShape struct {
 	kind    value.Kind
@@ -92,50 +83,140 @@ func appendString(dst []byte, s string) []byte {
 // allSet returns a bitmap byte with its first min(rows, 8) bits set.
 func allSet(rows int) byte { return byte(1<<min(rows, 8) - 1) }
 
+// A LaneSource is one column of a frame being encoded (EncodeFrame), read
+// a run of source rows at a time.
+type LaneSource interface {
+	// Values sets dst[k] to the value of source row from+k. With kindsOnly
+	// set the encoder is picking the lane's mode: a value needs only its
+	// kind and, unless it is a STRING, its string, so a source may skip
+	// building the rest.
+	Values(dst []value.V, from int, kindsOnly bool)
+}
+
+// rowLane is column col of rows as a lane source.
+type rowLane struct {
+	rows []Row
+	col  int
+}
+
+func (l *rowLane) Values(dst []value.V, from int, _ bool) {
+	for k, row := range l.rows[from : from+len(dst)] {
+		dst[k] = row[l.col]
+	}
+}
+
+// RowLanes returns the first w columns of rows as lane sources.
+func RowLanes(rows []Row, w int) []LaneSource {
+	cols, lanes := make([]rowLane, w), make([]LaneSource, w)
+	for j := range cols {
+		cols[j] = rowLane{rows, j}
+		lanes[j] = &cols[j]
+	}
+	return lanes
+}
+
 // AppendFrame appends the frame of r to dst. r must pass Validate.
 func AppendFrame(dst []byte, r *Relation) []byte {
-	dst = binary.AppendUvarint(append(dst, FrameVersion), uint64(len(r.Schema.Cols)))
-	for _, c := range r.Schema.Cols {
+	return append(dst, EncodeFrame(r.Schema, len(r.Rows), nil, RowLanes(r.Rows, len(r.Schema.Cols))).b...)
+}
+
+// FrameOf returns the frame of r, refusing one that fails Validate.
+func FrameOf(r *Relation) (*Frame, error) {
+	if err := r.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+	}
+	return EncodeFrame(r.Schema, len(r.Rows), nil, RowLanes(r.Rows, len(r.Schema.Cols))), nil
+}
+
+// EncodeFrame frames the source rows [0, n) that kept marks, in order (bit
+// i%8 of byte i/8 marks row i; nil marks every row), column j read from
+// lanes[j]. It records each lane as it writes it, so the frame reads
+// without DecodeFrame's checking pass. The frame is built in a pooled
+// buffer and owns one exact-size copy of it.
+func EncodeFrame(schema *Schema, n int, kept []byte, lanes []LaneSource) *Frame {
+	f := &Frame{Schema: schema, lanes: make([]frameLane, len(lanes))}
+	for i := 0; i < n; i++ {
+		if present(kept, i) {
+			f.n++
+		}
+	}
+	sc := frameBufs.Get().(*frameScratch)
+	dst := binary.AppendUvarint(append(sc.b[:0], FrameVersion), uint64(len(schema.Cols)))
+	for _, c := range schema.Cols {
 		dst = append(appendString(dst, c.Name), byte(c.Kind))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(r.Rows)))
-	for i := 0; len(r.Schema.Cols) == 0 && i < len(r.Rows); i += 8 {
-		dst = append(dst, allSet(len(r.Rows)-i))
+	dst = binary.AppendUvarint(dst, uint64(f.n))
+	for i := 0; len(schema.Cols) == 0 && i < f.n; i += 8 {
+		dst = append(dst, allSet(f.n-i))
 	}
-	for j := 0; len(r.Rows) > 0 && j < len(r.Schema.Cols); j++ {
-		mode := laneMode(r.Rows, j)
-		dst = append(dst, mode)
-		if mode&laneNulls != 0 {
-			at := len(dst)
-			dst = append(dst, make([]byte, (len(r.Rows)+7)/8)...)
-			for i, row := range r.Rows {
-				if !row[j].IsNull() {
-					dst[at+i/8] |= 1 << (i % 8)
-				}
+	for j := 0; f.n > 0 && j < len(lanes); j++ {
+		dst, f.lanes[j] = appendLane(dst, lanes[j], n, f.n, kept, sc.run[:])
+	}
+	f.b, sc.b = bytes.Clone(dst), dst
+	frameBufs.Put(sc)
+	for j := range f.lanes {
+		if l := &f.lanes[j]; l.mode&laneNulls != 0 {
+			l.bm = f.b[l.off-(f.n+7)/8 : l.off] // the bitmap precedes the values
+		}
+	}
+	return f
+}
+
+// appendLane appends the lane of src's kept rows, rows of them: its mode,
+// which one pass over the kinds picks, then the bitmap of its non-NULL rows
+// if some are NULL, filled as one pass over the values writes them. It
+// reads src a run of len(run) values at a time.
+func appendLane(dst []byte, src LaneSource, n, rows int, kept []byte, run []value.V) ([]byte, frameLane) {
+	var shape laneShape
+	for from := 0; from < n; from += len(run) {
+		vals := run[:min(len(run), n-from)]
+		src.Values(vals, from, true)
+		for k, v := range vals {
+			if present(kept, from+k) {
+				shape.add(v.K, v.S != "")
 			}
 		}
-		prev := ""
-		for _, row := range r.Rows {
-			v := row[j]
-			if mode == laneGeneric {
-				dst = append(dst, byte(v.K))
+	}
+	l := frameLane{mode: shape.mode()}
+	kind := value.Kind(l.mode &^ laneNulls)
+	dst = append(dst, l.mode)
+	bm := len(dst)
+	if l.mode&laneNulls != 0 {
+		dst = append(dst, make([]byte, (rows+7)/8)...)
+	}
+	l.off = len(dst)
+	prev, r := "", 0
+	for from := 0; from < n; from += len(run) {
+		vals := run[:min(len(run), n-from)]
+		src.Values(vals, from, false)
+		for k, v := range vals {
+			if !present(kept, from+k) {
+				continue
 			}
-			if mode == laneGeneric || v.K == value.KindBool || v.K == value.KindInt {
-				dst = binary.AppendVarint(dst, v.Int())
+			if l.mode&laneNulls != 0 && !v.IsNull() {
+				dst[bm+r/8] |= 1 << (r % 8)
 			}
-			if mode == laneGeneric || v.K == value.KindFloat {
+			r++
+			switch {
+			case l.mode == laneGeneric:
+				dst = binary.AppendVarint(append(dst, byte(v.K)), v.Int())
+				dst = appendString(binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float())), v.S)
+			case v.IsNull():
+			case kind == value.KindFloat:
 				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
-			}
-			if mode == laneGeneric {
-				dst = appendString(dst, v.S)
-			} else if v.K == value.KindString {
+			case kind == value.KindString:
 				p := sharedPrefix(prev, v.S)
+				if p < len(v.S) {
+					l.strs += len(v.S)
+				}
 				dst = appendString(binary.AppendUvarint(dst, uint64(p)), v.S[p:])
 				prev = v.S
+			default:
+				dst = binary.AppendVarint(dst, v.Int())
 			}
 		}
 	}
-	return dst
+	return dst, l
 }
 
 // ErrMalformed marks the relations gob cannot carry: on encoding, one that
@@ -144,21 +225,23 @@ func AppendFrame(dst []byte, r *Relation) []byte {
 // so a stream that reports it is still in sync.
 var ErrMalformed = errors.New("malformed relation")
 
-// frameBufs holds the buffers GobEncode builds frames in.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+// frameScratch is what EncodeFrame builds a frame in: its bytes, and a run
+// of values read from a lane.
+type frameScratch struct {
+	b   []byte
+	run [64]value.V
+}
 
-// GobEncode makes a relation's gob encoding its frame. The frame is built
-// in a pooled buffer and returned as one exact-size copy, which gob copies
-// again into its message.
+// frameBufs holds the scratch EncodeFrame builds frames in.
+var frameBufs = sync.Pool{New: func() any { return new(frameScratch) }}
+
+// GobEncode makes a relation's gob encoding its frame.
 func (r *Relation) GobEncode() ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+	f, err := FrameOf(r)
+	if err != nil {
+		return nil, err
 	}
-	buf := frameBufs.Get().(*[]byte)
-	*buf = AppendFrame((*buf)[:0], r)
-	out := bytes.Clone(*buf)
-	frameBufs.Put(buf)
-	return out, nil
+	return f.b, nil
 }
 
 // GobDecode sets r to the relation a frame carries.
@@ -249,6 +332,13 @@ func DecodeFrame(b []byte) (f *Frame, err error) {
 
 // Len returns the number of rows.
 func (f *Frame) Len() int { return f.n }
+
+// Bytes returns the frame's encoding, which the frame keeps reading: the
+// caller must not modify it.
+func (f *Frame) Bytes() []byte { return f.b[:len(f.b):len(f.b)] }
+
+// GobEncode makes a frame's gob encoding its bytes, as a relation's is.
+func (f *Frame) GobEncode() ([]byte, error) { return f.b, nil }
 
 // Lane calls fn with each row's value of column j, in row order, until fn
 // fails. Values are built on the stack; a STRING lane's share one string.

@@ -440,6 +440,27 @@ func FuzzFrame(f *testing.F) {
 		if again := AppendFrame(nil, r); !bytes.Equal(again, b) {
 			t.Fatalf("re-encoded\n% x\nfrom\n% x", again, b)
 		}
+		// The encoder records the lanes DecodeFrame finds, over every row
+		// and over the rows a bitmap drawn from the input keeps.
+		kept := make([]byte, (r.Len()+7)/8)
+		var keptRows []Row
+		for i, row := range r.Rows {
+			if b[i%len(b)]&1 == 1 {
+				kept[i/8] |= 1 << (i % 8)
+				keptRows = append(keptRows, row)
+			}
+		}
+		for _, c := range []struct {
+			kept []byte
+			rows []Row
+		}{{nil, r.Rows}, {kept, keptRows}} {
+			enc := EncodeFrame(r.Schema, r.Len(), c.kept, RowLanes(r.Rows, r.Schema.Len()))
+			want := AppendFrame(nil, &Relation{Schema: r.Schema, Rows: c.rows})
+			dec, err := DecodeFrame(want)
+			if err != nil || !bytes.Equal(enc.Bytes(), want) || !reflect.DeepEqual(enc.lanes, dec.lanes) || enc.Len() != len(c.rows) {
+				t.Fatalf("kept %x: encoded\n% x %+v\nwant\n% x %+v (%v)", c.kept, enc.Bytes(), enc.lanes, want, dec, err)
+			}
+		}
 		// Every prefix of a short frame; about 256 spread over a long one,
 		// and the longest.
 		step := max(1, len(b)/256)
@@ -452,4 +473,70 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("a %d-byte frame decodes without its last byte", len(b))
 		}
 	})
+}
+
+// TestEncodeFrameRecordsLanes: the frame EncodeFrame returns is the one
+// DecodeFrame finds in its bytes, lane by lane, for rows of every shape
+// randomRelation draws, under no bitmap, one keeping some rows, and one
+// keeping none; and it gob-encodes as the relation does.
+func TestEncodeFrameRecordsLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		r := randomRelation(rng)
+		some, none := make([]byte, (r.Len()+7)/8), make([]byte, (r.Len()+7)/8)
+		var someRows []Row
+		for i, row := range r.Rows {
+			if rng.Intn(2) == 0 {
+				some[i/8] |= 1 << (i % 8)
+				someRows = append(someRows, row)
+			}
+		}
+		for _, c := range []struct {
+			kept []byte
+			rows []Row
+		}{{nil, r.Rows}, {some, someRows}, {none, nil}} {
+			f := EncodeFrame(r.Schema, r.Len(), c.kept, RowLanes(r.Rows, r.Schema.Len()))
+			want := AppendFrame(nil, &Relation{Schema: r.Schema, Rows: c.rows})
+			dec, err := DecodeFrame(f.Bytes())
+			if err != nil {
+				t.Fatalf("trial %d, kept %x: %v", trial, c.kept, err)
+			}
+			if !bytes.Equal(f.Bytes(), want) || f.Len() != len(c.rows) || !reflect.DeepEqual(f.lanes, dec.lanes) {
+				t.Fatalf("trial %d, kept %x: encoded % x %+v, want % x %+v", trial, c.kept, f.Bytes(), f.lanes, want, dec.lanes)
+			}
+			if !reflect.DeepEqual(f.Relation().Rows, dec.Relation().Rows) {
+				t.Fatalf("trial %d, kept %x: reads %v, decoded %v", trial, c.kept, f.Relation(), dec.Relation())
+			}
+		}
+		var fb, rb bytes.Buffer
+		f, err := FrameOf(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(&fb).Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(&rb).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		var back Frame
+		if err := gob.NewDecoder(&fb).Decode(&back); err != nil || !bytes.Equal(back.Bytes(), f.Bytes()) {
+			t.Fatalf("trial %d: a gob-encoded frame decodes to % x, %v; want % x", trial, back.Bytes(), err, f.Bytes())
+		}
+		if !bytes.Equal(rb.Bytes()[len(rb.Bytes())-len(f.Bytes()):], f.Bytes()) {
+			t.Fatalf("trial %d: the relation's gob encoding does not end with its frame", trial)
+		}
+	}
+}
+
+// TestValidateNil: no relation at all is refused, not dereferenced, and
+// has no frame.
+func TestValidateNil(t *testing.T) {
+	var r *Relation
+	if err := r.Validate(); err == nil {
+		t.Error("a nil relation validates")
+	}
+	if _, err := FrameOf(r); !errors.Is(err, ErrMalformed) {
+		t.Errorf("FrameOf(nil) = %v, want ErrMalformed", err)
+	}
 }

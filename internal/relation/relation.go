@@ -186,9 +186,12 @@ func (r *Relation) MustAppend(vals ...value.V) {
 	}
 }
 
-// Validate refuses a relation that has no frame: no schema, or a row of the
-// wrong width. NewSchema has checked the column names.
+// Validate refuses a relation that has no frame: none at all, no schema,
+// or a row of the wrong width. NewSchema has checked the column names.
 func (r *Relation) Validate() error {
+	if r == nil {
+		return fmt.Errorf("relation: no relation")
+	}
 	if r.Schema == nil {
 		return fmt.Errorf("relation: no schema")
 	}

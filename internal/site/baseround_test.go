@@ -10,20 +10,28 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/gmdj"
+	"repro/internal/relation"
 	"repro/internal/transport"
 )
 
 // TestBaseRoundIsZeroRoundEval: an evaluation request with Detail and
 // BaseCols and no rounds is the base round. Its reply is encoded exactly as
 // the retired base-values op answered: the base-values relation and the
-// compute time, a profile with the rows and approximate bytes out alone,
+// compute time, a profile with the rows and the frame's bytes out alone,
 // and a limit refusal with its code.
 func TestBaseRoundIsZeroRoundEval(t *testing.T) {
+	// encode renders a reply as the wire carries it: its fields, Rel as
+	// its frame.
 	encode := func(resp *transport.Response) []byte {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
+		wire := *resp
+		wire.Rel = nil
+		if err := gob.NewEncoder(&buf).Encode(&wire); err != nil {
 			t.Fatal(err)
+		}
+		if f, err := resp.Frame(); err == nil {
+			buf.Write(f.Bytes())
 		}
 		return buf.Bytes()
 	}
@@ -59,7 +67,7 @@ func TestBaseRoundIsZeroRoundEval(t *testing.T) {
 					}
 					want.Profile = &transport.SiteProfile{WallNs: got.Profile.WallNs, Outcome: outcome}
 					if limit == 0 {
-						want.Profile.RowsOut, want.Profile.BytesOutApprox = ref.Len(), approxRelBytes(ref)
+						want.Profile.RowsOut, want.Profile.BytesOutApprox = ref.Len(), int64(len(relation.AppendFrame(nil, ref)))
 					}
 				}
 				if g, w := encode(got), encode(want); !bytes.Equal(g, w) {
@@ -81,11 +89,11 @@ func TestZeroRoundRequestsRefused(t *testing.T) {
 		{Op: transport.OpEvalRounds, Base: flowRel(testFlow...)},
 	} {
 		if resp := e.Handle(context.Background(), req); resp.Error() == nil {
-			t.Errorf("zero-round request %+v answered %v", req, resp.Rel)
+			t.Errorf("zero-round request %+v answered %+v", req, resp)
 		}
 	}
 	resp := e.Handle(context.Background(), &transport.Request{Op: 3, Detail: "flow", BaseCols: []string{"SourceAS"}})
 	if resp.Error() == nil || !strings.Contains(resp.Err, "unknown op 3") {
-		t.Errorf("op 3 answered %v, %q; want an unknown-op refusal", resp.Rel, resp.Err)
+		t.Errorf("op 3 answered %+v; want an unknown-op refusal", resp)
 	}
 }

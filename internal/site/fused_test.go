@@ -67,6 +67,16 @@ func handleOK(tb testing.TB, e *Engine, req *transport.Request) *transport.Respo
 	return resp
 }
 
+// replyRel boxes the relation of a reply.
+func replyRel(tb testing.TB, resp *transport.Response) *relation.Relation {
+	tb.Helper()
+	f, err := resp.Frame()
+	if err != nil {
+		tb.Fatalf("reply %+v: %v", resp, err)
+	}
+	return f.Relation()
+}
+
 // TestFusedAllocsDoNotScaleWithDetail guards the columnar base-values path:
 // once the batch and its memoized groupings are warm, a fused 200-group
 // request allocates per group and per round, never per detail row.
@@ -78,7 +88,7 @@ func TestFusedAllocsDoNotScaleWithDetail(t *testing.T) {
 	for name, req := range map[string]*transport.Request{"plain": plain, "conditional aggregate": conditional} {
 		allocs := func(rows int) float64 {
 			e := fusedEngine(t, rows)
-			if got := handleOK(t, e, req).Rel.Len(); got != 200 {
+			if got := replyRel(t, handleOK(t, e, req)).Len(); got != 200 {
 				t.Fatalf("%s, %d rows: %d groups, want 200", name, rows, got)
 			}
 			return testing.AllocsPerRun(20, func() { handleOK(t, e, req) })
@@ -99,7 +109,7 @@ func TestCaseBaseFilterVectorized(t *testing.T) {
 	req := fusedRequest("CASE WHEN F.Discount > 0.02 THEN 1 ELSE 0 END = 1")
 	req.QueryID = "q-case"
 	got := handleOK(t, e, req)
-	if !reflect.DeepEqual(want.Rel.Rows, got.Rel.Rows) {
+	if !reflect.DeepEqual(replyRel(t, want).Rows, replyRel(t, got).Rows) {
 		t.Fatal("CASE base filter and plain base filter disagree")
 	}
 	if got.Profile == nil || got.Profile.VecBatches == 0 || got.Profile.Engine != "vector" {
@@ -163,7 +173,7 @@ func TestMixedKindRelationRefused(t *testing.T) {
 	refused("after a second Load")
 	e.Load("flows", good)
 	handleOK(t, e, evalBase)
-	if got := handleOK(t, e, evalRounds).Rel.Len(); got != 7 {
+	if got := replyRel(t, handleOK(t, e, evalRounds)).Len(); got != 7 {
 		t.Fatalf("after the well-typed Load: %d groups, want 7", got)
 	}
 	if got := handleOK(t, e, relInfo).RowCount; got != 5000 {

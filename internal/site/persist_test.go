@@ -163,8 +163,8 @@ func TestRestoreRefusesIllTyped(t *testing.T) {
 	if names := e.RelationNames(); !reflect.DeepEqual(names, []string{"flow"}) {
 		t.Errorf("after the refused restore the engine holds %v, want [flow]", names)
 	}
-	if after := handleOK(t, e, req); !reflect.DeepEqual(after.Rel.Rows, before.Rel.Rows) {
-		t.Errorf("after the refused restore flow answers %v, before %v", after.Rel.Rows, before.Rel.Rows)
+	if after := handleOK(t, e, req); !reflect.DeepEqual(replyRel(t, after).Rows, replyRel(t, before).Rows) {
+		t.Errorf("after the refused restore flow answers %v, before %v", replyRel(t, after).Rows, replyRel(t, before).Rows)
 	}
 	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "good"}); resp.Error() == nil {
 		t.Error("the refused snapshot's well-typed relation was stored")

@@ -166,8 +166,8 @@ func TestReplyMatchesAssembledChain(t *testing.T) {
 			kept = nil
 		}
 		got := handleOK(t, e, c.req)
-		if !bytes.Equal(relation.AppendFrame(nil, got.Rel), relation.AppendFrame(nil, want)) {
-			t.Errorf("%s: reply\n%s %v\nwant\n%s %v", c.name, got.Rel.Schema, got.Rel.Rows, want.Schema, want.Rows)
+		if f, err := got.Frame(); err != nil || !bytes.Equal(f.Bytes(), relation.AppendFrame(nil, want)) {
+			t.Errorf("%s: reply\n%s\nwant\n%s %v", c.name, replyRel(t, got), want.Schema, want.Rows)
 		}
 		if !bytes.Equal(got.Kept, kept) || (got.Kept == nil) != (kept == nil) {
 			t.Errorf("%s: Kept %x, want %x", c.name, got.Kept, kept)
@@ -205,7 +205,7 @@ func TestChainBytesPerRequest(t *testing.T) {
 		return &transport.Request{Op: transport.OpEvalRounds, Detail: "tpcr", BaseCols: []string{"CustName"}, Rounds: chainRounds("CustName", n)}
 	}
 	one, three := req(1), req(3)
-	groups := float64(handleOK(t, e, one).Rel.Len())
+	groups := float64(replyRel(t, handleOK(t, e, one)).Len())
 	if groups < 1900 {
 		t.Fatalf("%v groups, want about 2000", groups)
 	}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,8 +71,8 @@ func lookupGenerator(kind string) (Generator, bool) {
 type Limits struct {
 	// MaxResultRows caps the number of rows in one response relation.
 	MaxResultRows int
-	// MaxResultBytes caps the approximate payload size of one response
-	// relation (cheap pre-encode estimate, not exact wire bytes).
+	// MaxResultBytes caps the length of one response relation's frame,
+	// exactly: the bytes its Rel field carries on the wire.
 	MaxResultBytes int64
 }
 
@@ -259,27 +260,29 @@ func (e *Engine) recordProfile(req *transport.Request, p *transport.SiteProfile)
 	o.AddProfile(b)
 }
 
-// checkLimits enforces the per-request result caps on an outgoing
-// relation.
-func (e *Engine) checkLimits(out *relation.Relation) error {
-	l := e.getLimits()
+// framed is the reply holding out, with kept as its Response.Kept, once
+// the per-request result caps admit it; prof records its rows and bytes.
+func (e *Engine) framed(out *relation.Frame, kept []byte, prof *transport.SiteProfile, start time.Time) (*transport.Response, error) {
+	l, n := e.getLimits(), int64(len(out.Bytes()))
 	if l.MaxResultRows > 0 && out.Len() > l.MaxResultRows {
-		return fmt.Errorf("site %s: result of %d rows exceeds max-result-rows %d: %w",
+		return nil, fmt.Errorf("site %s: result of %d rows exceeds max-result-rows %d: %w",
 			e.id, out.Len(), l.MaxResultRows, transport.ErrOverloaded)
 	}
-	if l.MaxResultBytes > 0 {
-		if n := approxRelBytes(out); n > l.MaxResultBytes {
-			return fmt.Errorf("site %s: result of ~%d bytes exceeds max-result-bytes %d: %w",
-				e.id, n, l.MaxResultBytes, transport.ErrOverloaded)
-		}
+	if l.MaxResultBytes > 0 && n > l.MaxResultBytes {
+		return nil, fmt.Errorf("site %s: result of %d bytes exceeds max-result-bytes %d: %w",
+			e.id, n, l.MaxResultBytes, transport.ErrOverloaded)
 	}
-	return nil
+	if prof != nil {
+		prof.RowsOut, prof.BytesOutApprox = out.Len(), n
+	}
+	resp := &transport.Response{Kept: kept, ComputeNs: time.Since(start).Nanoseconds()}
+	resp.SetFrame(out)
+	return resp, nil
 }
 
-// approxRelBytes estimates a relation's payload size without encoding it:
-// eight bytes per numeric value, string lengths as-is, plus a small
-// per-row overhead. Deliberately cheap — the limit protects the site from
-// shipping runaway results, not from being off by a framing constant.
+// approxRelBytes estimates a shipped base's payload size without encoding
+// it (SiteProfile.BytesInApprox): eight bytes per numeric value, string
+// lengths as-is, plus a small per-row overhead.
 func approxRelBytes(r *relation.Relation) int64 {
 	var n int64
 	for _, row := range r.Rows {
@@ -383,7 +386,7 @@ func (e *Engine) baseValues(chain *gmdj.Chain, rels map[string]stored, req *tran
 // base is the reply: the base round. Multiple rounds evaluate as a local
 // chain without intermediate synchronization (Theorem 5 / Corollary 1); a
 // later round's θ sees the finalized aggregates of earlier ones it names.
-// Every round leaves its states in a slab and the reply is boxed once from
+// Every round leaves its states in a slab and the reply is framed once from
 // them: a shipped base gets the states alone, in shipped order, with
 // Response.Kept; a fused one the base echoed beside the states.
 func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
@@ -407,14 +410,11 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 			return nil, err
 		}
 		if len(req.Rounds) == 0 {
-			if err := e.checkLimits(base); err != nil {
+			out, err := relation.FrameOf(base)
+			if err != nil {
 				return nil, err
 			}
-			if prof != nil {
-				prof.RowsOut = base.Len()
-				prof.BytesOutApprox = approxRelBytes(base)
-			}
-			return &transport.Response{Rel: base, ComputeNs: time.Since(start).Nanoseconds()}, nil
+			return e.framed(out, nil, prof, start)
 		}
 	}
 	if base == nil || base.Schema == nil {
@@ -497,7 +497,11 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	if err != nil {
 		return nil, err
 	}
-	if err := e.checkLimits(out); err != nil {
+	if !shipped {
+		kept = nil
+	}
+	resp, err := e.framed(out, kept, prof, start)
+	if err != nil {
 		return nil, err
 	}
 	o.Count("site.rounds_served", int64(len(req.Rounds)))
@@ -506,17 +510,12 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	}
 	o.Count("site.groups_out", int64(out.Len()))
 	if prof != nil {
-		prof.RowsOut = out.Len()
-		prof.BytesOutApprox = approxRelBytes(out)
 		prof.VecBatches = vecStats.Batches
 		prof.VecRows = vecStats.Rows
 		prof.VecFilterRows = vecStats.FilterRows
 		prof.VecSelected = vecStats.Selected
 	}
-	if !shipped {
-		kept = nil
-	}
-	return &transport.Response{Rel: out, Kept: kept, ComputeNs: time.Since(start).Nanoseconds()}, nil
+	return resp, nil
 }
 
 // withFinals returns b with the finalized aggregates of slab's states that
@@ -565,46 +564,35 @@ func named(mds []gmdj.MD, col string) bool {
 	return false
 }
 
-// reply boxes the answer to n base rows once, from one backing: a row per
-// group with a non-zero touched count (every group when touched is nil —
-// Proposition 1's site-side half), holding keys' row when keys is set and
-// then every slab's states. kept is the bitmap of the groups it kept, nil
-// when it kept all; the counts themselves are not shipped.
-func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.Slab, touched []int64) (out *relation.Relation, kept []byte, err error) {
+// reply frames the answer to n base rows from one pass over each lane: a
+// row per group with a non-zero touched count (every group when touched is
+// nil — Proposition 1's site-side half), holding keys' row when keys is set
+// and then every slab's states. kept is the bitmap of the groups it kept,
+// nil when it kept all; the counts themselves are not shipped.
+func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte, error) {
 	schema, err := relation.NewSchema(cols...)
 	if err != nil {
 		return nil, nil, err
 	}
-	rows := n
-	for _, t := range touched {
-		if t == 0 {
-			rows--
-		}
-	}
-	if rows < n {
+	var kept []byte
+	if slices.Contains(touched, 0) {
 		kept = make([]byte, (n+7)/8)
-	}
-	out = &relation.Relation{Schema: schema, Rows: relation.MakeRows(rows, schema.Len())}
-	k := 0
-	for i := 0; i < n; i++ {
-		if touched != nil && touched[i] == 0 {
-			continue
-		}
-		row := out.Rows[k]
-		if keys != nil {
-			row = append(row, keys.Rows[i]...)
-		}
-		for _, s := range slabs {
-			for p := 0; p < s.Width(); p++ {
-				row = append(row, s.Result(i, p))
+		for i, t := range touched {
+			if t != 0 {
+				kept[i/8] |= 1 << (i % 8)
 			}
 		}
-		out.Rows[k] = row
-		if k++; kept != nil {
-			kept[i/8] |= 1 << (i % 8)
+	}
+	lanes := make([]relation.LaneSource, 0, len(cols))
+	if keys != nil {
+		lanes = append(lanes, relation.RowLanes(keys.Rows, keys.Schema.Len())...)
+	}
+	for _, s := range slabs {
+		for p := 0; p < s.Width(); p++ {
+			lanes = append(lanes, s.Lane(p))
 		}
 	}
-	return out, kept, nil
+	return relation.EncodeFrame(schema, n, kept, lanes), kept, nil
 }
 
 // parseRound converts the wire form of a round into an MD operator.

@@ -89,8 +89,8 @@ func TestEvalBase(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != 3 {
-		t.Errorf("base rows = %d, want 3", resp.Rel.Len())
+	if replyRel(t, resp).Len() != 3 {
+		t.Errorf("base rows = %d, want 3", replyRel(t, resp).Len())
 	}
 	if resp.ComputeNs < 0 {
 		t.Error("no compute time")
@@ -103,8 +103,8 @@ func TestEvalBase(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != 1 {
-		t.Errorf("filtered base rows = %d", resp.Rel.Len())
+	if replyRel(t, resp).Len() != 1 {
+		t.Errorf("filtered base rows = %d", replyRel(t, resp).Len())
 	}
 	// Errors.
 	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Detail: "none", BaseCols: []string{"x"}}); resp.Error() == nil {
@@ -138,7 +138,7 @@ func TestEvalRoundsShippedBase(t *testing.T) {
 		t.Fatal(resp.Error())
 	}
 	// A shipped base is not echoed: the coordinator holds it already.
-	h := resp.Rel
+	h := replyRel(t, resp)
 	if got := h.Schema.Names(); !reflect.DeepEqual(got, []string{"cnt1__p0", "sum1__p0"}) {
 		t.Errorf("reply columns %v, want the states alone", got)
 	}
@@ -157,8 +157,8 @@ func TestEvalRoundsFusedBase(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != 3 {
-		t.Errorf("fused rows = %d", resp.Rel.Len())
+	if replyRel(t, resp).Len() != 3 {
+		t.Errorf("fused rows = %d", replyRel(t, resp).Len())
 	}
 }
 
@@ -191,7 +191,7 @@ func TestEvalRoundsChained(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	h := resp.Rel
+	h := replyRel(t, resp)
 	// Finalized columns stripped, prims of both rounds present; the
 	// touched counter is local-only and never shipped.
 	for _, col := range []string{"cnt1__p0", "sum1__p0", "cnt2__p0"} {
@@ -266,8 +266,8 @@ func TestEvalRoundsTouchedFilter(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Rel.Len() != 3 || !reflect.DeepEqual(resp.Kept, []byte{0b0111}) {
-		t.Errorf("touched filter kept %d rows, Kept %08b; want 3, the first three", resp.Rel.Len(), resp.Kept)
+	if replyRel(t, resp).Len() != 3 || !reflect.DeepEqual(resp.Kept, []byte{0b0111}) {
+		t.Errorf("touched filter kept %d rows, Kept %08b; want 3, the first three", replyRel(t, resp).Len(), resp.Kept)
 	}
 }
 
@@ -391,8 +391,8 @@ func TestSnapshotRestore(t *testing.T) {
 		Op: transport.OpEvalRounds, Detail: "flow",
 		BaseCols: []string{"SourceAS"},
 	})
-	if resp.Error() != nil || resp.Rel.Len() != 2 {
-		t.Errorf("restored eval: %v, %d rows", resp.Error(), resp.Rel.Len())
+	if resp.Error() != nil || replyRel(t, resp).Len() != 2 {
+		t.Errorf("restored eval: %v, %d rows", resp.Error(), replyRel(t, resp).Len())
 	}
 }
 
@@ -489,7 +489,7 @@ func TestPreviousProtocolRequestEvaluates(t *testing.T) {
 		t.Fatalf("previous-protocol request not evaluated: %v", err)
 	}
 	want := e.Handle(context.Background(), &transport.Request{Op: old.Op, Detail: old.Detail, BaseCols: old.BaseCols})
-	if want.Error() != nil || !reflect.DeepEqual(got.Rel.Rows, want.Rel.Rows) {
-		t.Errorf("previous-protocol request answered %v, an untagged one %v (%v)", got.Rel.Rows, want.Rel.Rows, want.Error())
+	if want.Error() != nil || !reflect.DeepEqual(replyRel(t, got).Rows, replyRel(t, want).Rows) {
+		t.Errorf("previous-protocol request answered %v, an untagged one %v (%v)", replyRel(t, got).Rows, replyRel(t, want).Rows, want.Error())
 	}
 }

@@ -51,10 +51,11 @@ func fusedReply(t *testing.T, e *Engine, rounds []transport.RoundSpec) *relation
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	if resp.Kept != nil || resp.Rel.Schema.Cols[0].Name != "SourceAS" || resp.Rel.Schema.Cols[1].Name != "DestAS" {
-		t.Fatalf("fused reply %s with Kept %v, want the base echoed and no bitmap", resp.Rel.Schema, resp.Kept)
+	rel := replyRel(t, resp)
+	if resp.Kept != nil || rel.Schema.Cols[0].Name != "SourceAS" || rel.Schema.Cols[1].Name != "DestAS" {
+		t.Fatalf("fused reply %s with Kept %v, want the base echoed and no bitmap", rel.Schema, resp.Kept)
 	}
-	return resp.Rel
+	return rel
 }
 
 // TestEvalRoundsStatesOnly: a shipped base gets the states alone — the
@@ -72,10 +73,10 @@ func TestEvalRoundsStatesOnly(t *testing.T) {
 		rows, want := []int{0, 2, 3}, []byte(nil)
 		if touched {
 			rows, want = []int{0, 1, 2}, []byte{0b1101} // shipped row 1, the foreign group, dropped
-		} else if c := resp.Rel.Rows[1][0]; c.Int() != 0 {
+		} else if c := replyRel(t, resp).Rows[1][0]; c.Int() != 0 {
 			t.Errorf("the foreign group counts %v rows", c)
 		}
-		assertStatesOf(t, resp.Rel, fusedReply(t, e, rounds), b.Schema.Len(), rows)
+		assertStatesOf(t, replyRel(t, resp), fusedReply(t, e, rounds), b.Schema.Len(), rows)
 		if !reflect.DeepEqual(resp.Kept, want) {
 			t.Errorf("touched=%v: Kept = %08b, want %08b", touched, resp.Kept, want)
 		}
@@ -105,7 +106,7 @@ func TestEvalRoundsChainedStatesOnly(t *testing.T) {
 	if resp.Error() != nil {
 		t.Fatal(resp.Error())
 	}
-	assertStatesOf(t, resp.Rel, fusedReply(t, e, rounds), 2, []int{0, 1, 2})
+	assertStatesOf(t, replyRel(t, resp), fusedReply(t, e, rounds), 2, []int{0, 1, 2})
 	if want := []byte{0b1101}; !reflect.DeepEqual(resp.Kept, want) {
 		t.Errorf("Kept = %08b, want %08b", resp.Kept, want)
 	}

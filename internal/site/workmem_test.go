@@ -59,7 +59,7 @@ func TestChainedStatesOnlyAllocsDoNotScaleWithBase(t *testing.T) {
 	e.Load("tpcr", part)
 	allocs := func(groups int) float64 {
 		req := chainOverBase(custBase(t, part, groups))
-		if got := handleOK(t, e, req).Rel; got.Len() != groups || got.Schema.Len() != 4 {
+		if got := replyRel(t, handleOK(t, e, req)); got.Len() != groups || got.Schema.Len() != 4 {
 			t.Fatalf("%d groups: reply %s with %d rows", groups, got.Schema, got.Len())
 		}
 		return testing.AllocsPerRun(10, func() { handleOK(t, e, req) })
@@ -75,8 +75,8 @@ func TestChainedStatesOnlyAllocsDoNotScaleWithBase(t *testing.T) {
 // its code, the Kept bitmap and the relation's frame.
 func replyBytes(resp *transport.Response) []byte {
 	b := fmt.Appendf(nil, "%s|%d|%x|", resp.Err, resp.Code, resp.Kept)
-	if resp.Rel != nil {
-		b = relation.AppendFrame(b, resp.Rel)
+	if f, err := resp.Frame(); err == nil {
+		b = append(b, f.Bytes()...)
 	}
 	return b
 }

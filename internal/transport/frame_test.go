@@ -288,7 +288,7 @@ func TestEveryReplyArrivesAsFrame(t *testing.T) {
 	}
 }
 
-// TestReplyMirrorsResponse: the struct a client decodes a reply into has
+// TestReplyMirrorsResponse: the struct every reply crosses the wire as has
 // Response's exported fields, by name and in order, each of Response's
 // type but Rel, which is a frame.
 func TestReplyMirrorsResponse(t *testing.T) {

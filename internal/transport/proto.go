@@ -239,7 +239,9 @@ type Response struct {
 	// the wire (Code* constants): overload and drain conditions trigger
 	// immediate replica failover instead of same-site retries.
 	Code int
-	// Rel is the result relation (eval ops) or nil.
+	// Rel is a result relation a handler holds boxed (relInfo's schema),
+	// or nil. A handler sets an evaluation reply as its frame (SetFrame);
+	// a caller reads either through Frame.
 	Rel *relation.Relation
 	// RowCount reports affected/stored row counts for non-eval ops.
 	RowCount int
@@ -252,18 +254,23 @@ type Response struct {
 	// keeping untagged exchanges wire-identical).
 	Profile *SiteProfile
 	// Kept is the bitmap, over the shipped Base rows, of the rows a
-	// states-only reply answers: bit i%8 of byte i/8 is set when Rel holds
-	// a row for shipped row i (Proposition 1 drops the untouched ones).
+	// states-only reply answers: bit i%8 of byte i/8 is set when its
+	// relation holds a row for shipped row i (Proposition 1 drops the
+	// untouched ones).
 	// Nil means every shipped row, in order.
 	Kept []byte
 
-	// frame is the reply's relation as a client received it.
-	//lint:ignore wiresafe set by the client on decode; Rel is what crosses the wire
+	// frame is the reply's relation as a frame: set by a handler
+	// (SetFrame), or by the client on decode. It crosses the wire as Rel.
+	//lint:ignore wiresafe the server sends it, and the client receives it, as the reply mirror's Rel
 	frame *relation.Frame
 }
 
-// Frame returns a reply's relation as a frame: the one a client received,
-// or the frame of Rel for a response a handler built.
+// SetFrame makes f the reply's relation, in place of Rel.
+func (r *Response) SetFrame(f *relation.Frame) { r.frame = f }
+
+// Frame returns a reply's relation as a frame: the one a handler set or a
+// client received, or else the frame of Rel.
 func (r *Response) Frame() (*relation.Frame, error) {
 	switch {
 	case r.frame != nil:
@@ -271,18 +278,13 @@ func (r *Response) Frame() (*relation.Frame, error) {
 	case r.Rel == nil:
 		return nil, errors.New("no relation")
 	}
-	b, err := r.Rel.GobEncode()
-	if err != nil {
-		return nil, err
-	}
-	return relation.DecodeFrame(b)
+	return relation.FrameOf(r.Rel)
 }
 
-// reply is Response with Rel received as a frame: a client decodes every
-// reply into it. gob matches fields by name, so the wire bytes are
-// Response's. The mirror exists because handlers build Rel boxed, and the
-// benchmark reads it so (benchmark/probes.go); once they do not, Rel itself
-// can be the frame and this type goes.
+// reply is Response as it crosses the wire, its relation a frame: a server
+// encodes every reply in it and a client decodes every reply into it. gob
+// matches fields by name, so a peer decoding into Response, with Rel
+// boxed, reads the same bytes.
 type reply struct {
 	Err       string
 	Code      int
@@ -293,19 +295,24 @@ type reply struct {
 	Kept      []byte
 }
 
-// refusedReply is what a transport delivers in place of a reply whose
-// relation gob refused to encode (relation.ErrMalformed): a site error
-// naming the fault, on a stream that is still in sync.
-func refusedReply(err error) *Response {
-	return &Response{Err: "transport: reply: " + err.Error()}
+// wire returns the reply r goes out as, framing a boxed Rel; in place of
+// one whose Rel has no frame (relation.ErrMalformed), a site error naming
+// the fault.
+func (r *Response) wire() *reply {
+	f, err := r.Frame()
+	if err != nil && r.Rel != nil {
+		return &reply{Err: "transport: reply: " + err.Error()}
+	}
+	return &reply{Err: r.Err, Code: r.Code, Rel: f, RowCount: r.RowCount, ComputeNs: r.ComputeNs, Profile: r.Profile, Kept: r.Kept}
 }
 
 // SiteProfile is one site's per-request execution profile, piggy-backed
 // on the response of a QueryID-tagged request. It scopes to exactly this
 // request what the obs registry only reports process-globally (vec.*
 // kernel counters, compute histograms), so concurrent queries never bleed
-// into each other's numbers. Byte counts are cheap payload estimates
-// (the coordinator measures exact wire bytes on its side of the link).
+// into each other's numbers. BytesInApprox is a cheap payload estimate;
+// BytesOutApprox is exact (the coordinator measures exact wire bytes on
+// its side of the link).
 // The JSON tags name the fields in the coordinator's statistics document
 // and the site's /profiles entries; gob ignores them.
 type SiteProfile struct {
@@ -316,9 +323,10 @@ type SiteProfile struct {
 	// RowsOut counts result rows returned.
 	RowsIn  int `json:"rows_in"`
 	RowsOut int `json:"rows_out"`
-	// BytesInApprox / BytesOutApprox estimate the base and result
-	// relation payload sizes (8 bytes per scalar plus string lengths) —
-	// an estimate, not exact wire bytes.
+	// BytesInApprox estimates the shipped base relation's payload size
+	// (8 bytes per scalar plus string lengths), not its wire bytes.
+	// BytesOutApprox is exact despite its name, kept for readers of
+	// recorded profiles: the length of the reply relation's frame.
 	BytesInApprox  int64 `json:"bytes_in_approx"`
 	BytesOutApprox int64 `json:"bytes_out_approx"`
 	// Rounds is how many GMDJ rounds were evaluated locally (chained

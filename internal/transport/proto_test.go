@@ -207,7 +207,8 @@ type legacyResponse struct {
 // a response without a profile decodes cleanly on either side. A request
 // carrying the retired Epoch and DeadlineNs tags still decodes, the tags
 // dropped; internal/site's TestPreviousProtocolRequestEvaluates shows
-// such a request is evaluated, not shed.
+// such a request is evaluated, not shed. A reply framed by its handler
+// reads on the previous protocol's side as its boxed relation.
 func TestUntaggedWireCompat(t *testing.T) {
 	req := &Request{
 		Op: OpEvalRounds, Detail: "flow",
@@ -277,6 +278,56 @@ func TestUntaggedWireCompat(t *testing.T) {
 	if oldCoord.ComputeNs != 99 || oldCoord.Rel.Len() != 3 {
 		t.Errorf("legacy coordinator saw different response: %+v", oldCoord)
 	}
+	// A reply goes out as the mirror a server encodes, its relation the
+	// frame a handler set: a coordinator of the previous protocol, decoding
+	// into Response with Rel boxed, reads it, and past the type preamble
+	// its bytes are those of the same reply sent boxed.
+	f, err := relation.FrameOf(sampleRelation(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := &Response{RowCount: 3, ComputeNs: 99, Kept: []byte{0b101}}
+	framed.SetFrame(f)
+	out := framed.wire()
+	// warm is the second of two encodings of v on one stream — the message
+	// alone, without the preamble — less the type id gob numbers v's type
+	// with in this process: its length, then its value.
+	warm := func(v any) []byte {
+		var b bytes.Buffer
+		enc := gob.NewEncoder(&b)
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		n := b.Len()
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		msg := b.Bytes()[n:]
+		skip := func(b []byte) []byte { // past one gob-encoded unsigned integer
+			if b[0] < 0x80 {
+				return b[1:]
+			}
+			return b[1+int(-int8(b[0])):]
+		}
+		length := msg[:len(msg)-len(skip(msg))]
+		return append(bytes.Clone(length), skip(skip(msg))...)
+	}
+	boxed := &Response{Rel: sampleRelation(3), RowCount: 3, ComputeNs: 99, Kept: []byte{0b101}}
+	if got, want := warm(out), warm(boxed); !bytes.Equal(got, want) {
+		t.Errorf("a framed reply's message\n% x\nthe boxed one's\n% x", got, want)
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
+		t.Fatal(err)
+	}
+	oldCoord = legacyResponse{}
+	if err := gob.NewDecoder(&buf).Decode(&oldCoord); err != nil {
+		t.Fatalf("legacy decode of a framed reply: %v", err)
+	}
+	if oldCoord.ComputeNs != 99 || oldCoord.RowCount != 3 || !reflect.DeepEqual(oldCoord.Kept, boxed.Kept) || !reflect.DeepEqual(oldCoord.Rel, sampleRelation(3)) {
+		t.Errorf("legacy coordinator saw a different framed reply: %+v", oldCoord)
+	}
+
 	buf.Reset()
 	if err := gob.NewEncoder(&buf).Encode(&legacyResponse{RowCount: 7}); err != nil {
 		t.Fatalf("encode legacy response: %v", err)

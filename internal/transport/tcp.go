@@ -158,10 +158,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		w0 := cw.n
-		err = enc.Encode(resp)
-		if errors.Is(err, relation.ErrMalformed) {
-			err = enc.Encode(refusedReply(err))
-		}
+		err = enc.Encode(resp.wire())
 		if admitted {
 			// Only now is the request no longer in flight: Drain waits on
 			// reqWG and then closes this connection, so releasing before the

@@ -603,3 +603,11 @@ func FuzzDistinct(f *testing.F) {
 		distinctBoth(t, r, cols, sel)
 	})
 }
+
+// TestFromRelationNil: no relation at all converts to an error, not a
+// panic; a caller holding a reply's frame has no boxed relation.
+func TestFromRelationNil(t *testing.T) {
+	if b, err := FromRelation(nil); err == nil {
+		t.Errorf("FromRelation(nil) = %v, want an error", b)
+	}
+}

@@ -61,6 +61,9 @@ go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/agg
 echo "== fuzz smoke (slab lane folds vs per-value Add) =="
 go test -run '^$' -fuzz FuzzSlabFold -fuzztime 10s ./internal/agg
 
+echo "== fuzz smoke (slab lanes framed vs boxed states) =="
+go test -run '^$' -fuzz FuzzSlabFrame -fuzztime 10s ./internal/agg
+
 echo "== fuzz smoke (sql parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
 
@@ -86,7 +89,9 @@ echo "== quick bench pass =="
 go test -run xxx -bench . -benchtime 1x . > /dev/null
 # HandleFused also matches BenchmarkHandleFusedFiltered, the fused request
 # under a served WHERE clause's base filter; HandleChained is one site's
-# share of the scan_lowcard workload's fused two-round chain; Grouping prices
+# share of the scan_lowcard workload's fused two-round chain; HandleShipped
+# is one site's states-only reply to a shipped 2 000-group base, framed
+# from its slab lanes (a shuffle_highcard step); Grouping prices
 # a key grouping's clustered view, built once per load; RoundTrip is one
 # call in process (over a pipe) and over loopback TCP, the same client and
 # server code on both. Synchronize also matches BenchmarkSynchronizeFused,
@@ -100,7 +105,7 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # ParseSpec is the workloads' aggregate specs, parsed by every site on
 # every request, SQLParse three statements of the serve mix, and PoolCall
 # one pooled call.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh

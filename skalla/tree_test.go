@@ -57,10 +57,15 @@ func TestTreeClusterEndToEnd(t *testing.T) {
 		if err := resp.Error(); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Rel.Len() != counts[i] {
-			t.Errorf("%s holds %d distinct lines, generated %d", eng.ID(), resp.Rel.Len(), counts[i])
+		f, err := resp.Frame()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, row := range resp.Rel.Rows {
+		lines := f.Relation()
+		if lines.Len() != counts[i] {
+			t.Errorf("%s holds %d distinct lines, generated %d", eng.ID(), lines.Len(), counts[i])
+		}
+		for _, row := range lines.Rows {
 			if prev, dup := held[key(row)]; dup {
 				t.Fatalf("line %v at both %s and %s", key(row), prev, eng.ID())
 			}
