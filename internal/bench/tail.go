@@ -170,12 +170,12 @@ func tailCluster(cfg TailConfig) ([]*site.Engine, *catalog.Catalog, error) {
 	return sites, cat, nil
 }
 
-// tailSites assembles one variant's client stacks: every site's primary
-// replica is wrapped in seeded heavy-tail chaos — seeded by site index and
-// connection, so each site's first connection faces the same stragglers in
-// both variants — and, when hedged, a
-// clean replica of the same engine answers hedges, which are drawn from
-// one budget and counted in sink.
+// tailSites assembles one variant's client stacks, pooled as every stack
+// a Site builds is: every site's primary replica is wrapped in seeded
+// heavy-tail chaos — seeded by site index and connection, so each site's
+// first connection faces the same stragglers in both variants — and, when
+// hedged, a clean replica of the same engine answers hedges, which are
+// drawn from one budget and counted in sink.
 func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs) ([]*transport.Site, []transport.Client, error) {
 	budget := cfg.NewBudget(sink)
 	built := make([]*transport.Site, len(sites))
@@ -203,9 +203,7 @@ func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs)
 		if built[i], err = transport.NewSite(spec); err != nil {
 			return nil, nil, err
 		}
-		if clients[i], err = built[i].Client(); err != nil {
-			return nil, nil, err
-		}
+		clients[i] = built[i].Client()
 	}
 	return built, clients, nil
 }

@@ -68,9 +68,7 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if clients[i], err = s.Client(); err != nil {
-			t.Fatal(err)
-		}
+		clients[i] = s.Client()
 	}
 	coord := NewCoordinator(clients...)
 	defer func() {

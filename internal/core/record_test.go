@@ -210,9 +210,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients := append([]transport.Client(nil), coord.Clients()...)
-		if clients[1], err = pair.Client(); err != nil {
-			t.Fatal(err)
-		}
+		clients[1] = pair.Client()
 		defer clients[1].Close()
 		stats := run(t, coord.Derive(clients...))
 		allAnswered(t, stats)

@@ -205,11 +205,7 @@ func TestStatesOnlyRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cl, err := s.Client()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return cl
+			return s.Client()
 		})
 		if hedged := check("hedge", coord).HedgedSites(); len(hedged) != 1 || hedged[0] != "site1" {
 			t.Errorf("hedged sites = %v, want [site1]", hedged)

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
 	"repro/internal/vec"
@@ -134,13 +133,9 @@ type SubOpts struct {
 	Touched bool
 	// Workers bounds the evaluation's parallelism; <= 0 means GOMAXPROCS.
 	Workers int
-	// Obs, when set, receives the vec.batches / vec.rows /
-	// vec.selectivity counters of the vectorized evaluation. These are
-	// process-global totals; use Stats for per-request numbers.
-	Obs *obs.Obs
 	// Stats, when set, accumulates this evaluation's vectorized kernel
-	// statistics into the pointed-to struct — the per-request scope the
-	// query profiler reports, unlike the global Obs counters.
+	// statistics into the pointed-to struct: the one record a site's
+	// profile and its vec.* metrics are read from.
 	Stats *vec.Stats
 	// DetailBatch optionally supplies a pre-built columnar batch of the
 	// detail relation. EvalSub uses it when it has the relation's schema

@@ -101,13 +101,6 @@ func (c *Chain) evalVec(b *relation.Relation, batch *vec.Batch, md MD, opts SubO
 			best = w
 		}
 	}
-	if opts.Obs != nil {
-		opts.Obs.Count("vec.batches", total.Batches)
-		opts.Obs.Count("vec.rows", total.Rows)
-		if total.FilterRows > 0 {
-			opts.Obs.SetGauge("vec.selectivity", total.Selected*1000/total.FilterRows)
-		}
-	}
 	if opts.Stats != nil {
 		opts.Stats.Batches += total.Batches
 		opts.Stats.Rows += total.Rows

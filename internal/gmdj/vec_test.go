@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
 	"repro/internal/vec"
@@ -298,28 +297,6 @@ func TestVecConditionalAggregateExact(t *testing.T) {
 	if stats.Batches == 0 {
 		t.Fatal("the CASE argument did not run on the kernels: no batch evaluated")
 	}
-}
-
-// TestVecObsCounters: a vectorized evaluation publishes its work.
-func TestVecObsCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	detail := randDetail(rng, 100)
-	b := diffBase(t, detail)
-	o := obs.New()
-	if _, err := EvalSub(b, detail, diffMDs()[0], SubOpts{Obs: o}); err != nil {
-		t.Fatal(err)
-	}
-	if got := metricValue(o, "vec.batches"); got <= 0 {
-		t.Fatalf("vec.batches = %d, want > 0", got)
-	}
-	if got := metricValue(o, "vec.rows"); got <= 0 {
-		t.Fatalf("vec.rows = %d, want > 0", got)
-	}
-}
-
-// metricValue reads one counter from an Obs registry.
-func metricValue(o *obs.Obs, name string) int64 {
-	return o.Metrics.CounterValue(name)
 }
 
 // TestVecDetailBatchReuse: a pre-built batch (the site-side cache) gives

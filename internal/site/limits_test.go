@@ -3,6 +3,7 @@ package site
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -122,28 +123,26 @@ func (h *blockingPings) Handle(ctx context.Context, req *transport.Request) *tra
 
 // TestLimitRefusalKeepsSiteInflight: a limit refusal judges one request,
 // not the site's load. After the site refuses an oversized answer, the
-// served client stack still lets SiteInflight concurrent calls into the
-// handler at once.
+// served client still lets as many concurrent calls into the handler at
+// once as its pool holds connections.
 func TestLimitRefusalKeepsSiteInflight(t *testing.T) {
-	const inflight = 4
 	e := loadedEngine(t)
 	e.SetLimits(Limits{MaxResultRows: 2}) // base query yields 3 groups
-	h := &blockingPings{Engine: e, entered: make(chan struct{}, inflight), release: make(chan struct{})}
-	spec := transport.SiteSpec{ID: "s0", Replicas: []transport.Replica{{Handler: h}}}
-	spec.SiteInflight = inflight
-	s, err := transport.NewSite(spec)
+	h := &blockingPings{Engine: e, release: make(chan struct{})}
+	s, err := transport.NewSite(transport.SiteSpec{ID: "s0", Replicas: []transport.Replica{{Handler: h}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	views := make([]transport.Client, inflight)
-	for i := range views {
-		if views[i], err = s.Client(); err != nil {
-			t.Fatal(err)
-		}
+	var inflight int
+	if _, err := fmt.Sscanf(s.String(), "pool(%d)", &inflight); err != nil {
+		t.Fatalf("stack %q names no pool size: %v", s, err)
 	}
+	h.entered = make(chan struct{}, inflight)
+	cl := s.Client()
+	defer cl.Close()
 
-	resp, err := views[0].Call(context.Background(), baseReq())
+	resp, err := cl.Call(context.Background(), baseReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +152,12 @@ func TestLimitRefusalKeepsSiteInflight(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, inflight)
-	for i, cl := range views {
+	for i := range errs {
 		wg.Add(1)
-		go func(i int, cl transport.Client) {
+		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = cl.Call(context.Background(), &transport.Request{Op: transport.OpPing})
-		}(i, cl)
+		}(i)
 	}
 	inside := 0
 	timeout := time.After(5 * time.Second)

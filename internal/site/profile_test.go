@@ -46,3 +46,45 @@ func TestProfileEntryShape(t *testing.T) {
 		t.Errorf("profile entry = %v", got)
 	}
 }
+
+// TestVecObsCounters: a site publishes every request's kernel work, tagged
+// or not, from the one record its profile reports: the vec.* counters
+// grow by the profile's numbers, and the selectivity gauge is the
+// request's own.
+func TestVecObsCounters(t *testing.T) {
+	e := loadedEngine(t)
+	o := obs.New()
+	e.SetObs(o)
+	req := func(queryID string) *transport.Request {
+		spec := roundSpec(false, false)
+		spec.Thetas = []string{"F.SourceAS = B.SourceAS AND F.NumBytes > 100"}
+		return &transport.Request{
+			Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"},
+			Rounds: []transport.RoundSpec{spec}, QueryID: queryID,
+		}
+	}
+	if err := e.Handle(context.Background(), req("")).Error(); err != nil {
+		t.Fatal(err)
+	}
+	batches, rows := o.Metrics.CounterValue("vec.batches"), o.Metrics.CounterValue("vec.rows")
+	if batches <= 0 || rows <= 0 {
+		t.Fatalf("untagged request: vec.batches = %d, vec.rows = %d, want both > 0", batches, rows)
+	}
+	resp := e.Handle(context.Background(), req("q1"))
+	if err := resp.Error(); err != nil {
+		t.Fatal(err)
+	}
+	p := resp.Profile
+	if got := o.Metrics.CounterValue("vec.batches") - batches; got != p.VecBatches {
+		t.Errorf("vec.batches grew by %d, the profile says %d", got, p.VecBatches)
+	}
+	if got := o.Metrics.CounterValue("vec.rows") - rows; got != p.VecRows {
+		t.Errorf("vec.rows grew by %d, the profile says %d", got, p.VecRows)
+	}
+	if p.VecFilterRows == 0 {
+		t.Fatal("the residual filter ran over no rows")
+	}
+	if got, want := o.Metrics.Gauge("vec.selectivity").Value(), p.VecSelected*1000/p.VecFilterRows; got != want {
+		t.Errorf("vec.selectivity = %d‰, want the request's %d‰", got, want)
+	}
+}

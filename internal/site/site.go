@@ -444,11 +444,10 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	workers := runtime.GOMAXPROCS(0)
 	o.SetGauge("site.eval_workers", int64(workers))
 
-	// Per-request kernel statistics for the query profiler: unlike the
-	// global vec.* counters above, these scope to exactly this request.
-	var vecStats *vec.Stats
+	// The request's kernel statistics: the one record its profile and
+	// the site's vec.* metrics are read from.
+	var vecStats vec.Stats
 	if prof != nil {
-		vecStats = &vec.Stats{}
 		prof.Rounds = len(req.Rounds)
 		prof.Workers = workers
 		prof.Engine = "vector"
@@ -468,7 +467,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		slab, matched, err := chain.EvalStates(base, detail, md, gmdj.SubOpts{Workers: workers, Obs: o, Stats: vecStats})
+		slab, matched, err := chain.EvalStates(base, detail, md, gmdj.SubOpts{Workers: workers, Stats: &vecStats})
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
@@ -491,6 +490,12 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 				return nil, fmt.Errorf("round %d: %w", ri+1, err)
 			}
 		}
+	}
+
+	o.Count("vec.batches", vecStats.Batches)
+	o.Count("vec.rows", vecStats.Rows)
+	if vecStats.FilterRows > 0 {
+		o.SetGauge("vec.selectivity", vecStats.Selected*1000/vecStats.FilterRows)
 	}
 
 	out, kept, err := reply(cols, n, keys, slabs, touched)

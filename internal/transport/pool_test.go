@@ -285,7 +285,8 @@ func TestPoolOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	p := NewPool("s0", 3, func() Client { return NewReplicaTCP("s0", []string{addr}, CostModel{}, 1, 0) }, nil)
+	dial := func() (Client, error) { return DialTCP("s0", addr, CostModel{}) }
+	p := NewPool("s0", 3, func() Client { return NewReconnector("s0", dial, 1, 0) }, nil)
 	defer p.Close()
 
 	var wg sync.WaitGroup

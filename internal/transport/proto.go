@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/relation"
 )
@@ -366,18 +367,33 @@ func ErrOutcome(err error) string { return classify(err).outcome }
 
 // Error converts a Response error field back into a Go error. Classified
 // codes wrap the matching sentinel so errors.Is(err, ErrOverloaded) and
-// the like survive the gob round trip.
+// the like survive the gob round trip; the sentinel's text is appended
+// only when the site's text does not already hold it.
 func (r *Response) Error() error {
 	if r.Err == "" {
 		return nil
 	}
 	for _, f := range failures {
 		if f.code == r.Code {
-			return fmt.Errorf("site error: %s: %w", r.Err, f.sentinel)
+			text := "site error: " + r.Err
+			if !strings.Contains(r.Err, f.sentinel.Error()) {
+				text += ": " + f.sentinel.Error()
+			}
+			return &siteError{text, f.sentinel}
 		}
 	}
 	return fmt.Errorf("site error: %s", r.Err)
 }
+
+// siteError is a classified site error rebuilt from a Response: text
+// naming the sentinel once, and the sentinel for errors.Is.
+type siteError struct {
+	text     string
+	sentinel error
+}
+
+func (e *siteError) Error() string { return e.text }
+func (e *siteError) Unwrap() error { return e.sentinel }
 
 // Shed reports whether the response is a load-shedding refusal (a drain):
 // the site is alive but declined the request, so callers should fail over
@@ -414,11 +430,13 @@ type Client interface {
 	// leave the underlying connection unusable; such clients report
 	// subsequent calls as transport errors so a retrying wrapper redials.
 	Call(ctx context.Context, req *Request) (*Response, error)
-	// Close releases the client's connections. What a later call does
-	// depends on the layer: the retry layer (Reconnector), and a replica
-	// layer over retry layers, redial and serve it; a Pool, a replica
-	// layer over pools, and a bare leaf (TCPClient) refuse it. Chaos's
-	// Drop and DropAfter faults close the client they wrap and rely on a
-	// retry layer, at or above it, to redial.
+	// Close releases the client's connections. A deployed client — any
+	// client Site builds, NewReplicaTCP's included — then refuses every
+	// later call and dials nothing, as do a Pool and a bare leaf
+	// (TCPClient). Only the bare retry layer (Reconnector, as
+	// NewReconnector and NewLocalClient return it, and a replica layer
+	// over such layers) redials and serves a later call; Chaos's Drop and
+	// DropAfter faults close the leaf they wrap and rely on the retry
+	// layer above it to redial.
 	Close() error
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -116,7 +118,9 @@ func TestKeysFieldSkew(t *testing.T) {
 
 // TestFailureTable: every classified code rebuilds its sentinel from a
 // Response, and that error classifies back to the same code and outcome;
-// CodeOK and an unknown code rebuild a plain site error.
+// CodeOK and an unknown code rebuild a plain site error. Whether or not
+// the site's text already ends with the sentinel's, as a site's own
+// refusal does, the rebuilt error names the sentinel at most once.
 func TestFailureTable(t *testing.T) {
 	cases := []struct {
 		code     int
@@ -132,24 +136,33 @@ func TestFailureTable(t *testing.T) {
 	tested := map[int]bool{}
 	for _, c := range cases {
 		tested[c.code] = true
-		err := (&Response{Err: "boom", Code: c.code}).Error()
-		if err == nil {
-			t.Fatalf("code %d: Response.Error() = nil", c.code)
+		texts := []string{"boom"}
+		if c.sentinel != nil {
+			texts = append(texts, fmt.Errorf("limit hit: %w", c.sentinel).Error())
 		}
-		for _, f := range failures {
-			if got, want := errors.Is(err, f.sentinel), f.sentinel == c.sentinel; got != want {
-				t.Errorf("code %d: errors.Is(%v, %v) = %v, want %v", c.code, err, f.sentinel, got, want)
+		for _, text := range texts {
+			err := (&Response{Err: text, Code: c.code}).Error()
+			if err == nil {
+				t.Fatalf("code %d: Response.Error() = nil", c.code)
 			}
-		}
-		wantCode := c.code
-		if c.sentinel == nil {
-			wantCode = CodeOK
-		}
-		if got := ErrCode(err); got != wantCode {
-			t.Errorf("code %d: ErrCode = %d, want %d", c.code, got, wantCode)
-		}
-		if got := ErrOutcome(err); got != c.outcome {
-			t.Errorf("code %d: ErrOutcome = %q, want %q", c.code, got, c.outcome)
+			for _, f := range failures {
+				if got, want := errors.Is(err, f.sentinel), f.sentinel == c.sentinel; got != want {
+					t.Errorf("code %d: errors.Is(%v, %v) = %v, want %v", c.code, err, f.sentinel, got, want)
+				}
+				if n := strings.Count(err.Error(), f.sentinel.Error()); n > 1 {
+					t.Errorf("code %d: %q names %v %d times", c.code, err, f.sentinel, n)
+				}
+			}
+			wantCode := c.code
+			if c.sentinel == nil {
+				wantCode = CodeOK
+			}
+			if got := ErrCode(err); got != wantCode {
+				t.Errorf("code %d: ErrCode = %d, want %d", c.code, got, wantCode)
+			}
+			if got := ErrOutcome(err); got != c.outcome {
+				t.Errorf("code %d: ErrOutcome = %q, want %q", c.code, got, c.outcome)
+			}
 		}
 	}
 	for _, f := range failures {

@@ -87,20 +87,6 @@ func newReconnector(id string, dial func() (Client, error), attempts int, backof
 	}
 }
 
-// NewReplicaTCP is the client of a site served at the TCP addresses, in
-// preference order: a retry layer per address, under a replica layer
-// failing over between them when there is more than one.
-func NewReplicaTCP(id string, addrs []string, cost CostModel, attempts int, backoff time.Duration) Client {
-	replicas := make([]Client, len(addrs))
-	for i, addr := range addrs {
-		replicas[i] = NewReconnector(id, func() (Client, error) { return DialTCP(id, addr, cost) }, attempts, backoff)
-	}
-	if len(replicas) == 1 {
-		return replicas[0]
-	}
-	return NewReplicaSet(id, replicas, nil, nil)
-}
-
 // SetSleep overrides the backoff sleep function (tests inject virtual
 // time). The function receives the jittered delay and should honor ctx.
 func (r *Reconnector) SetSleep(f func(ctx context.Context, d time.Duration) error) {

@@ -88,24 +88,24 @@ type SiteSpec struct {
 	// Budget is the retry budget shared with the other sites of the
 	// cluster (Resilience.NewBudget); nil is unlimited.
 	Budget *RetryBudget
-	// SiteInflight caps the requests one client of the site has in
-	// flight at once to each replica: it is the size of the client's
-	// connection pool, one per replica, a bound every execution sharing
-	// the client shares. 0 omits the pool: the client's calls take turns
-	// on one connection per replica.
-	SiteInflight int
 }
+
+// sitePool is the size of every client's connection pool, one per
+// replica: the most calls a client has in flight to one replica at once,
+// a bound every execution sharing the client shares. Calls beyond it
+// queue at the site; a held or cancelled call holds only its own
+// connection.
+const sitePool = 4
 
 // Site is the one place a logical site's client stack is assembled. It
 // owns what all its clients share — the current replica and the hedging
-// latency estimate — and a liveness-probe connection, and hands out
-// clients, each composed, outermost to innermost, in the only order this
-// package can produce:
+// latency estimate — and a liveness probe, and hands out clients, each
+// composed, outermost to innermost, in the one shape this package builds:
 //
 //	replicas → pool → retry → leaf
 //
-// with one pool → retry → leaf stack per replica and the layers the spec
-// does not ask for omitted. The replica layer (ReplicaSet) is the only
+// with one pool → retry → leaf stack per replica, the pool sitePool
+// connections deep. The replica layer (ReplicaSet) is the only
 // one that knows the site has replicas: it fails over between them,
 // sticking per site to the replica that works, and hedges when asked; the
 // retry layer beneath holds one endpoint. The replica layer earns into
@@ -160,37 +160,44 @@ func (s *Site) dial(r Replica) (Client, error) {
 	return ch, nil
 }
 
-// calls returns a client, replicas → pool → retry → leaf, whose pools,
-// when pooled, are its own.
-func (s *Site) calls(pooled bool) Client {
+// Client returns a new client of the site, replicas → pool → retry →
+// leaf, whose pools are its own. It is safe for concurrent calls: each
+// call's traffic travels with the call (see Exchange), so any number of
+// executions may share one client. Closing it releases its connections
+// and pools for good: a later call fails and dials nothing.
+func (s *Site) Client() Client {
 	replicas := make([]Client, len(s.spec.Replicas))
 	for i, r := range s.spec.Replicas {
-		if pooled {
-			replicas[i] = NewPool(s.spec.ID, s.spec.SiteInflight, func() Client { return s.retry(r) }, s.spec.Obs)
-		} else {
-			replicas[i] = s.retry(r)
-		}
+		replicas[i] = NewPool(s.spec.ID, sitePool, func() Client { return s.retry(r) }, s.spec.Obs)
 	}
 	return s.state.replicaSet(s.spec.ID, replicas)
 }
 
-// Client returns a new client of the site, safe for concurrent calls:
-// each call's traffic travels with the call (see Exchange), so any number
-// of executions may share one client. Closing it releases its
-// connections and pools.
-func (s *Site) Client() (Client, error) {
-	return s.calls(s.spec.SiteInflight > 0), nil
+// NewReplicaTCP is the client of a site served at the TCP addresses, in
+// preference order, with attempts tries at each, backoff apart: the
+// stack Site builds for them, as skalla.Connect deploys it. It panics
+// when addrs is empty.
+func NewReplicaTCP(id string, addrs []string, cost CostModel, attempts int, backoff time.Duration) Client {
+	replicas := make([]Replica, len(addrs))
+	for i, addr := range addrs {
+		replicas[i] = Replica{Addr: addr}
+	}
+	s, err := NewSite(SiteSpec{ID: id, Replicas: replicas, Cost: cost, Resilience: Resilience{Attempts: attempts, Backoff: backoff}})
+	if err != nil {
+		panic(err)
+	}
+	return s.Client()
 }
 
-// Ping probes the site's liveness over a dedicated, lazily dialed
-// connection — never a pooled one, so a saturated pool does not read as
-// an unhealthy site — that is dropped after any failure so a restart is
-// noticed.
+// Ping probes the site's liveness over a client of its own, lazily
+// dialed — never a query client's pool, so a saturated pool does not read
+// as an unhealthy site — that is dropped after any failure so a restart
+// is noticed.
 func (s *Site) Ping(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.probe == nil {
-		s.probe = s.calls(false)
+		s.probe = s.Client()
 	}
 	resp, err := s.probe.Call(ctx, &Request{Op: OpPing})
 	if err == nil {
@@ -223,7 +230,7 @@ func (s *Site) String() string {
 	layer(replicated && s.spec.Hedge && s.spec.HedgeDelay > 0, "hedge(%s)", s.spec.HedgeDelay)
 	layer(replicated && s.spec.Hedge && s.spec.HedgeDelay <= 0, "hedge(adaptive)")
 	layer(replicated && !s.spec.Hedge, "failover")
-	layer(s.spec.SiteInflight > 0, "pool(%d)", s.spec.SiteInflight)
+	fmt.Fprintf(&b, "pool(%d) > ", sitePool)
 	layer(s.spec.Attempts > 0, "retry(%d,%s)", s.spec.Attempts, s.spec.Backoff)
 	if s.spec.Replicas[0].Handler == nil {
 		b.WriteString("tcp ")
@@ -244,7 +251,7 @@ func (s *Site) String() string {
 	return b.String()
 }
 
-// Close releases the probe connection. Clients are closed by their
+// Close releases the probe client. Clients are closed by their
 // holders.
 func (s *Site) Close() error {
 	s.mu.Lock()

@@ -14,10 +14,9 @@ import (
 
 // TestStackShapes pins the assembled stack of every shape a non-test
 // caller builds: NewLocalCluster (in-process, loopback TCP), Connect and
-// ConnectWith (replicas failing over or hedged), each again as
-// NewQueryService serves it, and the tail experiment's chaos primary with
-// and without its clean replica. The replica layer prints over two
-// replicas only.
+// ConnectWith (replicas failing over or hedged), and the tail
+// experiment's chaos primary with and without its clean replica. Every
+// shape is pooled; the replica layer prints over two replicas only.
 func TestStackShapes(t *testing.T) {
 	h := newEchoHandler()
 	chaos := func(cl Client) *Chaos { return NewChaos(cl, 1) }
@@ -25,57 +24,38 @@ func TestStackShapes(t *testing.T) {
 	hedged := remote
 	hedged.Hedge = true
 
-	shapes := []struct {
+	for _, sh := range []struct {
 		name     string
 		replicas []Replica
 		res      Resilience
-		want     string // as the cluster's own client
-		served   string // as NewQueryService serves it
+		want     string
 	}{
 		{"in-process", []Replica{{Handler: h}}, Resilience{},
-			"local",
 			"pool(4) > local"},
 		{"loopback TCP", []Replica{{Addr: "127.0.0.1:7001"}}, Resilience{},
-			"tcp 127.0.0.1:7001",
 			"pool(4) > tcp 127.0.0.1:7001"},
 		{"Connect", []Replica{{Addr: "10.0.0.1:7001"}}, remote,
-			"retry(3,100ms) > tcp 10.0.0.1:7001",
 			"pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001"},
 		{"replicas", []Replica{{Addr: "10.0.0.1:7001"}, {Addr: "10.0.1.1:7001"}}, remote,
-			"failover > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001",
 			"failover > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001"},
 		{"replicas without retry", []Replica{{Addr: "a:1"}, {Addr: "b:1"}}, Resilience{},
-			"failover > tcp a:1|b:1",
 			"failover > pool(4) > tcp a:1|b:1"},
 		{"replicas hedged", []Replica{{Addr: "10.0.0.1:7001"}, {Addr: "10.0.1.1:7001"}}, hedged,
-			"hedge(adaptive) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001",
 			"hedge(adaptive) > pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001|10.0.1.1:7001"},
 		{"hedge without a second replica", []Replica{{Addr: "10.0.0.1:7001"}}, hedged,
-			"retry(3,100ms) > tcp 10.0.0.1:7001",
 			"pool(4) > retry(3,100ms) > tcp 10.0.0.1:7001"},
 		{"tail unhedged", []Replica{{Handler: h, Chaos: chaos}}, Resilience{},
-			"chaos(local)",
 			"pool(4) > chaos(local)"},
 		{"tail hedged", []Replica{{Handler: h, Chaos: chaos}, {Handler: h}},
 			Resilience{Hedge: true, HedgeDelay: 5 * time.Millisecond},
-			"hedge(5ms) > chaos(local)|local",
 			"hedge(5ms) > pool(4) > chaos(local)|local"},
-	}
-	for _, sh := range shapes {
-		for _, l := range []struct {
-			inflight int
-			want     string
-		}{
-			{0, sh.want},
-			{4, sh.served},
-		} {
-			s, err := NewSite(SiteSpec{ID: "site0", Replicas: sh.replicas, Resilience: sh.res, SiteInflight: l.inflight})
-			if err != nil {
-				t.Fatalf("%s: %v", sh.name, err)
-			}
-			if got := s.String(); got != l.want {
-				t.Errorf("%s:\n got %s\nwant %s", sh.name, got, l.want)
-			}
+	} {
+		s, err := NewSite(SiteSpec{ID: "site0", Replicas: sh.replicas, Resilience: sh.res})
+		if err != nil {
+			t.Fatalf("%s: %v", sh.name, err)
+		}
+		if got := s.String(); got != sh.want {
+			t.Errorf("%s:\n got %s\nwant %s", sh.name, got, sh.want)
 		}
 	}
 
@@ -89,7 +69,7 @@ func TestStackShapes(t *testing.T) {
 // The replica layer earns once per call; the primary replica fails every
 // exchange, so each shape spends one token on its same-replica retry and
 // then fails over to the clean replica for free: one call earned, one
-// retry spent, whether hedged or pooled.
+// retry spent, whether hedged or not.
 func TestStackBudgetOwner(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	failing := func(cl Client) *Chaos {
@@ -98,33 +78,23 @@ func TestStackBudgetOwner(t *testing.T) {
 		return ch
 	}
 	for _, tc := range []struct {
-		name   string
-		hedge  bool
-		pooled bool
+		name  string
+		hedge bool
 	}{
-		{"failover", false, false},
-		{"failover pooled", false, true},
-		{"hedged", true, false},
-		{"hedged pooled", true, true},
+		{"failover", false},
+		{"hedged", true},
 	} {
 		budget := NewRetryBudget(0.25, 10, nil)
-		spec := SiteSpec{
+		s, err := NewSite(SiteSpec{
 			ID:         "s0",
 			Replicas:   []Replica{{Handler: newEchoHandler(), Chaos: failing}, {Handler: newEchoHandler()}},
 			Resilience: Resilience{Attempts: 2, Hedge: tc.hedge, HedgeDelay: time.Hour},
 			Budget:     budget,
-		}
-		if tc.pooled {
-			spec.SiteInflight = 2
-		}
-		s, err := NewSite(spec)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := s.Client()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := s.Client()
 		if _, err := cl.Call(context.Background(), &Request{Op: OpEvalRounds}); err != nil {
 			t.Fatalf("%s (%s): %v", tc.name, s, err)
 		}
@@ -144,10 +114,7 @@ func TestStackBudgetOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := s.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := s.Client()
 	defer cl.Close()
 	if _, err := cl.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
@@ -204,19 +171,15 @@ func TestReplicaFailoverEveryShape(t *testing.T) {
 		primary, secondary := &answerHandler{n: 1}, &answerHandler{n: 2}
 		var dials atomic.Int64
 		s, err := NewSite(SiteSpec{
-			ID:           "s0",
-			Replicas:     []Replica{{Handler: primary, Chaos: failing(&dials, failOps...)}, {Handler: secondary}},
-			Resilience:   Resilience{Attempts: 2, Hedge: hedge, HedgeDelay: time.Hour},
-			Budget:       budget,
-			SiteInflight: 2,
+			ID:         "s0",
+			Replicas:   []Replica{{Handler: primary, Chaos: failing(&dials, failOps...)}, {Handler: secondary}},
+			Resilience: Resilience{Attempts: 2, Hedge: hedge, HedgeDelay: time.Hour},
+			Budget:     budget,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := s.Client()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cl := s.Client()
 		t.Cleanup(func() { cl.Close() })
 		return cl, primary, secondary
 	}
@@ -266,17 +229,13 @@ func TestReplicaStickyPerSite(t *testing.T) {
 			{Handler: newEchoHandler(), Chaos: failing(&primaryDials, OpPing, OpEvalRounds)},
 			{Handler: held},
 		},
-		Resilience:   Resilience{Attempts: 2},
-		SiteInflight: 2,
+		Resilience: Resilience{Attempts: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cl, err := s.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := s.Client()
 	defer cl.Close()
 	ping := &Request{Op: OpPing}
 	if _, err := cl.Call(context.Background(), ping); err != nil {

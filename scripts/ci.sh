@@ -49,8 +49,10 @@ go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./i
 # exactly their own bytes and never wait on a sibling's held call, the
 # relay-tree shapes, whose relays fan out concurrently to their leaves, and
 # the replica layer's failover under hedging and placement on every replica,
-# and served hedges, whose losing pooled clients are lent again.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed)' ./skalla
+# served hedges, whose losing pooled clients are lent again, a connection
+# lost between rounds and redialed by the retry layer under its pool, and
+# deployed clients that stay closed once closed.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed|TestRoundBoundaryConnectionLoss|TestDeployedClientCloseIsFinal)' ./skalla
 
 echo "== fuzz smoke (expression parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/expr

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,4 +332,96 @@ func TestPlacementReachesEveryReplica(t *testing.T) {
 		t.Fatalf("query after the primaries stopped: %v", err)
 	}
 	assertSameResult(t, "after failover", res.Relation, want)
+}
+
+// countingListener counts the connections its server accepts.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestDeployedClientCloseIsFinal: every client stack the system deploys —
+// Connect's, a replica entry's failing over or hedged, and NewReplicaTCP's
+// — refuses a call after Close and dials nothing for it: no connection
+// reaches either replica's listener.
+func TestDeployedClientCloseIsFinal(t *testing.T) {
+	eng := site.NewEngine("site0")
+	var listeners [2]*countingListener
+	var addrs [2]string
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = &countingListener{Listener: l}
+		srv := transport.NewServer(eng)
+		addrs[i] = srv.Serve(listeners[i])
+		t.Cleanup(func() { srv.Close() })
+	}
+	// accepted returns each listener's accepted connections but its
+	// probes: a probe is answered only once every connection dialed
+	// before it was accepted.
+	var probes int64
+	accepted := func() [2]int64 {
+		probes++
+		var n [2]int64
+		for i, addr := range addrs {
+			probe, err := transport.DialTCP("probe", addr, CostModel{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := probe.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
+				t.Fatal(err)
+			}
+			probe.Close()
+			n[i] = listeners[i].accepted.Load() - probes
+		}
+		return n
+	}
+	connect := func(cfg ConnectConfig) func(*testing.T) transport.Client {
+		return func(t *testing.T) transport.Client {
+			c, err := ConnectWith(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c.clients[0]
+		}
+	}
+	replicas := addrs[0] + "|" + addrs[1]
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) transport.Client
+	}{
+		{"flat", connect(ConnectConfig{Sites: []string{addrs[0]}})},
+		{"replicas", connect(ConnectConfig{Sites: []string{replicas}})},
+		{"hedged", connect(ConnectConfig{Sites: []string{replicas}, Resilience: Resilience{Hedge: true}})},
+		{"NewReplicaTCP", func(*testing.T) transport.Client {
+			return transport.NewReplicaTCP("site0", addrs[:1], CostModel{}, 3, 100*time.Millisecond)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := tc.build(t)
+			ping := &transport.Request{Op: transport.OpPing}
+			if _, err := cl.Call(context.Background(), ping); err != nil {
+				t.Fatal(err)
+			}
+			cl.Close()
+			before := accepted()
+			if _, err := cl.Call(context.Background(), ping); err == nil {
+				t.Error("a call after Close succeeded")
+			}
+			if after := accepted(); after != before {
+				t.Errorf("a call after Close dialed: accepted connections %v, then %v", before, after)
+			}
+		})
+	}
 }

@@ -175,40 +175,44 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 }
 
 // TestRoundBoundaryConnectionLoss exercises the DropAfter chaos fault
-// over real TCP: site1's answer for the base round is delivered and then
-// its connection is torn down, so the socket is dead when the next round
-// fans out. The Reconnector redials lazily and the query completes with
-// the right answer — no retries burned, nothing lost, nothing replayed.
+// over real TCP: site1's first connection delivers its answer for the
+// base round and is then torn down, so the socket is dead when the next
+// round fans out. The deployed stack's retry layer finds the connection
+// gone, redials on its second attempt and the query completes with the
+// right answer: nothing lost, one re-send of one round, accounted as such.
 func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	parts, whole := flowParts(2)
 	o := obs.New()
 	var clients []transport.Client
-	var chaos []*transport.Chaos
+	var dropped *transport.Chaos // site1's first connection
 	for i := range parts {
 		id := fmt.Sprintf("site%d", i)
 		entry, _ := startFlowSite(t, id, parts[i], 1)
+		replica := transport.Replica{Addr: entry}
+		if i == 1 {
+			replica.Chaos = func(cl transport.Client) *transport.Chaos {
+				ch := transport.NewChaos(cl, 1)
+				if dropped == nil {
+					dropped = ch
+					ch.InjectAt(transport.OpEvalRounds, 1, transport.Fault{DropAfter: true})
+				}
+				return ch
+			}
+		}
 		rs, err := transport.NewSite(transport.SiteSpec{
-			ID: id, Replicas: []transport.Replica{{Addr: entry}}, Obs: o,
+			ID: id, Replicas: []transport.Replica{replica}, Obs: o,
 			Resilience: transport.Resilience{Attempts: 2, Backoff: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := rs.Client()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch := transport.NewChaos(rc, int64(i))
-		ch.SetObs(o)
-		clients = append(clients, ch)
-		chaos = append(chaos, ch)
+		clients = append(clients, rs.Client())
 	}
 	defer func() {
-		for _, ch := range chaos {
-			ch.Close()
+		for _, cl := range clients {
+			cl.Close()
 		}
 	}()
-	chaos[1].InjectAt(transport.OpEvalRounds, 1, transport.Fault{DropAfter: true})
 
 	coord := core.NewCoordinator(clients...)
 	coord.Obs = o
@@ -223,18 +227,21 @@ func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	}
 	assertSameResult(t, "after connection loss", rel, want)
 
-	if chaos[1].Injected() != 1 {
-		t.Fatalf("injected faults = %d, want 1", chaos[1].Injected())
+	if dropped.Injected() != 1 {
+		t.Fatalf("injected faults = %d, want 1", dropped.Injected())
 	}
 	if stats.Partial() {
 		t.Errorf("connection loss degraded the result: lost %v", stats.LostSites())
 	}
-	if got := stats.ReplayedSites(); len(got) != 0 {
-		t.Errorf("ReplayedSites = %v, want none (lazy redial, not replay)", got)
+	// The retry layer learns of the severed connection by sending on it:
+	// the next round to site1 is re-sent once, over the redialed one.
+	if got := stats.ReplayedSites(); len(got) != 1 || got[0] != "site1" {
+		t.Errorf("ReplayedSites = %v, want [site1] (one redial by the retry layer)", got)
 	}
-	// The severed connection is rebuilt by a lazy redial on the next call,
-	// not by the retry path: no retry budget is spent.
-	if got := o.Metrics.CounterValue("transport.retries"); got != 0 {
-		t.Errorf("transport.retries = %d, want 0", got)
+	if got := o.Metrics.CounterValue("transport.retries"); got != 1 {
+		t.Errorf("transport.retries = %d, want 1", got)
+	}
+	if got := o.Metrics.CounterValue("transport.pool.dials"); got != 2 {
+		t.Errorf("transport.pool.dials = %d, want 2 (one pooled connection per site)", got)
 	}
 }

@@ -37,14 +37,18 @@ func holdNext(eng *site.Engine) (entered <-chan struct{}, release func()) {
 	return in, func() { once.Do(func() { close(out) }) }
 }
 
-// warmPools dials every connection of every site's pool: sitePool pings
-// per site, each held at its site until all have arrived, so no ping can
-// reuse another's connection. A connection's first exchange carries
+// warmPools dials every connection of every site's pool: one ping per
+// pooled connection, as many as the site's stack prints, each held at its
+// site until all have arrived, so no ping can reuse another's connection. A connection's first exchange carries
 // gob's type preamble; after this none of the cluster's does. The sites
 // report to o again afterwards.
 func warmPools(t *testing.T, c *Cluster, o *obs.Obs) {
 	t.Helper()
 	for i, eng := range c.engines {
+		var pool int32
+		if _, err := fmt.Sscanf(c.sites[i].String(), "pool(%d)", &pool); err != nil {
+			t.Fatalf("stack %q names no pool size: %v", c.sites[i], err)
+		}
 		var armed atomic.Bool
 		var arrived atomic.Int32
 		all := make(chan struct{})
@@ -53,23 +57,23 @@ func warmPools(t *testing.T, c *Cluster, o *obs.Obs) {
 			if !armed.Load() {
 				return time.Now()
 			}
-			if n := arrived.Add(1); n == sitePool {
+			if n := arrived.Add(1); n == pool {
 				close(all)
-			} else if n < sitePool {
+			} else if n < pool {
 				<-all
 			}
 			return time.Now()
 		})
 		armed.Store(true)
 		eng.SetObs(hold)
-		errs := make(chan error, sitePool)
-		for j := 0; j < sitePool; j++ {
+		errs := make(chan error, pool)
+		for j := int32(0); j < pool; j++ {
 			go func() {
 				_, err := call(context.Background(), c.clients[i], &transport.Request{Op: transport.OpPing})
 				errs <- err
 			}()
 		}
-		for j := 0; j < sitePool; j++ {
+		for j := int32(0); j < pool; j++ {
 			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}

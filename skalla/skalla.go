@@ -157,29 +157,18 @@ type Cluster struct {
 	leaves *Cluster
 }
 
-// sitePool is the ceiling of each site client's connection pool: the
-// most calls the cluster has in flight to one site at once. Calls beyond
-// it queue at the site; a held or cancelled call holds only its own
-// connection.
-const sitePool = 4
-
 // open builds, for each spec, the site's stack and its one pooled client
 // — the only place a cluster builds site clients — and the coordinator
 // and the catalog over them. On error the caller closes c.
 func (c *Cluster) open(specs []transport.SiteSpec, settings Settings) error {
 	for _, spec := range specs {
-		spec.SiteInflight = sitePool
 		s, err := transport.NewSite(spec)
 		if err != nil {
 			return fmt.Errorf("skalla: connect site %s: %w", spec.ID, err)
 		}
 		c.sites = append(c.sites, s)
-		cl, err := s.Client()
-		if err != nil {
-			return fmt.Errorf("skalla: connect site %s: %w", spec.ID, err)
-		}
 		c.ids = append(c.ids, spec.ID)
-		c.clients = append(c.clients, cl)
+		c.clients = append(c.clients, s.Client())
 	}
 	c.coord = core.NewCoordinator(c.clients...)
 	c.coord.Settings = settings
