@@ -360,7 +360,7 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 		go func(cl transport.Client) {
 			defer wg.Done()
 			req := tmpl
-			req.Base = ships[cl.SiteID()].base
+			req.SetBase(ships[cl.SiteID()].base)
 			_, span := c.Obs.StartSpanTrack(roundCtx, "rpc:"+req.Op.String(), obs.SiteTrack(cl.SiteID()))
 			// wire is the exchange's own traffic, exact however many
 			// executions share cl: the round's bytes, and the retries and
@@ -398,8 +398,8 @@ func (c *Coordinator) fanoutStream(ctx context.Context, tmpl transport.Request, 
 				Hedges:  wire.Hedges,
 				Remote:  resp.Profile,
 			}
-			if req.Base != nil {
-				sr.RowsShipped = int64(req.Base.Len())
+			if base, _ := req.BaseFrame(); base != nil {
+				sr.RowsShipped = int64(base.Len())
 			}
 			if f, err := resp.Frame(); err == nil {
 				sr.RowsReturned = int64(f.Len())
@@ -648,16 +648,20 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 	return m, mergeTime, nil
 }
 
-// shipment is what one site receives in a step that ships X: the base
-// fragment and, under a Theorem-4 filter, the X row of each fragment row.
+// shipment is what one site receives in a step that ships X: the frame of
+// X's ship columns at the rows it receives and, under a Theorem-4 filter,
+// the X row of each shipped row.
 type shipment struct {
-	base *relation.Relation
-	idx  []int // nil: fragment row k is X row k
+	base *relation.Frame
+	idx  []int // nil: shipped row k is X row k
 }
 
-// shipments cuts X to what each site receives in a step that ships it: the
-// step's ship columns, projected once for all sites, of the rows its
-// Theorem-4 filter keeps.
+// shipments frames X once for each distinct thing the sites of a step that
+// ships it receive: the step's ship columns, read in place from X's rows,
+// of the rows its Theorem-4 filter keeps. Every site without a filter gets
+// the one frame of every row; a filtered site's frame reads only its kept
+// rows. X is validated before it is framed, so a malformed X fails the
+// round before any site is called.
 func (c *Coordinator) shipments(x *relation.Relation, step *Step) (map[string]shipment, error) {
 	if x == nil {
 		return nil, fmt.Errorf("core: no base-result structure before %s", step.Name)
@@ -665,40 +669,53 @@ func (c *Coordinator) shipments(x *relation.Relation, step *Step) (map[string]sh
 	if step.Filters != nil && !x.Schema.Equal(step.xSchema) {
 		return nil, fmt.Errorf("core: %s: X is %s, its site filters were bound to %s", step.Name, x.Schema, step.xSchema)
 	}
-	px := x
-	if step.Ship != nil && len(step.Ship) < x.Schema.Len() {
-		var err error
-		if px, err = x.Project(step.Ship); err != nil {
-			return nil, fmt.Errorf("core: %s ship set: %w", step.Name, err)
-		}
+	if err := x.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: X: %w: %w", step.Name, relation.ErrMalformed, err)
 	}
+	ship := step.Ship
+	if ship == nil {
+		ship = x.Schema.Names()
+	}
+	schema, cols, err := x.Schema.Project(ship)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s ship set: %w", step.Name, err)
+	}
+	var all *relation.Frame
 	out := make(map[string]shipment, len(c.clients))
 	for _, cl := range c.clients {
-		sh := shipment{base: px}
-		if f := step.filter(cl.SiteID()); f != nil {
-			var err error
-			if sh, err = filterBase(x, px, f); err != nil {
-				return nil, fmt.Errorf("core: site filter for %s: %w", cl.SiteID(), err)
+		f := step.filter(cl.SiteID())
+		if f == nil {
+			if all == nil {
+				all = relation.EncodeFrame(schema, x.Len(), nil, relation.RowLanes(x.Rows, cols))
 			}
+			out[cl.SiteID()] = shipment{base: all}
+			continue
 		}
-		out[cl.SiteID()] = sh
+		idx, err := filterBase(x, f)
+		if err != nil {
+			return nil, fmt.Errorf("core: site filter for %s: %w", cl.SiteID(), err)
+		}
+		rows := make([]relation.Row, len(idx))
+		for k, i := range idx {
+			rows[k] = x.Rows[i]
+		}
+		out[cl.SiteID()] = shipment{base: relation.EncodeFrame(schema, len(rows), nil, relation.RowLanes(rows, cols)), idx: idx}
 	}
 	return out, nil
 }
 
-// filterBase decides a Theorem-4 site filter on the rows of X and ships
-// the kept rows of its projection px.
-func filterBase(x, px *relation.Relation, f *expr.Bound) (shipment, error) {
-	sh := shipment{base: relation.New(px.Schema), idx: []int{}}
+// filterBase decides a Theorem-4 site filter on the rows of X: the
+// positions of the rows it keeps.
+func filterBase(x *relation.Relation, f *expr.Bound) ([]int, error) {
+	idx := []int{}
 	for i, row := range x.Rows {
 		ok, err := f.EvalBool(row, nil)
 		if err != nil {
-			return shipment{}, err
+			return nil, err
 		}
 		if ok {
-			sh.base.Rows = append(sh.base.Rows, px.Rows[i])
-			sh.idx = append(sh.idx, i)
+			idx = append(idx, i)
 		}
 	}
-	return sh, nil
+	return idx, nil
 }

@@ -251,11 +251,12 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 // in group order, returning the Response.Kept bitmap that names them (nil
 // when it names every group).
 func (m *keyedMerge) tier() (*relation.Frame, []byte, error) {
-	echo := 0 // the base columns each row leads with
-	if len(m.keys) > 0 {
-		echo = m.schema.Len()
+	var cols []relation.Column
+	var lanes []relation.LaneSource
+	if len(m.keys) > 0 { // each row leads with the base columns
+		cols = append(cols, m.schema.Cols...)
+		lanes = relation.RowLanes(m.rows, m.schema.Indexes())
 	}
-	cols := append([]relation.Column(nil), m.schema.Cols[:echo]...)
 	for _, sp := range m.specs {
 		cols = append(cols, sp.SubColumns()...)
 	}
@@ -263,7 +264,6 @@ func (m *keyedMerge) tier() (*relation.Frame, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	lanes := append(make([]relation.LaneSource, 0, len(cols)), relation.RowLanes(m.rows, echo)...)
 	for p := 0; p < m.accs.Width(); p++ {
 		lanes = append(lanes, m.accs.Lane(p))
 	}

@@ -142,6 +142,10 @@ func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[strin
 	for _, sp := range step.Specs {
 		cols = append(cols, sp.SubColumns()...)
 	}
+	xf, err := relation.FrameOf(x)
+	if err != nil {
+		panic(err)
+	}
 	ships := make(map[string]shipment, sites)
 	replies := make([]*transport.Response, sites)
 	for s := range replies {
@@ -151,7 +155,7 @@ func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[strin
 			rel.MustAppend(value.NewInt(n), value.NewInt(n*int64(g%50+1)), value.NewInt(n))
 		}
 		replies[s] = &transport.Response{Rel: rel}
-		ships[fmt.Sprintf("site%d", s)] = shipment{base: x}
+		ships[fmt.Sprintf("site%d", s)] = shipment{base: xf}
 	}
 	return x, step, ships, replies
 }

@@ -105,19 +105,21 @@ func (l *rowLane) Values(dst []value.V, from int, _ bool) {
 	}
 }
 
-// RowLanes returns the first w columns of rows as lane sources.
-func RowLanes(rows []Row, w int) []LaneSource {
-	cols, lanes := make([]rowLane, w), make([]LaneSource, w)
-	for j := range cols {
-		cols[j] = rowLane{rows, j}
-		lanes[j] = &cols[j]
+// RowLanes returns the columns cols of rows, in that order, as lane
+// sources: a frame of those columns reads them in place, with no
+// projected copy of the rows.
+func RowLanes(rows []Row, cols []int) []LaneSource {
+	ls, lanes := make([]rowLane, len(cols)), make([]LaneSource, len(cols))
+	for j, col := range cols {
+		ls[j] = rowLane{rows, col}
+		lanes[j] = &ls[j]
 	}
 	return lanes
 }
 
 // AppendFrame appends the frame of r to dst. r must pass Validate.
 func AppendFrame(dst []byte, r *Relation) []byte {
-	return append(dst, EncodeFrame(r.Schema, len(r.Rows), nil, RowLanes(r.Rows, len(r.Schema.Cols))).b...)
+	return append(dst, EncodeFrame(r.Schema, len(r.Rows), nil, RowLanes(r.Rows, r.Schema.Indexes())).b...)
 }
 
 // FrameOf returns the frame of r, refusing one that fails Validate.
@@ -125,7 +127,7 @@ func FrameOf(r *Relation) (*Frame, error) {
 	if err := r.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
-	return EncodeFrame(r.Schema, len(r.Rows), nil, RowLanes(r.Rows, len(r.Schema.Cols))), nil
+	return EncodeFrame(r.Schema, len(r.Rows), nil, RowLanes(r.Rows, r.Schema.Indexes())), nil
 }
 
 // EncodeFrame frames the source rows [0, n) that kept marks, in order (bit

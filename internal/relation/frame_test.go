@@ -454,7 +454,7 @@ func FuzzFrame(f *testing.F) {
 			kept []byte
 			rows []Row
 		}{{nil, r.Rows}, {kept, keptRows}} {
-			enc := EncodeFrame(r.Schema, r.Len(), c.kept, RowLanes(r.Rows, r.Schema.Len()))
+			enc := EncodeFrame(r.Schema, r.Len(), c.kept, RowLanes(r.Rows, r.Schema.Indexes()))
 			want := AppendFrame(nil, &Relation{Schema: r.Schema, Rows: c.rows})
 			dec, err := DecodeFrame(want)
 			if err != nil || !bytes.Equal(enc.Bytes(), want) || !reflect.DeepEqual(enc.lanes, dec.lanes) || enc.Len() != len(c.rows) {
@@ -495,7 +495,7 @@ func TestEncodeFrameRecordsLanes(t *testing.T) {
 			kept []byte
 			rows []Row
 		}{{nil, r.Rows}, {some, someRows}, {none, nil}} {
-			f := EncodeFrame(r.Schema, r.Len(), c.kept, RowLanes(r.Rows, r.Schema.Len()))
+			f := EncodeFrame(r.Schema, r.Len(), c.kept, RowLanes(r.Rows, r.Schema.Indexes()))
 			want := AppendFrame(nil, &Relation{Schema: r.Schema, Rows: c.rows})
 			dec, err := DecodeFrame(f.Bytes())
 			if err != nil {
@@ -506,6 +506,25 @@ func TestEncodeFrameRecordsLanes(t *testing.T) {
 			}
 			if !reflect.DeepEqual(f.Relation().Rows, dec.Relation().Rows) {
 				t.Fatalf("trial %d, kept %x: reads %v, decoded %v", trial, c.kept, f.Relation(), dec.Relation())
+			}
+			// Lanes at some of the columns, in another order, frame the
+			// projection of the kept rows.
+			var names []string
+			for _, j := range rng.Perm(r.Schema.Len()) {
+				if rng.Intn(2) == 0 {
+					names = append(names, r.Schema.Cols[j].Name)
+				}
+			}
+			schema, cols, err := r.Schema.Project(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := (&Relation{Schema: r.Schema, Rows: c.rows}).Project(names)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := EncodeFrame(schema, r.Len(), c.kept, RowLanes(r.Rows, cols)), AppendFrame(nil, p); !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("trial %d, kept %x, columns %v: encoded % x, want % x", trial, c.kept, names, got.Bytes(), want)
 			}
 		}
 		var fb, rb bytes.Buffer

@@ -97,6 +97,15 @@ func (s *Schema) Names() []string {
 	return out
 }
 
+// Indexes returns the positions of the columns in order, 0 to Len()-1.
+func (s *Schema) Indexes() []int {
+	out := make([]int, len(s.Cols))
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // String renders the schema as "(name:KIND, ...)".
 func (s *Schema) String() string {
 	var b strings.Builder

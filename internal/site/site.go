@@ -590,7 +590,7 @@ func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.
 	}
 	lanes := make([]relation.LaneSource, 0, len(cols))
 	if keys != nil {
-		lanes = append(lanes, relation.RowLanes(keys.Rows, keys.Schema.Len())...)
+		lanes = append(lanes, relation.RowLanes(keys.Rows, keys.Schema.Indexes())...)
 	}
 	for _, s := range slabs {
 		for p := 0; p < s.Width(); p++ {

@@ -172,8 +172,7 @@ func TestMalformedRelationRefused(t *testing.T) {
 // with the stream still in sync, so a request it refuses to encode, or a
 // reply whose frame does not decode, fails only its own call, and the next
 // call on the same connection is answered. Every byte the client wrote is
-// charged to one of the calls, the type preamble a refused first request
-// sent included.
+// charged to one of the calls; a refused request writes none.
 func TestMalformedRelationFailsOnlyItsCall(t *testing.T) {
 	ctx := context.Background()
 	round := []RoundSpec{{Detail: "flow", Aggs: [][]string{{"count(*) AS c"}}, Thetas: []string{"F.SourceAS = B.SourceAS"}}}
@@ -309,6 +308,63 @@ func TestReplyMirrorsResponse(t *testing.T) {
 		}
 		if got[i].Name != f.Name || got[i].Type != typ {
 			t.Errorf("reply field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
+		}
+	}
+}
+
+// TestRequestMirrorsRequest: the request mirror has Request's exported
+// fields, by name, in order and of the same type (Data and Base framed),
+// and wire copies every one of them: a field the mirror missed would be
+// dropped from the wire, and a site would read its zero value.
+func TestRequestMirrorsRequest(t *testing.T) {
+	frameType := reflect.TypeOf((*relation.Frame)(nil))
+	var want []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Request{})) {
+		if f.IsExported() {
+			want = append(want, f)
+		}
+	}
+	got := reflect.VisibleFields(reflect.TypeOf(request{}))
+	if len(got) != len(want) {
+		t.Fatalf("request has %d fields, Request %d exported", len(got), len(want))
+	}
+	for i, f := range want {
+		typ := f.Type
+		if f.Name == "Data" || f.Name == "Base" {
+			typ = frameType
+		}
+		if got[i].Name != f.Name || got[i].Type != typ {
+			t.Errorf("request field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
+		}
+	}
+
+	req := Request{
+		Op: OpEvalRounds, Rel: "t", Data: sampleRelation(3),
+		Gen:      &GenSpec{Kind: "tpcr", Rel: "t", Params: map[string]int64{"rows": 10}, Site: 1, NumSites: 2},
+		BaseCols: []string{"SourceAS"}, BaseWhere: "SourceAS > 1", Detail: "flows",
+		Base: sampleRelation(5), SiteDisjoint: true,
+		Rounds: []RoundSpec{{Detail: "flows", Aggs: [][]string{{"count(*) AS n"}}, Thetas: []string{"true"}}},
+		Round:  2, QueryID: "q1",
+	}
+	w, err := req.wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, wv := reflect.ValueOf(req), reflect.ValueOf(w)
+	for _, f := range want {
+		in, out := rv.FieldByIndex(f.Index), wv.FieldByName(f.Name)
+		if in.IsZero() {
+			t.Fatalf("the sample request leaves %s zero: set it, so that its copy is checked", f.Name)
+		}
+		if out.Type() == frameType {
+			fr, rel := out.Interface().(*relation.Frame), in.Interface().(*relation.Relation)
+			if fr == nil || !reflect.DeepEqual(fr.Relation().Rows, rel.Rows) {
+				t.Errorf("wire frames %s as %v, want %v", f.Name, fr, rel)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(out.Interface(), in.Interface()) {
+			t.Errorf("wire copies %s as %v, want %v", f.Name, out.Interface(), in.Interface())
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (p *Pool) get(ctx context.Context) (Client, error) {
 	defer p.mu.Unlock()
 	if p.closed {
 		<-p.slots
-		return nil, fmt.Errorf("transport: pool %s is closed", p.id)
+		return nil, fmt.Errorf("transport: pool %s: %w", p.id, ErrClosed)
 	}
 	if n := len(p.idle); n > 0 {
 		cl := p.idle[n-1]

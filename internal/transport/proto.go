@@ -42,6 +42,10 @@ var (
 	// The sites answered; their answers do not add up, so no replica or
 	// partial result can mend it.
 	ErrInconsistent = errors.New("transport: inconsistent fragments")
+	// ErrClosed: the call reached a client that was closed. It is the
+	// caller's own doing, not a fault of the site: no layer re-sends it,
+	// and the replica layer does not fail over from it.
+	ErrClosed = errors.New("transport: client closed")
 )
 
 // Response.Code values classifying site-side errors on the wire.
@@ -186,8 +190,9 @@ type Request struct {
 
 	// OpEvalRounds: base-values definition. A non-empty BaseCols means
 	// "compute the base locally from the detail relation" (Proposition 2)
-	// and gets the keyed reply; otherwise Base carries the shipped
-	// base-result fragment and gets the states-only reply (ShipsBase). BaseCols are the key K of the
+	// and gets the keyed reply; otherwise Base (or the frame SetBase sets)
+	// carries the shipped base-result fragment and gets the states-only
+	// reply (ShipsBase). BaseCols are the key K of the
 	// base-result structure, so whoever merges keyed replies — the
 	// coordinator, or a relay tier pre-merging its children's — keys them
 	// on BaseCols.
@@ -217,15 +222,71 @@ type Request struct {
 	// pre-profiling encoding (gob omits zero-valued fields), so profiling
 	// is strictly opt-in per query.
 	QueryID string
+
+	// base is the shipped base as a frame (SetBase): a client sends its
+	// bytes as they are, to every site that shares it and on every attempt
+	// of a call. It crosses the wire as Base.
+	//lint:ignore wiresafe the client sends it as the request mirror's Base, and a site receives it as Base
+	base *relation.Frame
 }
 
-// ShipsBase reports whether req evaluates rounds over a shipped Base. Such
-// a request gets the echo-free, states-only reply: only the primitive-state
-// columns of the rounds' aggregates, row i answering the i-th shipped row
-// Response.Kept marks. Every other evaluation gets the keyed reply, the
-// base columns followed by the states.
+// SetBase ships f as the request's base, in place of Base.
+func (req *Request) SetBase(f *relation.Frame) { req.base = f }
+
+// BaseFrame returns the shipped base as a frame: the one SetBase set, or
+// else the frame of Base; nil when the request ships none.
+func (req *Request) BaseFrame() (*relation.Frame, error) {
+	if req.base != nil || req.Base == nil {
+		return req.base, nil
+	}
+	return relation.FrameOf(req.Base)
+}
+
+// ShipsBase reports whether req evaluates rounds over a shipped base (Base
+// or SetBase's frame). Such a request gets the echo-free, states-only
+// reply: only the primitive-state columns of the rounds' aggregates, row i
+// answering the i-th shipped row Response.Kept marks. Every other
+// evaluation gets the keyed reply, the base columns followed by the states.
 func (req *Request) ShipsBase() bool {
-	return req.Op == OpEvalRounds && len(req.BaseCols) == 0 && req.Base != nil
+	return req.Op == OpEvalRounds && len(req.BaseCols) == 0 && (req.Base != nil || req.base != nil)
+}
+
+// request is Request as it crosses the wire, its relations frames: a
+// client encodes every request in it, so a base framed once goes out as
+// the same bytes to every site and on every attempt. gob matches fields by
+// name, so a site decoding into Request, with Data and Base boxed, reads
+// the same bytes.
+type request struct {
+	Op           Op
+	Rel          string
+	Data         *relation.Frame
+	Gen          *GenSpec
+	BaseCols     []string
+	BaseWhere    string
+	Detail       string
+	Base         *relation.Frame
+	SiteDisjoint bool
+	Rounds       []RoundSpec
+	Round        int
+	QueryID      string
+}
+
+// wire returns the request req goes out as, framing a boxed Data or
+// Base. It refuses a relation that has no frame (relation.ErrMalformed)
+// before anything is sent.
+func (req *Request) wire() (request, error) {
+	base, err := req.BaseFrame()
+	if err != nil {
+		return request{}, err
+	}
+	var data *relation.Frame
+	if req.Data != nil {
+		if data, err = relation.FrameOf(req.Data); err != nil {
+			return request{}, err
+		}
+	}
+	return request{Op: req.Op, Rel: req.Rel, Data: data, Gen: req.Gen, BaseCols: req.BaseCols, BaseWhere: req.BaseWhere,
+		Detail: req.Detail, Base: base, SiteDisjoint: req.SiteDisjoint, Rounds: req.Rounds, Round: req.Round, QueryID: req.QueryID}, nil
 }
 
 // Response is the single wire response envelope. Every field must survive

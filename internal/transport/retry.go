@@ -178,14 +178,14 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 }
 
 // callerGaveUp reports whether a call failed with err because its caller
-// cancelled or timed out, which is no fault of the endpoint: such a call
-// is neither retried nor failed over. The errors.Is checks matter when the
-// cancellation surfaced inside the inner client (e.g. a coordinator
-// cancelling siblings after a first error) before ctx observes it:
-// classifying that as a site fault would burn a healthy site's retry
-// budget.
+// cancelled, timed out or closed the client (ErrClosed), which is no fault
+// of the endpoint: such a call is neither retried nor failed over. The
+// errors.Is checks matter when the cancellation surfaced inside the inner
+// client (e.g. a coordinator cancelling siblings after a first error)
+// before ctx observes it: classifying that as a site fault would burn a
+// healthy site's retry budget.
 func callerGaveUp(ctx context.Context, err error) bool {
-	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrClosed)
 }
 
 // jitteredBackoffLocked returns the delay before retry number attempt

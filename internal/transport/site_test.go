@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/testutil"
 )
 
@@ -272,3 +273,39 @@ func TestReplicaStickyPerSite(t *testing.T) {
 // secondaryInUse reports the borrowed connections of the second
 // replica's pool under the replica layer cl.
 func secondaryInUse(cl Client) int { return cl.(*ReplicaSet).replicas[1].(*Pool).InUse() }
+
+// TestClosedReplicaSetStaysPut: a call on a closed replicated client fails
+// with ErrClosed at once. Closing is the caller's doing, not a replica's
+// fault: the call does not fail over, counts no failover, logs no event
+// and leaves the site's current replica where it was, so the site's other
+// clients still start at the first replica.
+func TestClosedReplicaSetStaysPut(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	sink := obs.New()
+	h := newEchoHandler()
+	s, err := NewSite(SiteSpec{ID: "site0", Replicas: []Replica{{Handler: h}, {Handler: h}}, Obs: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := s.Client()
+	closed.Close()
+	for _, op := range []Op{OpPing, OpEvalRounds} {
+		if _, err := closed.Call(context.Background(), &Request{Op: op}); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s on a closed client: %v, want ErrClosed", op, err)
+		}
+		if n := sink.Metrics.CounterValue("transport.failovers"); n != 0 {
+			t.Errorf("after %s: transport.failovers = %d, want 0", op, n)
+		}
+		if cur := s.state.current(); cur != 0 {
+			t.Errorf("after %s: current replica moved to %d", op, cur)
+		}
+	}
+	for _, e := range sink.Events.Events() {
+		t.Errorf("event %s: %s", e.Kind, e.Msg)
+	}
+	open := s.Client()
+	defer open.Close()
+	if _, err := open.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+}

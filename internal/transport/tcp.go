@@ -398,6 +398,11 @@ type TCPClient struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	broken bool
+	// req is the mirror a call encodes its request in, kept so that no
+	// call allocates one.
+	//
+	//lint:guarded-by mu
+	req request
 	// obs, set by the site builder before the client is shared, receives
 	// the raw client-side wire totals ("transport.bytes_sent",
 	// "transport.bytes_received", "transport.messages"). Raw totals
@@ -477,10 +482,15 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 		}()
 	}
 
-	// What was written is charged even when the encode fails: a refused
-	// request may have sent gob's type preamble, which the connection keeps.
+	// A relation without a frame is refused before anything is sent. What
+	// was written is charged even when the encode fails.
+	var err error
+	if c.req, err = req.wire(); err != nil {
+		return nil, c.failLocked("send to", err, ctx)
+	}
 	before := c.cw.n
-	err := c.enc.Encode(req)
+	err = c.enc.Encode(&c.req) //lint:ignore lockguard Encode reads the mirror before it returns and keeps no reference to it
+	c.req = request{}          // hold no frame past the call
 	sent := c.cw.n - before
 	charge(ctx, Delta{Sent: sent, Comm: c.cost.TransferTime(int(sent))})
 	c.obs.Count("transport.bytes_sent", sent)

@@ -149,9 +149,10 @@ func TestTCPClient(t *testing.T) {
 // TestLocalAndTCPByteParity: an in-process call is a TCP client's call
 // over a pipe, so both account the same bytes on every call of a
 // connection. The first call of each carries gob's type preamble for the
-// Request type and the reply mirror a server encodes, and only the first.
+// request mirror a client encodes and the reply mirror a server encodes,
+// and only the first.
 func TestLocalAndTCPByteParity(t *testing.T) {
-	const reqPreamble, respPreamble = 630, 414
+	const reqPreamble, respPreamble = 574, 414
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

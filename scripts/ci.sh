@@ -42,7 +42,10 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # The kernel's key groupings are built once under a lock and then read
 # without it by every worker of every concurrent request. The run includes
 # TestKernelsWarmAllocateNothing: on one goroutine, a warm Filter and
-# EvalEach over proven selections allocate nothing.
+# EvalEach over proven selections allocate nothing. It also includes the
+# shipped-frame tests (TestShippedFrames, TestMalformedXFailsBeforeAnyCall),
+# TestHedgedShippingRound, where a hedge and its primary send the one frame
+# a round encoded concurrently, and TestClosedReplicaSetStaysPut.
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
@@ -105,9 +108,10 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
 # unboxed (DecodeFrame), the form a client decodes every reply in;
 # ParseSpec is the workloads' aggregate specs, parsed by every site on
-# every request, SQLParse three statements of the serve mix, and PoolCall
-# one pooled call.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
+# every request, SQLParse three statements of the serve mix, PoolCall
+# one pooled call, and ShipX a round's 2 000-row X framed for 4 and for 8
+# sites, once per round, and for 8 filtered sites, each from its own rows.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall|ShipX' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
