@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -171,30 +170,21 @@ func tailCluster(cfg TailConfig) ([]*site.Engine, *catalog.Catalog, error) {
 }
 
 // tailSites assembles one variant's client stacks, pooled as every stack
-// a Site builds is: every site's primary replica is wrapped in seeded
-// heavy-tail chaos — seeded by site index and connection, so each site's
-// first connection faces the same stragglers in both variants — and, when
-// hedged, a clean replica of the same engine answers hedges, which are
-// drawn from one budget and counted in sink.
+// a Site builds is: every site's primary replica is armed with a seeded
+// heavy-tail fault schedule — seeded by site index, and drawn once per
+// call the primary receives on any of its connections, so the primary
+// faces the same stragglers in both variants — and, when hedged, a clean
+// replica of the same engine answers hedges, which are drawn from one
+// budget and counted in sink.
 func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs) ([]*transport.Site, []transport.Client, error) {
 	budget := cfg.NewBudget(sink)
 	built := make([]*transport.Site, len(sites))
 	clients := make([]transport.Client, len(sites))
 	for i, eng := range sites {
-		first := cfg.Seed + int64(i)
-		var dials atomic.Int64
-		spec := transport.SiteSpec{ID: eng.ID(), Replicas: []transport.Replica{{
-			Handler: eng,
-			Chaos: func(cl transport.Client) *transport.Chaos {
-				// A call that loses a hedge hangs up, so the primary is
-				// redialed; the new connection draws the site's next seed
-				// instead of replaying the first connection's stragglers.
-				seed := first + int64(len(sites))*(dials.Add(1)-1)
-				ch := transport.NewChaos(cl, seed)
-				ch.SetTailLatency(seed, cfg.TailP, cfg.TailDelay)
-				return ch
-			},
-		}}}
+		seed := cfg.Seed + int64(i)
+		primary := transport.NewChaos(seed)
+		primary.SetTailLatency(seed, cfg.TailP, cfg.TailDelay)
+		spec := transport.SiteSpec{ID: eng.ID(), Replicas: []transport.Replica{{Handler: eng, Chaos: primary}}}
 		if hedged {
 			spec.Replicas = append(spec.Replicas, transport.Replica{Handler: eng})
 			spec.Resilience, spec.Budget, spec.Obs = cfg.Resilience, budget, sink

@@ -23,11 +23,24 @@ func newTestCatalog(nSites int) *catalog.Catalog {
 	return catalog.New(ids...)
 }
 
-// chaosCluster builds an in-process cluster whose site clients are each
-// wrapped in a seeded chaos injector, rows split round-robin. It returns
-// the injectors (indexed by site) for scripting faults and the whole
-// relation for computing expected results.
+// chaosCluster builds an in-process cluster whose every site's replica
+// is armed with a seeded fault schedule, rows split round-robin, each
+// call sent once. It returns the schedules (indexed by site) for
+// scripting faults and the whole relation for computing expected results.
 func chaosCluster(t *testing.T, rows []relation.Row, nSites int, seed int64) (*Coordinator, []*transport.Chaos, *relation.Relation) {
+	t.Helper()
+	return armedCluster(t, rows, nSites, seed, 0)
+}
+
+// retryingChaosCluster is chaosCluster whose site clients try each call
+// attempts times, so transient injected faults are retried like real
+// transport failures.
+func retryingChaosCluster(t *testing.T, rows []relation.Row, nSites int, attempts int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
+	t.Helper()
+	return armedCluster(t, rows, nSites, 1, attempts)
+}
+
+func armedCluster(t *testing.T, rows []relation.Row, nSites int, seed int64, attempts int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
 	t.Helper()
 	whole := relation.New(flowSchema())
 	whole.Rows = rows
@@ -44,22 +57,10 @@ func chaosCluster(t *testing.T, rows []relation.Row, nSites int, seed int64) (*C
 		id := fmt.Sprintf("site%d", i)
 		eng := site.NewEngine(id)
 		eng.Load("flow", parts[i])
-		chaos[i] = transport.NewChaos(transport.NewLocalClient(id, eng, transport.CostModel{}), seed+int64(i))
-		clients[i] = chaos[i]
-	}
-	return NewCoordinator(clients...), chaos, whole
-}
-
-// retryingChaosCluster additionally wraps every chaos client in a
-// reconnector, so transient injected faults are retried like real
-// transport failures.
-func retryingChaosCluster(t *testing.T, rows []relation.Row, nSites int, attempts int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
-	t.Helper()
-	inner, chaos, whole := chaosCluster(t, rows, nSites, 1)
-	clients := make([]transport.Client, nSites)
-	for i, cl := range inner.Clients() {
-		cl := cl
-		clients[i] = transport.NewReconnector(cl.SiteID(), func() (transport.Client, error) { return cl, nil }, attempts, 0)
+		chaos[i] = transport.NewChaos(seed + int64(i))
+		clients[i] = siteClient(t, transport.SiteSpec{ID: id,
+			Replicas:   []transport.Replica{{Handler: eng, Chaos: chaos[i]}},
+			Resilience: transport.Resilience{Attempts: attempts}})
 	}
 	return NewCoordinator(clients...), chaos, whole
 }
@@ -114,31 +115,28 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 		parts[i%nSites].Rows = append(parts[i%nSites].Rows, row)
 	}
 
-	var primary *transport.Chaos
+	primary := transport.NewChaos(11)
 	clients := make([]transport.Client, nSites)
 	for i := 0; i < nSites; i++ {
 		id := fmt.Sprintf("site%d", i)
-		mkReplica := func() transport.Client {
+		replica := func() *site.Engine {
 			eng := site.NewEngine(id)
 			eng.Load("flow", parts[i].Clone())
-			return transport.NewLocalClient(id, eng, transport.CostModel{})
+			return eng
 		}
 		if i != 1 {
-			clients[i] = mkReplica()
+			clients[i] = localClient(t, id, replica())
 			continue
 		}
 		// Site 1 is a replica set: the primary answers the base round (its
 		// first evaluation) and then fails every evaluation call; the
 		// secondary holds the same partition.
-		primary = transport.NewChaos(mkReplica(), 11)
 		for nth := 2; nth <= 10; nth++ {
 			primary.InjectAt(transport.OpEvalRounds, nth, transport.Fault{Err: transport.ErrInjected})
 		}
-		secondary := mkReplica()
-		clients[i] = transport.NewReplicaSet(id, []transport.Client{
-			transport.NewReconnector(id, func() (transport.Client, error) { return primary, nil }, 2, 0),
-			transport.NewReconnector(id, func() (transport.Client, error) { return secondary, nil }, 2, 0),
-		}, nil, nil)
+		clients[i] = siteClient(t, transport.SiteSpec{ID: id,
+			Replicas:   []transport.Replica{{Handler: replica(), Chaos: primary}, {Handler: replica()}},
+			Resilience: transport.Resilience{Attempts: 2}})
 	}
 	coord := NewCoordinator(clients...)
 

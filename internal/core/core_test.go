@@ -31,6 +31,25 @@ func flowRow(sas, das, nb int64) relation.Row {
 	return relation.Row{value.NewInt(sas), value.NewInt(das), value.NewInt(nb)}
 }
 
+// siteClient is the client transport.Site builds for spec, closed when
+// the test ends.
+func siteClient(t testing.TB, spec transport.SiteSpec) transport.Client {
+	t.Helper()
+	s, err := transport.NewSite(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := s.Client()
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// localClient is the client transport.Site builds over in-process
+// handler h, sending each call once.
+func localClient(t testing.TB, id string, h transport.Handler) transport.Client {
+	return siteClient(t, transport.SiteSpec{ID: id, Replicas: []transport.Replica{{Handler: h}}})
+}
+
 // cluster builds an in-process distributed warehouse: rows are split over
 // nSites either by SourceAS (partitioned=true, catalog filled with
 // domains) or round-robin (partitioned=false, empty catalog).
@@ -64,7 +83,7 @@ func cluster(t *testing.T, rows []relation.Row, nSites int, partitioned bool) (*
 		ids[i] = fmt.Sprintf("site%d", i)
 		eng := site.NewEngine(ids[i])
 		eng.Load("flow", parts[i])
-		clients = append(clients, transport.NewLocalClient(ids[i], eng, transport.CostModel{}))
+		clients = append(clients, localClient(t, ids[i], eng))
 	}
 	cat := catalog.New(ids...)
 	if partitioned {
@@ -737,7 +756,7 @@ func TestBaseFragmentsDisagree(t *testing.T) {
 		if i == 1 {
 			h = kindShift{eng}
 		}
-		clients = append(clients, transport.NewLocalClient(eng.ID(), h, transport.CostModel{}))
+		clients = append(clients, localClient(t, eng.ID(), h))
 	}
 	_, _, _, err := NewCoordinator(clients...).Run(context.Background(), example1(), "flow", Egil{Catalog: catalog.New()})
 	if err == nil || !strings.Contains(err.Error(), "synchronization of base") || !strings.Contains(err.Error(), "differ from") {
@@ -761,7 +780,7 @@ func TestEmptyData(t *testing.T) {
 	for i, part := range parts {
 		eng := site.NewEngine(fmt.Sprintf("site%d", i))
 		eng.Load("flow", part)
-		clients = append(clients, transport.NewLocalClient(eng.ID(), eng, transport.CostModel{}))
+		clients = append(clients, localClient(t, eng.ID(), eng))
 	}
 	coord := NewCoordinator(clients...)
 	whole := relation.New(flowSchema())
@@ -782,7 +801,7 @@ func TestEmptyData(t *testing.T) {
 	for i := range parts {
 		eng := site.NewEngine(fmt.Sprintf("e%d", i))
 		eng.Load("flow", relation.New(flowSchema()))
-		clients[i] = transport.NewLocalClient(eng.ID(), eng, transport.CostModel{})
+		clients[i] = localClient(t, eng.ID(), eng)
 	}
 	empty := NewCoordinator(clients...)
 	for _, opts := range []Options{{}, DefaultOptions} {
@@ -816,7 +835,7 @@ func TestPaperExample2EndToEnd(t *testing.T) {
 	for i, part := range parts {
 		eng := site.NewEngine(ids[i])
 		eng.Load("flow", part)
-		clients = append(clients, transport.NewLocalClient(ids[i], eng, transport.CostModel{}))
+		clients = append(clients, localClient(t, ids[i], eng))
 	}
 	coord := NewCoordinator(clients...)
 	cat := catalog.New(ids...)

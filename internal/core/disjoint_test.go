@@ -101,7 +101,7 @@ func disjointCluster(t *testing.T, seed int64, nSites, lost int) (*Coordinator, 
 		if i == lost {
 			h = failEval{eng}
 		}
-		clients[i] = transport.NewLocalClient(id, h, transport.CostModel{})
+		clients[i] = localClient(t, id, h)
 	}
 	t.Cleanup(func() {
 		for _, cl := range clients {
@@ -363,16 +363,12 @@ func TestHedgedFusedStep(t *testing.T) {
 		eng.Load("flow", parts[i])
 		// The primary straggles past the hedge delay, so the secondary is
 		// raced and both replicas answer.
-		primary := transport.NewChaos(transport.NewLocalClient(id, eng, transport.CostModel{}), 1)
+		primary := transport.NewChaos(1)
 		primary.DelayN(transport.OpEvalRounds, 1000, 2*time.Millisecond)
-		secondary := transport.NewLocalClient(id, eng, transport.CostModel{})
-		h := transport.NewHedger(id, []transport.Client{primary, secondary}, 500*time.Microsecond, nil, nil)
-		p := transport.NewLocalClient(id, eng, transport.CostModel{})
-		t.Cleanup(func() {
-			h.Close()
-			p.Close()
-		})
-		hedged, plain = append(hedged, h), append(plain, p)
+		h := siteClient(t, transport.SiteSpec{ID: id,
+			Replicas:   []transport.Replica{{Handler: eng, Chaos: primary}, {Handler: eng}},
+			Resilience: transport.Resilience{Hedge: true, HedgeDelay: 500 * time.Microsecond}})
+		hedged, plain = append(hedged, h), append(plain, localClient(t, id, eng))
 	}
 	coord, unhedged := NewCoordinator(hedged...), NewCoordinator(plain...)
 	for name, q := range disjointQueries() {

@@ -54,12 +54,10 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 		// round request again: rounds are pure functions of the request.
 		spec := transport.SiteSpec{ID: id, Replicas: []transport.Replica{{Addr: addr}}, Obs: sink}
 		if i == 1 {
+			primary := transport.NewChaos(1)
+			primary.DelayN(transport.OpEvalRounds, 1000, straggle)
 			spec.Replicas = []transport.Replica{
-				{Addr: addr, Chaos: func(cl transport.Client) *transport.Chaos {
-					primary := transport.NewChaos(cl, 1)
-					primary.DelayN(transport.OpEvalRounds, 1000, straggle)
-					return primary
-				}},
+				{Addr: addr, Chaos: primary},
 				{Addr: addr},
 			}
 			spec.Resilience = transport.Resilience{Hedge: true, HedgeDelay: 10 * time.Millisecond}

@@ -194,16 +194,11 @@ func TestSitesDecomposeTotals(t *testing.T) {
 			}
 		}
 		eng.Load("flow", part)
+		primary := transport.NewChaos(1)
+		primary.DelayN(transport.OpEvalRounds, 1000, 100*time.Millisecond)
 		pair, err := transport.NewSite(transport.SiteSpec{
-			ID: "site1",
-			Replicas: []transport.Replica{
-				{Handler: eng, Chaos: func(cl transport.Client) *transport.Chaos {
-					primary := transport.NewChaos(cl, 1)
-					primary.DelayN(transport.OpEvalRounds, 1000, 100*time.Millisecond)
-					return primary
-				}},
-				{Handler: eng},
-			},
+			ID:         "site1",
+			Replicas:   []transport.Replica{{Handler: eng, Chaos: primary}, {Handler: eng}},
 			Resilience: transport.Resilience{Hedge: true, HedgeDelay: 5 * time.Millisecond},
 		})
 		if err != nil {
@@ -397,7 +392,7 @@ func TestConcurrentProfilesNoBleed(t *testing.T) {
 		ids[i] = fmt.Sprintf("site%d", i)
 		eng := site.NewEngine(ids[i])
 		eng.Load("flow", parts[i])
-		clients = append(clients, transport.NewLocalClient(ids[i], eng, transport.CostModel{}))
+		clients = append(clients, localClient(t, ids[i], eng))
 	}
 	cat := catalog.New(ids...)
 

@@ -199,7 +199,7 @@ func TestMalformedXFailsBeforeAnyCall(t *testing.T) {
 	clients := make([]transport.Client, 4)
 	for i := range clients {
 		id := fmt.Sprintf("site%d", i)
-		clients[i] = failCall{transport.NewLocalClient(id, site.NewEngine(id), transport.CostModel{}), t, &calls}
+		clients[i] = failCall{localClient(t, id, site.NewEngine(id)), t, &calls}
 	}
 	plan := &Plan{Steps: []Step{{Name: "step 1", MDs: []int{0}, Ship: []string{"CustName"}, Request: transport.Request{
 		Op: transport.OpEvalRounds, Rounds: []transport.RoundSpec{{Detail: "tpcr", Aggs: [][]string{{"count(*) AS n"}}, Thetas: []string{"F.CustName = B.CustName"}}},
@@ -245,7 +245,7 @@ func TestHedgedShippingRound(t *testing.T) {
 		eng := site.NewEngine(id)
 		eng.Load("tpcr", p)
 		rec := func(name string, h transport.Handler) transport.Client {
-			return shipRecorder{Client: transport.NewLocalClient(id, h, transport.CostModel{}), name: name, log: log}
+			return shipRecorder{Client: localClient(t, id, h), name: name, log: log}
 		}
 		clients[i] = rec(id, eng)
 		if i == 1 {
@@ -333,7 +333,7 @@ func BenchmarkShipX(b *testing.B) {
 		clients := make([]transport.Client, run.sites)
 		for i := range clients {
 			id := fmt.Sprintf("site%d", i)
-			clients[i] = transport.NewLocalClient(id, site.NewEngine(id), transport.CostModel{})
+			clients[i] = localClient(b, id, site.NewEngine(id))
 		}
 		c := NewCoordinator(clients...)
 		b.Run(run.name, func(b *testing.B) {

@@ -209,7 +209,7 @@ func (h replyHandler) Handle(context.Context, *transport.Request) *transport.Res
 func received(tb testing.TB, x *relation.Relation, replies []*transport.Response) []*transport.Response {
 	out := make([]*transport.Response, len(replies))
 	for i, resp := range replies {
-		cl := transport.NewLocalClient(fmt.Sprintf("site%d", i), replyHandler{resp}, transport.CostModel{})
+		cl := localClient(tb, fmt.Sprintf("site%d", i), replyHandler{resp})
 		got, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpEvalRounds, Base: x})
 		cl.Close()
 		if err != nil {

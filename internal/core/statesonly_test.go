@@ -107,21 +107,6 @@ func (r keptRecorder) Call(ctx context.Context, req *transport.Request) (*transp
 	return resp, err
 }
 
-// loseReply delivers its site's second round request and then loses the
-// reply, so the site has evaluated what the coordinator never read.
-type loseReply struct {
-	transport.Client
-	calls atomic.Int64
-}
-
-func (l *loseReply) Call(ctx context.Context, req *transport.Request) (*transport.Response, error) {
-	resp, err := l.Client.Call(ctx, req)
-	if req.Op == transport.OpEvalRounds && l.calls.Add(1) == 2 {
-		return nil, transport.ErrInjected
-	}
-	return resp, err
-}
-
 // TestStatesOnlyRecovery runs states-only rounds with Proposition 1's
 // bitmaps through the recovery paths — a retry re-sent after a lost
 // reply, a hedge racing two replicas, and a checkpoint resume on a new
@@ -154,7 +139,7 @@ func TestStatesOnlyRecovery(t *testing.T) {
 		return NewCoordinator(clients...), engines
 	}
 	local := func(id string, eng *site.Engine) transport.Client {
-		return transport.NewLocalClient(id, eng, transport.CostModel{})
+		return localClient(t, id, eng)
 	}
 	check := func(label string, coord *Coordinator) *ExecStats {
 		t.Helper()
@@ -176,8 +161,13 @@ func TestStatesOnlyRecovery(t *testing.T) {
 	t.Run("replay", func(t *testing.T) {
 		coord, _ := build(func(id string, eng *site.Engine) transport.Client {
 			if id == "site1" {
-				lost := &loseReply{Client: local(id, eng)}
-				return transport.NewReconnector(id, func() (transport.Client, error) { return lost, nil }, 2, 0)
+				// The second round request is delivered and its reply lost,
+				// so the site has evaluated what the coordinator never read.
+				lost := transport.NewChaos(1)
+				lost.InjectAt(transport.OpEvalRounds, 2, transport.Fault{DropAfter: true, Err: transport.ErrInjected})
+				return siteClient(t, transport.SiteSpec{ID: id,
+					Replicas:   []transport.Replica{{Handler: eng, Chaos: lost}},
+					Resilience: transport.Resilience{Attempts: 2}})
 			}
 			return local(id, eng)
 		})
@@ -189,23 +179,14 @@ func TestStatesOnlyRecovery(t *testing.T) {
 
 	t.Run("hedge", func(t *testing.T) {
 		coord, _ := build(func(id string, eng *site.Engine) transport.Client {
-			spec := transport.SiteSpec{ID: id, Replicas: []transport.Replica{{Handler: eng}}}
-			if id == "site1" {
-				spec.Replicas = []transport.Replica{
-					{Handler: eng, Chaos: func(cl transport.Client) *transport.Chaos {
-						ch := transport.NewChaos(cl, 1)
-						ch.DelayN(transport.OpEvalRounds, 1000, 200*time.Millisecond)
-						return ch
-					}},
-					{Handler: eng},
-				}
-				spec.Resilience = transport.Resilience{Hedge: true, HedgeDelay: 5 * time.Millisecond}
+			if id != "site1" {
+				return local(id, eng)
 			}
-			s, err := transport.NewSite(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s.Client()
+			primary := transport.NewChaos(1)
+			primary.DelayN(transport.OpEvalRounds, 1000, 200*time.Millisecond)
+			return siteClient(t, transport.SiteSpec{ID: id,
+				Replicas:   []transport.Replica{{Handler: eng, Chaos: primary}, {Handler: eng}},
+				Resilience: transport.Resilience{Hedge: true, HedgeDelay: 5 * time.Millisecond}})
 		})
 		if hedged := check("hedge", coord).HedgedSites(); len(hedged) != 1 || hedged[0] != "site1" {
 			t.Errorf("hedged sites = %v, want [site1]", hedged)

@@ -39,7 +39,7 @@ func treeCluster(t *testing.T, rows []relation.Row, leaves, fanout int) (tree, f
 	for i := 0; i < leaves; i++ {
 		eng := site.NewEngine(fmt.Sprintf("leaf%d", i))
 		eng.Load("flow", parts[i])
-		leafClients = append(leafClients, transport.NewLocalClient(eng.ID(), eng, transport.CostModel{}))
+		leafClients = append(leafClients, localClient(t, eng.ID(), eng))
 	}
 
 	var relayClients []transport.Client
@@ -53,7 +53,7 @@ func treeCluster(t *testing.T, rows []relation.Row, leaves, fanout int) (tree, f
 			t.Fatal(err)
 		}
 		relayClients = append(relayClients,
-			transport.NewLocalClient(fmt.Sprintf("relay%d", off/fanout), relay, transport.CostModel{}))
+			localClient(t, fmt.Sprintf("relay%d", off/fanout), relay))
 	}
 	return NewCoordinator(relayClients...), NewCoordinator(leafClients...)
 }
@@ -136,7 +136,7 @@ func TestRelayErrors(t *testing.T) {
 		t.Error("relay without children accepted")
 	}
 	eng := site.NewEngine("leaf")
-	child := transport.NewLocalClient("leaf", eng, transport.CostModel{})
+	child := localClient(t, "leaf", eng)
 	relay, err := NewRelay([]transport.Client{child})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestRelayKeepsChildErrorCode(t *testing.T) {
 		{limited, transport.CodeOverloaded, transport.ErrOverloaded},
 		{draining, transport.CodeDraining, transport.ErrDraining},
 	} {
-		leaf := transport.NewLocalClient("leaf0", tc.leaf, transport.CostModel{})
+		leaf := localClient(t, "leaf0", tc.leaf)
 		if resp, err := leaf.Call(context.Background(), base); err != nil || resp.Code != tc.code {
 			t.Fatalf("leaf answered code %d (%v), want %d", resp.Code, err, tc.code)
 		}
@@ -205,7 +205,7 @@ func TestRelayFusedMergesOnBaseCols(t *testing.T) {
 	for i, part := range parts {
 		eng := site.NewEngine(fmt.Sprintf("leaf%d", i))
 		eng.Load("flow", part)
-		children = append(children, transport.NewLocalClient(eng.ID(), eng, transport.CostModel{}))
+		children = append(children, localClient(t, eng.ID(), eng))
 	}
 	relay, err := NewRelay(children)
 	if err != nil {
@@ -287,13 +287,13 @@ func relayCancellationReachesLeaves(t *testing.T, req *transport.Request) {
 	leaves := []*ctxProbeHandler{newCtxProbeHandler(), newCtxProbeHandler()}
 	var children []transport.Client
 	for i, h := range leaves {
-		children = append(children, transport.NewLocalClient(fmt.Sprintf("leaf%d", i), h, transport.CostModel{}))
+		children = append(children, localClient(t, fmt.Sprintf("leaf%d", i), h))
 	}
 	relay, err := NewRelay(children)
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := transport.NewLocalClient("relay0", relay, transport.CostModel{})
+	root := localClient(t, "relay0", relay)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	callDone := make(chan error, 1)
@@ -342,8 +342,8 @@ func TestRelayFailsFast(t *testing.T) {
 		return &transport.Response{Err: "child0 down"}
 	})
 	relay, err := NewRelay([]transport.Client{
-		transport.NewLocalClient("leaf0", failing, transport.CostModel{}),
-		transport.NewLocalClient("leaf1", probe, transport.CostModel{}),
+		localClient(t, "leaf0", failing),
+		localClient(t, "leaf1", probe),
 	})
 	if err != nil {
 		t.Fatal(err)

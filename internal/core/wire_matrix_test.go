@@ -111,7 +111,7 @@ func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap fun
 	for i, p := range parts {
 		eng := site.NewEngine(fmt.Sprintf("site%d", i))
 		eng.Load("tpcr", p)
-		leaves[i] = transport.NewLocalClient(eng.ID(), wrap(i, eng), transport.CostModel{})
+		leaves[i] = localClient(t, eng.ID(), wrap(i, eng))
 	}
 	clients := leaves
 	if relays {
@@ -121,7 +121,7 @@ func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap fun
 			if err != nil {
 				t.Fatal(err)
 			}
-			clients = append(clients, transport.NewLocalClient(fmt.Sprintf("relay%d", r), wrap(len(parts)+r, relay), transport.CostModel{}))
+			clients = append(clients, localClient(t, fmt.Sprintf("relay%d", r), wrap(len(parts)+r, relay)))
 		}
 	}
 	ids := make([]string, len(clients))

@@ -121,7 +121,7 @@ func executedXNeverAliases(t *testing.T, q gmdj.Query, egil func(*catalog.Catalo
 	cat := newTestCatalog(len(engines))
 	for i := range engines {
 		engines[i] = site.NewEngine(fmt.Sprintf("site%d", i))
-		clients[i] = transport.NewLocalClient(engines[i].ID(), engines[i], transport.CostModel{})
+		clients[i] = localClient(t, engines[i].ID(), engines[i])
 		var vals []value.V
 		for v := int64(i); v < 12; v += int64(len(engines)) {
 			vals = append(vals, value.NewInt(v))

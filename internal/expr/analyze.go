@@ -180,13 +180,12 @@ func DomainRange(min, max value.V) Domain {
 }
 
 // Interval returns the numeric interval covering the domain, when one can
-// be computed.
+// be computed. A bound of magnitude 2^53 or more is left open (see
+// bounded), and so are an empty set's.
 func (d Domain) Interval() (Interval, bool) {
+	var iv Interval
 	if d.Set != nil {
-		iv := Interval{HasLo: true, HasHi: true, Lo: math.Inf(1), Hi: math.Inf(-1)}
-		if len(d.Set) == 0 {
-			return Interval{}, false
-		}
+		iv = Interval{HasLo: true, HasHi: true, Lo: math.Inf(1), Hi: math.Inf(-1)}
 		for _, v := range d.Set {
 			f, err := v.AsFloat()
 			if err != nil {
@@ -195,23 +194,15 @@ func (d Domain) Interval() (Interval, bool) {
 			iv.Lo = math.Min(iv.Lo, f)
 			iv.Hi = math.Max(iv.Hi, f)
 		}
-		return iv, true
-	}
-	iv := Interval{}
-	if d.HasMin {
-		f, err := d.Min.AsFloat()
-		if err != nil {
+	} else {
+		lo, lerr := d.Min.AsFloat()
+		hi, herr := d.Max.AsFloat()
+		if d.HasMin && lerr != nil || d.HasMax && herr != nil {
 			return Interval{}, false
 		}
-		iv.HasLo, iv.Lo = true, f
+		iv = Interval{HasLo: d.HasMin, Lo: lo, HasHi: d.HasMax, Hi: hi}
 	}
-	if d.HasMax {
-		f, err := d.Max.AsFloat()
-		if err != nil {
-			return Interval{}, false
-		}
-		iv.HasHi, iv.Hi = true, f
-	}
+	iv = bounded(iv)
 	return iv, iv.HasLo || iv.HasHi
 }
 
@@ -243,21 +234,40 @@ type Interval struct {
 	Lo, Hi       float64
 }
 
-// point returns the degenerate interval [f, f].
-func point(f float64) Interval { return Interval{HasLo: true, HasHi: true, Lo: f, Hi: f} }
+// exact reports whether a bound f is below 2^53 in magnitude. An INT
+// converted to float64 there is exact, and so is an integer sum,
+// difference or product of such bounds that stays there; past it a
+// conversion rounds, inward as often as outward, so a filter derived from
+// it could drop a base row the condition matches. NaN is not exact.
+func exact(f float64) bool { return math.Abs(f) < 1<<53 }
+
+// bounded leaves every endpoint of iv that is not exact open: no bound on
+// that side is always sound.
+func bounded(iv Interval) Interval {
+	if iv.HasLo && !exact(iv.Lo) {
+		iv.HasLo, iv.Lo = false, 0
+	}
+	if iv.HasHi && !exact(iv.Hi) {
+		iv.HasHi, iv.Hi = false, 0
+	}
+	return iv
+}
+
+// point returns the degenerate interval [f, f], open past 2^53.
+func point(f float64) Interval { return bounded(Interval{HasLo: true, HasHi: true, Lo: f, Hi: f}) }
 
 func addIv(a, b Interval) Interval {
-	return Interval{
+	return bounded(Interval{
 		HasLo: a.HasLo && b.HasLo, Lo: a.Lo + b.Lo,
 		HasHi: a.HasHi && b.HasHi, Hi: a.Hi + b.Hi,
-	}
+	})
 }
 
 func subIv(a, b Interval) Interval {
-	return Interval{
+	return bounded(Interval{
 		HasLo: a.HasLo && b.HasHi, Lo: a.Lo - b.Hi,
 		HasHi: a.HasHi && b.HasLo, Hi: a.Hi - b.Lo,
-	}
+	})
 }
 
 func negIv(a Interval) Interval {
@@ -275,7 +285,7 @@ func mulIv(a, b Interval) Interval {
 		lo = math.Min(lo, c)
 		hi = math.Max(hi, c)
 	}
-	return Interval{HasLo: true, Lo: lo, HasHi: true, Hi: hi}
+	return bounded(Interval{HasLo: true, Lo: lo, HasHi: true, Hi: hi})
 }
 
 func divIv(a, b Interval) Interval {
@@ -292,7 +302,7 @@ func divIv(a, b Interval) Interval {
 		lo = math.Min(lo, c)
 		hi = math.Max(hi, c)
 	}
-	return Interval{HasLo: true, Lo: lo, HasHi: true, Hi: hi}
+	return bounded(Interval{HasLo: true, Lo: lo, HasHi: true, Hi: hi})
 }
 
 // IntervalOf computes a conservative interval for a detail-side expression
@@ -319,10 +329,7 @@ func intervalOf(e Expr, bd Binding, domains map[string]Domain) Interval {
 		if !ok {
 			return Interval{}
 		}
-		iv, ok := d.Interval()
-		if !ok {
-			return Interval{}
-		}
+		iv, _ := d.Interval()
 		return iv
 	case Unary:
 		if n.Op == "-" {
@@ -350,7 +357,10 @@ func intervalOf(e Expr, bd Binding, domains map[string]Domain) Interval {
 
 // tightenDomains intersects the domains with simple detail-only conjuncts
 // of theta (Col CMP const, Col IN (...), Col BETWEEN a AND b), returning a
-// copy. Unrecognized conjuncts are ignored (conservative).
+// copy. Unrecognized conjuncts are ignored (conservative). A constant
+// past 2^53 may round, but monotonically, so a set filtered against it
+// keeps every member the conjunct admits, and a range bounded by it is
+// left open where Domain.Interval reads it.
 func tightenDomains(conjs []Expr, bd Binding, domains map[string]Domain) map[string]Domain {
 	out := make(map[string]Domain, len(domains))
 	for k, v := range domains {
@@ -359,7 +369,7 @@ func tightenDomains(conjs []Expr, bd Binding, domains map[string]Domain) map[str
 	apply := func(name string, lo, hi *float64) {
 		key := strings.ToLower(name)
 		d := out[key]
-		iv, ok := d.Interval()
+		iv, _ := d.Interval()
 		if d.Set != nil {
 			// Filter the explicit set.
 			var kept []value.V
@@ -377,9 +387,6 @@ func tightenDomains(conjs []Expr, bd Binding, domains map[string]Domain) map[str
 			d.Set = kept
 			out[key] = d
 			return
-		}
-		if !ok {
-			iv = Interval{}
 		}
 		if lo != nil && (!iv.HasLo || *lo > iv.Lo) {
 			iv.HasLo, iv.Lo = true, *lo

@@ -152,6 +152,25 @@ func TestDeriveSiteFilterArithmetic(t *testing.T) {
 	}
 }
 
+// TestDeriveSiteFilterPast2To53: an INT domain bound past 2^53 rounds
+// when converted to float64, so no filter may be derived from it: one
+// rounded to 2^53 would drop base row 2^53+2 for the first θ and 2^53 for
+// the second. Below 2^53 the bound still filters.
+func TestDeriveSiteFilterPast2To53(t *testing.T) {
+	bd := flowBinding()
+	const p53 = int64(1) << 53
+	for _, theta := range []string{"B.SourceAS = F.SourceAS + 1", "B.SourceAS < F.SourceAS"} {
+		past := map[string]Domain{"sourceas": DomainRange(value.NewInt(p53+1), value.NewInt(p53+1))}
+		if f := DeriveSiteFilter([]Expr{MustParse(theta)}, bd, past); f != nil {
+			t.Errorf("%s over [2^53+1, 2^53+1]: filter %s, want none", theta, f)
+		}
+		below := map[string]Domain{"sourceas": DomainRange(value.NewInt(p53-9), value.NewInt(p53-9))}
+		if f := DeriveSiteFilter([]Expr{MustParse(theta)}, bd, below); f == nil {
+			t.Errorf("%s over [2^53-9, 2^53-9]: no filter", theta)
+		}
+	}
+}
+
 // TestDeriveSiteFilterFlipped checks orientation normalization
 // (detail CMP base).
 func TestDeriveSiteFilterFlipped(t *testing.T) {

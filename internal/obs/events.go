@@ -18,7 +18,8 @@ const (
 	// EventRedial: a dial to the current endpoint failed (fields:
 	// endpoint, error).
 	EventRedial = "redial"
-	// EventChaos: the chaos wrapper injected a fault (fields: op, fault).
+	// EventChaos: a replica's fault schedule (transport.Chaos) injected a
+	// fault into a call on one of its connections (fields: op, fault).
 	EventChaos = "chaos"
 	// EventSiteLost: a site contributed nothing to a round (fields:
 	// round, error).

@@ -50,27 +50,36 @@ func TestLimitsMaxResultRows(t *testing.T) {
 	}
 }
 
+// siteClient is the client transport.Site builds for spec, closed when
+// the test ends.
+func siteClient(t testing.TB, spec transport.SiteSpec) transport.Client {
+	t.Helper()
+	s, err := transport.NewSite(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := s.Client()
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
 // TestLimitRefusalReachesOneReplica: a limit refusal is deterministic per
 // request, so behind a replica set or a hedger of equally limited replicas
 // the request reaches exactly one of them, and the caller gets
 // ErrOverloaded.
 func TestLimitRefusalReachesOneReplica(t *testing.T) {
-	replicas := func() ([]transport.Client, []*obs.Obs) {
-		var clients []transport.Client
+	check := func(label string, res transport.Resilience) {
+		t.Helper()
+		var replicas []transport.Replica
 		var sinks []*obs.Obs
 		for i := 0; i < 2; i++ {
 			e := loadedEngine(t)
 			o := obs.New()
 			e.SetObs(o)
 			e.SetLimits(Limits{MaxResultRows: 2}) // base query yields 3 groups
-			cl := transport.NewLocalClient(e.ID(), e, transport.CostModel{})
-			t.Cleanup(func() { cl.Close() })
-			clients, sinks = append(clients, cl), append(sinks, o)
+			replicas, sinks = append(replicas, transport.Replica{Handler: e}), append(sinks, o)
 		}
-		return clients, sinks
-	}
-	check := func(label string, cl transport.Client, sinks []*obs.Obs) {
-		t.Helper()
+		cl := siteClient(t, transport.SiteSpec{ID: "s1", Replicas: replicas, Resilience: res})
 		resp, err := cl.Call(context.Background(), baseReq())
 		if err != nil || !errors.Is(resp.Error(), transport.ErrOverloaded) {
 			t.Fatalf("%s: %v / %v, want the ErrOverloaded refusal", label, err, resp.Error())
@@ -81,14 +90,8 @@ func TestLimitRefusalReachesOneReplica(t *testing.T) {
 		}
 	}
 
-	clients, sinks := replicas()
-	for i, cl := range clients {
-		clients[i] = transport.NewReconnector("s1", func() (transport.Client, error) { return cl, nil }, 3, 0)
-	}
-	check("replica set", transport.NewReplicaSet("s1", clients, nil, nil), sinks)
-
-	clients, sinks = replicas()
-	check("hedger", transport.NewHedger("s1", clients, 10*time.Second, nil, nil), sinks)
+	check("replica set", transport.Resilience{Attempts: 3})
+	check("hedger", transport.Resilience{Hedge: true, HedgeDelay: 10 * time.Second})
 }
 
 func TestLimitsMaxResultBytes(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 )
 
 func BenchmarkLocalRoundTrip(b *testing.B) {
-	c := NewLocalClient("s", newEchoHandler(), CostModel{})
+	c := pipeRetry("s", newEchoHandler(), nil)
 	defer c.Close()
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(200)}
 	// The first exchange carries gob's type preamble; the second is the
@@ -130,7 +130,7 @@ func benchCodec[T any](b *testing.B, msg *T) {
 // it.
 func BenchmarkPoolCall(b *testing.B) {
 	h := newEchoHandler()
-	p := NewPool("s", 4, func() Client { return NewLocalClient("s", h, CostModel{}) }, nil)
+	p := NewPool("s", 4, func() Client { return pipeRetry("s", h, nil) }, nil)
 	defer p.Close()
 	req := &Request{Op: OpPing}
 	// Warm the pooled connection past gob's type preamble.

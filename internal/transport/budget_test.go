@@ -63,10 +63,11 @@ func TestRetryBudgetNilIsUnlimited(t *testing.T) {
 // budget stops the retry loop early with a typed error instead of letting
 // it burn every configured attempt.
 func TestReconnectorBudgetExhaustion(t *testing.T) {
-	chaos := NewChaos(NewLocalClient("s0", newEchoHandler(), CostModel{}), 1)
+	chaos := NewChaos(1)
 	chaos.FailNext(OpPing, 100)
 	budget := NewRetryBudget(0.001, 1, nil) // one banked retry, near-zero refill
-	rc := newReconnector("s0", func() (Client, error) { return chaos, nil }, 10, 0, budget, nil)
+	rc := siteClient(t, SiteSpec{ID: "s0", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: chaos}},
+		Resilience: Resilience{Attempts: 10}, Budget: budget})
 
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -86,9 +87,10 @@ func TestReconnectorBudgetExhaustion(t *testing.T) {
 
 	// Healthy traffic refills the budget and retries resume.
 	replenish := NewRetryBudget(1, 5, nil)
-	chaos2 := NewChaos(NewLocalClient("s1", newEchoHandler(), CostModel{}), 1)
+	chaos2 := NewChaos(1)
 	chaos2.FailNext(OpPing, 2)
-	rc2 := newReconnector("s1", func() (Client, error) { return chaos2, nil }, 5, 0, replenish, nil)
+	rc2 := siteClient(t, SiteSpec{ID: "s1", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: chaos2}},
+		Resilience: Resilience{Attempts: 5}, Budget: replenish})
 	if _, err := rc2.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("budgeted retries failed despite tokens: %v", err)
 	}

@@ -3,6 +3,7 @@ package transport
 //lint:deterministic fault injection must replay exactly from its seed
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -21,51 +22,53 @@ const OpAny Op = -1
 // can tell injected faults from real ones with errors.Is.
 var ErrInjected = errors.New("chaos: injected fault")
 
-// Fault describes one injectable failure. Fields compose: a fault may
-// delay and then fail, for example.
+// Fault describes one injectable failure. A fault acts on the one
+// connection the faulted call runs on, as a failing network would: it
+// delays the call, hangs it, or breaks the connection. Fields compose: a
+// fault may delay and then fail, for example.
 type Fault struct {
-	// Delay sleeps before the call proceeds (honoring the context).
+	// Delay sleeps before the request is written (honoring the context).
 	Delay time.Duration
-	// Err, when non-nil, is returned instead of forwarding the call.
+	// Err, when non-nil, breaks the connection and fails the call with
+	// Err instead of sending it. With DropAfter, the request is sent and
+	// its reply read first: the site did the work, the reply is lost.
 	Err error
-	// Hang blocks until the context is cancelled (or the chaos client is
-	// closed), simulating a site that accepts the request and never
-	// answers.
+	// Hang blocks before the request is written until the call's context
+	// is done (or the connection is closed), simulating a site that
+	// accepts the request and never answers.
 	Hang bool
-	// Drop closes the underlying client before failing the call,
-	// simulating a connection torn down mid-exchange.
+	// Drop breaks the connection and fails the call, simulating a
+	// connection torn down mid-exchange.
 	Drop bool
-	// DropAfter forwards the call, delivers its response, and then closes
-	// the underlying client: the site answered round N but its connection
-	// is gone when round N+1 fans out — the round-boundary failure mode
-	// that exercises lazy redial and checkpoints rather than mid-call
-	// retry. The coordinator is synchronizing when the teardown happens,
-	// so composing DropAfter with Delay on the *next* op models a
+	// DropAfter sends the call, reads its reply, and then breaks the
+	// connection: the site answered round N but its connection is gone
+	// when round N+1 fans out — the round-boundary failure mode that
+	// exercises redial and checkpoints rather than mid-call retry. The
+	// retry layer learns of it by sending on the broken connection. The
+	// coordinator is synchronizing when the teardown happens, so
+	// composing DropAfter with Delay on the *next* op models a
 	// mid-synchronize kill.
 	DropAfter bool
 }
 
-// Chaos is a deterministic fault-injection wrapper around a Client: every
-// failure mode of a real network — slow links, hung sites, dropped
+// Chaos is a deterministic fault schedule for one replica of a site:
+// every failure mode of a real network — slow links, hung sites, dropped
 // connections, transient errors — becomes reproducible in-process, so the
-// full fault-tolerance surface is testable with plain `go test`.
+// full fault-tolerance surface is testable with plain `go test`. Armed on
+// a Replica, it applies to every connection Site dials to that replica,
+// each fault to the connection the faulted call runs on; one schedule
+// counts the replica's calls across redials and pooled connections.
 //
 // Faults come from two sources, checked in order:
 //
 //  1. A scripted per-op FIFO of one-shot faults (Inject and the FailNext /
-//     HangNext / DelayNext / DropNext helpers). OpAny queues apply to every
-//     opcode. Scripted faults make specific scenarios exact: "the second
-//     evalRounds hangs".
-//  2. Seeded random injection (SetRandom): each call draws from a
-//     rand.Rand seeded at construction, so a given seed always produces
-//     the same fault sequence for the same call sequence.
-//
-// Chaos implements Client and composes with every other wrapper; wrap the
-// innermost client (e.g. chaos around a TCPClient, inside a
-// Reconnector) to exercise retry and failover paths.
+//     HangNext / DelayNext / DropNext helpers) and positional one-shots
+//     (InjectAt). OpAny queues apply to every opcode. Scripted faults make
+//     specific scenarios exact: "the second evalRounds hangs".
+//  2. Seeded random injection (SetRandom, SetTailLatency): each call draws
+//     from a rand.Rand seeded at construction, so a given seed always
+//     produces the same fault sequence for the same call sequence.
 type Chaos struct {
-	inner Client
-
 	mu sync.Mutex
 	//lint:guarded-by mu
 	rng *rand.Rand
@@ -97,20 +100,15 @@ type Chaos struct {
 	calls int
 	//lint:guarded-by mu
 	injected int
-	closed   chan struct{}
-	//lint:guarded-by mu
-	obs *obs.Obs
 }
 
-// NewChaos wraps inner with a fault injector whose random decisions are
+// NewChaos returns an empty fault schedule whose random decisions are
 // driven by seed.
-func NewChaos(inner Client, seed int64) *Chaos {
+func NewChaos(seed int64) *Chaos {
 	return &Chaos{
-		inner:   inner,
 		rng:     rand.New(rand.NewSource(seed)),
 		queues:  map[Op][]Fault{},
 		opCalls: map[Op]int{},
-		closed:  make(chan struct{}),
 	}
 }
 
@@ -135,8 +133,8 @@ func (c *Chaos) HangNext(op Op) { c.Inject(op, Fault{Hang: true}) }
 // DelayNext delays the next call with op by d before forwarding it.
 func (c *Chaos) DelayNext(op Op, d time.Duration) { c.Inject(op, Fault{Delay: d}) }
 
-// DropNext makes the next call with op close the underlying client and
-// fail, as if the connection were torn down mid-exchange.
+// DropNext makes the next call with op break its connection and fail, as
+// if the connection were torn down mid-exchange.
 func (c *Chaos) DropNext(op Op) { c.Inject(op, Fault{Drop: true, Err: ErrInjected}) }
 
 // InjectAt schedules a one-shot fault for the nth future call (1-based)
@@ -193,18 +191,7 @@ func (c *Chaos) DelayN(op Op, n int, d time.Duration) {
 	}
 }
 
-// SetObs publishes every injected fault as an obs event (kind
-// obs.EventChaos) and per-mode counters ("chaos.injected",
-// "chaos.injected.err", ...), so chaos attribution is never lost: the
-// inner client's wire traffic flows through untouched, while the faults
-// themselves become observable and exactly countable.
-func (c *Chaos) SetObs(o *obs.Obs) {
-	c.mu.Lock()
-	c.obs = o
-	c.mu.Unlock()
-}
-
-// Calls returns how many calls the wrapper has seen.
+// Calls returns how many calls the schedule has seen.
 func (c *Chaos) Calls() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,21 +203,6 @@ func (c *Chaos) Injected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.injected
-}
-
-// SiteID implements Client.
-func (c *Chaos) SiteID() string { return c.inner.SiteID() }
-
-// Close implements Client, releasing hung calls.
-func (c *Chaos) Close() error {
-	c.mu.Lock()
-	select {
-	case <-c.closed:
-	default:
-		close(c.closed)
-	}
-	c.mu.Unlock()
-	return c.inner.Close()
 }
 
 // next pops the fault to apply to this call, if any.
@@ -305,52 +277,67 @@ func faultModes(f Fault) string {
 	return strings.Join(modes, "+")
 }
 
-// record publishes one injected fault to the obs sinks.
-func (c *Chaos) record(op Op, f Fault) {
-	c.mu.Lock()
-	o := c.obs
-	c.mu.Unlock()
-	if o == nil {
-		return
-	}
-	modes := faultModes(f)
-	o.Count("chaos.injected", 1)
-	o.Count("chaos.injected."+modes, 1)
-	o.Event(obs.EventChaos, c.SiteID(), "injected "+modes+" on "+op.String(),
-		map[string]string{"op": op.String(), "fault": modes})
+// chaosLeaf is one connection to a replica under the replica's fault
+// schedule: Site.dial's leaf when the replica is armed. The schedule is
+// applied here, not to the net.Conn beneath, because a request's op can
+// only be read from its bytes by decoding them. Every fault acts on this
+// connection alone, so the retry layer above learns of it by using the
+// connection, as it learns of a real network failure.
+type chaosLeaf struct {
+	*TCPClient
+	ch *Chaos
+	// closed ends a hung call when the leaf is closed.
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+// Close implements Client, releasing a hung call.
+func (l *chaosLeaf) Close() error {
+	l.closeOnce.Do(func() { close(l.closed) })
+	return l.TCPClient.Close()
 }
 
 // Call implements Client, applying at most one fault per call.
-func (c *Chaos) Call(ctx context.Context, req *Request) (*Response, error) {
-	f, ok := c.next(req.Op)
+func (l *chaosLeaf) Call(ctx context.Context, req *Request) (*Response, error) {
+	f, ok := l.ch.next(req.Op)
 	if !ok {
-		return c.inner.Call(ctx, req)
+		return l.TCPClient.Call(ctx, req)
 	}
-	c.record(req.Op, f)
+	l.record(req.Op, f)
 	if f.Delay > 0 {
 		if err := sleepCtx(ctx, f.Delay); err != nil {
-			return nil, fmt.Errorf("chaos: %s: %w", c.SiteID(), err)
+			return nil, fmt.Errorf("chaos: %s: %w", l.id, err)
 		}
 	}
 	if f.Hang {
 		select {
 		case <-ctx.Done():
-			return nil, fmt.Errorf("chaos: %s hung: %w", c.SiteID(), ctx.Err())
-		case <-c.closed:
-			return nil, fmt.Errorf("chaos: %s hung until close: %w", c.SiteID(), ErrInjected)
+			return nil, fmt.Errorf("chaos: %s hung: %w", l.id, ctx.Err())
+		case <-l.closed:
+			return nil, fmt.Errorf("chaos: %s hung until close: %w", l.id, ErrInjected)
 		}
 	}
-	if f.Drop {
-		c.inner.Close()
+	if f.Drop || (f.Err != nil && !f.DropAfter) {
+		l.breakConn()
+		return nil, fmt.Errorf("chaos: %s: %w", l.id, cmp.Or(f.Err, ErrInjected))
 	}
-	if f.Err != nil {
-		return nil, fmt.Errorf("chaos: %s: %w", c.SiteID(), f.Err)
-	}
-	resp, err := c.inner.Call(ctx, req)
+	resp, err := l.TCPClient.Call(ctx, req)
 	if f.DropAfter {
-		// The exchange completed; tear the connection down afterwards so
-		// the site is unreachable at the next round boundary.
-		c.inner.Close()
+		l.breakConn()
+		if err == nil && f.Err != nil {
+			return nil, fmt.Errorf("chaos: %s lost the reply: %w", l.id, f.Err)
+		}
 	}
 	return resp, err
+}
+
+// record publishes one injected fault to the site's obs sink: the event
+// (kind obs.EventChaos) and per-mode counters ("chaos.injected",
+// "chaos.injected.err", ...), so chaos attribution is never lost.
+func (l *chaosLeaf) record(op Op, f Fault) {
+	modes := faultModes(f)
+	l.obs.Count("chaos.injected", 1)
+	l.obs.Count("chaos.injected."+modes, 1)
+	l.obs.Event(obs.EventChaos, l.id, "injected "+modes+" on "+op.String(),
+		map[string]string{"op": op.String(), "fault": modes})
 }

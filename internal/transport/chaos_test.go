@@ -11,9 +11,25 @@ import (
 	"time"
 )
 
+// armedLeaf is the leaf Site dials to replica r: its connection under
+// r's fault schedule.
+func armedLeaf(t *testing.T, r Replica) Client {
+	t.Helper()
+	s, err := NewSite(SiteSpec{ID: "s", Replicas: []Replica{r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := s.dial(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leaf.Close() })
+	return leaf
+}
+
 func TestChaosPassThrough(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	exerciseClient(t, c)
+	c := NewChaos(1)
+	exerciseClient(t, localClient(t, "s", newEchoHandler(), c))
 	if c.Injected() != 0 {
 		t.Errorf("injected %d faults with empty script", c.Injected())
 	}
@@ -23,8 +39,9 @@ func TestChaosPassThrough(t *testing.T) {
 }
 
 func TestChaosOneShotErrors(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	c.FailNext(OpPing, 2)
+	ch := NewChaos(1)
+	c := localClient(t, "s", newEchoHandler(), ch)
+	ch.FailNext(OpPing, 2)
 	for i := 0; i < 2; i++ {
 		if _, err := c.Call(context.Background(), &Request{Op: OpPing}); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call %d: err = %v, want ErrInjected", i, err)
@@ -33,14 +50,15 @@ func TestChaosOneShotErrors(t *testing.T) {
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("fault queue not drained: %v", err)
 	}
-	if c.Injected() != 2 {
-		t.Errorf("injected = %d, want 2", c.Injected())
+	if ch.Injected() != 2 {
+		t.Errorf("injected = %d, want 2", ch.Injected())
 	}
 }
 
 func TestChaosPerOpScripting(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	c.FailNext(OpLoad, 1)
+	ch := NewChaos(1)
+	c := localClient(t, "s", newEchoHandler(), ch)
+	ch.FailNext(OpLoad, 1)
 	// Faults scripted for OpLoad must not affect other ops.
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("ping hit a load fault: %v", err)
@@ -51,8 +69,9 @@ func TestChaosPerOpScripting(t *testing.T) {
 }
 
 func TestChaosDelay(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	c.DelayNext(OpPing, 30*time.Millisecond)
+	ch := NewChaos(1)
+	c := localClient(t, "s", newEchoHandler(), ch)
+	ch.DelayNext(OpPing, 30*time.Millisecond)
 	start := time.Now()
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
@@ -63,8 +82,9 @@ func TestChaosDelay(t *testing.T) {
 }
 
 func TestChaosDelayHonorsContext(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	c.DelayNext(OpPing, time.Hour)
+	ch := NewChaos(1)
+	c := localClient(t, "s", newEchoHandler(), ch)
+	ch.DelayNext(OpPing, time.Hour)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -78,8 +98,9 @@ func TestChaosDelayHonorsContext(t *testing.T) {
 }
 
 func TestChaosHangUntilCancel(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	c.HangNext(OpPing)
+	ch := NewChaos(1)
+	c := localClient(t, "s", newEchoHandler(), ch)
+	ch.HangNext(OpPing)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -100,8 +121,9 @@ func TestChaosHangUntilCancel(t *testing.T) {
 }
 
 func TestChaosHangReleasedByClose(t *testing.T) {
-	c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
-	c.HangNext(OpPing)
+	ch := NewChaos(1)
+	c := armedLeaf(t, Replica{Handler: newEchoHandler(), Chaos: ch})
+	ch.HangNext(OpPing)
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Call(context.Background(), &Request{Op: OpPing})
@@ -119,6 +141,9 @@ func TestChaosHangReleasedByClose(t *testing.T) {
 	}
 }
 
+// TestChaosDropClosesInner: a drop breaks the connection its call runs
+// on. The next call on it fails as a transport error, never as the
+// caller's own Close, so a retry layer above would redial.
 func TestChaosDropClosesInner(t *testing.T) {
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -126,18 +151,15 @@ func TestChaosDropClosesInner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tcp, err := DialTCP("s", addr, CostModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewChaos(tcp, 1)
-	c.DropNext(OpPing)
+	ch := NewChaos(1)
+	c := armedLeaf(t, Replica{Addr: addr, Chaos: ch})
+	ch.DropNext(OpPing)
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("drop fault: %v", err)
 	}
-	// The underlying connection really is gone.
-	if _, err := tcp.Call(context.Background(), &Request{Op: OpPing}); err == nil {
-		t.Fatal("dropped connection still usable")
+	// The connection really is gone.
+	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err == nil || errors.Is(err, ErrClosed) {
+		t.Fatalf("dropped connection: %v, want a transport error", err)
 	}
 }
 
@@ -146,8 +168,9 @@ func TestChaosDropClosesInner(t *testing.T) {
 // the repo relies on.
 func TestChaosSeededDeterminism(t *testing.T) {
 	run := func(seed int64) []bool {
-		c := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), seed)
-		c.SetRandom(0.5, 0)
+		ch := NewChaos(seed)
+		ch.SetRandom(0.5, 0)
+		c := localClient(t, "s", newEchoHandler(), ch)
 		outcomes := make([]bool, 40)
 		for i := range outcomes {
 			_, err := c.Call(context.Background(), &Request{Op: OpPing})
@@ -184,20 +207,17 @@ func TestChaosSeededDeterminism(t *testing.T) {
 }
 
 // TestChaosObsAttribution is the regression test for chaos attribution
-// getting lost behind the pass-through: wire traffic flows through to
-// the inner client untouched, so injected faults must surface as obs
+// getting lost behind the pass-through: an unfaulted call's wire traffic
+// is the leaf's own, so injected faults must surface as obs
 // counters and events with exact counts — including over the /events
 // debug endpoint, which is what operators (and this test) assert on.
 func TestChaosObsAttribution(t *testing.T) {
-	inner := NewLocalClient("s", newEchoHandler(), CostModel{})
-	ch := NewChaos(inner, 1)
+	ch := NewChaos(1)
 	ch.FailNext(OpPing, 2)
-
 	o := obs.New()
-	// Injector and retry layer publish into one sink, as in a stack the
-	// site builder assembles.
-	ch.SetObs(o)
-	rc := newReconnector("s", func() (Client, error) { return ch, nil }, 3, 0, nil, o)
+	// Injector and retry layer publish into the site's one sink.
+	rc := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}},
+		Obs: o, Resilience: Resilience{Attempts: 3}})
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -249,18 +269,57 @@ func TestChaosObsAttribution(t *testing.T) {
 // attributed with the same exactness as scripted ones: the obs counter
 // must equal Injected() for any seed.
 func TestChaosRandomInjectionCounted(t *testing.T) {
-	inner := NewLocalClient("s", newEchoHandler(), CostModel{})
-	ch := NewChaos(inner, 42)
+	ch := NewChaos(42)
 	o := obs.New()
-	ch.SetObs(o)
 	ch.SetRandom(0.5, 0)
+	c := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}}, Obs: o})
 	for i := 0; i < 40; i++ {
-		ch.Call(context.Background(), &Request{Op: OpPing})
+		c.Call(context.Background(), &Request{Op: OpPing})
 	}
 	if got, want := o.Metrics.CounterValue("chaos.injected"), int64(ch.Injected()); got != want {
 		t.Errorf("chaos.injected = %d, Injected() = %d", got, want)
 	}
 	if got := ch.Injected(); got == 0 || got == 40 {
 		t.Errorf("seed produced degenerate injection count %d", got)
+	}
+}
+
+// TestChaosScheduleSpansRedials: a replica's schedule counts the
+// replica's calls, not one connection's. A drop breaks the first
+// connection and the retry layer redials; the drop-after scheduled for the
+// second round call still fires, on the second connection, and the retry
+// layer learns of it by sending the third round on that broken connection.
+func TestChaosScheduleSpansRedials(t *testing.T) {
+	ch := NewChaos(1)
+	ch.InjectAt(OpEvalRounds, 2, Fault{DropAfter: true})
+	o := obs.New()
+	c := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}},
+		Obs: o, Resilience: Resilience{Attempts: 2}})
+	call := func(op Op) {
+		t.Helper()
+		if _, err := c.Call(context.Background(), &Request{Op: op}); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+	}
+	retries := func() int64 { return o.Metrics.CounterValue("transport.retries") }
+	call(OpEvalRounds)
+	ch.DropNext(OpPing)
+	call(OpPing)
+	if got := retries(); got != 1 {
+		t.Fatalf("retries after the drop = %d, want 1 (the first connection redialed)", got)
+	}
+	call(OpEvalRounds)
+	if got := o.Metrics.CounterValue("chaos.injected.drop-after"); got != 1 {
+		t.Fatalf("drop-after faults on the second round call = %d, want 1", got)
+	}
+	if got := retries(); got != 1 {
+		t.Fatalf("retries after the second round = %d, want 1: its reply was delivered", got)
+	}
+	call(OpEvalRounds)
+	if got := retries(); got != 2 {
+		t.Errorf("retries after the third round = %d, want 2 (the broken second connection redialed)", got)
+	}
+	if got := ch.Injected(); got != 2 {
+		t.Errorf("injected = %d, want 2", got)
 	}
 }

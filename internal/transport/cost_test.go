@@ -23,7 +23,8 @@ func TestCostModelTransferTime(t *testing.T) {
 // time — however their calls interleave.
 func TestConcurrentExchangesExact(t *testing.T) {
 	cost := CostModel{LatencyPerMsg: time.Millisecond, BytesPerSec: 1e6}
-	c := NewLocalClient("s", newEchoHandler(), cost)
+	h := newEchoHandler()
+	c := newReconnector("s", func() (Client, error) { return dialPipe("s", h, cost), nil }, 1, 0, nil, nil)
 	defer c.Close()
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(20)}
 	// The connection's first exchange carries gob's type preamble.

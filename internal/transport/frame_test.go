@@ -130,8 +130,7 @@ func TestMalformedRelationRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		local := NewLocalClient("site1", h, CostModel{})
-		defer local.Close()
+		local := localClient(t, "site1", h, nil)
 		for _, cl := range []Client{c, local} {
 			for i := 0; i < 2; i++ { // the same connection answers again
 				resp, err := cl.Call(ctx, &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round})
@@ -151,8 +150,7 @@ func TestMalformedRelationRefused(t *testing.T) {
 			{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round},
 		} {
 			addr := serveCorruptOnce(t, sampleRelation(2))
-			cl := NewReconnector("site0", func() (Client, error) { return DialTCP("site0", addr, CostModel{}) }, 1, 0)
-			defer cl.Close()
+			cl := siteClient(t, SiteSpec{ID: "site0", Replicas: []Replica{{Addr: addr}}})
 			if _, err := cl.Call(ctx, req); !errors.Is(err, relation.ErrMalformed) || !strings.Contains(err.Error(), "truncated") {
 				t.Errorf("ShipsBase %v: a reply that is not a frame: %v, want ErrMalformed", req.ShipsBase(), err)
 			}
@@ -263,8 +261,7 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
 func TestEveryReplyArrivesAsFrame(t *testing.T) {
 	rel := sampleRelation(20)
 	sent := &Response{Rel: rel, RowCount: 7, ComputeNs: 99, Kept: []byte{0xff, 0xff, 0x0f}, Profile: &SiteProfile{RowsOut: 20, Outcome: OutcomeOK}}
-	cl := NewLocalClient("site0", &countingHandler{resp: sent}, CostModel{})
-	defer cl.Close()
+	cl := localClient(t, "site0", &countingHandler{resp: sent}, nil)
 	for _, req := range []*Request{
 		{Op: OpEvalRounds, Base: sampleRelation(20)},
 		{Op: OpEvalRounds, Detail: "flow", BaseCols: []string{"k"}},

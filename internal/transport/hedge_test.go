@@ -304,16 +304,15 @@ func (r refuseLoads) Handle(ctx context.Context, req *Request) *Response {
 // others hold the relation.
 func TestPlacementReachesEveryReplicaPastAFailure(t *testing.T) {
 	handlers := []*echoHandler{newEchoHandler(), newEchoHandler(), newEchoHandler()}
-	var replicas []Client
+	var replicas []Replica
 	for i, h := range handlers {
 		var hd Handler = h
 		if i == 1 {
 			hd = refuseLoads{h}
 		}
-		replicas = append(replicas, NewLocalClient("s0", hd, CostModel{}))
+		replicas = append(replicas, Replica{Handler: hd})
 	}
-	rs := NewReplicaSet("s0", replicas, nil, nil)
-	defer rs.Close()
+	rs := siteClient(t, SiteSpec{ID: "s0", Replicas: replicas})
 	_, err := rs.Call(context.Background(), &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(10)})
 	if err == nil || !strings.Contains(err.Error(), "replica 1: ") || strings.Contains(err.Error(), "replica 0") || strings.Contains(err.Error(), "replica 2") {
 		t.Fatalf("load with replica 1 refusing: %v", err)

@@ -61,7 +61,7 @@ func (h *gateHandler) peakInflight() int {
 func localDial(h Handler) func() Client {
 	var n atomic.Int64
 	return func() Client {
-		return NewLocalClient(fmt.Sprintf("conn-%d", n.Add(1)), h, CostModel{})
+		return pipeRetry(fmt.Sprintf("conn-%d", n.Add(1)), h, nil)
 	}
 }
 
@@ -286,7 +286,7 @@ func TestPoolOverTCP(t *testing.T) {
 	defer srv.Close()
 
 	dial := func() (Client, error) { return DialTCP("s0", addr, CostModel{}) }
-	p := NewPool("s0", 3, func() Client { return NewReconnector("s0", dial, 1, 0) }, nil)
+	p := NewPool("s0", 3, func() Client { return newReconnector("s0", dial, 1, 0, nil, nil) }, nil)
 	defer p.Close()
 
 	var wg sync.WaitGroup

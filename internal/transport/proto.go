@@ -483,21 +483,17 @@ type Client interface {
 	// Call performs one request/response exchange. A reply holds its
 	// relation as a frame (Response.Frame); Rel is only what a handler
 	// sets. The caller owns the returned *Response and may write to it:
-	// no layer (the ReplicaSet, Pool, Reconnector or Chaos) keeps a
+	// no layer (the ReplicaSet, Pool, Reconnector or leaf) keeps a
 	// response it returned or hands the same one out twice. Cancelling
 	// ctx (or hitting its deadline) aborts the exchange:
 	// connection-oriented transports interrupt blocked I/O and the call
 	// returns an error wrapping ctx.Err(). A call aborted mid-exchange may
 	// leave the underlying connection unusable; such clients report
-	// subsequent calls as transport errors so a retrying wrapper redials.
+	// subsequent calls as transport errors so the retry layer redials.
 	Call(ctx context.Context, req *Request) (*Response, error)
-	// Close releases the client's connections. A deployed client — any
-	// client Site builds, NewReplicaTCP's included — then refuses every
-	// later call and dials nothing, as do a Pool and a bare leaf
-	// (TCPClient). Only the bare retry layer (Reconnector, as
-	// NewReconnector and NewLocalClient return it, and a replica layer
-	// over such layers) redials and serves a later call; Chaos's Drop and
-	// DropAfter faults close the leaf they wrap and rely on the retry
-	// layer above it to redial.
+	// Close releases the client's connections for good: every later call,
+	// on every layer, fails with an error wrapping ErrClosed and dials
+	// nothing. A fault is never a Close: a broken connection is a
+	// transport error, which the retry layer redials.
 	Close() error
 }

@@ -114,14 +114,9 @@ type replicaState struct {
 	cur int
 }
 
-// NewReplicaSet returns the replica layer over replicas in preference
-// order, failing over between them, within budget (nil = unlimited).
-func NewReplicaSet(id string, replicas []Client, budget *RetryBudget, o *obs.Obs) *ReplicaSet {
-	return (&replicaState{budget: budget, obs: o}).replicaSet(id, replicas)
-}
-
-// NewHedger is NewReplicaSet that also hedges evaluation calls after
-// delay (0 = adaptive).
+// NewHedger returns the replica layer over replicas in preference order,
+// failing over between them within budget (nil = unlimited) and hedging
+// evaluation calls after delay (0 = adaptive).
 func NewHedger(id string, replicas []Client, delay time.Duration, budget *RetryBudget, o *obs.Obs) *ReplicaSet {
 	return (&replicaState{hedge: true, delay: delay, budget: budget, obs: o}).replicaSet(id, replicas)
 }

@@ -57,24 +57,21 @@ type Reconnector struct {
 	//lint:guarded-by mu
 	cur Client
 	//lint:guarded-by mu
+	closed bool
+	//lint:guarded-by mu
 	rng *rand.Rand
 	//lint:guarded-by mu
 	sleep func(ctx context.Context, d time.Duration) error
 }
 
-// NewReconnector returns a client for a single-endpoint site that dials
-// lazily and retries each call up to attempts times (minimum 1). backoff
-// is the base pause between retries.
-func NewReconnector(id string, dial func() (Client, error), attempts int, backoff time.Duration) *Reconnector {
-	return newReconnector(id, dial, attempts, backoff, nil, nil)
-}
-
-// newReconnector is NewReconnector with the shared retry budget and the
-// obs sink the site builder attaches. An exhausted budget fails the call
-// with an error wrapping ErrBudgetExhausted (and the last transport
-// error) instead of retrying, so a sick cluster's retry volume stays
-// bounded by the budget's ratio of primary traffic; the replica layer
-// above may still fail the call over to another replica.
+// newReconnector returns the retry layer over one endpoint: it dials
+// lazily and tries each call up to attempts times (minimum 1), backoff
+// being the base pause between tries. Every same-endpoint retry takes a
+// token from budget (nil is unlimited) first: an exhausted budget fails
+// the call with an error wrapping ErrBudgetExhausted (and the last
+// transport error) instead of retrying, so a sick cluster's retry volume
+// stays bounded by the budget's ratio of primary traffic; the replica
+// layer above may still fail the call over to another replica.
 func newReconnector(id string, dial func() (Client, error), attempts int, backoff time.Duration, budget *RetryBudget, o *obs.Obs) *Reconnector {
 	h := fnv.New64a()
 	h.Write([]byte(id))
@@ -87,21 +84,15 @@ func newReconnector(id string, dial func() (Client, error), attempts int, backof
 	}
 }
 
-// SetSleep overrides the backoff sleep function (tests inject virtual
-// time). The function receives the jittered delay and should honor ctx.
-func (r *Reconnector) SetSleep(f func(ctx context.Context, d time.Duration) error) {
-	r.mu.Lock()
-	r.sleep = f
-	r.mu.Unlock()
-}
-
 // SiteID implements Client.
 func (r *Reconnector) SiteID() string { return r.id }
 
-// Close implements Client.
+// Close implements Client: it closes the connection, and every later call
+// fails with ErrClosed and dials nothing.
 func (r *Reconnector) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.closed = true
 	if r.cur == nil {
 		return nil
 	}
@@ -114,6 +105,9 @@ func (r *Reconnector) Close() error {
 func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed {
+		return nil, fmt.Errorf("transport: %s: %w", r.id, ErrClosed)
+	}
 	var lastErr error
 	sends := 0 // exchanges attempted, the answered one included
 	for attempt := 0; attempt < r.attempts; attempt++ {

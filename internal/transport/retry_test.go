@@ -10,6 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
+// replicaSetOf is a replica layer over replicas in preference order,
+// failing over between them with no budget.
+func replicaSetOf(o *obs.Obs, replicas ...Client) *ReplicaSet {
+	return (&replicaState{obs: o}).replicaSet("s", replicas)
+}
+
 // errConnReset is the transport-level failure the test clients return.
 var errConnReset = errors.New("connection reset")
 
@@ -81,7 +87,7 @@ func TestReconnectorRetries(t *testing.T) {
 
 func TestReconnectorExhaustsAttempts(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
-	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 2, 0)
+	rc := newReconnector("s", func() (Client, error) { return inner, nil }, 2, 0, nil, nil)
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err == nil {
 		t.Fatal("expected failure after attempts exhausted")
@@ -98,7 +104,7 @@ func TestReconnectorExhaustsAttempts(t *testing.T) {
 
 func TestReconnectorDoesNotRetrySiteErrors(t *testing.T) {
 	inner := &flakyClient{id: "s"}
-	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 3, 0)
+	rc := newReconnector("s", func() (Client, error) { return inner, nil }, 3, 0, nil, nil)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpRelInfo, Rel: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -113,10 +119,10 @@ func TestReconnectorDoesNotRetrySiteErrors(t *testing.T) {
 
 func TestReconnectorDialFailure(t *testing.T) {
 	fails := 0
-	rc := NewReconnector("s", func() (Client, error) {
+	rc := newReconnector("s", func() (Client, error) {
 		fails++
 		return nil, fmt.Errorf("refused")
-	}, 2, 0)
+	}, 2, 0, nil, nil)
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err == nil {
 		t.Fatal("dial failures should surface")
 	}
@@ -165,9 +171,9 @@ func recordSleep(delays *[]time.Duration) func(context.Context, time.Duration) e
 func TestReconnectorBackoffJitter(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
 	base := 100 * time.Millisecond
-	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 6, base)
+	rc := newReconnector("s", func() (Client, error) { return inner, nil }, 6, base, nil, nil)
 	var delays []time.Duration
-	rc.SetSleep(recordSleep(&delays))
+	rc.sleep = recordSleep(&delays)
 	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err == nil {
 		t.Fatal("expected exhaustion")
 	}
@@ -199,9 +205,9 @@ func TestReconnectorBackoffJitter(t *testing.T) {
 	}
 	// Same site id, same seed, same sequence: backoff is reproducible.
 	inner2 := &flakyClient{id: "s", failN: 99}
-	rc2 := NewReconnector("s", func() (Client, error) { return inner2, nil }, 6, base)
+	rc2 := newReconnector("s", func() (Client, error) { return inner2, nil }, 6, base, nil, nil)
 	var delays2 []time.Duration
-	rc2.SetSleep(recordSleep(&delays2))
+	rc2.sleep = recordSleep(&delays2)
 	rc2.Call(context.Background(), &Request{Op: OpPing})
 	for i := range delays {
 		if delays[i] != delays2[i] {
@@ -212,10 +218,10 @@ func TestReconnectorBackoffJitter(t *testing.T) {
 
 func TestReconnectorBackoffCap(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
-	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 20, time.Second)
+	rc := newReconnector("s", func() (Client, error) { return inner, nil }, 20, time.Second, nil, nil)
 	rc.maxBackoff = 2 * time.Second
 	var delays []time.Duration
-	rc.SetSleep(recordSleep(&delays))
+	rc.sleep = recordSleep(&delays)
 	rc.Call(context.Background(), &Request{Op: OpPing})
 	for i, d := range delays {
 		if d > 2*time.Second {
@@ -228,10 +234,10 @@ func TestReplicaFailover(t *testing.T) {
 	bad := &flakyClient{id: "a", failN: 99}
 	good := &flakyClient{id: "b"}
 	dials := [2]int{}
-	rc := NewReplicaSet("s", []Client{
-		NewReconnector("s", func() (Client, error) { dials[0]++; return bad, nil }, 2, 0),
-		NewReconnector("s", func() (Client, error) { dials[1]++; return good, nil }, 2, 0),
-	}, nil, nil)
+	rc := replicaSetOf(nil,
+		newReconnector("s", func() (Client, error) { dials[0]++; return bad, nil }, 2, 0, nil, nil),
+		newReconnector("s", func() (Client, error) { dials[1]++; return good, nil }, 2, 0, nil, nil),
+	)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("failover failed: %v", err)
@@ -261,10 +267,10 @@ func TestReplicaFailover(t *testing.T) {
 func TestReplicaAllDown(t *testing.T) {
 	a := &flakyClient{id: "a", failN: 99}
 	b := &flakyClient{id: "b", failN: 99}
-	rc := NewReplicaSet("s", []Client{
-		NewReconnector("s", func() (Client, error) { return a, nil }, 2, 0),
-		NewReconnector("s", func() (Client, error) { return b, nil }, 2, 0),
-	}, nil, nil)
+	rc := replicaSetOf(nil,
+		newReconnector("s", func() (Client, error) { return a, nil }, 2, 0, nil, nil),
+		newReconnector("s", func() (Client, error) { return b, nil }, 2, 0, nil, nil),
+	)
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err == nil {
 		t.Fatal("expected failure with every replica down")
@@ -279,12 +285,12 @@ func TestReplicaAllDown(t *testing.T) {
 
 func TestReconnectorStopsOnCancel(t *testing.T) {
 	inner := &flakyClient{id: "s", failN: 99}
-	rc := NewReconnector("s", func() (Client, error) { return inner, nil }, 10, time.Millisecond)
+	rc := newReconnector("s", func() (Client, error) { return inner, nil }, 10, time.Millisecond, nil, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	rc.SetSleep(func(sctx context.Context, d time.Duration) error {
+	rc.sleep = func(sctx context.Context, d time.Duration) error {
 		cancel() // the caller gives up during the first backoff
 		return sctx.Err()
-	})
+	}
 	if _, err := rc.Call(ctx, &Request{Op: OpPing}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want canceled", err)
 	}
@@ -294,7 +300,7 @@ func TestReconnectorStopsOnCancel(t *testing.T) {
 
 	// Already-cancelled contexts never reach the wire.
 	inner2 := &flakyClient{id: "s"}
-	rc2 := NewReconnector("s", func() (Client, error) { return inner2, nil }, 3, 0)
+	rc2 := newReconnector("s", func() (Client, error) { return inner2, nil }, 3, 0, nil, nil)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	if _, err := rc2.Call(ctx2, &Request{Op: OpPing}); !errors.Is(err, context.Canceled) {
@@ -333,10 +339,10 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 	over := &shedClient{id: "a", shedN: 99, code: CodeDraining}
 	good := &flakyClient{id: "b"}
 	o := obs.New()
-	rc := NewReplicaSet("s", []Client{
-		NewReconnector("s", func() (Client, error) { return over, nil }, 1, 0),
-		NewReconnector("s", func() (Client, error) { return good, nil }, 1, 0),
-	}, nil, o)
+	rc := replicaSetOf(o,
+		newReconnector("s", func() (Client, error) { return over, nil }, 1, 0, nil, nil),
+		newReconnector("s", func() (Client, error) { return good, nil }, 1, 0, nil, nil),
+	)
 	resp, d, err := Exchange(context.Background(), rc, &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("shed failover failed: %v", err)
@@ -371,10 +377,10 @@ func TestAllReplicasShed(t *testing.T) {
 	// transport error), so it can classify via errors.Is(_, ErrDraining).
 	a := &shedClient{id: "a", shedN: 99, code: CodeDraining}
 	b := &shedClient{id: "b", shedN: 99, code: CodeDraining}
-	rc := NewReplicaSet("s", []Client{
-		NewReconnector("s", func() (Client, error) { return a, nil }, 3, 0),
-		NewReconnector("s", func() (Client, error) { return b, nil }, 3, 0),
-	}, nil, nil)
+	rc := replicaSetOf(nil,
+		newReconnector("s", func() (Client, error) { return a, nil }, 3, 0, nil, nil),
+		newReconnector("s", func() (Client, error) { return b, nil }, 3, 0, nil, nil),
+	)
 	resp, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if err != nil {
 		t.Fatalf("want shed response, got transport error %v", err)
@@ -414,7 +420,7 @@ func TestReconnectorSiblingCancellationNotRetried(t *testing.T) {
 	// budget the real failure diagnosis needs.
 	inner := &cancelledClient{id: "s"}
 	dials := 0
-	rc := NewReconnector("s", func() (Client, error) { dials++; return inner, nil }, 5, 0)
+	rc := newReconnector("s", func() (Client, error) { dials++; return inner, nil }, 5, 0, nil, nil)
 	_, err := rc.Call(context.Background(), &Request{Op: OpPing})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
@@ -428,17 +434,51 @@ func TestReconnectorNoRetryAfterDeadline(t *testing.T) {
 	// A hung endpoint under a per-call deadline: the reconnector must not
 	// burn its remaining attempts (or fail over) once the deadline is the
 	// reason for the failure.
-	chaos := NewChaos(NewLocalClient("s", newEchoHandler(), CostModel{}), 1)
+	chaos := NewChaos(1)
 	chaos.HangNext(OpPing)
+	r := Replica{Handler: newEchoHandler(), Chaos: chaos}
+	s, err := NewSite(SiteSpec{ID: "s", Replicas: []Replica{r}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dials := 0
-	rc := NewReconnector("s", func() (Client, error) { dials++; return chaos, nil }, 5, 0)
+	rc := newReconnector("s", func() (Client, error) { dials++; return s.dial(r) }, 5, 0, nil, nil)
+	defer rc.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := rc.Call(ctx, &Request{Op: OpPing})
+	_, err = rc.Call(ctx, &Request{Op: OpPing})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	if dials != 1 || chaos.Calls() != 1 {
 		t.Errorf("dials=%d calls=%d, want 1/1", dials, chaos.Calls())
+	}
+}
+
+// TestReconnectorCloseIsFinal: a closed retry layer refuses every later
+// call with ErrClosed and dials nothing, whether it held a connection when
+// it was closed or had never dialed.
+func TestReconnectorCloseIsFinal(t *testing.T) {
+	inner := &flakyClient{id: "s"}
+	dials := 0
+	rc := newReconnector("s", func() (Client, error) { dials++; return inner, nil }, 3, 0, nil, nil)
+	if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	rc.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := rc.Call(context.Background(), &Request{Op: OpPing}); !errors.Is(err, ErrClosed) {
+			t.Errorf("call %d after Close: %v, want ErrClosed", i, err)
+		}
+	}
+	if dials != 1 || inner.calls != 1 || inner.closed != 1 {
+		t.Errorf("dials=%d calls=%d closes=%d, want 1/1/1", dials, inner.calls, inner.closed)
+	}
+
+	idleDials := 0
+	idle := newReconnector("s", func() (Client, error) { idleDials++; return inner, nil }, 3, 0, nil, nil)
+	idle.Close()
+	if _, err := idle.Call(context.Background(), &Request{Op: OpPing}); !errors.Is(err, ErrClosed) || idleDials != 0 {
+		t.Errorf("a never-dialed layer after Close: %v with %d dials, want ErrClosed and none", err, idleDials)
 	}
 }

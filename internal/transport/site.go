@@ -5,6 +5,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"time"
@@ -70,9 +71,11 @@ func (r Resilience) NewBudget(o *obs.Obs) *RetryBudget {
 type Replica struct {
 	Addr    string
 	Handler Handler
-	// Chaos, when set, wraps every connection dialed to this replica in
-	// the fault injector it returns (tests and `-experiment tail`).
-	Chaos func(Client) *Chaos
+	// Chaos, when set, is the replica's fault schedule (tests and
+	// `-experiment tail`): every connection dialed to the replica, by any
+	// client of the site, draws its faults from it, so scripted faults and
+	// seeded draws span redials and pooled connections alike.
+	Chaos *Chaos
 }
 
 // SiteSpec describes the client of one logical site: where its replicas
@@ -140,7 +143,8 @@ func (s *Site) retry(r Replica) *Reconnector {
 }
 
 // dial opens the leaf connection to one replica: a TCP connection, or a
-// pipe to an in-process handler served by the same connection loop.
+// pipe to an in-process handler served by the same connection loop. It is
+// the one place a replica's fault schedule is applied.
 func (s *Site) dial(r Replica) (Client, error) {
 	var tc *TCPClient
 	if r.Handler != nil {
@@ -155,16 +159,27 @@ func (s *Site) dial(r Replica) (Client, error) {
 	if r.Chaos == nil {
 		return tc, nil
 	}
-	ch := r.Chaos(tc)
-	ch.SetObs(s.spec.Obs)
-	return ch, nil
+	return &chaosLeaf{TCPClient: tc, ch: r.Chaos, closed: make(chan struct{})}, nil
+}
+
+// dialPipe serves handler on one end of a new net.Pipe and returns a
+// client over the other end, so an in-process call is encoded, counted,
+// cancelled and hung up exactly as a call to a remote site is. Closing
+// the client ends the connection's server goroutine once any request in
+// flight has returned.
+func dialPipe(id string, handler Handler, cost CostModel) *TCPClient {
+	conn, far := net.Pipe()
+	srv := NewServer(handler)
+	srv.wg.Add(1)
+	go srv.serveConn(far)
+	return newTCPClient(id, conn, cost)
 }
 
 // Client returns a new client of the site, replicas → pool → retry →
 // leaf, whose pools are its own. It is safe for concurrent calls: each
 // call's traffic travels with the call (see Exchange), so any number of
 // executions may share one client. Closing it releases its connections
-// and pools for good: a later call fails and dials nothing.
+// and pools for good: a later call fails with ErrClosed and dials nothing.
 func (s *Site) Client() Client {
 	replicas := make([]Client, len(s.spec.Replicas))
 	for i, r := range s.spec.Replicas {

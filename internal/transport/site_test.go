@@ -20,7 +20,7 @@ import (
 // shape is pooled; the replica layer prints over two replicas only.
 func TestStackShapes(t *testing.T) {
 	h := newEchoHandler()
-	chaos := func(cl Client) *Chaos { return NewChaos(cl, 1) }
+	chaos := NewChaos(1)
 	remote := DefaultResilience
 	hedged := remote
 	hedged.Hedge = true
@@ -73,11 +73,6 @@ func TestStackShapes(t *testing.T) {
 // retry spent, whether hedged or not.
 func TestStackBudgetOwner(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	failing := func(cl Client) *Chaos {
-		ch := NewChaos(cl, 1)
-		ch.FailNext(OpEvalRounds, 1000)
-		return ch
-	}
 	for _, tc := range []struct {
 		name  string
 		hedge bool
@@ -88,7 +83,7 @@ func TestStackBudgetOwner(t *testing.T) {
 		budget := NewRetryBudget(0.25, 10, nil)
 		s, err := NewSite(SiteSpec{
 			ID:         "s0",
-			Replicas:   []Replica{{Handler: newEchoHandler(), Chaos: failing}, {Handler: newEchoHandler()}},
+			Replicas:   []Replica{{Handler: newEchoHandler(), Chaos: failing(OpEvalRounds)}, {Handler: newEchoHandler()}},
 			Resilience: Resilience{Attempts: 2, Hedge: tc.hedge, HedgeDelay: time.Hour},
 			Budget:     budget,
 		})
@@ -142,17 +137,13 @@ func (h *answerHandler) Handle(ctx context.Context, req *Request) *Response {
 	return &Response{RowCount: h.n}
 }
 
-// failing wraps every connection dialed to a replica in chaos failing
-// every call of ops, and counts the dials.
-func failing(dials *atomic.Int64, ops ...Op) func(Client) *Chaos {
-	return func(cl Client) *Chaos {
-		dials.Add(1)
-		ch := NewChaos(cl, 1)
-		for _, op := range ops {
-			ch.FailNext(op, 1000)
-		}
-		return ch
+// failing is a replica's fault schedule failing every call of ops.
+func failing(ops ...Op) *Chaos {
+	ch := NewChaos(1)
+	for _, op := range ops {
+		ch.FailNext(op, 1000)
 	}
+	return ch
 }
 
 // TestReplicaFailoverEveryShape: a two-replica site whose primary fails
@@ -170,10 +161,9 @@ func TestReplicaFailoverEveryShape(t *testing.T) {
 			budget.Take()
 		}
 		primary, secondary := &answerHandler{n: 1}, &answerHandler{n: 2}
-		var dials atomic.Int64
 		s, err := NewSite(SiteSpec{
 			ID:         "s0",
-			Replicas:   []Replica{{Handler: primary, Chaos: failing(&dials, failOps...)}, {Handler: secondary}},
+			Replicas:   []Replica{{Handler: primary, Chaos: failing(failOps...)}, {Handler: secondary}},
 			Resilience: Resilience{Attempts: 2, Hedge: hedge, HedgeDelay: time.Hour},
 			Budget:     budget,
 		})
@@ -223,11 +213,11 @@ func TestReplicaFailoverEveryShape(t *testing.T) {
 func TestReplicaStickyPerSite(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	held := &opBlockingHandler{release: make(chan struct{})}
-	var primaryDials atomic.Int64
+	primary := failing(OpPing, OpEvalRounds)
 	s, err := NewSite(SiteSpec{
 		ID: "s0",
 		Replicas: []Replica{
-			{Handler: newEchoHandler(), Chaos: failing(&primaryDials, OpPing, OpEvalRounds)},
+			{Handler: newEchoHandler(), Chaos: primary},
 			{Handler: held},
 		},
 		Resilience: Resilience{Attempts: 2},
@@ -242,8 +232,8 @@ func TestReplicaStickyPerSite(t *testing.T) {
 	if _, err := cl.Call(context.Background(), ping); err != nil {
 		t.Fatalf("failover: %v", err)
 	}
-	if got := primaryDials.Load(); got != 2 {
-		t.Fatalf("primary dialed %d times by the first call, want 2 (one per attempt)", got)
+	if got := primary.Calls(); got != 2 {
+		t.Fatalf("primary called %d times by the first call, want 2 (one per attempt)", got)
 	}
 	// Hold the secondary's one pooled connection, so the next call needs
 	// a second one.
@@ -265,8 +255,8 @@ func TestReplicaStickyPerSite(t *testing.T) {
 	if err := s.Ping(context.Background()); err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if got := primaryDials.Load(); got != 2 {
-		t.Errorf("primary dialed %d times, want 2: a later connection rediscovered the dead primary", got)
+	if got := primary.Calls(); got != 2 {
+		t.Errorf("primary called %d times, want 2: a later connection rediscovered the dead primary", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -20,7 +21,7 @@ import (
 // Server serves site requests over TCP. Each connection runs a
 // decode-handle-encode loop; connections are independent, so one server
 // can serve several coordinators. The same loop serves an in-process
-// site over a pipe (NewLocalClient).
+// site over a pipe (a Replica with a Handler).
 type Server struct {
 	handler  Handler
 	listener net.Listener
@@ -395,6 +396,9 @@ type TCPClient struct {
 	cr   *countingReader
 	cost CostModel
 
+	// closed is set by Close: every later call fails with ErrClosed.
+	closed atomic.Bool
+
 	mu sync.Mutex
 	//lint:guarded-by mu
 	broken bool
@@ -434,8 +438,22 @@ func newTCPClient(id string, conn net.Conn, cost CostModel) *TCPClient {
 // SiteID implements Client.
 func (c *TCPClient) SiteID() string { return c.id }
 
-// Close implements Client.
-func (c *TCPClient) Close() error { return c.conn.Close() }
+// Close implements Client: it closes the connection, and every later
+// call fails with ErrClosed.
+func (c *TCPClient) Close() error {
+	c.closed.Store(true)
+	return c.conn.Close()
+}
+
+// breakConn marks the connection broken and closes it, as a call failing
+// mid-stream does: later calls fail as transport errors, so the retry
+// layer above redials.
+func (c *TCPClient) breakConn() {
+	c.mu.Lock()
+	c.broken = true
+	c.mu.Unlock()
+	c.conn.Close()
+}
 
 // Call implements Client. Calls on one client are serialized; the
 // coordinator uses one client per site and fans out with goroutines.
@@ -450,6 +468,9 @@ func (c *TCPClient) Close() error { return c.conn.Close() }
 // error and a retrying wrapper (Reconnector) redials a fresh connection
 // instead of reusing a corrupt stream.
 func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
+	if c.closed.Load() {
+		return nil, fmt.Errorf("transport: %s: %w", c.id, ErrClosed)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken {

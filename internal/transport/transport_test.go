@@ -1,16 +1,21 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"net"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -59,6 +64,31 @@ func sampleRelation(n int) *relation.Relation {
 		r.Rows[0][1] = value.Null // exercise NULL over the wire
 	}
 	return r
+}
+
+// siteClient is the client Site builds for spec, closed when the test
+// ends.
+func siteClient(t testing.TB, spec SiteSpec) Client {
+	t.Helper()
+	s, err := NewSite(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := s.Client()
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// localClient is the client Site builds over one in-process replica
+// serving h under the fault schedule ch (nil: none), sending each call
+// once.
+func localClient(t testing.TB, id string, h Handler, ch *Chaos) Client {
+	return siteClient(t, SiteSpec{ID: id, Replicas: []Replica{{Handler: h, Chaos: ch}}})
+}
+
+// pipeRetry is a bare retry layer over pipes to h, one attempt per call.
+func pipeRetry(id string, h Handler, o *obs.Obs) *Reconnector {
+	return newReconnector(id, func() (Client, error) { return dialPipe(id, h, CostModel{}), nil }, 1, 0, nil, o)
 }
 
 func exerciseClient(t *testing.T, c Client) {
@@ -120,7 +150,7 @@ func exerciseClient(t *testing.T, c Client) {
 }
 
 func TestLocalClient(t *testing.T) {
-	c := NewLocalClient("s1", newEchoHandler(), CostModel{})
+	c := localClient(t, "s1", newEchoHandler(), nil)
 	if c.SiteID() != "s1" {
 		t.Error("SiteID")
 	}
@@ -150,9 +180,18 @@ func TestTCPClient(t *testing.T) {
 // over a pipe, so both account the same bytes on every call of a
 // connection. The first call of each carries gob's type preamble for the
 // request mirror a client encodes and the reply mirror a server encodes,
-// and only the first.
+// and only the first. A preamble's size depends on the gob type ids the
+// process assigned before it, so the measurement runs in a child process
+// of the test binary that runs nothing else.
 func TestLocalAndTCPByteParity(t *testing.T) {
 	const reqPreamble, respPreamble = 574, 414
+	if flag.Arg(0) != parityChild {
+		out, err := exec.Command(os.Args[0], "-test.run=^TestLocalAndTCPByteParity$", "-test.count=1", "-test.v", "--", parityChild).CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestLocalAndTCPByteParity")) {
+			t.Fatalf("measuring in a child process: %v\n%s", err, out)
+		}
+		return
+	}
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -164,7 +203,7 @@ func TestLocalAndTCPByteParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	local := NewLocalClient("l", newEchoHandler(), CostModel{})
+	local := dialPipe("l", newEchoHandler(), CostModel{})
 	defer local.Close()
 
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(100)}
@@ -193,6 +232,10 @@ func TestLocalAndTCPByteParity(t *testing.T) {
 		t.Errorf("response preamble = %d B, want %d", d, respPreamble)
 	}
 }
+
+// parityChild is the argument that makes TestLocalAndTCPByteParity measure
+// instead of starting the child process that does.
+const parityChild = "byte-parity-child"
 
 func TestTCPMultipleClients(t *testing.T) {
 	srv := NewServer(newEchoHandler())
@@ -433,7 +476,7 @@ func TestReconnectorRedialsAfterBrokenStream(t *testing.T) {
 func TestLocalCallCancel(t *testing.T) {
 	h := &blockingHandler{release: make(chan struct{})}
 	defer close(h.release)
-	c := NewLocalClient("s", h, CostModel{})
+	c := localClient(t, "s", h, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -45,7 +45,10 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # EvalEach over proven selections allocate nothing. It also includes the
 # shipped-frame tests (TestShippedFrames, TestMalformedXFailsBeforeAnyCall),
 # TestHedgedShippingRound, where a hedge and its primary send the one frame
-# a round encoded concurrently, and TestClosedReplicaSetStaysPut.
+# a round encoded concurrently, TestClosedReplicaSetStaysPut,
+# TestReconnectorCloseIsFinal (a closed retry layer dials nothing) and
+# TestChaosScheduleSpansRedials (a replica's fault schedule spans the
+# connections its retry layer redials).
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
@@ -53,9 +56,10 @@ go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./i
 # relay-tree shapes, whose relays fan out concurrently to their leaves, and
 # the replica layer's failover under hedging and placement on every replica,
 # served hedges, whose losing pooled clients are lent again, a connection
-# lost between rounds and redialed by the retry layer under its pool, and
-# deployed clients that stay closed once closed.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed|TestRoundBoundaryConnectionLoss|TestDeployedClientCloseIsFinal)' ./skalla
+# lost between rounds and redialed by the retry layer under its pool,
+# clients, a replica armed with a fault schedule among them, that stay
+# closed once closed, and O1's site filter past 2^53.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed|TestRoundBoundaryConnectionLoss|TestDeployedClientCloseIsFinal|TestSiteFilterPast2To53)' ./skalla
 
 echo "== fuzz smoke (expression parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/expr

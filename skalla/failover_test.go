@@ -2,6 +2,7 @@ package skalla
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -36,6 +37,19 @@ func startFlowSite(t *testing.T, id string, part *relation.Relation, n int) (str
 		t.Cleanup(func() { srv.Close() })
 	}
 	return strings.Join(addrs, "|"), servers
+}
+
+// siteClient is the client transport.Site builds for spec, closed when
+// the test ends.
+func siteClient(t testing.TB, spec transport.SiteSpec) transport.Client {
+	t.Helper()
+	s, err := transport.NewSite(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := s.Client()
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
 func assertSameResult(t *testing.T, label string, got, want *relation.Relation) {
@@ -349,9 +363,11 @@ func (l *countingListener) Accept() (net.Conn, error) {
 }
 
 // TestDeployedClientCloseIsFinal: every client stack the system deploys —
-// Connect's, a replica entry's failing over or hedged, and NewReplicaTCP's
-// — refuses a call after Close and dials nothing for it: no connection
-// reaches either replica's listener.
+// Connect's, a replica entry's failing over or hedged, NewReplicaTCP's,
+// and a site whose replica is armed with a fault schedule — refuses a call
+// after Close with ErrClosed and dials nothing for it: no connection
+// reaches either replica's listener, and the armed replica's schedule
+// sees no call.
 func TestDeployedClientCloseIsFinal(t *testing.T) {
 	eng := site.NewEngine("site0")
 	var listeners [2]*countingListener
@@ -397,6 +413,8 @@ func TestDeployedClientCloseIsFinal(t *testing.T) {
 		}
 	}
 	replicas := addrs[0] + "|" + addrs[1]
+	armed := transport.NewChaos(1)
+	armed.InjectAt(transport.OpPing, 2, transport.Fault{DropAfter: true})
 	for _, tc := range []struct {
 		name  string
 		build func(*testing.T) transport.Client
@@ -407,6 +425,11 @@ func TestDeployedClientCloseIsFinal(t *testing.T) {
 		{"NewReplicaTCP", func(*testing.T) transport.Client {
 			return transport.NewReplicaTCP("site0", addrs[:1], CostModel{}, 3, 100*time.Millisecond)
 		}},
+		{"chaos", func(t *testing.T) transport.Client {
+			return siteClient(t, transport.SiteSpec{ID: "site0",
+				Replicas:   []transport.Replica{{Addr: addrs[0], Chaos: armed}, {Addr: addrs[1]}},
+				Resilience: Resilience{Attempts: 2}})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := tc.build(t)
@@ -416,12 +439,15 @@ func TestDeployedClientCloseIsFinal(t *testing.T) {
 			}
 			cl.Close()
 			before := accepted()
-			if _, err := cl.Call(context.Background(), ping); err == nil {
-				t.Error("a call after Close succeeded")
+			if _, err := cl.Call(context.Background(), ping); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("a call after Close: %v, want ErrClosed", err)
 			}
 			if after := accepted(); after != before {
 				t.Errorf("a call after Close dialed: accepted connections %v, then %v", before, after)
 			}
 		})
+	}
+	if got := armed.Calls(); got != 1 {
+		t.Errorf("the armed replica's schedule saw %d calls, want 1 (none after Close)", got)
 	}
 }

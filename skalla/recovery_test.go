@@ -71,18 +71,16 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	var clients []transport.Client
 	var chaos []*transport.Chaos
 	for i, entry := range sites {
-		tc, err := transport.DialTCP(fmt.Sprintf("site%d", i), entry, transport.CostModel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ch := transport.NewChaos(tc, int64(i))
+		ch := transport.NewChaos(int64(i))
+		cl := siteClient(t, transport.SiteSpec{ID: fmt.Sprintf("site%d", i),
+			Replicas: []transport.Replica{{Addr: entry, Chaos: ch}}})
 		// Prime the gob stream like ConnectWith's connect-time ping does,
 		// so the first round's byte delta excludes type-descriptor overhead
 		// and checkpointed counters compare exactly with the reference run.
-		if _, err := ch.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
+		if _, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
 			t.Fatal(err)
 		}
-		clients = append(clients, ch)
+		clients = append(clients, cl)
 		chaos = append(chaos, ch)
 	}
 	chaos[2].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
@@ -96,8 +94,8 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	if got := o1.Metrics.CounterValue("checkpoint.written"); got != 2 {
 		t.Fatalf("checkpoints written before the crash = %d, want 2", got)
 	}
-	for _, ch := range chaos {
-		ch.Close() // the dead coordinator's connections go away with it
+	for _, cl := range clients {
+		cl.Close() // the dead coordinator's connections go away with it
 	}
 
 	// Coordinator process #2: a fresh cluster over the same sites, opening
@@ -175,44 +173,29 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 }
 
 // TestRoundBoundaryConnectionLoss exercises the DropAfter chaos fault
-// over real TCP: site1's first connection delivers its answer for the
-// base round and is then torn down, so the socket is dead when the next
-// round fans out. The deployed stack's retry layer finds the connection
+// over real TCP: site1's connection delivers its answer for the base
+// round and is then torn down, so the socket is dead when the next round
+// fans out. The deployed stack's retry layer finds the connection
 // gone, redials on its second attempt and the query completes with the
 // right answer: nothing lost, one re-send of one round, accounted as such.
 func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	parts, whole := flowParts(2)
 	o := obs.New()
 	var clients []transport.Client
-	var dropped *transport.Chaos // site1's first connection
+	dropped := transport.NewChaos(1) // site1's schedule
+	dropped.InjectAt(transport.OpEvalRounds, 1, transport.Fault{DropAfter: true})
 	for i := range parts {
 		id := fmt.Sprintf("site%d", i)
 		entry, _ := startFlowSite(t, id, parts[i], 1)
 		replica := transport.Replica{Addr: entry}
 		if i == 1 {
-			replica.Chaos = func(cl transport.Client) *transport.Chaos {
-				ch := transport.NewChaos(cl, 1)
-				if dropped == nil {
-					dropped = ch
-					ch.InjectAt(transport.OpEvalRounds, 1, transport.Fault{DropAfter: true})
-				}
-				return ch
-			}
+			replica.Chaos = dropped
 		}
-		rs, err := transport.NewSite(transport.SiteSpec{
+		clients = append(clients, siteClient(t, transport.SiteSpec{
 			ID: id, Replicas: []transport.Replica{replica}, Obs: o,
 			Resilience: transport.Resilience{Attempts: 2, Backoff: time.Millisecond},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, rs.Client())
+		}))
 	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
 
 	coord := core.NewCoordinator(clients...)
 	coord.Obs = o

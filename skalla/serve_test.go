@@ -99,16 +99,9 @@ func TestServeConcurrentE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every connection to site1 runs through a chaos wrapper, armed below.
-	var chaosMu sync.Mutex
-	var site1 []*transport.Chaos
-	specs[1].Replicas[0].Chaos = func(cl transport.Client) *transport.Chaos {
-		chaosMu.Lock()
-		defer chaosMu.Unlock()
-		ch := transport.NewChaos(cl, int64(len(site1)))
-		site1 = append(site1, ch)
-		return ch
-	}
+	// Every connection to site1 draws from one fault schedule, armed below.
+	site1 := transport.NewChaos(0)
+	specs[1].Replicas[0].Chaos = site1
 	cluster := &Cluster{obs: o}
 	defer cluster.Close()
 	if err := cluster.open(specs, cfg.Settings); err != nil {
@@ -121,13 +114,10 @@ func TestServeConcurrentE2E(t *testing.T) {
 		baselines[i] = serveBaseline(t, cluster, q)
 	}
 
-	// Chaos: the first pooled connection to site1 — the one the serial
-	// baselines used — fails its next evalRounds fan-out with a transport
-	// error; the pooled connection's retry layer must absorb it by
-	// re-sending the round.
-	chaosMu.Lock()
-	site1[0].FailNext(transport.OpEvalRounds, 1)
-	chaosMu.Unlock()
+	// Chaos: site1's next evalRounds call, on whichever pooled connection
+	// carries it, fails with a transport error; that connection's retry
+	// layer must absorb it by re-sending the round.
+	site1.FailNext(transport.OpEvalRounds, 1)
 
 	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16})
 	if err != nil {
@@ -163,11 +153,9 @@ func TestServeConcurrentE2E(t *testing.T) {
 		assertIdentical(t, fmt.Sprintf("query %d", i), results[i], baselines[i%len(serveQueries)])
 	}
 
-	chaosMu.Lock()
-	if got := site1[0].Injected(); got != 1 {
-		t.Errorf("site1's first connection injected %d faults, want 1", got)
+	if got := site1.Injected(); got != 1 {
+		t.Errorf("site1's schedule injected %d faults, want 1", got)
 	}
-	chaosMu.Unlock()
 	if got := o.Metrics.CounterValue("sched.admitted"); got != int64(total) {
 		t.Errorf("sched.admitted = %d, want %d", got, total)
 	}
