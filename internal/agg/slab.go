@@ -53,18 +53,78 @@ type lane struct {
 
 // NewSlab returns a slab of empty states for groups groups.
 func NewSlab(specs []Spec, groups int) *Slab {
-	s := &Slab{specs: specs, off: make([]int, len(specs)+1)}
-	for si, sp := range specs {
-		s.off[si+1] = s.off[si] + len(sp.Prims())
+	s := &Slab{off: make([]int, 0, len(specs)+1)}
+	s.Reset(specs, groups)
+	return s
+}
+
+// Reset makes s the slab NewSlab(specs, groups) returns, in the memory s
+// holds: each lane keeps the arrays its new primitive uses where they hold
+// groups slots, and a nil or too-small one is allocated. The first groups
+// slots of a count or sum array are cleared; every slot an extremum, a
+// sketch or a set held is cleared, in every lane, so no state of s's
+// previous use survives the reset or is pinned by it. The arrays s keeps
+// are those of the largest use it served.
+func (s *Slab) Reset(specs []Spec, groups int) {
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		clear(l.vals)
+		clear(l.hlls)
+		clear(l.sets)
 	}
-	s.lanes = make([]lane, 0, s.off[len(specs)])
+	s.specs, s.groups = specs, groups
+	s.off = append(s.off[:0], 0)
 	for _, sp := range specs {
-		for _, p := range sp.Prims() {
-			s.lanes = append(s.lanes, lane{prim: p, star: sp.Star()})
+		s.off = append(s.off, s.off[len(s.off)-1]+len(sp.Prims()))
+	}
+	width := s.off[len(specs)]
+	if width > cap(s.lanes) {
+		s.lanes = append(s.lanes[:cap(s.lanes)], make([]lane, width-cap(s.lanes))...)
+	}
+	s.lanes = s.lanes[:width]
+	for si, sp := range specs {
+		for j, p := range sp.Prims() {
+			s.lanes[s.off[si]+j].reset(p, sp.Star(), groups)
 		}
 	}
-	s.grow(groups)
-	return s
+}
+
+// reset empties the lane for n groups of primitive p. Its pointer arrays
+// hold no state (Reset cleared every slot a state was written to), so they
+// are only resliced.
+func (l *lane) reset(p Prim, star bool, n int) {
+	*l = lane{prim: p, star: star,
+		ints: l.ints[:0], floats: l.floats[:0], flags: l.flags[:0],
+		vals: l.vals[:0], hlls: l.hlls[:0], sets: l.sets[:0]}
+	switch p {
+	case PCount:
+		l.ints = zeroed(l.ints, n)
+	case PSum:
+		l.ints, l.floats, l.flags = zeroed(l.ints, n), zeroed(l.floats, n), zeroed(l.flags, n)
+	case PSumSq:
+		l.floats, l.flags = zeroed(l.floats, n), zeroed(l.flags, n)
+	case PMin, PMax:
+		l.vals = slots(l.vals, n)
+	case PHLL:
+		l.hlls = slots(l.hlls, n)
+	case PSet:
+		l.sets = slots(l.sets, n)
+	}
+}
+
+// slots returns a's first n slots, or a new array of n when a has fewer.
+func slots[T any](a []T, n int) []T {
+	if cap(a) < n {
+		return make([]T, n)
+	}
+	return a[:n]
+}
+
+// zeroed is slots with the n slots cleared.
+func zeroed[T any](a []T, n int) []T {
+	a = slots(a, n)
+	clear(a)
+	return a
 }
 
 // grow appends n empty groups to every lane.

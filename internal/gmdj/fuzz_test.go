@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -194,6 +195,13 @@ func fuzzBase(t *testing.T, detail *relation.Relation, shape int) {
 		}
 		if d := exactRows(want, got); d != "" {
 			t.Fatalf("π_%v WHERE %s: base-values paths diverge: %s", cols, where, d)
+		}
+		framed, err := new(Chain).EvalBaseFrame(batch, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boxed := relation.AppendFrame(nil, got); !bytes.Equal(framed.Bytes(), boxed) {
+			t.Fatalf("π_%v WHERE %s: the base framed from the lanes is not the frame of its rows", cols, where)
 		}
 	}
 }

@@ -167,12 +167,20 @@ func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, 
 }
 
 // Chain evaluates the operators of one request — its fused base filter and
-// the locally chained rounds of a synchronization-reduced plan — keeping
-// each vectorized worker's lane and selection buffers from one operator,
-// and one request, to the next: an operator writes every lane it reads.
-// The zero value is ready to use; a Chain is not safe for concurrent use.
+// the locally chained rounds of a synchronization-reduced plan — and keeps
+// their working memory from one operator, and one request, to the next:
+// each vectorized worker's lane and selection buffers, which an operator
+// writes before it reads them, and the operators' states. Operator i of a
+// request takes the chain's slab i and match counts i, reset for its specs
+// and base, so a request's states are distinct from one another and reuse
+// the arrays of the largest request the chain served. Rewind starts the
+// next request. The zero value is ready to use; a Chain is not safe for
+// concurrent use.
 type Chain struct {
 	workers []vecWorker
+	slabs   []*agg.Slab
+	matched [][]int64
+	next    int // the request's operators so far: the next takes slabs[next]
 }
 
 // grow returns the chain's first n workers, adding empty ones as needed;
@@ -182,6 +190,30 @@ func (c *Chain) grow(n int) []vecWorker {
 		c.workers = append(c.workers, vecWorker{})
 	}
 	return c.workers[:n]
+}
+
+// Rewind starts a request: its operators take the chain's states from the
+// first on, so whatever the previous request's operators left in them is
+// overwritten.
+func (c *Chain) Rewind() { c.next = 0 }
+
+// states returns the next operator's empty states for specs over groups
+// base rows: its slab and its match counts.
+func (c *Chain) states(specs []agg.Spec, groups int) (*agg.Slab, []int64) {
+	if c.next == len(c.slabs) {
+		c.slabs, c.matched = append(c.slabs, new(agg.Slab)), append(c.matched, nil)
+	}
+	s, m := c.slabs[c.next], c.matched[c.next]
+	s.Reset(specs, groups)
+	if cap(m) < groups {
+		m = make([]int64, groups)
+	} else {
+		m = m[:groups]
+		clear(m)
+	}
+	c.matched[c.next] = m
+	c.next++
+	return s, m
 }
 
 // EvalSub is the package-level EvalSub with the chain's scratch: the
@@ -205,7 +237,10 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 // EvalStates evaluates md over the detail batch like EvalSub but boxes
 // nothing: it returns the primitive states, group i of the slab answering
 // base row i, and each base row's detail match count over every θ_i (what
-// Touched appends). Of opts it reads only how the evaluation runs.
+// Touched appends). Both are the chain's memory: they stay valid until
+// the chain's next request starts (Rewind), and the request's later
+// operators take states of their own. Of opts it reads only how the
+// evaluation runs.
 func (c *Chain) EvalStates(b *relation.Relation, detail *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
 	if err := md.Validate(b.Schema, detail.Schema); err != nil {
 		return nil, nil, err

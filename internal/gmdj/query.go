@@ -180,23 +180,7 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 // the same first-seen scan order (the coordinator merges fragments, and
 // gob encodes them, in that order).
 func (c *Chain) EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
-	sel := batch.AllLanes()
-	if def.Where != nil {
-		ws := &c.grow(1)[0]
-		ws.scratch.Reset()
-		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &ws.scratch)
-		if err != nil {
-			return nil, fmt.Errorf("gmdj: base filter: %w", err)
-		}
-		if sel, err = prog.Filter(sel); err != nil {
-			return nil, fmt.Errorf("gmdj: base filter: %w", err)
-		}
-	}
-	ps, idx, err := batch.Schema.Project(def.Cols)
-	if err != nil {
-		return nil, err
-	}
-	lanes, err := vec.Distinct(batch, idx, sel)
+	ps, idx, lanes, err := c.baseLanes(batch, def)
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +189,46 @@ func (c *Chain) EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation
 		return nil, err
 	}
 	return &relation.Relation{Schema: ps, Rows: rows}, nil
+}
+
+// EvalBaseFrame is the frame of EvalBaseBatch's relation, byte for byte,
+// read from the batch's lanes: no row is boxed.
+func (c *Chain) EvalBaseFrame(batch *vec.Batch, def BaseDef) (*relation.Frame, error) {
+	ps, idx, lanes, err := c.baseLanes(batch, def)
+	if err != nil {
+		return nil, err
+	}
+	src, err := vec.FrameLanes(batch, idx, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return relation.EncodeFrame(ps, lanes.Len(), nil, src), nil
+}
+
+// baseLanes computes B_0 over the batch as its schema, the batch columns
+// it projects and the lanes holding its rows, in first-seen scan order.
+func (c *Chain) baseLanes(batch *vec.Batch, def BaseDef) (*relation.Schema, []int, vec.Sel, error) {
+	sel := batch.AllLanes()
+	if def.Where != nil {
+		ws := &c.grow(1)[0]
+		ws.scratch.Reset()
+		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &ws.scratch)
+		if err != nil {
+			return nil, nil, vec.Sel{}, fmt.Errorf("gmdj: base filter: %w", err)
+		}
+		if sel, err = prog.Filter(sel); err != nil {
+			return nil, nil, vec.Sel{}, fmt.Errorf("gmdj: base filter: %w", err)
+		}
+	}
+	ps, idx, err := batch.Schema.Project(def.Cols)
+	if err != nil {
+		return nil, nil, vec.Sel{}, err
+	}
+	lanes, err := vec.Distinct(batch, idx, sel)
+	if err != nil {
+		return nil, nil, vec.Sel{}, err
+	}
+	return ps, idx, lanes, nil
 }
 
 // EvalQuery evaluates the complete GMDJ expression against a single

@@ -49,8 +49,7 @@ func (c *Chain) evalVec(b *relation.Relation, batch *vec.Batch, md MD, opts SubO
 		return nil, nil, err
 	}
 
-	accs := agg.NewSlab(md.Specs(), len(b.Rows))
-	matched := make([]int64, len(b.Rows))
+	accs, matched := c.states(md.Specs(), len(b.Rows))
 
 	// Worker partitioning: each worker owns a contiguous range of base
 	// rows, so the accs/matched slots it writes are disjoint from every

@@ -1,9 +1,11 @@
 package gmdj
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -434,6 +436,59 @@ func TestVecMixedKeyViews(t *testing.T) {
 				}
 				if d := exactRows(want, got); d != "" {
 					t.Fatalf("trial %d W=%d cached=%v: %s", trial, workers, cached != nil, d)
+				}
+			}
+		}
+	}
+}
+
+// TestBaseFrameIsFrameOfRows: the base round's reply, framed from the
+// batch's lanes (EvalBaseFrame), is byte for byte the frame of the rows
+// EvalBaseBatch boxes (FrameOf over vec.Rows), over STRING, INT, FLOAT,
+// BOOL and NULL columns holding NULLs, with and without a base filter, one
+// that keeps nothing among them, on a fresh chain and on one that ran every
+// case before.
+func TestBaseFrameIsFrameOfRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	detail := randDetail(rng, 300)
+	schema, err := detail.Schema.Concat(relation.Column{Name: "N", Kind: value.KindNull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := relation.New(schema)
+	for i, row := range detail.Rows {
+		row = append(slices.Clone(row), value.Null)
+		if i%7 == 0 {
+			row[1] = value.Null // a NULL key in the STRING column
+		}
+		r.Rows = append(r.Rows, row)
+	}
+	batch, err := vec.FromRelation(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := new(Chain)
+	for _, cols := range [][]string{{"G"}, {"K", "G"}, {"Q", "P", "N"}, {"G", "K", "Q", "P", "Flag", "N"}} {
+		for _, where := range []string{"", "F.Q > 0 AND F.G <> 'beta'", "F.Q > 1000"} {
+			def := BaseDef{Cols: cols}
+			if where != "" {
+				def.Where = expr.MustParse(where)
+			}
+			rows, err := new(Chain).EvalBaseBatch(batch, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := relation.FrameOf(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []*Chain{new(Chain), used} {
+				got, err := c.EvalBaseFrame(batch, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("π_%v WHERE %q: framed from the lanes\n% x\nfrom the rows\n% x", cols, where, got.Bytes(), want.Bytes())
 				}
 			}
 		}

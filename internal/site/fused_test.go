@@ -79,7 +79,10 @@ func replyRel(tb testing.TB, resp *transport.Response) *relation.Relation {
 
 // TestFusedAllocsDoNotScaleWithDetail guards the columnar base-values path:
 // once the batch and its memoized groupings are warm, a fused 200-group
-// request allocates per group and per round, never per detail row.
+// request allocates per group and per round, never per detail row. Under
+// the race detector sync.Pool drops a quarter of the chains put back, and
+// each request that finds none builds a chain's buffers and states anew,
+// so the mean is taken over enough requests for those draws to even out.
 func TestFusedAllocsDoNotScaleWithDetail(t *testing.T) {
 	plain := fusedRequest("")
 	conditional := fusedRequest("")
@@ -91,7 +94,7 @@ func TestFusedAllocsDoNotScaleWithDetail(t *testing.T) {
 			if got := replyRel(t, handleOK(t, e, req)).Len(); got != 200 {
 				t.Fatalf("%s, %d rows: %d groups, want 200", name, rows, got)
 			}
-			return testing.AllocsPerRun(20, func() { handleOK(t, e, req) })
+			return testing.AllocsPerRun(100, func() { handleOK(t, e, req) })
 		}
 		small, large := allocs(6000), allocs(24000)
 		if large > small*1.1 {

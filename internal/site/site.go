@@ -359,25 +359,25 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 	}
 }
 
-// baseValues computes the base-values query B_0 req defines over rels'
-// detail relation, on chain's buffers. The detail is req.Detail, else the
-// first round's.
-func (e *Engine) baseValues(chain *gmdj.Chain, rels map[string]stored, req *transport.Request) (*relation.Relation, error) {
+// baseDef returns the detail batch and the definition of the base-values
+// query B_0 req defines over rels. The detail is req.Detail, else the first
+// round's.
+func (e *Engine) baseDef(rels map[string]stored, req *transport.Request) (*vec.Batch, gmdj.BaseDef, error) {
 	name := req.Detail
 	if name == "" && len(req.Rounds) > 0 {
 		name = req.Rounds[0].Detail
 	}
 	detail, err := e.batch(rels, name)
 	if err != nil {
-		return nil, err
+		return nil, gmdj.BaseDef{}, err
 	}
 	def := gmdj.BaseDef{Cols: req.BaseCols}
 	if req.BaseWhere != "" {
 		if def.Where, err = expr.Parse(req.BaseWhere); err != nil {
-			return nil, fmt.Errorf("base filter: %w", err)
+			return nil, def, fmt.Errorf("base filter: %w", err)
 		}
 	}
-	return chain.EvalBaseBatch(detail, def)
+	return detail, def, nil
 }
 
 // evalRounds runs zero or more GMDJ rounds locally. With req.Base set the
@@ -396,25 +396,33 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	start := time.Now()
 	shipped := req.ShipsBase()
 	// One chain for the request: its fused base filter and locally chained
-	// rounds share each kernel worker's buffers.
+	// rounds share each kernel worker's buffers, and each round takes the
+	// chain's next slab and match counts, reset for it (Rewind starts this
+	// request's rounds at the first). The reply is framed out of them
+	// before the chain goes back.
 	chain := e.chains.Get().(*gmdj.Chain)
 	defer e.chains.Put(chain)
+	chain.Rewind()
 
 	// One version of the stored relations for the whole request: a Load or
 	// drop racing it cannot swap a relation between its rounds.
 	rels := e.relations()
 	base := req.Base
 	if len(req.BaseCols) > 0 {
-		var err error
-		if base, err = e.baseValues(chain, rels, req); err != nil {
+		detail, def, err := e.baseDef(rels, req)
+		if err != nil {
 			return nil, err
 		}
 		if len(req.Rounds) == 0 {
-			out, err := relation.FrameOf(base)
+			out, err := chain.EvalBaseFrame(detail, def)
 			if err != nil {
 				return nil, err
 			}
 			return e.framed(out, nil, prof, start)
+		}
+		// The fused rounds' kernels read the base as rows.
+		if base, err = chain.EvalBaseBatch(detail, def); err != nil {
+			return nil, err
 		}
 	}
 	if base == nil || base.Schema == nil {

@@ -204,6 +204,24 @@ func (b *Batch) run(sel []int32) (lo int, ok bool) {
 	return len(all) - c, true
 }
 
+// checkRead validates that the lanes sel selects of the columns cols can
+// be read: the batch is well formed, sel was made for it, and it holds
+// every column.
+func (b *Batch) checkRead(cols []int, sel Sel) error {
+	if err := b.Check(); err != nil {
+		return err
+	}
+	if err := b.owns(sel); err != nil {
+		return err
+	}
+	for _, ci := range cols {
+		if err := b.checkCol(ci); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // checkCol validates that ci names a column the batch holds lanes for.
 func (b *Batch) checkCol(ci int) error {
 	if ci < 0 || ci >= len(b.Cols) {
@@ -290,16 +308,8 @@ func ToRelation(b *Batch) (*relation.Relation, error) {
 // Rows boxes the selected lanes of the given columns into rows, in
 // selection order.
 func Rows(b *Batch, cols []int, sel Sel) ([]relation.Row, error) {
-	if err := b.Check(); err != nil {
+	if err := b.checkRead(cols, sel); err != nil {
 		return nil, err
-	}
-	if err := b.owns(sel); err != nil {
-		return nil, err
-	}
-	for _, ci := range cols {
-		if err := b.checkCol(ci); err != nil {
-			return nil, err
-		}
 	}
 	rows := relation.MakeRows(sel.Len(), len(cols))
 	for i, lane := range sel.lanes {
@@ -310,6 +320,33 @@ func Rows(b *Batch, cols []int, sel Sel) ([]relation.Row, error) {
 		rows[i] = row
 	}
 	return rows, nil
+}
+
+// FrameLanes returns the selected lanes of the given columns as the lane
+// sources of a frame (relation.EncodeFrame), in selection order: the frame
+// of Rows(b, cols, sel), read from the columns in place.
+func FrameLanes(b *Batch, cols []int, sel Sel) ([]relation.LaneSource, error) {
+	if err := b.checkRead(cols, sel); err != nil {
+		return nil, err
+	}
+	ls, lanes := make([]selLane, len(cols)), make([]relation.LaneSource, len(cols))
+	for j, ci := range cols {
+		ls[j] = selLane{&b.Cols[ci], sel.lanes}
+		lanes[j] = &ls[j]
+	}
+	return lanes, nil
+}
+
+// selLane is a column at a selection as a lane source.
+type selLane struct {
+	col   *Col
+	lanes []int32
+}
+
+func (l *selLane) Values(dst []value.V, from int, _ bool) {
+	for k, lane := range l.lanes[from : from+len(dst)] {
+		dst[k] = l.col.Value(int(lane))
+	}
 }
 
 // hashLanes returns, for each lane, the chained value hash of the key

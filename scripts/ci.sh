@@ -58,8 +58,10 @@ go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./i
 # served hedges, whose losing pooled clients are lent again, a connection
 # lost between rounds and redialed by the retry layer under its pool,
 # clients, a replica armed with a fault schedule among them, that stay
-# closed once closed, and O1's site filter past 2^53.
-go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed|TestRoundBoundaryConnectionLoss|TestDeployedClientCloseIsFinal|TestSiteFilterPast2To53)' ./skalla
+# closed once closed, O1's site filter past 2^53, and concurrent served
+# queries, whose requests share each site engine's pooled chains (their
+# kernel buffers, slabs and match counts) end to end.
+go test -race -count=20 -run '^(TestAdmission|TestSharedClusterExactBytes|TestSharedClusterCancelIsolation|TestTreeCluster|TestConnectWithHedgedDeadPrimary|TestPlacementReachesEveryReplica|TestServeHedgesAttributed|TestRoundBoundaryConnectionLoss|TestDeployedClientCloseIsFinal|TestSiteFilterPast2To53|TestServeConcurrentE2E)' ./skalla
 
 echo "== fuzz smoke (expression parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/expr
