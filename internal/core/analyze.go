@@ -23,9 +23,7 @@ type AnalyzeOptions struct {
 // QueryID-tagged execution includes each site's self-reported engine,
 // kernel rows, and outcome. Without AnalyzeOptions.Timing the output
 // contains no clock readings and is deterministic across runs of the same
-// query on the same data, up to the exact wire byte counts (responses
-// carry varint-encoded timing fields, so their measured size can shift by
-// a few bytes run to run).
+// query on the same data, its exact wire byte counts included.
 func RenderAnalyze(plan *Plan, stats *ExecStats, opt AnalyzeOptions) string {
 	var b strings.Builder
 	b.WriteString(plan.Explain())

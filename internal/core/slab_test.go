@@ -164,7 +164,7 @@ func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[strin
 // from as many sites.
 func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment, replies []*transport.Response) (*relation.Relation, error) {
 	var rs RoundStats
-	c := &Coordinator{clients: make([]transport.Client, len(replies))}
+	c := &Coordinator{clients: namedClients(len(replies))}
 	m, _, err := c.synchronize(x, streamOf(replies), step, ships, &rs, false)
 	if err != nil {
 		return nil, err

@@ -217,7 +217,7 @@ func fuzzBase(t *testing.T, detail *relation.Relation, shape int) {
 func fuzzDetail(rng *rand.Rand, n int) *relation.Relation {
 	const p53 = 1 << 53
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
-		p53, -p53, p53 - 1, p53 + 2, -p53 - 2, 2.5, -0.5}
+		p53, -p53, p53 - 1, p53 + 2, -p53 - 2, 2.5, -0.5, 0x1p63, -0x1p63}
 	ints := []int64{math.MinInt64, math.MaxInt64, p53, -p53, p53 + 1, -p53 - 1, p53 - 1, 2, -1}
 	r := randDetail(rng, n)
 	for i := range r.Rows {

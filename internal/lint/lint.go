@@ -1,9 +1,7 @@
 // Package lint is Skalla's first-party static-analysis suite. It enforces
 // the correctness invariants PR 1 made load-bearing but that the compiler
 // cannot see: context flow (cancellation and deadlines must thread through
-// every site call), wire safety (everything crossing the gob wire must
-// survive the round trip, or Theorem 2's byte accounting silently lies),
-// determinism (seeded randomness and order-stable output in packages whose
+// every site call), determinism (seeded randomness and order-stable output in packages whose
 // results must reproduce), and error flow (errors crossing package
 // boundaries must stay inspectable so failover can tell retryable from
 // fatal).
@@ -30,9 +28,6 @@
 //	//lint:wrap-errors
 //	    Tags the enclosing FILE for errflow: fmt.Errorf calls that
 //	    format an error argument must wrap it with %w.
-//	//lint:wireroot
-//	    On a struct type declaration: marks the type as a gob wire root
-//	    whose transitive field graph wiresafe audits.
 //	//lint:guarded-by <mu>
 //	    On a struct field (or package-level variable) declaration: the
 //	    field may only be accessed while the named mutex — a sibling
@@ -153,8 +148,8 @@ type Suppressions struct {
 //
 //	x := risky() //lint:ignore detrand seeded in TestMain
 //
-//	//lint:ignore wiresafe derived, rebuilt after decode
-//	index map[string]int
+//	//lint:ignore lockguard read before the value is shared
+//	n := s.count
 func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 	s := &Suppressions{fset: fset, byLine: map[string]map[int][]*ignoreDirective{}}
 	for _, f := range files {
@@ -220,22 +215,6 @@ func fileHasDirective(f *ast.File, name string) bool {
 			if text == want || strings.HasPrefix(text, want+" ") {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// commentHasDirective reports whether a specific comment group carries the
-// directive — used for declaration-anchored directives like wireroot.
-func commentHasDirective(cg *ast.CommentGroup, name string) bool {
-	if cg == nil {
-		return false
-	}
-	want := directivePrefix + name
-	for _, c := range cg.List {
-		text := strings.TrimSpace(c.Text)
-		if text == want || strings.HasPrefix(text, want+" ") {
-			return true
 		}
 	}
 	return false
@@ -324,5 +303,5 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, WireSafe, DetRand, ErrFlow, LockGuard, LockOrder, GoLeak}
+	return []*Analyzer{CtxFlow, DetRand, ErrFlow, LockGuard, LockOrder, GoLeak}
 }

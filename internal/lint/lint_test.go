@@ -46,7 +46,6 @@ func runTestdata(t *testing.T, dir string, analyzers ...*Analyzer) {
 }
 
 func TestCtxFlow(t *testing.T)   { runTestdata(t, "testdata/src/ctxflow", CtxFlow) }
-func TestWireSafe(t *testing.T)  { runTestdata(t, "testdata/src/wiresafe", WireSafe) }
 func TestDetRand(t *testing.T)   { runTestdata(t, "testdata/src/detrand", DetRand) }
 func TestErrFlow(t *testing.T)   { runTestdata(t, "testdata/src/errflow", ErrFlow) }
 func TestLockGuard(t *testing.T) { runTestdata(t, "testdata/src/lockguard", LockGuard) }
@@ -103,9 +102,9 @@ func f() {
 	if !sup.Suppressed(ok) {
 		t.Errorf("well-formed directive did not suppress a same-analyzer diagnostic")
 	}
-	other := Diagnostic{Analyzer: "wiresafe", Pos: posOfLine(fset, f, 9)}
+	other := Diagnostic{Analyzer: "detrand", Pos: posOfLine(fset, f, 9)}
 	if sup.Suppressed(other) {
-		t.Errorf("directive for ctxflow suppressed a wiresafe diagnostic")
+		t.Errorf("directive for ctxflow suppressed a detrand diagnostic")
 	}
 }
 
@@ -140,7 +139,7 @@ func TestModuleClean(t *testing.T) {
 // TestAnalyzerMetadata pins the suite's names, which LINT.md and
 // //lint:ignore directives refer to.
 func TestAnalyzerMetadata(t *testing.T) {
-	want := []string{"ctxflow", "wiresafe", "detrand", "errflow", "lockguard", "lockorder", "goleak"}
+	want := []string{"ctxflow", "detrand", "errflow", "lockguard", "lockorder", "goleak"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

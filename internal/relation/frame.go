@@ -221,10 +221,8 @@ func appendLane(dst []byte, src LaneSource, n, rows int, kept []byte, run []valu
 	return dst, l
 }
 
-// ErrMalformed marks the relations gob cannot carry: on encoding, one that
-// fails Validate; on decoding, bytes ReadFrame refuses. gob reports either
-// only once the whole message is consumed or before any of it is written,
-// so a stream that reports it is still in sync.
+// ErrMalformed marks the relations that have no frame: on encoding, one
+// that fails Validate; on decoding, bytes DecodeFrame refuses.
 var ErrMalformed = errors.New("malformed relation")
 
 // frameScratch is what EncodeFrame builds a frame in: its bytes, and a run
@@ -236,25 +234,6 @@ type frameScratch struct {
 
 // frameBufs holds the scratch EncodeFrame builds frames in.
 var frameBufs = sync.Pool{New: func() any { return new(frameScratch) }}
-
-// GobEncode makes a relation's gob encoding its frame.
-func (r *Relation) GobEncode() ([]byte, error) {
-	f, err := FrameOf(r)
-	if err != nil {
-		return nil, err
-	}
-	return f.b, nil
-}
-
-// GobDecode sets r to the relation a frame carries.
-func (r *Relation) GobDecode(b []byte) error {
-	fr, err := ReadFrame(b)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrMalformed, err)
-	}
-	*r = *fr
-	return nil
-}
 
 // ReadFrame decodes a frame from anywhere into a relation (Frame.Relation).
 func ReadFrame(b []byte) (*Relation, error) {
@@ -339,9 +318,6 @@ func (f *Frame) Len() int { return f.n }
 // caller must not modify it.
 func (f *Frame) Bytes() []byte { return f.b[:len(f.b):len(f.b)] }
 
-// GobEncode makes a frame's gob encoding its bytes, as a relation's is.
-func (f *Frame) GobEncode() ([]byte, error) { return f.b, nil }
-
 // Lane calls fn with each row's value of column j, in row order, until fn
 // fails. Values are built on the stack; a STRING lane's share one string.
 func (f *Frame) Lane(j int, fn func(i int, v value.V) error) error {
@@ -409,18 +385,8 @@ func (f *Frame) Rows(cols []int, extra int) []Row {
 	return rows
 }
 
-// GobDecode sets f to a copy of the frame b holds, which gob may reuse.
-func (f *Frame) GobDecode(b []byte) error {
-	fr, err := DecodeFrame(bytes.Clone(b))
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrMalformed, err)
-	}
-	*f = *fr
-	return nil
-}
-
-// frameReader walks a frame. Like encoding/gob's decoder it reports a bad
-// frame by panicking with a frameError, for DecodeFrame to recover.
+// frameReader walks a frame. It reports a bad frame by panicking with a
+// frameError, for DecodeFrame to recover.
 type frameReader struct {
 	b   []byte
 	off int

@@ -9,7 +9,6 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -304,10 +303,7 @@ func integralKey(v value.V) (int64, bool) {
 	case value.KindBool, value.KindInt:
 		return v.Int(), true
 	case value.KindFloat:
-		if f := v.Float(); f == math.Trunc(f) && !math.IsInf(f, 0) &&
-			f >= math.MinInt64 && f <= math.MaxInt64 {
-			return int64(f), true
-		}
+		return value.IntegralFloat(v.Float())
 	}
 	return 0, false
 }

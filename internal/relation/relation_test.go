@@ -53,13 +53,17 @@ func TestSchemaLookup(t *testing.T) {
 	}
 }
 
-// TestSchemaLookupAfterGob: a schema that arrived over the wire answers
+// TestSchemaLookupAfterFrame: a schema that arrived over the wire answers
 // lookups from many goroutines at once — a site engine stores decoded
 // relations and concurrent queries bind against them. Run under -race: an
 // index built lazily on first lookup raced here.
-func TestSchemaLookupAfterGob(t *testing.T) {
+func TestSchemaLookupAfterFrame(t *testing.T) {
 	ref := testSchema(t)
-	s := gobRoundTrip(t, New(ref)).Schema
+	r, err := ReadFrame(AppendFrame(nil, New(ref)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.Schema
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -256,6 +260,7 @@ func TestKeysEqualIsKeyEquality(t *testing.T) {
 		f(0), f(math.Copysign(0, -1)), i(0), i(1), f(1), f(1.5), value.NewBool(true), value.NewBool(false),
 		i(1<<53 + 1), f(1 << 53), i(1 << 53), f(math.Inf(1)), f(math.Inf(-1)),
 		s(""), s("1"), s("a"), s("NaN"),
+		f(0x1p63), f(-0x1p63), i(math.MinInt64), i(math.MaxInt64),
 	}
 	for _, a := range vals {
 		for _, b := range vals {
@@ -267,6 +272,10 @@ func TestKeysEqualIsKeyEquality(t *testing.T) {
 				t.Errorf("SameKey(%#v, %#v) = %v, Key() equality %v", a, b, got, want)
 			}
 		}
+	}
+	// The float 2^63 is no int64: it keys apart from MinInt64 and −2^63.
+	if SameKey(f(0x1p63), i(math.MinInt64)) || SameKey(f(0x1p63), f(-0x1p63)) || !SameKey(f(-0x1p63), i(math.MinInt64)) {
+		t.Error("SameKey does not key 2^63 apart from MinInt64 and −2^63, or keys −2^63 apart from MinInt64")
 	}
 	// Two columns: every column must match.
 	if KeysEqual(Row{i(1), f(math.NaN())}, []int{0, 1}, Row{f(1), f(2.5)}, []int{0, 1}) {

@@ -1,12 +1,9 @@
 package site
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/gob"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -17,10 +14,9 @@ import (
 	"repro/internal/vec"
 )
 
-// goldenSnapshot was written by an engine that kept every relation's boxed
-// rows beside its batch: site "site0" holding goldenRel() loaded as
-// "Orders". One relation, so gob's map order cannot vary.
-const goldenSnapshot = "testdata/site0-v2.snap"
+// goldenSnapshot is a format-3 snapshot of site "site0" holding
+// goldenRel() loaded as "Orders".
+const goldenSnapshot = "testdata/site0-v3.snap"
 
 // goldenRel has a column of every kind, NULLs in each, and repeated, empty
 // and prefix-sharing strings.
@@ -50,31 +46,10 @@ func goldenRel() *relation.Relation {
 	return r
 }
 
-// goldenChildDir, when set in the environment, makes TestSnapshotGolden
-// the child that writes its snapshots into that directory.
-const goldenChildDir = "SKALLA_SNAPSHOT_GOLDEN_DIR"
-
-// TestSnapshotGolden: the snapshot format did not move when sites stopped
-// keeping boxed rows. The golden restores to goldenRel, the restored
-// engine writes it back byte for byte, and so does an engine that loaded
-// goldenRel. gob numbers types per process in the order it first meets
-// them, so the snapshots are written by a fresh process, as the golden was.
+// TestSnapshotGolden: the snapshot format does not move. The golden
+// restores to goldenRel, the restored engine writes it back byte for byte,
+// and so does an engine that loaded goldenRel.
 func TestSnapshotGolden(t *testing.T) {
-	if dir := os.Getenv(goldenChildDir); dir != "" {
-		restored := NewEngine("site0")
-		if err := restored.Restore(goldenSnapshot); err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Snapshot(filepath.Join(dir, "restored.snap")); err != nil {
-			t.Fatal(err)
-		}
-		loaded := NewEngine("site0")
-		loaded.Load("Orders", goldenRel())
-		if err := loaded.Snapshot(filepath.Join(dir, "loaded.snap")); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	restored := NewEngine("site0")
 	if err := restored.Restore(goldenSnapshot); err != nil {
 		t.Fatal(err)
@@ -91,23 +66,24 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Errorf("the golden restored to a relation other than goldenRel")
 	}
 
-	dir := t.TempDir()
-	child := exec.Command(os.Args[0], "-test.run=^TestSnapshotGolden$", "-test.count=1")
-	child.Env = append(os.Environ(), goldenChildDir+"="+dir)
-	if out, err := child.CombinedOutput(); err != nil {
-		t.Fatalf("child: %v\n%s", err, out)
-	}
+	loaded := NewEngine("site0")
+	loaded.Load("Orders", goldenRel())
 	want, err := os.ReadFile(goldenSnapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"restored.snap", "loaded.snap"} {
-		got, err := os.ReadFile(filepath.Join(dir, name))
+	dir := t.TempDir()
+	for name, e := range map[string]*Engine{"restored": restored, "loaded": loaded} {
+		path := filepath.Join(dir, name+".snap")
+		if err := e.Snapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs from the golden:\n got %x\nwant %x", name, got, want)
+			t.Errorf("the %s engine's snapshot differs from the golden:\n got %x\nwant %x", name, got, want)
 		}
 	}
 }
@@ -139,14 +115,11 @@ func TestRestoreRefusesIllTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bufio.NewWriter(f)
-	if err := gob.NewEncoder(w).Encode(&snapshotFile{Magic: snapshotMagic, SiteID: "s1", Rels: map[string]*relation.Relation{
-		"good": flowRel(testFlow...),
-		"bad":  mixedFlow(),
-	}}); err != nil {
+	b, err := appendSnapshot(nil, map[string]*relation.Relation{"good": flowRel(testFlow...), "bad": mixedFlow()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if _, err := f.Write(b); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

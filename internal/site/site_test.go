@@ -1,7 +1,6 @@
 package site
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -429,7 +428,8 @@ type v1Relation struct {
 }
 
 // TestRestoreRefusesV1Snapshot: a format-1 snapshot is refused whole, by an
-// error naming its path, and the engine keeps the relations it had.
+// error naming its path, and the engine keeps the relations it had. So is
+// the format-2 golden, which held each relation's frame in a gob stream.
 func TestRestoreRefusesV1Snapshot(t *testing.T) {
 	flow := flowRel(testFlow...)
 	old := v1Snapshot{Magic: "skalla-site-snapshot-v1", SiteID: "s1", Rels: map[string]*v1Relation{
@@ -446,50 +446,12 @@ func TestRestoreRefusesV1Snapshot(t *testing.T) {
 	f.Close()
 
 	e := loadedEngine(t)
-	if err := e.Restore(path); err == nil || !strings.Contains(err.Error(), path) {
-		t.Errorf("restoring a v1 snapshot: %v, want an error naming %s", err, path)
-	}
-	if names := e.RelationNames(); len(names) != 1 || names[0] != "flow" {
-		t.Errorf("after the refused restore the engine holds %v, want [flow]", names)
-	}
-}
-
-// prevProtocolRequest is a request of the protocol that still carried the
-// recovery tags Epoch and DeadlineNs.
-type prevProtocolRequest struct {
-	Op         transport.Op
-	Detail     string
-	BaseCols   []string
-	Epoch      string
-	Round      int
-	DeadlineNs int64
-}
-
-// TestPreviousProtocolRequestEvaluates: a request from a coordinator of the
-// previous protocol, tagged with an epoch and stamped "already expired",
-// decodes on this site with both tags skipped and is evaluated to the
-// answer an untagged request gets: the site reads no deadline off the
-// wire, so it sheds nothing.
-func TestPreviousProtocolRequestEvaluates(t *testing.T) {
-	e := loadedEngine(t)
-	old := &prevProtocolRequest{
-		Op: transport.OpEvalRounds, Detail: "flow", BaseCols: []string{"SourceAS", "DestAS"},
-		Epoch: "e1", Round: 1, DeadlineNs: -1,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	var req transport.Request
-	if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
-		t.Fatalf("decode a previous-protocol request: %v", err)
-	}
-	got := e.Handle(context.Background(), &req)
-	if err := got.Error(); err != nil {
-		t.Fatalf("previous-protocol request not evaluated: %v", err)
-	}
-	want := e.Handle(context.Background(), &transport.Request{Op: old.Op, Detail: old.Detail, BaseCols: old.BaseCols})
-	if want.Error() != nil || !reflect.DeepEqual(replyRel(t, got).Rows, replyRel(t, want).Rows) {
-		t.Errorf("previous-protocol request answered %v, an untagged one %v (%v)", replyRel(t, got).Rows, replyRel(t, want).Rows, want.Error())
+	for _, path := range []string{path, "testdata/site0-v2.snap"} {
+		if err := e.Restore(path); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a skalla-site-snapshot-v3 file") {
+			t.Errorf("restoring %s: %v, want an error naming it and the format", path, err)
+		}
+		if names := e.RelationNames(); len(names) != 1 || names[0] != "flow" {
+			t.Errorf("after the refused restore the engine holds %v, want [flow]", names)
+		}
 	}
 }

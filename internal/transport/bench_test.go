@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -15,14 +14,9 @@ func BenchmarkLocalRoundTrip(b *testing.B) {
 	c := pipeRetry("s", newEchoHandler(), nil)
 	defer c.Close()
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(200)}
-	// The first exchange carries gob's type preamble; the second is the
-	// size of every timed one.
-	var d Delta
-	for i := 0; i < 2; i++ {
-		var err error
-		if _, d, err = Exchange(context.Background(), c, req); err != nil {
-			b.Fatal(err)
-		}
+	_, d, err := Exchange(context.Background(), c, req)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.SetBytes(d.Sent)
 	b.ResetTimer()
@@ -93,29 +87,47 @@ func codecShapes() (req *Request, resp *Response) {
 	return &Request{Op: OpEvalRounds, Base: base}, &Response{Rel: states}
 }
 
-// BenchmarkRelationCodec encodes and decodes one message on a persistent
-// gob stream, as a warm TCP connection does, and reports the message's wire
-// bytes.
+// BenchmarkRelationCodec encodes and decodes one message of the envelope,
+// as a connection does, and reports the message's wire bytes.
 func BenchmarkRelationCodec(b *testing.B) {
 	req, resp := codecShapes()
-	b.Run("request", func(b *testing.B) { benchCodec(b, req) })
-	b.Run("reply", func(b *testing.B) { benchCodec(b, resp) })
+	b.Run("request", func(b *testing.B) {
+		benchCodec(b, func(e *codec) error { return encodeRequest(e, req) }, func(body []byte) error {
+			_, err := decodeRequest(body)
+			return err
+		})
+	})
+	b.Run("reply", func(b *testing.B) {
+		benchCodec(b, func(e *codec) error { encodeResponse(e, resp); return nil }, func(body []byte) error {
+			_, err := decodeResponse(body)
+			return err
+		})
+	})
 }
 
-func benchCodec[T any](b *testing.B, msg *T) {
+func benchCodec(b *testing.B, encode func(*codec) error, decode func([]byte) error) {
 	var stream bytes.Buffer
-	enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
 	round := func() int {
-		if err := enc.Encode(msg); err != nil {
-			b.Fatal(err)
+		e := newMessage()
+		defer e.free()
+		err := encode(e)
+		if err == nil {
+			err = e.finish()
 		}
+		stream.Write(e.b)
 		n := stream.Len()
-		if err := dec.Decode(new(T)); err != nil {
+		var body []byte
+		if err == nil {
+			body, err = readMessage(&stream)
+		}
+		if err == nil {
+			err = decode(body)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 		return n
 	}
-	round() // the stream's type descriptors
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
@@ -133,7 +145,7 @@ func BenchmarkPoolCall(b *testing.B) {
 	p := NewPool("s", 4, func() Client { return pipeRetry("s", h, nil) }, nil)
 	defer p.Close()
 	req := &Request{Op: OpPing}
-	// Warm the pooled connection past gob's type preamble.
+	// Dial the pooled connection before the timer starts.
 	if _, _, err := Exchange(context.Background(), p, req); err != nil {
 		b.Fatal(err)
 	}

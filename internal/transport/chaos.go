@@ -314,7 +314,7 @@ func (l *chaosLeaf) Call(ctx context.Context, req *Request) (*Response, error) {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("chaos: %s hung: %w", l.id, ctx.Err())
 		case <-l.closed:
-			return nil, fmt.Errorf("chaos: %s hung until close: %w", l.id, ErrInjected)
+			return nil, fmt.Errorf("chaos: %s hung until close: %w: %w", l.id, ErrInjected, ErrClosed)
 		}
 	}
 	if f.Drop || (f.Err != nil && !f.DropAfter) {

@@ -91,27 +91,3 @@ func charge(ctx context.Context, d Delta) {
 		m.add(d)
 	}
 }
-
-// countingWriter counts bytes written to an underlying writer.
-type countingWriter struct {
-	w interface{ Write([]byte) (int, error) }
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// countingReader counts bytes read from an underlying reader.
-type countingReader struct {
-	r interface{ Read([]byte) (int, error) }
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}

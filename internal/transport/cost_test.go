@@ -27,10 +27,6 @@ func TestConcurrentExchangesExact(t *testing.T) {
 	c := newReconnector("s", func() (Client, error) { return dialPipe("s", h, cost), nil }, 1, 0, nil, nil)
 	defer c.Close()
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(20)}
-	// The connection's first exchange carries gob's type preamble.
-	if _, err := c.Call(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
 	_, lone, err := Exchange(context.Background(), c, req)
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,18 @@
 package transport
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -37,17 +41,28 @@ func shortRow() *relation.Relation {
 	return r
 }
 
-// notAFrame gob-encodes as the bytes it holds: under the field name Base
-// it stands in for a relation whose frame does not decode.
-type notAFrame []byte
+// corruptFrame replaces, in the message msg, the relation framed as frame
+// with a frame cut short: version 1, then a column count and nothing more.
+func corruptFrame(t testing.TB, msg, frame []byte) []byte {
+	t.Helper()
+	field := append(binary.AppendUvarint(nil, uint64(len(frame))), frame...)
+	at := bytes.Index(msg, field)
+	if at < 0 {
+		t.Fatal("the message does not hold the frame")
+	}
+	out := append(append(bytes.Clone(msg[:at]), 2, 1, 1), msg[at+len(field):]...)
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-4))
+	return out
+}
 
-func (b notAFrame) GobEncode() ([]byte, error) { return b, nil }
-
-// corruptRequest is a Request whose Base is not a frame.
-type corruptRequest struct {
-	Op     Op
-	Base   notAFrame
-	Rounds []RoundSpec
+// frameOf is the frame of r.
+func frameOf(t testing.TB, r *relation.Relation) []byte {
+	t.Helper()
+	f, err := relation.FrameOf(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Bytes()
 }
 
 // TestMalformedRelationRefused: a relation that has no frame never reaches
@@ -78,13 +93,17 @@ func TestMalformedRelationRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-		// A frame cut short: version 1, then a column count and nothing more.
-		if err := enc.Encode(&corruptRequest{Op: OpEvalRounds, Base: notAFrame{1, 1}, Rounds: round}); err != nil {
+		// A request whose Base is not a frame, in a well-formed message.
+		good := message(t, &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round})
+		if _, err := conn.Write(corruptFrame(t, good, frameOf(t, sampleRelation(3)))); err != nil {
 			t.Fatal(err)
 		}
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
+		body, err := readMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := decodeResponse(body)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(resp.Err, "malformed relation") || !strings.Contains(resp.Err, "truncated") {
@@ -96,16 +115,15 @@ func TestMalformedRelationRefused(t *testing.T) {
 		if n := o.Metrics.CounterValue("transport.server.malformed"); n != 1 {
 			t.Errorf("transport.server.malformed = %d, want 1", n)
 		}
-		// gob consumed the whole message, so the connection serves on.
-		if err := enc.Encode(&Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round}); err != nil {
+		// The message was read whole, so the connection serves on.
+		if _, err := conn.Write(good); err != nil {
 			t.Fatal(err)
 		}
-		resp = Response{}
-		if err := dec.Decode(&resp); err != nil {
+		if body, err = readMessage(conn); err != nil {
 			t.Fatalf("the connection did not survive the corrupt frame: %v", err)
 		}
-		if resp.Err != "" || resp.Rel.Len() != 1 || h.calls.Load() != 1 {
-			t.Errorf("next request answered %+v after %d handler calls", resp, h.calls.Load())
+		if resp, err = decodeResponse(body); err != nil || resp.Err != "" || resp.frame.Len() != 1 || h.calls.Load() != 1 {
+			t.Errorf("next request answered %+v, %v after %d handler calls", resp, err, h.calls.Load())
 		}
 
 		// A client refuses to send a relation without a frame at all.
@@ -166,11 +184,12 @@ func TestMalformedRelationRefused(t *testing.T) {
 	})
 }
 
-// TestMalformedRelationFailsOnlyItsCall: gob reports a malformed relation
-// with the stream still in sync, so a request it refuses to encode, or a
-// reply whose frame does not decode, fails only its own call, and the next
-// call on the same connection is answered. Every byte the client wrote is
-// charged to one of the calls; a refused request writes none.
+// TestMalformedRelationFailsOnlyItsCall: a request is encoded whole before
+// it is written and a reply read whole before it is decoded, so a request
+// whose relation does not encode, or a reply whose frame does not decode,
+// fails only its own call, and the next call on the same connection is
+// answered. Every byte the client wrote or read is charged to one of the
+// calls; a refused request writes none.
 func TestMalformedRelationFailsOnlyItsCall(t *testing.T) {
 	ctx := context.Background()
 	round := []RoundSpec{{Detail: "flow", Aggs: [][]string{{"count(*) AS c"}}, Thetas: []string{"F.SourceAS = B.SourceAS"}}}
@@ -188,10 +207,12 @@ func TestMalformedRelationFailsOnlyItsCall(t *testing.T) {
 		{"a refused request", addr, &Request{Op: OpEvalRounds, Base: shortRow(), Rounds: round}, "row 0 has 1 values"},
 		{"a corrupt reply", serveCorruptOnce(t, sampleRelation(2)), &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round}, "truncated"},
 	} {
-		cl, err := DialTCP("site0", c.addr, CostModel{})
+		conn, err := net.Dial("tcp", c.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		counted := &countingConn{Conn: conn}
+		cl := newTCPClient("site0", counted, CostModel{})
 		defer cl.Close()
 		_, first, err := Exchange(ctx, cl, c.first)
 		if !errors.Is(err, relation.ErrMalformed) || !strings.Contains(err.Error(), c.want) {
@@ -204,16 +225,29 @@ func TestMalformedRelationFailsOnlyItsCall(t *testing.T) {
 		if f, err := resp.Frame(); err != nil || !reflect.DeepEqual(f.Relation(), sampleRelation(2)) {
 			t.Errorf("%s: the next call answered %v, %v", c.what, f, err)
 		}
-		if sent := first.Sent + next.Sent; sent != cl.cw.n {
-			t.Errorf("%s: the calls were charged %d bytes sent, the client wrote %d", c.what, sent, cl.cw.n)
+		if sent, recv := first.Sent+next.Sent, first.Recv+next.Recv; sent != counted.written || recv != counted.read {
+			t.Errorf("%s: the calls were charged %d bytes sent and %d received, the client wrote %d and read %d",
+				c.what, sent, recv, counted.written, counted.read)
 		}
 	}
 }
 
-// corruptResponse is a Response whose Rel is not a frame.
-type corruptResponse struct {
-	Err string
-	Rel notAFrame
+// countingConn counts the bytes read from and written to a connection.
+type countingConn struct {
+	net.Conn
+	read, written int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read += int64(n)
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written += int64(n)
+	return n, err
 }
 
 // serveCorruptOnce answers the first request it reads, on any connection,
@@ -226,6 +260,8 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	good := message(t, &Response{Rel: rel})
+	bad := corruptFrame(t, good, frameOf(t, rel))
 	var served atomic.Int64
 	go func() {
 		for {
@@ -235,17 +271,15 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
 			}
 			go func() {
 				defer conn.Close()
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 				for {
-					var req Request
-					if dec.Decode(&req) != nil {
+					if _, err := readMessage(conn); err != nil {
 						return
 					}
-					var reply any = &Response{Rel: rel}
+					reply := good
 					if served.Add(1) == 1 {
-						reply = &corruptResponse{Rel: notAFrame{1, 1}}
+						reply = bad
 					}
-					if enc.Encode(reply) != nil {
+					if _, err := conn.Write(reply); err != nil {
 						return
 					}
 				}
@@ -284,88 +318,6 @@ func TestEveryReplyArrivesAsFrame(t *testing.T) {
 	}
 }
 
-// TestReplyMirrorsResponse: the struct every reply crosses the wire as has
-// Response's exported fields, by name and in order, each of Response's
-// type but Rel, which is a frame.
-func TestReplyMirrorsResponse(t *testing.T) {
-	var want []reflect.StructField
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Response{})) {
-		if f.IsExported() {
-			want = append(want, f)
-		}
-	}
-	got := reflect.VisibleFields(reflect.TypeOf(reply{}))
-	if len(got) != len(want) {
-		t.Fatalf("reply has %d fields, Response %d exported", len(got), len(want))
-	}
-	for i, f := range want {
-		typ := f.Type
-		if f.Name == "Rel" {
-			typ = reflect.TypeOf((*relation.Frame)(nil))
-		}
-		if got[i].Name != f.Name || got[i].Type != typ {
-			t.Errorf("reply field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
-		}
-	}
-}
-
-// TestRequestMirrorsRequest: the request mirror has Request's exported
-// fields, by name, in order and of the same type (Data and Base framed),
-// and wire copies every one of them: a field the mirror missed would be
-// dropped from the wire, and a site would read its zero value.
-func TestRequestMirrorsRequest(t *testing.T) {
-	frameType := reflect.TypeOf((*relation.Frame)(nil))
-	var want []reflect.StructField
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(Request{})) {
-		if f.IsExported() {
-			want = append(want, f)
-		}
-	}
-	got := reflect.VisibleFields(reflect.TypeOf(request{}))
-	if len(got) != len(want) {
-		t.Fatalf("request has %d fields, Request %d exported", len(got), len(want))
-	}
-	for i, f := range want {
-		typ := f.Type
-		if f.Name == "Data" || f.Name == "Base" {
-			typ = frameType
-		}
-		if got[i].Name != f.Name || got[i].Type != typ {
-			t.Errorf("request field %d is %s %s, want %s %s", i, got[i].Name, got[i].Type, f.Name, typ)
-		}
-	}
-
-	req := Request{
-		Op: OpEvalRounds, Rel: "t", Data: sampleRelation(3),
-		Gen:      &GenSpec{Kind: "tpcr", Rel: "t", Params: map[string]int64{"rows": 10}, Site: 1, NumSites: 2},
-		BaseCols: []string{"SourceAS"}, BaseWhere: "SourceAS > 1", Detail: "flows",
-		Base: sampleRelation(5), SiteDisjoint: true,
-		Rounds: []RoundSpec{{Detail: "flows", Aggs: [][]string{{"count(*) AS n"}}, Thetas: []string{"true"}}},
-		Round:  2, QueryID: "q1",
-	}
-	w, err := req.wire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, wv := reflect.ValueOf(req), reflect.ValueOf(w)
-	for _, f := range want {
-		in, out := rv.FieldByIndex(f.Index), wv.FieldByName(f.Name)
-		if in.IsZero() {
-			t.Fatalf("the sample request leaves %s zero: set it, so that its copy is checked", f.Name)
-		}
-		if out.Type() == frameType {
-			fr, rel := out.Interface().(*relation.Frame), in.Interface().(*relation.Relation)
-			if fr == nil || !reflect.DeepEqual(fr.Relation().Rows, rel.Rows) {
-				t.Errorf("wire frames %s as %v, want %v", f.Name, fr, rel)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(out.Interface(), in.Interface()) {
-			t.Errorf("wire copies %s as %v, want %v", f.Name, out.Interface(), in.Interface())
-		}
-	}
-}
-
 // TestFramedRepliesLeaveTheResponse: a server encodes the handler's Response
 // as it is — a replay cache may hold it and hand it out again — and every
 // copy arrives whole.
@@ -394,5 +346,43 @@ func TestFramedRepliesLeaveTheResponse(t *testing.T) {
 	}
 	if cached.Rel != rel || !reflect.DeepEqual(rel.Rows, sampleRelation(40).Rows) {
 		t.Errorf("the handler's Response was modified: %+v", cached)
+	}
+}
+
+// TestPreviousProtocolRefused: a request of the previous protocol, a gob
+// stream, reaches no handler. The server refuses it at its first bytes,
+// logging an error that names both versions, and closes the connection
+// instead of answering.
+func TestPreviousProtocolRefused(t *testing.T) {
+	h := &countingHandler{resp: &Response{}}
+	srv := NewServer(h)
+	logged := make(chan string, 1)
+	srv.Logf = func(format string, args ...any) { logged <- fmt.Sprintf(format, args...) }
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	b, err := hex.DecodeString(gobRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if msg := <-logged; !strings.Contains(msg, "protocol version 1; this build speaks version 2") {
+		t.Errorf("server logged %q, want the two versions named", msg)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Errorf("the server answered a gob request: read %d bytes, %v", n, err)
+	}
+	if n := h.calls.Load(); n != 0 {
+		t.Errorf("a gob request reached the handler %d times", n)
 	}
 }

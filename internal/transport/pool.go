@@ -21,7 +21,8 @@ import (
 // The pool only lends: the clients it makes heal themselves (the retry
 // layer drops a connection a failed or cancelled call broke and redials it
 // on its next call), so a client comes back to the idle set however its
-// call ended, and the pool closes clients only once it is closed itself.
+// call ended, and the pool closes clients only once it is closed itself:
+// then every one, lent or idle, so a call in flight ends too.
 // Each call's bytes travel with the call (see Exchange), charged by the
 // layers beneath, so the pool meters nothing.
 //
@@ -36,6 +37,10 @@ type Pool struct {
 	slots chan struct{} // capacity tokens; one per potential client
 
 	mu sync.Mutex
+	// made holds every client the pool made, lent or idle.
+	//
+	//lint:guarded-by mu
+	made []Client
 	//lint:guarded-by mu
 	idle []Client
 	//lint:guarded-by mu
@@ -82,27 +87,25 @@ func (p *Pool) get(ctx context.Context) (Client, error) {
 		return cl, nil
 	}
 	p.obs.Count("transport.pool.dials", 1)
-	return p.newClient(), nil
+	cl := p.newClient()
+	p.made = append(p.made, cl)
+	return cl, nil
 }
 
-// put returns a borrowed client to the idle set, or closes it when the
-// pool was closed while it was out.
+// put returns a borrowed client to the idle set, unless the pool was
+// closed while it was out (and closed it).
 func (p *Pool) put(cl Client) {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		cl.Close()
-	} else {
+	if !p.closed {
 		p.idle = append(p.idle, cl)
-		p.mu.Unlock()
 	}
+	p.mu.Unlock()
 	<-p.slots
 	p.obs.SetGauge("transport.pool.in_use", int64(len(p.slots)))
 }
 
-// Close implements Client: it closes every idle client and fails
-// subsequent borrows. Borrowed clients are closed as their calls return
-// them.
+// Close implements Client: it closes every client, idle or lent — a call
+// in flight on one fails with ErrClosed — and fails subsequent borrows.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -110,11 +113,11 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	idle := p.idle
-	p.idle = nil
+	made := p.made
+	p.made, p.idle = nil, nil
 	p.mu.Unlock()
 	var first error
-	for _, cl := range idle {
+	for _, cl := range made {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}

@@ -1,15 +1,17 @@
 // Package transport implements the communication layer between the Skalla
-// coordinator and its sites: the request/response protocol, a TCP
-// transport (net + encoding/gob), an in-process transport that still
-// serializes through gob so byte accounting stays exact, and a network
-// cost model used to reproduce the paper's communication-dominated
-// behavior on a single machine.
+// coordinator and its sites: the request/response protocol and its
+// envelope codec, one client and server over a TCP socket or, for an
+// in-process site, a pipe, so byte accounting is the same exact count for
+// both, and a network cost model used to reproduce the paper's
+// communication-dominated behavior on a single machine.
 //
-// Expressions, aggregate specs, and conditions travel in their textual
-// wire form and are parsed at the receiving side; relations travel as
-// columnar frames, which is how a relation.Relation gob-encodes itself.
-// Only base-result structures and sub-aggregate results are ever shipped —
-// never detail data, per the core design of the paper.
+// Each message is one versioned envelope (envelope.go): its fields in a
+// fixed order behind presence bits, so a message's bytes are a function
+// of its values. Expressions, aggregate specs, and conditions travel in
+// their textual wire form and are parsed at the receiving side; relations
+// travel as their columnar frames. Only base-result structures and
+// sub-aggregate results are ever shipped — never detail data, per the core
+// design of the paper.
 package transport
 
 import (
@@ -21,8 +23,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Typed site-condition errors. They cross the wire as Response.Code (gob
-// ships strings, not error chains), and Response.Error rebuilds a chain
+// Typed site-condition errors. They cross the wire as Response.Code (the
+// wire carries strings, not error chains), and Response.Error rebuilds a chain
 // that matches with errors.Is, so callers can classify without string
 // inspection. A draining site is healthy but shedding load — the right
 // reaction is immediate replica failover, not a retry against the same
@@ -174,10 +176,8 @@ type GenSpec struct {
 }
 
 // Request is the single wire request envelope. Fields are used per-Op.
-// Every field must survive the gob round trip — wiresafe (LINT.md) audits
-// the transitive field graph from this root.
-//
-//lint:wireroot
+// The envelope codec carries every exported field
+// (TestEnvelopeCarriesEveryField).
 type Request struct {
 	Op  Op
 	Rel string // OpLoad, OpDrop, OpRelInfo: relation name
@@ -217,16 +217,14 @@ type Request struct {
 
 	// QueryID, when non-empty, asks the site to profile this request and
 	// piggy-back a SiteProfile on the response; the coordinator assembles
-	// the per-site profiles into a per-query execution profile tree. Like
-	// Round, the zero value keeps untagged requests wire-identical to the
-	// pre-profiling encoding (gob omits zero-valued fields), so profiling
-	// is strictly opt-in per query.
+	// the per-site profiles into a per-query execution profile tree. An
+	// empty one costs no byte on the wire, so profiling is strictly opt-in
+	// per query.
 	QueryID string
 
 	// base is the shipped base as a frame (SetBase): a client sends its
 	// bytes as they are, to every site that shares it and on every attempt
 	// of a call. It crosses the wire as Base.
-	//lint:ignore wiresafe the client sends it as the request mirror's Base, and a site receives it as Base
 	base *relation.Frame
 }
 
@@ -251,49 +249,8 @@ func (req *Request) ShipsBase() bool {
 	return req.Op == OpEvalRounds && len(req.BaseCols) == 0 && (req.Base != nil || req.base != nil)
 }
 
-// request is Request as it crosses the wire, its relations frames: a
-// client encodes every request in it, so a base framed once goes out as
-// the same bytes to every site and on every attempt. gob matches fields by
-// name, so a site decoding into Request, with Data and Base boxed, reads
-// the same bytes.
-type request struct {
-	Op           Op
-	Rel          string
-	Data         *relation.Frame
-	Gen          *GenSpec
-	BaseCols     []string
-	BaseWhere    string
-	Detail       string
-	Base         *relation.Frame
-	SiteDisjoint bool
-	Rounds       []RoundSpec
-	Round        int
-	QueryID      string
-}
-
-// wire returns the request req goes out as, framing a boxed Data or
-// Base. It refuses a relation that has no frame (relation.ErrMalformed)
-// before anything is sent.
-func (req *Request) wire() (request, error) {
-	base, err := req.BaseFrame()
-	if err != nil {
-		return request{}, err
-	}
-	var data *relation.Frame
-	if req.Data != nil {
-		if data, err = relation.FrameOf(req.Data); err != nil {
-			return request{}, err
-		}
-	}
-	return request{Op: req.Op, Rel: req.Rel, Data: data, Gen: req.Gen, BaseCols: req.BaseCols, BaseWhere: req.BaseWhere,
-		Detail: req.Detail, Base: base, SiteDisjoint: req.SiteDisjoint, Rounds: req.Rounds, Round: req.Round, QueryID: req.QueryID}, nil
-}
-
-// Response is the single wire response envelope. Every field must survive
-// the gob round trip — wiresafe (LINT.md) audits the transitive field
-// graph from this root.
-//
-//lint:wireroot
+// Response is the single wire response envelope. The envelope codec
+// carries every exported field (TestEnvelopeCarriesEveryField).
 type Response struct {
 	// Err is non-empty when the operation failed.
 	Err string
@@ -309,11 +266,12 @@ type Response struct {
 	RowCount int
 	// ComputeNs is the site-side computation time in nanoseconds,
 	// reported so the harness can break down evaluation time like the
-	// paper's Fig. 5.
-	ComputeNs int64
+	// paper's Fig. 5. A non-zero one crosses the wire in 8 bytes whatever
+	// it reads, so the clock never changes a message's length.
+	ComputeNs int64 `wire:"clock"`
 	// Profile is the site's per-request execution profile, attached only
-	// when the request carried a QueryID (nil otherwise, which gob omits,
-	// keeping untagged exchanges wire-identical).
+	// when the request carried a QueryID (nil otherwise, which costs no
+	// byte on the wire).
 	Profile *SiteProfile
 	// Kept is the bitmap, over the shipped Base rows, of the rows a
 	// states-only reply answers: bit i%8 of byte i/8 is set when its
@@ -324,7 +282,6 @@ type Response struct {
 
 	// frame is the reply's relation as a frame: set by a handler
 	// (SetFrame), or by the client on decode. It crosses the wire as Rel.
-	//lint:ignore wiresafe the server sends it, and the client receives it, as the reply mirror's Rel
 	frame *relation.Frame
 }
 
@@ -343,31 +300,6 @@ func (r *Response) Frame() (*relation.Frame, error) {
 	return relation.FrameOf(r.Rel)
 }
 
-// reply is Response as it crosses the wire, its relation a frame: a server
-// encodes every reply in it and a client decodes every reply into it. gob
-// matches fields by name, so a peer decoding into Response, with Rel
-// boxed, reads the same bytes.
-type reply struct {
-	Err       string
-	Code      int
-	Rel       *relation.Frame
-	RowCount  int
-	ComputeNs int64
-	Profile   *SiteProfile
-	Kept      []byte
-}
-
-// wire returns the reply r goes out as, framing a boxed Rel; in place of
-// one whose Rel has no frame (relation.ErrMalformed), a site error naming
-// the fault.
-func (r *Response) wire() *reply {
-	f, err := r.Frame()
-	if err != nil && r.Rel != nil {
-		return &reply{Err: "transport: reply: " + err.Error()}
-	}
-	return &reply{Err: r.Err, Code: r.Code, Rel: f, RowCount: r.RowCount, ComputeNs: r.ComputeNs, Profile: r.Profile, Kept: r.Kept}
-}
-
 // SiteProfile is one site's per-request execution profile, piggy-backed
 // on the response of a QueryID-tagged request. It scopes to exactly this
 // request what the obs registry only reports process-globally (vec.*
@@ -376,11 +308,12 @@ func (r *Response) wire() *reply {
 // BytesOutApprox is exact (the coordinator measures exact wire bytes on
 // its side of the link).
 // The JSON tags name the fields in the coordinator's statistics document
-// and the site's /profiles entries; gob ignores them.
+// and the site's /profiles entries; the wire ignores them.
 type SiteProfile struct {
 	// WallNs is the site-side wall time handling the request, including
-	// parse and limit checks (ComputeNs covers only evaluation).
-	WallNs int64 `json:"wall_ns"`
+	// parse and limit checks (ComputeNs covers only evaluation). Like
+	// ComputeNs, a non-zero one crosses the wire in 8 bytes.
+	WallNs int64 `json:"wall_ns" wire:"clock"`
 	// RowsIn counts base-structure rows received with the request;
 	// RowsOut counts result rows returned.
 	RowsIn  int `json:"rows_in"`
@@ -428,7 +361,7 @@ func ErrOutcome(err error) string { return classify(err).outcome }
 
 // Error converts a Response error field back into a Go error. Classified
 // codes wrap the matching sentinel so errors.Is(err, ErrOverloaded) and
-// the like survive the gob round trip; the sentinel's text is appended
+// the like survive the wire; the sentinel's text is appended
 // only when the site's text does not already hold it.
 func (r *Response) Error() error {
 	if r.Err == "" {

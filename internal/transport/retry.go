@@ -53,6 +53,11 @@ type Reconnector struct {
 	budget *RetryBudget
 	obs    *obs.Obs
 
+	// sleep waits out a backoff; a test replaces it before any call.
+	sleep func(ctx context.Context, d time.Duration) error
+
+	// mu is never held across an exchange, so Close closes the connection
+	// under a call in flight, which then fails, instead of waiting for it.
 	mu sync.Mutex
 	//lint:guarded-by mu
 	cur Client
@@ -60,8 +65,6 @@ type Reconnector struct {
 	closed bool
 	//lint:guarded-by mu
 	rng *rand.Rand
-	//lint:guarded-by mu
-	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // newReconnector returns the retry layer over one endpoint: it dials
@@ -87,8 +90,9 @@ func newReconnector(id string, dial func() (Client, error), attempts int, backof
 // SiteID implements Client.
 func (r *Reconnector) SiteID() string { return r.id }
 
-// Close implements Client: it closes the connection, and every later call
-// fails with ErrClosed and dials nothing.
+// Close implements Client: it closes the connection, failing a call in
+// flight on it, and every later call fails with ErrClosed and dials
+// nothing.
 func (r *Reconnector) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -101,13 +105,27 @@ func (r *Reconnector) Close() error {
 	return err
 }
 
-// Call implements Client with reconnect-and-retry.
-func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error) {
+// conn returns the connection, dialing one when there is none (Close
+// waits for a dial, never for an exchange). Once the layer is closed it
+// dials nothing and fails with ErrClosed.
+func (r *Reconnector) conn() (Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil, fmt.Errorf("transport: %s: %w", r.id, ErrClosed)
 	}
+	if r.cur == nil {
+		c, err := r.dial()
+		if err != nil {
+			return nil, err
+		}
+		r.cur = c
+	}
+	return r.cur, nil
+}
+
+// Call implements Client with reconnect-and-retry.
+func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error) {
 	var lastErr error
 	sends := 0 // exchanges attempted, the answered one included
 	for attempt := 0; attempt < r.attempts; attempt++ {
@@ -123,7 +141,10 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 					"error":   lastErr.Error(),
 				})
 			if r.backoff > 0 {
-				if err := r.sleep(ctx, r.jitteredBackoffLocked(attempt)); err != nil {
+				r.mu.Lock()
+				d := r.jitteredBackoffLocked(attempt)
+				r.mu.Unlock()
+				if err := r.sleep(ctx, d); err != nil {
 					return nil, fmt.Errorf("transport: %s: %w", r.id, err)
 				}
 			}
@@ -131,17 +152,17 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("transport: %s: %w", r.id, err)
 		}
-		if r.cur == nil {
-			c, err := r.dial()
-			if err != nil {
-				lastErr = fmt.Errorf("transport: dial %s: %w", r.id, err)
-				r.obs.Count("transport.redial_failures", 1)
-				r.obs.Event(obs.EventRedial, r.id, "dial failed", map[string]string{"error": err.Error()})
-				continue
-			}
-			r.cur = c
+		cur, err := r.conn()
+		if errors.Is(err, ErrClosed) {
+			return nil, err
 		}
-		resp, d, err := Exchange(ctx, r.cur, req)
+		if err != nil {
+			lastErr = fmt.Errorf("transport: dial %s: %w", r.id, err)
+			r.obs.Count("transport.redial_failures", 1)
+			r.obs.Event(obs.EventRedial, r.id, "dial failed", map[string]string{"error": err.Error()})
+			continue
+		}
+		resp, d, err := Exchange(ctx, cur, req)
 		sends++
 		if err == nil {
 			d.Retries += sends - 1
@@ -162,8 +183,12 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		lastErr = err
 		// The connection is suspect after a transport error: drop it so
 		// the next attempt redials.
-		r.cur.Close()
-		r.cur = nil
+		r.mu.Lock()
+		if r.cur == cur {
+			r.cur = nil
+		}
+		r.mu.Unlock()
+		cur.Close()
 		if callerGaveUp(ctx, err) {
 			return nil, lastErr
 		}

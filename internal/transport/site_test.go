@@ -299,3 +299,50 @@ func TestClosedReplicaSetStaysPut(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseEndsCallsInFlight: closing a site client ends a call in flight
+// on it, over one replica and over two. The call has no deadline and hangs
+// at its replica; Close closes the connection under it, so the call fails
+// with ErrClosed, Close returns, and no goroutine is left behind.
+func TestCloseEndsCallsInFlight(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d replicas", n), func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			ch := NewChaos(1)
+			replicas := []Replica{{Handler: newEchoHandler(), Chaos: ch}}
+			if n == 2 {
+				replicas = append(replicas, Replica{Handler: newEchoHandler()})
+			}
+			s, err := NewSite(SiteSpec{ID: "site0", Replicas: replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := s.Client()
+			ch.HangNext(OpPing)
+			called := make(chan error, 1)
+			go func() {
+				_, err := cl.Call(context.Background(), &Request{Op: OpPing})
+				called <- err
+			}()
+			for ch.Calls() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- cl.Close() }()
+			timeout := time.After(time.Second)
+			for _, c := range []struct {
+				what string
+				ch   chan error
+			}{{"the call", called}, {"Close", closed}} {
+				select {
+				case err := <-c.ch:
+					if c.what == "the call" && !errors.Is(err, ErrClosed) {
+						t.Errorf("the call ended with %v, want ErrClosed", err)
+					}
+				case <-timeout:
+					t.Fatalf("%s has not returned 1s after Close", c.what)
+				}
+			}
+		})
+	}
+}

@@ -3,8 +3,8 @@ package transport
 //lint:wrap-errors transport failures must stay inspectable with errors.Is/As
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/relation"
 )
 
 // Server serves site requests over TCP. Each connection runs a
@@ -127,39 +126,34 @@ func (s *Server) serveConn(conn net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pr := &pushbackReader{conn: conn}
-	cr := &countingReader{r: pr}
-	cw := &countingWriter{w: conn}
-	dec := gob.NewDecoder(cr)
-	enc := gob.NewEncoder(cw)
 	for {
-		r0 := cr.n
-		var req Request
-		err := dec.Decode(&req)
-		if err != nil && !errors.Is(err, relation.ErrMalformed) {
+		body, err := readMessage(pr)
+		if err != nil {
 			if !hungUp(err) {
 				s.Logf("transport: decode request: %v", err)
 			}
 			return
 		}
-		s.Obs.Count("transport.server.bytes_received", cr.n-r0)
+		req, err := decodeRequest(body)
+		s.Obs.Count("transport.server.bytes_received", int64(prefixLen+len(body)))
 		s.Obs.Count("transport.server.requests", 1)
 		s.Obs.Count("transport.server.op."+req.Op.String(), 1)
 		var resp *Response
 		admitted := false
 		if err != nil {
+			// The message was read whole, so the connection serves on.
 			s.Obs.Count("transport.server.malformed", 1)
 			resp = &Response{Err: "transport: request: " + err.Error()}
 		} else if resp = s.admit(); resp == nil {
 			admitted = true
 			var alive bool
-			resp, alive = s.handleWatched(ctx, conn, pr, &req)
+			resp, alive = s.handleWatched(ctx, conn, pr, req)
 			if !alive {
 				s.release()
 				return
 			}
 		}
-		w0 := cw.n
-		err = enc.Encode(resp.wire())
+		sent, err := reply(conn, resp)
 		if admitted {
 			// Only now is the request no longer in flight: Drain waits on
 			// reqWG and then closes this connection, so releasing before the
@@ -173,8 +167,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		s.Obs.Count("transport.server.bytes_sent", cw.n-w0)
+		s.Obs.Count("transport.server.bytes_sent", int64(sent))
 	}
+}
+
+// reply writes resp as one message and returns its length.
+func reply(w io.Writer, resp *Response) (int, error) {
+	e := newMessage()
+	defer e.free()
+	encodeResponse(e, resp)
+	if err := e.finish(); err != nil {
+		return 0, err
+	}
+	return w.Write(e.b)
 }
 
 // admit opens the in-flight window for one decoded request, or returns the
@@ -288,7 +293,8 @@ func (s *Server) Served() int64 {
 // a read returning before the handler finishes means the peer hung up,
 // and the request context is cancelled so the handler can abort. A byte
 // that does arrive early (a pipelining peer) is pushed back for the
-// decoder. Returns alive=false when the connection was lost mid-request.
+// next message read. Returns alive=false when the connection was lost
+// mid-request.
 func (s *Server) handleWatched(ctx context.Context, conn net.Conn, pr *pushbackReader, req *Request) (resp *Response, alive bool) {
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
@@ -332,8 +338,8 @@ func isTimeout(err error) bool {
 }
 
 // pushbackReader lets the connection monitor return an early-read byte to
-// the decoder's stream. Read and pushback never run concurrently: the
-// monitor only reads while the handler runs, and the decoder only reads
+// the connection's stream. Read and pushback never run concurrently: the
+// monitor only reads while the handler runs, and messages are only read
 // after the monitor has exited.
 type pushbackReader struct {
 	conn net.Conn
@@ -390,10 +396,9 @@ func (s *Server) close(wait bool) error {
 type TCPClient struct {
 	id   string
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	cw   *countingWriter
-	cr   *countingReader
+	// br reads replies in as few reads as their bytes arrive in. The
+	// protocol alternates, so it never holds bytes past a reply.
+	br   *bufio.Reader
 	cost CostModel
 
 	// closed is set by Close: every later call fails with ErrClosed.
@@ -402,11 +407,6 @@ type TCPClient struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	broken bool
-	// req is the mirror a call encodes its request in, kept so that no
-	// call allocates one.
-	//
-	//lint:guarded-by mu
-	req request
 	// obs, set by the site builder before the client is shared, receives
 	// the raw client-side wire totals ("transport.bytes_sent",
 	// "transport.bytes_received", "transport.messages"). Raw totals
@@ -424,15 +424,9 @@ func DialTCP(id, addr string, cost CostModel) (*TCPClient, error) {
 	return newTCPClient(id, conn, cost), nil
 }
 
-// newTCPClient starts the gob streams of a client over conn.
+// newTCPClient returns a client over conn.
 func newTCPClient(id string, conn net.Conn, cost CostModel) *TCPClient {
-	cw := &countingWriter{w: conn}
-	cr := &countingReader{r: conn}
-	return &TCPClient{
-		id: id, conn: conn,
-		enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cr),
-		cw: cw, cr: cr, cost: cost,
-	}
+	return &TCPClient{id: id, conn: conn, br: bufio.NewReader(conn), cost: cost}
 }
 
 // SiteID implements Client.
@@ -461,12 +455,14 @@ func (c *TCPClient) breakConn() {
 // are charged to the exchange it runs under (see Exchange).
 //
 // The context bounds the whole exchange via connection deadlines; a
-// cancellation or deadline mid-exchange interrupts blocked I/O. After any
-// other encode/decode failure than a malformed relation — an abort
-// included — the gob streams are desynced, so the client marks itself
-// broken and closes the connection: later calls fail fast with a transport
-// error and a retrying wrapper (Reconnector) redials a fresh connection
-// instead of reusing a corrupt stream.
+// cancellation or deadline mid-exchange interrupts blocked I/O. A request
+// that does not encode is refused before anything is written, and a reply
+// read whole that does not decode fails only its call. Any other failure
+// to write or read a message — an abort included — leaves the stream
+// mid-message, so the client marks itself broken and closes the
+// connection: later calls fail fast with a transport error and a retrying
+// wrapper (Reconnector) redials a fresh connection instead of reusing a
+// corrupt stream.
 func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	if c.closed.Load() {
 		return nil, fmt.Errorf("transport: %s: %w", c.id, ErrClosed)
@@ -503,44 +499,53 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 		}()
 	}
 
-	// A relation without a frame is refused before anything is sent. What
-	// was written is charged even when the encode fails.
-	var err error
-	if c.req, err = req.wire(); err != nil {
-		return nil, c.failLocked("send to", err, ctx)
+	// The whole message is encoded before any of it is written, so a
+	// relation without a frame is refused with nothing sent. What was
+	// written is charged even when the write fails.
+	e := newMessage()
+	defer e.free()
+	err := encodeRequest(e, req)
+	if err == nil {
+		err = e.finish()
 	}
-	before := c.cw.n
-	err = c.enc.Encode(&c.req) //lint:ignore lockguard Encode reads the mirror before it returns and keeps no reference to it
-	c.req = request{}          // hold no frame past the call
-	sent := c.cw.n - before
-	charge(ctx, Delta{Sent: sent, Comm: c.cost.TransferTime(int(sent))})
+	if err != nil {
+		return nil, c.failLocked("send to", err, ctx, false)
+	}
+	n, err := c.conn.Write(e.b)
+	sent := int64(n)
+	charge(ctx, Delta{Sent: sent, Comm: c.cost.TransferTime(n)})
 	c.obs.Count("transport.bytes_sent", sent)
 	if err != nil {
-		return nil, c.failLocked("send to", err, ctx)
+		return nil, c.failLocked("send to", err, ctx, true)
 	}
 	c.obs.Count("transport.messages", 1)
 
-	beforeR := c.cr.n
-	var r reply
-	if err := c.dec.Decode(&r); err != nil {
-		return nil, c.failLocked("receive from", err, ctx)
+	body, err := readMessage(c.br)
+	if err != nil {
+		return nil, c.failLocked("receive from", err, ctx, true)
 	}
-	recv := c.cr.n - beforeR
-	charge(ctx, Delta{Recv: recv, Comm: c.cost.TransferTime(int(recv))})
-	c.obs.Count("transport.bytes_received", recv)
-	return &Response{Err: r.Err, Code: r.Code, RowCount: r.RowCount, ComputeNs: r.ComputeNs, Profile: r.Profile, Kept: r.Kept, frame: r.Rel}, nil
+	recv := prefixLen + len(body)
+	charge(ctx, Delta{Recv: int64(recv), Comm: c.cost.TransferTime(recv)})
+	c.obs.Count("transport.bytes_received", int64(recv))
+	resp, err := decodeResponse(body)
+	if err != nil {
+		return nil, c.failLocked("receive from", err, ctx, false)
+	}
+	return resp, nil
 }
 
-// failLocked marks the client broken after a mid-stream error and closes
-// the connection; callers hold c.mu. A relation gob refused to encode or
-// decode (relation.ErrMalformed) fails only the call: gob reports it with
-// the stream still in sync. It prefers reporting the context error when
-// the failure was caused by cancellation (the raw I/O error is then just
-// "i/o timeout" from the deadline poke).
-func (c *TCPClient) failLocked(verb string, err error, ctx context.Context) error {
-	if !errors.Is(err, relation.ErrMalformed) {
+// failLocked reports a failed call; callers hold c.mu. When the stream is
+// left mid-message it marks the client broken and closes the connection.
+// A call that Close cut short fails with ErrClosed. Otherwise it prefers
+// reporting the context error when the failure was caused by cancellation
+// (the raw I/O error is then just "i/o timeout" from the deadline poke).
+func (c *TCPClient) failLocked(verb string, err error, ctx context.Context, midStream bool) error {
+	if midStream {
 		c.broken = true
 		c.conn.Close()
+	}
+	if c.closed.Load() {
+		return fmt.Errorf("transport: %s %s: %w (%v)", verb, c.id, ErrClosed, err)
 	}
 	ctxErr := ctx.Err()
 	if ctxErr == nil {

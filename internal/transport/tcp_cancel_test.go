@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -78,15 +77,9 @@ func TestCallCancelledAsItCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	hc := &hookConn{Conn: raw}
-	cw, cr := &countingWriter{w: hc}, &countingReader{r: hc}
-	c := &TCPClient{id: "s", conn: hc, enc: gob.NewEncoder(cw), dec: gob.NewDecoder(cr), cw: cw, cr: cr}
+	c := newTCPClient("s", hc, CostModel{})
 	defer c.Close()
 
-	// The first exchange carries gob's type descriptions in extra messages;
-	// afterwards a ping response is a single small read.
-	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		hc.setOnRead(cancel)

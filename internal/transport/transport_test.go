@@ -1,14 +1,10 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"net"
-	"os"
-	"os/exec"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,20 +174,9 @@ func TestTCPClient(t *testing.T) {
 
 // TestLocalAndTCPByteParity: an in-process call is a TCP client's call
 // over a pipe, so both account the same bytes on every call of a
-// connection. The first call of each carries gob's type preamble for the
-// request mirror a client encodes and the reply mirror a server encodes,
-// and only the first. A preamble's size depends on the gob type ids the
-// process assigned before it, so the measurement runs in a child process
-// of the test binary that runs nothing else.
+// connection, the first one included: nothing precedes a connection's
+// first message.
 func TestLocalAndTCPByteParity(t *testing.T) {
-	const reqPreamble, respPreamble = 574, 414
-	if flag.Arg(0) != parityChild {
-		out, err := exec.Command(os.Args[0], "-test.run=^TestLocalAndTCPByteParity$", "-test.count=1", "-test.v", "--", parityChild).CombinedOutput()
-		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestLocalAndTCPByteParity")) {
-			t.Fatalf("measuring in a child process: %v\n%s", err, out)
-		}
-		return
-	}
 	srv := NewServer(newEchoHandler())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -207,7 +192,7 @@ func TestLocalAndTCPByteParity(t *testing.T) {
 	defer local.Close()
 
 	req := &Request{Op: OpLoad, Rel: "t", Data: sampleRelation(100)}
-	var calls []Delta
+	want := Delta{Sent: int64(len(message(t, req))), Recv: int64(len(message(t, &Response{RowCount: 100})))}
 	for i := 0; i < 3; i++ {
 		_, td, err := Exchange(context.Background(), tcp, req)
 		if err != nil {
@@ -217,25 +202,11 @@ func TestLocalAndTCPByteParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if td != ld {
-			t.Errorf("call %d: tcp accounted %+v, local %+v", i, td, ld)
+		if td != want || ld != want {
+			t.Errorf("call %d: tcp accounted %+v, local %+v; want the messages' %+v", i, td, ld, want)
 		}
-		calls = append(calls, td)
-	}
-	if calls[1] != calls[2] {
-		t.Errorf("warm calls differ: %+v, %+v", calls[1], calls[2])
-	}
-	if d := calls[0].Sent - calls[1].Sent; d != reqPreamble {
-		t.Errorf("request preamble = %d B, want %d", d, reqPreamble)
-	}
-	if d := calls[0].Recv - calls[1].Recv; d != respPreamble {
-		t.Errorf("response preamble = %d B, want %d", d, respPreamble)
 	}
 }
-
-// parityChild is the argument that makes TestLocalAndTCPByteParity measure
-// instead of starting the child process that does.
-const parityChild = "byte-parity-child"
 
 func TestTCPMultipleClients(t *testing.T) {
 	srv := NewServer(newEchoHandler())
@@ -352,7 +323,7 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 }
 
 // TestTCPClientBrokenAfterStreamError: once an exchange fails mid-stream
-// the gob state is desynced; the client must close the connection and
+// the stream is left mid-message; the client must close the connection and
 // fail fast instead of reusing the corrupt stream.
 func TestTCPClientBrokenAfterStreamError(t *testing.T) {
 	srv := NewServer(newEchoHandler())

@@ -288,6 +288,17 @@ func UpdateHash(h uint64, v V) uint64 {
 // nothing.
 func (v V) Hash() uint64 { return UpdateHash(HashSeed, v) }
 
+// IntegralFloat returns f as an int64 when f is integral and in int64's
+// range, [−2^63, 2^63): the floats Key renders as the integer they equal.
+// 2^63 itself is out of range, although float64(math.MaxInt64) rounds to
+// it.
+func IntegralFloat(f float64) (int64, bool) {
+	if f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
+		return int64(f), true
+	}
+	return 0, false
+}
+
 // Key returns a compact string usable as a Go map key, distinguishing
 // kind classes but identifying numerically equal ints and floats.
 func (v V) Key() string {
@@ -297,9 +308,8 @@ func (v V) Key() string {
 	case KindBool, KindInt:
 		return "\x01" + strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		if f := math.Float64frombits(v.n); f == math.Trunc(f) && !math.IsInf(f, 0) &&
-			f >= math.MinInt64 && f <= math.MaxInt64 {
-			return "\x01" + strconv.FormatInt(int64(f), 10)
+		if i, ok := IntegralFloat(math.Float64frombits(v.n)); ok {
+			return "\x01" + strconv.FormatInt(i, 10)
 		}
 		return "\x02" + strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:

@@ -314,3 +314,30 @@ func TestParseRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKeyPast2To63: Key gives the float 2^63 a key of its own, apart from
+// the int MinInt64 and the float −2^63, which Compare orders below it; the
+// float −2^63 equals MinInt64 and shares its key.
+func TestKeyPast2To63(t *testing.T) {
+	top, bottom, minInt := NewFloat(0x1p63), NewFloat(-0x1p63), NewInt(math.MinInt64)
+	for _, v := range []V{bottom, minInt} {
+		if c, _ := Compare(top, v); c <= 0 {
+			t.Fatalf("Compare(2^63, %v) = %d, want 1", v, c)
+		}
+		if top.Key() == v.Key() {
+			t.Errorf("2^63 and %#v share the key %q", v, v.Key())
+		}
+	}
+	if bottom.Key() != minInt.Key() {
+		t.Errorf("−2^63 has the key %q, MinInt64 %q", bottom.Key(), minInt.Key())
+	}
+	for _, c := range []struct {
+		f  float64
+		i  int64
+		ok bool
+	}{{0x1p63, 0, false}, {-0x1p63, math.MinInt64, true}, {0x1p63 - 1024, 1<<63 - 1024, true}, {0.5, 0, false}, {math.Inf(-1), 0, false}, {math.NaN(), 0, false}} {
+		if i, ok := IntegralFloat(c.f); i != c.i || ok != c.ok {
+			t.Errorf("IntegralFloat(%g) = %d, %v; want %d, %v", c.f, i, ok, c.i, c.ok)
+		}
+	}
+}

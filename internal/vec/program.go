@@ -492,7 +492,7 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 			case value.KindBool, value.KindInt:
 				in.ints[v.Int()] = struct{}{}
 			case value.KindFloat:
-				if iv, ok := integralKey(v.Float()); ok {
+				if iv, ok := value.IntegralFloat(v.Float()); ok {
 					in.ints[iv] = struct{}{}
 				} else if math.IsNaN(v.Float()) {
 					in.hasNaN = true
@@ -589,16 +589,6 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 			vals: make([]*Lanes, len(args)), row: make(relation.Row, len(args))}, nil
 	}
 	return nil, fmt.Errorf("expr: cannot compile %T", e)
-}
-
-// integralKey mirrors value.V.Key's integral-float classification: floats
-// that Key renders as integers return their int64 form.
-func integralKey(f float64) (int64, bool) {
-	if f == math.Trunc(f) && !math.IsInf(f, 0) &&
-		f >= math.MinInt64 && f <= math.MaxInt64 {
-		return int64(f), true
-	}
-	return 0, false
 }
 
 func numericish(k value.Kind) bool {
@@ -1261,7 +1251,7 @@ func (n *inNode) contains(v value.V) bool {
 		_, in := n.ints[v.Int()]
 		return in
 	case value.KindFloat:
-		if iv, ok := integralKey(v.Float()); ok {
+		if iv, ok := value.IntegralFloat(v.Float()); ok {
 			_, in := n.ints[iv]
 			return in
 		}

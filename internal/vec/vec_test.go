@@ -572,7 +572,7 @@ func FuzzDistinct(f *testing.F) {
 	f.Add(int64(4), uint8(90), uint8(10), int64(0))
 	f.Fuzz(func(t *testing.T, seed int64, size, mask uint8, selSeed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		floats := []value.V{negz, posz, nan, nan2, value.NewFloat(0.5), value.NewFloat(2), null}
+		floats := []value.V{negz, posz, nan, nan2, value.NewFloat(0.5), value.NewFloat(2), value.NewFloat(0x1p63), value.NewFloat(-0x1p63), null}
 		strs := []value.V{value.NewString("a"), value.NewString(""), value.NewString("b"), null}
 		r := keyRel()
 		for i := 0; i < int(size); i++ {

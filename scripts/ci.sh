@@ -90,6 +90,9 @@ go test -run '^$' -fuzz FuzzFilter -fuzztime 10s ./internal/vec
 echo "== fuzz smoke (relation frame codec) =="
 go test -run '^$' -fuzz FuzzFrame -fuzztime 10s ./internal/relation
 
+echo "== fuzz smoke (message envelope codec) =="
+go test -run '^$' -fuzz FuzzEnvelope -fuzztime 10s ./internal/transport
+
 echo "== examples =="
 for ex in quickstart ipflows tpcr cube multitier sql; do
     echo "-- examples/$ex"

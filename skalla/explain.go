@@ -7,8 +7,7 @@ package skalla
 // per-round coverage, exact wire bytes, and each site's self-reported
 // engine/kernel profile. The default report contains no clock readings
 // and is deterministic across runs of the same query on the same data,
-// except the exact wire byte counts, which can shift by a few bytes with
-// the varint width of the timing fields every response carries.
+// its exact wire byte counts included.
 // Cluster.AnalyzeTiming (the -profile flag of skalla-coord) adds the
 // measured durations.
 

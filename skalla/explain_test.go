@@ -2,7 +2,6 @@ package skalla
 
 import (
 	"context"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -40,17 +39,9 @@ func TestExplainSQL(t *testing.T) {
 	}
 }
 
-// wireBytes masks the measured wire byte counts: responses carry varint
-// timing fields (ComputeNs, profile WallNs), so the exact byte totals can
-// shift by the varint width between otherwise identical runs. Everything
-// else in the timing-free report is deterministic and compared verbatim.
-var wireBytes = regexp.MustCompile(`\d+ (B to sites|B from sites|bytes moved)`)
-
-func maskWireBytes(s string) string { return wireBytes.ReplaceAllString(s, "# $1") }
-
 // TestExplainAnalyzeGolden pins the timing-free EXPLAIN ANALYZE report on
 // a fixed dataset: the report must be identical across repeated
-// executions (up to masked wire byte counts), and its analyze section
+// executions, wire byte counts included, and its analyze section
 // must carry the per-site breakdown with the sites' self-reported
 // outcomes.
 func TestExplainAnalyzeGolden(t *testing.T) {
@@ -80,14 +71,13 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			t.Errorf("timing-free report leaks %q:\n%s", banned, out)
 		}
 	}
-	masked := maskWireBytes(out)
 	for i := 0; i < 3; i++ {
 		again, err := cluster.SQL(stmt, AllOptimizations)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rerun := maskWireBytes(planText(t, again)); rerun != masked {
-			t.Fatalf("EXPLAIN ANALYZE not deterministic:\nfirst:\n%s\nrerun:\n%s", masked, rerun)
+		if rerun := planText(t, again); rerun != out {
+			t.Fatalf("EXPLAIN ANALYZE not deterministic:\nfirst:\n%s\nrerun:\n%s", out, rerun)
 		}
 	}
 }

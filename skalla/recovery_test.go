@@ -13,12 +13,6 @@ import (
 	"repro/internal/transport"
 )
 
-// computeNsJitter bounds the run-to-run drift of BytesFromSites: responses
-// carry a measured ComputeNs whose gob varint width varies by a byte or
-// two between any two executions. Request-direction bytes and group counts
-// carry no timing and must match exactly.
-const computeNsJitter = 16
-
 // TestRecoveryAfterCoordinatorRestart is the end-to-end recovery scenario
 // over real TCP: a coordinator with a file-backed checkpoint store dies
 // between synchronization rounds (a chaos-injected transport failure at
@@ -74,12 +68,6 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 		ch := transport.NewChaos(int64(i))
 		cl := siteClient(t, transport.SiteSpec{ID: fmt.Sprintf("site%d", i),
 			Replicas: []transport.Replica{{Addr: entry, Chaos: ch}}})
-		// Prime the gob stream like ConnectWith's connect-time ping does,
-		// so the first round's byte delta excludes type-descriptor overhead
-		// and checkpointed counters compare exactly with the reference run.
-		if _, err := cl.Call(context.Background(), &transport.Request{Op: transport.OpPing}); err != nil {
-			t.Fatal(err)
-		}
 		clients = append(clients, cl)
 		chaos = append(chaos, ch)
 	}
@@ -142,9 +130,7 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 		t.Errorf("coord.rounds_resumed = %d, want 2", got)
 	}
 
-	// Byte counters match the uninterrupted run round for round: exact in
-	// the request direction and for group counts, within the ComputeNs
-	// varint jitter in the response direction.
+	// Byte and group counters match the uninterrupted run round for round.
 	for i, r := range res.Stats.Rounds {
 		refR := ref.Stats.Rounds[i]
 		if r.BytesToSites != refR.BytesToSites {
@@ -154,9 +140,8 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 			t.Errorf("round %s: groups = %d/%d, reference %d/%d",
 				r.Name, r.GroupsShipped, r.GroupsReceived, refR.GroupsShipped, refR.GroupsReceived)
 		}
-		if d := r.BytesFromSites - refR.BytesFromSites; d < -computeNsJitter || d > computeNsJitter {
-			t.Errorf("round %s: BytesFromSites = %d, reference %d (|Δ| > %d)",
-				r.Name, r.BytesFromSites, refR.BytesFromSites, computeNsJitter)
+		if r.BytesFromSites != refR.BytesFromSites {
+			t.Errorf("round %s: BytesFromSites = %d, reference %d", r.Name, r.BytesFromSites, refR.BytesFromSites)
 		}
 	}
 

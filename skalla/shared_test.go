@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/site"
-	"repro/internal/transport"
 )
 
 // holdNext holds the next request eng handles: Handle reads the tracer
@@ -37,59 +36,8 @@ func holdNext(eng *site.Engine) (entered <-chan struct{}, release func()) {
 	return in, func() { once.Do(func() { close(out) }) }
 }
 
-// warmPools dials every connection of every site's pool: one ping per
-// pooled connection, as many as the site's stack prints, each held at its
-// site until all have arrived, so no ping can reuse another's connection. A connection's first exchange carries
-// gob's type preamble; after this none of the cluster's does. The sites
-// report to o again afterwards.
-func warmPools(t *testing.T, c *Cluster, o *obs.Obs) {
-	t.Helper()
-	for i, eng := range c.engines {
-		var pool int32
-		if _, err := fmt.Sscanf(c.sites[i].String(), "pool(%d)", &pool); err != nil {
-			t.Fatalf("stack %q names no pool size: %v", c.sites[i], err)
-		}
-		var armed atomic.Bool
-		var arrived atomic.Int32
-		all := make(chan struct{})
-		hold := obs.New()
-		hold.Tracer.SetNow(func() time.Time {
-			if !armed.Load() {
-				return time.Now()
-			}
-			if n := arrived.Add(1); n == pool {
-				close(all)
-			} else if n < pool {
-				<-all
-			}
-			return time.Now()
-		})
-		armed.Store(true)
-		eng.SetObs(hold)
-		errs := make(chan error, pool)
-		for j := int32(0); j < pool; j++ {
-			go func() {
-				_, err := call(context.Background(), c.clients[i], &transport.Request{Op: transport.OpPing})
-				errs <- err
-			}()
-		}
-		for j := int32(0); j < pool; j++ {
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng.SetObs(o)
-	}
-}
-
-// replyTimingSlack is how far a reply's size may drift between two runs of
-// one query: every reply carries its site's compute time (and a profiled
-// one its wall time) as a varint whose width follows the clock. A reply is
-// never that small, so counting a sibling's exchange still shows.
-const replyTimingSlack = 20
-
-// siteBytes is one site's traffic in one round: the bytes it was sent
-// (deterministic) and the bytes it answered with (up to the timing slack).
+// siteBytes is one site's traffic in one round: the bytes it was sent and
+// the bytes it answered with.
 type siteBytes struct {
 	round, site string
 	sent, recv  int64
@@ -111,9 +59,7 @@ func sameBytes(got, want []siteBytes) string {
 		return fmt.Sprintf("%d site rounds, want %d", len(got), len(want))
 	}
 	for i, g := range got {
-		w := want[i]
-		d := g.recv - w.recv
-		if g.round != w.round || g.site != w.site || g.sent != w.sent || d < -replyTimingSlack || d > replyTimingSlack {
+		if w := want[i]; g != w {
 			return fmt.Sprintf("%s %s: sent %d recv %d, alone sent %d recv %d", g.round, g.site, g.sent, g.recv, w.sent, w.recv)
 		}
 	}
@@ -170,7 +116,6 @@ func TestSharedClusterExactBytes(t *testing.T) {
 		if err := cluster.Load("flow", parts); err != nil {
 			t.Fatal(err)
 		}
-		warmPools(t, cluster, o)
 		query := func() ([]siteBytes, error) {
 			res, err := cluster.Query(example1(), "flow", NoOptimizations)
 			if err != nil {

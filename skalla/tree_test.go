@@ -334,11 +334,7 @@ func TestTreeClusterOverTCP(t *testing.T) {
 			t.Fatalf("useTCP=%v: %v", useTCP, err)
 		}
 		sortAll(t, res.Relation)
-		frame, err := res.Relation.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, frame)
+		frames = append(frames, relation.AppendFrame(nil, res.Relation))
 	}
 	if !bytes.Equal(frames[0], frames[1]) {
 		t.Errorf("TCP tree answered %d frame bytes unlike the in-process tree's %d", len(frames[1]), len(frames[0]))
