@@ -34,7 +34,9 @@ func dirty(s *Slab, salt int) {
 				_ = s.AddInts(g, p, value.KindInt, []int64{int64(g), 7, -3}, nil)
 				_ = s.Add(g, p, value.NewFloat(0.5))
 			case 1:
-				_ = s.AddStrings(g, p, []string{fmt.Sprint("s", g), "", "zz"}, []bool{false, true, false})
+				_ = s.Add(g, p, value.NewString(fmt.Sprint("s", g)))
+				_ = s.Add(g, p, value.Null)
+				_ = s.Add(g, p, value.NewString("zz"))
 			case 2:
 				_ = s.AddFloats(g, p, []float64{math.NaN(), math.Copysign(0, -1), float64(g) / 4}, nil)
 				_ = s.Add(g, p, value.Null)

@@ -207,32 +207,6 @@ func setsDisjoint(domains []expr.Domain, n int) bool {
 	return true
 }
 
-// PartitionAttrs returns every attribute the catalog can prove to be a
-// partition attribute: all directly-declared attributes plus FD-derived
-// ones.
-func (c *Catalog) PartitionAttrs() []string {
-	seen := map[string]struct{}{}
-	var out []string
-	add := func(a string) {
-		if _, dup := seen[a]; dup {
-			return
-		}
-		if c.IsPartitionAttr(a) {
-			seen[a] = struct{}{}
-			out = append(out, a)
-		}
-	}
-	for _, s := range c.Sites {
-		for a := range s.Domains {
-			add(a)
-		}
-	}
-	for _, fd := range c.FDs {
-		add(fd.From)
-	}
-	return out
-}
-
 // disjoint conservatively decides whether two domains, at least one of
 // them a range, share no value; false means "might overlap".
 func disjoint(a, b expr.Domain) bool {

@@ -156,14 +156,9 @@ func TestPartitionAttrsEnumeration(t *testing.T) {
 	c.SetDomain("s1", "other", expr.DomainSet(vi(0)...))
 	// "other" has no domain at s2 → not a partition attr.
 	c.AddFD("ck", "nk")
-	attrs := c.PartitionAttrs()
-	want := map[string]bool{"nk": true, "ck": true}
-	if len(attrs) != 2 {
-		t.Fatalf("PartitionAttrs = %v", attrs)
-	}
-	for _, a := range attrs {
-		if !want[a] {
-			t.Errorf("unexpected partition attr %q", a)
+	for a, want := range map[string]bool{"nk": true, "ck": true, "other": false} {
+		if got := c.IsPartitionAttr(a); got != want {
+			t.Errorf("IsPartitionAttr(%q) = %v, want %v", a, got, want)
 		}
 	}
 }

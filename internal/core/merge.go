@@ -46,6 +46,22 @@ type keyedMerge struct {
 	partition []string
 	sites     []string
 	starts    []int
+	// Keyed fragments merge as they arrive, so the groups' slots and rows
+	// follow the arrivals. brought is, per client in the coordinator's
+	// order, its fragment's rows and the slot each resolved to; siteOrder
+	// then puts rows in client order, order[k] naming row k's slot (nil:
+	// the same). shuffled is set once a fragment arrived before an earlier
+	// client's.
+	brought  []fragment
+	order    []int32
+	last     int
+	shuffled bool
+}
+
+// fragment is a keyed fragment's rows and their slots.
+type fragment struct {
+	rows []relation.Row
+	at   []int
 }
 
 // newKeyedMerge starts a merge over the given group rows, which states-only
@@ -169,14 +185,14 @@ func (m *keyedMerge) mergeAt(h *relation.Frame) error {
 // a site-disjoint step a key an earlier fragment brought fails the merge,
 // naming both sites: the catalog's partition claim is false, and merging
 // the two would answer from a claim the data violates.
-func (m *keyedMerge) mergeKeyed(site string, h *relation.Frame, rows []relation.Row) error {
+func (m *keyedMerge) mergeKeyed(site string, client int, h *relation.Frame, rows []relation.Row) error {
 	first := len(m.rows)
 	if m.disjoint {
 		m.sites, m.starts = append(m.sites, site), append(m.starts, first)
 	}
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, m.keyIdx, m.rows[pos], m.keyIdx) }
-	m.at = m.at[:0]
+	m.at = make([]int, 0, len(rows))
 	for _, row = range rows {
 		hash := relation.HashRow(row, m.keyIdx)
 		pos, ok := m.index.Find(hash, sameKey)
@@ -196,7 +212,50 @@ func (m *keyedMerge) mergeKeyed(site string, h *relation.Frame, rows []relation.
 		}
 		m.at = append(m.at, pos)
 	}
+	m.brought[client] = fragment{rows, m.at}
+	m.shuffled, m.last = m.shuffled || client < m.last, client
 	return m.mergeAt(h)
+}
+
+// siteOrder lists the groups, and takes each group's row, as a merge in
+// client order would have, so X and the bytes that ship it do not depend
+// on which site answered first: the first client's rows, then those of
+// the groups the next one brought first, and so on. The rows are the
+// fragments' own, so m.rows is rewritten in place.
+func (m *keyedMerge) siteOrder() {
+	if !m.shuffled {
+		return
+	}
+	seen, order, rows := make([]bool, len(m.rows)), make([]int32, 0, len(m.rows)), m.rows[:0]
+	for _, f := range m.brought {
+		for j, g := range f.at {
+			if !seen[g] {
+				seen[g] = true
+				order, rows = append(order, int32(g)), append(rows, f.rows[j])
+			}
+		}
+	}
+	m.rows, m.order = rows, order
+}
+
+// slot returns the slab slot of row k.
+func (m *keyedMerge) slot(k int) int {
+	if m.order == nil {
+		return k
+	}
+	return int(m.order[k])
+}
+
+// ordered is a slab lane read in a keyed merge's row order.
+type ordered struct {
+	src relation.LaneSource
+	m   *keyedMerge
+}
+
+func (o ordered) Values(dst []value.V, from int, kindsOnly bool) {
+	for k := range dst {
+		o.src.Values(dst[k:k+1], o.m.slot(from+k), kindsOnly)
+	}
 }
 
 // keyText renders group g's key as name=value pairs.
@@ -233,7 +292,7 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 			nr = append(carve(&chunk, len(nr)+max(m.room, len(m.specs)), len(m.rows)-gi), nr...)
 		}
 		for si, sp := range m.specs {
-			v, err := m.accs.Finalize(gi, si)
+			v, err := m.accs.Finalize(m.slot(gi), si)
 			if err != nil {
 				return nil, fmt.Errorf("finalize %s: %w", sp.As, err)
 			}
@@ -265,7 +324,11 @@ func (m *keyedMerge) tier() (*relation.Frame, []byte, error) {
 		return nil, nil, err
 	}
 	for p := 0; p < m.accs.Width(); p++ {
-		lanes = append(lanes, m.accs.Lane(p))
+		lane := m.accs.Lane(p)
+		if m.order != nil {
+			lane = ordered{lane, m}
+		}
+		lanes = append(lanes, lane)
 	}
 	out := relation.EncodeFrame(schema, len(m.rows), m.kept, lanes)
 	if out.Len() == len(m.rows) {

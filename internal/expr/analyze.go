@@ -41,15 +41,6 @@ func SidesUsed(e Expr, bd Binding) (base, detail bool) {
 	return base, detail
 }
 
-// RefsOnly reports whether e references columns of side only (or none).
-func RefsOnly(e Expr, bd Binding, side Side) bool {
-	b, d := SidesUsed(e, bd)
-	if side == SideBase {
-		return !d
-	}
-	return !b
-}
-
 // EquiPair is an equality conjunct pairing a base column with a detail
 // column, as in F.SourceAS = B.SourceAS.
 type EquiPair struct {

@@ -176,7 +176,7 @@ func TestSideOf(t *testing.T) {
 func TestRefsOnlyAndSidesUsed(t *testing.T) {
 	bd := flowBinding()
 	e := MustParse("F.NumBytes > 5")
-	if !RefsOnly(e, bd, SideDetail) || RefsOnly(e, bd, SideBase) {
+	if b, d := SidesUsed(e, bd); b || !d {
 		t.Error("detail-only misclassified")
 	}
 	e = MustParse("B.sum1 > 5 AND F.NumBytes > 5")

@@ -312,10 +312,11 @@ func TestEvalBaseWhere(t *testing.T) {
 func TestQuerySchemas(t *testing.T) {
 	detail := flowRel(testFlow...)
 	q := example1Query()
-	rs, err := q.ResultSchema(detail.Schema)
+	res, err := EvalQuery(detail, q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := res.Schema
 	wantCols := []string{"SourceAS", "DestAS", "cnt1", "sum1", "cnt2"}
 	if rs.Len() != len(wantCols) {
 		t.Fatalf("result schema = %s", rs)

@@ -123,21 +123,6 @@ func (q Query) BaseSchema(detail *relation.Schema) (*relation.Schema, error) {
 	return s, nil
 }
 
-// ResultSchema returns the schema of the full query result.
-func (q Query) ResultSchema(detail *relation.Schema) (*relation.Schema, error) {
-	s, err := q.BaseSchema(detail)
-	if err != nil {
-		return nil, err
-	}
-	for i, md := range q.MDs {
-		s, err = s.Concat(outColumns(md)...)
-		if err != nil {
-			return nil, fmt.Errorf("gmdj: MD_%d: %w", i+1, err)
-		}
-	}
-	return s, nil
-}
-
 func outColumns(md MD) []relation.Column {
 	var cols []relation.Column
 	for _, s := range md.Specs() {

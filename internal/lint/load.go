@@ -13,8 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Package is one loaded, type-checked module package.
@@ -119,45 +117,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("lint: no module packages matched %v", patterns)
 	}
 	return out, nil
-}
-
-// LoadDir parses and type-checks a single directory outside the normal
-// module package space (the analysistest-style harness points it at
-// testdata packages). Imports resolve against whatever a prior Load (or
-// LoadDeps) made available.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	return l.check("testdata/"+filepath.Base(dir), dir, files)
-}
-
-// LoadDeps makes the dependency closure of the module's packages
-// importable (export data for the standard library) without returning
-// them for analysis. The harness calls it once so testdata packages can
-// import anything the module itself imports.
-func (l *Loader) LoadDeps() error {
-	listed, err := goList([]string{"./..."})
-	if err != nil {
-		return err
-	}
-	for _, lp := range listed {
-		if lp.Standard && lp.Export != "" {
-			l.exportFiles[lp.ImportPath] = lp.Export
-		}
-	}
-	return nil
 }
 
 // check parses and type-checks one package's files.

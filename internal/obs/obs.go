@@ -119,16 +119,6 @@ func (o *Obs) Event(kind, site, msg string, fields map[string]string) {
 	o.Events.Append(kind, site, msg, fields)
 }
 
-// StartSpan opens a span named name on the track inherited from the
-// context (or TrackDefault at the root). Safe on a nil receiver: the
-// returned context is ctx and the span is a no-op.
-func (o *Obs) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if o == nil || o.Tracer == nil {
-		return ctx, nil
-	}
-	return o.Tracer.Start(ctx, name, "")
-}
-
 // StartSpanTrack opens a span on an explicit track (one horizontal lane
 // of the Chrome trace timeline, e.g. "coordinator" or "site:site0").
 // Safe on a nil receiver.

@@ -19,7 +19,7 @@ func TestNilObsIsSafe(t *testing.T) {
 	o.SetGauge("g", 2)
 	o.Observe("h", 3)
 	o.Event(EventRetry, "s", "msg", nil)
-	ctx, span := o.StartSpan(context.Background(), "q")
+	ctx, span := o.StartSpanTrack(context.Background(), "q", "")
 	span.SetArg("k", "v")
 	span.End()
 	if ctx == nil {
@@ -228,7 +228,7 @@ func TestTracerChromeExport(t *testing.T) {
 
 func TestTracerCapAndReset(t *testing.T) {
 	tr := NewTracer()
-	tr.SetCap(2)
+	tr.max = 2
 	for i := 0; i < 5; i++ {
 		_, s := tr.Start(context.Background(), "s", "")
 		s.End()
@@ -246,7 +246,7 @@ func TestDebugServer(t *testing.T) {
 	o := New()
 	o.Count("site.rounds_served", 3)
 	o.Event(EventFailover, "site1", "failing over", map[string]string{"to": "1"})
-	_, span := o.StartSpan(context.Background(), "query")
+	_, span := o.StartSpanTrack(context.Background(), "query", "")
 	span.End()
 
 	srv, err := ServeDebug("127.0.0.1:0", o)

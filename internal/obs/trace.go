@@ -76,16 +76,6 @@ func (t *Tracer) SetNow(f func() time.Time) {
 	t.mu.Unlock()
 }
 
-// SetCap changes the retained-span bound (minimum 1).
-func (t *Tracer) SetCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	t.max = n
-	t.mu.Unlock()
-}
-
 // spanCtxKey carries the active span through a context.
 type spanCtxKey struct{}
 
