@@ -38,22 +38,32 @@ func newHarness(b *testing.B, cfg bench.Config) *bench.Harness {
 	return h
 }
 
+// runQuery executes one query on the first sites sites of the harness's
+// cluster and returns its stats.
+func runQuery(b *testing.B, h *bench.Harness, sites int, q skalla.Query, opts skalla.Options) *skalla.ExecStats {
+	sub, err := h.Cluster.Subset(sites)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sub.Query(q, "tpcr", opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Stats
+}
+
 // measureLoop runs the query b.N times and reports the custom metrics.
 func measureLoop(b *testing.B, h *bench.Harness, sites int, q skalla.Query, opts skalla.Options) {
 	b.Helper()
-	var last bench.Measure
+	var last *skalla.ExecStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := h.RunQuery(sites, q, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = m
+		last = runQuery(b, h, sites, q, opts)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(last.Bytes)/1024, "wireKB/op")
-	b.ReportMetric(float64(last.EvalTime.Microseconds())/1000, "evalms/op")
-	b.ReportMetric(float64(last.Rounds), "rounds/op")
+	b.ReportMetric(float64(last.Bytes())/1024, "wireKB/op")
+	b.ReportMetric(float64(last.EvalTime().Microseconds())/1000, "evalms/op")
+	b.ReportMetric(float64(len(last.Rounds)), "rounds/op")
 }
 
 // BenchmarkFig2Time / BenchmarkFig2Bytes — Fig. 2: the group reduction
@@ -180,21 +190,17 @@ func benchScaleup(b *testing.B, constGroups bool) {
 			{"all", skalla.AllOptimizations},
 		} {
 			b.Run(fmt.Sprintf("scale=%d/%s", scale, v.name), func(b *testing.B) {
-				var last bench.Measure
+				var last *skalla.ExecStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					m, err := h.RunQuery(4, q, v.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = m
+					last = runQuery(b, h, 4, q, v.opts)
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(last.Bytes)/1024, "wireKB/op")
-				b.ReportMetric(float64(last.EvalTime.Microseconds())/1000, "evalms/op")
-				b.ReportMetric(float64(last.SiteTime.Microseconds())/1000, "site-ms/op")
-				b.ReportMetric(float64(last.CoordTime.Microseconds())/1000, "coord-ms/op")
-				b.ReportMetric(float64(last.CommTime.Microseconds())/1000, "comm-ms/op")
+				b.ReportMetric(float64(last.Bytes())/1024, "wireKB/op")
+				b.ReportMetric(float64(last.EvalTime().Microseconds())/1000, "evalms/op")
+				b.ReportMetric(float64(last.SiteTime().Microseconds())/1000, "site-ms/op")
+				b.ReportMetric(float64(last.CoordTime().Microseconds())/1000, "coord-ms/op")
+				b.ReportMetric(float64(last.CommTime().Microseconds())/1000, "comm-ms/op")
 			})
 		}
 	}

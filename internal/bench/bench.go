@@ -285,9 +285,3 @@ func ms(d time.Duration) string {
 func kb(n int64) string {
 	return fmt.Sprintf("%.1f", float64(n)/1024)
 }
-
-// RunQuery executes one measured query on the first n sites — the unit
-// the per-figure benchmarks in the repository root are built from.
-func (h *Harness) RunQuery(n int, q skalla.Query, opts skalla.Options) (Measure, error) {
-	return h.run(n, q, opts)
-}

@@ -182,7 +182,7 @@ func tailSites(cfg TailConfig, sites []*site.Engine, hedged bool, sink *obs.Obs)
 	clients := make([]transport.Client, len(sites))
 	for i, eng := range sites {
 		seed := cfg.Seed + int64(i)
-		primary := transport.NewChaos(seed)
+		primary := transport.NewChaos()
 		primary.SetTailLatency(seed, cfg.TailP, cfg.TailDelay)
 		spec := transport.SiteSpec{ID: eng.ID(), Replicas: []transport.Replica{{Handler: eng, Chaos: primary}}}
 		if hedged {

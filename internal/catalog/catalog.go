@@ -111,16 +111,6 @@ func (c *Catalog) Invalidate() {
 	c.mu.Unlock()
 }
 
-// DomainsFor returns the domain map of the named site (nil if unknown
-// site or no knowledge).
-func (c *Catalog) DomainsFor(siteID string) map[string]expr.Domain {
-	s, err := c.Site(siteID)
-	if err != nil {
-		return nil
-	}
-	return s.Domains
-}
-
 // IsPartitionAttr reports whether attr satisfies Definition 2: the
 // projections of the sites' partitions onto attr are pairwise disjoint.
 // This holds when every site declares a domain for attr and those domains

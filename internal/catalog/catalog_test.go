@@ -33,13 +33,19 @@ func TestSiteLookupAndDomains(t *testing.T) {
 	if err := c.SetDomain("nope", "x", expr.Domain{}); err == nil {
 		t.Error("SetDomain on unknown site accepted")
 	}
-	d := c.DomainsFor("s1")
-	if len(d) != 1 {
-		t.Errorf("DomainsFor = %v", d)
+	if d := siteDomains(t, c, "s1"); len(d) != 1 {
+		t.Errorf("s1 domains = %v", d)
 	}
-	if c.DomainsFor("nope") != nil {
-		t.Error("DomainsFor unknown site should be nil")
+}
+
+// siteDomains returns the domain map of the named site of c.
+func siteDomains(t *testing.T, c *Catalog, id string) map[string]expr.Domain {
+	t.Helper()
+	s, err := c.Site(id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s.Domains
 }
 
 func TestPartitionAttrSets(t *testing.T) {
@@ -186,14 +192,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !back.IsPartitionAttr("nationkey") || !back.IsPartitionAttr("custkey") {
 		t.Error("partition knowledge lost")
 	}
-	d := back.DomainsFor("s0")["shipdate"]
+	d := siteDomains(t, back, "s0")["shipdate"]
 	if !d.HasMin || !d.HasMax || d.Min.Int() != 0 || d.Max.Int() != 100 {
 		t.Errorf("range domain lost: %+v", d)
 	}
-	if f := back.DomainsFor("s0")["frac"]; !f.HasMin || f.Min.Float() != 0.25 {
+	if f := siteDomains(t, back, "s0")["frac"]; !f.HasMin || f.Min.Float() != 0.25 {
 		t.Errorf("float domain lost: %+v", f)
 	}
-	if names := back.DomainsFor("s1")["name"]; len(names.Set) != 2 || names.Set[0].S != "a" {
+	if names := siteDomains(t, back, "s1")["name"]; len(names.Set) != 2 || names.Set[0].S != "a" {
 		t.Errorf("string set lost: %+v", names)
 	}
 }

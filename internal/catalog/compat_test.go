@@ -47,7 +47,7 @@ func TestCatalogFileGolden(t *testing.T) {
 		return g.K == w.K && gi == wi && math.Float64bits(gf) == math.Float64bits(wf) && g.S == w.S
 	}
 	for _, s := range want.Sites {
-		gd := got.DomainsFor(s.ID)
+		gd := siteDomains(t, got, s.ID)
 		if len(gd) != len(s.Domains) {
 			t.Errorf("site %s: %d domains, want %d", s.ID, len(gd), len(s.Domains))
 		}

@@ -24,12 +24,12 @@ func newTestCatalog(nSites int) *catalog.Catalog {
 }
 
 // chaosCluster builds an in-process cluster whose every site's replica
-// is armed with a seeded fault schedule, rows split round-robin, each
+// is armed with a fault schedule, rows split round-robin, each
 // call sent once. It returns the schedules (indexed by site) for
 // scripting faults and the whole relation for computing expected results.
-func chaosCluster(t *testing.T, rows []relation.Row, nSites int, seed int64) (*Coordinator, []*transport.Chaos, *relation.Relation) {
+func chaosCluster(t *testing.T, rows []relation.Row, nSites int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
 	t.Helper()
-	return armedCluster(t, rows, nSites, seed, 0)
+	return armedCluster(t, rows, nSites, 0)
 }
 
 // retryingChaosCluster is chaosCluster whose site clients try each call
@@ -37,10 +37,10 @@ func chaosCluster(t *testing.T, rows []relation.Row, nSites int, seed int64) (*C
 // transport failures.
 func retryingChaosCluster(t *testing.T, rows []relation.Row, nSites int, attempts int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
 	t.Helper()
-	return armedCluster(t, rows, nSites, 1, attempts)
+	return armedCluster(t, rows, nSites, attempts)
 }
 
-func armedCluster(t *testing.T, rows []relation.Row, nSites int, seed int64, attempts int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
+func armedCluster(t *testing.T, rows []relation.Row, nSites int, attempts int) (*Coordinator, []*transport.Chaos, *relation.Relation) {
 	t.Helper()
 	whole := relation.New(flowSchema())
 	whole.Rows = rows
@@ -57,12 +57,19 @@ func armedCluster(t *testing.T, rows []relation.Row, nSites int, seed int64, att
 		id := fmt.Sprintf("site%d", i)
 		eng := site.NewEngine(id)
 		eng.Load("flow", parts[i])
-		chaos[i] = transport.NewChaos(seed + int64(i))
+		chaos[i] = transport.NewChaos()
 		clients[i] = siteClient(t, transport.SiteSpec{ID: id,
 			Replicas:   []transport.Replica{{Handler: eng, Chaos: chaos[i]}},
 			Resilience: transport.Resilience{Attempts: attempts}})
 	}
 	return NewCoordinator(clients...), chaos, whole
+}
+
+// injectN queues n copies of f for op on ch.
+func injectN(ch *transport.Chaos, op transport.Op, n int, f transport.Fault) {
+	for i := 0; i < n; i++ {
+		ch.Inject(op, f)
+	}
 }
 
 // TestExecuteSurvivesOneShotSiteErrors: transient transport failures on
@@ -75,7 +82,7 @@ func TestExecuteSurvivesOneShotSiteErrors(t *testing.T) {
 	// One-shot failures scattered across ops, rounds and sites: the schema
 	// fetch, a base-round call (site1's first evaluation), and two calls of
 	// the next round (its third and fourth, the base call's retry between).
-	chaos[0].FailNext(transport.OpRelInfo, 1)
+	chaos[0].Inject(transport.OpRelInfo, transport.Fault{Err: transport.ErrInjected})
 	for _, nth := range []int{1, 3, 4} {
 		chaos[1].InjectAt(transport.OpEvalRounds, nth, transport.Fault{Err: transport.ErrInjected})
 	}
@@ -115,7 +122,7 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 		parts[i%nSites].Rows = append(parts[i%nSites].Rows, row)
 	}
 
-	primary := transport.NewChaos(11)
+	primary := transport.NewChaos()
 	clients := make([]transport.Client, nSites)
 	for i := 0; i < nSites; i++ {
 		id := fmt.Sprintf("site%d", i)
@@ -164,9 +171,9 @@ func TestReplicaFailoverMidQuery(t *testing.T) {
 // the query fails promptly (strict mode) naming the site.
 func TestDeadlineExpiryOnHungSite(t *testing.T) {
 	rows := testRows(120, 5)
-	coord, chaos, _ := chaosCluster(t, rows, 3, 1)
+	coord, chaos, _ := chaosCluster(t, rows, 3)
 	coord.CallTimeout = 50 * time.Millisecond
-	chaos[2].HangNext(transport.OpEvalRounds)
+	chaos[2].Inject(transport.OpEvalRounds, transport.Fault{Hang: true})
 
 	start := time.Now()
 	_, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: newTestCatalog(3)})
@@ -187,9 +194,9 @@ func TestDeadlineExpiryOnHungSite(t *testing.T) {
 // no timeout at all, which only first-error cancellation can release.
 func TestFirstErrorCancelsSiblings(t *testing.T) {
 	rows := testRows(120, 6)
-	coord, chaos, _ := chaosCluster(t, rows, 3, 1)
-	chaos[0].FailNext(transport.OpEvalRounds, 1)
-	chaos[1].HangNext(transport.OpEvalRounds)
+	coord, chaos, _ := chaosCluster(t, rows, 3)
+	chaos[0].Inject(transport.OpEvalRounds, transport.Fault{Err: transport.ErrInjected})
+	chaos[1].Inject(transport.OpEvalRounds, transport.Fault{Hang: true})
 
 	done := make(chan error, 1)
 	go func() {
@@ -217,9 +224,9 @@ func TestDegradedPartialResult(t *testing.T) {
 	rows := testRows(240, 7)
 	q := example1()
 	nSites := 3
-	coord, chaos, _ := chaosCluster(t, rows, nSites, 1)
+	coord, chaos, _ := chaosCluster(t, rows, nSites)
 	coord.AllowPartial = true
-	chaos[2].FailNext(transport.OpAny, 1000) // site2 is down for the whole query
+	injectN(chaos[2], transport.OpAny, 1000, transport.Fault{Err: transport.ErrInjected}) // site2 is down for the whole query
 
 	// Expected: the centralized evaluation over the surviving partitions.
 	survivors := relation.New(flowSchema())
@@ -268,10 +275,10 @@ func TestDegradedPartialResult(t *testing.T) {
 // survives — a partial result needs at least one fragment.
 func TestDegradedAllSitesLost(t *testing.T) {
 	rows := testRows(60, 8)
-	coord, chaos, _ := chaosCluster(t, rows, 2, 1)
+	coord, chaos, _ := chaosCluster(t, rows, 2)
 	coord.AllowPartial = true
 	for _, ch := range chaos {
-		ch.FailNext(transport.OpEvalRounds, 1000)
+		injectN(ch, transport.OpEvalRounds, 1000, transport.Fault{Err: transport.ErrInjected})
 	}
 	_, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: newTestCatalog(2)})
 	if err == nil {
@@ -288,8 +295,8 @@ func TestDegradedAllSitesLost(t *testing.T) {
 // query (the pre-existing strict behavior is the default).
 func TestStrictModeStillFails(t *testing.T) {
 	rows := testRows(60, 9)
-	coord, chaos, _ := chaosCluster(t, rows, 3, 1)
-	chaos[1].FailNext(transport.OpEvalRounds, 1000)
+	coord, chaos, _ := chaosCluster(t, rows, 3)
+	injectN(chaos[1], transport.OpEvalRounds, 1000, transport.Fault{Err: transport.ErrInjected})
 	_, _, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: newTestCatalog(3)})
 	if !errors.Is(err, transport.ErrInjected) {
 		t.Fatalf("err = %v, want the injected failure", err)
@@ -300,8 +307,8 @@ func TestStrictModeStillFails(t *testing.T) {
 // whole execution promptly, even with a site hung and no timeouts set.
 func TestExecuteContextCancel(t *testing.T) {
 	rows := testRows(120, 10)
-	coord, chaos, _ := chaosCluster(t, rows, 3, 1)
-	chaos[0].HangNext(transport.OpEvalRounds)
+	coord, chaos, _ := chaosCluster(t, rows, 3)
+	chaos[0].Inject(transport.OpEvalRounds, transport.Fault{Hang: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)

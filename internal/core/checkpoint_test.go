@@ -130,8 +130,8 @@ func TestFormat1CheckpointRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRelation(t, "fresh start", got, want, q.Keys())
-	if stats.ResumedRounds() != 0 {
-		t.Errorf("resumed %d round(s) from a format-1 checkpoint", stats.ResumedRounds())
+	if resumedRounds(stats) != 0 {
+		t.Errorf("resumed %d round(s) from a format-1 checkpoint", resumedRounds(stats))
 	}
 	assertSitesDecompose(t, stats)
 	if n := coord.Obs.Metrics.CounterValue("checkpoint.errors"); n != 1 {
@@ -232,7 +232,7 @@ func TestPlanEpochDeterministic(t *testing.T) {
 		t.Error("different plans share an epoch")
 	}
 	// The same plan over a different site set is a different execution.
-	sub := NewCoordinator(coord.Clients()[:2]...)
+	sub := NewCoordinator(coord.clients[:2]...)
 	if coord.executionEpoch(p1) == sub.executionEpoch(p1) {
 		t.Error("different site sets share an execution epoch")
 	}
@@ -295,19 +295,19 @@ func TestResumeAfterInterruption(t *testing.T) {
 	egil := Egil{Catalog: newTestCatalog(3)} // no optimizations: 3 rounds
 
 	// Reference: recovery enabled, no faults.
-	ref, _, whole := chaosCluster(t, rows, 3, 100)
+	ref, _, whole := chaosCluster(t, rows, 3)
 	ref.Checkpoints = NewMemCheckpoints()
 	refRel, refStats, _, err := ref.Run(context.Background(), q, "flow", egil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refStats.ResumedRounds() != 0 {
-		t.Fatalf("reference run resumed %d rounds", refStats.ResumedRounds())
+	if resumedRounds(refStats) != 0 {
+		t.Fatalf("reference run resumed %d rounds", resumedRounds(refStats))
 	}
 
 	// Interrupted: site2's third evaluation (step 2, after the base round
 	// and step 1) dies.
-	coord, chaos, _ := chaosCluster(t, rows, 3, 101)
+	coord, chaos, _ := chaosCluster(t, rows, 3)
 	store := NewMemCheckpoints()
 	coord.Checkpoints = store
 	o := obs.New()
@@ -328,7 +328,7 @@ func TestResumeAfterInterruption(t *testing.T) {
 
 	// Resume: a fresh coordinator (same sites, same store) picks up after
 	// round 2 and only executes the last round.
-	coord2 := NewCoordinator(coord.Clients()...)
+	coord2 := NewCoordinator(coord.clients...)
 	coord2.Checkpoints = store
 	o2 := obs.New()
 	coord2.Obs = o2
@@ -342,8 +342,8 @@ func TestResumeAfterInterruption(t *testing.T) {
 	}
 	assertSameRelation(t, "resumed", got, want, q.Keys())
 
-	if stats.ResumedRounds() != 2 {
-		t.Errorf("resumed rounds = %d, want 2", stats.ResumedRounds())
+	if resumedRounds(stats) != 2 {
+		t.Errorf("resumed rounds = %d, want 2", resumedRounds(stats))
 	}
 	if got := o2.Metrics.CounterValue("checkpoint.resumed"); got != 1 {
 		t.Errorf("checkpoint.resumed = %d, want 1", got)
@@ -395,8 +395,8 @@ func TestResumeAfterInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.ResumedRounds() != 0 {
-		t.Errorf("rerun after completion resumed %d rounds", stats2.ResumedRounds())
+	if resumedRounds(stats2) != 0 {
+		t.Errorf("rerun after completion resumed %d rounds", resumedRounds(stats2))
 	}
 	assertSameRelation(t, "rerun", rerun, want.Clone(), q.Keys())
 }
@@ -427,7 +427,7 @@ func TestRetryAfterTransportFailure(t *testing.T) {
 	if stats.Partial() {
 		t.Errorf("a retry must not degrade the result: lost %v", stats.LostSites())
 	}
-	if rp := stats.ReplayedSites(); len(rp) != 1 || rp[0] != "site1" {
+	if rp := roundSites(stats, (*RoundStats).Replayed); len(rp) != 1 || rp[0] != "site1" {
 		t.Errorf("replayed sites = %v, want [site1]", rp)
 	}
 	last := stats.Rounds[len(stats.Rounds)-1]
@@ -436,7 +436,7 @@ func TestRetryAfterTransportFailure(t *testing.T) {
 	}
 	// The coordinator sends each call once: without a retry layer the
 	// same fault aborts the run.
-	coordStrict, chaosStrict, _ := chaosCluster(t, rows, 3, 103)
+	coordStrict, chaosStrict, _ := chaosCluster(t, rows, 3)
 	chaosStrict[1].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
 	if _, _, _, err := coordStrict.Run(context.Background(), q, "flow", egil); err == nil {
 		t.Fatal("no retry layer: transport failure should abort")

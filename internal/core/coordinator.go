@@ -89,12 +89,6 @@ func (c *Coordinator) Derive(clients ...transport.Client) *Coordinator {
 	return &Coordinator{clients: clients, Settings: c.Settings}
 }
 
-// Clients returns the coordinator's site clients.
-func (c *Coordinator) Clients() []transport.Client { return c.clients }
-
-// NumSites returns the number of participating sites.
-func (c *Coordinator) NumSites() int { return len(c.clients) }
-
 // DetailSchema fetches the schema of the named relation for planning. It
 // asks the sites in order and returns the first answer, so a down first
 // site does not block planning while any site can describe the relation.

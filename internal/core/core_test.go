@@ -560,7 +560,7 @@ func TestMultiDetailQuery(t *testing.T) {
 
 	coord, cat, wholeFlow := cluster(t, flowRows, 3, false)
 	// Load alert partitions round-robin alongside the flows.
-	for i, cl := range coord.Clients() {
+	for i, cl := range coord.clients {
 		part := relation.New(alertSchema)
 		for j, row := range wholeAlerts.Rows {
 			if j%3 == i {

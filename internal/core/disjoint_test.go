@@ -363,8 +363,8 @@ func TestHedgedFusedStep(t *testing.T) {
 		eng.Load("flow", parts[i])
 		// The primary straggles past the hedge delay, so the secondary is
 		// raced and both replicas answer.
-		primary := transport.NewChaos(1)
-		primary.DelayN(transport.OpEvalRounds, 1000, 2*time.Millisecond)
+		primary := transport.NewChaos()
+		injectN(primary, transport.OpEvalRounds, 1000, transport.Fault{Delay: 2 * time.Millisecond})
 		h := siteClient(t, transport.SiteSpec{ID: id,
 			Replicas:   []transport.Replica{{Handler: eng, Chaos: primary}, {Handler: eng}},
 			Resilience: transport.Resilience{Hedge: true, HedgeDelay: 500 * time.Microsecond}})
@@ -385,7 +385,7 @@ func TestHedgedFusedStep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s hedged: %v", name, err)
 			}
-			if len(stats.HedgedSites()) == 0 {
+			if len(roundSites(stats, (*RoundStats).Hedged)) == 0 {
 				t.Fatalf("%s: no site was hedged", name)
 			}
 			if !bytes.Equal(sortedFrame(t, got, q.Keys()), sortedFrame(t, want, q.Keys())) {

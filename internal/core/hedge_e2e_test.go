@@ -54,8 +54,8 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 		// round request again: rounds are pure functions of the request.
 		spec := transport.SiteSpec{ID: id, Replicas: []transport.Replica{{Addr: addr}}, Obs: sink}
 		if i == 1 {
-			primary := transport.NewChaos(1)
-			primary.DelayN(transport.OpEvalRounds, 1000, straggle)
+			primary := transport.NewChaos()
+			injectN(primary, transport.OpEvalRounds, 1000, transport.Fault{Delay: straggle})
 			spec.Replicas = []transport.Replica{
 				{Addr: addr, Chaos: primary},
 				{Addr: addr},
@@ -97,8 +97,8 @@ func TestHedgedQueryOverTCP(t *testing.T) {
 	if wins < 1 {
 		t.Errorf("hedge wins = %d, want at least 1 (the clean replica must beat the straggler)", wins)
 	}
-	if got := stats.HedgedSites(); len(got) == 0 || got[0] != "site1" {
-		t.Errorf("stats.HedgedSites() = %v, want [site1]", got)
+	if got := roundSites(stats, (*RoundStats).Hedged); len(got) == 0 || got[0] != "site1" {
+		t.Errorf("hedged sites = %v, want [site1]", got)
 	}
 	// Every round call on site 1's primary is delayed by 150ms; with the
 	// hedge racing after 10ms, the query must finish well under the

@@ -106,7 +106,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 	}
 
 	t.Run("untagged", func(t *testing.T) {
-		coord, _, _ := chaosCluster(t, rows, nSites, 1)
+		coord, _, _ := chaosCluster(t, rows, nSites)
 		coord.Obs = obs.New()
 		stats := run(t, coord)
 		allAnswered(t, stats)
@@ -120,13 +120,13 @@ func TestSitesDecomposeTotals(t *testing.T) {
 				}
 			}
 		}
-		if n := coord.Obs.Profiles.Len(); n != 0 {
+		if n := len(coord.Obs.Profiles.Profiles()); n != 0 {
 			t.Errorf("untagged execution published %d profile(s)", n)
 		}
 	})
 
 	t.Run("tagged", func(t *testing.T) {
-		coord, _, _ := chaosCluster(t, rows, nSites, 1)
+		coord, _, _ := chaosCluster(t, rows, nSites)
 		coord.QueryID = "q-exact"
 		coord.Obs = obs.New()
 		stats := run(t, coord)
@@ -144,15 +144,15 @@ func TestSitesDecomposeTotals(t *testing.T) {
 				}
 			}
 		}
-		if n := coord.Obs.Profiles.Len(); n != 1 {
+		if n := len(coord.Obs.Profiles.Profiles()); n != 1 {
 			t.Errorf("tagged execution published %d profile(s), want 1", n)
 		}
 	})
 
 	t.Run("partial", func(t *testing.T) {
-		coord, chaos, _ := chaosCluster(t, rows, nSites, 1)
+		coord, chaos, _ := chaosCluster(t, rows, nSites)
 		coord.AllowPartial = true
-		chaos[2].FailNext(transport.OpAny, 1000)
+		injectN(chaos[2], transport.OpAny, 1000, transport.Fault{Err: transport.ErrInjected})
 		stats := run(t, coord)
 		for _, r := range stats.Rounds {
 			lost := r.Lost()
@@ -182,7 +182,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 	})
 
 	t.Run("hedged", func(t *testing.T) {
-		coord, _, _ := chaosCluster(t, rows, nSites, 1)
+		coord, _, _ := chaosCluster(t, rows, nSites)
 		// site1 becomes a replica pair over one engine holding site1's
 		// partition: the primary straggles on every round call, so the
 		// hedge to the clean replica wins.
@@ -194,8 +194,8 @@ func TestSitesDecomposeTotals(t *testing.T) {
 			}
 		}
 		eng.Load("flow", part)
-		primary := transport.NewChaos(1)
-		primary.DelayN(transport.OpEvalRounds, 1000, 100*time.Millisecond)
+		primary := transport.NewChaos()
+		injectN(primary, transport.OpEvalRounds, 1000, transport.Fault{Delay: 100 * time.Millisecond})
 		pair, err := transport.NewSite(transport.SiteSpec{
 			ID:         "site1",
 			Replicas:   []transport.Replica{{Handler: eng, Chaos: primary}, {Handler: eng}},
@@ -204,7 +204,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients := append([]transport.Client(nil), coord.Clients()...)
+		clients := append([]transport.Client(nil), coord.clients...)
 		clients[1] = pair.Client()
 		defer clients[1].Close()
 		stats := run(t, coord.Derive(clients...))
@@ -214,13 +214,13 @@ func TestSitesDecomposeTotals(t *testing.T) {
 				t.Errorf("round %s: Hedged = %q, want site1", r.Name, got)
 			}
 		}
-		if got := strings.Join(stats.HedgedSites(), ","); got != "site1" {
-			t.Errorf("HedgedSites = %q", got)
+		if got := strings.Join(roundSites(stats, (*RoundStats).Hedged), ","); got != "site1" {
+			t.Errorf("hedged sites = %q", got)
 		}
 	})
 
 	t.Run("resumed", func(t *testing.T) {
-		coord, chaos, _ := chaosCluster(t, rows, nSites, 101)
+		coord, chaos, _ := chaosCluster(t, rows, nSites)
 		coord.Checkpoints = NewMemCheckpoints()
 		coord.QueryID = "q-resume"
 		chaos[2].InjectAt(transport.OpEvalRounds, 3, transport.Fault{Err: transport.ErrInjected})
@@ -228,7 +228,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 		if err == nil {
 			t.Fatal("interrupted run should fail")
 		}
-		stats := run(t, coord.Derive(coord.Clients()...))
+		stats := run(t, coord.Derive(coord.clients...))
 		allAnswered(t, stats)
 		// The restored rounds are the interrupted run's records, to the
 		// byte: the checkpoint keeps Sites, remote profiles included.
@@ -242,8 +242,8 @@ func TestSitesDecomposeTotals(t *testing.T) {
 				t.Errorf("restored round %s drifted from the interrupted run:\n got %+v\nwant %+v", got.Name, got, want)
 			}
 		}
-		if stats.ResumedRounds() != 2 || stats.Rounds[2].Resumed {
-			t.Errorf("resumed rounds = %d, last resumed = %v", stats.ResumedRounds(), stats.Rounds[2].Resumed)
+		if resumedRounds(stats) != 2 || stats.Rounds[2].Resumed {
+			t.Errorf("resumed rounds = %d, last resumed = %v", resumedRounds(stats), stats.Rounds[2].Resumed)
 		}
 	})
 }
@@ -252,7 +252,7 @@ func TestSitesDecomposeTotals(t *testing.T) {
 // reports how long it ran — in the statistics run hands the obs layer and
 // in the published profile — instead of a zero wall time.
 func TestFailedExecutionRecordsWall(t *testing.T) {
-	coord, chaos, _ := chaosCluster(t, testRows(120, 3), 3, 1)
+	coord, chaos, _ := chaosCluster(t, testRows(120, 3), 3)
 	coord.QueryID = "q-fail"
 	coord.Obs = obs.New()
 	// Round 2 (step 1) fails on site1 after the base round completed.

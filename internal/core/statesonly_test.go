@@ -163,7 +163,7 @@ func TestStatesOnlyRecovery(t *testing.T) {
 			if id == "site1" {
 				// The second round request is delivered and its reply lost,
 				// so the site has evaluated what the coordinator never read.
-				lost := transport.NewChaos(1)
+				lost := transport.NewChaos()
 				lost.InjectAt(transport.OpEvalRounds, 2, transport.Fault{DropAfter: true, Err: transport.ErrInjected})
 				return siteClient(t, transport.SiteSpec{ID: id,
 					Replicas:   []transport.Replica{{Handler: eng, Chaos: lost}},
@@ -172,7 +172,7 @@ func TestStatesOnlyRecovery(t *testing.T) {
 			return local(id, eng)
 		})
 		stats := check("replay", coord)
-		if rp := stats.ReplayedSites(); len(rp) != 1 || rp[0] != "site1" {
+		if rp := roundSites(stats, (*RoundStats).Replayed); len(rp) != 1 || rp[0] != "site1" {
 			t.Errorf("retried sites = %v, want [site1]", rp)
 		}
 	})
@@ -182,13 +182,13 @@ func TestStatesOnlyRecovery(t *testing.T) {
 			if id != "site1" {
 				return local(id, eng)
 			}
-			primary := transport.NewChaos(1)
-			primary.DelayN(transport.OpEvalRounds, 1000, 200*time.Millisecond)
+			primary := transport.NewChaos()
+			injectN(primary, transport.OpEvalRounds, 1000, transport.Fault{Delay: 200 * time.Millisecond})
 			return siteClient(t, transport.SiteSpec{ID: id,
 				Replicas:   []transport.Replica{{Handler: eng, Chaos: primary}, {Handler: eng}},
 				Resilience: transport.Resilience{Hedge: true, HedgeDelay: 5 * time.Millisecond}})
 		})
-		if hedged := check("hedge", coord).HedgedSites(); len(hedged) != 1 || hedged[0] != "site1" {
+		if hedged := roundSites(check("hedge", coord), (*RoundStats).Hedged); len(hedged) != 1 || hedged[0] != "site1" {
 			t.Errorf("hedged sites = %v, want [site1]", hedged)
 		}
 	})
@@ -208,10 +208,10 @@ func TestStatesOnlyRecovery(t *testing.T) {
 			t.Fatal("interrupted run succeeded")
 		}
 		fail.Store(false)
-		resumed := NewCoordinator(coord.Clients()...)
+		resumed := NewCoordinator(coord.clients...)
 		resumed.Checkpoints = store
-		if stats := check("resume", resumed); stats.ResumedRounds() != 3 {
-			t.Errorf("resumed %d rounds, want 3 (base, steps 1 and 2)", stats.ResumedRounds())
+		if stats := check("resume", resumed); resumedRounds(stats) != 3 {
+			t.Errorf("resumed %d rounds, want 3 (base, steps 1 and 2)", resumedRounds(stats))
 		}
 	})
 }

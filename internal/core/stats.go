@@ -233,13 +233,13 @@ func (s *ExecStats) Partial() bool {
 	return false
 }
 
-// distinctSites lists the distinct sites matching keep in any round, in
+// LostSites returns the distinct logical sites lost in any round, in
 // first-occurrence order (by round, then by site ID).
-func (s *ExecStats) distinctSites(keep func(*SiteRound) bool) []string {
+func (s *ExecStats) LostSites() []string {
 	seen := map[string]bool{}
 	var out []string
 	for i := range s.Rounds {
-		for _, site := range s.Rounds[i].sitesWhere(keep) {
+		for _, site := range s.Rounds[i].sitesWhere(isLost) {
 			if !seen[site] {
 				seen[site] = true
 				out = append(out, site)
@@ -247,35 +247,6 @@ func (s *ExecStats) distinctSites(keep func(*SiteRound) bool) []string {
 		}
 	}
 	return out
-}
-
-// LostSites returns the distinct logical sites lost in any round.
-func (s *ExecStats) LostSites() []string {
-	return s.distinctSites(isLost)
-}
-
-// ReplayedSites returns the distinct sites whose round request was
-// re-sent in any round.
-func (s *ExecStats) ReplayedSites() []string {
-	return s.distinctSites(replayed)
-}
-
-// HedgedSites returns the distinct sites whose round request was
-// duplicated to a replica in any round.
-func (s *ExecStats) HedgedSites() []string {
-	return s.distinctSites(hedged)
-}
-
-// ResumedRounds counts the rounds restored from a checkpoint rather than
-// executed.
-func (s *ExecStats) ResumedRounds() int {
-	n := 0
-	for _, r := range s.Rounds {
-		if r.Resumed {
-			n++
-		}
-	}
-	return n
 }
 
 // Coverage renders per-round coverage ("round base: 3/4 sites, lost

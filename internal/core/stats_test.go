@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,31 @@ func partialStats() *ExecStats {
 		roundOf("step 1", SiteRound{Site: "site1"}, lostSite("site2", "dial refused"), lostSite("site0", "timeout")),
 		roundOf("step 2", SiteRound{Site: "site0"}, SiteRound{Site: "site1"}, SiteRound{Site: "site2"}),
 	}}
+}
+
+// resumedRounds counts the rounds of s restored from a checkpoint.
+func resumedRounds(s *ExecStats) int {
+	n := 0
+	for _, r := range s.Rounds {
+		if r.Resumed {
+			n++
+		}
+	}
+	return n
+}
+
+// roundSites lists the distinct sites that list names in any round of s,
+// in first-occurrence order.
+func roundSites(s *ExecStats, list func(*RoundStats) []string) []string {
+	var out []string
+	for i := range s.Rounds {
+		for _, site := range list(&s.Rounds[i]) {
+			if !slices.Contains(out, site) {
+				out = append(out, site)
+			}
+		}
+	}
+	return out
 }
 
 func TestExecStatsPartialAccounting(t *testing.T) {

@@ -61,22 +61,25 @@ func (r *Relay) Handle(ctx context.Context, req *transport.Request) *transport.R
 
 func (r *Relay) handle(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	switch req.Op {
-	case transport.OpPing, transport.OpDrop, transport.OpRelInfo:
+	case transport.OpPing, transport.OpRelInfo:
 		return r.broadcast(ctx, req)
 
 	case transport.OpEvalRounds:
 		return r.eval(ctx, req)
 
-	default:
-		// Data placement (load, generate) addresses the leaves directly:
-		// a relay cannot split a shipped relation or renumber partitions.
+	case transport.OpLoad, transport.OpGenerate:
+		// Data placement addresses the leaves directly: a relay cannot
+		// split a shipped relation or renumber partitions.
 		return nil, fmt.Errorf("unsupported op %s; place data at the leaf sites", req.Op)
+
+	default:
+		return nil, fmt.Errorf("unknown op %d", req.Op)
 	}
 }
 
 // broadcast sends every child req and answers for the subtree: the
 // children's row counts summed (relInfo's rows) beside the first child's
-// relation (relInfo's schema). A child's error fails it.
+// frame (relInfo's schema). A child's error fails it.
 func (r *Relay) broadcast(ctx context.Context, req *transport.Request) (*transport.Response, error) {
 	start := time.Now()
 	resps, errs := r.coord.broadcast(ctx, req)
@@ -86,8 +89,8 @@ func (r *Relay) broadcast(ctx context.Context, req *transport.Request) (*transpo
 			return nil, errs[i]
 		}
 		out.RowCount += resp.RowCount
-		if f, err := resp.Frame(); out.Rel == nil && err == nil {
-			out.Rel = f.Relation()
+		if f, err := resp.Frame(); i == 0 && err == nil {
+			out.SetFrame(f)
 		}
 	}
 	out.ComputeNs = time.Since(start).Nanoseconds()

@@ -151,6 +151,13 @@ func TestRelayErrors(t *testing.T) {
 	if resp := relay.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "missing"}); resp.Error() == nil {
 		t.Error("child error not propagated")
 	}
+	// The retired ops 3 and 5 are as unknown to a relay as to a site.
+	for _, op := range []transport.Op{3, 5} {
+		resp := relay.Handle(context.Background(), &transport.Request{Op: op, Rel: "x"})
+		if want := fmt.Sprintf("relay: unknown op %d", op); resp.Err != want {
+			t.Errorf("op %d through relay answered %+v; want %q", op, resp, want)
+		}
+	}
 }
 
 // TestRelayKeepsChildErrorCode: a relay's reply carries its child's error
@@ -503,12 +510,12 @@ func TestRelayReplyShape(t *testing.T) {
 
 func TestCoordinatorNumSitesAndStatsGroups(t *testing.T) {
 	coord, cat, _ := cluster(t, testRows(50, 42), 3, false)
-	if coord.NumSites() != 3 {
-		t.Errorf("NumSites = %d", coord.NumSites())
-	}
 	_, stats, _, err := coord.Run(context.Background(), example1(), "flow", Egil{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := len(stats.Rounds[0].Responded()); got != 3 {
+		t.Errorf("round 0 answered by %d sites, want 3", got)
 	}
 	if stats.Groups() <= 0 {
 		t.Error("Groups() accounting empty")

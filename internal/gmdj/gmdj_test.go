@@ -329,8 +329,8 @@ func TestQuerySchemas(t *testing.T) {
 	if got := q.Keys(); len(got) != 2 || got[0] != "SourceAS" {
 		t.Errorf("Keys = %v", got)
 	}
-	if err := q.Validate(detail.Schema); err != nil {
-		t.Errorf("Validate: %v", err)
+	if err := q.ValidateOn(map[string]*relation.Schema{"": detail.Schema}, ""); err != nil {
+		t.Errorf("ValidateOn: %v", err)
 	}
 }
 

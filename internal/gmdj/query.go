@@ -68,13 +68,6 @@ func schemaFor(schemas map[string]*relation.Schema, name string) (*relation.Sche
 	return nil, fmt.Errorf("gmdj: no schema for detail relation %q", name)
 }
 
-// Validate checks the whole query against a single detail schema (the
-// common case where every round uses the same detail relation),
-// simulating the base schema growth across the MD chain.
-func (q Query) Validate(detail *relation.Schema) error {
-	return q.ValidateOn(map[string]*relation.Schema{"": detail}, "")
-}
-
 // ValidateOn validates a query whose MDs may name different detail
 // relations (the paper's R_k varying across rounds). schemas maps
 // relation names to schemas; def is the default detail name (also the

@@ -122,11 +122,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	l := NewLoader()
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	l, pkgs := loadModule(t)
 	diags, err := RunAnalyzers(pkgs, All())
 	if err != nil {
 		t.Fatalf("run: %v", err)

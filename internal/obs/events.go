@@ -112,30 +112,3 @@ func (l *EventLog) ByKind(kind string) []Event {
 	}
 	return out
 }
-
-// CountKind returns how many retained events have the given kind. It
-// counts under the lock without copying the ring (ByKind would allocate
-// a full event slice just to take its length).
-func (l *EventLog) CountKind(kind string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for i := range l.buf {
-		if l.buf[i].Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// Total returns how many events were ever appended (retained or evicted).
-func (l *EventLog) Total() int64 {
-	_, total := l.counts()
-	return total
-}
-
-// Dropped returns how many events were evicted by the capacity bound.
-func (l *EventLog) Dropped() int64 {
-	retained, total := l.counts()
-	return total - int64(retained)
-}

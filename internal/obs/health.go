@@ -24,14 +24,6 @@ func NewHealth() *Health {
 	return &Health{ready: true}
 }
 
-// SetReady marks the process ready to accept new work.
-func (h *Health) SetReady() {
-	h.mu.Lock()
-	h.ready = true
-	h.reason = ""
-	h.mu.Unlock()
-}
-
 // SetNotReady marks the process not ready, with a human-readable reason
 // ("draining", "restoring snapshot", ...).
 func (h *Health) SetNotReady(reason string) {

@@ -131,15 +131,11 @@ func (s *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *DebugServer) handleEvents(w http.ResponseWriter, r *http.Request) {
-	events := s.obs.Events.Events()
+	var events []Event
 	if kind := r.URL.Query().Get("kind"); kind != "" {
-		filtered := events[:0:0]
-		for _, e := range events {
-			if e.Kind == kind {
-				filtered = append(filtered, e)
-			}
-		}
-		events = filtered
+		events = s.obs.Events.ByKind(kind)
+	} else {
+		events = s.obs.Events.Events()
 	}
 	if events == nil {
 		events = []Event{}

@@ -22,9 +22,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -115,40 +112,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Buckets = append(s.Buckets, BucketCount{Le: le, N: n})
 	}
 	return s
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) of the observed
-// values by nearest rank over the log-scale buckets: the returned value
-// is the upper bound of the bucket containing the rank, clamped to the
-// observed [Min, Max]. The log-2 bucket boundaries make it an
-// order-of-magnitude estimate, which is what latency p50/p99 reporting
-// needs; it is deterministic for a fixed observation multiset.
-func (s HistogramSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s.Min
-	}
-	if q >= 1 {
-		return s.Max
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	var seen int64
-	for _, b := range s.Buckets {
-		seen += b.N
-		if seen >= rank {
-			v := b.Le
-			if v < s.Min {
-				v = s.Min
-			}
-			if v > s.Max {
-				v = s.Max
-			}
-			return v
-		}
-	}
-	return s.Max
 }
 
 // Registry holds named metrics. Metric accessors create on first use, so

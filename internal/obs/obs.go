@@ -94,14 +94,6 @@ func (o *Obs) SetNotReady(reason string) {
 	o.Health.SetNotReady(reason)
 }
 
-// SetReady flips the health state back to ready. Safe on a nil receiver.
-func (o *Obs) SetReady() {
-	if o == nil || o.Health == nil {
-		return
-	}
-	o.Health.SetReady()
-}
-
 // AddProfile appends one pre-encoded execution profile to the profile
 // ring. Safe on a nil receiver.
 func (o *Obs) AddProfile(p json.RawMessage) {

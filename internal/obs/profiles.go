@@ -44,24 +44,6 @@ func (l *ProfileLog) Profiles() []json.RawMessage {
 	return l.entries()
 }
 
-// Len returns how many profiles are retained.
-func (l *ProfileLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	retained, _ := l.counts()
-	return retained
-}
-
-// Total returns how many profiles were ever added (retained or evicted).
-func (l *ProfileLog) Total() int64 {
-	if l == nil {
-		return 0
-	}
-	_, total := l.counts()
-	return total
-}
-
 // EncodeJSON renders the retained profiles as one JSON array, oldest
 // first. Entries keep their producer's deterministic encoding, so the
 // array is byte-identical across runs up to timing fields.

@@ -44,11 +44,3 @@ func (r *ring[T]) entries() []T {
 	out = append(out, r.buf[r.head:]...)
 	return append(out, r.buf[:r.head]...)
 }
-
-// counts returns how many entries are retained and how many were ever
-// appended.
-func (r *ring[T]) counts() (retained int, total int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf), r.total
-}

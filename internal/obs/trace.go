@@ -46,8 +46,6 @@ type Tracer struct {
 	//lint:guarded-by mu
 	spans []spanRecord
 	//lint:guarded-by mu
-	dropped int64
-	//lint:guarded-by mu
 	max int
 	//lint:guarded-by mu
 	now func() time.Time
@@ -143,7 +141,6 @@ func (s *Span) End() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.spans) >= t.max {
-		t.dropped++
 		return
 	}
 	t.spans = append(t.spans, spanRecord{
@@ -160,22 +157,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// Dropped returns how many finished spans were discarded by the cap.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Reset discards all retained spans and restarts the epoch.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = nil
-	t.dropped = 0
-	t.epoch = t.now()
 }
 
 // chromeEvent is one trace_event entry. Complete spans use ph "X"

@@ -427,15 +427,6 @@ func (ix *KeyIndex) Find(hash uint64, eq func(pos int) bool) (int, bool) {
 	return 0, false
 }
 
-// Union appends all rows of t to r (multiset union). Schemas must match.
-func (r *Relation) Union(t *Relation) error {
-	if !r.Schema.Equal(t.Schema) {
-		return fmt.Errorf("relation: union schema mismatch: %s vs %s", r.Schema, t.Schema)
-	}
-	r.Rows = append(r.Rows, t.Rows...)
-	return nil
-}
-
 // SortKey names a sort column and its direction.
 type SortKey struct {
 	Name string

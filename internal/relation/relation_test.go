@@ -147,20 +147,6 @@ func TestDistinctProject(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a, b := mkRel(t), mkRel(t)
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 8 {
-		t.Errorf("union len = %d", a.Len())
-	}
-	other := New(MustSchema(Column{"x", value.KindInt}))
-	if err := a.Union(other); err == nil {
-		t.Error("union with mismatched schema accepted")
-	}
-}
-
 func TestSortBy(t *testing.T) {
 	r := mkRel(t)
 	if err := r.SortBy("SourceAS", "DestAS"); err != nil {

@@ -75,7 +75,8 @@ func TestBaseRoundIsZeroRoundEval(t *testing.T) {
 }
 
 // TestZeroRoundRequestsRefused: a request with no rounds must name a base
-// to compute, and the retired base-values op 3 is an unknown op.
+// to compute, and the retired ops, base-values op 3 and drop op 5, are
+// unknown ops.
 func TestZeroRoundRequestsRefused(t *testing.T) {
 	e := loadedEngine(t)
 	for _, req := range []*transport.Request{
@@ -90,5 +91,9 @@ func TestZeroRoundRequestsRefused(t *testing.T) {
 	resp := e.Handle(context.Background(), &transport.Request{Op: 3, Detail: "flow", BaseCols: []string{"SourceAS"}})
 	if resp.Error() == nil || !strings.Contains(resp.Err, "unknown op 3") {
 		t.Errorf("op 3 answered %+v; want an unknown-op refusal", resp)
+	}
+	resp = e.Handle(context.Background(), &transport.Request{Op: 5, Rel: "flow"})
+	if resp.Error() == nil || !strings.Contains(resp.Err, "unknown op 5") {
+		t.Errorf("op 5 answered %+v; want an unknown-op refusal", resp)
 	}
 }

@@ -124,8 +124,7 @@ func TestCaseBaseFilterVectorized(t *testing.T) {
 // has no columnar form, and a site keeps nothing else. OpLoad refuses it at
 // once, naming site, relation, column, declared and found kind and row. An
 // in-process Load stores the refusal instead: every request naming the
-// relation returns it until a drop removes it or a well-typed Load
-// replaces it.
+// relation returns it until a well-typed load replaces it.
 func TestMixedKindRelationRefused(t *testing.T) {
 	schema := relation.MustSchema(
 		relation.Column{Name: "K", Kind: value.KindInt},
@@ -167,9 +166,9 @@ func TestMixedKindRelationRefused(t *testing.T) {
 	refused("after Load")
 	refused("on a second request")
 
-	handleOK(t, e, &transport.Request{Op: transport.OpDrop, Rel: "flows"})
-	if resp := e.Handle(ctx, relInfo); resp.Err != `relInfo: site site0: no relation "flows"` {
-		t.Fatalf("after drop: Err %q, want no relation", resp.Err)
+	handleOK(t, e, &transport.Request{Op: transport.OpLoad, Rel: "flows", Data: good})
+	if got := handleOK(t, e, relInfo).RowCount; got != 5000 {
+		t.Fatalf("after the well-typed OpLoad: relInfo counts %d rows, want 5000", got)
 	}
 
 	e.Load("flows", bad)
@@ -184,23 +183,21 @@ func TestMixedKindRelationRefused(t *testing.T) {
 	}
 }
 
-// TestLoadDropRacesEvalRounds: Loads and drops of one name race requests
-// on it. Every reply is byte for byte the answer over the old relation or
-// over the new one, or the "no relation" refusal after a drop: a request
-// sees one stored batch whole, never a mix or a half-built one.
-func TestLoadDropRacesEvalRounds(t *testing.T) {
+// TestLoadRacesEvalRounds: loads of one name race requests on it. Every
+// reply is byte for byte the answer over the old relation or over the new
+// one: a request sees one stored batch whole, never a mix or a half-built
+// one.
+func TestLoadRacesEvalRounds(t *testing.T) {
 	oldRel, newRel := fusedPartition(t, 1500), fusedPartition(t, 2500)
 	req := fusedRequest("")
 	answer := func(r *relation.Relation) string {
 		e := NewEngine("site0")
-		if r != nil {
-			e.Load("tpcr", r)
-		}
+		e.Load("tpcr", r)
 		return string(replyBytes(e.Handle(context.Background(), req)))
 	}
-	allowed := map[string]string{answer(oldRel): "old", answer(newRel): "new", answer(nil): "dropped"}
-	if len(allowed) != 3 {
-		t.Fatal("the old, new and dropped answers are not distinct")
+	allowed := map[string]string{answer(oldRel): "old", answer(newRel): "new"}
+	if len(allowed) != 2 {
+		t.Fatal("the old and new answers are not distinct")
 	}
 
 	e := NewEngine("site0")
@@ -213,7 +210,7 @@ func TestLoadDropRacesEvalRounds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
 				if got := replyBytes(e.Handle(context.Background(), req)); allowed[string(got)] == "" {
-					t.Errorf("reply %.200q is none of the old, new or dropped answers", got)
+					t.Errorf("reply %.200q is neither the old nor the new answer", got)
 					return
 				}
 			}
@@ -221,9 +218,6 @@ func TestLoadDropRacesEvalRounds(t *testing.T) {
 	}
 	for i := 0; i < cycles; i++ {
 		if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpLoad, Rel: "tpcr", Data: newRel}); resp.Err != "" {
-			t.Fatal(resp.Err)
-		}
-		if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpDrop, Rel: "tpcr"}); resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
 		e.Load("tpcr", oldRel)

@@ -39,7 +39,7 @@ func TestLimitsMaxResultRows(t *testing.T) {
 	if got := o.Metrics.CounterValue("site.overloads"); got != 1 {
 		t.Errorf("site.overloads = %d, want 1", got)
 	}
-	if got := o.Events.CountKind(obs.EventOverload); got != 1 {
+	if got := len(o.Events.ByKind(obs.EventOverload)); got != 1 {
 		t.Errorf("overload events = %d, want 1", got)
 	}
 

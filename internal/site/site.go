@@ -336,20 +336,14 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 		}
 		return &transport.Response{RowCount: r.Len(), ComputeNs: time.Since(start).Nanoseconds()}, nil
 
-	case transport.OpDrop:
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		rels := maps.Clone(e.rels)
-		delete(rels, strings.ToLower(req.Rel))
-		e.rels = rels
-		return &transport.Response{}, nil
-
 	case transport.OpRelInfo:
 		b, err := e.batch(e.relations(), req.Rel)
 		if err != nil {
 			return nil, err
 		}
-		return &transport.Response{RowCount: b.Len(), Rel: &relation.Relation{Schema: b.Schema}}, nil
+		resp := &transport.Response{RowCount: b.Len()}
+		resp.SetFrame(relation.EncodeFrame(b.Schema, 0, nil, nil))
+		return resp, nil
 
 	case transport.OpEvalRounds:
 		return e.evalRounds(ctx, req, prof)

@@ -62,13 +62,14 @@ func TestLoadDropInfo(t *testing.T) {
 	if resp.Error() != nil || resp.RowCount != 4 {
 		t.Fatalf("info: %v", resp.Error())
 	}
-	resp = e.Handle(context.Background(), &transport.Request{Op: transport.OpDrop, Rel: "f"})
-	if resp.Error() != nil {
-		t.Fatal(resp.Error())
+	// Op 5, the retired drop, is an unknown op and removes nothing.
+	resp = e.Handle(context.Background(), &transport.Request{Op: 5, Rel: "f"})
+	if resp.Error() == nil || !strings.Contains(resp.Err, "unknown op 5") {
+		t.Errorf("op 5 answered %+v; want an unknown-op refusal", resp)
 	}
 	resp = e.Handle(context.Background(), &transport.Request{Op: transport.OpRelInfo, Rel: "f"})
-	if resp.Error() == nil {
-		t.Error("info after drop should fail")
+	if resp.Error() != nil || resp.RowCount != 4 {
+		t.Errorf("info after op 5: %v, count %d; want the relation still stored", resp.Error(), resp.RowCount)
 	}
 	// Bad loads.
 	if resp := e.Handle(context.Background(), &transport.Request{Op: transport.OpLoad, Rel: "x"}); resp.Error() == nil {

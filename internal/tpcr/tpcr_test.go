@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/relation"
 	"repro/internal/transport"
 	"repro/internal/value"
@@ -206,7 +207,7 @@ func TestFillValueDomains(t *testing.T) {
 	seen := map[string]bool{}
 	total := 0
 	for _, id := range ids {
-		d := cat.DomainsFor(id)["custname"]
+		d := siteDomain(t, cat, id, "custname")
 		for _, v := range d.Set {
 			if seen[v.S] {
 				t.Fatalf("customer %s at two sites", v.S)
@@ -226,7 +227,7 @@ func TestFillValueDomains(t *testing.T) {
 			t.Fatal(err)
 		}
 		allowed := map[string]bool{}
-		for _, v := range cat.DomainsFor(id)["custgroup"].Set {
+		for _, v := range siteDomain(t, cat, id, "custgroup").Set {
 			allowed[v.Key()] = true
 		}
 		gi, _ := Schema().MustLookup("CustGroup")
@@ -240,4 +241,14 @@ func TestFillValueDomains(t *testing.T) {
 	if err := FillValueDomains(catalog.New("other"), []string{"nope"}, cfg); err == nil {
 		t.Error("unknown site accepted")
 	}
+}
+
+// siteDomain returns the domain of attr at the named site of cat.
+func siteDomain(t *testing.T, cat *catalog.Catalog, id, attr string) expr.Domain {
+	t.Helper()
+	s, err := cat.Site(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Domains[attr]
 }

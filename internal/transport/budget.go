@@ -34,12 +34,6 @@ type RetryBudget struct {
 	mu sync.Mutex
 	//lint:guarded-by mu
 	tokens float64
-	//lint:guarded-by mu
-	earned int64
-	//lint:guarded-by mu
-	taken int64
-	//lint:guarded-by mu
-	denied int64
 }
 
 // NewRetryBudget returns a budget earning ratio tokens per primary
@@ -56,7 +50,6 @@ func (b *RetryBudget) Earn() {
 		return
 	}
 	b.mu.Lock()
-	b.earned++
 	b.tokens += b.ratio
 	if b.tokens > b.burst {
 		b.tokens = b.burst
@@ -73,32 +66,9 @@ func (b *RetryBudget) Take() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.denied++
 		b.obs.Count("transport.budget_denied", 1)
 		return false
 	}
 	b.tokens--
-	b.taken++
 	return true
-}
-
-// Tokens returns the current token balance.
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
-// Counts returns how many speculative sends the budget granted and
-// denied over its lifetime.
-func (b *RetryBudget) Counts() (taken, denied int64) {
-	if b == nil {
-		return 0, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.taken, b.denied
 }

@@ -61,17 +61,14 @@ type Fault struct {
 //
 // Faults come from two sources, checked in order:
 //
-//  1. A scripted per-op FIFO of one-shot faults (Inject and the FailNext /
-//     HangNext / DelayNext / DropNext helpers) and positional one-shots
-//     (InjectAt). OpAny queues apply to every opcode. Scripted faults make
-//     specific scenarios exact: "the second evalRounds hangs".
-//  2. Seeded random injection (SetRandom, SetTailLatency): each call draws
-//     from a rand.Rand seeded at construction, so a given seed always
-//     produces the same fault sequence for the same call sequence.
+//  1. A scripted per-op FIFO of one-shot faults (Inject) and positional
+//     one-shots (InjectAt). OpAny queues apply to every opcode. Scripted
+//     faults make specific scenarios exact: "the second evalRounds hangs".
+//  2. Seeded straggler delays (SetTailLatency): each call draws from a
+//     rand.Rand seeded by the caller, so a given seed always produces the
+//     same delay sequence for the same call sequence.
 type Chaos struct {
 	mu sync.Mutex
-	//lint:guarded-by mu
-	rng *rand.Rand
 	//lint:guarded-by mu
 	queues map[Op][]Fault
 	// at holds positional one-shots, keyed by per-op call number.
@@ -82,13 +79,7 @@ type Chaos struct {
 	//
 	//lint:guarded-by mu
 	opCalls map[Op]int
-	//lint:guarded-by mu
-	errRate float64
-	//lint:guarded-by mu
-	delayMax time.Duration
-	// Tail-latency mode (SetTailLatency): its own rng keeps the straggler
-	// sequence independent of the errRate/delayMax draws, so enabling one
-	// mode never perturbs the other's seeded sequence.
+	// Tail-latency mode (SetTailLatency).
 	//
 	//lint:guarded-by mu
 	tailRng *rand.Rand
@@ -102,11 +93,9 @@ type Chaos struct {
 	injected int
 }
 
-// NewChaos returns an empty fault schedule whose random decisions are
-// driven by seed.
-func NewChaos(seed int64) *Chaos {
+// NewChaos returns an empty fault schedule.
+func NewChaos() *Chaos {
 	return &Chaos{
-		rng:     rand.New(rand.NewSource(seed)),
 		queues:  map[Op][]Fault{},
 		opCalls: map[Op]int{},
 	}
@@ -119,23 +108,6 @@ func (c *Chaos) Inject(op Op, f Fault) {
 	c.queues[op] = append(c.queues[op], f)
 	c.mu.Unlock()
 }
-
-// FailNext queues n one-shot transport errors for op.
-func (c *Chaos) FailNext(op Op, n int) {
-	for i := 0; i < n; i++ {
-		c.Inject(op, Fault{Err: ErrInjected})
-	}
-}
-
-// HangNext makes the next call with op hang until its context is done.
-func (c *Chaos) HangNext(op Op) { c.Inject(op, Fault{Hang: true}) }
-
-// DelayNext delays the next call with op by d before forwarding it.
-func (c *Chaos) DelayNext(op Op, d time.Duration) { c.Inject(op, Fault{Delay: d}) }
-
-// DropNext makes the next call with op break its connection and fail, as
-// if the connection were torn down mid-exchange.
-func (c *Chaos) DropNext(op Op) { c.Inject(op, Fault{Drop: true, Err: ErrInjected}) }
 
 // InjectAt schedules a one-shot fault for the nth future call (1-based)
 // carrying the given opcode, counted from now on a per-op counter — so
@@ -159,36 +131,17 @@ func (c *Chaos) InjectAt(op Op, nthCall int, f Fault) {
 	c.at[op][base+nthCall] = f
 }
 
-// SetRandom enables seeded random injection: each call fails with
-// probability errRate and is otherwise delayed by a uniform duration in
-// [0, delayMax) when delayMax > 0.
-func (c *Chaos) SetRandom(errRate float64, delayMax time.Duration) {
-	c.mu.Lock()
-	c.errRate = errRate
-	c.delayMax = delayMax
-	c.mu.Unlock()
-}
-
 // SetTailLatency enables a seeded heavy-tail latency mode: each call is
 // delayed by delay with probability p, drawn from a dedicated rng seeded
 // at seed — the deterministic straggler distribution the tail-tolerance
-// tests and `-experiment tail` inject. It composes with (and is checked
-// after) scripted faults and before the SetRandom draws; p ≤ 0 disables
-// the mode.
+// tests and `-experiment tail` inject. It is checked after scripted
+// faults; p ≤ 0 disables the mode.
 func (c *Chaos) SetTailLatency(seed int64, p float64, delay time.Duration) {
 	c.mu.Lock()
 	c.tailRng = rand.New(rand.NewSource(seed))
 	c.tailP = p
 	c.tailDelay = delay
 	c.mu.Unlock()
-}
-
-// DelayN queues n one-shot delays of d for op — a scripted straggler
-// burst ("the next three round calls are slow").
-func (c *Chaos) DelayN(op Op, n int, d time.Duration) {
-	for i := 0; i < n; i++ {
-		c.Inject(op, Fault{Delay: d})
-	}
 }
 
 // Calls returns how many calls the schedule has seen.
@@ -233,24 +186,11 @@ func (c *Chaos) next(op Op) (Fault, bool) {
 			return f, true
 		}
 	}
-	var f Fault
-	var hit bool
 	if c.tailP > 0 && c.tailRng.Float64() < c.tailP {
-		f.Delay = c.tailDelay
-		hit = true
-	}
-	if c.errRate > 0 && c.rng.Float64() < c.errRate {
-		f.Err = ErrInjected
-		hit = true
-	}
-	if c.delayMax > 0 && f.Delay == 0 {
-		f.Delay = time.Duration(c.rng.Int63n(int64(c.delayMax)))
-		hit = hit || f.Delay > 0
-	}
-	if hit {
 		c.injected++
+		return Fault{Delay: c.tailDelay}, true
 	}
-	return f, hit
+	return Fault{}, false
 }
 
 // faultModes renders the composed failure modes of f ("delay+err").

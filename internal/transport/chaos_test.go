@@ -27,8 +27,15 @@ func armedLeaf(t *testing.T, r Replica) Client {
 	return leaf
 }
 
+// injectN queues n copies of f for op on ch.
+func injectN(ch *Chaos, op Op, n int, f Fault) {
+	for i := 0; i < n; i++ {
+		ch.Inject(op, f)
+	}
+}
+
 func TestChaosPassThrough(t *testing.T) {
-	c := NewChaos(1)
+	c := NewChaos()
 	exerciseClient(t, localClient(t, "s", newEchoHandler(), c))
 	if c.Injected() != 0 {
 		t.Errorf("injected %d faults with empty script", c.Injected())
@@ -39,9 +46,9 @@ func TestChaosPassThrough(t *testing.T) {
 }
 
 func TestChaosOneShotErrors(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := localClient(t, "s", newEchoHandler(), ch)
-	ch.FailNext(OpPing, 2)
+	injectN(ch, OpPing, 2, Fault{Err: ErrInjected})
 	for i := 0; i < 2; i++ {
 		if _, err := c.Call(context.Background(), &Request{Op: OpPing}); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call %d: err = %v, want ErrInjected", i, err)
@@ -56,9 +63,9 @@ func TestChaosOneShotErrors(t *testing.T) {
 }
 
 func TestChaosPerOpScripting(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := localClient(t, "s", newEchoHandler(), ch)
-	ch.FailNext(OpLoad, 1)
+	ch.Inject(OpLoad, Fault{Err: ErrInjected})
 	// Faults scripted for OpLoad must not affect other ops.
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatalf("ping hit a load fault: %v", err)
@@ -69,9 +76,9 @@ func TestChaosPerOpScripting(t *testing.T) {
 }
 
 func TestChaosDelay(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := localClient(t, "s", newEchoHandler(), ch)
-	ch.DelayNext(OpPing, 30*time.Millisecond)
+	ch.Inject(OpPing, Fault{Delay: 30 * time.Millisecond})
 	start := time.Now()
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
@@ -82,9 +89,9 @@ func TestChaosDelay(t *testing.T) {
 }
 
 func TestChaosDelayHonorsContext(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := localClient(t, "s", newEchoHandler(), ch)
-	ch.DelayNext(OpPing, time.Hour)
+	ch.Inject(OpPing, Fault{Delay: time.Hour})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -98,9 +105,9 @@ func TestChaosDelayHonorsContext(t *testing.T) {
 }
 
 func TestChaosHangUntilCancel(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := localClient(t, "s", newEchoHandler(), ch)
-	ch.HangNext(OpPing)
+	ch.Inject(OpPing, Fault{Hang: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -121,9 +128,9 @@ func TestChaosHangUntilCancel(t *testing.T) {
 }
 
 func TestChaosHangReleasedByClose(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := armedLeaf(t, Replica{Handler: newEchoHandler(), Chaos: ch})
-	ch.HangNext(OpPing)
+	ch.Inject(OpPing, Fault{Hang: true})
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Call(context.Background(), &Request{Op: OpPing})
@@ -151,9 +158,9 @@ func TestChaosDropClosesInner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ch := NewChaos(1)
+	ch := NewChaos()
 	c := armedLeaf(t, Replica{Addr: addr, Chaos: ch})
-	ch.DropNext(OpPing)
+	ch.Inject(OpPing, Fault{Drop: true, Err: ErrInjected})
 	if _, err := c.Call(context.Background(), &Request{Op: OpPing}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("drop fault: %v", err)
 	}
@@ -163,18 +170,23 @@ func TestChaosDropClosesInner(t *testing.T) {
 	}
 }
 
-// TestChaosSeededDeterminism: the same seed must produce the same fault
-// sequence for the same call sequence — the property every chaos test in
-// the repo relies on.
+// TestChaosSeededDeterminism: the same seed must produce the same
+// straggler sequence for the same call sequence — the property the tail
+// tests and `-experiment tail` rely on. Each call's draw is read from the
+// "chaos.injected" counter the schedule publishes.
 func TestChaosSeededDeterminism(t *testing.T) {
 	run := func(seed int64) []bool {
-		ch := NewChaos(seed)
-		ch.SetRandom(0.5, 0)
-		c := localClient(t, "s", newEchoHandler(), ch)
+		ch := NewChaos()
+		ch.SetTailLatency(seed, 0.5, time.Microsecond)
+		o := obs.New()
+		c := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}}, Obs: o})
 		outcomes := make([]bool, 40)
 		for i := range outcomes {
-			_, err := c.Call(context.Background(), &Request{Op: OpPing})
-			outcomes[i] = err != nil
+			before := o.Metrics.CounterValue("chaos.injected")
+			if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+				t.Fatal(err)
+			}
+			outcomes[i] = o.Metrics.CounterValue("chaos.injected") > before
 		}
 		return outcomes
 	}
@@ -193,16 +205,16 @@ func TestChaosSeededDeterminism(t *testing.T) {
 		}
 	}
 	if same {
-		t.Error("different seeds produced identical 40-call fault sequences")
+		t.Error("different seeds produced identical 40-call straggler sequences")
 	}
-	failed := 0
+	delayed := 0
 	for _, f := range a {
 		if f {
-			failed++
+			delayed++
 		}
 	}
-	if failed == 0 || failed == len(a) {
-		t.Errorf("errRate 0.5 produced %d/%d failures", failed, len(a))
+	if delayed == 0 || delayed == len(a) {
+		t.Errorf("p 0.5 delayed %d/%d calls", delayed, len(a))
 	}
 }
 
@@ -212,8 +224,8 @@ func TestChaosSeededDeterminism(t *testing.T) {
 // counters and events with exact counts — including over the /events
 // debug endpoint, which is what operators (and this test) assert on.
 func TestChaosObsAttribution(t *testing.T) {
-	ch := NewChaos(1)
-	ch.FailNext(OpPing, 2)
+	ch := NewChaos()
+	injectN(ch, OpPing, 2, Fault{Err: ErrInjected})
 	o := obs.New()
 	// Injector and retry layer publish into the site's one sink.
 	rc := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}},
@@ -231,10 +243,10 @@ func TestChaosObsAttribution(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.retries"); got != 2 {
 		t.Errorf("transport.retries = %d, want 2", got)
 	}
-	if got := o.Events.CountKind(obs.EventChaos); got != 2 {
+	if got := len(o.Events.ByKind(obs.EventChaos)); got != 2 {
 		t.Errorf("chaos events = %d, want 2", got)
 	}
-	if got := o.Events.CountKind(obs.EventRetry); got != 2 {
+	if got := len(o.Events.ByKind(obs.EventRetry)); got != 2 {
 		t.Errorf("retry events = %d, want 2", got)
 	}
 
@@ -265,13 +277,13 @@ func TestChaosObsAttribution(t *testing.T) {
 	}
 }
 
-// TestChaosRandomInjectionCounted checks seeded random faults are
-// attributed with the same exactness as scripted ones: the obs counter
+// TestChaosRandomInjectionCounted checks seeded straggler delays are
+// attributed with the same exactness as scripted faults: the obs counter
 // must equal Injected() for any seed.
 func TestChaosRandomInjectionCounted(t *testing.T) {
-	ch := NewChaos(42)
+	ch := NewChaos()
 	o := obs.New()
-	ch.SetRandom(0.5, 0)
+	ch.SetTailLatency(42, 0.5, time.Microsecond)
 	c := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}}, Obs: o})
 	for i := 0; i < 40; i++ {
 		c.Call(context.Background(), &Request{Op: OpPing})
@@ -290,7 +302,7 @@ func TestChaosRandomInjectionCounted(t *testing.T) {
 // second round call still fires, on the second connection, and the retry
 // layer learns of it by sending the third round on that broken connection.
 func TestChaosScheduleSpansRedials(t *testing.T) {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	ch.InjectAt(OpEvalRounds, 2, Fault{DropAfter: true})
 	o := obs.New()
 	c := siteClient(t, SiteSpec{ID: "s", Replicas: []Replica{{Handler: newEchoHandler(), Chaos: ch}},
@@ -303,7 +315,7 @@ func TestChaosScheduleSpansRedials(t *testing.T) {
 	}
 	retries := func() int64 { return o.Metrics.CounterValue("transport.retries") }
 	call(OpEvalRounds)
-	ch.DropNext(OpPing)
+	ch.Inject(OpPing, Fault{Drop: true, Err: ErrInjected})
 	call(OpPing)
 	if got := retries(); got != 1 {
 		t.Fatalf("retries after the drop = %d, want 1 (the first connection redialed)", got)

@@ -25,21 +25,32 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // opBlockingHandler blocks OpEvalRounds until released and answers
 // everything else immediately, so a test can pin one request in flight
-// while still probing the server with pings.
-type opBlockingHandler struct{ release chan struct{} }
+// while still probing the server with pings. A non-nil entered receives
+// once per OpEvalRounds request the handler was given.
+type opBlockingHandler struct{ release, entered chan struct{} }
 
 func (h *opBlockingHandler) Handle(ctx context.Context, req *Request) *Response {
 	if req.Op == OpEvalRounds {
+		if h.entered != nil {
+			h.entered <- struct{}{}
+		}
 		<-h.release
 	}
 	return &Response{}
+}
+
+// draining reports whether the server publishing into o has started a
+// drain: Drain marks itself not ready as it starts.
+func draining(o *obs.Obs) bool {
+	ready, _ := o.Health.Ready()
+	return !ready
 }
 
 // TestServerDrain: SIGTERM-style drain must stop accepting, flip /readyz
 // to not-ready, refuse new requests on existing connections with a
 // draining shed response, and still let the in-flight request finish.
 func TestServerDrain(t *testing.T) {
-	h := &opBlockingHandler{release: make(chan struct{})}
+	h := &opBlockingHandler{release: make(chan struct{}), entered: make(chan struct{}, 1)}
 	srv := NewServer(h)
 	o := obs.New()
 	srv.Obs = o
@@ -70,13 +81,11 @@ func TestServerDrain(t *testing.T) {
 		_, err := c.Call(context.Background(), &Request{Op: OpEvalRounds})
 		inflight <- err
 	}()
-	// Served, not Inflight: c2's ping stays in flight until its response is
-	// written, which the server may notice after the client has it.
-	waitUntil(t, "request admitted", func() bool { return srv.Served() == 2 })
+	<-h.entered // the handler runs only admitted requests
 
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(5 * time.Second) }()
-	waitUntil(t, "server draining", func() bool { return srv.Draining() })
+	waitUntil(t, "server draining", func() bool { return draining(o) })
 
 	if ready, reason := o.Health.Ready(); ready || reason != "draining" {
 		t.Errorf("health = (%v, %q), want (false, draining)", ready, reason)
@@ -102,7 +111,7 @@ func TestServerDrain(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.server.drain_rejects"); got != 1 {
 		t.Errorf("drain_rejects = %d, want 1", got)
 	}
-	if got := o.Events.CountKind(obs.EventDrain); got == 0 {
+	if got := len(o.Events.ByKind(obs.EventDrain)); got == 0 {
 		t.Error("no drain events logged")
 	}
 }
@@ -207,6 +216,8 @@ func TestDrainWaitsForResponseWrite(t *testing.T) {
 		closed:   make(chan struct{}, 1),
 	}
 	srv := NewServer(newEchoHandler())
+	o := obs.New()
+	srv.Obs = o
 	addr := srv.Serve(l)
 
 	c, err := DialTCP("s", addr, CostModel{})
@@ -223,7 +234,7 @@ func TestDrainWaitsForResponseWrite(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain(5 * time.Second) }()
-	waitUntil(t, "server draining", func() bool { return srv.Draining() })
+	waitUntil(t, "server draining", func() bool { return draining(o) })
 	select {
 	case <-l.closed:
 		t.Fatal("drain closed the connection under an unwritten response")

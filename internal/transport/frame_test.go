@@ -167,7 +167,7 @@ func TestMalformedRelationRefused(t *testing.T) {
 			{Op: OpEvalRounds, Detail: "flow", BaseCols: []string{"k"}, Rounds: round},
 			{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round},
 		} {
-			addr := serveCorruptOnce(t, sampleRelation(2))
+			addr, _ := serveCorruptOnce(t, sampleRelation(2))
 			cl := siteClient(t, SiteSpec{ID: "site0", Replicas: []Replica{{Addr: addr}}})
 			if _, err := cl.Call(ctx, req); !errors.Is(err, relation.ErrMalformed) || !strings.Contains(err.Error(), "truncated") {
 				t.Errorf("ShipsBase %v: a reply that is not a frame: %v, want ErrMalformed", req.ShipsBase(), err)
@@ -199,13 +199,14 @@ func TestMalformedRelationFailsOnlyItsCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	corrupt, _ := serveCorruptOnce(t, sampleRelation(2))
 	for _, c := range []struct {
 		what, addr string
 		first      *Request
 		want       string
 	}{
 		{"a refused request", addr, &Request{Op: OpEvalRounds, Base: shortRow(), Rounds: round}, "row 0 has 1 values"},
-		{"a corrupt reply", serveCorruptOnce(t, sampleRelation(2)), &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round}, "truncated"},
+		{"a corrupt reply", corrupt, &Request{Op: OpEvalRounds, Base: sampleRelation(3), Rounds: round}, "truncated"},
 	} {
 		conn, err := net.Dial("tcp", c.addr)
 		if err != nil {
@@ -250,10 +251,36 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// TestMalformedReplyKeepsConnection: a reply whose relation is not a frame
+// was read whole, so the stream is in sync and the retry layer retries
+// over the same connection: two calls open one connection, and the first
+// is answered after one retry.
+func TestMalformedReplyKeepsConnection(t *testing.T) {
+	addr, conns := serveCorruptOnce(t, sampleRelation(2))
+	o := obs.New()
+	cl := siteClient(t, SiteSpec{ID: "site0", Replicas: []Replica{{Addr: addr}}, Obs: o,
+		Resilience: Resilience{Attempts: 2, Backoff: time.Millisecond}})
+	for i := 0; i < 2; i++ {
+		resp, err := cl.Call(context.Background(), &Request{Op: OpPing})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if f, err := resp.Frame(); err != nil || !reflect.DeepEqual(f.Relation(), sampleRelation(2)) {
+			t.Errorf("call %d answered %v, %v", i, f, err)
+		}
+	}
+	if got := o.Metrics.CounterValue("transport.retries"); got != 1 {
+		t.Errorf("transport.retries = %d, want 1: the corrupt reply's call", got)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("two calls opened %d connections, want 1", got)
+	}
+}
+
 // serveCorruptOnce answers the first request it reads, on any connection,
 // with a reply whose relation is not a frame, and every later one with
-// rel.
-func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
+// rel. It returns its address and the count of connections it accepted.
+func serveCorruptOnce(t *testing.T, rel *relation.Relation) (string, *atomic.Int64) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -262,13 +289,14 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
 	t.Cleanup(func() { l.Close() })
 	good := message(t, &Response{Rel: rel})
 	bad := corruptFrame(t, good, frameOf(t, rel))
-	var served atomic.Int64
+	var served, conns atomic.Int64
 	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
+			conns.Add(1)
 			go func() {
 				defer conn.Close()
 				for {
@@ -286,7 +314,7 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) string {
 			}()
 		}
 	}()
-	return l.Addr().String()
+	return l.Addr().String(), &conns
 }
 
 // TestEveryReplyArrivesAsFrame: every reply — to a states-only evaluation,

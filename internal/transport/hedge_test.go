@@ -70,7 +70,7 @@ func TestHedgerWinsRaceAgainstStraggler(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.hedges"); got != 1 {
 		t.Errorf("transport.hedges = %d, want 1", got)
 	}
-	if got := o.Events.CountKind(obs.EventHedge); got != 1 {
+	if got := len(o.Events.ByKind(obs.EventHedge)); got != 1 {
 		t.Errorf("hedge events = %d, want 1", got)
 	}
 
@@ -170,13 +170,13 @@ func TestHedgerShedFailover(t *testing.T) {
 }
 
 func TestHedgerRespectsBudget(t *testing.T) {
-	budget := NewRetryBudget(0.001, 1, nil)
+	o := obs.New()
+	budget := NewRetryBudget(0.001, 1, o)
 	if !budget.Take() {
 		t.Fatal("draining the budget")
 	}
 	primary := &replicaStub{id: "s0", delay: 50 * time.Millisecond}
 	secondary := &replicaStub{id: "s0"}
-	o := obs.New()
 	h := NewHedger("s0", []Client{primary, secondary}, time.Millisecond, budget, o)
 	defer h.Close()
 
@@ -190,7 +190,7 @@ func TestHedgerRespectsBudget(t *testing.T) {
 	if got := secondary.Calls(); got != 0 {
 		t.Errorf("secondary calls = %d, want 0 (budget denied the hedge)", got)
 	}
-	if _, denied := budget.Counts(); denied == 0 {
+	if o.Metrics.CounterValue("transport.budget_denied") == 0 {
 		t.Error("no denial recorded for the suppressed hedge")
 	}
 }
@@ -264,7 +264,7 @@ func TestPoolLendsHedgeLoser(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Call(ctx, &Request{Op: OpDrop})
+		_, err := p.Call(ctx, &Request{Op: OpEvalRounds})
 		done <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)

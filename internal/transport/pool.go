@@ -55,9 +55,6 @@ func NewPool(id string, size int, newClient func() Client, o *obs.Obs) *Pool {
 	return &Pool{id: id, newClient: newClient, obs: o, slots: make(chan struct{}, max(size, 1))}
 }
 
-// InUse reports how many clients are currently borrowed by calls.
-func (p *Pool) InUse() int { return len(p.slots) }
-
 // get borrows a client, making a new one when none is idle and blocking
 // (context-aware) when every client is busy.
 func (p *Pool) get(ctx context.Context) (Client, error) {

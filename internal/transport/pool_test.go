@@ -14,7 +14,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// gateHandler answers pings immediately and blocks OpDrop requests until
+// gateHandler answers pings immediately and blocks OpEvalRounds requests until
 // released (or the caller's context gives up), tracking the in-handler
 // concurrency high-water mark.
 type gateHandler struct {
@@ -41,7 +41,7 @@ func (h *gateHandler) Handle(ctx context.Context, req *Request) *Response {
 		h.inflight--
 		h.mu.Unlock()
 	}()
-	if req.Op == OpDrop {
+	if req.Op == OpEvalRounds {
 		select {
 		case <-h.release:
 		case <-ctx.Done():
@@ -79,8 +79,8 @@ func TestPoolReusesConnections(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.pool.dials"); got != 1 {
 		t.Errorf("dials = %d, want 1", got)
 	}
-	if p.InUse() != 0 {
-		t.Errorf("in-use = %d after all calls returned", p.InUse())
+	if got := o.Metrics.Gauge("transport.pool.in_use").Value(); got != 0 {
+		t.Errorf("transport.pool.in_use = %d after all calls returned", got)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestPoolCapsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := p.Call(context.Background(), &Request{Op: OpDrop})
+			_, err := p.Call(context.Background(), &Request{Op: OpEvalRounds})
 			errs <- err
 		}()
 	}
@@ -160,7 +160,7 @@ func TestPoolCancellationIsolation(t *testing.T) {
 	hungCtx, cancel := context.WithCancel(context.Background())
 	hung := make(chan error, 1)
 	go func() {
-		_, err := p.Call(hungCtx, &Request{Op: OpDrop})
+		_, err := p.Call(hungCtx, &Request{Op: OpEvalRounds})
 		hung <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -196,11 +196,11 @@ func TestPoolQueueTimeout(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		p.Call(context.Background(), &Request{Op: OpDrop}) //nolint:errcheck
+		p.Call(context.Background(), &Request{Op: OpEvalRounds}) //nolint:errcheck
 	}()
 	<-started
 	deadline := time.Now().Add(2 * time.Second)
-	for p.InUse() < 1 && time.Now().Before(deadline) {
+	for h.peakInflight() < 1 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -240,8 +240,8 @@ func TestPoolDialFailure(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.redial_failures"); got != 1 {
 		t.Errorf("redial_failures = %d, want 1", got)
 	}
-	if p.InUse() != 0 {
-		t.Fatalf("in-use = %d after the failed call returned", p.InUse())
+	if got := o.Metrics.Gauge("transport.pool.in_use").Value(); got != 0 {
+		t.Fatalf("transport.pool.in_use = %d after the failed call returned", got)
 	}
 	// The site is reachable again: the same client serves the next call.
 	fail.Store(false)

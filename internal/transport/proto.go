@@ -116,8 +116,9 @@ const (
 	// (Proposition 2 fusion) when Request.BaseCols is set; with no rounds
 	// the computed base-values relation is the result.
 	OpEvalRounds
-	// OpDrop removes a stored relation.
-	OpDrop
+	// Op 5 is retired: it removed a stored relation, and nothing sent it.
+	// Sites and relays refuse it as unknown.
+	_
 	// OpRelInfo returns row count and schema of a stored relation.
 	OpRelInfo
 )
@@ -133,8 +134,6 @@ func (o Op) String() string {
 		return "generate"
 	case OpEvalRounds:
 		return "evalRounds"
-	case OpDrop:
-		return "drop"
 	case OpRelInfo:
 		return "relInfo"
 	default:
@@ -180,7 +179,7 @@ type GenSpec struct {
 // (TestEnvelopeCarriesEveryField).
 type Request struct {
 	Op  Op
-	Rel string // OpLoad, OpDrop, OpRelInfo: relation name
+	Rel string // OpLoad, OpRelInfo: relation name
 
 	// OpLoad payload.
 	Data *relation.Relation
@@ -258,8 +257,8 @@ type Response struct {
 	// the wire (Code* constants): overload and drain conditions trigger
 	// immediate replica failover instead of same-site retries.
 	Code int
-	// Rel is a result relation a handler holds boxed (relInfo's schema),
-	// or nil. A handler sets an evaluation reply as its frame (SetFrame);
+	// Rel is a result relation a handler holds boxed, or nil. The site
+	// and relay handlers set every reply relation as its frame (SetFrame);
 	// a caller reads either through Frame.
 	Rel *relation.Relation
 	// RowCount reports affected/stored row counts for non-eval ops.

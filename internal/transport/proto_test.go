@@ -341,9 +341,10 @@ const (
 // TestUntaggedWireCompat verifies the compatibility rules of the wire: an
 // untagged request costs no profiling byte, and a peer of the previous
 // protocol, a gob stream, is refused at its first message with an error
-// naming both versions. A request of the retired op 3 decodes as itself:
-// no site answers it (internal/site's TestZeroRoundRequestsRefused) and no
-// hedger races it.
+// naming both versions. A request of a retired op, 3 or 5, decodes as
+// itself: no site answers it (internal/site's TestZeroRoundRequestsRefused),
+// no relay either (internal/core's TestRelayErrors), no hedger
+// races it and no replica layer places it.
 func TestUntaggedWireCompat(t *testing.T) {
 	req := &Request{
 		Op: OpEvalRounds, Detail: "flow",
@@ -363,6 +364,10 @@ func TestUntaggedWireCompat(t *testing.T) {
 	old := wireRequest(t, &Request{Op: 3, Detail: "flow", BaseCols: []string{"SourceAS"}, Round: 1})
 	if old.QueryID != "" || old.Op != 3 || old.Op.String() != "Op(3)" || hedgeable(old.Op) || old.Round != 1 {
 		t.Errorf("an op 3 request decoded as %+v", old)
+	}
+	drop := wireRequest(t, &Request{Op: 5, Rel: "flow"})
+	if drop.Op != 5 || drop.Op.String() != "Op(5)" || drop.Rel != "flow" || hedgeable(drop.Op) || placement(drop.Op) {
+		t.Errorf("an op 5 request decoded as %+v", drop)
 	}
 
 	for _, stream := range []string{gobRequest, gobReply} {

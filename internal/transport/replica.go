@@ -54,7 +54,7 @@ const (
 // functions of the request over immutable site data (see PROTOCOL.md,
 // "Tail tolerance").
 //
-// Placement ops (OpLoad, OpGenerate, OpDrop) go to every replica in
+// Placement ops (OpLoad, OpGenerate) go to every replica in
 // turn and never fail over: any replica's failure fails the op naming the
 // replica, so replicas never silently diverge. The reply is the first
 // replica's.
@@ -181,7 +181,7 @@ func (s *replicaState) current() int {
 func hedgeable(op Op) bool { return op == OpEvalRounds }
 
 // placement reports whether op places data, so must reach every replica.
-func placement(op Op) bool { return op == OpLoad || op == OpGenerate || op == OpDrop }
+func placement(op Op) bool { return op == OpLoad || op == OpGenerate }
 
 // outcome is one replica attempt's result plus its wire delta.
 type outcome struct {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
 // Reconnector is the retry layer: a client of one site endpoint with
@@ -182,13 +183,17 @@ func (r *Reconnector) Call(ctx context.Context, req *Request) (*Response, error)
 		}
 		lastErr = err
 		// The connection is suspect after a transport error: drop it so
-		// the next attempt redials.
-		r.mu.Lock()
-		if r.cur == cur {
-			r.cur = nil
+		// the next attempt redials. A malformed relation is not one: the
+		// request was refused unsent or the reply read whole, so the
+		// stream is in sync and the next attempt reuses the connection.
+		if !errors.Is(err, relation.ErrMalformed) {
+			r.mu.Lock()
+			if r.cur == cur {
+				r.cur = nil
+			}
+			r.mu.Unlock()
+			cur.Close()
 		}
-		r.mu.Unlock()
-		cur.Close()
 		if callerGaveUp(ctx, err) {
 			return nil, lastErr
 		}

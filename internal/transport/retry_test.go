@@ -80,7 +80,7 @@ func TestReconnectorRetries(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.retries"); got != 2 {
 		t.Errorf("transport.retries = %d, want 2", got)
 	}
-	if got := o.Events.CountKind(obs.EventRetry); got != 2 {
+	if got := len(o.Events.ByKind(obs.EventRetry)); got != 2 {
 		t.Errorf("retry events = %d, want 2", got)
 	}
 }
@@ -359,7 +359,7 @@ func TestShedFailoverDoesNotBurnRetryBudget(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.overload_failovers"); got != 1 {
 		t.Errorf("overload_failovers = %d, want 1", got)
 	}
-	if got := o.Events.CountKind(obs.EventOverload); got != 1 {
+	if got := len(o.Events.ByKind(obs.EventOverload)); got != 1 {
 		t.Errorf("overload events = %d, want 1", got)
 	}
 	// The shed attempt's traffic is waste, not part of the exchange: only
@@ -434,8 +434,8 @@ func TestReconnectorNoRetryAfterDeadline(t *testing.T) {
 	// A hung endpoint under a per-call deadline: the reconnector must not
 	// burn its remaining attempts (or fail over) once the deadline is the
 	// reason for the failure.
-	chaos := NewChaos(1)
-	chaos.HangNext(OpPing)
+	chaos := NewChaos()
+	chaos.Inject(OpPing, Fault{Hang: true})
 	r := Replica{Handler: newEchoHandler(), Chaos: chaos}
 	s, err := NewSite(SiteSpec{ID: "s", Replicas: []Replica{r}})
 	if err != nil {

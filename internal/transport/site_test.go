@@ -20,7 +20,7 @@ import (
 // shape is pooled; the replica layer prints over two replicas only.
 func TestStackShapes(t *testing.T) {
 	h := newEchoHandler()
-	chaos := NewChaos(1)
+	chaos := NewChaos()
 	remote := DefaultResilience
 	hedged := remote
 	hedged.Hedge = true
@@ -70,7 +70,9 @@ func TestStackShapes(t *testing.T) {
 // The replica layer earns once per call; the primary replica fails every
 // exchange, so each shape spends one token on its same-replica retry and
 // then fails over to the clean replica for free: one call earned, one
-// retry spent, whether hedged or not.
+// retry spent, whether hedged or not. The balance shows both: 0.25 earned
+// and 1 spent are the only counts (of at most four each) that move 5
+// tokens to 4.25.
 func TestStackBudgetOwner(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for _, tc := range []struct {
@@ -80,7 +82,7 @@ func TestStackBudgetOwner(t *testing.T) {
 		{"failover", false},
 		{"hedged", true},
 	} {
-		budget := NewRetryBudget(0.25, 10, nil)
+		budget := halfBudget(t)
 		s, err := NewSite(SiteSpec{
 			ID:         "s0",
 			Replicas:   []Replica{{Handler: newEchoHandler(), Chaos: failing(OpEvalRounds)}, {Handler: newEchoHandler()}},
@@ -96,16 +98,13 @@ func TestStackBudgetOwner(t *testing.T) {
 		}
 		cl.Close()
 		s.Close()
-		budget.mu.Lock()
-		earned := budget.earned
-		budget.mu.Unlock()
-		if taken, _ := budget.Counts(); earned != 1 || taken != 1 {
-			t.Errorf("%s (%s): budget earned %d / spent %d, want 1 / 1", tc.name, s, earned, taken)
+		if got := tokens(budget); got != 4.25 {
+			t.Errorf("%s (%s): budget holds %v tokens, want 4.25 (5 + one call earned - one retry spent)", tc.name, s, got)
 		}
 	}
 
 	// A bare stack earns once per call too, and spends nothing.
-	budget := NewRetryBudget(0.25, 10, nil)
+	budget := halfBudget(t)
 	s, err := NewSite(SiteSpec{ID: "s0", Replicas: []Replica{{Handler: newEchoHandler()}}, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -115,12 +114,28 @@ func TestStackBudgetOwner(t *testing.T) {
 	if _, err := cl.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
-	budget.mu.Lock()
-	earned := budget.earned
-	budget.mu.Unlock()
-	if taken, _ := budget.Counts(); earned != 1 || taken != 0 {
-		t.Errorf("bare stack: budget earned %d / spent %d, want 1 / 0", earned, taken)
+	if got := tokens(budget); got != 5.25 {
+		t.Errorf("bare stack: budget holds %v tokens, want 5.25 (5 + one call earned)", got)
 	}
+}
+
+// halfBudget returns a budget earning 0.25 a call that holds 5 of its 10
+// tokens, so an earned call and a spent retry both move its balance.
+func halfBudget(t *testing.T) *RetryBudget {
+	b := NewRetryBudget(0.25, 10, nil)
+	for i := 0; i < 5; i++ {
+		if !b.Take() {
+			t.Fatal("a full budget denied a take")
+		}
+	}
+	return b
+}
+
+// tokens reads a budget's balance.
+func tokens(b *RetryBudget) float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tokens
 }
 
 // answerHandler answers every op with RowCount n, so a reply names the
@@ -139,9 +154,9 @@ func (h *answerHandler) Handle(ctx context.Context, req *Request) *Response {
 
 // failing is a replica's fault schedule failing every call of ops.
 func failing(ops ...Op) *Chaos {
-	ch := NewChaos(1)
+	ch := NewChaos()
 	for _, op := range ops {
-		ch.FailNext(op, 1000)
+		injectN(ch, op, 1000, Fault{Err: ErrInjected})
 	}
 	return ch
 }
@@ -212,7 +227,7 @@ func TestReplicaFailoverEveryShape(t *testing.T) {
 // dead primary.
 func TestReplicaStickyPerSite(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	held := &opBlockingHandler{release: make(chan struct{})}
+	held := &opBlockingHandler{release: make(chan struct{}), entered: make(chan struct{}, 1)}
 	primary := failing(OpPing, OpEvalRounds)
 	s, err := NewSite(SiteSpec{
 		ID: "s0",
@@ -248,7 +263,7 @@ func TestReplicaStickyPerSite(t *testing.T) {
 			t.Errorf("held call: %v", err)
 		}
 	}()
-	waitUntil(t, "the held call to borrow the pooled connection", func() bool { return secondaryInUse(cl) == 1 })
+	<-held.entered // the held call borrowed the secondary's pooled connection
 	if _, err := cl.Call(context.Background(), ping); err != nil {
 		t.Fatalf("second pooled connection: %v", err)
 	}
@@ -259,10 +274,6 @@ func TestReplicaStickyPerSite(t *testing.T) {
 		t.Errorf("primary called %d times, want 2: a later connection rediscovered the dead primary", got)
 	}
 }
-
-// secondaryInUse reports the borrowed connections of the second
-// replica's pool under the replica layer cl.
-func secondaryInUse(cl Client) int { return cl.(*ReplicaSet).replicas[1].(*Pool).InUse() }
 
 // TestClosedReplicaSetStaysPut: a call on a closed replicated client fails
 // with ErrClosed at once. Closing is the caller's doing, not a replica's
@@ -308,7 +319,7 @@ func TestCloseEndsCallsInFlight(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%d replicas", n), func(t *testing.T) {
 			testutil.CheckGoroutines(t)
-			ch := NewChaos(1)
+			ch := NewChaos()
 			replicas := []Replica{{Handler: newEchoHandler(), Chaos: ch}}
 			if n == 2 {
 				replicas = append(replicas, Replica{Handler: newEchoHandler()})
@@ -318,7 +329,7 @@ func TestCloseEndsCallsInFlight(t *testing.T) {
 				t.Fatal(err)
 			}
 			cl := s.Client()
-			ch.HangNext(OpPing)
+			ch.Inject(OpPing, Fault{Hang: true})
 			called := make(chan error, 1)
 			go func() {
 				_, err := cl.Call(context.Background(), &Request{Op: OpPing})

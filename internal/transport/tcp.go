@@ -37,12 +37,8 @@ type Server struct {
 	//
 	//lint:guarded-by mu
 	inflight int
-	// served counts requests ever admitted to the handler.
-	//
-	//lint:guarded-by mu
-	served int64
-	wg     sync.WaitGroup
-	reqWG  sync.WaitGroup // admitted requests not yet answered
+	wg       sync.WaitGroup
+	reqWG    sync.WaitGroup // admitted requests not yet answered
 
 	// Logf logs server-side errors; defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -196,7 +192,6 @@ func (s *Server) admit() *Response {
 	}
 	s.reqWG.Add(1)
 	s.inflight++
-	s.served++
 	n := s.inflight
 	s.mu.Unlock()
 	s.Obs.SetGauge("transport.server.inflight", int64(n))
@@ -266,25 +261,11 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return s.Close()
 }
 
-// Draining reports whether the server has started a graceful drain.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Inflight returns how many admitted requests have not been answered yet.
 func (s *Server) Inflight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.inflight
-}
-
-// Served returns how many requests were ever admitted to the handler.
-func (s *Server) Served() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(s.served)
 }
 
 // handleWatched runs the handler under a per-request context while a

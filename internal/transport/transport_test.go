@@ -268,11 +268,16 @@ func TestOpString(t *testing.T) {
 	for op, want := range map[Op]string{
 		OpPing: "ping", OpLoad: "load", OpGenerate: "generate",
 		Op(3): "Op(3)", OpEvalRounds: "evalRounds",
-		OpDrop: "drop", OpRelInfo: "relInfo", Op(99): "Op(99)",
+		Op(5): "Op(5)", OpRelInfo: "relInfo", Op(99): "Op(99)",
 	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", op, got, want)
 		}
+	}
+	// The retired ops 3 and 5 keep their numbers, so every live op keeps
+	// its value on the wire.
+	if OpPing != 0 || OpLoad != 1 || OpGenerate != 2 || OpEvalRounds != 4 || OpRelInfo != 6 {
+		t.Error("an op changed its wire value")
 	}
 }
 

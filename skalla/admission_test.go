@@ -43,7 +43,7 @@ func TestAdmissionFailFast(t *testing.T) {
 	if got := o.Metrics.CounterValue("sched.rejected"); got != 2 {
 		t.Errorf("rejected = %d, want 2", got)
 	}
-	if got := o.Events.CountKind(obs.EventAdmission); got != 2 {
+	if got := len(o.Events.ByKind(obs.EventAdmission)); got != 2 {
 		t.Errorf("admission events = %d, want 2", got)
 	}
 

@@ -413,7 +413,7 @@ func TestDeployedClientCloseIsFinal(t *testing.T) {
 		}
 	}
 	replicas := addrs[0] + "|" + addrs[1]
-	armed := transport.NewChaos(1)
+	armed := transport.NewChaos()
 	armed.InjectAt(transport.OpPing, 2, transport.Fault{DropAfter: true})
 	for _, tc := range []struct {
 		name  string

@@ -136,7 +136,7 @@ func TestClusterObservabilityPartial(t *testing.T) {
 	if !res.Stats.Partial() {
 		t.Fatal("stats do not mark the result partial")
 	}
-	if got := o.Events.CountKind(obs.EventSiteLost); got == 0 {
+	if got := len(o.Events.ByKind(obs.EventSiteLost)); got == 0 {
 		t.Error("no site-lost events for a partial execution")
 	}
 	for _, e := range o.Events.ByKind(obs.EventSiteLost) {
@@ -144,7 +144,7 @@ func TestClusterObservabilityPartial(t *testing.T) {
 			t.Errorf("site-lost event names %q, want site1", e.Site)
 		}
 	}
-	if got := o.Events.CountKind(obs.EventPartial); got != 1 {
+	if got := len(o.Events.ByKind(obs.EventPartial)); got != 1 {
 		t.Errorf("partial events = %d, want 1", got)
 	}
 	if got := o.Metrics.CounterValue("coord.queries_partial"); got != 1 {

@@ -3,6 +3,7 @@ package skalla
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -65,7 +66,7 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	var clients []transport.Client
 	var chaos []*transport.Chaos
 	for i, entry := range sites {
-		ch := transport.NewChaos(int64(i))
+		ch := transport.NewChaos()
 		cl := siteClient(t, transport.SiteSpec{ID: fmt.Sprintf("site%d", i),
 			Replicas: []transport.Replica{{Addr: entry, Chaos: ch}}})
 		clients = append(clients, cl)
@@ -109,8 +110,8 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	assertSameResult(t, "resumed", res.Relation, want)
 
 	// Restored rounds are accounted as resumed, separately from replays.
-	if got := res.Stats.ResumedRounds(); got != 2 {
-		t.Errorf("ResumedRounds = %d, want 2", got)
+	if got := resumedRounds(res.Stats); got != 2 {
+		t.Errorf("resumed rounds = %d, want 2", got)
 	}
 	if len(res.Stats.Rounds) != len(ref.Stats.Rounds) {
 		t.Fatalf("resumed run has %d rounds, reference %d", len(res.Stats.Rounds), len(ref.Stats.Rounds))
@@ -120,8 +121,8 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 			t.Errorf("round %s: Resumed = %v, want %v", r.Name, r.Resumed, wantResumed)
 		}
 	}
-	if got := res.Stats.ReplayedSites(); len(got) != 0 {
-		t.Errorf("ReplayedSites = %v, want none", got)
+	if got := roundSites(res.Stats, (*core.RoundStats).Replayed); len(got) != 0 {
+		t.Errorf("replayed sites = %v, want none", got)
 	}
 	if got := o2.Metrics.CounterValue("checkpoint.resumed"); got != 1 {
 		t.Errorf("checkpoint.resumed = %d, want 1", got)
@@ -151,7 +152,7 @@ func TestRecoveryAfterCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res2.Stats.ResumedRounds(); got != 0 {
+	if got := resumedRounds(res2.Stats); got != 0 {
 		t.Errorf("rerun after completion resumed %d rounds, want 0 (checkpoint not cleared)", got)
 	}
 	assertSameResult(t, "rerun", res2.Relation, want)
@@ -167,7 +168,7 @@ func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	parts, whole := flowParts(2)
 	o := obs.New()
 	var clients []transport.Client
-	dropped := transport.NewChaos(1) // site1's schedule
+	dropped := transport.NewChaos() // site1's schedule
 	dropped.InjectAt(transport.OpEvalRounds, 1, transport.Fault{DropAfter: true})
 	for i := range parts {
 		id := fmt.Sprintf("site%d", i)
@@ -203,8 +204,8 @@ func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	}
 	// The retry layer learns of the severed connection by sending on it:
 	// the next round to site1 is re-sent once, over the redialed one.
-	if got := stats.ReplayedSites(); len(got) != 1 || got[0] != "site1" {
-		t.Errorf("ReplayedSites = %v, want [site1] (one redial by the retry layer)", got)
+	if got := roundSites(stats, (*core.RoundStats).Replayed); len(got) != 1 || got[0] != "site1" {
+		t.Errorf("replayed sites = %v, want [site1] (one redial by the retry layer)", got)
 	}
 	if got := o.Metrics.CounterValue("transport.retries"); got != 1 {
 		t.Errorf("transport.retries = %d, want 1", got)
@@ -212,4 +213,29 @@ func TestRoundBoundaryConnectionLoss(t *testing.T) {
 	if got := o.Metrics.CounterValue("transport.pool.dials"); got != 2 {
 		t.Errorf("transport.pool.dials = %d, want 2 (one pooled connection per site)", got)
 	}
+}
+
+// resumedRounds counts the rounds of s restored from a checkpoint.
+func resumedRounds(s *core.ExecStats) int {
+	n := 0
+	for _, r := range s.Rounds {
+		if r.Resumed {
+			n++
+		}
+	}
+	return n
+}
+
+// roundSites lists the distinct sites that list names in any round of s,
+// in first-occurrence order.
+func roundSites(s *core.ExecStats, list func(*core.RoundStats) []string) []string {
+	var out []string
+	for i := range s.Rounds {
+		for _, site := range list(&s.Rounds[i]) {
+			if !slices.Contains(out, site) {
+				out = append(out, site)
+			}
+		}
+	}
+	return out
 }

@@ -85,7 +85,7 @@ func TestServeProfilesAndSlowQuery(t *testing.T) {
 	if got := sink.Metrics.CounterValue("serve.slow_queries"); got != queries {
 		t.Errorf("serve.slow_queries = %d, want %d", got, queries)
 	}
-	if got := sink.Events.CountKind(obs.EventSlowQuery); got != queries {
+	if got := len(sink.Events.ByKind(obs.EventSlowQuery)); got != queries {
 		t.Errorf("slow-query events = %d, want %d", got, queries)
 	}
 	if got := sink.Metrics.CounterValue("coord.queries_profiled"); got != queries {

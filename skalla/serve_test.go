@@ -100,7 +100,7 @@ func TestServeConcurrentE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every connection to site1 draws from one fault schedule, armed below.
-	site1 := transport.NewChaos(0)
+	site1 := transport.NewChaos()
 	specs[1].Replicas[0].Chaos = site1
 	cluster := &Cluster{obs: o}
 	defer cluster.Close()
@@ -117,7 +117,7 @@ func TestServeConcurrentE2E(t *testing.T) {
 	// Chaos: site1's next evalRounds call, on whichever pooled connection
 	// carries it, fails with a transport error; that connection's retry
 	// layer must absorb it by re-sending the round.
-	site1.FailNext(transport.OpEvalRounds, 1)
+	site1.Inject(transport.OpEvalRounds, transport.Fault{Err: transport.ErrInjected})
 
 	svc, err := NewQueryService(cluster, ServeConfig{MaxConcurrent: 8, QueueDepth: 16})
 	if err != nil {

@@ -290,9 +290,11 @@ func TestTreeClusterPartial(t *testing.T) {
 	if err := tree.Load("flow", parts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call(context.Background(), tree.leaves.clients[0], &transport.Request{Op: transport.OpDrop, Rel: "flow"}); err != nil {
-		t.Fatal(err)
-	}
+	// leaf0's partition, reloaded ill-typed, is stored as a refusal that
+	// every request naming it returns.
+	bad := parts[0].Clone()
+	bad.Rows[0][2] = value.NewString("ill-typed")
+	tree.leaves.engines[0].Load("flow", bad)
 	res, err := tree.Query(example1(), "flow", NoOptimizations)
 	if err != nil {
 		t.Fatal(err)
