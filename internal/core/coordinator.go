@@ -546,7 +546,8 @@ func (c *Coordinator) publishProfile(stats *ExecStats) {
 // on the stream (Theorem 1), recording every site's part in rs.
 // Incremental consumption is the behavior §3.2 describes: the coordinator
 // synchronizes early fragments while slower sites are still computing. It
-// returns the merge and the coordinator time spent merging (excluding time
+// returns the merge, which its emitter releases (finalized, or tier and
+// then release), and the coordinator time spent merging (excluding time
 // blocked waiting on the stream). ships is what each site received, whose
 // states-only replies merge by position into the groups of x; nil means
 // the base round or a fused step, whose fragments bring the groups
@@ -591,12 +592,8 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 			if m, err = newKeyedMerge(schema, nil, keys, step.Specs, step.room); err != nil {
 				return err
 			}
-			n := h.Len() * len(c.clients) // room for as many groups at every site
-			m.rows = make([]relation.Row, 0, n)
-			m.accs.Reserve(n)
-			m.index.Reserve(n)
+			m.reserve(h.Len()*len(c.clients), len(c.clients)) // as many groups at every site
 			m.disjoint, m.partition = step.disjoint(), step.partition
-			m.brought = make([]fragment, len(c.clients))
 		}
 		ps, idx, err := h.Schema.Project(m.schema.Names())
 		if err != nil {
@@ -630,11 +627,14 @@ func (c *Coordinator) synchronize(x *relation.Relation, stream <-chan streamItem
 		}
 		mergeTime += time.Since(t0)
 	}
-	if mergeErr != nil {
-		return nil, mergeTime, mergeErr
+	if mergeErr == nil && firstErr != nil && !c.AllowPartial {
+		mergeErr = firstErr
 	}
-	if firstErr != nil && !c.AllowPartial {
-		return nil, mergeTime, firstErr
+	if mergeErr != nil {
+		if m != nil {
+			m.release()
+		}
+		return nil, mergeTime, mergeErr
 	}
 	if m == nil {
 		if firstErr != nil {

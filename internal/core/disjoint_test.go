@@ -218,11 +218,11 @@ func TestDisjointClaimMatchesUnclaimed(t *testing.T) {
 // sites is false for that customer.
 func violatedCluster(t *testing.T, relays bool, to int) (*Coordinator, *catalog.Catalog, string) {
 	t.Helper()
-	parts := fig5Parts(t)
+	parts := fig5Parts(t, wireMatrixConfig)
 	custName, _ := tpcr.Schema().Lookup("CustName")
 	row := parts[0].Rows[0]
 	parts[to].Rows = append(parts[to].Rows, append(relation.Row(nil), row...))
-	coord, cat := wireCluster(t, parts, relays, sameEngine)
+	coord, cat := wireCluster(t, wireMatrixConfig, parts, relays, sameEngine)
 	return coord, cat, row[custName].String()
 }
 

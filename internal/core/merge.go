@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/relation"
@@ -19,23 +20,21 @@ import (
 // (merge) — and their primitive states merged associatively into one
 // agg.Slab, one primitive column at a time. The root coordinator finalizes
 // the merged states into new columns of X (finalized); a relay tier
-// frames them as one pre-merged fragment for the tier above (tier).
+// frames them as one pre-merged fragment for the tier above (tier). Its
+// working memory comes from merges and goes back there (release) once the
+// merge is emitted.
 type keyedMerge struct {
+	*mergeMem
 	schema *relation.Schema // of rows
 	keys   []string
 	specs  []agg.Spec
 	rows   []relation.Row // one row per group, in first-seen order
 	keyIdx []int          // positions of keys in rows
 	room   int            // Step.room: the spare capacity of a boxed group row
-	// index resolves keys to groups, each added as a keyed fragment brings
-	// it, so a positional merge never hashes K.
-	index relation.KeyIndex
-	accs  *agg.Slab
 	// prims are the slab's primitive columns in primSchema, the schema the
 	// fragments of one step share.
 	prims      []int
 	primSchema *relation.Schema
-	at         []int // a fragment's groups, row by row; reused
 	// kept marks, as a Response.Kept bitmap, every group a fragment
 	// contributed to; nil unless a relay tier merges by position.
 	kept []byte
@@ -47,16 +46,33 @@ type keyedMerge struct {
 	sites     []string
 	starts    []int
 	// Keyed fragments merge as they arrive, so the groups' slots and rows
-	// follow the arrivals. brought is, per client in the coordinator's
-	// order, its fragment's rows and the slot each resolved to; siteOrder
-	// then puts rows in client order, order[k] naming row k's slot (nil:
-	// the same). shuffled is set once a fragment arrived before an earlier
-	// client's.
-	brought  []fragment
-	order    []int32
+	// follow the arrivals; shuffled is set once a fragment arrived before
+	// an earlier client's, and siteOrder then puts rows in client order.
 	last     int
 	shuffled bool
 }
+
+// mergeMem is a merge's working memory, which outlives the merge: taken
+// from merges when the merge starts and handed back, cleared, once it is
+// emitted, so a round allocates none of it once the pool holds memory of
+// its size. The merge that takes it resets each field before reading it.
+type mergeMem struct {
+	accs agg.Slab
+	// index resolves keys to groups, each added as a keyed fragment brings
+	// it, so a positional merge never hashes K.
+	index   relation.KeyIndex
+	at      []int          // a states-only fragment's groups, row by row
+	headers []relation.Row // a keyed merge's rows; X gets a copy
+	// brought is, per client in the coordinator's order, its keyed
+	// fragment's rows and the slot each resolved to.
+	brought []fragment
+	seen    []bool  // siteOrder's: the groups placed
+	order   []int32 // siteOrder's: order[k] names row k's slot
+}
+
+// merges holds the working memory of the merges no round is running,
+// shared by every coordinator and relay in the process.
+var merges = sync.Pool{New: func() any { return new(mergeMem) }}
 
 // fragment is a keyed fragment's rows and their slots.
 type fragment struct {
@@ -66,13 +82,44 @@ type fragment struct {
 
 // newKeyedMerge starts a merge over the given group rows, which states-only
 // fragments address by position; a keyed merge starts with none and adds
-// groups as its fragments bring them.
+// groups as its fragments bring them, in the room reserve makes.
 func newKeyedMerge(schema *relation.Schema, rows []relation.Row, keys []string, specs []agg.Spec, room int) (*keyedMerge, error) {
 	keyIdx, err := lookupAll(schema, keys)
 	if err != nil {
 		return nil, err
 	}
-	return &keyedMerge{schema: schema, keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, room: room, accs: agg.NewSlab(specs, len(rows))}, nil
+	mem := merges.Get().(*mergeMem)
+	mem.accs.Reset(specs, len(rows))
+	return &keyedMerge{mergeMem: mem, schema: schema, keys: keys, specs: specs, rows: rows, keyIdx: keyIdx, room: room}, nil
+}
+
+// reserve makes a keyed merge room for n groups from sites clients. The
+// memory keeps any larger room it has, so the reservation is the larger
+// of n and the most groups a merge in it held: fragments need not be the
+// same size, and a first fragment smaller than the rest makes n too small.
+func (m *keyedMerge) reserve(n, sites int) {
+	m.rows = slices.Grow(m.headers[:0], n)
+	m.accs.Reserve(n)
+	m.index.Reserve(n)
+	m.brought = slices.Grow(m.brought[:0], sites)[:sites]
+}
+
+// release hands the merge's working memory back to merges, cleared of
+// every state and fragment row it held, so the pool pins nothing of this
+// query. The merge has no memory after it: a later read panics.
+func (m *keyedMerge) release() {
+	mem := m.mergeMem
+	m.mergeMem = nil
+	if len(mem.brought) > 0 { // a keyed merge: its rows are the memory's
+		clear(m.rows)
+		mem.headers = m.rows[:0]
+	}
+	mem.accs.Reset(nil, 0)
+	for i, f := range mem.brought {
+		mem.brought[i] = fragment{at: f.at[:0]}
+	}
+	mem.brought = mem.brought[:0]
+	merges.Put(mem)
 }
 
 // carve cuts an empty row of capacity n from the front of *chunk, first
@@ -155,24 +202,24 @@ func (m *keyedMerge) merge(h *relation.Frame, pl placement) error {
 	if m.at = pl.groups(m.at[:0]); len(m.at) != h.Len() {
 		return fmt.Errorf("states-only fragment has %d rows for %d kept positions", h.Len(), len(m.at))
 	}
-	return m.mergeAt(h)
+	return m.mergeAt(h, m.at)
 }
 
 // mergeAt folds the states of fragment h, row j into group at[j], one
 // primitive column at a time; columns are resolved by name.
-func (m *keyedMerge) mergeAt(h *relation.Frame) error {
+func (m *keyedMerge) mergeAt(h *relation.Frame, at []int) error {
 	prims, err := m.primCols(h.Schema)
 	if err != nil {
 		return err
 	}
 	for p, c := range prims {
-		err := h.Lane(c, func(j int, v value.V) error { return m.accs.Merge(m.at[j], p, v) })
+		err := h.Lane(c, func(j int, v value.V) error { return m.accs.Merge(at[j], p, v) })
 		if err != nil {
 			return fmt.Errorf("group merge: %w", err)
 		}
 	}
 	if m.kept != nil {
-		for _, g := range m.at {
+		for _, g := range at {
 			m.kept[g/8] |= 1 << (g % 8)
 		}
 	}
@@ -192,7 +239,7 @@ func (m *keyedMerge) mergeKeyed(site string, client int, h *relation.Frame, rows
 	}
 	var row relation.Row
 	sameKey := func(pos int) bool { return relation.KeysEqual(row, m.keyIdx, m.rows[pos], m.keyIdx) }
-	m.at = make([]int, 0, len(rows))
+	at := m.brought[client].at
 	for _, row = range rows {
 		hash := relation.HashRow(row, m.keyIdx)
 		pos, ok := m.index.Find(hash, sameKey)
@@ -210,11 +257,11 @@ func (m *keyedMerge) mergeKeyed(site string, client int, h *relation.Frame, rows
 			return fmt.Errorf("groups are not site-disjoint%s (the catalog's partition claim is false): key (%s) answered by sites %s and %s",
 				on, m.keyText(pos), earlier, site)
 		}
-		m.at = append(m.at, pos)
+		at = append(at, pos)
 	}
-	m.brought[client] = fragment{rows, m.at}
+	m.brought[client] = fragment{rows, at}
 	m.shuffled, m.last = m.shuffled || client < m.last, client
-	return m.mergeAt(h)
+	return m.mergeAt(h, at)
 }
 
 // siteOrder lists the groups, and takes each group's row, as a merge in
@@ -226,7 +273,8 @@ func (m *keyedMerge) siteOrder() {
 	if !m.shuffled {
 		return
 	}
-	seen, order, rows := make([]bool, len(m.rows)), make([]int32, 0, len(m.rows)), m.rows[:0]
+	seen, order, rows := slices.Grow(m.seen[:0], len(m.rows))[:len(m.rows)], m.order[:0], m.rows[:0]
+	clear(seen)
 	for _, f := range m.brought {
 		for j, g := range f.at {
 			if !seen[g] {
@@ -235,12 +283,12 @@ func (m *keyedMerge) siteOrder() {
 			}
 		}
 	}
-	m.rows, m.order = rows, order
+	m.rows, m.seen, m.order = rows, seen, order
 }
 
 // slot returns the slab slot of row k.
 func (m *keyedMerge) slot(k int) int {
-	if m.order == nil {
+	if !m.shuffled {
 		return k
 	}
 	return int(m.order[k])
@@ -268,11 +316,13 @@ func (m *keyedMerge) keyText(g int) string {
 }
 
 // finalized emits the group rows extended with one finalized aggregate
-// column per spec — the coordinator's new X. A keyed merge's header array
-// becomes X's, a positional one's (x's) is copied. A row with room takes
-// the columns in place, past the end any earlier X sees; one without is
-// first copied into a carved row.
+// column per spec — the coordinator's new X, in a header array of its own
+// (a keyed merge's is working memory, a positional one's the previous
+// X's). A row with room takes the columns in place, past the end any
+// earlier X sees; one without is first copied into a carved row. It
+// releases the merge.
 func (m *keyedMerge) finalized() (*relation.Relation, error) {
+	defer m.release()
 	outCols := make([]relation.Column, len(m.specs))
 	for i, sp := range m.specs {
 		outCols[i] = sp.OutColumn()
@@ -282,10 +332,7 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 		return nil, err
 	}
 	out := relation.New(outSchema)
-	out.Rows = m.rows
-	if len(m.keys) == 0 {
-		out.Rows = make([]relation.Row, len(m.rows))
-	}
+	out.Rows = make([]relation.Row, len(m.rows))
 	var chunk []value.V
 	for gi, nr := range m.rows {
 		if cap(nr)-len(nr) < len(m.specs) {
@@ -308,7 +355,8 @@ func (m *keyedMerge) finalized() (*relation.Relation, error) {
 // columns), then every spec's merged primitive states. A positional merge
 // echoes no base columns and frames only the groups some fragment answered,
 // in group order, returning the Response.Kept bitmap that names them (nil
-// when it names every group).
+// when it names every group). Neither is working memory, so the relay
+// releases the merge after it.
 func (m *keyedMerge) tier() (*relation.Frame, []byte, error) {
 	var cols []relation.Column
 	var lanes []relation.LaneSource
@@ -325,7 +373,7 @@ func (m *keyedMerge) tier() (*relation.Frame, []byte, error) {
 	}
 	for p := 0; p < m.accs.Width(); p++ {
 		lane := m.accs.Lane(p)
-		if m.order != nil {
+		if m.shuffled {
 			lane = ordered{lane, m}
 		}
 		lanes = append(lanes, lane)

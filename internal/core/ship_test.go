@@ -97,12 +97,12 @@ func parentShipment(t *testing.T, x *relation.Relation, step *Step, site string)
 // again. Each site's frame is byte for byte the frame of what the
 // protocol before round frames shipped it.
 func TestShippedFrames(t *testing.T) {
-	parts := fig5Parts(t)
+	parts := fig5Parts(t, wireMatrixConfig)
 	q := fig5Query("CustName")
 	ctx := context.Background()
 	filtered, unfiltered := 0, 0
 	for _, relays := range []bool{false, true} {
-		coord, cat := wireCluster(t, parts, relays, sameEngine)
+		coord, cat := wireCluster(t, wireMatrixConfig, parts, relays, sameEngine)
 		log := &shipLog{}
 		for i, cl := range coord.clients {
 			coord.clients[i] = shipRecorder{Client: cl, name: cl.SiteID(), log: log}
@@ -236,7 +236,7 @@ func (s slowShipped) Handle(ctx context.Context, req *transport.Request) *transp
 // concurrently and as it is (the race detector watches them read it), and
 // every other site gets that frame too. The answer is the centralized one.
 func TestHedgedShippingRound(t *testing.T) {
-	parts := fig5Parts(t)
+	parts := fig5Parts(t, wireMatrixConfig)
 	q := fig5Query("CustName")
 	log := &shipLog{}
 	clients := make([]transport.Client, len(parts))

@@ -163,9 +163,15 @@ func synchronizeFixture(groups, sites int) (*relation.Relation, *Step, map[strin
 // runSynchronize merges the replies as they would arrive on the stream,
 // from as many sites.
 func runSynchronize(x *relation.Relation, step *Step, ships map[string]shipment, replies []*transport.Response) (*relation.Relation, error) {
+	return synchronizeStream(x, step, ships, len(replies), streamOf(replies))
+}
+
+// synchronizeStream merges the arrivals on stream from sites sites and
+// finalizes the merge as Coordinator.round does, handing its memory back.
+func synchronizeStream(x *relation.Relation, step *Step, ships map[string]shipment, sites int, stream <-chan streamItem) (*relation.Relation, error) {
 	var rs RoundStats
-	c := &Coordinator{clients: namedClients(len(replies))}
-	m, _, err := c.synchronize(x, streamOf(replies), step, ships, &rs, false)
+	c := &Coordinator{clients: namedClients(sites)}
+	m, _, err := c.synchronize(x, stream, step, ships, &rs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +242,10 @@ func BenchmarkSynchronize(b *testing.B) {
 }
 
 // fusedFixture is the coordinator's side of a fused step grouped on
-// CustName: each site's keyed reply of groups customers, site-disjoint,
+// CustName: site s's keyed reply of groups[s] customers, site-disjoint,
 // with the states of count(*) and avg. Both merge them by key; a disjoint
 // step also checks that no key comes from two sites.
-func fusedFixture(groups, sites int, disjoint bool) (*Step, []*transport.Response) {
+func fusedFixture(disjoint bool, groups ...int) (*Step, []*transport.Response) {
 	step := &Step{FuseBase: true, Request: transport.Request{Op: transport.OpEvalRounds, BaseCols: []string{"CustName"}},
 		Specs: []agg.Spec{agg.MustParseSpec("count(*) AS cnt1"), agg.MustParseSpec("avg(F.Quantity) AS avg1")}}
 	step.room = len(step.Specs)
@@ -250,29 +256,36 @@ func fusedFixture(groups, sites int, disjoint bool) (*Step, []*transport.Respons
 	for _, sp := range step.Specs {
 		cols = append(cols, sp.SubColumns()...)
 	}
-	replies := make([]*transport.Response, sites)
+	replies := make([]*transport.Response, len(groups))
+	first := 0
 	for s := range replies {
 		rel := relation.New(relation.MustSchema(cols...))
-		for g := 0; g < groups; g++ {
+		for g := 0; g < groups[s]; g++ {
 			n := int64(g%5 + 1)
-			rel.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", s*groups+g)), value.NewInt(n), value.NewInt(n*int64(g%50+1)), value.NewInt(n))
+			rel.MustAppend(value.NewString(fmt.Sprintf("Customer#%09d", first+g)), value.NewInt(n), value.NewInt(n*int64(g%50+1)), value.NewInt(n))
 		}
-		replies[s] = &transport.Response{Rel: rel}
+		replies[s], first = &transport.Response{Rel: rel}, first+groups[s]
 	}
 	return step, replies
 }
 
 // BenchmarkSynchronizeFused is the merge and finalization of a fused step:
 // four keyed replies of 500 groups, as the site clients deliver them,
-// merged by key, with the site-disjoint claim unchecked and checked.
+// merged by key, with the site-disjoint claim unchecked and checked; and
+// four keyed replies of 46, 48, 50 and 56 groups, the smallest first, as
+// scan_lowcard's sites answer when the smallest is fastest.
 func BenchmarkSynchronizeFused(b *testing.B) {
-	for _, disjoint := range []bool{false, true} {
-		name := "keyed"
-		if disjoint {
-			name = "disjoint"
-		}
-		b.Run(name, func(b *testing.B) {
-			step, replies := fusedFixture(500, 4, disjoint)
+	for _, c := range []struct {
+		name     string
+		disjoint bool
+		groups   []int
+	}{
+		{"keyed", false, []int{500, 500, 500, 500}},
+		{"disjoint", true, []int{500, 500, 500, 500}},
+		{"skewed", false, []int{46, 48, 50, 56}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			step, replies := fusedFixture(c.disjoint, c.groups...)
 			replies = received(b, nil, replies)
 			b.ReportAllocs()
 			b.ResetTimer()

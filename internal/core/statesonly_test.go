@@ -112,7 +112,7 @@ func (r keptRecorder) Call(ctx context.Context, req *transport.Request) (*transp
 // reply, a hedge racing two replicas, and a checkpoint resume on a new
 // coordinator — and demands the centralized answer from each.
 func TestStatesOnlyRecovery(t *testing.T) {
-	parts := fig5Parts(t)
+	parts := fig5Parts(t, wireMatrixConfig)
 	q := fig5Query("CustName")
 	whole := relation.New(parts[0].Schema)
 	for _, p := range parts {

@@ -121,6 +121,7 @@ func (r *Relay) eval(ctx context.Context, req *transport.Request) (*transport.Re
 		return nil, err
 	}
 	out, kept, err := m.tier()
+	m.release()
 	if err != nil {
 		return nil, err
 	}

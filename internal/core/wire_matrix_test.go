@@ -45,17 +45,18 @@ type wireCase struct {
 // wireMatrixConfig is the dataset of the matrix.
 var wireMatrixConfig = tpcr.Config{Rows: 2000, Customers: 100, Seed: 5}
 
-// fig5Parts generates the four TPCR partitions of the matrix with dyadic
-// float measures (Discount in 128ths, ExtendedPrice integral), so every
-// float sum is exact and the distributed answer equals the centralized
-// one to the byte whatever order fragments merge in.
-func fig5Parts(t *testing.T) []*relation.Relation {
+// fig5Parts generates four TPCR partitions of cfg (the matrix's is
+// wireMatrixConfig) with dyadic float measures (Discount in 128ths,
+// ExtendedPrice integral), so every float sum is exact and the distributed
+// answer equals the centralized one to the byte whatever order fragments
+// merge in.
+func fig5Parts(t *testing.T, cfg tpcr.Config) []*relation.Relation {
 	t.Helper()
 	disc, _ := tpcr.Schema().Lookup("Discount")
 	price, _ := tpcr.Schema().Lookup("ExtendedPrice")
 	parts := make([]*relation.Relation, 4)
 	for i := range parts {
-		p, err := tpcr.GeneratePartition(wireMatrixConfig, i, len(parts))
+		p, err := tpcr.GeneratePartition(cfg, i, len(parts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +105,8 @@ func (f failEval) Handle(ctx context.Context, req *transport.Request) *transport
 // relay holds exactly the nations a two-site split assigns it. Every node
 // serves behind the handler wrap returns for it: leaf i as node i, relay r
 // as node len(parts)+r. The catalog describes the sites the coordinator
-// talks to.
-func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap func(i int, h transport.Handler) transport.Handler) (*Coordinator, *catalog.Catalog) {
+// talks to, holding parts of cfg.
+func wireCluster(t *testing.T, cfg tpcr.Config, parts []*relation.Relation, relays bool, wrap func(i int, h transport.Handler) transport.Handler) (*Coordinator, *catalog.Catalog) {
 	t.Helper()
 	leaves := make([]transport.Client, len(parts))
 	for i, p := range parts {
@@ -129,10 +130,10 @@ func wireCluster(t *testing.T, parts []*relation.Relation, relays bool, wrap fun
 		ids[i] = cl.SiteID()
 	}
 	cat := catalog.New(ids...)
-	if err := tpcr.FillCatalog(cat, ids, wireMatrixConfig); err != nil {
+	if err := tpcr.FillCatalog(cat, ids, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := tpcr.FillValueDomains(cat, ids, wireMatrixConfig); err != nil {
+	if err := tpcr.FillValueDomains(cat, ids, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return NewCoordinator(clients...), cat
@@ -158,7 +159,7 @@ func sortedCSV(t *testing.T, r *relation.Relation, keys []string) string {
 // more, in failEval).
 func wireMatrix(t *testing.T, wrap func(i int, h transport.Handler) transport.Handler) []wireCase {
 	t.Helper()
-	parts := fig5Parts(t)
+	parts := fig5Parts(t, wireMatrixConfig)
 	q := fig5Query("CustName")
 	var cases []wireCase
 	for _, relays := range []bool{false, true} {
@@ -188,7 +189,7 @@ func wireMatrix(t *testing.T, wrap func(i int, h transport.Handler) transport.Ha
 				t.Fatal(err)
 			}
 			wantCSV := sortedCSV(t, want, q.Keys())
-			coord, cat := wireCluster(t, parts, relays, leaf)
+			coord, cat := wireCluster(t, wireMatrixConfig, parts, relays, leaf)
 			coord.AllowPartial = lost
 			for _, opts := range allOptions() {
 				label := fmt.Sprintf("relays=%v/lost=%v/%s", relays, lost, optLabel(opts))

@@ -3,15 +3,22 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/agg"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/gmdj"
 	"repro/internal/relation"
 	"repro/internal/site"
+	"repro/internal/tpcr"
 	"repro/internal/transport"
 	"repro/internal/value"
 )
@@ -90,6 +97,214 @@ func TestTierAllocsDoNotScaleWithGroups(t *testing.T) {
 	if small, large := allocs(few), allocs(many); large-small > 10 {
 		t.Errorf("tier allocations scale with groups: %.0f at %d groups, %.0f at %d", small, few, large, many)
 	}
+}
+
+// TestWarmSkewedMergeAllocs: a keyed merge reserves no less than its
+// warmed memory holds, so when the smallest of four fragments of unequal
+// size arrives first it grows no slab lane, row list or key index: it
+// allocates as often as when the largest arrives first.
+func TestWarmSkewedMergeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops merge memory at random")
+	}
+	// A GC empties the pool, and the merge after it allocates its memory.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	step, replies := fusedFixture(false, 46, 48, 50, 56)
+	replies = received(t, nil, replies)
+	allocs := func(order ...int) float64 {
+		run := func() {
+			stream := make(chan streamItem, len(order))
+			for _, s := range order {
+				stream <- streamItem{SiteRound: SiteRound{Site: fmt.Sprintf("site%d", s)}, client: s, resp: replies[s]}
+			}
+			close(stream)
+			if x, err := synchronizeStream(nil, step, nil, len(replies), stream); err != nil || x.Len() != 200 {
+				t.Fatalf("arrivals %v: merged %v, err %v", order, x, err)
+			}
+		}
+		run()
+		// Many runs, so that an allocation of another goroutine's is not
+		// counted as a run's.
+		return testing.AllocsPerRun(100, run)
+	}
+	if smallest, largest := allocs(0, 1, 2, 3), allocs(3, 2, 1, 0); smallest != largest {
+		t.Errorf("a warmed merge allocates %.0f times when the smallest fragment arrives first, %.0f when the largest does",
+			smallest, largest)
+	}
+}
+
+// lineNumberShift is a site whose base round declares LineNumber a STRING
+// when the query groups on it (kindShift), and answers every other query
+// as its engine does.
+type lineNumberShift struct{ transport.Handler }
+
+func (l lineNumberShift) Handle(ctx context.Context, req *transport.Request) *transport.Response {
+	if slices.Equal(req.BaseCols, []string{"LineNumber"}) {
+		return kindShift{l.Handler}.Handle(ctx, req)
+	}
+	return l.Handler.Handle(ctx, req)
+}
+
+// TestPooledMergesInvisible: the coordinator's merges draw their slab, key
+// index, row list and position buffers from one pool, and no execution
+// can tell. A mix of executions, run by one coordinator in order and then
+// from concurrent goroutines, answers as gmdj.EvalQuery does and moves,
+// execution by execution, the bytes its first run moved with a pool the
+// GC had emptied. Each execution leaves its merges dirty in its own way
+// for the next: keyed merges of 2 000 groups before ones of 50, extrema
+// over STRINGs with NULLs, sketches, an INT sum that a FLOAT switches,
+// rounds that fail mid-merge (a site-disjoint claim the data violates, a
+// fragment whose columns disagree with the others'), a resume from a
+// checkpoint, and relays' tiers under a root.
+func TestPooledMergesInvisible(t *testing.T) {
+	ctx := context.Background()
+	cfg := tpcr.Config{Rows: 8000, Customers: 2000, LowCardGroups: 50, Seed: 5}
+	parts := fig5Parts(t, cfg)
+	whole := relation.New(parts[0].Schema)
+	for _, p := range parts {
+		whole.Rows = append(whole.Rows, p.Rows...)
+	}
+	coord, cat := wireCluster(t, cfg, parts, false, func(i int, h transport.Handler) transport.Handler {
+		if i == 3 {
+			return lineNumberShift{h}
+		}
+		return h
+	})
+	tree, treeCat := wireCluster(t, cfg, parts, true, sameEngine)
+	lie := catalog.New("site0", "site1", "site2", "site3")
+	for i, flag := range []string{"A", "N", "R", "Z"} {
+		if err := lie.SetDomain(fmt.Sprintf("site%d", i), "ReturnFlag", expr.DomainSet(value.NewString(flag))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schema, err := coord.DetailSchema(ctx, "tpcr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(cat *catalog.Catalog, opts Options, q gmdj.Query) *Plan {
+		t.Helper()
+		p, err := Egil{Catalog: cat, Options: opts}.BuildPlan(q, "tpcr", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	grouped := func(attr string, aggs ...string) gmdj.Query {
+		var specs []agg.Spec
+		for _, a := range aggs {
+			specs = append(specs, agg.MustParseSpec(a))
+		}
+		return gmdj.Query{Base: gmdj.BaseDef{Cols: []string{attr}}, MDs: []gmdj.MD{{Aggs: [][]agg.Spec{specs},
+			Thetas: []expr.Expr{expr.MustParse(fmt.Sprintf("F.%s = B.%s", attr, attr))}}}}
+	}
+	strs := grouped("CustName", "min(CASE WHEN F.Quantity > 25 THEN F.ShipMode END) AS smin", "max(F.ShipMode) AS smax",
+		"countd(F.ShipMode) AS d", "sum(CASE WHEN F.Quantity > 40 THEN F.Discount ELSE F.Quantity END) AS mixed")
+	claimed := plan(lie, DefaultOptions, grouped("ReturnFlag", "count(*) AS n", "sum(F.Quantity) AS q"))
+	if !claimed.Steps[0].disjoint() {
+		t.Fatalf("the lying catalog's plan claims nothing:\n%s", claimed.Explain())
+	}
+	// The resumed execution starts from the checkpoint of its first two
+	// rounds.
+	resumable := plan(cat, Options{}, fig5Query("CustGroup"))
+	store := &heldCheckpoints{}
+	first := coord.Derive(coord.clients...)
+	first.Checkpoints = store
+	if _, _, err := first.Execute(ctx, resumable); err != nil || len(store.saved) < 3 {
+		t.Fatalf("%d checkpoints saved, err %v", len(store.saved), err)
+	}
+	resume := store.saved[1]
+
+	type execution struct {
+		name  string
+		q     gmdj.Query // what it answers; nil MDs when it fails
+		fails string     // what a failing execution's error says
+		run   func() (*relation.Relation, *ExecStats, error)
+	}
+	on := func(c *Coordinator, p *Plan) func() (*relation.Relation, *ExecStats, error) {
+		return func() (*relation.Relation, *ExecStats, error) { return c.Execute(ctx, p) }
+	}
+	mix := []execution{
+		{name: "2 000 groups, fused", q: fig5Query("CustName"), run: on(coord, plan(cat, DefaultOptions, fig5Query("CustName")))},
+		{name: "50 groups, shipped", q: fig5Query("CustGroup"), run: on(coord, plan(cat, Options{}, fig5Query("CustGroup")))},
+		{name: "extrema, sketches, a switched sum, fused", q: strs, run: on(coord, plan(cat, DefaultOptions, strs))},
+		{name: "violated claim", fails: "not site-disjoint", run: on(coord, claimed)},
+		{name: "extrema, sketches, a switched sum, shipped", q: strs, run: on(coord, plan(cat, Options{}, strs))},
+		{name: "disagreeing fragment", fails: "differ from", run: on(coord, plan(cat, Options{}, grouped("LineNumber", "count(*) AS n")))},
+		{name: "resumed", q: fig5Query("CustGroup"), run: func() (*relation.Relation, *ExecStats, error) {
+			c := coord.Derive(coord.clients...)
+			c.Checkpoints = &heldCheckpoints{resume: resume}
+			return c.Execute(ctx, resumable)
+		}},
+		{name: "relays, fused", q: fig5Query("CustName"), run: on(tree, plan(treeCat, DefaultOptions, fig5Query("CustName")))},
+		{name: "relays, shipped", q: strs, run: on(tree, plan(treeCat, Options{}, strs))},
+		{name: "50 groups, fused", q: fig5Query("CustGroup"), run: on(coord, plan(cat, DefaultOptions, fig5Query("CustGroup")))},
+	}
+	// An execution's wire is its rounds' traffic and X's frame, which is
+	// what the next round would ship.
+	wire := func(e execution) ([]byte, error) {
+		x, stats, err := e.run()
+		if e.fails != "" {
+			if err == nil || !errors.Is(err, transport.ErrInconsistent) || !strings.Contains(err.Error(), e.fails) {
+				return nil, fmt.Errorf("err = %v, want a failed merge saying %q", err, e.fails)
+			}
+			return nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		var b []byte
+		for _, r := range stats.Rounds {
+			b = fmt.Appendf(b, "%s %d %d %d %d\n", r.Name, r.GroupsShipped, r.GroupsReceived, r.BytesToSites, r.BytesFromSites)
+		}
+		return relation.AppendFrame(b, x), nil
+	}
+	want := make([][]byte, len(mix))
+	for i, e := range mix {
+		runtime.GC() // twice: the pool keeps what it held for one GC
+		runtime.GC()
+		if want[i], err = wire(e); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if e.fails != "" {
+			continue
+		}
+		x, _, err := e.run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		central, err := gmdj.EvalQuery(whole, e.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sortedFrame(t, x, e.q.Keys()), sortedFrame(t, central, e.q.Keys()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the answer (%d groups) differs from the centralized one (%d groups)", e.name, x.Len(), central.Len())
+		}
+	}
+	check := func(report func(string, ...any), pass, i int) {
+		got, err := wire(mix[i])
+		switch {
+		case err != nil:
+			report("pass %d, %s: %v", pass, mix[i].name, err)
+		case !bytes.Equal(got, want[i]):
+			report("pass %d, %s: the execution moved other bytes than its first run (%d vs %d)", pass, mix[i].name, len(got), len(want[i]))
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := range mix {
+			check(t.Fatalf, pass, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(mix); k++ {
+				check(t.Errorf, g, (g*3+k)%len(mix))
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // heldCheckpoints keeps every checkpoint as the coordinator hands it over,

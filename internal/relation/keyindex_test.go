@@ -59,6 +59,59 @@ func TestKeyIndexMatchesMap(t *testing.T) {
 	}
 }
 
+// TestKeyIndexReserveReuses: Reserve on a used index, smaller than its
+// table, the same size and larger, under every hash function, leaves none
+// of its keys findable; the index then resolves a stream of keys as a
+// fresh one does; and reserving within the memory it holds allocates
+// nothing.
+func TestKeyIndexReserveReuses(t *testing.T) {
+	for name, hash := range keyHashes {
+		for _, reserve := range []int{10, 1000, 3000} {
+			var used, fresh KeyIndex
+			var old []int
+			for k := 0; k < 1000; k++ {
+				used.Add(hash(k), k)
+				old = append(old, k)
+			}
+			used.Reserve(reserve)
+			fresh.Reserve(reserve)
+			for k := range old {
+				if pos, ok := used.Find(hash(k), func(int) bool { return true }); ok {
+					t.Fatalf("%s reserve %d: key %d of the earlier use found at %d", name, reserve, k, pos)
+				}
+			}
+			rng := rand.New(rand.NewSource(2))
+			var keys []int
+			for i := 0; i < 3000; i++ {
+				k := 500 + rng.Intn(900)
+				eq := func(pos int) bool { return keys[pos] == k }
+				pos, ok := used.Find(hash(k), eq)
+				wantPos, wantOK := fresh.Find(hash(k), eq)
+				if ok != wantOK || pos != wantPos {
+					t.Fatalf("%s reserve %d: key %d found at %d (%v), a fresh index at %d (%v)", name, reserve, k, pos, ok, wantPos, wantOK)
+				}
+				if !ok {
+					used.Add(hash(k), len(keys))
+					fresh.Add(hash(k), len(keys))
+					keys = append(keys, k)
+				}
+			}
+		}
+	}
+	var ix KeyIndex
+	ix.Reserve(2000)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, n := range []int{2000, 50, 1000} {
+			ix.Reserve(n)
+			for k := 0; k < n; k++ {
+				ix.Add(uint64(k), k)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("reserving within the index's memory allocates %.0f times, want 0", allocs)
+	}
+}
+
 // TestKeyIndexAllocs: a reserved index adds and finds without allocating;
 // Reserve's two slices are all it holds.
 func TestKeyIndexAllocs(t *testing.T) {

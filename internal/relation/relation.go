@@ -377,10 +377,16 @@ type KeyIndex struct {
 	hashes []uint64
 }
 
-// Reserve sizes an empty index for n positions up front.
+// Reserve empties the index and sizes it for n positions up front, in the
+// memory it holds where that is large enough: a table already of at least
+// 2n slots is cleared and kept, and so is the hashes' capacity.
 func (ix *KeyIndex) Reserve(n int) {
-	ix.slots = make([]int32, 2<<bits.Len(uint(max(n, 4)-1))) // ≥ 2n
-	ix.hashes = make([]uint64, 0, n)
+	if size := 2 << bits.Len(uint(max(n, 4)-1)); len(ix.slots) < size { // ≥ 2n
+		ix.slots = make([]int32, size)
+	} else {
+		clear(ix.slots)
+	}
+	ix.hashes = slices.Grow(ix.hashes[:0], n)
 }
 
 // Add indexes position pos — the next unindexed one — under hash.

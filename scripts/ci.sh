@@ -46,9 +46,11 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # shipped-frame tests (TestShippedFrames, TestMalformedXFailsBeforeAnyCall),
 # TestHedgedShippingRound, where a hedge and its primary send the one frame
 # a round encoded concurrently, TestClosedReplicaSetStaysPut,
-# TestReconnectorCloseIsFinal (a closed retry layer dials nothing) and
+# TestReconnectorCloseIsFinal (a closed retry layer dials nothing),
 # TestChaosScheduleSpansRedials (a replica's fault schedule spans the
-# connections its retry layer redials).
+# connections its retry layer redials) and TestPooledMergesInvisible
+# (concurrent executions and relays share the coordinator's pooled merge
+# memory, and none can tell).
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
@@ -111,7 +113,8 @@ go test -run xxx -bench . -benchtime 1x . > /dev/null
 # server code on both. Synchronize also matches BenchmarkSynchronizeFused,
 # a fused step's keyed replies, as a site client delivers them, merged by
 # key with the site-disjoint claim unchecked and checked, each boxing only
-# K from its frame; KeyIndex is the open-addressed key table every keyed
+# K from its frame, and skewed: fragments of 46 to 56 groups, the smallest
+# first; KeyIndex is the open-addressed key table every keyed
 # merge, distinct projection and key grouping resolves keys through;
 # PartitionAttr is the catalog's partition proof, memoized and cold;
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
