@@ -2,8 +2,8 @@
 // Query Processing in Distributed Data Warehouses" (Akinde, Böhlen,
 // Johnson, Lakshmanan, Srivastava, 2002) — the Skalla system.
 //
-// The public API lives in package repro/skalla; the per-figure benchmarks
-// reproducing the paper's evaluation live in bench_test.go next to this
-// file. See README.md for the tour and DESIGN.md for the system
-// inventory.
+// The public API lives in package repro/skalla; the tests checking the
+// shapes of the paper's evaluation (Figs. 2-5) live in
+// skalla/figures_test.go. See README.md for the tour and DESIGN.md for
+// the system inventory.
 package repro

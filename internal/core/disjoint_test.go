@@ -115,13 +115,6 @@ func disjointCluster(t *testing.T, seed int64, nSites, lost int) (*Coordinator, 
 // fused single MD on a one-column K, a chain whose second MD reads the first's
 // average, and a two-column K.
 func disjointQueries() map[string]gmdj.Query {
-	md := func(theta string, aggs ...string) gmdj.MD {
-		var specs []agg.Spec
-		for _, a := range aggs {
-			specs = append(specs, agg.MustParseSpec(a))
-		}
-		return gmdj.MD{Aggs: [][]agg.Spec{specs}, Thetas: []expr.Expr{expr.MustParse(theta)}}
-	}
 	return map[string]gmdj.Query{
 		"single": {Base: gmdj.BaseDef{Cols: []string{"K"}}, MDs: []gmdj.MD{
 			md("F.K = B.K", "count(*) AS n", "sum(F.M) AS s", "avg(F.M) AS a", "min(F.M) AS lo", "countd(F.M) AS dm"),
@@ -139,7 +132,7 @@ func disjointQueries() map[string]gmdj.Query {
 
 // sortedFrame is r ordered by the Key() strings of its keys, a total order
 // NaN keys included, as its relation frame.
-func sortedFrame(t *testing.T, r *relation.Relation, keys []string) []byte {
+func sortedFrame(t testing.TB, r *relation.Relation, keys []string) []byte {
 	t.Helper()
 	idx := make([]int, len(keys))
 	for i, k := range keys {

@@ -94,16 +94,22 @@ func TestRelayPreMergeShrinksUpstream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flatRecv, treeRecv int64
+	var flatRecv, treeRecv, flatShipped, treeShipped int64
 	for _, r := range flatStats.Rounds {
 		flatRecv += r.GroupsReceived
+		flatShipped += r.GroupsShipped
 	}
 	for _, r := range treeStats.Rounds {
 		treeRecv += r.GroupsReceived
+		treeShipped += r.GroupsShipped
 	}
 	// 4 leaves → 2 relays: upstream group rows should halve.
 	if treeRecv*3 > flatRecv*2 {
 		t.Errorf("relay pre-merge weak: tree received %d rows, flat %d", treeRecv, flatRecv)
+	}
+	// The root ships X to 2 relays, not to 4 leaves.
+	if treeShipped >= flatShipped {
+		t.Errorf("tree root shipped %d rows, flat %d: want fewer", treeShipped, flatShipped)
 	}
 }
 

@@ -69,17 +69,19 @@ func fig5Parts(t *testing.T, cfg tpcr.Config) []*relation.Relation {
 	return parts
 }
 
+// md is an MD with one aggregate list, parsed from text.
+func md(theta string, aggs ...string) gmdj.MD {
+	var specs []agg.Spec
+	for _, a := range aggs {
+		specs = append(specs, agg.MustParseSpec(a))
+	}
+	return gmdj.MD{Aggs: [][]agg.Spec{specs}, Thetas: []expr.Expr{expr.MustParse(theta)}}
+}
+
 // fig5Query is the paper's Fig. 5 query on attr: MD1 and MD2 coalesce,
 // MD3 reads MD1's average.
 func fig5Query(attr string) gmdj.Query {
 	eq := fmt.Sprintf("F.%s = B.%s", attr, attr)
-	md := func(theta string, aggs ...string) gmdj.MD {
-		var specs []agg.Spec
-		for _, a := range aggs {
-			specs = append(specs, agg.MustParseSpec(a))
-		}
-		return gmdj.MD{Aggs: [][]agg.Spec{specs}, Thetas: []expr.Expr{expr.MustParse(theta)}}
-	}
 	return gmdj.Query{
 		Base: gmdj.BaseDef{Cols: []string{attr}},
 		MDs: []gmdj.MD{

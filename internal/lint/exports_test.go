@@ -35,20 +35,23 @@ func loadModule(t *testing.T) (*Loader, []*Package) {
 // _test.go files; tests check the program through what it publishes
 // (obs counters and events, RoundStats, replies).
 var testDrivers = map[string]string{
-	"expr.MustParse":           "builds test expressions from text; a program parses user input with Parse and handles its error",
-	"expr.C":                   "builds a literal constant operand for hand-written test expressions",
-	"expr.DomainRange":         "builds an interval domain for catalog and pruning tests",
-	"expr.Equal":               "compares expression trees structurally in parser and rewrite tests",
-	"expr.Domain.Empty":        "asks whether a derived domain admits no value, in the pruning tests",
-	"value.Parse":              "builds typed test values from literals",
-	"value.Equal":              "compares values with NULL = NULL in tests",
-	"vec.Batch.Select":         "the checked constructor of a selection; the kernels build theirs unchecked",
-	"transport.NewHedger":      "builds a hedger with a fixed delay over hand-made clients; the program builds hedgers only inside NewSite",
-	"transport.Chaos.Inject":   "queues a scripted fault",
-	"transport.Chaos.InjectAt": "schedules a fault at the nth call of an op",
-	"transport.Chaos.Calls":    "counts the calls a fault schedule saw, to check a scenario reached its fault",
-	"transport.Chaos.Injected": "counts the faults a schedule applied, to check a scenario reached its fault",
-	"obs.Tracer.SetNow":        "sets the clock spans are timed by, so trace tests read fixed timestamps",
+	"expr.MustParse":                 "builds test expressions from text; a program parses user input with Parse and handles its error",
+	"expr.C":                         "builds a literal constant operand for hand-written test expressions",
+	"expr.DomainRange":               "builds an interval domain for catalog and pruning tests",
+	"expr.Equal":                     "compares expression trees structurally in parser and rewrite tests",
+	"expr.Domain.Empty":              "asks whether a derived domain admits no value, in the pruning tests",
+	"value.Parse":                    "builds typed test values from literals",
+	"value.Equal":                    "compares values with NULL = NULL in tests",
+	"vec.Batch.Select":               "the checked constructor of a selection; the kernels build theirs unchecked",
+	"transport.NewHedger":            "builds a hedger with a fixed delay over hand-made clients; the program builds hedgers only inside NewSite",
+	"transport.NewChaos":             "builds an empty fault schedule for a test to arm",
+	"transport.Chaos.SetTailLatency": "arms a seeded straggler schedule, the tail benchmark's heavy-tail latency",
+	"transport.Chaos.Inject":         "queues a scripted fault",
+	"transport.Chaos.InjectAt":       "schedules a fault at the nth call of an op",
+	"transport.Chaos.Calls":          "counts the calls a fault schedule saw, to check a scenario reached its fault",
+	"transport.Chaos.Injected":       "counts the faults a schedule applied, to check a scenario reached its fault",
+	"obs.Tracer.SetNow":              "sets the clock spans are timed by, so trace tests read fixed timestamps",
+	"obs.Registry.CounterValue":      "reads a published counter without creating it, so a test can check the program counted an event",
 }
 
 // errorsCalls are the methods errors.Is, errors.As and errors.Unwrap call

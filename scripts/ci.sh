@@ -102,7 +102,8 @@ for ex in quickstart ipflows tpcr cube multitier sql; do
 done
 
 echo "== quick bench pass =="
-go test -run xxx -bench . -benchtime 1x . > /dev/null
+# BenchmarkHedgedTail is left out: its p99 bound needs a quiet machine,
+# and CI runs it as a step of its own.
 # HandleFused also matches BenchmarkHandleFusedFiltered, the fused request
 # under a served WHERE clause's base filter; HandleChained is one site's
 # share of the scan_lowcard workload's fused two-round chain; HandleShipped
