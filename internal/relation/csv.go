@@ -48,7 +48,7 @@ func ReadCSV(r io.Reader, s *Schema) (*Relation, error) {
 		return nil, fmt.Errorf("relation: csv header has %d fields, schema has %d", len(head), s.Len())
 	}
 	for i, h := range head {
-		if _, ok := s.Lookup(h); !ok || s.Cols[i].Name != h && !equalFold(s.Cols[i].Name, h) {
+		if !sameName(s.Cols[i].Name, h) {
 			return nil, fmt.Errorf("relation: csv header field %d is %q, want %q", i, h, s.Cols[i].Name)
 		}
 	}
@@ -103,23 +103,4 @@ func parseField(f string, k value.Kind) (value.V, error) {
 	default:
 		return value.Null, fmt.Errorf("cannot parse into kind %s", k)
 	}
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

@@ -118,7 +118,7 @@ func benchCodec(b *testing.B, encode func(*codec) error, decode func([]byte) err
 		n := stream.Len()
 		var body []byte
 		if err == nil {
-			body, err = readMessage(&stream)
+			body, err = readMessage(&stream, nil)
 		}
 		if err == nil {
 			err = decode(body)

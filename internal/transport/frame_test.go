@@ -98,7 +98,7 @@ func TestMalformedRelationRefused(t *testing.T) {
 		if _, err := conn.Write(corruptFrame(t, good, frameOf(t, sampleRelation(3)))); err != nil {
 			t.Fatal(err)
 		}
-		body, err := readMessage(conn)
+		body, err := readMessage(conn, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestMalformedRelationRefused(t *testing.T) {
 		if _, err := conn.Write(good); err != nil {
 			t.Fatal(err)
 		}
-		if body, err = readMessage(conn); err != nil {
+		if body, err = readMessage(conn, nil); err != nil {
 			t.Fatalf("the connection did not survive the corrupt frame: %v", err)
 		}
 		if resp, err = decodeResponse(body); err != nil || resp.Err != "" || resp.frame.Len() != 1 || h.calls.Load() != 1 {
@@ -300,7 +300,7 @@ func serveCorruptOnce(t *testing.T, rel *relation.Relation) (string, *atomic.Int
 			go func() {
 				defer conn.Close()
 				for {
-					if _, err := readMessage(conn); err != nil {
+					if _, err := readMessage(conn, nil); err != nil {
 						return
 					}
 					reply := good

@@ -39,7 +39,7 @@ func message[T Request | Response](t testing.TB, v *T) []byte {
 // decodes.
 func wireRequest(t testing.TB, req *Request) *Request {
 	t.Helper()
-	body, err := readMessage(bytes.NewReader(message(t, req)))
+	body, err := readMessage(bytes.NewReader(message(t, req)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func wireRequest(t testing.TB, req *Request) *Request {
 // decodes.
 func wireResponse(t testing.TB, resp *Response) *Response {
 	t.Helper()
-	body, err := readMessage(bytes.NewReader(message(t, resp)))
+	body, err := readMessage(bytes.NewReader(message(t, resp)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestUntaggedWireCompat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := readMessage(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "protocol version 1; this build speaks version 2") {
+		if _, err := readMessage(bytes.NewReader(b), nil); err == nil || !strings.Contains(err.Error(), "protocol version 1; this build speaks version 2") {
 			t.Errorf("a gob stream read as %v, want a refusal naming versions 1 and 2", err)
 		}
 	}

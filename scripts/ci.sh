@@ -124,7 +124,9 @@ echo "== quick bench pass =="
 # every request, SQLParse three statements of the serve mix, PoolCall
 # one pooled call, and ShipX a round's 2 000-row X framed for 4 and for 8
 # sites, once per round, and for 8 filtered sites, each from its own rows.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall|ShipX' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
+# PingLatency is one empty exchange over loopback TCP: the fixed cost of a
+# message, what a connection's reader and reused body buffer keep small.
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall|ShipX|PingLatency' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
