@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/value"
 )
@@ -303,6 +304,30 @@ func TestDecodeFrameAllocs(t *testing.T) {
 	}
 	if got := bytesPerRun(20, decode); got > 3*perColumn {
 		t.Errorf("DecodeFrame of 2000 rows × 3 columns allocated %d bytes, want at most %d", got, 3*perColumn)
+	}
+}
+
+// TestDecodeWideFrame: checking a frame's column names costs time linear
+// in them. A frame of 2^17 distinct names, about 1 MB from anywhere,
+// decodes in milliseconds; comparing its names pairwise takes 2^33 steps,
+// tens of seconds. A frame that names one column twice, however wide, is
+// refused.
+func TestDecodeWideFrame(t *testing.T) {
+	cols := make([]Column, 1<<17)
+	for i := range cols {
+		cols[i] = Column{Name: fmt.Sprintf("%x", i), Kind: value.KindInt}
+	}
+	b := AppendFrame(nil, New(MustSchema(cols...)))
+	start := time.Now()
+	if _, err := DecodeFrame(b); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("DecodeFrame of %d columns took %v, want well under 5s", len(cols), took)
+	}
+	cols[len(cols)-1].Name = strings.ToUpper(cols[len(cols)/2].Name)
+	if _, err := DecodeFrame(AppendFrame(nil, New(&Schema{Cols: cols}))); err == nil || !strings.Contains(err.Error(), "duplicate column") {
+		t.Errorf("a frame naming a column twice among %d: err = %v, want a duplicate", len(cols), err)
 	}
 }
 
