@@ -21,6 +21,7 @@ package gmdj
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/agg"
@@ -170,7 +171,8 @@ func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, 
 // the locally chained rounds of a synchronization-reduced plan — and keeps
 // their working memory from one operator, and one request, to the next:
 // each vectorized worker's lane and selection buffers, which an operator
-// writes before it reads them, and the operators' states. Operator i of a
+// writes before it reads them, the operators' states, and the request's
+// base with the finals its rounds append to it (Base). Operator i of a
 // request takes the chain's slab i and match counts i, reset for its specs
 // and base, so a request's states are distinct from one another and reuse
 // the arrays of the largest request the chain served. Rewind starts the
@@ -180,7 +182,76 @@ type Chain struct {
 	workers []vecWorker
 	slabs   []*agg.Slab
 	matched [][]int64
-	next    int // the request's operators so far: the next takes slabs[next]
+	next    int  // the request's operators so far: the next takes slabs[next]
+	base    Base // the request's base, finals buffer and all
+}
+
+// Base is the base-values relation a chain's operators run over. Its own
+// columns are a shipped base's boxed rows (RowBase) or, for a base the
+// site computes from its detail batch, a selection of that batch's lanes
+// (EvalBaseLanes); the finalized aggregates earlier operators add (Extend)
+// follow them, column-major. A Base is its chain's memory: it stays valid
+// until the chain's next base or request.
+type Base struct {
+	Schema *relation.Schema
+	n      int
+	rows   []relation.Row        // a shipped base's rows; nil for lanes
+	lanes  []relation.LaneSource // a computed base's own columns
+	finals []value.V             // Extend's columns, one run of n each
+}
+
+// Len returns the number of base rows.
+func (b *Base) Len() int { return b.n }
+
+// Lanes returns a computed base's own columns as lane sources; nil if shipped.
+func (b *Base) Lanes() []relation.LaneSource { return b.lanes }
+
+// Extend appends cols to b's schema and returns their values for the
+// caller to fill before the next operator reads b: column j's value for
+// base row i at j*Len()+i.
+func (b *Base) Extend(cols ...relation.Column) ([]value.V, error) {
+	s, err := b.Schema.Concat(cols...)
+	if err != nil {
+		return nil, err
+	}
+	off := len(b.finals)
+	b.Schema, b.finals = s, slices.Grow(b.finals, len(cols)*b.n)[:off+len(cols)*b.n]
+	return b.finals[off:], nil
+}
+
+// row returns base row g: a shipped row itself while the base has no
+// finals, and otherwise the row built in *buf, own columns then finals.
+func (b *Base) row(g int, buf *relation.Row) relation.Row {
+	if b.lanes == nil && len(b.finals) == 0 {
+		return b.rows[g]
+	}
+	row := (*buf)[:0]
+	if b.lanes == nil {
+		row = append(row, b.rows[g]...)
+	}
+	for _, l := range b.lanes {
+		row = append(row, value.V{})
+		l.Values(row[len(row)-1:], g, false)
+	}
+	for f := g; f < len(b.finals); f += b.n {
+		row = append(row, b.finals[f])
+	}
+	*buf = row
+	return row
+}
+
+// newBase makes b the chain's base, with the chain's finals buffer emptied:
+// nothing past the buffer's length holds a value.
+func (c *Chain) newBase(b Base) *Base {
+	clear(c.base.finals)
+	b.finals = c.base.finals[:0]
+	c.base = b
+	return &c.base
+}
+
+// RowBase returns r as the chain's base, its rows read as they are.
+func (c *Chain) RowBase(r *relation.Relation) *Base {
+	return c.newBase(Base{Schema: r.Schema, n: len(r.Rows), rows: r.Rows})
 }
 
 // grow returns the chain's first n workers, adding empty ones as needed;
@@ -194,8 +265,15 @@ func (c *Chain) grow(n int) []vecWorker {
 
 // Rewind starts a request: its operators take the chain's states from the
 // first on, so whatever the previous request's operators left in them is
-// overwritten.
-func (c *Chain) Rewind() { c.next = 0 }
+// overwritten, and the base and the workers' base rows are cleared, so the
+// chain pins no value of the previous request.
+func (c *Chain) Rewind() {
+	c.next = 0
+	c.newBase(Base{})
+	for i := range c.workers {
+		clear(c.workers[i].row[:cap(c.workers[i].row)])
+	}
+}
 
 // states returns the next operator's empty states for specs over groups
 // base rows: its slab and its match counts.
@@ -227,7 +305,7 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 			return nil, fmt.Errorf("gmdj: detail relation: %w", err)
 		}
 	}
-	accs, matched, err := c.EvalStates(b, detail, md, opts)
+	accs, matched, err := c.EvalStates(c.RowBase(b), detail, md, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +319,7 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 // the chain's next request starts (Rewind), and the request's later
 // operators take states of their own. Of opts it reads only how the
 // evaluation runs.
-func (c *Chain) EvalStates(b *relation.Relation, detail *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
+func (c *Chain) EvalStates(b *Base, detail *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
 	if err := md.Validate(b.Schema, detail.Schema); err != nil {
 		return nil, nil, err
 	}

@@ -149,29 +149,11 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 	return src.DistinctProject(def.Cols)
 }
 
-// EvalBaseBatch is EvalBase over the columnar form of the detail relation:
-// the filter runs as a compiled column-program on the chain's first
-// worker's buffers, and the duplicate elimination as the vec.Distinct
-// kernel over the batch's memoized key grouping, so a site, which stores
-// its detail batch, hashes no row per request. The result is byte-identical
-// to EvalBase on the relation the batch was built from: the same groups in
-// the same first-seen scan order (the coordinator merges fragments, and
-// gob encodes them, in that order).
-func (c *Chain) EvalBaseBatch(batch *vec.Batch, def BaseDef) (*relation.Relation, error) {
-	ps, idx, lanes, err := c.baseLanes(batch, def)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := vec.Rows(batch, idx, lanes)
-	if err != nil {
-		return nil, err
-	}
-	return &relation.Relation{Schema: ps, Rows: rows}, nil
-}
-
-// EvalBaseFrame is the frame of EvalBaseBatch's relation, byte for byte,
-// read from the batch's lanes: no row is boxed.
-func (c *Chain) EvalBaseFrame(batch *vec.Batch, def BaseDef) (*relation.Frame, error) {
+// EvalBaseLanes is EvalBase over the detail batch, as the chain's base: a
+// selection of the batch's lanes, read in place (baseLanes), so a site
+// hashes and boxes no row per request. Its rows are EvalBase's on the
+// relation the batch was built from, in the same first-seen scan order.
+func (c *Chain) EvalBaseLanes(batch *vec.Batch, def BaseDef) (*Base, error) {
 	ps, idx, lanes, err := c.baseLanes(batch, def)
 	if err != nil {
 		return nil, err
@@ -180,7 +162,17 @@ func (c *Chain) EvalBaseFrame(batch *vec.Batch, def BaseDef) (*relation.Frame, e
 	if err != nil {
 		return nil, err
 	}
-	return relation.EncodeFrame(ps, lanes.Len(), nil, src), nil
+	return c.newBase(Base{Schema: ps, n: lanes.Len(), lanes: src}), nil
+}
+
+// EvalBaseFrame is the frame of EvalBaseLanes' base, byte for byte the
+// frame of EvalBase's relation.
+func (c *Chain) EvalBaseFrame(batch *vec.Batch, def BaseDef) (*relation.Frame, error) {
+	b, err := c.EvalBaseLanes(batch, def)
+	if err != nil {
+		return nil, err
+	}
+	return relation.EncodeFrame(b.Schema, b.Len(), nil, b.Lanes()), nil
 }
 
 // baseLanes computes B_0 over the batch as its schema, the batch columns

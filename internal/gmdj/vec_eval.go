@@ -40,7 +40,7 @@ import (
 
 // evalVec is the vectorized counterpart of eval, and what EvalStates runs
 // once md is validated against b and the detail batch.
-func (c *Chain) evalVec(b *relation.Relation, batch *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
+func (c *Chain) evalVec(b *Base, batch *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
 	bd := md.Binding(b.Schema, batch.Schema)
 	detailOnly := expr.Binding{Detail: batch.Schema, DetailAliases: bd.DetailAliases}
 
@@ -49,7 +49,7 @@ func (c *Chain) evalVec(b *relation.Relation, batch *vec.Batch, md MD, opts SubO
 		return nil, nil, err
 	}
 
-	accs, matched := c.states(md.Specs(), len(b.Rows))
+	accs, matched := c.states(md.Specs(), b.Len())
 
 	// Worker partitioning: each worker owns a contiguous range of base
 	// rows, so the accs/matched slots it writes are disjoint from every
@@ -59,14 +59,14 @@ func (c *Chain) evalVec(b *relation.Relation, batch *vec.Batch, md MD, opts SubO
 	if W <= 0 {
 		W = runtime.GOMAXPROCS(0)
 	}
-	if W > len(b.Rows) {
-		W = len(b.Rows)
+	if W > b.Len() {
+		W = b.Len()
 	}
 	if W < 1 {
 		W = 1
 	}
 	states := c.grow(W)
-	n := len(b.Rows)
+	n := b.Len()
 	if W == 1 {
 		states[0].run(0, n, b, batch, bd, detailOnly, plans, accs, matched)
 	} else {
@@ -132,7 +132,7 @@ type thetaPlan struct {
 // planThetas builds the shared per-θ plans: equi keys, detail-side key
 // groupings and their clustered views. Residuals and arguments compile per
 // worker (run); md.Validate has already bound every one of them.
-func planThetas(b *relation.Relation, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
+func planThetas(b *Base, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
 	plans := make([]thetaPlan, len(md.Thetas))
 	specBase := 0
 	for ti, theta := range md.Thetas {
@@ -192,12 +192,13 @@ func detailCols(e expr.Expr, bd expr.Binding, detail *relation.Schema, cols []in
 	return cols
 }
 
-// vecWorker is the per-worker state. The scratch and program buffers
-// persist across the operators of a Chain; the statistics and the first
-// error hit (errTheta/errG locate it for the deterministic cross-worker
-// pick) are per operator.
+// vecWorker is the per-worker state. The scratch, program and base row
+// (Base.row) buffers persist across the operators of a Chain; the
+// statistics and the first error hit (errTheta/errG locate it for the
+// deterministic cross-worker pick) are per operator.
 type vecWorker struct {
 	scratch vec.Scratch
+	row     relation.Row
 	// progs holds an operator's programs: θ_i's from specBase+i on, its
 	// residual (nil when trivial), then one per aggregate (nil for
 	// COUNT(*)).
@@ -221,7 +222,7 @@ func (ws *vecWorker) fail(ti, g int, err error) {
 }
 
 // run evaluates base rows [lo, hi).
-func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
+func (ws *vecWorker) run(lo, hi int, b *Base, batch *vec.Batch,
 	bd, detailOnly expr.Binding, plans []thetaPlan,
 	accs *agg.Slab, matched []int64) {
 	ws.stats, ws.err = vec.Stats{}, nil
@@ -263,7 +264,7 @@ func (ws *vecWorker) run(lo, hi int, b *relation.Relation, batch *vec.Batch,
 	}
 
 	for g := lo; g < hi; g++ {
-		row := b.Rows[g]
+		row := b.row(g, &ws.row)
 		for ti := range plans {
 			pl := &plans[ti]
 			// With equi pairs the candidates are the one detail key group

@@ -272,13 +272,14 @@ func TestVecConditionalAggregateExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := new(Chain).EvalBaseBatch(batch, def)
+	framed, err := new(Chain).EvalBaseFrame(batch, def)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := exactRows(want, b); d != "" {
-		t.Fatalf("base values: %s", d)
+	if boxed := relation.AppendFrame(nil, want); !bytes.Equal(framed.Bytes(), boxed) {
+		t.Fatalf("base values: framed from the lanes\n% x\nfrom EvalBase's rows\n% x", framed.Bytes(), boxed)
 	}
+	b := want
 	md := MD{
 		Aggs: [][]agg.Spec{{
 			agg.MustParseSpec("sum(CASE WHEN F.Q > 0 THEN F.Q ELSE 0 END) AS pos"),
@@ -444,7 +445,7 @@ func TestVecMixedKeyViews(t *testing.T) {
 
 // TestBaseFrameIsFrameOfRows: the base round's reply, framed from the
 // batch's lanes (EvalBaseFrame), is byte for byte the frame of the rows
-// EvalBaseBatch boxes (FrameOf over vec.Rows), over STRING, INT, FLOAT,
+// EvalBase computes from the relation, over STRING, INT, FLOAT,
 // BOOL and NULL columns holding NULLs, with and without a base filter, one
 // that keeps nothing among them, on a fresh chain and on one that ran every
 // case before.
@@ -474,7 +475,7 @@ func TestBaseFrameIsFrameOfRows(t *testing.T) {
 			if where != "" {
 				def.Where = expr.MustParse(where)
 			}
-			rows, err := new(Chain).EvalBaseBatch(batch, def)
+			rows, err := EvalBase(r, def)
 			if err != nil {
 				t.Fatal(err)
 			}

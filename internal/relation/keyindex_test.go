@@ -113,7 +113,8 @@ func TestKeyIndexReserveReuses(t *testing.T) {
 }
 
 // TestKeyIndexAllocs: a reserved index adds and finds without allocating;
-// Reserve's two slices are all it holds.
+// Reserve's two slices are all it holds. Under the race detector the Find
+// closure allocates, so there only the finds are checked.
 func TestKeyIndexAllocs(t *testing.T) {
 	const n = 2000
 	hash := func(k int) uint64 { return uint64(k) * 0xD6E8FEB86659FD93 }
@@ -129,7 +130,7 @@ func TestKeyIndexAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 2 {
+	if !raceEnabled && allocs > 2 {
 		t.Errorf("Reserve(%d), %d adds and %d finds allocate %.0f times, want 2", n, n, 2*n, allocs)
 	}
 }

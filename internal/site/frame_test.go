@@ -12,6 +12,15 @@ import (
 	"repro/internal/value"
 )
 
+// reply is frameReply with a fused base's keys handed over as boxed rows.
+func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte, error) {
+	var lanes []relation.LaneSource
+	if keys != nil {
+		lanes = relation.RowLanes(keys.Rows, keys.Schema.Indexes())
+	}
+	return frameReply(cols, n, lanes, slabs, touched)
+}
+
 // boxedReply is the reply sites built before they framed it from the slab
 // lanes: the kept groups boxed into rows, keys' row then every slab's
 // states, with the Kept bitmap of the groups kept (nil when all were).

@@ -401,8 +401,9 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	// One version of the stored relations for the whole request: a Load or
 	// drop racing it cannot swap a relation between its rounds.
 	rels := e.relations()
-	base := req.Base
-	if len(req.BaseCols) > 0 {
+	var base *gmdj.Base
+	switch {
+	case len(req.BaseCols) > 0:
 		detail, def, err := e.baseDef(rels, req)
 		if err != nil {
 			return nil, err
@@ -414,12 +415,13 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 			}
 			return e.framed(out, nil, prof, start)
 		}
-		// The fused rounds' kernels read the base as rows.
-		if base, err = chain.EvalBaseBatch(detail, def); err != nil {
+		// The fused rounds' kernels read the base from the detail's lanes.
+		if base, err = chain.EvalBaseLanes(detail, def); err != nil {
 			return nil, err
 		}
-	}
-	if base == nil || base.Schema == nil {
+	case req.Base != nil && req.Base.Schema != nil:
+		base = chain.RowBase(req.Base)
+	default:
 		return nil, fmt.Errorf("no base relation (ship Base or set BaseCols)")
 	}
 	// Chains are short: mds and slabs stay on the stack.
@@ -433,10 +435,10 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	}
 
 	// The reply's columns: a fused base's, then every round's states.
-	var keys *relation.Relation
+	var keys []relation.LaneSource
 	var cols []relation.Column
 	if !shipped {
-		keys, cols = base, append(cols, base.Schema.Cols...)
+		keys, cols = base.Lanes(), append(cols, base.Schema.Cols...)
 	}
 	// Accumulated |RNG| counts across the Touched rounds (Proposition 1
 	// over θ_1 ∨ ... ∨ θ_m of the whole chain); nil when none is.
@@ -488,7 +490,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		// The coordinator finalizes from the merged states, so finals only
 		// feed the later rounds that name them.
 		if spec.Finalize && ri < len(mds)-1 {
-			if base, err = withFinals(base, slab, mds[ri+1:]); err != nil {
+			if err := withFinals(base, slab, mds[ri+1:]); err != nil {
 				return nil, fmt.Errorf("round %d: %w", ri+1, err)
 			}
 		}
@@ -500,7 +502,7 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		o.SetGauge("vec.selectivity", vecStats.Selected*1000/vecStats.FilterRows)
 	}
 
-	out, kept, err := reply(cols, n, keys, slabs, touched)
+	out, kept, err := frameReply(cols, n, keys, slabs, touched)
 	if err != nil {
 		return nil, err
 	}
@@ -525,9 +527,9 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	return resp, nil
 }
 
-// withFinals returns b with the finalized aggregates of slab's states that
-// a θ of later names appended to every row; b itself when none is named.
-func withFinals(b *relation.Relation, slab *agg.Slab, later []gmdj.MD) (*relation.Relation, error) {
+// withFinals appends to b the finalized aggregates of slab's states that a
+// θ of later names, every group's, before the next round reads b.
+func withFinals(b *gmdj.Base, slab *agg.Slab, later []gmdj.MD) error {
 	specs := slab.Specs()
 	var cols []relation.Column
 	var idx []int
@@ -537,46 +539,49 @@ func withFinals(b *relation.Relation, slab *agg.Slab, later []gmdj.MD) (*relatio
 		}
 	}
 	if len(idx) == 0 {
-		return b, nil
+		return nil
 	}
-	schema, err := b.Schema.Concat(cols...)
+	finals, err := b.Extend(cols...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rows := relation.MakeRows(b.Len(), schema.Len())
-	for i, row := range b.Rows {
-		rows[i] = append(rows[i], row...)
-		for _, si := range idx {
+	n := b.Len()
+	for i := 0; i < n; i++ {
+		for j, si := range idx {
 			v, err := slab.Finalize(i, si)
 			if err != nil {
-				return nil, fmt.Errorf("finalize %s: %w", specs[si], err)
+				return fmt.Errorf("finalize %s: %w", specs[si], err)
 			}
-			rows[i] = append(rows[i], v)
+			finals[j*n+i] = v
 		}
 	}
-	return &relation.Relation{Schema: schema, Rows: rows}, nil
+	return nil
 }
 
 // named reports whether a θ of mds names the column col.
 func named(mds []gmdj.MD, col string) bool {
+	found := false
 	for _, md := range mds {
 		for _, theta := range md.Thetas {
-			for _, c := range expr.Cols(theta) {
-				if strings.EqualFold(c.Name, col) {
-					return true
+			expr.Walk(theta, func(x expr.Expr) {
+				if c, ok := x.(expr.Col); ok && !found {
+					found = strings.EqualFold(c.Name, col)
 				}
+			})
+			if found {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-// reply frames the answer to n base rows from one pass over each lane: a
-// row per group with a non-zero touched count (every group when touched is
-// nil — Proposition 1's site-side half), holding keys' row when keys is set
-// and then every slab's states. kept is the bitmap of the groups it kept,
-// nil when it kept all; the counts themselves are not shipped.
-func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte, error) {
+// frameReply frames the answer to n base rows from one pass over each lane:
+// a row per group with a non-zero touched count (every group when touched
+// is nil — Proposition 1's site-side half), holding the keys lanes, then
+// every slab's states. kept is the bitmap of the groups it kept, nil when
+// it kept all; the counts themselves are not shipped.
+func frameReply(cols []relation.Column, n int, keys []relation.LaneSource, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte, error) {
 	schema, err := relation.NewSchema(cols...)
 	if err != nil {
 		return nil, nil, err
@@ -590,10 +595,7 @@ func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.
 			}
 		}
 	}
-	lanes := make([]relation.LaneSource, 0, len(cols))
-	if keys != nil {
-		lanes = append(lanes, relation.RowLanes(keys.Rows, keys.Schema.Indexes())...)
-	}
+	lanes := append(make([]relation.LaneSource, 0, len(cols)), keys...)
 	for _, s := range slabs {
 		for p := 0; p < s.Width(); p++ {
 			lanes = append(lanes, s.Lane(p))

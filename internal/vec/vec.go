@@ -292,39 +292,23 @@ func FromRelation(r *relation.Relation) (*Batch, error) {
 }
 
 // ToRelation converts a batch back into a row relation — the reverse half
-// of the migration shim, used by tests and row-API consumers.
+// of the migration shim, used by snapshots and row-API consumers.
 func ToRelation(b *Batch) (*relation.Relation, error) {
-	cols := make([]int, len(b.Cols))
-	for i := range cols {
-		cols[i] = i
-	}
-	rows, err := Rows(b, cols, b.AllLanes())
-	if err != nil {
+	if err := b.checkRead(b.Schema.Indexes(), b.AllLanes()); err != nil {
 		return nil, err
+	}
+	rows := relation.MakeRows(b.n, len(b.Cols))
+	for i := range rows {
+		for ci := range b.Cols {
+			rows[i] = append(rows[i], b.Cols[ci].Value(i))
+		}
 	}
 	return &relation.Relation{Schema: b.Schema, Rows: rows}, nil
 }
 
-// Rows boxes the selected lanes of the given columns into rows, in
-// selection order.
-func Rows(b *Batch, cols []int, sel Sel) ([]relation.Row, error) {
-	if err := b.checkRead(cols, sel); err != nil {
-		return nil, err
-	}
-	rows := relation.MakeRows(sel.Len(), len(cols))
-	for i, lane := range sel.lanes {
-		row := rows[i]
-		for _, ci := range cols {
-			row = append(row, b.Cols[ci].Value(int(lane)))
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
 // FrameLanes returns the selected lanes of the given columns as the lane
-// sources of a frame (relation.EncodeFrame), in selection order: the frame
-// of Rows(b, cols, sel), read from the columns in place.
+// sources of a frame (relation.EncodeFrame), in selection order: the
+// selected rows of those columns, read from the columns in place.
 func FrameLanes(b *Batch, cols []int, sel Sel) ([]relation.LaneSource, error) {
 	if err := b.checkRead(cols, sel); err != nil {
 		return nil, err

@@ -112,7 +112,7 @@ func distinctBoth(t *testing.T, r *relation.Relation, cols []string, sel []int32
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Rows(b, idx, lanes)
+	rows, err := boxRows(b, idx, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +192,8 @@ func TestDistinctRejectsBadShape(t *testing.T) {
 	if _, err := Distinct(b, []int{9}, b.AllLanes()); err == nil {
 		t.Error("key column out of range accepted")
 	}
-	if _, err := Rows(b, []int{-1}, b.AllLanes()); err == nil {
-		t.Error("Rows accepted a negative column")
+	if _, err := boxRows(b, []int{-1}, b.AllLanes()); err == nil {
+		t.Error("FrameLanes accepted a negative column")
 	}
 	bd := expr.SingleRelation(b.Schema, "R")
 	p, err := Compile(expr.MustParse("CASE WHEN R.I > 0 THEN R.F END > 0"), bd, b, new(Scratch))
@@ -224,8 +224,8 @@ func TestDistinctRejectsBadShape(t *testing.T) {
 		if err := p.EvalEach(sel, func(*Lanes) error { return nil }); err == nil {
 			t.Errorf("EvalEach accepted %s", name)
 		}
-		if _, err := Rows(b, []int{0}, sel); err == nil {
-			t.Errorf("Rows accepted %s", name)
+		if _, err := boxRows(b, []int{0}, sel); err == nil {
+			t.Errorf("FrameLanes accepted %s", name)
 		}
 	}
 	short := &Batch{Schema: b.Schema, Cols: b.Cols[:1]}
@@ -610,4 +610,21 @@ func TestFromRelationNil(t *testing.T) {
 	if b, err := FromRelation(nil); err == nil {
 		t.Errorf("FromRelation(nil) = %v, want an error", b)
 	}
+}
+
+// boxRows boxes the selected lanes of cols into rows, in selection order,
+// through the lane sources FrameLanes reads them by.
+func boxRows(b *Batch, cols []int, sel Sel) ([]relation.Row, error) {
+	src, err := FrameLanes(b, cols, sel)
+	if err != nil {
+		return nil, err
+	}
+	rows := relation.MakeRows(sel.Len(), len(cols))
+	for i := range rows {
+		rows[i] = rows[i][:len(cols)]
+		for j, l := range src {
+			l.Values(rows[i][j:j+1], i, false)
+		}
+	}
+	return rows, nil
 }

@@ -109,7 +109,7 @@ func viewAgrees(src, v *Batch, cols []int, run Sel, want []int32) string {
 	if lo, ok := v.run(lanes); !ok || lo != int(lanes[0]) {
 		return fmt.Sprintf("run %v is not a run of the view's identity", lanes)
 	}
-	got, err := Rows(v, cols, run)
+	got, err := boxRows(v, cols, run)
 	if err != nil {
 		return err.Error()
 	}
@@ -117,7 +117,7 @@ func viewAgrees(src, v *Batch, cols []int, run Sel, want []int32) string {
 	if err != nil {
 		return err.Error()
 	}
-	exp, err := Rows(src, cols, wantSel)
+	exp, err := boxRows(src, cols, wantSel)
 	if err != nil {
 		return err.Error()
 	}
@@ -274,7 +274,7 @@ func TestGroupingViewConcurrentFirstBuild(t *testing.T) {
 			}
 			views[w] = v
 			// Read the view as a kernel would.
-			if _, err := Rows(v, sets[w%2], g.Find(r.Rows[w], []int{2})); err != nil {
+			if _, err := boxRows(v, sets[w%2], g.Find(r.Rows[w], []int{2})); err != nil {
 				t.Error(err)
 			}
 		}(w)

@@ -48,9 +48,11 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # a round encoded concurrently, TestClosedReplicaSetStaysPut,
 # TestReconnectorCloseIsFinal (a closed retry layer dials nothing),
 # TestChaosScheduleSpansRedials (a replica's fault schedule spans the
-# connections its retry layer redials) and TestPooledMergesInvisible
+# connections its retry layer redials), TestPooledMergesInvisible
 # (concurrent executions and relays share the coordinator's pooled merge
-# memory, and none can tell).
+# memory, and none can tell) and TestPooledChainFinalsIsolated (fused
+# requests whose later rounds read finals of different shapes alternate
+# on one engine's pooled chains, whose finals buffer neither may see).
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
