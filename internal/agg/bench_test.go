@@ -85,7 +85,7 @@ func BenchmarkHLLEncodeDecode(b *testing.B) {
 }
 
 // BenchmarkParseSpec parses the aggregate specs of the benchmark
-// workloads, the wire form every site parses on every request.
+// workloads, the wire form a site parses once per request shape.
 func BenchmarkParseSpec(b *testing.B) {
 	specs := []string{
 		"count(*) AS n", "avg(F.Quantity) AS avg_qty", "sum(F.Quantity) AS qty",

@@ -2,6 +2,7 @@ package gmdj
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/agg"
@@ -21,7 +22,7 @@ func TestRewindPinsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := new(Chain)
-	b, err := c.EvalBaseLanes(batch, BaseDef{Cols: []string{"G", "K"}})
+	b, err := c.EvalBaseLanes(batch, &BaseDef{Cols: []string{"G", "K"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestRewindPinsNothing(t *testing.T) {
 		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS n")}},
 		Thetas: []expr.Expr{expr.MustParse("F.G = B.G AND B.s <> F.G")},
 	}
-	if _, _, err := c.EvalStates(b, batch, md, SubOpts{Workers: 3}); err != nil {
+	if _, _, err := c.EvalStates(b, batch, &md, SubOpts{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.workers) != 3 || len(c.workers[2].row) != 3 {
@@ -57,5 +58,60 @@ func TestRewindPinsNothing(t *testing.T) {
 				t.Fatalf("worker %d's base row slot %d still holds %v", w, i, v)
 			}
 		}
+	}
+}
+
+// TestShrinkKeepsPrepared: Shrink drops a chain's states, match counts and
+// finals buffer only when they were sized for more base rows than it is
+// given, keeps the prepared operator either way, and the next request
+// answers as the first did.
+func TestShrinkKeepsPrepared(t *testing.T) {
+	batch, err := vec.FromRelation(randDetail(rand.New(rand.NewSource(9)), 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := &BaseDef{Cols: []string{"G", "K"}}
+	md := MD{
+		Aggs:   [][]agg.Spec{{agg.MustParseSpec("count(*) AS n"), agg.MustParseSpec("sum(F.Q) AS q")}},
+		Thetas: []expr.Expr{expr.MustParse("F.G = B.G AND F.Q > 0")},
+	}
+	c := new(Chain)
+	run := func() (int, [][]value.V) {
+		t.Helper()
+		b, err := c.EvalBaseLanes(batch, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab, _, err := c.EvalStates(b, batch, &md, SubOpts{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var states [][]value.V
+		for g := 0; g < b.Len(); g++ {
+			row := make([]value.V, slab.Width())
+			for p := range row {
+				row[p] = slab.Result(g, p)
+			}
+			states = append(states, row)
+		}
+		n := b.Len()
+		c.Rewind()
+		return n, states
+	}
+	n, want := run()
+	op := c.ops[0]
+	c.Shrink(n)
+	if c.slabs == nil {
+		t.Fatalf("Shrink(%d) dropped states sized for %d base rows", n, n)
+	}
+	c.Shrink(n - 1)
+	if c.slabs != nil || c.matched != nil || c.base.finals != nil {
+		t.Fatalf("Shrink(%d) kept states sized for %d base rows", n-1, n)
+	}
+	if _, got := run(); !reflect.DeepEqual(got, want) {
+		t.Fatal("the request after Shrink answers differently")
+	}
+	if c.ops[0] != op {
+		t.Fatal("Shrink dropped the prepared operator")
 	}
 }

@@ -187,7 +187,7 @@ func fuzzBase(t *testing.T, detail *relation.Relation, shape int) {
 			def.Where = expr.MustParse(where)
 		}
 		want, rowErr := EvalBase(detail, def)
-		got, vecErr := new(Chain).EvalBaseFrame(batch, def)
+		got, vecErr := new(Chain).EvalBaseFrame(batch, &def)
 		if (rowErr != nil) != (vecErr != nil) {
 			t.Fatalf("π_%v WHERE %s: row err %v, vec err %v", cols, where, rowErr, vecErr)
 		}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/expr"
@@ -175,15 +176,26 @@ func EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation.Relation, 
 // base with the finals its rounds append to it (Base). Operator i of a
 // request takes the chain's slab i and match counts i, reset for its specs
 // and base, so a request's states are distinct from one another and reuse
-// the arrays of the largest request the chain served. Rewind starts the
-// next request. The zero value is ready to use; a Chain is not safe for
-// concurrent use.
+// the arrays of the largest request the chain served. It also keeps what
+// it prepared (prepare, baseLanes): the operator prepared at position i
+// runs again, compiled programs and all, for a request that hands the
+// chain the same *MD there, and the base filter for the same *BaseDef. The
+// caller hands either again only over the batch and base columns it was
+// first handed with. Rewind ends a request. The zero value is ready to
+// use; a Chain is not safe for concurrent use.
 type Chain struct {
-	workers []vecWorker
+	workers []*vecWorker
 	slabs   []*agg.Slab
 	matched [][]int64
-	next    int  // the request's operators so far: the next takes slabs[next]
-	base    Base // the request's base, finals buffer and all
+	ops     []*op // the operators prepared, by position in a request
+	next    int   // the request's operators so far: the next takes slabs[next]
+	base    Base  // the request's base, finals buffer and all
+	most    int   // the most base rows the states and finals were sized for
+	wg      sync.WaitGroup
+	// The base filter prepared: def's, compiled over its batch.
+	def           *BaseDef
+	filter        *vec.Program
+	filterScratch vec.Scratch
 }
 
 // Base is the base-values relation a chain's operators run over. Its own
@@ -255,29 +267,47 @@ func (c *Chain) RowBase(r *relation.Relation) *Base {
 }
 
 // grow returns the chain's first n workers, adding empty ones as needed;
-// the next operator finds the buffers this one grew.
-func (c *Chain) grow(n int) []vecWorker {
+// the next operator finds the buffers and programs this one left. Workers
+// never move: their programs point at their scratch and statistics.
+func (c *Chain) grow(n int) []*vecWorker {
 	for len(c.workers) < n {
-		c.workers = append(c.workers, vecWorker{})
+		c.workers = append(c.workers, new(vecWorker))
 	}
 	return c.workers[:n]
 }
 
-// Rewind starts a request: its operators take the chain's states from the
-// first on, so whatever the previous request's operators left in them is
-// overwritten, and the base and the workers' base rows are cleared, so the
-// chain pins no value of the previous request.
+// Shrink drops the chain's states, match counts and finals buffer if they
+// were sized for more than groups base rows, and keeps what it prepared: a
+// chain held for long holds no more than that of the data it ran over.
+func (c *Chain) Shrink(groups int) {
+	if c.most > groups {
+		c.slabs, c.matched, c.base.finals, c.most = nil, nil, nil, 0
+	}
+}
+
+// Rewind ends a request: the next one's operators take the chain's states
+// from the first on, overwriting what this one's left there, and the base,
+// the workers' base rows and their programs' values (vec.Program.Release)
+// are cleared, so the chain pins no value of this request.
 func (c *Chain) Rewind() {
 	c.next = 0
 	c.newBase(Base{})
-	for i := range c.workers {
-		clear(c.workers[i].row[:cap(c.workers[i].row)])
+	for _, ws := range c.workers {
+		clear(ws.row[:cap(ws.row)])
+		for _, cp := range ws.ops {
+			for _, p := range cp.progs {
+				if p != nil {
+					p.Release()
+				}
+			}
+		}
 	}
 }
 
 // states returns the next operator's empty states for specs over groups
 // base rows: its slab and its match counts.
 func (c *Chain) states(specs []agg.Spec, groups int) (*agg.Slab, []int64) {
+	c.most = max(c.most, groups)
 	if c.next == len(c.slabs) {
 		c.slabs, c.matched = append(c.slabs, new(agg.Slab)), append(c.matched, nil)
 	}
@@ -305,7 +335,7 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 			return nil, fmt.Errorf("gmdj: detail relation: %w", err)
 		}
 	}
-	accs, matched, err := c.EvalStates(c.RowBase(b), detail, md, opts)
+	accs, matched, err := c.EvalStates(c.RowBase(b), detail, &md, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -318,12 +348,44 @@ func (c *Chain) EvalSub(b, r *relation.Relation, md MD, opts SubOpts) (*relation
 // Touched appends). Both are the chain's memory: they stay valid until
 // the chain's next request starts (Rewind), and the request's later
 // operators take states of their own. Of opts it reads only how the
-// evaluation runs.
-func (c *Chain) EvalStates(b *Base, detail *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
-	if err := md.Validate(b.Schema, detail.Schema); err != nil {
+// evaluation runs. md must not change while the chain keeps it (Chain).
+func (c *Chain) EvalStates(b *Base, detail *vec.Batch, md *MD, opts SubOpts) (*agg.Slab, []int64, error) {
+	o, err := c.prepare(b.Schema, detail, md)
+	if err != nil {
 		return nil, nil, err
 	}
-	return c.evalVec(b, detail, md, opts)
+	return c.evalVec(b, o, opts)
+}
+
+// op is an MD prepared over one detail batch and base columns: validated,
+// its θs planned; each worker compiles its programs once (programs).
+type op struct {
+	md         *MD
+	batch      *vec.Batch
+	specs      []agg.Spec
+	bd         expr.Binding
+	detailOnly expr.Binding
+	plans      []thetaPlan
+}
+
+// prepare returns the operator at the chain's next position: the one
+// prepared there before if it is md's, else md prepared anew in its place
+// and that of every later one.
+func (c *Chain) prepare(base *relation.Schema, detail *vec.Batch, md *MD) (*op, error) {
+	if c.next < len(c.ops) && c.ops[c.next].md == md {
+		return c.ops[c.next], nil
+	}
+	if err := md.Validate(base, detail.Schema); err != nil {
+		return nil, err
+	}
+	o := &op{md: md, batch: detail, specs: md.Specs(), bd: md.Binding(base, detail.Schema)}
+	o.detailOnly = expr.Binding{Detail: detail.Schema, DetailAliases: o.bd.DetailAliases}
+	var err error
+	if o.plans, err = planThetas(base, md, o.bd, o.detailOnly, detail); err != nil {
+		return nil, err
+	}
+	c.ops = append(c.ops[:c.next], o)
+	return o, nil
 }
 
 // outputSchema builds the result schema shared by both engines: base

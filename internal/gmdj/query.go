@@ -153,7 +153,8 @@ func EvalBase(detail *relation.Relation, def BaseDef) (*relation.Relation, error
 // selection of the batch's lanes, read in place (baseLanes), so a site
 // hashes and boxes no row per request. Its rows are EvalBase's on the
 // relation the batch was built from, in the same first-seen scan order.
-func (c *Chain) EvalBaseLanes(batch *vec.Batch, def BaseDef) (*Base, error) {
+// def must not change while the chain keeps it (Chain).
+func (c *Chain) EvalBaseLanes(batch *vec.Batch, def *BaseDef) (*Base, error) {
 	ps, idx, lanes, err := c.baseLanes(batch, def)
 	if err != nil {
 		return nil, err
@@ -167,7 +168,7 @@ func (c *Chain) EvalBaseLanes(batch *vec.Batch, def BaseDef) (*Base, error) {
 
 // EvalBaseFrame is the frame of EvalBaseLanes' base, byte for byte the
 // frame of EvalBase's relation.
-func (c *Chain) EvalBaseFrame(batch *vec.Batch, def BaseDef) (*relation.Frame, error) {
+func (c *Chain) EvalBaseFrame(batch *vec.Batch, def *BaseDef) (*relation.Frame, error) {
 	b, err := c.EvalBaseLanes(batch, def)
 	if err != nil {
 		return nil, err
@@ -177,16 +178,20 @@ func (c *Chain) EvalBaseFrame(batch *vec.Batch, def BaseDef) (*relation.Frame, e
 
 // baseLanes computes B_0 over the batch as its schema, the batch columns
 // it projects and the lanes holding its rows, in first-seen scan order.
-func (c *Chain) baseLanes(batch *vec.Batch, def BaseDef) (*relation.Schema, []int, vec.Sel, error) {
+func (c *Chain) baseLanes(batch *vec.Batch, def *BaseDef) (*relation.Schema, []int, vec.Sel, error) {
+	if c.def != def {
+		c.def, c.filter = def, nil
+		c.filterScratch.Reset()
+	}
 	sel := batch.AllLanes()
 	if def.Where != nil {
-		ws := &c.grow(1)[0]
-		ws.scratch.Reset()
-		prog, err := vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &ws.scratch)
-		if err != nil {
-			return nil, nil, vec.Sel{}, fmt.Errorf("gmdj: base filter: %w", err)
+		var err error
+		if c.filter == nil {
+			if c.filter, err = vec.Compile(def.Where, expr.SingleRelation(batch.Schema, "R", "F"), batch, &c.filterScratch); err != nil {
+				return nil, nil, vec.Sel{}, fmt.Errorf("gmdj: base filter: %w", err)
+			}
 		}
-		if sel, err = prog.Filter(sel); err != nil {
+		if sel, err = c.filter.Filter(sel); err != nil {
 			return nil, nil, vec.Sel{}, fmt.Errorf("gmdj: base filter: %w", err)
 		}
 	}

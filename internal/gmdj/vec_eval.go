@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/expr"
@@ -39,17 +38,10 @@ import (
 // different one first because iteration order differs.
 
 // evalVec is the vectorized counterpart of eval, and what EvalStates runs
-// once md is validated against b and the detail batch.
-func (c *Chain) evalVec(b *Base, batch *vec.Batch, md MD, opts SubOpts) (*agg.Slab, []int64, error) {
-	bd := md.Binding(b.Schema, batch.Schema)
-	detailOnly := expr.Binding{Detail: batch.Schema, DetailAliases: bd.DetailAliases}
-
-	plans, err := planThetas(b, md, bd, detailOnly, batch)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	accs, matched := c.states(md.Specs(), b.Len())
+// once o is prepared.
+func (c *Chain) evalVec(b *Base, o *op, opts SubOpts) (*agg.Slab, []int64, error) {
+	pos := c.next
+	accs, matched := c.states(o.specs, b.Len())
 
 	// Worker partitioning: each worker owns a contiguous range of base
 	// rows, so the accs/matched slots it writes are disjoint from every
@@ -65,39 +57,37 @@ func (c *Chain) evalVec(b *Base, batch *vec.Batch, md MD, opts SubOpts) (*agg.Sl
 	if W < 1 {
 		W = 1
 	}
-	states := c.grow(W)
+	workers := c.grow(W)
 	n := b.Len()
 	if W == 1 {
-		states[0].run(0, n, b, batch, bd, detailOnly, plans, accs, matched)
+		workers[0].run(0, n, b, o, pos, accs, matched)
 	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				states[w].run(w*n/W, (w+1)*n/W, b, batch, bd, detailOnly, plans, accs, matched)
-			}(w)
+		c.wg.Add(W)
+		for w, ws := range workers {
+			lo, hi := w*n/W, (w+1)*n/W
+			go func() {
+				defer c.wg.Done()
+				ws.run(lo, hi, b, o, pos, accs, matched)
+			}()
 		}
-		wg.Wait()
+		c.wg.Wait()
 	}
 
 	// Deterministic error choice for a fixed W: each worker records its
 	// first error in its own (base row, θ) iteration order; pick the
 	// minimum (θ, base row) across workers.
 	var total vec.Stats
-	best := -1
-	for w := range states {
-		total.Batches += states[w].stats.Batches
-		total.Rows += states[w].stats.Rows
-		total.FilterRows += states[w].stats.FilterRows
-		total.Selected += states[w].stats.Selected
-		if states[w].err == nil {
+	var best *vecWorker
+	for _, ws := range workers {
+		total.Batches += ws.stats.Batches
+		total.Rows += ws.stats.Rows
+		total.FilterRows += ws.stats.FilterRows
+		total.Selected += ws.stats.Selected
+		if ws.err == nil {
 			continue
 		}
-		if best < 0 ||
-			states[w].errTheta < states[best].errTheta ||
-			(states[w].errTheta == states[best].errTheta && states[w].errG < states[best].errG) {
-			best = w
+		if best == nil || ws.errTheta < best.errTheta || (ws.errTheta == best.errTheta && ws.errG < best.errG) {
+			best = ws
 		}
 	}
 	if opts.Stats != nil {
@@ -106,8 +96,8 @@ func (c *Chain) evalVec(b *Base, batch *vec.Batch, md MD, opts SubOpts) (*agg.Sl
 		opts.Stats.FilterRows += total.FilterRows
 		opts.Stats.Selected += total.Selected
 	}
-	if best >= 0 {
-		return nil, nil, states[best].err
+	if best != nil {
+		return nil, nil, best.err
 	}
 	return accs, matched, nil
 }
@@ -131,8 +121,8 @@ type thetaPlan struct {
 
 // planThetas builds the shared per-θ plans: equi keys, detail-side key
 // groupings and their clustered views. Residuals and arguments compile per
-// worker (run); md.Validate has already bound every one of them.
-func planThetas(b *Base, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
+// worker (programs); md.Validate has already bound every one of them.
+func planThetas(base *relation.Schema, md *MD, bd, detailOnly expr.Binding, batch *vec.Batch) ([]thetaPlan, error) {
 	plans := make([]thetaPlan, len(md.Thetas))
 	specBase := 0
 	for ti, theta := range md.Thetas {
@@ -145,7 +135,7 @@ func planThetas(b *Base, md MD, bd, detailOnly expr.Binding, batch *vec.Batch) (
 			pl.bIdx = make([]int, len(pairs))
 			rIdx := make([]int, len(pairs))
 			for i, p := range pairs {
-				bi, err := b.Schema.MustLookup(p.Base.Name)
+				bi, err := base.MustLookup(p.Base.Name)
 				if err != nil {
 					return nil, fmt.Errorf("gmdj: θ_%d: %w", ti+1, err)
 				}
@@ -192,22 +182,27 @@ func detailCols(e expr.Expr, bd expr.Binding, detail *relation.Schema, cols []in
 	return cols
 }
 
-// vecWorker is the per-worker state. The scratch, program and base row
-// (Base.row) buffers persist across the operators of a Chain; the
-// statistics and the first error hit (errTheta/errG locate it for the
-// deterministic cross-worker pick) are per operator.
+// vecWorker is the per-worker state. The base row buffer (Base.row) and
+// the programs persist across the operators of a Chain; the statistics and
+// the first error hit (errTheta/errG locate it for the deterministic
+// cross-worker pick) are per operator.
 type vecWorker struct {
-	scratch vec.Scratch
-	row     relation.Row
-	// progs holds an operator's programs: θ_i's from specBase+i on, its
-	// residual (nil when trivial), then one per aggregate (nil for
-	// COUNT(*)).
-	progs []*vec.Program
+	row relation.Row
+	ops []*compiled // by operator position
 
 	stats    vec.Stats
 	err      error
 	errTheta int
 	errG     int
+}
+
+// compiled are a worker's programs for op: θ_i's from specBase+i on, its
+// residual (nil when trivial), then one per aggregate (nil for COUNT(*)),
+// drawing their lane buffers from a scratch no other operator's share.
+type compiled struct {
+	op      *op
+	progs   []*vec.Program
+	scratch vec.Scratch
 }
 
 // errAccStop aborts EvalEach when an accumulator rejects a value, so the
@@ -221,30 +216,30 @@ func (ws *vecWorker) fail(ti, g int, err error) {
 	ws.errG = g
 }
 
-// run evaluates base rows [lo, hi).
-func (ws *vecWorker) run(lo, hi int, b *Base, batch *vec.Batch,
-	bd, detailOnly expr.Binding, plans []thetaPlan,
-	accs *agg.Slab, matched []int64) {
-	ws.stats, ws.err = vec.Stats{}, nil
-	// The previous operator's programs are gone; their lane buffers serve
-	// this operator's.
-	ws.scratch.Reset()
-	// Per-worker program instances: compiled nodes carry scratch vectors
-	// and per-base-row scalar caches, so they cannot be shared.
-	progs := ws.progs[:0]
-	defer func() {
-		// The programs die with the operator; their slots stay.
-		ws.progs = progs
-		clear(progs)
-	}()
-	for ti := range plans {
-		pl := &plans[ti]
+// programs returns the worker's programs for o at position pos, compiling
+// them in place of what pos held unless it holds o's. Per-worker program
+// instances: compiled nodes carry scratch vectors and per-base-row scalar
+// caches, so they cannot be shared. A compile error fails the worker.
+func (ws *vecWorker) programs(o *op, pos int) []*vec.Program {
+	for len(ws.ops) <= pos {
+		ws.ops = append(ws.ops, new(compiled))
+	}
+	cp := ws.ops[pos]
+	if cp.op == o {
+		return cp.progs
+	}
+	cp.op = nil
+	cp.scratch.Reset()
+	progs := cp.progs[:0]
+	defer func() { cp.progs = progs }()
+	for ti := range o.plans {
+		pl := &o.plans[ti]
 		var p *vec.Program
 		if !pl.trivial {
 			var err error
-			if p, err = vec.Compile(pl.residual, bd, pl.detail, &ws.scratch); err != nil {
+			if p, err = vec.Compile(pl.residual, o.bd, pl.detail, &cp.scratch); err != nil {
 				ws.fail(ti, 0, fmt.Errorf("gmdj: θ_%d residual: %w", ti+1, err))
-				return
+				return nil
 			}
 			p.SetStats(&ws.stats)
 		}
@@ -253,16 +248,27 @@ func (ws *vecWorker) run(lo, hi int, b *Base, batch *vec.Batch,
 			var q *vec.Program
 			if spec.Arg != nil {
 				var err error
-				if q, err = vec.Compile(spec.Arg, detailOnly, pl.detail, &ws.scratch); err != nil {
+				if q, err = vec.Compile(spec.Arg, o.detailOnly, pl.detail, &cp.scratch); err != nil {
 					ws.fail(ti, 0, fmt.Errorf("gmdj: aggregate arg: %w", err))
-					return
+					return nil
 				}
 				q.SetStats(&ws.stats)
 			}
 			progs = append(progs, q)
 		}
 	}
+	cp.op = o
+	return progs
+}
 
+// run evaluates base rows [lo, hi) of o, the operator at position pos.
+func (ws *vecWorker) run(lo, hi int, b *Base, o *op, pos int, accs *agg.Slab, matched []int64) {
+	ws.stats, ws.err = vec.Stats{}, nil
+	progs := ws.programs(o, pos)
+	if ws.err != nil {
+		return
+	}
+	batch, plans := o.batch, o.plans
 	for g := lo; g < hi; g++ {
 		row := b.row(g, &ws.row)
 		for ti := range plans {

@@ -272,7 +272,7 @@ func TestVecConditionalAggregateExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, err := new(Chain).EvalBaseFrame(batch, def)
+	framed, err := new(Chain).EvalBaseFrame(batch, &def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestBaseFrameIsFrameOfRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range []*Chain{new(Chain), used} {
-				got, err := c.EvalBaseFrame(batch, def)
+				got, err := c.EvalBaseFrame(batch, &def)
 				if err != nil {
 					t.Fatal(err)
 				}

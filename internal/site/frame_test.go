@@ -12,13 +12,19 @@ import (
 	"repro/internal/value"
 )
 
-// reply is frameReply with a fused base's keys handed over as boxed rows.
+// reply is frameReply under the schema of cols, with a fused base's keys
+// handed over as boxed rows.
 func reply(cols []relation.Column, n int, keys *relation.Relation, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte, error) {
+	schema, err := relation.NewSchema(cols...)
+	if err != nil {
+		return nil, nil, err
+	}
 	var lanes []relation.LaneSource
 	if keys != nil {
 		lanes = relation.RowLanes(keys.Rows, keys.Schema.Indexes())
 	}
-	return frameReply(cols, n, lanes, slabs, touched)
+	f, kept := frameReply(schema, n, lanes, slabs, touched)
+	return f, kept, nil
 }
 
 // boxedReply is the reply sites built before they framed it from the slab

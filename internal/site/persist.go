@@ -117,7 +117,7 @@ func (e *Engine) Restore(path string) error {
 		rels[string(name)] = s
 	}
 	e.mu.Lock()
-	e.rels = rels
+	e.installLocked(rels)
 	e.mu.Unlock()
 	return nil
 }

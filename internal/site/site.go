@@ -12,14 +12,17 @@ package site
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -89,10 +92,18 @@ type Engine struct {
 	obs *obs.Obs
 	//lint:guarded-by mu
 	limits Limits
-	// chains hold the kernels' working memory: an evaluation takes one
-	// *gmdj.Chain for its whole run and puts it back for the next.
-	chains sync.Pool
+	// shapes holds what is prepared of each request shape (shapeOf) over
+	// rels; a load replaces it with rels.
+	//lint:guarded-by mu
+	shapes map[string]*shape
+	// spare pools the chains no shape keeps, for any request to prepare in.
+	spare sync.Pool
 }
+
+// maxShapes bounds the shapes an engine keeps: one more empties the map.
+// A kept chain holds states and finals for at most maxKeptGroups base rows
+// (gmdj.Chain.Shrink), so what the shapes hold does not grow with the data.
+const maxShapes, maxKeptGroups = 64, 4096
 
 // stored is what the site keeps of a loaded relation: its batch, or the
 // reason it has none.
@@ -103,11 +114,8 @@ type stored struct {
 
 // NewEngine returns an empty site engine.
 func NewEngine(id string) *Engine {
-	return &Engine{
-		id:     id,
-		rels:   map[string]stored{},
-		chains: sync.Pool{New: func() any { return new(gmdj.Chain) }},
-	}
+	return &Engine{id: id, rels: map[string]stored{}, shapes: map[string]*shape{},
+		spare: sync.Pool{New: func() any { return new(gmdj.Chain) }}}
 }
 
 // SetLimits installs per-request resource limits (zero fields disable).
@@ -129,9 +137,11 @@ func (e *Engine) ID() string { return e.id }
 // SetObs publishes the engine's activity into o: per-op request counters
 // ("site.op.<op>"), rounds served ("site.rounds_served"), base groups
 // received and sub-aggregate groups returned ("site.groups_in",
-// "site.groups_out"), a per-request compute-time histogram
-// ("site.compute_ns"), and one tracer span per handled request on the
-// site's own track.
+// "site.groups_out"), evaluations that found their shape prepared and
+// those that prepared it ("site.prepare_hits", "site.prepare_misses"), the
+// shapes kept prepared ("site.prepared_shapes"), a per-request
+// compute-time histogram ("site.compute_ns"), and one tracer span per
+// handled request on the site's own track.
 func (e *Engine) SetObs(o *obs.Obs) {
 	e.mu.Lock()
 	e.obs = o
@@ -157,8 +167,29 @@ func (e *Engine) load(name string, r *relation.Relation) error {
 	defer e.mu.Unlock()
 	rels := maps.Clone(e.rels)
 	rels[strings.ToLower(name)] = s
-	e.rels = rels
+	e.installLocked(rels)
 	return s.err
+}
+
+// installLocked makes rels the stored relations, with no shape prepared over
+// them. The caller holds e.mu.
+func (e *Engine) installLocked(rels map[string]stored) {
+	e.rels, e.shapes = rels, map[string]*shape{}
+	e.obs.SetGauge("site.prepared_shapes", 0)
+}
+
+// addShape makes sh shapes' entry key unless it has one; a shape past
+// maxShapes first empties shapes.
+func (e *Engine) addShape(shapes map[string]*shape, key string, sh *shape) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if shapes[key] == nil {
+		if len(shapes) >= maxShapes {
+			clear(shapes)
+		}
+		shapes[key] = sh
+		e.obs.SetGauge("site.prepared_shapes", int64(len(e.shapes)))
+	}
 }
 
 // convert builds what the site keeps of r under name.
@@ -353,25 +384,69 @@ func (e *Engine) handle(ctx context.Context, req *transport.Request, prof *trans
 	}
 }
 
-// baseDef returns the detail batch and the definition of the base-values
-// query B_0 req defines over rels. The detail is req.Detail, else the first
-// round's.
-func (e *Engine) baseDef(rels map[string]stored, req *transport.Request) (*vec.Batch, gmdj.BaseDef, error) {
+// shape is a request shape made ready to run over one version of the
+// stored relations: its base definition and rounds, parsed by the request
+// that added it, its reply's schema, and a chain that keeps their plans and
+// each kernel worker's programs (gmdj.Chain), while no request holds it.
+type shape struct {
+	chain atomic.Pointer[gmdj.Chain]
+	def   *gmdj.BaseDef
+	mds   []gmdj.MD
+	reply *relation.Schema
+}
+
+// shapeOf appends to dst the shape of an evaluation request: everything
+// preparing it reads of the request — the base's definition or a shipped
+// base's columns, and every round's text — each list and string
+// length-prefixed, and nothing else (not Round, QueryID or the base's rows).
+func shapeOf(dst []byte, req *transport.Request) []byte {
+	put := func(ss ...string) {
+		dst = binary.AppendUvarint(dst, uint64(len(ss)))
+		for _, s := range ss {
+			dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+		}
+	}
+	var cols []relation.Column // a shipped base's
+	if req.Base != nil && req.Base.Schema != nil {
+		cols = req.Base.Schema.Cols
+	}
+	put(req.Detail, req.BaseWhere, strconv.FormatBool(req.Base != nil), strconv.Itoa(len(cols)), strconv.Itoa(len(req.Rounds)))
+	put(req.BaseCols...)
+	for _, c := range cols {
+		put(c.Name, c.Kind.String())
+	}
+	for _, r := range req.Rounds {
+		put(r.Detail, r.BaseAlias, r.DetailAlias, strconv.FormatBool(r.Finalize), strconv.FormatBool(r.Touched), strconv.Itoa(len(r.Aggs)))
+		put(r.Thetas...)
+		for _, l := range r.Aggs {
+			put(l...)
+		}
+	}
+	return dst
+}
+
+// baseDef returns the detail batch of the base-values query B_0 req defines
+// over rels, and parses that query's definition into sh unless sh has it.
+// The detail is req.Detail, else the first round's.
+func (e *Engine) baseDef(rels map[string]stored, req *transport.Request, sh *shape) (*vec.Batch, error) {
 	name := req.Detail
 	if name == "" && len(req.Rounds) > 0 {
 		name = req.Rounds[0].Detail
 	}
 	detail, err := e.batch(rels, name)
 	if err != nil {
-		return nil, gmdj.BaseDef{}, err
+		return nil, err
 	}
-	def := gmdj.BaseDef{Cols: req.BaseCols}
-	if req.BaseWhere != "" {
-		if def.Where, err = expr.Parse(req.BaseWhere); err != nil {
-			return nil, def, fmt.Errorf("base filter: %w", err)
+	if sh.def == nil {
+		def := &gmdj.BaseDef{Cols: slices.Clone(req.BaseCols)}
+		if req.BaseWhere != "" {
+			if def.Where, err = expr.Parse(req.BaseWhere); err != nil {
+				return nil, fmt.Errorf("base filter: %w", err)
+			}
 		}
+		sh.def = def
 	}
-	return detail, def, nil
+	return detail, nil
 }
 
 // evalRounds runs zero or more GMDJ rounds locally. With req.Base set the
@@ -382,41 +457,73 @@ func (e *Engine) baseDef(rels map[string]stored, req *transport.Request) (*vec.B
 // later round's θ sees the finalized aggregates of earlier ones it names.
 // Every round leaves its states in a slab and the reply is framed once from
 // them: a shipped base gets the states alone, in shipped order, with
-// Response.Kept; a fused one the base echoed beside the states.
-func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (*transport.Response, error) {
+// Response.Kept; a fused one the base echoed beside the states. It runs on
+// a chain its shape kept (a hit) or prepares what its shape lacks as it
+// runs (a miss), in the order a request fails in — the base, every round's
+// text, then each round — and keeps only what a request that succeeds
+// prepared.
+func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *transport.SiteProfile) (resp *transport.Response, err error) {
 	if len(req.Rounds) == 0 && (req.Detail == "" || len(req.BaseCols) == 0) {
 		return nil, fmt.Errorf("no rounds and no base to compute (a base round sets Detail and BaseCols)")
 	}
 	start := time.Now()
 	shipped := req.ShipsBase()
+	o := e.getObs()
+	// One version of the stored relations for the whole request, and of the
+	// shapes prepared over them: a Load racing it cannot swap a relation
+	// between its rounds or hand it programs of another batch.
+	var buf [512]byte
+	key := shapeOf(buf[:0], req)
+	e.mu.RLock()
+	rels, shapes := e.rels, e.shapes
+	sh := shapes[string(key)]
+	e.mu.RUnlock()
+	known := sh != nil
+	if !known {
+		sh = new(shape)
+	}
 	// One chain for the request: its fused base filter and locally chained
 	// rounds share each kernel worker's buffers, and each round takes the
-	// chain's next slab and match counts, reset for it (Rewind starts this
-	// request's rounds at the first). The reply is framed out of them
-	// before the chain goes back.
-	chain := e.chains.Get().(*gmdj.Chain)
-	defer e.chains.Put(chain)
-	chain.Rewind()
-
-	// One version of the stored relations for the whole request: a Load or
-	// drop racing it cannot swap a relation between its rounds.
-	rels := e.relations()
+	// chain's next slab and match counts, reset for it. The reply is framed
+	// out of them before the chain is rewound.
+	chain := sh.chain.Swap(nil)
+	if chain != nil {
+		o.Count("site.prepare_hits", 1)
+	} else {
+		o.Count("site.prepare_misses", 1)
+		chain = e.spare.Get().(*gmdj.Chain)
+	}
+	// A shape keeps a chain from its second request on: one seen once goes
+	// in the map with its parsed parts, its chain back to spare, so shapes
+	// that never repeat share chains as requests of one shape do. A chain
+	// that finds its shape's place taken goes to spare too.
+	defer func() {
+		chain.Rewind()
+		if resp != nil && known {
+			if chain.Shrink(maxKeptGroups); sh.chain.CompareAndSwap(nil, chain) {
+				return
+			}
+		} else if resp != nil {
+			e.addShape(shapes, string(key), sh)
+		}
+		e.spare.Put(chain)
+	}()
 	var base *gmdj.Base
 	switch {
 	case len(req.BaseCols) > 0:
-		detail, def, err := e.baseDef(rels, req)
+		detail, err := e.baseDef(rels, req, sh)
 		if err != nil {
 			return nil, err
 		}
 		if len(req.Rounds) == 0 {
-			out, err := chain.EvalBaseFrame(detail, def)
+			out, err := chain.EvalBaseFrame(detail, sh.def)
 			if err != nil {
 				return nil, err
 			}
 			return e.framed(out, nil, prof, start)
 		}
 		// The fused rounds' kernels read the base from the detail's lanes.
-		if base, err = chain.EvalBaseLanes(detail, def); err != nil {
+		if base, err = chain.EvalBaseLanes(detail, sh.def); err != nil {
 			return nil, err
 		}
 	case req.Base != nil && req.Base.Schema != nil:
@@ -424,27 +531,27 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	default:
 		return nil, fmt.Errorf("no base relation (ship Base or set BaseCols)")
 	}
-	// Chains are short: mds and slabs stay on the stack.
-	mds, slabs := make([]gmdj.MD, 0, 4), make([]*agg.Slab, 0, 4)
-	for ri, spec := range req.Rounds {
-		md, err := parseRound(spec)
-		if err != nil {
-			return nil, fmt.Errorf("round %d: %w", ri+1, err)
+	if sh.mds == nil {
+		mds := make([]gmdj.MD, len(req.Rounds))
+		for ri, spec := range req.Rounds {
+			var err error
+			if mds[ri], err = parseRound(spec); err != nil {
+				return nil, fmt.Errorf("round %d: %w", ri+1, err)
+			}
 		}
-		mds = append(mds, md)
+		sh.mds = mds
 	}
 
-	// The reply's columns: a fused base's, then every round's states.
+	// The reply leads with a fused base's own columns.
 	var keys []relation.LaneSource
-	var cols []relation.Column
+	own := base.Schema.Cols
 	if !shipped {
-		keys, cols = base.Lanes(), append(cols, base.Schema.Cols...)
+		keys = base.Lanes()
 	}
 	// Accumulated |RNG| counts across the Touched rounds (Proposition 1
 	// over θ_1 ∨ ... ∨ θ_m of the whole chain); nil when none is.
 	var touched []int64
 
-	o := e.getObs()
 	workers := runtime.GOMAXPROCS(0)
 	o.SetGauge("site.eval_workers", int64(workers))
 
@@ -462,7 +569,9 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 	}
 
 	n := base.Len()
-	for ri, md := range mds {
+	// Chains are short: the slabs stay on the stack.
+	slabs := make([]*agg.Slab, 0, 4)
+	for ri := range sh.mds {
 		spec := req.Rounds[ri]
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
@@ -471,14 +580,11 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
-		slab, matched, err := chain.EvalStates(base, detail, md, gmdj.SubOpts{Workers: workers, Stats: &vecStats})
+		slab, matched, err := chain.EvalStates(base, detail, &sh.mds[ri], gmdj.SubOpts{Workers: workers, Stats: &vecStats})
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", ri+1, err)
 		}
 		slabs = append(slabs, slab)
-		for _, sp := range slab.Specs() {
-			cols = append(cols, sp.SubColumns()...)
-		}
 		switch {
 		case spec.Touched && touched == nil:
 			touched = matched
@@ -489,8 +595,8 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		}
 		// The coordinator finalizes from the merged states, so finals only
 		// feed the later rounds that name them.
-		if spec.Finalize && ri < len(mds)-1 {
-			if err := withFinals(base, slab, mds[ri+1:]); err != nil {
+		if spec.Finalize && ri < len(sh.mds)-1 {
+			if err := withFinals(base, slab, sh.mds[ri+1:]); err != nil {
 				return nil, fmt.Errorf("round %d: %w", ri+1, err)
 			}
 		}
@@ -502,15 +608,26 @@ func (e *Engine) evalRounds(ctx context.Context, req *transport.Request, prof *t
 		o.SetGauge("vec.selectivity", vecStats.Selected*1000/vecStats.FilterRows)
 	}
 
-	out, kept, err := frameReply(cols, n, keys, slabs, touched)
-	if err != nil {
-		return nil, err
+	if sh.reply == nil {
+		// The reply's columns: a fused base's, then every round's states.
+		var cols []relation.Column
+		if !shipped {
+			cols = append(cols, own...)
+		}
+		for _, md := range sh.mds {
+			for _, sp := range md.Specs() {
+				cols = append(cols, sp.SubColumns()...)
+			}
+		}
+		if sh.reply, err = relation.NewSchema(cols...); err != nil {
+			return nil, err
+		}
 	}
+	out, kept := frameReply(sh.reply, n, keys, slabs, touched)
 	if !shipped {
 		kept = nil
 	}
-	resp, err := e.framed(out, kept, prof, start)
-	if err != nil {
+	if resp, err = e.framed(out, kept, prof, start); err != nil {
 		return nil, err
 	}
 	o.Count("site.rounds_served", int64(len(req.Rounds)))
@@ -576,16 +693,12 @@ func named(mds []gmdj.MD, col string) bool {
 	return false
 }
 
-// frameReply frames the answer to n base rows from one pass over each lane:
-// a row per group with a non-zero touched count (every group when touched
-// is nil — Proposition 1's site-side half), holding the keys lanes, then
-// every slab's states. kept is the bitmap of the groups it kept, nil when
-// it kept all; the counts themselves are not shipped.
-func frameReply(cols []relation.Column, n int, keys []relation.LaneSource, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte, error) {
-	schema, err := relation.NewSchema(cols...)
-	if err != nil {
-		return nil, nil, err
-	}
+// frameReply frames the answer to n base rows under schema from one pass
+// over each lane: a row per group with a non-zero touched count (every
+// group when touched is nil — Proposition 1's site-side half), holding the
+// keys lanes, then every slab's states. kept is the bitmap of the groups it
+// kept, nil when it kept all; the counts themselves are not shipped.
+func frameReply(schema *relation.Schema, n int, keys []relation.LaneSource, slabs []*agg.Slab, touched []int64) (*relation.Frame, []byte) {
 	var kept []byte
 	if slices.Contains(touched, 0) {
 		kept = make([]byte, (n+7)/8)
@@ -595,13 +708,13 @@ func frameReply(cols []relation.Column, n int, keys []relation.LaneSource, slabs
 			}
 		}
 	}
-	lanes := append(make([]relation.LaneSource, 0, len(cols)), keys...)
+	lanes := append(make([]relation.LaneSource, 0, schema.Len()), keys...)
 	for _, s := range slabs {
 		for p := 0; p < s.Width(); p++ {
 			lanes = append(lanes, s.Lane(p))
 		}
 	}
-	return relation.EncodeFrame(schema, n, kept, lanes), kept, nil
+	return relation.EncodeFrame(schema, n, kept, lanes), kept
 }
 
 // parseRound converts the wire form of a round into an MD operator.

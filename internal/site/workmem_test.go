@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gmdj"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/tpcr"
 	"repro/internal/transport"
@@ -147,17 +148,20 @@ func column(tb testing.TB, resp *transport.Response, name string) []value.V {
 }
 
 // TestPooledChainsInvisible: an engine's evaluations draw their kernel
-// buffers, slabs and match counts from a pool of chains, and no request can
-// tell. A mix of fused, filtered, states-only, chained and failing
-// requests, sent to one engine in order and then from concurrent
-// goroutines, gets byte for byte the replies each request gets from an
-// engine that has served nothing before. Each request leaves its chain's
-// states dirty in its own way for the next: extrema over STRINGs and
-// FLOATs with NULLs, sketches and sets, an INT sum that a FLOAT switches, a
-// three-round chain before one-round requests, a 2 000-group base before a
-// 50-group one, and rounds that fail after the first wrote its states. The
-// shipped bases hold customers the site has no row of, whose states must
-// read empty.
+// buffers, slabs and match counts from a pool of chains, each prepared for
+// one request shape, and no request can tell. A mix of fused, filtered,
+// states-only, chained and failing requests, each sent many times to one
+// engine in order and then from concurrent goroutines, gets byte for byte
+// the replies each request gets from an engine that has served nothing
+// before — also when the detail relation is reloaded between them with
+// data in which Quantity is a FLOAT, not an INT, so that what a shape
+// prepared over the old batch no longer fits. Each request leaves its
+// chain's states dirty in its own way for the next: extrema over STRINGs
+// and FLOATs with NULLs, sketches and sets, an INT sum that a FLOAT
+// switches, a three-round chain before one-round requests, a 2 000-group
+// base before a 50-group one, and rounds that fail after the first wrote
+// its states. The shipped bases hold customers the site has no row of,
+// whose states must read empty. Requests find their shape prepared.
 func TestPooledChainsInvisible(t *testing.T) {
 	gen := func(rows int) *relation.Relation {
 		part, err := tpcr.GeneratePartition(
@@ -240,28 +244,77 @@ func TestPooledChainsInvisible(t *testing.T) {
 		}
 	}
 
+	other := quantityFloat(t, part)
+	wantOther := make([][]byte, len(mix))
+	changed := 0
+	for i, req := range mix {
+		if wantOther[i] = freshReply(other, req); !bytes.Equal(wantOther[i], want[i]) {
+			changed++
+		}
+	}
+	if changed < len(mix)/2 {
+		t.Fatalf("FLOAT quantities change %d of %d replies", changed, len(mix))
+	}
+	wants := map[*relation.Relation][][]byte{part: want, other: wantOther}
+
 	e := engine()
-	check := func(report func(string, ...any), pass, i int) {
-		if got := replyBytes(e.Handle(context.Background(), mix[i])); !bytes.Equal(got, want[i]) {
-			report("pass %d, request %d: the reply differs from a fresh engine's (%d vs %d bytes)", pass, i, len(got), len(want[i]))
+	o := obs.New()
+	e.SetObs(o)
+	check := func(report func(string, ...any), pass, i int, data *relation.Relation) {
+		if got := replyBytes(e.Handle(context.Background(), mix[i])); !bytes.Equal(got, wants[data][i]) {
+			report("pass %d, request %d: the reply differs from a fresh engine's (%d vs %d bytes)", pass, i, len(got), len(wants[data][i]))
 		}
 	}
-	for pass := 0; pass < 2; pass++ {
-		for i := range mix {
-			check(t.Fatalf, pass, i)
+	data := part
+	reload := func() {
+		if data == part {
+			data = other
+		} else {
+			data = part
 		}
+		e.Load("tpcr", data)
 	}
+	// In order: every request twice over each relation, the relation
+	// replaced halfway through a pass.
+	for k := 0; k < 5*len(mix); k++ {
+		if k%(2*len(mix)) == 3*len(mix)/2 {
+			reload()
+		}
+		check(t.Fatalf, k/len(mix), k%len(mix), data)
+	}
+	// Concurrently while the relation is replaced: a reply is the one over
+	// the relation before a load or over the one after it.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for k := 0; k < 2*len(mix); k++ {
-				check(t.Errorf, g, (g*3+k)%len(mix))
+				i := (g*3 + k) % len(mix)
+				if got := replyBytes(e.Handle(context.Background(), mix[i])); !bytes.Equal(got, want[i]) && !bytes.Equal(got, wantOther[i]) {
+					t.Errorf("goroutine %d, request %d: the reply is neither relation's", g, i)
+				}
+			}
+		}(g)
+	}
+	for k := 0; k < 6; k++ {
+		reload()
+	}
+	wg.Wait()
+	// Concurrently over one relation.
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 2*len(mix); k++ {
+				check(t.Errorf, g, (g*3+k)%len(mix), data)
 			}
 		}(g)
 	}
 	wg.Wait()
+	if hits := o.Metrics.CounterValue("site.prepare_hits"); hits == 0 {
+		t.Error("no request found its shape prepared")
+	}
 }
 
 // TestShippedRequestBytesDoNotScaleWithBase: on a warmed engine a

@@ -3,7 +3,6 @@ package vec
 //lint:deterministic the distinct kernel must keep the row engine's first-seen order
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/relation"
@@ -19,6 +18,7 @@ import (
 // structure is immutable once built, so concurrent kernels share it.
 type Grouping struct {
 	src   *Batch
+	cols  []int // the key columns, as Batch.Grouping was asked for them
 	keys  []*Col
 	ids   []int32           // ids[lane] is the lane's group
 	index relation.KeyIndex // chained key hash → group
@@ -41,17 +41,18 @@ func (b *Batch) Grouping(cols []int) (*Grouping, error) {
 	if err := b.Check(); err != nil {
 		return nil, err
 	}
-	key := fmt.Sprint(cols)
 	b.groupMu.Lock()
 	defer b.groupMu.Unlock()
-	if g, ok := b.groupMemo[key]; ok {
-		return g, nil
+	for _, g := range b.groupings {
+		if slices.Equal(g.cols, cols) {
+			return g, nil
+		}
 	}
 	hashes, err := hashLanes(b, cols)
 	if err != nil {
 		return nil, err
 	}
-	g := &Grouping{src: b, ids: make([]int32, b.n), keys: make([]*Col, len(cols)), perm: make([]*Col, len(b.Cols))}
+	g := &Grouping{src: b, cols: slices.Clone(cols), ids: make([]int32, b.n), keys: make([]*Col, len(cols)), perm: make([]*Col, len(b.Cols))}
 	for k, ci := range cols {
 		g.keys[k] = &b.Cols[ci]
 	}
@@ -86,10 +87,7 @@ func (b *Batch) Grouping(cols []int) (*Grouping, error) {
 	}
 	copy(g.offs[1:], g.offs)
 	g.offs[0] = 0
-	if b.groupMemo == nil {
-		b.groupMemo = make(map[string]*Grouping)
-	}
-	b.groupMemo[key] = g
+	b.groupings = append(b.groupings, g)
 	return g, nil
 }
 

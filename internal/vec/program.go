@@ -112,18 +112,18 @@ func (l *Lanes) effKind() value.Kind {
 }
 
 // Scratch is a pool of lane buffers. Every Program draws its nodes' scratch
-// vectors from the one it was compiled with; an evaluator that compiles
-// programs one generation after another (a site worker, round after round
-// of a chained request) compiles them all with the same Scratch and calls
-// Reset between generations, so
-// a later round reuses the buffers of an earlier one instead of growing
-// its own. Not safe for concurrent use.
+// vectors from the one it was compiled with, and keeps them as long as it
+// is evaluated; an evaluator that replaces its programs (a site worker
+// whose operator changed) calls Reset before it compiles the new ones, so
+// they reuse the old ones' buffers instead of growing their own. Not safe
+// for concurrent use.
 type Scratch struct {
 	i64   bufPool[int64]
 	f64   bufPool[float64]
 	i32   bufPool[int32]
 	bools bufPool[bool]
 	vals  bufPool[value.V]
+	boxed bool // vals written since Program.Release cleared them
 }
 
 // Reset returns every buffer handed out so far to the pool. Programs
@@ -218,7 +218,7 @@ func (l *Lanes) put(sc *Scratch, i int, v value.V) {
 	case l.Kind == value.KindNull && v.K != value.KindString:
 		l.Kind, l.Ints = v.K, sc.i64.grow(l.Ints, l.N)
 	default:
-		l.vals = sc.vals.grow(l.vals, l.N)
+		l.vals, sc.boxed = sc.vals.grow(l.vals, l.N), true
 		for j := range l.vals {
 			l.vals[j] = l.Value(j)
 		}
@@ -254,7 +254,8 @@ type Program struct {
 	base   relation.Row
 	stats  *Stats
 	sc     *Scratch
-	picked []int32 // Filter's result
+	picked []int32    // Filter's result
+	held   []*value.V // scalar broadcasts and call arguments (Release)
 }
 
 type scalarSlot struct {
@@ -294,6 +295,25 @@ func (p *Program) SetBase(base relation.Row) {
 	p.base = base
 	for i := range p.slots {
 		p.slots[i] = scalarSlot{}
+	}
+}
+
+// Release drops every value p holds of what it last read — its base row,
+// the scalars computed from it, call arguments, and the boxed lanes in its
+// Scratch (for every program drawing from it) — and keeps p compiled.
+func (p *Program) Release() {
+	p.SetBase(nil)
+	for _, v := range p.held {
+		*v = value.V{}
+	}
+	if p.sc.boxed {
+		for _, b := range p.sc.vals.used {
+			clear(b[:cap(b)])
+		}
+		for _, b := range p.sc.vals.free {
+			clear(b[:cap(b)])
+		}
+		p.sc.boxed = false
 	}
 }
 
@@ -425,9 +445,10 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		slot := len(p.bounds)
+		n := &scalarNode{slot: len(p.bounds)}
 		p.bounds = append(p.bounds, bound)
-		return &scalarNode{slot: slot}, nil
+		p.held = append(p.held, &n.out.ConstV)
+		return n, nil
 	}
 	switch n := e.(type) {
 	case expr.Col:
@@ -585,8 +606,12 @@ func (p *Program) compile(e expr.Expr, bd expr.Binding) (node, error) {
 			}
 			return cn, nil
 		}
-		return &callNode{args: args, body: body,
-			vals: make([]*Lanes, len(args)), row: make(relation.Row, len(args))}, nil
+		cn := &callNode{args: args, body: body,
+			vals: make([]*Lanes, len(args)), row: make(relation.Row, len(args))}
+		for i := range cn.row {
+			p.held = append(p.held, &cn.row[i])
+		}
+		return cn, nil
 	}
 	return nil, fmt.Errorf("expr: cannot compile %T", e)
 }

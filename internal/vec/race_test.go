@@ -1,0 +1,6 @@
+//go:build race
+
+package vec
+
+// raceEnabled reports whether the tests run under the race detector.
+const raceEnabled = true

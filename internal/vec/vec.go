@@ -102,12 +102,12 @@ type Batch struct {
 	all     []int32 // see identity
 
 	groupMu sync.Mutex
-	// groupMemo caches the Grouping per key-column set; entries are
-	// immutable once stored, so concurrent kernels share them outside the
-	// lock.
+	// groupings are the batch's Groupings, one per key-column list, found
+	// by comparing lists; entries are immutable once stored, so concurrent
+	// kernels share them outside the lock.
 	//
 	//lint:guarded-by groupMu
-	groupMemo map[string]*Grouping
+	groupings []*Grouping
 }
 
 // Len returns the number of rows (lanes) in the batch.

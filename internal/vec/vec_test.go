@@ -278,6 +278,34 @@ func TestGroupingMemoized(t *testing.T) {
 	}
 }
 
+// TestGroupingLookupAllocatesNothing: finding a batch's grouping once it
+// is built compares column lists and allocates nothing, as every fused
+// request's distinct kernel and every planned θ does.
+func TestGroupingLookupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts hold without the race detector's instrumentation")
+	}
+	b, err := FromRelation(hostileRel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := [][]int{{0, 2}, {2}, {2, 0}}
+	for _, cols := range keys {
+		if _, err := b.Grouping(cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, cols := range keys {
+			if _, err := b.Grouping(cols); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm grouping lookup allocates %.1f objects", allocs)
+	}
+}
+
 // laneKey is the Key() of a lane's values on the key columns.
 func laneKey(b *Batch, cols []int, lane int) string {
 	var k string

@@ -52,7 +52,12 @@ echo "== stress (race, 20 runs of the concurrent layers) =="
 # (concurrent executions and relays share the coordinator's pooled merge
 # memory, and none can tell) and TestPooledChainFinalsIsolated (fused
 # requests whose later rounds read finals of different shapes alternate
-# on one engine's pooled chains, whose finals buffer neither may see).
+# on one engine's pooled chains, whose finals buffer neither may see). It
+# also includes TestPooledChainsInvisible's concurrent reload: goroutines
+# send a mix of request shapes, each prepared once and then run from the
+# shape's kept chain, while the detail relation is replaced under them by
+# one where a column changed kind, and every reply is a fresh engine's
+# over one relation or the other.
 go test -race -count=20 ./internal/transport ./internal/core ./internal/site ./internal/gmdj ./internal/vec
 # Admission lives in skalla's QueryService; its tests ride the same gate,
 # and so do the checks that queries sharing one cluster each count
@@ -122,8 +127,9 @@ echo "== quick bench pass =="
 # PartitionAttr is the catalog's partition proof, memoized and cold;
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
 # unboxed (DecodeFrame), the form a client decodes every reply in;
-# ParseSpec is the workloads' aggregate specs, parsed by every site on
-# every request, SQLParse three statements of the serve mix, PoolCall
+# ParseSpec is the workloads' aggregate specs, which a site parses once
+# per request shape it prepares, SQLParse three statements of the serve
+# mix, PoolCall
 # one pooled call, and ShipX a round's 2 000-row X framed for 4 and for 8
 # sites, once per round, and for 8 filtered sites, each from its own rows.
 # PingLatency is one empty exchange over loopback TCP: the fixed cost of a
