@@ -3,6 +3,7 @@ package agg
 import (
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/value"
 )
 
@@ -31,6 +32,56 @@ func BenchmarkSlabMerge(b *testing.B) {
 		if err := s.Merge(0, 0, v); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMergeLane merges one 2 000-group state lane of a states-only
+// reply, INT or FLOAT, into a sum's slab by position, as the coordinator
+// merges each primitive column of a site's reply: in one pass (MergeLane),
+// and value by value as the frame boxes them (Merge), the path MergeLane
+// takes for a lane with no typed form.
+func BenchmarkMergeLane(b *testing.B) {
+	const groups = 2000
+	for _, c := range []struct {
+		kind  value.Kind
+		typed bool
+	}{{value.KindInt, true}, {value.KindInt, false}, {value.KindFloat, true}, {value.KindFloat, false}} {
+		kind, name := c.kind, c.kind.String()+"/value"
+		if c.typed {
+			name = c.kind.String() + "/lane"
+		}
+		b.Run(name, func(b *testing.B) {
+			rel := relation.New(relation.MustSchema(relation.Column{Name: "s__p0", Kind: kind}))
+			at := make([]int, groups)
+			for g := range at {
+				v := value.NewInt(int64(g%50 + 1))
+				if kind == value.KindFloat {
+					v = value.NewFloat(float64(g) / 4)
+				}
+				rel.MustAppend(v)
+				at[g] = g
+			}
+			h, err := relation.DecodeFrame(relation.AppendFrame(nil, rel))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := NewSlab([]Spec{MustParseSpec("sum(x) AS s")}, groups)
+			var sc LaneScratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			merge := func(j int, v value.V) error { return s.Merge(at[j], 0, v) }
+			for i := 0; i < b.N; i++ {
+				var err error
+				if c.typed {
+					err = s.MergeLane(0, at, h, 0, &sc)
+				} else {
+					err = h.Lane(0, merge)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -299,3 +299,130 @@ func FuzzSlabFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSlabFrameMerge frames a slab's lanes over the groups a bitmap keeps,
+// as a site frames its reply, decodes the frame as a coordinator does, and
+// folds it into two fresh slabs: by MergeLane, which folds an INT or FLOAT
+// lane in one pass, and value by value (Merge). It folds each column into
+// another primitive, as a reply of a foreign shape would reach it, and then
+// twice into its own. The slabs must hold
+// the same states bit for bit, and a lane refused one way must be refused
+// the other with the same error. Groups hold INT, FLOAT or mixed sums,
+// sums near the int64 limits that wrap at the site (a wide state) or only
+// as the coordinator merges them, or nothing; the bitmap keeps every group,
+// the groups data picks, or exactly the groups a sum saw a value in, whose
+// unkept groups are then its only NULLs. Row j folds into group j%m for m
+// up to the rows, so states of several rows meet in one group, in order.
+func FuzzSlabFrameMerge(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6}, uint8(9), uint8(0x53))
+	f.Add([]byte{0, 2, 0, 8, 1, 14, 1, 7, 2, 19}, uint8(3+0x80), uint8(0x51)) // wide, wrapping and small ints
+	f.Add([]byte{0, 3, 1, 9, 2, 15, 3, 21}, uint8(5+0x40), uint8(0x92))       // floats, kept where seen
+	f.Add([]byte{0, 1, 0, 3, 1, 2, 2, 5, 3, 4}, uint8(7+0xc0), uint8(0x14))   // mixed kinds, kept explicitly
+	f.Add([]byte{}, uint8(0), uint8(0))
+	specs := []Spec{
+		MustParseSpec("count(*) AS n"), MustParseSpec("count(x) AS c"),
+		MustParseSpec("sum(x) AS s"), MustParseSpec("var(x) AS v"),
+		MustParseSpec("min(x) AS lo"), MustParseSpec("max(x) AS hi"),
+		MustParseSpec("countd(x) AS d"), MustParseSpec("countdx(x) AS dx"),
+	}
+	var cols []relation.Column
+	for _, sp := range specs {
+		cols = append(cols, sp.SubColumns()...)
+	}
+	schema := relation.MustSchema(cols...)
+	big := []int64{math.MaxInt64, math.MinInt64, math.MaxInt64 / 2, math.MinInt64 / 2}
+	f.Fuzz(func(t *testing.T, data []byte, groups, spread uint8) {
+		if len(data) > 512 {
+			return
+		}
+		n := int(groups % 0x40)
+		site := NewSlab(specs, n)
+		for i := 0; n > 0 && i+1 < len(data); i += 2 {
+			b := data[i+1]
+			var v value.V
+			switch b % 6 {
+			case 1:
+				v = value.NewInt(int64(int8(b)))
+			case 2:
+				v = value.NewInt(big[b/6%4])
+			case 3:
+				v = value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, float64(int8(b)) / 4}[b/6%4])
+			case 4:
+				v = value.NewBool(b&8 != 0)
+			case 5:
+				v = value.NewString(fmt.Sprint(b % 13))
+			}
+			for p := 0; p < site.Width(); p++ {
+				_ = site.Add(int(data[i])%n, p, v) // a refused value leaves the state as it was
+			}
+		}
+		var kept []byte
+		if groups>>6 != 0 {
+			sum, _ := site.SpecPrims(2)
+			kept = make([]byte, (n+7)/8)
+			for g := 0; g < n; g++ {
+				keep := groups>>6 == 3
+				switch groups >> 6 {
+				case 1:
+					keep = len(data) > 0 && data[g%len(data)]&0x10 != 0
+				case 2:
+					keep = !site.Result(g, sum).IsNull()
+				}
+				if keep {
+					kept[g/8] |= 1 << (g % 8)
+				}
+			}
+		}
+		lanes := make([]relation.LaneSource, site.Width())
+		boxed := relation.New(schema)
+		for p := range lanes {
+			lanes[p] = site.Lane(p)
+		}
+		for g := 0; g < n; g++ {
+			if kept == nil || kept[g/8]&(1<<(g%8)) != 0 {
+				row := make(relation.Row, site.Width())
+				for p := range row {
+					row[p] = site.Result(g, p)
+				}
+				boxed.Rows = append(boxed.Rows, row)
+			}
+		}
+		framed := relation.EncodeFrame(schema, n, kept, lanes)
+		if want := relation.AppendFrame(nil, boxed); !bytes.Equal(framed.Bytes(), want) {
+			t.Fatalf("framed from the lanes\n% x\nboxed\n% x", framed.Bytes(), want)
+		}
+		h, err := relation.DecodeFrame(framed.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := 1 + int(spread)%max(1, h.Len())
+		at := make([]int, h.Len())
+		for j := range at {
+			at[j] = j % m
+		}
+		lane, each := NewSlab(specs, m), NewSlab(specs, m)
+		var sc LaneScratch
+		// The first round merges each column into the primitive spread>>4
+		// further on, into empty states.
+		for round := 0; round < 3; round++ {
+			for p := 0; p < lane.Width(); p++ {
+				c := p
+				if round == 0 {
+					c = (p + int(spread>>4)) % lane.Width()
+				}
+				got := lane.MergeLane(p, at, h, c, &sc)
+				want := h.Lane(c, func(j int, v value.V) error { return each.Merge(at[j], p, v) })
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("round %d, column %d into primitive %d: MergeLane: %v, Merge: %v", round, c, p, got, want)
+				}
+			}
+		}
+		for g := 0; g < m; g++ {
+			for p := 0; p < lane.Width(); p++ {
+				if got, want := lane.Result(g, p), each.Result(g, p); !sameState(got, want) {
+					t.Fatalf("group %d, primitive %d: merged by lane %#v, value by value %#v", g, p, got, want)
+				}
+			}
+		}
+	})
+}

@@ -287,6 +287,80 @@ func (s *Slab) Merge(g, p int, v value.V) error {
 	return nil
 }
 
+// LaneScratch is the memory MergeLane reads a typed lane's states into,
+// kept by its caller from one merge to the next.
+type LaneScratch struct {
+	ints   []int64
+	floats []float64
+}
+
+// MergeLane folds column c of frame h, shipped states, into primitive p:
+// row j's state into group at[j], in row order. The states, and the error,
+// are Merge's of each row's value. A lane of NULLs alone is no state; an
+// INT lane into a count or sum, or a FLOAT lane into a sum, is read into sc
+// and folded in one pass; any other lane is merged value by value.
+func (s *Slab) MergeLane(p int, at []int, h *relation.Frame, c int, sc *LaneScratch) error {
+	l := &s.lanes[p]
+	var bm []byte
+	switch k, typed := h.LaneKind(c); {
+	case !typed:
+	case k == value.KindNull:
+		return nil
+	case k == value.KindInt && (l.prim == PCount || l.prim == PSum || l.prim == PSumSq):
+		sc.ints, bm, _ = h.Ints(c, sc.ints)
+		l.mergeInts(at, sc.ints, bm)
+		return nil
+	case k == value.KindFloat && (l.prim == PSum || l.prim == PSumSq):
+		sc.floats, bm, _ = h.Floats(c, sc.floats)
+		l.mergeFloats(at, sc.floats, bm)
+		return nil
+	}
+	return h.Lane(c, func(j int, v value.V) error { return s.Merge(at[j], p, v) })
+}
+
+// mergeInts folds the INT states vals of a count or sum lane, row j's into
+// group at[j], in row order, skipping the rows bm (a frame's bitmap of
+// non-NULL rows; nil marks every row) marks NULL. It is Merge row by row:
+// integer totals with their wraps, a float total once a float was merged.
+func (l *lane) mergeInts(at []int, vals []int64, bm []byte) {
+	if l.prim == PCount {
+		for j, g := range at {
+			if marked(bm, j) {
+				l.ints[g] += vals[j]
+			}
+		}
+		return
+	}
+	fl := sumSeen
+	if l.prim == PSumSq {
+		fl |= sumFloat
+	}
+	for j, g := range at {
+		if !marked(bm, j) {
+			continue
+		}
+		if (l.flags[g]|fl)&sumFloat == 0 {
+			l.addInt(g, vals[j], 0)
+		}
+		l.floats[g] += float64(vals[j])
+		l.flags[g] |= fl
+	}
+}
+
+// mergeFloats is mergeInts for the FLOAT states of a sum lane.
+func (l *lane) mergeFloats(at []int, vals []float64, bm []byte) {
+	for j, g := range at {
+		if marked(bm, j) {
+			l.floats[g] += vals[j]
+			l.flags[g] |= sumSeen | sumFloat
+		}
+	}
+}
+
+// marked reports whether bitmap bm (bit j%8 of byte j/8; nil marks every
+// row) marks row j.
+func marked(bm []byte, j int) bool { return bm == nil || bm[j/8]&(1<<(j%8)) != 0 }
+
 // errSumOverflow: an integer sum whose total does not fit int64. Its
 // state ships exactly (wideSum); the sum fails where it is finalized
 // rather than wrap.
@@ -364,8 +438,76 @@ func (l *lane) checkSet(g int) error {
 func (s *Slab) Result(g, p int) value.V { return s.lanes[p].Value(g) }
 
 // Lane returns primitive p's states, group g's as value g, as the lane of
-// a frame: Result's values.
-func (s *Slab) Lane(p int) relation.LaneSource { return &s.lanes[p] }
+// a frame: Result's values. A count lane, and a sum lane whose framed
+// groups hold integer totals that fit int64 or float totals alone, hand
+// them over as typed runs (relation.TypedLane).
+func (s *Slab) Lane(p int) relation.TypedLane { return &s.lanes[p] }
+
+// Shape reports the mode Value's states of the groups [0, n) kept marks
+// are framed in (relation.TypedLane): a count lane is INT with no NULLs; a
+// sum lane is INT when every seen group's total is an integer with no
+// carry, FLOAT when every seen group's is a float, and has NULLs for the
+// groups that saw no value. Any other lane, or a sum lane that mixes
+// integer and float totals or holds a wide one, has no typed form.
+func (l *lane) Shape(n int, kept []byte) (k value.Kind, nulls, ok bool) {
+	switch l.prim {
+	case PCount:
+		return value.KindInt, false, true
+	case PSum, PSumSq:
+	default:
+		return value.KindNull, false, false
+	}
+	var ints, floats bool
+	for g, fl := range l.flags[:n] {
+		switch {
+		case !marked(kept, g):
+		case fl&sumSeen == 0:
+			nulls = true
+		case fl&sumFloat != 0:
+			floats = true
+		case l.carry[g] != 0:
+			return value.KindNull, false, false
+		default:
+			ints = true
+		}
+	}
+	switch {
+	case ints && floats:
+		return value.KindNull, false, false
+	case ints:
+		return value.KindInt, nulls, true
+	case floats:
+		return value.KindFloat, nulls, true
+	}
+	return value.KindNull, nulls, true
+}
+
+// Ints sets ints[k] to group from+k's integer total, or count, and
+// valid[k] to whether the group's state is not NULL (relation.TypedLane).
+func (l *lane) Ints(ints []int64, valid []bool, from int) {
+	copy(ints, l.ints[from:])
+	l.seen(valid, from)
+}
+
+// Floats sets floats[k] to group from+k's float total, and valid[k] to
+// whether the group saw a value (relation.TypedLane).
+func (l *lane) Floats(floats []float64, valid []bool, from int) {
+	copy(floats, l.floats[from:])
+	l.seen(valid, from)
+}
+
+// seen sets valid[k] to whether group from+k's state is not NULL.
+func (l *lane) seen(valid []bool, from int) {
+	if l.prim == PCount {
+		for k := range valid {
+			valid[k] = true
+		}
+		return
+	}
+	for k, fl := range l.flags[from : from+len(valid)] {
+		valid[k] = fl&sumSeen != 0
+	}
+}
 
 // Values sets dst[k] to Value(from+k) (relation.LaneSource). For kinds
 // alone, a sketch or a set that holds something is an empty STRING: it is

@@ -421,3 +421,52 @@ func TestMergeFromFrameMatchesRows(t *testing.T) {
 		}
 	}
 }
+
+// TestCountLaneModes: a count state column arriving in a mode no count
+// lane is framed in merges as Merge takes its values one by one, whatever
+// the reply's lane is read as. A FLOAT lane's counts are truncated to
+// integers (value.V.AsInt) and its NULLs skipped; a STRING lane fails the
+// merge with the error a count state that is not a number always got.
+func TestCountLaneModes(t *testing.T) {
+	specs := []agg.Spec{agg.MustParseSpec("count(*) AS n")}
+	x := relation.New(relation.MustSchema(relation.Column{Name: "g", Kind: value.KindInt}))
+	for g := 0; g < 3; g++ {
+		x.MustAppend(value.NewInt(int64(g)))
+	}
+	for _, c := range []struct {
+		kind    value.Kind
+		states  []value.V
+		wantErr string
+	}{
+		{value.KindFloat, []value.V{value.NewFloat(1.5), value.Null, value.NewFloat(2.75)}, ""},
+		{value.KindString, []value.V{value.NewString("a"), value.NewString("b"), value.Null},
+			"group merge: agg: merge count: value: cannot convert STRING to int"},
+	} {
+		reply := relation.New(relation.MustSchema(relation.Column{Name: "n__p0", Kind: c.kind}))
+		want := agg.NewSlab(specs, x.Len())
+		for g, v := range c.states {
+			reply.MustAppend(v)
+			if err := want.Merge(g, 0, v); err != nil && c.wantErr == "" {
+				t.Fatal(err)
+			}
+		}
+		h, err := relation.DecodeFrame(relation.AppendFrame(nil, reply))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := newKeyedMerge(x.Schema, x.Rows, nil, specs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.merge(h, placement{shipped: x.Len()})
+		if got := fmt.Sprint(err); c.wantErr != "" && got != c.wantErr || c.wantErr == "" && err != nil {
+			t.Fatalf("%s count lane: merge error %v, want %q", c.kind, err, c.wantErr)
+		}
+		for g := 0; c.wantErr == "" && g < x.Len(); g++ {
+			if got, want := m.accs.Result(g, 0), want.Result(g, 0); got != want {
+				t.Fatalf("%s count lane: group %d holds %v, merged value by value %v", c.kind, g, got, want)
+			}
+		}
+		m.release()
+	}
+}

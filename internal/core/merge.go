@@ -66,8 +66,9 @@ type mergeMem struct {
 	// brought is, per client in the coordinator's order, its keyed
 	// fragment's rows and the slot each resolved to.
 	brought []fragment
-	seen    []bool  // siteOrder's: the groups placed
-	order   []int32 // siteOrder's: order[k] names row k's slot
+	seen    []bool          // siteOrder's: the groups placed
+	order   []int32         // siteOrder's: order[k] names row k's slot
+	typed   agg.LaneScratch // a typed reply lane's states, as mergeAt reads it
 }
 
 // merges holds the working memory of the merges no round is running,
@@ -206,15 +207,15 @@ func (m *keyedMerge) merge(h *relation.Frame, pl placement) error {
 }
 
 // mergeAt folds the states of fragment h, row j into group at[j], one
-// primitive column at a time; columns are resolved by name.
+// primitive column at a time (agg.Slab.MergeLane: a typed column in one
+// pass); columns are resolved by name.
 func (m *keyedMerge) mergeAt(h *relation.Frame, at []int) error {
 	prims, err := m.primCols(h.Schema)
 	if err != nil {
 		return err
 	}
 	for p, c := range prims {
-		err := h.Lane(c, func(j int, v value.V) error { return m.accs.Merge(at[j], p, v) })
-		if err != nil {
+		if err := m.accs.MergeLane(p, at, h, c, &m.typed); err != nil {
 			return fmt.Errorf("group merge: %w", err)
 		}
 	}
@@ -294,15 +295,37 @@ func (m *keyedMerge) slot(k int) int {
 	return int(m.order[k])
 }
 
-// ordered is a slab lane read in a keyed merge's row order.
+// ordered is a slab lane read in a keyed merge's row order. Its rows are
+// the slab's groups permuted, so a typed slab lane has the same shape in
+// that order over all of them; over the groups of a kept bitmap it reads
+// boxed.
 type ordered struct {
-	src relation.LaneSource
+	src relation.TypedLane
 	m   *keyedMerge
 }
 
 func (o ordered) Values(dst []value.V, from int, kindsOnly bool) {
 	for k := range dst {
 		o.src.Values(dst[k:k+1], o.m.slot(from+k), kindsOnly)
+	}
+}
+
+func (o ordered) Shape(n int, kept []byte) (value.Kind, bool, bool) {
+	if kept != nil {
+		return value.KindNull, false, false
+	}
+	return o.src.Shape(n, nil)
+}
+
+func (o ordered) Ints(ints []int64, valid []bool, from int) {
+	for k := range ints {
+		o.src.Ints(ints[k:k+1], valid[k:k+1], o.m.slot(from+k))
+	}
+}
+
+func (o ordered) Floats(floats []float64, valid []bool, from int) {
+	for k := range floats {
+		o.src.Floats(floats[k:k+1], valid[k:k+1], o.m.slot(from+k))
 	}
 }
 

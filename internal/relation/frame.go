@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,22 +60,34 @@ func (l *laneShape) mode() byte {
 }
 
 // sharedPrefix returns how many leading bytes of prev, the lane's previous
-// non-NULL string, the encoding of s reuses: their common prefix, or none
-// when s has bytes of its own and would unfold into more than
-// maxStringExpansion bytes per byte it costs.
+// non-NULL string, the encoding of s reuses (frontPrefix).
 func sharedPrefix[S ~string | ~[]byte](prev, s S) int {
+	return frontPrefix(commonPrefix(prev, s), len(s))
+}
+
+// commonPrefix returns the length of the common prefix of a and b.
+func commonPrefix[S ~string | ~[]byte](a, b S) int {
 	p := 0
-	for p < len(prev) && p < len(s) && prev[p] == s[p] {
+	for p < len(a) && p < len(b) && a[p] == b[p] {
 		p++
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	rest := len(s) - p
-	cost := binary.PutUvarint(tmp[:], uint64(p)) + binary.PutUvarint(tmp[:], uint64(rest)) + rest
-	if rest > 0 && len(s) > maxStringExpansion*cost {
+	return p
+}
+
+// frontPrefix returns the prefix an n-byte string that shares p leading
+// bytes with the previous one is front-coded on: p, or none when the string
+// has bytes of its own and would unfold into more than maxStringExpansion
+// bytes per byte it costs.
+func frontPrefix(p, n int) int {
+	rest := n - p
+	if cost := uvarintLen(p) + uvarintLen(rest) + rest; rest > 0 && n > maxStringExpansion*cost {
 		return 0
 	}
 	return p
 }
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
@@ -91,6 +104,23 @@ type LaneSource interface {
 	// kind and, unless it is a STRING, its string, so a source may skip
 	// building the rest.
 	Values(dst []value.V, from int, kindsOnly bool)
+}
+
+// A TypedLane is a lane source that can also hand its values over as typed
+// runs, so a lane whose kept rows share one kind is written with no value
+// boxed. The bytes are those Values would have the encoder write.
+type TypedLane interface {
+	LaneSource
+	// Shape reports the mode of the kept source rows [0, n) (kept as in
+	// EncodeFrame): the one kind their non-NULL values share (KindNull when
+	// every row is NULL) and whether some row is NULL. ok is false when
+	// the rows have no typed run form, and the encoder reads Values.
+	Shape(n int, kept []byte) (k value.Kind, nulls, ok bool)
+	// Ints sets ints[k] to the payload of source row from+k of an INT or
+	// BOOL lane (value.V.Int) and valid[k] to whether that row is not NULL.
+	Ints(ints []int64, valid []bool, from int)
+	// Floats is Ints for a FLOAT lane.
+	Floats(floats []float64, valid []bool, from int)
 }
 
 // rowLane is column col of rows as a lane source.
@@ -152,7 +182,7 @@ func EncodeFrame(schema *Schema, n int, kept []byte, lanes []LaneSource) *Frame 
 		dst = append(dst, allSet(f.n-i))
 	}
 	for j := 0; f.n > 0 && j < len(lanes); j++ {
-		dst, f.lanes[j] = appendLane(dst, lanes[j], n, f.n, kept, sc.run[:])
+		dst, f.lanes[j] = appendLane(dst, lanes[j], n, f.n, kept, sc)
 	}
 	f.b, sc.b = bytes.Clone(dst), dst
 	frameBufs.Put(sc)
@@ -165,10 +195,16 @@ func EncodeFrame(schema *Schema, n int, kept []byte, lanes []LaneSource) *Frame 
 }
 
 // appendLane appends the lane of src's kept rows, rows of them: its mode,
-// which one pass over the kinds picks, then the bitmap of its non-NULL rows
-// if some are NULL, filled as one pass over the values writes them. It
-// reads src a run of len(run) values at a time.
-func appendLane(dst []byte, src LaneSource, n, rows int, kept []byte, run []value.V) ([]byte, frameLane) {
+// which one pass over the kinds picks (or a typed source's Shape reports),
+// then the bitmap of its non-NULL rows if some are NULL, filled as one pass
+// over the values writes them. It reads src a run of sc's values at a time.
+func appendLane(dst []byte, src LaneSource, n, rows int, kept []byte, sc *frameScratch) ([]byte, frameLane) {
+	if t, ok := src.(TypedLane); ok {
+		if k, nulls, ok := t.Shape(n, kept); ok {
+			return appendTyped(dst, t, k, nulls, n, rows, kept, sc)
+		}
+	}
+	run := sc.run[:]
 	var shape laneShape
 	for from := 0; from < n; from += len(run) {
 		vals := run[:min(len(run), n-from)]
@@ -221,15 +257,63 @@ func appendLane(dst []byte, src LaneSource, n, rows int, kept []byte, run []valu
 	return dst, l
 }
 
+// appendTyped is appendLane for a typed source whose kept rows have kind k,
+// some of them NULL if nulls: it writes each payload from src's typed runs.
+func appendTyped(dst []byte, src TypedLane, k value.Kind, nulls bool, n, rows int, kept []byte, sc *frameScratch) ([]byte, frameLane) {
+	shape := laneShape{kind: k}
+	if nulls {
+		shape.nulls = laneNulls
+	}
+	l := frameLane{mode: shape.mode()}
+	dst = append(dst, l.mode)
+	bm := len(dst)
+	if nulls {
+		dst = append(dst, make([]byte, (rows+7)/8)...)
+	}
+	l.off = len(dst)
+	r := 0
+	for from := 0; from < n; from += len(sc.valid) {
+		valid := sc.valid[:min(len(sc.valid), n-from)]
+		switch k {
+		case value.KindNull:
+			clear(valid)
+		case value.KindFloat:
+			src.Floats(sc.floats[:len(valid)], valid, from)
+		default:
+			src.Ints(sc.ints[:len(valid)], valid, from)
+		}
+		for i, ok := range valid {
+			if !present(kept, from+i) {
+				continue
+			}
+			switch {
+			case !ok:
+			case k == value.KindFloat:
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sc.floats[i]))
+			default:
+				dst = binary.AppendVarint(dst, sc.ints[i])
+			}
+			if ok && nulls {
+				dst[bm+r/8] |= 1 << (r % 8)
+			}
+			r++
+		}
+	}
+	return dst, l
+}
+
 // ErrMalformed marks the relations that have no frame: on encoding, one
 // that fails Validate; on decoding, bytes DecodeFrame refuses.
 var ErrMalformed = errors.New("malformed relation")
 
 // frameScratch is what EncodeFrame builds a frame in: its bytes, and a run
-// of values read from a lane.
+// of values read from a lane, boxed or typed.
 type frameScratch struct {
-	b   []byte
-	run [64]value.V
+	b      []byte
+	run    [64]value.V
+	ints   [64]int64
+	floats [64]float64
+	valid  [64]bool
 }
 
 // frameBufs holds the scratch EncodeFrame builds frames in.
@@ -301,9 +385,9 @@ func DecodeFrame(b []byte) (f *Frame, err error) {
 	}
 	f.lanes = make([]frameLane, w)
 	budget := maxStringExpansion * len(b)
-	var prev, cur []byte // scratch for unfolding strings
+	var buf []byte // scratch for unfolding strings
 	for j := 0; n > 0 && j < w; j++ {
-		f.lanes[j] = d.lane(f.n, j, &budget, &prev, &cur)
+		f.lanes[j] = d.lane(f.n, j, &budget, &buf)
 	}
 	if d.off != len(b) {
 		d.fail("%d trailing bytes", len(b)-d.off)
@@ -353,6 +437,57 @@ func (f *Frame) Lane(j int, fn func(i int, v value.V) error) error {
 		}
 	}
 	return nil
+}
+
+// LaneKind returns the kind of lane j's non-NULL values (KindNull when
+// every row is NULL), and typed false for a generic lane, whose values do
+// not share one kind.
+func (f *Frame) LaneKind(j int) (k value.Kind, typed bool) {
+	l := f.lanes[j]
+	return value.Kind(l.mode &^ laneNulls), l.mode != laneGeneric
+}
+
+// Ints reads lane j, an INT or BOOL lane (LaneKind), into dst grown to
+// Len() payloads (value.V.Int; 0 for a NULL row), and returns them with the
+// lane's bitmap of non-NULL rows, nil when none is NULL. ok is false, and
+// nothing read, for a lane of another mode.
+func (f *Frame) Ints(j int, dst []int64) (vals []int64, bm []byte, ok bool) {
+	l := f.lanes[j]
+	if k := value.Kind(l.mode &^ laneNulls); l.mode == laneGeneric || k != value.KindInt && k != value.KindBool {
+		return dst, nil, false
+	}
+	// The frame is checked: every varint is whole, in its minimal encoding.
+	b, off := f.b, l.off
+	vals = slices.Grow(dst[:0], f.n)[:f.n]
+	for i := range vals {
+		vals[i] = 0
+		if !present(l.bm, i) {
+			continue
+		}
+		ux, n := uint64(b[off]), 1
+		if ux >= 0x80 {
+			ux, n = binary.Uvarint(b[off:])
+		}
+		vals[i], off = int64(ux>>1)^-int64(ux&1), off+n
+	}
+	return vals, l.bm, true
+}
+
+// Floats is Ints for a FLOAT lane.
+func (f *Frame) Floats(j int, dst []float64) (vals []float64, bm []byte, ok bool) {
+	l := f.lanes[j]
+	if l.mode&^laneNulls != byte(value.KindFloat) {
+		return dst, nil, false
+	}
+	d := frameReader{b: f.b, off: l.off}
+	vals = slices.Grow(dst[:0], f.n)[:f.n]
+	for i := range vals {
+		vals[i] = 0
+		if present(l.bm, i) {
+			vals[i] = d.float()
+		}
+	}
+	return vals, l.bm, true
 }
 
 // Relation boxes the frame's values into rows sharing one value backing.
@@ -441,7 +576,7 @@ func (d *frameReader) str() []byte { return d.bytes(d.uvarint()) }
 func present(bm []byte, i int) bool { return bm == nil || bm[i/8]&(1<<(i%8)) != 0 }
 
 // lane checks column j of n rows, spending budget on string bytes.
-func (d *frameReader) lane(n, j int, budget *int, prev, cur *[]byte) frameLane {
+func (d *frameReader) lane(n, j int, budget *int, buf *[]byte) frameLane {
 	l := frameLane{mode: d.byte()}
 	kind := value.Kind(l.mode &^ laneNulls)
 	if kind > value.KindString {
@@ -460,7 +595,7 @@ func (d *frameReader) lane(n, j int, budget *int, prev, cur *[]byte) frameLane {
 	}
 	l.off = d.off
 	if kind == value.KindString {
-		l.strs = d.strings(n, l.bm, budget, prev, cur)
+		l.strs = d.strings(n, l.bm, budget, buf)
 		return l
 	}
 	var shape laneShape
@@ -473,6 +608,8 @@ func (d *frameReader) lane(n, j int, budget *int, prev, cur *[]byte) frameLane {
 			shape.add(k, len(s) > 0)
 		case kind == value.KindFloat:
 			d.float()
+		case kind == value.KindInt: // every varint is some INT's payload
+			d.varint()
 		default:
 			d.value(kind, d.varint(), 0)
 		}
@@ -491,31 +628,33 @@ func (d *frameReader) value(k value.Kind, i int64, f float64) {
 }
 
 // strings checks a front-coded lane of n rows and returns the bytes its
-// values unfold into. It unfolds each value into one of the two buffers
-// *prev and *cur, over the one before it in the other, so a value with no
-// bytes of its own is a prefix of the previous one.
-func (d *frameReader) strings(n int, bm []byte, budget *int, prev, cur *[]byte) int {
-	total := 0
-	*prev = (*prev)[:0]
+// values unfold into. It unfolds each value in place over the one before it
+// in *buf: a value is the previous one's first p bytes and then its own. A
+// value with bytes of its own is canonical when p is the prefix it shares
+// with the previous value (frontPrefix): most often the previous value has
+// no byte p or its byte p is not the value's own first byte, and the shared
+// prefix is p with no further comparison.
+func (d *frameReader) strings(n int, bm []byte, budget *int, buf *[]byte) int {
+	total, s := 0, (*buf)[:0]
 	for i := 0; i < n; i++ {
 		if !present(bm, i) {
 			continue
 		}
 		p, rest := d.uvarint(), d.str()
-		if p > uint64(len(*prev)) {
-			d.fail("prefix %d of a %d-byte string", p, len(*prev))
+		if p > uint64(len(s)) {
+			d.fail("prefix %d of a %d-byte string", p, len(s))
 		}
-		*cur = append(append((*cur)[:0], (*prev)[:p]...), rest...)
 		if len(rest) > 0 {
-			if total += len(*cur); total > *budget {
+			if total += int(p) + len(rest); total > *budget {
 				d.fail("strings unfold to over %d bytes per frame byte", maxStringExpansion)
 			}
-			if uint64(sharedPrefix(*prev, *cur)) != p {
+			if frontPrefix(int(p)+commonPrefix(s[p:], rest), int(p)+len(rest)) != int(p) {
 				d.fail("string %d not front-coded on its shared prefix", i)
 			}
 		}
-		*prev, *cur = *cur, *prev
+		s = append(s[:p], rest...)
 	}
+	*buf = s
 	*budget -= total
 	return total
 }

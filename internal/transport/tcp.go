@@ -440,10 +440,12 @@ func (c *TCPClient) Call(ctx context.Context, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s: %w", c.id, err)
 	}
+	// A deadline is armed only for a context that has one, and cleared when
+	// the call ends, so a call without one leaves the connection's
+	// deadline alone: no earlier call left one set.
 	if dl, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(dl)
-	} else {
-		c.conn.SetDeadline(time.Time{})
+		defer c.conn.SetDeadline(time.Time{})
 	}
 	// Watch for cancellation while I/O is in flight: SetDeadline is safe
 	// concurrently with Read/Write and wakes them immediately. The watcher

@@ -20,6 +20,7 @@ type hookConn struct {
 	mu       sync.Mutex
 	onRead   func()
 	deadline time.Time
+	sets     int // SetDeadline calls
 }
 
 func (c *hookConn) Read(p []byte) (int, error) {
@@ -36,8 +37,15 @@ func (c *hookConn) Read(p []byte) (int, error) {
 func (c *hookConn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.deadline = t
+	c.sets++
 	c.mu.Unlock()
 	return c.Conn.SetDeadline(t)
+}
+
+func (c *hookConn) deadlineSets() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sets
 }
 
 func (c *hookConn) setOnRead(f func()) {
@@ -98,6 +106,49 @@ func TestCallCancelledAsItCompletes(t *testing.T) {
 		if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
 			t.Fatalf("iteration %d: call after a cancelled one: %v", i, err)
 		}
+	}
+}
+
+// TestDeadlineArmedPerCall: a call arms the connection's deadline only when
+// its context has one, and clears it as it ends, so a call without a
+// deadline after one whose deadline has since passed still succeeds, and
+// sets no deadline of its own.
+func TestDeadlineArmedPerCall(t *testing.T) {
+	srv := NewServer(slowPingHandler{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &hookConn{Conn: raw}
+	c := newTCPClient("s", hc, CostModel{})
+	defer c.Close()
+
+	dl := time.Now().Add(200 * time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), dl)
+	defer cancel()
+	if _, err := c.Call(ctx, &Request{Op: OpPing}); err != nil {
+		t.Fatalf("call within its deadline: %v", err)
+	}
+	if got := hc.lastDeadline(); !got.IsZero() {
+		t.Fatalf("call returned leaving deadline %v on the connection", got)
+	}
+	time.Sleep(time.Until(dl) + 10*time.Millisecond)
+	if _, err := c.Call(ctx, &Request{Op: OpPing}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("call past its deadline: %v, want %v", err, context.DeadlineExceeded)
+	}
+	sets := hc.deadlineSets()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Call(context.Background(), &Request{Op: OpPing}); err != nil {
+			t.Fatalf("call %d without a deadline after one whose deadline passed: %v", i, err)
+		}
+	}
+	if got := hc.deadlineSets(); got != sets {
+		t.Fatalf("calls without a deadline set the connection's deadline %d times", got-sets)
 	}
 }
 

@@ -82,7 +82,10 @@ echo "== fuzz smoke (slab lane folds vs per-value Add) =="
 go test -run '^$' -fuzz FuzzSlabFold -fuzztime 10s ./internal/agg
 
 echo "== fuzz smoke (slab lanes framed vs boxed states) =="
-go test -run '^$' -fuzz FuzzSlabFrame -fuzztime 10s ./internal/agg
+go test -run '^$' -fuzz 'FuzzSlabFrame$' -fuzztime 10s ./internal/agg
+
+echo "== fuzz smoke (reply lanes merged typed vs per-value Merge) =="
+go test -run '^$' -fuzz FuzzSlabFrameMerge -fuzztime 10s ./internal/agg
 
 echo "== fuzz smoke (sql parser) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sql
@@ -127,6 +130,10 @@ echo "== quick bench pass =="
 # PartitionAttr is the catalog's partition proof, memoized and cold;
 # DecodeFrame is a states-only reply read boxed (ReadFrame) and checked
 # unboxed (DecodeFrame), the form a client decodes every reply in;
+# DecodeShippedX the check of a shipped X's front-coded names, which a
+# site runs on every request that ships one; SlabMerge is one state merged
+# by value, and MergeLane one 2 000-group INT or FLOAT state lane of a
+# reply merged by position, in one pass and value by value;
 # ParseSpec is the workloads' aggregate specs, which a site parses once
 # per request shape it prepares, SQLParse three statements of the serve
 # mix, PoolCall
@@ -134,7 +141,7 @@ echo "== quick bench pass =="
 # sites, once per round, and for 8 filtered sites, each from its own rows.
 # PingLatency is one empty exchange over loopback TCP: the fixed cost of a
 # message, what a connection's reader and reused body buffer keep small.
-go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|ParseSpec|SQLParse|PoolCall|ShipX|PingLatency' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
+go test -run '^$' -bench 'Filter|Grouping|ChainVec|HandleFused|HandleChained|HandleShipped|SortKeys|SlabExtremum|SlabMerge|MergeLane|Synchronize|KeyIndex|RoundTrip|PartitionAttr|DecodeFrame|DecodeShippedX|ParseSpec|SQLParse|PoolCall|ShipX|PingLatency' -benchtime 1x ./internal/vec ./internal/gmdj ./internal/site ./internal/relation ./internal/agg ./internal/core ./internal/transport ./internal/catalog ./internal/sql > /dev/null
 
 echo "== observability smoke =="
 ./scripts/obs_smoke.sh
